@@ -51,8 +51,13 @@ fmt:
 # keep summing to ~1, that the serve/cluster profiles stay present,
 # and that the cluster's router-merged histograms equal the per-shard
 # sums exactly.
+# Last, the go-test micro-benchmarks — the three lazy-reduction
+# kernels at the benchmark shape (one NTT tower, ModUp's and ModDown's
+# basis conversions, one ApplyKey row), then the hks switch paths — go
+# to bench_kernels.txt, which CI uploads beside the JSON reports.
 # Tune with e.g.
 #   make bench BENCH_FLAGS="-logn 14 -requests 32 -workers 8"
+KERNEL_BENCH ?= ForwardN8192|InverseN8192|ConvertModUp|ConvertExactModDown|MulAcc3
 BENCH_FLAGS ?= -logn 13 -requests 8
 SERVE_FLAGS ?= -logn 13 -clients 4 -rotations 8 -requests 8 -tenants 2 -levels 2 -keycomp -keybudget 134217728
 WORKLOAD_FLAGS ?= -logn 13 -towers 6 -bts 2
@@ -65,7 +70,9 @@ bench:
 	$(GO) run ./cmd/ciflow serve -workload bootstrap $(WORKLOAD_FLAGS) -check -json BENCH_workload.json
 	$(GO) run ./cmd/ciflow serve -workload file:internal/workload/testdata/private-inference.schedule.json $(SCENARIO_FLAGS) -check -json BENCH_scenario.json
 	$(GO) build -o bin/ciflow ./cmd/ciflow && bin/ciflow cluster $(CLUSTER_FLAGS) -profile -check -json BENCH_cluster.json
-	$(GO) test -run NONE -bench 'KeySwitchN4096|SwitchParallel|SwitchHoisted' -benchtime 2x ./internal/hks/
+	{ $(GO) test -run NONE -bench '$(KERNEL_BENCH)' ./internal/mod/ ./internal/ntt/ ./internal/bconv/ && \
+	  $(GO) test -run NONE -bench 'KeySwitchN4096|SwitchParallel|SwitchHoisted' -benchtime 2x ./internal/hks/; } > bench_kernels.txt; \
+		status=$$?; cat bench_kernels.txt; exit $$status
 
 # perfgate compares fresh BENCH_engine.json / BENCH_serve.json /
 # BENCH_workload.json against stashed baselines (the CI perf-
@@ -101,5 +108,6 @@ perfgate:
 
 clean:
 	rm -f BENCH_engine.json BENCH_serve.json BENCH_workload.json BENCH_scenario.json BENCH_cluster.json \
-		bench_baseline.json serve_baseline.json workload_baseline.json scenario_baseline.json cluster_baseline.json
+		bench_baseline.json serve_baseline.json workload_baseline.json scenario_baseline.json cluster_baseline.json \
+		bench_kernels.txt
 	rm -rf bin

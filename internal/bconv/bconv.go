@@ -13,7 +13,12 @@
 //
 // The kernel costs N·|B|·|C| modular multiply-accumulates plus N·|B|
 // multiplications — exactly the count the paper charges BConv with
-// (§III-B: "roughly N×α×β modular multiplications").
+// (§III-B: "roughly N×α×β modular multiplications"). The count is the
+// model's; the cost per operation is lower than a Barrett multiply:
+// each destination coefficient is one deferred-reduction inner product
+// over the source towers (mod.MulAccScalars, a single Reduce128), and
+// every multiply by a per-tower constant is a Shoup multiply against a
+// constant precomputed in New.
 //
 // The conversion decomposes into per-tower tiles (YScaleRow for the ŷ
 // pre-multiplication, ConvertTowerFromY for one destination tower),
@@ -28,6 +33,7 @@ import (
 	"math/big"
 	"sync"
 
+	"ciflow/internal/mod"
 	"ciflow/internal/ring"
 )
 
@@ -40,12 +46,18 @@ type Converter struct {
 	src ring.Basis
 	dst ring.Basis
 
-	// bHatInv[i] = (B*/b_i)^(-1) mod b_i
-	bHatInv []uint64
-	// bHatMod[i][j] = (B*/b_i) mod c_j
+	// bHatInv[i] = (B*/b_i)^(-1) mod b_i, with its Shoup constant.
+	bHatInv, bHatInvShoup []uint64
+	// bHatMod[j][i] = (B*/b_i) mod c_j: one column of constants per
+	// destination tower, aligned with the ŷ rows.
 	bHatMod [][]uint64
-	// srcProdMod[j] = B* mod c_j, the overshoot correction factor.
-	srcProdMod []uint64
+	// srcProdMod[j] = B* mod c_j, the overshoot correction factor,
+	// with its Shoup constant.
+	srcProdMod, srcProdModShoup []uint64
+	// accTerms bounds the products one deferred reduction may sum:
+	// ⌊2^64 / max source modulus⌋ (the ŷ rows are reduced modulo the
+	// source moduli, which may exceed the destination's).
+	accTerms int
 	// srcInv[i] = 1/b_i as a float, for the overshoot estimate.
 	srcInv []float64
 
@@ -69,16 +81,23 @@ func New(r *ring.Ring, src, dst ring.Basis) (*Converter, error) {
 		}
 	}
 	c := &Converter{
-		r:          r,
-		src:        append(ring.Basis(nil), src...),
-		dst:        append(ring.Basis(nil), dst...),
-		bHatInv:    make([]uint64, len(src)),
-		bHatMod:    make([][]uint64, len(src)),
-		srcProdMod: make([]uint64, len(dst)),
-		srcInv:     make([]float64, len(src)),
+		r:               r,
+		src:             append(ring.Basis(nil), src...),
+		dst:             append(ring.Basis(nil), dst...),
+		bHatInv:         make([]uint64, len(src)),
+		bHatInvShoup:    make([]uint64, len(src)),
+		bHatMod:         make([][]uint64, len(dst)),
+		srcProdMod:      make([]uint64, len(dst)),
+		srcProdModShoup: make([]uint64, len(dst)),
+		srcInv:          make([]float64, len(src)),
+	}
+	for j := range c.bHatMod {
+		c.bHatMod[j] = make([]uint64, len(src))
 	}
 	B := r.BasisProduct(src)
+	var maxSrc uint64
 	for i, ti := range src {
+		maxSrc = max(maxSrc, r.Moduli[ti])
 		bi := new(big.Int).SetUint64(r.Moduli[ti])
 		bHat := new(big.Int).Div(B, bi)
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(bHat, bi), bi)
@@ -86,15 +105,16 @@ func New(r *ring.Ring, src, dst ring.Basis) (*Converter, error) {
 			return nil, fmt.Errorf("bconv: moduli not coprime at tower %d", ti)
 		}
 		c.bHatInv[i] = inv.Uint64()
+		c.bHatInvShoup[i] = r.Mods[ti].ShoupPrecomp(c.bHatInv[i])
 		c.srcInv[i] = 1 / float64(r.Moduli[ti])
-		c.bHatMod[i] = make([]uint64, len(dst))
 		for j, tj := range dst {
-			cj := new(big.Int).SetUint64(r.Moduli[tj])
-			c.bHatMod[i][j] = new(big.Int).Mod(bHat, cj).Uint64()
+			c.bHatMod[j][i] = bigModUint64(bHat, r.Moduli[tj])
 		}
 	}
+	c.accTerms = mod.AccTerms(maxSrc)
 	for j, tj := range dst {
 		c.srcProdMod[j] = bigModUint64(B, r.Moduli[tj])
+		c.srcProdModShoup[j] = r.Mods[tj].ShoupPrecomp(c.srcProdMod[j])
 	}
 	c.scratch.New = func() any {
 		s := &convScratch{
@@ -152,28 +172,15 @@ func loop(e ring.Runner) func(int, func(int)) {
 // tower index i. in is the tower's coefficient-domain row; out
 // receives the scaled row and may alias in.
 func (c *Converter) YScaleRow(i int, in, out []uint64) {
-	m := c.r.Mods[c.src[i]]
-	w := c.bHatInv[i]
-	for k := range in {
-		out[k] = m.Mul(in[k], w)
-	}
+	c.r.Mods[c.src[i]].MulShoupRow(out[:len(in)], in, c.bHatInv[i], c.bHatInvShoup[i])
 }
 
 // ConvertTowerFromY accumulates destination tower dstIdx (an index
 // into Dst) from the pre-scaled ŷ rows, overwriting dst. Combined
 // with YScaleRow it is bit-exact with Convert's per-tower result.
 func (c *Converter) ConvertTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
-	m := c.r.Mods[c.dst[dstIdx]]
-	for k := range dst {
-		dst[k] = 0
-	}
-	for i := range c.src {
-		w := c.bHatMod[i][dstIdx]
-		yi := y[i]
-		for k := range dst {
-			dst[k] = m.Add(dst[k], m.Mul(yi[k], w))
-		}
-	}
+	clear(dst)
+	c.r.Mods[c.dst[dstIdx]].MulAccScalars(dst, y[:len(c.src)], c.bHatMod[dstIdx], c.accTerms)
 }
 
 // Overshoot estimates u_k = round(Σ_i ŷ_i[k] / b_i) for coefficients
@@ -195,14 +202,12 @@ func (c *Converter) Overshoot(y [][]uint64, u []uint64, from, to int) {
 // with YScaleRow and Overshoot it is bit-exact with ConvertExact's
 // per-tower result.
 func (c *Converter) ConvertExactTowerFromY(y [][]uint64, u []uint64, dstIdx int, dst []uint64) {
+	c.ConvertTowerFromY(y, dstIdx, dst)
 	m := c.r.Mods[c.dst[dstIdx]]
-	bMod := c.srcProdMod[dstIdx]
+	bMod, bModShoup := c.srcProdMod[dstIdx], c.srcProdModShoup[dstIdx]
+	u = u[:len(dst)]
 	for k := range dst {
-		var acc uint64
-		for i := range c.src {
-			acc = m.Add(acc, m.Mul(y[i][k], c.bHatMod[i][dstIdx]))
-		}
-		dst[k] = m.Sub(acc, m.Mul(m.Reduce(u[k]), bMod))
+		dst[k] = m.Sub(dst[k], m.MulShoup(u[k], bMod, bModShoup))
 	}
 }
 
@@ -276,34 +281,6 @@ func (c *Converter) convertExact(e ring.Runner, in, out *ring.Poly) {
 
 func bigModUint64(x *big.Int, q uint64) uint64 {
 	return new(big.Int).Mod(x, new(big.Int).SetUint64(q)).Uint64()
-}
-
-// ConvertTower computes only destination tower dstIdx (an index into
-// Dst) of the conversion, writing the length-N result into dst. This
-// is the tile the Output-Centric dataflow schedules: one output tower
-// at a time from the resident source towers (paper §IV-C).
-func (c *Converter) ConvertTower(in *ring.Poly, dstIdx int, dst []uint64) {
-	if !in.Basis.Equal(c.src) {
-		panic("bconv: input basis mismatch")
-	}
-	if in.IsNTT {
-		panic("bconv: conversion requires coefficient domain")
-	}
-	n := c.r.N
-	tj := c.dst[dstIdx]
-	m := c.r.Mods[tj]
-	for k := 0; k < n; k++ {
-		dst[k] = 0
-	}
-	for i, ti := range c.src {
-		mi := c.r.Mods[ti]
-		w := c.bHatMod[i][dstIdx]
-		row := in.Coeffs[i]
-		for k := 0; k < n; k++ {
-			yi := mi.Mul(row[k], c.bHatInv[i])
-			dst[k] = m.Add(dst[k], m.Mul(m.Reduce(yi), w))
-		}
-	}
 }
 
 // Ops returns the modular-multiplication count of one full conversion:

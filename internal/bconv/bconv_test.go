@@ -49,24 +49,44 @@ func exactConversion(t *testing.T, r *ring.Ring, in *ring.Poly, dst ring.Basis, 
 }
 
 func TestConvertMatchesExactFormula(t *testing.T) {
-	r := testRing(t)
-	s := ring.NewSampler(r, 1)
-	src := r.QBasis(3)
-	dst := r.PBasis()
-	c, err := New(r, src, dst)
+	// The wide ring converts six 62-bit towers onto 60-bit ones: the
+	// ŷ operands exceed the destination modulus and only 4 products fit
+	// one deferred reduction, so the accumulate must split 4+2.
+	wide, err := ring.NewRingGenerated(32, 2, 60, 6, 62)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := s.Uniform(src)
-	out := r.NewPoly(dst)
-	c.Convert(in, out)
-	for j := range dst {
-		for k := 0; k < r.N; k++ {
-			want := exactConversion(t, r, in, dst, j, k)
-			if out.Coeffs[j][k] != want {
-				t.Fatalf("tower %d coeff %d: got %d want %d", j, k, out.Coeffs[j][k], want)
+	small := testRing(t)
+	for _, tc := range []struct {
+		name     string
+		r        *ring.Ring
+		src, dst ring.Basis
+	}{
+		{"30bit_Q_to_P", small, small.QBasis(3), small.PBasis()},
+		{"62bit_P_to_60bit_Q", wide, wide.PBasis(), wide.QBasis(1)},
+		{"60bit_Q_to_62bit_P", wide, wide.QBasis(1), wide.PBasis()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.r
+			c, err := New(r, tc.src, tc.dst)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if tc.src.Equal(wide.PBasis()) && c.accTerms >= len(tc.src) {
+				t.Fatalf("accTerms %d does not split %d source towers", c.accTerms, len(tc.src))
+			}
+			in := ring.NewSampler(r, 1).Uniform(tc.src)
+			out := r.NewPoly(tc.dst)
+			c.Convert(in, out)
+			for j := range tc.dst {
+				for k := 0; k < r.N; k++ {
+					want := exactConversion(t, r, in, tc.dst, j, k)
+					if out.Coeffs[j][k] != want {
+						t.Fatalf("tower %d coeff %d: got %d want %d", j, k, out.Coeffs[j][k], want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -168,29 +188,6 @@ func TestConvertOvershootBounded(t *testing.T) {
 			want := new(big.Int).Mod(xHat, cj).Uint64()
 			if out.Coeffs[j][k] != want {
 				t.Fatalf("tower %d coeff %d mismatch", j, k)
-			}
-		}
-	}
-}
-
-func TestConvertTowerMatchesConvert(t *testing.T) {
-	r := testRing(t)
-	s := ring.NewSampler(r, 3)
-	src := r.QBasis(3)
-	dst := r.PBasis()
-	c, err := New(r, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := s.Uniform(src)
-	full := r.NewPoly(dst)
-	c.Convert(in, full)
-	row := make([]uint64, r.N)
-	for j := range dst {
-		c.ConvertTower(in, j, row)
-		for k := 0; k < r.N; k++ {
-			if row[k] != full.Coeffs[j][k] {
-				t.Fatalf("ConvertTower(%d) differs from Convert at coeff %d", j, k)
 			}
 		}
 	}

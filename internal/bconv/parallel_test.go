@@ -124,3 +124,28 @@ func TestConvertScratchReuseIsClean(t *testing.T) {
 		t.Fatal("scratch reuse changed conversion result")
 	}
 }
+
+// TestTilesZeroAlloc pins the per-tower tiles to zero allocations:
+// their Shoup constants and accumulate bound are precomputed in New,
+// and the ŷ rows go to the kernel as the caller's slice.
+func TestTilesZeroAlloc(t *testing.T) {
+	r, c, in := parallelSetup(t)
+	y := make([][]uint64, len(c.Src()))
+	for i := range y {
+		y[i] = make([]uint64, r.N)
+	}
+	u := make([]uint64, r.N)
+	dst := make([]uint64, r.N)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range y {
+			c.YScaleRow(i, in.Coeffs[i], y[i])
+		}
+		c.Overshoot(y, u, 0, r.N)
+		for j := range c.Dst() {
+			c.ConvertTowerFromY(y, j, dst)
+			c.ConvertExactTowerFromY(y, u, j, dst)
+		}
+	}); allocs != 0 {
+		t.Fatalf("conversion tiles allocate %v times per run, want 0", allocs)
+	}
+}

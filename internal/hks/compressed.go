@@ -18,8 +18,8 @@ package hks
 // the hoist phase's Decompose+ModUp and the apply phase's own
 // digit-ascending accumulation. Both paths are bit-exact with the
 // dense key because UniformFromSeed is deterministic and the streamed
-// accumulation visits (digit, tower, coefficient) in exactly
-// applyTower's order.
+// accumulation leaves the canonical residue of the same per-coefficient
+// sum the dense replay reduces once.
 
 import (
 	"fmt"

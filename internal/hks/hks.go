@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"ciflow/internal/bconv"
+	"ciflow/internal/mod"
 	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
@@ -60,11 +61,16 @@ type Switcher struct {
 	pBasis ring.Basis // C
 	dBasis ring.Basis // D_ℓ = B_ℓ ∪ C
 
-	digits   []ring.Basis       // tower indices per digit
-	upConv   []*bconv.Converter // digit towers -> complement in D_ℓ
-	downConv *bconv.Converter   // P -> Q_ℓ
-	gadget   [][]uint64         // gadget factor per digit per D_ℓ tower
-	pInvModQ []uint64           // P^-1 mod q_i, aligned with qBasis
+	digits    []ring.Basis       // tower indices per digit
+	upConv    []*bconv.Converter // digit towers -> complement in D_ℓ
+	downConv  *bconv.Converter   // P -> Q_ℓ
+	gadget    [][]uint64         // gadget factor per digit per D_ℓ tower
+	pInvModQ  []uint64           // P^-1 mod q_i, aligned with qBasis
+	pInvShoup []uint64           // Shoup constants of pInvModQ
+
+	// accTerms bounds the products one ApplyKey deferred reduction may
+	// sum: ⌊2^64 / max D_ℓ modulus⌋ (see mod.AccTerms).
+	accTerms int
 
 	// Index maps between each digit's converter destinations and the
 	// extended basis, shared by every execution state.
@@ -167,6 +173,7 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 
 	// P^{-1} mod q_i for the ModDown scaling.
 	sw.pInvModQ = make([]uint64, len(sw.qBasis))
+	sw.pInvShoup = make([]uint64, len(sw.qBasis))
 	for i, t := range sw.qBasis {
 		qi := new(big.Int).SetUint64(r.Moduli[t])
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(P, qi), qi)
@@ -174,7 +181,14 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 			return nil, fmt.Errorf("hks: P not invertible modulo q_%d", i)
 		}
 		sw.pInvModQ[i] = inv.Uint64()
+		sw.pInvShoup[i] = r.Mods[t].ShoupPrecomp(sw.pInvModQ[i])
 	}
+
+	var maxMod uint64
+	for _, t := range sw.dBasis {
+		maxMod = max(maxMod, r.Moduli[t])
+	}
+	sw.accTerms = mod.AccTerms(maxMod)
 
 	// dBasis index of each converter destination, per digit.
 	towerToD := make(map[int]int, len(sw.dBasis))
@@ -396,6 +410,8 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 
 // ApplyEvk runs P4+P5: point-wise multiply each ModUp digit with the
 // evk pair and accumulate, returning two polynomials over D_ℓ (NTT).
+// Tower by tower, all digits go through one mod.MulAccRows call per
+// output — the call the engine's apply tiles make.
 func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	r := sw.R
 	rec := obs.Active()
@@ -406,9 +422,16 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	c0 = r.NewPoly(sw.dBasis)
 	c1 = r.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
-	for j, up := range ups {
-		r.MulAddCoeffwise(up, evk.B[j], c0)
-		r.MulAddCoeffwise(up, evk.A[j], c1)
+	up := make([][]uint64, len(ups))
+	kb := make([][]uint64, len(ups))
+	ka := make([][]uint64, len(ups))
+	for t, tw := range sw.dBasis {
+		for j := range ups {
+			up[j], kb[j], ka[j] = ups[j].Coeffs[t], evk.B[j].Coeffs[t], evk.A[j].Coeffs[t]
+		}
+		m := r.Mods[tw]
+		m.MulAccRows(c0.Coeffs[t], up, kb, sw.accTerms)
+		m.MulAccRows(c1.Coeffs[t], up, ka, sw.accTerms)
 	}
 	if rec != nil {
 		rec.Stage(obs.StageApply, obs.DataflowSerial, sw.Level, time.Since(t0))
@@ -457,14 +480,7 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	out := r.NewPoly(sw.qBasis)
 	out.IsNTT = true
 	for i, t := range sw.qBasis {
-		m := r.Mods[t]
-		cRow := c.Tower(t)
-		vRow := conv.Coeffs[i]
-		oRow := out.Coeffs[i]
-		pInv := sw.pInvModQ[i]
-		for k := range oRow {
-			oRow[k] = m.Mul(m.Sub(cRow[k], vRow[k]), pInv)
-		}
+		r.Mods[t].SubMulShoupRow(out.Coeffs[i], c.Tower(t), conv.Coeffs[i], sw.pInvModQ[i], sw.pInvShoup[i])
 	}
 	if rec != nil {
 		rec.Stage(obs.StageModDown, obs.DataflowSerial, sw.Level, time.Since(t0))

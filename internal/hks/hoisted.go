@@ -20,8 +20,8 @@ package hks
 //	                dataflow (the key-dependent half has no digit
 //	                pipeline left to reshape)
 //
-// Both the serial and engine-backed paths execute exactly the
-// operations of KeySwitch in the same per-coefficient order, so every
+// Both the serial and engine-backed paths run the tiles of KeySwitch
+// on the same operands, and every tile's output is canonical, so every
 // hoisted output is bit-exact with the corresponding per-rotation
 // switch — the property the equivalence tests assert.
 //
@@ -56,8 +56,7 @@ type Hoisted struct {
 	hoistG  *engine.Graph
 	replayG *engine.Graph
 
-	d   *ring.Poly // bound during the hoist phase only
-	evk *Evk       // bound during each replay
+	d *ring.Poly // bound during the hoist phase only
 }
 
 func newHoisted(sw *Switcher, df dataflow.Dataflow) *Hoisted {
@@ -73,6 +72,13 @@ func newHoisted(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 	h.y = make([][]uint64, ell)
 	for i := range h.y {
 		h.y[i] = make([]uint64, n)
+	}
+	// The ModUp rows live in the state, so the accumulate's row headers
+	// are bound once.
+	for t, up := range h.upRows {
+		for j := range up {
+			up[j] = h.ups[j].Coeffs[t]
+		}
 	}
 
 	// Hoist graph: ModUp P1–P3 shaped by the dataflow.
@@ -98,7 +104,7 @@ func newHoisted(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 	h.replayG = engine.NewGraph()
 	acc := make([]int, len(sw.dBasis))
 	for t := range acc {
-		acc[t] = h.replayG.NodeNamed("apply", func() { h.applyTower(t) })
+		acc[t] = h.replayG.NodeNamed("apply", func() { h.accumulateTower(t) })
 	}
 	h.buildModDown(h.replayG, acc)
 	return h
@@ -162,35 +168,6 @@ func (h *Hoisted) hoistDigit(j int) {
 	}
 	for di := range h.sw.convDstIdx[j] {
 		h.hoistConvert(j, di)
-	}
-}
-
-// applyTower is the replay tile for one extended tower: accumulate
-// every hoisted digit's partial product against the evaluation key
-// (same per-coefficient order as switchState.applyTower, hence
-// bit-exact with ApplyEvk).
-func (h *Hoisted) applyTower(t int) {
-	sw, rec := h.sw, h.rec
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	m := sw.R.Mods[sw.dBasis[t]]
-	b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-	for k := range b0 {
-		b0[k], b1[k] = 0, 0
-	}
-	for j := 0; j < sw.Dnum; j++ {
-		up := h.ups[j].Coeffs[t]
-		eb := h.evk.B[j].Coeffs[t]
-		ea := h.evk.A[j].Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(up[k], eb[k]))
-			b1[k] = m.Add(b1[k], m.Mul(up[k], ea[k]))
-		}
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, h.dfIdx, h.level, time.Since(t0))
 	}
 }
 
@@ -294,7 +271,7 @@ func (h *Hoisted) SwitchInto(evk *Evk, c0, c1 *ring.Poly) {
 	h.checkReplay(evk, c0, c1)
 	h.bind(evk, c0, c1)
 	for t := range h.sw.dBasis {
-		h.applyTower(t)
+		h.accumulateTower(t)
 	}
 	h.runModDownSerial()
 	h.unbind(c0, c1)
@@ -328,25 +305,21 @@ func (h *Hoisted) checkStreamed(st *ExpandStream, c0, c1 *ring.Poly) {
 }
 
 // accumulateDigit folds one streamed evk digit into the replay
-// accumulators. For any fixed (tower, coefficient) the digit-ascending
-// calls perform exactly applyTower's operation sequence — zero, then
-// add digit 0, 1, … — and modular adds are exact, so the streamed
-// replay is bit-identical to the tower-major dense one.
+// accumulators: the one-term case of accumulateTower's kernel. The
+// digit-ascending calls reduce after every digit where the dense
+// replay reduces once, but both leave the canonical residue of the
+// same sum, so the streamed replay is bit-identical to the dense one.
 func (h *Hoisted) accumulateDigit(j int, eb, ea *ring.Poly) {
 	sw, rec := h.sw, h.rec
 	var t0 time.Time
 	if rec != nil {
 		t0 = time.Now()
 	}
-	for t := range sw.dBasis {
-		m := sw.R.Mods[sw.dBasis[t]]
-		up := h.ups[j].Coeffs[t]
-		b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-		ebr, ear := eb.Coeffs[t], ea.Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(up[k], ebr[k]))
-			b1[k] = m.Add(b1[k], m.Mul(up[k], ear[k]))
-		}
+	for t, tw := range sw.dBasis {
+		m := sw.R.Mods[tw]
+		up := h.upRows[t][j : j+1]
+		m.MulAccRows(h.acc0.Coeffs[t], up, eb.Coeffs[t:t+1], 1)
+		m.MulAccRows(h.acc1.Coeffs[t], up, ea.Coeffs[t:t+1], 1)
 	}
 	if rec != nil {
 		rec.Stage(obs.StageApply, h.dfIdx, h.level, time.Since(t0))
@@ -364,10 +337,8 @@ func (h *Hoisted) SwitchStreamedInto(st *ExpandStream, c0, c1 *ring.Poly) {
 	h.checkStreamed(st, c0, c1)
 	h.bind(nil, c0, c1)
 	for t := range h.sw.dBasis {
-		b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-		for k := range b0 {
-			b0[k], b1[k] = 0, 0
-		}
+		clear(h.acc0.Coeffs[t])
+		clear(h.acc1.Coeffs[t])
 	}
 	rec := h.rec
 	var t0 time.Time

@@ -18,13 +18,22 @@ package hks
 //     OCF schedules identically (its ModDown fusion is a memory-
 //     traffic concept; the engine's ModDown is already fused in).
 //
-// All three graphs execute exactly the operations of the serial path
-// in the same per-coefficient order, so their outputs are bit-exact
-// with KeySwitch — the property the equivalence tests assert.
+// All three graphs run the tiles of the serial path on the same
+// operands. Every tile's output is the canonical residue, so the
+// graphs are bit-exact with KeySwitch however the lazy kernels beneath
+// (internal/ntt, mod.MulAccRows) group their reductions — the property
+// the equivalence tests assert.
 //
 // Per-switch scratch (limb rows, accumulators, the graph itself) lives
 // in a pooled switchState, so steady-state switching does no per-op
-// allocation on the hot path.
+// allocation on the hot path. ApplyKey sums all dnum digits of a tower
+// in one deferred-reduction pass, so each non-bypass digit's converted
+// row must stay alive until that tower's accumulate: every dataflow,
+// OC included, keeps at most dnum converted rows per extended tower
+// (none for the bypass digit). That is a CPU-side scratch choice, not
+// the paper's on-chip working set: the OC schedule internal/dataflow
+// generates (dataflow.dram_mb_oc in the benchmark) still holds one
+// output tower at a time and is unchanged.
 
 import (
 	"fmt"
@@ -65,7 +74,8 @@ func dfKey(df dataflow.Dataflow) int {
 type downState struct {
 	sw *Switcher
 
-	// Rebound per run.
+	// Rebound per run (evk: per replay on a hoisted state).
+	evk        *Evk
 	out0, out1 *ring.Poly
 
 	// Observability binding: rec is obs.Active() captured at the entry
@@ -80,6 +90,12 @@ type downState struct {
 	acc1 *ring.Poly
 	yP   [2][][]uint64 // per output poly: K scaled ModDown rows
 	u    [2][]uint64   // per output poly: overshoot estimates
+
+	// Row headers handed to the ApplyKey accumulate, [|D|][dnum]: the
+	// ModUp rows of each extended tower and the matching rows of the
+	// two evk halves. One slot per tower, so concurrent apply tiles
+	// share nothing and no tile allocates.
+	upRows, kbRows, kaRows [][][]uint64
 }
 
 // initDown allocates the accumulator and ModDown scratch.
@@ -97,6 +113,14 @@ func (ds *downState) initDown(sw *Switcher) {
 		}
 		ds.u[p] = make([]uint64, n)
 	}
+	rows := func() [][][]uint64 {
+		rs := make([][][]uint64, len(sw.dBasis))
+		for t := range rs {
+			rs[t] = make([][]uint64, sw.Dnum)
+		}
+		return rs
+	}
+	ds.upRows, ds.kbRows, ds.kaRows = rows(), rows(), rows()
 }
 
 // switchState is one in-flight parallel key switch: the task graph
@@ -107,14 +131,11 @@ type switchState struct {
 	downState
 	g *engine.Graph
 
-	// Rebound per run.
-	d   *ring.Poly
-	evk *Evk
+	d *ring.Poly // rebound per run
 
 	// Scratch, allocated once per state.
 	y        [][]uint64   // ℓ rows: INTT'd + ŷ-scaled digit towers
-	convRows [][][]uint64 // [dnum][|D|] converted-tower rows (nil at bypass; MP/DC)
-	ocTmp    [][]uint64   // [|D|] per-output-tower conversion scratch (OC)
+	convRows [][][]uint64 // [dnum][|D|] converted-tower rows (nil at bypass)
 }
 
 // overshootChunk tiles the ModDown overshoot estimate with the same
@@ -153,19 +174,11 @@ func newSwitchState(sw *Switcher, df dataflow.Dataflow) *switchState {
 		st.y[i] = make([]uint64, n)
 	}
 
-	switch dfKey(df) {
-	case 0, 1: // MP, DC share the converted-row layout
-		st.convRows = make([][][]uint64, sw.Dnum)
-		for j := range st.convRows {
-			st.convRows[j] = make([][]uint64, dB)
-			for _, t := range sw.convDstIdx[j] {
-				st.convRows[j][t] = make([]uint64, n)
-			}
-		}
-	case 2: // OC converts in place of the consuming output tower
-		st.ocTmp = make([][]uint64, dB)
-		for t := range st.ocTmp {
-			st.ocTmp[t] = make([]uint64, n)
+	st.convRows = make([][][]uint64, sw.Dnum)
+	for j := range st.convRows {
+		st.convRows[j] = make([][]uint64, dB)
+		for _, t := range sw.convDstIdx[j] {
+			st.convRows[j][t] = make([]uint64, n)
 		}
 	}
 
@@ -244,31 +257,14 @@ func (st *switchState) convertTower(j, di int) {
 	}
 }
 
-// applyTower is ModUp P4+P5 for one extended tower: accumulate every
-// digit's partial product against the evaluation key.
+// applyTower is ModUp P4+P5 for one extended tower: gather every
+// digit's ModUp row and run the shared accumulate.
 func (st *switchState) applyTower(t int) {
-	sw, rec := st.sw, st.rec
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
+	up := st.upRows[t]
+	for j := range up {
+		up[j] = st.upRow(j, t)
 	}
-	m := sw.R.Mods[sw.dBasis[t]]
-	b0, b1 := st.acc0.Coeffs[t], st.acc1.Coeffs[t]
-	for k := range b0 {
-		b0[k], b1[k] = 0, 0
-	}
-	for j := 0; j < sw.Dnum; j++ {
-		up := st.upRow(j, t)
-		eb := st.evk.B[j].Coeffs[t]
-		ea := st.evk.A[j].Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(up[k], eb[k]))
-			b1[k] = m.Add(b1[k], m.Mul(up[k], ea[k]))
-		}
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, st.dfIdx, st.level, time.Since(t0))
-	}
+	st.accumulateTower(t)
 }
 
 // digitPipeline is the DC tile: one digit's entire ModUp (P1–P3) run
@@ -285,55 +281,41 @@ func (st *switchState) digitPipeline(j int) {
 
 // ocTower is the OC tile: produce extended tower t's finished ApplyKey
 // accumulation, converting each digit's contribution on the fly. The
-// tile interleaves two logical stages, so its timing splits: the
-// on-the-fly conversions count as ModUp, the accumulation as Apply.
+// tile interleaves two logical stages; its convert and apply tiles
+// self-record, so the conversions count as ModUp and the accumulation
+// as Apply.
 func (st *switchState) ocTower(t int) {
-	sw, rec := st.sw, st.rec
-	m := sw.R.Mods[sw.dBasis[t]]
-	b0, b1 := st.acc0.Coeffs[t], st.acc1.Coeffs[t]
-	for k := range b0 {
-		b0[k], b1[k] = 0, 0
-	}
-	var convDur, applyDur time.Duration
+	sw := st.sw
 	for j := 0; j < sw.Dnum; j++ {
-		var row []uint64
-		if sw.bypass(j, t) {
-			row = st.d.Coeffs[t]
-		} else {
-			var t0, t1 time.Time
-			if rec != nil {
-				t0 = time.Now()
-			}
-			row = st.ocTmp[t]
-			sw.upConv[j].ConvertTowerFromY(st.digitY(j), sw.dstIdxOf[j][t], row)
-			if rec != nil {
-				t1 = time.Now()
-				rec.Kernel(obs.KernelBConv, st.dfIdx, t1.Sub(t0))
-			}
-			sw.R.NTTTower(sw.dBasis[t], row)
-			if rec != nil {
-				now := time.Now()
-				rec.Kernel(obs.KernelNTT, st.dfIdx, now.Sub(t1))
-				convDur += now.Sub(t0)
-			}
-		}
-		var a0 time.Time
-		if rec != nil {
-			a0 = time.Now()
-		}
-		eb := st.evk.B[j].Coeffs[t]
-		ea := st.evk.A[j].Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(row[k], eb[k]))
-			b1[k] = m.Add(b1[k], m.Mul(row[k], ea[k]))
-		}
-		if rec != nil {
-			applyDur += time.Since(a0)
+		if !sw.bypass(j, t) {
+			st.convertTower(j, sw.dstIdxOf[j][t])
 		}
 	}
+	st.applyTower(t)
+}
+
+// accumulateTower is ApplyKey for extended tower t, shared by every
+// execution state: acc ← Σ_j upRows[t][j] ⊙ evk_j[t] for both evk
+// halves, each as one deferred-reduction pass over all dnum digits
+// (mod.MulAccRows). The caller has filled upRows[t].
+func (ds *downState) accumulateTower(t int) {
+	sw, rec := ds.sw, ds.rec
+	var t0 time.Time
 	if rec != nil {
-		rec.Stage(obs.StageModUp, st.dfIdx, st.level, convDur)
-		rec.Stage(obs.StageApply, st.dfIdx, st.level, applyDur)
+		t0 = time.Now()
+	}
+	up, kb, ka := ds.upRows[t], ds.kbRows[t], ds.kaRows[t]
+	for j := range kb {
+		kb[j], ka[j] = ds.evk.B[j].Coeffs[t], ds.evk.A[j].Coeffs[t]
+	}
+	m := sw.R.Mods[sw.dBasis[t]]
+	b0, b1 := ds.acc0.Coeffs[t], ds.acc1.Coeffs[t]
+	clear(b0)
+	clear(b1)
+	m.MulAccRows(b0, up, kb, sw.accTerms)
+	m.MulAccRows(b1, up, ka, sw.accTerms)
+	if rec != nil {
+		rec.Stage(obs.StageApply, ds.dfIdx, ds.level, time.Since(t0))
 	}
 }
 
@@ -409,12 +391,7 @@ func (ds *downState) downOutTower(p, i int) {
 	if rec != nil {
 		rec.Kernel(obs.KernelNTT, ds.dfIdx, time.Since(t1))
 	}
-	m := sw.R.Mods[sw.qBasis[i]]
-	cRow := ds.accPoly(p).Coeffs[i]
-	pInv := sw.pInvModQ[i]
-	for k := range dst {
-		dst[k] = m.Mul(m.Sub(cRow[k], dst[k]), pInv)
-	}
+	sw.R.Mods[sw.qBasis[i]].SubMulShoupRow(dst, ds.accPoly(p).Coeffs[i], dst, sw.pInvModQ[i], sw.pInvShoup[i])
 	if rec != nil {
 		rec.Stage(obs.StageModDown, ds.dfIdx, ds.level, time.Since(t0))
 	}

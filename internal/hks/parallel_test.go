@@ -2,6 +2,7 @@ package hks
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -207,4 +208,94 @@ func TestSwitchParallelValidation(t *testing.T) {
 	out := r.NewPoly(sw.QBasis())
 	mustPanic("aliased outputs", func() { sw.SwitchParallelInto(e, dataflow.MP, d, evk, out, out) })
 	mustPanic("output aliasing input", func() { sw.SwitchParallelInto(e, dataflow.MP, d, evk, d, out) })
+}
+
+// TestWideModuliAllPathsAgree runs every execution path on rings with
+// 60-bit Q and 61-bit P towers. Every other suite uses 30–41-bit
+// moduli, where the lazy kernels' headroom (butterfly values below 4q,
+// 128-bit accumulate sums) is never approached; here 4q sits just
+// under 2^64. The paths share their kernels, so agreement alone would
+// not catch a kernel that is wrong everywhere: the serial result is
+// also held to the key-switch noise bound.
+func TestWideModuliAllPathsAgree(t *testing.T) {
+	e := engine.New(4)
+	defer e.Close()
+	for _, tc := range []struct {
+		name          string
+		n, numQ, numP int
+		level, dnum   int
+	}{
+		{"dnum2", 64, 4, 2, 3, 2},
+		{"dnum4_alpha1", 64, 4, 1, 3, 4},
+		{"uneven_digits", 32, 5, 3, 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, s, sOld, sNew := testSetup(t, tc.n, tc.numQ, 60, tc.numP, 61)
+			sw, err := NewSwitcher(r, tc.level, tc.dnum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evk := sw.GenEvk(s, sOld, sNew)
+			cevk, ok := evk.Compress()
+			if !ok {
+				t.Fatal("evk did not compress")
+			}
+			d := s.Uniform(sw.QBasis())
+			d.IsNTT = true
+
+			want0, want1 := sw.KeySwitch(d, evk)
+			errNorm := keySwitchError(r, sw, d, want0, want1, sOld, sNew)
+			if errNorm.Sign() == 0 || errNorm.Cmp(new(big.Int).Lsh(big.NewInt(1), 20)) > 0 {
+				t.Fatalf("serial key-switch error %v outside (0, 2^20]", errNorm)
+			}
+			check := func(path string, c0, c1 *ring.Poly) {
+				t.Helper()
+				if !c0.Equal(want0) || !c1.Equal(want1) {
+					t.Fatalf("%s differs from serial KeySwitch", path)
+				}
+			}
+			for _, df := range engineDataflows {
+				c0, c1 := sw.SwitchParallel(e, df, d, evk)
+				check(df.String(), c0, c1)
+			}
+			c0s, c1s := sw.SwitchHoisted(d, []*Evk{evk})
+			check("hoisted serial", c0s[0], c1s[0])
+			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
+				h := sw.HoistParallel(e, df, d)
+				c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+				h.SwitchParallelInto(e, evk, c0, c1)
+				h.Release()
+				check("hoisted "+df.String(), c0, c1)
+				c0, c1 = sw.SwitchStreamed(e, df, d, cevk)
+				check("streamed "+df.String(), c0, c1)
+			}
+		})
+	}
+}
+
+// TestApplyTilesZeroAlloc runs the OC tile on a warm state: on-the-fly
+// conversion of every non-bypass digit, then the apply tile every
+// dataflow shares. The row headers handed to the accumulate kernel
+// live in the state, so the tiles allocate nothing.
+func TestApplyTilesZeroAlloc(t *testing.T) {
+	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	st := sw.stateFor(dataflow.OC)
+	st.d, st.evk = d, evk
+	for i := 0; i < sw.ell(); i++ {
+		st.prepTower(i)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for t := range sw.dBasis {
+			st.ocTower(t)
+		}
+	}); allocs != 0 {
+		t.Fatalf("apply tiles allocate %v times per run, want 0", allocs)
+	}
 }

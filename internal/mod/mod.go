@@ -1,10 +1,24 @@
 // Package mod implements 64-bit modular arithmetic for RNS-based
 // homomorphic encryption: Barrett reduction, Shoup multiplication,
-// modular exponentiation and inversion, and primality testing.
+// modular exponentiation and inversion, primality testing, and the
+// row kernels (vec.go) the key-switching hot loops are built from.
 //
-// All moduli are odd primes below 2^62 so that lazy (unreduced) sums of
-// two residues never overflow a uint64. This matches the machine-word
-// RNS moduli used by CKKS implementations (36–60 bits, paper §II).
+// All moduli are odd primes below 2^62. The two bits of headroom are
+// what the lazy-reduction kernels spend:
+//
+//   - sums of two residues never overflow a word (Add on unreduced
+//     operands), and internal/ntt keeps butterfly values in [0,4q);
+//   - MulShoup is exact for *any* 64-bit x, not only x < q: its
+//     quotient estimate is off by at most one, so the remainder lies
+//     in [0,2q) before the single correction;
+//   - MulAccRows / MulAccScalars sum products as 128-bit integers and
+//     reduce once. Reduce128 wants the high word below q, so at most
+//     AccTerms(B) = ⌊2^64/B⌋ products with one operand below B and the
+//     other below q go into one reduction: at least 4 for any
+//     supported modulus, millions for the 30–41-bit moduli in use.
+//
+// This matches the machine-word RNS moduli used by CKKS
+// implementations (36–60 bits, paper §II).
 package mod
 
 import (
@@ -115,9 +129,10 @@ func (m Modulus) ShoupPrecomp(w uint64) uint64 {
 	return lo
 }
 
-// MulShoup returns x·w mod q where wShoup = ShoupPrecomp(w).
-// The result is exact for x < q. This is the hot path inside NTT
-// butterflies, where each twiddle factor is reused N/2 times.
+// MulShoup returns x·w mod q where wShoup = ShoupPrecomp(w) and
+// w < q. The result is exact for any 64-bit x. Every multiply by a
+// per-tower constant (BConv's ŷ scaling, ModDown's P⁻¹) goes through
+// it; internal/ntt inlines the same product without the correction.
 func (m Modulus) MulShoup(x, w, wShoup uint64) uint64 {
 	qhat, _ := bits.Mul64(x, wShoup)
 	r := x*w - qhat*m.Q

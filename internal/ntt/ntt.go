@@ -5,9 +5,25 @@
 // The forward transform is a Cooley–Tukey decimation-in-time network
 // that merges the ψ^i pre-twist into the butterflies; the inverse is
 // the matching Gentleman–Sande network (Longa–Naehrig formulation).
-// Twiddle factors are stored with Shoup precomputation, so each
-// butterfly costs one word multiplication plus corrections — the same
-// operation the RPU's HPLE lanes execute natively (paper §V-A).
+// Twiddle factors are stored with Shoup precomputation, and the
+// butterflies are Harvey's lazy ones: a twiddle product is
+// y·w − ⌊y·w′/2^64⌋·q, which lies in [0,2q) for any word y, and is
+// left there. Forward values live in [0,4q) between stages and inverse
+// values in [0,2q), so a butterfly costs one high and two low word
+// multiplies and a single conditional subtraction — the operation the
+// RPU's HPLE lanes execute natively (paper §V-A) — and each transform
+// has exactly one correction pass: the forward's last stage reduces
+// [0,4q) → [0,q), and the inverse folds it into the N⁻¹ multiply of
+// its last stage. That needs 4q < 2^64, which mod.MaxModulusBits = 62
+// guarantees. Inputs and outputs are canonical residues, so callers
+// see the same function as a fully reduced transform (kept in
+// ntt_test.go as the oracle).
+//
+// Inner loops run four butterflies per iteration on four-element
+// sub-slices, so the butterflies themselves index without bounds
+// checks; the stages with one twiddle per two or four elements (step 1
+// and 2) have loops of their own instead of length-1 and length-2
+// inner loops.
 package ntt
 
 import (
@@ -30,6 +46,10 @@ type Table struct {
 	ipsiShoup []uint64
 	nInv      uint64 // N^-1 mod q
 	nInvShoup uint64
+	// lastInv = ψ^-brv(1) · N^-1, the twiddle of the inverse's last
+	// stage with the 1/N scaling folded in.
+	lastInv      uint64
+	lastInvShoup uint64
 }
 
 // NewTable builds NTT tables for ring degree n and prime modulus q
@@ -68,6 +88,8 @@ func NewTable(n int, q uint64) (*Table, error) {
 	}
 	t.nInv = m.Inv(uint64(n))
 	t.nInvShoup = m.ShoupPrecomp(t.nInv)
+	t.lastInv = m.Mul(t.ipsi[1], t.nInv)
+	t.lastInvShoup = m.ShoupPrecomp(t.lastInv)
 	return t, nil
 }
 
@@ -81,54 +103,137 @@ func bitrev(x uint64, bits int) uint64 {
 }
 
 // Forward transforms a (natural coefficient order, reduced mod q) into
-// the evaluation domain, in place. Output is in the transform's
-// internal (bit-reversed) order, which all point-wise consumers treat
-// opaquely.
+// the evaluation domain, in place. Output is reduced mod q, in the
+// transform's internal (bit-reversed) order, which all point-wise
+// consumers treat opaquely.
 func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Forward on slice of length %d, table N=%d", len(a), t.N))
 	}
-	m := t.M
-	n := t.N
-	for step, mm := n>>1, 1; step >= 1; step, mm = step>>1, mm<<1 {
+	q, twoQ := t.M.Q, 2*t.M.Q
+	mm := 1
+	for step := t.N >> 1; step >= 4; step, mm = step>>1, mm<<1 {
 		for i := 0; i < mm; i++ {
-			w := t.psi[mm+i]
-			ws := t.psiShoup[mm+i]
-			j1 := 2 * i * step
-			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := m.MulShoup(a[j+step], w, ws)
-				a[j] = m.Add(u, v)
-				a[j+step] = m.Sub(u, v)
+			w, ws := t.psi[mm+i], t.psiShoup[mm+i]
+			j := 2 * i * step
+			x, y := a[j:j+step], a[j+step:j+2*step]
+			y = y[:len(x)]
+			for k := 0; k+4 <= len(x); k += 4 {
+				u, v := x[k:k+4:k+4], y[k:k+4:k+4]
+				u[0], v[0] = fwdButterfly(u[0], v[0], w, ws, q, twoQ)
+				u[1], v[1] = fwdButterfly(u[1], v[1], w, ws, q, twoQ)
+				u[2], v[2] = fwdButterfly(u[2], v[2], w, ws, q, twoQ)
+				u[3], v[3] = fwdButterfly(u[3], v[3], w, ws, q, twoQ)
 			}
 		}
 	}
+	if t.N >= 4 { // step 2: one twiddle per block of four
+		w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
+		ws = ws[:len(w)]
+		for i := range w {
+			b := a[4*i : 4*i+4 : 4*i+4]
+			b[0], b[2] = fwdButterfly(b[0], b[2], w[i], ws[i], q, twoQ)
+			b[1], b[3] = fwdButterfly(b[1], b[3], w[i], ws[i], q, twoQ)
+		}
+		mm <<= 1
+	}
+	// Step 1: one twiddle per pair, and the one correction pass of the
+	// whole transform, [0,4q) → [0,q).
+	w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
+	ws = ws[:len(w)]
+	for i := range w {
+		b := a[2*i : 2*i+2 : 2*i+2]
+		x, y := fwdButterfly(b[0], b[1], w[i], ws[i], q, twoQ)
+		b[0], b[1] = reduce4(x, q, twoQ), reduce4(y, q, twoQ)
+	}
 }
 
-// Inverse transforms a from the evaluation domain back to natural
-// coefficient order, in place, including the 1/N scaling.
+// fwdButterfly is the lazy Cooley–Tukey butterfly: for x, y in [0,4q)
+// it returns x + y·w and x − y·w modulo q, both in [0,4q).
+func fwdButterfly(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
+	if x >= twoQ {
+		x -= twoQ
+	}
+	hi, _ := bits.Mul64(y, ws)
+	v := y*w - hi*q // y·w mod q in [0,2q), for any word y
+	return x + v, x - v + twoQ
+}
+
+// reduce4 maps x in [0,4q) to its residue in [0,q).
+func reduce4(x, q, twoQ uint64) uint64 {
+	if x >= twoQ {
+		x -= twoQ
+	}
+	if x >= q {
+		x -= q
+	}
+	return x
+}
+
+// Inverse transforms a (evaluation domain, reduced mod q) back to
+// natural coefficient order, in place, including the 1/N scaling.
+// Output is reduced mod q.
 func (t *Table) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Inverse on slice of length %d, table N=%d", len(a), t.N))
 	}
 	m := t.M
-	n := t.N
-	for step, mm := 1, n>>1; mm >= 1; step, mm = step<<1, mm>>1 {
+	q, twoQ := m.Q, 2*m.Q
+	half := t.N >> 1
+	if t.N >= 4 { // step 1: one twiddle per pair
+		w, ws := t.ipsi[half:], t.ipsiShoup[half:]
+		ws = ws[:len(w)]
+		for i := range w {
+			b := a[2*i : 2*i+2 : 2*i+2]
+			b[0], b[1] = invButterfly(b[0], b[1], w[i], ws[i], q, twoQ)
+		}
+	}
+	if t.N >= 8 { // step 2: one twiddle per block of four
+		w, ws := t.ipsi[half>>1:half], t.ipsiShoup[half>>1:half]
+		ws = ws[:len(w)]
+		for i := range w {
+			b := a[4*i : 4*i+4 : 4*i+4]
+			b[0], b[2] = invButterfly(b[0], b[2], w[i], ws[i], q, twoQ)
+			b[1], b[3] = invButterfly(b[1], b[3], w[i], ws[i], q, twoQ)
+		}
+	}
+	for step, mm := 4, t.N>>3; mm >= 2; step, mm = step<<1, mm>>1 {
 		for i := 0; i < mm; i++ {
-			w := t.ipsi[mm+i]
-			ws := t.ipsiShoup[mm+i]
-			j1 := 2 * i * step
-			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := a[j+step]
-				a[j] = m.Add(u, v)
-				a[j+step] = m.MulShoup(m.Sub(u, v), w, ws)
+			w, ws := t.ipsi[mm+i], t.ipsiShoup[mm+i]
+			j := 2 * i * step
+			x, y := a[j:j+step], a[j+step:j+2*step]
+			y = y[:len(x)]
+			for k := 0; k+4 <= len(x); k += 4 {
+				u, v := x[k:k+4:k+4], y[k:k+4:k+4]
+				u[0], v[0] = invButterfly(u[0], v[0], w, ws, q, twoQ)
+				u[1], v[1] = invButterfly(u[1], v[1], w, ws, q, twoQ)
+				u[2], v[2] = invButterfly(u[2], v[2], w, ws, q, twoQ)
+				u[3], v[3] = invButterfly(u[3], v[3], w, ws, q, twoQ)
 			}
 		}
 	}
-	for j := range a {
-		a[j] = m.MulShoup(a[j], t.nInv, t.nInvShoup)
+	// Last stage (one twiddle, step N/2) with the 1/N scaling folded
+	// into both outputs: x' = (x+y)·N⁻¹, y' = (x−y)·ψ⁻¹·N⁻¹. The full
+	// MulShoup is the transform's one correction pass, [0,4q) → [0,q).
+	x, y := a[:half], a[half:]
+	y = y[:len(x)]
+	for j := range x {
+		u, v := x[j], y[j]
+		x[j] = m.MulShoup(u+v, t.nInv, t.nInvShoup)
+		y[j] = m.MulShoup(u-v+twoQ, t.lastInv, t.lastInvShoup)
 	}
+}
+
+// invButterfly is the lazy Gentleman–Sande butterfly: for x, y in
+// [0,2q) it returns x + y and (x − y)·w modulo q, both in [0,2q).
+func invButterfly(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
+	s := x + y
+	if s >= twoQ {
+		s -= twoQ
+	}
+	d := x - y + twoQ
+	hi, _ := bits.Mul64(d, ws)
+	return s, d*w - hi*q
 }
 
 // ButterflyOps returns the number of butterfly evaluations in one

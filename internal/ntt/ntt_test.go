@@ -164,6 +164,95 @@ func TestLinearity(t *testing.T) {
 	}
 }
 
+// refForward and refInverse are the fully reduced radix-2 transforms
+// (one reducing Add, Sub and MulShoup per butterfly, a separate 1/N
+// pass) that Forward and Inverse replaced. They stay as the oracle for
+// the lazy-reduction kernels: same network, same twiddles, every
+// intermediate value canonical.
+func refForward(t *Table, a []uint64) {
+	m := t.M
+	for step, mm := t.N>>1, 1; step >= 1; step, mm = step>>1, mm<<1 {
+		for i := 0; i < mm; i++ {
+			w, ws := t.psi[mm+i], t.psiShoup[mm+i]
+			j1 := 2 * i * step
+			for j := j1; j < j1+step; j++ {
+				u := a[j]
+				v := m.MulShoup(a[j+step], w, ws)
+				a[j] = m.Add(u, v)
+				a[j+step] = m.Sub(u, v)
+			}
+		}
+	}
+}
+
+func refInverse(t *Table, a []uint64) {
+	m := t.M
+	for step, mm := 1, t.N>>1; mm >= 1; step, mm = step<<1, mm>>1 {
+		for i := 0; i < mm; i++ {
+			w, ws := t.ipsi[mm+i], t.ipsiShoup[mm+i]
+			j1 := 2 * i * step
+			for j := j1; j < j1+step; j++ {
+				u, v := a[j], a[j+step]
+				a[j] = m.Add(u, v)
+				a[j+step] = m.MulShoup(m.Sub(u, v), w, ws)
+			}
+		}
+	}
+	for j := range a {
+		a[j] = m.MulShoup(a[j], t.nInv, t.nInvShoup)
+	}
+}
+
+// TestLazyMatchesReference pins the lazy kernels to the fully reduced
+// reference at the widths where the [0,4q) and [0,2q) ranges are
+// tightest (4q just below 2^64 at 61 bits) and on the inputs that
+// drive every intermediate to its bound.
+func TestLazyMatchesReference(t *testing.T) {
+	for _, n := range []int{2, 4, 8, 1 << 13} {
+		for _, qBits := range []int{30, 41, 60, 61} {
+			ps, err := primes.Generate(qBits, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := NewTable(n, ps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := tab.M.Q
+			rng := rand.New(rand.NewSource(int64(n + qBits)))
+			inputs := map[string]func() uint64{
+				"zero":   func() uint64 { return 0 },
+				"qm1":    func() uint64 { return q - 1 },
+				"random": func() uint64 { return rng.Uint64() % q },
+			}
+			for name, gen := range inputs {
+				in := make([]uint64, n)
+				for i := range in {
+					in[i] = gen()
+				}
+				for _, tr := range []struct {
+					dir       string
+					got, want func(*Table, []uint64)
+				}{
+					{"forward", (*Table).Forward, refForward},
+					{"inverse", (*Table).Inverse, refInverse},
+				} {
+					got := append([]uint64(nil), in...)
+					want := append([]uint64(nil), in...)
+					tr.got(tab, got)
+					tr.want(tab, want)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("n=%d q=%d bits %s %s: index %d got %d want %d",
+								n, qBits, name, tr.dir, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestButterflyOps(t *testing.T) {
 	cases := map[int]int{2: 1, 4: 4, 8: 12, 1024: 5120, 1 << 17: (1 << 16) * 17}
 	for n, want := range cases {
@@ -173,28 +262,35 @@ func TestButterflyOps(t *testing.T) {
 	}
 }
 
-func BenchmarkForwardN4096(b *testing.B) {
-	ps, _ := primes.Generate(55, 4096, 1)
-	tab, _ := NewTable(4096, ps[0])
-	a := make([]uint64, 4096)
+// benchTable is one tower at the benchmark shape (bench/: N = 2^13,
+// 40-bit Q towers).
+func benchTable(b *testing.B) (*Table, []uint64) {
+	const n = 1 << 13
+	ps, err := primes.Generate(40, n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab, err := NewTable(n, ps[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := make([]uint64, n)
 	for i := range a {
 		a[i] = uint64(i) * 2654435761 % tab.M.Q
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return tab, a
+}
+
+func BenchmarkForwardN8192(b *testing.B) {
+	tab, a := benchTable(b)
+	for b.Loop() {
 		tab.Forward(a)
 	}
 }
 
-func BenchmarkInverseN4096(b *testing.B) {
-	ps, _ := primes.Generate(55, 4096, 1)
-	tab, _ := NewTable(4096, ps[0])
-	a := make([]uint64, 4096)
-	for i := range a {
-		a[i] = uint64(i) * 2654435761 % tab.M.Q
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func BenchmarkInverseN8192(b *testing.B) {
+	tab, a := benchTable(b)
+	for b.Loop() {
 		tab.Inverse(a)
 	}
 }

@@ -271,16 +271,13 @@ func (r *Ring) MulCoeffwise(a, b, out *Poly) {
 	out.IsNTT = a.IsNTT
 }
 
-// MulAddCoeffwise sets out += a ⊙ b point-wise. This is the ApplyKey
-// primitive (paper ModUp P4/P5 fused accumulate).
+// MulAddCoeffwise sets out += a ⊙ b point-wise: the one-term case of
+// the ApplyKey primitive mod.MulAccRows (paper ModUp P4/P5 fused
+// accumulate; internal/hks sums all digits of a tower in one call).
 func (r *Ring) MulAddCoeffwise(a, b, out *Poly) {
 	r.checkMatch("MulAddCoeffwise", a, b, out)
 	for i, t := range a.Basis {
-		m := r.Mods[t]
-		ar, br, or := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range ar {
-			or[j] = m.Add(or[j], m.Mul(ar[j], br[j]))
-		}
+		r.Mods[t].MulAccRows(out.Coeffs[i], a.Coeffs[i:i+1], b.Coeffs[i:i+1], 1)
 	}
 }
 
