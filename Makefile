@@ -53,8 +53,10 @@ fmt:
 # sums exactly.
 # Last, the go-test micro-benchmarks — the three lazy-reduction
 # kernels at the benchmark shape (one NTT tower, ModUp's and ModDown's
-# basis conversions, one ApplyKey row), then the hks switch paths — go
-# to bench_kernels.txt, which CI uploads beside the JSON reports.
+# basis conversions, one ApplyKey row), then the hks switch paths
+# (serial KeySwitch, SwitchParallel MP/DC/OC and 8 individual,
+# SwitchHoisted8 serial and parallel) — go to bench_kernels.txt, which
+# CI uploads beside the JSON reports.
 # Tune with e.g.
 #   make bench BENCH_FLAGS="-logn 14 -requests 32 -workers 8"
 KERNEL_BENCH ?= ForwardN8192|InverseN8192|ConvertModUp|ConvertExactModDown|MulAcc3

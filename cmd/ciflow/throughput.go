@@ -167,8 +167,8 @@ func throughputRun(dfName string, workers, requests, logN, towers, dnum, rotatio
 
 	// Reference output for the bit-exactness check; doubling as the
 	// serial warm-up so the baseline's converter scratch pools are as
-	// warm as the engine path's (the remaining serial/parallel gap at
-	// 1 worker is the serial API's per-op polynomial allocation).
+	// warm as the engine path's. Both run the same tiles on the same
+	// pooled states; KeySwitch alone allocates its two outputs per op.
 	ref0, ref1 := sw.KeySwitch(ds[0], evk)
 
 	// With -profile active, reset the recorder before each measured
@@ -335,8 +335,8 @@ func throughput(dfName string, workers, requests, logN, towers, dnum, rotations 
 
 	fmt.Printf("Engine throughput: N=2^%d, %d towers, dnum=%d, %d workers (%d CPUs), %d requests\n",
 		logN, rep.Towers, rep.Dnum, rep.Workers, rep.NumCPU, requests)
-	fmt.Println("(parallel outputs verified bit-exact against the serial pipeline;")
-	fmt.Println(" speedup includes the engine path's zero-alloc pooling, not only parallelism)")
+	fmt.Println("(parallel outputs verified bit-exact against the serial schedule, which runs")
+	fmt.Println(" the same pooled tiles on the caller: speedup is scheduling, not allocation)")
 	fmt.Printf("%-8s %12s %10s %10s %9s\n", "dataflow", "ops/sec", "p50 ms", "p99 ms", "speedup")
 	for _, row := range rep.Results {
 		fmt.Printf("%-8s %12.2f %10.3f %10.3f %8.2fx\n",

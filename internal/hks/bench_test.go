@@ -54,7 +54,7 @@ func BenchmarkModDownN4096(b *testing.B) {
 	}
 }
 
-func BenchmarkKeySwitchManyHoisted8(b *testing.B) {
+func BenchmarkSwitchHoisted8(b *testing.B) {
 	r, sw, _, d := benchSetup(b, 2048, 6, 3)
 	s := ring.NewSampler(r, 2)
 	full := r.DBasis(r.NumQ - 1)
@@ -65,7 +65,7 @@ func BenchmarkKeySwitchManyHoisted8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.KeySwitchMany(d, evks)
+		sw.SwitchHoisted(d, evks)
 	}
 }
 

@@ -120,9 +120,9 @@ func (c *CompressedEvk) Expand(r *ring.Ring) *Evk {
 // Dense implements KeyMaterial by expanding.
 func (c *CompressedEvk) Dense(r *ring.Ring) *Evk { return c.Expand(r) }
 
-// CheckCompressed reports, as an error, whether c has the digit
-// structure this switcher expects (the compressed counterpart of
-// CheckEvk).
+// CheckCompressed is CheckEvk for the compressed form: one seed and
+// one B polynomial over D_ℓ (NTT domain) per digit. The A-halves are
+// expanded over their B's basis, so they need no check of their own.
 func (sw *Switcher) CheckCompressed(c *CompressedEvk) error {
 	if c == nil {
 		return fmt.Errorf("hks: nil compressed evaluation key")
@@ -131,12 +131,18 @@ func (sw *Switcher) CheckCompressed(c *CompressedEvk) error {
 		return fmt.Errorf("hks: compressed evk has %d/%d digits, switcher expects %d",
 			len(c.B), len(c.Seeds), sw.Dnum)
 	}
+	for j, b := range c.B {
+		if err := sw.checkKeyPoly("compressed evk", j, b); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // CheckMaterial validates key material of either form against this
-// switcher's digit structure, the way request-accepting layers
-// (internal/serve) guard a misbehaving KeySource.
+// switcher's digit structure and extended basis, the way
+// request-accepting layers (internal/serve) guard a misbehaving
+// KeySource.
 func (sw *Switcher) CheckMaterial(m KeyMaterial) error {
 	switch k := m.(type) {
 	case *Evk:
@@ -181,9 +187,6 @@ func (c *CompressedEvk) StartExpand(r *ring.Ring) *ExpandStream {
 	}()
 	return st
 }
-
-// Digits returns the stream's digit count.
-func (st *ExpandStream) Digits() int { return len(st.a) }
 
 // Digit returns digit j's evk pair, blocking until its A-half has been
 // expanded.

@@ -90,7 +90,7 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 	}
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	want0, want1 := sw.KeySwitch(d, evk)
+	want0, want1 := refKeySwitch(sw, d, evk)
 
 	e := engine.New(4)
 	defer e.Close()

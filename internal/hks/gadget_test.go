@@ -72,34 +72,6 @@ func TestModUpGadgetIdentity(t *testing.T) {
 	}
 }
 
-// TestKeySwitchManyMatchesIndividual checks that hoisting (shared
-// ModUp) produces bit-identical results to independent key switches.
-func TestKeySwitchManyMatchesIndividual(t *testing.T) {
-	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
-	sw, err := NewSwitcher(r, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evks := []*Evk{
-		sw.GenEvk(s, sOld, sNew),
-		sw.GenEvk(s, sNew, sOld),
-		sw.GenEvk(s, sOld, sOld),
-	}
-	d := s.Uniform(sw.QBasis())
-	d.IsNTT = true
-
-	c0s, c1s := sw.KeySwitchMany(d, evks)
-	if len(c0s) != len(evks) || len(c1s) != len(evks) {
-		t.Fatalf("got %d/%d outputs", len(c0s), len(c1s))
-	}
-	for i, evk := range evks {
-		w0, w1 := sw.KeySwitch(d, evk)
-		if !c0s[i].Equal(w0) || !c1s[i].Equal(w1) {
-			t.Fatalf("key %d: hoisted result differs from individual switch", i)
-		}
-	}
-}
-
 func TestHoistedOpsSaved(t *testing.T) {
 	r, _, _, _ := testSetup(t, 64, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)

@@ -1,11 +1,6 @@
 // Package hks implements the hybrid key-switching (HKS) algorithm of
 // Han–Ki in its full-RNS form — the computation whose dataflow CiFlow
-// analyzes (paper §III) — in three execution styles that are bit-exact
-// with one another: the serial pipeline (KeySwitch), engine-backed
-// task graphs shaped by the MP/DC/OC dataflows (SwitchParallel), and
-// hoisted switching (Hoisted, SwitchHoisted), which runs the
-// key-independent Decompose+ModUp half once per input and replays only
-// ApplyKey+ModDown per evaluation key.
+// analyzes (paper §III).
 //
 // Key switching converts a ciphertext component d that is decryptable
 // under a secret s′ into a pair (c0, c1) decryptable under s, using a
@@ -21,28 +16,47 @@
 //	        P3 NTT       — converted towers back to evaluation domain
 //	        P4 Sum&Scale — subtract and multiply by P⁻¹
 //
-// Every stage is exposed separately so that the dataflow generators in
-// internal/dataflow can be validated against the real computation.
+// The pipeline exists once, as a set of per-tower and per-digit tiles
+// over one pooled execution state (tiles.go). The paper's subject is
+// the order those tiles run in, and so is the rest of the package: the
+// schedules of schedule.go, and the entry points that pick one
+// (switch.go), all bit-exact with one another:
+//
+//	KeySwitch                   every tile in order on the caller
+//	SwitchParallel[Into]        one fused task graph per switch on an
+//	                            engine, shaped MP, DC or OC
+//	Hoist, HoistParallel        ModUp alone, serially or as a graph,
+//	                            kept in the returned Hoisted
+//	Hoisted.Switch[Into],       ApplyKey+ModDown against one key, on
+//	  .SwitchParallelInto       the caller or as a graph
+//	Hoisted.SwitchStreamedInto  the same with the key arriving digit by
+//	                            digit from a compressed key's expansion
+//	SwitchHoisted[ParallelInto],
+//	  SwitchStreamed            one hoist and its replays in one call
+//	ModUp, ApplyEvk, ModDown    one stage's tiles in order on the
+//	                            caller, into fresh polynomials, so the
+//	                            dataflow generators in internal/dataflow
+//	                            can be validated stage by stage
 //
 // A Switcher is immutable after construction and safe for concurrent
-// use; execution scratch lives in pooled per-call states, so
-// steady-state switching allocates nothing on the hot path. Hoisting
-// is how the layers above amortize fan-out: ckks.Evaluator's diagonal
-// method rotates one ciphertext many ways over a single hoisted state,
-// and internal/serve coalesces concurrent *requests* on one ciphertext
-// onto a shared Hoisted the same way. SwitchOps/ModUpOps count
-// weighted modular operations from the live structures, backing the
-// HoistedOpsSaved reuse model the throughput experiment reconciles
-// against measurement.
+// use; the execution states are pooled on it, so steady-state switching
+// allocates nothing on the hot path. Hoisting is how the layers above
+// amortize fan-out: ckks.Evaluator's diagonal method rotates one
+// ciphertext many ways over a single hoisted state, and internal/serve
+// coalesces concurrent *requests* on one ciphertext onto a shared
+// Hoisted the same way. SwitchOps/ModUpOps count weighted modular
+// operations from the live structures, backing the HoistedOpsSaved
+// reuse model the throughput experiment reconciles against
+// measurement.
 package hks
 
 import (
 	"fmt"
 	"math/big"
 	"sync"
-	"time"
 
 	"ciflow/internal/bconv"
+	"ciflow/internal/dataflow"
 	"ciflow/internal/mod"
 	"ciflow/internal/obs"
 	"ciflow/internal/ring"
@@ -77,11 +91,9 @@ type Switcher struct {
 	convDstIdx [][]int // [digit][converter dst idx] -> dBasis idx
 	dstIdxOf   [][]int // [digit][dBasis idx] -> converter dst idx or -1
 
-	// Pooled engine-execution states, one pool per dataflow shape
-	// (see parallel.go), plus the pooled hoisted states of hoisted.go.
-	// Internally synchronized.
-	states       [3]sync.Pool
-	hoistedPools [3]sync.Pool
+	// Pooled execution states (tiles.go), one pool per dataflow shape;
+	// filled on demand, never here. Internally synchronized.
+	states [3]sync.Pool
 }
 
 // NewSwitcher prepares hybrid key switching over r at the given level
@@ -111,11 +123,7 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 
 	// Digit partition: digit j covers towers [j·α, min((j+1)·α, ℓ+1)).
 	for j := 0; j < dnum; j++ {
-		lo := j * sw.Alpha
-		hi := lo + sw.Alpha
-		if hi > ell {
-			hi = ell
-		}
+		lo, hi := sw.digitLo(j), sw.digitHi(j)
 		if lo >= hi {
 			return nil, fmt.Errorf("hks: dnum %d leaves digit %d empty at level %d", dnum, j, level)
 		}
@@ -244,15 +252,41 @@ func (sw *Switcher) CheckInput(d *ring.Poly) error {
 	return nil
 }
 
-// CheckEvk reports, as an error, whether evk has the digit structure
-// this switcher expects (see CheckInput for why this exists alongside
-// the panicking checks).
+// checkKeyPoly reports whether p can be digit j of a key for this
+// switcher: a polynomial over D_ℓ in the NTT domain. what names the
+// key form in the error.
+func (sw *Switcher) checkKeyPoly(what string, j int, p *ring.Poly) error {
+	if p == nil {
+		return fmt.Errorf("hks: %s digit %d is nil", what, j)
+	}
+	if !p.Basis.Equal(sw.dBasis) {
+		return fmt.Errorf("hks: %s digit %d basis %v, want %v", what, j, p.Basis, sw.dBasis)
+	}
+	if !p.IsNTT {
+		return fmt.Errorf("hks: %s digit %d not in NTT domain", what, j)
+	}
+	return nil
+}
+
+// CheckEvk reports, as an error, whether evk is a key this switcher
+// can apply: one pair per digit, every polynomial over D_ℓ in the NTT
+// domain — so a key of another level or digit count is refused here
+// rather than faulting inside a tile (see CheckInput for why this
+// exists alongside the panicking checks).
 func (sw *Switcher) CheckEvk(evk *Evk) error {
 	if evk == nil {
 		return fmt.Errorf("hks: nil evaluation key")
 	}
 	if len(evk.B) != sw.Dnum || len(evk.A) != sw.Dnum {
 		return fmt.Errorf("hks: evk has %d/%d digits, switcher expects %d", len(evk.B), len(evk.A), sw.Dnum)
+	}
+	for j := range evk.B {
+		if err := sw.checkKeyPoly("evk", j, evk.B[j]); err != nil {
+			return err
+		}
+		if err := sw.checkKeyPoly("evk", j, evk.A[j]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -326,172 +360,80 @@ func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
 }
 
 // Decompose splits d (NTT domain over B_ℓ) into its digit sub-
-// polynomials (views sharing d's storage).
+// polynomials (views sharing d's storage). The tiles index the digits'
+// rows directly; this is the stage on its own, for validation.
 func (sw *Switcher) Decompose(d *ring.Poly) []*ring.Poly {
 	if !d.Basis.Equal(sw.qBasis) {
 		panic(fmt.Sprintf("hks: Decompose input basis %v, want %v", d.Basis, sw.qBasis))
-	}
-	rec := obs.Active()
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
 	}
 	out := make([]*ring.Poly, sw.Dnum)
 	for j, dg := range sw.digits {
 		out[j] = d.SubPoly(dg)
 	}
-	if rec != nil {
-		// Views only — recorded so the serial profile shows Decompose
-		// is (nearly) free, which is what makes hoisting's shared
-		// Decompose+ModUp worth the state it carries.
-		rec.Stage(obs.StageDecompose, obs.DataflowSerial, sw.Level, time.Since(t0))
-	}
 	return out
 }
 
-// ModUp runs P1–P3 for every digit of d (NTT domain over B_ℓ) and
-// returns one polynomial per digit over the full D_ℓ basis, in the
-// NTT domain. Towers belonging to the digit itself bypass
-// INTT→BConv→NTT and reuse the input rows directly (paper Figure 1,
-// red towers).
+// ModUp runs P1–P3 for every digit of d (NTT domain over B_ℓ) on the
+// calling goroutine and returns one freshly allocated polynomial per
+// digit over the full D_ℓ basis, in the NTT domain. Towers belonging to
+// the digit itself bypass INTT→BConv→NTT and are copied from the input
+// (paper Figure 1, red towers). It is a serial hoist whose row table
+// is the returned polynomials.
 func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
-	r := sw.R
-	rec := obs.Active()
-	digits := sw.Decompose(d)
-	out := make([]*ring.Poly, sw.Dnum)
-	var t0, t1, t2 time.Time
-	for j, dj := range digits {
-		if rec != nil {
-			t0 = time.Now()
-		}
-		// P1: INTT the digit's towers (on a copy; the originals stay
-		// in the evaluation domain for the bypass path).
-		coeff := dj.Copy()
-		r.INTT(coeff)
-		if rec != nil {
-			t1 = time.Now()
-			rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t1.Sub(t0))
-		}
-
-		// P2: basis-convert to the complement towers.
-		conv := r.NewPoly(sw.upConv[j].Dst())
-		sw.upConv[j].Convert(coeff, conv)
-		if rec != nil {
-			t2 = time.Now()
-			rec.Kernel(obs.KernelBConv, obs.DataflowSerial, t2.Sub(t1))
-		}
-
-		// P3: NTT the converted towers.
-		r.NTT(conv)
-		if rec != nil {
-			rec.Kernel(obs.KernelNTT, obs.DataflowSerial, time.Since(t2))
-		}
-
-		// Assemble the D_ℓ polynomial: bypass towers from the input,
-		// converted towers from P2/P3.
-		up := r.NewPoly(sw.dBasis)
-		up.IsNTT = true
-		for i, t := range sw.dBasis {
-			var src []uint64
-			if dj.Basis.Contains(t) {
-				src = dj.Tower(t)
-			} else {
-				src = conv.Tower(t)
-			}
-			copy(up.Coeffs[i], src)
-		}
-		out[j] = up
-		if rec != nil {
-			rec.Stage(obs.StageModUp, obs.DataflowSerial, sw.Level, time.Since(t0))
-		}
+	must(sw.CheckInput(d))
+	ups := make([]*ring.Poly, sw.Dnum)
+	for j := range ups {
+		ups[j] = sw.R.NewPoly(sw.dBasis)
+		ups[j].IsNTT = true
 	}
-	return out
+	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	own := h.up
+	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
+	h.runModUp()
+	h.up, h.d = own, nil
+	h.Release()
+	return ups
 }
 
-// ApplyEvk runs P4+P5: point-wise multiply each ModUp digit with the
-// evk pair and accumulate, returning two polynomials over D_ℓ (NTT).
-// Tower by tower, all digits go through one mod.MulAccRows call per
-// output — the call the engine's apply tiles make.
+// ApplyEvk runs P4+P5 on the calling goroutine: point-wise multiply
+// each ModUp digit with the evk pair and accumulate, returning two
+// freshly allocated polynomials over D_ℓ (NTT). It is the apply tiles
+// of a replay whose row table is ups and whose accumulators are the
+// returned polynomials.
 func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
-	r := sw.R
-	rec := obs.Active()
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
+	must(sw.CheckEvk(evk))
+	if len(ups) != sw.Dnum {
+		panic(fmt.Sprintf("hks: ApplyEvk got %d ModUp digits, switcher expects %d", len(ups), sw.Dnum))
 	}
-	c0 = r.NewPoly(sw.dBasis)
-	c1 = r.NewPoly(sw.dBasis)
+	c0 = sw.R.NewPoly(sw.dBasis)
+	c1 = sw.R.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
-	up := make([][]uint64, len(ups))
-	kb := make([][]uint64, len(ups))
-	ka := make([][]uint64, len(ups))
-	for t, tw := range sw.dBasis {
-		for j := range ups {
-			up[j], kb[j], ka[j] = ups[j].Coeffs[t], evk.B[j].Coeffs[t], evk.A[j].Coeffs[t]
-		}
-		m := r.Mods[tw]
-		m.MulAccRows(c0.Coeffs[t], up, kb, sw.accTerms)
-		m.MulAccRows(c1.Coeffs[t], up, ka, sw.accTerms)
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, obs.DataflowSerial, sw.Level, time.Since(t0))
-	}
+	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	own, acc := h.up, h.acc
+	h.up, h.ownsBypass, h.acc, h.evk = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
+	h.runApply()
+	h.up, h.acc, h.evk = own, acc, nil
+	h.Release()
 	return c0, c1
 }
 
-// ModDown reduces c (NTT domain over D_ℓ) back to B_ℓ:
+// ModDown reduces c (NTT domain over D_ℓ) back to B_ℓ on the calling
+// goroutine, into a freshly allocated polynomial:
 // out = (c − Conv_{P→Q}([c]_P)) · P⁻¹. The conversion uses the exact
 // (float-corrected) variant so the P-part rounds to the nearest
-// multiple rather than adding a P-sized overshoot.
+// multiple rather than adding a P-sized overshoot. It is the ModDown
+// tiles of one output whose accumulator is c, which is left unchanged.
 func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
-	r := sw.R
 	if !c.Basis.Equal(sw.dBasis) {
 		panic(fmt.Sprintf("hks: ModDown input basis %v, want %v", c.Basis, sw.dBasis))
 	}
-	rec := obs.Active()
-	var t0, t1, t2, t3 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	// P1: INTT the K P-towers.
-	pPart := c.SubPoly(sw.pBasis).Copy()
-	r.INTT(pPart)
-	if rec != nil {
-		t1 = time.Now()
-		rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t1.Sub(t0))
-	}
-
-	// P2: convert P -> Q_ℓ.
-	conv := r.NewPoly(sw.qBasis)
-	sw.downConv.ConvertExact(pPart, conv)
-	if rec != nil {
-		t2 = time.Now()
-		rec.Kernel(obs.KernelBConv, obs.DataflowSerial, t2.Sub(t1))
-	}
-
-	// P3: back to the evaluation domain.
-	r.NTT(conv)
-	if rec != nil {
-		t3 = time.Now()
-		rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t3.Sub(t2))
-	}
-
-	// P4: out = (c_Q - conv) · P^{-1} per tower.
-	out := r.NewPoly(sw.qBasis)
+	out := sw.R.NewPoly(sw.qBasis)
 	out.IsNTT = true
-	for i, t := range sw.qBasis {
-		r.Mods[t].SubMulShoupRow(out.Coeffs[i], c.Tower(t), conv.Coeffs[i], sw.pInvModQ[i], sw.pInvShoup[i])
-	}
-	if rec != nil {
-		rec.Stage(obs.StageModDown, obs.DataflowSerial, sw.Level, time.Since(t0))
-	}
+	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	acc := h.acc[0]
+	h.acc[0], h.out[0] = c, out
+	h.runModDown(0)
+	h.acc[0], h.out[0] = acc, nil
+	h.Release()
 	return out
-}
-
-// KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ),
-// returning (c0, c1) over B_ℓ such that c0 + c1·s ≈ d·s′.
-func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
-	ups := sw.ModUp(d)
-	d0, d1 := sw.ApplyEvk(ups, evk)
-	return sw.ModDown(d0), sw.ModDown(d1)
 }

@@ -1,9 +1,17 @@
 package hks
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/big"
+	"os"
+	"strings"
 	"testing"
 
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
 	"ciflow/internal/ring"
 )
 
@@ -40,6 +48,146 @@ func keySwitchError(r *ring.Ring, sw *Switcher, d, c0, c1, sOld, sNew *ring.Poly
 	r.Sub(got, want, diff)
 	r.INTT(diff)
 	return r.InfNorm(diff)
+}
+
+// refKeySwitch is paper Figure 1 on whole polynomials — INTT, Convert,
+// NTT and bypass assembly per digit, a multiply-add per digit,
+// ConvertExact and the P⁻¹ scaling per output — with no tiles, pooling
+// or timing. It was the serial path before every entry point ran the
+// one tile set, and stays here as the oracle outside the
+// implementation: the want side of the equivalence suites, the way
+// refForward/refInverse stand beside the lazy NTT.
+func refKeySwitch(sw *Switcher, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+	r := sw.R
+	acc := [2]*ring.Poly{r.NewPoly(sw.dBasis), r.NewPoly(sw.dBasis)}
+	acc[0].IsNTT, acc[1].IsNTT = true, true
+	for j, dg := range sw.digits {
+		dj := d.SubPoly(dg)
+		coeff := dj.Copy()
+		r.INTT(coeff)
+		conv := r.NewPoly(sw.upConv[j].Dst())
+		sw.upConv[j].Convert(coeff, conv)
+		r.NTT(conv)
+		up := r.NewPoly(sw.dBasis)
+		up.IsNTT = true
+		for i, t := range sw.dBasis {
+			src := conv.Tower(t)
+			if dg.Contains(t) {
+				src = dj.Tower(t)
+			}
+			copy(up.Coeffs[i], src)
+		}
+		r.MulAddCoeffwise(up, evk.B[j], acc[0])
+		r.MulAddCoeffwise(up, evk.A[j], acc[1])
+	}
+	var out [2]*ring.Poly
+	for p, c := range acc {
+		pPart := c.SubPoly(sw.pBasis).Copy()
+		r.INTT(pPart)
+		conv := r.NewPoly(sw.qBasis)
+		sw.downConv.ConvertExact(pPart, conv)
+		r.NTT(conv)
+		out[p] = r.NewPoly(sw.qBasis)
+		out[p].IsNTT = true
+		for i, t := range sw.qBasis {
+			m := r.Mods[t]
+			for k, x := range c.Coeffs[i] {
+				out[p].Coeffs[i][k] = m.Mul(m.Sub(x, conv.Coeffs[i][k]), sw.pInvModQ[i])
+			}
+		}
+	}
+	return out[0], out[1]
+}
+
+// goldenCases is the fixed-seed table behind testdata/keyswitch.golden:
+// dnum 1–4, the uneven-digit and α=1 shapes, and the 60/61-bit rings of
+// TestWideModuliAllPathsAgree.
+var goldenCases = []struct {
+	name                        string
+	n, numQ, qBits, numP, pBits int
+	level, dnum                 int
+}{
+	{"dnum1", 64, 2, 30, 3, 31, 1, 1},
+	{"dnum2", 64, 4, 30, 2, 31, 3, 2},
+	{"dnum3", 32, 6, 30, 2, 31, 5, 3},
+	{"dnum4_alpha1", 64, 4, 30, 1, 31, 3, 4},
+	{"uneven_digits", 64, 5, 30, 3, 31, 4, 2},
+	{"wide_dnum2", 64, 4, 60, 2, 61, 3, 2},
+	{"wide_dnum4_alpha1", 64, 4, 60, 1, 61, 3, 4},
+	{"wide_uneven_digits", 32, 5, 60, 3, 61, 4, 2},
+}
+
+// switchDigest is SHA-256 of WritePoly(c0)‖WritePoly(c1), in hex.
+func switchDigest(t *testing.T, r *ring.Ring, c0, c1 *ring.Poly) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, c := range []*ring.Poly{c0, c1} {
+		if err := r.WritePoly(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestKeySwitchGolden pins every execution path to output digests
+// recorded with the whole-polynomial serial KeySwitch of the commit
+// before the pipelines were unified. The paths share one tile set, so
+// agreeing with each other (or with refKeySwitch, which shares their
+// kernels) cannot show that a change moved all of them together; a
+// recorded vector can.
+func TestKeySwitchGolden(t *testing.T) {
+	f, err := os.Open("testdata/keyswitch.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
+			golden[name] = digest
+		}
+	}
+	e := engine.New(4)
+	defer e.Close()
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, ok := golden[tc.name]
+			if !ok {
+				t.Fatalf("no golden digest for %s", tc.name)
+			}
+			r, s, sOld, sNew := testSetup(t, tc.n, tc.numQ, tc.qBits, tc.numP, tc.pBits)
+			sw, err := NewSwitcher(r, tc.level, tc.dnum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evk := sw.GenEvk(s, sOld, sNew)
+			cevk, ok := evk.Compress()
+			if !ok {
+				t.Fatal("evk did not compress")
+			}
+			d := s.Uniform(sw.QBasis())
+			d.IsNTT = true
+			check := func(path string, c0, c1 *ring.Poly) {
+				t.Helper()
+				if got := switchDigest(t, r, c0, c1); got != want {
+					t.Errorf("%s digest %s, golden %s", path, got, want)
+				}
+			}
+			c0, c1 := sw.KeySwitch(d, evk)
+			check("serial", c0, c1)
+			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
+				c0, c1 = sw.SwitchParallel(e, df, d, evk)
+				check(df.String(), c0, c1)
+			}
+			h := sw.HoistParallel(e, dataflow.OC, d)
+			h.SwitchParallelInto(e, evk, c0, c1)
+			h.Release()
+			check("hoisted", c0, c1)
+			c0, c1 = sw.SwitchStreamed(e, dataflow.OC, d, cevk)
+			check("streamed", c0, c1)
+		})
+	}
 }
 
 func TestNewSwitcherValidation(t *testing.T) {

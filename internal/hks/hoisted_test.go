@@ -51,7 +51,7 @@ func TestSwitchHoistedBitExact(t *testing.T) {
 			want0 := make([]*ring.Poly, tc.k)
 			want1 := make([]*ring.Poly, tc.k)
 			for i, evk := range evks {
-				want0[i], want1[i] = sw.KeySwitch(d, evk)
+				want0[i], want1[i] = refKeySwitch(sw, d, evk)
 			}
 
 			// Serial hoisted path.
@@ -104,7 +104,7 @@ func TestHoistedStateReuse(t *testing.T) {
 			h := sw.HoistParallel(e, df, d)
 			for round := 0; round < 2; round++ { // replay the same state twice per key
 				for i, evk := range evks {
-					want0, want1 := sw.KeySwitch(d, evk)
+					want0, want1 := refKeySwitch(sw, d, evk)
 					h.SwitchParallelInto(e, evk, c0, c1)
 					if !c0.Equal(want0) || !c1.Equal(want1) {
 						t.Fatalf("rep %d %s round %d key %d: pooled replay differs", rep, df, round, i)
@@ -164,7 +164,7 @@ func TestHoistedConcurrent(t *testing.T) {
 		d.IsNTT = true
 		j := job{d: d}
 		for _, evk := range evks {
-			w0, w1 := sw.KeySwitch(d, evk)
+			w0, w1 := refKeySwitch(sw, d, evk)
 			j.want0 = append(j.want0, w0)
 			j.want1 = append(j.want1, w1)
 		}

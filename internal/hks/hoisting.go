@@ -1,26 +1,5 @@
 package hks
 
-import "ciflow/internal/ring"
-
-// KeySwitchMany switches the same input polynomial with several
-// evaluation keys while running the expensive ModUp phase only once —
-// the "hoisting" optimization used when one ciphertext feeds many
-// rotations (e.g. the diagonal method's rotation fan-out, or ARK's
-// inter-operation key reuse). ModUp is independent of the key, so its
-// INTT/BConv/NTT work (the bulk of paper Figure 1's left half)
-// amortizes across all |evks| switches; only ApplyKey, Reduce and
-// ModDown repeat.
-//
-// It is a thin serial wrapper over the pooled Hoisted state of
-// hoisted.go; use Hoist/HoistParallel directly (or the ckks
-// evaluator's RotateHoisted) to control scheduling and reuse outputs.
-//
-// Returns one (c0, c1) pair per key, in input order; each pair is
-// bit-exact with the corresponding KeySwitch call.
-func (sw *Switcher) KeySwitchMany(d *ring.Poly, evks []*Evk) (c0s, c1s []*ring.Poly) {
-	return sw.SwitchHoisted(d, evks)
-}
-
 // weightedButterflies returns the weighted modular-op cost of one NTT
 // or INTT over this ring: (N/2)·logN butterflies, each one multiply
 // plus an add and a sub (params.ButterflyWeight).

@@ -6,6 +6,7 @@ import (
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/obs"
+	"ciflow/internal/ring"
 )
 
 // snapshotHas reports whether the snapshot recorded the named
@@ -19,55 +20,84 @@ func snapshotHas(entries []obs.HistogramSnapshot, name, df string) bool {
 	return false
 }
 
-// TestKeySwitchProfiled asserts that a profiled serial switch records
-// every pipeline stage and both kernel families — if an
-// instrumentation site is dropped, the stage vanishes from the
-// snapshot and the wall-time accounting silently under-counts.
-func TestKeySwitchProfiled(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-
+// TestEntryPointsProfiled runs each entry point with profiling on and
+// asserts that every stage of its pipeline and both kernel families
+// are recorded under its own dataflow label and nowhere else — the
+// tiles time themselves through one mechanism, so a label dropped or
+// misrouted there vanishes from every report — and that the outputs
+// are bit-identical with profiling off: recording is additive
+// instrumentation, never a fork in the arithmetic.
+func TestEntryPointsProfiled(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	evk := sw.GenEvk(s, sOld, sNew)
+	cevk, ok := evk.Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	sw.KeySwitch(d, evk)
-
-	snap := obs.Active().Snapshot()
-	for _, stage := range []string{"decompose", "mod_up", "apply", "mod_down"} {
-		if !snapshotHas(snap.Stages, stage, "serial") {
-			t.Errorf("serial KeySwitch recorded no %q stage", stage)
-		}
-	}
-	for _, kernel := range []string{"ntt", "bconv"} {
-		if !snapshotHas(snap.Kernels, kernel, "serial") {
-			t.Errorf("serial KeySwitch recorded no %q kernel samples", kernel)
-		}
-	}
-	if len(snap.Levels) == 0 {
-		t.Error("serial KeySwitch recorded no per-level counters")
-	}
-
-	// The profiled switch must stay bit-exact: recording is additive
-	// instrumentation, never a fork in the arithmetic.
-	c0, c1 := sw.KeySwitch(d, evk)
-	obs.Disable()
-	u0, u1 := sw.KeySwitch(d, evk)
-	if !c0.Equal(u0) || !c1.Equal(u1) {
-		t.Fatal("profiled switch differs from unprofiled")
-	}
-
-	// Engine rows record under the dataflow's own name.
-	obs.Enable()
 	e := engine.New(2)
 	defer e.Close()
-	sw.SwitchParallel(e, dataflow.MP, d, evk)
-	snap = obs.Active().Snapshot()
-	if !snapshotHas(snap.Stages, "mod_up", "mp") {
-		t.Error("MP parallel switch recorded no mod_up under the mp dataflow")
+	newOuts := func() (*ring.Poly, *ring.Poly) { return r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis()) }
+
+	pipeline := []string{"mod_up", "apply", "mod_down"}
+	for _, tc := range []struct {
+		name, label string
+		stages      []string
+		run         func() (c0, c1 *ring.Poly)
+	}{
+		{"serial", "serial", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.KeySwitch(d, evk) }},
+		{"mp", "mp", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.MP, d, evk) }},
+		{"dc", "dc", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.DC, d, evk) }},
+		{"oc", "oc", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.OC, d, evk) }},
+		{"hoisted replay", "oc", pipeline, func() (*ring.Poly, *ring.Poly) {
+			h := sw.HoistParallel(e, dataflow.OC, d)
+			defer h.Release()
+			c0, c1 := newOuts()
+			h.SwitchParallelInto(e, evk, c0, c1)
+			return c0, c1
+		}},
+		{"streamed replay", "dc", []string{"mod_up", "expand", "apply", "mod_down"}, func() (*ring.Poly, *ring.Poly) {
+			st := cevk.StartExpand(r)
+			h := sw.HoistParallel(e, dataflow.DC, d)
+			defer h.Release()
+			c0, c1 := newOuts()
+			h.SwitchStreamedInto(st, c0, c1)
+			return c0, c1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.Enable()
+			defer obs.Disable()
+			c0, c1 := tc.run()
+			snap := rec.Snapshot()
+			obs.Disable()
+			for _, stage := range tc.stages {
+				if !snapshotHas(snap.Stages, stage, tc.label) {
+					t.Errorf("no %q stage under %q", stage, tc.label)
+				}
+			}
+			for _, kernel := range []string{"ntt", "bconv"} {
+				if !snapshotHas(snap.Kernels, kernel, tc.label) {
+					t.Errorf("no %q kernel samples under %q", kernel, tc.label)
+				}
+			}
+			for _, hs := range append(snap.Stages, snap.Kernels...) {
+				if hs.Dataflow != tc.label {
+					t.Errorf("%q recorded under %q, want only %q", hs.Name, hs.Dataflow, tc.label)
+				}
+			}
+			if len(snap.Levels) == 0 {
+				t.Error("no per-level counters")
+			}
+			u0, u1 := tc.run()
+			if !c0.Equal(u0) || !c1.Equal(u1) {
+				t.Fatal("profiled output differs from unprofiled")
+			}
+		})
 	}
 }

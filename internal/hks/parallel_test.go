@@ -8,15 +8,16 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
 // engineDataflows are the dataflow shapes SwitchParallel executes.
 var engineDataflows = []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF}
 
-// TestSwitchParallelBitExact asserts the engine-backed switch equals
-// the serial pipeline bit for bit, for every dataflow, across levels,
-// digit counts, and uneven digit partitions.
+// TestSwitchParallelBitExact asserts the serial and the engine-backed
+// switch equal the whole-polynomial reference bit for bit, for every
+// dataflow, across levels, digit counts, and uneven digit partitions.
 func TestSwitchParallelBitExact(t *testing.T) {
 	e := engine.New(4)
 	defer e.Close()
@@ -41,12 +42,15 @@ func TestSwitchParallelBitExact(t *testing.T) {
 			evk := sw.GenEvk(s, sOld, sNew)
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
-			want0, want1 := sw.KeySwitch(d, evk)
+			want0, want1 := refKeySwitch(sw, d, evk)
+			if got0, got1 := sw.KeySwitch(d, evk); !got0.Equal(want0) || !got1.Equal(want1) {
+				t.Fatal("serial KeySwitch differs from the reference")
+			}
 			for _, df := range engineDataflows {
 				t.Run(df.String(), func(t *testing.T) {
 					got0, got1 := sw.SwitchParallel(e, df, d, evk)
 					if !got0.Equal(want0) || !got1.Equal(want1) {
-						t.Fatalf("%s parallel switch differs from serial", df)
+						t.Fatalf("%s parallel switch differs from the reference", df)
 					}
 				})
 			}
@@ -69,7 +73,7 @@ func TestSwitchParallelStateReuse(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		d := s.Uniform(sw.QBasis())
 		d.IsNTT = true
-		want0, want1 := sw.KeySwitch(d, evk)
+		want0, want1 := refKeySwitch(sw, d, evk)
 		for _, df := range engineDataflows {
 			got0, got1 := sw.SwitchParallel(e, df, d, evk)
 			if !got0.Equal(want0) || !got1.Equal(want1) {
@@ -95,7 +99,7 @@ func TestSwitchParallelIntoReuse(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		d := s.Uniform(sw.QBasis())
 		d.IsNTT = true
-		want0, want1 := sw.KeySwitch(d, evk)
+		want0, want1 := refKeySwitch(sw, d, evk)
 		sw.SwitchParallelInto(e, dataflow.OC, d, evk, c0, c1)
 		if !c0.Equal(want0) || !c1.Equal(want1) {
 			t.Fatalf("rep %d: SwitchParallelInto differs from serial", rep)
@@ -126,7 +130,7 @@ func TestSwitchParallelConcurrent(t *testing.T) {
 	for i := range jobs {
 		d := s.Uniform(sw.QBasis())
 		d.IsNTT = true
-		w0, w1 := sw.KeySwitch(d, evk)
+		w0, w1 := refKeySwitch(sw, d, evk)
 		jobs[i] = job{d, w0, w1}
 	}
 
@@ -163,7 +167,7 @@ func TestSwitchParallelNilEngine(t *testing.T) {
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	want0, want1 := sw.KeySwitch(d, evk)
+	want0, want1 := refKeySwitch(sw, d, evk)
 	got0, got1 := sw.SwitchParallel(nil, dataflow.MP, d, evk)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
 		t.Fatal("nil-engine SwitchParallel differs from serial")
@@ -214,9 +218,10 @@ func TestSwitchParallelValidation(t *testing.T) {
 // 60-bit Q and 61-bit P towers. Every other suite uses 30–41-bit
 // moduli, where the lazy kernels' headroom (butterfly values below 4q,
 // 128-bit accumulate sums) is never approached; here 4q sits just
-// under 2^64. The paths share their kernels, so agreement alone would
-// not catch a kernel that is wrong everywhere: the serial result is
-// also held to the key-switch noise bound.
+// under 2^64. The paths and the reference share their kernels, so
+// agreement alone would not catch a kernel that is wrong everywhere:
+// the reference result is also held to the key-switch noise bound (and
+// TestKeySwitchGolden pins these rings to recorded digests).
 func TestWideModuliAllPathsAgree(t *testing.T) {
 	e := engine.New(4)
 	defer e.Close()
@@ -243,26 +248,28 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
 
-			want0, want1 := sw.KeySwitch(d, evk)
+			want0, want1 := refKeySwitch(sw, d, evk)
 			errNorm := keySwitchError(r, sw, d, want0, want1, sOld, sNew)
 			if errNorm.Sign() == 0 || errNorm.Cmp(new(big.Int).Lsh(big.NewInt(1), 20)) > 0 {
-				t.Fatalf("serial key-switch error %v outside (0, 2^20]", errNorm)
+				t.Fatalf("reference key-switch error %v outside (0, 2^20]", errNorm)
 			}
 			check := func(path string, c0, c1 *ring.Poly) {
 				t.Helper()
 				if !c0.Equal(want0) || !c1.Equal(want1) {
-					t.Fatalf("%s differs from serial KeySwitch", path)
+					t.Fatalf("%s differs from the reference", path)
 				}
 			}
+			c0, c1 := sw.KeySwitch(d, evk)
+			check("serial", c0, c1)
 			for _, df := range engineDataflows {
-				c0, c1 := sw.SwitchParallel(e, df, d, evk)
+				c0, c1 = sw.SwitchParallel(e, df, d, evk)
 				check(df.String(), c0, c1)
 			}
 			c0s, c1s := sw.SwitchHoisted(d, []*Evk{evk})
 			check("hoisted serial", c0s[0], c1s[0])
 			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
 				h := sw.HoistParallel(e, df, d)
-				c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+				c0, c1 = r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
 				h.SwitchParallelInto(e, evk, c0, c1)
 				h.Release()
 				check("hoisted "+df.String(), c0, c1)
@@ -286,7 +293,7 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	st := sw.stateFor(dataflow.OC)
+	st := sw.state(dataflow.OC, obs.DataflowSerial)
 	st.d, st.evk = d, evk
 	for i := 0; i < sw.ell(); i++ {
 		st.prepTower(i)

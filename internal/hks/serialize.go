@@ -56,16 +56,11 @@ func (sw *Switcher) ReadEvk(r io.Reader) (*Evk, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range []*ring.Poly{b, a} {
-			if !p.Basis.Equal(sw.dBasis) {
-				return nil, fmt.Errorf("hks: evk digit %d basis %v, want %v", j, p.Basis, sw.dBasis)
-			}
-			if !p.IsNTT {
-				return nil, fmt.Errorf("hks: evk digit %d not in NTT domain", j)
-			}
-		}
 		evk.B = append(evk.B, b)
 		evk.A = append(evk.A, a)
+	}
+	if err := sw.CheckEvk(evk); err != nil {
+		return nil, err
 	}
 	return evk, nil
 }
@@ -113,14 +108,11 @@ func (sw *Switcher) ReadCompressedEvk(r io.Reader) (*CompressedEvk, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !b.Basis.Equal(sw.dBasis) {
-			return nil, fmt.Errorf("hks: compressed evk digit %d basis %v, want %v", j, b.Basis, sw.dBasis)
-		}
-		if !b.IsNTT {
-			return nil, fmt.Errorf("hks: compressed evk digit %d not in NTT domain", j)
-		}
 		c.Seeds = append(c.Seeds, seed)
 		c.B = append(c.B, b)
+	}
+	if err := sw.CheckCompressed(c); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

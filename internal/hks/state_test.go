@@ -1,0 +1,279 @@
+package hks
+
+import (
+	"fmt"
+	"maps"
+	"strings"
+	"sync"
+	"testing"
+
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
+	"ciflow/internal/obs"
+	"ciflow/internal/ring"
+)
+
+// TestFusedGraphShape pins what a per-rotation switch executes on the
+// benchmark shape (N=2^13, 6 Q towers, 3 P towers, dnum 3): the node
+// names and counts per dataflow recorded at the commit before the
+// pipelines were unified. The fused graphs are the paper's subject; a
+// switch must not turn into hoist-then-replay, which has no "oc" tile
+// and one barrier more. It also pins that construction is lazy:
+// NewSwitcher pools no state, and a state builds a graph when it first
+// runs it.
+func TestFusedGraphShape(t *testing.T) {
+	r, s, sOld, sNew := testSetup(t, 1<<13, 6, 40, 3, 41)
+	sw, err := NewSwitcher(r, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range sw.states {
+		if sw.states[k].Get() != nil {
+			t.Fatalf("NewSwitcher pooled a state in slot %d", k)
+		}
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	e := engine.New(2)
+	defer e.Close()
+	defer engine.SetTracer(nil)
+
+	down := map[string]int{"down.prep": 6, "down.over": 8, "down.out": 12}
+	for _, tc := range []struct {
+		df   dataflow.Dataflow
+		want map[string]int
+	}{
+		{dataflow.MP, map[string]int{"modup.prep": 6, "modup.conv": 21, "apply": 9}},
+		{dataflow.DC, map[string]int{"modup.digit": 3, "apply": 9}},
+		{dataflow.OC, map[string]int{"modup.prep": 6, "oc": 9}},
+	} {
+		maps.Copy(tc.want, down)
+		tr := obs.NewTracer() // one span per executed graph node
+		engine.SetTracer(tr)
+		sw.SwitchParallel(e, tc.df, d, evk)
+		engine.SetTracer(nil)
+		got := map[string]int{}
+		for _, sp := range tr.Spans() {
+			got[sp.Name]++
+		}
+		if !maps.Equal(got, tc.want) {
+			t.Errorf("%s ran tiles %v, want %v", tc.df, got, tc.want)
+		}
+		h := newState(sw, tc.df)
+		if h.fused != nil || h.hoistG != nil || h.replayG != nil {
+			t.Errorf("%s: a new state already has a graph", tc.df)
+		}
+		nodes := 0
+		for _, n := range tc.want {
+			nodes += n
+		}
+		if g := h.fusedGraph(); g.Len() != nodes || h.hoistG != nil || h.replayG != nil {
+			t.Errorf("%s fused graph has %d nodes, want %d, and must be the only graph built", tc.df, g.Len(), nodes)
+		}
+	}
+}
+
+// TestStatePoolInterleaved hammers the one state pool of one Switcher:
+// goroutines interleave per-rotation switches, hoists, dense replays
+// and streamed replays of different inputs across all three dataflows,
+// so a state serves as a fused switch in one use and as a hoisted state
+// in the next. Every output is checked against refKeySwitch; under
+// -race this also proves the pool and the lazily built graphs are
+// data-race free.
+func TestStatePoolInterleaved(t *testing.T) {
+	e := engine.New(4)
+	defer e.Close()
+	r, s, _, _ := testSetup(t, 32, 5, 30, 3, 31)
+	sw, err := NewSwitcher(r, 4, 2) // uneven digits
+	if err != nil {
+		t.Fatal(err)
+	}
+	evks := hoistedKeys(s, sw, 2)
+	cevk, ok := evks[1].Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
+
+	const goroutines = 9
+	type job struct {
+		d            *ring.Poly
+		want0, want1 [2]*ring.Poly
+	}
+	jobs := make([]job, goroutines)
+	for i := range jobs {
+		jobs[i].d = s.Uniform(sw.QBasis())
+		jobs[i].d.IsNTT = true
+		for k, evk := range evks {
+			jobs[i].want0[k], jobs[i].want1[k] = refKeySwitch(sw, jobs[i].d, evk)
+		}
+	}
+	dfs := []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jb := jobs[i]
+			c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+			check := func(what string, k int) bool {
+				if c0.Equal(jb.want0[k]) && c1.Equal(jb.want1[k]) {
+					return true
+				}
+				errs <- fmt.Errorf("goroutine %d: %s differs from the reference", i, what)
+				return false
+			}
+			for rep := 0; rep < 6; rep++ {
+				df := dfs[(i+rep)%len(dfs)]
+				switch (i + rep) % 3 {
+				case 0: // per-rotation, engine and serial
+					sw.SwitchParallelInto(e, df, jb.d, evks[0], c0, c1)
+					if !check("fused "+df.String(), 0) {
+						return
+					}
+					c0, c1 = sw.KeySwitch(jb.d, evks[1])
+					if !check("serial", 1) {
+						return
+					}
+				case 1: // hoist, then dense replays on the engine and the caller
+					h := sw.HoistParallel(e, df, jb.d)
+					h.SwitchParallelInto(e, evks[0], c0, c1)
+					ok := check("hoisted "+df.String(), 0)
+					h.SwitchInto(evks[1], c0, c1)
+					ok = ok && check("hoisted serial replay", 1)
+					h.Release()
+					if !ok {
+						return
+					}
+				case 2: // hoist, then a streamed and a dense replay
+					st := cevk.StartExpand(r)
+					h := sw.HoistParallel(e, df, jb.d)
+					h.SwitchStreamedInto(st, c0, c1)
+					ok := check("streamed "+df.String(), 1)
+					h.SwitchParallelInto(e, evks[0], c0, c1)
+					ok = ok && check("hoisted after streamed", 0)
+					h.Release()
+					if !ok {
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// poolRetains reports whether a sync.Pool hands back what was just put
+// into it. The race detector makes Put drop a quarter of its items at
+// random, and then nothing that draws from a pool can be pinned to an
+// allocation count.
+func poolRetains() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKeySwitchAllocs pins the serial path's allocation discipline now
+// that it runs on the pooled state: once warm, KeySwitch allocates its
+// two output polynomials and nothing else.
+func TestKeySwitchAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
+	}
+	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	sw.KeySwitch(d, evk) // warm the state pool and converter scratch
+	var out *ring.Poly   // keeps NewPoly's result on the heap, as KeySwitch's are
+	outputs := 2 * testing.AllocsPerRun(10, func() { out = r.NewPoly(sw.QBasis()) })
+	_ = out
+	if allocs := testing.AllocsPerRun(10, func() { sw.KeySwitch(d, evk) }); allocs != outputs {
+		t.Fatalf("warm KeySwitch allocates %v times per run, want %v (two output polynomials)", allocs, outputs)
+	}
+}
+
+// TestWrongLevelKeyRejected: a key generated at another level has the
+// right digit count but polynomials over another basis. The Check
+// functions must refuse it with an error, and every panicking entry
+// point must panic with that reason — not with an index fault from
+// inside a tile, which on an engine worker is all a caller would see.
+func TestWrongLevelKeyRejected(t *testing.T) {
+	e := engine.New(2)
+	defer e.Close()
+	r, s, sOld, sNew := testSetup(t, 32, 6, 30, 2, 31)
+	sw, err := NewSwitcher(r, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swLow, err := NewSwitcher(r, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := swLow.GenEvk(s, sOld, sNew)
+	lowC, ok := low.Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
+	good := sw.GenEvk(s, sOld, sNew)
+	coeff := &Evk{B: good.B, A: append([]*ring.Poly(nil), good.A...)}
+	coeff.A[1] = good.A[1].Copy()
+	coeff.A[1].IsNTT = false
+
+	for name, err := range map[string]error{
+		"CheckEvk":             sw.CheckEvk(low),
+		"CheckCompressed":      sw.CheckCompressed(lowC),
+		"CheckMaterial dense":  sw.CheckMaterial(low),
+		"CheckMaterial packed": sw.CheckMaterial(lowC),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "basis") {
+			t.Errorf("%s on a level-2 key at level 5: got %v, want a basis error", name, err)
+		}
+	}
+	if err := sw.CheckEvk(coeff); err == nil || !strings.Contains(err.Error(), "NTT") {
+		t.Errorf("CheckEvk on a coefficient-domain digit: got %v, want an NTT-domain error", err)
+	}
+	if err := sw.CheckEvk(&Evk{B: good.B, A: make([]*ring.Poly, sw.Dnum)}); err == nil {
+		t.Error("CheckEvk accepted nil digits")
+	}
+
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+	h := sw.Hoist(d)
+	defer h.Release()
+	for name, f := range map[string]func(){
+		"KeySwitch":                  func() { sw.KeySwitch(d, low) },
+		"SwitchParallelInto":         func() { sw.SwitchParallelInto(e, dataflow.OC, d, low, c0, c1) },
+		"Hoisted.SwitchInto":         func() { h.SwitchInto(low, c0, c1) },
+		"Hoisted.SwitchParallelInto": func() { h.SwitchParallelInto(e, low, c0, c1) },
+		"Hoisted.SwitchStreamedInto": func() { h.SwitchStreamedInto(lowC.StartExpand(r), c0, c1) },
+		"ApplyEvk":                   func() { sw.ApplyEvk(sw.ModUp(d), low) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "basis") {
+					t.Errorf("%s with a wrong-level key: recovered %q, want the basis message", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
+}

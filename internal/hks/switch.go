@@ -1,0 +1,254 @@
+package hks
+
+// Entry points onto the one pipeline: each checks its arguments, draws
+// a pooled state, binds input, key and outputs, and runs a schedule of
+// schedule.go over the tiles of tiles.go.
+//
+// Hoisting is the entry point for fan-out: when one input polynomial
+// feeds k evaluation keys (the rotation fan-out of the diagonal method,
+// paper §I's private-inference workload), Decompose+ModUp — the left
+// half of paper Figure 1 and the bulk of its INTT/BConv/NTT work — does
+// not depend on the key. A hoist runs it once and each replay runs only
+// ApplyKey+Reduce+ModDown, saving (k−1)·ModUpOps weighted modular
+// operations (HoistedOpsSaved). States come from and return to the
+// switcher's pool, so steady-state switching allocates nothing beyond
+// the engine's per-run completion channel.
+
+import (
+	"fmt"
+
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
+	"ciflow/internal/obs"
+	"ciflow/internal/ring"
+)
+
+// sameStorage reports whether two polynomials over the same basis
+// share their first residue row (the cheap aliasing check for polys
+// whose bases were already validated equal).
+func sameStorage(a, b *ring.Poly) bool {
+	return len(a.Coeffs) > 0 && len(a.Coeffs[0]) > 0 &&
+		len(b.Coeffs) > 0 && len(b.Coeffs[0]) > 0 &&
+		&a.Coeffs[0][0] == &b.Coeffs[0][0]
+}
+
+// must panics with err's message: how the entry points, for which a bad
+// argument is a programming error, use the error-returning Check
+// functions that request-accepting layers call directly.
+func must(err error) {
+	if err != nil {
+		panic(err.Error())
+	}
+}
+
+// checkReplay is the precondition of every ApplyKey+ModDown, dense,
+// streamed or inside a per-rotation switch: key passes CheckMaterial,
+// and (c0, c1) are distinct polynomials over B_ℓ. It panics with the
+// reason otherwise.
+func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
+	must(sw.CheckMaterial(key))
+	if !c0.Basis.Equal(sw.qBasis) || !c1.Basis.Equal(sw.qBasis) {
+		panic("hks: switch output basis mismatch")
+	}
+	// The two outputs' tiles run concurrently with no cross dependency,
+	// so aliased storage would race silently.
+	if c0 == c1 || sameStorage(c0, c1) {
+		panic("hks: switch outputs must not alias each other")
+	}
+}
+
+func (h *Hoisted) bind(evk *Evk, c0, c1 *ring.Poly) {
+	h.evk, h.out = evk, [2]*ring.Poly{c0, c1}
+}
+
+func (h *Hoisted) unbind() {
+	h.out[0].IsNTT, h.out[1].IsNTT = true, true
+	h.evk, h.out = nil, [2]*ring.Poly{}
+}
+
+// engineLabel is the obs label of a switch on the engine under df.
+func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(dfKey(df)) }
+
+// ---- Per-rotation switching ----
+
+// KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ)
+// on the calling goroutine, returning freshly allocated (c0, c1) over
+// B_ℓ such that c0 + c1·s ≈ d·s′: one serial hoist and one serial
+// replay.
+func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+	h := sw.Hoist(d)
+	defer h.Release()
+	return h.Switch(evk)
+}
+
+// SwitchParallel runs the complete HKS pipeline on d (NTT domain over
+// B_ℓ) as a task graph on e, shaped by the given dataflow, returning
+// freshly allocated (c0, c1) over B_ℓ. The result is bit-exact with
+// KeySwitch for every dataflow. A nil engine uses engine.Default().
+// Safe for concurrent use on one Switcher.
+func (sw *Switcher) SwitchParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+	c0 = sw.R.NewPoly(sw.qBasis)
+	c1 = sw.R.NewPoly(sw.qBasis)
+	sw.SwitchParallelInto(e, df, d, evk, c0, c1)
+	return c0, c1
+}
+
+// SwitchParallelInto is SwitchParallel writing into caller-provided
+// output polynomials over B_ℓ, so a steady-state caller reusing its
+// outputs performs zero per-op allocations. c0/c1 must not alias d.
+func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk, c0, c1 *ring.Poly) {
+	must(sw.CheckInput(d))
+	sw.checkReplay(evk, c0, c1)
+	if sameStorage(c0, d) || sameStorage(c1, d) {
+		panic("hks: SwitchParallel outputs must not alias the input")
+	}
+	if e == nil {
+		e = engine.Default()
+	}
+	h := sw.state(df, engineLabel(df))
+	h.d = d
+	h.bind(evk, c0, c1)
+	e.RunGraph(h.fusedGraph())
+	h.d = nil
+	h.unbind()
+	h.Release()
+}
+
+// ---- Hoisted switching ----
+
+// Hoist runs Decompose+ModUp once over d (NTT domain over B_ℓ) on the
+// calling goroutine and returns the reusable hoisted state. Call
+// Release when done with it.
+func (sw *Switcher) Hoist(d *ring.Poly) *Hoisted {
+	return sw.hoist(nil, dataflow.MP, obs.DataflowSerial, d)
+}
+
+// HoistParallel is Hoist with the ModUp tiles executed as a task
+// graph on e, shaped by the given dataflow (a nil engine uses
+// engine.Default()). Bit-exact with Hoist.
+func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
+	if e == nil {
+		e = engine.Default()
+	}
+	return sw.hoist(e, df, engineLabel(df), d)
+}
+
+// hoist runs ModUp on e, or on the caller when e is nil.
+func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Dataflow, d *ring.Poly) *Hoisted {
+	must(sw.CheckInput(d))
+	h := sw.state(df, label)
+	h.ownBypass()
+	h.d = d
+	if e == nil {
+		h.runModUp()
+	} else {
+		e.RunGraph(h.hoistGraph())
+	}
+	h.d = nil
+	return h
+}
+
+// Switch replays the hoisted ModUp against one evaluation key,
+// running ApplyKey+Reduce+ModDown serially into freshly allocated
+// (c0, c1) over B_ℓ. Bit-exact with KeySwitch(d, evk).
+func (h *Hoisted) Switch(evk *Evk) (c0, c1 *ring.Poly) {
+	c0 = h.sw.R.NewPoly(h.sw.qBasis)
+	c1 = h.sw.R.NewPoly(h.sw.qBasis)
+	h.SwitchInto(evk, c0, c1)
+	return c0, c1
+}
+
+// SwitchInto is Switch writing into caller-provided outputs; the
+// serial replay performs zero allocations.
+func (h *Hoisted) SwitchInto(evk *Evk, c0, c1 *ring.Poly) {
+	h.sw.checkReplay(evk, c0, c1)
+	h.bind(evk, c0, c1)
+	h.runApply()
+	h.runModDown(0)
+	h.runModDown(1)
+	h.unbind()
+}
+
+// SwitchParallelInto is SwitchInto with the replay executed as a task
+// graph on e (nil uses engine.Default()). Bit-exact with SwitchInto.
+func (h *Hoisted) SwitchParallelInto(e *engine.Engine, evk *Evk, c0, c1 *ring.Poly) {
+	h.sw.checkReplay(evk, c0, c1)
+	if e == nil {
+		e = engine.Default()
+	}
+	h.bind(evk, c0, c1)
+	e.RunGraph(h.replayGraph())
+	h.unbind()
+}
+
+// SwitchStreamedInto replays the hoisted ModUp against a compressed
+// key's expansion stream, consuming digits in ascending order as they
+// become ready, then runs ModDown into (c0, c1). Because the stream's
+// producer goroutine runs ahead of the consumer, per-digit seed
+// expansion overlaps both the preceding hoist phase (when the stream
+// was started before Hoist/HoistParallel) and this apply loop itself.
+// Bit-exact with SwitchInto of the expanded dense key.
+func (h *Hoisted) SwitchStreamedInto(st *ExpandStream, c0, c1 *ring.Poly) {
+	h.sw.checkReplay(st.c, c0, c1)
+	h.bind(nil, c0, c1)
+	for j := range h.up {
+		// Time blocked on the expander: ~0 when the stream runs ahead;
+		// when the consumer outpaces it, the expansion stall the
+		// overlap is meant to hide.
+		t0 := h.now()
+		eb, ea := st.Digit(j)
+		h.stage(obs.StageExpand, t0, h.now())
+		h.applyDigit(j, eb, ea)
+	}
+	h.runModDown(0)
+	h.runModDown(1)
+	h.unbind()
+}
+
+// SwitchStreamed is the full overlapped miss path for one compressed
+// key: start the expansion stream, hoist d on the engine under df
+// (expansion running concurrently with Decompose+ModUp), then apply
+// the key digit by digit. Returns freshly allocated (c0, c1) over
+// B_ℓ, bit-exact with KeySwitch(d, cevk.Expand(sw.R)).
+func (sw *Switcher) SwitchStreamed(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, cevk *CompressedEvk) (c0, c1 *ring.Poly) {
+	st := cevk.StartExpand(sw.R)
+	h := sw.HoistParallel(e, df, d)
+	defer h.Release()
+	c0 = sw.R.NewPoly(sw.qBasis)
+	c1 = sw.R.NewPoly(sw.qBasis)
+	h.SwitchStreamedInto(st, c0, c1)
+	return c0, c1
+}
+
+// SwitchHoisted switches d (NTT domain over B_ℓ) with every key in
+// evks while running Decompose+ModUp only once, serially, returning
+// one freshly allocated (c0, c1) pair per key in input order. Each
+// pair is bit-exact with KeySwitch(d, evks[i]).
+func (sw *Switcher) SwitchHoisted(d *ring.Poly, evks []*Evk) (c0s, c1s []*ring.Poly) {
+	h := sw.Hoist(d)
+	defer h.Release()
+	c0s = make([]*ring.Poly, len(evks))
+	c1s = make([]*ring.Poly, len(evks))
+	for i, evk := range evks {
+		c0s[i], c1s[i] = h.Switch(evk)
+	}
+	return c0s, c1s
+}
+
+// SwitchHoistedParallelInto is SwitchHoisted on the engine: the shared
+// ModUp runs as a df-shaped task graph, then each key's replay graph
+// writes into the caller-provided c0s[i], c1s[i]. With reused outputs
+// a steady-state caller performs no per-op limb allocations. Outputs
+// must be pairwise non-aliased. Bit-exact with per-key KeySwitch for
+// every dataflow.
+func (sw *Switcher) SwitchHoistedParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evks []*Evk, c0s, c1s []*ring.Poly) {
+	if len(c0s) != len(evks) || len(c1s) != len(evks) {
+		panic(fmt.Sprintf("hks: SwitchHoistedParallelInto got %d keys but %d/%d outputs",
+			len(evks), len(c0s), len(c1s)))
+	}
+	h := sw.HoistParallel(e, df, d)
+	defer h.Release()
+	for i, evk := range evks {
+		h.SwitchParallelInto(e, evk, c0s[i], c1s[i])
+	}
+}

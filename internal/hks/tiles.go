@@ -1,0 +1,375 @@
+package hks
+
+// The one HKS tile set. Paper Figure 1 is cut into tiles — a tower of
+// one stage, or one digit's ModUp — and every entry point of the
+// package runs these tiles on one pooled state type; what differs
+// between entry points is only the order and the goroutine the tiles
+// run on (schedule.go):
+//
+//	prepTower      ModUp P1: INTT of one Q tower, plus the digit's ŷ scaling
+//	convertTower   ModUp P2+P3: one (digit, destination tower) BConv + NTT
+//	digitPipeline  the DC tile: one digit's prep and convert tiles in order
+//	applyTower     P4+P5: one extended tower of ApplyKey, all digits summed
+//	ocTower        the OC tile: a tower's convert tiles, then its apply tile
+//	applyDigit     the streamed apply: one evk digit folded into every tower
+//	downPrepTower  ModDown P1: INTT of one P tower, plus the ŷ scaling
+//	downOvershoot  ModDown P2: the exact conversion's overshoot, one chunk
+//	downOutTower   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
+//
+// Every tile writes the canonical residue, so any order that respects
+// the data dependencies gives the same bits however the lazy kernels
+// beneath (internal/ntt, mod.MulAccRows) group their reductions — the
+// property the equivalence tests and testdata/keyswitch.golden assert.
+//
+// ApplyKey sums all dnum digits of a tower in one deferred-reduction
+// pass, so each non-bypass digit's converted row stays alive until that
+// tower's apply tile: every schedule, OC included, keeps at most dnum
+// converted rows per extended tower. That is a CPU-side scratch choice,
+// not the paper's on-chip working set: the OC schedule internal/dataflow
+// generates (dataflow.dram_mb_oc in the benchmark) still holds one
+// output tower at a time.
+
+import (
+	"fmt"
+	"time"
+
+	"ciflow/internal/bconv"
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
+	"ciflow/internal/obs"
+	"ciflow/internal/ring"
+)
+
+// Hoisted is the pooled execution state of key switching: all scratch
+// one switch touches, and the task graphs that schedule its tiles on
+// an engine. Every entry point draws one from the switcher's pool.
+//
+// To callers it is the shared-ModUp state of one input polynomial:
+// obtain it with Hoist or HoistParallel, replay it against any number
+// of evaluation keys with Switch/SwitchInto/SwitchParallelInto/
+// SwitchStreamedInto, and return it with Release. It is independent of
+// its input once the hoist returns. A Hoisted must not be used
+// concurrently or after Release; hoisting and switching different
+// inputs concurrently on one Switcher is safe.
+type Hoisted struct {
+	sw *Switcher
+	df dataflow.Dataflow // pool slot and graph shape
+
+	// Bound per run.
+	d   *ring.Poly    // input, while its ModUp tiles run
+	evk *Evk          // dense key; nil during a streamed replay
+	out [2]*ring.Poly // outputs over B_ℓ
+
+	// ownsBypass is set while the state is hoisted: the prep tile then
+	// copies each bypass row (paper Figure 1, red towers) into the row
+	// table so the state outlives its input. A per-rotation switch
+	// leaves it clear and reads those rows from the input itself.
+	ownsBypass bool
+
+	// Observability binding: rec is obs.Active() captured at the entry
+	// point (nil when profiling is off — the tiles then read no clock),
+	// label the dataflow the samples are recorded under.
+	rec   *obs.Recorder
+	label obs.Dataflow
+
+	// Scratch, allocated once per state.
+	up  [][][]uint64  // ModUp row table [dnum][|D|]; bypass rows nil until the first hoist
+	y   [][]uint64    // ℓ rows: INTT'd + ŷ-scaled digit towers
+	acc [2]*ring.Poly // ApplyKey accumulators over D_ℓ
+	yP  [2][][]uint64 // per output poly: K scaled ModDown rows
+	u   [2][]uint64   // per output poly: overshoot estimates
+
+	// Row headers handed to the ApplyKey kernel, [|D|][dnum]: a tower's
+	// ModUp rows and the matching rows of the two evk halves. One slot
+	// per tower, so concurrent apply tiles share nothing and allocate
+	// nothing.
+	upRows, kbRows, kaRows [][][]uint64
+
+	// Task graphs over the tiles, each built on first use (schedule.go).
+	fused, hoistG, replayG *engine.Graph
+}
+
+func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
+	n, kp := sw.R.N, len(sw.pBasis)
+	rows := func(k int) [][]uint64 {
+		rs := make([][]uint64, k)
+		for i := range rs {
+			rs[i] = make([]uint64, n)
+		}
+		return rs
+	}
+	h := &Hoisted{sw: sw, df: df, y: rows(sw.ell())}
+	h.up = make([][][]uint64, sw.Dnum)
+	for j := range h.up {
+		h.up[j] = make([][]uint64, len(sw.dBasis))
+		for _, t := range sw.convDstIdx[j] {
+			h.up[j][t] = make([]uint64, n)
+		}
+	}
+	for p := range h.acc {
+		h.acc[p] = sw.R.NewPoly(sw.dBasis)
+		h.acc[p].IsNTT = true
+		h.yP[p] = rows(kp)
+		h.u[p] = make([]uint64, n)
+	}
+	headers := func() [][][]uint64 {
+		hs := make([][][]uint64, len(sw.dBasis))
+		for t := range hs {
+			hs[t] = make([][]uint64, sw.Dnum)
+		}
+		return hs
+	}
+	h.upRows, h.kbRows, h.kaRows = headers(), headers(), headers()
+	return h
+}
+
+// dfKey maps a dataflow to its state-pool slot. OCF executes as OC
+// (its ModDown fusion is a memory-traffic concept; ModDown is already
+// fused into every graph here).
+func dfKey(df dataflow.Dataflow) int {
+	switch df {
+	case dataflow.MP:
+		return 0
+	case dataflow.DC:
+		return 1
+	case dataflow.OC, dataflow.OCF:
+		return 2
+	}
+	panic(fmt.Sprintf("hks: unknown dataflow %v", df))
+}
+
+// state draws an execution state from df's pool slot, building one on
+// a miss, and captures the active recorder; samples go under label.
+func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
+	h, _ := sw.states[dfKey(df)].Get().(*Hoisted)
+	if h == nil {
+		h = newState(sw, df)
+	}
+	h.rec, h.label = obs.Active(), label
+	return h
+}
+
+// Release returns the state to its switcher's pool. The Hoisted must
+// not be used afterwards.
+func (h *Hoisted) Release() {
+	h.rec, h.ownsBypass = nil, false
+	h.sw.states[dfKey(h.df)].Put(h)
+}
+
+// ownBypass marks the state hoisted, allocating the bypass rows of the
+// table the first time a state is.
+func (h *Hoisted) ownBypass() {
+	h.ownsBypass = true
+	if h.up[0][0] != nil { // tower 0 is digit 0's own
+		return
+	}
+	for i := range h.y {
+		h.up[i/h.sw.Alpha][i] = make([]uint64, h.sw.R.N)
+	}
+}
+
+// rowTable is the ModUp row table over caller polynomials, one per
+// digit over D_ℓ: how ModUp and ApplyEvk aim the tiles at them.
+func rowTable(ups []*ring.Poly) [][][]uint64 {
+	tab := make([][][]uint64, len(ups))
+	for j, up := range ups {
+		tab[j] = up.Coeffs
+	}
+	return tab
+}
+
+func (sw *Switcher) ell() int { return len(sw.qBasis) }
+
+// digitLo returns the first Q-tower index of digit j; digits are
+// contiguous alpha-sized blocks (the last may be shorter).
+func (sw *Switcher) digitLo(j int) int { return j * sw.Alpha }
+
+func (sw *Switcher) digitHi(j int) int { return min((j+1)*sw.Alpha, sw.ell()) }
+
+// bypass reports whether extended tower t (a dBasis index) is digit
+// j's own tower, which skips INTT→BConv→NTT and reuses the input row
+// (paper Figure 1, red towers).
+func (sw *Switcher) bypass(j, t int) bool {
+	return t < sw.ell() && t/sw.Alpha == j
+}
+
+// ---- Timing ----
+//
+// A tile marks t0 := h.now(), passes the mark through h.kernel after
+// each kernel, and closes with h.stage. With no recorder captured all
+// three return at once and read no clock.
+
+func (h *Hoisted) now() time.Time {
+	if h.rec == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// kernel records the time since mark t under k and returns the new mark.
+func (h *Hoisted) kernel(k obs.Kernel, t time.Time) time.Time {
+	if h.rec == nil {
+		return t
+	}
+	now := time.Now()
+	h.rec.Kernel(k, h.label, now.Sub(t))
+	return now
+}
+
+// stage records [t0, t) under st; t is the tile's last kernel mark, or
+// h.now() when the tile ends in work no kernel covers.
+func (h *Hoisted) stage(st obs.Stage, t0, t time.Time) {
+	if h.rec != nil {
+		h.rec.Stage(st, h.label, h.sw.Level, t.Sub(t0))
+	}
+}
+
+// ---- Tiles ----
+
+// upRow returns digit j's ModUp row for extended tower t: a row of the
+// table, except that a per-rotation switch reads bypass rows straight
+// from its input.
+func (h *Hoisted) upRow(j, t int) []uint64 {
+	if !h.ownsBypass && h.sw.bypass(j, t) {
+		return h.d.Coeffs[t]
+	}
+	return h.up[j][t]
+}
+
+// prepTower is ModUp P1 for Q tower i plus the digit's ŷ scaling
+// (folded here so it runs exactly once per tower, as the dataflow
+// model's inttWithPreOps charges it).
+func (h *Hoisted) prepTower(i int) {
+	sw, j := h.sw, i/h.sw.Alpha
+	t0 := h.now()
+	if h.ownsBypass {
+		copy(h.up[j][i], h.d.Coeffs[i])
+	}
+	row := h.y[i]
+	copy(row, h.d.Coeffs[i])
+	sw.R.INTTTower(sw.qBasis[i], row)
+	t := h.kernel(obs.KernelNTT, t0)
+	sw.upConv[j].YScaleRow(i-sw.digitLo(j), row, row)
+	t = h.kernel(obs.KernelBConv, t)
+	h.stage(obs.StageModUp, t0, t)
+}
+
+// convertTower is ModUp P2+P3 for one (digit, destination tower) tile.
+func (h *Hoisted) convertTower(j, di int) {
+	sw := h.sw
+	t0 := h.now()
+	dt := sw.convDstIdx[j][di]
+	row := h.up[j][dt]
+	yj := h.y[sw.digitLo(j):sw.digitHi(j)] // aligned with the converter's source indices
+	sw.upConv[j].ConvertTowerFromY(yj, di, row)
+	t := h.kernel(obs.KernelBConv, t0)
+	sw.R.NTTTower(sw.dBasis[dt], row)
+	t = h.kernel(obs.KernelNTT, t)
+	h.stage(obs.StageModUp, t0, t)
+}
+
+// digitPipeline is the DC tile: one digit's entire ModUp (P1–P3) in
+// order, so parallelism is across digits only. Its prep and convert
+// tiles record themselves.
+func (h *Hoisted) digitPipeline(j int) {
+	for i := h.sw.digitLo(j); i < h.sw.digitHi(j); i++ {
+		h.prepTower(i)
+	}
+	for di := range h.sw.convDstIdx[j] {
+		h.convertTower(j, di)
+	}
+}
+
+// applyTower is ApplyKey (P4+P5) for extended tower t:
+// acc ← Σ_j up_j[t] ⊙ evk_j[t] for both evk halves, each as one
+// deferred-reduction pass over all dnum digits.
+func (h *Hoisted) applyTower(t int) {
+	sw := h.sw
+	t0 := h.now()
+	up, kb, ka := h.upRows[t], h.kbRows[t], h.kaRows[t]
+	for j := range up {
+		up[j], kb[j], ka[j] = h.upRow(j, t), h.evk.B[j].Coeffs[t], h.evk.A[j].Coeffs[t]
+	}
+	m := sw.R.Mods[sw.dBasis[t]]
+	b0, b1 := h.acc[0].Coeffs[t], h.acc[1].Coeffs[t]
+	clear(b0)
+	clear(b1)
+	m.MulAccRows(b0, up, kb, sw.accTerms)
+	m.MulAccRows(b1, up, ka, sw.accTerms)
+	h.stage(obs.StageApply, t0, h.now())
+}
+
+// ocTower is the OC tile: produce extended tower t's finished ApplyKey
+// accumulation, converting each digit's contribution on the fly. The
+// conversions record as ModUp and the accumulation as Apply.
+func (h *Hoisted) ocTower(t int) {
+	sw := h.sw
+	for j := 0; j < sw.Dnum; j++ {
+		if !sw.bypass(j, t) {
+			h.convertTower(j, sw.dstIdxOf[j][t])
+		}
+	}
+	h.applyTower(t)
+}
+
+// applyDigit folds one streamed evk digit into the accumulators, which
+// digit 0 starts from zero: the one-term case of applyTower's kernel.
+// Digit-ascending calls reduce after every digit where applyTower
+// reduces once, but both leave the canonical residue of the same sum,
+// so a streamed replay is bit-identical to a dense one.
+func (h *Hoisted) applyDigit(j int, eb, ea *ring.Poly) {
+	sw := h.sw
+	t0 := h.now()
+	for t, tw := range sw.dBasis {
+		m := sw.R.Mods[tw]
+		up, b0, b1 := h.up[j][t:t+1], h.acc[0].Coeffs[t], h.acc[1].Coeffs[t]
+		if j == 0 {
+			clear(b0)
+			clear(b1)
+		}
+		m.MulAccRows(b0, up, eb.Coeffs[t:t+1], 1)
+		m.MulAccRows(b1, up, ea.Coeffs[t:t+1], 1)
+	}
+	h.stage(obs.StageApply, t0, h.now())
+}
+
+// downPrepTower is ModDown P1 for P tower i of output poly p, plus the
+// ŷ scaling of the P→Q conversion.
+func (h *Hoisted) downPrepTower(p, i int) {
+	sw := h.sw
+	t0 := h.now()
+	row := h.yP[p][i]
+	copy(row, h.acc[p].Coeffs[sw.ell()+i])
+	sw.R.INTTTower(sw.pBasis[i], row)
+	t := h.kernel(obs.KernelNTT, t0)
+	sw.downConv.YScaleRow(i, row, row)
+	t = h.kernel(obs.KernelBConv, t)
+	h.stage(obs.StageModDown, t0, t)
+}
+
+// overshootChunk tiles the ModDown overshoot estimate with the same
+// granularity as the bconv-internal parallel path.
+const overshootChunk = bconv.OvershootChunk
+
+// downOvershoot estimates the exact-conversion overshoot for one
+// coefficient chunk of output poly p.
+func (h *Hoisted) downOvershoot(p, from, to int) {
+	t0 := h.now()
+	h.sw.downConv.Overshoot(h.yP[p], h.u[p], from, to)
+	h.stage(obs.StageModDown, t0, h.kernel(obs.KernelBConv, t0))
+}
+
+// downOutTower is ModDown P2–P4 for Q tower i of output poly p:
+// exact-convert the P part into tower i, NTT it, and fold the
+// subtract-and-scale by P⁻¹ in place.
+func (h *Hoisted) downOutTower(p, i int) {
+	sw := h.sw
+	t0 := h.now()
+	dst := h.out[p].Coeffs[i]
+	sw.downConv.ConvertExactTowerFromY(h.yP[p], h.u[p], i, dst)
+	t := h.kernel(obs.KernelBConv, t0)
+	sw.R.NTTTower(sw.qBasis[i], dst)
+	h.kernel(obs.KernelNTT, t)
+	sw.R.Mods[sw.qBasis[i]].SubMulShoupRow(dst, h.acc[p].Coeffs[i], dst, sw.pInvModQ[i], sw.pInvShoup[i])
+	h.stage(obs.StageModDown, t0, h.now())
+}

@@ -9,8 +9,8 @@
 // allocates nothing on the hot path:
 //
 //   - Recorder: log-bucketed nanosecond histograms plus atomic
-//     counters over the HKS stages (Decompose, ModUp, ApplyKey,
-//     streamed Expand, ModDown) and the kernel tiles beneath them
+//     counters over the HKS stages (ModUp, ApplyKey, streamed
+//     Expand, ModDown) and the kernel tiles beneath them
 //     (NTT, BConv), broken down per dataflow (MP/DC/OC/serial) and
 //     per ciphertext level. All state is fixed-size arrays of
 //     atomics — recording is wait-free and safe from every engine
@@ -44,14 +44,11 @@ import (
 type Stage uint8
 
 const (
-	// StageDecompose is the gadget decomposition of the input
-	// polynomial into digits. On the engine paths this is a zero-copy
-	// view and records no time; the serial path times it.
-	StageDecompose Stage = iota
 	// StageModUp is the digit raise: per digit, INTT out of the
 	// evaluation domain, exact base conversion into the extended
-	// basis, NTT back.
-	StageModUp
+	// basis, NTT back. (Decompose before it is a zero-copy view of the
+	// input's rows on every path and has no stage of its own.)
+	StageModUp Stage = iota
 	// StageApply is the evaluation-key inner product: per-tower
 	// multiply-accumulate of every raised digit against the key.
 	StageApply
@@ -66,11 +63,10 @@ const (
 )
 
 var stageNames = [numStages]string{
-	StageDecompose: "decompose",
-	StageModUp:     "mod_up",
-	StageApply:     "apply",
-	StageExpand:    "expand",
-	StageModDown:   "mod_down",
+	StageModUp:   "mod_up",
+	StageApply:   "apply",
+	StageExpand:  "expand",
+	StageModDown: "mod_down",
 }
 
 // String returns the stable snake_case name used in JSON reports.

@@ -211,8 +211,8 @@ type StageShare struct {
 	Seconds float64 `json:"seconds"`
 	// Share is Seconds over the wall time handed to Shares. At one
 	// worker the stages execute back to back, so the shares sum to
-	// ~1 minus the unprofiled remainder (orchestration, decompose
-	// views); with w workers the sum approaches w.
+	// ~1 minus the unprofiled remainder (orchestration); with w
+	// workers the sum approaches w.
 	Share float64 `json:"share"`
 }
 

@@ -60,8 +60,7 @@ type KeyID struct {
 // should memoize (like ckks.KeyChain), so re-loading an evicted key
 // returns identical material and served results stay bit-exact across
 // evictions. SeedKeySource and KeyChains adapt ckks key chains; tests
-// inject counting sources via KeyMaterialFunc (or the legacy
-// KeySourceFunc).
+// inject counting sources via KeyMaterialFunc.
 type KeySource interface {
 	Key(id KeyID) (hks.KeyMaterial, error)
 }
@@ -71,23 +70,6 @@ type KeyMaterialFunc func(id KeyID) (hks.KeyMaterial, error)
 
 // Key implements KeySource.
 func (f KeyMaterialFunc) Key(id KeyID) (hks.KeyMaterial, error) { return f(id) }
-
-// KeySourceFunc adapts a dense-key function to the KeySource
-// interface — the pre-KeyMaterial contract, kept as a one-line
-// compatibility shim so sources written against it keep compiling.
-//
-// Deprecated: implement KeySource directly (or use KeyMaterialFunc),
-// which can also return compressed material.
-type KeySourceFunc func(id KeyID) (*hks.Evk, error)
-
-// Key implements KeySource.
-func (f KeySourceFunc) Key(id KeyID) (hks.KeyMaterial, error) {
-	evk, err := f(id)
-	if err != nil || evk == nil {
-		return nil, err
-	}
-	return evk, nil
-}
 
 // TenantCacheStats is one tenant's slice of the key cache: resident
 // keys and bytes (with the dense-equivalent footprint alongside), and

@@ -22,7 +22,7 @@ func fakeEvk(words int) *hks.Evk {
 // per KeyID, identical across reloads, sized keyBytes each).
 func fakeSource(calls *atomic.Uint64, words int) KeySource {
 	keys := sync.Map{}
-	return KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		calls.Add(1)
 		if id.Rot < 0 {
 			return nil, fmt.Errorf("no key for %v", id)
@@ -182,7 +182,7 @@ func TestCacheSingleflight(t *testing.T) {
 	entered := make(chan struct{})
 	var once sync.Once
 	evk := fakeEvk(8)
-	c := newKeyCache(KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	c := newKeyCache(KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		calls.Add(1)
 		once.Do(func() { close(entered) })
 		<-gate
@@ -281,7 +281,7 @@ func TestEvkSizeBytesPinned(t *testing.T) {
 	// entries at the dense footprint (DenseBytes == Bytes), compressed
 	// entries at the compressed footprint with the what-if dense
 	// footprint alongside.
-	c := newKeyCache(KeySourceFunc(func(KeyID) (*hks.Evk, error) { return evk, nil }), 1<<30, 1)
+	c := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return evk, nil }), 1<<30, 1)
 	if _, err := c.Get(rotID(0)); err != nil {
 		t.Fatal(err)
 	}

@@ -148,23 +148,3 @@ func (src *SeedKeySource) HasTenant(tenant string) bool {
 	_, ok := src.chains[tenant]
 	return ok
 }
-
-// NewFromKeyChain is the one-tenant convenience constructor: a thin
-// shim over New that serves the single keyspace of kc (tenant "") with
-// DefaultLevel set to level, so requests that leave Tenant and Level
-// at their zero values behave exactly like the pre-keyspace API. The
-// chain doubles as the SwitcherSource, so requests may still address
-// other levels explicitly. The request Input is the ciphertext's
-// un-rotated c1, and the caller finishes the rotation by applying the
-// Galois automorphism to the switched pair (as
-// ckks.Evaluator.RotateHoisted does).
-func NewFromKeyChain(kc *ckks.KeyChain, level int, cfg Config) (*Service, error) {
-	if kc == nil {
-		return nil, fmt.Errorf("serve: nil key chain")
-	}
-	if _, err := kc.Switcher(level); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	cfg.DefaultLevel = level
-	return New(kc, KeyChains{"": kc}, cfg)
-}

@@ -49,13 +49,12 @@
 // The service operates at the hks layer: a request carries the
 // key-switch input polynomial (for a rotation, the ciphertext's c1 in
 // hoisting form) and a rotation amount that the key cache resolves —
-// through the request's KeyID — to an evaluation key. KeyChains (and
-// the one-tenant NewFromKeyChain shim) wire the cache to
-// ckks.KeyChain.HoistKey; finishing a rotation (Galois automorphism of
-// the switched pair plus c0 addition) is cheap and stays with the
-// caller. The `ciflow serve` load generator drives this package and
-// reports ops/sec, tail latency, cache hit rate, coalescing factor,
-// and the per-tenant breakdown of all four.
+// through the request's KeyID — to an evaluation key. KeyChains wires
+// the cache to ckks.KeyChain.HoistKey; finishing a rotation (Galois
+// automorphism of the switched pair plus c0 addition) is cheap and
+// stays with the caller. The `ciflow serve` load generator drives this
+// package and reports ops/sec, tail latency, cache hit rate, coalescing
+// factor, and the per-tenant breakdown of all four.
 package serve
 
 import (
@@ -161,8 +160,7 @@ type Config struct {
 	// context is cancelled; other tenants' queues are unaffected.
 	QueueDepth int
 	// DefaultLevel is the ciphertext level served when a request
-	// leaves Level at its zero value (default 0). The one-tenant
-	// NewFromKeyChain constructor sets it to the chain level.
+	// leaves Level at its zero value (default 0).
 	DefaultLevel int
 }
 
@@ -242,8 +240,8 @@ func (w *tenantWorker) send(p *pending, cancel <-chan struct{}) error {
 }
 
 // Service is the multi-tenant batching key-switch service. Construct
-// with New (or the one-tenant NewFromKeyChain), submit with Submit/Do,
-// observe with Stats, and Close to drain. Safe for concurrent use.
+// with New, submit with Submit/Do, observe with Stats, and Close to
+// drain. Safe for concurrent use.
 type Service struct {
 	src  SwitcherSource
 	keys *keyCache

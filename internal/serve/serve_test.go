@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func newTestBench(t *testing.T, rots int, tenants ...string) *testBench {
 // keySource is a memoized backing store, like ckks.KeyChains: every
 // load of one KeyID returns identical key material.
 func (b *testBench) keySource() KeySource {
-	return KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		b.loads.Add(1)
 		if id.Level != benchLevel {
 			return nil, fmt.Errorf("no keys at level %d", id.Level)
@@ -453,7 +454,7 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	src := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Tenant == "hot" {
 			once.Do(func() { close(entered) })
 			<-gate
@@ -535,7 +536,7 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	src := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Tenant == "hot" {
 			once.Do(func() { close(entered) })
 			<-gate
@@ -606,7 +607,7 @@ func TestUnknownTenantRejectedEarly(t *testing.T) {
 	kc, _ := ckks.GenKeys(ctx, 7)
 	e := engine.New(1)
 	defer e.Close()
-	svc, err := NewFromKeyChain(kc, ctx.MaxLevel, Config{Engine: e, Window: time.Microsecond})
+	svc, err := New(kc, KeyChains{"": kc}, Config{Engine: e, Window: time.Microsecond, DefaultLevel: ctx.MaxLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +639,7 @@ func TestBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	blockingSrc := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	blockingSrc := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Rot == 0 {
 			once.Do(func() { close(entered) })
 			<-gate
@@ -784,6 +785,78 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestWrongLevelKeyFailsOneRequest: a KeySource that hands back a key
+// generated at another level — right digit count, wrong extended
+// basis — must cost exactly the requests that asked for it. Before
+// CheckMaterial validated bases such a key reached the apply tiles and
+// the index fault there took the whole process down. Covered on the
+// singleton per-rotation path and inside a coalesced group, for dense
+// and compressed material.
+func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
+	b := newTestBench(t, 1)
+	swLow, err := b.pool.Switcher(benchLevel - 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swLow.Dnum != b.sw.Dnum {
+		t.Fatalf("level %d has dnum %d, want the serving level's %d", swLow.Level, swLow.Dnum, b.sw.Dnum)
+	}
+	full := b.r.DBasis(b.r.NumQ - 1)
+	low := swLow.GenEvk(b.s, b.s.Ternary(full), b.s.Ternary(full))
+	lowC, ok := low.Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
+	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
+		switch id.Rot {
+		case 1:
+			return low, nil
+		case 2:
+			return lowC, nil
+		}
+		return b.evks[""][0], nil
+	})
+	e := engine.New(2)
+	defer e.Close()
+	svc, err := New(b.pool, src, b.config(Config{Engine: e, MaxBatch: 3, Window: 5 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	submit := func(in *ring.Poly, rot int) <-chan Result {
+		t.Helper()
+		ch, err := svc.Submit(context.Background(), Request{Input: in, Rot: rot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	mustFail := func(ch <-chan Result, what string) {
+		t.Helper()
+		if res := <-ch; res.Err == nil || !strings.Contains(res.Err.Error(), "basis") {
+			t.Fatalf("%s: got %v, want a basis error", what, res.Err)
+		}
+	}
+	// Alone in their batches: the per-rotation path.
+	mustFail(submit(b.input(), 1), "dense wrong-level key, singleton")
+	mustFail(submit(b.input(), 2), "compressed wrong-level key, singleton")
+	// Coalesced with a good request on one hoisted input.
+	in := b.input()
+	good, badDense, badComp := submit(in, 0), submit(in, 1), submit(in, 2)
+	mustFail(badDense, "dense wrong-level key, coalesced")
+	mustFail(badComp, "compressed wrong-level key, coalesced")
+	want0, want1 := b.wantSwitch("", in, 0)
+	checkResult(t, <-good, want0, want1, "good request beside wrong-level keys")
+	// And the service is still serving.
+	in = b.input()
+	want0, want1 = b.wantSwitch("", in, 0)
+	checkResult(t, <-submit(in, 0), want0, want1, "request after the failures")
+	if st := svc.Stats(); st.Failed != 4 || st.Served != 2 {
+		t.Fatalf("failed %d / served %d, want 4 / 2", st.Failed, st.Served)
+	}
+}
+
 // TestNewConfigErrors checks constructor validation.
 func TestNewConfigErrors(t *testing.T) {
 	b := newTestBench(t, 1)
@@ -795,10 +868,11 @@ func TestNewConfigErrors(t *testing.T) {
 	}
 }
 
-// TestNewFromKeyChain serves hoisting-form rotations straight off a
-// ckks.KeyChain through the one-tenant shim and checks them against
-// the direct switch with the same (memoized) keys.
-func TestNewFromKeyChain(t *testing.T) {
+// TestServeKeyChain serves hoisting-form rotations straight off a
+// ckks.KeyChain — the chain is both SwitcherSource and, as the one
+// tenant "" of KeyChains, the KeySource — and checks them against the
+// direct switch with the same (memoized) keys.
+func TestServeKeyChain(t *testing.T) {
 	ctx, err := ckks.NewContext(32, 4, 30, 2, 31, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -808,17 +882,11 @@ func TestNewFromKeyChain(t *testing.T) {
 	e := engine.New(2)
 	defer e.Close()
 
-	svc, err := NewFromKeyChain(kc, level, Config{Engine: e, MaxBatch: 3, Window: time.Minute})
+	svc, err := New(kc, KeyChains{"": kc}, Config{Engine: e, MaxBatch: 3, Window: time.Minute, DefaultLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := NewFromKeyChain(kc, 99, Config{}); err == nil {
-		t.Fatal("invalid level accepted")
-	}
-	if _, err := NewFromKeyChain(nil, level, Config{}); err == nil {
-		t.Fatal("nil key chain accepted")
-	}
 
 	sw, err := kc.Switcher(level)
 	if err != nil {
