@@ -421,19 +421,6 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 	}
 	pred := sched.Counts()
 
-	// The shard batch geometry must keep whole submission waves in
-	// one micro-batch (the exact-replay requirement), regardless of
-	// what -batch/-window ask for.
-	scfg := workload.ReplayServiceConfig(sched)
-	maxBatch := scfg.MaxBatch
-	if cfg.maxBatch > maxBatch {
-		maxBatch = cfg.maxBatch
-	}
-	window := scfg.Window
-	if cfg.window > window {
-		window = cfg.window
-	}
-
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -450,7 +437,7 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 			addr: "127.0.0.1:0", tenants: cfg.tenants,
 			logN: cfg.logN, towers: cfg.towers, dnum: cfg.dnum,
 			workers: cfg.workers, keyBudget: cfg.keyBudget,
-			maxBatch: maxBatch, window: window, profile: cfg.profile,
+			maxBatch: cfg.maxBatch, window: cfg.window, profile: cfg.profile,
 		})
 		if err != nil {
 			return nil, err

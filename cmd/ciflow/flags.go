@@ -135,7 +135,7 @@ func newFlags() *cliFlags {
 	fl.keyBudget = fs.Int64("keybudget", 0, "serve global key-cache byte budget (0 = serve default)")
 	fl.keyComp = fs.Bool("keycomp", false, "serve: cache seed-compressed evaluation keys, expanded per digit at use")
 	fl.maxBatch = fs.Int("batch", 64, "serve micro-batch size cap")
-	fl.window = fs.Duration("window", 500*time.Microsecond, "serve micro-batch gather window")
+	fl.window = fs.Duration("window", 500*time.Microsecond, "serve micro-batch gather window for separate Submit calls")
 	fl.check = fs.Bool("check", false, "serve: fail unless coalescing > 1, hit rates > 50%, keyspaces isolated, bit-exact")
 
 	fl.workloadName = fs.String("workload", "fanout", "serve/schedule shape: fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>")

@@ -121,11 +121,13 @@
 //	               (default 0 = the serve package default, 256 MiB)
 //	-keycomp       serve: cache seed-compressed evaluation keys (dense
 //	               b-halves plus one 32-byte seed per digit for the
-//	               a-halves), expanded per digit at use, streamed under
-//	               the hoist phase — the same working set fits roughly
-//	               half the budget, bit-exactly
+//	               a-halves), expanded at use beside the hoist phase —
+//	               the same working set fits roughly half the budget,
+//	               bit-exactly
 //	-batch B       serve micro-batch size cap (default 64)
-//	-window D      serve micro-batch gather window (default 500µs)
+//	-window D      serve micro-batch gather window for separate
+//	               Submit calls (default 500µs); replayed hoist groups
+//	               never wait on it
 //	-check         serve: exit non-zero unless coalescing factor > 1,
 //	               global and per-tenant cache hit rates > 50%,
 //	               resident key bytes within budget, keyspaces

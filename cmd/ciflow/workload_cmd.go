@@ -192,12 +192,8 @@ func workloadRun(cfg workloadConfig) (*workloadReport, error) {
 	scfg := workload.ReplayServiceConfig(sched)
 	scfg.Engine = e
 	scfg.KeyBudget = cfg.keyBudget
-	if cfg.maxBatch > scfg.MaxBatch {
-		scfg.MaxBatch = cfg.maxBatch
-	}
-	if cfg.window > scfg.Window {
-		scfg.Window = cfg.window
-	}
+	scfg.MaxBatch = cfg.maxBatch
+	scfg.Window = cfg.window
 	svc, err := serve.New(cctx.Switchers(), chains, scfg)
 	if err != nil {
 		return nil, err

@@ -25,13 +25,12 @@
 //     group — the shared input polynomial once, plus one rotation per
 //     member — the network-level counterpart of hoisting itself (ship
 //     the expensive shared operand once per fan-out, not per request).
-//   - shard.go: the backend. It decodes group frames, re-materializes
-//     the pointer-shared input the serve coalescer keys on, submits
-//     the members in one tight loop, and streams results back. Drain
-//     makes its counters final: a draining shard requeues group
-//     frames *before executing them*, so its last stats snapshot is
-//     exact and the requeued work is counted only where it actually
-//     runs.
+//   - shard.go: the backend. It decodes group frames, hands each to
+//     its service whole (serve.SubmitGroup: one frame, one ModUp), and
+//     streams results back. Drain makes its counters final: a
+//     draining shard requeues group frames *before executing them*, so
+//     its last stats snapshot is exact and the requeued work is
+//     counted only where it actually runs.
 //   - router.go: the front-end. Consistent hashing with virtual nodes
 //     and per-tenant replication, retry-on-requeue, health checks,
 //     per-request deduplication (a result is accepted once, from one

@@ -9,6 +9,8 @@ import (
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/engine"
+	"ciflow/internal/hks"
+	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 	"ciflow/internal/workload"
 )
@@ -21,13 +23,13 @@ type testCluster struct {
 	cctx   *ckks.Context
 	rt     *Router
 	shards []*Shard
+	addrs  []string // per shard
 }
 
 func startCluster(t *testing.T, n int, tenants []string, s *workload.Schedule, rcfg RouterConfig) *testCluster {
 	t.Helper()
 	cctx := testCtx(t)
 	tc := &testCluster{cctx: cctx}
-	var addrs []string
 	for i := 0; i < n; i++ {
 		e := engine.New(2)
 		t.Cleanup(e.Close)
@@ -44,9 +46,9 @@ func startCluster(t *testing.T, n int, tenants []string, s *workload.Schedule, r
 		go sh.Serve(ln)
 		t.Cleanup(sh.Close)
 		tc.shards = append(tc.shards, sh)
-		addrs = append(addrs, ln.Addr().String())
+		tc.addrs = append(tc.addrs, ln.Addr().String())
 	}
-	rt, err := NewRouter(cctx.R, addrs, rcfg)
+	rt, err := NewRouter(cctx.R, tc.addrs, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +369,86 @@ func TestAggregateStats(t *testing.T) {
 	}
 	if len(agg.Tenants[0].PerLevel) != 1 || agg.Tenants[0].PerLevel[0] != (serve.LevelStats{Level: 3, Switches: 6, ModUps: 4}) {
 		t.Fatalf("tenant t0 per-level merge wrong: %+v", agg.Tenants[0].PerLevel)
+	}
+}
+
+// A group frame is one SubmitGroup call on the shard, admitted whole or
+// not at all: a frame the service refuses — here, one for a tenant the
+// shard does not hold — comes back as ResultErr for every member, and
+// the connection goes on to serve the next group.
+func TestShardGroupRefusedWhole(t *testing.T) {
+	s := testSchedule(t)
+	tc := startCluster(t, 1, []string{"t0"}, s, RouterConfig{})
+	sw, err := tc.cctx.Switchers().Switcher(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ring.NewSampler(tc.cctx.R, 3).Uniform(sw.QBasis())
+	in.IsNTT = true
+
+	conn, err := net.Dial("tcp", tc.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	roundTrip := func(g *Group) map[uint64]*WireResult {
+		t.Helper()
+		payload, err := EncodeGroup(tc.cctx.R, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(conn, FrameGroup, payload); err != nil {
+			t.Fatal(err)
+		}
+		out := map[uint64]*WireResult{}
+		for range g.Rots {
+			typ, p, err := ReadFrame(conn)
+			if err != nil || typ != FrameResult {
+				t.Fatalf("reading a result frame: type %v, %v", typ, err)
+			}
+			wr, err := DecodeResult(tc.cctx.R, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[wr.ReqID] = wr
+		}
+		return out
+	}
+
+	before := tc.shards[0].Stats()
+	rots := []int{1, 2, 3}
+	refused := roundTrip(&Group{BaseID: 100, Tenant: "nobody", Level: 3, Rots: rots, Input: in})
+	for i := range rots {
+		wr := refused[100+uint64(i)]
+		if wr == nil || wr.Code != ResultErr || wr.ErrMsg == "" {
+			t.Fatalf("member %d of the refused frame: got %+v, want ResultErr", i, wr)
+		}
+	}
+	if st := tc.shards[0].Stats(); st.Submitted != before.Submitted {
+		t.Fatalf("the refused frame enqueued %d requests", st.Submitted-before.Submitted)
+	}
+
+	served := roundTrip(&Group{BaseID: 200, Tenant: "t0", Level: 3, Rots: rots, Input: in})
+	kc, _ := ckks.GenKeys(tc.cctx, KeySeed("t0"))
+	evks := make([]*hks.Evk, len(rots))
+	for i, rot := range rots {
+		if evks[i], err = kc.HoistKey(rot, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want0, want1 := sw.SwitchHoisted(in, evks)
+	for i := range rots {
+		wr := served[200+uint64(i)]
+		if wr == nil || wr.Code != ResultOK {
+			t.Fatalf("member %d of the next frame: got %+v, want ResultOK", i, wr)
+		}
+		if !wr.C0.Equal(want0[i]) || !wr.C1.Equal(want1[i]) {
+			t.Fatalf("member %d of the next frame differs from SwitchHoisted", i)
+		}
+	}
+	st := tc.shards[0].Stats()
+	if d := st.ModUps - before.ModUps; d != 1 {
+		t.Fatalf("the served frame ran %d ModUps, want 1", d)
 	}
 }

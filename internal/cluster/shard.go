@@ -1,12 +1,11 @@
 package cluster
 
 // The shard backend: one serve.Service behind a TCP listener. A shard
-// decodes group frames, re-materializes the pointer-shared input the
-// serve coalescer keys on, submits the members in one tight loop
-// (exactly like the in-process replay client), and streams result
-// frames back as they complete. Its evaluation keys are derived
-// deterministically from tenant names (KeySeed), so every shard of a
-// cluster serves bit-identical results for the same request — the
+// decodes group frames, hands each to the service whole with one
+// SubmitGroup call (exactly like the in-process replay client), and
+// streams result frames back as they complete. Its evaluation keys are
+// derived deterministically from tenant names (KeySeed), so every shard
+// of a cluster serves bit-identical results for the same request — the
 // property replication and the router-side serial reference rely on.
 //
 // Drain is the stats-exactness mechanism: once draining, a shard
@@ -237,32 +236,25 @@ func (s *Shard) handle(conn net.Conn) {
 	}
 }
 
-// runGroup executes one accepted group: submit every member in a
-// tight loop sharing the decoded input pointer (the coalescer groups
-// them exactly as an in-process fan-out), then stream results back.
+// runGroup executes one accepted group: one SubmitGroup call, then the
+// results streamed back as they complete. The service admits a group
+// whole or not at all, so a refused frame fails every member.
 func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 	defer s.inflight.Done()
-	chans := make([]<-chan serve.Result, len(g.Rots))
+	reqs := make([]serve.Request, len(g.Rots))
 	for i, rot := range g.Rots {
-		rc, err := s.svc.Submit(context.Background(), serve.Request{
+		reqs[i] = serve.Request{
 			Input: g.Input, Rot: rot, Dataflow: g.Dataflow,
 			Tenant: g.Tenant, Level: g.Level,
-		})
-		if err != nil {
-			s.writeResult(fw, &WireResult{ReqID: g.BaseID + uint64(i), Code: ResultErr, ErrMsg: err.Error()})
-			continue
 		}
-		chans[i] = rc
 	}
-	for i, rc := range chans {
-		if rc == nil {
-			continue
-		}
-		res := <-rc
+	chans, err := s.svc.SubmitGroup(context.Background(), reqs)
+	for i := range reqs {
 		wr := &WireResult{ReqID: g.BaseID + uint64(i)}
-		if res.Err != nil {
-			wr.Code = ResultErr
-			wr.ErrMsg = res.Err.Error()
+		if err != nil {
+			wr.Code, wr.ErrMsg = ResultErr, err.Error()
+		} else if res := <-chans[i]; res.Err != nil {
+			wr.Code, wr.ErrMsg = ResultErr, res.Err.Error()
 		} else {
 			wr.C0, wr.C1 = res.C0, res.C1
 		}

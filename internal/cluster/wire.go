@@ -16,13 +16,11 @@ package cluster
 // The load-bearing design choice is the request frame: it carries a
 // whole *hoist group* — the shared input polynomial once, plus one
 // (request ID, rotation) entry per member — not individual requests.
-// The serve coalescer keys on input *pointer identity*, which no wire
-// can preserve per-request; shipping the group whole lets the shard
-// decode the input once and re-materialize the pointer sharing, so
-// coalescing (and the exact-count invariants built on it) survives
-// the process boundary. It is also the paper's hoisting argument
-// restated at the network layer: one fan-out, one shipment of the
-// expensive shared operand.
+// A group frame is one serve.SubmitGroup call on the shard, so the
+// group's single ModUp (and the exact-count invariants built on it)
+// survives the process boundary. It is also the paper's hoisting
+// argument restated at the network layer: one fan-out, one shipment of
+// the expensive shared operand.
 
 import (
 	"bytes"

@@ -253,9 +253,12 @@ func TestStatsRoundTrip(t *testing.T) {
 		ModUps: 4, Coalesced: 5, CoalescingFactor: 2.25,
 		P50: 3 * time.Millisecond, P99: 9 * time.Millisecond,
 		PerLevel: []serve.LevelStats{{Level: 3, Switches: 6, ModUps: 2}, {Level: 1, Switches: 3, ModUps: 2}},
+		Phases: []serve.PhaseStats{{Phase: "hoist", Count: 4, TotalNs: 4000},
+			{Phase: "group_wait", Count: 5, TotalNs: 700}, {Phase: "replay", Count: 9, TotalNs: 9000}},
 		Tenants: []serve.TenantStats{{
 			Tenant: "t0", Submitted: 10, Served: 9,
 			PerLevel: []serve.LevelStats{{Level: 3, Switches: 6, ModUps: 2}},
+			Phases:   []serve.PhaseStats{{Phase: "group_wait", Count: 5, TotalNs: 700}},
 		}},
 	}
 	st.Keys.Hits = 7

@@ -10,16 +10,15 @@ package hks
 // form, so layers that account bytes (the serve cache) never guess
 // which form they hold.
 //
-// Expansion comes in two granularities. Expand rebuilds the whole
-// dense key (the cache-miss path when a consumer needs random access
-// to digits). StartExpand streams: one goroutine expands digits in
-// ascending order while the consumer applies them one by one —
-// Hoisted.SwitchStreamedInto — so per-digit seed expansion overlaps
-// the hoist phase's Decompose+ModUp and the apply phase's own
-// digit-ascending accumulation. Both paths are bit-exact with the
-// dense key because UniformFromSeed is deterministic and the streamed
-// accumulation leaves the canonical residue of the same per-coefficient
-// sum the dense replay reduces once.
+// Expansion comes in two forms. Expand rebuilds the whole dense key
+// into polynomials the caller owns. StartExpand streams: one goroutine
+// expands the digits into polynomials recycled through the ring while
+// the caller runs the hoist phase's Decompose+ModUp, and
+// Hoisted.SwitchStreamedInto then replays the expanded key as the same
+// engine graph a dense key runs, so a replay costs the same in either
+// form and a steady stream of them allocates no polynomial. Both are
+// bit-exact with the dense key because UniformFromSeed is
+// deterministic.
 
 import (
 	"fmt"
@@ -156,41 +155,54 @@ func (sw *Switcher) CheckMaterial(m KeyMaterial) error {
 	}
 }
 
-// ExpandStream is one in-flight streamed expansion of a compressed
-// key: a single goroutine expands digits in ascending order, and
-// Digit blocks until digit j is ready. Obtain with StartExpand; a
-// stream is single-use and must not be shared between consumers.
+// ExpandStream is one in-flight expansion of a compressed key: a
+// single goroutine regenerates the A-halves, digit by digit, into
+// polynomials recycled through the ring, while the caller does other
+// work — the hoist. Obtain with StartExpand, replay with
+// Hoisted.SwitchStreamedInto, and hand the polynomials back with
+// Release. A stream is single-use and must not be shared between
+// consumers.
 type ExpandStream struct {
-	c     *CompressedEvk
-	a     []*ring.Poly
-	ready []chan struct{}
+	r    *ring.Ring
+	evk  Evk // the dense key: c's B-half beside the recycled A-halves
+	done chan struct{}
 }
 
 // StartExpand begins expanding c's digits in the background and
 // returns the stream handle. Started before the hoist phase, the
-// per-digit expansion overlaps Decompose+ModUp — the miss-path
-// pipelining SwitchStreamed builds on.
+// expansion overlaps Decompose+ModUp — the miss-path pipelining
+// SwitchStreamed builds on.
 func (c *CompressedEvk) StartExpand(r *ring.Ring) *ExpandStream {
 	st := &ExpandStream{
-		c:     c,
-		a:     make([]*ring.Poly, len(c.B)),
-		ready: make([]chan struct{}, len(c.B)),
-	}
-	for j := range st.ready {
-		st.ready[j] = make(chan struct{})
+		r:    r,
+		evk:  Evk{B: c.B, A: make([]*ring.Poly, len(c.B)), Seeds: c.Seeds},
+		done: make(chan struct{}),
 	}
 	go func() {
-		for j := range c.B {
-			st.a[j] = c.ExpandDigit(r, j)
-			close(st.ready[j])
+		defer close(st.done)
+		for j, b := range c.B {
+			a := r.GetPoly(b.Basis)
+			r.UniformFromSeedInto(a, c.Seeds[j])
+			a.IsNTT = true // uniform residues are uniform in either domain
+			st.evk.A[j] = a
 		}
 	}()
 	return st
 }
 
-// Digit returns digit j's evk pair, blocking until its A-half has been
-// expanded.
-func (st *ExpandStream) Digit(j int) (b, a *ring.Poly) {
-	<-st.ready[j]
-	return st.c.B[j], st.a[j]
+// wait blocks until every digit is expanded and returns the dense key,
+// which is valid until Release.
+func (st *ExpandStream) wait() *Evk {
+	<-st.done
+	return &st.evk
+}
+
+// Release waits for the expansion to finish and hands its polynomials
+// back to the ring. The stream, and any replay output still being
+// computed from it, must not be in use.
+func (st *ExpandStream) Release() {
+	for j, a := range st.wait().A {
+		st.r.PutPoly(a)
+		st.evk.A[j] = nil
+	}
 }

@@ -2,11 +2,15 @@ package hks
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/ring"
 )
 
 // Expand(Compress(evk)) must reproduce the generated key bit for bit,
@@ -107,7 +111,8 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 			st := c.StartExpand(r)
 			g0 := r.NewPoly(sw.QBasis())
 			g1 := r.NewPoly(sw.QBasis())
-			h.SwitchStreamedInto(st, g0, g1)
+			h.SwitchStreamedInto(e, st, g0, g1)
+			st.Release()
 			if !g0.Equal(want0) || !g1.Equal(want1) {
 				t.Fatalf("%v replay %d: SwitchStreamedInto differs from KeySwitch", df, i)
 			}
@@ -139,11 +144,11 @@ func TestSwitchStreamedChecks(t *testing.T) {
 	c0 := r.NewPoly(sw2.QBasis())
 	c1 := r.NewPoly(sw2.QBasis())
 	mustPanic("digit mismatch", func() {
-		h.SwitchStreamedInto(c.StartExpand(r), c0, c1)
+		h.SwitchStreamedInto(nil, c.StartExpand(r), c0, c1)
 	})
 	c2, _ := sw2.GenEvk(s, sOld, sNew).Compress()
 	mustPanic("aliased outputs", func() {
-		h.SwitchStreamedInto(c2.StartExpand(r), c0, c0)
+		h.SwitchStreamedInto(nil, c2.StartExpand(r), c0, c0)
 	})
 }
 
@@ -252,5 +257,111 @@ func TestDenseFrameDropsSeeds(t *testing.T) {
 	}
 	if _, ok := got.Compress(); ok {
 		t.Fatal("dense-frame key claims to be compressible")
+	}
+}
+
+// A warm StartExpand → HoistParallel → SwitchStreamedInto → Release
+// cycle allocates no polynomial row: the A-halves come back out of the
+// ring, the state out of the switcher's pool. What a cycle does
+// allocate — the stream, its channel, the engine's completion channels
+// — is a few hundred bytes, so the pin is on bytes, with a ring large
+// enough that one row (8 KiB) dwarfs them. It runs on one P, like
+// testing.AllocsPerRun: a sync.Pool keeps one slot per P private, and
+// a goroutine that moved between Put and Get would miss it.
+func TestStreamedCycleAllocatesNoRows(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
+	}
+	r, s, sOld, sNew := testSetup(t, 1024, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := sw.GenEvk(s, sOld, sNew).Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	e := engine.New(2)
+	defer e.Close()
+	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+	cycle := func() {
+		st := c.StartExpand(r)
+		h := sw.HoistParallel(e, dataflow.OC, d)
+		h.SwitchStreamedInto(e, st, c0, c1)
+		h.Release()
+		st.Release()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cycle() // warm: the state, its graphs, the recycled A-halves
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	row := uint64(r.N * 8)
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle >= row {
+		t.Fatalf("warm streamed cycle allocates %d bytes in %d allocations, want under one %d-byte row",
+			perCycle, (after.Mallocs-before.Mallocs)/runs, row)
+	}
+}
+
+// Streams of different keys over one ring, started, replayed and
+// released from several goroutines at once — some released without
+// ever being replayed, the way a failed request leaves one. The
+// A-halves all recycle through the one ring, so a release that let go
+// of a polynomial still being written or read would hand another
+// goroutine's replay the wrong key: every output is compared with the
+// whole-polynomial reference.
+func TestStreamedReleaseConcurrent(t *testing.T) {
+	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(2)
+	defer e.Close()
+	const goroutines, rounds = 6, 8
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	type job struct {
+		c            *CompressedEvk
+		want0, want1 *ring.Poly
+	}
+	jobs := make([]job, goroutines)
+	for i := range jobs {
+		evk := sw.GenEvk(s, sOld, sNew)
+		jobs[i].c, _ = evk.Compress()
+		jobs[i].want0, jobs[i].want1 = refKeySwitch(sw, d, evk)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for i, jb := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+			for round := 0; round < rounds; round++ {
+				abandoned := jb.c.StartExpand(r)
+				st := jb.c.StartExpand(r)
+				h := sw.HoistParallel(e, dataflow.MP, d)
+				abandoned.Release()
+				h.SwitchStreamedInto(e, st, c0, c1)
+				h.Release()
+				st.Release()
+				if !c0.Equal(jb.want0) || !c1.Equal(jb.want1) {
+					errs <- fmt.Errorf("goroutine %d round %d: streamed replay differs from the reference", i, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -29,8 +29,8 @@
 //	                            kept in the returned Hoisted
 //	Hoisted.Switch[Into],       ApplyKey+ModDown against one key, on
 //	  .SwitchParallelInto       the caller or as a graph
-//	Hoisted.SwitchStreamedInto  the same with the key arriving digit by
-//	                            digit from a compressed key's expansion
+//	Hoisted.SwitchStreamedInto  the same graph against a compressed key
+//	                            whose expansion ran beside the hoist
 //	SwitchHoisted[ParallelInto],
 //	  SwitchStreamed            one hoist and its replays in one call
 //	ModUp, ApplyEvk, ModDown    one stage's tiles in order on the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/big"
 	"os"
 	"strings"
@@ -184,8 +185,12 @@ func TestKeySwitchGolden(t *testing.T) {
 			h.SwitchParallelInto(e, evk, c0, c1)
 			h.Release()
 			check("hoisted", c0, c1)
-			c0, c1 = sw.SwitchStreamed(e, dataflow.OC, d, cevk)
-			check("streamed", c0, c1)
+			for _, workers := range []int{1, 2, 4} {
+				ew := engine.New(workers)
+				c0, c1 = sw.SwitchStreamed(ew, dataflow.OC, d, cevk)
+				ew.Close()
+				check(fmt.Sprintf("streamed/%d workers", workers), c0, c1)
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package hks
 
 import (
+	"fmt"
 	"testing"
 
 	"ciflow/internal/dataflow"
@@ -45,11 +46,28 @@ func TestEntryPointsProfiled(t *testing.T) {
 	newOuts := func() (*ring.Poly, *ring.Poly) { return r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis()) }
 
 	pipeline := []string{"mod_up", "apply", "mod_down"}
-	for _, tc := range []struct {
+	type entryPoint struct {
 		name, label string
 		stages      []string
 		run         func() (c0, c1 *ring.Poly)
-	}{
+	}
+	// The streamed replay is an engine graph behind an expansion wait:
+	// one row per pool width, the caller-only pool included.
+	streamed := func(workers int) entryPoint {
+		ew := engine.New(workers)
+		t.Cleanup(ew.Close)
+		return entryPoint{fmt.Sprintf("streamed replay/%d workers", workers), "dc",
+			[]string{"mod_up", "expand", "apply", "mod_down"}, func() (*ring.Poly, *ring.Poly) {
+				st := cevk.StartExpand(r)
+				defer st.Release()
+				h := sw.HoistParallel(ew, dataflow.DC, d)
+				defer h.Release()
+				c0, c1 := newOuts()
+				h.SwitchStreamedInto(ew, st, c0, c1)
+				return c0, c1
+			}}
+	}
+	for _, tc := range []entryPoint{
 		{"serial", "serial", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.KeySwitch(d, evk) }},
 		{"mp", "mp", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.MP, d, evk) }},
 		{"dc", "dc", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.DC, d, evk) }},
@@ -61,14 +79,7 @@ func TestEntryPointsProfiled(t *testing.T) {
 			h.SwitchParallelInto(e, evk, c0, c1)
 			return c0, c1
 		}},
-		{"streamed replay", "dc", []string{"mod_up", "expand", "apply", "mod_down"}, func() (*ring.Poly, *ring.Poly) {
-			st := cevk.StartExpand(r)
-			h := sw.HoistParallel(e, dataflow.DC, d)
-			defer h.Release()
-			c0, c1 := newOuts()
-			h.SwitchStreamedInto(st, c0, c1)
-			return c0, c1
-		}},
+		streamed(1), streamed(2), streamed(4),
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.Enable()

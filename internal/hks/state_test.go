@@ -150,7 +150,8 @@ func TestStatePoolInterleaved(t *testing.T) {
 				case 2: // hoist, then a streamed and a dense replay
 					st := cevk.StartExpand(r)
 					h := sw.HoistParallel(e, df, jb.d)
-					h.SwitchStreamedInto(st, c0, c1)
+					h.SwitchStreamedInto(e, st, c0, c1)
+					st.Release()
 					ok := check("streamed "+df.String(), 1)
 					h.SwitchParallelInto(e, evks[0], c0, c1)
 					ok = ok && check("hoisted after streamed", 0)
@@ -263,7 +264,7 @@ func TestWrongLevelKeyRejected(t *testing.T) {
 		"SwitchParallelInto":         func() { sw.SwitchParallelInto(e, dataflow.OC, d, low, c0, c1) },
 		"Hoisted.SwitchInto":         func() { h.SwitchInto(low, c0, c1) },
 		"Hoisted.SwitchParallelInto": func() { h.SwitchParallelInto(e, low, c0, c1) },
-		"Hoisted.SwitchStreamedInto": func() { h.SwitchStreamedInto(lowC.StartExpand(r), c0, c1) },
+		"Hoisted.SwitchStreamedInto": func() { h.SwitchStreamedInto(e, lowC.StartExpand(r), c0, c1) },
 		"ApplyEvk":                   func() { sw.ApplyEvk(sw.ModUp(d), low) },
 	} {
 		func() {

@@ -181,42 +181,34 @@ func (h *Hoisted) SwitchParallelInto(e *engine.Engine, evk *Evk, c0, c1 *ring.Po
 	h.unbind()
 }
 
-// SwitchStreamedInto replays the hoisted ModUp against a compressed
-// key's expansion stream, consuming digits in ascending order as they
-// become ready, then runs ModDown into (c0, c1). Because the stream's
-// producer goroutine runs ahead of the consumer, per-digit seed
-// expansion overlaps both the preceding hoist phase (when the stream
-// was started before Hoist/HoistParallel) and this apply loop itself.
-// Bit-exact with SwitchInto of the expanded dense key.
-func (h *Hoisted) SwitchStreamedInto(st *ExpandStream, c0, c1 *ring.Poly) {
-	h.sw.checkReplay(st.c, c0, c1)
-	h.bind(nil, c0, c1)
-	for j := range h.up {
-		// Time blocked on the expander: ~0 when the stream runs ahead;
-		// when the consumer outpaces it, the expansion stall the
-		// overlap is meant to hide.
-		t0 := h.now()
-		eb, ea := st.Digit(j)
-		h.stage(obs.StageExpand, t0, h.now())
-		h.applyDigit(j, eb, ea)
-	}
-	h.runModDown(0)
-	h.runModDown(1)
-	h.unbind()
+// SwitchStreamedInto is SwitchParallelInto against a compressed key's
+// expansion stream: it waits for the expansion to finish — no wait at
+// all when the stream was started before the hoist and ran beside it —
+// and replays the expanded key as the same graph. The stream stays the
+// caller's to Release, after this returns. Bit-exact with SwitchInto
+// of the expanded dense key.
+func (h *Hoisted) SwitchStreamedInto(e *engine.Engine, st *ExpandStream, c0, c1 *ring.Poly) {
+	// Time blocked on the expander: the expansion stall the overlap is
+	// meant to hide.
+	t0 := h.now()
+	evk := st.wait()
+	h.stage(obs.StageExpand, t0, h.now())
+	h.SwitchParallelInto(e, evk, c0, c1)
 }
 
 // SwitchStreamed is the full overlapped miss path for one compressed
 // key: start the expansion stream, hoist d on the engine under df
-// (expansion running concurrently with Decompose+ModUp), then apply
-// the key digit by digit. Returns freshly allocated (c0, c1) over
-// B_ℓ, bit-exact with KeySwitch(d, cevk.Expand(sw.R)).
+// (expansion running concurrently with Decompose+ModUp), then replay
+// the expanded key on the engine. Returns freshly allocated (c0, c1)
+// over B_ℓ, bit-exact with KeySwitch(d, cevk.Expand(sw.R)).
 func (sw *Switcher) SwitchStreamed(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, cevk *CompressedEvk) (c0, c1 *ring.Poly) {
 	st := cevk.StartExpand(sw.R)
+	defer st.Release()
 	h := sw.HoistParallel(e, df, d)
 	defer h.Release()
 	c0 = sw.R.NewPoly(sw.qBasis)
 	c1 = sw.R.NewPoly(sw.qBasis)
-	h.SwitchStreamedInto(st, c0, c1)
+	h.SwitchStreamedInto(e, st, c0, c1)
 	return c0, c1
 }
 

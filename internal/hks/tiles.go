@@ -11,7 +11,6 @@ package hks
 //	digitPipeline  the DC tile: one digit's prep and convert tiles in order
 //	applyTower     P4+P5: one extended tower of ApplyKey, all digits summed
 //	ocTower        the OC tile: a tower's convert tiles, then its apply tile
-//	applyDigit     the streamed apply: one evk digit folded into every tower
 //	downPrepTower  ModDown P1: INTT of one P tower, plus the ŷ scaling
 //	downOvershoot  ModDown P2: the exact conversion's overshoot, one chunk
 //	downOutTower   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
@@ -57,7 +56,7 @@ type Hoisted struct {
 
 	// Bound per run.
 	d   *ring.Poly    // input, while its ModUp tiles run
-	evk *Evk          // dense key; nil during a streamed replay
+	evk *Evk          // key, dense or expanded from a stream
 	out [2]*ring.Poly // outputs over B_ℓ
 
 	// ownsBypass is set while the state is hoisted: the prep tile then
@@ -310,27 +309,6 @@ func (h *Hoisted) ocTower(t int) {
 		}
 	}
 	h.applyTower(t)
-}
-
-// applyDigit folds one streamed evk digit into the accumulators, which
-// digit 0 starts from zero: the one-term case of applyTower's kernel.
-// Digit-ascending calls reduce after every digit where applyTower
-// reduces once, but both leave the canonical residue of the same sum,
-// so a streamed replay is bit-identical to a dense one.
-func (h *Hoisted) applyDigit(j int, eb, ea *ring.Poly) {
-	sw := h.sw
-	t0 := h.now()
-	for t, tw := range sw.dBasis {
-		m := sw.R.Mods[tw]
-		up, b0, b1 := h.up[j][t:t+1], h.acc[0].Coeffs[t], h.acc[1].Coeffs[t]
-		if j == 0 {
-			clear(b0)
-			clear(b1)
-		}
-		m.MulAccRows(b0, up, eb.Coeffs[t:t+1], 1)
-		m.MulAccRows(b1, up, ea.Coeffs[t:t+1], 1)
-	}
-	h.stage(obs.StageApply, t0, h.now())
 }
 
 // downPrepTower is ModDown P1 for P tower i of output poly p, plus the

@@ -11,6 +11,7 @@ package ring
 
 import (
 	"fmt"
+	"sync"
 
 	"ciflow/internal/mod"
 	"ciflow/internal/ntt"
@@ -27,6 +28,10 @@ type Ring struct {
 
 	Mods   []mod.Modulus
 	Tables []*ntt.Table
+
+	// recycled holds polynomials handed back with PutPoly, one pool
+	// per basis length. Internally synchronized.
+	recycled []sync.Pool
 }
 
 // NewRing constructs a ring of degree n with the given Q and P chains.
@@ -46,6 +51,8 @@ func NewRing(n int, qs, ps []uint64) (*Ring, error) {
 		NumP:   len(ps),
 		Mods:   make([]mod.Modulus, len(all)),
 		Tables: make([]*ntt.Table, len(all)),
+
+		recycled: make([]sync.Pool, len(all)+1),
 	}
 	for i, q := range all {
 		if seen[q] {
@@ -168,6 +175,22 @@ func (r *Ring) NewPoly(b Basis) *Poly {
 	}
 	return &Poly{Basis: append(Basis(nil), b...), Coeffs: c}
 }
+
+// GetPoly returns a polynomial over basis b for short-lived use,
+// recycling one handed back with PutPoly when the ring holds one of b's
+// length and allocating otherwise. Its residues and domain flag are
+// whatever the last user left: the caller overwrites every row.
+func (r *Ring) GetPoly(b Basis) *Poly {
+	if p, _ := r.recycled[len(b)].Get().(*Poly); p != nil {
+		copy(p.Basis, b)
+		return p
+	}
+	return r.NewPoly(b)
+}
+
+// PutPoly hands a polynomial obtained from GetPoly back to the ring.
+// It must not be used afterwards.
+func (r *Ring) PutPoly(p *Poly) { r.recycled[len(p.Basis)].Put(p) }
 
 // Copy returns a deep copy of p.
 func (p *Poly) Copy() *Poly {

@@ -73,14 +73,23 @@ func (g *seedRNG) next() uint64 {
 // callers mark IsNTT as needed, exactly like Sampler.Uniform).
 // Deterministic: the same (basis, seed) always yields the same bits.
 func (r *Ring) UniformFromSeed(b Basis, seed Seed) *Poly {
-	g := newSeedRNG(seed)
 	p := r.NewPoly(b)
-	for i, t := range b {
+	r.UniformFromSeedInto(p, seed)
+	return p
+}
+
+// UniformFromSeedInto is UniformFromSeed writing into p, over p's own
+// basis: every residue is overwritten, so p may hold anything (a
+// recycled polynomial), and the stream is the one UniformFromSeed
+// draws for that basis and seed.
+func (r *Ring) UniformFromSeedInto(p *Poly, seed Seed) {
+	g := newSeedRNG(seed)
+	for i, t := range p.Basis {
 		q := r.Mods[t].Q
 		row := p.Coeffs[i]
 		for j := range row {
 			row[j] = g.next() % q
 		}
 	}
-	return p
+	p.IsNTT = false
 }

@@ -54,3 +54,36 @@ func TestNewSeedStreamsFromSampler(t *testing.T) {
 		t.Fatal("zero seed expanded to the zero polynomial")
 	}
 }
+
+// UniformFromSeedInto must draw UniformFromSeed's stream exactly, over
+// any basis, whatever the destination held before — it is what lets an
+// expansion land in a recycled polynomial.
+func TestUniformFromSeedIntoMatches(t *testing.T) {
+	r := testRing(t)
+	seed := NewSampler(r, 11).NewSeed()
+	for name, b := range map[string]Basis{
+		"Q_0": r.QBasis(0),
+		"D_3": r.DBasis(3),
+		"P":   r.PBasis(),
+	} {
+		want := r.UniformFromSeed(b, seed)
+		dirty := r.UniformFromSeed(b, Seed{1})
+		dirty.IsNTT = true
+		r.UniformFromSeedInto(dirty, seed)
+		if !dirty.Equal(want) {
+			t.Errorf("%s: expansion into a used polynomial differs from UniformFromSeed", name)
+		}
+		// The same through the ring's recycling: a polynomial handed back
+		// over another basis of that length comes out over b.
+		other := make(Basis, len(b))
+		for i, tw := range b {
+			other[i] = (tw + 1) % len(r.Moduli)
+		}
+		r.PutPoly(r.UniformFromSeed(other, Seed{2}))
+		again := r.GetPoly(b)
+		r.UniformFromSeedInto(again, seed)
+		if !again.Equal(want) {
+			t.Errorf("%s: expansion into a recycled polynomial differs from UniformFromSeed", name)
+		}
+	}
+}

@@ -1,0 +1,492 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
+	"ciflow/internal/hks"
+	"ciflow/internal/ring"
+)
+
+// groupOf builds one hoist group: rots rotations of in for a tenant.
+func groupOf(in *ring.Poly, tenant string, rots ...int) []Request {
+	reqs := make([]Request, len(rots))
+	for i, rot := range rots {
+		reqs[i] = Request{Input: in, Rot: rot, Tenant: tenant}
+	}
+	return reqs
+}
+
+// checkGroup compares a served group with a direct SwitchHoisted of
+// the same input under the same keys.
+func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots []int, chans []<-chan Result, what string) {
+	t.Helper()
+	evks := make([]*hks.Evk, len(rots))
+	for i, rot := range rots {
+		evks[i] = b.evks[tenant][rot]
+	}
+	want0, want1 := b.sw.SwitchHoisted(in, evks)
+	for i := range rots {
+		checkResult(t, <-chans[i], want0[i], want1[i], fmt.Sprintf("%s rotation %d", what, rots[i]))
+	}
+}
+
+// gatedSource serves b's keys, dense or compressed, but parks the
+// first load of rotation gateRot until release is closed: the way the
+// tests below hold a tenant's dispatcher still while they queue work
+// behind it. entered is closed once the dispatcher is parked.
+func (b *testBench) gatedSource(gateRot int, compressed bool) (src KeySource, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
+		if id.Rot == gateRot {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		evk, ok := b.evks[id.Tenant][id.Rot]
+		if !ok {
+			return nil, fmt.Errorf("no key for tenant %q rotation %d", id.Tenant, id.Rot)
+		}
+		if compressed {
+			c, _ := evk.Compress()
+			return c, nil
+		}
+		return evk, nil
+	}), entered, release
+}
+
+// A sealed group is one ModUp whatever the batching settings say: a
+// window of an hour is never waited out, and a MaxBatch below the
+// group's width does not split it. Dense and compressed keys both.
+func TestSubmitGroupOneModUp(t *testing.T) {
+	const K = 5
+	rots := []int{0, 1, 2, 3, 4}
+	for _, tc := range []struct {
+		name       string
+		compressed bool
+		cfg        Config
+	}{
+		{"dense/hour window", false, Config{Window: time.Hour}},
+		{"dense/batch of one", false, Config{Window: time.Nanosecond, MaxBatch: 1}},
+		{"compressed/hour window", true, Config{Window: time.Hour}},
+		{"compressed/batch of one", true, Config{Window: time.Nanosecond, MaxBatch: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newTestBench(t, K)
+			e := engine.New(2)
+			defer e.Close()
+			src := b.keySource()
+			if tc.compressed {
+				src = b.compressedSource(t)
+			}
+			tc.cfg.Engine = e
+			svc, err := New(b.pool, src, b.config(tc.cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+
+			in := b.input()
+			start := time.Now()
+			chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.checkGroup(t, "", in, rots, chans, "group")
+			// A group of one takes the fused per-rotation switch.
+			lone := b.input()
+			chans, err = svc.SubmitGroup(context.Background(), groupOf(lone, "", 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.checkGroup(t, "", lone, []int{2}, chans, "group of one")
+			if d := time.Since(start); d > time.Minute {
+				t.Fatalf("two groups took %v: something waited on the window", d)
+			}
+
+			st := svc.Stats()
+			if st.Submitted != K+1 || st.Served != K+1 || st.Failed != 0 {
+				t.Fatalf("submitted %d served %d failed %d, want %d/%d/0", st.Submitted, st.Served, st.Failed, K+1, K+1)
+			}
+			if st.ModUps != 2 || st.Groups != 2 || st.Coalesced != K {
+				t.Fatalf("mod_ups %d groups %d coalesced %d, want 2/2/%d", st.ModUps, st.Groups, st.Coalesced, K)
+			}
+			if tc.compressed && st.KeyExpansions != K+1 {
+				t.Fatalf("%d key expansions, want %d", st.KeyExpansions, K+1)
+			}
+		})
+	}
+}
+
+// A group is admitted whole or not at all: a member that differs from
+// the first in a shared field, or that Submit would refuse, fails the
+// call in whatever position it sits, and nothing is enqueued.
+func TestSubmitGroupAllOrNothing(t *testing.T) {
+	b := newTestBench(t, 3, "", "other")
+	e := engine.New(1)
+	defer e.Close()
+	svc := b.newService(t, Config{Engine: e})
+	defer svc.Close()
+
+	in := b.input()
+	lowBasis := b.s.Uniform(b.r.QBasis(benchLevel - 2))
+	lowBasis.IsNTT = true
+	for name, bad := range map[string]Request{
+		"other input":     {Input: b.input()},
+		"other tenant":    {Input: in, Tenant: "other"},
+		"other level":     {Input: in, Level: benchLevel - 2},
+		"other dataflow":  {Input: in, Dataflow: dataflow.OC},
+		"nil input":       {},
+		"unknown flow":    {Input: in, Dataflow: dataflow.Dataflow(99)},
+		"unknown level":   {Input: in, Level: 99},
+		"basis mismatch":  {Input: lowBasis},
+		"coefficient dom": {Input: b.s.Uniform(b.sw.QBasis())},
+	} {
+		for pos := 0; pos < 3; pos++ {
+			if pos == 0 && strings.HasPrefix(name, "other") {
+				continue // the first member defines the shared fields
+			}
+			reqs := groupOf(in, "", 0, 1, 2)
+			bad.Rot = pos
+			reqs[pos] = bad
+			if _, err := svc.SubmitGroup(context.Background(), reqs); err == nil {
+				t.Errorf("%s at position %d: group accepted", name, pos)
+			}
+		}
+	}
+	if _, err := svc.SubmitGroup(context.Background(), nil); err == nil {
+		t.Error("empty group accepted")
+	}
+	// Level 0 and the default level are one level.
+	reqs := groupOf(in, "", 0, 1)
+	reqs[1].Level = benchLevel
+	chans, err := svc.SubmitGroup(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("default and explicit level in one group: %v", err)
+	}
+	b.checkGroup(t, "", in, []int{0, 1}, chans, "mixed level spelling")
+
+	st := svc.Stats()
+	if st.Submitted != 2 || st.Served != 2 || st.Failed != 0 || st.ModUps != 1 {
+		t.Fatalf("submitted %d served %d failed %d mod_ups %d after the refused groups, want 2/2/0/1",
+			st.Submitted, st.Served, st.Failed, st.ModUps)
+	}
+	if len(st.Tenants) != 1 {
+		t.Fatalf("refused groups left %d tenant workers, want only the served tenant's", len(st.Tenants))
+	}
+}
+
+// Sealed groups are never merged — not with each other and not with a
+// Submit — even when all of them carry one input pointer and sit in
+// one batch; and a key failure inside a sealed group costs that member
+// alone.
+func TestSealedGroupsNeverMerge(t *testing.T) {
+	b := newTestBench(t, 4)
+	e := engine.New(2)
+	defer e.Close()
+	src, entered, release := b.gatedSource(3, false)
+	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	in := b.input()
+	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the dispatcher is parked inside batch 1; the rest queue up
+	g1, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := svc.Submit(context.Background(), Request{Input: in, Rot: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+
+	want0, want1 := b.wantSwitch("", in, 3)
+	checkResult(t, <-head, want0, want1, "head")
+	b.checkGroup(t, "", in, []int{0, 1}, g1[:2], "first group")
+	if res := <-g1[2]; res.Err == nil {
+		t.Fatal("unknown rotation in a sealed group served without error")
+	}
+	want0, want1 = b.wantSwitch("", in, 2)
+	checkResult(t, <-lone, want0, want1, "lone submit")
+	b.checkGroup(t, "", in, []int{0, 1}, g2, "second group")
+
+	st := svc.Stats()
+	if st.Batches != 2 {
+		t.Fatalf("%d batches, want 2: the three submissions queued behind the head did not share one", st.Batches)
+	}
+	if st.Groups != 4 || st.ModUps != 4 {
+		t.Fatalf("groups %d mod_ups %d, want 4/4: one input pointer, four submissions", st.Groups, st.ModUps)
+	}
+	if st.Served != 6 || st.Failed != 1 || st.Coalesced != 5 {
+		t.Fatalf("served %d failed %d coalesced %d, want 6/1/5", st.Served, st.Failed, st.Coalesced)
+	}
+}
+
+// Sealed groups and plain Submits on one input pointer, interleaved
+// from four goroutines: every output equals a direct SwitchHoisted,
+// and every sealed group cost one ModUp of its own.
+func TestSealedAndSubmitInterleaved(t *testing.T) {
+	const K, rounds = 4, 6
+	rots := []int{0, 1, 2, 3}
+	for _, compressed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compressed=%v", compressed), func(t *testing.T) {
+			b := newTestBench(t, K)
+			e := engine.New(2)
+			defer e.Close()
+			src := b.keySource()
+			if compressed {
+				src = b.compressedSource(t)
+			}
+			svc, err := New(b.pool, src, b.config(Config{Engine: e}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+
+			in := b.input()
+			evks := make([]*hks.Evk, K)
+			for i := range evks {
+				evks[i] = b.evks[""][i]
+			}
+			want0, want1 := b.sw.SwitchHoisted(in, evks)
+			same := func(res Result, rot int) error {
+				if res.Err != nil {
+					return res.Err
+				}
+				if !res.C0.Equal(want0[rot]) || !res.C1.Equal(want1[rot]) {
+					return fmt.Errorf("rotation %d differs from SwitchHoisted", rot)
+				}
+				return nil
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 4)
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < rounds; round++ {
+						chans := make([]<-chan Result, K)
+						var err error
+						if g%2 == 0 {
+							chans, err = svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
+						} else {
+							for i, rot := range rots {
+								if chans[i], err = svc.Submit(context.Background(), Request{Input: in, Rot: rot}); err != nil {
+									break
+								}
+							}
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						for i, ch := range chans {
+							if err := same(<-ch, rots[i]); err != nil {
+								errs <- fmt.Errorf("goroutine %d round %d: %w", g, round, err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			st := svc.Stats()
+			if want := uint64(4 * rounds * K); st.Served != want || st.Failed != 0 {
+				t.Fatalf("served %d failed %d, want %d/0", st.Served, st.Failed, want)
+			}
+			// 2·rounds sealed groups at one ModUp each; the 2·rounds·K
+			// plain requests cost between one per gather and one each.
+			sealed, plain := uint64(2*rounds), uint64(2*rounds*K)
+			if st.ModUps <= sealed || st.ModUps > sealed+plain {
+				t.Fatalf("mod_ups %d outside (%d, %d]", st.ModUps, sealed, sealed+plain)
+			}
+		})
+	}
+}
+
+// Close drains a sealed group that is still queued.
+func TestCloseDrainsSealedGroup(t *testing.T) {
+	b := newTestBench(t, 4)
+	e := engine.New(2)
+	defer e.Close()
+	src, entered, release := b.gatedSource(3, true)
+	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := b.input()
+	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	rots := []int{0, 1, 2}
+	chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		svc.Close()
+	}()
+	for !svc.isClosed() {
+		runtime.Gosched()
+	}
+	if _, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...)); err != ErrClosed {
+		t.Fatalf("SubmitGroup during Close returned %v, want ErrClosed", err)
+	}
+	close(release)
+	<-closed
+	if res := <-head; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	b.checkGroup(t, "", in, rots, chans, "drained group")
+	if st := svc.Stats(); st.Served != 4 || st.ModUps != 2 {
+		t.Fatalf("served %d mod_ups %d, want 4/2", st.Served, st.ModUps)
+	}
+}
+
+// A context cancelled while a sealed group is queued fails every
+// member with the context's error, counts them failed, and runs no
+// ModUp for them.
+func TestSealedGroupCancelledWhileQueued(t *testing.T) {
+	b := newTestBench(t, 4)
+	e := engine.New(1)
+	defer e.Close()
+	src, entered, release := b.gatedSource(3, false)
+	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	in := b.input()
+	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	ctx, cancel := context.WithCancel(context.Background())
+	chans, err := svc.SubmitGroup(ctx, groupOf(in, "", 0, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	close(release)
+	if res := <-head; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for i, ch := range chans {
+		if res := <-ch; res.Err != context.Canceled {
+			t.Fatalf("member %d: got %v, want context.Canceled", i, res.Err)
+		}
+	}
+	st := svc.Stats()
+	if st.Submitted != 4 || st.Served != 1 || st.Failed != 3 || st.ModUps != 1 {
+		t.Fatalf("submitted %d served %d failed %d mod_ups %d, want 4/1/3/1", st.Submitted, st.Served, st.Failed, st.ModUps)
+	}
+}
+
+// The lifecycle phases come out in canonical order, group_wait is
+// booked once per member of a hoisted group and never for a singleton,
+// and merging keeps the order whatever order the operands arrive in.
+func TestGroupWaitPhase(t *testing.T) {
+	const K = 4
+	canonical := []string{"enqueue", "dispatch", "keys", "hoist", "group_wait", "replay", "reply"}
+	b := newTestBench(t, K)
+	e := engine.New(2)
+	defer e.Close()
+	svc, err := New(b.pool, b.compressedSource(t), b.config(Config{Engine: e}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	names := func(ps []PhaseStats) (out []string) {
+		for _, p := range ps {
+			out = append(out, p.Phase)
+		}
+		return out
+	}
+	count := func(ps []PhaseStats, phase string) uint64 {
+		for _, p := range ps {
+			if p.Phase == phase {
+				return p.Count
+			}
+		}
+		return 0
+	}
+	if res := svc.Do(context.Background(), Request{Input: b.input(), Rot: 0}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if n := count(svc.Stats().Phases, "group_wait"); n != 0 {
+		t.Fatalf("a singleton booked %d group waits", n)
+	}
+	in := b.input()
+	chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.checkGroup(t, "", in, []int{0, 1, 2, 3}, chans, "group")
+
+	st := svc.Stats()
+	if got := names(st.Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
+		t.Fatalf("phases %v, want %v", got, canonical)
+	}
+	if got := names(tenantStats(t, st, "").Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
+		t.Fatalf("tenant phases %v, want %v", got, canonical)
+	}
+	for phase, want := range map[string]uint64{
+		"enqueue": K + 1, "dispatch": K + 1, "keys": K + 1, "hoist": 2,
+		"group_wait": K, "replay": K + 1, "reply": K + 1,
+	} {
+		if got := count(st.Phases, phase); got != want {
+			t.Errorf("phase %s counted %d, want %d", phase, got, want)
+		}
+	}
+
+	// MergePhases: canonical order from shuffled operands, sums exact,
+	// a newer peer's unknown phase last.
+	rev := append([]PhaseStats(nil), st.Phases...)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	rev = append([]PhaseStats{{Phase: "zz_future", Count: 1, TotalNs: 5}}, rev...)
+	merged := MergePhases(rev, st.Phases[3:])
+	if got, want := names(merged), append(append([]string(nil), canonical...), "zz_future"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merged phases %v, want %v", got, want)
+	}
+	for i, p := range st.Phases {
+		want := p
+		if i >= 3 {
+			want.Count, want.TotalNs = 2*p.Count, 2*p.TotalNs
+		}
+		if merged[i] != want {
+			t.Errorf("merged %s = %+v, want %+v", p.Phase, merged[i], want)
+		}
+	}
+}

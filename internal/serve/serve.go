@@ -20,21 +20,28 @@
 //     hks.KeyMaterial: a source handing back seed-compressed keys
 //     (hks.CompressedEvk) is charged roughly half the dense footprint,
 //     so one budget holds twice the working set, and the service
-//     expands at replay time — streamed digit-by-digit, overlapped
-//     with the group's hoist phase, bit-exact with the dense path.
-//  2. A hoisted-state coalescer: concurrent requests of one tenant on
-//     the same input polynomial at the same level are grouped into one
-//     shared hks.Hoisted Decompose+ModUp, replaying only
-//     ApplyKey+ModDown per key. Coalescing is scoped to the
-//     (tenant, level, input, dataflow) group, so keyspaces never share
+//     expands at replay time — one key ahead of the group's replays,
+//     the first beside the hoist phase, into recycled polynomials —
+//     bit-exact with the dense path.
+//  2. Hoist groups: requests of one tenant on one input polynomial at
+//     one level share a single hks.Hoisted Decompose+ModUp and replay
+//     only ApplyKey+ModDown per key. A caller that knows its fan-out
+//     hands it over whole with SubmitGroup: one call, one queue item,
+//     one ModUp, no waiting. Separate Submit calls that happen to
+//     carry the same input pointer are coalesced into a group by the
+//     dispatcher. Either way a group is scoped to one
+//     (tenant, level, input, dataflow), so keyspaces never share
 //     hoisted state.
 //  3. Per-tenant micro-batching with isolation: every tenant gets its
-//     own dispatcher goroutine and its own bounded submit queue
-//     (capacity Config.QueueDepth each), gathered for at most Window
-//     and closed early at MaxBatch. Backpressure is per tenant — a hot
-//     tenant saturating its queue blocks only its own producers, and a
-//     tenant's slow key loads stall only its own dispatcher — while
-//     all tenants share one engine and one switcher pool.
+//     own dispatcher goroutine and its own bounded queue of
+//     submissions (capacity Config.QueueDepth each). A batch opened by
+//     a Submit gathers for at most Window and closes early at
+//     MaxBatch — that window is what lets separate calls meet — while
+//     a batch holding a SubmitGroup takes what is already queued and
+//     runs. Backpressure is per tenant — a hot tenant saturating its
+//     queue blocks only its own producers, and a tenant's slow key
+//     loads stall only its own dispatcher — while all tenants share
+//     one engine and one switcher pool.
 //
 // Requests carry a Level, and the service lazily resolves one
 // hks.Switcher per level through its SwitcherSource (hks.SwitcherPool
@@ -109,10 +116,12 @@ type TenantChecker interface {
 // dataflow.MP). Tenant names the keyspace — the zero value "" is the
 // single keyspace of a one-tenant service. Level selects the
 // ciphertext level; the zero value routes to Config.DefaultLevel, so
-// a stream at literal level 0 needs DefaultLevel left at 0. Requests
-// submitted concurrently by one tenant with the same Input pointer,
-// Level, and Dataflow coalesce onto one shared hoisted ModUp;
-// requests of different tenants never coalesce.
+// a stream at literal level 0 needs DefaultLevel left at 0. A caller
+// that knows several requests share one Input passes them to
+// SubmitGroup together. Input pointer identity is how *separate*
+// Submit calls meet: those of one tenant queued together with the same
+// Input pointer, Level, and Dataflow coalesce onto one shared hoisted
+// ModUp; requests of different tenants never coalesce.
 type Request struct {
 	Input    *ring.Poly
 	Rot      int
@@ -146,18 +155,21 @@ type Config struct {
 	// from tenants above their floor while any exist, so a hot tenant
 	// cannot strip a light tenant bare. The budget stays hard.
 	TenantKeyFloor int
-	// MaxBatch closes a tenant's gather window early once this many
-	// requests are pending (default 64).
+	// MaxBatch closes a tenant's batch once this many requests are
+	// pending (default 64). A SubmitGroup call is never split: it
+	// joins a batch whole, however long.
 	MaxBatch int
 	// Window is how long a tenant's dispatcher waits for more requests
-	// after the first one of a batch arrives (default 200µs). Under
-	// load the queue is never empty and the window is irrelevant;
-	// idle, it is the latency cost of batching.
+	// after a Submit opens a batch (default 200µs). Under load the
+	// queue is never empty and the window is irrelevant; idle, it is
+	// the latency cost of coalescing separate Submit calls. A
+	// SubmitGroup call never waits on it.
 	Window time.Duration
-	// QueueDepth bounds each tenant's submit queue (default
-	// 4×MaxBatch). A full queue blocks that tenant's Submit —
-	// backpressure — until its dispatcher drains or the submitter's
-	// context is cancelled; other tenants' queues are unaffected.
+	// QueueDepth bounds each tenant's queue, in Submit and SubmitGroup
+	// calls (default 4×MaxBatch). A full queue blocks that tenant's
+	// submitters — backpressure — until its dispatcher drains or the
+	// submitter's context is cancelled; other tenants' queues are
+	// unaffected.
 	QueueDepth int
 	// DefaultLevel is the ciphertext level served when a request
 	// leaves Level at its zero value (default 0).
@@ -198,13 +210,23 @@ type pending struct {
 	done chan Result
 }
 
+// submission is one queue item: the requests of one Submit or
+// SubmitGroup call. A sealed submission is a hoist group its caller
+// declared whole — it runs as exactly one group and waits for nobody;
+// an unsealed one holds a single request, open to coalescing with
+// other unsealed requests of its batch.
+type submission struct {
+	reqs   []*pending
+	sealed bool
+}
+
 // tenantWorker is one tenant's dispatcher: a bounded queue, the
 // goroutine micro-batching it, and the tenant's service counters.
 // Workers are created lazily at a tenant's first Submit and live until
 // Close.
 type tenantWorker struct {
 	tenant string
-	queue  chan *pending
+	queue  chan submission
 	done   chan struct{} // dispatcher exit
 
 	// mu guards closed against the queue send in Submit. The lock is
@@ -224,24 +246,28 @@ type tenantWorker struct {
 
 // send enqueues under the worker's read lock so Close cannot close the
 // queue beneath an in-flight sender.
-func (w *tenantWorker) send(p *pending, cancel <-chan struct{}) error {
+func (w *tenantWorker) send(ctx context.Context, sub submission) error {
+	var cancel <-chan struct{}
+	if ctx != nil {
+		cancel = ctx.Done()
+	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if w.closed {
 		return ErrClosed
 	}
 	select {
-	case w.queue <- p:
-		w.stats.submitted.Add(1)
+	case w.queue <- sub:
+		w.stats.submitted.Add(uint64(len(sub.reqs)))
 		return nil
 	case <-cancel:
-		return p.ctx.Err()
+		return ctx.Err()
 	}
 }
 
 // Service is the multi-tenant batching key-switch service. Construct
-// with New, submit with Submit/Do, observe with Stats, and Close to
-// drain. Safe for concurrent use.
+// with New, submit with Submit/SubmitGroup/Do, observe with Stats, and
+// Close to drain. Safe for concurrent use.
 type Service struct {
 	src  SwitcherSource
 	keys *keyCache
@@ -307,7 +333,7 @@ func (s *Service) worker(tenant string) (*tenantWorker, error) {
 	}
 	w = &tenantWorker{
 		tenant: tenant,
-		queue:  make(chan *pending, s.cfg.QueueDepth),
+		queue:  make(chan submission, s.cfg.QueueDepth),
 		done:   make(chan struct{}),
 	}
 	s.workers[tenant] = w
@@ -323,19 +349,13 @@ func (s *Service) isClosed() bool {
 	return s.closed
 }
 
-// Submit enqueues a request on its tenant's queue and returns its
-// completion channel, which receives exactly one Result. It blocks
-// only when that tenant's queue is full (per-tenant backpressure); ctx
-// cancels the wait for queue space and, if the request is still queued
-// when ctx is cancelled, the Result carries the context error instead
-// of outputs. A nil ctx never cancels.
-func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	// Reject unknown tenants before the level resolution and worker
-	// creation below allocate anything on their behalf — when the key
-	// source can tell (see TenantChecker).
+// admit checks one request the way the dispatcher relies on — known
+// tenant, resolvable level, well-formed input, known dataflow — and
+// returns it, Level normalized, as a pending. It allocates nothing on
+// the tenant's behalf, so a rejected request leaves no trace.
+func (s *Service) admit(ctx context.Context, req Request) (*pending, error) {
+	// Reject unknown tenants before anything is allocated for them —
+	// when the key source can tell (see TenantChecker).
 	if tc, ok := s.keys.src.(TenantChecker); ok && !tc.HasTenant(req.Tenant) {
 		return nil, fmt.Errorf("serve: unknown tenant %q", req.Tenant)
 	}
@@ -360,20 +380,78 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error
 	default:
 		return nil, fmt.Errorf("serve: unknown dataflow %v", req.Dataflow)
 	}
-	w, err := s.worker(req.Tenant)
+	return &pending{req: req, sw: sw, ctx: ctx, enq: time.Now(), done: make(chan Result, 1)}, nil
+}
+
+// enqueue puts one admitted submission on its tenant's queue.
+func (s *Service) enqueue(ctx context.Context, sub submission) error {
+	w, err := s.worker(sub.reqs[0].req.Tenant)
+	if err != nil {
+		return err
+	}
+	if err := w.send(ctx, sub); err != nil {
+		return err
+	}
+	s.stats.submitted.Add(uint64(len(sub.reqs)))
+	return nil
+}
+
+// Submit enqueues a request on its tenant's queue and returns its
+// completion channel, which receives exactly one Result. It blocks
+// only when that tenant's queue is full (per-tenant backpressure); ctx
+// cancels the wait for queue space and, if the request is still queued
+// when ctx is cancelled, the Result carries the context error instead
+// of outputs. A nil ctx never cancels.
+func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error) {
+	if s.isClosed() {
+		return nil, ErrClosed
+	}
+	p, err := s.admit(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	p := &pending{req: req, sw: sw, ctx: ctx, enq: time.Now(), done: make(chan Result, 1)}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
-	if err := w.send(p, cancel); err != nil {
+	if err := s.enqueue(ctx, submission{reqs: []*pending{p}}); err != nil {
 		return nil, err
 	}
-	s.stats.submitted.Add(1)
 	return p.done, nil
+}
+
+// SubmitGroup enqueues one hoist group — requests sharing one Input,
+// Tenant, Level and Dataflow, differing in Rot — as a single queue
+// item and returns one completion channel per request, in order. The
+// group is admitted whole or not at all: if any member would be
+// rejected by Submit, or differs from the first in a shared field, the
+// call fails and nothing is enqueued. It then runs as exactly one
+// group — one Decompose+ModUp however long it is and whatever else is
+// queued, never split by MaxBatch, never merged with another call's
+// requests even on an equal Input pointer — and without waiting out a
+// gather Window. ctx and backpressure are as for Submit, for the call
+// as a whole.
+func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Result, error) {
+	if s.isClosed() {
+		return nil, ErrClosed
+	}
+	if len(reqs) == 0 {
+		return nil, errors.New("serve: empty group")
+	}
+	sub := submission{reqs: make([]*pending, len(reqs)), sealed: true}
+	out := make([]<-chan Result, len(reqs))
+	for i, req := range reqs {
+		p, err := s.admit(ctx, req)
+		if err != nil {
+			return nil, fmt.Errorf("serve: group member %d: %w", i, err)
+		}
+		// Levels compare as admitted, so 0 and DefaultLevel agree.
+		if r0 := sub.reqs[0]; i > 0 && (groupKeyOf(p) != groupKeyOf(r0) || p.req.Tenant != r0.req.Tenant) {
+			return nil, fmt.Errorf("serve: group member %d does not share the group's input, tenant, level and dataflow", i)
+		}
+		sub.reqs[i], out[i] = p, p.done
+	}
+	// Once enqueued the submission is the dispatcher's.
+	if err := s.enqueue(ctx, sub); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Do is Submit plus waiting for the result. Queue-level failures are
@@ -420,47 +498,69 @@ func (s *Service) Close() {
 func (s *Service) dispatch(w *tenantWorker) {
 	defer close(w.done)
 	for {
-		p, ok := <-w.queue
+		sub, ok := <-w.queue
 		if !ok {
 			return
 		}
-		p.deq = time.Now()
-		s.phase(w, phaseEnqueue, p.deq.Sub(p.enq))
-		s.runBatch(w, s.gather(w, []*pending{p}))
+		s.runBatch(w, s.gather(w, sub))
 	}
 }
 
-// gather fills the batch from the tenant's queue until MaxBatch
-// requests are pending or Window has elapsed since the batch opened. A
-// backlogged queue fills the batch without ever touching the timer.
-func (s *Service) gather(w *tenantWorker, batch []*pending) []*pending {
-	if len(batch) >= s.cfg.MaxBatch {
-		return batch
+// gather fills the batch that first opened from the tenant's queue
+// until MaxBatch requests are pending or Window has elapsed since the
+// batch opened. A backlogged queue fills the batch without waiting on
+// the timer, and a batch holding a sealed submission never waits: its
+// caller declared the group complete, so it takes what is already
+// queued and runs.
+func (s *Service) gather(w *tenantWorker, first submission) []submission {
+	batch := []submission{first}
+	n, sealed := s.popped(w, first), first.sealed
+	var timeout <-chan time.Time
+	if !sealed && n < s.cfg.MaxBatch {
+		timer := time.NewTimer(s.cfg.Window)
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	timer := time.NewTimer(s.cfg.Window)
-	defer timer.Stop()
-	for {
+	for n < s.cfg.MaxBatch {
+		var sub submission
+		var ok bool
 		select {
-		case p, ok := <-w.queue:
-			if !ok {
+		case sub, ok = <-w.queue:
+		default:
+			if sealed {
 				return batch
 			}
-			p.deq = time.Now()
-			s.phase(w, phaseEnqueue, p.deq.Sub(p.enq))
-			batch = append(batch, p)
-			if len(batch) >= s.cfg.MaxBatch {
+			select {
+			case sub, ok = <-w.queue:
+			case <-timeout:
 				return batch
 			}
-		case <-timer.C:
+		}
+		if !ok {
 			return batch
 		}
+		batch = append(batch, sub)
+		n += s.popped(w, sub)
+		sealed = sealed || sub.sealed
 	}
+	return batch
 }
 
-// groupKey routes a request within one tenant's batch: the same input
-// at the same level under the same dataflow shares one hoisted ModUp.
-// Distinct dataflows on one input stay separate — they need
-// differently shaped hoist graphs — and distinct levels run on
+// popped stamps a submission's requests as dequeued, books their
+// enqueue phase, and returns how many there are.
+func (s *Service) popped(w *tenantWorker, sub submission) int {
+	now := time.Now()
+	for _, p := range sub.reqs {
+		p.deq = now
+		s.phase(w, phaseEnqueue, now.Sub(p.enq))
+	}
+	return len(sub.reqs)
+}
+
+// groupKey routes an unsealed request within one tenant's batch: the
+// same input at the same level under the same dataflow shares one
+// hoisted ModUp. Distinct dataflows on one input stay separate — they
+// need differently shaped hoist graphs — and distinct levels run on
 // different switchers. The tenant is fixed per batch (batches never
 // span tenants), so keyspaces cannot share a group by construction.
 type groupKey struct {
@@ -469,47 +569,61 @@ type groupKey struct {
 	level int
 }
 
-// runBatch groups one tenant's batch by (level, input, dataflow) and
-// executes the groups concurrently on the shared engine. Group
-// execution nests engine parallel sections (the hoist and replay
-// graphs), which the engine supports by construction.
-func (s *Service) runBatch(w *tenantWorker, batch []*pending) {
+func groupKeyOf(p *pending) groupKey {
+	return groupKey{in: p.req.Input, df: p.req.Dataflow, level: p.req.Level}
+}
+
+// runBatch forms one tenant's batch into groups — each sealed
+// submission is one, and the unsealed requests group among themselves
+// by (level, input, dataflow) — and executes the groups concurrently
+// on the shared engine. Group execution nests engine parallel sections
+// (the hoist and replay graphs), which the engine supports by
+// construction.
+func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 	w.stats.batches.Add(1)
 	s.stats.batches.Add(1)
-	var order []groupKey
-	groups := make(map[groupKey][]*pending, len(batch))
-	for _, p := range batch {
-		k := groupKey{in: p.req.Input, df: p.req.Dataflow, level: p.req.Level}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	var groups [][]*pending
+	byKey := make(map[groupKey]int)
+	for _, sub := range batch {
+		if sub.sealed {
+			groups = append(groups, sub.reqs)
+			continue
 		}
-		groups[k] = append(groups[k], p)
+		p := sub.reqs[0]
+		k := groupKeyOf(p)
+		gi, ok := byKey[k]
+		if !ok {
+			gi = len(groups)
+			byKey[k] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], p)
 	}
-	w.stats.groups.Add(uint64(len(order)))
-	s.stats.groups.Add(uint64(len(order)))
+	w.stats.groups.Add(uint64(len(groups)))
+	s.stats.groups.Add(uint64(len(groups)))
 	tr := obs.ActiveTracer()
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	s.cfg.Engine.ParallelFor(len(order), func(i int) {
-		s.runGroup(w, order[i], groups[order[i]])
+	s.cfg.Engine.ParallelFor(len(groups), func(i int) {
+		s.runGroup(w, groups[i])
 	})
 	if tr != nil {
 		tr.SpanTrack("serve", "batch/"+w.tenant, t0, time.Now())
 	}
 }
 
-// runGroup serves one coalesced group: requests whose context died in
-// the queue are failed, a singleton takes the direct per-rotation
-// path, and two or more requests share one hoisted Decompose+ModUp
-// with a per-key replay — the exact hks.SwitchHoisted structure, so
-// results are bit-exact with independent switches. All requests of a
-// group share one pending's switcher (the group key pins the level).
-func (s *Service) runGroup(w *tenantWorker, g groupKey, ps []*pending) {
-	now := time.Now()
+// runGroup serves one group — requests sharing input, level and
+// dataflow, and so one switcher: requests whose context died in the
+// queue are failed, a singleton takes the direct per-rotation path,
+// and two or more requests share one hoisted Decompose+ModUp with a
+// per-key replay — the exact hks.SwitchHoisted structure, so results
+// are bit-exact with independent switches.
+func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
+	start := time.Now()
 	for _, p := range ps {
-		s.phase(w, phaseDispatch, now.Sub(p.deq))
+		s.phase(w, phaseDispatch, start.Sub(p.deq))
 	}
 	live := ps[:0]
 	for _, p := range ps {
@@ -522,11 +636,12 @@ func (s *Service) runGroup(w *tenantWorker, g groupKey, ps []*pending) {
 	if len(live) == 0 {
 		return
 	}
-	sw := live[0].sw
+	sw, in, df, level := live[0].sw, live[0].req.Input, live[0].req.Dataflow, live[0].req.Level
+	e := s.cfg.Engine
 
 	if len(live) == 1 {
 		p := live[0]
-		mat, st, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: g.level})
+		mat, _, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
 		if err != nil {
 			s.finish(w, p, Result{Err: err})
 			return
@@ -535,29 +650,30 @@ func (s *Service) runGroup(w *tenantWorker, g groupKey, ps []*pending) {
 		s.stats.modUps.Add(1)
 		c0 := sw.R.NewPoly(sw.QBasis())
 		c1 := sw.R.NewPoly(sw.QBasis())
-		if st != nil {
-			// Compressed key: the seed expansion started in getKey runs
-			// while HoistParallel executes Decompose+ModUp, and the
-			// streamed replay consumes digits as both become ready.
+		if st := s.startExpand(w, sw, mat); st != nil {
+			// Compressed key: the seed expansion runs while HoistParallel
+			// executes Decompose+ModUp, and the replay binds the expanded
+			// key once both are done.
 			t0 := time.Now()
-			h := sw.HoistParallel(s.cfg.Engine, g.df, p.req.Input)
+			h := sw.HoistParallel(e, df, in)
 			t1 := time.Now()
-			h.SwitchStreamedInto(st, c0, c1)
+			h.SwitchStreamedInto(e, st, c0, c1)
 			h.Release()
+			st.Release()
 			s.phase(w, phaseHoist, t1.Sub(t0))
 			s.phase(w, phaseReplay, time.Since(t1))
 		} else {
 			// The dense singleton runs as one fused switch; there is no
 			// separate hoist to split out, so it all books as replay.
 			t0 := time.Now()
-			sw.SwitchParallelInto(s.cfg.Engine, g.df, p.req.Input, mat.(*hks.Evk), c0, c1)
+			sw.SwitchParallelInto(e, df, in, mat.(*hks.Evk), c0, c1)
 			s.phase(w, phaseReplay, time.Since(t0))
 		}
 		// Level counters land before the result delivers, so a caller
 		// that snapshots Stats after receiving its last result sees a
 		// per-level breakdown consistent with the totals.
-		w.levels.add(g.level, 1, 1, 0)
-		s.levels.add(g.level, 1, 1, 0)
+		w.levels.add(level, 1, 1, 0)
+		s.levels.add(level, 1, 1, 0)
 		s.finish(w, p, Result{C0: c0, C1: c1})
 		return
 	}
@@ -571,67 +687,95 @@ func (s *Service) runGroup(w *tenantWorker, g groupKey, ps []*pending) {
 	// it; each request's switch is counted just before its result
 	// delivers, so the level slices always sum to the Served/ModUps/
 	// Coalesced totals a concurrent snapshot observes.
-	w.levels.add(g.level, 0, 1, uint64(len(live)))
-	s.levels.add(g.level, 0, 1, uint64(len(live)))
-	// Resolve every member's key material *before* hoisting: compressed
-	// entries start their seed expansions here, so all of them overlap
-	// the one Decompose+ModUp below instead of serializing after it.
+	w.levels.add(level, 0, 1, uint64(len(live)))
+	s.levels.add(level, 0, 1, uint64(len(live)))
+	// Resolve every member's key material before hoisting, so a member
+	// whose key fails costs the group nothing further.
 	type member struct {
-		p   *pending
-		mat hks.KeyMaterial
-		st  *hks.ExpandStream
+		p    *pending
+		mat  hks.KeyMaterial
+		keys time.Duration     // its key fetch, booked to the keys phase
+		st   *hks.ExpandStream // while a compressed key's expansion is in flight
 	}
 	members := make([]member, 0, len(live))
 	for _, p := range live {
-		mat, st, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: g.level})
+		mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
 		if err != nil {
 			s.finish(w, p, Result{Err: err})
 			continue
 		}
-		members = append(members, member{p: p, mat: mat, st: st})
+		members = append(members, member{p: p, mat: mat, keys: took})
 	}
+	// Compressed keys expand one member ahead: the first beside the
+	// hoist, each next one beside the replay before it. However wide
+	// the group, two expanded keys exist at a time, and the polynomials
+	// one replay hands back are the ones the expansion after next draws.
+	expand := func(i int) {
+		if i < len(members) {
+			members[i].st = s.startExpand(w, sw, members[i].mat)
+		}
+	}
+	expand(0)
 	t0 := time.Now()
-	h := sw.HoistParallel(s.cfg.Engine, g.df, g.in)
-	s.phase(w, phaseHoist, time.Since(t0))
+	h := sw.HoistParallel(e, df, in)
+	hoisted := time.Now()
+	s.phase(w, phaseHoist, hoisted.Sub(t0))
 	defer h.Release()
-	for _, m := range members {
+	for i, m := range members {
+		expand(i + 1)
 		c0 := sw.R.NewPoly(sw.QBasis())
 		c1 := sw.R.NewPoly(sw.QBasis())
 		t1 := time.Now()
+		// The member has been in the group since start; what of that is
+		// booked to no phase on its behalf is the wait: the other
+		// members' key fetches, the shared hoist (booked once, to the
+		// group — carried here by the first member), and the replays
+		// before this one.
+		booked := m.keys
+		if i == 0 {
+			booked += hoisted.Sub(t0)
+		}
+		s.phase(w, phaseGroupWait, t1.Sub(start)-booked)
 		if m.st != nil {
-			h.SwitchStreamedInto(m.st, c0, c1)
+			h.SwitchStreamedInto(e, m.st, c0, c1)
+			m.st.Release()
 		} else {
-			h.SwitchParallelInto(s.cfg.Engine, m.mat.(*hks.Evk), c0, c1)
+			h.SwitchParallelInto(e, m.mat.(*hks.Evk), c0, c1)
 		}
 		s.phase(w, phaseReplay, time.Since(t1))
-		w.levels.add(g.level, 1, 0, 0)
-		s.levels.add(g.level, 1, 0, 0)
+		w.levels.add(level, 1, 0, 0)
+		s.levels.add(level, 1, 0, 0)
 		s.finish(w, m.p, Result{C0: c0, C1: c1})
 	}
 }
 
 // getKey loads evaluation-key material through the cache and validates
 // its digit structure, so a misbehaving KeySource fails the one request
-// instead of panicking an engine worker. For compressed material it
-// also starts the streamed seed expansion (counted per use: expansion
-// happens on hits too — that is the compression trade) and returns the
-// stream; dense material returns a nil stream and is applied directly.
-func (s *Service) getKey(w *tenantWorker, sw *hks.Switcher, id KeyID) (hks.KeyMaterial, *hks.ExpandStream, error) {
+// instead of panicking an engine worker. It books the fetch to the keys
+// phase and returns how long it took.
+func (s *Service) getKey(w *tenantWorker, sw *hks.Switcher, id KeyID) (hks.KeyMaterial, time.Duration, error) {
 	t0 := time.Now()
-	defer func() { s.phase(w, phaseKeys, time.Since(t0)) }()
 	mat, err := s.keys.Get(id)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		err = sw.CheckMaterial(mat)
 	}
-	if err := sw.CheckMaterial(mat); err != nil {
-		return nil, nil, err
+	took := time.Since(t0)
+	s.phase(w, phaseKeys, took)
+	return mat, took, err
+}
+
+// startExpand starts the seed expansion of compressed key material
+// (counted per use: expansion happens on cache hits too — that is the
+// compression trade) and returns the stream, which the caller replays
+// and must Release. Dense material is applied directly: nil.
+func (s *Service) startExpand(w *tenantWorker, sw *hks.Switcher, mat hks.KeyMaterial) *hks.ExpandStream {
+	c, ok := mat.(*hks.CompressedEvk)
+	if !ok {
+		return nil
 	}
-	if c, ok := mat.(*hks.CompressedEvk); ok {
-		w.stats.expanded.Add(1)
-		s.stats.expanded.Add(1)
-		return mat, c.StartExpand(sw.R), nil
-	}
-	return mat, nil, nil
+	w.stats.expanded.Add(1)
+	s.stats.expanded.Add(1)
+	return c.StartExpand(sw.R)
 }
 
 func (s *Service) finish(w *tenantWorker, p *pending, res Result) {

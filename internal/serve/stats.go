@@ -29,17 +29,18 @@ type serviceCounters struct {
 // so the lifecycle breakdown costs a few time.Now() calls per request
 // and needs no sampling or opt-in.
 const (
-	phaseEnqueue  = iota // Submit accepted → popped from the tenant queue
-	phaseDispatch        // queue pop → the request's group starts executing
-	phaseKeys            // key-cache fetch (and CheckMaterial) for the group
-	phaseHoist           // shared Decompose+ModUp (HoistParallel)
-	phaseReplay          // per-key replay (Switch*Into), expansion included
-	phaseReply           // result bookkeeping and delivery to the waiter
+	phaseEnqueue   = iota // Submit accepted → popped from the tenant queue
+	phaseDispatch         // queue pop → the request's group starts executing
+	phaseKeys             // key-cache fetch (and CheckMaterial) for the group
+	phaseHoist            // shared Decompose+ModUp (HoistParallel)
+	phaseGroupWait        // in a hoisted group, waiting on work booked to others
+	phaseReplay           // per-key replay (Switch*Into), expansion wait included
+	phaseReply            // result bookkeeping and delivery to the waiter
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"enqueue", "dispatch", "keys", "hoist", "replay", "reply",
+	"enqueue", "dispatch", "keys", "hoist", "group_wait", "replay", "reply",
 }
 
 // phaseCounters accumulate request-lifecycle phase durations.
@@ -74,9 +75,14 @@ func (pc *phaseCounters) snapshot() []PhaseStats {
 // PhaseStats is one request-lifecycle phase's accumulated wall time.
 // Counts differ between phases by design: enqueue/dispatch/reply are
 // per request, while keys/hoist/replay are per key-cache fetch, per
-// hoisted group, and per replayed output respectively — dividing
-// TotalNs by Count therefore yields the natural per-unit mean for
-// each phase. Totals are exactly mergeable by summation (the cluster
+// hoisted group, and per replayed output respectively, and group_wait
+// is per member of a group of two or more: what the member spends
+// between its group starting and its own replay starting on work that
+// is booked elsewhere — the other members' key fetches, the shared
+// hoist (booked once per group, so every member but the first waits
+// it out here), and the replays before its own. With it, the phases a
+// request passes through sum to its submit-to-result time. Dividing
+// TotalNs by Count yields the natural per-unit mean for each phase. Totals are exactly mergeable by summation (the cluster
 // router relies on this, see MergePhases).
 type PhaseStats struct {
 	Phase   string `json:"phase"`
@@ -214,7 +220,7 @@ type TenantStats struct {
 	PerLevel []LevelStats `json:"per_level,omitempty"`
 
 	// Phases is this tenant's request-lifecycle breakdown
-	// (enqueue→dispatch→keys→hoist→replay→reply).
+	// (enqueue→dispatch→keys→hoist→group_wait→replay→reply).
 	Phases []PhaseStats `json:"phases,omitempty"`
 
 	Keys TenantCacheStats `json:"keys"`

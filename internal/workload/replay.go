@@ -2,20 +2,19 @@ package workload
 
 // The dependency-aware replay client: drive internal/serve with a
 // schedule, respecting the DAG. A hoist group is submitted only after
-// every predecessor's result has landed — and then all of its members
-// together, in one tight loop, so the service's coalescer sees the
-// whole fan-out in one micro-batch. A node's input polynomial is
-// *derived from its predecessors' outputs* (the sum of their c1
-// results, restricted to the node's level basis), so the replay
-// cannot cheat the dependencies: submitting a node early would use an
-// input that does not exist yet, and the serial reference check would
-// catch any service that reordered the work.
+// every predecessor's result has landed — and then whole, in one
+// SubmitGroup call, so the service runs it as exactly one group. A
+// node's input polynomial is *derived from its predecessors' outputs*
+// (the sum of their c1 results, restricted to the node's level basis),
+// so the replay cannot cheat the dependencies: submitting a node early
+// would use an input that does not exist yet, and the serial reference
+// check would catch any service that reordered the work.
 //
-// Because derived inputs are fresh polynomials with fresh values,
-// logically sequential chain steps can never alias a coalescing
-// group: the measured serve counters must match the schedule's
-// Counts() exactly — one ModUp per group, zero coalesces outside
-// hoist groups — which Replay asserts and reports.
+// Because a group is one call and derived inputs are fresh polynomials
+// with fresh values, the measured serve counters must match the
+// schedule's Counts() exactly — one ModUp per group, zero coalesces
+// outside hoist groups — whatever the timing, which Replay asserts and
+// reports.
 
 import (
 	"context"
@@ -28,25 +27,25 @@ import (
 	"ciflow/internal/serve"
 )
 
-// Server is the serving surface Replay drives: request submission and
+// Server is the serving surface Replay drives: group submission and
 // the measured counters. *serve.Service implements it directly; the
 // cluster router's per-tenant views implement it over the wire, which
 // is how one replay client asserts the identical exact-count
 // invariants against one process or a sharded fabric.
 type Server interface {
+	GroupSubmitter
 	Submit(ctx context.Context, req serve.Request) (<-chan serve.Result, error)
 	Stats() serve.Stats
 }
 
-// GroupSubmitter is an optional Server extension: submit one whole
-// hoist group in a single call. All requests of the group share one
-// Input, and the transport may exploit that — the cluster wire
-// protocol ships the input polynomial once per group frame, the
-// network-level counterpart of the paper's hoisting argument (one
-// ModUp shared by a rotation fan-out). Implementations must deliver
-// one result channel per request, in order, and must hand the whole
-// group to a single executor so its coalescing behaviour matches a
-// tight Submit loop.
+// GroupSubmitter submits one whole hoist group in a single call. All
+// requests of the group share one Input, and the transport may exploit
+// that — the cluster wire protocol ships the input polynomial once per
+// group frame, the network-level counterpart of the paper's hoisting
+// argument (one ModUp shared by a rotation fan-out). Implementations
+// must deliver one result channel per request, in order, and must run
+// the group as one: a single Decompose+ModUp, shared with no other
+// call's requests.
 type GroupSubmitter interface {
 	SubmitGroup(ctx context.Context, reqs []serve.Request) ([]<-chan serve.Result, error)
 }
@@ -106,33 +105,15 @@ type ReplayResult struct {
 	BitExact bool `json:"bit_exact"`
 }
 
-// ReplayServiceConfig returns a serve.Config tuned for exact-count
-// replay of s: MaxBatch large enough that no submission wave is ever
-// split across micro-batches (a split hoist group would execute two
-// ModUps where the schedule predicts one), a gather window generous
-// enough that a tight submission loop always lands in one batch, and
-// DefaultLevel 0 so schedule levels are taken literally (serve routes
-// a zero Request.Level to the default). Callers set Engine (and may
-// raise KeyBudget for key-hungry bootstrap schedules).
-//
-// The window choice is a flake-vs-latency trade: the dispatcher's
-// gather window opens at a wave's first request, so a group only
-// splits if the submitting goroutine stalls longer than the window
-// *between two sends of one tight loop* — but since the replay waits
-// for each wave's results, every wave also pays the full window in
-// latency. 20ms keeps a loaded CI runner's scheduling hiccups from
-// failing the exact-count gate while costing well under a second per
-// replay on realistic schedule depths.
-func ReplayServiceConfig(s *Schedule) serve.Config {
-	maxBatch := len(s.Nodes)
-	if maxBatch < 64 {
-		maxBatch = 64
-	}
-	return serve.Config{
-		MaxBatch:     maxBatch,
-		Window:       20 * time.Millisecond,
-		DefaultLevel: 0,
-	}
+// ReplayServiceConfig returns the serve.Config a replay of s needs:
+// DefaultLevel 0, so schedule levels are taken literally (serve routes
+// a zero Request.Level to the default). Exact counts need nothing
+// else — Replay submits every hoist group whole, and serve neither
+// splits nor merges such a group under any batching setting. Callers
+// set Engine (and may raise KeyBudget for key-hungry bootstrap
+// schedules).
+func ReplayServiceConfig(*Schedule) serve.Config {
+	return serve.Config{DefaultLevel: 0}
 }
 
 // replayer carries one replay's bookkeeping.
@@ -152,14 +133,14 @@ type replayer struct {
 
 // Replay executes s against svc, which must be otherwise idle (the
 // measured counters are deltas of svc.Stats() around the replay) and
-// configured per ReplayServiceConfig. switchers resolves the levels'
+// configured per ReplayServiceConfig, handing every hoist group over
+// whole. switchers resolves the levels'
 // bases (and, with cfg.Check, runs the serial reference); keys is
 // only used by the reference and must resolve the same key material
 // the server loads (ckks key-chain memoization — or, across a wire,
 // deterministic seed-derived chains — makes the comparison
 // meaningful). r is the server's ring; cfg.Seed makes the run
-// reproducible. When svc also implements GroupSubmitter, hoist groups
-// are handed over whole instead of request by request.
+// reproducible.
 func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, keys serve.KeySource, r *ring.Ring, s *Schedule, cfg ReplayConfig) (*ReplayResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -369,37 +350,20 @@ type nodeDone struct {
 func (rp *replayer) submitGroup(ctx context.Context, gi int, ch chan<- nodeDone) error {
 	in := rp.groupInput(gi)
 	ids := rp.groups[gi]
-	forward := func(id int, rc <-chan serve.Result) {
-		go func() { ch <- nodeDone{id: id, res: <-rc} }()
-	}
-	if gs, ok := rp.svc.(GroupSubmitter); ok {
-		reqs := make([]serve.Request, len(ids))
-		for i, id := range ids {
-			n := rp.s.Nodes[id]
-			reqs[i] = serve.Request{
-				Input: in, Rot: n.Rot, Dataflow: rp.cfg.Dataflow,
-				Tenant: rp.cfg.Tenant, Level: n.Level,
-			}
-		}
-		rcs, err := gs.SubmitGroup(ctx, reqs)
-		if err != nil {
-			return fmt.Errorf("workload: submit group %d (%s): %w", gi, rp.s.Nodes[ids[0]].Stage, err)
-		}
-		for i, id := range ids {
-			forward(id, rcs[i])
-		}
-		return nil
-	}
-	for _, id := range ids {
+	reqs := make([]serve.Request, len(ids))
+	for i, id := range ids {
 		n := rp.s.Nodes[id]
-		rc, err := rp.svc.Submit(ctx, serve.Request{
+		reqs[i] = serve.Request{
 			Input: in, Rot: n.Rot, Dataflow: rp.cfg.Dataflow,
 			Tenant: rp.cfg.Tenant, Level: n.Level,
-		})
-		if err != nil {
-			return fmt.Errorf("workload: submit node %d (%s): %w", id, n.Stage, err)
 		}
-		forward(id, rc)
+	}
+	rcs, err := rp.svc.SubmitGroup(ctx, reqs)
+	if err != nil {
+		return fmt.Errorf("workload: submit group %d (%s): %w", gi, rp.s.Nodes[ids[0]].Stage, err)
+	}
+	for i, id := range ids {
+		go func() { ch <- nodeDone{id: id, res: <-rcs[i]} }()
 	}
 	return nil
 }
