@@ -31,6 +31,10 @@ type PublicKey struct {
 // and generation is memoized under one lock, so every caller of
 // RotKey/HoistKey observes the identical key material — which is what
 // keeps served results bit-exact across cache evictions and reloads.
+// A key is memoized once, in the form it was first asked for: dense
+// (RelinKey, RotKey, ConjKey, HoistKey) or, for a consumer that keeps
+// keys compressed, as B-halves and seeds only (HoistKeyCompressed), in
+// which case no A-half stays resident in the chain.
 // Beyond memoization, each key's randomness is derived from the chain
 // seed and the key's own identity (keySampler), so two chains built
 // from one seed agree bit-for-bit on every key regardless of the
@@ -54,6 +58,8 @@ type KeyChain struct {
 	relin map[int]*hks.Evk
 	rot   map[int]map[int]*hks.Evk // rot -> level -> evk
 	hoist map[int]map[int]*hks.Evk // rot -> level -> hoisting-form evk
+	// hoistComp holds the hoisting-form keys first asked for compressed.
+	hoistComp map[int]map[int]*hks.CompressedEvk
 }
 
 // GenKeys samples a fresh secret/public key pair and its key chain.
@@ -84,15 +90,16 @@ func GenKeys(ctx *Context, seed int64) (*KeyChain, *PublicKey) {
 	r.Sub(e, b, b)
 
 	kc := &KeyChain{
-		ctx:     ctx,
-		seed:    seed,
-		sampler: sampler,
-		sk:      sk,
-		sSquare: s2,
-		pool:    ctx.Switchers(),
-		relin:   map[int]*hks.Evk{},
-		rot:     map[int]map[int]*hks.Evk{},
-		hoist:   map[int]map[int]*hks.Evk{},
+		ctx:       ctx,
+		seed:      seed,
+		sampler:   sampler,
+		sk:        sk,
+		sSquare:   s2,
+		pool:      ctx.Switchers(),
+		relin:     map[int]*hks.Evk{},
+		rot:       map[int]map[int]*hks.Evk{},
+		hoist:     map[int]map[int]*hks.Evk{},
+		hoistComp: map[int]map[int]*hks.CompressedEvk{},
 	}
 	return kc, &PublicKey{B: b, A: a}
 }
@@ -217,11 +224,60 @@ func (kc *KeyChain) RotKey(rotBy, level int) (*hks.Evk, error) {
 func (kc *KeyChain) HoistKey(rotBy, level int) (*hks.Evk, error) {
 	kc.mu.Lock()
 	defer kc.mu.Unlock()
-	if m, ok := kc.hoist[rotBy]; ok {
-		if evk, ok := m[level]; ok {
-			return evk, nil
+	if evk, ok := kc.hoist[rotBy][level]; ok {
+		return evk, nil
+	}
+	// A key memoized compressed stays that way: the caller gets a fresh
+	// expansion — the same bits, the seeds being the key's own — and
+	// the chain keeps no A-half on its behalf.
+	if c, ok := kc.hoistComp[rotBy][level]; ok {
+		return c.Expand(kc.ctx.R), nil
+	}
+	evk, err := kc.genHoistKey(rotBy, level)
+	if err != nil {
+		return nil, err
+	}
+	if kc.hoist[rotBy] == nil {
+		kc.hoist[rotBy] = map[int]*hks.Evk{}
+	}
+	kc.hoist[rotBy][level] = evk
+	return evk, nil
+}
+
+// HoistKeyCompressed returns HoistKey's key in seed-compressed form —
+// the same sampler, so Expand gives HoistKey's bits in either call
+// order — memoized compressed only: the key is generated dense,
+// compressed, and its A-halves dropped, so a chain behind a
+// byte-budgeted cache of compressed keys holds dnum × (|D_ℓ|·N·8 + 32)
+// bytes per key and no more. A key already memoized dense is
+// compressed in place, sharing its B-half.
+func (kc *KeyChain) HoistKeyCompressed(rotBy, level int) (*hks.CompressedEvk, error) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	if c, ok := kc.hoistComp[rotBy][level]; ok {
+		return c, nil
+	}
+	evk, ok := kc.hoist[rotBy][level]
+	if !ok {
+		var err error
+		if evk, err = kc.genHoistKey(rotBy, level); err != nil {
+			return nil, err
 		}
 	}
+	c, ok := evk.Compress()
+	if !ok {
+		return nil, fmt.Errorf("ckks: hoist key (rot %d, level %d) carries no expansion seeds", rotBy, level)
+	}
+	if kc.hoistComp[rotBy] == nil {
+		kc.hoistComp[rotBy] = map[int]*hks.CompressedEvk{}
+	}
+	kc.hoistComp[rotBy][level] = c
+	return c, nil
+}
+
+// genHoistKey generates the hoisting-form key s → σ_g⁻¹(s); the caller
+// holds kc.mu and memoizes the result.
+func (kc *KeyChain) genHoistKey(rotBy, level int) (*hks.Evk, error) {
 	sw, err := kc.switcherFor(level)
 	if err != nil {
 		return nil, err
@@ -233,10 +289,5 @@ func (kc *KeyChain) HoistKey(rotBy, level int) (*hks.Evk, error) {
 	full := r.DBasis(r.NumQ - 1)
 	sInv := r.NewPoly(full)
 	r.Automorphism(kc.sk.S, gInv, sInv)
-	evk := sw.GenEvk(kc.keySampler("hoist", rotBy, level), kc.sk.S, sInv)
-	if kc.hoist[rotBy] == nil {
-		kc.hoist[rotBy] = map[int]*hks.Evk{}
-	}
-	kc.hoist[rotBy][level] = evk
-	return evk, nil
+	return sw.GenEvk(kc.keySampler("hoist", rotBy, level), kc.sk.S, sInv), nil
 }

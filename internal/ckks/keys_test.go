@@ -2,7 +2,10 @@ package ckks
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+
+	"ciflow/internal/hks"
 )
 
 // Evaluation keys must be a pure function of (context, seed, key
@@ -87,4 +90,113 @@ func TestKeyChainDeterministicAcrossInstances(t *testing.T) {
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
 		t.Fatal("relin key differs between same-seed chains")
 	}
+}
+
+func evkBytes(t *testing.T, ctx *Context, level int, evk *hks.Evk) []byte {
+	t.Helper()
+	sw, err := ctx.Switchers().Switcher(level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sw.WriteEvk(&buf, evk); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// HoistKeyCompressed is HoistKey's key in the other form: expanded, it
+// is HoistKey's bits whichever was asked first — on one chain, and
+// across two chains built from one seed.
+func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
+	ctx, err := NewContext(128, 4, 30, 2, 31, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rot, level = 3, 3
+	ref, _ := GenKeys(ctx, 42)
+	dense, err := ref.HoistKey(rot, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := evkBytes(t, ctx, level, dense)
+
+	// Compressed first, then dense: the dense call expands the memo.
+	a, _ := GenKeys(ctx, 42)
+	ca, err := a.HoistKeyCompressed(rot, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(evkBytes(t, ctx, level, ca.Expand(ctx.R)), want) {
+		t.Fatal("compressed-first key expands to different bits than HoistKey on a same-seed chain")
+	}
+	da, err := a.HoistKey(rot, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(evkBytes(t, ctx, level, da), want) {
+		t.Fatal("HoistKey after HoistKeyCompressed returned different bits")
+	}
+	if again, _ := a.HoistKeyCompressed(rot, level); again != ca {
+		t.Fatal("HoistKeyCompressed did not memoize")
+	}
+	if again, _ := a.HoistKey(rot, level); again == da {
+		t.Fatal("HoistKey retained the expansion of a key memoized compressed")
+	}
+
+	// Dense first, then compressed: the compressed form shares the
+	// dense memo's B-half.
+	cb, err := ref.HoistKeyCompressed(rot, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(evkBytes(t, ctx, level, cb.Expand(ctx.R)), want) {
+		t.Fatal("dense-first key compresses to different bits")
+	}
+	if cb.B[0] != dense.B[0] {
+		t.Fatal("compressing a dense memo copied its B-half")
+	}
+	if again, _ := ref.HoistKey(rot, level); again != dense {
+		t.Fatal("HoistKeyCompressed disturbed the dense memo")
+	}
+	if _, err := a.HoistKeyCompressed(rot, ctx.MaxLevel+1); err == nil {
+		t.Fatal("out-of-range level accepted")
+	}
+}
+
+// A chain asked only for compressed keys retains only compressed keys:
+// 16 fetches grow the heap by 16 compressed footprints, not by the 16
+// dense keys that were generated on the way.
+func TestHoistKeyCompressedRetainsNoAHalf(t *testing.T) {
+	ctx, err := NewContext(4096, 4, 40, 2, 41, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc, _ := GenKeys(ctx, 7)
+	const level, keys = 3, 16
+	if _, err := kc.HoistKeyCompressed(100, level); err != nil { // warm: switcher, maps
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	var want uint64
+	for rot := 1; rot <= keys; rot++ {
+		c, err := kc.HoistKeyCompressed(rot, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += uint64(c.SizeBytes())
+	}
+	grown := heap() - before
+	if grown < want*9/10 || grown > want*11/10 {
+		t.Fatalf("heap grew %d bytes over %d compressed fetches, want %d ± 10%% (a retained A-half would double it)",
+			grown, keys, want)
+	}
+	runtime.KeepAlive(kc)
 }

@@ -243,8 +243,9 @@ func (rt *Router) Kill(i int) { rt.markDown(rt.shards[i]) }
 
 // readLoop consumes one shard's frames until the connection dies.
 func (rt *Router) readLoop(sc *shardClient) {
+	var buf []byte // result payloads land here; DecodeResult copies out
 	for {
-		typ, payload, err := ReadFrame(sc.conn)
+		typ, payload, err := readFrame(sc.conn, &buf)
 		if err != nil {
 			rt.markDown(sc)
 			return
@@ -252,11 +253,13 @@ func (rt *Router) readLoop(sc *shardClient) {
 		switch typ {
 		case FrameResult:
 			wr, err := DecodeResult(rt.r, payload)
+			if err == nil {
+				err = rt.handleResult(sc, wr)
+			}
 			if err != nil {
 				rt.markDown(sc)
 				return
 			}
-			rt.handleResult(sc, wr)
 		case FrameStats, FramePong, FrameDrainDone, FrameEvk, FrameEvkComp:
 			sc.deliverReply(typ, payload)
 		default:
@@ -269,8 +272,14 @@ func (rt *Router) readLoop(sc *shardClient) {
 // handleResult routes one result frame: terminal results deliver at
 // most once (the pending table is the dedup), requeues trigger a
 // whole-group reassignment once every current member has been
-// requeued (a draining shard requeues groups atomically).
-func (rt *Router) handleResult(sc *shardClient, wr *WireResult) {
+// requeued (a draining shard requeues groups atomically). DecodeResult
+// has checked the switched pair against the ring; here it is checked
+// against the request — a key switch returns its input's basis in the
+// NTT domain — and a pair that is well formed but not this request's
+// answer is a protocol error like any other: the error takes the shard
+// down and its groups are served elsewhere, rather than a client
+// indexing towers that are not there.
+func (rt *Router) handleResult(sc *shardClient, wr *WireResult) error {
 	rt.mu.Lock()
 	m := rt.pending[wr.ReqID]
 	if m == nil || m.pg.shard != sc.idx {
@@ -278,9 +287,18 @@ func (rt *Router) handleResult(sc *shardClient, wr *WireResult) {
 		// from a shard that lost the group. Drop it — first delivery
 		// won, and counting it would double-attribute the request.
 		rt.mu.Unlock()
-		return
+		return nil
 	}
 	pg := m.pg
+	if wr.Code == ResultOK {
+		for _, c := range []*ring.Poly{wr.C0, wr.C1} {
+			if !c.IsNTT || !c.Basis.Equal(pg.input.Basis) {
+				rt.mu.Unlock()
+				return fmt.Errorf("cluster: %s answered request %d over basis %v (ntt %v), want %v",
+					sc.name, wr.ReqID, c.Basis, c.IsNTT, pg.input.Basis)
+			}
+		}
+	}
 	if wr.Code == ResultRequeue {
 		if !m.requeued {
 			m.requeued = true
@@ -290,10 +308,10 @@ func (rt *Router) handleResult(sc *shardClient, wr *WireResult) {
 			epoch := pg.epoch
 			rt.mu.Unlock()
 			rt.dispatch(pg, epoch)
-			return
+			return nil
 		}
 		rt.mu.Unlock()
-		return
+		return nil
 	}
 	delete(rt.pending, wr.ReqID)
 	m.done = true
@@ -313,6 +331,7 @@ func (rt *Router) handleResult(sc *shardClient, wr *WireResult) {
 		res = serve.Result{Err: fmt.Errorf("cluster: %s: %s", sc.name, wr.ErrMsg)}
 	}
 	m.ch <- res
+	return nil
 }
 
 // markDown records a shard death: off the ring, connection closed,
@@ -405,16 +424,16 @@ func (rt *Router) dispatch(pg *pendingGroup, wantEpoch int) {
 		}
 		rt.mu.Unlock()
 
-		payload, err := EncodeGroup(rt.r, g)
-		if err != nil {
+		err := sc.fw.send(FrameGroup, rt.r, g)
+		if err == nil {
+			return
+		}
+		if errors.As(err, new(encodeError)) {
 			rt.mu.Lock()
 			if pg.epoch == wantEpoch {
 				rt.failLocked(pg, ms, err)
 			}
 			rt.mu.Unlock()
-			return
-		}
-		if err := sc.write(FrameGroup, payload); err == nil {
 			return
 		}
 		// The write failed: the shard is dead. markDown may race us to

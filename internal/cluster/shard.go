@@ -27,20 +27,51 @@ import (
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/hks"
+	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
 
 // frameWriter serializes frame writes on one connection, which result
-// streaming (many goroutines) and control replies share.
+// streaming (many goroutines) and control replies share, and owns the
+// buffer the connection's group or result frames are built in.
 type frameWriter struct {
-	mu sync.Mutex
-	w  io.Writer
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
 }
 
+// write sends a control frame around a payload the caller built.
 func (fw *frameWriter) write(typ FrameType, payload []byte) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	return WriteFrame(fw.w, typ, payload)
+}
+
+// encodeError marks a frame that could not be built: nothing reached
+// the connection, which is as healthy as it was.
+type encodeError struct{ error }
+
+// send builds the frame carrying p — header and payload — in the
+// writer's own buffer, sized exactly before the first byte is encoded,
+// and hands it to the connection with one Write. The next send reuses
+// the buffer, so a stream of group or result frames allocates nothing
+// and every residue is copied once, from its polynomial into the frame.
+func (fw *frameWriter) send(typ FrameType, r *ring.Ring, p framePayload) error {
+	n := p.wireSize(r)
+	if n > maxFramePayload {
+		return encodeError{fmt.Errorf("cluster: %v frame payload %d exceeds cap %d", typ, n, maxFramePayload)}
+	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if cap(fw.buf) < frameHeaderSize+n {
+		fw.buf = make([]byte, 0, frameHeaderSize+n)
+	}
+	frame, err := p.appendTo(appendFrameHeader(fw.buf[:0], typ, n), r)
+	if err != nil {
+		return encodeError{err}
+	}
+	_, err = fw.w.Write(frame)
+	return err
 }
 
 // Shard wraps one serve.Service behind the wire protocol. Construct
@@ -181,8 +212,9 @@ func (s *Shard) acceptGroup() bool {
 // frame) drops the connection; the router treats that like a death.
 func (s *Shard) handle(conn net.Conn) {
 	fw := &frameWriter{w: conn}
+	var buf []byte // group payloads land here; DecodeGroup copies out
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := readFrame(conn, &buf)
 		if err != nil {
 			return
 		}
@@ -238,7 +270,10 @@ func (s *Shard) handle(conn net.Conn) {
 
 // runGroup executes one accepted group: one SubmitGroup call, then the
 // results streamed back as they complete. The service admits a group
-// whole or not at all, so a refused frame fails every member.
+// whole or not at all, so a refused frame fails every member. The
+// service draws result polynomials from the ring's pool and nobody but
+// this goroutine holds them, so once a result's frame has been written
+// they go back for the next replay to draw.
 func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 	defer s.inflight.Done()
 	reqs := make([]serve.Request, len(g.Rots))
@@ -259,18 +294,18 @@ func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 			wr.C0, wr.C1 = res.C0, res.C1
 		}
 		s.writeResult(fw, wr)
+		if wr.Code == ResultOK {
+			s.cctx.R.PutPoly(wr.C0)
+			s.cctx.R.PutPoly(wr.C1)
+		}
 	}
 }
 
-// writeResult encodes and sends one result; a dead connection is the
-// router's problem (it requeues undelivered requests), so write
-// errors are dropped here.
+// writeResult sends one result; a dead connection is the router's
+// problem (it requeues undelivered requests), so errors are dropped
+// here.
 func (s *Shard) writeResult(fw *frameWriter, wr *WireResult) {
-	p, err := EncodeResult(s.cctx.R, wr)
-	if err != nil {
-		return
-	}
-	fw.write(FrameResult, p)
+	fw.send(FrameResult, s.cctx.R, wr)
 }
 
 // sendEvk answers one evaluation-key fetch from the shard's

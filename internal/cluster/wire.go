@@ -13,6 +13,16 @@ package cluster
 // inventing a second encoding — and stats snapshots travel as the
 // stable JSON marshalling of serve.Stats.
 //
+// A frame is one Write. The two frames a connection carries per switch
+// — group and result — are built header-first in the connection's own
+// buffer, sized exactly before the first byte is encoded
+// (frameWriter.send), and read into the reading loop's own buffer
+// (readFrame), so a residue is copied once from its polynomial into
+// the frame and once from the frame into the polynomial the decoder
+// returns, and neither side allocates a payload. EncodeGroup,
+// EncodeResult, ReadFrame and WriteFrame are the caller-owned forms of
+// the same encoders, for control traffic, tests and probes.
+//
 // The load-bearing design choice is the request frame: it carries a
 // whole *hoist group* — the shared input polynomial once, plus one
 // (request ID, rotation) entry per member — not individual requests.
@@ -102,28 +112,43 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("FrameType(%d)", byte(t))
 }
 
-// WriteFrame writes one frame. Callers serialize writes per
-// connection themselves (see shard.go/router.go frame writers).
+const frameHeaderSize = 10
+
+// appendFrameHeader appends the header of a frame carrying n payload
+// bytes.
+func appendFrameHeader(dst []byte, typ FrameType, n int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, wireVersion, byte(typ))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// WriteFrame writes one frame — header and payload in a single Write.
+// Callers serialize writes per connection themselves (frameWriter).
 func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("cluster: %v frame payload %d exceeds cap %d", typ, len(payload), maxFramePayload)
 	}
-	var hdr [10]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], frameMagic)
-	hdr[4] = wireVersion
-	hdr[5] = byte(typ)
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := appendFrameHeader(make([]byte, 0, frameHeaderSize+len(payload)), typ, len(payload))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
 // ReadFrame reads one frame, validating magic, version, type, and the
-// payload-length cap before allocating anything payload-sized.
+// payload-length cap before allocating anything payload-sized. The
+// payload is the caller's.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [10]byte
+	return readFrame(r, nil)
+}
+
+// readFrame is ReadFrame reading group and result payloads — the
+// frames a connection carries per switch — into *buf, grown when too
+// small: such a payload is valid until the next call with that buf,
+// which is long enough because DecodeGroup and DecodeResult copy
+// everything out. Every other payload is freshly allocated and the
+// caller's (control replies are handed to waiters), so a buffer never
+// grows for, or outlives, an evaluation-key frame.
+func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
+	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -137,11 +162,19 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if typ < 1 || typ > frameTypeMax {
 		return 0, nil, fmt.Errorf("cluster: unknown frame type %d", hdr[5])
 	}
-	n := binary.LittleEndian.Uint32(hdr[6:10])
+	n := int(binary.LittleEndian.Uint32(hdr[6:10]))
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("cluster: %v frame declares %d payload bytes, cap %d", typ, n, maxFramePayload)
 	}
-	payload := make([]byte, n)
+	var payload []byte
+	if buf != nil && (typ == FrameGroup || typ == FrameResult) {
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
+		}
+		payload = (*buf)[:n]
+	} else {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("cluster: short %v frame payload: %w", typ, err)
 	}
@@ -150,34 +183,55 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 
 // ---- payload primitives ----
 
-func writeString(w *bytes.Buffer, s string) {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	w.Write(l[:])
-	w.WriteString(s)
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
 }
 
-func readString(r *bytes.Reader, max int, what string) (string, error) {
-	var l [2]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", fmt.Errorf("cluster: short %s length: %w", what, err)
+// take splits n bytes off the front of *b; false when *b is shorter.
+func take(b *[]byte, n int) ([]byte, bool) {
+	if len(*b) < n {
+		return nil, false
 	}
-	n := int(binary.LittleEndian.Uint16(l[:]))
+	head := (*b)[:n]
+	*b = (*b)[n:]
+	return head, true
+}
+
+func takeString(b *[]byte, max int, what string) (string, error) {
+	l, ok := take(b, 2)
+	if !ok {
+		return "", fmt.Errorf("cluster: short %s length", what)
+	}
+	n := int(binary.LittleEndian.Uint16(l))
 	if n > max {
 		return "", fmt.Errorf("cluster: %s length %d exceeds cap %d", what, n, max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("cluster: short %s: %w", what, err)
+	str, ok := take(b, n)
+	if !ok {
+		return "", fmt.Errorf("cluster: short %s", what)
 	}
-	return string(buf), nil
+	return string(str), nil
 }
 
-func trailing(r *bytes.Reader, typ FrameType) error {
-	if r.Len() != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes after %v payload", r.Len(), typ)
+func trailing(rest int, typ FrameType) error {
+	if rest != 0 {
+		return fmt.Errorf("cluster: %d trailing bytes after %v payload", rest, typ)
 	}
 	return nil
+}
+
+// framePayload is a value the per-switch frames carry — a *Group or a
+// *WireResult: its exact encoded size, known before a byte is written,
+// and the one encoder behind both the caller-owned Encode form and the
+// frame a connection builds in its recycled buffer.
+type framePayload interface {
+	wireSize(r *ring.Ring) int
+	appendTo(dst []byte, r *ring.Ring) ([]byte, error)
+}
+
+func encode(r *ring.Ring, p framePayload) ([]byte, error) {
+	return p.appendTo(make([]byte, 0, p.wireSize(r)), r)
 }
 
 // ---- group request ----
@@ -194,88 +248,76 @@ type Group struct {
 	Input    *ring.Poly
 }
 
-// EncodeGroup encodes g into a FrameGroup payload; r is the ring the
-// input polynomial lives in.
-func EncodeGroup(r *ring.Ring, g *Group) ([]byte, error) {
+func (g *Group) wireSize(r *ring.Ring) int {
+	return 8 + 2 + len(g.Tenant) + 4 + 1 + 4 + 8*len(g.Rots) + r.PolyWireSize(g.Input)
+}
+
+func (g *Group) appendTo(dst []byte, r *ring.Ring) ([]byte, error) {
 	if len(g.Rots) == 0 || len(g.Rots) > maxGroupLen {
 		return nil, fmt.Errorf("cluster: group of %d members (cap %d)", len(g.Rots), maxGroupLen)
 	}
 	if len(g.Tenant) > maxTenantLen {
 		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(g.Tenant), maxTenantLen)
 	}
-	var buf bytes.Buffer
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], g.BaseID)
-	buf.Write(u64[:])
-	writeString(&buf, g.Tenant)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(g.Level))
-	buf.Write(u32[:])
-	buf.WriteByte(byte(g.Dataflow))
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(g.Rots)))
-	buf.Write(u32[:])
+	dst = binary.LittleEndian.AppendUint64(dst, g.BaseID)
+	dst = appendString(dst, g.Tenant)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(g.Level))
+	dst = append(dst, byte(g.Dataflow))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.Rots)))
 	for _, rot := range g.Rots {
-		binary.LittleEndian.PutUint64(u64[:], uint64(int64(rot)))
-		buf.Write(u64[:])
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(rot)))
 	}
-	if err := r.WritePoly(&buf, g.Input); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return r.AppendPoly(dst, g.Input)
 }
+
+// EncodeGroup encodes g into a FrameGroup payload the caller owns; r
+// is the ring the input polynomial lives in.
+func EncodeGroup(r *ring.Ring, g *Group) ([]byte, error) { return encode(r, g) }
 
 // DecodeGroup decodes a FrameGroup payload, validating the member
 // count, tenant length, dataflow, and the input polynomial against r.
+// The group aliases nothing in payload.
 func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
-	br := bytes.NewReader(payload)
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, fmt.Errorf("cluster: short group header: %w", err)
+	b := payload
+	id, ok := take(&b, 8)
+	if !ok {
+		return nil, fmt.Errorf("cluster: short group header")
 	}
-	g := &Group{BaseID: binary.LittleEndian.Uint64(u64[:])}
+	g := &Group{BaseID: binary.LittleEndian.Uint64(id)}
 	var err error
-	if g.Tenant, err = readString(br, maxTenantLen, "tenant"); err != nil {
+	if g.Tenant, err = takeString(&b, maxTenantLen, "tenant"); err != nil {
 		return nil, err
 	}
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("cluster: short group level: %w", err)
+	fixed, ok := take(&b, 4+1+4)
+	if !ok {
+		return nil, fmt.Errorf("cluster: short group level, dataflow and member count")
 	}
-	g.Level = int(int32(binary.LittleEndian.Uint32(u32[:])))
+	g.Level = int(int32(binary.LittleEndian.Uint32(fixed[0:4])))
 	if g.Level < 0 {
 		return nil, fmt.Errorf("cluster: negative group level %d", g.Level)
 	}
-	df, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: short group dataflow: %w", err)
-	}
-	g.Dataflow = dataflow.Dataflow(df)
+	g.Dataflow = dataflow.Dataflow(fixed[4])
 	switch g.Dataflow {
 	case dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF:
 	default:
-		return nil, fmt.Errorf("cluster: unknown dataflow %d in group frame", df)
+		return nil, fmt.Errorf("cluster: unknown dataflow %d in group frame", fixed[4])
 	}
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("cluster: short group member count: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(u32[:]))
+	n := int(binary.LittleEndian.Uint32(fixed[5:9]))
 	if n == 0 || n > maxGroupLen {
 		return nil, fmt.Errorf("cluster: group member count %d out of range [1,%d]", n, maxGroupLen)
 	}
-	if br.Len() < 8*n {
-		return nil, fmt.Errorf("cluster: group declares %d members but carries %d bytes", n, br.Len())
+	rots, ok := take(&b, 8*n)
+	if !ok {
+		return nil, fmt.Errorf("cluster: group declares %d members but carries %d bytes", n, len(b))
 	}
 	g.Rots = make([]int, n)
 	for i := range g.Rots {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return nil, fmt.Errorf("cluster: short group rotations: %w", err)
-		}
-		g.Rots[i] = int(int64(binary.LittleEndian.Uint64(u64[:])))
+		g.Rots[i] = int(int64(binary.LittleEndian.Uint64(rots[8*i:])))
 	}
-	if g.Input, err = r.ReadPoly(br); err != nil {
+	if g.Input, b, err = r.DecodePoly(b); err != nil {
 		return nil, fmt.Errorf("cluster: group input: %w", err)
 	}
-	return g, trailing(br, FrameGroup)
+	return g, trailing(len(b), FrameGroup)
 }
 
 // ---- results ----
@@ -304,64 +346,69 @@ type WireResult struct {
 	ErrMsg string     // ResultErr only
 }
 
-// EncodeResult encodes wr into a FrameResult payload.
-func EncodeResult(r *ring.Ring, wr *WireResult) ([]byte, error) {
-	var buf bytes.Buffer
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], wr.ReqID)
-	buf.Write(u64[:])
-	buf.WriteByte(byte(wr.Code))
-	switch wr.Code {
-	case ResultOK:
-		if err := r.WritePoly(&buf, wr.C0); err != nil {
-			return nil, err
-		}
-		if err := r.WritePoly(&buf, wr.C1); err != nil {
-			return nil, err
-		}
-	case ResultErr:
-		msg := wr.ErrMsg
-		if len(msg) > maxErrLen {
-			msg = msg[:maxErrLen]
-		}
-		writeString(&buf, msg)
-	case ResultRequeue:
-	default:
-		return nil, fmt.Errorf("cluster: unknown result code %d", wr.Code)
-	}
-	return buf.Bytes(), nil
+// wireErrMsg is the error string as it travels: cut to maxErrLen.
+func (wr *WireResult) wireErrMsg() string {
+	return wr.ErrMsg[:min(len(wr.ErrMsg), maxErrLen)]
 }
 
-// DecodeResult decodes a FrameResult payload.
-func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
-	br := bytes.NewReader(payload)
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, fmt.Errorf("cluster: short result header: %w", err)
-	}
-	wr := &WireResult{ReqID: binary.LittleEndian.Uint64(u64[:])}
-	code, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: short result code: %w", err)
-	}
-	wr.Code = ResultCode(code)
+func (wr *WireResult) wireSize(r *ring.Ring) int {
 	switch wr.Code {
 	case ResultOK:
-		if wr.C0, err = r.ReadPoly(br); err != nil {
+		return 9 + r.PolyWireSize(wr.C0) + r.PolyWireSize(wr.C1)
+	case ResultErr:
+		return 9 + 2 + len(wr.wireErrMsg())
+	}
+	return 9
+}
+
+func (wr *WireResult) appendTo(dst []byte, r *ring.Ring) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, wr.ReqID)
+	dst = append(dst, byte(wr.Code))
+	switch wr.Code {
+	case ResultOK:
+		dst, err := r.AppendPoly(dst, wr.C0)
+		if err != nil {
+			return nil, err
+		}
+		return r.AppendPoly(dst, wr.C1)
+	case ResultErr:
+		return appendString(dst, wr.wireErrMsg()), nil
+	case ResultRequeue:
+		return dst, nil
+	}
+	return nil, fmt.Errorf("cluster: unknown result code %d", wr.Code)
+}
+
+// EncodeResult encodes wr into a FrameResult payload the caller owns.
+func EncodeResult(r *ring.Ring, wr *WireResult) ([]byte, error) { return encode(r, wr) }
+
+// DecodeResult decodes a FrameResult payload. The polynomials are
+// fresh and the caller's; nothing aliases payload.
+func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
+	b := payload
+	head, ok := take(&b, 9)
+	if !ok {
+		return nil, fmt.Errorf("cluster: short result header")
+	}
+	wr := &WireResult{ReqID: binary.LittleEndian.Uint64(head), Code: ResultCode(head[8])}
+	var err error
+	switch wr.Code {
+	case ResultOK:
+		if wr.C0, b, err = r.DecodePoly(b); err != nil {
 			return nil, fmt.Errorf("cluster: result c0: %w", err)
 		}
-		if wr.C1, err = r.ReadPoly(br); err != nil {
+		if wr.C1, b, err = r.DecodePoly(b); err != nil {
 			return nil, fmt.Errorf("cluster: result c1: %w", err)
 		}
 	case ResultErr:
-		if wr.ErrMsg, err = readString(br, maxErrLen, "error string"); err != nil {
+		if wr.ErrMsg, err = takeString(&b, maxErrLen, "error string"); err != nil {
 			return nil, err
 		}
 	case ResultRequeue:
 	default:
-		return nil, fmt.Errorf("cluster: unknown result code %d", code)
+		return nil, fmt.Errorf("cluster: unknown result code %d", head[8])
 	}
-	return wr, trailing(br, FrameResult)
+	return wr, trailing(len(b), FrameResult)
 }
 
 // ---- stats ----
@@ -392,101 +439,100 @@ type EvkID struct {
 	Level  int
 }
 
-func encodeEvkID(buf *bytes.Buffer, id EvkID) {
-	writeString(buf, id.Tenant)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(int64(id.Rot)))
-	buf.Write(u64[:])
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(id.Level))
-	buf.Write(u32[:])
-}
-
-func decodeEvkID(br *bytes.Reader) (EvkID, error) {
-	var id EvkID
-	var err error
-	if id.Tenant, err = readString(br, maxTenantLen, "tenant"); err != nil {
-		return id, err
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return id, fmt.Errorf("cluster: short evk rotation: %w", err)
-	}
-	id.Rot = int(int64(binary.LittleEndian.Uint64(u64[:])))
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return id, fmt.Errorf("cluster: short evk level: %w", err)
-	}
-	id.Level = int(int32(binary.LittleEndian.Uint32(u32[:])))
-	if id.Level < 0 {
-		return id, fmt.Errorf("cluster: negative evk level %d", id.Level)
-	}
-	return id, nil
-}
-
-// EncodeEvkReq encodes a FrameEvkReq payload.
-func EncodeEvkReq(id EvkID) ([]byte, error) {
+func appendEvkID(dst []byte, id EvkID) ([]byte, error) {
 	if len(id.Tenant) > maxTenantLen {
 		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(id.Tenant), maxTenantLen)
 	}
-	var buf bytes.Buffer
-	encodeEvkID(&buf, id)
-	return buf.Bytes(), nil
+	dst = appendString(dst, id.Tenant)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(id.Rot)))
+	return binary.LittleEndian.AppendUint32(dst, uint32(id.Level)), nil
 }
+
+// decodeEvkID decodes the key identity at the front of payload and
+// returns the bytes after it.
+func decodeEvkID(payload []byte) (EvkID, []byte, error) {
+	var id EvkID
+	var err error
+	b := payload
+	if id.Tenant, err = takeString(&b, maxTenantLen, "tenant"); err != nil {
+		return id, nil, err
+	}
+	fixed, ok := take(&b, 8+4)
+	if !ok {
+		return id, nil, fmt.Errorf("cluster: short evk rotation and level")
+	}
+	id.Rot = int(int64(binary.LittleEndian.Uint64(fixed[0:8])))
+	id.Level = int(int32(binary.LittleEndian.Uint32(fixed[8:12])))
+	if id.Level < 0 {
+		return id, nil, fmt.Errorf("cluster: negative evk level %d", id.Level)
+	}
+	return id, b, nil
+}
+
+// EncodeEvkReq encodes a FrameEvkReq payload.
+func EncodeEvkReq(id EvkID) ([]byte, error) { return appendEvkID(nil, id) }
 
 // DecodeEvkReq decodes a FrameEvkReq payload.
 func DecodeEvkReq(payload []byte) (EvkID, error) {
-	br := bytes.NewReader(payload)
-	id, err := decodeEvkID(br)
+	id, rest, err := decodeEvkID(payload)
 	if err != nil {
 		return id, err
 	}
-	return id, trailing(br, FrameEvkReq)
+	return id, trailing(len(rest), FrameEvkReq)
 }
 
 // EncodeEvk encodes a FrameEvk payload: the key's identity followed by
 // the hks evk serialization under sw (the switcher at id.Level).
 func EncodeEvk(id EvkID, sw *hks.Switcher, evk *hks.Evk) ([]byte, error) {
-	if len(id.Tenant) > maxTenantLen {
-		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(id.Tenant), maxTenantLen)
+	head, err := appendEvkID(nil, id)
+	if err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	encodeEvkID(&buf, id)
-	if err := sw.WriteEvk(&buf, evk); err != nil {
+	buf := bytes.NewBuffer(head)
+	if err := sw.WriteEvk(buf, evk); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// evkBody resolves the switcher for a decoded key identity and returns
+// it with a reader over the key bytes that follow the identity.
+func evkBody(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.Switcher, *bytes.Reader, error) {
+	id, rest, err := decodeEvkID(payload)
+	if err != nil {
+		return id, nil, nil, err
+	}
+	sw, err := switchers.Switcher(id.Level)
+	if err != nil {
+		return id, nil, nil, fmt.Errorf("cluster: no switcher at evk level %d: %w", id.Level, err)
+	}
+	return id, sw, bytes.NewReader(rest), nil
 }
 
 // DecodeEvk decodes a FrameEvk payload, resolving the switcher for
 // the key's level through switchers to validate digit structure and
 // bases exactly as hks.ReadEvk does.
 func DecodeEvk(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.Evk, error) {
-	br := bytes.NewReader(payload)
-	id, err := decodeEvkID(br)
+	id, sw, br, err := evkBody(payload, switchers)
 	if err != nil {
 		return id, nil, err
-	}
-	sw, err := switchers.Switcher(id.Level)
-	if err != nil {
-		return id, nil, fmt.Errorf("cluster: no switcher at evk level %d: %w", id.Level, err)
 	}
 	evk, err := sw.ReadEvk(br)
 	if err != nil {
 		return id, nil, err
 	}
-	return id, evk, trailing(br, FrameEvk)
+	return id, evk, trailing(br.Len(), FrameEvk)
 }
 
 // EncodeEvkComp encodes a FrameEvkComp payload: the key's identity
 // followed by the hks compressed-evk serialization under sw.
 func EncodeEvkComp(id EvkID, sw *hks.Switcher, c *hks.CompressedEvk) ([]byte, error) {
-	if len(id.Tenant) > maxTenantLen {
-		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(id.Tenant), maxTenantLen)
+	head, err := appendEvkID(nil, id)
+	if err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	encodeEvkID(&buf, id)
-	if err := sw.WriteCompressedEvk(&buf, c); err != nil {
+	buf := bytes.NewBuffer(head)
+	if err := sw.WriteCompressedEvk(buf, c); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -496,18 +542,13 @@ func EncodeEvkComp(id EvkID, sw *hks.Switcher, c *hks.CompressedEvk) ([]byte, er
 // still compressed; the caller chooses when to expand (FetchEvk does
 // so immediately, since its contract is a dense key).
 func DecodeEvkComp(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.CompressedEvk, error) {
-	br := bytes.NewReader(payload)
-	id, err := decodeEvkID(br)
+	id, sw, br, err := evkBody(payload, switchers)
 	if err != nil {
 		return id, nil, err
-	}
-	sw, err := switchers.Switcher(id.Level)
-	if err != nil {
-		return id, nil, fmt.Errorf("cluster: no switcher at evk level %d: %w", id.Level, err)
 	}
 	c, err := sw.ReadCompressedEvk(br)
 	if err != nil {
 		return id, nil, err
 	}
-	return id, c, trailing(br, FrameEvkComp)
+	return id, c, trailing(br.Len(), FrameEvkComp)
 }

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/dataflow"
+	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
 
@@ -20,6 +24,14 @@ func testCtx(t *testing.T) *ckks.Context {
 		t.Fatal(err)
 	}
 	return cctx
+}
+
+// uniformNTT is a fixed-seed uniform polynomial over B_level, marked
+// NTT-domain the way switch inputs and outputs are.
+func uniformNTT(r *ring.Ring, seed int64, level int) *ring.Poly {
+	p := ring.NewSampler(r, seed).Uniform(r.QBasis(level))
+	p.IsNTT = true
+	return p
 }
 
 // decodeRobust feeds decode every strict prefix of payload plus a
@@ -332,4 +344,42 @@ func TestEvkRoundTrip(t *testing.T) {
 		_, _, err := DecodeEvk(p, cctx.Switchers())
 		return err
 	})
+}
+
+// TestWireFormatPinned pins EncodeGroup and EncodeResult output for
+// fixed-seed inputs to digests recorded with the bytes.Buffer encoders
+// the append codec replaced: the wire format is the recorded one, byte
+// for byte.
+func TestWireFormatPinned(t *testing.T) {
+	data, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, digest, ok := strings.Cut(line, " "); ok {
+			pins[name] = digest
+		}
+	}
+	cctx := testCtx(t)
+	r := cctx.R
+	check := func(name string, payload []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		if got := hex.EncodeToString(sum[:]); got != pins[name] {
+			t.Errorf("%s: digest %s, pinned %q", name, got, pins[name])
+		}
+	}
+	payload, err := EncodeGroup(r, &Group{BaseID: 0x0102030405060708, Tenant: "tenant-a", Level: 3,
+		Dataflow: dataflow.OC, Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 21, 3)})
+	check("group", payload, err)
+	payload, err = EncodeResult(r, &WireResult{ReqID: 9, Code: ResultOK, C0: uniformNTT(r, 22, 2), C1: uniformNTT(r, 23, 2)})
+	check("result_ok", payload, err)
+	payload, err = EncodeResult(r, &WireResult{ReqID: 10, Code: ResultErr, ErrMsg: "no such key"})
+	check("result_err", payload, err)
+	payload, err = EncodeResult(r, &WireResult{ReqID: 11, Code: ResultRequeue})
+	check("result_requeue", payload, err)
 }

@@ -32,6 +32,8 @@ type Ring struct {
 	// recycled holds polynomials handed back with PutPoly, one pool
 	// per basis length. Internally synchronized.
 	recycled []sync.Pool
+	// scratch recycles the serializer's row buffer (serialize.go).
+	scratch sync.Pool
 }
 
 // NewRing constructs a ring of degree n with the given Q and P chains.
@@ -312,10 +314,7 @@ func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
 	for i, t := range a.Basis {
 		m := r.Mods[t]
 		sv := m.Reduce(s)
-		ar, or := a.Coeffs[i], out.Coeffs[i]
-		for j := range ar {
-			or[j] = m.Mul(ar[j], sv)
-		}
+		m.MulShoupRow(out.Coeffs[i], a.Coeffs[i], sv, m.ShoupPrecomp(sv))
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -333,10 +332,7 @@ func (r *Ring) MulTowerScalars(a *Poly, scalars []uint64, out *Poly) {
 	for i, t := range a.Basis {
 		m := r.Mods[t]
 		s := m.Reduce(scalars[i])
-		ar, or := a.Coeffs[i], out.Coeffs[i]
-		for j := range ar {
-			or[j] = m.Mul(ar[j], s)
-		}
+		m.MulShoupRow(out.Coeffs[i], a.Coeffs[i], s, m.ShoupPrecomp(s))
 	}
 	out.IsNTT = a.IsNTT
 }

@@ -319,4 +319,24 @@ func TestMulScalar(t *testing.T) {
 	if !out.Equal(want) {
 		t.Fatal("3*a != a+a+a")
 	}
+	// Against Barrett, residue by residue, for scalars below, at and
+	// far above the moduli, in place and not.
+	for _, sc := range []uint64{0, 1, r.Moduli[0] - 1, r.Moduli[0], 1<<63 + 12345, ^uint64(0)} {
+		scalars := make([]uint64, len(b))
+		for i := range scalars {
+			scalars[i] = sc
+		}
+		tower := a.Copy()
+		r.MulTowerScalars(tower, scalars, tower)
+		r.MulScalar(a, sc, out)
+		for i, tw := range b {
+			m := r.Mods[tw]
+			for j, v := range a.Coeffs[i] {
+				if w := m.Mul(v, m.Reduce(sc)); out.Coeffs[i][j] != w || tower.Coeffs[i][j] != w {
+					t.Fatalf("scalar %d tower %d coeff %d: MulScalar %d, MulTowerScalars %d, Barrett %d",
+						sc, tw, j, out.Coeffs[i][j], tower.Coeffs[i][j], w)
+				}
+			}
+		}
+	}
 }

@@ -16,7 +16,10 @@ package ring
 // digit be expanded independently of (and concurrently with) every
 // other.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Seed identifies one seed-expandable uniform polynomial.
 type Seed [32]byte
@@ -41,31 +44,7 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// seedRNG is the xoshiro256** generator behind UniformFromSeed.
-type seedRNG struct{ s0, s1, s2, s3 uint64 }
-
-func newSeedRNG(seed Seed) seedRNG {
-	return seedRNG{
-		s0: splitmix64(binary.LittleEndian.Uint64(seed[0:8]) + 1),
-		s1: splitmix64(binary.LittleEndian.Uint64(seed[8:16]) + 2),
-		s2: splitmix64(binary.LittleEndian.Uint64(seed[16:24]) + 3),
-		s3: splitmix64(binary.LittleEndian.Uint64(seed[24:32]) + 4),
-	}
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
-func (g *seedRNG) next() uint64 {
-	res := rotl(g.s1*5, 7) * 9
-	t := g.s1 << 17
-	g.s2 ^= g.s0
-	g.s3 ^= g.s1
-	g.s1 ^= g.s2
-	g.s0 ^= g.s3
-	g.s2 ^= t
-	g.s3 = rotl(g.s3, 45)
-	return res
-}
 
 // UniformFromSeed expands seed into a fresh polynomial over basis b
 // with independent uniform residues in each tower (coefficient-domain
@@ -82,13 +61,37 @@ func (r *Ring) UniformFromSeed(b Basis, seed Seed) *Poly {
 // basis: every residue is overwritten, so p may hold anything (a
 // recycled polynomial), and the stream is the one UniformFromSeed
 // draws for that basis and seed.
+//
+// The generator is xoshiro256** with its four state words in locals
+// across the whole polynomial, and each word x is reduced without a
+// divide: with inv = ⌊2^64/q⌋ the estimate ⌊x·inv/2^64⌋ is the true
+// quotient or one less, so x − estimate·q lies in [0, 2q) and one
+// conditional subtraction leaves x mod q, the canonical residue.
 func (r *Ring) UniformFromSeedInto(p *Poly, seed Seed) {
-	g := newSeedRNG(seed)
+	s0 := splitmix64(binary.LittleEndian.Uint64(seed[0:8]) + 1)
+	s1 := splitmix64(binary.LittleEndian.Uint64(seed[8:16]) + 2)
+	s2 := splitmix64(binary.LittleEndian.Uint64(seed[16:24]) + 3)
+	s3 := splitmix64(binary.LittleEndian.Uint64(seed[24:32]) + 4)
 	for i, t := range p.Basis {
 		q := r.Mods[t].Q
+		inv, _ := bits.Div64(1, 0, q)
 		row := p.Coeffs[i]
 		for j := range row {
-			row[j] = g.next() % q
+			x := rotl(s1*5, 7) * 9
+			u := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= u
+			s3 = rotl(s3, 45)
+
+			est, _ := bits.Mul64(x, inv)
+			x -= est * q
+			if x >= q {
+				x -= q
+			}
+			row[j] = x
 		}
 	}
 	p.IsNTT = false

@@ -1,6 +1,52 @@
 package ring
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
+
+// refExpand is the expansion as first written — xoshiro256** behind a
+// struct, one hardware divide per residue — kept as the reference the
+// divide-free loop must match word for word.
+func refExpand(r *Ring, b Basis, seed Seed) *Poly {
+	var s [4]uint64
+	for i := range s {
+		s[i] = splitmix64(binary.LittleEndian.Uint64(seed[8*i:]) + uint64(i) + 1)
+	}
+	p := r.NewPoly(b)
+	for i, t := range b {
+		q := r.Mods[t].Q
+		for j := range p.Coeffs[i] {
+			x := rotl(s[1]*5, 7) * 9
+			u := s[1] << 17
+			s[2] ^= s[0]
+			s[3] ^= s[1]
+			s[1] ^= s[2]
+			s[0] ^= s[3]
+			s[2] ^= u
+			s[3] = rotl(s[3], 45)
+			p.Coeffs[i][j] = x % q
+		}
+	}
+	return p
+}
+
+func TestUniformFromSeedMatchesDivision(t *testing.T) {
+	// 30/31-bit, 40/41-bit and 60/61-bit moduli: the quotient estimate
+	// is exact or one short at every width the library supports.
+	for _, bitsQP := range [][2]int{{30, 31}, {40, 41}, {60, 61}} {
+		r, err := NewRingGenerated(256, 3, bitsQP[0], 2, bitsQP[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []Seed{{}, {1}, NewSampler(r, 5).NewSeed()} {
+			b := r.DBasis(2)
+			if !r.UniformFromSeed(b, seed).Equal(refExpand(r, b, seed)) {
+				t.Fatalf("%d-bit ring, seed %x: stream differs from x %% q", bitsQP[0], seed[:4])
+			}
+		}
+	}
+}
 
 func TestUniformFromSeedDeterministic(t *testing.T) {
 	r := testRing(t)

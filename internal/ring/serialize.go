@@ -1,42 +1,197 @@
 package ring
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Binary serialization for polynomials: a fixed little-endian header
-// (magic, domain flag, tower count, degree) followed by the basis
-// indices and the residue rows. Ciphertexts and evaluation keys are
-// (de)serialized by composing WritePoly/ReadPoly.
+// (magic, domain flag, tower count, degree — four u32) followed by the
+// basis indices (u32 each) and the residue rows (u64 each).
+// Ciphertexts, evaluation keys and the cluster's group/result frames
+// are (de)serialized by composing these functions.
+//
+// The codec is direct loops over a byte slice: putRow and getRow are
+// the only places a residue row is encoded or decoded, and getRow
+// range-checks every residue as it decodes it, so a residue moves
+// once each way. AppendPoly/DecodePoly work on a caller's byte slice
+// (an exactly pre-sized frame buffer, a received payload);
+// WritePoly/ReadPoly are the same loops over a stream, one row at a
+// time through a row-sized scratch the ring recycles.
 
-const polyMagic = uint32(0x43464c57) // "CFLW"
+const (
+	polyMagic      = uint32(0x43464c57) // "CFLW"
+	polyHeaderSize = 16
+)
 
-// WritePoly serializes p.
-func (r *Ring) WritePoly(w io.Writer, p *Poly) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{polyMagic, 0, uint32(len(p.Basis)), uint32(r.N)}
-	if p.IsNTT {
-		hdr[1] = 1
+// PolyWireSize is the exact number of bytes AppendPoly and WritePoly
+// produce for p.
+func (r *Ring) PolyWireSize(p *Poly) int {
+	return polyHeaderSize + len(p.Basis)*(4+8*r.N)
+}
+
+// putRow encodes row into dst[:8*len(row)].
+func putRow(dst []byte, row []uint64) {
+	dst = dst[:8*len(row)]
+	for j, v := range row {
+		binary.LittleEndian.PutUint64(dst[8*j:], v)
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+}
+
+// getRow decodes len(row) residues from src, each checked against q.
+func getRow(row []uint64, src []byte, q uint64) error {
+	src = src[:8*len(row)]
+	for j := range row {
+		v := binary.LittleEndian.Uint64(src[8*j:])
+		if v >= q {
+			return fmt.Errorf("ring: residue %d exceeds modulus %d", v, q)
 		}
+		row[j] = v
 	}
-	for _, t := range p.Basis {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(t)); err != nil {
-			return err
-		}
+	return nil
+}
+
+// appendPolyHeader appends p's header and basis indices, refusing a
+// polynomial whose shape the format cannot carry.
+func (r *Ring) appendPolyHeader(dst []byte, p *Poly) ([]byte, error) {
+	if len(p.Coeffs) != len(p.Basis) {
+		return nil, fmt.Errorf("ring: poly has %d rows for %d towers", len(p.Coeffs), len(p.Basis))
 	}
 	for _, row := range p.Coeffs {
-		if err := binary.Write(bw, binary.LittleEndian, row); err != nil {
+		if len(row) != r.N {
+			return nil, fmt.Errorf("ring: poly row of %d residues does not match ring N=%d", len(row), r.N)
+		}
+	}
+	var flag uint32
+	if p.IsNTT {
+		flag = 1
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, polyMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, flag)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Basis)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.N))
+	for _, t := range p.Basis {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(t))
+	}
+	return dst, nil
+}
+
+// AppendPoly appends p's serialization — PolyWireSize(p) bytes — to
+// dst and returns the extended slice. With that capacity available it
+// allocates nothing.
+func (r *Ring) AppendPoly(dst []byte, p *Poly) ([]byte, error) {
+	dst, err := r.appendPolyHeader(dst, p)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range p.Coeffs {
+		n := len(dst)
+		dst = slices.Grow(dst, 8*len(row))[:n+8*len(row)]
+		putRow(dst[n:], row)
+	}
+	return dst, nil
+}
+
+// wireScratch returns a recycled buffer that holds one residue row or
+// one full-basis header, whichever is larger.
+func (r *Ring) wireScratch() *[]byte {
+	if b, _ := r.scratch.Get().(*[]byte); b != nil {
+		return b
+	}
+	b := make([]byte, max(8*r.N, polyHeaderSize+4*len(r.Moduli)))
+	return &b
+}
+
+// WritePoly serializes p to w: the header and basis in one write, then
+// one write per residue row.
+func (r *Ring) WritePoly(w io.Writer, p *Poly) error {
+	sp := r.wireScratch()
+	defer r.scratch.Put(sp)
+	hdr, err := r.appendPolyHeader((*sp)[:0], p)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	buf := (*sp)[:8*r.N]
+	for _, row := range p.Coeffs {
+		putRow(buf, row)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// parsePolyHeader validates the fixed header against this ring and
+// returns the domain flag and the tower count, the latter capped by
+// the ring's moduli before anything is sized by it.
+func (r *Ring) parsePolyHeader(hdr []byte) (isNTT bool, towers int, err error) {
+	if m := binary.LittleEndian.Uint32(hdr[0:]); m != polyMagic {
+		return false, 0, fmt.Errorf("ring: bad magic %#x", m)
+	}
+	flag := binary.LittleEndian.Uint32(hdr[4:])
+	if flag > 1 {
+		return false, 0, fmt.Errorf("ring: bad domain flag %d", flag)
+	}
+	if n := binary.LittleEndian.Uint32(hdr[12:]); n != uint32(r.N) {
+		return false, 0, fmt.Errorf("ring: poly degree %d does not match ring N=%d", n, r.N)
+	}
+	nt := binary.LittleEndian.Uint32(hdr[8:])
+	if nt == 0 || nt > uint32(len(r.Moduli)) {
+		return false, 0, fmt.Errorf("ring: tower count %d out of range", nt)
+	}
+	return flag == 1, int(nt), nil
+}
+
+// parseBasis decodes and range-checks towers basis indices from src.
+func (r *Ring) parseBasis(src []byte, towers int) (Basis, error) {
+	basis := make(Basis, towers)
+	for i := range basis {
+		t := binary.LittleEndian.Uint32(src[4*i:])
+		if t >= uint32(len(r.Moduli)) {
+			return nil, fmt.Errorf("ring: tower index %d out of range", t)
+		}
+		basis[i] = int(t)
+	}
+	return basis, nil
+}
+
+// DecodePoly decodes one polynomial from the front of b into a fresh
+// polynomial the caller owns — nothing aliases b afterwards — and
+// returns the bytes that follow it. The header, every basis index and
+// every residue are validated against this ring, and a b too short for
+// the polynomial its header declares is refused before the polynomial
+// is allocated.
+func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
+	if len(b) < polyHeaderSize {
+		return nil, nil, fmt.Errorf("ring: short poly header: %w", io.ErrUnexpectedEOF)
+	}
+	isNTT, nt, err := r.parsePolyHeader(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	b = b[polyHeaderSize:]
+	if len(b) < nt*(4+8*r.N) {
+		return nil, nil, fmt.Errorf("ring: short poly body: %w", io.ErrUnexpectedEOF)
+	}
+	basis, err := r.parseBasis(b, nt)
+	if err != nil {
+		return nil, nil, err
+	}
+	b = b[4*nt:]
+	p := r.NewPoly(basis)
+	p.IsNTT = isNTT
+	for i, t := range basis {
+		if err := getRow(p.Coeffs[i], b, r.Mods[t].Q); err != nil {
+			return nil, nil, err
+		}
+		b = b[8*r.N:]
+	}
+	return p, b, nil
 }
 
 // ReadPoly deserializes a polynomial written by WritePoly, validating
@@ -44,45 +199,33 @@ func (r *Ring) WritePoly(w io.Writer, p *Poly) error {
 // It reads exactly one polynomial's bytes, so several objects can
 // share one stream (no read-ahead buffering).
 func (r *Ring) ReadPoly(rd io.Reader) (*Poly, error) {
-	br := rd
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("ring: short poly header: %w", err)
-		}
+	sp := r.wireScratch()
+	defer r.scratch.Put(sp)
+	hdr := (*sp)[:polyHeaderSize]
+	if _, err := io.ReadFull(rd, hdr); err != nil {
+		return nil, fmt.Errorf("ring: short poly header: %w", err)
 	}
-	if hdr[0] != polyMagic {
-		return nil, fmt.Errorf("ring: bad magic %#x", hdr[0])
+	isNTT, nt, err := r.parsePolyHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	if hdr[3] != uint32(r.N) {
-		return nil, fmt.Errorf("ring: poly degree %d does not match ring N=%d", hdr[3], r.N)
+	idx := (*sp)[:4*nt]
+	if _, err := io.ReadFull(rd, idx); err != nil {
+		return nil, fmt.Errorf("ring: short poly basis: %w", err)
 	}
-	nt := int(hdr[2])
-	if nt == 0 || nt > len(r.Moduli) {
-		return nil, fmt.Errorf("ring: tower count %d out of range", nt)
-	}
-	basis := make(Basis, nt)
-	for i := range basis {
-		var t uint32
-		if err := binary.Read(br, binary.LittleEndian, &t); err != nil {
-			return nil, err
-		}
-		if int(t) >= len(r.Moduli) {
-			return nil, fmt.Errorf("ring: tower index %d out of range", t)
-		}
-		basis[i] = int(t)
+	basis, err := r.parseBasis(idx, nt)
+	if err != nil {
+		return nil, err
 	}
 	p := r.NewPoly(basis)
-	p.IsNTT = hdr[1] == 1
+	p.IsNTT = isNTT
+	buf := (*sp)[:8*r.N]
 	for i, t := range basis {
-		if err := binary.Read(br, binary.LittleEndian, p.Coeffs[i]); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(rd, buf); err != nil {
+			return nil, fmt.Errorf("ring: short poly row: %w", err)
 		}
-		q := r.Mods[t].Q
-		for _, v := range p.Coeffs[i] {
-			if v >= q {
-				return nil, fmt.Errorf("ring: residue %d exceeds modulus %d", v, q)
-			}
+		if err := getRow(p.Coeffs[i], buf, r.Mods[t].Q); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil

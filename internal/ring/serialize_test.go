@@ -2,7 +2,12 @@ package ring
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -111,4 +116,224 @@ func TestReadPolyTruncationRobust(t *testing.T) {
 		!strings.Contains(err.Error(), "tower count") {
 		t.Errorf("oversized tower count: got %v", err)
 	}
+}
+
+// readPins loads a "name sha256-hex" table from testdata.
+func readPins(t *testing.T, path string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, digest, ok := strings.Cut(line, " "); ok {
+			pins[name] = digest
+		}
+	}
+	return pins
+}
+
+// TestPolyWireFormatPinned pins WritePoly's bytes to digests recorded
+// with the reflection-based encoder this codec replaced: the format is
+// that encoder's, byte for byte, and AppendPoly writes the same bytes.
+func TestPolyWireFormatPinned(t *testing.T) {
+	r := quickRing(t)
+	pins := readPins(t, "testdata/poly_wire.golden")
+	cases := []struct {
+		name  string
+		basis Basis
+		seed  int64
+		ntt   bool
+	}{
+		{"q2_coeff", r.QBasis(2), 11, false},
+		{"d1_ntt", r.DBasis(1), 12, true},
+		{"p_ntt", r.PBasis(), 13, true},
+	}
+	for _, tc := range cases {
+		p := randPoly(r, tc.basis, tc.seed)
+		p.IsNTT = tc.ntt
+		var buf bytes.Buffer
+		if err := r.WritePoly(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pins[tc.name] {
+			t.Errorf("%s: WritePoly digest %s, pinned %q", tc.name, got, pins[tc.name])
+		}
+	}
+}
+
+// AppendPoly writes WritePoly's bytes, exactly PolyWireSize of them,
+// and into a buffer of that capacity it allocates nothing.
+func TestAppendPolyMatchesWritePoly(t *testing.T) {
+	r := quickRing(t)
+	for _, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(2)} {
+		p := randPoly(r, basis, 17)
+		p.IsNTT = len(basis)%2 == 0
+		var want bytes.Buffer
+		if err := r.WritePoly(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix")
+		got, err := r.AppendPoly(append([]byte(nil), prefix...), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("basis %v: AppendPoly and WritePoly disagree", basis)
+		}
+		if size := r.PolyWireSize(p); size != want.Len() {
+			t.Fatalf("basis %v: PolyWireSize %d, wrote %d", basis, size, want.Len())
+		}
+		buf := make([]byte, 0, r.PolyWireSize(p))
+		if n := testing.AllocsPerRun(10, func() { _, _ = r.AppendPoly(buf, p) }); n != 0 {
+			t.Errorf("basis %v: AppendPoly into a sized buffer allocates %v times", basis, n)
+		}
+		back, rest, err := r.DecodePoly(append(got[len(prefix):], 0xEE))
+		if err != nil || !back.Equal(p) || len(rest) != 1 || rest[0] != 0xEE {
+			t.Fatalf("basis %v: DecodePoly round trip: err %v, rest %v", basis, err, rest)
+		}
+	}
+}
+
+// A polynomial whose shape the header cannot describe is refused by
+// both encoders rather than written as a stream no reader accepts.
+func TestEncodeRejectsMalformedPoly(t *testing.T) {
+	r := quickRing(t)
+	short := randPoly(r, r.QBasis(1), 3)
+	short.Coeffs[1] = short.Coeffs[1][:r.N-1]
+	extra := randPoly(r, r.QBasis(1), 3)
+	extra.Coeffs = append(extra.Coeffs, make([]uint64, r.N))
+	for name, p := range map[string]*Poly{"short row": short, "extra row": extra} {
+		if _, err := r.AppendPoly(nil, p); err == nil {
+			t.Errorf("%s: AppendPoly accepted it", name)
+		}
+		if err := r.WritePoly(&bytes.Buffer{}, p); err == nil {
+			t.Errorf("%s: WritePoly accepted it", name)
+		}
+	}
+}
+
+// A header that declares more towers than the bytes behind it carry is
+// refused by DecodePoly before the polynomial is allocated; ReadPoly,
+// which cannot see the end of its stream, spends at most the one
+// polynomial the (capped) tower count describes.
+func TestLyingPolyHeaderAllocationBounded(t *testing.T) {
+	r := quickRing(t)
+	good, err := r.AppendPoly(nil, randPoly(r, r.QBasis(0), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := append([]byte(nil), good...)
+	lying[8] = byte(len(r.Moduli)) // one tower's bytes, a full basis declared
+	if n := testing.AllocsPerRun(10, func() {
+		if _, _, err := r.DecodePoly(lying); err == nil {
+			t.Fatal("short body accepted")
+		}
+	}); n > 2 { // the error value
+		t.Errorf("DecodePoly allocated %v times refusing a short body", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := r.ReadPoly(bytes.NewReader(lying)); err == nil {
+		t.Fatal("short stream accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got, full := after.TotalAlloc-before.TotalAlloc, uint64(len(r.Moduli)*r.N*8); got > 2*full {
+		t.Errorf("ReadPoly allocated %d bytes on a lying header, a full-basis polynomial is %d", got, full)
+	}
+}
+
+// decodeBoth runs the slice and the stream decoder over one input and
+// fails unless they agree: both reject, or both accept the same
+// polynomial with the stream decoder having consumed exactly the bytes
+// the slice decoder did.
+func decodeBoth(t *testing.T, r *Ring, data []byte) (*Poly, []byte) {
+	t.Helper()
+	p, rest, err := r.DecodePoly(data)
+	rd := bytes.NewReader(data)
+	q, rerr := r.ReadPoly(rd)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("DecodePoly err %v, ReadPoly err %v", err, rerr)
+	}
+	if err != nil {
+		return nil, nil
+	}
+	if !p.Equal(q) || rd.Len() != len(rest) {
+		t.Fatalf("decoders disagree: %d vs %d bytes left", len(rest), rd.Len())
+	}
+	return p, rest
+}
+
+// FuzzDecodePoly feeds DecodePoly and ReadPoly arbitrary bytes. Neither
+// may panic; they must agree; whatever they accept re-encodes to the
+// bytes it was decoded from (the format has one encoding per
+// polynomial); and a rejected input costs at most one polynomial over
+// the ring's full basis — the tower count is capped before it sizes
+// anything.
+func FuzzDecodePoly(f *testing.F) {
+	r, err := NewRingGenerated(32, 3, 30, 2, 31)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(2)} {
+		p := randPoly(r, basis, int64(i))
+		p.IsNTT = i%2 == 0
+		good, err := r.AppendPoly(nil, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good)
+		f.Add(good[:len(good)/2])
+		f.Add(append(append([]byte(nil), good...), good...))
+		lying := append([]byte(nil), good...)
+		lying[8], lying[9] = 0xff, 0xff
+		f.Add(lying)
+	}
+	f.Add([]byte("not a poly"))
+	full := r.PolyWireSize(&Poly{Basis: make(Basis, len(r.Moduli))})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, rest := decodeBoth(t, r, data)
+		if p == nil {
+			return
+		}
+		consumed := data[:len(data)-len(rest)]
+		if len(consumed) > full {
+			t.Fatalf("accepted a %d-byte polynomial, the full basis is %d", len(consumed), full)
+		}
+		again, err := r.AppendPoly(nil, p)
+		if err != nil || !bytes.Equal(again, consumed) {
+			t.Fatalf("re-encoding differs from the accepted bytes (err %v)", err)
+		}
+	})
+}
+
+// The serializer's row scratch recycles through the ring, so
+// concurrent writers and readers on one ring must never see each
+// other's rows: every stream round-trips exactly. Meaningful under
+// -race.
+func TestConcurrentSerializeSharesScratch(t *testing.T) {
+	r := quickRing(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := randPoly(r, r.DBasis(g%3), int64(100*g+i))
+				var buf bytes.Buffer
+				if err := r.WritePoly(&buf, p); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := r.ReadPoly(&buf)
+				if err != nil || !got.Equal(p) {
+					t.Errorf("goroutine %d poly %d: round trip failed (err %v)", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -57,10 +57,14 @@ type KeyID struct {
 // source chooses the residency form it hands the cache: compressed
 // material is cached at its compressed footprint and expanded only at
 // replay time. Implementations must be safe for concurrent use and
-// should memoize (like ckks.KeyChain), so re-loading an evicted key
-// returns identical material and served results stay bit-exact across
-// evictions. SeedKeySource and KeyChains adapt ckks key chains; tests
-// inject counting sources via KeyMaterialFunc.
+// should memoize in the form they hand out (ckks.KeyChain keeps a key
+// asked for compressed as B-halves and seeds only), so re-loading an
+// evicted key returns identical material, served results stay
+// bit-exact across evictions, and what sits behind the cache is no
+// larger per key than what sits in it. The budget bounds what the
+// service pins; the source is its backing store. SeedKeySource and
+// KeyChains adapt ckks key chains; tests inject counting sources via
+// KeyMaterialFunc.
 type KeySource interface {
 	Key(id KeyID) (hks.KeyMaterial, error)
 }

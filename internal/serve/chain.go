@@ -19,9 +19,11 @@ import (
 // ckks.Context (one ring), because the service routes every tenant
 // through one per-level switcher pool.
 //
-// KeyChain memoizes generated keys, so re-loading an evicted KeyID
-// returns the identical key material: served results stay bit-exact
-// across evictions.
+// KeyChain memoizes the keys it generates — here dense, the form
+// HoistKey is asked for — so re-loading an evicted KeyID returns the
+// identical key material: served results stay bit-exact across
+// evictions. The cache budget therefore bounds what the service pins,
+// not what the chains behind it hold.
 type KeyChains map[string]*ckks.KeyChain
 
 // Key implements KeySource. Unknown tenants fail the one request. The
@@ -71,8 +73,11 @@ func TenantSeed(tenant string) int64 {
 // (`ciflow serve`) and the cluster shards construct key material, so
 // the two deployments agree on every bit by construction.
 //
-// Safe for concurrent use; chains are memoized, so re-loading an
-// evicted key returns identical material.
+// Safe for concurrent use. Chains are memoized and a chain memoizes
+// each key in the form this source asks for — compressed keys as
+// B-halves and seeds only (ckks.KeyChain.HoistKeyCompressed), dense
+// keys dense — so re-loading an evicted key returns identical material
+// and a compressing source keeps no A-half resident anywhere.
 type SeedKeySource struct {
 	ctx      *ckks.Context
 	compress bool
@@ -121,22 +126,23 @@ func (src *SeedKeySource) Chain(tenant string) (*ckks.KeyChain, error) {
 }
 
 // Key implements KeySource: the tenant's hoisting-form rotation key,
-// compressed when the source was built with compression on. A key
-// that refuses to compress (no seeds) is handed back dense rather
-// than failing the request.
+// compressed when the source was built with compression on. On error
+// the material is the nil interface, never a typed nil pointer.
 func (src *SeedKeySource) Key(id KeyID) (hks.KeyMaterial, error) {
 	kc, err := src.Chain(id.Tenant)
 	if err != nil {
 		return nil, err
 	}
+	if src.compress {
+		c, err := kc.HoistKeyCompressed(id.Rot, id.Level)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
 	evk, err := kc.HoistKey(id.Rot, id.Level)
 	if err != nil {
 		return nil, err
-	}
-	if src.compress {
-		if c, ok := evk.Compress(); ok {
-			return c, nil
-		}
 	}
 	return evk, nil
 }

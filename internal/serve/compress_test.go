@@ -263,3 +263,87 @@ func TestSeedKeySourceUnified(t *testing.T) {
 		t.Fatal("compressed serve counted no expansions")
 	}
 }
+
+// A KeySource's error return must carry the nil interface: a typed nil
+// *hks.CompressedEvk inside a non-nil KeyMaterial would slip past every
+// `mat == nil` check downstream. Both forms, unknown tenant and
+// unservable level.
+func TestSeedKeySourceErrorsReturnNilInterface(t *testing.T) {
+	ctx, err := ckks.NewContext(32, 4, 30, 2, 31, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{true, false} {
+		src, err := NewSeedKeySource(ctx, []string{"alpha"}, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, id := range map[string]KeyID{
+			"unknown tenant":     {Tenant: "gamma", Rot: 1, Level: ctx.MaxLevel},
+			"level out of range": {Tenant: "alpha", Rot: 1, Level: ctx.MaxLevel + 1},
+		} {
+			mat, err := src.Key(id)
+			if err == nil {
+				t.Fatalf("compress=%v, %s: served a key", compress, what)
+			}
+			if mat != nil {
+				t.Fatalf("compress=%v, %s: error came with non-nil material %T", compress, what, mat)
+			}
+		}
+	}
+}
+
+// Results belong to whoever received them. The service draws them from
+// the ring's pool and must never hand one back: a caller that holds 64
+// results while 64 more requests run finds each of them exactly as
+// delivered, and no two results sharing a polynomial.
+func TestHeldResultsSurviveLaterRequests(t *testing.T) {
+	const K = 4
+	b := newTestBench(t, K)
+	e := engine.New(2)
+	defer e.Close()
+	svc, err := New(b.pool, b.compressedSource(t), b.config(Config{Engine: e}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	type held struct {
+		res    Result
+		c0, c1 *ring.Poly // copies taken at delivery
+	}
+	round := func(n int) []held {
+		var out []held
+		for len(out) < n {
+			chans, err := svc.SubmitGroup(context.Background(), groupOf(b.input(), "", 0, 1, 2, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range chans {
+				res := <-ch
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				out = append(out, held{res, res.C0.Copy(), res.C1.Copy()})
+			}
+			lone := svc.Do(context.Background(), Request{Input: b.input(), Rot: 1})
+			if lone.Err != nil {
+				t.Fatal(lone.Err)
+			}
+			out = append(out, held{lone, lone.C0.Copy(), lone.C1.Copy()})
+		}
+		return out
+	}
+	first := round(64)
+	round(64)
+	seen := map[*ring.Poly]bool{}
+	for i, h := range first {
+		if !h.res.C0.Equal(h.c0) || !h.res.C1.Equal(h.c1) {
+			t.Fatalf("held result %d was mutated by a later request", i)
+		}
+		if seen[h.res.C0] || seen[h.res.C1] || h.res.C0 == h.res.C1 {
+			t.Fatalf("held result %d shares a polynomial with another result", i)
+		}
+		seen[h.res.C0], seen[h.res.C1] = true, true
+	}
+}

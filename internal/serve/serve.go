@@ -132,7 +132,12 @@ type Request struct {
 
 // Result is the switched pair (c0, c1) over B_Level, or the error that
 // prevented serving the request (key-load failure or a context
-// cancelled while the request was still queued).
+// cancelled while the request was still queued). The pair is the
+// receiver's, for good: the service draws it from the ring's pool
+// (ring.GetPoly; the replay overwrites every row) and never touches it
+// again. A receiver that is done with a pair and is its only holder —
+// the cluster shard, once the result frame is written — may hand it
+// back with ring.PutPoly; one that keeps its results just keeps them.
 type Result struct {
 	C0, C1 *ring.Poly
 	Err    error
@@ -648,8 +653,8 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 		}
 		w.stats.modUps.Add(1)
 		s.stats.modUps.Add(1)
-		c0 := sw.R.NewPoly(sw.QBasis())
-		c1 := sw.R.NewPoly(sw.QBasis())
+		c0 := sw.R.GetPoly(sw.QBasis())
+		c1 := sw.R.GetPoly(sw.QBasis())
 		if st := s.startExpand(w, sw, mat); st != nil {
 			// Compressed key: the seed expansion runs while HoistParallel
 			// executes Decompose+ModUp, and the replay binds the expanded
@@ -723,8 +728,8 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	defer h.Release()
 	for i, m := range members {
 		expand(i + 1)
-		c0 := sw.R.NewPoly(sw.QBasis())
-		c1 := sw.R.NewPoly(sw.QBasis())
+		c0 := sw.R.GetPoly(sw.QBasis())
+		c1 := sw.R.GetPoly(sw.QBasis())
 		t1 := time.Now()
 		// The member has been in the group since start; what of that is
 		// booked to no phase on its behalf is the wait: the other
