@@ -8,13 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"ciflow/internal/ckks"
+	"ciflow/internal/cluster"
+	"ciflow/internal/dataflow"
+	"ciflow/internal/serve"
 	"ciflow/internal/workload"
 )
 
 // TestMain lets the test binary stand in for the ciflow executable
-// when the cluster experiment re-execs itself as shard backends:
-// `clusterRun` spawns os.Executable() with "shard" as the first
-// argument, which in a test process is this binary.
+// when the replay driver re-execs itself as shard backends: `serveRun`
+// spawns os.Executable() with "shard" as the first argument, which in
+// a test process is this binary.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "shard" {
 		if err := run(os.Args[1:]); err != nil {
@@ -28,8 +32,8 @@ func TestMain(m *testing.M) {
 
 // tinyClusterConfig is the smallest real fabric: 2 shard processes,
 // 2 tenants, the radix-16 bootstrap schedule on a 32-degree ring.
-func tinyClusterConfig() clusterConfig {
-	return clusterConfig{
+func tinyClusterConfig() serveConfig {
+	return serveConfig{
 		shards: 2, tenants: 2, replicas: 1,
 		workload: "bootstrap", bts: 2, radix: 16,
 		dfName: "mp", logN: 5, towers: 4, dnum: 2, workers: 2,
@@ -38,83 +42,91 @@ func tinyClusterConfig() clusterConfig {
 }
 
 func TestClusterExperiment(t *testing.T) {
-	rep, err := clusterRun(tinyClusterConfig())
+	rep, err := serveRun(tinyClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clusterCheck(rep); err != nil {
-		t.Fatal(err)
-	}
+	exactBooks(t, rep)
 	if rep.Drained != -1 {
 		t.Fatalf("drained shard %d without -kill", rep.Drained)
 	}
-	total := uint64(rep.Tenants) * uint64(rep.Predicted.Switches)
-	if rep.Served != total || rep.Delivered != total {
-		t.Fatalf("served %d, delivered %d, want %d each", rep.Served, rep.Delivered, total)
+	if total := uint64(rep.Tenants) * uint64(rep.Predicted.Switches); rep.Delivered != total || rep.CompletedSum != total {
+		t.Fatalf("delivered %d, attributed %d, want %d each", rep.Delivered, rep.CompletedSum, total)
 	}
 	if len(rep.PerShard) != 2 {
 		t.Fatalf("per-shard rows %d, want 2", len(rep.PerShard))
 	}
 	for _, s := range rep.PerShard {
-		if s.State != "live" {
+		if s.State != cluster.ShardLive {
 			t.Fatalf("shard %d state %q, want live", s.Shard, s.State)
 		}
 	}
 }
 
+// TestClusterExperimentKill is the whole sharded surface through the
+// CLI dispatch: three shard subprocesses, two replicated tenants, one
+// shard drained mid-replay, shards profiling themselves. The check
+// must pass across the handoff, exactly one shard must end drained,
+// and every shard's stats frame — the drained final included — must
+// have carried its profile to the router.
 func TestClusterExperimentKill(t *testing.T) {
-	cfg := tinyClusterConfig()
-	cfg.shards, cfg.kill = 3, true
-	rep, err := clusterRun(cfg)
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "kill.json")
+	args := []string{"serve", "-workload", "bootstrap", "-radix", "16", "-dataflow", "mp",
+		"-logn", "5", "-towers", "4", "-dnum", "2", "-workers", "2", "-window", "1ms",
+		"-shards", "3", "-tenants", "2", "-replicas", "2", "-kill", "-profile",
+		"-check", "-json", path}
+	if err := run(args); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
 	}
-	if err := clusterCheck(rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, path)
 	if rep.Drained < 0 {
 		t.Fatal("no shard drained despite -kill")
 	}
+	if len(rep.PerShard) != 3 {
+		t.Fatalf("per-shard rows %d, want 3", len(rep.PerShard))
+	}
 	for _, s := range rep.PerShard {
-		want := "live"
+		want := cluster.ShardLive
 		if s.Shard == rep.Drained {
-			want = "drained"
+			want = cluster.ShardDrained
 		}
 		if s.State != want {
-			t.Fatalf("shard %d state %q, want %q", s.Shard, s.State, want)
+			t.Errorf("shard %d state %q, want %q", s.Shard, s.State, want)
 		}
+		if s.Stats.Profile == nil {
+			t.Errorf("shard %d (%s): stats frame carried no profile", s.Shard, s.State)
+		}
+	}
+	if len(rep.StageShares) == 0 {
+		t.Error("no merged stage shares in a -profile run")
 	}
 }
 
 func TestClusterCmdJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cluster.json")
-	if err := clusterCmd(tinyClusterConfig(), path, true); err != nil {
+	if err := serveCmd(tinyClusterConfig(), path, true); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readClusterReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != 2 || rep.Tenants != 2 || !rep.ShardSumExact || !rep.BitExact {
+	rep := readReport(t, path)
+	if rep.Shards != 2 || rep.Tenants != 2 || !rep.BooksExact || !rep.BitExact {
 		t.Fatalf("report from disk: %+v", rep)
 	}
 }
 
 func TestClusterConfigErrors(t *testing.T) {
-	for name, mut := range map[string]func(*clusterConfig){
-		"zero shards":   func(c *clusterConfig) { c.shards = 0 },
-		"zero tenants":  func(c *clusterConfig) { c.tenants = 0 },
-		"kill solo":     func(c *clusterConfig) { c.shards, c.kill = 1, true },
-		"fanout":        func(c *clusterConfig) { c.workload = "fanout" },
-		"bad workload":  func(c *clusterConfig) { c.workload = "nope" },
-		"bad logn":      func(c *clusterConfig) { c.logN = 2 },
-		"dnum > towers": func(c *clusterConfig) { c.dnum = 99 },
-		"bad bts":       func(c *clusterConfig) { c.bts = 9 },
+	for name, mut := range map[string]func(*serveConfig){
+		"zero tenants":  func(c *serveConfig) { c.tenants = 0 },
+		"kill solo":     func(c *serveConfig) { c.shards, c.kill = 1, true },
+		"traced":        func(c *serveConfig) { c.tracePath = filepath.Join(t.TempDir(), "trace.json") },
+		"bad workload":  func(c *serveConfig) { c.workload = "nope" },
+		"bad logn":      func(c *serveConfig) { c.logN = 2 },
+		"dnum > towers": func(c *serveConfig) { c.dnum = 99 },
+		"bad bts":       func(c *serveConfig) { c.bts = 9 },
 	} {
 		cfg := tinyClusterConfig()
 		mut(&cfg)
-		if _, err := clusterRun(cfg); err == nil {
-			t.Errorf("%s: clusterRun accepted %+v", name, cfg)
+		if _, err := serveRun(cfg); err == nil {
+			t.Errorf("%s: serveRun accepted %+v", name, cfg)
 		}
 	}
 	if err := routerCmd(routerConfig{logN: 5, towers: 4, dnum: 2}); err == nil ||
@@ -126,94 +138,63 @@ func TestClusterConfigErrors(t *testing.T) {
 	}
 }
 
-// goodClusterReport is a self-consistent report that passes
-// clusterCheck: 2 tenants x the 13-switch radix-16 bootstrap.
-func goodClusterReport() clusterReport {
-	return clusterReport{
-		N: 32, Towers: 4, Dnum: 2, Workers: 2,
-		Shards: 2, Tenants: 2, Replicas: 1, Drained: -1,
-		Workload: "bootstrap", Radix: 16, Schedule: "bootstrap-r16",
-		Predicted: workload.Counts{
-			Switches: 13, ModUps: 9, Coalesced: 6, HoistGroups: 2,
-		},
-		OpsPerSec: 100,
-		Served:    26, ModUps: 18, Groups: 18, Coalesced: 12,
-		Delivered: 26, CompletedSum: 26,
-		ShardSumExact: true, CountsExact: true, BitExact: true,
-		HoistCoalescingFactor: 13.0 / 9,
-	}
-}
-
-func TestPerfgateCluster(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep clusterReport) string {
-		path := filepath.Join(dir, name)
-		if err := writeJSONReport(path, rep); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	basePath := write("base.json", goodClusterReport())
-
-	if err := perfgatePaths("x", "x", 2, "", "", "", "", basePath, ""); err == nil {
-		t.Fatal("-cluster-baseline without -cluster-fresh accepted")
-	}
-
-	// The cluster gate composes with the main throughput gate, so
-	// feed that one a trivially passing pair.
-	tBase := filepath.Join(dir, "tbase.json")
-	writeReport(t, tBase, &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "MP", OpsPerSec: 100}},
-	})
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", basePath, basePath); err != nil {
-		t.Fatalf("identical cluster reports failed the gate: %v", err)
-	}
-
-	bad := map[string]func(*clusterReport){
-		"regression":   func(r *clusterReport) { r.OpsPerSec = 1 },
-		"sum drift":    func(r *clusterReport) { r.ShardSumExact = false },
-		"inexact":      func(r *clusterReport) { r.CountsExact = false },
-		"not bitexact": func(r *clusterReport) { r.BitExact = false },
-		"dep viol":     func(r *clusterReport) { r.DepViolations = 1 },
-		"lost result":  func(r *clusterReport) { r.Delivered = 25 },
-		"double count": func(r *clusterReport) { r.CompletedSum = 27 },
-		"no coalesce":  func(r *clusterReport) { r.HoistCoalescingFactor = 1 },
-		"fewer shards": func(r *clusterReport) { r.Shards = 1 },
-		"fewer tenants": func(r *clusterReport) {
-			r.Tenants = 1
-			r.Served, r.Delivered, r.CompletedSum = 13, 13, 13
-			r.ModUps, r.Groups, r.Coalesced = 9, 9, 6
-		},
-	}
-	for name, mut := range bad {
-		rep := goodClusterReport()
-		mut(&rep)
-		p := write(strings.ReplaceAll(name, " ", "_")+".json", rep)
-		if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", basePath, p); err == nil {
-			t.Errorf("%s: cluster gate passed", name)
-		}
-	}
-
-	// A baseline that drained a shard pins the -kill half of the gate.
-	drainedBase := goodClusterReport()
-	drainedBase.Drained = 1
-	dPath := write("drained_base.json", drainedBase)
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dPath, basePath); err == nil {
-		t.Error("fresh run without a drain passed against a drained baseline")
-	}
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dPath, dPath); err != nil {
-		t.Errorf("drained pair failed: %v", err)
-	}
-
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dir+"/missing.json", basePath); err == nil {
-		t.Error("missing cluster baseline accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
+// TestKillWatcherEndsWithReplays: a -kill run whose tenants the shards
+// refuse never reaches the quarter mark the drain waits for. The
+// watcher must end with the replays and the refusal must come back —
+// a watcher that only watches the delivery count waits forever.
+func TestKillWatcherEndsWithReplays(t *testing.T) {
+	cctx, err := ckks.NewContext(1<<5, 6, 40, 3, 41, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", empty, basePath); err == nil {
-		t.Error("empty cluster baseline accepted")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		p, err := spawnShard(exe, shardConfig{addr: "127.0.0.1:0", tenants: 1,
+			logN: 5, towers: 6, dnum: 2, workers: 1, maxBatch: 16, window: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.stop()
+		addrs = append(addrs, p.addr)
+	}
+	rt, err := cluster.NewRouter(cctx.R, addrs, cluster.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	// The shards serve t0 alone; these two are strangers to them.
+	names := []string{"t7", "t8"}
+	keys, err := serve.NewSeedKeySource(cctx, names, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chain: each replay ends at its first node's refusal, and a
+	// refusal is a delivered result — 2 of the 12 the quarter mark (3)
+	// is measured against.
+	sched, err := workload.EvalMod(cctx.MaxLevel+1, cctx.MaxLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []workload.Server{
+		&cluster.TenantView{Router: rt, Tenant: names[0]},
+		&cluster.TenantView{Router: rt, Tenant: names[1]},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := replayTenants(cctx, sched, keys, names, servers, dataflow.MP, rt, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "t7") {
+			t.Fatalf("refused replay returned %v, want the first tenant's refusal", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("replayTenants still waiting for a drain 20s after every replay was refused")
 	}
 }

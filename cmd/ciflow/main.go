@@ -24,33 +24,27 @@
 //	roofline       memory/compute-bound classification at 8/64/256 GB/s
 //	memory         data traffic vs on-chip memory size (§IV working sets)
 //	area           SRAM/area saving summary (§VI-B)
-//	throughput     measured HKS ops/sec, p50/p99 latency, and speedup
-//	               vs serial, executing each dataflow as a task graph
-//	               on the internal/engine worker pool (the measured
-//	               counterpart to Figure 4); -hoisted adds the shared-
-//	               ModUp rotation fan-out vs per-rotation switching,
-//	               reconciled against the HoistedOpsSaved model
-//	serve          load generator for the internal/serve multi-tenant
-//	               key-switch service: -clients goroutines, spread over
-//	               -tenants keyspaces and -levels ciphertext levels,
-//	               each issue -requests operations of -rotations
-//	               overlapping rotations (each client's operations form
-//	               a dependent chain: an operation's input derives from
-//	               the previous operation's output); the report shows
-//	               ops/sec, p50/p99, key cache hit rate, resident key
-//	               bytes vs the -keybudget, and coalescing factor,
-//	               globally and per tenant. With a non-fanout -workload
-//	               it instead replays a schedule DAG (internal/workload)
-//	               with the dependency-aware client: bootstrapping
+//	serve          replay a schedule DAG (internal/workload) through
+//	               the internal/serve multi-tenant key-switch service
+//	               with the dependency-aware client: -workload picks
+//	               the shape — independent fanout bursts (-requests
+//	               bursts of -rotations rotations), bootstrapping
 //	               CoeffToSlot/SlotToCoeff stages shaped by -bts/-radix,
 //	               a baby-step/giant-step matvec (-rotations babies,
 //	               -requests giants), a PIR fan-out (-requests batches
 //	               of -rotations probes), a private-inference matvec/
 //	               relin layer stack, an evalmod relin chain, or any
-//	               imported schedule (-workload file:PATH), cross-
-//	               validating measured serve counters — per level
-//	               included — against the schedule's predicted counts
-//	               exactly
+//	               imported schedule (file:PATH). -tenants keyspaces
+//	               replay it concurrently, each against the serial
+//	               bit-exactness reference, through one in-process
+//	               service (-shards 0) or through -shards spawned
+//	               shard processes behind the consistent-hashing
+//	               router (-replicas replicas per tenant; -kill drains
+//	               one shard mid-replay). The report cross-validates
+//	               the measured serve counters — per tenant, per level,
+//	               summed over every shard's books — against the
+//	               schedule's predicted counts exactly. Timing a layer
+//	               is `go run ./bench`'s job, not this verb's
 //	schedule       print a workload schedule DAG at the paper's
 //	               canonical BTS geometry (-workload, -bts, -radix):
 //	               shape, per-level switch counts, predicted ModUps
@@ -62,35 +56,12 @@
 //	shard          one cluster shard backend: a serve.Service behind
 //	               the internal/cluster wire protocol on -addr; prints
 //	               "listening <addr>" once bound, exits on stdin EOF
-//	               or a Shutdown frame (normally spawned by cluster,
-//	               not run by hand)
+//	               or a Shutdown frame (normally spawned by serve
+//	               -shards, not run by hand)
 //	router         probe running shards: dial the -shardaddrs list,
 //	               ping every shard, print the status table
-//	cluster        sharded serving experiment: spawn -shards shard
-//	               subprocesses, consistent-hash -tenants keyspaces
-//	               onto them (-replicas replicas per tenant), replay
-//	               every tenant's schedule DAG concurrently through
-//	               the router with the serial bit-exactness reference,
-//	               and verify the per-shard stats sum to tenants x the
-//	               schedule's predicted counts exactly — per level
-//	               included; with -kill, drain one shard mid-replay
-//	               and require the same sums across the handoff
-//	perfgate       CI performance-regression gate: compare fresh
-//	               throughput (and, with -serve-baseline/-serve-fresh,
-//	               serve; with -workload-baseline/-workload-fresh,
-//	               workload replay; with -scenario-baseline/
-//	               -scenario-fresh, an imported library-scenario
-//	               replay; with -cluster-baseline/
-//	               -cluster-fresh, sharded cluster) JSON reports
-//	               against committed baselines, fail on gross
-//	               (> -max-regression x) ops/sec drops or broken
-//	               invariants (cross-tenant coalescing, budget
-//	               overruns, starved tenants, schedule counters
-//	               drifting from predictions, dependency-order
-//	               violations, shard books not summing to the global
-//	               prediction, lost or double-counted router retries)
-//	all            everything above in paper order (except throughput,
-//	               serve, schedule, shard, router, cluster, perfgate)
+//	all            every table, figure and ablation above in paper
+//	               order
 //	help           the same experiment and flag summary on the CLI
 //
 // Flags:
@@ -99,44 +70,33 @@
 //	-mem MiB       on-chip data memory (default 32)
 //	-csv           emit CSV instead of the ASCII table (table2, table4,
 //	               fig4, fig5, fig6, memory)
-//	-dataflow D    dataflow: mp, dc, oc, ocf, or all (default)
-//	-workers N     engine worker count (default GOMAXPROCS)
-//	-requests B    throughput request count / serve operations per
-//	               client (default 16)
+//	-dataflow D    dataflow: mp, dc, oc, ocf, or all (default; a
+//	               replay runs one dataflow, so serve reads all as mp)
+//	-workers N     engine worker count per process (default GOMAXPROCS,
+//	               split over the shards)
+//	-requests B    schedule shape: fanout bursts, matvec giants, pir
+//	               batches (default 16)
 //	-logn L        ring degree 2^L (default 14)
 //	-towers L      Q-tower count (default 6)
-//	-dnum D        digit count (default 3)
-//	-hoisted       also measure hoisted key switching (shared ModUp)
+//	-dnum D        digit count (default 3; a bootstrap replay inherits
+//	               the -bts set's unless given)
 //	-rotations K   rotation fan-out width per ciphertext (default 8)
 //	-json FILE     also write the report as JSON
-//	-clients C     serve concurrent client goroutines (default 4)
-//	-rps R         serve per-client pacing in ops/sec (default 0 = unpaced)
-//	-rotpool P     serve distinct rotation amounts shared per keyspace
-//	               (default 0 = -rotations)
-//	-tenants T     serve tenant count — distinct keyspaces, clients
-//	               assigned round-robin (default 1)
-//	-levels L      serve distinct ciphertext levels, topmost first
-//	               (default 1)
-//	-keybudget B   serve global key-cache byte budget in bytes
+//	-tenants T     serve tenant count — distinct keyspaces t0..t{T-1},
+//	               each replaying the schedule (default 1)
+//	-keybudget B   serve key-cache byte budget per service, in bytes
 //	               (default 0 = the serve package default, 256 MiB)
-//	-keycomp       serve: cache seed-compressed evaluation keys (dense
-//	               b-halves plus one 32-byte seed per digit for the
-//	               a-halves), expanded at use beside the hoist phase —
-//	               the same working set fits roughly half the budget,
-//	               bit-exactly
 //	-batch B       serve micro-batch size cap (default 64)
 //	-window D      serve micro-batch gather window for separate
 //	               Submit calls (default 500µs); replayed hoist groups
 //	               never wait on it
-//	-check         serve: exit non-zero unless coalescing factor > 1,
-//	               global and per-tenant cache hit rates > 50%,
-//	               resident key bytes within budget, keyspaces
-//	               isolated, and results bit-exact; with a schedule
-//	               -workload: unless the replay is bit-exact with
-//	               serial execution, measured counters equal the
-//	               schedule's predictions exactly, dependency order
-//	               holds, and hoist groups (when the schedule has any)
-//	               coalesce (factor > 1)
+//	-check         serve: exit non-zero unless every tenant's replay is
+//	               bit-exact with serial execution, its counters equal
+//	               the schedule's predictions exactly, dependency
+//	               order holds, the books sum to tenants x the
+//	               prediction level by level, hoist groups (when the
+//	               schedule has any) coalesce (factor > 1), and — over
+//	               shards — delivered = attributed = tenants x switches
 //	-workload W    serve/schedule shape: fanout (default; independent
 //	               bursts), bootstrap (CoeffToSlot/SlotToCoeff DAG),
 //	               matvec (baby-step/giant-step DAG), pir (wide
@@ -153,35 +113,25 @@
 //	-dot F         schedule: render the schedule DAG in Graphviz DOT
 //	               format to this file (one compute node per key
 //	               switch, dependency edges preserved)
-//	-profile       throughput/serve/cluster: record per-stage and
-//	               per-kernel runtime histograms (internal/obs) and add
-//	               stage_shares to the report; cluster shards ship
-//	               their histograms in stats frames and the router
-//	               merges them exactly, bucket by bucket
-//	-trace F       throughput/serve: write a Chrome trace-event
+//	-profile       serve: record per-stage and per-kernel runtime
+//	               histograms (internal/obs) and add stage_shares to
+//	               the report; shards ship their histograms in stats
+//	               frames and the router merges them exactly, bucket
+//	               by bucket
+//	-trace F       serve (in-process): write a Chrome trace-event
 //	               timeline of engine node and serve batch spans to
 //	               this file (load in chrome://tracing or Perfetto)
-//	-pprof DIR     throughput/serve: write cpu.prof and mem.prof
-//	               (runtime/pprof) into this directory
-//	-shards N      cluster shard process count (default 2)
-//	-replicas R    cluster shards eligible to serve one tenant — hot-key
+//	-pprof DIR     serve: write cpu.prof and mem.prof (runtime/pprof)
+//	               of the driver process into this directory
+//	-shards N      serve shard process count (default 0 = one
+//	               in-process service)
+//	-replicas R    serve shards eligible to serve one tenant — hot-key
 //	               replication via per-tenant round-robin (default 1)
-//	-kill          cluster: drain and retire one shard mid-replay; the
+//	-kill          serve: drain and retire one shard mid-replay; the
 //	               drained shard's final books plus the survivors'
 //	               must still sum to the prediction exactly
 //	-addr A        shard listen address (default 127.0.0.1:0)
 //	-shardaddrs L  router: comma-separated shard addresses
-//	-baseline F    perfgate baseline report (default BENCH_engine.json)
-//	-fresh F       perfgate fresh report (default bench_fresh.json)
-//	-serve-baseline F  perfgate serve baseline report (default: skip)
-//	-serve-fresh F     perfgate fresh serve report (default: skip)
-//	-workload-baseline F  perfgate workload-replay baseline (default: skip)
-//	-workload-fresh F     perfgate fresh workload-replay report (default: skip)
-//	-scenario-baseline F  perfgate scenario-replay baseline (default: skip)
-//	-scenario-fresh F     perfgate fresh scenario-replay report (default: skip)
-//	-cluster-baseline F   perfgate cluster baseline (default: skip)
-//	-cluster-fresh F      perfgate fresh cluster report (default: skip)
-//	-max-regression X  perfgate allowed ops/sec drop factor (default 2)
 package main
 
 import (
@@ -282,63 +232,35 @@ func run(args []string) error {
 	case "area":
 		fmt.Print(analysis.AreaSummary())
 		return nil
-	case "throughput":
-		rot := 0
-		if *fl.hoisted {
-			if *fl.rotations < 2 {
-				return fmt.Errorf("-hoisted needs -rotations >= 2, got %d", *fl.rotations)
-			}
-			rot = *fl.rotations
-		}
-		return throughput(*fl.dfName, *fl.workers, *fl.requests, *fl.logN, *fl.towers, *fl.dnum, rot,
-			*fl.jsonPath, *fl.profile, *fl.tracePath, *fl.pprofDir)
 	case "serve":
-		if *fl.workloadName != "fanout" {
-			// Schedule-DAG replay: the dependency-aware client drives
-			// the service with a generated bootstrap/matvec schedule
-			// instead of independent fan-out bursts.
-			// Only bootstrap inherits the BTS set's digit count when
-			// -dnum is left unset; other shapes keep the flag default.
-			dnum := *fl.dnum
-			if *fl.workloadName == "bootstrap" {
-				dnum = flagDnum(fl)
-			}
-			cfg := workloadConfig{
-				workload:  *fl.workloadName,
-				bts:       *fl.bts,
-				radix:     *fl.radix,
-				dfName:    *fl.dfName,
-				logN:      *fl.logN,
-				towers:    *fl.towers,
-				dnum:      dnum,
-				workers:   *fl.workers,
-				rotations: *fl.rotations,
-				giants:    *fl.requests,
-				keyBudget: *fl.keyBudget,
-				maxBatch:  *fl.maxBatch,
-				window:    *fl.window,
-			}
-			return workloadCmd(cfg, *fl.jsonPath, *fl.check)
+		// Only bootstrap inherits the BTS set's digit count when -dnum
+		// is left unset; other shapes keep the flag default.
+		dnum := *fl.dnum
+		if *fl.workloadName == "bootstrap" {
+			dnum = flagDnum(fl)
 		}
-		cfg := serveConfig{
+		return serveCmd(serveConfig{
+			workload:  *fl.workloadName,
+			bts:       *fl.bts,
+			radix:     *fl.radix,
 			dfName:    *fl.dfName,
-			clients:   *fl.clients,
-			rps:       *fl.rps,
 			rotations: *fl.rotations,
-			ops:       *fl.requests,
+			requests:  *fl.requests,
 			logN:      *fl.logN,
 			towers:    *fl.towers,
-			dnum:      *fl.dnum,
+			dnum:      dnum,
 			workers:   *fl.workers,
-			rotPool:   *fl.rotPool,
-			tenants:   *fl.tenants,
-			levels:    *fl.levels,
 			keyBudget: *fl.keyBudget,
-			keyComp:   *fl.keyComp,
 			maxBatch:  *fl.maxBatch,
 			window:    *fl.window,
-		}
-		return serveCmd(cfg, *fl.jsonPath, *fl.check, *fl.profile, *fl.tracePath, *fl.pprofDir)
+			tenants:   *fl.tenants,
+			shards:    *fl.shards,
+			replicas:  *fl.replicas,
+			kill:      *fl.kill,
+			profile:   *fl.profile,
+			tracePath: *fl.tracePath,
+			pprofDir:  *fl.pprofDir,
+		}, *fl.jsonPath, *fl.check)
 	case "schedule":
 		return scheduleCmd(r, *fl.workloadName, *fl.bts, *fl.radix,
 			*fl.rotations, *fl.requests, *fl.jsonPath, *fl.exportPath, *fl.importPath, *fl.dotPath)
@@ -362,51 +284,6 @@ func run(args []string) error {
 			logN:       *fl.logN,
 			towers:     *fl.towers,
 			dnum:       *fl.dnum,
-		})
-	case "cluster":
-		wl := *fl.workloadName
-		if wl == "fanout" {
-			// The cluster experiment always replays a schedule DAG;
-			// bootstrap is its canonical shape.
-			wl = "bootstrap"
-		}
-		dnum := *fl.dnum
-		if wl == "bootstrap" {
-			dnum = flagDnum(fl)
-		}
-		return clusterCmd(clusterConfig{
-			shards:    *fl.shards,
-			tenants:   *fl.tenants,
-			replicas:  *fl.replicas,
-			kill:      *fl.kill,
-			workload:  wl,
-			bts:       *fl.bts,
-			radix:     *fl.radix,
-			dfName:    *fl.dfName,
-			rotations: *fl.rotations,
-			giants:    *fl.requests,
-			logN:      *fl.logN,
-			towers:    *fl.towers,
-			dnum:      dnum,
-			workers:   *fl.workers,
-			keyBudget: *fl.keyBudget,
-			maxBatch:  *fl.maxBatch,
-			window:    *fl.window,
-			profile:   *fl.profile,
-		}, *fl.jsonPath, *fl.check)
-	case "perfgate":
-		return perfgate(perfgateConfig{
-			Baseline:         *fl.baseline,
-			Fresh:            *fl.freshPath,
-			MaxRegression:    *fl.maxRegression,
-			ServeBaseline:    *fl.serveBaseline,
-			ServeFresh:       *fl.serveFresh,
-			WorkloadBaseline: *fl.workloadBaseline,
-			WorkloadFresh:    *fl.workloadFresh,
-			ScenarioBaseline: *fl.scenarioBaseline,
-			ScenarioFresh:    *fl.scenarioFresh,
-			ClusterBaseline:  *fl.clusterBaseline,
-			ClusterFresh:     *fl.clusterFresh,
 		})
 	case "all":
 		fmt.Print(analysis.FormatTableIII())

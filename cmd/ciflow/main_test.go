@@ -45,110 +45,50 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestThroughputRun(t *testing.T) {
-	// Tiny configuration keeps this a smoke test; the hks package
-	// owns the exhaustive bit-exactness matrix.
-	rep, err := throughputRun("all", 2, 2, 5, 4, 2, 0)
+// readReport loads a -json serve report back from disk.
+func readReport(t *testing.T, path string) *serveReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.BitExact {
-		t.Fatal("engine output not bit-exact with serial")
-	}
-	if len(rep.Results) != 4 { // serial + MP + DC + OC
-		t.Fatalf("got %d result rows, want 4", len(rep.Results))
-	}
-	for _, row := range rep.Results {
-		if row.OpsPerSec <= 0 || row.P50Ms < 0 || row.P99Ms < row.P50Ms {
-			t.Fatalf("implausible row %+v", row)
-		}
-	}
-	if rep.Hoisted != nil {
-		t.Fatal("hoisted section present without -hoisted")
-	}
-}
-
-func TestThroughputRunHoisted(t *testing.T) {
-	rep, err := throughputRun("mp", 2, 2, 5, 4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr := rep.Hoisted
-	if hr == nil {
-		t.Fatal("missing hoisted section")
-	}
-	if !hr.BitExact {
-		t.Fatal("hoisted outputs not bit-exact with per-rotation")
-	}
-	if hr.Rotations != 3 || len(hr.Results) != 2 { // serial + MP
-		t.Fatalf("unexpected hoisted shape: %+v", hr)
-	}
-	if hr.ModelOpsSaved != 2*hr.ModUpModOps {
-		t.Fatalf("model ops saved %d, want (k-1)*ModUp = %d", hr.ModelOpsSaved, 2*hr.ModUpModOps)
-	}
-	if hr.ModelSpeedup <= 1 || hr.ModelSavedFrac <= 0 || hr.ModelSavedFrac >= 1 {
-		t.Fatalf("implausible model: %+v", hr)
-	}
-	for _, row := range hr.Results {
-		if row.PerRotOpsPerSec <= 0 || row.HoistedOpsPerSec <= 0 || row.MeasuredSpeedup <= 0 {
-			t.Fatalf("implausible hoisted row %+v", row)
-		}
-		// The hoisted-never-loses invariant is gated by perfgate on
-		// bench-scale runs; at this noise-scale configuration (N=32,
-		// 2 requests) asserting it would be timing-flaky.
-	}
-}
-
-func TestThroughputVerb(t *testing.T) {
-	jsonPath := t.TempDir() + "/bench.json"
-	args := []string{"throughput", "-dataflow", "oc", "-workers", "2",
-		"-requests", "2", "-logn", "5", "-towers", "4", "-dnum", "2",
-		"-json", jsonPath}
-	if err := run(args); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	if _, err := os.Stat(jsonPath); err != nil {
 		t.Fatalf("JSON report not written: %v", err)
 	}
-}
-
-// TestObservabilityFlags drives the -profile/-trace/-pprof/-dot
-// wiring end to end through the CLI dispatch: every throughput row
-// gains stage_shares, the trace and pprof artifacts appear on disk, and
-// the schedule DAG renders as DOT.
-func TestObservabilityFlags(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := dir + "/bench.json"
-	tracePath := dir + "/trace.json"
-	args := []string{"throughput", "-dataflow", "oc", "-workers", "2",
-		"-requests", "2", "-logn", "5", "-towers", "4", "-dnum", "2",
-		"-profile", "-trace", tracePath, "-pprof", dir + "/prof",
-		"-json", jsonPath}
-	if err := run(args); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep throughputReport
+	var rep serveReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rep.Results {
-		if len(row.StageShares) == 0 {
-			t.Errorf("%s row has no stage shares under -profile", row.Dataflow)
-			continue
-		}
-		// Only the sanity bound here: at this scale (N=32, 2 requests)
-		// a descheduled goroutine moves the wall-clock sum far below 1,
-		// so closure within 10% is perfgate's serial-row check at bench
-		// scale (TestPerfgateStageShares) and the benchmark's
-		// hks.stage_sum_over_switch.
-		sum := obs.SumShares(row.StageShares)
-		if row.Dataflow == "serial" && (sum <= 0 || sum > 1.1) {
-			t.Errorf("serial stage shares sum to %.3f, want in (0, 1.1]", sum)
-		}
+	return &rep
+}
+
+// TestObservabilityFlags drives the -profile/-trace/-pprof/-dot
+// wiring end to end through the CLI dispatch: an in-process two-tenant
+// replay of a committed scenario gains stage_shares and phases, the
+// trace and pprof artifacts appear on disk, and the schedule DAG
+// renders as DOT.
+func TestObservabilityFlags(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath := dir + "/serve.json"
+	tracePath := dir + "/trace.json"
+	args := []string{"serve", "-workload", "file:" + pirGolden, "-tenants", "2",
+		"-dataflow", "oc", "-workers", "2", "-logn", "5", "-towers", "6", "-dnum", "2",
+		"-profile", "-trace", tracePath, "-pprof", dir + "/prof",
+		"-json", jsonPath, "-check"}
+	if err := run(args); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	rep := readReport(t, jsonPath)
+	if len(rep.StageShares) == 0 {
+		t.Fatal("no stage shares under -profile")
+	}
+	// Only the sanity bound tools/tracecheck applies: at this scale
+	// (N=32) a descheduled goroutine moves the sum far below what the
+	// goroutines could fill, so closure is the benchmark's business
+	// (obs.stage_share_sum, hks.stage_sum_over_switch).
+	limit := float64(rep.Workers + 2*rep.Tenants)
+	if sum := obs.SumShares(rep.StageShares); sum <= 0 || sum > limit {
+		t.Errorf("stage shares sum to %.3f, want in (0, %.0f]", sum, limit)
+	}
+	if len(rep.Phases) == 0 {
+		t.Error("no request-lifecycle phases in the report")
 	}
 	traceData, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -168,6 +108,9 @@ func TestObservabilityFlags(t *testing.T) {
 			t.Errorf("pprof artifact missing: %v", err)
 		}
 	}
+	if obs.Active() != nil {
+		t.Error("profiling left enabled after the run")
+	}
 
 	dotPath := dir + "/sched.dot"
 	if err := run([]string{"schedule", "-workload", "pir", "-requests", "2",
@@ -183,211 +126,28 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 }
 
-func TestThroughputErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"throughput", "-dataflow", "nope", "-logn", "5"},
-		{"throughput", "-requests", "0", "-logn", "5"},
-		{"throughput", "-logn", "3"},
-		{"throughput", "-logn", "5", "-towers", "4", "-dnum", "9"},
-		{"throughput", "-logn", "5", "-towers", "4", "-dnum", "2", "-hoisted", "-rotations", "1"},
-	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
-	}
-}
-
-func writeReport(t *testing.T, path string, rep *throughputReport) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewEncoder(f).Encode(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPerfgate(t *testing.T) {
-	dir := t.TempDir()
-	base := &throughputReport{
-		BitExact: true,
-		Results: []throughputRow{
-			{Dataflow: "serial", OpsPerSec: 100},
-			{Dataflow: "MP", OpsPerSec: 120},
-		},
-	}
-	basePath := dir + "/base.json"
-	writeReport(t, basePath, base)
-
-	// Within tolerance (half the baseline exactly is still allowed at 2.01x).
-	ok := &throughputReport{
-		BitExact: true,
-		Results: []throughputRow{
-			{Dataflow: "serial", OpsPerSec: 51},
-			{Dataflow: "MP", OpsPerSec: 300},
-			{Dataflow: "OC", OpsPerSec: 10}, // new dataflow: no baseline, no gate
-		},
-		Hoisted: &hoistedReport{BitExact: true, ModelSpeedup: 1.4,
-			Results: []hoistedRow{{Dataflow: "MP", MeasuredSpeedup: 1.2}}},
-	}
-	okPath := dir + "/ok.json"
-	writeReport(t, okPath, ok)
-	if err := perfgatePaths(basePath, okPath, 2, "", "", "", "", "", ""); err != nil {
-		t.Fatalf("perfgate failed on healthy report: %v", err)
-	}
-
-	// Gross regression on one dataflow.
-	bad := &throughputReport{
-		BitExact: true,
-		Results: []throughputRow{
-			{Dataflow: "serial", OpsPerSec: 99},
-			{Dataflow: "MP", OpsPerSec: 10},
-		},
-	}
-	badPath := dir + "/bad.json"
-	writeReport(t, badPath, bad)
-	if err := perfgatePaths(basePath, badPath, 2, "", "", "", "", "", ""); err == nil {
-		t.Fatal("perfgate passed a >2x regression")
-	}
-
-	// Hoisting losing to per-rotation must fail regardless of speed.
-	slowHoist := &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 200}},
-		Hoisted: &hoistedReport{BitExact: true, ModelSpeedup: 1.4,
-			Results: []hoistedRow{{Dataflow: "serial", MeasuredSpeedup: 0.9}}},
-	}
-	slowPath := dir + "/slow.json"
-	writeReport(t, slowPath, slowHoist)
-	if err := perfgatePaths(basePath, slowPath, 2, "", "", "", "", "", ""); err == nil {
-		t.Fatal("perfgate passed a hoisted slowdown")
-	}
-
-	// A baseline with a hoisted section pins it in the fresh report.
-	hoistedBase := &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 100}},
-		Hoisted: &hoistedReport{BitExact: true, ModelSpeedup: 1.4,
-			Results: []hoistedRow{{Dataflow: "serial", MeasuredSpeedup: 1.5}}},
-	}
-	hoistedBasePath := dir + "/hoisted_base.json"
-	writeReport(t, hoistedBasePath, hoistedBase)
-	noHoist := &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 100}},
-	}
-	noHoistPath := dir + "/no_hoist.json"
-	writeReport(t, noHoistPath, noHoist)
-	if err := perfgatePaths(hoistedBasePath, noHoistPath, 2, "", "", "", "", "", ""); err == nil {
-		t.Fatal("perfgate passed a fresh report that dropped the hoisted section")
-	}
-
-	// Non-bit-exact fresh reports are rejected outright.
-	inexact := &throughputReport{
-		Results: []throughputRow{{Dataflow: "serial", OpsPerSec: 500}},
-	}
-	inexactPath := dir + "/inexact.json"
-	writeReport(t, inexactPath, inexact)
-	if err := perfgatePaths(basePath, inexactPath, 2, "", "", "", "", "", ""); err == nil {
-		t.Fatal("perfgate passed a non-bit-exact report")
-	}
-}
-
-func TestPerfgateStageShares(t *testing.T) {
-	dir := t.TempDir()
-	shares := func(sum float64) []obs.StageShare {
-		return []obs.StageShare{
-			{Stage: "mod_up", Share: sum / 2},
-			{Stage: "mod_down", Share: sum / 2},
-		}
-	}
-	profiled := func(serialSum, mpSum float64) *throughputReport {
-		return &throughputReport{
-			BitExact: true, Workers: 2,
-			Results: []throughputRow{
-				{Dataflow: "serial", OpsPerSec: 100, StageShares: shares(serialSum)},
-				{Dataflow: "MP", OpsPerSec: 120, StageShares: shares(mpSum)},
-			},
-		}
-	}
-	basePath := dir + "/base.json"
-	writeReport(t, basePath, profiled(1.0, 1.8))
-
-	// A healthy profiled report: serial sums to ~1, MP within workers+2.
-	okPath := dir + "/ok.json"
-	writeReport(t, okPath, profiled(0.95, 2.1))
-	if err := perfgatePaths(basePath, okPath, 2, "", "", "", "", "", ""); err != nil {
-		t.Fatalf("perfgate failed on healthy stage shares: %v", err)
-	}
-
-	// The serial row's shares must tile the wall clock within 10%.
-	for _, sum := range []float64{0.5, 1.3} {
-		p := dir + "/serial_off.json"
-		writeReport(t, p, profiled(sum, 1.8))
-		if err := perfgatePaths(basePath, p, 2, "", "", "", "", "", ""); err == nil {
-			t.Errorf("perfgate passed a serial share sum of %.1f", sum)
-		}
-	}
-
-	// Engine rows are bounded by workers+2.
-	highMP := dir + "/high_mp.json"
-	writeReport(t, highMP, profiled(1.0, 9.0))
-	if err := perfgatePaths(basePath, highMP, 2, "", "", "", "", "", ""); err == nil {
-		t.Error("perfgate passed an MP share sum of 9.0 at 2 workers")
-	}
-
-	// A profiled baseline pins the profile in the fresh report.
-	bare := &throughputReport{
-		BitExact: true, Workers: 2,
-		Results: []throughputRow{
-			{Dataflow: "serial", OpsPerSec: 100},
-			{Dataflow: "MP", OpsPerSec: 120},
-		},
-	}
-	barePath := dir + "/bare.json"
-	writeReport(t, barePath, bare)
-	if err := perfgatePaths(basePath, barePath, 2, "", "", "", "", "", ""); err == nil {
-		t.Error("perfgate passed a fresh report that dropped its stage shares")
-	}
-	// ...but an unprofiled baseline does not demand one.
-	if err := perfgatePaths(barePath, barePath, 2, "", "", "", "", "", ""); err != nil {
-		t.Errorf("perfgate failed on an unprofiled pair: %v", err)
-	}
-}
-
-func TestPerfgateErrors(t *testing.T) {
-	dir := t.TempDir()
-	good := dir + "/good.json"
-	writeReport(t, good, &throughputReport{BitExact: true,
-		Results: []throughputRow{{Dataflow: "serial", OpsPerSec: 1}}})
-	if err := perfgatePaths(dir+"/missing.json", good, 2, "", "", "", "", "", ""); err == nil {
-		t.Error("missing baseline accepted")
-	}
-	if err := perfgatePaths(good, dir+"/missing.json", 2, "", "", "", "", "", ""); err == nil {
-		t.Error("missing fresh report accepted")
-	}
-	if err := perfgatePaths(good, good, 0.5, "", "", "", "", "", ""); err == nil {
-		t.Error("tolerance below 1 accepted")
-	}
-	empty := dir + "/empty.json"
-	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := perfgatePaths(empty, good, 2, "", "", "", "", "", ""); err == nil {
-		t.Error("empty baseline accepted")
-	}
-}
-
+// testServeConfig is the default shape on a tiny ring: two fan-out
+// bursts of three rotations, one tenant, in-process.
 func testServeConfig() serveConfig {
 	return serveConfig{
-		dfName: "all", clients: 2, rotations: 3, ops: 2,
-		logN: 5, towers: 4, dnum: 2, workers: 2,
-		tenants: 1, levels: 1,
+		workload: "fanout", bts: 2, dfName: "all", rotations: 3, requests: 2,
+		logN: 5, towers: 4, dnum: 2, workers: 2, tenants: 1,
 		maxBatch: 16, window: 200 * time.Microsecond,
+	}
+}
+
+// exactBooks asserts the report's books equal tenants x its schedule's
+// prediction.
+func exactBooks(t *testing.T, rep *serveReport) {
+	t.Helper()
+	p, n := rep.Predicted, uint64(rep.Tenants)
+	if rep.Served != n*uint64(p.Switches) || rep.ModUps != n*uint64(p.ModUps) ||
+		rep.Coalesced != n*uint64(p.Coalesced) {
+		t.Fatalf("measured (%d, %d, %d) != %d x predicted (%d, %d, %d)",
+			rep.Served, rep.ModUps, rep.Coalesced, n, p.Switches, p.ModUps, p.Coalesced)
+	}
+	if err := serveCheck(rep); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -396,19 +156,15 @@ func TestServeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.BitExact {
-		t.Fatal("served results not bit-exact with direct SwitchHoisted")
+	if rep.Schedule != "fanout-2x3" || rep.Shards != 0 || rep.Drained != -1 {
+		t.Fatalf("unexpected run shape: %+v", rep)
 	}
-	// 2 clients x 2 ops x 3 rotations; the verification fan-out runs
-	// after the stats snapshot and does not count.
-	if want := uint64(2 * 2 * 3); rep.Requests != want {
-		t.Fatalf("served %d requests, want %d", rep.Requests, want)
+	exactBooks(t, rep)
+	if rep.Served != 2*3 {
+		t.Fatalf("served %d requests, want 6", rep.Served)
 	}
-	if rep.CoalescingFactor <= 1 {
-		t.Fatalf("coalescing factor %.2f, want > 1", rep.CoalescingFactor)
-	}
-	if rep.KeyHitRate <= 0.5 {
-		t.Fatalf("key hit rate %.2f, want > 0.5", rep.KeyHitRate)
+	if rep.HoistCoalescingFactor <= 1 {
+		t.Fatalf("coalescing factor %.2f, want > 1", rep.HoistCoalescingFactor)
 	}
 	if rep.OpsPerSec <= 0 || rep.P50Ms < 0 || rep.P99Ms < rep.P50Ms {
 		t.Fatalf("implausible report %+v", rep)
@@ -416,225 +172,87 @@ func TestServeRun(t *testing.T) {
 	if rep.KeyBudget <= 0 || rep.KeyBytes <= 0 || rep.KeyBytes > rep.KeyBudget {
 		t.Fatalf("implausible key residency: %d of %d bytes", rep.KeyBytes, rep.KeyBudget)
 	}
-	if err := serveCheck(rep); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestServeRunMultiTenant drives the full (tenant, level) matrix and
-// checks the keyspace invariants the perf gate relies on: per-tenant
-// breakdowns present and healthy, ModUps never shared across tenants,
-// resident key bytes within the explicit budget.
+// TestServeRunMultiTenant replays for two tenants at once through the
+// one service and checks the keyspace invariants: per-tenant books
+// present and each equal to the prediction, ModUps never shared across
+// tenants, resident key bytes within the explicit budget.
 func TestServeRunMultiTenant(t *testing.T) {
 	cfg := testServeConfig()
-	cfg.clients, cfg.tenants, cfg.levels = 4, 2, 2
-	// Each (tenant, level) cell gets one client; 4 ops over a pool of
-	// 3 rotations leave every cell's steady-state hit rate above 50%.
-	cfg.ops = 4
+	cfg.tenants, cfg.requests = 2, 4
 	cfg.keyBudget = 64 << 20
 	rep, err := serveRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.BitExact {
-		t.Fatal("multi-tenant serve not bit-exact with per-keyspace SwitchHoisted")
+	exactBooks(t, rep)
+	if len(rep.TenantStats) != 2 {
+		t.Fatalf("%d tenant rows, want 2", len(rep.TenantStats))
 	}
-	if len(rep.Tenants) != 2 {
-		t.Fatalf("%d tenant reports, want 2", len(rep.Tenants))
-	}
-	if rep.KeyBudget != cfg.keyBudget {
-		t.Fatalf("reported budget %d, want the explicit %d", rep.KeyBudget, cfg.keyBudget)
+	if rep.KeyBudget != cfg.keyBudget || rep.KeyBytes > rep.KeyBudget {
+		t.Fatalf("resident %d of budget %d, want the explicit %d", rep.KeyBytes, rep.KeyBudget, cfg.keyBudget)
 	}
 	var modUps uint64
-	for _, ts := range rep.Tenants {
-		if ts.Served == 0 {
-			t.Fatalf("tenant %s served nothing", ts.Tenant)
-		}
-		if ts.KeyHitRate <= 0.5 {
-			t.Fatalf("tenant %s hit rate %.2f, want > 0.5", ts.Tenant, ts.KeyHitRate)
+	for _, ts := range rep.TenantStats {
+		if ts.Served != uint64(rep.Predicted.Switches) {
+			t.Fatalf("tenant %s served %d, want %d", ts.Tenant, ts.Served, rep.Predicted.Switches)
 		}
 		modUps += ts.ModUps
 	}
 	if modUps != rep.ModUps {
 		t.Fatalf("per-tenant ModUps sum %d != global %d: groups crossed tenants", modUps, rep.ModUps)
 	}
-	if err := serveCheck(rep); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestServeRunPaced(t *testing.T) {
-	cfg := testServeConfig()
-	cfg.clients, cfg.ops, cfg.rps = 1, 2, 500
-	rep, err := serveRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two ops at 500 ops/sec cannot finish faster than one tick.
-	if rep.DurationSec < 0.002 {
-		t.Fatalf("paced run finished in %.4fs, pacing not applied", rep.DurationSec)
-	}
-}
-
+// TestServeRunErrors: every refusal comes back as an error, and before
+// the first side effect — no profile directory, no trace file, the
+// global recorder untouched.
 func TestServeRunErrors(t *testing.T) {
+	dir := t.TempDir()
 	for name, mut := range map[string]func(*serveConfig){
-		"clients":     func(c *serveConfig) { c.clients = 0 },
-		"ops":         func(c *serveConfig) { c.ops = 0 },
-		"rot":         func(c *serveConfig) { c.rotations = 0 },
-		"rps":         func(c *serveConfig) { c.rps = -1 },
-		"logn":        func(c *serveConfig) { c.logN = 3 },
-		"rotpool":     func(c *serveConfig) { c.rotPool = 1 },
-		"dataflow":    func(c *serveConfig) { c.dfName = "nope" },
-		"tenants":     func(c *serveConfig) { c.tenants = 0 },
-		"levels":      func(c *serveConfig) { c.levels = 0 },
-		"levels-high": func(c *serveConfig) { c.levels = c.towers },
-		"matrix":      func(c *serveConfig) { c.tenants = 4 }, // 2 clients < 4x1 matrix
-		"budget":      func(c *serveConfig) { c.keyBudget = -1 },
+		"tenants":  func(c *serveConfig) { c.tenants = 0 },
+		"bursts":   func(c *serveConfig) { c.requests = 0 },
+		"rot":      func(c *serveConfig) { c.rotations = 0 },
+		"logn":     func(c *serveConfig) { c.logN = 3 },
+		"dataflow": func(c *serveConfig) { c.dfName = "nope" },
+		"budget":   func(c *serveConfig) { c.keyBudget = -1 },
+		"shards":   func(c *serveConfig) { c.shards = -1 },
+		"kill":     func(c *serveConfig) { c.shards, c.kill = 1, true },
+		"trace":    func(c *serveConfig) { c.shards = 2 }, // -trace is set below
 	} {
 		cfg := testServeConfig()
+		cfg.profile, cfg.tracePath, cfg.pprofDir = true, dir+"/trace.json", dir+"/prof"
 		mut(&cfg)
 		if _, err := serveRun(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("a refused run left %d files behind", len(left))
+	}
+	if obs.Active() != nil {
+		t.Error("a refused run left profiling enabled")
+	}
 }
 
 func TestServeVerb(t *testing.T) {
 	jsonPath := t.TempDir() + "/serve.json"
-	args := []string{"serve", "-clients", "2", "-rotations", "3", "-requests", "2",
+	args := []string{"serve", "-rotations", "3", "-requests", "2",
 		"-logn", "5", "-towers", "4", "-dnum", "2", "-workers", "2",
 		"-check", "-json", jsonPath}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON report not written: %v", err)
-	}
-	var rep serveReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 || !rep.BitExact {
+	if rep := readReport(t, jsonPath); rep.Served == 0 || !rep.BitExact || rep.Workload != "fanout" {
 		t.Fatalf("implausible serve report: %+v", rep)
 	}
 }
 
-func writeServeReport(t *testing.T, path string, rep *serveReport) {
-	t.Helper()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPerfgateServe(t *testing.T) {
-	dir := t.TempDir()
-	basePath := dir + "/thr_base.json"
-	writeReport(t, basePath, &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 100}},
-	})
-	freshPath := dir + "/thr_fresh.json"
-	writeReport(t, freshPath, &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 100}},
-	})
-
-	healthy := &serveReport{
-		Requests: 64, OpsPerSec: 100, CoalescingFactor: 4,
-		KeyHitRate: 0.9, BitExact: true,
-	}
-	sBase := dir + "/serve_base.json"
-	writeServeReport(t, sBase, healthy)
-	sOK := dir + "/serve_ok.json"
-	writeServeReport(t, sOK, &serveReport{
-		Requests: 64, OpsPerSec: 51, CoalescingFactor: 2,
-		KeyHitRate: 0.6, BitExact: true,
-	})
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, sOK, "", "", "", ""); err != nil {
-		t.Fatalf("perfgate failed on healthy serve report: %v", err)
-	}
-
-	healthyTenants := []serveTenantReport{
-		{Tenant: "t0", Served: 32, ModUps: 4, KeyHitRate: 0.9},
-		{Tenant: "t1", Served: 32, ModUps: 4, KeyHitRate: 0.9},
-	}
-	for name, bad := range map[string]*serveReport{
-		"regression":    {Requests: 64, OpsPerSec: 10, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: true},
-		"no-coalescing": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 1, KeyHitRate: 0.9, BitExact: true},
-		"cold-cache":    {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.3, BitExact: true},
-		"inexact":       {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: false},
-		"over-budget": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: true,
-			KeyBudget: 100, KeyBytes: 101},
-		"tenant-cold": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: true,
-			Tenants: []serveTenantReport{{Tenant: "t0", Served: 64, ModUps: 8, KeyHitRate: 0.2}}},
-		"tenant-starved": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: true,
-			Tenants: []serveTenantReport{{Tenant: "t0", Served: 64, ModUps: 8, KeyHitRate: 0.9}, {Tenant: "t1", KeyHitRate: 0.9}}},
-		"cross-tenant-coalesce": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, ModUps: 8, KeyHitRate: 0.9, BitExact: true,
-			Tenants: healthyTenants[:1]},
-	} {
-		p := dir + "/serve_" + name + ".json"
-		writeServeReport(t, p, bad)
-		if err := perfgatePaths(basePath, freshPath, 2, sBase, p, "", "", "", ""); err == nil {
-			t.Errorf("%s: perfgate passed a degraded serve report", name)
-		}
-	}
-
-	// A baseline with per-tenant stats pins them in the fresh report.
-	tenantBase := dir + "/serve_tenant_base.json"
-	writeServeReport(t, tenantBase, &serveReport{
-		Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, ModUps: 8,
-		KeyHitRate: 0.9, BitExact: true, Tenants: healthyTenants,
-	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, sOK, "", "", "", ""); err == nil {
-		t.Error("perfgate passed a fresh report that dropped the tenant stats")
-	}
-	tenantOK := dir + "/serve_tenant_ok.json"
-	writeServeReport(t, tenantOK, &serveReport{
-		Requests: 64, OpsPerSec: 90, CoalescingFactor: 4, ModUps: 8,
-		KeyHitRate: 0.9, BitExact: true, KeyBudget: 100, KeyBytes: 80,
-		Tenants: healthyTenants,
-	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, tenantOK, "", "", "", ""); err != nil {
-		t.Errorf("perfgate failed a healthy multi-tenant report: %v", err)
-	}
-	// Shrinking the tenant matrix (2 -> 1) must fail the pinning check
-	// even though the one remaining tenant looks healthy.
-	shrunk := dir + "/serve_tenant_shrunk.json"
-	writeServeReport(t, shrunk, &serveReport{
-		Requests: 64, OpsPerSec: 90, CoalescingFactor: 4, ModUps: 4,
-		KeyHitRate: 0.9, BitExact: true, Tenants: healthyTenants[:1],
-	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, shrunk, "", "", "", ""); err == nil {
-		t.Error("perfgate passed a fresh report with a shrunken tenant matrix")
-	}
-
-	// Half-specified serve gate flags and unreadable reports error out.
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, "", "", "", "", ""); err == nil {
-		t.Error("half-specified serve gate accepted")
-	}
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, dir+"/missing.json", "", "", "", ""); err == nil {
-		t.Error("missing fresh serve report accepted")
-	}
-	if err := perfgatePaths(basePath, freshPath, 2, dir+"/missing.json", sOK, "", "", "", ""); err == nil {
-		t.Error("missing serve baseline accepted")
-	}
-	empty := dir + "/serve_empty.json"
-	writeServeReport(t, empty, &serveReport{})
-	if err := perfgatePaths(basePath, freshPath, 2, empty, sOK, "", "", "", ""); err == nil {
-		t.Error("empty serve baseline accepted")
-	}
-}
-
-func testWorkloadConfig() workloadConfig {
-	return workloadConfig{
-		workload: "bootstrap", bts: 2, dfName: "all",
-		logN: 5, towers: 4, workers: 2,
-	}
+func testWorkloadConfig() serveConfig {
+	cfg := testServeConfig()
+	cfg.workload, cfg.dnum = "bootstrap", 0
+	return cfg
 }
 
 // TestWorkloadRunBootstrap replays a tiny BTS-shaped bootstrap
@@ -642,7 +260,7 @@ func testWorkloadConfig() workloadConfig {
 // counters equal the schedule DAG's predictions exactly, the replay
 // is bit-exact with serial execution, and the hoist groups coalesced.
 func TestWorkloadRunBootstrap(t *testing.T) {
-	rep, err := workloadRun(testWorkloadConfig())
+	rep, err := serveRun(testWorkloadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,25 +270,17 @@ func TestWorkloadRunBootstrap(t *testing.T) {
 	if rep.Dataflow != "MP" {
 		t.Fatalf("dataflow %q: -dataflow all must select MP for replay", rep.Dataflow)
 	}
-	p := rep.Predicted
-	if rep.Served != uint64(p.Switches) || rep.ModUps != uint64(p.ModUps) ||
-		rep.Coalesced != uint64(p.Coalesced) {
-		t.Fatalf("measured (%d, %d, %d) != predicted (%d, %d, %d)",
-			rep.Served, rep.ModUps, rep.Coalesced, p.Switches, p.ModUps, p.Coalesced)
-	}
-	if p.Relins != 1 || p.Depth < 3 {
+	exactBooks(t, rep)
+	if p := rep.Predicted; p.Relins != 1 || p.Depth < 3 {
 		t.Fatalf("bootstrap schedule shape implausible: %+v", p)
-	}
-	if err := workloadCheck(rep); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestWorkloadRunMatvec(t *testing.T) {
 	cfg := testWorkloadConfig()
-	cfg.workload, cfg.rotations, cfg.giants = "matvec", 4, 3
+	cfg.workload, cfg.rotations, cfg.requests = "matvec", 4, 3
 	cfg.dfName, cfg.dnum = "oc", 2
-	rep, err := workloadRun(cfg)
+	rep, err := serveRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,26 +288,36 @@ func TestWorkloadRunMatvec(t *testing.T) {
 	if rep.Served != 5 || rep.ModUps != 3 || rep.Coalesced != 3 {
 		t.Fatalf("matvec counters: %+v", rep)
 	}
-	if err := workloadCheck(rep); err != nil {
-		t.Fatal(err)
-	}
+	exactBooks(t, rep)
 }
 
+// TestWorkloadCheckRejects: every clause of the one -check refuses a
+// report that breaks it, in the mode it applies to.
 func TestWorkloadCheckRejects(t *testing.T) {
-	good, err := workloadRun(testWorkloadConfig())
+	good, err := serveRun(testWorkloadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mut := range map[string]func(*workloadReport){
-		"inexact":    func(r *workloadReport) { r.BitExact = false },
-		"drift":      func(r *workloadReport) { r.CountsExact = false },
-		"dep-order":  func(r *workloadReport) { r.DepViolations = 1 },
-		"no-coalesc": func(r *workloadReport) { r.HoistCoalescingFactor = 1 },
+	sharded := *good
+	sharded.Shards = 2
+	sharded.Delivered = uint64(good.Predicted.Switches)
+	sharded.CompletedSum = sharded.Delivered
+	if err := serveCheck(&sharded); err != nil {
+		t.Fatalf("healthy sharded report rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*serveReport){
+		"inexact":      func(r *serveReport) { r.BitExact = false },
+		"drift":        func(r *serveReport) { r.CountsExact = false },
+		"dep-order":    func(r *serveReport) { r.DepViolations = 1 },
+		"books":        func(r *serveReport) { r.BooksExact = false },
+		"no-coalesc":   func(r *serveReport) { r.HoistCoalescingFactor = 1 },
+		"lost-result":  func(r *serveReport) { r.Delivered-- },
+		"double-count": func(r *serveReport) { r.CompletedSum++ },
 	} {
-		rep := *good
+		rep := sharded
 		mut(&rep)
-		if workloadCheck(&rep) == nil {
-			t.Errorf("%s: degraded workload report accepted", name)
+		if serveCheck(&rep) == nil {
+			t.Errorf("%s: degraded report accepted", name)
 		}
 	}
 	// The coalescing-factor check only applies to schedules with
@@ -707,26 +327,26 @@ func TestWorkloadCheckRejects(t *testing.T) {
 	chain.Predicted.HoistGroups = 0
 	chain.Predicted.Coalesced = 0
 	chain.HoistCoalescingFactor = 0
-	if err := workloadCheck(&chain); err != nil {
+	if err := serveCheck(&chain); err != nil {
 		t.Errorf("hoist-free report rejected: %v", err)
 	}
 }
 
 func TestWorkloadRunErrors(t *testing.T) {
-	for name, mut := range map[string]func(*workloadConfig){
-		"workload": func(c *workloadConfig) { c.workload = "nope" },
-		"bts":      func(c *workloadConfig) { c.bts = 9 },
-		"logn":     func(c *workloadConfig) { c.logN = 3 },
-		"radix":    func(c *workloadConfig) { c.radix = 3 },
-		"dnum":     func(c *workloadConfig) { c.dnum = 9 },
-		"dataflow": func(c *workloadConfig) { c.dfName = "nope" },
-		"matvec-n1": func(c *workloadConfig) {
-			c.workload, c.rotations, c.giants = "matvec", 1, 2
+	for name, mut := range map[string]func(*serveConfig){
+		"workload": func(c *serveConfig) { c.workload = "nope" },
+		"bts":      func(c *serveConfig) { c.bts = 9 },
+		"logn":     func(c *serveConfig) { c.logN = 3 },
+		"radix":    func(c *serveConfig) { c.radix = 3 },
+		"dnum":     func(c *serveConfig) { c.dnum = 9 },
+		"dataflow": func(c *serveConfig) { c.dfName = "nope" },
+		"matvec-n1": func(c *serveConfig) {
+			c.workload, c.rotations, c.requests = "matvec", 1, 2
 		},
 	} {
 		cfg := testWorkloadConfig()
 		mut(&cfg)
-		if _, err := workloadRun(cfg); err == nil {
+		if _, err := serveRun(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
@@ -740,14 +360,7 @@ func TestServeWorkloadVerb(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON report not written: %v", err)
-	}
-	var rep workloadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, jsonPath)
 	if rep.Served == 0 || !rep.BitExact || !rep.CountsExact || rep.BTS != 1 {
 		t.Fatalf("implausible workload report: %+v", rep)
 	}
@@ -764,14 +377,7 @@ func TestServeWorkloadVerb(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
-	data, err = os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dnum != 3 {
+	if rep = readReport(t, jsonPath); rep.Dnum != 3 {
 		t.Fatalf("dnum %d, want the explicit 3", rep.Dnum)
 	}
 }
@@ -818,95 +424,6 @@ func TestScheduleVerbErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
-	}
-}
-
-func writeWorkloadReport(t *testing.T, path string, rep *workloadReport) {
-	t.Helper()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPerfgateWorkload(t *testing.T) {
-	dir := t.TempDir()
-	basePath := dir + "/thr_base.json"
-	writeReport(t, basePath, &throughputReport{
-		BitExact: true,
-		Results:  []throughputRow{{Dataflow: "serial", OpsPerSec: 100}},
-	})
-
-	healthy := func() *workloadReport {
-		rep := &workloadReport{
-			Schedule: "bootstrap", OpsPerSec: 100,
-			Served: 73, ModUps: 33, Coalesced: 44,
-			CountsExact: true, BitExact: true,
-			HoistCoalescingFactor: 11,
-		}
-		rep.Predicted.Switches = 73
-		rep.Predicted.ModUps = 33
-		rep.Predicted.HoistGroups = 4
-		rep.Predicted.Depth = 9
-		return rep
-	}
-	wBase := dir + "/workload_base.json"
-	writeWorkloadReport(t, wBase, healthy())
-	wOK := dir + "/workload_ok.json"
-	ok := healthy()
-	ok.OpsPerSec = 51
-	writeWorkloadReport(t, wOK, ok)
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, wOK, "", ""); err != nil {
-		t.Fatalf("perfgate failed on a healthy workload report: %v", err)
-	}
-
-	for name, mut := range map[string]func(*workloadReport){
-		"regression": func(r *workloadReport) { r.OpsPerSec = 10 },
-		"inexact":    func(r *workloadReport) { r.BitExact = false },
-		"drift": func(r *workloadReport) {
-			r.CountsExact = false
-			r.Mismatches = []string{"mod_ups: measured 34, schedule predicts 33"}
-		},
-		"dep-order": func(r *workloadReport) { r.DepViolations = 2 },
-		"no-hoist":  func(r *workloadReport) { r.Predicted.HoistGroups = 0 },
-		"no-coalescing": func(r *workloadReport) {
-			r.HoistCoalescingFactor = 1
-		},
-		// The baseline pins the schedule shape: a smaller, flatter,
-		// or shallower fresh schedule must fail even when its own
-		// internal invariants hold.
-		"shrunk-schedule": func(r *workloadReport) { r.Predicted.Switches = 10 },
-		"flat-schedule":   func(r *workloadReport) { r.Predicted.HoistGroups = 2 },
-		"shallow-schedule": func(r *workloadReport) {
-			r.Predicted.Depth = 1
-		},
-	} {
-		bad := healthy()
-		mut(bad)
-		p := dir + "/workload_" + name + ".json"
-		writeWorkloadReport(t, p, bad)
-		if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, p, "", ""); err == nil {
-			t.Errorf("%s: perfgate passed a degraded workload report", name)
-		}
-	}
-
-	// Half-specified flags, unreadable and empty reports error out.
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, "", "", ""); err == nil {
-		t.Error("half-specified workload gate accepted")
-	}
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, dir+"/missing.json", "", ""); err == nil {
-		t.Error("missing fresh workload report accepted")
-	}
-	if err := perfgatePaths(basePath, basePath, 2, "", "", dir+"/missing.json", wOK, "", ""); err == nil {
-		t.Error("missing workload baseline accepted")
-	}
-	empty := dir + "/workload_empty.json"
-	writeWorkloadReport(t, empty, &workloadReport{})
-	if err := perfgatePaths(basePath, basePath, 2, "", "", empty, wOK, "", ""); err == nil {
-		t.Error("empty workload baseline accepted")
 	}
 }
 
@@ -962,17 +479,4 @@ func TestHelpMatchesREADME(t *testing.T) {
 	if err := run([]string{"-h"}); err != nil {
 		t.Fatalf("ciflow -h: %v", err)
 	}
-}
-
-// perfgatePaths adapts the historical positional call sites of these
-// tests to perfgateConfig; the order mirrors the gate's layer order
-// (throughput, serve, workload, cluster). The scenario pair reuses the
-// workload gate and is exercised directly in TestPerfgateScenario.
-func perfgatePaths(base, fresh string, maxReg float64, sBase, sFresh, wBase, wFresh, cBase, cFresh string) error {
-	return perfgate(perfgateConfig{
-		Baseline: base, Fresh: fresh, MaxRegression: maxReg,
-		ServeBaseline: sBase, ServeFresh: sFresh,
-		WorkloadBaseline: wBase, WorkloadFresh: wFresh,
-		ClusterBaseline: cBase, ClusterFresh: cFresh,
-	})
 }

@@ -1,7 +1,7 @@
 package main
 
-// Observability wiring shared by the measuring verbs: -profile turns
-// the internal/obs stage/kernel recorder on for the run, -trace
+// Observability wiring of the replay driver: -profile turns the
+// internal/obs stage/kernel recorder on for the run, -trace
 // installs the span tracer on the engine (worker tiles) and the serve
 // batch track and writes the Chrome trace-event timeline at the end,
 // -pprof brackets the run with runtime/pprof CPU and heap profiles.
@@ -100,8 +100,8 @@ func startPprof(dir string) (func() error, error) {
 	}, nil
 }
 
-// printStageShares renders one stage-share breakdown as the standard
-// table the throughput/serve/cluster verbs print under -profile.
+// printStageShares renders one stage-share breakdown as the table
+// serve prints under -profile.
 func printStageShares(shares []obs.StageShare) {
 	if len(shares) == 0 {
 		return

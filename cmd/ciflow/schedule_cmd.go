@@ -23,6 +23,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"ciflow/internal/analysis"
 	"ciflow/internal/params"
@@ -40,34 +41,56 @@ type scheduleReport struct {
 	Estimates []analysis.WorkloadEstimate `json:"estimates"`
 }
 
-// scheduleFor builds the canonical schedule of one workload shape at
-// a BTS parameter set's geometry, returning the set it priced against.
-func scheduleFor(name string, bts int, radix, rotations, requests int) (*workload.Schedule, params.Benchmark, error) {
-	b, err := workload.BTSBenchmark(bts)
-	if err != nil {
-		return nil, params.Benchmark{}, err
+// geometry is the ring a schedule shape is laid out on: 2^(logN−1)
+// slots and the levels top…0. `serve` passes its replay ring's;
+// `schedule` passes a BTS parameter set's own, with bench set, so
+// bootstrap there is that set's canonical schedule under its name.
+type geometry struct {
+	logN, top int
+	bench     *params.Benchmark
+}
+
+// scheduleFor resolves -workload on g, for `schedule` and `serve`
+// alike: a library shape sized by -radix/-rotations/-requests, or
+// file:<path> — a versioned JSON schedule, imported and fully
+// re-validated. A replay ring refuses, by node, a file that needs a
+// level it lacks; the cost model prices every node at its set's
+// per-switch cost whatever the level, so `schedule` takes any file.
+func scheduleFor(name string, g geometry, radix, rotations, requests int) (*workload.Schedule, error) {
+	if path, ok := strings.CutPrefix(name, "file:"); ok {
+		s, err := workload.ImportFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if g.bench != nil {
+			return s, nil
+		}
+		for _, n := range s.Nodes {
+			if n.Level > g.top {
+				return nil, fmt.Errorf("schedule %s: node %d runs at level %d but the replay ring tops out at level %d (raise -towers)",
+					s.Name, n.ID, n.Level, g.top)
+			}
+		}
+		return s, nil
 	}
 	switch name {
 	case "bootstrap":
-		s, err := workload.BootstrapBTS(b, radix)
-		return s, b, err
+		if g.bench != nil {
+			return workload.BootstrapBTS(*g.bench, radix)
+		}
+		return workload.Bootstrap(workload.BootstrapParams{LogSlots: g.logN - 1, Radix: radix, Top: g.top})
 	case "matvec":
-		s, err := workload.Matvec(rotations, requests, b.KL-1)
-		return s, b, err
+		return workload.Matvec(rotations, requests, g.top)
 	case "fanout":
-		s, err := workload.Fanout(requests, rotations, b.KL-1)
-		return s, b, err
+		return workload.Fanout(requests, rotations, g.top)
 	case "pir":
-		s, err := workload.PIR(requests, rotations, b.KL-1)
-		return s, b, err
+		return workload.PIR(requests, rotations, g.top)
 	case "private-inference":
-		s, err := workload.PrivateInference(b.KL/2, rotations, requests, b.KL-1)
-		return s, b, err
+		return workload.PrivateInference((g.top+1)/2, rotations, requests, g.top)
 	case "evalmod":
-		s, err := workload.EvalMod(b.KL, b.KL-1)
-		return s, b, err
+		return workload.EvalMod(g.top+1, g.top)
 	default:
-		return nil, params.Benchmark{}, fmt.Errorf("unknown workload %q (want fanout, bootstrap, matvec, pir, private-inference, or evalmod)", name)
+		return nil, fmt.Errorf("unknown workload %q (want fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>)", name)
 	}
 }
 
@@ -109,20 +132,17 @@ func writeScheduleDOT(sched *workload.Schedule, path string) error {
 }
 
 func scheduleCmd(r *analysis.Runner, name string, bts, radix, rotations, requests int, jsonPath, exportPath, importPath, dotPath string) error {
-	var sched *workload.Schedule
-	var b params.Benchmark
-	var err error
+	b, err := workload.BTSBenchmark(bts)
+	if err != nil {
+		return err
+	}
+	source := name
 	if importPath != "" {
-		// Imported schedules are fully re-validated by ImportFile; the
-		// -bts set still anchors the cost-model pricing below.
-		if sched, err = workload.ImportFile(importPath); err != nil {
-			return err
-		}
-		if b, err = workload.BTSBenchmark(bts); err != nil {
-			return err
-		}
-		name = "import"
-	} else if sched, b, err = scheduleFor(name, bts, radix, rotations, requests); err != nil {
+		// The -bts set still anchors the cost-model pricing below.
+		source, name = "file:"+importPath, "import"
+	}
+	sched, err := scheduleFor(source, geometry{logN: b.LogN, top: b.KL - 1, bench: &b}, radix, rotations, requests)
+	if err != nil {
 		return err
 	}
 	if exportPath != "" {

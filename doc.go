@@ -43,17 +43,15 @@
 //     exactly: coalescing must fire inside hoist groups and never
 //     across dependent chain steps.
 //
-// The `ciflow` command regenerates the paper artifacts and measures
-// all of the above: `ciflow throughput` (per-dataflow ops/sec and
-// latency, -hoisted for the shared-ModUp fan-out), `ciflow serve`
-// (the load generator: -clients/-rps/-rotations over a
-// -tenants × -levels keyspace matrix under a -keybudget, reporting
-// cache hit rates, key residency, and coalescing per tenant; with
-// -workload bootstrap/matvec, the schedule-DAG replay with exact
-// count cross-validation), `ciflow schedule` (a schedule's shape,
-// predicted counts, and modeled cost including shared-ModUp savings),
-// and `ciflow perfgate` (the CI regression gate over all three
-// reports, including the keyspace-isolation and schedule-exactness
-// invariants). See README.md for quickstarts and DESIGN.md for the
-// architecture and the bit-exactness argument.
+// The `ciflow` command regenerates the paper artifacts and drives all
+// of the above: `ciflow serve` replays a -workload schedule DAG for
+// -tenants tenants, each against the serial bit-exactness reference,
+// through one in-process service or -shards shard processes behind
+// the cluster router, and -check turns bit-exactness and exact count
+// cross-validation into an exit code; `ciflow schedule` prints a
+// schedule's shape, predicted counts, and modeled cost including
+// shared-ModUp savings. What any layer costs is measured by the one
+// instrument, `go run ./bench` (BENCHMARK.json, bench/README.md). See
+// README.md for quickstarts and DESIGN.md for the architecture and the
+// bit-exactness argument.
 package ciflow

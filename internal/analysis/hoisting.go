@@ -3,9 +3,9 @@ package analysis
 // Hoisting model: how much of a key switch's weighted modular work is
 // the key-independent ModUp pipeline, and what speedup sharing it
 // across k rotations of one ciphertext buys. This is the paper-model
-// counterpart of hks.HoistedOpsSaved — the throughput experiment
-// (ciflow throughput -hoisted) reconciles these predictions against
-// measured ops/sec and reports the delta.
+// counterpart of hks.HoistedOpsSaved; `go run ./bench -workload
+// switch_direct -trace 1` prints the measured hks.hoist_speedup_x
+// beside hks.hoist_model_x.
 
 import (
 	"fmt"
@@ -33,16 +33,6 @@ func HoistedSpeedup(b params.Benchmark, k int) float64 {
 	}
 	f := HoistedModUpFraction(b)
 	return float64(k) / (float64(k) - float64(k-1)*f)
-}
-
-// HoistingDelta returns the relative deviation, in percent, of a
-// measured hoisted speedup from the modeled one: positive when the
-// measurement beats the model.
-func HoistingDelta(measured, model float64) float64 {
-	if model == 0 {
-		return 0
-	}
-	return 100 * (measured - model) / model
 }
 
 // FormatHoisting renders the modeled hoisting savings of a benchmark

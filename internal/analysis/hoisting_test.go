@@ -36,21 +36,6 @@ func TestHoistedSpeedupMonotone(t *testing.T) {
 	}
 }
 
-func TestHoistingDelta(t *testing.T) {
-	if d := HoistingDelta(1.5, 1.5); d != 0 {
-		t.Fatalf("equal measured/model should give 0%%, got %g", d)
-	}
-	if d := HoistingDelta(3, 2); d != 50 {
-		t.Fatalf("want +50%%, got %g", d)
-	}
-	if d := HoistingDelta(1, 2); d != -50 {
-		t.Fatalf("want -50%%, got %g", d)
-	}
-	if d := HoistingDelta(1, 0); d != 0 {
-		t.Fatalf("zero model must not divide, got %g", d)
-	}
-}
-
 func TestFormatHoisting(t *testing.T) {
 	out := FormatHoisting(params.BTS3, []int{2, 8})
 	for _, want := range []string{"BTS3", "speedup", "ops saved"} {

@@ -43,9 +43,9 @@
 // to the schedule's Counts() predictions exactly — switches, ModUps,
 // hoist-group coalesces, per level — and every result must be
 // bit-exact with a serial replay in the router's process, end-to-end
-// over the wire. `ciflow cluster` spawns the shards, runs the replay,
-// and enforces both; `ciflow shard` and `ciflow router` expose the
-// halves for multi-machine use.
+// over the wire. `ciflow serve -shards S` spawns the shards, runs the
+// replay, and enforces both; `ciflow shard` and `ciflow router` expose
+// the halves for multi-machine use.
 package cluster
 
 import (

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"net"
 	"testing"
 	"time"
@@ -10,14 +11,15 @@ import (
 	"ciflow/internal/ckks"
 	"ciflow/internal/engine"
 	"ciflow/internal/hks"
+	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 	"ciflow/internal/workload"
 )
 
 // testCluster is an in-process fabric: n shards on loopback TCP, one
-// router, all sharing one ckks context (the processes of the `ciflow
-// cluster` experiment, minus the process boundary — the wire between
+// router, all sharing one ckks context (the processes of `ciflow
+// serve -shards`, minus the process boundary — the wire between
 // them is the real one).
 type testCluster struct {
 	cctx   *ckks.Context
@@ -343,7 +345,56 @@ func TestAggregateStats(t *testing.T) {
 	b.Keys.Hits = 1
 	b.Keys.Misses = 3
 
+	// Each shard ships the profile of its own recorder. What the
+	// aggregate must hold is tallied here from the observations
+	// themselves: bucket i counts the durations of bit length i.
+	type hist struct {
+		count, sumNs uint64
+		buckets      map[int]uint64
+	}
+	want := map[[2]string]*hist{}
+	recs := [2]obs.Recorder{}
+	for i, o := range []struct {
+		stage obs.Stage
+		df    obs.Dataflow
+		ns    uint64
+	}{
+		{obs.StageModUp, obs.DataflowMP, 900}, {obs.StageModUp, obs.DataflowMP, 70_000},
+		{obs.StageModUp, obs.DataflowMP, 1000}, {obs.StageApply, obs.DataflowOC, 3},
+		{obs.StageModDown, obs.DataflowMP, 1 << 20}, {obs.StageApply, obs.DataflowOC, 5_000_000},
+		{obs.StageModUp, obs.DataflowDC, 1}, {obs.StageModUp, obs.DataflowMP, 70_001},
+	} {
+		recs[i%2].Stage(o.stage, o.df, 3, time.Duration(o.ns))
+		k := [2]string{o.stage.String(), o.df.String()}
+		if want[k] == nil {
+			want[k] = &hist{buckets: map[int]uint64{}}
+		}
+		want[k].count++
+		want[k].sumNs += o.ns
+		want[k].buckets[bits.Len64(o.ns)]++
+	}
+	a.Profile, b.Profile = recs[0].Snapshot(), recs[1].Snapshot()
+
 	agg := AggregateStats([]serve.Stats{a, b})
+	if agg.Profile == nil || len(agg.Profile.Stages) != len(want) {
+		t.Fatalf("aggregate profile %+v, want %d stage histograms", agg.Profile, len(want))
+	}
+	for _, hs := range agg.Profile.Stages {
+		w := want[[2]string{hs.Name, hs.Dataflow}]
+		if w == nil || hs.Count != w.count || hs.SumNs != w.sumNs {
+			t.Fatalf("aggregate %s/%s: %+v, tallied %+v", hs.Name, hs.Dataflow, hs, w)
+		}
+		var inBuckets uint64
+		for i, v := range hs.Buckets {
+			if v != w.buckets[i] {
+				t.Fatalf("aggregate %s/%s bucket %d holds %d, tallied %d", hs.Name, hs.Dataflow, i, v, w.buckets[i])
+			}
+			inBuckets += v
+		}
+		if inBuckets != w.count {
+			t.Fatalf("aggregate %s/%s buckets hold %d of %d observations", hs.Name, hs.Dataflow, inBuckets, w.count)
+		}
+	}
 	if agg.Submitted != 10 || agg.Served != 10 || agg.Batches != 5 ||
 		agg.Groups != 6 || agg.ModUps != 6 || agg.Coalesced != 4 {
 		t.Fatalf("aggregate counters wrong: %+v", agg)

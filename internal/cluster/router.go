@@ -753,20 +753,5 @@ func (tv *TenantView) SubmitGroup(ctx context.Context, reqs []serve.Request) ([]
 // serve.Stats value, so replay deltas measure exactly this tenant's
 // slice of the fabric no matter how many shards served it.
 func (tv *TenantView) Stats() serve.Stats {
-	agg := AggregateStats(tv.Router.AllStats())
-	for _, ts := range agg.Tenants {
-		if ts.Tenant != tv.Tenant {
-			continue
-		}
-		return serve.Stats{
-			Submitted: ts.Submitted, Served: ts.Served, Failed: ts.Failed,
-			Batches: ts.Batches, Groups: ts.Groups, ModUps: ts.ModUps,
-			Coalesced: ts.Coalesced, KeyExpansions: ts.KeyExpansions,
-			CoalescingFactor: ts.CoalescingFactor,
-			P50:              ts.P50, P99: ts.P99,
-			PerLevel: append([]serve.LevelStats(nil), ts.PerLevel...),
-			Tenants:  []serve.TenantStats{ts},
-		}
-	}
-	return serve.Stats{}
+	return AggregateStats(tv.Router.AllStats()).ForTenant(tv.Tenant)
 }

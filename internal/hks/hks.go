@@ -46,8 +46,8 @@
 // coalesces concurrent *requests* on one ciphertext onto a shared
 // Hoisted the same way. SwitchOps/ModUpOps count weighted modular
 // operations from the live structures, backing the HoistedOpsSaved
-// reuse model the throughput experiment reconciles against
-// measurement.
+// reuse model that bench prints (hks.hoist_model_x) beside the
+// measured hks.hoist_speedup_x.
 package hks
 
 import (

@@ -35,8 +35,8 @@ func (sw *Switcher) ModUpOps() int64 {
 // SwitchOps reports the weighted modular operations of one complete
 // key switch (ModUp + ApplyKey + Reduce + ModDown) as executed by
 // this switcher, with the same stage conventions as
-// params.OpCounts.WeightedTotal — the live-structure counterpart the
-// throughput experiment reconciles the model against.
+// params.OpCounts.WeightedTotal — the live-structure counterpart of
+// the model (bench's hks.switch_mod_ops beside params.weighted_mod_ops).
 func (sw *Switcher) SwitchOps() int64 {
 	n := int64(sw.R.N)
 	bf := sw.weightedButterflies()

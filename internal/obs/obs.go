@@ -21,8 +21,7 @@
 //     bucket counts sum — which is what lets the cluster router add
 //     per-shard snapshots into one fabric-wide profile with no loss,
 //     and Shares turns a snapshot into the per-stage wall-time
-//     fractions the throughput/serve/cluster reports surface as
-//     stage_shares.
+//     fractions the `ciflow serve` report surfaces as stage_shares.
 //   - Tracer: a bounded in-memory span buffer drained to a Chrome
 //     trace-event (catapult) JSON timeline, loadable in
 //     chrome://tracing or Perfetto. Spans are packed into

@@ -255,8 +255,8 @@ func Shares(s *Snapshot, wallSec float64) []StageShare {
 }
 
 // SumShares returns the total fraction of wall time the stage shares
-// account for — the number the perfgate pins against 1.0 at one
-// worker.
+// account for: 1.0 on one goroutine running stages back to back
+// (bench's obs.stage_share_sum), up to the goroutine count otherwise.
 func SumShares(shares []StageShare) float64 {
 	var sum float64
 	for _, s := range shares {

@@ -95,9 +95,7 @@ func TestCompressedServingBitExact(t *testing.T) {
 // TestCompressedHalvedBudget runs the identical request sequence
 // through a dense service with budget B and a compressed service with
 // budget B/2: the halved budget must hold the same working set — same
-// hits, misses, evictions — and serve bit-identical results. This is
-// the tentpole claim at unit scale; the perf gate checks it on the
-// full `ciflow serve` benchmark.
+// hits, misses, evictions — and serve bit-identical results.
 func TestCompressedHalvedBudget(t *testing.T) {
 	const K = 4
 	b := newTestBench(t, K)

@@ -453,7 +453,15 @@ func TestGroupWaitPhase(t *testing.T) {
 	}
 	b.checkGroup(t, "", in, []int{0, 1, 2, 3}, chans, "group")
 
+	// finish times the channel send, so it books the reply phase after
+	// the result is already in hand: wait for the last booking.
+	replied := func(st Stats) bool {
+		return count(st.Phases, "reply") >= K+1 && count(tenantStats(t, st, "").Phases, "reply") >= K+1
+	}
 	st := svc.Stats()
+	for deadline := time.Now().Add(5 * time.Second); !replied(st) && time.Now().Before(deadline); st = svc.Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if got := names(st.Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
 		t.Fatalf("phases %v, want %v", got, canonical)
 	}

@@ -59,9 +59,9 @@
 // through the request's KeyID — to an evaluation key. KeyChains wires
 // the cache to ckks.KeyChain.HoistKey; finishing a rotation (Galois
 // automorphism of the switched pair plus c0 addition) is cheap and
-// stays with the caller. The `ciflow serve` load generator drives this
-// package and reports ops/sec, tail latency, cache hit rate, coalescing
-// factor, and the per-tenant breakdown of all four.
+// stays with the caller. `ciflow serve` replays schedule DAGs through
+// this package and checks its books against their predictions; `go run
+// ./bench` times it (serve_fanout, serve_unshared).
 package serve
 
 import (

@@ -369,8 +369,8 @@ func TestConcurrentClients(t *testing.T) {
 // TestCrossTenantNoCoalesce submits the same input polynomial
 // concurrently from two tenants: the requests must never share a
 // hoisted ModUp — each tenant's results come from its own keyspace —
-// and the per-tenant ModUps must sum to the service total (the
-// zero-cross-tenant-coalesces invariant the perf gate checks). Run
+// and the per-tenant ModUps must sum to the service total (zero
+// cross-tenant coalesces). Run
 // under -race this also exercises two dispatchers racing on the
 // shared engine and cache.
 func TestCrossTenantNoCoalesce(t *testing.T) {

@@ -190,8 +190,8 @@ func (lc *levelCounters) snapshot() []LevelStats {
 // TenantStats is one tenant's slice of the service: its request
 // counters, latency percentiles, and key-cache shard. Because batches
 // and coalesced groups never span tenants, the per-tenant ModUps sum
-// to the service total — an invariant the perf gate checks as "zero
-// cross-tenant coalesces".
+// to the service total: zero cross-tenant coalesces
+// (TestCrossTenantNoCoalesce).
 type TenantStats struct {
 	Tenant    string `json:"tenant"`
 	Submitted uint64 `json:"submitted"`
@@ -299,6 +299,30 @@ func (st Stats) Snapshot() Stats {
 		st.Tenants = tenants
 	}
 	return st
+}
+
+// ForTenant projects st onto one tenant as a Stats value of its own:
+// that tenant's counters, percentiles and per-level breakdown in the
+// service-wide fields, so a replay's before/after deltas measure
+// exactly its tenant's slice however many tenants — or, aggregated,
+// shards — share the books. A tenant st does not list gets the zero
+// Stats.
+func (st Stats) ForTenant(tenant string) Stats {
+	for _, ts := range st.Tenants {
+		if ts.Tenant != tenant {
+			continue
+		}
+		return Stats{
+			Submitted: ts.Submitted, Served: ts.Served, Failed: ts.Failed,
+			Batches: ts.Batches, Groups: ts.Groups, ModUps: ts.ModUps,
+			Coalesced: ts.Coalesced, KeyExpansions: ts.KeyExpansions,
+			CoalescingFactor: ts.CoalescingFactor,
+			P50:              ts.P50, P99: ts.P99,
+			PerLevel: append([]LevelStats(nil), ts.PerLevel...),
+			Tenants:  []TenantStats{ts},
+		}
+	}
+	return Stats{}
 }
 
 // Snapshot returns a deep copy of cs whose Tenants slice shares no

@@ -24,8 +24,8 @@ func goldenPath(name string) string {
 // golden must import to a schedule with identical per-level count
 // predictions, and re-exporting the import must reproduce the golden
 // — so the committed files, the generators, and the serializer cannot
-// drift apart, and the smoke jobs replaying a golden replay exactly
-// what the generators predict.
+// drift apart, and a replay of a golden (TestReplayGoldens) replays
+// exactly what the generators predict.
 func TestScenarioGoldens(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		t.Run(name, func(t *testing.T) {

@@ -24,7 +24,7 @@ package workload
 //
 // Scenario(name) builds each library member at its canonical replay
 // geometry (top level scenarioTop, so every scenario fits the
-// towers-6 replay rings of the smoke jobs and the bench), except the
+// towers-6 replay rings of CI's replays and the bench), except the
 // bootstrap scenario, which keeps the paper's BTS2 geometry and
 // exists for export/import golden coverage rather than replay.
 
@@ -115,8 +115,8 @@ func EvalMod(depth, top int) (*Schedule, error) {
 
 // scenarioTop is the canonical top level of the replayable library
 // scenarios: level 5, so each fits a towers-6 replay ring
-// (ckks.NewContext MaxLevel = towers−1) at any logn the smoke jobs
-// and the bench use.
+// (ckks.NewContext MaxLevel = towers−1) at any logn CI's replays and
+// the bench use.
 const scenarioTop = 5
 
 // ScenarioNames lists the library scenarios in display order; every

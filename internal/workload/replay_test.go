@@ -2,6 +2,9 @@ package workload
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,6 +206,52 @@ func TestReplayGroupsIgnoreBatching(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertExact(t, res)
+		})
+	}
+}
+
+// TestReplayGoldens imports every committed scenario file and replays
+// it with the serial reference on: the import must be the library's
+// schedule node for node — levels, groups and every dependency edge —
+// and the replay of it must be exact per level, bit-exact, and in
+// dependency order. Each runs on the smallest ring that has its
+// levels (bootstrap-bts2 keeps the paper's 40).
+func TestReplayGoldens(t *testing.T) {
+	paths, err := filepath.Glob(goldenPath("*"))
+	if err != nil || len(paths) != len(ScenarioNames()) {
+		t.Fatalf("goldens %v (%v), want one per scenario %v", paths, err, ScenarioNames())
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".schedule.json")
+		t.Run(name, func(t *testing.T) {
+			want, err := Scenario(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ImportFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s.Nodes, want.Nodes) {
+				t.Fatalf("%s imports to a different DAG than Scenario(%q) builds", path, name)
+			}
+			towers := 0
+			for _, n := range s.Nodes {
+				towers = max(towers, n.Level+1)
+			}
+			// One tower per digit is the digit count valid at every
+			// level of a ring of any height.
+			svc, cctx, chains, stop := testService(t, s, towers, towers)
+			defer stop()
+			res, err := Replay(context.Background(), svc, cctx.Switchers(), chains, cctx.R,
+				s, ReplayConfig{Tenant: "t0", Seed: 7, Check: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExact(t, res)
+			if !reflect.DeepEqual(res.Predicted, want.Counts()) {
+				t.Fatalf("replayed against %+v, the library predicts %+v", res.Predicted, want.Counts())
+			}
 		})
 	}
 }

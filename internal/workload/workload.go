@@ -260,8 +260,8 @@ func (c Counts) CoalescingFactor() float64 {
 
 // HoistCoalescingFactor is the predicted coalescing factor *inside*
 // hoist groups: coalesced requests per hoist-group ModUp. This is the
-// number the perf gate requires to stay above 1 — across chain steps
-// it must contribute nothing.
+// number `ciflow serve -check` requires to stay above 1 — across chain
+// steps it must contribute nothing.
 func (c Counts) HoistCoalescingFactor() float64 {
 	if c.HoistGroups == 0 {
 		return 0

@@ -1,18 +1,18 @@
-// Command tracecheck validates the observability artifacts the CI
-// obs-smoke job produces: a Chrome trace-event timeline written by
-// `ciflow ... -trace` and a serve report written with -profile.
+// Command tracecheck validates the observability artifacts of one
+// traced, profiled in-process replay — the only command that produces
+// its inputs:
 //
-// Usage:
-//
-//	go run ./tools/tracecheck trace.json serve_report.json
+//	ciflow serve -workload W -tenants T -profile -trace trace.json -json run.json
+//	go run ./tools/tracecheck trace.json run.json
 //
 // The trace must parse as catapult JSON with at least one complete
 // ("X") event, and within every (pid, tid) lane the spans must be
 // monotonic and non-overlapping — the guarantee obs.PackLanes makes
-// at export time. The serve report must carry stage_shares whose sum
-// is positive and at most workers+2 (stages overlap across the
-// engine's workers plus the caller draining the graph), and
-// request-lifecycle phases with nonzero totals.
+// at export time. The report must carry stage_shares whose sum is
+// positive and at most workers + 2·tenants (the engine's workers, plus
+// for every tenant its serial reference and its dispatcher, all
+// recording into the one profile), and request-lifecycle phases with
+// nonzero totals.
 package main
 
 import (
@@ -48,6 +48,7 @@ type phaseStat struct {
 
 type serveReport struct {
 	Workers     int          `json:"workers"`
+	Tenants     int          `json:"tenants"`
 	StageShares []stageShare `json:"stage_shares"`
 	Phases      []phaseStat  `json:"phases"`
 }
@@ -111,10 +112,10 @@ func checkReport(path string) error {
 		}
 		sum += s.Share
 	}
-	limit := float64(rep.Workers + 2)
+	limit := float64(rep.Workers + 2*rep.Tenants)
 	if sum <= 0 || sum > limit {
-		return fmt.Errorf("%s: stage shares sum to %.3f, want in (0, %.0f] at %d workers",
-			path, sum, limit, rep.Workers)
+		return fmt.Errorf("%s: stage shares sum to %.3f, want in (0, %.0f] at %d workers, %d tenants",
+			path, sum, limit, rep.Workers, rep.Tenants)
 	}
 	if len(rep.Phases) == 0 {
 		return fmt.Errorf("%s: no request-lifecycle phases", path)
@@ -132,7 +133,7 @@ func checkReport(path string) error {
 
 func main() {
 	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> <serve_report.json>")
+		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> <run.json>")
 		os.Exit(2)
 	}
 	if err := checkTrace(os.Args[1]); err != nil {
