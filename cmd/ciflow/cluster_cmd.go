@@ -46,8 +46,6 @@ type shardConfig struct {
 	dnum      int
 	workers   int
 	keyBudget int64
-	maxBatch  int
-	window    time.Duration
 	profile   bool // record stage/kernel histograms, shipped in stats frames
 }
 
@@ -81,7 +79,7 @@ func shardCmd(cfg shardConfig) error {
 	e := engine.New(cfg.workers)
 	defer e.Close()
 	sh, err := cluster.NewShard(cctx, tenantNames(cfg.tenants),
-		replayServiceConfig(e, cfg.keyBudget, cfg.maxBatch, cfg.window))
+		replayServiceConfig(e, cfg.keyBudget))
 	if err != nil {
 		return err
 	}
@@ -176,8 +174,6 @@ func spawnShard(exe string, cfg shardConfig) (*shardProc, error) {
 		"-dnum", strconv.Itoa(cfg.dnum),
 		"-workers", strconv.Itoa(cfg.workers),
 		"-keybudget", strconv.FormatInt(cfg.keyBudget, 10),
-		"-batch", strconv.Itoa(cfg.maxBatch),
-		"-window", cfg.window.String(),
 	}
 	if cfg.profile {
 		args = append(args, "-profile")

@@ -37,7 +37,6 @@ func tinyClusterConfig() serveConfig {
 		shards: 2, tenants: 2, replicas: 1,
 		workload: "bootstrap", bts: 2, radix: 16,
 		dfName: "mp", logN: 5, towers: 4, dnum: 2, workers: 2,
-		window: time.Millisecond,
 	}
 }
 
@@ -72,7 +71,7 @@ func TestClusterExperiment(t *testing.T) {
 func TestClusterExperimentKill(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kill.json")
 	args := []string{"serve", "-workload", "bootstrap", "-radix", "16", "-dataflow", "mp",
-		"-logn", "5", "-towers", "4", "-dnum", "2", "-workers", "2", "-window", "1ms",
+		"-logn", "5", "-towers", "4", "-dnum", "2", "-workers", "2",
 		"-shards", "3", "-tenants", "2", "-replicas", "2", "-kill", "-profile",
 		"-check", "-json", path}
 	if err := run(args); err != nil {
@@ -154,7 +153,7 @@ func TestKillWatcherEndsWithReplays(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		p, err := spawnShard(exe, shardConfig{addr: "127.0.0.1:0", tenants: 1,
-			logN: 5, towers: 6, dnum: 2, workers: 1, maxBatch: 16, window: time.Millisecond})
+			logN: 5, towers: 6, dnum: 2, workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

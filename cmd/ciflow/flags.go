@@ -1,43 +1,63 @@
 package main
 
-// The flag set and the experiment catalog live here, in one place, so
-// that `ciflow help` (usage.go prints from these), the package doc
-// comment, and README.md can be checked against each other by
-// TestHelpMatchesREADME instead of drifting apart.
+// The flag set and the experiment table live here, in one place: run()
+// dispatches on the table, `ciflow help` (usage.go) prints it and the
+// flag set, `all` walks it, and TestHelpMatchesREADME checks README.md
+// against the help output.
 
 import (
 	"flag"
-	"time"
+	"fmt"
+	"os"
+
+	"ciflow/internal/analysis"
+	"ciflow/internal/params"
 )
 
-// experiment is one ciflow verb as shown by `ciflow help`.
+// experiment is one ciflow verb: its name and summary as `ciflow help`
+// shows them, and what it runs.
 type experiment struct {
 	name, desc string
+	run        func(*cli) error
 }
 
-// experiments lists every verb run() dispatches, in display order.
-var experiments = []experiment{
-	{"table2", "DRAM traffic and arithmetic intensity (Table II)"},
-	{"table3", "benchmark parameter sets (Table III)"},
-	{"table4", "OCbase bandwidths and speedups (Table IV)"},
-	{"table5", "configs matching ARK's saturation point (Table V)"},
-	{"fig4", "runtime vs bandwidth sweep (Figure 4; -bench)"},
-	{"fig5", "BTS3 evk streamed vs on-chip (Figure 5)"},
-	{"fig6", "ARK evk streamed vs on-chip (Figure 6)"},
-	{"fig7", "OC streaming slowdown per benchmark (Figure 7)"},
-	{"fig8", "ARK MODOPS sensitivity (Figure 8; -bench)"},
-	{"fig9", "equivalent configs with streamed evks (Figure 9)"},
-	{"ablate-keycomp", "key-compression ablation (§IV-D)"},
-	{"ablate-ocf", "fused-ModDown OC extension vs plain OC"},
-	{"roofline", "memory/compute-bound classification at 8/64/256 GB/s"},
-	{"memory", "data traffic vs on-chip memory size (§IV working sets)"},
-	{"area", "SRAM/area saving summary (§VI-B)"},
-	{"serve", "replay a -workload schedule DAG for -tenants tenants against the serial reference, through one in-process service or -shards shard processes behind the router (-replicas, -kill); -check verifies exact counts and bit-exactness"},
-	{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export/-import versioned JSON)"},
-	{"shard", "one cluster shard backend: a serve service behind the wire protocol (-addr)"},
-	{"router", "probe running shards (-shardaddrs) and print the cluster status table"},
-	{"all", "every table, figure and ablation above in paper order"},
-	{"help", "this usage summary"},
+// experiments lists every verb, in display order. It is filled at init
+// because help and all read the table they are entries of.
+var experiments []experiment
+
+func init() {
+	experiments = []experiment{
+		{"table2", "DRAM traffic and arithmetic intensity (Table II)", table2},
+		{"table3", "benchmark parameter sets (Table III)", func(*cli) error {
+			fmt.Print(analysis.FormatTableIII())
+			return nil
+		}},
+		{"table4", "OCbase bandwidths and speedups (Table IV)", table4},
+		{"table5", "configs matching ARK's saturation point (Table V)", table5},
+		{"fig4", "runtime vs bandwidth sweep (Figure 4; -bench)", fig4},
+		{"fig5", "BTS3 evk streamed vs on-chip (Figure 5)", figStream(params.BTS3, 5)},
+		{"fig6", "ARK evk streamed vs on-chip (Figure 6)", figStream(params.ARK, 6)},
+		{"fig7", "OC streaming slowdown per benchmark (Figure 7)", fig7},
+		{"fig8", "ARK MODOPS sensitivity (Figure 8; -bench)", fig8},
+		{"fig9", "equivalent configs with streamed evks (Figure 9)", fig9},
+		{"ablate-keycomp", "key-compression ablation (§IV-D)", keycomp},
+		{"ablate-ocf", "fused-ModDown OC extension vs plain OC", ocf},
+		{"roofline", "memory/compute-bound classification at 8/64/256 GB/s", roofline},
+		{"memory", "data traffic vs on-chip memory size (§IV working sets)", memorySweep},
+		{"area", "SRAM/area saving summary (§VI-B)", func(*cli) error {
+			fmt.Print(analysis.AreaSummary())
+			return nil
+		}},
+		{"serve", "replay a -workload schedule DAG for -tenants tenants against the serial reference, through one in-process service or -shards shard processes behind the router (-replicas, -kill); -check verifies exact counts and bit-exactness", serveVerb},
+		{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export/-import versioned JSON)", scheduleVerb},
+		{"shard", "one cluster shard backend: a serve service behind the wire protocol (-addr)", shardVerb},
+		{"router", "probe running shards (-shardaddrs) and print the cluster status table", routerVerb},
+		{"all", "every table, figure and ablation above in paper order", runAll},
+		{"help", "this usage summary", func(c *cli) error {
+			usage(os.Stdout, c.fl)
+			return nil
+		}},
+	}
 }
 
 // cliFlags carries every parsed flag; newFlags is the single source of
@@ -62,8 +82,6 @@ type cliFlags struct {
 	// serve service settings
 	tenants   *int
 	keyBudget *int64
-	maxBatch  *int
-	window    *time.Duration
 	check     *bool
 
 	// workload schedules (serve, schedule)
@@ -106,8 +124,6 @@ func newFlags() *cliFlags {
 
 	fl.tenants = fs.Int("tenants", 1, "serve tenant count (distinct keyspaces, each replaying the schedule)")
 	fl.keyBudget = fs.Int64("keybudget", 0, "serve key-cache byte budget per service (0 = serve default)")
-	fl.maxBatch = fs.Int("batch", 64, "serve micro-batch size cap")
-	fl.window = fs.Duration("window", 500*time.Microsecond, "serve micro-batch gather window for separate Submit calls")
 	fl.check = fs.Bool("check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held")
 
 	fl.workloadName = fs.String("workload", "fanout", "serve/schedule shape: fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>")

@@ -46,8 +46,6 @@ type serveConfig struct {
 	dnum      int // 0 = inherit the -bts set's digit count
 	workers   int // per process; 0 = GOMAXPROCS split over the shards
 	keyBudget int64
-	maxBatch  int
-	window    time.Duration
 
 	tenants  int
 	shards   int // 0 = one in-process service
@@ -148,10 +146,13 @@ func parseDataflow(name string) (dataflow.Dataflow, error) {
 // replayServiceConfig is the serve.Config of every service a replay
 // goes through, in the driver's process or a shard's: request levels
 // taken literally (workload.ReplayServiceConfig — a schedule node at
-// level 0 is served at level 0) under the flag settings.
-func replayServiceConfig(e *engine.Engine, keyBudget int64, maxBatch int, window time.Duration) serve.Config {
+// level 0 is served at level 0) on the given engine and key budget.
+// The batching settings stay at their defaults: a replay submits only
+// sealed groups, which neither wait on the window nor split at the
+// batch cap.
+func replayServiceConfig(e *engine.Engine, keyBudget int64) serve.Config {
 	scfg := workload.ReplayServiceConfig(nil)
-	scfg.Engine, scfg.KeyBudget, scfg.MaxBatch, scfg.Window = e, keyBudget, maxBatch, window
+	scfg.Engine, scfg.KeyBudget = e, keyBudget
 	return scfg
 }
 
@@ -244,7 +245,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 	if cfg.shards == 0 {
 		e := engine.New(cfg.workers)
 		defer e.Close()
-		svc, err := serve.New(cctx.Switchers(), keys, replayServiceConfig(e, cfg.keyBudget, cfg.maxBatch, cfg.window))
+		svc, err := serve.New(cctx.Switchers(), keys, replayServiceConfig(e, cfg.keyBudget))
 		if err != nil {
 			return nil, err
 		}
@@ -269,8 +270,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 			p, err := spawnShard(exe, shardConfig{
 				addr: "127.0.0.1:0", tenants: cfg.tenants,
 				logN: cfg.logN, towers: cfg.towers, dnum: cfg.dnum,
-				workers: cfg.workers, keyBudget: cfg.keyBudget,
-				maxBatch: cfg.maxBatch, window: cfg.window, profile: cfg.profile,
+				workers: cfg.workers, keyBudget: cfg.keyBudget, profile: cfg.profile,
 			})
 			if err != nil {
 				return nil, err
@@ -331,7 +331,11 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 	// The slowest tenant's replay, its reference excluded.
 	rep.DurationSec = wall.Seconds()
 	rep.OpsPerSec = float64(st.Served) / wall.Seconds()
-	rep.BooksExact, rep.Mismatches = booksCheck(st, rep.Predicted, cfg.tenants, rep.Mismatches)
+	drift := sched.CompareBooks(serve.Stats{}, st, cfg.tenants)
+	rep.BooksExact = len(drift) == 0
+	for _, m := range drift {
+		rep.Mismatches = append(rep.Mismatches, "books: "+m)
+	}
 	if rt != nil {
 		rep.Replicas = max(cfg.replicas, 1)
 		rep.Delivered = rt.Delivered()
@@ -413,42 +417,6 @@ func drainBusiest(ctx context.Context, rt *cluster.Router, after uint64) error {
 	}
 	_, err := rt.Drain(victim)
 	return err
-}
-
-// booksCheck compares the fabric-wide books against tenants x the
-// schedule prediction, per level included.
-func booksCheck(st serve.Stats, pred workload.Counts, tenants int, mism []string) (bool, []string) {
-	exact := true
-	n := uint64(tenants)
-	want := func(what string, got, wantV uint64) {
-		if got != wantV {
-			exact = false
-			mism = append(mism, fmt.Sprintf("books %s: measured %d, predicted %d", what, got, wantV))
-		}
-	}
-	want("served", st.Served, n*uint64(pred.Switches))
-	want("mod_ups", st.ModUps, n*uint64(pred.ModUps))
-	want("groups", st.Groups, n*uint64(pred.ModUps))
-	want("coalesced", st.Coalesced, n*uint64(pred.Coalesced))
-	measured := map[int]serve.LevelStats{}
-	for _, ls := range st.PerLevel {
-		measured[ls.Level] = ls
-	}
-	for _, pl := range pred.PerLevel {
-		m := measured[pl.Level]
-		want(fmt.Sprintf("level %d switches", pl.Level), m.Switches, n*uint64(pl.Switches))
-		want(fmt.Sprintf("level %d mod_ups", pl.Level), m.ModUps, n*uint64(pl.ModUps))
-		want(fmt.Sprintf("level %d coalesced", pl.Level), m.Coalesced, n*uint64(pl.Coalesced))
-		delete(measured, pl.Level)
-	}
-	for l, m := range measured {
-		if m.Switches != 0 || m.ModUps != 0 || m.Coalesced != 0 {
-			exact = false
-			mism = append(mism, fmt.Sprintf("books: level %d has %d/%d/%d but the schedule predicts nothing there",
-				l, m.Switches, m.ModUps, m.Coalesced))
-		}
-	}
-	return exact, mism
 }
 
 // serveCheck is the acceptance bar behind `serve -check`, the same in

@@ -5,11 +5,9 @@ import (
 	"io"
 )
 
-// usage prints the experiment catalog and the flag defaults — the
-// `ciflow help` output. It is generated from the same experiments
-// slice and flag set that run() dispatches on, and
-// TestHelpMatchesREADME diffs it against README.md, so the three
-// cannot drift apart silently.
+// usage prints the experiment table and the flag defaults — the
+// `ciflow help` output — from the table run() dispatches on and the
+// flag set it parses; TestHelpMatchesREADME holds README.md to it.
 func usage(w io.Writer, fl *cliFlags) {
 	fmt.Fprintln(w, "Usage: ciflow <experiment> [flags]")
 	fmt.Fprintln(w)

@@ -30,7 +30,10 @@
 //     one global byte budget (eviction weighted by Evk.SizeBytes,
 //     per-tenant residency floor), a hoisted-state coalescer scoped
 //     per keyspace, and per-tenant dispatchers with bounded queues
-//     keep tenants isolated while they share the engine.
+//     keep tenants isolated while they share the engine. Its books
+//     are kept once, at the tenant; the service totals, the sum over
+//     a cluster's shards (serve.MergeStats) and one tenant's view are
+//     one summation of them.
 //   - Workloads: internal/workload represents key-switch traffic as
 //     typed schedule DAGs — bootstrapping CoeffToSlot/SlotToCoeff
 //     chains derived from the BTS parameter sets, baby-step/

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ciflow/internal/hks"
+	"ciflow/internal/ring"
 )
 
 // Evaluation keys must be a pure function of (context, seed, key
@@ -50,24 +51,11 @@ func TestKeyChainDeterministicAcrossInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := ctx.Switchers().Switcher(rq.level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ba, bb, bo bytes.Buffer
-		if err := sw.WriteEvk(&ba, ka); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteEvk(&bb, kb); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteEvk(&bo, ko); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
+		ba, bb, bo := evkBytes(t, ctx, ka), evkBytes(t, ctx, kb), evkBytes(t, ctx, ko)
+		if !bytes.Equal(ba, bb) {
 			t.Fatalf("hoist key (rot %d, level %d) differs between same-seed chains", rq.rot, rq.level)
 		}
-		if bytes.Equal(ba.Bytes(), bo.Bytes()) {
+		if bytes.Equal(ba, bo) {
 			t.Fatalf("hoist key (rot %d, level %d) identical across different seeds", rq.rot, rq.level)
 		}
 	}
@@ -79,30 +67,25 @@ func TestKeyChainDeterministicAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, _ := ctx.Switchers().Switcher(3)
-	var ba, bb bytes.Buffer
-	if err := sw.WriteEvk(&ba, ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.WriteEvk(&bb, rb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
+	if !bytes.Equal(evkBytes(t, ctx, ra), evkBytes(t, ctx, rb)) {
 		t.Fatal("relin key differs between same-seed chains")
 	}
 }
 
-func evkBytes(t *testing.T, ctx *Context, level int, evk *hks.Evk) []byte {
+// evkBytes is every residue of evk, digit by digit, in the ring's
+// polynomial encoding: equal bytes, equal keys.
+func evkBytes(t *testing.T, ctx *Context, evk *hks.Evk) []byte {
 	t.Helper()
-	sw, err := ctx.Switchers().Switcher(level)
-	if err != nil {
-		t.Fatal(err)
+	var out []byte
+	for j := range evk.B {
+		for _, p := range []*ring.Poly{evk.B[j], evk.A[j]} {
+			var err error
+			if out, err = ctx.R.AppendPoly(out, p); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	var buf bytes.Buffer
-	if err := sw.WriteEvk(&buf, evk); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return out
 }
 
 // HoistKeyCompressed is HoistKey's key in the other form: expanded, it
@@ -119,7 +102,7 @@ func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := evkBytes(t, ctx, level, dense)
+	want := evkBytes(t, ctx, dense)
 
 	// Compressed first, then dense: the dense call expands the memo.
 	a, _ := GenKeys(ctx, 42)
@@ -127,14 +110,14 @@ func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(evkBytes(t, ctx, level, ca.Expand(ctx.R)), want) {
+	if !bytes.Equal(evkBytes(t, ctx, ca.Expand(ctx.R)), want) {
 		t.Fatal("compressed-first key expands to different bits than HoistKey on a same-seed chain")
 	}
 	da, err := a.HoistKey(rot, level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(evkBytes(t, ctx, level, da), want) {
+	if !bytes.Equal(evkBytes(t, ctx, da), want) {
 		t.Fatal("HoistKey after HoistKeyCompressed returned different bits")
 	}
 	if again, _ := a.HoistKeyCompressed(rot, level); again != ca {
@@ -150,7 +133,7 @@ func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(evkBytes(t, ctx, level, cb.Expand(ctx.R)), want) {
+	if !bytes.Equal(evkBytes(t, ctx, cb.Expand(ctx.R)), want) {
 		t.Fatal("dense-first key compresses to different bits")
 	}
 	if cb.B[0] != dense.B[0] {

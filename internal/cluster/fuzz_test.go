@@ -7,6 +7,8 @@ import (
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/dataflow"
+	"ciflow/internal/obs"
+	"ciflow/internal/serve"
 )
 
 // The decoders face bytes a peer wrote. For arbitrary input each must
@@ -16,7 +18,9 @@ import (
 // package could have written. Allocation is bounded by the declared
 // caps: a frame header at most maxFramePayload, a polynomial header at
 // most one polynomial over the ring's full basis (ring.FuzzDecodePoly),
-// a member count only what the payload actually carries.
+// a member count only what the payload actually carries. A stats frame
+// is JSON, which has many spellings per value, so its property is about
+// what the router does with an accepted one: it merges.
 
 func fuzzCtx(f *testing.F) *ckks.Context {
 	f.Helper()
@@ -42,7 +46,7 @@ func addMutations(f *testing.F, good []byte) {
 }
 
 func FuzzReadFrame(f *testing.F) {
-	for _, typ := range []FrameType{FrameGroup, FrameResult, FramePing, FrameEvkComp} {
+	for _, typ := range []FrameType{FrameGroup, FrameResult, FramePing, FrameDrainDone} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, typ, []byte("payload-"+typ.String())); err != nil {
 			f.Fatal(err)
@@ -124,6 +128,65 @@ func FuzzDecodeResult(f *testing.F) {
 		again, err := EncodeResult(r, wr)
 		if err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("re-encoded result differs from the accepted bytes (err %v)", err)
+		}
+	})
+}
+
+// FuzzDecodeStats: a stats frame is the one reply a router decodes and
+// then computes with. Whatever DecodeStats accepts must go through the
+// merge without a panic — alone, and beside an honest snapshot — and
+// come out with totals that are the sum of its tenants, whatever totals
+// the frame claimed.
+func FuzzDecodeStats(f *testing.F) {
+	var rec obs.Recorder
+	rec.Stage(obs.StageModUp, obs.DataflowOC, 3, 900)
+	honest := serve.Stats{
+		Submitted: 6, Served: 5, Failed: 1, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 4,
+		P50: 3e6, P99: 9e6, Profile: rec.Snapshot(),
+		Tenants: []serve.TenantStats{
+			{Tenant: "t0", Submitted: 4, Served: 4, Batches: 1, Groups: 1, ModUps: 1, Coalesced: 4,
+				PerLevel: []serve.LevelStats{{Level: 3, Switches: 4, ModUps: 1, Coalesced: 4}},
+				Phases:   []serve.PhaseStats{{Phase: "hoist", Count: 1, TotalNs: 100}, {Phase: "replay", Count: 4, TotalNs: 400}},
+				Keys:     serve.TenantCacheStats{Tenant: "t0", Size: 4, Bytes: 64, DenseBytes: 128, Hits: 1, Misses: 4}},
+			{Tenant: "t1", Submitted: 2, Served: 1, Failed: 1, Batches: 1, Groups: 1, ModUps: 1,
+				PerLevel: []serve.LevelStats{{Level: 1, Switches: 1, ModUps: 1}}},
+		},
+	}
+	good, err := EncodeStats(honest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	addMutations(f, good)
+	f.Add([]byte(`{"served":7,"tenants":[{"tenant":"a","served":1,"per_level":[{"level":-1,"switches":1},{"level":-1,"mod_ups":2}]},{"tenant":"a","phases":[{"phase":"","count":1}]}]}`))
+	f.Add([]byte(`{"tenants":null,"profile":{"stages":[{"name":"x","buckets":[1,2,3]}]},"p50":-5}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeStats(data)
+		if err != nil {
+			return
+		}
+		for _, agg := range []serve.Stats{AggregateStats([]serve.Stats{st}), AggregateStats([]serve.Stats{honest, st, st})} {
+			var sum, levels [3]uint64
+			for _, ts := range agg.Tenants {
+				sum[0], sum[1], sum[2] = sum[0]+ts.Served, sum[1]+ts.ModUps, sum[2]+ts.Coalesced
+				for _, ls := range ts.PerLevel {
+					levels[0], levels[1], levels[2] = levels[0]+ls.Switches, levels[1]+ls.ModUps, levels[2]+ls.Coalesced
+				}
+			}
+			if got := [3]uint64{agg.Served, agg.ModUps, agg.Coalesced}; got != sum {
+				t.Fatalf("merged totals %v, merged tenants sum to %v", got, sum)
+			}
+			var total [3]uint64
+			for _, ls := range agg.PerLevel {
+				total[0], total[1], total[2] = total[0]+ls.Switches, total[1]+ls.ModUps, total[2]+ls.Coalesced
+			}
+			if total != levels {
+				t.Fatalf("merged level slices sum to %v, the tenants' to %v", total, levels)
+			}
+			for i := 1; i < len(agg.Tenants); i++ {
+				if agg.Tenants[i-1].Tenant >= agg.Tenants[i].Tenant {
+					t.Fatalf("merged tenants out of order or repeated: %q then %q", agg.Tenants[i-1].Tenant, agg.Tenants[i].Tenant)
+				}
+			}
 		}
 	})
 }

@@ -31,11 +31,10 @@ func hash64(s string) uint64 {
 	return h.Sum64()
 }
 
-// newHashRing places vnodes virtual points per shard on the ring.
-func newHashRing(shards, vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+// vnodes is the number of virtual points each shard places on the ring.
+const vnodes = 64
+
+func newHashRing(shards int) *hashRing {
 	h := &hashRing{live: make(map[int]bool, shards)}
 	for s := 0; s < shards; s++ {
 		h.live[s] = true

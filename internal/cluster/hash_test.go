@@ -6,8 +6,8 @@ import (
 )
 
 func TestHashRingDeterministic(t *testing.T) {
-	a := newHashRing(4, 0)
-	b := newHashRing(4, 0)
+	a := newHashRing(4)
+	b := newHashRing(4)
 	for _, tenant := range []string{"t0", "t1", "alpha", "beta"} {
 		if !reflect.DeepEqual(a.owners(tenant, 2), b.owners(tenant, 2)) {
 			t.Fatalf("owner walk for %q differs between identical rings", tenant)
@@ -16,7 +16,7 @@ func TestHashRingDeterministic(t *testing.T) {
 }
 
 func TestHashRingOwners(t *testing.T) {
-	h := newHashRing(4, 64)
+	h := newHashRing(4)
 	owners := h.owners("tenant", 3)
 	if len(owners) != 3 {
 		t.Fatalf("owners returned %v, want 3 shards", owners)
@@ -38,7 +38,7 @@ func TestHashRingOwners(t *testing.T) {
 }
 
 func TestHashRingRemove(t *testing.T) {
-	h := newHashRing(3, 64)
+	h := newHashRing(3)
 	tenants := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	before := map[string]int{}
 	for _, tn := range tenants {

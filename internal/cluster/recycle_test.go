@@ -215,7 +215,7 @@ func TestRouterRejectsWrongBasisResult(t *testing.T) {
 	})
 	// Placement depends on the shard count alone, so put the fake shard
 	// at the index the tenant's groups go to first.
-	fakeIdx := newHashRing(2, 0).owners(tenant, 1)[0]
+	fakeIdx := newHashRing(2).owners(tenant, 1)[0]
 	addrs := []string{live.addrs[0], live.addrs[0]}
 	addrs[fakeIdx] = fake
 	rt, err := NewRouter(r, addrs, RouterConfig{})

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"ciflow/internal/dataflow"
-	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -35,9 +34,6 @@ type RouterConfig struct {
 	// Replicas is how many distinct shards may serve one tenant
 	// (groups round-robin across them); ≤ 0 means 1.
 	Replicas int
-	// Vnodes is the virtual nodes per shard on the hash ring; ≤ 0
-	// means 64.
-	Vnodes int
 }
 
 // shardClient is the router's view of one shard connection.
@@ -55,7 +51,7 @@ type shardClient struct {
 	// that must sum to the schedule prediction even across kills.
 	completed atomic.Uint64
 
-	// ctl serializes control round-trips (stats, ping, evk) on this
+	// ctl serializes control round-trips (stats, ping) on this
 	// connection, so concurrent tenant views can poll stats without
 	// colliding on the one-outstanding-reply-per-type rule. Drain does
 	// not hold it: its reply can take as long as the shard's in-flight
@@ -63,7 +59,7 @@ type shardClient struct {
 	ctl sync.Mutex
 
 	// waiters holds at most one outstanding reply channel per control
-	// frame type (stats, pong, drain-done, evk).
+	// frame type (stats, pong, drain-done).
 	waitMu  sync.Mutex
 	waiters map[FrameType]chan []byte
 
@@ -96,15 +92,6 @@ func (sc *shardClient) deliverReply(typ FrameType, payload []byte) {
 	if ch != nil {
 		ch <- payload
 	}
-}
-
-// cancel unregisters an outstanding waiter that will never see a reply
-// — FetchEvk registers for both the dense and compressed reply frames
-// and the shard answers on exactly one of them.
-func (sc *shardClient) cancel(typ FrameType) {
-	sc.waitMu.Lock()
-	delete(sc.waiters, typ)
-	sc.waitMu.Unlock()
 }
 
 func (sc *shardClient) setFinal(st serve.Stats) {
@@ -176,7 +163,7 @@ func NewRouter(r *ring.Ring, addrs []string, cfg RouterConfig) (*Router, error) 
 	rt := &Router{
 		r:       r,
 		cfg:     cfg,
-		hring:   newHashRing(len(addrs), cfg.Vnodes),
+		hring:   newHashRing(len(addrs)),
 		pending: make(map[uint64]*pendingMember),
 		groups:  make(map[*pendingGroup]struct{}),
 		rr:      make(map[string]int),
@@ -260,7 +247,7 @@ func (rt *Router) readLoop(sc *shardClient) {
 				rt.markDown(sc)
 				return
 			}
-		case FrameStats, FramePong, FrameDrainDone, FrameEvk, FrameEvkComp:
+		case FrameStats, FramePong, FrameDrainDone:
 			sc.deliverReply(typ, payload)
 		default:
 			rt.markDown(sc)
@@ -505,28 +492,40 @@ func (rt *Router) Submit(ctx context.Context, req serve.Request) (<-chan serve.R
 	return rcs[0], nil
 }
 
-// Ping health-checks shard i.
-func (rt *Router) Ping(i int) error {
-	sc := rt.shards[i]
+// roundTrip is one control exchange with sc: refuse a shard that is
+// down, register for the reply, send the request, and wait for the
+// reply's payload or the connection's death. Under ctl it queues behind
+// the connection's other control exchanges; drain goes around it,
+// because its reply can be as long coming as the shard's in-flight
+// work.
+func (rt *Router) roundTrip(sc *shardClient, req, reply FrameType, ctl bool) ([]byte, error) {
 	if sc.down.Load() {
-		return fmt.Errorf("cluster: %s is down", sc.name)
+		return nil, fmt.Errorf("cluster: %s is down", sc.name)
 	}
-	sc.ctl.Lock()
-	defer sc.ctl.Unlock()
-	ch, err := sc.expect(FramePong)
+	if ctl {
+		sc.ctl.Lock()
+		defer sc.ctl.Unlock()
+	}
+	ch, err := sc.expect(reply)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := sc.write(FramePing, nil); err != nil {
+	if err := sc.write(req, nil); err != nil {
 		rt.markDown(sc)
-		return err
+		return nil, err
 	}
 	select {
-	case <-ch:
-		return nil
+	case p := <-ch:
+		return p, nil
 	case <-sc.closed:
-		return fmt.Errorf("cluster: %s died awaiting pong", sc.name)
+		return nil, fmt.Errorf("cluster: %s died awaiting %v", sc.name, reply)
 	}
+}
+
+// Ping health-checks shard i.
+func (rt *Router) Ping(i int) error {
+	_, err := rt.roundTrip(rt.shards[i], FramePing, FramePong, true)
+	return err
 }
 
 // ShardStats fetches shard i's serve.Stats snapshot: over the wire
@@ -536,28 +535,16 @@ func (rt *Router) ShardStats(i int) (serve.Stats, error) {
 	if sc.drained.Load() {
 		return sc.finalStats(), nil
 	}
-	if sc.down.Load() {
-		return serve.Stats{}, fmt.Errorf("cluster: %s is down", sc.name)
-	}
-	sc.ctl.Lock()
-	defer sc.ctl.Unlock()
-	ch, err := sc.expect(FrameStats)
+	p, err := rt.roundTrip(sc, FrameStatsReq, FrameStats, true)
 	if err != nil {
-		return serve.Stats{}, err
-	}
-	if err := sc.write(FrameStatsReq, nil); err != nil {
-		rt.markDown(sc)
-		return serve.Stats{}, err
-	}
-	select {
-	case p := <-ch:
-		return DecodeStats(p)
-	case <-sc.closed:
+		// A drain that finished while this exchange was failing left
+		// the final books behind.
 		if sc.drained.Load() {
 			return sc.finalStats(), nil
 		}
-		return serve.Stats{}, fmt.Errorf("cluster: %s died awaiting stats", sc.name)
+		return serve.Stats{}, err
 	}
+	return DecodeStats(p)
 }
 
 // Drain removes shard i from the ring (so no new group lands on it),
@@ -574,93 +561,16 @@ func (rt *Router) Drain(i int) (serve.Stats, error) {
 	rt.mu.Lock()
 	rt.hring.remove(sc.idx)
 	rt.mu.Unlock()
-	ch, err := sc.expect(FrameDrainDone)
+	p, err := rt.roundTrip(sc, FrameDrain, FrameDrainDone, false)
 	if err != nil {
 		return serve.Stats{}, err
 	}
-	if err := sc.write(FrameDrain, nil); err != nil {
-		rt.markDown(sc)
+	st, err := DecodeStats(p)
+	if err != nil {
 		return serve.Stats{}, err
 	}
-	select {
-	case p := <-ch:
-		st, err := DecodeStats(p)
-		if err != nil {
-			return serve.Stats{}, err
-		}
-		sc.setFinal(st)
-		return st, nil
-	case <-sc.closed:
-		return serve.Stats{}, fmt.Errorf("cluster: %s died mid-drain", sc.name)
-	}
-}
-
-// FetchEvk pulls one evaluation key from shard i, validating it
-// against switchers — the replica-consistency probe (deterministic
-// keygen means every shard must return bit-identical key material).
-// The shard may answer dense (FrameEvk) or compressed (FrameEvkComp);
-// a compressed reply is expanded locally, so the caller always gets a
-// dense key and seed expansion stays bit-exact with shard-side keygen.
-func (rt *Router) FetchEvk(i int, id EvkID, switchers serve.SwitcherSource) (*hks.Evk, error) {
-	sc := rt.shards[i]
-	if sc.down.Load() {
-		return nil, fmt.Errorf("cluster: %s is down", sc.name)
-	}
-	sc.ctl.Lock()
-	defer sc.ctl.Unlock()
-	ch, err := sc.expect(FrameEvk)
-	if err != nil {
-		return nil, err
-	}
-	chComp, err := sc.expect(FrameEvkComp)
-	if err != nil {
-		sc.cancel(FrameEvk)
-		return nil, err
-	}
-	req, err := EncodeEvkReq(id)
-	if err != nil {
-		sc.cancel(FrameEvk)
-		sc.cancel(FrameEvkComp)
-		return nil, err
-	}
-	if err := sc.write(FrameEvkReq, req); err != nil {
-		rt.markDown(sc)
-		return nil, err
-	}
-	check := func(got EvkID) error {
-		if got != id {
-			return fmt.Errorf("cluster: %s returned evk %+v, want %+v", sc.name, got, id)
-		}
-		return nil
-	}
-	select {
-	case p := <-ch:
-		sc.cancel(FrameEvkComp)
-		got, evk, err := DecodeEvk(p, switchers)
-		if err != nil {
-			return nil, err
-		}
-		if err := check(got); err != nil {
-			return nil, err
-		}
-		return evk, nil
-	case p := <-chComp:
-		sc.cancel(FrameEvk)
-		got, c, err := DecodeEvkComp(p, switchers)
-		if err != nil {
-			return nil, err
-		}
-		if err := check(got); err != nil {
-			return nil, err
-		}
-		sw, err := switchers.Switcher(id.Level)
-		if err != nil {
-			return nil, err
-		}
-		return c.Expand(sw.R), nil
-	case <-sc.closed:
-		return nil, fmt.Errorf("cluster: %s died awaiting evk", sc.name)
-	}
+	sc.setFinal(st)
+	return st, nil
 }
 
 // ShardState names one shard's lifecycle state in Status reports.

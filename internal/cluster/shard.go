@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"ciflow/internal/ckks"
-	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -80,7 +79,6 @@ func (fw *frameWriter) send(typ FrameType, r *ring.Ring, p framePayload) error {
 type Shard struct {
 	cctx *ckks.Context
 	svc  *serve.Service
-	src  *serve.SeedKeySource
 
 	// drainMu orders group acceptance against drain: a group either
 	// lands in inflight before draining flips, or observes draining
@@ -118,7 +116,6 @@ func NewShard(cctx *ckks.Context, tenants []string, scfg serve.Config) (*Shard, 
 	return &Shard{
 		cctx:  cctx,
 		svc:   svc,
-		src:   src,
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}, nil
@@ -239,12 +236,6 @@ func (s *Shard) handle(conn net.Conn) {
 				continue
 			}
 			go s.runGroup(fw, g)
-		case FrameEvkReq:
-			id, err := DecodeEvkReq(payload)
-			if err != nil {
-				return
-			}
-			s.sendEvk(fw, id)
 		case FrameDrain:
 			s.drainMu.Lock()
 			s.draining = true
@@ -306,33 +297,4 @@ func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 // here.
 func (s *Shard) writeResult(fw *frameWriter, wr *WireResult) {
 	fw.send(FrameResult, s.cctx.R, wr)
-}
-
-// sendEvk answers one evaluation-key fetch from the shard's
-// seed-derived source. Compressed material ships as a FrameEvkComp
-// (seeds + B halves — half the traffic); material that does not
-// compress falls back to the dense FrameEvk.
-func (s *Shard) sendEvk(fw *frameWriter, id EvkID) {
-	mat, err := s.src.Key(serve.KeyID{Tenant: id.Tenant, Rot: id.Rot, Level: id.Level})
-	if err != nil {
-		return
-	}
-	sw, err := s.cctx.Switchers().Switcher(id.Level)
-	if err != nil {
-		return
-	}
-	switch m := mat.(type) {
-	case *hks.CompressedEvk:
-		p, err := EncodeEvkComp(id, sw, m)
-		if err != nil {
-			return
-		}
-		fw.write(FrameEvkComp, p)
-	case *hks.Evk:
-		p, err := EncodeEvk(id, sw, m)
-		if err != nil {
-			return
-		}
-		fw.write(FrameEvk, p)
-	}
 }

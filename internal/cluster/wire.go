@@ -7,11 +7,12 @@ package cluster
 //
 // with the payload length hard-capped (maxFramePayload), so a
 // malicious or half-dead peer can at worst cost one bounded
-// allocation, never an OOM-sized one. Polynomials and evaluation keys
-// inside payloads reuse the existing ring/hks serializers — the wire
-// format composes the repository's on-disk formats rather than
-// inventing a second encoding — and stats snapshots travel as the
-// stable JSON marshalling of serve.Stats.
+// allocation, never an OOM-sized one. Polynomials inside payloads reuse
+// the ring serializer — the wire format composes the repository's
+// on-disk format rather than inventing a second encoding — and stats
+// snapshots travel as the stable JSON marshalling of serve.Stats. No
+// frame carries an evaluation key: every process derives a tenant's
+// keys from the tenant's name (KeySeed).
 //
 // A frame is one Write. The two frames a connection carries per switch
 // — group and result — are built header-first in the connection's own
@@ -33,14 +34,12 @@ package cluster
 // the expensive shared operand.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"ciflow/internal/dataflow"
-	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -50,8 +49,10 @@ const (
 	wireVersion = byte(1)
 
 	// maxFramePayload bounds one frame's payload: generous enough for
-	// a replay-scale evaluation key (dnum × 2 polys), far below
-	// anything that could OOM a peer on a lying length field.
+	// the largest frame there is — a result's two polynomials at the
+	// paper's largest ring (N=2^16, 24 Q towers: ~25 MB), a group frame
+	// being one polynomial and its rotations — and far below anything
+	// that could OOM a peer on a lying length field.
 	maxFramePayload = 64 << 20
 
 	// maxTenantLen bounds tenant-name strings inside payloads.
@@ -65,49 +66,43 @@ const (
 // FrameType tags one wire frame.
 type FrameType byte
 
+// The byte values are the wire contract. 5, 6 and 12 belonged to the
+// evaluation-key fetch frames, retired when keys became seed-derived;
+// they are refused like any unknown type and must not be reused
+// without a wire-version bump.
 const (
 	// FrameGroup carries one hoist group of requests: the shared input
 	// polynomial once, plus per-member request IDs and rotations.
-	FrameGroup FrameType = iota + 1
+	FrameGroup FrameType = 1
 	// FrameResult carries one member's outcome: the switched pair, an
 	// error, or a requeue (the shard is draining and did not execute).
-	FrameResult
+	FrameResult FrameType = 2
 	// FrameStatsReq asks the shard for a serve.Stats snapshot;
 	// FrameStats is the reply (JSON payload).
-	FrameStatsReq
-	FrameStats
-	// FrameEvkReq asks the shard for one evaluation key; FrameEvk is
-	// the reply. Replication warm-up and the replica-consistency check
-	// use it (key material is public evk, never a secret).
-	FrameEvkReq
-	FrameEvk
+	FrameStatsReq FrameType = 3
+	FrameStats    FrameType = 4
 	// FramePing/FramePong are the health check.
-	FramePing
-	FramePong
+	FramePing FrameType = 7
+	FramePong FrameType = 8
 	// FrameDrain tells the shard to stop executing new groups (requeue
 	// them instead), finish in-flight work, and reply FrameDrainDone
 	// carrying its final serve.Stats snapshot (JSON payload).
-	FrameDrain
-	FrameDrainDone
+	FrameDrain     FrameType = 9
+	FrameDrainDone FrameType = 10
 	// FrameShutdown tells the shard process to exit.
-	FrameShutdown
-	// FrameEvkComp is the compressed reply to FrameEvkReq: each digit
-	// ships as its 32-byte expansion seed plus the dense B half
-	// (hks.WriteCompressedEvk), halving evk traffic. Shards answer with
-	// it whenever their key material compresses; the router expands
-	// locally. Appended after FrameShutdown so every pre-existing frame
-	// value is unchanged — no wire-version bump.
-	FrameEvkComp
-
-	frameTypeMax = FrameEvkComp
+	FrameShutdown FrameType = 11
 )
+
+var frameNames = map[FrameType]string{
+	FrameGroup: "group", FrameResult: "result", FrameStatsReq: "stats-req",
+	FrameStats: "stats", FramePing: "ping", FramePong: "pong",
+	FrameDrain: "drain", FrameDrainDone: "drain-done", FrameShutdown: "shutdown",
+}
 
 // String names the frame type for errors and traces.
 func (t FrameType) String() string {
-	names := [...]string{"group", "result", "stats-req", "stats", "evk-req",
-		"evk", "ping", "pong", "drain", "drain-done", "shutdown", "evk-comp"}
-	if t >= 1 && t <= frameTypeMax {
-		return names[t-1]
+	if name, ok := frameNames[t]; ok {
+		return name
 	}
 	return fmt.Sprintf("FrameType(%d)", byte(t))
 }
@@ -145,8 +140,7 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 // small: such a payload is valid until the next call with that buf,
 // which is long enough because DecodeGroup and DecodeResult copy
 // everything out. Every other payload is freshly allocated and the
-// caller's (control replies are handed to waiters), so a buffer never
-// grows for, or outlives, an evaluation-key frame.
+// caller's (control replies are handed to waiters).
 func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -159,7 +153,7 @@ func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 		return 0, nil, fmt.Errorf("cluster: wire version %d, want %d", hdr[4], wireVersion)
 	}
 	typ := FrameType(hdr[5])
-	if typ < 1 || typ > frameTypeMax {
+	if _, known := frameNames[typ]; !known {
 		return 0, nil, fmt.Errorf("cluster: unknown frame type %d", hdr[5])
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[6:10]))
@@ -428,127 +422,4 @@ func DecodeStats(payload []byte) (serve.Stats, error) {
 		return serve.Stats{}, fmt.Errorf("cluster: stats frame: %w", err)
 	}
 	return st, nil
-}
-
-// ---- evaluation-key transfer ----
-
-// EvkID names one evaluation key on the wire, mirroring serve.KeyID.
-type EvkID struct {
-	Tenant string
-	Rot    int
-	Level  int
-}
-
-func appendEvkID(dst []byte, id EvkID) ([]byte, error) {
-	if len(id.Tenant) > maxTenantLen {
-		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(id.Tenant), maxTenantLen)
-	}
-	dst = appendString(dst, id.Tenant)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(id.Rot)))
-	return binary.LittleEndian.AppendUint32(dst, uint32(id.Level)), nil
-}
-
-// decodeEvkID decodes the key identity at the front of payload and
-// returns the bytes after it.
-func decodeEvkID(payload []byte) (EvkID, []byte, error) {
-	var id EvkID
-	var err error
-	b := payload
-	if id.Tenant, err = takeString(&b, maxTenantLen, "tenant"); err != nil {
-		return id, nil, err
-	}
-	fixed, ok := take(&b, 8+4)
-	if !ok {
-		return id, nil, fmt.Errorf("cluster: short evk rotation and level")
-	}
-	id.Rot = int(int64(binary.LittleEndian.Uint64(fixed[0:8])))
-	id.Level = int(int32(binary.LittleEndian.Uint32(fixed[8:12])))
-	if id.Level < 0 {
-		return id, nil, fmt.Errorf("cluster: negative evk level %d", id.Level)
-	}
-	return id, b, nil
-}
-
-// EncodeEvkReq encodes a FrameEvkReq payload.
-func EncodeEvkReq(id EvkID) ([]byte, error) { return appendEvkID(nil, id) }
-
-// DecodeEvkReq decodes a FrameEvkReq payload.
-func DecodeEvkReq(payload []byte) (EvkID, error) {
-	id, rest, err := decodeEvkID(payload)
-	if err != nil {
-		return id, err
-	}
-	return id, trailing(len(rest), FrameEvkReq)
-}
-
-// EncodeEvk encodes a FrameEvk payload: the key's identity followed by
-// the hks evk serialization under sw (the switcher at id.Level).
-func EncodeEvk(id EvkID, sw *hks.Switcher, evk *hks.Evk) ([]byte, error) {
-	head, err := appendEvkID(nil, id)
-	if err != nil {
-		return nil, err
-	}
-	buf := bytes.NewBuffer(head)
-	if err := sw.WriteEvk(buf, evk); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// evkBody resolves the switcher for a decoded key identity and returns
-// it with a reader over the key bytes that follow the identity.
-func evkBody(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.Switcher, *bytes.Reader, error) {
-	id, rest, err := decodeEvkID(payload)
-	if err != nil {
-		return id, nil, nil, err
-	}
-	sw, err := switchers.Switcher(id.Level)
-	if err != nil {
-		return id, nil, nil, fmt.Errorf("cluster: no switcher at evk level %d: %w", id.Level, err)
-	}
-	return id, sw, bytes.NewReader(rest), nil
-}
-
-// DecodeEvk decodes a FrameEvk payload, resolving the switcher for
-// the key's level through switchers to validate digit structure and
-// bases exactly as hks.ReadEvk does.
-func DecodeEvk(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.Evk, error) {
-	id, sw, br, err := evkBody(payload, switchers)
-	if err != nil {
-		return id, nil, err
-	}
-	evk, err := sw.ReadEvk(br)
-	if err != nil {
-		return id, nil, err
-	}
-	return id, evk, trailing(br.Len(), FrameEvk)
-}
-
-// EncodeEvkComp encodes a FrameEvkComp payload: the key's identity
-// followed by the hks compressed-evk serialization under sw.
-func EncodeEvkComp(id EvkID, sw *hks.Switcher, c *hks.CompressedEvk) ([]byte, error) {
-	head, err := appendEvkID(nil, id)
-	if err != nil {
-		return nil, err
-	}
-	buf := bytes.NewBuffer(head)
-	if err := sw.WriteCompressedEvk(buf, c); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEvkComp decodes a FrameEvkComp payload. The key comes back
-// still compressed; the caller chooses when to expand (FetchEvk does
-// so immediately, since its contract is a dense key).
-func DecodeEvkComp(payload []byte, switchers serve.SwitcherSource) (EvkID, *hks.CompressedEvk, error) {
-	id, sw, br, err := evkBody(payload, switchers)
-	if err != nil {
-		return id, nil, err
-	}
-	c, err := sw.ReadCompressedEvk(br)
-	if err != nil {
-		return id, nil, err
-	}
-	return id, c, trailing(br.Len(), FrameEvkComp)
 }

@@ -1,10 +1,8 @@
 package hks
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -150,114 +148,6 @@ func TestSwitchStreamedChecks(t *testing.T) {
 	mustPanic("aliased outputs", func() {
 		h.SwitchStreamedInto(nil, c2.StartExpand(r), c0, c0)
 	})
-}
-
-func TestCompressedEvkSerializeRoundTrip(t *testing.T) {
-	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
-	sw, err := NewSwitcher(r, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evk := sw.GenEvk(s, sOld, sNew)
-	c, _ := evk.Compress()
-	var buf bytes.Buffer
-	if err := sw.WriteCompressedEvk(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Len()
-	got, err := sw.ReadCompressedEvk(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := got.Expand(r)
-	for j := range evk.B {
-		if !dense.B[j].Equal(evk.B[j]) || !dense.A[j].Equal(evk.A[j]) {
-			t.Fatalf("digit %d differs after compressed roundtrip", j)
-		}
-	}
-	// The compressed frame must actually be smaller than the dense one.
-	var denseBuf bytes.Buffer
-	if err := sw.WriteEvk(&denseBuf, evk); err != nil {
-		t.Fatal(err)
-	}
-	if wire >= denseBuf.Len() {
-		t.Fatalf("compressed frame %d bytes, dense %d", wire, denseBuf.Len())
-	}
-	// Mismatched switchers reject the frame.
-	sw4, _ := NewSwitcher(r, 3, 4)
-	if _, err := sw4.ReadCompressedEvk(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("digit-count mismatch accepted")
-	}
-	swLow, _ := NewSwitcher(r, 1, 2)
-	var buf2 bytes.Buffer
-	if err := sw.WriteCompressedEvk(&buf2, c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := swLow.ReadCompressedEvk(&buf2); err == nil {
-		t.Error("basis mismatch accepted")
-	}
-}
-
-// Every strict prefix of a serialized compressed evk must error —
-// never panic — a lying digit count is rejected on the header check,
-// and a malformed key is refused on write (the dense frame's
-// robustness contract, applied to the compressed frame).
-func TestReadCompressedEvkTruncationRobust(t *testing.T) {
-	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
-	sw, err := NewSwitcher(r, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := sw.GenEvk(s, sOld, sNew).Compress()
-	var buf bytes.Buffer
-	if err := sw.WriteCompressedEvk(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	for i := 0; i < len(good); i++ {
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					t.Fatalf("truncation at %d/%d panicked: %v", i, len(good), rec)
-				}
-			}()
-			if _, err := sw.ReadCompressedEvk(bytes.NewReader(good[:i])); err == nil {
-				t.Errorf("truncation at %d/%d read successfully", i, len(good))
-			}
-		}()
-	}
-	bad := append([]byte(nil), good...)
-	bad[0], bad[1], bad[2], bad[3] = 0xff, 0xff, 0xff, 0xff
-	if _, err := sw.ReadCompressedEvk(bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "digits") {
-		t.Errorf("oversized digit count: got %v", err)
-	}
-	if err := sw.WriteCompressedEvk(&bytes.Buffer{}, &CompressedEvk{B: c.B}); err == nil {
-		t.Error("WriteCompressedEvk accepted mismatched digit lists")
-	}
-}
-
-// The dense wire frame drops seeds (it predates them), so a
-// deserialized dense key reports itself as non-compressible instead of
-// inventing wrong seeds.
-func TestDenseFrameDropsSeeds(t *testing.T) {
-	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
-	sw, err := NewSwitcher(r, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evk := sw.GenEvk(s, sOld, sNew)
-	var buf bytes.Buffer
-	if err := sw.WriteEvk(&buf, evk); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sw.ReadEvk(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got.Compress(); ok {
-		t.Fatal("dense-frame key claims to be compressible")
-	}
 }
 
 // A warm StartExpand → HoistParallel → SwitchStreamedInto → Release

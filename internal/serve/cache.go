@@ -24,8 +24,9 @@ package serve
 // least-recently-used entry among tenants holding more than the
 // per-tenant floor — so one hot tenant thrashing the cache cannot
 // evict a light tenant's last keys (the budget stays hard: if every
-// tenant is at its floor, plain LRU applies). Per-tenant hit, miss,
-// eviction, and resident-byte counters feed the `ciflow serve` report.
+// tenant is at its floor, plain LRU applies). The hit, miss, eviction
+// and resident-byte counters are kept per tenant and nowhere else; the
+// cache-wide figures are their sum (cacheTotal).
 //
 // Eviction is safe mid-flight by construction: Get hands out the
 // material reference, and an in-flight replay keeps it alive after the
@@ -89,8 +90,23 @@ type TenantCacheStats struct {
 	HitRate    float64 `json:"hit_rate"`
 }
 
+// add folds o into tc: residency and counters add, and the hit rate is
+// recomputed from the sums.
+func (tc *TenantCacheStats) add(o TenantCacheStats) {
+	tc.Size += o.Size
+	tc.Bytes += o.Bytes
+	tc.DenseBytes += o.DenseBytes
+	tc.Hits += o.Hits
+	tc.Misses += o.Misses
+	tc.Evictions += o.Evictions
+	tc.HitRate = 0
+	if gets := tc.Hits + tc.Misses; gets > 0 {
+		tc.HitRate = float64(tc.Hits) / float64(gets)
+	}
+}
+
 // CacheStats is a point-in-time snapshot of the key cache: the global
-// byte budget and resident bytes, aggregate counters, and the
+// byte budget, and the resident bytes and counters summed over the
 // per-tenant breakdown (sorted by tenant). A Get that joins another
 // caller's in-flight load counts as a hit (the load was shared);
 // HitRate is hits over all Gets.
@@ -109,22 +125,26 @@ type CacheStats struct {
 	Tenants    []TenantCacheStats `json:"tenants"`
 }
 
+// cacheTotal is the CacheStats of a set of tenant shards: every figure
+// is the sum of theirs. The budget is the caller's to set; the result
+// holds the slice.
+func cacheTotal(tenants []TenantCacheStats) CacheStats {
+	var all TenantCacheStats
+	for _, tc := range tenants {
+		all.add(tc)
+	}
+	return CacheStats{
+		Bytes: all.Bytes, DenseBytes: all.DenseBytes, Size: all.Size,
+		Hits: all.Hits, Misses: all.Misses, Evictions: all.Evictions,
+		HitRate: all.HitRate, Tenants: tenants,
+	}
+}
+
 type cacheEntry struct {
 	id         KeyID
 	mat        hks.KeyMaterial
 	bytes      int64 // resident footprint of the cached form
 	denseBytes int64 // footprint once expanded (== bytes when dense)
-}
-
-// tenantShard carries one tenant's residency and counters. Recency
-// lives in the cache-global list, not here: eviction weighs tenants
-// against each other, so it needs one global order.
-type tenantShard struct {
-	size       int
-	bytes      int64
-	denseBytes int64
-
-	hits, misses, evictions uint64
 }
 
 // keyLoad is one in-flight backing-store load, joined by every
@@ -142,33 +162,38 @@ type keyLoad struct {
 type keyCache struct {
 	src    KeySource
 	budget int64
-	floor  int // per-tenant resident keys protected from budget eviction
 
-	mu         sync.Mutex
-	entries    map[KeyID]*list.Element // id -> element in order
-	order      *list.List              // front = most recently used *cacheEntry
-	shards     map[string]*tenantShard
-	loading    map[KeyID]*keyLoad
-	bytes      int64
-	denseBytes int64
+	mu      sync.Mutex
+	entries map[KeyID]*list.Element // id -> element in order
+	order   *list.List              // front = most recently used *cacheEntry
+	// shards carry each tenant's residency and counters (Tenant and
+	// HitRate are filled in by Stats). Recency lives in the one global
+	// list: eviction weighs tenants against each other.
+	shards  map[string]*TenantCacheStats
+	loading map[KeyID]*keyLoad
+	bytes   int64 // resident, all tenants: what eviction holds to the budget
 }
 
-func newKeyCache(src KeySource, budget int64, floor int) *keyCache {
+// tenantKeyFloor is the number of resident keys per tenant that budget
+// eviction prefers to spare: victims are taken from tenants above it
+// while any exist, so a hot tenant cannot strip a light tenant bare.
+const tenantKeyFloor = 1
+
+func newKeyCache(src KeySource, budget int64) *keyCache {
 	return &keyCache{
 		src:     src,
 		budget:  budget,
-		floor:   floor,
 		entries: make(map[KeyID]*list.Element),
 		order:   list.New(),
-		shards:  make(map[string]*tenantShard),
+		shards:  make(map[string]*TenantCacheStats),
 		loading: make(map[KeyID]*keyLoad),
 	}
 }
 
-func (c *keyCache) shard(tenant string) *tenantShard {
+func (c *keyCache) shard(tenant string) *TenantCacheStats {
 	s, ok := c.shards[tenant]
 	if !ok {
-		s = &tenantShard{}
+		s = &TenantCacheStats{}
 		c.shards[tenant] = s
 	}
 	return s
@@ -183,18 +208,18 @@ func (c *keyCache) Get(id KeyID) (hks.KeyMaterial, error) {
 	sh := c.shard(id.Tenant)
 	if el, ok := c.entries[id]; ok {
 		c.order.MoveToFront(el)
-		sh.hits++
+		sh.Hits++
 		mat := el.Value.(*cacheEntry).mat
 		c.mu.Unlock()
 		return mat, nil
 	}
 	if l, ok := c.loading[id]; ok {
-		sh.hits++ // shared someone else's load
+		sh.Hits++ // shared someone else's load
 		c.mu.Unlock()
 		<-l.done
 		return l.mat, l.err
 	}
-	sh.misses++
+	sh.Misses++
 	l := &keyLoad{done: make(chan struct{})}
 	c.loading[id] = l
 	c.mu.Unlock()
@@ -213,11 +238,10 @@ func (c *keyCache) Get(id KeyID) (hks.KeyMaterial, error) {
 		}
 		c.entries[id] = c.order.PushFront(e)
 		sh := c.shard(id.Tenant)
-		sh.size++
-		sh.bytes += e.bytes
-		sh.denseBytes += e.denseBytes
+		sh.Size++
+		sh.Bytes += e.bytes
+		sh.DenseBytes += e.denseBytes
 		c.bytes += e.bytes
-		c.denseBytes += e.denseBytes
 		c.evictLocked()
 	}
 	c.mu.Unlock()
@@ -233,7 +257,7 @@ func (c *keyCache) evictLocked() {
 	for c.bytes > c.budget && c.order.Len() > 0 {
 		var victim *list.Element
 		for el := c.order.Back(); el != nil; el = el.Prev() {
-			if c.shards[el.Value.(*cacheEntry).id.Tenant].size > c.floor {
+			if c.shards[el.Value.(*cacheEntry).id.Tenant].Size > tenantKeyFloor {
 				victim = el
 				break
 			}
@@ -245,51 +269,26 @@ func (c *keyCache) evictLocked() {
 		c.order.Remove(victim)
 		delete(c.entries, e.id)
 		sh := c.shards[e.id.Tenant]
-		sh.size--
-		sh.bytes -= e.bytes
-		sh.denseBytes -= e.denseBytes
-		sh.evictions++
+		sh.Size--
+		sh.Bytes -= e.bytes
+		sh.DenseBytes -= e.denseBytes
+		sh.Evictions++
 		c.bytes -= e.bytes
-		c.denseBytes -= e.denseBytes
 	}
 }
 
-// Stats snapshots the counters, globally and per tenant.
+// Stats snapshots the per-tenant counters and their total.
 func (c *keyCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{
-		BudgetBytes: c.budget,
-		Bytes:       c.bytes,
-		DenseBytes:  c.denseBytes,
-		Size:        c.order.Len(),
+	var tenants []TenantCacheStats
+	for name, sh := range c.shards {
+		tc := TenantCacheStats{Tenant: name}
+		tc.add(*sh)
+		tenants = append(tenants, tc)
 	}
-	names := make([]string, 0, len(c.shards))
-	for name := range c.shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sh := c.shards[name]
-		ts := TenantCacheStats{
-			Tenant:     name,
-			Size:       sh.size,
-			Bytes:      sh.bytes,
-			DenseBytes: sh.denseBytes,
-			Hits:       sh.hits,
-			Misses:     sh.misses,
-			Evictions:  sh.evictions,
-		}
-		if total := ts.Hits + ts.Misses; total > 0 {
-			ts.HitRate = float64(ts.Hits) / float64(total)
-		}
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Tenants = append(st.Tenants, ts)
-	}
-	if total := st.Hits + st.Misses; total > 0 {
-		st.HitRate = float64(st.Hits) / float64(total)
-	}
+	sort.Slice(tenants, func(a, b int) bool { return tenants[a].Tenant < tenants[b].Tenant })
+	st := cacheTotal(tenants)
+	st.BudgetBytes = c.budget
 	return st
 }

@@ -39,7 +39,7 @@ func rotID(rot int) KeyID { return KeyID{Rot: rot, Level: 3} }
 
 func TestCacheHitsAndMisses(t *testing.T) {
 	var calls atomic.Uint64
-	c := newKeyCache(fakeSource(&calls, 64), 4*keyBytes, 1)
+	c := newKeyCache(fakeSource(&calls, 64), 4*keyBytes)
 
 	a1, err := c.Get(rotID(1))
 	if err != nil {
@@ -76,7 +76,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	var calls atomic.Uint64
-	c := newKeyCache(fakeSource(&calls, 64), 2*keyBytes, 1)
+	c := newKeyCache(fakeSource(&calls, 64), 2*keyBytes)
 
 	mustGet := func(rot int) hks.KeyMaterial {
 		t.Helper()
@@ -116,7 +116,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // — while the global byte budget holds at every step.
 func TestCacheTenantFloor(t *testing.T) {
 	var calls atomic.Uint64
-	c := newKeyCache(fakeSource(&calls, 64), 2*keyBytes+keyBytes/2, 1)
+	c := newKeyCache(fakeSource(&calls, 64), 2*keyBytes+keyBytes/2)
 
 	light, err := c.Get(KeyID{Tenant: "light", Rot: 0, Level: 3})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestCacheTenantFloor(t *testing.T) {
 // at its floor and the bytes still do not fit, plain LRU applies.
 func TestCacheBudgetBeatsFloor(t *testing.T) {
 	var calls atomic.Uint64
-	c := newKeyCache(fakeSource(&calls, 64), keyBytes, 1)
+	c := newKeyCache(fakeSource(&calls, 64), keyBytes)
 	if _, err := c.Get(KeyID{Tenant: "a", Rot: 0, Level: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCacheSingleflight(t *testing.T) {
 		once.Do(func() { close(entered) })
 		<-gate
 		return evk, nil
-	}), 1<<20, 1)
+	}), 1<<20)
 
 	results := make(chan hks.KeyMaterial, waiters)
 	errs := make(chan error, waiters)
@@ -226,7 +226,7 @@ func TestCacheSingleflight(t *testing.T) {
 // later Get retries the backing store.
 func TestCacheLoadError(t *testing.T) {
 	var calls atomic.Uint64
-	c := newKeyCache(fakeSource(&calls, 64), 1<<20, 1)
+	c := newKeyCache(fakeSource(&calls, 64), 1<<20)
 	if _, err := c.Get(rotID(-1)); err == nil {
 		t.Fatal("load error swallowed")
 	}
@@ -281,14 +281,14 @@ func TestEvkSizeBytesPinned(t *testing.T) {
 	// entries at the dense footprint (DenseBytes == Bytes), compressed
 	// entries at the compressed footprint with the what-if dense
 	// footprint alongside.
-	c := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return evk, nil }), 1<<30, 1)
+	c := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return evk, nil }), 1<<30)
 	if _, err := c.Get(rotID(0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Bytes != int64(wantDense) || st.DenseBytes != int64(wantDense) {
 		t.Fatalf("dense cache bytes %d/%d, want %d/%d", st.Bytes, st.DenseBytes, wantDense, wantDense)
 	}
-	cc := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return comp, nil }), 1<<30, 1)
+	cc := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return comp, nil }), 1<<30)
 	if _, err := cc.Get(rotID(0)); err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.checkGroup(t, "", in, rots, chans, "group")
-			// A group of one takes the fused per-rotation switch.
+			// A group of one runs like any other, without the coalesce credit.
 			lone := b.input()
 			chans, err = svc.SubmitGroup(context.Background(), groupOf(lone, "", 2))
 			if err != nil {
@@ -413,7 +413,7 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 
 // The lifecycle phases come out in canonical order, group_wait is
 // booked once per member of a hoisted group and never for a singleton,
-// and merging keeps the order whatever order the operands arrive in.
+// and summing keeps the order whatever order the operands arrive in.
 func TestGroupWaitPhase(t *testing.T) {
 	const K = 4
 	canonical := []string{"enqueue", "dispatch", "keys", "hoist", "group_wait", "replay", "reply"}
@@ -477,14 +477,14 @@ func TestGroupWaitPhase(t *testing.T) {
 		}
 	}
 
-	// MergePhases: canonical order from shuffled operands, sums exact,
-	// a newer peer's unknown phase last.
+	// addPhases: canonical order from shuffled operands, sums exact, a
+	// newer peer's unknown phase last.
 	rev := append([]PhaseStats(nil), st.Phases...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	rev = append([]PhaseStats{{Phase: "zz_future", Count: 1, TotalNs: 5}}, rev...)
-	merged := MergePhases(rev, st.Phases[3:])
+	merged := addPhases(addPhases(nil, rev), st.Phases[3:])
 	if got, want := names(merged), append(append([]string(nil), canonical...), "zz_future"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("merged phases %v, want %v", got, want)
 	}

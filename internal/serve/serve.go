@@ -15,8 +15,8 @@
 //  1. An evaluation-key cache (cache.go): a tenant-sharded LRU over
 //     KeyID{Tenant, Rot, Level}, bounded by one global *byte* budget
 //     with eviction weighted by the resident material's SizeBytes, a
-//     per-tenant residency floor, singleflight loading, and per-tenant
-//     hit/miss/eviction/byte accounting. The cache stores
+//     per-tenant residency floor of one key, singleflight loading, and
+//     per-tenant hit/miss/eviction/byte accounting. The cache stores
 //     hks.KeyMaterial: a source handing back seed-compressed keys
 //     (hks.CompressedEvk) is charged roughly half the dense footprint,
 //     so one budget holds twice the working set, and the service
@@ -43,6 +43,13 @@
 //     loads stall only its own dispatcher — while all tenants share
 //     one engine and one switcher pool.
 //
+// The books are kept once, at the tenant (stats.go): a tenant's worker
+// owns the only live counters, level slices, phase clocks and latency
+// window, so serving a request touches nothing another tenant's
+// request touches, and Stats derives the service-wide totals from the
+// tenants' books at snapshot time — as MergeStats does across the
+// shards of a cluster and Stats.ForTenant for one tenant's view.
+//
 // Requests carry a Level, and the service lazily resolves one
 // hks.Switcher per level through its SwitcherSource (hks.SwitcherPool
 // or ckks.KeyChain), so a rescale-heavy multi-level stream is served
@@ -68,7 +75,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -155,11 +161,6 @@ type Config struct {
 	// weighted by the resident material's SizeBytes — compressed keys
 	// are charged their compressed footprint; see cache.go.
 	KeyBudget int64
-	// TenantKeyFloor is the number of resident keys per tenant that
-	// budget eviction prefers to spare (default 1): victims are taken
-	// from tenants above their floor while any exist, so a hot tenant
-	// cannot strip a light tenant bare. The budget stays hard.
-	TenantKeyFloor int
 	// MaxBatch closes a tenant's batch once this many requests are
 	// pending (default 64). A SubmitGroup call is never split: it
 	// joins a batch whole, however long.
@@ -187,9 +188,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.KeyBudget <= 0 {
 		cfg.KeyBudget = 256 << 20
-	}
-	if cfg.TenantKeyFloor <= 0 {
-		cfg.TenantKeyFloor = 1
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
@@ -226,9 +224,9 @@ type submission struct {
 }
 
 // tenantWorker is one tenant's dispatcher: a bounded queue, the
-// goroutine micro-batching it, and the tenant's service counters.
-// Workers are created lazily at a tenant's first Submit and live until
-// Close.
+// goroutine micro-batching it, and the tenant's books — the only
+// counters the service keeps (stats.go). Workers are created lazily at
+// a tenant's first Submit and live until Close.
 type tenantWorker struct {
 	tenant string
 	queue  chan submission
@@ -243,7 +241,7 @@ type tenantWorker struct {
 	mu     sync.RWMutex
 	closed bool
 
-	stats  serviceCounters
+	stats  counters
 	levels levelCounters
 	lats   latencyRecorder
 	phases phaseCounters
@@ -285,18 +283,6 @@ type Service struct {
 	mu      sync.RWMutex
 	closed  bool
 	workers map[string]*tenantWorker
-
-	stats  serviceCounters
-	levels levelCounters
-	lats   latencyRecorder
-	phases phaseCounters
-}
-
-// phase records one lifecycle phase duration on both the tenant's and
-// the service's books.
-func (s *Service) phase(w *tenantWorker, ph int, d time.Duration) {
-	w.phases.add(ph, d)
-	s.phases.add(ph, d)
 }
 
 // New starts a service routing levels through switchers and loading
@@ -312,7 +298,7 @@ func New(switchers SwitcherSource, keys KeySource, cfg Config) (*Service, error)
 	cfg = cfg.withDefaults()
 	s := &Service{
 		src:     switchers,
-		keys:    newKeyCache(keys, cfg.KeyBudget, cfg.TenantKeyFloor),
+		keys:    newKeyCache(keys, cfg.KeyBudget),
 		cfg:     cfg,
 		workers: make(map[string]*tenantWorker),
 	}
@@ -394,11 +380,7 @@ func (s *Service) enqueue(ctx context.Context, sub submission) error {
 	if err != nil {
 		return err
 	}
-	if err := w.send(ctx, sub); err != nil {
-		return err
-	}
-	s.stats.submitted.Add(uint64(len(sub.reqs)))
-	return nil
+	return w.send(ctx, sub)
 }
 
 // Submit enqueues a request on its tenant's queue and returns its
@@ -519,7 +501,7 @@ func (s *Service) dispatch(w *tenantWorker) {
 // queued and runs.
 func (s *Service) gather(w *tenantWorker, first submission) []submission {
 	batch := []submission{first}
-	n, sealed := s.popped(w, first), first.sealed
+	n, sealed := w.popped(first), first.sealed
 	var timeout <-chan time.Time
 	if !sealed && n < s.cfg.MaxBatch {
 		timer := time.NewTimer(s.cfg.Window)
@@ -545,7 +527,7 @@ func (s *Service) gather(w *tenantWorker, first submission) []submission {
 			return batch
 		}
 		batch = append(batch, sub)
-		n += s.popped(w, sub)
+		n += w.popped(sub)
 		sealed = sealed || sub.sealed
 	}
 	return batch
@@ -553,11 +535,11 @@ func (s *Service) gather(w *tenantWorker, first submission) []submission {
 
 // popped stamps a submission's requests as dequeued, books their
 // enqueue phase, and returns how many there are.
-func (s *Service) popped(w *tenantWorker, sub submission) int {
+func (w *tenantWorker) popped(sub submission) int {
 	now := time.Now()
 	for _, p := range sub.reqs {
 		p.deq = now
-		s.phase(w, phaseEnqueue, now.Sub(p.enq))
+		w.phases.add(phaseEnqueue, now.Sub(p.enq))
 	}
 	return len(sub.reqs)
 }
@@ -586,7 +568,6 @@ func groupKeyOf(p *pending) groupKey {
 // construction.
 func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 	w.stats.batches.Add(1)
-	s.stats.batches.Add(1)
 	var groups [][]*pending
 	byKey := make(map[groupKey]int)
 	for _, sub := range batch {
@@ -605,7 +586,6 @@ func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 		groups[gi] = append(groups[gi], p)
 	}
 	w.stats.groups.Add(uint64(len(groups)))
-	s.stats.groups.Add(uint64(len(groups)))
 	tr := obs.ActiveTracer()
 	var t0 time.Time
 	if tr != nil {
@@ -620,20 +600,20 @@ func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 }
 
 // runGroup serves one group — requests sharing input, level and
-// dataflow, and so one switcher: requests whose context died in the
-// queue are failed, a singleton takes the direct per-rotation path,
-// and two or more requests share one hoisted Decompose+ModUp with a
-// per-key replay — the exact hks.SwitchHoisted structure, so results
-// are bit-exact with independent switches.
+// dataflow, and so one switcher — as one hoisted Decompose+ModUp with a
+// per-key replay, the exact hks.SwitchHoisted structure, so results are
+// bit-exact with independent switches. A lone request is a group of
+// one. Requests whose context died in the queue are failed; the rest
+// resolve their key material before anything is hoisted, so a member
+// whose key fails costs the group nothing further, and a group none of
+// whose keys resolves runs — and books — nothing.
 func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	start := time.Now()
-	for _, p := range ps {
-		s.phase(w, phaseDispatch, start.Sub(p.deq))
-	}
 	live := ps[:0]
 	for _, p := range ps {
+		w.phases.add(phaseDispatch, start.Sub(p.deq))
 		if p.ctx != nil && p.ctx.Err() != nil {
-			s.finish(w, p, Result{Err: p.ctx.Err()})
+			w.finish(p, Result{Err: p.ctx.Err()})
 			continue
 		}
 		live = append(live, p)
@@ -643,59 +623,6 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	}
 	sw, in, df, level := live[0].sw, live[0].req.Input, live[0].req.Dataflow, live[0].req.Level
 	e := s.cfg.Engine
-
-	if len(live) == 1 {
-		p := live[0]
-		mat, _, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
-		if err != nil {
-			s.finish(w, p, Result{Err: err})
-			return
-		}
-		w.stats.modUps.Add(1)
-		s.stats.modUps.Add(1)
-		c0 := sw.R.GetPoly(sw.QBasis())
-		c1 := sw.R.GetPoly(sw.QBasis())
-		if st := s.startExpand(w, sw, mat); st != nil {
-			// Compressed key: the seed expansion runs while HoistParallel
-			// executes Decompose+ModUp, and the replay binds the expanded
-			// key once both are done.
-			t0 := time.Now()
-			h := sw.HoistParallel(e, df, in)
-			t1 := time.Now()
-			h.SwitchStreamedInto(e, st, c0, c1)
-			h.Release()
-			st.Release()
-			s.phase(w, phaseHoist, t1.Sub(t0))
-			s.phase(w, phaseReplay, time.Since(t1))
-		} else {
-			// The dense singleton runs as one fused switch; there is no
-			// separate hoist to split out, so it all books as replay.
-			t0 := time.Now()
-			sw.SwitchParallelInto(e, df, in, mat.(*hks.Evk), c0, c1)
-			s.phase(w, phaseReplay, time.Since(t0))
-		}
-		// Level counters land before the result delivers, so a caller
-		// that snapshots Stats after receiving its last result sees a
-		// per-level breakdown consistent with the totals.
-		w.levels.add(level, 1, 1, 0)
-		s.levels.add(level, 1, 1, 0)
-		s.finish(w, p, Result{C0: c0, C1: c1})
-		return
-	}
-
-	w.stats.coalesced.Add(uint64(len(live)))
-	s.stats.coalesced.Add(uint64(len(live)))
-	w.stats.modUps.Add(1)
-	s.stats.modUps.Add(1)
-	// One hoisted ModUp for the group regardless of per-key failures
-	// (it runs either way), and the whole group's coalesce credit with
-	// it; each request's switch is counted just before its result
-	// delivers, so the level slices always sum to the Served/ModUps/
-	// Coalesced totals a concurrent snapshot observes.
-	w.levels.add(level, 0, 1, uint64(len(live)))
-	s.levels.add(level, 0, 1, uint64(len(live)))
-	// Resolve every member's key material before hoisting, so a member
-	// whose key fails costs the group nothing further.
 	type member struct {
 		p    *pending
 		mat  hks.KeyMaterial
@@ -706,51 +633,69 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	for _, p := range live {
 		mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
 		if err != nil {
-			s.finish(w, p, Result{Err: err})
+			w.finish(p, Result{Err: err})
 			continue
 		}
 		members = append(members, member{p: p, mat: mat, keys: took})
 	}
+	if len(members) == 0 {
+		return
+	}
+	// One ModUp for the group, and — when it was formed of two or more
+	// requests — the whole group's coalesce credit with it, whichever
+	// keys failed; each request's switch is counted just before its
+	// result delivers, so a caller that snapshots Stats after receiving
+	// its last result sees level slices that sum to the Served/ModUps/
+	// Coalesced totals.
+	shared := len(live) > 1
+	var coalesced uint64
+	if shared {
+		coalesced = uint64(len(live))
+	}
+	w.stats.modUps.Add(1)
+	w.stats.coalesced.Add(coalesced)
+	w.levels.add(level, 0, 1, coalesced)
 	// Compressed keys expand one member ahead: the first beside the
 	// hoist, each next one beside the replay before it. However wide
 	// the group, two expanded keys exist at a time, and the polynomials
 	// one replay hands back are the ones the expansion after next draws.
 	expand := func(i int) {
 		if i < len(members) {
-			members[i].st = s.startExpand(w, sw, members[i].mat)
+			members[i].st = w.startExpand(sw, members[i].mat)
 		}
 	}
 	expand(0)
 	t0 := time.Now()
 	h := sw.HoistParallel(e, df, in)
 	hoisted := time.Now()
-	s.phase(w, phaseHoist, hoisted.Sub(t0))
+	w.phases.add(phaseHoist, hoisted.Sub(t0))
 	defer h.Release()
 	for i, m := range members {
 		expand(i + 1)
 		c0 := sw.R.GetPoly(sw.QBasis())
 		c1 := sw.R.GetPoly(sw.QBasis())
 		t1 := time.Now()
-		// The member has been in the group since start; what of that is
-		// booked to no phase on its behalf is the wait: the other
-		// members' key fetches, the shared hoist (booked once, to the
-		// group — carried here by the first member), and the replays
-		// before this one.
-		booked := m.keys
-		if i == 0 {
-			booked += hoisted.Sub(t0)
+		if shared {
+			// The member has been in the group since start; what of that
+			// is booked to no phase on its behalf is the wait: the other
+			// members' key fetches, the shared hoist (booked once, to the
+			// group — carried here by the first member), and the replays
+			// before this one.
+			booked := m.keys
+			if i == 0 {
+				booked += hoisted.Sub(t0)
+			}
+			w.phases.add(phaseGroupWait, t1.Sub(start)-booked)
 		}
-		s.phase(w, phaseGroupWait, t1.Sub(start)-booked)
 		if m.st != nil {
 			h.SwitchStreamedInto(e, m.st, c0, c1)
 			m.st.Release()
 		} else {
 			h.SwitchParallelInto(e, m.mat.(*hks.Evk), c0, c1)
 		}
-		s.phase(w, phaseReplay, time.Since(t1))
+		w.phases.add(phaseReplay, time.Since(t1))
 		w.levels.add(level, 1, 0, 0)
-		s.levels.add(level, 1, 0, 0)
-		s.finish(w, m.p, Result{C0: c0, C1: c1})
+		w.finish(m.p, Result{C0: c0, C1: c1})
 	}
 }
 
@@ -765,7 +710,7 @@ func (s *Service) getKey(w *tenantWorker, sw *hks.Switcher, id KeyID) (hks.KeyMa
 		err = sw.CheckMaterial(mat)
 	}
 	took := time.Since(t0)
-	s.phase(w, phaseKeys, took)
+	w.phases.add(phaseKeys, took)
 	return mat, took, err
 }
 
@@ -773,62 +718,23 @@ func (s *Service) getKey(w *tenantWorker, sw *hks.Switcher, id KeyID) (hks.KeyMa
 // (counted per use: expansion happens on cache hits too — that is the
 // compression trade) and returns the stream, which the caller replays
 // and must Release. Dense material is applied directly: nil.
-func (s *Service) startExpand(w *tenantWorker, sw *hks.Switcher, mat hks.KeyMaterial) *hks.ExpandStream {
+func (w *tenantWorker) startExpand(sw *hks.Switcher, mat hks.KeyMaterial) *hks.ExpandStream {
 	c, ok := mat.(*hks.CompressedEvk)
 	if !ok {
 		return nil
 	}
 	w.stats.expanded.Add(1)
-	s.stats.expanded.Add(1)
 	return c.StartExpand(sw.R)
 }
 
-func (s *Service) finish(w *tenantWorker, p *pending, res Result) {
+func (w *tenantWorker) finish(p *pending, res Result) {
 	t0 := time.Now()
 	if res.Err != nil {
 		w.stats.failed.Add(1)
-		s.stats.failed.Add(1)
 	} else {
 		w.stats.served.Add(1)
-		s.stats.served.Add(1)
-		lat := t0.Sub(p.enq)
-		w.lats.record(lat)
-		s.lats.record(lat)
+		w.lats.record(t0.Sub(p.enq))
 	}
 	p.done <- res // buffered; never blocks
-	s.phase(w, phaseReply, time.Since(t0))
-}
-
-// tenantStatsLocked assembles the per-tenant service stats; the caller
-// holds s.mu (read) and supplies the cache's per-tenant snapshot.
-func (s *Service) tenantStatsLocked(keys map[string]TenantCacheStats) []TenantStats {
-	names := make([]string, 0, len(s.workers))
-	for name := range s.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]TenantStats, 0, len(names))
-	for _, name := range names {
-		w := s.workers[name]
-		ts := TenantStats{
-			Tenant:        name,
-			Submitted:     w.stats.submitted.Load(),
-			Served:        w.stats.served.Load(),
-			Failed:        w.stats.failed.Load(),
-			Batches:       w.stats.batches.Load(),
-			Groups:        w.stats.groups.Load(),
-			ModUps:        w.stats.modUps.Load(),
-			Coalesced:     w.stats.coalesced.Load(),
-			KeyExpansions: w.stats.expanded.Load(),
-			Keys:          keys[name],
-		}
-		if ts.ModUps > 0 {
-			ts.CoalescingFactor = float64(ts.Served) / float64(ts.ModUps)
-		}
-		ts.P50, ts.P99 = w.lats.percentiles()
-		ts.PerLevel = w.levels.snapshot()
-		ts.Phases = w.phases.snapshot()
-		out = append(out, ts)
-	}
-	return out
+	w.phases.add(phaseReply, time.Since(t0))
 }

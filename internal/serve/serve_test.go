@@ -234,8 +234,9 @@ func TestPerDataflowRouting(t *testing.T) {
 	}
 }
 
-// TestSingletonDirectPath serves one lone request through the
-// per-rotation path and checks it against the serial pipeline.
+// TestSingletonDirectPath serves one lone request — a group of one, on
+// the group path, with no coalesce credit — and checks it against the
+// serial pipeline.
 func TestSingletonDirectPath(t *testing.T) {
 	b := newTestBench(t, 1)
 	e := engine.New(2)
@@ -724,7 +725,8 @@ func TestCloseDrains(t *testing.T) {
 
 // TestRequestErrors covers the request-level failure paths: invalid
 // inputs and levels rejected at Submit, key-load failures delivered
-// per request (and not poisoning the cache or the rest of the group).
+// per request (and not poisoning the cache or the rest of the group),
+// and a group left with no key at all running nothing.
 func TestRequestErrors(t *testing.T) {
 	b := newTestBench(t, 2)
 	e := engine.New(1)
@@ -779,9 +781,36 @@ func TestRequestErrors(t *testing.T) {
 		t.Fatal("unknown tenant served without error")
 	}
 
+	// The mixed group ran for its one good key: one ModUp, and the
+	// coalesce credit of the group as it was formed.
 	st := svc.Stats()
-	if st.Failed != 2 || st.Served != 1 {
-		t.Fatalf("failed %d / served %d, want 2 / 1", st.Failed, st.Served)
+	if st.Failed != 2 || st.Served != 1 || st.ModUps != 1 || st.Coalesced != 2 {
+		t.Fatalf("failed %d / served %d / mod_ups %d / coalesced %d, want 2 / 1 / 1 / 2",
+			st.Failed, st.Served, st.ModUps, st.Coalesced)
+	}
+
+	// A group none of whose keys resolves has nobody to hoist for: it
+	// fails every member and books nothing else — like the lone stray
+	// above, and unlike a ModUp run for no one.
+	dead, err := svc.SubmitGroup(context.Background(), groupOf(b.input(), "", 98, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range dead {
+		if res := <-ch; res.Err == nil {
+			t.Fatalf("member %d of the keyless group served without error", i)
+		}
+	}
+	after := svc.Stats()
+	if after.Failed != 4 || after.ModUps != st.ModUps || after.Coalesced != st.Coalesced ||
+		!reflect.DeepEqual(after.PerLevel, st.PerLevel) {
+		t.Fatalf("keyless group moved the books: failed %d mod_ups %d coalesced %d levels %+v, were 2 / %d / %d / %+v",
+			after.Failed, after.ModUps, after.Coalesced, after.PerLevel, st.ModUps, st.Coalesced, st.PerLevel)
+	}
+	for _, ps := range after.Phases {
+		if ps.Phase == "hoist" && ps.Count != 1 {
+			t.Fatalf("%d hoists booked, want the mixed group's one", ps.Count)
+		}
 	}
 }
 
@@ -789,9 +818,9 @@ func TestRequestErrors(t *testing.T) {
 // generated at another level — right digit count, wrong extended
 // basis — must cost exactly the requests that asked for it. Before
 // CheckMaterial validated bases such a key reached the apply tiles and
-// the index fault there took the whole process down. Covered on the
-// singleton per-rotation path and inside a coalesced group, for dense
-// and compressed material.
+// the index fault there took the whole process down. Covered for a
+// lone request and inside a coalesced group, for dense and compressed
+// material.
 func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	b := newTestBench(t, 1)
 	swLow, err := b.pool.Switcher(benchLevel - 2)
@@ -838,7 +867,7 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 			t.Fatalf("%s: got %v, want a basis error", what, res.Err)
 		}
 	}
-	// Alone in their batches: the per-rotation path.
+	// Alone in their batches: groups of one.
 	mustFail(submit(b.input(), 1), "dense wrong-level key, singleton")
 	mustFail(submit(b.input(), 2), "compressed wrong-level key, singleton")
 	// Coalesced with a good request on one hoisted input.

@@ -1,7 +1,18 @@
 package serve
 
+// The service's books. Every number is kept once, at the tenant: a
+// tenant worker owns the only live counters, per-level slices, phase
+// clocks and latency window, and the key cache keeps its own counters
+// per tenant. Everything wider — the service totals, the sum over a
+// cluster's shards, one tenant's view as a Stats of its own — is total
+// applied to a set of TenantStats, so "the totals are the sum of the
+// tenants" is how a Stats is made rather than something to check.
+
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,10 +20,9 @@ import (
 	"ciflow/internal/obs"
 )
 
-// serviceCounters are the hot-path counters (atomics: the group
-// executor updates them from engine workers). One instance counts the
-// whole service, one more counts each tenant's worker.
-type serviceCounters struct {
+// counters are one tenant's hot-path counters (atomics: the group
+// executor updates them from engine workers).
+type counters struct {
 	submitted atomic.Uint64
 	served    atomic.Uint64
 	failed    atomic.Uint64
@@ -25,9 +35,9 @@ type serviceCounters struct {
 
 // Request-lifecycle phases. Every served request passes through them
 // in order; each phase's wall time is accumulated into always-on
-// atomic counters (one set per tenant worker, one for the service),
-// so the lifecycle breakdown costs a few time.Now() calls per request
-// and needs no sampling or opt-in.
+// atomic counters on the tenant's worker, so the lifecycle breakdown
+// costs a few time.Now() calls per request and needs no sampling or
+// opt-in.
 const (
 	phaseEnqueue   = iota // Submit accepted → popped from the tenant queue
 	phaseDispatch         // queue pop → the request's group starts executing
@@ -82,54 +92,39 @@ func (pc *phaseCounters) snapshot() []PhaseStats {
 // hoist (booked once per group, so every member but the first waits
 // it out here), and the replays before its own. With it, the phases a
 // request passes through sum to its submit-to-result time. Dividing
-// TotalNs by Count yields the natural per-unit mean for each phase. Totals are exactly mergeable by summation (the cluster
-// router relies on this, see MergePhases).
+// TotalNs by Count yields the natural per-unit mean for each phase.
+// Counts and nanoseconds are integers, so summing breakdowns (tenants
+// into a service, shards into a fabric) is exact.
 type PhaseStats struct {
 	Phase   string `json:"phase"`
 	Count   uint64 `json:"count"`
 	TotalNs uint64 `json:"total_ns"`
 }
 
-// MergePhases sums two phase breakdowns entry-wise by phase name,
-// preserving canonical phase order. Summation is exact (counts and
-// nanoseconds are integers), so merging per-shard breakdowns
-// reproduces the fabric-wide breakdown a single service would have
-// recorded.
-func MergePhases(a, b []PhaseStats) []PhaseStats {
-	if len(a) == 0 {
-		return append([]PhaseStats(nil), b...)
+// phaseOrder is the canonical order of a phase breakdown: lifecycle
+// order, then names this build does not know (a newer peer's phases),
+// sorted.
+func phaseOrder(a, b string) int {
+	rank := func(name string) int {
+		return cmp.Or(slices.Index(phaseNames[:], name)+1, numPhases+1)
 	}
-	if len(b) == 0 {
-		return append([]PhaseStats(nil), a...)
-	}
-	byName := make(map[string]PhaseStats, len(a)+len(b))
-	for _, ps := range a {
-		byName[ps.Phase] = ps
-	}
-	for _, ps := range b {
-		e := byName[ps.Phase]
-		e.Phase = ps.Phase
-		e.Count += ps.Count
-		e.TotalNs += ps.TotalNs
-		byName[ps.Phase] = e
-	}
-	out := make([]PhaseStats, 0, len(byName))
-	for _, name := range phaseNames {
-		if e, ok := byName[name]; ok {
-			out = append(out, e)
-			delete(byName, name)
+	return cmp.Or(cmp.Compare(rank(a), rank(b)), strings.Compare(a, b))
+}
+
+// addPhases sums src into dst entry-wise by phase name, keeping dst in
+// canonical order. src may come in any order.
+func addPhases(dst, src []PhaseStats) []PhaseStats {
+	for _, ps := range src {
+		i, ok := slices.BinarySearchFunc(dst, ps.Phase, func(e PhaseStats, name string) int {
+			return phaseOrder(e.Phase, name)
+		})
+		if !ok {
+			dst = slices.Insert(dst, i, PhaseStats{Phase: ps.Phase})
 		}
+		dst[i].Count += ps.Count
+		dst[i].TotalNs += ps.TotalNs
 	}
-	// Unknown names (a newer peer's phases) go last, sorted.
-	if len(byName) > 0 {
-		rest := make([]PhaseStats, 0, len(byName))
-		for _, e := range byName {
-			rest = append(rest, e)
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i].Phase < rest[j].Phase })
-		out = append(out, rest...)
-	}
-	return out
+	return dst
 }
 
 // LevelStats is one ciphertext level's slice of the switch counters:
@@ -146,52 +141,49 @@ type LevelStats struct {
 	Coalesced uint64 `json:"coalesced,omitempty"`
 }
 
-// levelCounters aggregates the per-level counters. Unlike the hot
-// per-request atomics it is mutex-guarded: it is touched once per
-// *group* (runGroup), where a map update is noise next to the hoist
-// graph it accounts for.
+// addLevels sums src into dst entry-wise by level, keeping dst sorted
+// descending from the top level (workload.Counts.PerLevel order). src
+// may come in any order.
+func addLevels(dst, src []LevelStats) []LevelStats {
+	for _, ls := range src {
+		i, ok := slices.BinarySearchFunc(dst, ls.Level, func(e LevelStats, level int) int {
+			return cmp.Compare(level, e.Level)
+		})
+		if !ok {
+			dst = slices.Insert(dst, i, LevelStats{Level: ls.Level})
+		}
+		dst[i].Switches += ls.Switches
+		dst[i].ModUps += ls.ModUps
+		dst[i].Coalesced += ls.Coalesced
+	}
+	return dst
+}
+
+// levelCounters are one tenant's per-level counters. Unlike the hot
+// per-request atomics they are mutex-guarded: touched once per group
+// and once per replay, where the update is noise next to the graph it
+// accounts for.
 type levelCounters struct {
-	mu sync.Mutex
-	m  map[int]*LevelStats
+	mu     sync.Mutex
+	levels []LevelStats
 }
 
 func (lc *levelCounters) add(level int, switches, modUps, coalesced uint64) {
 	lc.mu.Lock()
-	if lc.m == nil {
-		lc.m = make(map[int]*LevelStats)
-	}
-	e := lc.m[level]
-	if e == nil {
-		e = &LevelStats{Level: level}
-		lc.m[level] = e
-	}
-	e.Switches += switches
-	e.ModUps += modUps
-	e.Coalesced += coalesced
+	lc.levels = addLevels(lc.levels, []LevelStats{{level, switches, modUps, coalesced}})
 	lc.mu.Unlock()
 }
 
-// snapshot returns the levels sorted descending from the top level,
-// matching workload.Counts.PerLevel order.
 func (lc *levelCounters) snapshot() []LevelStats {
 	lc.mu.Lock()
-	out := make([]LevelStats, 0, len(lc.m))
-	for _, e := range lc.m {
-		out = append(out, *e)
-	}
-	lc.mu.Unlock()
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Level > out[b].Level })
-	return out
+	defer lc.mu.Unlock()
+	return slices.Clone(lc.levels)
 }
 
-// TenantStats is one tenant's slice of the service: its request
-// counters, latency percentiles, and key-cache shard. Because batches
-// and coalesced groups never span tenants, the per-tenant ModUps sum
-// to the service total: zero cross-tenant coalesces
-// (TestCrossTenantNoCoalesce).
+// TenantStats is one tenant's books: its request counters, latency
+// percentiles, per-level and per-phase breakdowns, and key-cache
+// shard. Batches and groups never span tenants, so nothing in a
+// service is counted that is not counted here.
 type TenantStats struct {
 	Tenant    string `json:"tenant"`
 	Submitted uint64 `json:"submitted"`
@@ -226,7 +218,36 @@ type TenantStats struct {
 	Keys TenantCacheStats `json:"keys"`
 }
 
-// Stats is a point-in-time snapshot of the service.
+// add folds o into ts: counters, levels, phases and the key-cache
+// shard add, ratios are recomputed from the sums, and the percentiles
+// take the worse of the two (summing percentiles would mean nothing).
+// It is the one summation behind every Stats: total folds a service's
+// tenants into its totals with it, MergeStats one tenant's slices on
+// several shards into that tenant's books.
+func (ts *TenantStats) add(o TenantStats) {
+	ts.Submitted += o.Submitted
+	ts.Served += o.Served
+	ts.Failed += o.Failed
+	ts.Batches += o.Batches
+	ts.Groups += o.Groups
+	ts.ModUps += o.ModUps
+	ts.Coalesced += o.Coalesced
+	ts.KeyExpansions += o.KeyExpansions
+	ts.CoalescingFactor = 0
+	if ts.ModUps > 0 {
+		ts.CoalescingFactor = float64(ts.Served) / float64(ts.ModUps)
+	}
+	ts.P50, ts.P99 = max(ts.P50, o.P50), max(ts.P99, o.P99)
+	ts.PerLevel = addLevels(ts.PerLevel, o.PerLevel)
+	ts.Phases = addPhases(ts.Phases, o.Phases)
+	ts.Keys.add(o.Keys)
+	ts.Keys.Tenant = ts.Tenant
+}
+
+// Stats is a point-in-time snapshot of the service. Every counter,
+// PerLevel, Phases and the Keys figures are sums over Tenants (see
+// total); the percentiles, the cache budget and the profile are the
+// service's own.
 type Stats struct {
 	Submitted uint64 `json:"submitted"` // requests accepted by Submit
 	Served    uint64 `json:"served"`    // requests completed with outputs
@@ -250,8 +271,9 @@ type Stats struct {
 
 	Keys CacheStats `json:"keys"`
 
-	// P50/P99 are submit-to-completion latencies over (up to) the last
-	// 16384 served requests, across all tenants.
+	// P50/P99 are submit-to-completion latencies over the tenants'
+	// windows taken together (up to the last 16384 served requests of
+	// each). Merged across shards they are the worst shard's.
 	P50 time.Duration `json:"p50"`
 	P99 time.Duration `json:"p99"`
 
@@ -273,6 +295,83 @@ type Stats struct {
 
 	// Tenants is the per-tenant breakdown, sorted by tenant name.
 	Tenants []TenantStats `json:"tenants"`
+}
+
+// total is the Stats of a set of tenants: every service-wide counter,
+// level slice, phase and key-cache figure is the sum of theirs, and
+// the percentiles are the worst tenant's. What no sum of tenants gives
+// — percentiles over a wider window, the cache budget, the profile —
+// is the caller's to set. tenants must be sorted by name; the result
+// holds the slice.
+func total(tenants []TenantStats) Stats {
+	var all TenantStats
+	var keys []TenantCacheStats
+	for _, ts := range tenants {
+		all.add(ts)
+		keys = append(keys, ts.Keys)
+	}
+	return Stats{
+		Submitted: all.Submitted, Served: all.Served, Failed: all.Failed,
+		Batches: all.Batches, Groups: all.Groups, ModUps: all.ModUps,
+		Coalesced: all.Coalesced, KeyExpansions: all.KeyExpansions,
+		CoalescingFactor: all.CoalescingFactor,
+		Keys:             cacheTotal(keys),
+		P50:              all.P50, P99: all.P99,
+		PerLevel: all.PerLevel, Phases: all.Phases,
+		Tenants: tenants,
+	}
+}
+
+// MergeStats sums snapshots of several services — a cluster's shards —
+// into one fabric-wide view. Tenants merge by name, and the totals are
+// then derived from the merged tenants exactly as a single service
+// derives its own, not taken from the parts; cache budgets add, the
+// profiles merge exactly (per-bucket counts sum, so the result is what
+// one recorder observing every part's events would hold), and the
+// percentiles are the worst part's. It is associative and independent
+// of the order of its arguments, and shares no storage with them.
+func MergeStats(parts ...Stats) Stats {
+	byName := map[string]*TenantStats{}
+	for _, p := range parts {
+		for _, ts := range p.Tenants {
+			e := byName[ts.Tenant]
+			if e == nil {
+				e = &TenantStats{Tenant: ts.Tenant}
+				byName[ts.Tenant] = e
+			}
+			e.add(ts)
+		}
+	}
+	var tenants []TenantStats
+	for _, e := range byName {
+		tenants = append(tenants, *e)
+	}
+	sort.Slice(tenants, func(a, b int) bool { return tenants[a].Tenant < tenants[b].Tenant })
+	st := total(tenants)
+	st.P50, st.P99 = 0, 0 // the worst part's, not the worst tenant's
+	for _, p := range parts {
+		st.Keys.BudgetBytes += p.Keys.BudgetBytes
+		st.Profile = obs.Merge(st.Profile, p.Profile)
+		st.P50, st.P99 = max(st.P50, p.P50), max(st.P99, p.P99)
+	}
+	return st
+}
+
+// ForTenant projects st onto one tenant as a Stats value of its own —
+// the total of that one tenant: its counters, percentiles, levels,
+// phases and key-cache shard in the service-wide fields, so a replay's
+// before/after deltas measure exactly its tenant's slice however many
+// tenants — or, merged, shards — share the books. The cache budget is
+// the shared one. A tenant st does not list gets the zero Stats.
+func (st Stats) ForTenant(tenant string) Stats {
+	for _, ts := range st.Tenants {
+		if ts.Tenant == tenant {
+			one := total([]TenantStats{ts})
+			one.Keys.BudgetBytes = st.Keys.BudgetBytes
+			return one
+		}
+	}
+	return Stats{}
 }
 
 // Snapshot returns a deep copy of st: the slices (per-tenant,
@@ -301,30 +400,6 @@ func (st Stats) Snapshot() Stats {
 	return st
 }
 
-// ForTenant projects st onto one tenant as a Stats value of its own:
-// that tenant's counters, percentiles and per-level breakdown in the
-// service-wide fields, so a replay's before/after deltas measure
-// exactly its tenant's slice however many tenants — or, aggregated,
-// shards — share the books. A tenant st does not list gets the zero
-// Stats.
-func (st Stats) ForTenant(tenant string) Stats {
-	for _, ts := range st.Tenants {
-		if ts.Tenant != tenant {
-			continue
-		}
-		return Stats{
-			Submitted: ts.Submitted, Served: ts.Served, Failed: ts.Failed,
-			Batches: ts.Batches, Groups: ts.Groups, ModUps: ts.ModUps,
-			Coalesced: ts.Coalesced, KeyExpansions: ts.KeyExpansions,
-			CoalescingFactor: ts.CoalescingFactor,
-			P50:              ts.P50, P99: ts.P99,
-			PerLevel: append([]LevelStats(nil), ts.PerLevel...),
-			Tenants:  []TenantStats{ts},
-		}
-	}
-	return Stats{}
-}
-
 // Snapshot returns a deep copy of cs whose Tenants slice shares no
 // storage with the original.
 func (cs CacheStats) Snapshot() CacheStats {
@@ -332,35 +407,58 @@ func (cs CacheStats) Snapshot() CacheStats {
 	return cs
 }
 
-// Stats snapshots the service counters, cache counters, latency
-// percentiles, and the per-tenant breakdown.
-func (s *Service) Stats() Stats {
-	st := Stats{
-		Submitted:     s.stats.submitted.Load(),
-		Served:        s.stats.served.Load(),
-		Failed:        s.stats.failed.Load(),
-		Batches:       s.stats.batches.Load(),
-		Groups:        s.stats.groups.Load(),
-		ModUps:        s.stats.modUps.Load(),
-		Coalesced:     s.stats.coalesced.Load(),
-		KeyExpansions: s.stats.expanded.Load(),
-		Keys:          s.keys.Stats(),
-	}
-	if st.ModUps > 0 {
-		st.CoalescingFactor = float64(st.Served) / float64(st.ModUps)
-	}
-	st.P50, st.P99 = s.lats.percentiles()
-	st.PerLevel = s.levels.snapshot()
-	st.Phases = s.phases.snapshot()
-	st.Profile = obs.Active().Snapshot()
+// snapshot reads one tenant's books: its counters, levels and phases,
+// the percentiles of its latency window and — for the service to pool
+// with the other tenants' — the window itself, sorted. keys is the
+// tenant's shard of the key cache.
+func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Duration) {
+	window := w.lats.window()
+	ts := TenantStats{Tenant: w.tenant}
+	ts.add(TenantStats{
+		Submitted:     w.stats.submitted.Load(),
+		Served:        w.stats.served.Load(),
+		Failed:        w.stats.failed.Load(),
+		Batches:       w.stats.batches.Load(),
+		Groups:        w.stats.groups.Load(),
+		ModUps:        w.stats.modUps.Load(),
+		Coalesced:     w.stats.coalesced.Load(),
+		KeyExpansions: w.stats.expanded.Load(),
+		P50:           percentile(window, 50),
+		P99:           percentile(window, 99),
+		PerLevel:      w.levels.snapshot(),
+		Phases:        w.phases.snapshot(),
+		Keys:          keys,
+	})
+	return ts, window
+}
 
-	keyShards := make(map[string]TenantCacheStats, len(st.Keys.Tenants))
-	for _, ts := range st.Keys.Tenants {
-		keyShards[ts.Tenant] = ts
+// Stats snapshots the service: every tenant's books, and their total.
+func (s *Service) Stats() Stats {
+	cache := s.keys.Stats()
+	shard := make(map[string]TenantCacheStats, len(cache.Tenants))
+	for _, tc := range cache.Tenants {
+		shard[tc.Tenant] = tc
 	}
 	s.mu.RLock()
-	st.Tenants = s.tenantStatsLocked(keyShards)
+	workers := make([]*tenantWorker, 0, len(s.workers))
+	for _, w := range s.workers {
+		workers = append(workers, w)
+	}
 	s.mu.RUnlock()
+	sort.Slice(workers, func(a, b int) bool { return workers[a].tenant < workers[b].tenant })
+
+	tenants := make([]TenantStats, len(workers))
+	var pooled []time.Duration
+	for i, w := range workers {
+		var window []time.Duration
+		tenants[i], window = w.snapshot(shard[w.tenant])
+		pooled = append(pooled, window...)
+	}
+	slices.Sort(pooled)
+	st := total(tenants)
+	st.P50, st.P99 = percentile(pooled, 50), percentile(pooled, 99)
+	st.Keys.BudgetBytes = cache.BudgetBytes
+	st.Profile = obs.Active().Snapshot()
 	return st
 }
 
@@ -368,7 +466,8 @@ func (s *Service) Stats() Stats {
 // sliding window of the most recent samples.
 const latCap = 1 << 14
 
-// latencyRecorder is a fixed-size ring of recent request latencies.
+// latencyRecorder is a fixed-size ring of one tenant's recent request
+// latencies.
 type latencyRecorder struct {
 	mu  sync.Mutex
 	buf []time.Duration
@@ -386,20 +485,20 @@ func (l *latencyRecorder) record(d time.Duration) {
 	l.mu.Unlock()
 }
 
-func (l *latencyRecorder) percentiles() (p50, p99 time.Duration) {
+// window returns a sorted copy of the recorded latencies.
+func (l *latencyRecorder) window() []time.Duration {
 	l.mu.Lock()
 	sorted := append([]time.Duration(nil), l.buf...)
 	l.mu.Unlock()
+	slices.Sort(sorted)
+	return sorted
+}
+
+// percentile reads the p-th percentile off a sorted window; 0 when it
+// is empty.
+func percentile(sorted []time.Duration, p int) time.Duration {
 	if len(sorted) == 0 {
-		return 0, 0
+		return 0
 	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	at := func(p int) time.Duration {
-		idx := len(sorted) * p / 100
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return sorted[idx]
-	}
-	return at(50), at(99)
+	return sorted[min(len(sorted)*p/100, len(sorted)-1)]
 }

@@ -19,6 +19,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -172,60 +173,20 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 	after := svc.Stats()
 
 	res := &ReplayResult{
-		Predicted:   s.Counts(),
-		Wall:        wall,
-		Served:      after.Served - before.Served,
-		ModUps:      after.ModUps - before.ModUps,
-		Groups:      after.Groups - before.Groups,
-		Coalesced:   after.Coalesced - before.Coalesced,
-		Batches:     after.Batches - before.Batches,
-		CountsExact: true,
-		BitExact:    true,
+		Predicted: s.Counts(),
+		Wall:      wall,
+		Served:    after.Served - before.Served,
+		ModUps:    after.ModUps - before.ModUps,
+		Groups:    after.Groups - before.Groups,
+		Coalesced: after.Coalesced - before.Coalesced,
+		Batches:   after.Batches - before.Batches,
+		PerLevel:  perLevelDelta(before.PerLevel, after.PerLevel),
+
+		Mismatches:    s.CompareBooks(before, after, 1),
+		DepViolations: rp.depViolations,
+		BitExact:      true,
 	}
-	res.DepViolations = rp.depViolations
-	exact := func(name string, measured uint64, predicted int) {
-		if measured != uint64(predicted) {
-			res.CountsExact = false
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: measured %d, schedule predicts %d", name, measured, predicted))
-		}
-	}
-	exact("served switches", res.Served, res.Predicted.Switches)
-	exact("mod_ups", res.ModUps, res.Predicted.ModUps)
-	exact("groups", res.Groups, res.Predicted.ModUps)
-	exact("coalesced", res.Coalesced, res.Predicted.Coalesced)
-	res.PerLevel = perLevelDelta(before.PerLevel, after.PerLevel)
-	measured := map[int]LevelCount{}
-	for _, lc := range res.PerLevel {
-		measured[lc.Level] = lc
-	}
-	// Per-level mismatches name the schedule nodes running at the
-	// diverging level, so a -check failure points at the stage that
-	// was split or merged instead of one aggregate number.
-	exactLevel := func(level int, what string, m, p int) {
-		if m == p {
-			return
-		}
-		res.CountsExact = false
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("level %d %s: measured %d, schedule predicts %d (nodes at this level: %s)",
-				level, what, m, p, s.describeLevel(level)))
-	}
-	for _, p := range res.Predicted.PerLevel {
-		m := measured[p.Level]
-		exactLevel(p.Level, "switches", m.Switches, p.Switches)
-		exactLevel(p.Level, "mod_ups", m.ModUps, p.ModUps)
-		exactLevel(p.Level, "coalesced", m.Coalesced, p.Coalesced)
-		delete(measured, p.Level)
-	}
-	for l, m := range measured {
-		if m.Switches != 0 || m.ModUps != 0 || m.Coalesced != 0 {
-			res.CountsExact = false
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("level %d: measured %d switches / %d mod_ups / %d coalesced, schedule predicts none",
-					l, m.Switches, m.ModUps, m.Coalesced))
-		}
-	}
+	res.CountsExact = len(res.Mismatches) == 0
 	if res.Predicted.HoistGroups > 0 {
 		res.HoistCoalescingFactor = float64(res.Coalesced) / float64(res.Predicted.HoistGroups)
 	}
@@ -238,6 +199,47 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 		}
 	}
 	return res, nil
+}
+
+// CompareBooks compares what a serving layer's books gained between two
+// snapshots with times × what s predicts — times replays of s, by as
+// many tenants — and names every counter that differs: the four totals,
+// each predicted level's slice, then any level the schedule does not
+// reach. Nil means the books are exact. A per-level mismatch names the
+// schedule nodes running at the diverging level, so it points at the
+// stage that was split or merged instead of one aggregate number. This
+// is the one comparison of measured books with Counts: Replay runs it
+// on its own tenant's books (times 1), `ciflow serve` on the
+// fabric-wide ones (zero before, times = tenants).
+func (s *Schedule) CompareBooks(before, after serve.Stats, times int) []string {
+	pred, n := s.Counts(), uint64(times)
+	var out []string
+	exact := func(what string, measured uint64, predicted int, where string) {
+		if measured != n*uint64(predicted) {
+			out = append(out, fmt.Sprintf("%s: measured %d, schedule predicts %d%s", what, measured, n*uint64(predicted), where))
+		}
+	}
+	exact("served switches", after.Served-before.Served, pred.Switches, "")
+	exact("mod_ups", after.ModUps-before.ModUps, pred.ModUps, "")
+	exact("groups", after.Groups-before.Groups, pred.ModUps, "")
+	exact("coalesced", after.Coalesced-before.Coalesced, pred.Coalesced, "")
+	measured := perLevelDelta(before.PerLevel, after.PerLevel)
+	for _, p := range pred.PerLevel {
+		var m LevelCount
+		if i := slices.IndexFunc(measured, func(lc LevelCount) bool { return lc.Level == p.Level }); i >= 0 {
+			m = measured[i]
+			measured = slices.Delete(measured, i, i+1)
+		}
+		where := fmt.Sprintf(" (nodes at this level: %s)", s.describeLevel(p.Level))
+		exact(fmt.Sprintf("level %d switches", p.Level), uint64(m.Switches), p.Switches, where)
+		exact(fmt.Sprintf("level %d mod_ups", p.Level), uint64(m.ModUps), p.ModUps, where)
+		exact(fmt.Sprintf("level %d coalesced", p.Level), uint64(m.Coalesced), p.Coalesced, where)
+	}
+	for _, m := range measured {
+		out = append(out, fmt.Sprintf("level %d: measured %d switches / %d mod_ups / %d coalesced, schedule predicts none",
+			m.Level, m.Switches, m.ModUps, m.Coalesced))
+	}
+	return out
 }
 
 // deriveInput computes one group's shared input polynomial: root

@@ -67,6 +67,80 @@ func assertExact(t *testing.T, res *ReplayResult) {
 	}
 }
 
+// TestCompareBooks: the one comparison of measured books with a
+// schedule's prediction, judged on hand-built books — exact at one and
+// at two replays, as a delta between snapshots, and naming what differs
+// when a total, a predicted level, or a level the schedule never
+// reaches is off.
+func TestCompareBooks(t *testing.T) {
+	s, err := PrivateInference(2, 3, 2, 3) // levels 3..0: 3/1/3/1 switches
+	if err != nil {
+		t.Fatal(err)
+	}
+	// books is what n exact replays of s leave behind.
+	books := func(n uint64) serve.Stats {
+		p := s.Counts()
+		st := serve.Stats{Served: n * uint64(p.Switches), ModUps: n * uint64(p.ModUps),
+			Groups: n * uint64(p.ModUps), Coalesced: n * uint64(p.Coalesced)}
+		for _, l := range p.PerLevel {
+			st.PerLevel = append(st.PerLevel, serve.LevelStats{Level: l.Level,
+				Switches: n * uint64(l.Switches), ModUps: n * uint64(l.ModUps), Coalesced: n * uint64(l.Coalesced)})
+		}
+		return st
+	}
+	edit := func(st serve.Stats, f func(*serve.Stats)) serve.Stats {
+		st.PerLevel = append([]serve.LevelStats(nil), st.PerLevel...)
+		f(&st)
+		return st
+	}
+	for _, tc := range []struct {
+		name          string
+		before, after serve.Stats
+		times         int
+		want          []string // one substring per expected mismatch, in order
+	}{
+		{name: "one replay", after: books(1), times: 1},
+		{name: "two tenants", after: books(2), times: 2},
+		{name: "a delta of two on books that held one", before: books(1), after: books(3), times: 2},
+		{name: "nothing served", times: 1, want: []string{
+			"served switches: measured 0, schedule predicts 8", "mod_ups: measured 0", "groups: measured 0", "coalesced: measured 0",
+			"level 3 switches", "level 3 mod_ups", "level 3 coalesced", "level 2 switches", "level 2 mod_ups",
+			"level 1 switches", "level 1 mod_ups", "level 1 coalesced", "level 0 switches", "level 0 mod_ups"}},
+		{name: "two tenants' books held to one", after: books(2), times: 1, want: []string{
+			"served switches: measured 16, schedule predicts 8", "mod_ups: measured 12, schedule predicts 6",
+			"groups: measured 12", "coalesced: measured 8, schedule predicts 4",
+			"level 3 switches: measured 6, schedule predicts 3", "level 3 mod_ups", "level 3 coalesced", "level 2 switches", "level 2 mod_ups",
+			"level 1 switches", "level 1 mod_ups", "level 1 coalesced", "level 0 switches", "level 0 mod_ups"}},
+		{name: "a group split at level 1", times: 2,
+			after: edit(books(2), func(st *serve.Stats) {
+				st.ModUps++
+				st.Groups++
+				st.Coalesced -= 2
+				st.PerLevel[2].ModUps++
+				st.PerLevel[2].Coalesced -= 2
+			}),
+			want: []string{"mod_ups: measured 13, schedule predicts 12", "groups: measured 13", "coalesced: measured 6, schedule predicts 8",
+				"level 1 mod_ups: measured 5, schedule predicts 4 (nodes at this level: ", "level 1 coalesced: measured 2, schedule predicts 4"}},
+		{name: "a level served elsewhere", times: 1,
+			after: edit(books(1), func(st *serve.Stats) {
+				st.PerLevel[3].Level = 7
+			}),
+			want: []string{"level 0 switches: measured 0, schedule predicts 1", "level 0 mod_ups: measured 0, schedule predicts 1",
+				"level 7: measured 1 switches / 1 mod_ups / 0 coalesced, schedule predicts none"}},
+	} {
+		got := s.CompareBooks(tc.before, tc.after, tc.times)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d mismatches %q, want %d", tc.name, len(got), got, len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(got[i], w) {
+				t.Errorf("%s: mismatch %d is %q, want it to say %q", tc.name, i, got[i], w)
+			}
+		}
+	}
+}
+
 func TestReplayBootstrap(t *testing.T) {
 	// Ring N=32 (16 slots), 4 towers: one DFT stage per half at
 	// levels 3 and 1, relin at 2 — 3 babies + 3 giants per stage.
