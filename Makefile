@@ -15,8 +15,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The second line keeps the non-amd64 stubs of the assembly bodies
+# (internal/mod, internal/ntt) compiling; it cross-compiles offline.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \

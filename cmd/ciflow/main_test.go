@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"ciflow/internal/cluster"
 	"ciflow/internal/obs"
+	"ciflow/internal/serve"
 )
 
 func TestRunVerbs(t *testing.T) {
@@ -311,6 +313,12 @@ func TestWorkloadCheckRejects(t *testing.T) {
 		"no-coalesc":   func(r *serveReport) { r.HoistCoalescingFactor = 1 },
 		"lost-result":  func(r *serveReport) { r.Delivered-- },
 		"double-count": func(r *serveReport) { r.CompletedSum++ },
+		"other-kernel": func(r *serveReport) {
+			r.PerShard = []cluster.ShardStatus{
+				{Name: "s0", Stats: serve.Stats{Kernel: r.Kernel}},
+				{Name: "s1", Stats: serve.Stats{Kernel: "other"}},
+			}
+		},
 	} {
 		rep := sharded
 		mut(&rep)

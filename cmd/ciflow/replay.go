@@ -27,6 +27,7 @@ import (
 	"ciflow/internal/cluster"
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/mod"
 	"ciflow/internal/obs"
 	"ciflow/internal/serve"
 	"ciflow/internal/workload"
@@ -65,6 +66,10 @@ type serveReport struct {
 	Workers  int    `json:"workers"`
 	NumCPU   int    `json:"num_cpu"`
 	Dataflow string `json:"dataflow"`
+	// Kernel is this process's kernel body (mod.Kernel); each shard's
+	// rides per_shard[].stats.kernel. Like workers and num_cpu it says
+	// which other reports the timings below compare with.
+	Kernel string `json:"kernel"`
 
 	Tenants  int `json:"tenants"`
 	Shards   int `json:"shards"`
@@ -296,7 +301,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 	st := books()
 	rep = &serveReport{
 		N: cctx.R.N, Towers: cfg.towers, Dnum: cfg.dnum,
-		Workers: cfg.workers, NumCPU: runtime.NumCPU(), Dataflow: df.String(),
+		Workers: cfg.workers, NumCPU: runtime.NumCPU(), Kernel: mod.Kernel(), Dataflow: df.String(),
 		Tenants: cfg.tenants, Shards: cfg.shards, Drained: -1,
 		Workload: cfg.workload, Radix: sched.Radix, Schedule: sched.Name,
 		Predicted: sched.Counts(),
@@ -426,9 +431,16 @@ func drainBusiest(ctx context.Context, rt *cluster.Router, after uint64) error {
 // level, hoist groups (where the schedule has any — evalmod's relin
 // chain predicts zero coalesces, which the exact counts enforce)
 // coalescing, and over shards exact delivery and attribution,
-// including across a -kill drain.
+// including across a -kill drain — by shards that all ran the router's
+// kernel body, or the one rate the report prints mixes two machines.
 func serveCheck(rep *serveReport) error {
 	total := uint64(rep.Tenants) * uint64(rep.Predicted.Switches)
+	var otherKernel []string
+	for _, s := range rep.PerShard {
+		if k := s.Stats.Kernel; k != "" && k != rep.Kernel {
+			otherKernel = append(otherKernel, fmt.Sprintf("%s (%s)", s.Name, k))
+		}
+	}
 	switch {
 	case !rep.BitExact:
 		return fmt.Errorf("serve check: replay not bit-exact with serial schedule execution: %v", rep.Mismatches)
@@ -445,6 +457,8 @@ func serveCheck(rep *serveReport) error {
 	case rep.Shards > 0 && rep.CompletedSum != total:
 		return fmt.Errorf("serve check: per-shard completion attribution sums to %d, want exactly %d (a retry was double-counted)",
 			rep.CompletedSum, total)
+	case len(otherKernel) > 0:
+		return fmt.Errorf("serve check: the router runs the %s kernel but shards %s do not", rep.Kernel, strings.Join(otherKernel, ", "))
 	}
 	return nil
 }
@@ -461,8 +475,8 @@ func serveCmd(cfg serveConfig, jsonPath string, check bool) error {
 		fabric = fmt.Sprintf("%d shards (replicas %d)", rep.Shards, rep.Replicas)
 	}
 	fmt.Printf("Serve replay: %s (%s) x %d tenants through %s\n", rep.Schedule, rep.Dataflow, rep.Tenants, fabric)
-	fmt.Printf("N=2^%d, %d towers, dnum=%d, %d workers per process (%d CPUs)\n",
-		cfg.logN, rep.Towers, rep.Dnum, rep.Workers, rep.NumCPU)
+	fmt.Printf("N=2^%d, %d towers, dnum=%d, %d workers per process (%d CPUs), %s kernel\n",
+		cfg.logN, rep.Towers, rep.Dnum, rep.Workers, rep.NumCPU, rep.Kernel)
 	fmt.Printf("%d switches (%d rotations, %d relins) in %d groups, depth %d, max fan-out %d, %d distinct keys\n",
 		p.Switches, p.Rotations, p.Relins, p.ModUps, p.Depth, p.MaxWidth, p.DistinctKeys)
 	fmt.Printf("%-26s %12.2f\n", "served switches/sec", rep.OpsPerSec)

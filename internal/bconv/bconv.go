@@ -16,7 +16,8 @@
 // (§III-B: "roughly N×α×β modular multiplications"). The count is the
 // model's; the cost per operation is lower than a Barrett multiply:
 // each destination coefficient is one deferred-reduction inner product
-// over the source towers (mod.MulAccScalars, a single Reduce128), and
+// over the source towers (mod.MulSumScalars, a single reduction; the
+// exact conversion's overshoot removal is one more term of it), and
 // every multiply by a per-tower constant is a Shoup multiply against a
 // constant precomputed in New.
 //
@@ -33,7 +34,6 @@ import (
 	"math/big"
 	"sync"
 
-	"ciflow/internal/mod"
 	"ciflow/internal/ring"
 )
 
@@ -49,25 +49,24 @@ type Converter struct {
 	// bHatInv[i] = (B*/b_i)^(-1) mod b_i, with its Shoup constant.
 	bHatInv, bHatInvShoup []uint64
 	// bHatMod[j][i] = (B*/b_i) mod c_j: one column of constants per
-	// destination tower, aligned with the ŷ rows.
+	// destination tower, aligned with the ŷ rows. Its last entry,
+	// bHatMod[j][|B|] = −B* mod c_j, is aligned with the overshoot row
+	// that follows them in an exact conversion.
 	bHatMod [][]uint64
-	// srcProdMod[j] = B* mod c_j, the overshoot correction factor,
-	// with its Shoup constant.
-	srcProdMod, srcProdModShoup []uint64
-	// accTerms bounds the products one deferred reduction may sum:
-	// ⌊2^64 / max source modulus⌋ (the ŷ rows are reduced modulo the
-	// source moduli, which may exceed the destination's).
-	accTerms int
+	// maxSrc, the largest source modulus, bounds the operands of the
+	// deferred sum (the ŷ rows are reduced modulo the source moduli,
+	// which may exceed the destination's; an overshoot is below |B|)
+	// and so the products one reduction may take: mod.AccTerms.
+	maxSrc uint64
 	// srcInv[i] = 1/b_i as a float, for the overshoot estimate.
 	srcInv []float64
 
 	scratch sync.Pool // *convScratch
 }
 
-type convScratch struct {
-	y [][]uint64 // |src| rows of N: the ŷ_i vectors
-	u []uint64   // overshoot per coefficient
-}
+// convScratch is |src|+1 rows of N: the ŷ_i vectors, then the
+// overshoot per coefficient.
+type convScratch struct{ y [][]uint64 }
 
 // New builds a Converter from basis src to basis dst. The bases must
 // be disjoint (a tower cannot be converted onto itself).
@@ -81,23 +80,20 @@ func New(r *ring.Ring, src, dst ring.Basis) (*Converter, error) {
 		}
 	}
 	c := &Converter{
-		r:               r,
-		src:             append(ring.Basis(nil), src...),
-		dst:             append(ring.Basis(nil), dst...),
-		bHatInv:         make([]uint64, len(src)),
-		bHatInvShoup:    make([]uint64, len(src)),
-		bHatMod:         make([][]uint64, len(dst)),
-		srcProdMod:      make([]uint64, len(dst)),
-		srcProdModShoup: make([]uint64, len(dst)),
-		srcInv:          make([]float64, len(src)),
+		r:            r,
+		src:          append(ring.Basis(nil), src...),
+		dst:          append(ring.Basis(nil), dst...),
+		bHatInv:      make([]uint64, len(src)),
+		bHatInvShoup: make([]uint64, len(src)),
+		bHatMod:      make([][]uint64, len(dst)),
+		srcInv:       make([]float64, len(src)),
 	}
 	for j := range c.bHatMod {
-		c.bHatMod[j] = make([]uint64, len(src))
+		c.bHatMod[j] = make([]uint64, len(src)+1)
 	}
 	B := r.BasisProduct(src)
-	var maxSrc uint64
 	for i, ti := range src {
-		maxSrc = max(maxSrc, r.Moduli[ti])
+		c.maxSrc = max(c.maxSrc, r.Moduli[ti])
 		bi := new(big.Int).SetUint64(r.Moduli[ti])
 		bHat := new(big.Int).Div(B, bi)
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(bHat, bi), bi)
@@ -111,16 +107,11 @@ func New(r *ring.Ring, src, dst ring.Basis) (*Converter, error) {
 			c.bHatMod[j][i] = bigModUint64(bHat, r.Moduli[tj])
 		}
 	}
-	c.accTerms = mod.AccTerms(maxSrc)
 	for j, tj := range dst {
-		c.srcProdMod[j] = bigModUint64(B, r.Moduli[tj])
-		c.srcProdModShoup[j] = r.Mods[tj].ShoupPrecomp(c.srcProdMod[j])
+		c.bHatMod[j][len(src)] = r.Mods[tj].Neg(bigModUint64(B, r.Moduli[tj]))
 	}
 	c.scratch.New = func() any {
-		s := &convScratch{
-			y: make([][]uint64, len(c.src)),
-			u: make([]uint64, r.N),
-		}
+		s := &convScratch{y: make([][]uint64, len(c.src)+1)}
 		for i := range s.y {
 			s.y[i] = make([]uint64, r.N)
 		}
@@ -175,19 +166,22 @@ func (c *Converter) YScaleRow(i int, in, out []uint64) {
 	c.r.Mods[c.src[i]].MulShoupRow(out[:len(in)], in, c.bHatInv[i], c.bHatInvShoup[i])
 }
 
-// ConvertTowerFromY accumulates destination tower dstIdx (an index
-// into Dst) from the pre-scaled ŷ rows, overwriting dst. Combined
-// with YScaleRow it is bit-exact with Convert's per-tower result.
+// ConvertTowerFromY sums destination tower dstIdx (an index into Dst)
+// from the pre-scaled ŷ rows, overwriting dst without reading it.
+// Combined with YScaleRow it is bit-exact with Convert's per-tower
+// result.
 func (c *Converter) ConvertTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
-	clear(dst)
-	c.r.Mods[c.dst[dstIdx]].MulAccScalars(dst, y[:len(c.src)], c.bHatMod[dstIdx], c.accTerms)
+	n := len(c.src)
+	c.r.Mods[c.dst[dstIdx]].MulSumScalars(dst, y[:n], c.bHatMod[dstIdx][:n], c.maxSrc)
 }
 
 // Overshoot estimates u_k = round(Σ_i ŷ_i[k] / b_i) for coefficients
-// k in [from, to), writing into u[from:to]. The float sum runs in
+// k in [from, to) from the |src| ŷ rows at the head of y, writing into
+// the row that follows them, y[|src|][from:to]. The float sum runs in
 // ascending source order so chunked and serial evaluation agree
 // bit-exactly.
-func (c *Converter) Overshoot(y [][]uint64, u []uint64, from, to int) {
+func (c *Converter) Overshoot(y [][]uint64, from, to int) {
+	u := y[len(c.src)]
 	for k := from; k < to; k++ {
 		var v float64
 		for i := range c.src {
@@ -197,18 +191,15 @@ func (c *Converter) Overshoot(y [][]uint64, u []uint64, from, to int) {
 	}
 }
 
-// ConvertExactTowerFromY is ConvertTowerFromY with the overshoot u
-// removed: dst_k = Σ_i ŷ_i[k]·(B*/b_i) − u_k·B* (mod c_j). Combined
-// with YScaleRow and Overshoot it is bit-exact with ConvertExact's
-// per-tower result.
-func (c *Converter) ConvertExactTowerFromY(y [][]uint64, u []uint64, dstIdx int, dst []uint64) {
-	c.ConvertTowerFromY(y, dstIdx, dst)
-	m := c.r.Mods[c.dst[dstIdx]]
-	bMod, bModShoup := c.srcProdMod[dstIdx], c.srcProdModShoup[dstIdx]
-	u = u[:len(dst)]
-	for k := range dst {
-		dst[k] = m.Sub(dst[k], m.MulShoup(u[k], bMod, bModShoup))
-	}
+// ConvertExactTowerFromY is ConvertTowerFromY with the overshoot
+// removed: dst_k = Σ_i ŷ_i[k]·(B*/b_i) − u_k·B* (mod c_j), where u is
+// the row Overshoot left after the ŷ rows and −B* mod c_j the constant
+// aligned with it, so the removal is one more term of the same sum.
+// Combined with YScaleRow and Overshoot it is bit-exact with
+// ConvertExact's per-tower result.
+func (c *Converter) ConvertExactTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
+	n := len(c.src) + 1
+	c.r.Mods[c.dst[dstIdx]].MulSumScalars(dst, y[:n], c.bHatMod[dstIdx], c.maxSrc)
 }
 
 // ---- Full conversions ----
@@ -270,10 +261,10 @@ func (c *Converter) convertExact(e ring.Runner, in, out *ring.Poly) {
 		if to > n {
 			to = n
 		}
-		c.Overshoot(s.y, s.u, from, to)
+		c.Overshoot(s.y, from, to)
 	})
 	pf(len(c.dst), func(j int) {
-		c.ConvertExactTowerFromY(s.y, s.u, j, out.Coeffs[j])
+		c.ConvertExactTowerFromY(s.y, j, out.Coeffs[j])
 	})
 	c.scratch.Put(s)
 	out.IsNTT = false

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"ciflow/internal/mod"
 	"ciflow/internal/ring"
 )
 
@@ -72,8 +73,8 @@ func TestConvertMatchesExactFormula(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.src.Equal(wide.PBasis()) && c.accTerms >= len(tc.src) {
-				t.Fatalf("accTerms %d does not split %d source towers", c.accTerms, len(tc.src))
+			if terms := mod.AccTerms(c.maxSrc); tc.src.Equal(wide.PBasis()) && terms >= len(tc.src) {
+				t.Fatalf("AccTerms %d does not split %d source towers", terms, len(tc.src))
 			}
 			in := ring.NewSampler(r, 1).Uniform(tc.src)
 			out := r.NewPoly(tc.dst)

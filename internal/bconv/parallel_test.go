@@ -65,9 +65,12 @@ func TestTilesComposeToConvert(t *testing.T) {
 	r, c, in := parallelSetup(t)
 	n := r.N
 
-	y := make([][]uint64, len(c.Src()))
+	// The ŷ rows, then the overshoot row the exact tiles read.
+	y := make([][]uint64, len(c.Src())+1)
 	for i := range y {
 		y[i] = make([]uint64, n)
+	}
+	for i := range c.Src() {
 		c.YScaleRow(i, in.Coeffs[i], y[i])
 	}
 
@@ -83,12 +86,13 @@ func TestTilesComposeToConvert(t *testing.T) {
 		}
 	}
 
-	u := make([]uint64, n)
 	// Chunked overshoot must agree with a single pass.
-	c.Overshoot(y, u, 0, n/2)
-	c.Overshoot(y, u, n/2, n)
-	uWhole := make([]uint64, n)
-	c.Overshoot(y, uWhole, 0, n)
+	u := y[len(c.Src())]
+	c.Overshoot(y, 0, n)
+	uWhole := append([]uint64(nil), u...)
+	clear(u)
+	c.Overshoot(y, 0, n/2)
+	c.Overshoot(y, n/2, n)
 	for k := range u {
 		if u[k] != uWhole[k] {
 			t.Fatalf("chunked overshoot differs at %d", k)
@@ -98,7 +102,7 @@ func TestTilesComposeToConvert(t *testing.T) {
 	wantEx := r.NewPoly(c.Dst())
 	c.ConvertExact(in, wantEx)
 	for j := range c.Dst() {
-		c.ConvertExactTowerFromY(y, u, j, got)
+		c.ConvertExactTowerFromY(y, j, got)
 		for k := 0; k < n; k++ {
 			if got[k] != wantEx.Coeffs[j][k] {
 				t.Fatalf("exact tile dst %d coeff %d: %d != %d", j, k, got[k], wantEx.Coeffs[j][k])
@@ -130,20 +134,19 @@ func TestConvertScratchReuseIsClean(t *testing.T) {
 // and the ŷ rows go to the kernel as the caller's slice.
 func TestTilesZeroAlloc(t *testing.T) {
 	r, c, in := parallelSetup(t)
-	y := make([][]uint64, len(c.Src()))
+	y := make([][]uint64, len(c.Src())+1)
 	for i := range y {
 		y[i] = make([]uint64, r.N)
 	}
-	u := make([]uint64, r.N)
 	dst := make([]uint64, r.N)
 	if allocs := testing.AllocsPerRun(10, func() {
-		for i := range y {
+		for i := range c.Src() {
 			c.YScaleRow(i, in.Coeffs[i], y[i])
 		}
-		c.Overshoot(y, u, 0, r.N)
+		c.Overshoot(y, 0, r.N)
 		for j := range c.Dst() {
 			c.ConvertTowerFromY(y, j, dst)
-			c.ConvertExactTowerFromY(y, u, j, dst)
+			c.ConvertExactTowerFromY(y, j, dst)
 		}
 	}); allocs != 0 {
 		t.Fatalf("conversion tiles allocate %v times per run, want 0", allocs)

@@ -142,7 +142,7 @@ func FuzzDecodeStats(f *testing.F) {
 	rec.Stage(obs.StageModUp, obs.DataflowOC, 3, 900)
 	honest := serve.Stats{
 		Submitted: 6, Served: 5, Failed: 1, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 4,
-		P50: 3e6, P99: 9e6, Profile: rec.Snapshot(),
+		P50: 3e6, P99: 9e6, Kernel: "generic", Profile: rec.Snapshot(),
 		Tenants: []serve.TenantStats{
 			{Tenant: "t0", Submitted: 4, Served: 4, Batches: 1, Groups: 1, ModUps: 1, Coalesced: 4,
 				PerLevel: []serve.LevelStats{{Level: 3, Switches: 4, ModUps: 1, Coalesced: 4}},

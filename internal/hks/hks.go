@@ -57,7 +57,6 @@ import (
 
 	"ciflow/internal/bconv"
 	"ciflow/internal/dataflow"
-	"ciflow/internal/mod"
 	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
@@ -81,10 +80,6 @@ type Switcher struct {
 	gadget    [][]uint64         // gadget factor per digit per D_ℓ tower
 	pInvModQ  []uint64           // P^-1 mod q_i, aligned with qBasis
 	pInvShoup []uint64           // Shoup constants of pInvModQ
-
-	// accTerms bounds the products one ApplyKey deferred reduction may
-	// sum: ⌊2^64 / max D_ℓ modulus⌋ (see mod.AccTerms).
-	accTerms int
 
 	// Index maps between each digit's converter destinations and the
 	// extended basis, shared by every execution state.
@@ -191,12 +186,6 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 		sw.pInvModQ[i] = inv.Uint64()
 		sw.pInvShoup[i] = r.Mods[t].ShoupPrecomp(sw.pInvModQ[i])
 	}
-
-	var maxMod uint64
-	for _, t := range sw.dBasis {
-		maxMod = max(maxMod, r.Moduli[t])
-	}
-	sw.accTerms = mod.AccTerms(maxMod)
 
 	// dBasis index of each converter destination, per digit.
 	towerToD := make(map[int]int, len(sw.dBasis))

@@ -17,7 +17,7 @@ package hks
 //
 // Every tile writes the canonical residue, so any order that respects
 // the data dependencies gives the same bits however the lazy kernels
-// beneath (internal/ntt, mod.MulAccRows) group their reductions — the
+// beneath (internal/ntt, mod.MulSumRows) group their reductions — the
 // property the equivalence tests and testdata/keyswitch.golden assert.
 //
 // ApplyKey sums all dnum digits of a tower in one deferred-reduction
@@ -75,8 +75,7 @@ type Hoisted struct {
 	up  [][][]uint64  // ModUp row table [dnum][|D|]; bypass rows nil until the first hoist
 	y   [][]uint64    // ℓ rows: INTT'd + ŷ-scaled digit towers
 	acc [2]*ring.Poly // ApplyKey accumulators over D_ℓ
-	yP  [2][][]uint64 // per output poly: K scaled ModDown rows
-	u   [2][]uint64   // per output poly: overshoot estimates
+	yP  [2][][]uint64 // per output poly: K scaled ModDown rows, then their overshoot row
 
 	// Row headers handed to the ApplyKey kernel, [|D|][dnum]: a tower's
 	// ModUp rows and the matching rows of the two evk halves. One slot
@@ -108,8 +107,7 @@ func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 	for p := range h.acc {
 		h.acc[p] = sw.R.NewPoly(sw.dBasis)
 		h.acc[p].IsNTT = true
-		h.yP[p] = rows(kp)
-		h.u[p] = make([]uint64, n)
+		h.yP[p] = rows(kp + 1)
 	}
 	headers := func() [][][]uint64 {
 		hs := make([][][]uint64, len(sw.dBasis))
@@ -290,11 +288,8 @@ func (h *Hoisted) applyTower(t int) {
 		up[j], kb[j], ka[j] = h.upRow(j, t), h.evk.B[j].Coeffs[t], h.evk.A[j].Coeffs[t]
 	}
 	m := sw.R.Mods[sw.dBasis[t]]
-	b0, b1 := h.acc[0].Coeffs[t], h.acc[1].Coeffs[t]
-	clear(b0)
-	clear(b1)
-	m.MulAccRows(b0, up, kb, sw.accTerms)
-	m.MulAccRows(b1, up, ka, sw.accTerms)
+	m.MulSumRows(h.acc[0].Coeffs[t], up, kb, m.Q)
+	m.MulSumRows(h.acc[1].Coeffs[t], up, ka, m.Q)
 	h.stage(obs.StageApply, t0, h.now())
 }
 
@@ -333,7 +328,7 @@ const overshootChunk = bconv.OvershootChunk
 // coefficient chunk of output poly p.
 func (h *Hoisted) downOvershoot(p, from, to int) {
 	t0 := h.now()
-	h.sw.downConv.Overshoot(h.yP[p], h.u[p], from, to)
+	h.sw.downConv.Overshoot(h.yP[p], from, to)
 	h.stage(obs.StageModDown, t0, h.kernel(obs.KernelBConv, t0))
 }
 
@@ -344,7 +339,7 @@ func (h *Hoisted) downOutTower(p, i int) {
 	sw := h.sw
 	t0 := h.now()
 	dst := h.out[p].Coeffs[i]
-	sw.downConv.ConvertExactTowerFromY(h.yP[p], h.u[p], i, dst)
+	sw.downConv.ConvertExactTowerFromY(h.yP[p], i, dst)
 	t := h.kernel(obs.KernelBConv, t0)
 	sw.R.NTTTower(sw.qBasis[i], dst)
 	h.kernel(obs.KernelNTT, t)

@@ -11,14 +11,24 @@
 //   - MulShoup is exact for *any* 64-bit x, not only x < q: its
 //     quotient estimate is off by at most one, so the remainder lies
 //     in [0,2q) before the single correction;
-//   - MulAccRows / MulAccScalars sum products as 128-bit integers and
-//     reduce once. Reduce128 wants the high word below q, so at most
-//     AccTerms(B) = ⌊2^64/B⌋ products with one operand below B and the
-//     other below q go into one reduction: at least 4 for any
-//     supported modulus, millions for the 30–41-bit moduli in use.
+//   - the multiply-accumulate rows (MulSumRows, MulSumScalars,
+//     MulAccRows) sum products as 128-bit integers and reduce once.
+//     Reduce128 wants the high word below q, so given the bound B on
+//     one operand (the callers' maxOperand) at most AccTerms(B) =
+//     ⌊2^64/B⌋ products with the other operand below q go into one
+//     reduction: at least 4 for any supported modulus, millions for
+//     the 30–41-bit moduli in use.
 //
 // This matches the machine-word RNS moduli used by CKKS
 // implementations (36–60 bits, paper §II).
+//
+// The row kernels have a second body: on an amd64 CPU with AVX-512
+// IFMA, and for moduli below 2^VectorModulusBits, they run eight
+// coefficients at a time on 52-bit multiply-accumulates
+// (vec_amd64.s). Kernel names the body in use, here and under
+// internal/ntt's transforms; both bodies return canonical residues, so
+// nothing above this package can tell them apart except by the clock
+// (DESIGN.md "Row kernels").
 package mod
 
 import (

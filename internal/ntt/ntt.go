@@ -19,11 +19,20 @@
 // see the same function as a fully reduced transform (kept in
 // ntt_test.go as the oracle).
 //
-// Inner loops run four butterflies per iteration on four-element
+// A transform is a loop over stages, and a stage has two bodies. The
+// Go one runs four butterflies per iteration on four-element
 // sub-slices, so the butterflies themselves index without bounds
 // checks; the stages with one twiddle per two or four elements (step 1
 // and 2) have loops of their own instead of length-1 and length-2
-// inner loops.
+// inner loops. The vector one (stage_amd64.s) runs eight butterflies
+// per iteration on AVX-512 IFMA's 52-bit multiply-accumulates, with
+// the twiddle broadcast per block and, below stride 8, both halves of
+// each butterfly brought into lanes by permutes. It keeps the same
+// lazy ranges, which must then fit 52 bits, so NewTable gives it to a
+// table only when the CPU has it (mod.Kernel), q < 2^50 and N ≥ 16;
+// its 52-bit Shoup companions ⌊w·2^52/q⌋ are the 64-bit ones shifted
+// right by 12. Both bodies end in the same correction pass, so the
+// outputs are the same words.
 package ntt
 
 import (
@@ -50,6 +59,11 @@ type Table struct {
 	// stage with the 1/N scaling folded in.
 	lastInv      uint64
 	lastInvShoup uint64
+
+	// vec selects the vector stage bodies: the CPU has them
+	// (mod.Kernel), q is below 2^mod.VectorModulusBits so that every
+	// lazy value fits a 52-bit lane, and N fills a 16-value window.
+	vec bool
 }
 
 // NewTable builds NTT tables for ring degree n and prime modulus q
@@ -69,6 +83,7 @@ func NewTable(n int, q uint64) (*Table, error) {
 		psiShoup:  make([]uint64, n),
 		ipsi:      make([]uint64, n),
 		ipsiShoup: make([]uint64, n),
+		vec:       mod.Kernel() == mod.KernelVector && q < 1<<mod.VectorModulusBits && n >= 16,
 	}
 	ipsi := m.Inv(psi)
 	logN := bits.Len(uint(n)) - 1
@@ -110,11 +125,38 @@ func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Forward on slice of length %d, table N=%d", len(a), t.N))
 	}
+	stage := (*Table).fwdStage
+	if t.vec {
+		stage = (*Table).fwdStageVec
+	}
+	for step, mm := t.N>>1, 1; step >= 1; step, mm = step>>1, mm<<1 {
+		stage(t, a, mm, step)
+	}
+}
+
+// fwdStage is the Go body of one forward stage: mm blocks of 2·step
+// values, one twiddle each. The step-1 stage is the transform's last
+// and carries its one correction pass, [0,4q) → [0,q).
+func (t *Table) fwdStage(a []uint64, mm, step int) {
 	q, twoQ := t.M.Q, 2*t.M.Q
-	mm := 1
-	for step := t.N >> 1; step >= 4; step, mm = step>>1, mm<<1 {
-		for i := 0; i < mm; i++ {
-			w, ws := t.psi[mm+i], t.psiShoup[mm+i]
+	w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
+	ws = ws[:len(w)]
+	switch step {
+	case 1: // one twiddle per pair
+		for i := range w {
+			b := a[2*i : 2*i+2 : 2*i+2]
+			x, y := fwdButterfly(b[0], b[1], w[i], ws[i], q, twoQ)
+			b[0], b[1] = reduce4(x, q, twoQ), reduce4(y, q, twoQ)
+		}
+	case 2: // one twiddle per block of four
+		for i := range w {
+			b := a[4*i : 4*i+4 : 4*i+4]
+			b[0], b[2] = fwdButterfly(b[0], b[2], w[i], ws[i], q, twoQ)
+			b[1], b[3] = fwdButterfly(b[1], b[3], w[i], ws[i], q, twoQ)
+		}
+	default:
+		for i := range w {
+			w, ws := w[i], ws[i]
 			j := 2 * i * step
 			x, y := a[j:j+step], a[j+step:j+2*step]
 			y = y[:len(x)]
@@ -126,25 +168,6 @@ func (t *Table) Forward(a []uint64) {
 				u[3], v[3] = fwdButterfly(u[3], v[3], w, ws, q, twoQ)
 			}
 		}
-	}
-	if t.N >= 4 { // step 2: one twiddle per block of four
-		w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
-		ws = ws[:len(w)]
-		for i := range w {
-			b := a[4*i : 4*i+4 : 4*i+4]
-			b[0], b[2] = fwdButterfly(b[0], b[2], w[i], ws[i], q, twoQ)
-			b[1], b[3] = fwdButterfly(b[1], b[3], w[i], ws[i], q, twoQ)
-		}
-		mm <<= 1
-	}
-	// Step 1: one twiddle per pair, and the one correction pass of the
-	// whole transform, [0,4q) → [0,q).
-	w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
-	ws = ws[:len(w)]
-	for i := range w {
-		b := a[2*i : 2*i+2 : 2*i+2]
-		x, y := fwdButterfly(b[0], b[1], w[i], ws[i], q, twoQ)
-		b[0], b[1] = reduce4(x, q, twoQ), reduce4(y, q, twoQ)
 	}
 }
 
@@ -177,29 +200,37 @@ func (t *Table) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Inverse on slice of length %d, table N=%d", len(a), t.N))
 	}
-	m := t.M
-	q, twoQ := m.Q, 2*m.Q
-	half := t.N >> 1
-	if t.N >= 4 { // step 1: one twiddle per pair
-		w, ws := t.ipsi[half:], t.ipsiShoup[half:]
-		ws = ws[:len(w)]
+	stage, last := (*Table).invStage, (*Table).invLast
+	if t.vec {
+		stage, last = (*Table).invStageVec, (*Table).invLastVec
+	}
+	for step, mm := 1, t.N>>1; mm >= 2; step, mm = step<<1, mm>>1 {
+		stage(t, a, mm, step)
+	}
+	last(t, a)
+}
+
+// invStage is the Go body of one inverse stage before the last: mm
+// blocks of 2·step values, one twiddle each.
+func (t *Table) invStage(a []uint64, mm, step int) {
+	q, twoQ := t.M.Q, 2*t.M.Q
+	w, ws := t.ipsi[mm:2*mm], t.ipsiShoup[mm:2*mm]
+	ws = ws[:len(w)]
+	switch step {
+	case 1: // one twiddle per pair
 		for i := range w {
 			b := a[2*i : 2*i+2 : 2*i+2]
 			b[0], b[1] = invButterfly(b[0], b[1], w[i], ws[i], q, twoQ)
 		}
-	}
-	if t.N >= 8 { // step 2: one twiddle per block of four
-		w, ws := t.ipsi[half>>1:half], t.ipsiShoup[half>>1:half]
-		ws = ws[:len(w)]
+	case 2: // one twiddle per block of four
 		for i := range w {
 			b := a[4*i : 4*i+4 : 4*i+4]
 			b[0], b[2] = invButterfly(b[0], b[2], w[i], ws[i], q, twoQ)
 			b[1], b[3] = invButterfly(b[1], b[3], w[i], ws[i], q, twoQ)
 		}
-	}
-	for step, mm := 4, t.N>>3; mm >= 2; step, mm = step<<1, mm>>1 {
-		for i := 0; i < mm; i++ {
-			w, ws := t.ipsi[mm+i], t.ipsiShoup[mm+i]
+	default:
+		for i := range w {
+			w, ws := w[i], ws[i]
 			j := 2 * i * step
 			x, y := a[j:j+step], a[j+step:j+2*step]
 			y = y[:len(x)]
@@ -212,10 +243,15 @@ func (t *Table) Inverse(a []uint64) {
 			}
 		}
 	}
-	// Last stage (one twiddle, step N/2) with the 1/N scaling folded
-	// into both outputs: x' = (x+y)·N⁻¹, y' = (x−y)·ψ⁻¹·N⁻¹. The full
-	// MulShoup is the transform's one correction pass, [0,4q) → [0,q).
-	x, y := a[:half], a[half:]
+}
+
+// invLast is the Go body of the inverse's last stage (one twiddle,
+// step N/2) with the 1/N scaling folded into both outputs:
+// x' = (x+y)·N⁻¹, y' = (x−y)·ψ⁻¹·N⁻¹. The full MulShoup is the
+// transform's one correction pass, [0,4q) → [0,q).
+func (t *Table) invLast(a []uint64) {
+	m, twoQ := t.M, 2*t.M.Q
+	x, y := a[:t.N>>1], a[t.N>>1:]
 	y = y[:len(x)]
 	for j := range x {
 		u, v := x[j], y[j]
@@ -234,6 +270,46 @@ func invButterfly(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
 	d := x - y + twoQ
 	hi, _ := bits.Mul64(d, ws)
 	return s, d*w - hi*q
+}
+
+// perm52 holds, for each stride below the vector width, the lane
+// permutations that bring both halves of every butterfly in a window
+// of 16 consecutive values (lanes 0–7 the first eight, 8–15 the rest)
+// into two registers and back: the lanes of the window that form x and
+// y (those with the step bit clear, and their partners), the lanes of
+// x‖y that form the window's two halves again, and the twiddle of each
+// lane's block among the window's 8/step. Strides of 8 and up permute
+// nothing and are handed entry 0.
+var perm52 = [5][5][8]uint64{
+	4: {
+		{0, 1, 2, 3, 8, 9, 10, 11}, {4, 5, 6, 7, 12, 13, 14, 15},
+		{0, 1, 2, 3, 8, 9, 10, 11}, {4, 5, 6, 7, 12, 13, 14, 15},
+		{0, 0, 0, 0, 1, 1, 1, 1},
+	},
+	2: {
+		{0, 1, 4, 5, 8, 9, 12, 13}, {2, 3, 6, 7, 10, 11, 14, 15},
+		{0, 1, 8, 9, 2, 3, 10, 11}, {4, 5, 12, 13, 6, 7, 14, 15},
+		{0, 0, 1, 1, 2, 2, 3, 3},
+	},
+	1: {
+		{0, 2, 4, 6, 8, 10, 12, 14}, {1, 3, 5, 7, 9, 11, 13, 15},
+		{0, 8, 1, 9, 2, 10, 3, 11}, {4, 12, 5, 13, 6, 14, 7, 15},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+	},
+}
+
+// fwdStageVec, invStageVec and invLastVec are the vector bodies of the
+// three stage shapes, over the same twiddles as the Go bodies.
+func (t *Table) fwdStageVec(a []uint64, mm, step int) {
+	fwdStage52(a, t.psi[mm:2*mm], t.psiShoup[mm:2*mm], step, t.M.Q, &perm52[step&7])
+}
+
+func (t *Table) invStageVec(a []uint64, mm, step int) {
+	invStage52(a, t.ipsi[mm:2*mm], t.ipsiShoup[mm:2*mm], step, t.M.Q, &perm52[step&7])
+}
+
+func (t *Table) invLastVec(a []uint64) {
+	invLast52(a, t.nInv, t.nInvShoup, t.lastInv, t.lastInvShoup, t.M.Q)
 }
 
 // ButterflyOps returns the number of butterfly evaluations in one

@@ -8,17 +8,26 @@ import (
 	"ciflow/internal/primes"
 )
 
-func newTestTable(t *testing.T, n int) *Table {
-	t.Helper()
-	ps, err := primes.Generate(30, n, 1)
-	if err != nil {
-		t.Fatal(err)
+func newTestTable(t *testing.T, n int) *Table { return testTable(t, n, 30) }
+
+// bodies returns tab under every stage body this host has: a copy
+// forced onto the Go body, and tab itself where NewTable selected the
+// vector one.
+func bodies(tab *Table) []*Table {
+	generic := *tab
+	generic.vec = false
+	if !tab.vec {
+		return []*Table{&generic}
 	}
-	tab, err := NewTable(n, ps[0])
-	if err != nil {
-		t.Fatal(err)
+	return []*Table{&generic, tab}
+}
+
+// bodyName names the stage body tab runs, as mod.Kernel does.
+func bodyName(tab *Table) string {
+	if tab.vec {
+		return mod.KernelVector
 	}
-	return tab
+	return mod.KernelGeneric
 }
 
 func TestNewTableErrors(t *testing.T) {
@@ -33,18 +42,19 @@ func TestNewTableErrors(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	for _, n := range []int{4, 16, 256, 1024, 4096} {
-		tab := newTestTable(t, n)
-		rng := rand.New(rand.NewSource(int64(n)))
-		a := make([]uint64, n)
-		for i := range a {
-			a[i] = rng.Uint64() % tab.M.Q
-		}
-		orig := append([]uint64(nil), a...)
-		tab.Forward(a)
-		tab.Inverse(a)
-		for i := range a {
-			if a[i] != orig[i] {
-				t.Fatalf("n=%d roundtrip mismatch at %d: got %d want %d", n, i, a[i], orig[i])
+		for _, tab := range bodies(newTestTable(t, n)) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() % tab.M.Q
+			}
+			orig := append([]uint64(nil), a...)
+			tab.Forward(a)
+			tab.Inverse(a)
+			for i := range a {
+				if a[i] != orig[i] {
+					t.Fatalf("n=%d %s roundtrip mismatch at %d: got %d want %d", n, bodyName(tab), i, a[i], orig[i])
+				}
 			}
 		}
 	}
@@ -93,26 +103,27 @@ func schoolbookNegacyclic(a, b []uint64, m mod.Modulus) []uint64 {
 
 func TestNegacyclicConvolution(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
-		tab := newTestTable(t, n)
-		rng := rand.New(rand.NewSource(17))
-		a := make([]uint64, n)
-		b := make([]uint64, n)
-		for i := range a {
-			a[i] = rng.Uint64() % tab.M.Q
-			b[i] = rng.Uint64() % tab.M.Q
-		}
-		want := schoolbookNegacyclic(a, b, tab.M)
+		for _, tab := range bodies(newTestTable(t, n)) {
+			rng := rand.New(rand.NewSource(17))
+			a := make([]uint64, n)
+			b := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() % tab.M.Q
+				b[i] = rng.Uint64() % tab.M.Q
+			}
+			want := schoolbookNegacyclic(a, b, tab.M)
 
-		tab.Forward(a)
-		tab.Forward(b)
-		c := make([]uint64, n)
-		for i := range c {
-			c[i] = tab.M.Mul(a[i], b[i])
-		}
-		tab.Inverse(c)
-		for i := range c {
-			if c[i] != want[i] {
-				t.Fatalf("n=%d convolution mismatch at %d: got %d want %d", n, i, c[i], want[i])
+			tab.Forward(a)
+			tab.Forward(b)
+			c := make([]uint64, n)
+			for i := range c {
+				c[i] = tab.M.Mul(a[i], b[i])
+			}
+			tab.Inverse(c)
+			for i := range c {
+				if c[i] != want[i] {
+					t.Fatalf("n=%d %s convolution mismatch at %d: got %d want %d", n, bodyName(tab), i, c[i], want[i])
+				}
 			}
 		}
 	}
@@ -203,20 +214,32 @@ func refInverse(t *Table, a []uint64) {
 	}
 }
 
-// TestLazyMatchesReference pins the lazy kernels to the fully reduced
-// reference at the widths where the [0,4q) and [0,2q) ranges are
-// tightest (4q just below 2^64 at 61 bits) and on the inputs that
-// drive every intermediate to its bound.
+// testTable builds the table of the first NTT prime below 2^qBits.
+func testTable(t testing.TB, n, qBits int) *Table {
+	t.Helper()
+	ps, err := primes.Generate(qBits, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(n, ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestLazyMatchesReference pins the lazy kernels, under both bodies,
+// to the fully reduced reference at the widths where the [0,4q) and
+// [0,2q) ranges are tightest — 4q just below 2^64 at 61 bits for the
+// Go body, just below 2^52 at 50 bits for the vector one, which a
+// 51-bit prime must not be given — and on the inputs that drive every
+// intermediate to its bound. N = 16 is the vector body's smallest.
 func TestLazyMatchesReference(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 1 << 13} {
-		for _, qBits := range []int{30, 41, 60, 61} {
-			ps, err := primes.Generate(qBits, n, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab, err := NewTable(n, ps[0])
-			if err != nil {
-				t.Fatal(err)
+	for _, n := range []int{2, 4, 8, 16, 1 << 13} {
+		for _, qBits := range []int{30, 41, 50, 51, 60, 61} {
+			tab := testTable(t, n, qBits)
+			if tab.vec && (qBits > mod.VectorModulusBits || n < 16) {
+				t.Fatalf("n=%d q=%d bits: vector body selected", n, qBits)
 			}
 			q := tab.M.Q
 			rng := rand.New(rand.NewSource(int64(n + qBits)))
@@ -237,20 +260,75 @@ func TestLazyMatchesReference(t *testing.T) {
 					{"forward", (*Table).Forward, refForward},
 					{"inverse", (*Table).Inverse, refInverse},
 				} {
-					got := append([]uint64(nil), in...)
 					want := append([]uint64(nil), in...)
-					tr.got(tab, got)
 					tr.want(tab, want)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("n=%d q=%d bits %s %s: index %d got %d want %d",
-								n, qBits, name, tr.dir, i, got[i], want[i])
+					for _, tab := range bodies(tab) {
+						got := append([]uint64(nil), in...)
+						tr.got(tab, got)
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("n=%d q=%d bits %s %s %s: index %d got %d want %d",
+									n, qBits, bodyName(tab), name, tr.dir, i, got[i], want[i])
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzStageBodiesAgree runs both transforms under both stage bodies on
+// one row and wants identical words: N from 16 to 2^15, primes of 30,
+// 41 and just under 50 bits, which take the vector body where the CPU
+// has it, and of 51 and 60 bits, which never may; rows all zero, all
+// q−1, or random.
+func FuzzStageBodiesAgree(f *testing.F) {
+	for _, fill := range []uint8{0, 1, 2} {
+		f.Add(int64(1), uint8(4), uint8(2), fill)
+		f.Add(int64(2), uint8(13), uint8(1), fill)
+	}
+	f.Add(int64(3), uint8(15), uint8(0), uint8(2))
+	f.Add(int64(4), uint8(10), uint8(3), uint8(2))
+	f.Add(int64(5), uint8(6), uint8(4), uint8(1))
+	widths := []int{30, 41, 50, 51, 60}
+	tables := map[[2]int]*Table{}
+	f.Fuzz(func(t *testing.T, seed int64, logN, width, fill uint8) {
+		n, qBits := 1<<(4+logN%12), widths[int(width)%len(widths)]
+		tab := tables[[2]int{n, qBits}]
+		if tab == nil {
+			tab = testTable(t, n, qBits)
+			tables[[2]int{n, qBits}] = tab
+		}
+		if tab.vec != (mod.Kernel() == mod.KernelVector && qBits <= mod.VectorModulusBits) {
+			t.Fatalf("n=%d q=%d bits on a %s host: vector body %v", n, qBits, mod.Kernel(), tab.vec)
+		}
+		q := tab.M.Q
+		rng := rand.New(rand.NewSource(seed))
+		in := make([]uint64, n)
+		for i := range in {
+			in[i] = [...]uint64{0, q - 1, rng.Uint64() % q}[fill%3]
+		}
+		for dir, transform := range map[string]func(*Table, []uint64){
+			"forward": (*Table).Forward, "inverse": (*Table).Inverse,
+		} {
+			var want []uint64
+			for _, tab := range bodies(tab) {
+				got := append([]uint64(nil), in...)
+				transform(tab, got)
+				if want == nil {
+					want = got
+					continue
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d q=%d %s: index %d is %d under the Go body, %d under the vector one",
+							n, q, dir, i, want[i], got[i])
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestButterflyOps(t *testing.T) {
@@ -262,35 +340,23 @@ func TestButterflyOps(t *testing.T) {
 	}
 }
 
-// benchTable is one tower at the benchmark shape (bench/: N = 2^13,
-// 40-bit Q towers).
-func benchTable(b *testing.B) (*Table, []uint64) {
+// benchBodies times transform on one tower at the benchmark shape
+// (bench/: N = 2^13, 40-bit Q towers) under every stage body.
+func benchBodies(b *testing.B, transform func(*Table, []uint64)) {
 	const n = 1 << 13
-	ps, err := primes.Generate(40, n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab, err := NewTable(n, ps[0])
-	if err != nil {
-		b.Fatal(err)
-	}
 	a := make([]uint64, n)
-	for i := range a {
-		a[i] = uint64(i) * 2654435761 % tab.M.Q
+	for _, tab := range bodies(testTable(b, n, 40)) {
+		for i := range a {
+			a[i] = uint64(i) * 2654435761 % tab.M.Q
+		}
+		b.Run(bodyName(tab), func(b *testing.B) {
+			for b.Loop() {
+				transform(tab, a)
+			}
+		})
 	}
-	return tab, a
 }
 
-func BenchmarkForwardN8192(b *testing.B) {
-	tab, a := benchTable(b)
-	for b.Loop() {
-		tab.Forward(a)
-	}
-}
+func BenchmarkForwardN8192(b *testing.B) { benchBodies(b, (*Table).Forward) }
 
-func BenchmarkInverseN8192(b *testing.B) {
-	tab, a := benchTable(b)
-	for b.Loop() {
-		tab.Inverse(a)
-	}
-}
+func BenchmarkInverseN8192(b *testing.B) { benchBodies(b, (*Table).Inverse) }

@@ -296,13 +296,15 @@ func (r *Ring) MulCoeffwise(a, b, out *Poly) {
 	out.IsNTT = a.IsNTT
 }
 
-// MulAddCoeffwise sets out += a ⊙ b point-wise: the one-term case of
-// the ApplyKey primitive mod.MulAccRows (paper ModUp P4/P5 fused
-// accumulate; internal/hks sums all digits of a tower in one call).
+// MulAddCoeffwise sets out += a ⊙ b point-wise: the one-term,
+// accumulating case of the ApplyKey primitive mod.MulSumRows (paper
+// ModUp P4/P5 fused accumulate; internal/hks sums all digits of a
+// tower in one call).
 func (r *Ring) MulAddCoeffwise(a, b, out *Poly) {
 	r.checkMatch("MulAddCoeffwise", a, b, out)
 	for i, t := range a.Basis {
-		r.Mods[t].MulAccRows(out.Coeffs[i], a.Coeffs[i:i+1], b.Coeffs[i:i+1], 1)
+		m := r.Mods[t]
+		m.MulAccRows(out.Coeffs[i], a.Coeffs[i:i+1], b.Coeffs[i:i+1], m.Q)
 	}
 }
 

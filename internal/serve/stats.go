@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ciflow/internal/mod"
 	"ciflow/internal/obs"
 )
 
@@ -287,6 +288,12 @@ type Stats struct {
 	// accumulated wall time per phase from Submit to result delivery.
 	Phases []PhaseStats `json:"phases,omitempty"`
 
+	// Kernel is the kernel body of the serving process (mod.Kernel);
+	// merged across shards it is the one they share, or KernelMixed.
+	// Rates, latencies and the Profile below compare only at equal
+	// kernels, as they do only at equal worker counts.
+	Kernel string `json:"kernel,omitempty"`
+
 	// Profile is the process-wide stage/kernel histogram snapshot,
 	// present only while profiling is enabled (obs.Enable). It rides
 	// the stats frame so the cluster router can merge per-shard
@@ -322,11 +329,15 @@ func total(tenants []TenantStats) Stats {
 	}
 }
 
+// KernelMixed is the Kernel of a merge over services that ran different
+// kernel bodies.
+const KernelMixed = "mixed"
+
 // MergeStats sums snapshots of several services — a cluster's shards —
 // into one fabric-wide view. Tenants merge by name, and the totals are
 // then derived from the merged tenants exactly as a single service
 // derives its own, not taken from the parts; cache budgets add, the
-// profiles merge exactly (per-bucket counts sum, so the result is what
+// kernel is the parts' or KernelMixed, the profiles merge exactly (per-bucket counts sum, so the result is what
 // one recorder observing every part's events would hold), and the
 // percentiles are the worst part's. It is associative and independent
 // of the order of its arguments, and shares no storage with them.
@@ -351,6 +362,13 @@ func MergeStats(parts ...Stats) Stats {
 	st.P50, st.P99 = 0, 0 // the worst part's, not the worst tenant's
 	for _, p := range parts {
 		st.Keys.BudgetBytes += p.Keys.BudgetBytes
+		switch {
+		case p.Kernel == "" || p.Kernel == st.Kernel: // a peer that predates the field says nothing
+		case st.Kernel == "":
+			st.Kernel = p.Kernel
+		default:
+			st.Kernel = KernelMixed
+		}
 		st.Profile = obs.Merge(st.Profile, p.Profile)
 		st.P50, st.P99 = max(st.P50, p.P50), max(st.P99, p.P99)
 	}
@@ -458,6 +476,7 @@ func (s *Service) Stats() Stats {
 	st := total(tenants)
 	st.P50, st.P99 = percentile(pooled, 50), percentile(pooled, 99)
 	st.Keys.BudgetBytes = cache.BudgetBytes
+	st.Kernel = mod.Kernel()
 	st.Profile = obs.Active().Snapshot()
 	return st
 }

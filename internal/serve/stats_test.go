@@ -184,6 +184,7 @@ func TestMergeStats(t *testing.T) {
 		}},
 	}
 	p3.Keys.BudgetBytes = 25
+	p1.Kernel, p3.Kernel = "generic", "generic" // p2 predates the field and says nothing
 	pristine := p1.Snapshot()
 
 	m := MergeStats(p1, p2, p3)
@@ -223,6 +224,10 @@ func TestMergeStats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(MergeStats(), Stats{}) {
 		t.Errorf("merging nothing gave %+v", MergeStats())
+	}
+	other := Stats{Kernel: "avx512ifma"}
+	if m.Kernel != "generic" || MergeStats(m, other).Kernel != KernelMixed || MergeStats(other, p2, MergeStats(p3, other)).Kernel != KernelMixed {
+		t.Errorf("merged kernel %q, want the parts' own and %q once they differ", m.Kernel, KernelMixed)
 	}
 
 	m.Tenants[0].PerLevel[0].Switches = 999
