@@ -1,0 +1,127 @@
+package hks
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"unsafe"
+
+	"ciflow/internal/engine"
+)
+
+// Test-only view of an engine.Graph: what each node does and what it
+// waits for, independent of the order the nodes were created in.
+
+// graphNode is one node of an engine.Graph as the tests see it.
+type graphNode struct {
+	name string
+	run  func()
+	deps []int
+}
+
+// graphNodes reads g's unexported node table (name, run, successor
+// list) and inverts the successor lists into dependency lists.
+func graphNodes(g *engine.Graph) []graphNode {
+	tab := reflect.ValueOf(g).Elem().FieldByName("nodes")
+	nodes := make([]graphNode, tab.Len())
+	for i := range nodes {
+		n := tab.Index(i)
+		nodes[i].name = n.FieldByName("name").String()
+		nodes[i].run = *(*func())(unsafe.Pointer(n.FieldByName("run").UnsafeAddr()))
+	}
+	for i := range nodes {
+		succ := tab.Index(i).FieldByName("succ")
+		for k := 0; k < succ.Len(); k++ {
+			s := int(succ.Index(k).Int())
+			nodes[s].deps = append(nodes[s].deps, i)
+		}
+	}
+	return nodes
+}
+
+// probe is one cell of the state's scratch (or of the bound outputs)
+// standing for the row, or overshoot chunk, it belongs to.
+type probe struct {
+	label string
+	cell  *uint64
+}
+
+// probes lists a cell per row the ModUp tiles (modUp) and the apply and
+// ModDown tiles (replay) can write.
+func (h *Hoisted) probes(modUp, replay bool) []probe {
+	var ps []probe
+	add := func(row []uint64, at int, format string, a ...any) {
+		if row != nil {
+			ps = append(ps, probe{fmt.Sprintf(format, a...), &row[at]})
+		}
+	}
+	if modUp {
+		for i, row := range h.y {
+			add(row, 0, "y.%d", i)
+		}
+		for j := range h.up {
+			for t, row := range h.up[j] {
+				add(row, 0, "up.%d.%d", j, t)
+			}
+		}
+	}
+	if replay {
+		kp := len(h.sw.pBasis)
+		for p := range h.acc {
+			for t, row := range h.acc[p].Coeffs {
+				add(row, 0, "acc.%d.%d", p, t)
+			}
+			for i, row := range h.yP[p][:kp] {
+				add(row, 0, "yP.%d.%d", p, i)
+			}
+			for c, from := 0, 0; from < h.sw.R.N; c, from = c+1, from+overshootChunk {
+				add(h.yP[p][kp], from, "ov.%d.%d", p, c)
+			}
+			for i, row := range h.out[p].Coeffs {
+				add(row, 0, "out.%d.%d", p, i)
+			}
+		}
+	}
+	return ps
+}
+
+// graphEdges runs g's nodes one at a time, in creation order, on the
+// bound state h and describes the graph by behaviour: a node is named
+// by its tile name and the rows it was seen to write (every tile writes
+// canonical residues, so a probed cell that no longer holds the
+// all-ones sentinel was written), and listed with the nodes it waits
+// for, named the same way. The lines are sorted, so two graphs with
+// equal node and edge sets give equal output however their builders
+// numbered the nodes.
+func graphEdges(h *Hoisted, g *engine.Graph, ps []probe) []string {
+	const sentinel = ^uint64(0)
+	for _, p := range ps {
+		*p.cell = sentinel
+	}
+	nodes := graphNodes(g)
+	ident := make([]string, len(nodes))
+	seen := make([]bool, len(ps))
+	for k, n := range nodes {
+		n.run()
+		var wrote []string
+		for i, p := range ps {
+			if !seen[i] && *p.cell != sentinel {
+				seen[i] = true
+				wrote = append(wrote, p.label)
+			}
+		}
+		ident[k] = fmt.Sprintf("%s[%s]", n.name, strings.Join(wrote, " "))
+	}
+	lines := make([]string, len(nodes))
+	for k, n := range nodes {
+		deps := make([]string, len(n.deps))
+		for i, d := range n.deps {
+			deps[i] = ident[d]
+		}
+		slices.Sort(deps)
+		lines[k] = ident[k] + " <- " + strings.Join(deps, ", ")
+	}
+	slices.Sort(lines)
+	return lines
+}

@@ -177,9 +177,13 @@ func TestKeySwitchGolden(t *testing.T) {
 			}
 			c0, c1 := sw.KeySwitch(d, evk)
 			check("serial", c0, c1)
-			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
+			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF} {
 				c0, c1 = sw.SwitchParallel(e, df, d, evk)
 				check(df.String(), c0, c1)
+				hd := sw.HoistParallel(e, df, d)
+				hd.SwitchParallelInto(e, evk, c0, c1)
+				hd.Release()
+				check(df.String()+" hoisted", c0, c1)
 			}
 			h := sw.HoistParallel(e, dataflow.OC, d)
 			h.SwitchParallelInto(e, evk, c0, c1)

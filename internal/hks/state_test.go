@@ -1,8 +1,13 @@
 package hks
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,12 +18,23 @@ import (
 	"ciflow/internal/ring"
 )
 
-// TestFusedGraphShape pins what a per-rotation switch executes on the
-// benchmark shape (N=2^13, 6 Q towers, 3 P towers, dnum 3): the node
-// names and counts per dataflow recorded at the commit before the
-// pipelines were unified. The fused graphs are the paper's subject; a
-// switch must not turn into hoist-then-replay, which has no "oc" tile
-// and one barrier more. It also pins that construction is lazy:
+// update regenerates the committed graph golden:
+//
+//	go test ./internal/hks -run TestFusedGraphShape -update
+var update = flag.Bool("update", false, "rewrite testdata/graphs.golden")
+
+// TestFusedGraphShape pins what the engine schedules on the benchmark
+// shape (N=2^13, 6 Q towers, 3 P towers, dnum 3). The tile names and
+// counts of a per-rotation switch were recorded at the commit before
+// the pipelines were unified; testdata/graphs.golden holds the node and
+// edge sets of the fused, hoist and replay graphs of MP, DC and OC —
+// every node by its tile name and the rows it writes, with the nodes it
+// waits for — recorded before the graphs became a visit of the dataflow
+// plan, and compared as sets: a builder may create nodes in another
+// order, it may not add, drop or rewire one. The fused graphs are the
+// paper's subject; a switch must not turn into hoist-then-replay, which
+// has no "oc" tile and one barrier more. OCF schedules exactly OC's
+// nodes and edges. The test also pins that construction is lazy:
 // NewSwitcher pools no state, and a state builds a graph when it first
 // runs it.
 func TestFusedGraphShape(t *testing.T) {
@@ -35,11 +51,14 @@ func TestFusedGraphShape(t *testing.T) {
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
+	want0, want1 := refKeySwitch(sw, d, evk)
 	e := engine.New(2)
 	defer e.Close()
 	defer engine.SetTracer(nil)
 
 	down := map[string]int{"down.prep": 6, "down.over": 8, "down.out": 12}
+	var got bytes.Buffer
+	blocks := map[dataflow.Dataflow][]string{}
 	for _, tc := range []struct {
 		df   dataflow.Dataflow
 		want map[string]int
@@ -47,18 +66,19 @@ func TestFusedGraphShape(t *testing.T) {
 		{dataflow.MP, map[string]int{"modup.prep": 6, "modup.conv": 21, "apply": 9}},
 		{dataflow.DC, map[string]int{"modup.digit": 3, "apply": 9}},
 		{dataflow.OC, map[string]int{"modup.prep": 6, "oc": 9}},
+		{dataflow.OCF, map[string]int{"modup.prep": 6, "oc": 9}},
 	} {
 		maps.Copy(tc.want, down)
 		tr := obs.NewTracer() // one span per executed graph node
 		engine.SetTracer(tr)
 		sw.SwitchParallel(e, tc.df, d, evk)
 		engine.SetTracer(nil)
-		got := map[string]int{}
+		ran := map[string]int{}
 		for _, sp := range tr.Spans() {
-			got[sp.Name]++
+			ran[sp.Name]++
 		}
-		if !maps.Equal(got, tc.want) {
-			t.Errorf("%s ran tiles %v, want %v", tc.df, got, tc.want)
+		if !maps.Equal(ran, tc.want) {
+			t.Errorf("%s ran tiles %v, want %v", tc.df, ran, tc.want)
 		}
 		h := newState(sw, tc.df)
 		if h.fused != nil || h.hoistG != nil || h.replayG != nil {
@@ -71,6 +91,72 @@ func TestFusedGraphShape(t *testing.T) {
 		if g := h.fusedGraph(); g.Len() != nodes || h.hoistG != nil || h.replayG != nil {
 			t.Errorf("%s fused graph has %d nodes, want %d, and must be the only graph built", tc.df, g.Len(), nodes)
 		}
+
+		// The three graphs by behaviour. Running a graph's nodes in
+		// creation order is itself a schedule, so the outputs are
+		// checked too.
+		c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+		exact := func(what string) {
+			t.Helper()
+			if !c0.Equal(want0) || !c1.Equal(want1) {
+				t.Errorf("%s %s graph, run node by node, differs from the reference", tc.df, what)
+			}
+		}
+		h.d = d
+		h.bind(evk, c0, c1)
+		fused := graphEdges(h, h.fusedGraph(), h.probes(true, true))
+		h.unbind()
+		exact("fused")
+		h = newState(sw, tc.df)
+		h.ownBypass()
+		h.d = d
+		hoist := graphEdges(h, h.hoistGraph(), h.probes(true, false))
+		h.d = nil
+		h.bind(evk, c0, c1)
+		replay := graphEdges(h, h.replayGraph(), h.probes(false, true))
+		h.unbind()
+		exact("replay")
+		var block []string
+		for _, gr := range []struct {
+			name  string
+			lines []string
+		}{{"fused", fused}, {"hoist", hoist}, {"replay", replay}} {
+			block = append(block, fmt.Sprintf("== %s: %d nodes", gr.name, len(gr.lines)))
+			block = append(block, gr.lines...)
+		}
+		blocks[tc.df] = block
+		if tc.df != dataflow.OCF {
+			fmt.Fprintf(&got, "==== %s\n%s\n", tc.df, strings.Join(block, "\n"))
+		}
+	}
+	if !slices.Equal(blocks[dataflow.OCF], blocks[dataflow.OC]) {
+		t.Errorf("OCF's graphs differ from OC's:\n%s\nwant\n%s",
+			strings.Join(blocks[dataflow.OCF], "\n"), strings.Join(blocks[dataflow.OC], "\n"))
+	}
+
+	path := filepath.Join("testdata", "graphs.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for _, l := range gl {
+			if !slices.Contains(wl, l) {
+				t.Errorf("not in the golden: %s", l)
+			}
+		}
+		for _, l := range wl {
+			if !slices.Contains(gl, l) {
+				t.Errorf("missing from the graphs: %s", l)
+			}
+		}
+		t.Fatalf("%s: the engine graphs changed; -update only if the schedules were meant to", path)
 	}
 }
 
