@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"ciflow/internal/analysis"
+	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
 )
 
@@ -113,7 +114,7 @@ func newFlags() *cliFlags {
 	fl.memMiB = fs.Int64("mem", 32, "on-chip data memory in MiB")
 	fl.csvOut = fs.Bool("csv", false, "emit CSV instead of ASCII tables")
 
-	fl.dfName = fs.String("dataflow", "all", "dataflow: mp, dc, oc, ocf, or all (serve replays one: all = mp)")
+	fl.dfName = fs.String("dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
 	fl.workers = fs.Int("workers", 0, "engine worker count per process (0 = GOMAXPROCS, split over the shards)")
 	fl.requests = fs.Int("requests", 16, "schedule shape: fanout bursts, matvec giants, pir batches")
 	fl.logN = fs.Int("logn", 14, "ring degree exponent (N = 2^logn)")

@@ -135,17 +135,10 @@ type serveReport struct {
 // parseDataflow resolves -dataflow for a replay, which runs one: "all"
 // (the flag default) selects MP, the paper's baseline.
 func parseDataflow(name string) (dataflow.Dataflow, error) {
-	switch strings.ToLower(name) {
-	case "", "all", "mp":
+	if name == "" || strings.EqualFold(name, "all") {
 		return dataflow.MP, nil
-	case "dc":
-		return dataflow.DC, nil
-	case "oc":
-		return dataflow.OC, nil
-	case "ocf":
-		return dataflow.OCF, nil
 	}
-	return 0, fmt.Errorf("unknown dataflow %q (want mp, dc, oc, ocf, or all)", name)
+	return dataflow.Parse(name)
 }
 
 // replayServiceConfig is the serve.Config of every service a replay

@@ -90,32 +90,6 @@ func SpillFreeMemoryMiB(df dataflow.Dataflow, b params.Benchmark) (int64, error)
 	return hi * tb / mib, nil
 }
 
-// MemoryRequirements summarizes the spill-free memory per dataflow for
-// one benchmark (the §IV working-set comparison).
-type MemoryRequirements struct {
-	Bench     string
-	SpillFree [3]int64   // MiB per dataflow
-	At32Over  [3]float64 // traffic overhead factor at 32 MiB
-}
-
-// MemoryRequirementsFor computes the summary.
-func MemoryRequirementsFor(b params.Benchmark) (MemoryRequirements, error) {
-	out := MemoryRequirements{Bench: b.Name}
-	for i, df := range dataflow.AllDataflows() {
-		m, err := SpillFreeMemoryMiB(df, b)
-		if err != nil {
-			return out, err
-		}
-		out.SpillFree[i] = m
-	}
-	pts, err := MemorySweep(b, []int64{32})
-	if err != nil {
-		return out, err
-	}
-	out.At32Over = pts[0].Overhead
-	return out, nil
-}
-
 // FormatMemory renders a memory sweep.
 func FormatMemory(b params.Benchmark, pts []MemoryPoint) string {
 	var sb strings.Builder

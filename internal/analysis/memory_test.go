@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
 )
 
@@ -33,15 +34,31 @@ func TestMemorySweepMonotone(t *testing.T) {
 	}
 }
 
+// memoryRequirements is the §IV working-set comparison for one
+// benchmark: the spill-free memory per dataflow (MiB) and the traffic
+// overhead factor at 32 MiB.
+func memoryRequirements(t *testing.T, b params.Benchmark) (spillFree [3]int64, at32Over [3]float64) {
+	t.Helper()
+	for i, df := range dataflow.AllDataflows() {
+		m, err := SpillFreeMemoryMiB(df, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spillFree[i] = m
+	}
+	pts, err := MemorySweep(b, []int64{32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spillFree, pts[0].Overhead
+}
+
 func TestSpillFreeMemoryOrdering(t *testing.T) {
 	// Paper §IV: MP needs the most on-chip memory to avoid spills
 	// (675 MB for BTS3), DC less (255 MB), OC the least.
 	for _, b := range []params.Benchmark{params.BTS3, params.ARK} {
-		req, err := MemoryRequirementsFor(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp, dc, oc := req.SpillFree[0], req.SpillFree[1], req.SpillFree[2]
+		spillFree, at32Over := memoryRequirements(t, b)
+		mp, dc, oc := spillFree[0], spillFree[1], spillFree[2]
 		// OC may need a couple of extra towers at the exact knee (it
 		// reads the input twice: once for INTT, once for the bypass),
 		// so allow tower-level slack on the OC<=DC leg; the magnitude
@@ -50,11 +67,11 @@ func TestSpillFreeMemoryOrdering(t *testing.T) {
 		if !(oc <= dc+slack && dc <= mp) {
 			t.Errorf("%s: spill-free MiB MP=%d DC=%d OC=%d violates OC <= DC <= MP", b.Name, mp, dc, oc)
 		}
-		if req.At32Over[2] >= req.At32Over[1] || req.At32Over[1] >= req.At32Over[0] {
-			t.Errorf("%s: 32MiB overhead ordering violated: %v", b.Name, req.At32Over)
+		if at32Over[2] >= at32Over[1] || at32Over[1] >= at32Over[0] {
+			t.Errorf("%s: 32MiB overhead ordering violated: %v", b.Name, at32Over)
 		}
 		t.Logf("%s spill-free MiB: MP=%d DC=%d OC=%d; overhead at 32MiB: MP=%.1fx DC=%.1fx OC=%.1fx",
-			b.Name, mp, dc, oc, req.At32Over[0], req.At32Over[1], req.At32Over[2])
+			b.Name, mp, dc, oc, at32Over[0], at32Over[1], at32Over[2])
 	}
 }
 
@@ -63,17 +80,14 @@ func TestBTS3WorkingSetMagnitudes(t *testing.T) {
 	// 255 MB. Our policies must land in those regimes (hundreds of MB
 	// for MP, strictly less for DC) while OC runs close to compulsory
 	// traffic from 32 MB (overhead well below MP's).
-	req, err := MemoryRequirementsFor(params.BTS3)
-	if err != nil {
-		t.Fatal(err)
+	spillFree, at32Over := memoryRequirements(t, params.BTS3)
+	if spillFree[0] < 300 {
+		t.Errorf("MP spill-free %d MiB; paper says ~675 MB (hundreds)", spillFree[0])
 	}
-	if req.SpillFree[0] < 300 {
-		t.Errorf("MP spill-free %d MiB; paper says ~675 MB (hundreds)", req.SpillFree[0])
+	if spillFree[1] >= spillFree[0] {
+		t.Errorf("DC (%d MiB) should need less than MP (%d MiB)", spillFree[1], spillFree[0])
 	}
-	if req.SpillFree[1] >= req.SpillFree[0] {
-		t.Errorf("DC (%d MiB) should need less than MP (%d MiB)", req.SpillFree[1], req.SpillFree[0])
-	}
-	if req.At32Over[2] >= req.At32Over[0] {
-		t.Errorf("OC overhead at 32 MiB (%.1fx) should beat MP (%.1fx)", req.At32Over[2], req.At32Over[0])
+	if at32Over[2] >= at32Over[0] {
+		t.Errorf("OC overhead at 32 MiB (%.1fx) should beat MP (%.1fx)", at32Over[2], at32Over[0])
 	}
 }

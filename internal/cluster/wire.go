@@ -290,10 +290,7 @@ func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
 	if g.Level < 0 {
 		return nil, fmt.Errorf("cluster: negative group level %d", g.Level)
 	}
-	g.Dataflow = dataflow.Dataflow(fixed[4])
-	switch g.Dataflow {
-	case dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF:
-	default:
+	if g.Dataflow = dataflow.Dataflow(fixed[4]); !g.Dataflow.Valid() {
 		return nil, fmt.Errorf("cluster: unknown dataflow %d in group frame", fixed[4])
 	}
 	n := int(binary.LittleEndian.Uint32(fixed[5:9]))

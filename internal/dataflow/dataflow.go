@@ -1,17 +1,24 @@
-// Package dataflow generates RPU task-graph schedules for the hybrid
-// key-switching algorithm under the three dataflows the paper proposes
-// (§IV): Max-Parallel (MP), Digit-Centric (DC) and Output-Centric (OC).
+// Package dataflow writes down the hybrid key-switching algorithm under
+// the three dataflows the paper proposes (§IV) — Max-Parallel (MP),
+// Digit-Centric (DC) and Output-Centric (OC) — and this repository's
+// OCF extension, and generates their RPU task-graph schedules.
 //
-// All three schedules compute the same operations — the total weighted
-// op count always equals params.Ops().WeightedTotal() — but they order
-// the work differently, which changes what can stay in the on-chip
-// data memory and therefore how many bytes cross the DRAM interface.
-// That traffic difference is the paper's entire story (Table II), and
-// the simulator in internal/sim turns it into runtime (Figures 4–9).
+// A dataflow is written once, as a Plan (plan.go): an ordered walk over
+// typed tiles that name the rows they read and write. All plans of a
+// shape hold the same tiles — the total weighted op count always equals
+// params.Ops().WeightedTotal() — but they order and group the work
+// differently, which changes what can stay in the on-chip data memory
+// and therefore how many bytes cross the DRAM interface. Generate
+// visits the plan with the residency machine (emit.go, machine.go) to
+// turn that into a trace.Program and its traffic — the paper's entire
+// story (Table II), which the simulator in internal/sim turns into
+// runtime (Figures 4–9). internal/hks visits the same plan to build
+// the task graphs the engine executes.
 package dataflow
 
 import (
 	"fmt"
+	"strings"
 
 	"ciflow/internal/params"
 	"ciflow/internal/trace"
@@ -37,28 +44,56 @@ const (
 	OCF
 )
 
+// list is the one list of dataflows: the paper's three in paper order,
+// then this repository's extension, each with the paper dataflow it is
+// an order of. String, Parse, Valid, Names and Paper all read it.
+var list = [...]struct {
+	name  string
+	paper Dataflow
+}{MP: {"MP", MP}, DC: {"DC", DC}, OC: {"OC", OC}, OCF: {"OCF", OC}}
+
 // String names the dataflow as in the paper.
 func (d Dataflow) String() string {
-	switch d {
-	case MP:
-		return "MP"
-	case DC:
-		return "DC"
-	case OC:
-		return "OC"
-	case OCF:
-		return "OCF"
+	if d.Valid() {
+		return list[d].name
 	}
 	return fmt.Sprintf("Dataflow(%d)", int(d))
+}
+
+// Valid reports whether d is one of the listed dataflows — the check
+// for a value that arrived in a request or a frame.
+func (d Dataflow) Valid() bool { return d >= 0 && int(d) < len(list) }
+
+// Paper returns the paper's dataflow d belongs to: d itself, or OC for
+// the OCF extension, whose measurements are reported beside OC's.
+func (d Dataflow) Paper() Dataflow { return list[d].paper }
+
+// Parse resolves a dataflow by name, in any letter case.
+func Parse(name string) (Dataflow, error) {
+	for d, e := range list {
+		if strings.EqualFold(name, e.name) {
+			return Dataflow(d), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown dataflow %q (want %s)", name, Names())
+}
+
+// Names lists every dataflow as Parse accepts it, for help texts and
+// error messages: "mp, dc, oc, ocf".
+func Names() string {
+	var sb strings.Builder
+	for d, e := range list {
+		if d > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(strings.ToLower(e.name))
+	}
+	return sb.String()
 }
 
 // AllDataflows returns the paper's three dataflows, MP, DC, OC, in
 // paper order.
 func AllDataflows() []Dataflow { return []Dataflow{MP, DC, OC} }
-
-// AllDataflowsExtended additionally includes this repository's OCF
-// extension.
-func AllDataflowsExtended() []Dataflow { return []Dataflow{MP, DC, OC, OCF} }
 
 // Config parameterizes schedule generation.
 type Config struct {
@@ -112,6 +147,11 @@ func Generate(df Dataflow, cfg Config) (*Schedule, error) {
 	if err := cfg.Bench.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Bench.KP < 1 {
+		// hks.NewSwitcher refuses a ring without P towers too: there is
+		// no ModDown, and no Section 2 for the output-centric walks.
+		return nil, fmt.Errorf("dataflow: %s has no P towers; hybrid key switching needs at least one", cfg.Bench.Name)
+	}
 	tb := cfg.Bench.TowerBytes()
 	minTowers := int64(cfg.Bench.KP) + 4
 	if mt := int64(cfg.Bench.Alpha()) + 4; mt > minTowers {
@@ -121,22 +161,16 @@ func Generate(df Dataflow, cfg Config) (*Schedule, error) {
 		return nil, fmt.Errorf("dataflow: %s needs at least %d towers (%d bytes) of on-chip memory, have %d",
 			cfg.Bench.Name, minTowers, minTowers*tb, cfg.DataMemBytes)
 	}
-	g := &gen{
-		cfg: cfg,
-		m:   newMachine(cfg.DataMemBytes, cfg.EvkOnChip, cfg.KeyCompression),
-	}
-	switch df {
-	case MP:
-		g.generateMP()
-	case DC:
-		g.generateDC()
-	case OC:
-		g.generateOC()
-	case OCF:
-		g.generateOCF()
-	default:
+	if !df.Valid() {
 		return nil, fmt.Errorf("dataflow: unknown dataflow %d", int(df))
 	}
+	g := &gen{
+		cfg:  cfg,
+		plan: NewPlan(df, cfg.Bench, cfg.DataMemBytes/tb),
+		m:    newMachine(cfg.DataMemBytes, cfg.EvkOnChip, cfg.KeyCompression),
+		tb:   tb,
+	}
+	g.emit()
 	s := &Schedule{Dataflow: df, Cfg: cfg, Prog: g.m.b.Program(), Traffic: g.m.traffic}
 	if err := s.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("dataflow: generated invalid program: %w", err)
@@ -146,94 +180,4 @@ func Generate(df Dataflow, cfg Config) (*Schedule, error) {
 			df, got, want)
 	}
 	return s, nil
-}
-
-// gen carries the per-generation state shared by the three dataflow
-// emitters.
-type gen struct {
-	cfg Config
-	m   *machine
-}
-
-func (g *gen) bench() params.Benchmark { return g.cfg.Bench }
-func (g *gen) tb() int64               { return g.cfg.Bench.TowerBytes() }
-
-// ---- Tower naming ----
-// D-basis tower indices run 0..KL-1 (Q part) then KL..KL+KP-1 (P part).
-
-func inName(t int) string       { return fmt.Sprintf("in.%d", t) }
-func inttName(t int) string     { return fmt.Sprintf("intt.%d", t) }
-func muName(j, t int) string    { return fmt.Sprintf("mu.%d.%d", j, t) }
-func ppName(j, p, t int) string { return fmt.Sprintf("pp.%d.%d.%d", j, p, t) }
-func accName(p, t int) string   { return fmt.Sprintf("acc.%d.%d", p, t) }
-func cvName(p, t int) string    { return fmt.Sprintf("cv.%d.%d", p, t) }
-func outName(p, t int) string   { return fmt.Sprintf("out.%d.%d", p, t) }
-func evkName(j, t int) string   { return fmt.Sprintf("%d.%d", j, t) }
-
-// digitOf returns which digit Q-tower t belongs to.
-func (g *gen) digitOf(t int) int {
-	a := g.bench().Alpha()
-	return t / a
-}
-
-// digitTowers returns the Q-tower indices of digit j.
-func (g *gen) digitTowers(j int) []int {
-	a := g.bench().Alpha()
-	w := g.bench().DigitWidths()[j]
-	ts := make([]int, w)
-	for i := range ts {
-		ts[i] = j*a + i
-	}
-	return ts
-}
-
-// dTowers returns all D-basis tower indices (Q then P).
-func (g *gen) dTowers() []int {
-	n := g.bench().KL + g.bench().KP
-	ts := make([]int, n)
-	for i := range ts {
-		ts[i] = i
-	}
-	return ts
-}
-
-// isP reports whether D-tower t is a P tower.
-func (g *gen) isP(t int) bool { return t >= g.bench().KL }
-
-// ---- Weighted op costs per tile (see params for the weights) ----
-
-func (g *gen) nttOps() int64 {
-	n := int64(g.bench().N())
-	logN := int64(g.bench().LogN)
-	return params.ButterflyWeight * (n / 2 * logN)
-}
-
-// inttWithPreOps is an INTT plus this tower's share of the digit's
-// BConv ŷ pre-multiplication (N mul-accs, folded here so the premul is
-// counted exactly once per tower regardless of dataflow).
-func (g *gen) inttWithPreOps() int64 {
-	return g.nttOps() + params.MulAccWeight*int64(g.bench().N())
-}
-
-// bconvTowerOps is one converted output tower from a digit of width
-// alpha: N·alpha mul-accs.
-func (g *gen) bconvTowerOps(alpha int) int64 {
-	return params.MulAccWeight * int64(g.bench().N()) * int64(alpha)
-}
-
-// applyKeyOps is one poly's share of ApplyKey on one D-tower:
-// N mul-accs against the streamed (or resident) evk tower.
-func (g *gen) applyKeyOps() int64 {
-	return params.MulAccWeight * int64(g.bench().N())
-}
-
-// reduceOps is one poly's share of accumulating one extra digit's
-// partial product on one D-tower: N additions.
-func (g *gen) reduceOps() int64 {
-	return params.AddWeight * int64(g.bench().N())
-}
-
-// scaleOps is the ModDown P4 sub-and-scale on one tower of one poly.
-func (g *gen) scaleOps() int64 {
-	return params.ScaleWeight * int64(g.bench().N())
 }

@@ -7,17 +7,18 @@ import (
 )
 
 // machine is the schedule-time model of the RPU's on-chip data memory.
-// Generators drive it with named tiles (towers); it tracks residency
-// and capacity exactly, emits the load/store/compute tasks, wires
-// dependencies (including anti-dependencies through freed space), and
-// accounts DRAM traffic. Any attempt to exceed capacity or read a
-// non-resident tile panics: a generator bug, not a runtime condition.
+// The plan's visitor (emit.go) drives it with the plan's rows (towers);
+// it tracks residency and capacity exactly, emits the load/store/compute
+// tasks, wires dependencies (including anti-dependencies through freed
+// space), and accounts DRAM traffic. Any attempt to exceed capacity or
+// read a non-resident row panics: a visitor bug, not a runtime
+// condition.
 type machine struct {
 	b    *trace.Builder
 	cap  int64
 	used int64
 
-	tiles map[string]*tile
+	tiles map[Row]*tile
 	// holes records freed space together with the last task that
 	// touched it, so that a later allocation reusing the space cannot
 	// be scheduled (by the decoupled front-end) before the previous
@@ -47,16 +48,16 @@ func newMachine(capBytes int64, evkOnChip, keyComp bool) *machine {
 	return &machine{
 		b:         trace.NewBuilder(),
 		cap:       capBytes,
-		tiles:     map[string]*tile{},
+		tiles:     map[Row]*tile{},
 		evkOnChip: evkOnChip,
 		keyComp:   keyComp,
 	}
 }
 
 // announceDRAM declares a tile that already lives in DRAM (inputs).
-func (m *machine) announceDRAM(name string, bytes int64) {
+func (m *machine) announceDRAM(name Row, bytes int64) {
 	if _, ok := m.tiles[name]; ok {
-		panic(fmt.Sprintf("dataflow: tile %q announced twice", name))
+		panic(fmt.Sprintf("dataflow: tile %v announced twice", name))
 	}
 	m.tiles[name] = &tile{bytes: bytes, inDRAM: true, producer: -1, store: -1, lastUse: -1}
 }
@@ -86,29 +87,35 @@ func (m *machine) alloc(bytes int64) int {
 	return after
 }
 
-func (m *machine) get(name string) *tile {
+func (m *machine) get(name Row) *tile {
 	t, ok := m.tiles[name]
 	if !ok {
-		panic(fmt.Sprintf("dataflow: unknown tile %q", name))
+		panic(fmt.Sprintf("dataflow: unknown tile %v", name))
 	}
 	return t
 }
 
 // resident reports whether the named tile currently occupies on-chip
 // memory.
-func (m *machine) resident(name string) bool {
+func (m *machine) resident(name Row) bool {
 	t, ok := m.tiles[name]
 	return ok && t.resident
 }
 
+// stored reports whether the named tile lives in DRAM only.
+func (m *machine) stored(name Row) bool {
+	t, ok := m.tiles[name]
+	return ok && !t.resident && t.inDRAM
+}
+
 // load brings a DRAM-resident tile on-chip and returns the task ID.
-func (m *machine) load(name string) int {
+func (m *machine) load(name Row) int {
 	t := m.get(name)
 	if t.resident {
-		panic(fmt.Sprintf("dataflow: load of already-resident tile %q", name))
+		panic(fmt.Sprintf("dataflow: load of already-resident tile %v", name))
 	}
 	if !t.inDRAM {
-		panic(fmt.Sprintf("dataflow: load of tile %q with no DRAM copy", name))
+		panic(fmt.Sprintf("dataflow: load of tile %v with no DRAM copy", name))
 	}
 	deps := make([]int, 0, 2)
 	if t.store >= 0 {
@@ -117,7 +124,7 @@ func (m *machine) load(name string) int {
 	if anti := m.alloc(t.bytes); anti >= 0 {
 		deps = append(deps, anti)
 	}
-	id := m.b.Load("ld:"+name, t.bytes, deps...)
+	id := m.b.Load("ld:"+name.String(), t.bytes, deps...)
 	m.traffic.LoadBytes += t.bytes
 	t.resident = true
 	t.producer = id
@@ -127,7 +134,7 @@ func (m *machine) load(name string) int {
 
 // ensure loads the tile unless it is already resident; returns the
 // task providing the on-chip copy.
-func (m *machine) ensure(name string) int {
+func (m *machine) ensure(name Row) int {
 	if m.resident(name) {
 		return m.get(name).producer
 	}
@@ -138,12 +145,12 @@ func (m *machine) ensure(name string) int {
 // writing tile write (created with writeBytes if absent, accumulated
 // in place if already resident). extraDeps (-1 entries ignored) wire
 // in streamed operands.
-func (m *machine) compute(name string, ops int64, reads []string, write string, writeBytes int64, extraDeps ...int) int {
+func (m *machine) compute(name string, ops int64, reads []Row, write Row, writeBytes int64, extraDeps ...int) int {
 	var deps []int
 	for _, rd := range reads {
 		t := m.get(rd)
 		if !t.resident {
-			panic(fmt.Sprintf("dataflow: compute %q reads non-resident tile %q", name, rd))
+			panic(fmt.Sprintf("dataflow: compute %q reads non-resident tile %v", name, rd))
 		}
 		if t.producer >= 0 {
 			deps = append(deps, t.producer)
@@ -178,16 +185,16 @@ func (m *machine) compute(name string, ops int64, reads []string, write string, 
 }
 
 // store writes a resident tile back to DRAM.
-func (m *machine) store(name string) int {
+func (m *machine) store(name Row) int {
 	t := m.get(name)
 	if !t.resident {
-		panic(fmt.Sprintf("dataflow: store of non-resident tile %q", name))
+		panic(fmt.Sprintf("dataflow: store of non-resident tile %v", name))
 	}
 	var deps []int
 	if t.producer >= 0 {
 		deps = append(deps, t.producer)
 	}
-	id := m.b.Store("st:"+name, t.bytes, deps...)
+	id := m.b.Store("st:"+name.String(), t.bytes, deps...)
 	m.traffic.StoreBytes += t.bytes
 	t.inDRAM = true
 	t.store = id
@@ -198,13 +205,13 @@ func (m *machine) store(name string) int {
 // free releases a tile's on-chip space. Unless discard is set, the
 // tile must already have a DRAM copy (store first) — losing live data
 // silently would corrupt the schedule.
-func (m *machine) free(name string, discard bool) {
+func (m *machine) free(name Row, discard bool) {
 	t := m.get(name)
 	if !t.resident {
-		panic(fmt.Sprintf("dataflow: free of non-resident tile %q", name))
+		panic(fmt.Sprintf("dataflow: free of non-resident tile %v", name))
 	}
 	if !discard && !t.inDRAM {
-		panic(fmt.Sprintf("dataflow: freeing dirty tile %q without a store", name))
+		panic(fmt.Sprintf("dataflow: freeing dirty tile %v without a store", name))
 	}
 	t.resident = false
 	m.used -= t.bytes
@@ -232,29 +239,23 @@ func (m *machine) streamEvk(name string, bytes int64) int {
 // fits reports whether bytes more would still fit on-chip.
 func (m *machine) fits(bytes int64) bool { return m.used+bytes <= m.cap }
 
-// spillUnless keeps the resident tile if at least reserve bytes remain
-// free; otherwise it stores (if dirty) and frees it. This is the
-// uniform "keep intermediates on-chip when memory allows" policy that
-// makes all dataflows converge to compulsory traffic with unlimited
-// memory (paper §IV).
-func (m *machine) spillUnless(name string, reserve int64) {
-	if m.fits(reserve) {
-		return
-	}
-	t := m.get(name)
-	if !t.inDRAM {
+// spill evicts a resident tile, storing it first if DRAM does not hold
+// its current contents (a clean input tile is simply dropped).
+func (m *machine) spill(name Row) {
+	if !m.get(name).inDRAM {
 		m.store(name)
 	}
 	m.free(name, false)
 }
 
-// discardUnless keeps a clean resident tile if at least reserve bytes
-// remain free; otherwise it frees it without a store.
-func (m *machine) discardUnless(name string, reserve int64) {
-	if m.fits(reserve) {
-		return
+// spillUnless keeps the resident tile if at least reserve bytes remain
+// free; otherwise it spills it. This is the uniform "keep intermediates
+// on-chip when memory allows" policy that makes all dataflows converge
+// to compulsory traffic with unlimited memory (paper §IV).
+func (m *machine) spillUnless(name Row, reserve int64) {
+	if !m.fits(reserve) {
+		m.spill(name)
 	}
-	m.free(name, true)
 }
 
 // freeTowers returns how many whole tiles of the given size still fit.

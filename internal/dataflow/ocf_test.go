@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"strings"
 	"testing"
 
 	"ciflow/internal/params"
@@ -60,7 +61,18 @@ func TestOCFString(t *testing.T) {
 	if OCF.String() != "OCF" {
 		t.Fatal("OCF name wrong")
 	}
-	if len(AllDataflowsExtended()) != 4 {
-		t.Fatal("extended dataflow list wrong")
+	if got := Names(); got != "mp, dc, oc, ocf" {
+		t.Fatalf("dataflow list %q", got)
+	}
+	for _, df := range []Dataflow{MP, DC, OC, OCF} {
+		if got, err := Parse(strings.ToLower(df.String())); err != nil || got != df || !df.Valid() {
+			t.Fatalf("Parse(%s) = %v, %v", df, got, err)
+		}
+	}
+	if _, err := Parse("all"); err == nil || Dataflow(4).Valid() || Dataflow(-1).Valid() {
+		t.Fatal("an unlisted dataflow was accepted")
+	}
+	if OCF.Paper() != OC || DC.Paper() != DC {
+		t.Fatal("Paper() maps wrong")
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// Graph is a dependency DAG of tasks, the execution-time counterpart
-// of the stage graphs internal/dataflow generates for the RPU model:
-// each node is one tile of work (an NTT of one tower, a BConv of one
-// output tower, one digit's pipeline, ...) and edges are the data
-// dependencies of the chosen dataflow.
+// Graph is a dependency DAG of tasks. internal/hks builds one by
+// visiting a dataflow's plan (internal/dataflow), the walk the RPU
+// model visits too: each node is one group of the plan's tiles (an
+// INTT of one tower, a BConv of one output tower, one digit's
+// pipeline, ...) and edges are the data dependencies the tiles' rows
+// imply.
 //
 // Nodes are added in topological order (a node may only depend on
 // already-created nodes), which makes cycles impossible by

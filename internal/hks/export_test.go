@@ -7,6 +7,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 )
 
@@ -75,7 +76,7 @@ func (h *Hoisted) probes(modUp, replay bool) []probe {
 			for i, row := range h.yP[p][:kp] {
 				add(row, 0, "yP.%d.%d", p, i)
 			}
-			for c, from := 0, 0; from < h.sw.R.N; c, from = c+1, from+overshootChunk {
+			for c, from := 0, 0; from < h.sw.R.N; c, from = c+1, from+dataflow.OverChunk {
 				add(h.yP[p][kp], from, "ov.%d.%d", p, c)
 			}
 			for i, row := range h.out[p].Coeffs {

@@ -16,15 +16,16 @@
 //	        P3 NTT       — converted towers back to evaluation domain
 //	        P4 Sum&Scale — subtract and multiply by P⁻¹
 //
-// The pipeline exists once, as a set of per-tower and per-digit tiles
-// over one pooled execution state (tiles.go). The paper's subject is
-// the order those tiles run in, and so is the rest of the package: the
-// schedules of schedule.go, and the entry points that pick one
-// (switch.go), all bit-exact with one another:
+// The pipeline exists once, as a set of per-tower tiles over one pooled
+// execution state (tiles.go). The paper's subject is the order those
+// tiles run in, and so is the rest of the package: the schedules of
+// schedule.go — each a visit of a dataflow's plan (internal/dataflow),
+// the walk the RPU model visits too — and the entry points that pick
+// one (switch.go), all bit-exact with one another:
 //
 //	KeySwitch                   every tile in order on the caller
 //	SwitchParallel[Into]        one fused task graph per switch on an
-//	                            engine, shaped MP, DC or OC
+//	                            engine, shaped MP, DC, OC or OCF
 //	Hoist, HoistParallel        ModUp alone, serially or as a graph,
 //	                            kept in the returned Hoisted
 //	Hoisted.Switch[Into],       ApplyKey+ModDown against one key, on
@@ -53,11 +54,13 @@ package hks
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"ciflow/internal/bconv"
 	"ciflow/internal/dataflow"
 	"ciflow/internal/obs"
+	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
 
@@ -86,9 +89,13 @@ type Switcher struct {
 	convDstIdx [][]int // [digit][converter dst idx] -> dBasis idx
 	dstIdxOf   [][]int // [digit][dBasis idx] -> converter dst idx or -1
 
-	// Pooled execution states (tiles.go), one pool per dataflow shape;
+	// Each dataflow's walk over this shape with nothing pinned
+	// (internal/dataflow), which every schedule visits (schedule.go).
+	plans [dataflow.OCF + 1]*dataflow.Plan
+
+	// Pooled execution states (tiles.go), one pool per dataflow;
 	// filled on demand, never here. Internally synchronized.
-	states [3]sync.Pool
+	states [dataflow.OCF + 1]sync.Pool
 }
 
 // NewSwitcher prepares hybrid key switching over r at the given level
@@ -206,6 +213,11 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 			sw.convDstIdx[j][di] = t
 			sw.dstIdxOf[j][t] = di
 		}
+	}
+
+	shape := params.Benchmark{Name: "hks", LogN: bits.Len(uint(r.N)) - 1, KL: ell, KP: len(sw.pBasis), Dnum: dnum}
+	for df := range sw.plans {
+		sw.plans[df] = dataflow.NewPlan(dataflow.Dataflow(df), shape, dataflow.Unbounded)
 	}
 	return sw, nil
 }
@@ -378,7 +390,7 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own := h.up
 	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
-	h.runModUp()
+	h.runSerial(modUpTile)
 	h.up, h.d = own, nil
 	h.Release()
 	return ups
@@ -400,7 +412,7 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own, acc := h.up, h.acc
 	h.up, h.ownsBypass, h.acc, h.evk = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
-	h.runApply()
+	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
 	h.up, h.acc, h.evk = own, acc, nil
 	h.Release()
 	return c0, c1
@@ -421,7 +433,7 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	acc := h.acc[0]
 	h.acc[0], h.out[0] = c, out
-	h.runModDown(0)
+	h.runSerial(func(t dataflow.Tile) bool { return t.Kind >= dataflow.DownINTT && t.J == 0 })
 	h.acc[0], h.out[0] = acc, nil
 	h.Release()
 	return out

@@ -13,6 +13,7 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
 
@@ -252,6 +253,36 @@ func TestDigitPartition(t *testing.T) {
 	for _, tw := range sw.QBasis() {
 		if !seen[tw] {
 			t.Fatalf("tower %d not covered by digits", tw)
+		}
+	}
+}
+
+// TestDigitPartitionMatchesModel: the digit partition is stated twice —
+// params.Benchmark.DigitWidths, which the dataflow plan walks, and
+// digitLo/digitHi, which the tiles index rows by. The engine runs the
+// plan's tiles on the tiles' rows, so the two must agree for every
+// (ℓ, dnum) NewSwitcher accepts, and the model must refuse what
+// NewSwitcher refuses (a digit count that leaves a digit empty).
+func TestDigitPartitionMatchesModel(t *testing.T) {
+	r, _, _, _ := testSetup(t, 32, 12, 30, 12, 31)
+	for ell := 1; ell <= 12; ell++ {
+		for dnum := 1; dnum <= ell; dnum++ {
+			b := params.Benchmark{Name: "hks", LogN: 5, KL: ell, KP: 12, Dnum: dnum}
+			sw, err := NewSwitcher(r, ell-1, dnum)
+			if (err == nil) != (b.Validate() == nil) {
+				t.Fatalf("ℓ=%d dnum=%d: NewSwitcher says %v, params.Validate says %v", ell, dnum, err, b.Validate())
+			}
+			if err != nil {
+				continue
+			}
+			if sw.plans[dataflow.MP].Bench != b {
+				t.Fatalf("ℓ=%d dnum=%d: the switcher plans shape %+v", ell, dnum, sw.plans[dataflow.MP].Bench)
+			}
+			for j, w := range b.DigitWidths() {
+				if got := sw.digitHi(j) - sw.digitLo(j); got != w || sw.Alpha != b.Alpha() {
+					t.Fatalf("ℓ=%d dnum=%d digit %d: %d towers on the engine, %d in the model", ell, dnum, j, got, w)
+				}
+			}
 		}
 	}
 }

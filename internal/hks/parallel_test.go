@@ -280,10 +280,11 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 	}
 }
 
-// TestApplyTilesZeroAlloc runs the OC tile on a warm state: on-the-fly
-// conversion of every non-bypass digit, then the apply tile every
-// dataflow shares. The row headers handed to the accumulate kernel
-// live in the state, so the tiles allocate nothing.
+// TestApplyTilesZeroAlloc runs OC's tower tasks — the "oc" nodes of its
+// fused graph — on a warm state: on-the-fly conversion of every
+// non-bypass digit, then the apply tile every dataflow shares. The row
+// headers handed to the accumulate kernel live in the state, so the
+// tiles, and the task that strings them together, allocate nothing.
 func TestApplyTilesZeroAlloc(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)
@@ -298,9 +299,18 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	for i := 0; i < sw.ell(); i++ {
 		st.prepTower(i)
 	}
+	var towers []func()
+	for _, n := range graphNodes(st.fusedGraph()) {
+		if n.name == "oc" {
+			towers = append(towers, n.run)
+		}
+	}
+	if len(towers) != len(sw.dBasis) {
+		t.Fatalf("OC's fused graph has %d tower tasks, want %d", len(towers), len(sw.dBasis))
+	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		for t := range sw.dBasis {
-			st.ocTower(t)
+		for _, tower := range towers {
+			tower()
 		}
 	}); allocs != 0 {
 		t.Fatalf("apply tiles allocate %v times per run, want 0", allocs)

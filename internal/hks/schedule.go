@@ -1,213 +1,193 @@
 package hks
 
-// Schedules over the tile set of tiles.go. The serial schedule runs
-// the tiles in ascending order on the calling goroutine. The engine
-// schedules are dependency graphs on the internal/engine worker pool,
-// assembled from three builders that append to a graph — ModUp by
-// tower or by digit, apply, ModDown — plus OC's fused tower tile:
+// Schedules over the tile set of tiles.go, each a visit of a dataflow's
+// plan (internal/dataflow: the ordered walk of typed tiles, grouped by
+// what the dataflow fuses, that the RPU model visits too). The plans are
+// the switcher's, taken at an unbounded budget — the engine pins
+// nothing — and tileFunc maps their tiles onto the tile set:
 //
-//	fused graph   one whole per-rotation switch, shaped by the dataflow
-//	              the caller selects — the execution-time counterpart
-//	              of the schedules internal/dataflow generates for the
-//	              RPU model:
-//	                MP  every stage fans out over per-tower tiles that
-//	                    meet at per-tower dependency edges;
-//	                DC  one node per digit runs that digit's whole
-//	                    ModUp, parallelism is across the dnum digits;
-//	                OC  after the shared per-tower INTT pass, one node
-//	                    per extended tower converts each digit's
-//	                    contribution and finishes that tower's ApplyKey.
-//	hoist graph   ModUp alone, by digit under DC and by tower otherwise.
-//	replay graph  apply and ModDown over rows a hoist left in the state;
-//	              the same for every dataflow (the key-dependent half
-//	              has no digit pipeline left to reshape).
+//	fused graph   one whole per-rotation switch: every group of the
+//	              selected dataflow's plan is one task that runs its
+//	              tiles in order, after the tasks that last wrote the
+//	              rows it reads.
+//	                MP   every tile its own task: stages fan out over
+//	                     towers and meet at per-tower edges;
+//	                DC   one task per digit runs that digit's whole
+//	                     ModUp, parallelism is across the dnum digits;
+//	                OC   after the per-tower INTTs, one task per
+//	                     extended tower converts each digit's
+//	                     contribution and finishes the tower's ApplyKey;
+//	                OCF  OC's tasks and edges, created Section 2 first
+//	                     with each Q tower's ModDown behind it.
+//	hoist graph   the same visit restricted to ModUp's tiles. Stopping
+//	              before ApplyKey leaves OC's tower task nothing to fuse
+//	              ModUp into, so only DC's plan reshapes it; the others
+//	              hoist by MP's.
+//	replay graph  MP's plan restricted to ApplyKey and ModDown; a row no
+//	              task of the graph wrote is one a hoist left in the
+//	              state. The same for every dataflow (the key-dependent
+//	              half has no digit pipeline left to reshape).
+//	serial        MP's walk run on the caller, tile by tile.
 //
 // A per-rotation switch is its fused graph, not a hoist followed by a
 // replay: the barrier between the two would undo OC's convert+apply
-// tile and MP's tower-wise overlap of ModUp with ApplyKey.
+// task and MP's tower-wise overlap of ModUp with ApplyKey.
 
 import (
+	"slices"
+
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 )
 
+// tileFunc returns the tile of tiles.go that runs t, or nil for the two
+// kinds that ride in a neighbour here: convertTower transforms the row
+// it has just converted (NTT rides in Conv), and applyTower sums every
+// digit's product of a tower in one deferred-reduction pass (Apply
+// rides in Reduce).
+func (h *Hoisted) tileFunc(t dataflow.Tile) func() {
+	switch t.Kind {
+	case dataflow.INTT:
+		return func() { h.prepTower(t.T) }
+	case dataflow.Conv:
+		di := h.sw.dstIdxOf[t.J][t.T]
+		return func() { h.convertTower(t.J, di) }
+	case dataflow.Reduce:
+		return func() { h.applyTower(t.T) }
+	case dataflow.DownINTT:
+		return func() { h.downPrepTower(t.J, t.T) }
+	case dataflow.DownOver:
+		from := t.T * dataflow.OverChunk
+		to := min(from+dataflow.OverChunk, h.sw.R.N)
+		return func() { h.downOvershoot(t.J, from, to) }
+	case dataflow.DownOut:
+		return func() { h.downOutTower(t.J, t.T) }
+	}
+	return nil
+}
+
+// The walk, and the halves of it a hoist and a replay run.
+func anyTile(dataflow.Tile) bool      { return true }
+func modUpTile(t dataflow.Tile) bool  { return t.Kind <= dataflow.NTT }
+func replayTile(t dataflow.Tile) bool { return t.Kind >= dataflow.Apply }
+
 // ---- Serial schedule ----
 
-func (h *Hoisted) runModUp() {
-	for i := range h.y {
-		h.prepTower(i)
-	}
-	for j := range h.up {
-		for di := range h.sw.convDstIdx[j] {
-			h.convertTower(j, di)
-		}
-	}
+// serialTile is one tile of MP's walk bound to the state.
+type serialTile struct {
+	dataflow.Tile
+	run func()
 }
 
-func (h *Hoisted) runApply() {
-	for t := range h.sw.dBasis {
-		h.applyTower(t)
-	}
-}
-
-// runModDown runs output poly p's ModDown tiles in the order
-// buildModDown's edges impose.
-func (h *Hoisted) runModDown(p int) {
-	n := h.sw.R.N
-	for i := range h.sw.pBasis {
-		h.downPrepTower(p, i)
-	}
-	for from := 0; from < n; from += overshootChunk {
-		h.downOvershoot(p, from, min(from+overshootChunk, n))
-	}
-	for i := range h.sw.qBasis {
-		h.downOutTower(p, i)
-	}
-}
-
-// ---- Graph builders ----
-
-// noNodes returns a [dnum][|D|] node table holding −1 everywhere.
-func (sw *Switcher) noNodes() [][]int {
-	tab := make([][]int, sw.Dnum)
-	for j := range tab {
-		tab[j] = make([]int, len(sw.dBasis))
-		for t := range tab[j] {
-			tab[j][t] = -1
-		}
-	}
-	return tab
-}
-
-func (h *Hoisted) prepNodes(g *engine.Graph) []int {
-	prep := make([]int, h.sw.ell())
-	for i := range prep {
-		prep[i] = g.NodeNamed("modup.prep", func() { h.prepTower(i) })
-	}
-	return prep
-}
-
-// modUpByTower appends ModUp as per-tower tiles. It returns, per
-// (digit, extended tower), the node that finishes that ModUp row, −1
-// on the bypass path.
-func (h *Hoisted) modUpByTower(g *engine.Graph) [][]int {
-	sw := h.sw
-	prep, done := h.prepNodes(g), sw.noNodes()
-	for j := range done {
-		deps := prep[sw.digitLo(j):sw.digitHi(j)]
-		for di, t := range sw.convDstIdx[j] {
-			done[j][t] = g.NodeNamed("modup.conv", func() { h.convertTower(j, di) }, deps...)
-		}
-	}
-	return done
-}
-
-// modUpByDigit appends ModUp as one pipeline node per digit, returning
-// the same table as modUpByTower.
-func (h *Hoisted) modUpByDigit(g *engine.Graph) [][]int {
-	done := h.sw.noNodes()
-	for j := range done {
-		dig := g.NodeNamed("modup.digit", func() { h.digitPipeline(j) })
-		for _, t := range h.sw.convDstIdx[j] {
-			done[j][t] = dig
-		}
-	}
-	return done
-}
-
-func (h *Hoisted) modUpNodes(g *engine.Graph) [][]int {
-	if h.df == dataflow.DC {
-		return h.modUpByDigit(g)
-	}
-	return h.modUpByTower(g)
-}
-
-// applyNodes appends one apply node per extended tower, each after the
-// nodes of done that finish its rows (a nil done: the rows are already
-// in the state). It returns the node per tower.
-func (h *Hoisted) applyNodes(g *engine.Graph, done [][]int) []int {
-	acc := make([]int, len(h.sw.dBasis))
-	var deps []int
-	for t := range acc {
-		deps = deps[:0]
-		for j := range done {
-			if done[j][t] >= 0 {
-				deps = append(deps, done[j][t])
+// runSerial runs the tiles of MP's walk that keep admits, in walk
+// order, on the calling goroutine.
+func (h *Hoisted) runSerial(keep func(dataflow.Tile) bool) {
+	if h.serial == nil {
+		for _, grp := range h.sw.plans[dataflow.MP].Groups {
+			for _, t := range grp.Tiles {
+				if run := h.tileFunc(t); run != nil {
+					h.serial = append(h.serial, serialTile{t, run})
+				}
 			}
 		}
-		acc[t] = g.NodeNamed("apply", func() { h.applyTower(t) }, deps...)
 	}
-	return acc
+	for _, s := range h.serial {
+		if keep(s.Tile) {
+			s.run()
+		}
+	}
 }
 
-// ocNodes appends the Output-Centric ModUp+apply: the shared prep pass,
-// then one node per extended tower that finishes it end to end.
-func (h *Hoisted) ocNodes(g *engine.Graph) []int {
-	sw := h.sw
-	prep := h.prepNodes(g)
-	acc := make([]int, len(sw.dBasis))
-	var deps []int
-	for t := range acc {
-		deps = deps[:0]
-		for i := range prep {
-			// Tower t consumes every digit's ŷ rows except its own
-			// digit's (bypass); P towers consume them all.
-			if !sw.bypass(i/sw.Alpha, t) {
-				deps = append(deps, prep[i])
+// ---- Graphs ----
+
+// graph visits df's plan and builds the task graph of the tiles keep
+// admits. A group is one task; its edges come from the rows alone: it
+// waits for whoever last wrote a row it reads or rewrites, exactly as
+// the model's machine wires a kernel to its operands' producers. A
+// group none of whose tiles runs here (MP's and DC's per-digit Apply)
+// is no task: the rows it writes stand for the ones it read. An edge
+// another edge implies is dropped.
+func (h *Hoisted) graph(df dataflow.Dataflow, keep func(dataflow.Tile) bool) *engine.Graph {
+	g := engine.NewGraph()
+	writers := map[dataflow.Row][]int{} // the tasks a row's contents wait on; none: already in the state
+	var waits [][]int                   // per task, the tasks it waits on
+	for _, grp := range h.sw.plans[df].Groups {
+		var runs []func()
+		var deps []int
+		var writes []dataflow.Row
+		for _, t := range grp.Tiles {
+			if !keep(t) {
+				continue
+			}
+			for _, op := range t.Ops {
+				for _, r := range op.Reads {
+					deps = union(deps, writers[r])
+				}
+				deps = union(deps, writers[op.Write])
+				writes = append(writes, op.Write)
+			}
+			if run := h.tileFunc(t); run != nil {
+				runs = append(runs, run)
 			}
 		}
-		acc[t] = g.NodeNamed("oc", func() { h.ocTower(t) }, deps...)
-	}
-	return acc
-}
-
-// buildModDown appends the ModDown stages for both output polys.
-// accNode[t] is the node that finished extended tower t of the
-// accumulators.
-func (h *Hoisted) buildModDown(g *engine.Graph, accNode []int) {
-	ell, n := h.sw.ell(), h.sw.R.N
-	for p := 0; p < 2; p++ {
-		prep := make([]int, len(h.sw.pBasis))
-		for i := range prep {
-			prep[i] = g.NodeNamed("down.prep", func() { h.downPrepTower(p, i) }, accNode[ell+i])
+		if len(runs) > 0 {
+			var direct []int
+			for _, d := range deps {
+				if !slices.ContainsFunc(deps, func(via int) bool { return slices.Contains(waits[via], d) }) {
+					direct = append(direct, d)
+				}
+			}
+			run := runs[0]
+			if len(runs) > 1 {
+				run = func() {
+					for _, f := range runs {
+						f()
+					}
+				}
+			}
+			waits = append(waits, direct)
+			deps = []int{g.NodeNamed(grp.Name, run, direct...)}
 		}
-		var over []int
-		for from := 0; from < n; from += overshootChunk {
-			to := min(from+overshootChunk, n)
-			over = append(over, g.NodeNamed("down.over", func() { h.downOvershoot(p, from, to) }, prep...))
-		}
-		for i := 0; i < ell; i++ {
-			g.NodeNamed("down.out", func() { h.downOutTower(p, i) }, append([]int{accNode[i]}, over...)...)
+		for _, r := range writes {
+			writers[r] = deps
 		}
 	}
+	return g
 }
 
-// ---- The three graphs, each built the first time a state runs it ----
+// union appends to set the elements of more it lacks.
+func union(set, more []int) []int {
+	for _, d := range more {
+		if !slices.Contains(set, d) {
+			set = append(set, d)
+		}
+	}
+	return set
+}
+
+// The three graphs, each built the first time a state runs it.
 
 func (h *Hoisted) fusedGraph() *engine.Graph {
 	if h.fused == nil {
-		h.fused = engine.NewGraph()
-		if h.df == dataflow.MP || h.df == dataflow.DC {
-			h.buildModDown(h.fused, h.applyNodes(h.fused, h.modUpNodes(h.fused)))
-		} else { // OC, and OCF, which schedules as OC
-			h.buildModDown(h.fused, h.ocNodes(h.fused))
-		}
+		h.fused = h.graph(h.df, anyTile)
 	}
 	return h.fused
 }
 
 func (h *Hoisted) hoistGraph() *engine.Graph {
 	if h.hoistG == nil {
-		h.hoistG = engine.NewGraph()
-		h.modUpNodes(h.hoistG)
+		df := dataflow.MP
+		if h.df == dataflow.DC {
+			df = dataflow.DC
+		}
+		h.hoistG = h.graph(df, modUpTile)
 	}
 	return h.hoistG
 }
 
 func (h *Hoisted) replayGraph() *engine.Graph {
 	if h.replayG == nil {
-		h.replayG = engine.NewGraph()
-		h.buildModDown(h.replayG, h.applyNodes(h.replayG, nil))
+		h.replayG = h.graph(dataflow.MP, replayTile)
 	}
 	return h.replayG
 }

@@ -66,8 +66,9 @@ func (h *Hoisted) unbind() {
 	h.evk, h.out = nil, [2]*ring.Poly{}
 }
 
-// engineLabel is the obs label of a switch on the engine under df.
-func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(dfKey(df)) }
+// engineLabel is the obs label of a switch on the engine under df: the
+// paper dataflow it belongs to, whose names obs's first labels carry.
+func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(df.Paper()) }
 
 // ---- Per-rotation switching ----
 
@@ -140,7 +141,7 @@ func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Data
 	h.ownBypass()
 	h.d = d
 	if e == nil {
-		h.runModUp()
+		h.runSerial(modUpTile)
 	} else {
 		e.RunGraph(h.hoistGraph())
 	}
@@ -163,9 +164,7 @@ func (h *Hoisted) Switch(evk *Evk) (c0, c1 *ring.Poly) {
 func (h *Hoisted) SwitchInto(evk *Evk, c0, c1 *ring.Poly) {
 	h.sw.checkReplay(evk, c0, c1)
 	h.bind(evk, c0, c1)
-	h.runApply()
-	h.runModDown(0)
-	h.runModDown(1)
+	h.runSerial(replayTile)
 	h.unbind()
 }
 

@@ -1,19 +1,17 @@
 package hks
 
-// The one HKS tile set. Paper Figure 1 is cut into tiles — a tower of
-// one stage, or one digit's ModUp — and every entry point of the
-// package runs these tiles on one pooled state type; what differs
-// between entry points is only the order and the goroutine the tiles
-// run on (schedule.go):
+// The one HKS tile set. Paper Figure 1 is cut into per-tower tiles and
+// every entry point of the package runs these tiles on one pooled state
+// type; what differs between entry points is only the order, the
+// grouping and the goroutine the tiles run on — a visit of a dataflow's
+// plan (schedule.go), whose tile kinds they implement:
 //
-//	prepTower      ModUp P1: INTT of one Q tower, plus the digit's ŷ scaling
-//	convertTower   ModUp P2+P3: one (digit, destination tower) BConv + NTT
-//	digitPipeline  the DC tile: one digit's prep and convert tiles in order
-//	applyTower     P4+P5: one extended tower of ApplyKey, all digits summed
-//	ocTower        the OC tile: a tower's convert tiles, then its apply tile
-//	downPrepTower  ModDown P1: INTT of one P tower, plus the ŷ scaling
-//	downOvershoot  ModDown P2: the exact conversion's overshoot, one chunk
-//	downOutTower   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
+//	prepTower      INTT      ModUp P1: INTT of one Q tower, plus the digit's ŷ scaling
+//	convertTower   Conv+NTT  ModUp P2+P3: one (digit, destination tower) BConv + NTT
+//	applyTower     Apply×dnum+Reduce  P4+P5: one extended tower of ApplyKey, all digits summed
+//	downPrepTower  DownINTT  ModDown P1: INTT of one P tower, plus the ŷ scaling
+//	downOvershoot  DownOver  ModDown P2: the exact conversion's overshoot, one chunk
+//	downOutTower   DownOut   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
 //
 // Every tile writes the canonical residue, so any order that respects
 // the data dependencies gives the same bits however the lazy kernels
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"time"
 
-	"ciflow/internal/bconv"
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/obs"
@@ -83,8 +80,9 @@ type Hoisted struct {
 	// nothing.
 	upRows, kbRows, kaRows [][][]uint64
 
-	// Task graphs over the tiles, each built on first use (schedule.go).
+	// Schedules over the tiles, each built on first use (schedule.go).
 	fused, hoistG, replayG *engine.Graph
+	serial                 []serialTile
 }
 
 func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
@@ -120,25 +118,13 @@ func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 	return h
 }
 
-// dfKey maps a dataflow to its state-pool slot. OCF executes as OC
-// (its ModDown fusion is a memory-traffic concept; ModDown is already
-// fused into every graph here).
-func dfKey(df dataflow.Dataflow) int {
-	switch df {
-	case dataflow.MP:
-		return 0
-	case dataflow.DC:
-		return 1
-	case dataflow.OC, dataflow.OCF:
-		return 2
-	}
-	panic(fmt.Sprintf("hks: unknown dataflow %v", df))
-}
-
 // state draws an execution state from df's pool slot, building one on
 // a miss, and captures the active recorder; samples go under label.
 func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
-	h, _ := sw.states[dfKey(df)].Get().(*Hoisted)
+	if !df.Valid() {
+		panic(fmt.Sprintf("hks: unknown dataflow %v", df))
+	}
+	h, _ := sw.states[df].Get().(*Hoisted)
 	if h == nil {
 		h = newState(sw, df)
 	}
@@ -150,7 +136,7 @@ func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 // not be used afterwards.
 func (h *Hoisted) Release() {
 	h.rec, h.ownsBypass = nil, false
-	h.sw.states[dfKey(h.df)].Put(h)
+	h.sw.states[h.df].Put(h)
 }
 
 // ownBypass marks the state hoisted, allocating the bypass rows of the
@@ -182,13 +168,6 @@ func (sw *Switcher) ell() int { return len(sw.qBasis) }
 func (sw *Switcher) digitLo(j int) int { return j * sw.Alpha }
 
 func (sw *Switcher) digitHi(j int) int { return min((j+1)*sw.Alpha, sw.ell()) }
-
-// bypass reports whether extended tower t (a dBasis index) is digit
-// j's own tower, which skips INTT→BConv→NTT and reuses the input row
-// (paper Figure 1, red towers).
-func (sw *Switcher) bypass(j, t int) bool {
-	return t < sw.ell() && t/sw.Alpha == j
-}
 
 // ---- Timing ----
 //
@@ -224,10 +203,11 @@ func (h *Hoisted) stage(st obs.Stage, t0, t time.Time) {
 // ---- Tiles ----
 
 // upRow returns digit j's ModUp row for extended tower t: a row of the
-// table, except that a per-rotation switch reads bypass rows straight
-// from its input.
+// table, except that a per-rotation switch reads the rows no converter
+// writes — digit j's own towers, which bypass ModUp (paper Figure 1,
+// red towers) — straight from its input.
 func (h *Hoisted) upRow(j, t int) []uint64 {
-	if !h.ownsBypass && h.sw.bypass(j, t) {
+	if !h.ownsBypass && h.sw.dstIdxOf[j][t] < 0 {
 		return h.d.Coeffs[t]
 	}
 	return h.up[j][t]
@@ -265,18 +245,6 @@ func (h *Hoisted) convertTower(j, di int) {
 	h.stage(obs.StageModUp, t0, t)
 }
 
-// digitPipeline is the DC tile: one digit's entire ModUp (P1–P3) in
-// order, so parallelism is across digits only. Its prep and convert
-// tiles record themselves.
-func (h *Hoisted) digitPipeline(j int) {
-	for i := h.sw.digitLo(j); i < h.sw.digitHi(j); i++ {
-		h.prepTower(i)
-	}
-	for di := range h.sw.convDstIdx[j] {
-		h.convertTower(j, di)
-	}
-}
-
 // applyTower is ApplyKey (P4+P5) for extended tower t:
 // acc ← Σ_j up_j[t] ⊙ evk_j[t] for both evk halves, each as one
 // deferred-reduction pass over all dnum digits.
@@ -293,19 +261,6 @@ func (h *Hoisted) applyTower(t int) {
 	h.stage(obs.StageApply, t0, h.now())
 }
 
-// ocTower is the OC tile: produce extended tower t's finished ApplyKey
-// accumulation, converting each digit's contribution on the fly. The
-// conversions record as ModUp and the accumulation as Apply.
-func (h *Hoisted) ocTower(t int) {
-	sw := h.sw
-	for j := 0; j < sw.Dnum; j++ {
-		if !sw.bypass(j, t) {
-			h.convertTower(j, sw.dstIdxOf[j][t])
-		}
-	}
-	h.applyTower(t)
-}
-
 // downPrepTower is ModDown P1 for P tower i of output poly p, plus the
 // ŷ scaling of the P→Q conversion.
 func (h *Hoisted) downPrepTower(p, i int) {
@@ -319,10 +274,6 @@ func (h *Hoisted) downPrepTower(p, i int) {
 	t = h.kernel(obs.KernelBConv, t)
 	h.stage(obs.StageModDown, t0, t)
 }
-
-// overshootChunk tiles the ModDown overshoot estimate with the same
-// granularity as the bconv-internal parallel path.
-const overshootChunk = bconv.OvershootChunk
 
 // downOvershoot estimates the exact-conversion overshoot for one
 // coefficient chunk of output poly p.

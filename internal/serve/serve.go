@@ -366,9 +366,7 @@ func (s *Service) admit(ctx context.Context, req Request) (*pending, error) {
 	// Reject unknown dataflows here: past this point the request runs
 	// on the tenant's dispatcher goroutine, where a panic would take
 	// down that tenant's stream rather than one request.
-	switch req.Dataflow {
-	case dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF:
-	default:
+	if !req.Dataflow.Valid() {
 		return nil, fmt.Errorf("serve: unknown dataflow %v", req.Dataflow)
 	}
 	return &pending{req: req, sw: sw, ctx: ctx, enq: time.Now(), done: make(chan Result, 1)}, nil

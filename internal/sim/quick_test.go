@@ -39,7 +39,7 @@ func TestRandomProgramsInvariants(t *testing.T) {
 	m := Machine{BandwidthBytesPerSec: 1e6, ModopsPerSec: 1e6}
 	for trial := 0; trial < 200; trial++ {
 		p := randomProgram(rng, 1+rng.Intn(120))
-		res, spans, err := RunWithTimeline(p, m)
+		res, err := Run(p, m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -55,14 +55,6 @@ func TestRandomProgramsInvariants(t *testing.T) {
 		}
 		if res.OpsExecuted != st.ComputeOps {
 			t.Fatalf("trial %d: ops mismatch", trial)
-		}
-		// Dependency causality on the timeline.
-		for _, task := range p.Tasks {
-			for _, d := range task.Deps {
-				if spans[d].End > spans[task.ID].Start+1e-12 {
-					t.Fatalf("trial %d: task %d starts before dep %d completes", trial, task.ID, d)
-				}
-			}
 		}
 	}
 }

@@ -43,29 +43,3 @@ func (p *Program) WriteDOT(w io.Writer, maxTasks int) error {
 func escapeDOT(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
-
-// StageTraffic aggregates a program's memory tasks by the colon-free
-// prefix of their names (e.g. "ld:intt.3" groups under "ld:intt"),
-// giving the per-stage traffic breakdown the dataflow analysis uses to
-// explain where each schedule spends its bytes.
-func (p *Program) StageTraffic() map[string]int64 {
-	out := map[string]int64{}
-	for _, t := range p.Tasks {
-		if t.Kind == Compute {
-			continue
-		}
-		name := t.Name
-		// Trim the per-tile numeric suffix: "ld:mu.2.17" -> "ld:mu".
-		if i := strings.IndexAny(name, ".0123456789"); i > 0 {
-			// Keep the "ld:"/"st:"/"evk:" prefix plus the tile class.
-			if j := strings.Index(name, ":"); j >= 0 {
-				rest := name[j+1:]
-				if k := strings.Index(rest, "."); k > 0 {
-					name = name[:j+1] + rest[:k]
-				}
-			}
-		}
-		out[name] += t.Bytes
-	}
-	return out
-}

@@ -35,19 +35,3 @@ func TestWriteDOTTruncates(t *testing.T) {
 		t.Error("truncation did not apply")
 	}
 }
-
-func TestStageTraffic(t *testing.T) {
-	b := NewBuilder()
-	b.Load("ld:in.0", 100)
-	b.Load("ld:in.1", 100)
-	b.Load("evk:0.3", 50)
-	b.Store("st:mu.1.7", 25)
-	b.Compute("k", 10)
-	got := b.Program().StageTraffic()
-	want := map[string]int64{"ld:in": 200, "evk:0": 50, "st:mu": 25}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("stage %q = %d, want %d (all: %v)", k, got[k], v, got)
-		}
-	}
-}
