@@ -9,17 +9,14 @@ import (
 	"testing"
 )
 
-// update regenerates the committed `ciflow all` output:
+// update regenerates the committed outputs:
 //
-//	go test ./cmd/ciflow -run TestAllGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/all.golden")
+//	go test ./cmd/ciflow -run 'TestAllGolden|TestVerbGoldens' -update
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden and testdata/*.csv outputs")
 
-// TestAllGolden pins every number the model prints: the full output of
-// `ciflow all` — Tables II–V, Figures 4–9, both ablations and the area
-// summary — byte for byte. It was recorded before the dataflow
-// emitters became visitors of one plan, so "no number moves" is a test
-// and not a reading of two terminal windows.
-func TestAllGolden(t *testing.T) {
+// stdoutOf runs one ciflow command line and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) []byte {
+	t.Helper()
 	rd, wr, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -31,15 +28,20 @@ func TestAllGolden(t *testing.T) {
 		b, _ := io.ReadAll(rd)
 		out <- b
 	}()
-	runErr := run([]string{"all"})
+	runErr := run(args)
 	os.Stdout = stdout
 	wr.Close()
 	got := <-out
 	if runErr != nil {
-		t.Fatal(runErr)
+		t.Fatalf("ciflow %v: %v", args, runErr)
 	}
+	return got
+}
 
-	path := filepath.Join("testdata", "all.golden")
+// checkGolden holds got to testdata/<name> byte for byte.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -59,6 +61,43 @@ func TestAllGolden(t *testing.T) {
 				t.Errorf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("%s: `ciflow all` moved (%d lines, want %d); -update only if the model was meant to change", path, len(gl), len(wl))
+		t.Fatalf("%s moved (%d lines, want %d); -update only if the output was meant to change", path, len(gl), len(wl))
+	}
+}
+
+// TestAllGolden pins every number the model prints: the full output of
+// `ciflow all` — Tables II–V, Figures 4–9, both ablations and the area
+// summary — byte for byte. It was recorded before the dataflow
+// emitters became visitors of one plan, so "no number moves" is a test
+// and not a reading of two terminal windows.
+func TestAllGolden(t *testing.T) {
+	checkGolden(t, "all.golden", stdoutOf(t, "all"))
+}
+
+// TestVerbGoldens pins what `ciflow all` does not reach: the memory
+// sweep (BTS1's has sizes no dataflow can be scheduled at), the
+// roofline, two schedule reports (one with hoist groups, one without:
+// the estimate block has a column the other lacks) and every -csv
+// output. Recorded before the experiments became tables under one
+// writer.
+func TestVerbGoldens(t *testing.T) {
+	for name, args := range map[string][]string{
+		"memory.golden":             {"memory"},
+		"memory_bts1.golden":        {"memory", "-bench", "BTS1"},
+		"roofline.golden":           {"roofline"},
+		"schedule_bootstrap.golden": {"schedule", "-workload", "bootstrap"},
+		"schedule_evalmod.golden":   {"schedule", "-workload", "evalmod"},
+		"table2.csv":                {"table2", "-csv"},
+		"table4.csv":                {"table4", "-csv"},
+		"fig4.csv":                  {"fig4", "-csv"},
+		"fig5.csv":                  {"fig5", "-csv"},
+		"fig6.csv":                  {"fig6", "-csv"},
+		"memory.csv":                {"memory", "-csv"},
+		"memory_bts1.csv":           {"memory", "-csv", "-bench", "BTS1"},
+	} {
+		name, args := name, args
+		t.Run(name, func(t *testing.T) {
+			checkGolden(t, name, stdoutOf(t, args...))
+		})
 	}
 }
