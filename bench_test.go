@@ -1,8 +1,9 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§VI). Each benchmark regenerates its experiment and
-// reports the headline quantities as custom metrics, printing the full
-// table/series once so the output can be compared side by side with
-// the paper (see EXPERIMENTS.md for the recorded comparison).
+// Benchmark harness: one benchmark per table, figure and ablation of
+// the paper's evaluation (§VI) — a walk of the analysis registry. Each
+// regenerates its experiment on a fresh runner and prints the tables
+// once, the form cmd/ciflow/testdata/all.golden pins (DESIGN.md
+// "Measured vs modeled performance" sets the model beside this
+// machine).
 //
 // Run everything with:
 //
@@ -11,7 +12,6 @@ package ciflow_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"ciflow/internal/analysis"
@@ -19,245 +19,29 @@ import (
 	"ciflow/internal/params"
 )
 
-// printOnce deduplicates the table dumps across -benchtime iterations.
-var printOnce sync.Map
-
-func dump(key, s string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Println(s)
-	}
-}
-
-// BenchmarkTableII regenerates Table II (DRAM traffic and arithmetic
-// intensity for MP/DC/OC, evks streamed, 32 MB on-chip).
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := analysis.NewRunner() // fresh runner: measure generation, not the cache
-		rows, err := r.TableII()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("table2", analysis.FormatTableII(rows))
-			var best float64
-			for _, row := range rows {
-				if g := row.MB[0] / row.MB[2]; g > best {
-					best = g
-				}
+// BenchmarkExperiments regenerates every experiment of the registry,
+// one sub-benchmark each (Figure 4: one per panel).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range analysis.Experiments {
+		for _, bench := range e.Panels() {
+			name := e.Name
+			if e.PerBench {
+				name += "-" + bench.Name
 			}
-			b.ReportMetric(best, "max_MP/OC_traffic_x")
-		}
-	}
-}
-
-// BenchmarkTableIII regenerates Table III (parameter sets and sizes).
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := analysis.FormatTableIII()
-		if i == 0 {
-			dump("table3", s)
-		}
-	}
-}
-
-// BenchmarkTableIV regenerates Table IV (OCbase bandwidth, bandwidth
-// saving and OC speedup over MP).
-func BenchmarkTableIV(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.TableIV()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("table4", analysis.FormatTableIV(rows))
-			var maxSp, maxSv float64
-			for _, row := range rows {
-				if row.Speedup > maxSp {
-					maxSp = row.Speedup
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					// A fresh runner: measure generation, not the cache.
+					tables, err := e.Run(analysis.NewRunner(), bench)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if b.N == 1 { // the sizing run: print once
+						for _, t := range tables {
+							fmt.Print(t.Text())
+						}
+					}
 				}
-				if row.SavedBW > maxSv {
-					maxSv = row.SavedBW
-				}
-			}
-			b.ReportMetric(maxSp, "max_OC_speedup_x")
-			b.ReportMetric(maxSv, "max_saved_BW_x")
-		}
-	}
-}
-
-// BenchmarkTableV regenerates Table V (configs matching ARK's
-// saturation point).
-func BenchmarkTableV(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.TableV()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("table5", analysis.FormatTableV(rows))
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (runtime vs bandwidth, three
-// dataflows, evk on-chip), one sub-benchmark per paper panel.
-func BenchmarkFigure4(b *testing.B) {
-	r := analysis.NewRunner()
-	for _, bench := range params.All() {
-		bws := analysis.StdBandwidthsGBs
-		if bench.Name == "ARK" || bench.Name == "BTS3" {
-			bws = analysis.ExtBandwidthsGBs
-		}
-		b.Run(bench.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pts, err := r.Figure4(bench, bws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					dump("fig4-"+bench.Name, analysis.FormatSweep(
-						fmt.Sprintf("Figure 4 (%s)", bench.Name), pts))
-					low := pts[0]
-					b.ReportMetric(low.MS[0]/low.MS[2], "MP/OC_at_8GBs_x")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 (BTS3, evk streamed vs
-// on-chip).
-func BenchmarkFigure5(b *testing.B) {
-	benchStream(b, params.BTS3, "fig5")
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (ARK, evk streamed vs
-// on-chip).
-func BenchmarkFigure6(b *testing.B) {
-	benchStream(b, params.ARK, "fig6")
-}
-
-func benchStream(b *testing.B, bench params.Benchmark, key string) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		pts, err := r.FigureStream(bench, analysis.ExtBandwidthsGBs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump(key, analysis.FormatStream(
-				fmt.Sprintf("Figure (%s): evk streamed vs on-chip", bench.Name), pts))
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7 (OC streaming slowdown and
-// equivalent bandwidth per benchmark).
-func BenchmarkFigure7(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("fig7", analysis.FormatFigure7(rows))
-			var worst float64
-			for _, row := range rows {
-				if row.Slowdown > worst {
-					worst = row.Slowdown
-				}
-			}
-			b.ReportMetric(worst, "max_stream_slowdown_x")
-		}
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8 (ARK MODOPS sensitivity).
-func BenchmarkFigure8(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		pts, err := r.Figure8(params.ARK, analysis.ExtBandwidthsGBs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("fig8", analysis.FormatFigure8("Figure 8 (ARK): OC at 1-16x MODOPS", pts))
-		}
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (equivalent configurations
-// with streamed evks).
-func BenchmarkFigure9(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		sat, base, err := r.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("fig9", analysis.FormatFigure9(sat, base))
-		}
-	}
-}
-
-// BenchmarkAblationKeyCompression regenerates the §IV-D key
-// compression claim (AI up to 3.82 with 2x key compression).
-func BenchmarkAblationKeyCompression(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.AblationKeyCompression()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("keycomp", analysis.FormatKeyCompression(rows))
-			var best float64
-			for _, row := range rows {
-				if row.AIComp > best {
-					best = row.AIComp
-				}
-			}
-			b.ReportMetric(best, "best_compressed_AI")
-		}
-	}
-}
-
-// BenchmarkAblationOCF regenerates the fused-ModDown extension
-// comparison (OCF vs OC, beyond the paper).
-func BenchmarkAblationOCF(b *testing.B) {
-	r := analysis.NewRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.AblationOCF()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("ocf", analysis.FormatOCF(rows))
-			var best float64
-			for _, row := range rows {
-				if row.SavedPct > best {
-					best = row.SavedPct
-				}
-			}
-			b.ReportMetric(best, "best_traffic_saved_%")
-		}
-	}
-}
-
-// BenchmarkMemorySweep regenerates the §IV working-set analysis.
-func BenchmarkMemorySweep(b *testing.B) {
-	sizes := []int64{8, 16, 32, 64, 128, 256, 512}
-	for i := 0; i < b.N; i++ {
-		pts, err := analysis.MemorySweep(params.BTS3, sizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			dump("memsweep", analysis.FormatMemory(params.BTS3, pts))
+			})
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 
 // tenantNames is the canonical tenant naming every cluster process
 // agrees on: t0..t{n-1}. Key material follows from the name alone
-// (cluster.KeySeed), so shards and verifiers never exchange keys.
+// (serve.TenantSeed), so shards and verifiers never exchange keys.
 func tenantNames(n int) []string {
 	out := make([]string, n)
 	for i := range out {

@@ -1,59 +1,37 @@
 package main
 
-// The flag set and the experiment table live here, in one place: run()
-// dispatches on the table, `ciflow help` (usage.go) prints it and the
-// flag set, `all` walks it, and TestHelpMatchesREADME checks README.md
-// against the help output.
+// The flag set and the verbs that are not experiments live here, in one
+// place: run() dispatches on the analysis registry and then on this
+// table, `ciflow help` (usage.go) prints both and the flag set, and
+// TestHelpMatchesREADME checks README.md against all three.
 
 import (
 	"flag"
-	"fmt"
 	"os"
+	"strings"
 
 	"ciflow/internal/analysis"
 	"ciflow/internal/dataflow"
-	"ciflow/internal/params"
 )
 
-// experiment is one ciflow verb: its name and summary as `ciflow help`
-// shows them, and what it runs.
-type experiment struct {
+// verb is one ciflow command that is not a registry experiment: its
+// name and summary as `ciflow help` shows them, and what it runs.
+type verb struct {
 	name, desc string
 	run        func(*cli) error
 }
 
-// experiments lists every verb, in display order. It is filled at init
-// because help and all read the table they are entries of.
-var experiments []experiment
+// verbs is filled at init because help reads the table it is an entry
+// of.
+var verbs []verb
 
 func init() {
-	experiments = []experiment{
-		{"table2", "DRAM traffic and arithmetic intensity (Table II)", table2},
-		{"table3", "benchmark parameter sets (Table III)", func(*cli) error {
-			fmt.Print(analysis.FormatTableIII())
-			return nil
-		}},
-		{"table4", "OCbase bandwidths and speedups (Table IV)", table4},
-		{"table5", "configs matching ARK's saturation point (Table V)", table5},
-		{"fig4", "runtime vs bandwidth sweep (Figure 4; -bench)", fig4},
-		{"fig5", "BTS3 evk streamed vs on-chip (Figure 5)", figStream(params.BTS3, 5)},
-		{"fig6", "ARK evk streamed vs on-chip (Figure 6)", figStream(params.ARK, 6)},
-		{"fig7", "OC streaming slowdown per benchmark (Figure 7)", fig7},
-		{"fig8", "ARK MODOPS sensitivity (Figure 8; -bench)", fig8},
-		{"fig9", "equivalent configs with streamed evks (Figure 9)", fig9},
-		{"ablate-keycomp", "key-compression ablation (§IV-D)", keycomp},
-		{"ablate-ocf", "fused-ModDown OC extension vs plain OC", ocf},
-		{"roofline", "memory/compute-bound classification at 8/64/256 GB/s", roofline},
-		{"memory", "data traffic vs on-chip memory size (§IV working sets)", memorySweep},
-		{"area", "SRAM/area saving summary (§VI-B)", func(*cli) error {
-			fmt.Print(analysis.AreaSummary())
-			return nil
-		}},
+	verbs = []verb{
 		{"serve", "replay a -workload schedule DAG for -tenants tenants against the serial reference, through one in-process service or -shards shard processes behind the router (-replicas, -kill); -check verifies exact counts and bit-exactness", serveVerb},
 		{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export/-import versioned JSON)", scheduleVerb},
 		{"shard", "one cluster shard backend: a serve service behind the wire protocol (-addr)", shardVerb},
 		{"router", "probe running shards (-shardaddrs) and print the cluster status table", routerVerb},
-		{"all", "every table, figure and ablation above in paper order", runAll},
+		{"all", "every table, figure and ablation of the paper, in its order (all but roofline and memory above)", runAll},
 		{"help", "this usage summary", func(c *cli) error {
 			usage(os.Stdout, c.fl)
 			return nil
@@ -110,9 +88,15 @@ func newFlags() *cliFlags {
 	fs := flag.NewFlagSet("ciflow", flag.ContinueOnError)
 	fl := &cliFlags{fs: fs}
 
-	fl.benchName = fs.String("bench", "", "benchmark name (BTS1, BTS2, BTS3, ARK, DPRIVE)")
+	var takeBench []string
+	for _, e := range analysis.Experiments {
+		if e.Bench.Name != "" {
+			takeBench = append(takeBench, e.Name)
+		}
+	}
+	fl.benchName = fs.String("bench", "", "benchmark name (BTS1, BTS2, BTS3, ARK, DPRIVE) for "+strings.Join(takeBench, ", "))
 	fl.memMiB = fs.Int64("mem", 32, "on-chip data memory in MiB")
-	fl.csvOut = fs.Bool("csv", false, "emit CSV instead of ASCII tables")
+	fl.csvOut = fs.Bool("csv", false, "print every table of an experiment as CSV instead of text")
 
 	fl.dfName = fs.String("dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
 	fl.workers = fs.Int("workers", 0, "engine worker count per process (0 = GOMAXPROCS, split over the shards)")

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"ciflow/internal/analysis"
 	"ciflow/internal/cluster"
 	"ciflow/internal/obs"
 	"ciflow/internal/serve"
@@ -26,10 +29,83 @@ func TestRunVerbs(t *testing.T) {
 		{"table2", "-csv"},
 		{"fig4", "-bench", "DPRIVE"},
 		{"fig4", "-bench", "DPRIVE", "-csv"},
+		{"table5", "-bench", "ARK"}, // a verb that takes no benchmark accepts a valid one
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
 		}
+	}
+}
+
+// parseCSV reads out as CSV, `# title` lines aside, and returns the
+// records; tables of different widths may follow one another.
+func parseCSV(t *testing.T, out []byte) [][]string {
+	t.Helper()
+	rd := csv.NewReader(bytes.NewReader(out))
+	rd.Comment = '#'
+	rd.FieldsPerRecord = -1
+	recs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatalf("not CSV: %v\n%s", err, out)
+	}
+	return recs
+}
+
+// TestEveryVerbHonoursCSV: under -csv each of the 15 experiments
+// prints CSV and nothing else — a single table exactly its header and
+// records, several tables each behind one `# title` line — and `ciflow
+// all -csv` is CSV end to end, one titled table per table of the text
+// form.
+func TestEveryVerbHonoursCSV(t *testing.T) {
+	numeric := regexp.MustCompile(`^(-?[0-9]+(\.[0-9]{4})?|true|false)?$`)
+	for _, e := range analysis.Experiments {
+		out := stdoutOf(t, e.Name, "-csv")
+		recs := parseCSV(t, out)
+		if len(recs) < 2 {
+			t.Errorf("%s -csv printed %d records", e.Name, len(recs))
+		}
+		titles := bytes.Count(out, []byte("# "))
+		switch e.Name {
+		case "roofline":
+			if titles != 3 {
+				t.Errorf("roofline -csv: %d title lines, want one per table (3)", titles)
+			}
+		case "fig9":
+			if titles != 3 { // the first table's title spans two lines
+				t.Errorf("fig9 -csv: %d title lines, want 2+1", titles)
+			}
+		default:
+			if titles != 0 {
+				t.Errorf("%s -csv is one table and must print no title line:\n%s", e.Name, out)
+			}
+		}
+		// Past the label columns every field is a number, a boolean
+		// or empty: no ASCII table leaked through.
+		for _, rec := range recs {
+			if strings.Contains(strings.Join(rec, ""), "  ") {
+				t.Errorf("%s -csv: padded text in record %q", e.Name, rec)
+			}
+		}
+		if last := recs[len(recs)-1]; !numeric.MatchString(last[len(last)-1]) && e.Name != "roofline" {
+			t.Errorf("%s -csv: last field of %q is not a value", e.Name, last)
+		}
+	}
+
+	out := stdoutOf(t, "all", "-csv")
+	parseCSV(t, out)
+	text := stdoutOf(t, "all")
+	// A `# ` line per line of title: 9 tables with a one-line title
+	// (Figure 4 has a panel per benchmark, so 13), Figure 9's two with
+	// three lines between them, Figures 5 and 6 with two each; the
+	// area summary, which has none, goes under its registry summary.
+	if got := len(regexp.MustCompile(`(?m)^# `).FindAll(out, -1)); got != 13+3+4+1 {
+		t.Errorf("all -csv has %d title lines, want 21", got)
+	}
+	if !bytes.Contains(out, []byte("# SRAM/area saving summary")) || bytes.Contains(out, []byte("OCbase ")) {
+		t.Errorf("all -csv: area untitled, or text tables mixed in")
+	}
+	if bytes.Contains(text, []byte("# ")) || !bytes.Contains(text, []byte("    OCbase ")) {
+		t.Errorf("all without -csv is no longer the text form")
 	}
 }
 
@@ -38,6 +114,11 @@ func TestRunErrors(t *testing.T) {
 		nil,
 		{"bogus"},
 		{"fig4", "-bench", "NOPE"},
+		// -bench is resolved once, for every verb: one that takes no
+		// benchmark still refuses a name that is not one.
+		{"table5", "-bench", "nosuch"},
+		{"all", "-bench", "nosuch"},
+		{"serve", "-bench", "nosuch"},
 		{"table2", "-mem", "1"}, // far below any benchmark's minimum
 	} {
 		if err := run(args); err == nil {
@@ -462,12 +543,39 @@ func TestHelpMatchesREADME(t *testing.T) {
 			t.Errorf("flag -%s not documented in README.md", f.Name)
 		}
 	})
-	for _, e := range experiments {
-		if !strings.Contains(help, e.name) {
-			t.Errorf("experiment %q missing from ciflow help output", e.name)
+	// The README's CLI table is the help catalog: one row per
+	// registry experiment and per verb, in that order.
+	var names []string
+	for _, e := range analysis.Experiments {
+		names = append(names, e.Name)
+	}
+	for _, v := range verbs {
+		names = append(names, v.name)
+	}
+	var rows []string
+	summary := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9-]+)` \\| (.*) \\|$").FindAllStringSubmatch(
+		readme[strings.Index(readme, "| Experiment |"):strings.Index(readme, "| Flag |")], -1) {
+		rows = append(rows, m[1])
+		summary[m[1]] = strings.ReplaceAll(m[2], "`", "")
+	}
+	if !slices.Equal(rows, names) {
+		t.Errorf("README.md CLI table lists\n%v\nthe registry and the verbs are\n%v", rows, names)
+	}
+	// An experiment's row is its registry summary, and the -bench row
+	// names exactly the experiments that take a benchmark.
+	benchRow := regexp.MustCompile("(?m)^\\| `-bench` \\|.*$").FindString(readme)
+	for _, e := range analysis.Experiments {
+		if summary[e.Name] != e.Desc {
+			t.Errorf("README.md describes %s as %q, the registry as %q", e.Name, summary[e.Name], e.Desc)
 		}
-		if !strings.Contains(readme, e.name) {
-			t.Errorf("experiment %q not documented in README.md", e.name)
+		if takes := e.Bench.Name != ""; strings.Contains(benchRow, "`"+e.Name+"`") != takes {
+			t.Errorf("README.md -bench row and the registry disagree on whether %s takes a benchmark (%v)", e.Name, takes)
+		}
+	}
+	for _, name := range names {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(name) + ` `).MatchString(help) {
+			t.Errorf("experiment %q missing from ciflow help output", name)
 		}
 	}
 	if err := run([]string{"help"}); err != nil {

@@ -187,7 +187,7 @@ func scheduleCmd(r *analysis.Runner, name string, bts, radix, rotations, request
 	if err != nil {
 		return err
 	}
-	fmt.Print(analysis.FormatWorkload(analysis.BaselineBandwidthGBs, rows))
+	fmt.Print(analysis.WorkloadTable(analysis.BaselineBandwidthGBs, rows).Text())
 
 	if jsonPath != "" {
 		rep := &scheduleReport{

@@ -86,5 +86,5 @@ func main() {
 	// so its share of the compute amortizes — the executed counterpart
 	// is hks.SwitchHoisted / ckks.RotateHoisted.
 	fmt.Println()
-	fmt.Print(analysis.FormatHoisting(b, []int{2, 4, 8, 16}))
+	fmt.Print(analysis.Hoisting(b, []int{2, 4, 8, 16}).Text())
 }

@@ -1,9 +1,17 @@
 // Package analysis drives the paper's experiments: it combines the
 // dataflow schedule generators with the RPU performance model and
-// reproduces every table and figure of the evaluation (§VI). Each
-// experiment returns a typed result plus an ASCII rendering, and is
-// wired to a CLI verb in cmd/ciflow and a benchmark in bench_test.go
-// (see DESIGN.md's per-experiment index).
+// reproduces every table and figure of the evaluation (§VI).
+//
+// An experiment is a table. Its typed compute function (TableII,
+// Figure4, …) is what the tests hold to the paper's claims; beside it
+// one function lays the result out as a Table — title, columns each
+// declaring head, CSV key, width and verb once, rows, notes — and
+// Table.Text and Table.CSV are the only two writers. Experiments
+// lists them all, in the order `ciflow all` prints them, and is the
+// one place that does: `ciflow <name>`, `ciflow help`, `all`, the
+// root BenchmarkExperiments and the README check walk it. Adding an
+// experiment is one compute function, one layout function and one
+// entry there (and its row in README.md, which a test then demands).
 package analysis
 
 import (

@@ -27,7 +27,7 @@ func TestTableIIShape(t *testing.T) {
 			t.Errorf("%s: AI ordering violated: %v", row.Bench, row.AI)
 		}
 	}
-	out := FormatTableII(rows)
+	out := textOf(t, "table2")
 	if !strings.Contains(out, "BTS3") || !strings.Contains(out, "DPRIVE") {
 		t.Error("formatted table missing benchmarks")
 	}
@@ -66,7 +66,6 @@ func TestTableIVHeadlineClaims(t *testing.T) {
 	if maxSaved < 4 || maxSaved > 16 {
 		t.Errorf("max bandwidth saving %.2fx outside the paper's 2-8x regime", maxSaved)
 	}
-	t.Log("\n" + FormatTableIV(rows))
 }
 
 func TestTableIVARKIsBestCase(t *testing.T) {
@@ -170,7 +169,6 @@ func TestFigure7SlowdownBounded(t *testing.T) {
 			t.Errorf("%s: equivalent-bandwidth factor %.2fx outside [1,5]", row.Bench, row.ExtraBWFactor)
 		}
 	}
-	t.Log("\n" + FormatFigure7(rows))
 }
 
 func TestFigure8ModopsScaling(t *testing.T) {
@@ -205,7 +203,6 @@ func TestTableVOrdering(t *testing.T) {
 	if !(oc < dc && dc <= mp) {
 		t.Errorf("bandwidth ordering violated: OC=%.1f DC=%.1f MP=%.1f", oc, dc, mp)
 	}
-	t.Log("\n" + FormatTableV(rows))
 }
 
 func TestFigure9MoreModopsLessBandwidth(t *testing.T) {
@@ -226,7 +223,6 @@ func TestFigure9MoreModopsLessBandwidth(t *testing.T) {
 	}
 	check("saturation", sat)
 	check("baseline", base)
-	t.Log("\n" + FormatFigure9(sat, base))
 }
 
 func TestAblationKeyCompression(t *testing.T) {
@@ -248,11 +244,10 @@ func TestAblationKeyCompression(t *testing.T) {
 	if maxAI < 2.5 {
 		t.Errorf("best compressed AI %.2f too low vs paper's 3.82", maxAI)
 	}
-	t.Log("\n" + FormatKeyCompression(rows))
 }
 
 func TestAreaSummary(t *testing.T) {
-	out := AreaSummary()
+	out := textOf(t, "area")
 	if !strings.Contains(out, "12.25x") {
 		t.Errorf("area summary missing the 12.25x claim:\n%s", out)
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
@@ -37,17 +36,25 @@ func (r *Runner) Figure4(b params.Benchmark, bws []float64) ([]SweepPoint, error
 	return pts, nil
 }
 
-// FormatSweep renders a bandwidth sweep as an ASCII table.
-func FormatSweep(title string, pts []SweepPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	fmt.Fprintf(&sb, "%10s %10s %10s %10s %8s %8s %8s\n",
-		"BW GB/s", "MP ms", "DC ms", "OC ms", "MPidle", "DCidle", "OCidle")
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "%10.1f %10.2f %10.2f %10.2f %7.0f%% %7.0f%% %7.0f%%\n",
-			p.BWGBs, p.MS[0], p.MS[1], p.MS[2], p.Idle[0]*100, p.Idle[1]*100, p.Idle[2]*100)
+// sweepBandwidths is the paper's grid for b: ARK and BTS3 extend to
+// 1 TB/s (Figure 4 d, e).
+func sweepBandwidths(b params.Benchmark) []float64 {
+	if b.Name == "ARK" || b.Name == "BTS3" {
+		return ExtBandwidthsGBs
 	}
-	return sb.String()
+	return StdBandwidthsGBs
+}
+
+func figure4(r *Runner, b params.Benchmark) ([]*Table, error) {
+	pts, err := r.Figure4(b, sweepBandwidths(b))
+	return tabulate(pts, err, &Table{
+		Title: fmt.Sprintf("Figure 4 (%s): HKS runtime vs off-chip bandwidth, evk on-chip", b.Name),
+		Cols: []Col{bwCol,
+			{"MP ms", "mp_ms", 10, "%.2f"}, {"DC ms", "dc_ms", 10, "%.2f"}, {"OC ms", "oc_ms", 10, "%.2f"},
+			{"MPidle", "mp_idle", 8, "%.0f%%"}, {"DCidle", "dc_idle", 8, "%.0f%%"}, {"OCidle", "oc_idle", 8, "%.0f%%"}},
+	}, func(p SweepPoint) []any {
+		return []any{p.BWGBs, p.MS[0], p.MS[1], p.MS[2], Frac(p.Idle[0]), Frac(p.Idle[1]), Frac(p.Idle[2])}
+	})
 }
 
 // ---- Figures 5 & 6: evk streamed vs on-chip ----
@@ -83,17 +90,22 @@ func (r *Runner) FigureStream(b params.Benchmark, bws []float64) ([]StreamPoint,
 	return pts, nil
 }
 
-// FormatStream renders a streamed-vs-on-chip sweep.
-func FormatStream(title string, pts []StreamPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (solid: evk streamed, dotted: evk on-chip)\n", title)
-	fmt.Fprintf(&sb, "%10s %28s %28s\n", "", "streamed  MP/DC/OC (ms)", "on-chip  MP/DC/OC (ms)")
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "%10.1f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f\n",
-			p.BWGBs, p.StreamMS[0], p.StreamMS[1], p.StreamMS[2],
-			p.OnChipMS[0], p.OnChipMS[1], p.OnChipMS[2])
+// figureStream is Figure 5 (BTS3) and Figure 6 (ARK). Its heads label
+// groups of three columns, so they are the title's second line and the
+// columns have none of their own.
+func figureStream(figure int, b params.Benchmark) func(*Runner, params.Benchmark) ([]*Table, error) {
+	return func(r *Runner, _ params.Benchmark) ([]*Table, error) {
+		pts, err := r.FigureStream(b, ExtBandwidthsGBs)
+		return tabulate(pts, err, &Table{
+			Title: fmt.Sprintf("Figure %d: %s runtime, evk streamed vs on-chip (solid: evk streamed, dotted: evk on-chip)\n%10s %28s %28s",
+				figure, b.Name, "", "streamed  MP/DC/OC (ms)", "on-chip  MP/DC/OC (ms)"),
+			Cols: []Col{{"", "bw_gbs", 10, "%.1f"},
+				{"", "mp_stream_ms", 9, "%.2f"}, {"", "dc_stream_ms", 9, "%.2f"}, {"", "oc_stream_ms", 9, "%.2f"},
+				{"", "mp_onchip_ms", 9, "%.2f"}, {"", "dc_onchip_ms", 9, "%.2f"}, {"", "oc_onchip_ms", 9, "%.2f"}},
+		}, func(p StreamPoint) []any {
+			return []any{p.BWGBs, p.StreamMS[0], p.StreamMS[1], p.StreamMS[2], p.OnChipMS[0], p.OnChipMS[1], p.OnChipMS[2]}
+		})
 	}
-	return sb.String()
 }
 
 // ---- Figure 7: OC streaming slowdown and equivalent bandwidth ----
@@ -141,17 +153,16 @@ func (r *Runner) Figure7() ([]Figure7Row, error) {
 	return rows, nil
 }
 
-// FormatFigure7 renders the study.
-func FormatFigure7(rows []Figure7Row) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 7: OC with evks streamed vs on-chip (12.25x SRAM saving)\n")
-	fmt.Fprintf(&sb, "%-10s %9s %12s %12s %9s %10s %8s\n",
-		"Benchmark", "OCbase", "on-chip ms", "stream ms", "slowdown", "equiv BW", "xBW")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %8.1fG %12.2f %12.2f %8.2fx %9.2fG %7.2fx\n",
-			r.Bench, r.OCBaseGBs, r.OnChipMS, r.StreamMS, r.Slowdown, r.EquivGBs, r.ExtraBWFactor)
-	}
-	return sb.String()
+func figure7(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.Figure7()
+	return tabulate(rows, err, &Table{
+		Title: "Figure 7: OC with evks streamed vs on-chip (12.25x SRAM saving)",
+		Cols: []Col{benchCol, {"OCbase", "ocbase_gbs", 9, "%.1fG"},
+			{"on-chip ms", "onchip_ms", 12, "%.2f"}, {"stream ms", "stream_ms", 12, "%.2f"},
+			{"slowdown", "slowdown_x", 9, "%.2fx"}, {"equiv BW", "equiv_gbs", 10, "%.2fG"}, {"xBW", "extra_bw_x", 8, "%.2fx"}},
+	}, func(r Figure7Row) []any {
+		return []any{r.Bench, r.OCBaseGBs, r.OnChipMS, r.StreamMS, r.Slowdown, r.EquivGBs, r.ExtraBWFactor}
+	})
 }
 
 // ---- Figure 8: MODOPS scaling ----
@@ -183,23 +194,22 @@ func (r *Runner) Figure8(b params.Benchmark, bws []float64) ([]ModopsPoint, erro
 	return pts, nil
 }
 
-// FormatFigure8 renders the MODOPS sweep.
-func FormatFigure8(title string, pts []ModopsPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	fmt.Fprintf(&sb, "%10s", "BW GB/s")
+func figure8(r *Runner, b params.Benchmark) ([]*Table, error) {
+	t := &Table{
+		Title: fmt.Sprintf("Figure 8 (%s): OC runtime at 1-16x MODOPS, evk on-chip", b.Name),
+		Cols:  []Col{bwCol},
+	}
 	for _, sc := range ModopsScales {
-		fmt.Fprintf(&sb, " %9s", fmt.Sprintf("%dx ms", sc))
+		t.Cols = append(t.Cols, Col{fmt.Sprintf("%dx ms", sc), fmt.Sprintf("ms_%dx", sc), 9, "%.2f"})
 	}
-	sb.WriteString("\n")
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "%10.1f", p.BWGBs)
+	pts, err := r.Figure8(b, ExtBandwidthsGBs)
+	return tabulate(pts, err, t, func(p ModopsPoint) []any {
+		row := []any{p.BWGBs}
 		for _, sc := range ModopsScales {
-			fmt.Fprintf(&sb, " %9.2f", p.MS[sc])
+			row = append(row, p.MS[sc])
 		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
+		return row
+	})
 }
 
 // ---- Figure 9: equivalent configurations with streamed evks ----
@@ -236,19 +246,23 @@ func (r *Runner) Figure9() (sat, base []Figure9Row, err error) {
 	return sat, base, nil
 }
 
-// FormatFigure9 renders both equivalence sets.
-func FormatFigure9(sat, base []Figure9Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 9: ARK OC with streamed evks, configs matching reference performance\n")
-	write := func(name string, rows []Figure9Row) {
-		fmt.Fprintf(&sb, "(%s)\n%10s %10s %12s\n", name, "MODOPS", "BW GB/s", "target ms")
-		for _, r := range rows {
-			fmt.Fprintf(&sb, "%9.0fx %10.2f %12.2f\n", r.Modops, r.BWGBs, r.TargetMS)
-		}
+func figure9(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	sat, base, err := r.Figure9()
+	if err != nil {
+		return nil, err
 	}
-	write("a: saturation point", sat)
-	write("b: baseline", base)
-	return sb.String()
+	table := func(title string, rows []Figure9Row) *Table {
+		t := &Table{Title: title, Cols: []Col{
+			{"MODOPS", "modops_x", 10, "%.0fx"}, {"BW GB/s", "bw_gbs", 10, "%.2f"}, {"target ms", "target_ms", 12, "%.2f"}}}
+		for _, r := range rows {
+			t.Add(r.Modops, r.BWGBs, r.TargetMS)
+		}
+		return t
+	}
+	return []*Table{
+		table("Figure 9: ARK OC with streamed evks, configs matching reference performance\n(a: saturation point)", sat),
+		table("(b: baseline)", base),
+	}, nil
 }
 
 // ---- §IV-D key-compression ablation ----
@@ -285,13 +299,13 @@ func (r *Runner) AblationKeyCompression() ([]KeyCompressionRow, error) {
 	return rows, nil
 }
 
-// FormatKeyCompression renders the ablation.
-func FormatKeyCompression(rows []KeyCompressionRow) string {
-	var sb strings.Builder
-	sb.WriteString("Key-compression ablation (OC, evk streamed, 32MB on-chip)\n")
-	fmt.Fprintf(&sb, "%-10s %10s %8s %12s %10s\n", "Benchmark", "MB", "AI", "MB (comp)", "AI (comp)")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %10.0f %8.2f %12.0f %10.2f\n", r.Bench, r.MB, r.AI, r.MBComp, r.AIComp)
-	}
-	return sb.String()
+func ablationKeyCompression(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.AblationKeyCompression()
+	return tabulate(rows, err, &Table{
+		Title: "Key-compression ablation (OC, evk streamed, 32MB on-chip)",
+		Cols: []Col{benchCol, {"MB", "mb", 10, "%.0f"}, {"AI", "ai", 8, "%.2f"},
+			{"MB (comp)", "mb_comp", 12, "%.0f"}, {"AI (comp)", "ai_comp", 10, "%.2f"}},
+	}, func(r KeyCompressionRow) []any {
+		return []any{r.Bench, r.MB, r.AI, r.MBComp, r.AIComp}
+	})
 }

@@ -9,7 +9,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"ciflow/internal/params"
 )
@@ -35,17 +34,17 @@ func HoistedSpeedup(b params.Benchmark, k int) float64 {
 	return float64(k) / (float64(k) - float64(k-1)*f)
 }
 
-// FormatHoisting renders the modeled hoisting savings of a benchmark
-// for a list of fan-out widths k.
-func FormatHoisting(b params.Benchmark, ks []int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Hoisting model (%s): ModUp is %.0f%% of one key switch's weighted mod ops\n",
-		b.Name, 100*HoistedModUpFraction(b))
-	fmt.Fprintf(&sb, "%6s %16s %14s\n", "k", "ops saved", "speedup")
-	total := b.Ops().WeightedTotal()
-	for _, k := range ks {
-		saved := float64(k-1) * HoistedModUpFraction(b) * float64(total)
-		fmt.Fprintf(&sb, "%6d %15.2fG %13.2fx\n", k, saved/1e9, HoistedSpeedup(b, k))
+// Hoisting tabulates the modeled hoisting savings of a benchmark for a
+// list of fan-out widths k.
+func Hoisting(b params.Benchmark, ks []int) *Table {
+	f := HoistedModUpFraction(b)
+	t := &Table{
+		Title: fmt.Sprintf("Hoisting model (%s): ModUp is %.0f%% of one key switch's weighted mod ops", b.Name, 100*f),
+		Cols:  []Col{{"k", "k", 6, "%d"}, {"ops saved", "ops_saved_g", 16, "%.2fG"}, {"speedup", "speedup_x", 14, "%.2fx"}},
 	}
-	return sb.String()
+	total := float64(b.Ops().WeightedTotal())
+	for _, k := range ks {
+		t.Add(k, float64(k-1)*f*total/1e9, HoistedSpeedup(b, k))
+	}
+	return t
 }

@@ -37,7 +37,7 @@ func TestHoistedSpeedupMonotone(t *testing.T) {
 }
 
 func TestFormatHoisting(t *testing.T) {
-	out := FormatHoisting(params.BTS3, []int{2, 8})
+	out := Hoisting(params.BTS3, []int{2, 8}).Text()
 	for _, want := range []string{"BTS3", "speedup", "ops saved"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
+	"math"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
@@ -24,8 +24,8 @@ type MemoryPoint struct {
 }
 
 // MemorySweep evaluates non-evk DRAM traffic across on-chip memory
-// sizes. Sizes too small for a dataflow's pinned working set are
-// reported as +Inf overhead.
+// sizes. A size too small for a dataflow's pinned working set is
+// reported as +Inf traffic and overhead.
 func MemorySweep(b params.Benchmark, memMiBs []int64) ([]MemoryPoint, error) {
 	compulsory := float64(b.InputBytes()+b.OutputBytes()) / mib
 	var pts []MemoryPoint
@@ -38,8 +38,7 @@ func MemorySweep(b params.Benchmark, memMiBs []int64) ([]MemoryPoint, error) {
 				EvkOnChip:    true, // isolate data traffic
 			})
 			if err != nil {
-				p.TotalMB[i] = -1
-				p.Overhead[i] = -1
+				p.TotalMB[i], p.Overhead[i] = math.Inf(1), math.Inf(1)
 				continue
 			}
 			tot := float64(s.Traffic.LoadBytes+s.Traffic.StoreBytes) / mib
@@ -90,29 +89,22 @@ func SpillFreeMemoryMiB(df dataflow.Dataflow, b params.Benchmark) (int64, error)
 	return hi * tb / mib, nil
 }
 
-// FormatMemory renders a memory sweep.
-func FormatMemory(b params.Benchmark, pts []MemoryPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Data traffic vs on-chip memory (%s, evk on-chip, non-evk bytes)\n", b.Name)
-	fmt.Fprintf(&sb, "%9s %10s %10s %10s %9s %9s %9s\n",
-		"MiB", "MP MiB", "DC MiB", "OC MiB", "MP ovh", "DC ovh", "OC ovh")
-	for _, p := range pts {
-		row := fmt.Sprintf("%9d", p.MemMiB)
-		for i := 0; i < 3; i++ {
-			if p.TotalMB[i] < 0 {
-				row += fmt.Sprintf(" %10s", "n/a")
-			} else {
-				row += fmt.Sprintf(" %10.0f", p.TotalMB[i])
-			}
+func memory(_ *Runner, b params.Benchmark) ([]*Table, error) {
+	// A size the dataflow cannot be scheduled at has no value.
+	fits := func(v float64) any {
+		if math.IsInf(v, 1) {
+			return nil
 		}
-		for i := 0; i < 3; i++ {
-			if p.Overhead[i] < 0 {
-				row += fmt.Sprintf(" %9s", "n/a")
-			} else {
-				row += fmt.Sprintf(" %8.1fx", p.Overhead[i])
-			}
-		}
-		sb.WriteString(row + "\n")
+		return v
 	}
-	return sb.String()
+	pts, err := MemorySweep(b, []int64{8, 16, 32, 64, 128, 256, 512, 1024})
+	return tabulate(pts, err, &Table{
+		Title: fmt.Sprintf("Data traffic vs on-chip memory (%s, evk on-chip, non-evk bytes)", b.Name),
+		Cols: []Col{{"MiB", "mem_mib", 9, "%d"},
+			{"MP MiB", "mp_mb", 10, "%.0f"}, {"DC MiB", "dc_mb", 10, "%.0f"}, {"OC MiB", "oc_mb", 10, "%.0f"},
+			{"MP ovh", "mp_ovh", 9, "%.1fx"}, {"DC ovh", "dc_ovh", 9, "%.1fx"}, {"OC ovh", "oc_ovh", 9, "%.1fx"}},
+	}, func(p MemoryPoint) []any {
+		return []any{p.MemMiB, fits(p.TotalMB[0]), fits(p.TotalMB[1]), fits(p.TotalMB[2]),
+			fits(p.Overhead[0]), fits(p.Overhead[1]), fits(p.Overhead[2])}
+	})
 }

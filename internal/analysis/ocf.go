@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
@@ -63,17 +62,15 @@ func (r *Runner) AblationOCF() ([]OCFRow, error) {
 	return rows, nil
 }
 
-// FormatOCF renders the ablation.
-func FormatOCF(rows []OCFRow) string {
-	var sb strings.Builder
-	sb.WriteString("OCF ablation: Output-Centric with fused ModDown (extension; evk streamed)\n")
-	fmt.Fprintf(&sb, "%-10s %9s %9s %8s %9s %9s %9s %7s\n",
-		"Benchmark", "OC MB", "OCF MB", "saved", "OC ms", "OCF ms", "faster", "fused")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %9.0f %9.0f %7.1f%% %9.2f %9.2f %8.1f%% %7v\n",
-			r.Bench, r.OCMB, r.OCFMB, r.SavedPct, r.OCms, r.OCFms, r.SpeedupPct, r.Fused)
-	}
-	return sb.String()
+func ablationOCF(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.AblationOCF()
+	return tabulate(rows, err, &Table{
+		Title: "OCF ablation: Output-Centric with fused ModDown (extension; evk streamed)",
+		Cols: []Col{benchCol, {"OC MB", "oc_mb", 9, "%.0f"}, {"OCF MB", "ocf_mb", 9, "%.0f"}, {"saved", "saved_pct", 8, "%.1f%%"},
+			{"OC ms", "oc_ms", 9, "%.2f"}, {"OCF ms", "ocf_ms", 9, "%.2f"}, {"faster", "faster_pct", 9, "%.1f%%"}, {"fused", "fused", 7, "%v"}},
+	}, func(r OCFRow) []any {
+		return []any{r.Bench, r.OCMB, r.OCFMB, r.SavedPct, r.OCms, r.OCFms, r.SpeedupPct, r.Fused}
+	})
 }
 
 // ---- Roofline classification ----
@@ -113,17 +110,27 @@ func (r *Runner) Roofline(bwGBs float64) ([]RooflineRow, error) {
 	return rows, nil
 }
 
-// FormatRoofline renders the classification.
-func FormatRoofline(bwGBs float64, rows []RooflineRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Roofline at %.1f GB/s (machine balance %.2f ops/byte)\n", bwGBs, rows[0].BalanceAI)
-	fmt.Fprintf(&sb, "%-10s %-4s %8s %14s\n", "Benchmark", "DF", "AI", "bound")
-	for _, r := range rows {
-		bound := "compute"
-		if r.MemoryBound {
-			bound = "memory"
+// roofline classifies at DDR4, DDR5 and HBM bandwidths, one table each.
+func roofline(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	var tables []*Table
+	for _, bw := range []float64{8, 64, 256} {
+		rows, err := r.Roofline(bw)
+		if err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(&sb, "%-10s %-4s %8.2f %14s\n", r.Bench, r.Dataflow, r.AI, bound)
+		t := &Table{
+			Title: fmt.Sprintf("Roofline at %.1f GB/s (machine balance %.2f ops/byte)", bw, rows[0].BalanceAI),
+			Cols:  []Col{benchCol, {"DF", "dataflow", -4, "%s"}, {"AI", "ai", 8, "%.2f"}, {"bound", "bound", 14, "%s"}},
+			Notes: []string{""}, // a blank line closes each table, the last too
+		}
+		for _, r := range rows {
+			bound := "compute"
+			if r.MemoryBound {
+				bound = "memory"
+			}
+			t.Add(r.Bench, r.Dataflow, r.AI, bound)
+		}
+		tables = append(tables, t)
 	}
-	return sb.String()
+	return tables, nil
 }

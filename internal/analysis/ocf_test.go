@@ -32,7 +32,6 @@ func TestAblationOCF(t *testing.T) {
 	if !fusedAny {
 		t.Error("fusion never engaged; expected it for ARK/DPRIVE at 32MB")
 	}
-	t.Log("\n" + FormatOCF(rows))
 }
 
 func TestRoofline(t *testing.T) {
@@ -60,8 +59,7 @@ func TestRoofline(t *testing.T) {
 			t.Errorf("%s/%s compute-bound at 8 GB/s?", row.Bench, row.Dataflow)
 		}
 	}
-	out := FormatRoofline(8, low)
-	if !strings.Contains(out, "memory") {
-		t.Error("formatting broken")
+	if out := textOf(t, "roofline"); !strings.Contains(out, "memory") || !strings.Contains(out, "compute") {
+		t.Errorf("roofline tables name no memory- or no compute-bound row:\n%s", out)
 	}
 }

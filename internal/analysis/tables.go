@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-	"strings"
-
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
 	"ciflow/internal/rpu"
@@ -40,32 +37,31 @@ func (r *Runner) TableII() ([]TableIIRow, error) {
 	return rows, nil
 }
 
-// FormatTableII renders the rows like the paper's table.
-func FormatTableII(rows []TableIIRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table II: DRAM transfers (MB) incl. streamed evk, 32MB on-chip, and AI (ops/byte)\n")
-	fmt.Fprintf(&sb, "%-10s %9s %6s %9s %6s %9s %6s\n", "Benchmark", "MP MB", "AI", "DC MB", "AI", "OC MB", "AI")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %9.0f %6.2f %9.0f %6.2f %9.0f %6.2f\n",
-			r.Bench, r.MB[0], r.AI[0], r.MB[1], r.AI[1], r.MB[2], r.AI[2])
-	}
-	return sb.String()
+func tableII(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.TableII()
+	return tabulate(rows, err, &Table{
+		Title: "Table II: DRAM transfers (MB) incl. streamed evk, 32MB on-chip, and AI (ops/byte)",
+		Cols: []Col{benchCol,
+			{"MP MB", "mp_mb", 9, "%.0f"}, {"AI", "mp_ai", 6, "%.2f"},
+			{"DC MB", "dc_mb", 9, "%.0f"}, {"AI", "dc_ai", 6, "%.2f"},
+			{"OC MB", "oc_mb", 9, "%.0f"}, {"AI", "oc_ai", 6, "%.2f"}},
+	}, func(r TableIIRow) []any {
+		return []any{r.Bench, r.MB[0], r.AI[0], r.MB[1], r.AI[1], r.MB[2], r.AI[2]}
+	})
 }
 
 // ---- Table III: benchmark parameters ----
 
-// FormatTableIII renders the parameter sets with derived sizes.
-func FormatTableIII() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table III: 128-bit-secure HKS parameter sets\n")
-	fmt.Fprintf(&sb, "%-10s %5s %4s %4s %5s %6s %10s %10s\n",
-		"Benchmark", "logN", "kl", "kp", "dnum", "alpha", "evk MiB", "temp MiB")
-	for _, b := range params.All() {
-		fmt.Fprintf(&sb, "%-10s %5d %4d %4d %5d %6d %10.0f %10.1f\n",
-			b.Name, b.LogN, b.KL, b.KP, b.Dnum, b.Alpha(),
-			float64(b.EvkBytes())/mib, float64(b.TempBytes())/mib)
-	}
-	return sb.String()
+func tableIII(*Runner, params.Benchmark) ([]*Table, error) {
+	return tabulate(params.All(), nil, &Table{
+		Title: "Table III: 128-bit-secure HKS parameter sets",
+		Cols: []Col{benchCol,
+			{"logN", "logn", 5, "%d"}, {"kl", "kl", 4, "%d"}, {"kp", "kp", 4, "%d"},
+			{"dnum", "dnum", 5, "%d"}, {"alpha", "alpha", 6, "%d"},
+			{"evk MiB", "evk_mib", 10, "%.0f"}, {"temp MiB", "temp_mib", 10, "%.1f"}},
+	}, func(b params.Benchmark) []any {
+		return []any{b.Name, b.LogN, b.KL, b.KP, b.Dnum, b.Alpha(), float64(b.EvkBytes()) / mib, float64(b.TempBytes()) / mib}
+	})
 }
 
 // ---- Table IV: OCbase bandwidth and speedups ----
@@ -78,8 +74,6 @@ type TableIVRow struct {
 	OCms, MPms float64 // runtimes at OCbase
 	Speedup    float64 // MP/OC at OCbase
 	BaselineMS float64 // MP at 64 GB/s (reference)
-	OCIdle     float64 // compute idle fraction of OC at OCbase
-	MPIdle     float64
 }
 
 // TableIV reproduces paper Table IV: the bandwidth at which OC (evk
@@ -97,36 +91,34 @@ func (r *Runner) TableIV() ([]TableIVRow, error) {
 			return nil, err
 		}
 		bw := OCBaseGridGBs(cont)
-		ocRes, err := r.Runtime(dataflow.OC, b, true, bw, 1)
+		oc, err := r.RuntimeMS(dataflow.OC, b, true, bw, 1)
 		if err != nil {
 			return nil, err
 		}
-		mpRes, err := r.Runtime(dataflow.MP, b, true, bw, 1)
+		mp, err := r.RuntimeMS(dataflow.MP, b, true, bw, 1)
 		if err != nil {
 			return nil, err
 		}
-		oc := ocRes.RuntimeSec * 1e3
-		mp := mpRes.RuntimeSec * 1e3
 		rows = append(rows, TableIVRow{
 			Bench: b.Name, OCBaseGBs: bw, SavedBW: BaselineBandwidthGBs / bw,
 			OCms: oc, MPms: mp, Speedup: mp / oc, BaselineMS: base,
-			OCIdle: ocRes.CmpIdleFrac, MPIdle: mpRes.CmpIdleFrac,
 		})
 	}
 	return rows, nil
 }
 
-// FormatTableIV renders the rows like the paper's table.
-func FormatTableIV(rows []TableIVRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table IV: OC bandwidth matching MP@64GB/s baseline (evk on-chip)\n")
-	fmt.Fprintf(&sb, "%-10s %10s %9s %9s %9s %9s %10s\n",
-		"Benchmark", "OCbase", "SavedBW", "OC ms", "MP ms", "Speedup", "Base ms")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %8.1fG %8.2fx %9.2f %9.2f %8.2fx %10.2f\n",
-			r.Bench, r.OCBaseGBs, r.SavedBW, r.OCms, r.MPms, r.Speedup, r.BaselineMS)
-	}
-	return sb.String()
+func tableIV(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.TableIV()
+	return tabulate(rows, err, &Table{
+		Title: "Table IV: OC bandwidth matching MP@64GB/s baseline (evk on-chip)",
+		Cols: []Col{benchCol,
+			// This head has always printed one wider than its cells.
+			{"    OCbase", "ocbase_gbs", 9, "%.1fG"}, {"SavedBW", "saved_bw_x", 9, "%.2fx"},
+			{"OC ms", "oc_ms", 9, "%.2f"}, {"MP ms", "mp_ms", 9, "%.2f"},
+			{"Speedup", "speedup_x", 9, "%.2fx"}, {"Base ms", "baseline_ms", 10, "%.2f"}},
+	}, func(r TableIVRow) []any {
+		return []any{r.Bench, r.OCBaseGBs, r.SavedBW, r.OCms, r.MPms, r.Speedup, r.BaselineMS}
+	})
 }
 
 // ---- Table V: matching ARK's saturation point ----
@@ -168,27 +160,32 @@ func (r *Runner) TableV() ([]TableVRow, error) {
 	return rows, nil
 }
 
-// FormatTableV renders the rows like the paper's table.
-func FormatTableV(rows []TableVRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table V: configurations matching ARK's saturation point (OC@128GB/s, 1x MODOPS)\n")
-	fmt.Fprintf(&sb, "%-11s %9s %8s %8s %11s\n", "Dataflow", "BW GB/s", "MODOPS", "Rel.BW", "Rel.MODOPS")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-11s %9.2f %7.2fx %7.2fx %10.2fx\n",
-			r.Dataflow, r.BWGBs, r.Modops, r.RelBW, r.RelModops)
-	}
-	return sb.String()
+func tableV(r *Runner, _ params.Benchmark) ([]*Table, error) {
+	rows, err := r.TableV()
+	return tabulate(rows, err, &Table{
+		Title: "Table V: configurations matching ARK's saturation point (OC@128GB/s, 1x MODOPS)",
+		Cols: []Col{{"Dataflow", "dataflow", -11, "%s"},
+			{"BW GB/s", "bw_gbs", 9, "%.2f"}, {"MODOPS", "modops_x", 8, "%.2fx"},
+			{"Rel.BW", "rel_bw_x", 8, "%.2fx"}, {"Rel.MODOPS", "rel_modops_x", 11, "%.2fx"}},
+	}, func(r TableVRow) []any {
+		return []any{r.Dataflow, r.BWGBs, r.Modops, r.RelBW, r.RelModops}
+	})
 }
 
 // ---- §VI-B area claim ----
 
-// AreaSummary returns the paper's SRAM-saving numbers: the 392 MB
-// (evk-resident) RPU versus the 32 MB (evk-streamed) RPU.
-func AreaSummary() string {
-	big := int64(32*mib) + params.BTS3.EvkBytes() // 392 MB configuration
+// area is the paper's SRAM saving: the 392 MB (evk-resident) RPU
+// against the 32 MB (evk-streamed) one. It is one row of five numbers;
+// the verbs carry the two sentences the text form prints them in.
+func area(*Runner, params.Benchmark) ([]*Table, error) {
+	big := int64(32*mib) + params.BTS3.EvkBytes()
 	small := int64(32 * mib)
-	return fmt.Sprintf(
-		"On-chip SRAM: %.0f MiB -> %.0f MiB (%.2fx saving)\nRPU area:     %.2f mm^2 -> %.2f mm^2\n",
-		float64(big)/mib, float64(small)/mib, float64(big)/float64(small),
-		rpu.AreaMM2(big), rpu.AreaMM2(small))
+	t := &Table{Cols: []Col{
+		{"", "sram_evk_resident_mib", 0, "On-chip SRAM: %.0f MiB ->"},
+		{"", "sram_evk_streamed_mib", 0, "%.0f MiB"},
+		{"", "sram_saving_x", 0, "(%.2fx saving)\nRPU area:    "},
+		{"", "area_evk_resident_mm2", 0, "%.2f mm^2 ->"},
+		{"", "area_evk_streamed_mm2", 0, "%.2f mm^2"}}}
+	t.Add(float64(big)/mib, float64(small)/mib, float64(big)/float64(small), rpu.AreaMM2(big), rpu.AreaMM2(small))
+	return []*Table{t}, nil
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
@@ -103,31 +102,29 @@ func (r *Runner) EstimateWorkload(w Workload, b params.Benchmark, evkOnChip bool
 	return out, nil
 }
 
-// FormatWorkload renders the estimates; workloads with hoist groups
-// get the hoisted-total column.
-func FormatWorkload(bwGBs float64, rows []WorkloadEstimate) string {
-	var sb strings.Builder
+// WorkloadTable tabulates the estimates; a workload with hoist groups
+// gets the hoisted-total column and a note of the ModUps saved.
+func WorkloadTable(bwGBs float64, rows []WorkloadEstimate) *Table {
 	if len(rows) == 0 {
-		return "(no estimates)\n"
+		return &Table{Title: "(no estimates)"}
 	}
 	hoisted := rows[0].HoistSavedModUps > 0
-	fmt.Fprintf(&sb, "Workload %s at %.1f GB/s (key-switch time only)\n", rows[0].Workload, bwGBs)
-	if hoisted {
-		fmt.Fprintf(&sb, "%-4s %12s %12s %12s %14s\n", "DF", "per-KS ms", "total s", "hoisted s", "DRAM GB")
-	} else {
-		fmt.Fprintf(&sb, "%-4s %12s %12s %14s\n", "DF", "per-KS ms", "total s", "DRAM GB")
+	t := &Table{
+		Title: fmt.Sprintf("Workload %s at %.1f GB/s (key-switch time only)", rows[0].Workload, bwGBs),
+		Cols:  []Col{{"DF", "dataflow", -4, "%s"}, {"per-KS ms", "per_ks_ms", 12, "%.2f"}, {"total s", "total_s", 12, "%.1f"}},
 	}
+	if hoisted {
+		t.Cols = append(t.Cols, Col{"hoisted s", "hoisted_s", 12, "%.1f"})
+		t.Notes = []string{fmt.Sprintf("hoisting shares ModUps across the declared fan-out groups: %d ModUp executions saved",
+			rows[0].HoistSavedModUps)}
+	}
+	t.Cols = append(t.Cols, Col{"DRAM GB", "dram_gb", 14, "%.0f"})
 	for _, r := range rows {
 		if hoisted {
-			fmt.Fprintf(&sb, "%-4s %12.2f %12.1f %12.1f %14.0f\n",
-				r.Dataflow, r.PerKSms, r.TotalSec, r.HoistedTotalSec, r.DRAMGB)
+			t.Add(r.Dataflow, r.PerKSms, r.TotalSec, r.HoistedTotalSec, r.DRAMGB)
 		} else {
-			fmt.Fprintf(&sb, "%-4s %12.2f %12.1f %14.0f\n", r.Dataflow, r.PerKSms, r.TotalSec, r.DRAMGB)
+			t.Add(r.Dataflow, r.PerKSms, r.TotalSec, r.DRAMGB)
 		}
 	}
-	if hoisted {
-		fmt.Fprintf(&sb, "hoisting shares ModUps across the declared fan-out groups: %d ModUp executions saved\n",
-			rows[0].HoistSavedModUps)
-	}
-	return sb.String()
+	return t
 }

@@ -27,7 +27,7 @@ func TestEstimateWorkload(t *testing.T) {
 	if !(rows[2].TotalSec < rows[1].TotalSec && rows[1].TotalSec < rows[0].TotalSec) {
 		t.Errorf("expected OC < DC < MP totals, got %+v", rows)
 	}
-	out := FormatWorkload(25.6, rows)
+	out := WorkloadTable(25.6, rows).Text()
 	if !strings.Contains(out, "ResNet-20") {
 		t.Error("missing workload name")
 	}
@@ -75,19 +75,19 @@ func TestEstimateWorkloadHoisted(t *testing.T) {
 			t.Fatalf("%s: hoisting did not reduce the estimate", row.Dataflow)
 		}
 	}
-	out := FormatWorkload(64, rows)
+	out := WorkloadTable(64, rows).Text()
 	if !strings.Contains(out, "hoisted s") || !strings.Contains(out, "10 ModUp executions saved") {
 		t.Fatalf("hoisted rendering missing: %q", out)
 	}
 	// Workloads without groups keep the original table shape.
-	plain := FormatWorkload(64, []WorkloadEstimate{{Workload: "w", Dataflow: "MP"}})
+	plain := WorkloadTable(64, []WorkloadEstimate{{Workload: "w", Dataflow: "MP"}}).Text()
 	if strings.Contains(plain, "hoisted s") {
 		t.Fatal("plain workload rendered a hoisted column")
 	}
 }
 
 func TestFormatWorkloadEmpty(t *testing.T) {
-	if out := FormatWorkload(8, nil); !strings.Contains(out, "no estimates") {
+	if out := WorkloadTable(8, nil).Text(); !strings.Contains(out, "no estimates") {
 		t.Fatalf("unexpected %q", out)
 	}
 }

@@ -138,21 +138,6 @@ func (c *Converter) checkConvert(in, out *ring.Poly) {
 	}
 }
 
-// serialFor runs fn(0..n-1) on the caller, the fallback for a nil
-// Runner.
-func serialFor(n int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-func loop(e ring.Runner) func(int, func(int)) {
-	if e == nil {
-		return serialFor
-	}
-	return e.ParallelFor
-}
-
 // ---- Per-tower tiles ----
 //
 // These are the building blocks the dataflow schedules tile over
@@ -207,22 +192,15 @@ func (c *Converter) ConvertExactTowerFromY(y [][]uint64, dstIdx int, dst []uint6
 // Convert converts in (coefficient domain, basis = Src) into out
 // (basis = Dst), overwriting out. in is not modified. Scratch comes
 // from an internal pool, so steady-state conversion does not allocate.
-func (c *Converter) Convert(in, out *ring.Poly) { c.convert(nil, in, out) }
-
-// ConvertWith is Convert with the per-tower tiles fanned out on e
-// (nil e runs serially). Bit-exact with Convert.
-func (c *Converter) ConvertWith(e ring.Runner, in, out *ring.Poly) { c.convert(e, in, out) }
-
-func (c *Converter) convert(e ring.Runner, in, out *ring.Poly) {
+func (c *Converter) Convert(in, out *ring.Poly) {
 	c.checkConvert(in, out)
-	pf := loop(e)
 	s := c.scratch.Get().(*convScratch)
-	pf(len(c.src), func(i int) {
+	for i := range c.src {
 		c.YScaleRow(i, in.Coeffs[i], s.y[i])
-	})
-	pf(len(c.dst), func(j int) {
+	}
+	for j := range c.dst {
 		c.ConvertTowerFromY(s.y, j, out.Coeffs[j])
-	})
+	}
 	c.scratch.Put(s)
 	out.IsNTT = false
 }
@@ -233,39 +211,16 @@ func (c *Converter) convert(e ring.Runner, in, out *ring.Poly) {
 // *centered* representative x̃ ∈ [-B*/2, B*/2) reduced into each
 // destination tower. Used by ModDown, where the overshoot would
 // otherwise add P-scaled noise.
-func (c *Converter) ConvertExact(in, out *ring.Poly) { c.convertExact(nil, in, out) }
-
-// ConvertExactWith is ConvertExact with the per-tower tiles fanned
-// out on e (nil e runs serially). Bit-exact with ConvertExact.
-func (c *Converter) ConvertExactWith(e ring.Runner, in, out *ring.Poly) {
-	c.convertExact(e, in, out)
-}
-
-// OvershootChunk bounds the coefficients one Overshoot tile covers
-// when the estimate is parallelized; internal/hks tiles its ModDown
-// overshoot nodes with the same granularity.
-const OvershootChunk = 2048
-
-func (c *Converter) convertExact(e ring.Runner, in, out *ring.Poly) {
+func (c *Converter) ConvertExact(in, out *ring.Poly) {
 	c.checkConvert(in, out)
-	pf := loop(e)
-	n := c.r.N
 	s := c.scratch.Get().(*convScratch)
-	pf(len(c.src), func(i int) {
+	for i := range c.src {
 		c.YScaleRow(i, in.Coeffs[i], s.y[i])
-	})
-	chunks := (n + OvershootChunk - 1) / OvershootChunk
-	pf(chunks, func(ci int) {
-		from := ci * OvershootChunk
-		to := from + OvershootChunk
-		if to > n {
-			to = n
-		}
-		c.Overshoot(s.y, from, to)
-	})
-	pf(len(c.dst), func(j int) {
+	}
+	c.Overshoot(s.y, 0, c.r.N)
+	for j := range c.dst {
 		c.ConvertExactTowerFromY(s.y, j, out.Coeffs[j])
-	})
+	}
 	c.scratch.Put(s)
 	out.IsNTT = false
 }

@@ -3,7 +3,6 @@ package bconv
 import (
 	"testing"
 
-	"ciflow/internal/engine"
 	"ciflow/internal/ring"
 )
 
@@ -20,42 +19,6 @@ func parallelSetup(t *testing.T) (*ring.Ring, *Converter, *ring.Poly) {
 	s := ring.NewSampler(r, 5)
 	in := s.Uniform(c.Src())
 	return r, c, in
-}
-
-func TestConvertWithMatchesSerial(t *testing.T) {
-	r, c, in := parallelSetup(t)
-	e := engine.New(4)
-	defer e.Close()
-
-	serial := r.NewPoly(c.Dst())
-	par := r.NewPoly(c.Dst())
-	c.Convert(in, serial)
-	c.ConvertWith(e, in, par)
-	if !serial.Equal(par) {
-		t.Fatal("ConvertWith differs from Convert")
-	}
-	c.ConvertWith(nil, in, par)
-	if !serial.Equal(par) {
-		t.Fatal("nil-runner ConvertWith differs from Convert")
-	}
-}
-
-func TestConvertExactWithMatchesSerial(t *testing.T) {
-	r, c, in := parallelSetup(t)
-	e := engine.New(4)
-	defer e.Close()
-
-	serial := r.NewPoly(c.Dst())
-	par := r.NewPoly(c.Dst())
-	c.ConvertExact(in, serial)
-	c.ConvertExactWith(e, in, par)
-	if !serial.Equal(par) {
-		t.Fatal("ConvertExactWith differs from ConvertExact")
-	}
-	c.ConvertExactWith(nil, in, par)
-	if !serial.Equal(par) {
-		t.Fatal("nil-runner ConvertExactWith differs from ConvertExact")
-	}
 }
 
 func TestTilesComposeToConvert(t *testing.T) {

@@ -13,8 +13,9 @@
 // ring, so that tenant's evaluation keys stay resident where its
 // traffic lands, instead of competing for one global budget
 // (hash.go). Hot tenants can be spread over several replica shards —
-// safe because key material is deterministic (KeySeed) and every
-// hoist group stays whole on one shard.
+// safe because key material is deterministic (serve.TenantSeed: any
+// replica computes the same bits, with no secret crossing the wire)
+// and every hoist group stays whole on one shard.
 //
 // Three pieces:
 //
@@ -22,10 +23,11 @@
 //     requests, results, stats snapshots, health checks, drain, and
 //     shutdown, composed from the ring serializer. No frame carries a
 //     key: every process derives a tenant's evaluation keys from the
-//     tenant's name (KeySeed). The request frame carries a whole hoist
-//     group — the shared input polynomial once, plus one rotation per
-//     member — the network-level counterpart of hoisting itself (ship
-//     the expensive shared operand once per fan-out, not per request).
+//     tenant's name (serve.TenantSeed). The request frame carries a
+//     whole hoist group — the shared input polynomial once, plus one
+//     rotation per member — the network-level counterpart of hoisting
+//     itself (ship the expensive shared operand once per fan-out, not
+//     per request).
 //   - shard.go: the backend. It decodes group frames, hands each to
 //     its service whole (serve.SubmitGroup: one frame, one ModUp), and
 //     streams results back. Drain makes its counters final: a
@@ -50,19 +52,6 @@
 package cluster
 
 import "ciflow/internal/serve"
-
-// KeySeed maps a tenant name to the deterministic key-generation seed
-// every member of the cluster uses for that tenant's keyspace. It is
-// serve.TenantSeed — the single-process service and the shards build
-// key material through the one serve.SeedKeySource code path, so any
-// shard and the router-side serial reference derive bit-identical key
-// material from the tenant name alone, without secret material ever
-// crossing the wire. That determinism is what makes hot-key
-// replication exactness-safe (any replica computes the same bits) and
-// the end-to-end bit-exactness check meaningful.
-func KeySeed(tenant string) int64 {
-	return serve.TenantSeed(tenant)
-}
 
 // AggregateStats sums per-shard serve.Stats snapshots into one
 // cluster-wide view. The summation is serve's own (serve.MergeStats):

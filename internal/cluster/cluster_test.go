@@ -63,7 +63,7 @@ func startCluster(t *testing.T, n int, tenants []string, s *workload.Schedule, r
 // re-derived locally from the tenant's deterministic seed, never
 // fetched from a shard.
 func (tc *testCluster) replayTenant(s *workload.Schedule, tenant string) (*workload.ReplayResult, error) {
-	kc, _ := ckks.GenKeys(tc.cctx, KeySeed(tenant))
+	kc, _ := ckks.GenKeys(tc.cctx, serve.TenantSeed(tenant))
 	chains := serve.KeyChains{tenant: kc}
 	tv := &TenantView{Router: tc.rt, Tenant: tenant}
 	return workload.Replay(context.Background(), tv, tc.cctx.Switchers(), chains, tc.cctx.R,
@@ -441,7 +441,7 @@ func TestShardGroupRefusedWhole(t *testing.T) {
 	}
 
 	served := roundTrip(&Group{BaseID: 200, Tenant: "t0", Level: 3, Rots: rots, Input: in})
-	kc, _ := ckks.GenKeys(tc.cctx, KeySeed("t0"))
+	kc, _ := ckks.GenKeys(tc.cctx, serve.TenantSeed("t0"))
 	evks := make([]*hks.Evk, len(rots))
 	for i, rot := range rots {
 		if evks[i], err = kc.HoistKey(rot, 3); err != nil {

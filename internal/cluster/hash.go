@@ -6,7 +6,8 @@ package cluster
 // own its arc of the ring, and removing a shard (drain, death) moves
 // only the tenants on its arcs instead of reshuffling everyone. The
 // replica walk gives hot tenants up to R distinct shards; key
-// determinism (KeySeed) makes serving from any replica bit-exact.
+// determinism (serve.TenantSeed) makes serving from any replica
+// bit-exact.
 
 import (
 	"fmt"

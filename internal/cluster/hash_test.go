@@ -66,17 +66,3 @@ func TestHashRingRemove(t *testing.T) {
 		t.Fatalf("empty ring returned owners %v", got)
 	}
 }
-
-func TestKeySeed(t *testing.T) {
-	if KeySeed("t0") != KeySeed("t0") {
-		t.Fatal("KeySeed not deterministic")
-	}
-	if KeySeed("t0") == KeySeed("t1") {
-		t.Fatal("KeySeed collides on distinct tenants")
-	}
-	for _, tn := range []string{"", "t0", "t1", "a-long-tenant-name"} {
-		if KeySeed(tn) <= 0 {
-			t.Fatalf("KeySeed(%q) = %d, want positive", tn, KeySeed(tn))
-		}
-	}
-}

@@ -95,7 +95,7 @@ func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(tc.cctx, KeySeed("t0"))
+	kc, _ := ckks.GenKeys(tc.cctx, serve.TenantSeed("t0"))
 	evks := make([]*hks.Evk, len(rots))
 	for i, rot := range rots {
 		if evks[i], err = kc.HoistKey(rot, level); err != nil {
@@ -238,7 +238,7 @@ func TestRouterRejectsWrongBasisResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(cctx, KeySeed(tenant))
+	kc, _ := ckks.GenKeys(cctx, serve.TenantSeed(tenant))
 	evks := make([]*hks.Evk, len(rots))
 	for i, rot := range rots {
 		if evks[i], err = kc.HoistKey(rot, level); err != nil {

@@ -4,9 +4,10 @@ package cluster
 // decodes group frames, hands each to the service whole with one
 // SubmitGroup call (exactly like the in-process replay client), and
 // streams result frames back as they complete. Its evaluation keys are
-// derived deterministically from tenant names (KeySeed), so every shard
-// of a cluster serves bit-identical results for the same request — the
-// property replication and the router-side serial reference rely on.
+// derived deterministically from tenant names (serve.TenantSeed), so
+// every shard of a cluster serves bit-identical results for the same
+// request — the property replication and the router-side serial
+// reference rely on.
 //
 // Drain is the stats-exactness mechanism: once draining, a shard
 // requeues incoming group frames *before executing anything* (a group

@@ -12,7 +12,7 @@ package cluster
 // on-disk format rather than inventing a second encoding — and stats
 // snapshots travel as the stable JSON marshalling of serve.Stats. No
 // frame carries an evaluation key: every process derives a tenant's
-// keys from the tenant's name (KeySeed).
+// keys from the tenant's name (serve.TenantSeed).
 //
 // A frame is one Write. The two frames a connection carries per switch
 // — group and result — are built header-first in the connection's own

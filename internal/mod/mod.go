@@ -127,11 +127,6 @@ func (m Modulus) Mul(x, y uint64) uint64 {
 	return m.Reduce128(hi, lo)
 }
 
-// MulAdd returns x·y + z mod q for x, y, z < q.
-func (m Modulus) MulAdd(x, y, z uint64) uint64 {
-	return m.Add(m.Mul(x, y), z)
-}
-
 // ShoupPrecomp returns w' = floor(w·2^64 / q), the Shoup constant that
 // accelerates repeated multiplication by the fixed operand w < q.
 func (m Modulus) ShoupPrecomp(w uint64) uint64 {

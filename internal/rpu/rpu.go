@@ -8,7 +8,9 @@
 // weighted modular-operation counts of internal/params into time. The
 // paper does not publish per-kernel cycle counts; 4 cycles per
 // weighted op reproduces the published runtime anchor points
-// (Table IV) within a few percent — see EXPERIMENTS.md.
+// (Table IV) within a few percent — cmd/ciflow/testdata/all.golden is
+// the model's full output, and internal/analysis's tests hold it to
+// the paper's claims.
 package rpu
 
 import "fmt"

@@ -160,6 +160,23 @@ func TestCompressedHalvedBudget(t *testing.T) {
 	}
 }
 
+// TestTenantSeed: the seed every process derives a tenant's keys from
+// is a function of the name alone, differs between tenants, and is
+// positive — never the zero that would read as "unset".
+func TestTenantSeed(t *testing.T) {
+	if TenantSeed("t0") != TenantSeed("t0") {
+		t.Fatal("TenantSeed not deterministic")
+	}
+	if TenantSeed("t0") == TenantSeed("t1") {
+		t.Fatal("TenantSeed collides on distinct tenants")
+	}
+	for _, tn := range []string{"", "t0", "t1", "a-long-tenant-name"} {
+		if TenantSeed(tn) <= 0 {
+			t.Fatalf("TenantSeed(%q) = %d, want positive", tn, TenantSeed(tn))
+		}
+	}
+}
+
 // TestSeedKeySourceUnified pins the satellite contract: the
 // single-process service and the cluster shards construct keys through
 // one code path. A SeedKeySource's material — compressed or dense —

@@ -643,15 +643,12 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	// requests — the whole group's coalesce credit with it, whichever
 	// keys failed; each request's switch is counted just before its
 	// result delivers, so a caller that snapshots Stats after receiving
-	// its last result sees level slices that sum to the Served/ModUps/
-	// Coalesced totals.
+	// its last result sees it, in the level slices and in their sums.
 	shared := len(live) > 1
 	var coalesced uint64
 	if shared {
 		coalesced = uint64(len(live))
 	}
-	w.stats.modUps.Add(1)
-	w.stats.coalesced.Add(coalesced)
 	w.levels.add(level, 0, 1, coalesced)
 	// Compressed keys expand one member ahead: the first beside the
 	// hoist, each next one beside the replay before it. However wide
@@ -730,7 +727,6 @@ func (w *tenantWorker) finish(p *pending, res Result) {
 	if res.Err != nil {
 		w.stats.failed.Add(1)
 	} else {
-		w.stats.served.Add(1)
 		w.lats.record(t0.Sub(p.enq))
 	}
 	p.done <- res // buffered; never blocks

@@ -25,12 +25,9 @@ import (
 // executor updates them from engine workers).
 type counters struct {
 	submitted atomic.Uint64
-	served    atomic.Uint64
 	failed    atomic.Uint64
 	batches   atomic.Uint64
 	groups    atomic.Uint64
-	modUps    atomic.Uint64
-	coalesced atomic.Uint64
 	expanded  atomic.Uint64 // compressed keys expanded at replay time
 }
 
@@ -160,10 +157,10 @@ func addLevels(dst, src []LevelStats) []LevelStats {
 	return dst
 }
 
-// levelCounters are one tenant's per-level counters. Unlike the hot
-// per-request atomics they are mutex-guarded: touched once per group
-// and once per replay, where the update is noise next to the graph it
-// accounts for.
+// levelCounters are one tenant's switches, ModUps and coalesces, kept
+// per level and nowhere else: snapshot sums them into the totals.
+// Unlike the hot atomics they are mutex-guarded: touched once per group
+// and once per replay, noise next to the graph the update accounts for.
 type levelCounters struct {
 	mu     sync.Mutex
 	levels []LevelStats
@@ -431,19 +428,26 @@ func (cs CacheStats) Snapshot() CacheStats {
 // tenant's shard of the key cache.
 func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Duration) {
 	window := w.lats.window()
+	levels := w.levels.snapshot()
+	var sum LevelStats
+	for _, ls := range levels {
+		sum.Switches += ls.Switches
+		sum.ModUps += ls.ModUps
+		sum.Coalesced += ls.Coalesced
+	}
 	ts := TenantStats{Tenant: w.tenant}
 	ts.add(TenantStats{
 		Submitted:     w.stats.submitted.Load(),
-		Served:        w.stats.served.Load(),
+		Served:        sum.Switches,
 		Failed:        w.stats.failed.Load(),
 		Batches:       w.stats.batches.Load(),
 		Groups:        w.stats.groups.Load(),
-		ModUps:        w.stats.modUps.Load(),
-		Coalesced:     w.stats.coalesced.Load(),
+		ModUps:        sum.ModUps,
+		Coalesced:     sum.Coalesced,
 		KeyExpansions: w.stats.expanded.Load(),
 		P50:           percentile(window, 50),
 		P99:           percentile(window, 99),
-		PerLevel:      w.levels.snapshot(),
+		PerLevel:      levels,
 		Phases:        w.phases.snapshot(),
 		Keys:          keys,
 	})
