@@ -35,18 +35,12 @@ func tenantNames(n int) []string {
 	return out
 }
 
-// shardConfig is the parsed flag set of one shard backend. The replay
-// driver passes every field explicitly — a shard does no
-// schedule-dependent tuning of its own.
+// shardConfig is one shard backend's flags. The replay driver passes
+// its own fabricFlags, resolved — a shard does no schedule-dependent
+// tuning of its own (and ignores -replicas, the router's).
 type shardConfig struct {
-	addr      string
-	tenants   int
-	logN      int
-	towers    int
-	dnum      int
-	workers   int
-	keyBudget int64
-	profile   bool // record stage/kernel histograms, shipped in stats frames
+	fabricFlags
+	addr string
 }
 
 // shardCmd runs one shard backend: serve.Service + wire listener. It
@@ -101,13 +95,10 @@ func shardCmd(cfg shardConfig) error {
 	return sh.Serve(ln)
 }
 
-// routerConfig is the parsed flag set of the standalone router verb.
+// routerConfig is the standalone router verb's flags.
 type routerConfig struct {
+	fabricFlags
 	shardAddrs string
-	replicas   int
-	logN       int
-	towers     int
-	dnum       int
 }
 
 // routerCmd connects to already-running shards, pings each one, and

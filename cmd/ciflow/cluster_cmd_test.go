@@ -34,9 +34,9 @@ func TestMain(m *testing.M) {
 // 2 tenants, the radix-16 bootstrap schedule on a 32-degree ring.
 func tinyClusterConfig() serveConfig {
 	return serveConfig{
-		shards: 2, tenants: 2, replicas: 1,
-		workload: "bootstrap", bts: 2, radix: 16,
-		dfName: "mp", logN: 5, towers: 4, dnum: 2, workers: 2,
+		fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2, workers: 2, tenants: 2, replicas: 1},
+		shapeFlags:  shapeFlags{workload: "bootstrap", bts: 2, radix: 16},
+		dfName:      "mp", shards: 2,
 	}
 }
 
@@ -103,7 +103,9 @@ func TestClusterExperimentKill(t *testing.T) {
 
 func TestClusterCmdJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cluster.json")
-	if err := serveCmd(tinyClusterConfig(), path, true); err != nil {
+	cfg := tinyClusterConfig()
+	cfg.jsonPath, cfg.check = path, true
+	if err := serveCmd(cfg); err != nil {
 		t.Fatal(err)
 	}
 	rep := readReport(t, path)
@@ -128,11 +130,11 @@ func TestClusterConfigErrors(t *testing.T) {
 			t.Errorf("%s: serveRun accepted %+v", name, cfg)
 		}
 	}
-	if err := routerCmd(routerConfig{logN: 5, towers: 4, dnum: 2}); err == nil ||
+	if err := routerCmd(routerConfig{fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2}}); err == nil ||
 		!strings.Contains(err.Error(), "shardaddrs") {
 		t.Errorf("router without -shardaddrs: %v", err)
 	}
-	if err := shardCmd(shardConfig{tenants: 0, logN: 5, towers: 4, dnum: 2}); err == nil {
+	if err := shardCmd(shardConfig{fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2}}); err == nil {
 		t.Error("shard accepted zero tenants")
 	}
 }
@@ -152,8 +154,8 @@ func TestKillWatcherEndsWithReplays(t *testing.T) {
 	}
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		p, err := spawnShard(exe, shardConfig{addr: "127.0.0.1:0", tenants: 1,
-			logN: 5, towers: 6, dnum: 2, workers: 1})
+		p, err := spawnShard(exe, shardConfig{addr: "127.0.0.1:0",
+			fabricFlags: fabricFlags{logN: 5, towers: 6, dnum: 2, workers: 1, tenants: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

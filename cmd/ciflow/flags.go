@@ -39,49 +39,47 @@ func init() {
 	}
 }
 
-// cliFlags carries every parsed flag; newFlags is the single source of
-// truth for names, defaults, and usage strings.
+// cliFlags is the parsed flag set. newFlags is the single source of
+// truth for names, defaults and usage strings, and binds every flag
+// straight into the field that consumes it: a verb's own flags into
+// its config, the flags several verbs read into the two structs those
+// configs embed.
 type cliFlags struct {
 	fs *flag.FlagSet
 
-	benchName *string
-	memMiB    *int64
-	csvOut    *bool
+	benchName string
+	memMiB    int64
+	csvOut    bool
 
-	// replay shape and ring (serve, schedule, shard, router)
-	dfName    *string
-	workers   *int
-	requests  *int
-	logN      *int
-	towers    *int
-	dnum      *int
-	rotations *int
-	jsonPath  *string
+	fabricFlags
+	shapeFlags
+	serve    serveConfig
+	schedule scheduleConfig
+	shard    shardConfig
+	router   routerConfig
+}
 
-	// serve service settings
-	tenants   *int
-	keyBudget *int64
-	check     *bool
+// fabricFlags are the ring and the process sizing that serve, shard
+// and router share: a shard must be started on its driver's ring.
+type fabricFlags struct {
+	logN      int
+	towers    int
+	dnum      int // serve: 0 = inherit the -bts set's digit count
+	workers   int // per process; 0 = GOMAXPROCS (serve: split over the shards)
+	keyBudget int64
+	tenants   int
+	replicas  int
+	profile   bool // record stage/kernel histograms (a shard ships them in stats frames)
+}
 
-	// workload schedules (serve, schedule)
-	workloadName *string
-	bts          *int
-	radix        *int
-	exportPath   *string
-	importPath   *string
-
-	// observability (serve, shard, schedule)
-	profile   *bool
-	tracePath *string
-	pprofDir  *string
-	dotPath   *string
-
-	// sharding (serve, shard, router)
-	shards     *int
-	replicas   *int
-	kill       *bool
-	addr       *string
-	shardAddrs *string
+// shapeFlags name the schedule that serve replays and schedule prints.
+type shapeFlags struct {
+	workload  string // a library shape or file:<path>
+	bts       int
+	radix     int
+	rotations int
+	requests  int
+	jsonPath  string
 }
 
 func newFlags() *cliFlags {
@@ -94,55 +92,71 @@ func newFlags() *cliFlags {
 			takeBench = append(takeBench, e.Name)
 		}
 	}
-	fl.benchName = fs.String("bench", "", "benchmark name (BTS1, BTS2, BTS3, ARK, DPRIVE) for "+strings.Join(takeBench, ", "))
-	fl.memMiB = fs.Int64("mem", 32, "on-chip data memory in MiB")
-	fl.csvOut = fs.Bool("csv", false, "print every table of an experiment as CSV instead of text")
+	fs.StringVar(&fl.benchName, "bench", "", "benchmark name (BTS1, BTS2, BTS3, ARK, DPRIVE) for "+strings.Join(takeBench, ", "))
+	fs.Int64Var(&fl.memMiB, "mem", 32, "on-chip data memory in MiB")
+	fs.BoolVar(&fl.csvOut, "csv", false, "print every table of an experiment as CSV instead of text")
 
-	fl.dfName = fs.String("dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
-	fl.workers = fs.Int("workers", 0, "engine worker count per process (0 = GOMAXPROCS, split over the shards)")
-	fl.requests = fs.Int("requests", 16, "schedule shape: fanout bursts, matvec giants, pir batches")
-	fl.logN = fs.Int("logn", 14, "ring degree exponent (N = 2^logn)")
-	fl.towers = fs.Int("towers", 6, "Q-tower count")
-	fl.dnum = fs.Int("dnum", 3, "key-switching digit count")
-	fl.rotations = fs.Int("rotations", 8, "rotation fan-out width per ciphertext")
-	fl.jsonPath = fs.String("json", "", "also write the report to this JSON file")
+	fs.IntVar(&fl.logN, "logn", 14, "ring degree exponent (N = 2^logn)")
+	fs.IntVar(&fl.towers, "towers", 6, "Q-tower count")
+	fs.IntVar(&fl.dnum, "dnum", 3, "key-switching digit count")
+	fs.IntVar(&fl.workers, "workers", 0, "engine worker count per process (0 = GOMAXPROCS, split over the shards)")
+	fs.Int64Var(&fl.keyBudget, "keybudget", 0, "serve key-cache byte budget per service (0 = serve default)")
+	fs.IntVar(&fl.tenants, "tenants", 1, "serve tenant count (distinct keyspaces, each replaying the schedule)")
+	fs.IntVar(&fl.replicas, "replicas", 1, "serve shards eligible to serve one tenant (hot-key replication)")
+	fs.BoolVar(&fl.profile, "profile", false, "serve: record per-stage/per-kernel runtime histograms; adds stage_shares to the report")
 
-	fl.tenants = fs.Int("tenants", 1, "serve tenant count (distinct keyspaces, each replaying the schedule)")
-	fl.keyBudget = fs.Int64("keybudget", 0, "serve key-cache byte budget per service (0 = serve default)")
-	fl.check = fs.Bool("check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held")
+	fs.StringVar(&fl.workload, "workload", "fanout", "serve/schedule shape: fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>")
+	fs.IntVar(&fl.bts, "bts", 2, "BTS parameter set (1, 2, or 3) shaping bootstrap schedules")
+	fs.IntVar(&fl.radix, "radix", 0, "bootstrap DFT radix, a power of two (0 = auto-fit the level budget)")
+	fs.IntVar(&fl.rotations, "rotations", 8, "rotation fan-out width per ciphertext")
+	fs.IntVar(&fl.requests, "requests", 16, "schedule shape: fanout bursts, matvec giants, pir batches")
+	fs.StringVar(&fl.jsonPath, "json", "", "also write the report to this JSON file")
 
-	fl.workloadName = fs.String("workload", "fanout", "serve/schedule shape: fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>")
-	fl.bts = fs.Int("bts", 2, "BTS parameter set (1, 2, or 3) shaping bootstrap schedules")
-	fl.radix = fs.Int("radix", 0, "bootstrap DFT radix, a power of two (0 = auto-fit the level budget)")
-	fl.exportPath = fs.String("export", "", "schedule: also write the schedule as versioned JSON to this file")
-	fl.importPath = fs.String("import", "", "schedule: load and re-validate the schedule from this JSON file instead of generating it")
+	fs.StringVar(&fl.serve.dfName, "dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
+	fs.BoolVar(&fl.serve.check, "check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held")
+	fs.StringVar(&fl.serve.tracePath, "trace", "", "serve (in-process): write a Chrome trace-event timeline (chrome://tracing, Perfetto) to this file")
+	fs.StringVar(&fl.serve.pprofDir, "pprof", "", "serve: write cpu.prof and mem.prof (runtime/pprof) into this directory")
+	fs.IntVar(&fl.serve.shards, "shards", 0, "serve shard process count (0 = one in-process service)")
+	fs.BoolVar(&fl.serve.kill, "kill", false, "serve: drain and retire one shard mid-replay")
 
-	fl.profile = fs.Bool("profile", false, "serve: record per-stage/per-kernel runtime histograms; adds stage_shares to the report")
-	fl.tracePath = fs.String("trace", "", "serve (in-process): write a Chrome trace-event timeline (chrome://tracing, Perfetto) to this file")
-	fl.pprofDir = fs.String("pprof", "", "serve: write cpu.prof and mem.prof (runtime/pprof) into this directory")
-	fl.dotPath = fs.String("dot", "", "schedule: render the schedule DAG in Graphviz DOT format to this file")
+	fs.StringVar(&fl.schedule.exportPath, "export", "", "schedule: also write the schedule as versioned JSON to this file")
+	fs.StringVar(&fl.schedule.importPath, "import", "", "schedule: load and re-validate the schedule from this JSON file instead of generating it")
+	fs.StringVar(&fl.schedule.dotPath, "dot", "", "schedule: render the schedule DAG in Graphviz DOT format to this file")
 
-	fl.shards = fs.Int("shards", 0, "serve shard process count (0 = one in-process service)")
-	fl.replicas = fs.Int("replicas", 1, "serve shards eligible to serve one tenant (hot-key replication)")
-	fl.kill = fs.Bool("kill", false, "serve: drain and retire one shard mid-replay")
-	fl.addr = fs.String("addr", "127.0.0.1:0", "shard listen address")
-	fl.shardAddrs = fs.String("shardaddrs", "", "router: comma-separated shard addresses")
-
+	fs.StringVar(&fl.shard.addr, "addr", "127.0.0.1:0", "shard listen address")
+	fs.StringVar(&fl.router.shardAddrs, "shardaddrs", "", "router: comma-separated shard addresses")
 	return fl
 }
 
-// flagDnum returns the parsed -dnum, or 0 when the flag was left at
-// its default — the workload replay then inherits the digit structure
-// of the chosen BTS parameter set instead of the generic default.
-func flagDnum(fl *cliFlags) int {
+// The four verbs' configs: each its own flags plus the shared structs.
+
+func serveVerb(c *cli) error {
+	cfg := c.fl.serve
+	cfg.fabricFlags, cfg.shapeFlags = c.fl.fabricFlags, c.fl.shapeFlags
+	// Bootstrap inherits the BTS set's digit count when -dnum is left
+	// unset (0 here); other shapes keep the flag default.
 	set := false
-	fl.fs.Visit(func(f *flag.Flag) {
-		if f.Name == "dnum" {
-			set = true
-		}
-	})
-	if set {
-		return *fl.dnum
+	c.fl.fs.Visit(func(f *flag.Flag) { set = set || f.Name == "dnum" })
+	if cfg.workload == "bootstrap" && !set {
+		cfg.dnum = 0
 	}
-	return 0
+	return serveCmd(cfg)
+}
+
+func scheduleVerb(c *cli) error {
+	cfg := c.fl.schedule
+	cfg.shapeFlags = c.fl.shapeFlags
+	return scheduleCmd(c.r, cfg)
+}
+
+func shardVerb(c *cli) error {
+	cfg := c.fl.shard
+	cfg.fabricFlags = c.fl.fabricFlags
+	return shardCmd(cfg)
+}
+
+func routerVerb(c *cli) error {
+	cfg := c.fl.router
+	cfg.fabricFlags = c.fl.fabricFlags
+	return routerCmd(cfg)
 }

@@ -66,8 +66,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	c.r.DataMemBytes = *c.fl.memMiB << 20
-	if name := *c.fl.benchName; name != "" {
+	c.r.DataMemBytes = c.fl.memMiB << 20
+	if name := c.fl.benchName; name != "" {
 		b, err := params.ByName(name)
 		if err != nil {
 			return err
@@ -105,7 +105,7 @@ func (c *cli) model(e analysis.Experiment, all bool) error {
 		if err != nil {
 			return err
 		}
-		if e.Name == "ablate-keycomp" && !*c.fl.csvOut {
+		if e.Name == "ablate-keycomp" && !c.fl.csvOut {
 			// The model says what compression buys at accelerator
 			// scale; the note (text only, as notes are) is what the
 			// hks types deliver in this process, which the model
@@ -120,7 +120,7 @@ func (c *cli) model(e analysis.Experiment, all bool) error {
 			fmt.Println()
 		}
 		for _, t := range tables {
-			if !*c.fl.csvOut {
+			if !c.fl.csvOut {
 				fmt.Print(t.Text())
 				continue
 			}
@@ -154,67 +154,6 @@ func runAll(c *cli) error {
 		}
 	}
 	return nil
-}
-
-func serveVerb(c *cli) error {
-	fl := c.fl
-	// Only bootstrap inherits the BTS set's digit count when -dnum
-	// is left unset; other shapes keep the flag default.
-	dnum := *fl.dnum
-	if *fl.workloadName == "bootstrap" {
-		dnum = flagDnum(fl)
-	}
-	return serveCmd(serveConfig{
-		workload:  *fl.workloadName,
-		bts:       *fl.bts,
-		radix:     *fl.radix,
-		dfName:    *fl.dfName,
-		rotations: *fl.rotations,
-		requests:  *fl.requests,
-		logN:      *fl.logN,
-		towers:    *fl.towers,
-		dnum:      dnum,
-		workers:   *fl.workers,
-		keyBudget: *fl.keyBudget,
-		tenants:   *fl.tenants,
-		shards:    *fl.shards,
-		replicas:  *fl.replicas,
-		kill:      *fl.kill,
-		profile:   *fl.profile,
-		tracePath: *fl.tracePath,
-		pprofDir:  *fl.pprofDir,
-	}, *fl.jsonPath, *fl.check)
-}
-
-func scheduleVerb(c *cli) error {
-	fl := c.fl
-	return scheduleCmd(c.r, *fl.workloadName, *fl.bts, *fl.radix,
-		*fl.rotations, *fl.requests, *fl.jsonPath, *fl.exportPath, *fl.importPath, *fl.dotPath)
-}
-
-func shardVerb(c *cli) error {
-	fl := c.fl
-	return shardCmd(shardConfig{
-		addr:      *fl.addr,
-		tenants:   *fl.tenants,
-		logN:      *fl.logN,
-		towers:    *fl.towers,
-		dnum:      *fl.dnum,
-		workers:   *fl.workers,
-		keyBudget: *fl.keyBudget,
-		profile:   *fl.profile,
-	})
-}
-
-func routerVerb(c *cli) error {
-	fl := c.fl
-	return routerCmd(routerConfig{
-		shardAddrs: *fl.shardAddrs,
-		replicas:   *fl.replicas,
-		logN:       *fl.logN,
-		towers:     *fl.towers,
-		dnum:       *fl.dnum,
-	})
 }
 
 // writeJSONReport writes one experiment's report (indented JSON) to

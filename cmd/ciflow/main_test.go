@@ -212,8 +212,9 @@ func TestObservabilityFlags(t *testing.T) {
 // bursts of three rotations, one tenant, in-process.
 func testServeConfig() serveConfig {
 	return serveConfig{
-		workload: "fanout", bts: 2, dfName: "all", rotations: 3, requests: 2,
-		logN: 5, towers: 4, dnum: 2, workers: 2, tenants: 1,
+		fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2, workers: 2, tenants: 1},
+		shapeFlags:  shapeFlags{workload: "fanout", bts: 2, rotations: 3, requests: 2},
+		dfName:      "all",
 	}
 }
 

@@ -33,29 +33,16 @@ import (
 	"ciflow/internal/workload"
 )
 
-// serveConfig is the parsed flag set of the replay driver.
+// serveConfig is the replay driver's flags.
 type serveConfig struct {
-	workload  string // a library shape or file:<path>
-	bts       int
-	radix     int
+	fabricFlags
+	shapeFlags
 	dfName    string
-	rotations int
-	requests  int
-
-	logN      int
-	towers    int
-	dnum      int // 0 = inherit the -bts set's digit count
-	workers   int // per process; 0 = GOMAXPROCS split over the shards
-	keyBudget int64
-
-	tenants  int
-	shards   int // 0 = one in-process service
-	replicas int
-	kill     bool
-
-	profile   bool
+	shards    int // 0 = one in-process service
+	kill      bool
 	tracePath string
 	pprofDir  string
+	check     bool
 }
 
 // serveReport is the JSON artifact of a replay, in either mode.
@@ -265,11 +252,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 		}()
 		addrs := make([]string, cfg.shards)
 		for i := range addrs {
-			p, err := spawnShard(exe, shardConfig{
-				addr: "127.0.0.1:0", tenants: cfg.tenants,
-				logN: cfg.logN, towers: cfg.towers, dnum: cfg.dnum,
-				workers: cfg.workers, keyBudget: cfg.keyBudget, profile: cfg.profile,
-			})
+			p, err := spawnShard(exe, shardConfig{fabricFlags: cfg.fabricFlags, addr: "127.0.0.1:0"})
 			if err != nil {
 				return nil, err
 			}
@@ -456,7 +439,7 @@ func serveCheck(rep *serveReport) error {
 	return nil
 }
 
-func serveCmd(cfg serveConfig, jsonPath string, check bool) error {
+func serveCmd(cfg serveConfig) error {
 	rep, err := serveRun(cfg)
 	if err != nil {
 		return err
@@ -516,12 +499,12 @@ func serveCmd(cfg serveConfig, jsonPath string, check bool) error {
 		printStageShares(rep.StageShares)
 	}
 
-	if jsonPath != "" {
-		if err := writeJSONReport(jsonPath, rep); err != nil {
+	if cfg.jsonPath != "" {
+		if err := writeJSONReport(cfg.jsonPath, rep); err != nil {
 			return err
 		}
 	}
-	if check {
+	if cfg.check {
 		if err := serveCheck(rep); err != nil {
 			return err
 		}

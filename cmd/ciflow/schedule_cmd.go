@@ -131,28 +131,36 @@ func writeScheduleDOT(sched *workload.Schedule, path string) error {
 	return nil
 }
 
-func scheduleCmd(r *analysis.Runner, name string, bts, radix, rotations, requests int, jsonPath, exportPath, importPath, dotPath string) error {
-	b, err := workload.BTSBenchmark(bts)
+// scheduleConfig is the schedule verb's flags.
+type scheduleConfig struct {
+	shapeFlags
+	exportPath string
+	importPath string
+	dotPath    string
+}
+
+func scheduleCmd(r *analysis.Runner, cfg scheduleConfig) error {
+	b, err := workload.BTSBenchmark(cfg.bts)
 	if err != nil {
 		return err
 	}
-	source := name
-	if importPath != "" {
+	source, name := cfg.workload, cfg.workload
+	if cfg.importPath != "" {
 		// The -bts set still anchors the cost-model pricing below.
-		source, name = "file:"+importPath, "import"
+		source, name = "file:"+cfg.importPath, "import"
 	}
-	sched, err := scheduleFor(source, geometry{logN: b.LogN, top: b.KL - 1, bench: &b}, radix, rotations, requests)
+	sched, err := scheduleFor(source, geometry{logN: b.LogN, top: b.KL - 1, bench: &b}, cfg.radix, cfg.rotations, cfg.requests)
 	if err != nil {
 		return err
 	}
-	if exportPath != "" {
-		if err := sched.ExportFile(exportPath); err != nil {
+	if cfg.exportPath != "" {
+		if err := sched.ExportFile(cfg.exportPath); err != nil {
 			return err
 		}
-		fmt.Printf("exported %s to %s\n", sched.Name, exportPath)
+		fmt.Printf("exported %s to %s\n", sched.Name, cfg.exportPath)
 	}
-	if dotPath != "" {
-		if err := writeScheduleDOT(sched, dotPath); err != nil {
+	if cfg.dotPath != "" {
+		if err := writeScheduleDOT(sched, cfg.dotPath); err != nil {
 			return err
 		}
 	}
@@ -189,12 +197,12 @@ func scheduleCmd(r *analysis.Runner, name string, bts, radix, rotations, request
 	}
 	fmt.Print(analysis.WorkloadTable(analysis.BaselineBandwidthGBs, rows).Text())
 
-	if jsonPath != "" {
+	if cfg.jsonPath != "" {
 		rep := &scheduleReport{
 			Workload: name, Bench: b.Name, Radix: sched.Radix,
 			Schedule: sched.Name, Counts: c, Estimates: rows,
 		}
-		if err := writeJSONReport(jsonPath, rep); err != nil {
+		if err := writeJSONReport(cfg.jsonPath, rep); err != nil {
 			return err
 		}
 	}

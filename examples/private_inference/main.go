@@ -1,14 +1,15 @@
 // Private inference: an encrypted fully-connected layer, the workload
 // the paper's introduction motivates. Computing y = W·x on an
-// encrypted x uses the rotate-and-accumulate ("diagonal") method, so
-// every matrix column costs one ciphertext rotation — and every
-// rotation triggers hybrid key switching. The example measures the
-// fraction of wall time spent inside key switching (the paper cites
-// ~70% for ResNet-20), then evaluates the same layer with *hoisted*
-// rotations — one shared Decompose+ModUp feeding every rotation key
-// (Evaluator.RotateHoisted) — and compares both wall time and the
-// model's predicted saving. Finally it asks the performance model
-// what the rotation workload costs on the RPU under each dataflow.
+// encrypted x uses the rotate-and-accumulate ("diagonal") method
+// (ckks.LinearTransform), so every matrix diagonal costs one ciphertext
+// rotation — and every rotation triggers hybrid key switching. The
+// example rotates once per diagonal, each rotation its own key switch,
+// to measure the fraction of the layer's wall time spent in key
+// switching (the paper cites ~70% for ResNet-20), then evaluates the
+// layer the way Evaluator.Apply does — *hoisted*, one shared
+// Decompose+ModUp feeding every rotation key — and compares wall time
+// with the model's predicted saving. Finally it asks the performance
+// model what the rotation workload costs on the RPU under each dataflow.
 //
 // Run with: go run ./examples/private_inference
 package main
@@ -34,110 +35,89 @@ func main() {
 	keys, pk := ckks.GenKeys(ctx, 7)
 	ev := ckks.NewEvaluator(ctx, keys)
 
-	// A small d x d layer evaluated with the diagonal method:
+	// A small d x d layer in diagonal form:
 	// y = sum_r diag_r(W) * rot(x, r).
 	const d = 8
-	var W [d][d]float64
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
+	W := make([][]float64, d)
+	for i := range W {
+		W[i] = make([]float64, d)
+		for j := range W[i] {
 			W[i][j] = 0.01*float64(i+1) + 0.02*float64(j)
 		}
 	}
-	x := make([]complex128, d)
-	for i := range x {
-		x[i] = complex(0.1*float64(i)-0.3, 0)
+	layer, err := enc.NewLinearTransform(W, ctx.MaxLevel)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	px, err := enc.Encode(replicate(x, ctx.Slots()), ctx.MaxLevel)
+	rots := layer.Rotations()
+	x := make([]complex128, ctx.Slots()) // replicated with period d so rotations wrap
+	for i := range x {
+		x[i] = complex(0.1*float64(i%d)-0.3, 0)
+	}
+	px, err := enc.Encode(x, ctx.MaxLevel)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cx := ev.Encrypt(px, pk)
-
-	// Pre-encode the d diagonals.
-	diags := make([]*ckks.Plaintext, d)
-	for r := 0; r < d; r++ {
-		diag := make([]complex128, ctx.Slots())
-		for i := range diag {
-			diag[i] = complex(W[i%d][(i+r)%d], 0)
-		}
-		diags[r], err = enc.Encode(diag, ctx.MaxLevel)
-		if err != nil {
+	for _, r := range rots { // generate the rotation keys off the clock
+		if _, err := keys.HoistKey(r, ctx.MaxLevel); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	var ksTime, totalTime time.Duration
+	// One rotation per diagonal, each a full hybrid key switch.
 	start := time.Now()
-	var acc *ckks.Ciphertext
-	for r := 0; r < d; r++ {
-		rotStart := time.Now()
-		xr := cx
-		if r != 0 {
-			xr, err = ev.Rotate(cx, r) // hybrid key switching inside
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		ksTime += time.Since(rotStart)
-		term := ev.MulPlain(xr, diags[r])
-		if acc == nil {
-			acc = term
-		} else {
-			acc = ev.Add(acc, term)
+	for _, r := range rots {
+		if _, err := ev.Rotate(cx, r); err != nil {
+			log.Fatal(err)
 		}
 	}
-	acc, err = ev.Rescale(acc)
+	perRotation := time.Since(start)
+
+	// The same rotations hoisted: ct.C1 is decomposed and mod-upped
+	// once, every rotation key replays only ApplyKey+ModDown. Bit for
+	// bit the ciphertexts of the loop above.
+	start = time.Now()
+	if _, err := ev.RotateHoisted(cx, rots); err != nil {
+		log.Fatal(err)
+	}
+	hoisted := time.Since(start)
+
+	// The layer: Apply rotates hoisted, multiplies by the diagonals,
+	// accumulates and rescales. What it spends outside its rotations
+	// is what the per-rotation method spends there too.
+	start = time.Now()
+	y, err := ev.Apply(layer, cx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	totalTime = time.Since(start)
+	layerTime := time.Since(start)
+	perRotationLayer := perRotation + max(layerTime-hoisted, 0)
 
-	dec := enc.Decode(ev.Decrypt(acc, keys.Secret()))
-	worst := worstError(dec, &W, x)
-
-	fmt.Printf("Encrypted %dx%d linear layer (diagonal method, %d rotations)\n", d, d, d-1)
-	fmt.Printf("  worst-case output error:   %.2e\n", worst)
-	fmt.Printf("  rotation/key-switch share: %.0f%% of %.0f ms wall time\n",
-		100*float64(ksTime)/float64(totalTime), float64(totalTime.Milliseconds()))
-	fmt.Printf("  (the paper reports ~70%% of ResNet-20 inference is key switching)\n\n")
-
-	// The same layer with hoisted rotations: ct.C1 is decomposed and
-	// mod-upped once, every rotation key replays only ApplyKey+ModDown.
-	rots := make([]int, 0, d-1)
-	for r := 1; r < d; r++ {
-		rots = append(rots, r)
+	var worst float64
+	dec := enc.Decode(ev.Decrypt(y, keys.Secret()))
+	for i := range W {
+		var want complex128
+		for j := range W[i] {
+			want += complex(W[i][j], 0) * x[j]
+		}
+		worst = max(worst, cmplx.Abs(dec[i]-want))
 	}
-	if _, err := keys.HoistKey(1, ctx.MaxLevel); err != nil { // warm one key off the clock
-		log.Fatal(err)
-	}
-	hoistStart := time.Now()
-	rotated, err := ev.RotateHoisted(cx, rots)
-	if err != nil {
-		log.Fatal(err)
-	}
-	accH := ev.MulPlain(cx, diags[0])
-	for r := 1; r < d; r++ {
-		accH = ev.Add(accH, ev.MulPlain(rotated[r-1], diags[r]))
-	}
-	accH, err = ev.Rescale(accH)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hoistTime := time.Since(hoistStart)
-
-	decH := enc.Decode(ev.Decrypt(accH, keys.Secret()))
 	sw, err := keys.Switcher(ctx.MaxLevel)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Hoisted evaluation (shared ModUp across %d rotations)\n", d-1)
-	fmt.Printf("  worst-case output error:   %.2e\n", worstError(decH, &W, x))
+	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1e3 }
+	fmt.Printf("Encrypted %dx%d linear layer (diagonal method, %d rotations)\n", d, d, len(rots))
+	fmt.Printf("  worst-case output error:   %.2e\n", worst)
+	fmt.Printf("  rotation/key-switch share: %.0f%% of %.1f ms wall time, one key switch per rotation\n",
+		100*float64(perRotation)/float64(perRotationLayer), ms(perRotationLayer))
+	fmt.Printf("  (the paper reports ~70%% of ResNet-20 inference is key switching)\n\n")
+	fmt.Printf("Hoisted evaluation (Evaluator.Apply: one ModUp shared across %d rotations)\n", len(rots))
 	fmt.Printf("  wall time:                 %.1f ms vs %.1f ms per-rotation (%.2fx)\n",
-		float64(hoistTime.Microseconds())/1e3, float64(totalTime.Microseconds())/1e3,
-		float64(totalTime)/float64(hoistTime))
+		ms(layerTime), ms(perRotationLayer), float64(perRotationLayer)/float64(layerTime))
 	fmt.Printf("  model: saves %.1f M weighted mod ops, %.2fx predicted speedup on key switching\n\n",
-		float64(sw.HoistedOpsSaved(d-1))/1e6, sw.HoistedSpeedupModel(d-1))
+		float64(sw.HoistedOpsSaved(len(rots)))/1e6, sw.HoistedSpeedupModel(len(rots)))
 
 	// What would the rotation workload cost on the RPU? One HKS per
 	// rotation at ARK-scale parameters, per dataflow, at DDR4/DDR5
@@ -157,28 +137,4 @@ func main() {
 		}
 		fmt.Printf("%10.1f %12.1f %12.1f %12.1f\n", bw, t[0], t[1], t[2])
 	}
-}
-
-// replicate tiles v across all slots so rotations wrap consistently.
-func replicate(v []complex128, slots int) []complex128 {
-	out := make([]complex128, slots)
-	for i := range out {
-		out[i] = v[i%len(v)]
-	}
-	return out
-}
-
-// worstError returns the worst-case |dec_i − (W·x)_i| over the layer.
-func worstError(dec []complex128, W *[8][8]float64, x []complex128) float64 {
-	var worst float64
-	for i := range W {
-		var want complex128
-		for j := range W[i] {
-			want += complex(W[i][j], 0) * x[j]
-		}
-		if e := cmplx.Abs(dec[i] - want); e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

@@ -37,7 +37,7 @@ func BenchmarkMulRelin(b *testing.B) {
 
 func BenchmarkRotate(b *testing.B) {
 	_, _, kc, _, ev, ct := benchEval(b)
-	if _, err := kc.RotKey(1, ct.Level); err != nil {
+	if _, err := kc.HoistKey(1, ct.Level); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

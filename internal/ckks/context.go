@@ -9,17 +9,24 @@
 // switching (paper §II), and examples/private_inference uses this
 // package to measure the HKS share of a linear-layer workload. Beyond
 // the serial scheme, Evaluator.WithEngine runs every key switch as an
-// engine task graph under a chosen dataflow, and the rotation fan-out
-// of the diagonal method is hoisted: RotateHoisted (and Apply on top
-// of it) shares one Decompose+ModUp across all rotation amounts using
-// hoisting-form keys (KeyChain.HoistKey, s → σ_g⁻¹(s), automorphism
-// applied after the switch).
+// engine task graph under a chosen dataflow.
+//
+// A rotation has one key form and one path. The key is the hoisting
+// form s → σ_g⁻¹(s) (KeyChain.HoistKey; ConjKey is the same form of
+// X → X^(2N−1)): the un-rotated c1 is switched first and σ_g is applied
+// to the switched pair afterwards. Switching first is what lets a
+// fan-out share its Decompose+ModUp — RotateHoisted, and Apply's
+// diagonal method on top of it, run it once for all rotation amounts —
+// and it makes the pair internal/serve returns for (c1, rot, level)
+// the very pair Rotate computes, so the evaluator can check the
+// serving stack bit for bit. Rotate, Conjugate and RotateHoisted are
+// one function, Evaluator.galois, called with one element or many.
 //
 // KeyChain is the key authority for the layers above: it lazily
-// generates and memoizes switchers and evaluation keys per level, is
-// safe for concurrent use, and backs the bounded rotation-key LRU of
-// the internal/serve service — memoization is what keeps served
-// results bit-exact across cache evictions and reloads.
+// generates switchers and evaluation keys per level, each key once
+// through one memo, is safe for concurrent use, and backs the bounded
+// rotation-key LRU of the internal/serve service — memoization is what
+// keeps served results bit-exact across cache evictions and reloads.
 //
 // The implementation favours clarity and exact testability over
 // performance and side-channel hygiene; it must not be used to protect

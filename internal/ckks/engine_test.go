@@ -14,7 +14,7 @@ func ctEqual(t *testing.T, op string, a, b *Ciphertext) {
 		t.Fatalf("%s: level/scale differ: (%d, %g) vs (%d, %g)", op, a.Level, a.Scale, b.Level, b.Scale)
 	}
 	if !a.C0.Equal(b.C0) || !a.C1.Equal(b.C1) {
-		t.Fatalf("%s: engine-backed evaluator differs from serial", op)
+		t.Fatalf("%s: ciphertexts differ", op)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestEvaluatorWithEngineBitExact(t *testing.T) {
 	if _, err := kc.RelinKey(ctx.MaxLevel); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kc.RotKey(1, ctx.MaxLevel); err != nil {
+	if _, err := kc.HoistKey(1, ctx.MaxLevel); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := kc.ConjKey(ctx.MaxLevel); err != nil {

@@ -59,13 +59,28 @@ func (ev *Evaluator) runner() ring.Runner {
 	return ev.eng
 }
 
-// keySwitch dispatches one hybrid key switch to the engine when one is
-// attached, falling back to the serial pipeline otherwise.
-func (ev *Evaluator) keySwitch(sw *hks.Switcher, d *ring.Poly, evk *hks.Evk) (c0, c1 *ring.Poly) {
-	if ev.eng == nil {
-		return sw.KeySwitch(d, evk)
+// keySwitch switches d under every key, on the engine when one is
+// attached and on the caller otherwise, returning one freshly
+// allocated (c0, c1) pair per key. A lone key runs the fused
+// per-switch schedule; a fan-out runs Decompose+ModUp once and replays
+// it against each key, bit-exact with switching one key at a time.
+func (ev *Evaluator) keySwitch(sw *hks.Switcher, d *ring.Poly, evks ...*hks.Evk) (c0s, c1s []*ring.Poly) {
+	if len(evks) == 0 {
+		return nil, nil
 	}
-	return sw.SwitchParallel(ev.eng, ev.df, d, evk)
+	if ev.eng == nil {
+		return sw.SwitchHoisted(d, evks)
+	}
+	c0s, c1s = make([]*ring.Poly, len(evks)), make([]*ring.Poly, len(evks))
+	for i := range evks {
+		c0s[i], c1s[i] = sw.R.NewPoly(sw.QBasis()), sw.R.NewPoly(sw.QBasis())
+	}
+	if len(evks) == 1 {
+		sw.SwitchParallelInto(ev.eng, ev.df, d, evks[0], c0s[0], c1s[0])
+	} else {
+		sw.SwitchHoistedParallelInto(ev.eng, ev.df, d, evks, c0s, c1s)
+	}
+	return c0s, c1s
 }
 
 // Encrypt encrypts a plaintext under the public key:
@@ -189,9 +204,9 @@ func (ev *Evaluator) MulRelin(ct1, ct2 *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	k0, k1 := ev.keySwitch(sw, d2, rlk)
-	r.Add(d0, k0, d0)
-	r.Add(d1, k1, d1)
+	k0s, k1s := ev.keySwitch(sw, d2, rlk)
+	r.Add(d0, k0s[0], d0)
+	r.Add(d1, k1s[0], d1)
 	return &Ciphertext{C0: d0, C1: d1, Level: ct1.Level, Scale: ct1.Scale * ct2.Scale}, nil
 }
 
@@ -238,115 +253,108 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// Rotate cyclically rotates the message vector left by rotBy slots via
-// the Galois automorphism σ_g, g = 5^rotBy, followed by key switching
-// back to s — the second HKS trigger the paper analyzes.
-func (ev *Evaluator) Rotate(ct *Ciphertext, rotBy int) (*Ciphertext, error) {
-	r := ev.ctx.R
-	b := r.QBasis(ct.Level)
-	g := r.GaloisElement(rotBy)
+// galoisSwitch names one Galois switch: the automorphism σ_g and the
+// hoisting-form key s → σ_g⁻¹(s) it runs under (KeyChain.HoistKey has
+// the algebra). A nil key is the identity.
+type galoisSwitch struct {
+	g   int
+	key *hks.Evk
+}
 
-	rc0 := ct.C0.Copy()
-	rc1 := ct.C1.Copy()
-	r.INTTWith(ev.runner(), rc0)
-	r.INTTWith(ev.runner(), rc1)
-	a0 := r.NewPoly(b)
-	a1 := r.NewPoly(b)
-	r.Automorphism(rc0, g, a0)
-	r.Automorphism(rc1, g, a1)
-	r.NTTWith(ev.runner(), a0)
-	r.NTTWith(ev.runner(), a1)
-
+// galois is the one Galois key switch: ct.C1, un-rotated, is switched
+// under every element's key (keySwitch: a lone element fused, a
+// fan-out sharing one Decompose+ModUp), and σ_g is applied to each
+// switched pair afterwards, (σ_g(c0+k0), σ_g(k1)). The switched pair
+// is what a serving layer returns for the same (c1, key), bit for bit.
+// Results are in element order; an identity element yields a copy of
+// ct and costs nothing.
+func (ev *Evaluator) galois(ct *Ciphertext, els []galoisSwitch) ([]*Ciphertext, error) {
 	sw, err := ev.kc.Switcher(ct.Level)
 	if err != nil {
 		return nil, err
 	}
-	rk, err := ev.kc.RotKey(rotBy, ct.Level)
+	var evks []*hks.Evk
+	for _, el := range els {
+		if el.key != nil {
+			evks = append(evks, el.key)
+		}
+	}
+	k0s, k1s := ev.keySwitch(sw, ct.C1, evks...)
+
+	r := ev.ctx.R
+	sigma := func(p *ring.Poly, g int) *ring.Poly {
+		r.INTTWith(ev.runner(), p)
+		out := r.NewPoly(p.Basis)
+		r.Automorphism(p, g, out)
+		r.NTTWith(ev.runner(), out)
+		return out
+	}
+	outs := make([]*Ciphertext, len(els))
+	n := 0 // the next switched pair
+	for i, el := range els {
+		if el.key == nil {
+			outs[i] = ct.Copy()
+			continue
+		}
+		r.Add(ct.C0, k0s[n], k0s[n])
+		outs[i] = &Ciphertext{C0: sigma(k0s[n], el.g), C1: sigma(k1s[n], el.g), Level: ct.Level, Scale: ct.Scale}
+		n++
+	}
+	return outs, nil
+}
+
+// lone unwraps a fan-out of one.
+func lone(outs []*Ciphertext, err error) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	k0, k1 := ev.keySwitch(sw, a1, rk)
-	r.Add(a0, k0, a0)
-	return &Ciphertext{C0: a0, C1: k1, Level: ct.Level, Scale: ct.Scale}, nil
+	return outs[0], nil
+}
+
+// Rotate cyclically rotates the message vector left by rotBy slots: a
+// key switch of ct.C1 followed by the Galois automorphism σ_g,
+// g = 5^rotBy — the second HKS trigger the paper analyzes. It is
+// RotateHoisted's fan-out of one.
+func (ev *Evaluator) Rotate(ct *Ciphertext, rotBy int) (*Ciphertext, error) {
+	return lone(ev.RotateHoisted(ct, []int{rotBy}))
+}
+
+// Conjugate applies complex conjugation to every slot: the Galois
+// switch of the automorphism X → X^(2N−1).
+func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
+	key, err := ev.kc.ConjKey(ct.Level)
+	if err != nil {
+		return nil, err
+	}
+	return lone(ev.galois(ct, []galoisSwitch{{2*ev.ctx.R.N - 1, key}}))
 }
 
 // RotateHoisted rotates one ciphertext by every amount in rots with a
 // single shared Decompose+ModUp: ct.C1 is hoisted once (hks.Hoisted),
-// and each rotation replays only ApplyKey+ModDown against its
-// hoisting-form key (KeyChain.HoistKey) before the Galois
-// automorphism is applied to the switched pair. For k rotations this
-// saves (k−1) executions of the ModUp pipeline versus k Rotate calls
-// — the amortization CiFlow's reuse analysis models and the diagonal
-// method's rotation fan-out exploits.
+// and each rotation replays only ApplyKey+ModDown against its key
+// (KeyChain.HoistKey) before the Galois automorphism is applied to the
+// switched pair. For k rotations this saves (k−1) executions of the
+// ModUp pipeline versus k Rotate calls — the amortization CiFlow's
+// reuse analysis models and the diagonal method's rotation fan-out
+// exploits.
 //
-// Results are returned in rots order and decrypt to the same messages
-// as the corresponding Rotate calls (the hoisting-form keys carry
-// independent encryption randomness, so outputs agree to within key-
-// switching noise, not bit-exactly). A rotation amount of 0 returns a
-// copy of ct. With an engine attached (WithEngine), both the hoist
-// and each replay run as task graphs under the evaluator's dataflow.
+// Results are returned in rots order, each bit-exact with the
+// corresponding Rotate call. A rotation amount of 0 returns a copy of
+// ct. With an engine attached (WithEngine), the hoist and each replay
+// run as task graphs under the evaluator's dataflow.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) ([]*Ciphertext, error) {
-	r := ev.ctx.R
-	b := r.QBasis(ct.Level)
-	sw, err := ev.kc.Switcher(ct.Level)
-	if err != nil {
-		return nil, err
-	}
 	// Materialize every key first so no hoisted state is held across
 	// key generation failures.
-	evks := make([]*hks.Evk, len(rots))
-	anyKey := false
+	els := make([]galoisSwitch, len(rots))
 	for i, rot := range rots {
 		if rot%ev.ctx.Slots() == 0 {
 			continue
 		}
-		if evks[i], err = ev.kc.HoistKey(rot, ct.Level); err != nil {
+		key, err := ev.kc.HoistKey(rot, ct.Level)
+		if err != nil {
 			return nil, err
 		}
-		anyKey = true
+		els[i] = galoisSwitch{ev.ctx.R.GaloisElement(rot), key}
 	}
-	if !anyKey { // only identity rotations: nothing to hoist
-		outs := make([]*Ciphertext, len(rots))
-		for i := range outs {
-			outs[i] = ct.Copy()
-		}
-		return outs, nil
-	}
-
-	var h *hks.Hoisted
-	if ev.eng == nil {
-		h = sw.Hoist(ct.C1)
-	} else {
-		h = sw.HoistParallel(ev.eng, ev.df, ct.C1)
-	}
-	defer h.Release()
-
-	// Per-rotation scratch, reused across the fan-out.
-	k0 := r.NewPoly(b)
-	k1 := r.NewPoly(b)
-	t0 := r.NewPoly(b)
-	outs := make([]*Ciphertext, len(rots))
-	for i, rot := range rots {
-		if evks[i] == nil { // rotation by 0: identity
-			outs[i] = ct.Copy()
-			continue
-		}
-		if ev.eng == nil {
-			h.SwitchInto(evks[i], k0, k1)
-		} else {
-			h.SwitchParallelInto(ev.eng, evks[i], k0, k1)
-		}
-		r.Add(ct.C0, k0, t0)
-		r.INTTWith(ev.runner(), t0)
-		r.INTTWith(ev.runner(), k1)
-		a0 := r.NewPoly(b)
-		a1 := r.NewPoly(b)
-		g := r.GaloisElement(rot)
-		r.Automorphism(t0, g, a0)
-		r.Automorphism(k1, g, a1)
-		r.NTTWith(ev.runner(), a0)
-		r.NTTWith(ev.runner(), a1)
-		outs[i] = &Ciphertext{C0: a0, C1: a1, Level: ct.Level, Scale: ct.Scale}
-	}
-	return outs, nil
+	return ev.galois(ct, els)
 }

@@ -8,38 +8,38 @@ import (
 	"ciflow/internal/engine"
 )
 
-// TestRotateHoistedMatchesRotate checks that every hoisted rotation
-// decrypts to the same message as the per-rotation path (the keys
-// differ in form and randomness, so agreement is up to key-switching
-// noise, not bit-exact).
+// TestRotateHoistedMatchesRotate checks that every hoisted rotation is
+// the per-rotation path's ciphertext bit for bit — one key form, one
+// path, and a replay of a shared ModUp is exact — serially and under an
+// engine, and that it decrypts to the rotated vector.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
-	ctx, enc, kc, pk, ev := testContext(t)
+	ctx, enc, kc, pk, serial := testContext(t)
 	vals := randomValues(ctx.Slots(), 0.27)
 	pt, _ := enc.Encode(vals, ctx.MaxLevel)
-	ct := ev.Encrypt(pt, pk)
+	ct := serial.Encrypt(pt, pk)
+	e := engine.New(4)
+	defer e.Close()
 
 	rots := []int{1, 3, 0, 7, ctx.Slots() - 1}
-	hoisted, err := ev.RotateHoisted(ct, rots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hoisted) != len(rots) {
-		t.Fatalf("got %d outputs for %d rotations", len(hoisted), len(rots))
-	}
-	for i, rot := range rots {
-		want, err := ev.Rotate(ct, rot)
+	for _, ev := range []*Evaluator{serial, serial.WithEngine(e, dataflow.OC)} {
+		hoisted, err := ev.RotateHoisted(ct, rots)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decH := enc.Decode(ev.Decrypt(hoisted[i], kc.Secret()))
-		decW := enc.Decode(ev.Decrypt(want, kc.Secret()))
-		for s := 0; s < ctx.Slots(); s++ {
-			if cmplx.Abs(decH[s]-decW[s]) > 1e-3 {
-				t.Fatalf("rot %d slot %d: hoisted %v vs per-rotation %v", rot, s, decH[s], decW[s])
+		if len(hoisted) != len(rots) {
+			t.Fatalf("got %d outputs for %d rotations", len(hoisted), len(rots))
+		}
+		for i, rot := range rots {
+			want, err := serial.Rotate(ct, rot)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// And against the plaintext rotation directly.
-			if cmplx.Abs(decH[s]-vals[(s+rot)%ctx.Slots()]) > 1e-3 {
-				t.Fatalf("rot %d slot %d: hoisted %v, want %v", rot, s, decH[s], vals[(s+rot)%ctx.Slots()])
+			ctEqual(t, "RotateHoisted vs Rotate", hoisted[i], want)
+			dec := enc.Decode(ev.Decrypt(hoisted[i], kc.Secret()))
+			for s := 0; s < ctx.Slots(); s++ {
+				if cmplx.Abs(dec[s]-vals[(s+rot)%ctx.Slots()]) > 1e-3 {
+					t.Fatalf("rot %d slot %d: hoisted %v, want %v", rot, s, dec[s], vals[(s+rot)%ctx.Slots()])
+				}
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package ckks
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"ciflow/internal/hks"
+	"ciflow/internal/memo"
 	"ciflow/internal/ring"
 )
 
@@ -21,18 +21,26 @@ type PublicKey struct {
 }
 
 // KeyChain owns the secret key and lazily materializes the evaluation
-// keys (relinearization and rotation) that homomorphic operations
-// need, one per level. A production library would precompute and
-// serialize these; for analysis purposes lazy generation keeps tests
-// and examples self-contained.
+// keys (relinearization, rotation, conjugation) that homomorphic
+// operations need, one per level. A production library would
+// precompute and serialize these; for analysis purposes lazy
+// generation keeps tests and examples self-contained.
+//
+// There is one rotation-key form, the hoisting form s → σ_g⁻¹(s): the
+// un-rotated c1 is switched first and σ_g applied to the switched pair
+// afterwards, so every rotation of one ciphertext shares its ModUp and
+// the pair a serving layer returns for (c1, rot, level) is the pair
+// Evaluator.Rotate computes (HoistKey has the algebra).
 //
 // A KeyChain is safe for concurrent use: the serving layer
-// (internal/serve) loads keys from many request goroutines at once,
-// and generation is memoized under one lock, so every caller of
-// RotKey/HoistKey observes the identical key material — which is what
-// keeps served results bit-exact across cache evictions and reloads.
-// A key is memoized once, in the form it was first asked for: dense
-// (RelinKey, RotKey, ConjKey, HoistKey) or, for a consumer that keeps
+// (internal/serve) loads keys from many request goroutines at once.
+// Every key lives in one memo keyed by its identity and is generated
+// once, outside the memo's lock — two goroutines loading different
+// keys generate concurrently, two loading one key share its single
+// generation — so every caller observes the identical key material,
+// which is what keeps served results bit-exact across cache evictions
+// and reloads. A key is memoized in the form it was first asked for:
+// dense (RelinKey, ConjKey, HoistKey) or, for a consumer that keeps
 // keys compressed, as B-halves and seeds only (HoistKeyCompressed), in
 // which case no A-half stays resident in the chain.
 // Beyond memoization, each key's randomness is derived from the chain
@@ -54,13 +62,21 @@ type KeyChain struct {
 	// satisfies serve.SwitcherSource through Switcher.
 	pool *hks.SwitcherPool
 
-	mu    sync.Mutex // guards the maps below
-	relin map[int]*hks.Evk
-	rot   map[int]map[int]*hks.Evk // rot -> level -> evk
-	hoist map[int]map[int]*hks.Evk // rot -> level -> hoisting-form evk
-	// hoistComp holds the hoisting-form keys first asked for compressed.
-	hoistComp map[int]map[int]*hks.CompressedEvk
+	keys memo.Map[keyID, hks.KeyMaterial]
 }
+
+// keyID is an evaluation key's identity: what keySampler derives its
+// randomness from and what the memo is keyed by.
+type keyID struct {
+	form       string // formRelin, formHoist or formConj
+	rot, level int
+}
+
+const (
+	formRelin = "relin" // s² → s
+	formHoist = "hoist" // s → σ_g⁻¹(s), g = 5^rot
+	formConj  = "conj"  // s → σ_g⁻¹(s), g = 2N−1 (its own inverse)
+)
 
 // GenKeys samples a fresh secret/public key pair and its key chain.
 func GenKeys(ctx *Context, seed int64) (*KeyChain, *PublicKey) {
@@ -89,18 +105,7 @@ func GenKeys(ctx *Context, seed int64) (*KeyChain, *PublicKey) {
 	r.MulCoeffwise(a, sTop, b)
 	r.Sub(e, b, b)
 
-	kc := &KeyChain{
-		ctx:       ctx,
-		seed:      seed,
-		sampler:   sampler,
-		sk:        sk,
-		sSquare:   s2,
-		pool:      ctx.Switchers(),
-		relin:     map[int]*hks.Evk{},
-		rot:       map[int]map[int]*hks.Evk{},
-		hoist:     map[int]map[int]*hks.Evk{},
-		hoistComp: map[int]map[int]*hks.CompressedEvk{},
-	}
+	kc := &KeyChain{ctx: ctx, seed: seed, sampler: sampler, sk: sk, sSquare: s2, pool: ctx.Switchers()}
 	return kc, &PublicKey{B: b, A: a}
 }
 
@@ -116,22 +121,17 @@ func (kc *KeyChain) Secret() *SecretKey { return kc.sk }
 // goroutines. The cluster layer is built on that property — any shard
 // (or a router-side verifier) regenerates a tenant's keys from the
 // tenant seed alone and must land on the same bits as every replica.
-func (kc *KeyChain) keySampler(form string, rotBy, level int) *ring.Sampler {
+func (kc *KeyChain) keySampler(id keyID) *ring.Sampler {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d|%d", kc.seed, form, rotBy, level)
+	fmt.Fprintf(h, "%d|%s|%d|%d", kc.seed, id.form, id.rot, id.level)
 	return ring.NewSampler(kc.ctx.R, int64(h.Sum64()&^(1<<63)))
 }
 
-// Switcher returns (building if needed) the HKS switcher for a level.
-// The signature matches serve.SwitcherSource, so a KeyChain can route
-// a level-aware request stream directly.
+// Switcher returns (building if needed) the HKS switcher for a level,
+// from the context's shared pool. The signature matches
+// serve.SwitcherSource, so a KeyChain can route a level-aware request
+// stream directly.
 func (kc *KeyChain) Switcher(level int) (*hks.Switcher, error) {
-	return kc.switcherFor(level)
-}
-
-// switcherFor resolves a level through the shared pool (which carries
-// its own lock — callers may hold kc.mu).
-func (kc *KeyChain) switcherFor(level int) (*hks.Switcher, error) {
 	sw, err := kc.pool.Switcher(level)
 	if err != nil {
 		return nil, fmt.Errorf("ckks: no switcher at level %d: %w", level, err)
@@ -139,109 +139,78 @@ func (kc *KeyChain) switcherFor(level int) (*hks.Switcher, error) {
 	return sw, nil
 }
 
+// key returns the evaluation key named id, generating it the first
+// time it is asked for — compressed (the dense key's A-halves dropped
+// before it is memoized) if that first caller wants it so.
+func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
+	return kc.keys.Do(id, func() (hks.KeyMaterial, error) {
+		sw, err := kc.Switcher(id.level)
+		if err != nil {
+			return nil, err
+		}
+		from, to := kc.secrets(id)
+		evk := sw.GenEvk(kc.keySampler(id), from, to)
+		if !compressed {
+			return evk, nil
+		}
+		c, _ := evk.Compress() // GenEvk records every seed
+		return c, nil
+	})
+}
+
+// secrets returns the two secrets (full D basis, coefficient domain)
+// the key named id re-encrypts between.
+func (kc *KeyChain) secrets(id keyID) (from, to *ring.Poly) {
+	if id.form == formRelin {
+		return kc.sSquare, kc.sk.S
+	}
+	r := kc.ctx.R
+	gInv := 2*r.N - 1
+	if id.form == formHoist {
+		// σ_g⁻¹ = σ_{g'} with g' = 5^(−rot): 5 has order N/2 modulo 2N, so
+		// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
+		gInv = r.GaloisElement(-id.rot)
+	}
+	to = r.NewPoly(r.DBasis(r.NumQ - 1))
+	r.Automorphism(kc.sk.S, gInv, to)
+	return kc.sk.S, to
+}
+
+// dense returns the key named id dense. A key memoized compressed
+// stays that way: the caller gets a fresh expansion — the same bits,
+// the seeds being the key's own — and the chain keeps no A-half on its
+// behalf.
+func (kc *KeyChain) dense(id keyID) (*hks.Evk, error) {
+	m, err := kc.key(id, false)
+	if err != nil {
+		return nil, err
+	}
+	return m.Dense(kc.ctx.R), nil
+}
+
 // RelinKey returns the s²→s evaluation key for a level.
 func (kc *KeyChain) RelinKey(level int) (*hks.Evk, error) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if evk, ok := kc.relin[level]; ok {
-		return evk, nil
-	}
-	sw, err := kc.switcherFor(level)
-	if err != nil {
-		return nil, err
-	}
-	evk := sw.GenEvk(kc.keySampler("relin", 0, level), kc.sSquare, kc.sk.S)
-	kc.relin[level] = evk
-	return evk, nil
+	return kc.dense(keyID{formRelin, 0, level})
 }
 
-// ConjKey returns the evaluation key for slot conjugation (the
-// automorphism X → X^(2N−1)) at a level.
+// ConjKey returns the evaluation key for slot conjugation at a level:
+// the hoisting form (see HoistKey) of the automorphism X → X^(2N−1).
 func (kc *KeyChain) ConjKey(level int) (*hks.Evk, error) {
-	// Reserved map key far outside the valid rotation range
-	// (rotations are reduced modulo N/2, so no collision).
-	const conjSlot = 1 << 30
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if m, ok := kc.rot[conjSlot]; ok {
-		if evk, ok := m[level]; ok {
-			return evk, nil
-		}
-	}
-	sw, err := kc.switcherFor(level)
-	if err != nil {
-		return nil, err
-	}
-	r := kc.ctx.R
-	full := r.DBasis(r.NumQ - 1)
-	sConj := r.NewPoly(full)
-	r.Automorphism(kc.sk.S, 2*r.N-1, sConj)
-	evk := sw.GenEvk(kc.keySampler("conj", 0, level), sConj, kc.sk.S)
-	if kc.rot[conjSlot] == nil {
-		kc.rot[conjSlot] = map[int]*hks.Evk{}
-	}
-	kc.rot[conjSlot][level] = evk
-	return evk, nil
+	return kc.dense(keyID{formConj, 0, level})
 }
 
-// RotKey returns the σ_g(s)→s evaluation key for a rotation amount at
-// a level.
-func (kc *KeyChain) RotKey(rotBy, level int) (*hks.Evk, error) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if m, ok := kc.rot[rotBy]; ok {
-		if evk, ok := m[level]; ok {
-			return evk, nil
-		}
-	}
-	sw, err := kc.switcherFor(level)
-	if err != nil {
-		return nil, err
-	}
-	r := kc.ctx.R
-	g := r.GaloisElement(rotBy)
-	full := r.DBasis(r.NumQ - 1)
-	sRot := r.NewPoly(full)
-	r.Automorphism(kc.sk.S, g, sRot)
-	evk := sw.GenEvk(kc.keySampler("rot", rotBy, level), sRot, kc.sk.S)
-	if kc.rot[rotBy] == nil {
-		kc.rot[rotBy] = map[int]*hks.Evk{}
-	}
-	kc.rot[rotBy][level] = evk
-	return evk, nil
-}
-
-// HoistKey returns the hoisting-form rotation key for a rotation
-// amount at a level: an evaluation key s → σ_g⁻¹(s), where g = 5^rot.
+// HoistKey returns the rotation key for a rotation amount at a level:
+// an evaluation key s → σ_g⁻¹(s), where g = 5^rot.
 //
-// The ordinary RotKey form σ_g(s) → s requires the automorphism to run
-// *before* key switching, so the ModUp input differs per rotation and
-// nothing can be shared. The hoisting form switches the un-rotated
-// c1 first — k0 + k1·σ_g⁻¹(s) ≈ c1·s — and applies σ_g afterwards:
+// A key σ_g(s) → s would require the automorphism to run *before* key
+// switching, so the ModUp input would differ per rotation and nothing
+// could be shared. The hoisting form switches the un-rotated c1 first
+// — k0 + k1·σ_g⁻¹(s) ≈ c1·s — and applies σ_g afterwards:
 // σ_g(k1)·s = σ_g(k1·σ_g⁻¹(s)), so (σ_g(c0+k0), σ_g(k1)) decrypts to
 // σ_g(m). With the key in this form every rotation of one ciphertext
 // replays the same hoisted ModUp (Evaluator.RotateHoisted).
 func (kc *KeyChain) HoistKey(rotBy, level int) (*hks.Evk, error) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if evk, ok := kc.hoist[rotBy][level]; ok {
-		return evk, nil
-	}
-	// A key memoized compressed stays that way: the caller gets a fresh
-	// expansion — the same bits, the seeds being the key's own — and
-	// the chain keeps no A-half on its behalf.
-	if c, ok := kc.hoistComp[rotBy][level]; ok {
-		return c.Expand(kc.ctx.R), nil
-	}
-	evk, err := kc.genHoistKey(rotBy, level)
-	if err != nil {
-		return nil, err
-	}
-	if kc.hoist[rotBy] == nil {
-		kc.hoist[rotBy] = map[int]*hks.Evk{}
-	}
-	kc.hoist[rotBy][level] = evk
-	return evk, nil
+	return kc.dense(keyID{formHoist, rotBy, level})
 }
 
 // HoistKeyCompressed returns HoistKey's key in seed-compressed form —
@@ -250,44 +219,15 @@ func (kc *KeyChain) HoistKey(rotBy, level int) (*hks.Evk, error) {
 // compressed, and its A-halves dropped, so a chain behind a
 // byte-budgeted cache of compressed keys holds dnum × (|D_ℓ|·N·8 + 32)
 // bytes per key and no more. A key already memoized dense is
-// compressed in place, sharing its B-half.
+// compressed on the way out, sharing its B-half.
 func (kc *KeyChain) HoistKeyCompressed(rotBy, level int) (*hks.CompressedEvk, error) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if c, ok := kc.hoistComp[rotBy][level]; ok {
-		return c, nil
-	}
-	evk, ok := kc.hoist[rotBy][level]
-	if !ok {
-		var err error
-		if evk, err = kc.genHoistKey(rotBy, level); err != nil {
-			return nil, err
-		}
-	}
-	c, ok := evk.Compress()
-	if !ok {
-		return nil, fmt.Errorf("ckks: hoist key (rot %d, level %d) carries no expansion seeds", rotBy, level)
-	}
-	if kc.hoistComp[rotBy] == nil {
-		kc.hoistComp[rotBy] = map[int]*hks.CompressedEvk{}
-	}
-	kc.hoistComp[rotBy][level] = c
-	return c, nil
-}
-
-// genHoistKey generates the hoisting-form key s → σ_g⁻¹(s); the caller
-// holds kc.mu and memoizes the result.
-func (kc *KeyChain) genHoistKey(rotBy, level int) (*hks.Evk, error) {
-	sw, err := kc.switcherFor(level)
+	m, err := kc.key(keyID{formHoist, rotBy, level}, true)
 	if err != nil {
 		return nil, err
 	}
-	r := kc.ctx.R
-	// σ_g⁻¹ = σ_{g'} with g' = 5^(−rot): 5 has order N/2 modulo 2N, so
-	// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
-	gInv := r.GaloisElement(-rotBy)
-	full := r.DBasis(r.NumQ - 1)
-	sInv := r.NewPoly(full)
-	r.Automorphism(kc.sk.S, gInv, sInv)
-	return sw.GenEvk(kc.keySampler("hoist", rotBy, level), kc.sk.S, sInv), nil
+	if c, ok := m.(*hks.CompressedEvk); ok {
+		return c, nil
+	}
+	c, _ := m.(*hks.Evk).Compress()
+	return c, nil
 }

@@ -3,6 +3,7 @@ package ckks
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ciflow/internal/hks"
@@ -182,4 +183,34 @@ func TestHoistKeyCompressedRetainsNoAHalf(t *testing.T) {
 			grown, keys, want)
 	}
 	runtime.KeepAlive(kc)
+}
+
+// Concurrent loads of one key share its single generation — every
+// caller gets the one memoized key — while loads of other keys proceed
+// beside it (run under -race).
+func TestKeyChainConcurrentLoads(t *testing.T) {
+	ctx, err := NewContext(128, 4, 30, 2, 31, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc, _ := GenKeys(ctx, 42)
+	const callers = 8
+	same := make([]*hks.Evk, callers)
+	var wg sync.WaitGroup
+	for i := range same {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			same[i], _ = kc.HoistKey(3, ctx.MaxLevel)
+			if _, err := kc.HoistKeyCompressed(10+i, ctx.MaxLevel); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, evk := range same {
+		if evk == nil || evk != same[0] {
+			t.Fatalf("caller %d got its own copy of the key", i)
+		}
+	}
 }

@@ -3,40 +3,7 @@ package ckks
 import (
 	"fmt"
 	"sort"
-
-	"ciflow/internal/ring"
 )
-
-// Conjugate applies complex conjugation to every slot via the Galois
-// automorphism X → X^(2N−1), followed by a key switch back to s.
-func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	r := ev.ctx.R
-	b := r.QBasis(ct.Level)
-	k := 2*r.N - 1
-
-	rc0 := ct.C0.Copy()
-	rc1 := ct.C1.Copy()
-	r.INTTWith(ev.runner(), rc0)
-	r.INTTWith(ev.runner(), rc1)
-	a0 := r.NewPoly(b)
-	a1 := r.NewPoly(b)
-	r.Automorphism(rc0, k, a0)
-	r.Automorphism(rc1, k, a1)
-	r.NTTWith(ev.runner(), a0)
-	r.NTTWith(ev.runner(), a1)
-
-	sw, err := ev.kc.Switcher(ct.Level)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := ev.kc.ConjKey(ct.Level)
-	if err != nil {
-		return nil, err
-	}
-	k0, k1 := ev.keySwitch(sw, a1, rk)
-	r.Add(a0, k0, a0)
-	return &Ciphertext{C0: a0, C1: k1, Level: ct.Level, Scale: ct.Scale}, nil
-}
 
 // InnerSum adds the first n slots (n a power of two) into every one of
 // those slot positions using log2(n) rotations — the rotate-and-sum
@@ -163,6 +130,3 @@ func (ev *Evaluator) Apply(lt *LinearTransform, ct *Ciphertext) (*Ciphertext, er
 	}
 	return ev.Rescale(acc)
 }
-
-// ringOf is a tiny helper for tests that need the evaluator's ring.
-func (ev *Evaluator) ringOf() *ring.Ring { return ev.ctx.R }

@@ -93,9 +93,10 @@ type Switcher struct {
 	// (internal/dataflow), which every schedule visits (schedule.go).
 	plans [dataflow.OCF + 1]*dataflow.Plan
 
-	// Pooled execution states (tiles.go), one pool per dataflow;
-	// filled on demand, never here. Internally synchronized.
-	states [dataflow.OCF + 1]sync.Pool
+	// Pooled execution states (tiles.go): one pool, because a state's
+	// scratch does not depend on the dataflow it last ran under, only
+	// its cached graphs do. Filled on demand, never here.
+	states sync.Pool
 }
 
 // NewSwitcher prepares hybrid key switching over r at the given level

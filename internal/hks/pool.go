@@ -13,8 +13,7 @@ package hks
 // tenants/keyspaces; only evaluation keys are per-tenant.
 
 import (
-	"sync"
-
+	"ciflow/internal/memo"
 	"ciflow/internal/ring"
 )
 
@@ -25,25 +24,18 @@ type SwitcherPool struct {
 	r    *ring.Ring
 	dnum int
 
-	mu      sync.RWMutex
-	byLevel map[int]*poolEntry
-}
-
-// poolEntry is one level's slot: construction runs once, outside the
-// pool's map lock, so a cold level's (expensive) NewSwitcher never
-// stalls concurrent lookups of warm levels — the pool sits on the
-// submit path of every tenant of a serving layer.
-type poolEntry struct {
-	once sync.Once
-	sw   *Switcher
-	err  error
+	// Construction runs once per level, outside the map lock, so a cold
+	// level's (expensive) NewSwitcher never stalls concurrent lookups of
+	// warm levels — the pool sits on the submit path of every tenant of
+	// a serving layer.
+	byLevel memo.Map[int, *Switcher]
 }
 
 // NewSwitcherPool prepares a pool over r with the given digit count.
 // Parameter validation happens per level inside Switcher (a dnum too
 // large for a low level is clamped, an invalid level errors there).
 func NewSwitcherPool(r *ring.Ring, dnum int) *SwitcherPool {
-	return &SwitcherPool{r: r, dnum: dnum, byLevel: map[int]*poolEntry{}}
+	return &SwitcherPool{r: r, dnum: dnum}
 }
 
 // Ring returns the shared ring every pooled switcher operates over.
@@ -56,23 +48,7 @@ func (p *SwitcherPool) Ring() *ring.Ring { return p.r }
 // Construction errors are memoized too: level and dnum are the only
 // inputs, so a level that failed once fails always.
 func (p *SwitcherPool) Switcher(level int) (*Switcher, error) {
-	p.mu.RLock()
-	e := p.byLevel[level]
-	p.mu.RUnlock()
-	if e == nil {
-		p.mu.Lock()
-		if e = p.byLevel[level]; e == nil {
-			e = &poolEntry{}
-			p.byLevel[level] = e
-		}
-		p.mu.Unlock()
-	}
-	e.once.Do(func() {
-		dnum := p.dnum
-		if dnum > level+1 {
-			dnum = level + 1
-		}
-		e.sw, e.err = NewSwitcher(p.r, level, dnum)
+	return p.byLevel.Do(level, func() (*Switcher, error) {
+		return NewSwitcher(p.r, level, min(p.dnum, level+1))
 	})
-	return e.sw, e.err
 }

@@ -165,24 +165,24 @@ func union(set, more []int) []int {
 	return set
 }
 
-// The three graphs, each built the first time a state runs it.
+// The graphs, each built the first time a state runs it.
 
 func (h *Hoisted) fusedGraph() *engine.Graph {
-	if h.fused == nil {
-		h.fused = h.graph(h.df, anyTile)
+	if h.fused[h.df] == nil {
+		h.fused[h.df] = h.graph(h.df, anyTile)
 	}
-	return h.fused
+	return h.fused[h.df]
 }
 
 func (h *Hoisted) hoistGraph() *engine.Graph {
-	if h.hoistG == nil {
-		df := dataflow.MP
-		if h.df == dataflow.DC {
-			df = dataflow.DC
-		}
-		h.hoistG = h.graph(df, modUpTile)
+	df := dataflow.MP
+	if h.df == dataflow.DC {
+		df = dataflow.DC
 	}
-	return h.hoistG
+	if h.hoistG[df] == nil {
+		h.hoistG[df] = h.graph(df, modUpTile)
+	}
+	return h.hoistG[df]
 }
 
 func (h *Hoisted) replayGraph() *engine.Graph {

@@ -23,6 +23,16 @@ import (
 //	go test ./internal/hks -run TestFusedGraphShape -update
 var update = flag.Bool("update", false, "rewrite testdata/graphs.golden")
 
+// graphsBuilt counts the graphs a state has built so far.
+func graphsBuilt(h *Hoisted) (n int) {
+	for _, g := range append(append(h.fused[:], h.hoistG[:]...), h.replayG) {
+		if g != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFusedGraphShape pins what the engine schedules on the benchmark
 // shape (N=2^13, 6 Q towers, 3 P towers, dnum 3). The tile names and
 // counts of a per-rotation switch were recorded at the commit before
@@ -43,10 +53,8 @@ func TestFusedGraphShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range sw.states {
-		if sw.states[k].Get() != nil {
-			t.Fatalf("NewSwitcher pooled a state in slot %d", k)
-		}
+	if sw.states.Get() != nil {
+		t.Fatal("NewSwitcher pooled a state")
 	}
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
@@ -80,15 +88,16 @@ func TestFusedGraphShape(t *testing.T) {
 		if !maps.Equal(ran, tc.want) {
 			t.Errorf("%s ran tiles %v, want %v", tc.df, ran, tc.want)
 		}
-		h := newState(sw, tc.df)
-		if h.fused != nil || h.hoistG != nil || h.replayG != nil {
+		h := newState(sw)
+		h.df = tc.df
+		if graphsBuilt(h) != 0 {
 			t.Errorf("%s: a new state already has a graph", tc.df)
 		}
 		nodes := 0
 		for _, n := range tc.want {
 			nodes += n
 		}
-		if g := h.fusedGraph(); g.Len() != nodes || h.hoistG != nil || h.replayG != nil {
+		if g := h.fusedGraph(); g.Len() != nodes || graphsBuilt(h) != 1 {
 			t.Errorf("%s fused graph has %d nodes, want %d, and must be the only graph built", tc.df, g.Len(), nodes)
 		}
 
@@ -107,7 +116,8 @@ func TestFusedGraphShape(t *testing.T) {
 		fused := graphEdges(h, h.fusedGraph(), h.probes(true, true))
 		h.unbind()
 		exact("fused")
-		h = newState(sw, tc.df)
+		h = newState(sw)
+		h.df = tc.df
 		h.ownBypass()
 		h.d = d
 		hoist := graphEdges(h, h.hoistGraph(), h.probes(true, false))

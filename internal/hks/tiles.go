@@ -49,7 +49,7 @@ import (
 // inputs concurrently on one Switcher is safe.
 type Hoisted struct {
 	sw *Switcher
-	df dataflow.Dataflow // pool slot and graph shape
+	df dataflow.Dataflow // the graph shape of this draw
 
 	// Bound per run.
 	d   *ring.Poly    // input, while its ModUp tiles run
@@ -80,12 +80,16 @@ type Hoisted struct {
 	// nothing.
 	upRows, kbRows, kaRows [][][]uint64
 
-	// Schedules over the tiles, each built on first use (schedule.go).
-	fused, hoistG, replayG *engine.Graph
-	serial                 []serialTile
+	// Schedules over the tiles, each built on first use (schedule.go):
+	// a fused graph per dataflow, a hoist graph for MP's plan and DC's,
+	// one replay graph.
+	fused   [dataflow.OCF + 1]*engine.Graph
+	hoistG  [dataflow.DC + 1]*engine.Graph
+	replayG *engine.Graph
+	serial  []serialTile
 }
 
-func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
+func newState(sw *Switcher) *Hoisted {
 	n, kp := sw.R.N, len(sw.pBasis)
 	rows := func(k int) [][]uint64 {
 		rs := make([][]uint64, k)
@@ -94,7 +98,7 @@ func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 		}
 		return rs
 	}
-	h := &Hoisted{sw: sw, df: df, y: rows(sw.ell())}
+	h := &Hoisted{sw: sw, y: rows(sw.ell())}
 	h.up = make([][][]uint64, sw.Dnum)
 	for j := range h.up {
 		h.up[j] = make([][]uint64, len(sw.dBasis))
@@ -118,17 +122,18 @@ func newState(sw *Switcher, df dataflow.Dataflow) *Hoisted {
 	return h
 }
 
-// state draws an execution state from df's pool slot, building one on
-// a miss, and captures the active recorder; samples go under label.
+// state draws an execution state from the pool, building one on a
+// miss, to run df's graphs, and captures the active recorder; samples
+// go under label.
 func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 	if !df.Valid() {
 		panic(fmt.Sprintf("hks: unknown dataflow %v", df))
 	}
-	h, _ := sw.states[df].Get().(*Hoisted)
+	h, _ := sw.states.Get().(*Hoisted)
 	if h == nil {
-		h = newState(sw, df)
+		h = newState(sw)
 	}
-	h.rec, h.label = obs.Active(), label
+	h.df, h.rec, h.label = df, obs.Active(), label
 	return h
 }
 
@@ -136,7 +141,7 @@ func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 // not be used afterwards.
 func (h *Hoisted) Release() {
 	h.rec, h.ownsBypass = nil, false
-	h.sw.states[h.df].Put(h)
+	h.sw.states.Put(h)
 }
 
 // ownBypass marks the state hoisted, allocating the bypass rows of the

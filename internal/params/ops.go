@@ -69,12 +69,3 @@ func (oc OpCounts) WeightedTotal() int64 {
 		AddWeight*oc.ReduceAdds +
 		ScaleWeight*oc.ModDownScaleElems
 }
-
-// ModularMultiplications counts only the multiplications — the
-// quantity hardware papers usually report.
-func (oc OpCounts) ModularMultiplications() int64 {
-	return oc.ModUpINTTButterflies + oc.ModUpNTTButterflies +
-		oc.ModDownINTTButterflies + oc.ModDownNTTButterflies +
-		oc.ModUpBConvMulAcc + oc.ApplyKeyMulAcc + oc.ModDownBConvMulAcc +
-		oc.ModDownScaleElems
-}

@@ -2,7 +2,9 @@
 // as configured by the CiFlow paper (§V-A): 128 high-performance large
 // arithmetic word engines (HPLEs) at 1.7 GHz, a 32 MB vector data
 // memory, a 1 MB scalar memory, and the B1K ISA (the B512 ISA widened
-// to 1K-element vectors to keep the 128 lanes busy).
+// to 1K-element vectors to keep the 128 lanes busy; 28 instructions,
+// issued through decoupled compute, shuffle and memory queues — the
+// opcode list is unpublished and nothing here models it).
 //
 // The compute-throughput calibration (CyclesPerModOp) converts the
 // weighted modular-operation counts of internal/params into time. The

@@ -48,39 +48,3 @@ func TestAreaModelMatchesPaperPoints(t *testing.T) {
 		t.Errorf("32MB area = %.2f, want 41.85", got)
 	}
 }
-
-func TestISAHas28Instructions(t *testing.T) {
-	// Paper §V-A: "B1K consists of 28 instructions".
-	if len(ISA) != 28 {
-		t.Fatalf("ISA has %d instructions, want 28", len(ISA))
-	}
-	seen := map[string]bool{}
-	classes := map[InstrClass]int{}
-	for _, ins := range ISA {
-		if seen[ins.Name] {
-			t.Errorf("duplicate instruction %q", ins.Name)
-		}
-		seen[ins.Name] = true
-		if ins.Desc == "" {
-			t.Errorf("instruction %q lacks a description", ins.Name)
-		}
-		classes[ins.Class]++
-	}
-	for _, cls := range []InstrClass{ClassCompute, ClassShuffle, ClassMemory, ClassControl} {
-		if classes[cls] == 0 {
-			t.Errorf("instruction class %d empty", cls)
-		}
-	}
-}
-
-func TestInstructionsPerTransform(t *testing.T) {
-	// N=2^17, logN=17: 128 vectors of 1K per stage, 2 instructions
-	// each.
-	if got := InstructionsPerTransform(1<<17, 17); got != 17*128*2 {
-		t.Fatalf("got %d", got)
-	}
-	// Sub-vector-length transforms still need one vector per stage.
-	if got := InstructionsPerTransform(512, 9); got != 9*2 {
-		t.Fatalf("small transform: got %d", got)
-	}
-}

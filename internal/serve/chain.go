@@ -3,10 +3,10 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/hks"
+	"ciflow/internal/memo"
 )
 
 // KeyChains is the multi-tenant ckks adapter: it maps tenant names to
@@ -73,17 +73,19 @@ func TenantSeed(tenant string) int64 {
 // (`ciflow serve`) and the cluster shards construct key material, so
 // the two deployments agree on every bit by construction.
 //
-// Safe for concurrent use. Chains are memoized and a chain memoizes
-// each key in the form this source asks for — compressed keys as
-// B-halves and seeds only (ckks.KeyChain.HoistKeyCompressed), dense
-// keys dense — so re-loading an evicted key returns identical material
-// and a compressing source keeps no A-half resident anywhere.
+// Safe for concurrent use, and no tenant waits on another: the tenant
+// set is fixed at construction (HasTenant, on every Submit's path,
+// takes no lock) and each chain is built once, under its own tenant's
+// entry only. A chain memoizes each key in the form this source asks
+// for — compressed keys as B-halves and seeds only
+// (ckks.KeyChain.HoistKeyCompressed), dense keys dense — so re-loading
+// an evicted key returns identical material and a compressing source
+// keeps no A-half resident anywhere.
 type SeedKeySource struct {
 	ctx      *ckks.Context
 	compress bool
-
-	mu     sync.Mutex
-	chains map[string]*ckks.KeyChain
+	tenants  map[string]struct{} // immutable after NewSeedKeySource
+	chains   memo.Map[string, *ckks.KeyChain]
 }
 
 // NewSeedKeySource builds a source serving exactly the given tenants
@@ -94,16 +96,12 @@ func NewSeedKeySource(ctx *ckks.Context, tenants []string, compress bool) (*Seed
 	if ctx == nil {
 		return nil, fmt.Errorf("serve: nil ckks context")
 	}
-	src := &SeedKeySource{
-		ctx:      ctx,
-		compress: compress,
-		chains:   make(map[string]*ckks.KeyChain, len(tenants)),
-	}
+	src := &SeedKeySource{ctx: ctx, compress: compress, tenants: make(map[string]struct{}, len(tenants))}
 	for _, t := range tenants {
-		if _, dup := src.chains[t]; dup {
+		if src.HasTenant(t) {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", t)
 		}
-		src.chains[t] = nil // allowed, chain not yet built
+		src.tenants[t] = struct{}{}
 	}
 	return src, nil
 }
@@ -112,17 +110,13 @@ func NewSeedKeySource(ctx *ckks.Context, tenants []string, compress bool) (*Seed
 // callers that need the dense keys or the secret — the serial
 // bit-exactness verifiers. Unknown tenants return an error.
 func (src *SeedKeySource) Chain(tenant string) (*ckks.KeyChain, error) {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	kc, ok := src.chains[tenant]
-	if !ok {
+	if !src.HasTenant(tenant) {
 		return nil, fmt.Errorf("serve: unknown tenant %q", tenant)
 	}
-	if kc == nil {
-		kc, _ = ckks.GenKeys(src.ctx, TenantSeed(tenant))
-		src.chains[tenant] = kc
-	}
-	return kc, nil
+	return src.chains.Do(tenant, func() (*ckks.KeyChain, error) {
+		kc, _ := ckks.GenKeys(src.ctx, TenantSeed(tenant))
+		return kc, nil
+	})
 }
 
 // Key implements KeySource: the tenant's hoisting-form rotation key,
@@ -149,8 +143,6 @@ func (src *SeedKeySource) Key(id KeyID) (hks.KeyMaterial, error) {
 
 // HasTenant implements TenantChecker against the fixed tenant set.
 func (src *SeedKeySource) HasTenant(tenant string) bool {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	_, ok := src.chains[tenant]
+	_, ok := src.tenants[tenant]
 	return ok
 }

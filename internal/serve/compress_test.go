@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,5 +362,57 @@ func TestHeldResultsSurviveLaterRequests(t *testing.T) {
 			t.Fatalf("held result %d shares a polynomial with another result", i)
 		}
 		seen[h.res.C0], seen[h.res.C1] = true, true
+	}
+}
+
+// One tenant's first key load must not stall another tenant's
+// admission: HasTenant is on the path of every Submit of every tenant,
+// and Chain("a") spends tens of milliseconds in ckks.GenKeys on a ring
+// this size. While that build runs, a second goroutine's HasTenant("b")
+// calls must keep completing — behind a mutex shared with the build
+// they would all wait for it to end.
+func TestHasTenantDoesNotWaitForChainBuild(t *testing.T) {
+	ctx, err := ckks.NewContext(1<<16, 8, 40, 2, 41, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSeedKeySource(ctx, []string{"a", "b"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !src.HasTenant("b") {
+				t.Error("tenant b unknown")
+				return
+			}
+			calls.Add(1)
+		}
+	}()
+	for calls.Load() == 0 { // the prober is running
+		runtime.Gosched()
+	}
+	before, start := calls.Load(), time.Now()
+	kc, err := src.Chain("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	during, build := calls.Load()-before, time.Since(start)
+	close(stop)
+	<-stopped
+	t.Logf("%d HasTenant(b) calls during the %v build", during, build)
+	if during < 1000 {
+		t.Fatalf("%d HasTenant(b) calls completed during the %v build of tenant a's chain: admission waits on another tenant's key load", during, build)
+	}
+	if again, _ := src.Chain("a"); again != kc {
+		t.Fatal("Chain rebuilt a tenant's chain")
 	}
 }
