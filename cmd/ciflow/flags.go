@@ -28,7 +28,7 @@ var verbs []verb
 func init() {
 	verbs = []verb{
 		{"serve", "replay a -workload schedule DAG for -tenants tenants against the serial reference, through one in-process service or -shards shard processes behind the router (-replicas, -kill); -check verifies exact counts and bit-exactness", serveVerb},
-		{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export/-import versioned JSON)", scheduleVerb},
+		{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export writes versioned JSON, -workload file: reads it)", scheduleVerb},
 		{"shard", "one cluster shard backend: a serve service behind the wire protocol (-addr)", shardVerb},
 		{"router", "probe running shards (-shardaddrs) and print the cluster status table", routerVerb},
 		{"all", "every table, figure and ablation of the paper, in its order (all but roofline and memory above)", runAll},
@@ -120,7 +120,6 @@ func newFlags() *cliFlags {
 	fs.BoolVar(&fl.serve.kill, "kill", false, "serve: drain and retire one shard mid-replay")
 
 	fs.StringVar(&fl.schedule.exportPath, "export", "", "schedule: also write the schedule as versioned JSON to this file")
-	fs.StringVar(&fl.schedule.importPath, "import", "", "schedule: load and re-validate the schedule from this JSON file instead of generating it")
 	fs.StringVar(&fl.schedule.dotPath, "dot", "", "schedule: render the schedule DAG in Graphviz DOT format to this file")
 
 	fs.StringVar(&fl.shard.addr, "addr", "127.0.0.1:0", "shard listen address")

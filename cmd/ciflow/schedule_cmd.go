@@ -14,20 +14,20 @@ package main
 // pair the dataflow analysis is about.
 //
 // -export FILE writes the schedule as versioned JSON (the canonical
-// byte-stable form the testdata goldens pin); -import FILE loads and
-// fully re-validates one instead of generating, so export→import is a
-// lossless round trip and a hand-written DAG is either rejected with
+// byte-stable form the testdata goldens pin); -workload file:FILE loads
+// and fully re-validates one instead of generating, so export→import is
+// a lossless round trip and a hand-written DAG is either rejected with
 // a precise structural error or printed/priced/replayed like any
 // generated schedule.
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"strings"
 
 	"ciflow/internal/analysis"
 	"ciflow/internal/params"
-	"ciflow/internal/trace"
 	"ciflow/internal/workload"
 )
 
@@ -94,37 +94,26 @@ func scheduleFor(name string, g geometry, radix, rotations, requests int) (*work
 	}
 }
 
-// writeScheduleDOT renders a workload schedule DAG through the
-// trace-IR Graphviz writer: every key switch becomes one compute task
-// (same IDs, same dependency edges), so the DOT output shows the
-// hoist-group and dependency structure the replay executes.
+// writeScheduleDOT renders a workload schedule DAG as a Graphviz
+// digraph: one node per key switch, labelled with its stage, rotation,
+// hoist group and level, followed by an edge from each of its
+// dependencies, so the picture shows the hoist-group and dependency
+// structure the replay executes.
 func writeScheduleDOT(sched *workload.Schedule, path string) error {
-	b := trace.NewBuilder()
-	for _, nd := range sched.Nodes {
-		label := nd.Stage
-		if label == "" {
-			label = nd.Kind.String()
-		}
+	var sb strings.Builder
+	sb.WriteString("digraph schedule {\n  rankdir=LR;\n")
+	for i, nd := range sched.Nodes {
+		label := cmp.Or(nd.Stage, nd.Kind.String())
 		if nd.Kind == workload.Rotate {
-			label = fmt.Sprintf("%s r%d g%d L%d", label, nd.Rot, nd.Group, nd.Level)
-		} else {
-			label = fmt.Sprintf("%s g%d L%d", label, nd.Group, nd.Level)
+			label += fmt.Sprintf(" r%d", nd.Rot)
 		}
-		b.Compute(label, 1, nd.Deps...)
+		fmt.Fprintf(&sb, "  t%d [label=%q];\n", i, fmt.Sprintf("%s g%d L%d", label, nd.Group, nd.Level))
+		for _, d := range nd.Deps {
+			fmt.Fprintf(&sb, "  t%d -> t%d;\n", d, i)
+		}
 	}
-	prog := b.Program()
-	if err := prog.Validate(); err != nil {
-		return fmt.Errorf("schedule DOT: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := prog.WriteDOT(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	sb.WriteString("}\n")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d nodes)\n", path, len(sched.Nodes))
@@ -135,7 +124,6 @@ func writeScheduleDOT(sched *workload.Schedule, path string) error {
 type scheduleConfig struct {
 	shapeFlags
 	exportPath string
-	importPath string
 	dotPath    string
 }
 
@@ -144,12 +132,9 @@ func scheduleCmd(r *analysis.Runner, cfg scheduleConfig) error {
 	if err != nil {
 		return err
 	}
-	source, name := cfg.workload, cfg.workload
-	if cfg.importPath != "" {
-		// The -bts set still anchors the cost-model pricing below.
-		source, name = "file:"+cfg.importPath, "import"
-	}
-	sched, err := scheduleFor(source, geometry{logN: b.LogN, top: b.KL - 1, bench: &b}, cfg.radix, cfg.rotations, cfg.requests)
+	// The -bts set anchors the cost-model pricing below, for a file:
+	// schedule too.
+	sched, err := scheduleFor(cfg.workload, geometry{logN: b.LogN, top: b.KL - 1, bench: &b}, cfg.radix, cfg.rotations, cfg.requests)
 	if err != nil {
 		return err
 	}
@@ -199,7 +184,7 @@ func scheduleCmd(r *analysis.Runner, cfg scheduleConfig) error {
 
 	if cfg.jsonPath != "" {
 		rep := &scheduleReport{
-			Workload: name, Bench: b.Name, Radix: sched.Radix,
+			Workload: cfg.workload, Bench: b.Name, Radix: sched.Radix,
 			Schedule: sched.Name, Counts: c, Estimates: rows,
 		}
 		if err := writeJSONReport(cfg.jsonPath, rep); err != nil {

@@ -1,8 +1,8 @@
 package main
 
 // Tests for the schedule import/export surface of the CLI: the
-// schedule verb's -export/-import round trip, the file:<path> workload
-// source, and the library shapes.
+// schedule verb's -export / -workload file: round trip, the file:<path>
+// workload source, and the library shapes.
 
 import (
 	"bytes"
@@ -37,11 +37,11 @@ func TestScheduleExportImportVerb(t *testing.T) {
 		t.Fatalf("exported schedule %q", sched.Name)
 	}
 
-	// -import prices the file like any generated schedule and reports
-	// the same counts; -export alongside re-emits identical bytes.
+	// file: prices the file like any generated schedule and reports the
+	// same counts; -export alongside re-emits identical bytes.
 	jsonPath := filepath.Join(dir, "report.json")
 	reExported := filepath.Join(dir, "again.schedule.json")
-	args = []string{"schedule", "-import", exported,
+	args = []string{"schedule", "-workload", "file:" + exported,
 		"-json", jsonPath, "-export", reExported}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
@@ -54,7 +54,7 @@ func TestScheduleExportImportVerb(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Workload != "import" || rep.Schedule != "pir-2x4" {
+	if rep.Workload != "file:"+exported || rep.Schedule != "pir-2x4" {
 		t.Fatalf("imported report names: %+v", rep)
 	}
 	if want := sched.Counts(); !reflect.DeepEqual(rep.Counts, want) {
@@ -80,8 +80,8 @@ func TestScheduleImportVerbErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
-		{"schedule", "-import", filepath.Join(dir, "missing.json")},
-		{"schedule", "-import", bad},
+		{"schedule", "-workload", "file:" + filepath.Join(dir, "missing.json")},
+		{"schedule", "-workload", "file:" + bad},
 		{"schedule", "-workload", "pir", "-rotations", "1"},
 		{"schedule", "-workload", "evalmod", "-bts", "7"},
 	} {
@@ -89,7 +89,7 @@ func TestScheduleImportVerbErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
-	err := run([]string{"schedule", "-import", bad})
+	err := run([]string{"schedule", "-workload", "file:" + bad})
 	if err == nil || !strings.Contains(err.Error(), "version 9 not supported") {
 		t.Fatalf("unsupported version error: %v", err)
 	}
@@ -165,5 +165,35 @@ func TestWorkloadRunFileErrors(t *testing.T) {
 	cfg.workload = "file:" + filepath.Join(t.TempDir(), "missing.json")
 	if _, err := serveRun(cfg); err == nil {
 		t.Fatal("missing schedule file replayed")
+	}
+}
+
+// TestWriteScheduleDOT pins the DOT rendering of a small schedule: one
+// node per key switch labelled with stage, rotation, hoist group and
+// level, each followed by one edge per dependency.
+func TestWriteScheduleDOT(t *testing.T) {
+	sched, err := workload.PIR(1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pir.dot")
+	if err := writeScheduleDOT(sched, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `digraph schedule {
+  rankdir=LR;
+  t0 [label="query0 probe r1 g0 L3"];
+  t1 [label="query0 probe r2 g0 L3"];
+  t2 [label="query0 combine r3 g1 L3"];
+  t0 -> t2;
+  t1 -> t2;
+}
+`
+	if string(got) != want {
+		t.Fatalf("DOT output:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -11,9 +11,10 @@
 //   - The reproduction: a functional CKKS/HKS implementation
 //     (internal/ckks, internal/hks), the three HKS dataflows
 //     (Max-Parallel, Digit-Centric, Output-Centric) and an RPU
-//     performance model (internal/dataflow, internal/rpu,
-//     internal/sim) that regenerates every table and figure of the
-//     paper's evaluation.
+//     performance model — internal/dataflow generates each
+//     dataflow's task list and runs it at one DRAM bandwidth and the
+//     compute rate of internal/rpu — that regenerates every table and
+//     figure of the paper's evaluation (internal/analysis).
 //   - Execution: internal/engine runs the MP/DC/OC stage graphs for
 //     real — a worker-pool runtime with per-tower and per-digit task
 //     graphs and pooled limb buffers — and hoisted key switching

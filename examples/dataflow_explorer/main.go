@@ -16,7 +16,6 @@ import (
 	"ciflow/internal/analysis"
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
-	"ciflow/internal/trace"
 )
 
 func main() {
@@ -49,12 +48,11 @@ func main() {
 			fmt.Printf("%-4s %s\n", df, err)
 			continue
 		}
-		st := s.Prog.Stats()
 		fmt.Printf("%-4s %10.0f %10.0f %10.0f %10.0f %8.2f %7d\n",
 			df,
 			float64(s.Traffic.LoadBytes)/mib, float64(s.Traffic.StoreBytes)/mib,
 			float64(s.Traffic.EvkBytes)/mib, float64(s.Traffic.TotalBytes())/mib,
-			s.ArithmeticIntensity(), st.Tasks)
+			s.ArithmeticIntensity(), len(s.Tasks))
 	}
 
 	// Break the OC schedule down by pipeline stage to show where the
@@ -65,8 +63,8 @@ func main() {
 	}
 	byStage := map[string]int64{}
 	var order []string
-	for _, t := range s.Prog.Tasks {
-		if t.Kind != trace.Compute {
+	for _, t := range s.Tasks {
+		if t.Kind != dataflow.Compute {
 			continue
 		}
 		if _, seen := byStage[t.Name]; !seen {

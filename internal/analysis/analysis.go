@@ -1,6 +1,7 @@
-// Package analysis drives the paper's experiments: it combines the
-// dataflow schedule generators with the RPU performance model and
-// reproduces every table and figure of the evaluation (§VI).
+// Package analysis drives the paper's experiments: it generates the
+// dataflows' schedules, runs them at the RPU's compute rate over a
+// sweep of DRAM bandwidths, and reproduces every table and figure of
+// the evaluation (§VI).
 //
 // An experiment is a table. Its typed compute function (TableII,
 // Figure4, …) is what the tests hold to the paper's claims; beside it
@@ -22,7 +23,6 @@ import (
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
 	"ciflow/internal/rpu"
-	"ciflow/internal/sim"
 )
 
 // GB is the decimal gigabyte used for bandwidth figures.
@@ -43,7 +43,6 @@ const BaselineBandwidthGBs = 64
 // on bandwidth or compute throughput).
 type Runner struct {
 	DataMemBytes int64
-	RPU          rpu.Config
 
 	mu    sync.Mutex
 	cache map[schedKey]*dataflow.Schedule
@@ -57,12 +56,11 @@ type schedKey struct {
 	mem     int64
 }
 
-// NewRunner returns a runner with the paper's configuration: 32 MB
-// data memory on the default RPU.
+// NewRunner returns a runner with the paper's configuration: the
+// RPU's 32 MB data memory.
 func NewRunner() *Runner {
 	return &Runner{
 		DataMemBytes: rpu.DataMemBytes,
-		RPU:          rpu.Default(),
 		cache:        map[schedKey]*dataflow.Schedule{},
 	}
 }
@@ -89,17 +87,14 @@ func (r *Runner) Schedule(df dataflow.Dataflow, b params.Benchmark, evkOnChip, k
 	return s, nil
 }
 
-// Runtime simulates one configuration and returns the result.
-func (r *Runner) Runtime(df dataflow.Dataflow, b params.Benchmark, evkOnChip bool, bwGBs, modopsScale float64) (sim.Result, error) {
+// Runtime runs one configuration's schedule at bwGBs of DRAM bandwidth
+// on the RPU with its compute scaled modopsScale times.
+func (r *Runner) Runtime(df dataflow.Dataflow, b params.Benchmark, evkOnChip bool, bwGBs, modopsScale float64) (dataflow.Result, error) {
 	s, err := r.Schedule(df, b, evkOnChip, false)
 	if err != nil {
-		return sim.Result{}, err
+		return dataflow.Result{}, err
 	}
-	m := sim.Machine{
-		BandwidthBytesPerSec: bwGBs * GB,
-		ModopsPerSec:         r.RPU.WithModops(modopsScale).ModopsPerSec(),
-	}
-	return sim.Run(s.Prog, m)
+	return s.Run(bwGBs*GB, rpu.ModopsPerSec(modopsScale))
 }
 
 // RuntimeMS is Runtime in milliseconds, for the common case.

@@ -5,6 +5,7 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/params"
+	"ciflow/internal/rpu"
 )
 
 // ---- OCF ablation (this repository's extension, not in the paper) ----
@@ -92,7 +93,7 @@ type RooflineRow struct {
 // memory bound" on conventional memory systems — and shows where OC
 // escapes it.
 func (r *Runner) Roofline(bwGBs float64) ([]RooflineRow, error) {
-	balance := r.RPU.ModopsPerSec() / (bwGBs * GB)
+	balance := rpu.ModopsPerSec(1) / (bwGBs * GB)
 	var rows []RooflineRow
 	for _, b := range params.All() {
 		for _, df := range dataflow.AllDataflows() {

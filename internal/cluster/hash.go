@@ -1,87 +1,71 @@
 package cluster
 
-// Consistent hashing of tenants onto shards, with virtual nodes. The
-// router keys routing on KeyID.Tenant — the unit of key residency —
-// so one tenant's evaluation keys concentrate on the shard(s) that
-// own its arc of the ring, and removing a shard (drain, death) moves
-// only the tenants on its arcs instead of reshuffling everyone. The
-// replica walk gives hot tenants up to R distinct shards; key
-// determinism (serve.TenantSeed) makes serving from any replica
-// bit-exact.
+// Rendezvous (highest-random-weight) hashing of tenants onto shards.
+// The router keys routing on KeyID.Tenant — the unit of key residency —
+// so one tenant's evaluation keys concentrate on the shard(s) that rank
+// highest for it. Every shard draws an independent weight per tenant,
+// so tenants spread evenly however few there are, and removing a shard
+// (drain, death) moves only the tenants it ranked first for instead of
+// reshuffling everyone. The ranking gives hot tenants up to R distinct
+// shards; key determinism (serve.TenantSeed) makes serving from any
+// replica bit-exact.
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 )
 
-// hashRing is a consistent-hash ring over shard indices.
+// hashRing ranks the live shards for each tenant.
 type hashRing struct {
-	points []ringPoint // sorted ascending by hash
-	live   map[int]bool
+	dead []bool // by shard index
 }
 
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-func hash64(s string) uint64 {
+// weight is a tenant's draw on shard s: FNV-1a of "<tenant>/shard-<s>"
+// through SplitMix64's finaliser, since FNV alone barely moves on
+// names that differ in one trailing character.
+func weight(tenant string, s int) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h.Write([]byte(tenant + "/shard-" + strconv.Itoa(s)))
+	z := h.Sum64()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// vnodes is the number of virtual points each shard places on the ring.
-const vnodes = 64
+func newHashRing(shards int) *hashRing { return &hashRing{dead: make([]bool, shards)} }
 
-func newHashRing(shards int) *hashRing {
-	h := &hashRing{live: make(map[int]bool, shards)}
-	for s := 0; s < shards; s++ {
-		h.live[s] = true
-		for v := 0; v < vnodes; v++ {
-			h.points = append(h.points, ringPoint{
-				hash:  hash64(fmt.Sprintf("shard-%d/vnode-%d", s, v)),
-				shard: s,
-			})
-		}
-	}
-	sort.Slice(h.points, func(a, b int) bool { return h.points[a].hash < h.points[b].hash })
-	return h
-}
-
-// remove marks a shard dead; its arcs fall to the next live shard
-// clockwise, and owners never returns it again.
-func (h *hashRing) remove(shard int) { delete(h.live, shard) }
+// remove marks a shard dead; its tenants fall to their next-ranked live
+// shard, and owners never returns it again.
+func (h *hashRing) remove(shard int) { h.dead[shard] = true }
 
 // liveCount reports the remaining live shards.
-func (h *hashRing) liveCount() int { return len(h.live) }
-
-// owners walks clockwise from the tenant's hash collecting up to n
-// distinct live shards: the tenant's primary and its replicas.
-// Returns nil when no shard is live.
-func (h *hashRing) owners(tenant string, n int) []int {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(h.live) {
-		n = len(h.live)
-	}
-	if n == 0 || len(h.points) == 0 {
-		return nil
-	}
-	start := sort.Search(len(h.points), func(i int) bool {
-		return h.points[i].hash >= hash64(tenant)
-	})
-	seen := make(map[int]bool, n)
-	var out []int
-	for i := 0; len(out) < n && i < len(h.points); i++ {
-		p := h.points[(start+i)%len(h.points)]
-		if !h.live[p.shard] || seen[p.shard] {
-			continue
+func (h *hashRing) liveCount() int {
+	n := 0
+	for _, dead := range h.dead {
+		if !dead {
+			n++
 		}
-		seen[p.shard] = true
-		out = append(out, p.shard)
+	}
+	return n
+}
+
+// owners returns up to n distinct live shards (at least one) in
+// descending order of the tenant's weight, ties to the lower index: the
+// tenant's primary and its replicas. Returns nil when no shard is live.
+func (h *hashRing) owners(tenant string, n int) []int {
+	var out []int
+	for len(out) < max(n, 1) {
+		best, most := -1, uint64(0)
+		for s, dead := range h.dead {
+			if w := weight(tenant, s); !dead && !slices.Contains(out, s) && (best < 0 || w > most) {
+				best, most = s, w
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, best)
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -34,6 +36,25 @@ func TestHashRingOwners(t *testing.T) {
 	}
 	if got := h.owners("tenant", 0); len(got) != 1 {
 		t.Fatalf("n=0 returned %v, want one owner", got)
+	}
+}
+
+// TestHashRingSpread holds the placement to an even spread of short,
+// nearly identical names — the bench's tenants are t0 and t1 — over
+// two, three and four shards.
+func TestHashRingSpread(t *testing.T) {
+	for shards := 2; shards <= 4; shards++ {
+		h := newHashRing(shards)
+		load := make([]int, shards)
+		for i := 0; i < 64; i++ {
+			load[h.owners(fmt.Sprintf("t%d", i), 1)[0]]++
+		}
+		if most := slices.Max(load); float64(most)/(64/float64(shards)) > 1.25 {
+			t.Errorf("%d shards: t0…t63 land %v, max/mean above 1.25", shards, load)
+		}
+	}
+	if h := newHashRing(2); h.owners("t0", 1)[0] == h.owners("t1", 1)[0] {
+		t.Error("t0 and t1 share a shard of two")
 	}
 }
 

@@ -347,13 +347,6 @@ func (rt *Router) markDown(sc *shardClient) {
 	}
 }
 
-// rrNextLocked round-robins a tenant's groups over its replica set.
-func (rt *Router) rrNextLocked(tenant string, n int) int {
-	i := rt.rr[tenant] % n
-	rt.rr[tenant]++
-	return i
-}
-
 // dispatch (re)assigns pg's undone members to a live owner and sends
 // the group frame. Only the caller whose epoch still matches proceeds
 // — a failed sender and the death scan can both call dispatch for the
@@ -386,7 +379,9 @@ func (rt *Router) dispatch(pg *pendingGroup, wantEpoch int) {
 			rt.mu.Unlock()
 			return
 		}
-		sc := rt.shards[owners[rt.rrNextLocked(pg.tenant, len(owners))]]
+		// A tenant's groups round-robin over its replica set.
+		sc := rt.shards[owners[rt.rr[pg.tenant]%len(owners)]]
+		rt.rr[pg.tenant]++
 		for _, id := range pg.curIDs {
 			delete(rt.pending, id)
 		}

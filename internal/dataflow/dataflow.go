@@ -1,7 +1,7 @@
 // Package dataflow writes down the hybrid key-switching algorithm under
 // the three dataflows the paper proposes (§IV) — Max-Parallel (MP),
 // Digit-Centric (DC) and Output-Centric (OC) — and this repository's
-// OCF extension, and generates their RPU task-graph schedules.
+// OCF extension, generates their RPU schedules and runs them.
 //
 // A dataflow is written once, as a Plan (plan.go): an ordered walk over
 // typed tiles that name the rows they read and write. All plans of a
@@ -10,10 +10,11 @@
 // differently, which changes what can stay in the on-chip data memory
 // and therefore how many bytes cross the DRAM interface. Generate
 // visits the plan with the residency machine (emit.go, machine.go) to
-// turn that into a trace.Program and its traffic — the paper's entire
-// story (Table II), which the simulator in internal/sim turns into
-// runtime (Figures 4–9). internal/hks visits the same plan to build
-// the task graphs the engine executes.
+// turn that into a Schedule: its task list of loads, stores and kernels
+// and its traffic — the paper's entire story (Table II). Schedule.Run
+// (run.go) turns the task list into runtime at one DRAM bandwidth and
+// one compute rate (Figures 4–9). internal/hks visits the same plan to
+// build the task graphs the engine executes.
 package dataflow
 
 import (
@@ -21,7 +22,6 @@ import (
 	"strings"
 
 	"ciflow/internal/params"
-	"ciflow/internal/trace"
 )
 
 // Dataflow selects the scheduling strategy.
@@ -122,8 +122,10 @@ func (t Traffic) TotalBytes() int64 { return t.LoadBytes + t.StoreBytes + t.EvkB
 type Schedule struct {
 	Dataflow Dataflow
 	Cfg      Config
-	Prog     *trace.Program
-	Traffic  Traffic
+	// Tasks is the program in creation order, which is also the order
+	// each queue issues its tasks in.
+	Tasks   []Task
+	Traffic Traffic
 }
 
 // ArithmeticIntensity returns weighted modular operations per DRAM
@@ -171,13 +173,13 @@ func Generate(df Dataflow, cfg Config) (*Schedule, error) {
 		tb:   tb,
 	}
 	g.emit()
-	s := &Schedule{Dataflow: df, Cfg: cfg, Prog: g.m.b.Program(), Traffic: g.m.traffic}
-	if err := s.Prog.Validate(); err != nil {
-		return nil, fmt.Errorf("dataflow: generated invalid program: %w", err)
+	var got int64
+	for _, t := range g.m.tasks {
+		got += t.Ops
 	}
-	if got, want := s.Prog.Stats().ComputeOps, cfg.Bench.Ops().WeightedTotal(); got != want {
+	if want := cfg.Bench.Ops().WeightedTotal(); got != want {
 		return nil, fmt.Errorf("dataflow: %s op count %d differs from model %d (dataflow must not change work)",
 			df, got, want)
 	}
-	return s, nil
+	return &Schedule{Dataflow: df, Cfg: cfg, Tasks: g.m.tasks, Traffic: g.m.traffic}, nil
 }

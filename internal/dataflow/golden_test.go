@@ -21,35 +21,21 @@ var update = flag.Bool("update", false, "rewrite testdata/programs.golden")
 // (dataflow.dram_mb_* come from it at 1 MiB on chip, keys streamed).
 var benchShape = params.Benchmark{Name: "bench", LogN: 13, KL: 6, KP: 3, Dnum: 3}
 
-// programLine is one golden row: the traffic accounting, the program's
-// volume, and a digest of every emitted task — kind, name, bytes, ops
-// and dependencies, in emission order — so the program itself is held
-// and not only its totals.
-func programLine(df Dataflow, cfg Config, evk string) string {
-	head := fmt.Sprintf("%-6s %-3s %-9s %8d KiB", cfg.Bench.Name, df, evk, cfg.DataMemBytes>>10)
-	s, err := Generate(df, cfg)
-	if err != nil {
-		return head + "  unschedulable\n"
-	}
-	h := sha256.New()
-	for _, t := range s.Prog.Tasks {
-		fmt.Fprintf(h, "%d %s %s %d %d %v\n", t.ID, t.Kind, t.Name, t.Bytes, t.Ops, t.Deps)
-	}
-	st := s.Prog.Stats()
-	return fmt.Sprintf("%s  load=%d store=%d evk=%d  tasks=%d ld=%d st=%d ops=%d  %x\n", head,
-		s.Traffic.LoadBytes, s.Traffic.StoreBytes, s.Traffic.EvkBytes,
-		st.Tasks, st.LoadBytes, st.StoreBytes, st.ComputeOps, h.Sum(nil))
+// goldenConfig is one configuration of the program golden: a dataflow,
+// its generation config and the key configuration's label.
+type goldenConfig struct {
+	df  Dataflow
+	cfg Config
+	evk string
 }
 
-// TestProgramsGolden pins what the RPU model emits, task for task: the
-// five Table III sets at 32 MiB and the bench shape at 1 MiB under all
-// four dataflows and the three key configurations, and BTS3 and ARK
-// across the `ciflow memory` sweep. The file was recorded before the
-// emitters became visitors of one plan; a refactor of the generators
-// passes it unmodified or has changed the model.
-func TestProgramsGolden(t *testing.T) {
+// goldenConfigs lists the configurations the program golden holds, in
+// its line order: the five Table III sets at 32 MiB and the bench shape
+// at 1 MiB under all four dataflows and the three key configurations,
+// and BTS3 and ARK across the `ciflow memory` sweep.
+func goldenConfigs() []goldenConfig {
 	dataflows := []Dataflow{MP, DC, OC, OCF}
-	var got bytes.Buffer
+	var out []goldenConfig
 	type shape struct {
 		b   params.Benchmark
 		mem int64
@@ -64,16 +50,49 @@ func TestProgramsGolden(t *testing.T) {
 				name         string
 				onChip, comp bool
 			}{{"onchip", true, false}, {"streamed", false, false}, {"comp", false, true}} {
-				got.WriteString(programLine(df, Config{Bench: sh.b, DataMemBytes: sh.mem, EvkOnChip: k.onChip, KeyCompression: k.comp}, k.name))
+				out = append(out, goldenConfig{df, Config{Bench: sh.b, DataMemBytes: sh.mem, EvkOnChip: k.onChip, KeyCompression: k.comp}, k.name})
 			}
 		}
 	}
 	for _, b := range []params.Benchmark{params.BTS3, params.ARK} {
 		for _, m := range []int64{8, 16, 32, 64, 128, 256, 512, 1024} {
 			for _, df := range dataflows {
-				got.WriteString(programLine(df, Config{Bench: b, DataMemBytes: m << 20, EvkOnChip: true}, "onchip"))
+				out = append(out, goldenConfig{df, Config{Bench: b, DataMemBytes: m << 20, EvkOnChip: true}, "onchip"})
 			}
 		}
+	}
+	return out
+}
+
+// programLine is one golden row: the traffic accounting, the program's
+// volume, and a digest of every emitted task — index, kind, name, bytes,
+// ops and dependencies, in emission order — so the program itself is
+// held and not only its totals.
+func programLine(gc goldenConfig) string {
+	cfg := gc.cfg
+	head := fmt.Sprintf("%-6s %-3s %-9s %8d KiB", cfg.Bench.Name, gc.df, gc.evk, cfg.DataMemBytes>>10)
+	s, err := Generate(gc.df, cfg)
+	if err != nil {
+		return head + "  unschedulable\n"
+	}
+	h := sha256.New()
+	for i, t := range s.Tasks {
+		fmt.Fprintf(h, "%d %s %s %d %d %v\n", i, t.Kind, t.Name, t.Bytes, t.Ops, t.Deps)
+	}
+	load, store, ops := volume(s.Tasks)
+	return fmt.Sprintf("%s  load=%d store=%d evk=%d  tasks=%d ld=%d st=%d ops=%d  %x\n", head,
+		s.Traffic.LoadBytes, s.Traffic.StoreBytes, s.Traffic.EvkBytes,
+		len(s.Tasks), load, store, ops, h.Sum(nil))
+}
+
+// TestProgramsGolden pins what the RPU model emits, task for task, for
+// every goldenConfigs configuration. The file was recorded before the
+// emitters became visitors of one plan; a refactor of the generators
+// passes it unmodified or has changed the model.
+func TestProgramsGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, gc := range goldenConfigs() {
+		got.WriteString(programLine(gc))
 	}
 
 	path := filepath.Join("testdata", "programs.golden")

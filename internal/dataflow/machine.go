@@ -1,22 +1,18 @@
 package dataflow
 
-import (
-	"fmt"
-
-	"ciflow/internal/trace"
-)
+import "fmt"
 
 // machine is the schedule-time model of the RPU's on-chip data memory.
 // The plan's visitor (emit.go) drives it with the plan's rows (towers);
-// it tracks residency and capacity exactly, emits the load/store/compute
-// tasks, wires dependencies (including anti-dependencies through freed
-// space), and accounts DRAM traffic. Any attempt to exceed capacity or
-// read a non-resident row panics: a visitor bug, not a runtime
-// condition.
+// it tracks residency and capacity exactly, appends the load, store and
+// compute tasks, wires dependencies (including anti-dependencies through
+// freed space), and accounts DRAM traffic. Any attempt to exceed
+// capacity or read a non-resident row panics: a visitor bug, not a
+// runtime condition.
 type machine struct {
-	b    *trace.Builder
-	cap  int64
-	used int64
+	tasks []Task
+	cap   int64
+	used  int64
 
 	tiles map[Row]*tile
 	// holes records freed space together with the last task that
@@ -46,12 +42,17 @@ type hole struct {
 
 func newMachine(capBytes int64, evkOnChip, keyComp bool) *machine {
 	return &machine{
-		b:         trace.NewBuilder(),
 		cap:       capBytes,
 		tiles:     map[Row]*tile{},
 		evkOnChip: evkOnChip,
 		keyComp:   keyComp,
 	}
+}
+
+// task appends one task and returns its ID.
+func (m *machine) task(k TaskKind, name string, bytes, ops int64, deps []int) int {
+	m.tasks = append(m.tasks, Task{Kind: k, Name: name, Bytes: bytes, Ops: ops, Deps: deps})
+	return len(m.tasks) - 1
 }
 
 // announceDRAM declares a tile that already lives in DRAM (inputs).
@@ -124,7 +125,7 @@ func (m *machine) load(name Row) int {
 	if anti := m.alloc(t.bytes); anti >= 0 {
 		deps = append(deps, anti)
 	}
-	id := m.b.Load("ld:"+name.String(), t.bytes, deps...)
+	id := m.task(Load, "ld:"+name.String(), t.bytes, 0, deps)
 	m.traffic.LoadBytes += t.bytes
 	t.resident = true
 	t.producer = id
@@ -173,7 +174,7 @@ func (m *machine) compute(name string, ops int64, reads []Row, write Row, writeB
 			deps = append(deps, d)
 		}
 	}
-	id := m.b.Compute(name, ops, deps...)
+	id := m.task(Compute, name, 0, ops, deps)
 	wt.resident = true
 	wt.producer = id
 	wt.inDRAM = false // on-chip copy is now newer than any DRAM copy
@@ -194,7 +195,7 @@ func (m *machine) store(name Row) int {
 	if t.producer >= 0 {
 		deps = append(deps, t.producer)
 	}
-	id := m.b.Store("st:"+name.String(), t.bytes, deps...)
+	id := m.task(Store, "st:"+name.String(), t.bytes, 0, deps)
 	m.traffic.StoreBytes += t.bytes
 	t.inDRAM = true
 	t.store = id
@@ -231,7 +232,7 @@ func (m *machine) streamEvk(name string, bytes int64) int {
 	if m.keyComp {
 		bytes /= 2
 	}
-	id := m.b.Load("evk:"+name, bytes)
+	id := m.task(Load, "evk:"+name, bytes, 0, nil)
 	m.traffic.EvkBytes += bytes
 	return id
 }

@@ -10,11 +10,11 @@ import (
 func TestOCFValidAndInvariant(t *testing.T) {
 	for _, b := range params.All() {
 		s := genOrFatal(t, OCF, streamCfg(b))
-		if err := s.Prog.Validate(); err != nil {
+		if _, err := s.Run(1, 1); err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if got, want := s.Prog.Stats().ComputeOps, b.Ops().WeightedTotal(); got != want {
-			t.Fatalf("%s: OCF ops %d != model %d", b.Name, got, want)
+		if _, _, ops := volume(s.Tasks); ops != b.Ops().WeightedTotal() {
+			t.Fatalf("%s: OCF ops %d != model %d", b.Name, ops, b.Ops().WeightedTotal())
 		}
 		if s.Traffic.EvkBytes != b.EvkBytes() {
 			t.Fatalf("%s: OCF evk traffic %d", b.Name, s.Traffic.EvkBytes)

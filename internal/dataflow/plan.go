@@ -12,7 +12,7 @@ import (
 // cut into the groups the dataflow fuses, with the passes its on-chip
 // budget forces marked. Every back-end is a visitor of it. The RPU model
 // (emit.go) walks the tiles with a residency machine and emits the
-// loads, stores and kernels the simulator prices; internal/hks turns
+// loads, stores and kernels Schedule.Run prices; internal/hks turns
 // every group into one engine task and every "who last wrote a row I
 // read" into an edge. The tile set is the same under every dataflow —
 // only the order, the grouping and the pass structure differ, which is

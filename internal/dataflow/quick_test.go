@@ -49,11 +49,11 @@ func TestRandomConfigurations(t *testing.T) {
 			continue
 		}
 		accepted++
-		if err := s.Prog.Validate(); err != nil {
+		if _, err := s.Run(1, 1); err != nil {
 			t.Fatalf("trial %d (%s %+v): invalid program: %v", trial, df, b, err)
 		}
-		if got, want := s.Prog.Stats().ComputeOps, b.Ops().WeightedTotal(); got != want {
-			t.Fatalf("trial %d (%s %+v): ops %d != %d", trial, df, b, got, want)
+		if _, _, ops := volume(s.Tasks); ops != b.Ops().WeightedTotal() {
+			t.Fatalf("trial %d (%s %+v): ops %d != %d", trial, df, b, ops, b.Ops().WeightedTotal())
 		}
 		if s.Traffic.LoadBytes < b.InputBytes() {
 			t.Fatalf("trial %d (%s): loads %d below compulsory input %d", trial, df, s.Traffic.LoadBytes, b.InputBytes())
@@ -238,8 +238,7 @@ func TestAntiDependencyThroughFreedSpace(t *testing.T) {
 	m.store(a)
 	m.free(a, false)
 	ld := m.load(b)
-	prog := m.b.Program()
-	deps := prog.Tasks[ld].Deps
+	deps := m.tasks[ld].Deps
 	found := false
 	for _, d := range deps {
 		if d >= use {

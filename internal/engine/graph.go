@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,7 +30,6 @@ type Graph struct {
 	pmu       sync.Mutex
 	panicked  any
 	eng       *Engine
-	ctx       context.Context
 	done      chan struct{} // closed by the node that completes the run
 }
 
@@ -75,9 +73,6 @@ func (g *Graph) NodeNamed(name string, run func(), deps ...int) int {
 
 func (g *Graph) exec(id int32) {
 	nd := &g.nodes[id]
-	if !g.aborted.Load() && g.ctx.Err() != nil {
-		g.aborted.Store(true)
-	}
 	if !g.aborted.Load() {
 		func() {
 			defer func() {
@@ -120,17 +115,9 @@ func (g *Graph) spawn(id int32) {
 // completed. A panic in a node aborts the remaining nodes and is
 // re-raised on the calling goroutine.
 func (e *Engine) RunGraph(g *Graph) {
-	_ = e.RunGraphCtx(context.Background(), g)
-}
-
-// RunGraphCtx is RunGraph with cancellation: when ctx is cancelled,
-// nodes that have not started are skipped, in-flight nodes finish, and
-// the context error is returned. On cancellation the graph's outputs
-// are undefined; on a nil return every node ran exactly once.
-func (e *Engine) RunGraphCtx(ctx context.Context, g *Graph) error {
 	n := len(g.nodes)
-	if err := ctx.Err(); err != nil || n == 0 {
-		return err
+	if n == 0 {
+		return
 	}
 	if cap(g.rem) < n {
 		g.rem = make([]int32, n)
@@ -142,7 +129,6 @@ func (e *Engine) RunGraphCtx(ctx context.Context, g *Graph) error {
 	g.completed.Store(0)
 	g.aborted.Store(false)
 	g.eng = e
-	g.ctx = ctx
 	g.done = make(chan struct{})
 
 	for i := range g.nodes {
@@ -157,14 +143,10 @@ func (e *Engine) RunGraphCtx(ctx context.Context, g *Graph) error {
 	// price of helping is that a stolen task may belong to another
 	// operation and extend this call by that task's length.
 	jobs := e.jobs
-	ctxDone := ctx.Done()
 	for waiting := true; waiting; {
 		select {
 		case <-g.done:
 			waiting = false
-		case <-ctxDone:
-			g.aborted.Store(true)
-			ctxDone = nil // nodes drain via the per-node ctx check
 		case f, ok := <-jobs:
 			if !ok {
 				jobs = nil // engine closed; spawn falls back to inline
@@ -174,12 +156,10 @@ func (e *Engine) RunGraphCtx(ctx context.Context, g *Graph) error {
 		}
 	}
 	g.eng = nil
-	g.ctx = nil
 	g.done = nil
 	if g.panicked != nil {
 		pv := g.panicked
 		g.panicked = nil
 		panic(pv)
 	}
-	return ctx.Err()
 }

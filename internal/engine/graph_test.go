@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // orderRecorder collects node completion order under a lock so tests
@@ -107,9 +105,7 @@ func TestGraphInvalidDependencyPanics(t *testing.T) {
 func TestGraphEmptyRun(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	if err := e.RunGraphCtx(context.Background(), NewGraph()); err != nil {
-		t.Fatal(err)
-	}
+	e.RunGraph(NewGraph())
 }
 
 func TestGraphPanicPropagates(t *testing.T) {
@@ -125,69 +121,6 @@ func TestGraphPanicPropagates(t *testing.T) {
 	}()
 	e.RunGraph(g)
 	t.Fatal("unreachable: panic did not propagate")
-}
-
-func TestGraphCancellation(t *testing.T) {
-	e := New(2)
-	defer e.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-
-	var started, ran atomic.Int64
-	release := make(chan struct{})
-	g := NewGraph()
-	// Two slow roots occupy the workers; a long tail of dependents
-	// must be skipped after cancellation.
-	r1 := g.Node(func() { started.Add(1); <-release; ran.Add(1) })
-	r2 := g.Node(func() { started.Add(1); <-release; ran.Add(1) })
-	prev := []int{r1, r2}
-	for i := 0; i < 50; i++ {
-		prev = []int{g.Node(func() { ran.Add(1) }, prev...)}
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- e.RunGraphCtx(ctx, g) }()
-
-	for started.Load() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(release)
-
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The two in-flight roots finish; the dependent chain is skipped
-	// (scheduling is concurrent, so allow a small prefix to slip in,
-	// but the 50-node tail must not have fully run).
-	if got := ran.Load(); got >= 52 {
-		t.Fatalf("cancellation skipped nothing: ran %d nodes", got)
-	}
-	// The graph must remain reusable after a cancelled run.
-	var again atomic.Int64
-	g2 := NewGraph()
-	g2.Node(func() { again.Add(1) })
-	if err := e.RunGraphCtx(context.Background(), g2); err != nil {
-		t.Fatal(err)
-	}
-	if again.Load() != 1 {
-		t.Fatal("engine unusable after cancellation")
-	}
-}
-
-func TestGraphPreCancelledContext(t *testing.T) {
-	e := New(2)
-	defer e.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	g := NewGraph()
-	g.Node(func() { ran.Add(1) })
-	if err := e.RunGraphCtx(ctx, g); err != context.Canceled {
-		t.Fatalf("err = %v", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatal("pre-cancelled run executed nodes")
-	}
 }
 
 func TestGraphRunsOnClosedEngineInline(t *testing.T) {

@@ -17,9 +17,9 @@ import (
 // the only places a residue row is encoded or decoded, and getRow
 // range-checks every residue as it decodes it, so a residue moves
 // once each way. AppendPoly/DecodePoly work on a caller's byte slice
-// (an exactly pre-sized frame buffer, a received payload);
-// WritePoly/ReadPoly are the same loops over a stream, one row at a
-// time through a row-sized scratch the ring recycles.
+// (an exactly pre-sized frame buffer, a received payload); WritePoly is
+// the encoder's loop over a stream, one row at a time through a
+// row-sized scratch the ring recycles.
 
 const (
 	polyMagic      = uint32(0x43464c57) // "CFLW"
@@ -126,40 +126,6 @@ func (r *Ring) WritePoly(w io.Writer, p *Poly) error {
 	return nil
 }
 
-// parsePolyHeader validates the fixed header against this ring and
-// returns the domain flag and the tower count, the latter capped by
-// the ring's moduli before anything is sized by it.
-func (r *Ring) parsePolyHeader(hdr []byte) (isNTT bool, towers int, err error) {
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != polyMagic {
-		return false, 0, fmt.Errorf("ring: bad magic %#x", m)
-	}
-	flag := binary.LittleEndian.Uint32(hdr[4:])
-	if flag > 1 {
-		return false, 0, fmt.Errorf("ring: bad domain flag %d", flag)
-	}
-	if n := binary.LittleEndian.Uint32(hdr[12:]); n != uint32(r.N) {
-		return false, 0, fmt.Errorf("ring: poly degree %d does not match ring N=%d", n, r.N)
-	}
-	nt := binary.LittleEndian.Uint32(hdr[8:])
-	if nt == 0 || nt > uint32(len(r.Moduli)) {
-		return false, 0, fmt.Errorf("ring: tower count %d out of range", nt)
-	}
-	return flag == 1, int(nt), nil
-}
-
-// parseBasis decodes and range-checks towers basis indices from src.
-func (r *Ring) parseBasis(src []byte, towers int) (Basis, error) {
-	basis := make(Basis, towers)
-	for i := range basis {
-		t := binary.LittleEndian.Uint32(src[4*i:])
-		if t >= uint32(len(r.Moduli)) {
-			return nil, fmt.Errorf("ring: tower index %d out of range", t)
-		}
-		basis[i] = int(t)
-	}
-	return basis, nil
-}
-
 // DecodePoly decodes one polynomial from the front of b into a fresh
 // polynomial the caller owns — nothing aliases b afterwards — and
 // returns the bytes that follow it. The header, every basis index and
@@ -170,21 +136,38 @@ func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
 	if len(b) < polyHeaderSize {
 		return nil, nil, fmt.Errorf("ring: short poly header: %w", io.ErrUnexpectedEOF)
 	}
-	isNTT, nt, err := r.parsePolyHeader(b)
-	if err != nil {
-		return nil, nil, err
+	if m := binary.LittleEndian.Uint32(b[0:]); m != polyMagic {
+		return nil, nil, fmt.Errorf("ring: bad magic %#x", m)
 	}
+	flag := binary.LittleEndian.Uint32(b[4:])
+	if flag > 1 {
+		return nil, nil, fmt.Errorf("ring: bad domain flag %d", flag)
+	}
+	if n := binary.LittleEndian.Uint32(b[12:]); n != uint32(r.N) {
+		return nil, nil, fmt.Errorf("ring: poly degree %d does not match ring N=%d", n, r.N)
+	}
+	// The tower count is capped by the ring's moduli before anything is
+	// sized by it.
+	towers := binary.LittleEndian.Uint32(b[8:])
+	if towers == 0 || towers > uint32(len(r.Moduli)) {
+		return nil, nil, fmt.Errorf("ring: tower count %d out of range", towers)
+	}
+	nt := int(towers)
 	b = b[polyHeaderSize:]
 	if len(b) < nt*(4+8*r.N) {
 		return nil, nil, fmt.Errorf("ring: short poly body: %w", io.ErrUnexpectedEOF)
 	}
-	basis, err := r.parseBasis(b, nt)
-	if err != nil {
-		return nil, nil, err
+	basis := make(Basis, nt)
+	for i := range basis {
+		t := binary.LittleEndian.Uint32(b[4*i:])
+		if t >= uint32(len(r.Moduli)) {
+			return nil, nil, fmt.Errorf("ring: tower index %d out of range", t)
+		}
+		basis[i] = int(t)
 	}
 	b = b[4*nt:]
 	p := r.NewPoly(basis)
-	p.IsNTT = isNTT
+	p.IsNTT = flag == 1
 	for i, t := range basis {
 		if err := getRow(p.Coeffs[i], b, r.Mods[t].Q); err != nil {
 			return nil, nil, err
@@ -192,41 +175,4 @@ func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
 		b = b[8*r.N:]
 	}
 	return p, b, nil
-}
-
-// ReadPoly deserializes a polynomial written by WritePoly, validating
-// the header and every basis index and residue against this ring.
-// It reads exactly one polynomial's bytes, so several objects can
-// share one stream (no read-ahead buffering).
-func (r *Ring) ReadPoly(rd io.Reader) (*Poly, error) {
-	sp := r.wireScratch()
-	defer r.scratch.Put(sp)
-	hdr := (*sp)[:polyHeaderSize]
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return nil, fmt.Errorf("ring: short poly header: %w", err)
-	}
-	isNTT, nt, err := r.parsePolyHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	idx := (*sp)[:4*nt]
-	if _, err := io.ReadFull(rd, idx); err != nil {
-		return nil, fmt.Errorf("ring: short poly basis: %w", err)
-	}
-	basis, err := r.parseBasis(idx, nt)
-	if err != nil {
-		return nil, err
-	}
-	p := r.NewPoly(basis)
-	p.IsNTT = isNTT
-	buf := (*sp)[:8*r.N]
-	for i, t := range basis {
-		if _, err := io.ReadFull(rd, buf); err != nil {
-			return nil, fmt.Errorf("ring: short poly row: %w", err)
-		}
-		if err := getRow(p.Coeffs[i], buf, r.Mods[t].Q); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }

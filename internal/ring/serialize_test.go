@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,18 +20,18 @@ func TestPolyRoundTrip(t *testing.T) {
 			if err := r.WritePoly(&buf, p); err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.ReadPoly(&buf)
+			got, rest, err := r.DecodePoly(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(p) {
+			if !got.Equal(p) || len(rest) != 0 {
 				t.Fatalf("basis %v ntt=%v: roundtrip mismatch", basis, nttDomain)
 			}
 		}
 	}
 }
 
-func TestReadPolyRejectsCorruption(t *testing.T) {
+func TestDecodePolyRejectsCorruption(t *testing.T) {
 	r := quickRing(t)
 	p := NewSampler(r, 4).Uniform(r.QBasis(1))
 	var buf bytes.Buffer
@@ -44,13 +43,13 @@ func TestReadPolyRejectsCorruption(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xff
-	if _, err := r.ReadPoly(bytes.NewReader(bad)); err == nil {
+	if _, _, err := r.DecodePoly(bad); err == nil {
 		t.Error("corrupted magic accepted")
 	}
 
 	// Truncated payload.
-	if _, err := r.ReadPoly(bytes.NewReader(good[:len(good)-9])); err == nil {
-		t.Error("truncated stream accepted")
+	if _, _, err := r.DecodePoly(good[:len(good)-9]); err == nil {
+		t.Error("truncated bytes accepted")
 	}
 
 	// Out-of-range residue: flip a residue to all-ones.
@@ -58,7 +57,7 @@ func TestReadPolyRejectsCorruption(t *testing.T) {
 	for i := len(bad) - 8; i < len(bad); i++ {
 		bad[i] = 0xff
 	}
-	if _, err := r.ReadPoly(bytes.NewReader(bad)); err == nil {
+	if _, _, err := r.DecodePoly(bad); err == nil {
 		t.Error("out-of-range residue accepted")
 	}
 
@@ -67,19 +66,19 @@ func TestReadPolyRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.ReadPoly(bytes.NewReader(good)); err == nil ||
+	if _, _, err := other.DecodePoly(good); err == nil ||
 		!strings.Contains(err.Error(), "degree") {
 		t.Errorf("cross-ring read accepted: %v", err)
 	}
 }
 
-func TestReadPolyRejectsGarbage(t *testing.T) {
+func TestDecodePolyRejectsGarbage(t *testing.T) {
 	r := quickRing(t)
-	if _, err := r.ReadPoly(strings.NewReader("not a poly")); err == nil {
+	if _, _, err := r.DecodePoly([]byte("not a poly")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := r.ReadPoly(strings.NewReader("")); err == nil {
-		t.Error("empty stream accepted")
+	if _, _, err := r.DecodePoly(nil); err == nil {
+		t.Error("empty input accepted")
 	}
 }
 
@@ -87,7 +86,7 @@ func TestReadPolyRejectsGarbage(t *testing.T) {
 // error — never a panic, never a false success — and a lying tower
 // count must be rejected before any count-sized allocation. This is
 // the robustness contract the cluster wire protocol composes on.
-func TestReadPolyTruncationRobust(t *testing.T) {
+func TestDecodePolyTruncationRobust(t *testing.T) {
 	r := quickRing(t)
 	p := NewSampler(r, 5).Uniform(r.QBasis(2))
 	p.IsNTT = true
@@ -103,7 +102,7 @@ func TestReadPolyTruncationRobust(t *testing.T) {
 					t.Fatalf("truncation at %d/%d panicked: %v", i, len(good), rec)
 				}
 			}()
-			if _, err := r.ReadPoly(bytes.NewReader(good[:i])); err == nil {
+			if _, _, err := r.DecodePoly(good[:i]); err == nil {
 				t.Errorf("truncation at %d/%d read successfully", i, len(good))
 			}
 		}()
@@ -112,7 +111,7 @@ func TestReadPolyTruncationRobust(t *testing.T) {
 	// check, not allocate towers' worth of memory.
 	bad := append([]byte(nil), good...)
 	bad[8], bad[9], bad[10], bad[11] = 0xff, 0xff, 0xff, 0xff
-	if _, err := r.ReadPoly(bytes.NewReader(bad)); err == nil ||
+	if _, _, err := r.DecodePoly(bad); err == nil ||
 		!strings.Contains(err.Error(), "tower count") {
 		t.Errorf("oversized tower count: got %v", err)
 	}
@@ -216,9 +215,7 @@ func TestEncodeRejectsMalformedPoly(t *testing.T) {
 }
 
 // A header that declares more towers than the bytes behind it carry is
-// refused by DecodePoly before the polynomial is allocated; ReadPoly,
-// which cannot see the end of its stream, spends at most the one
-// polynomial the (capped) tower count describes.
+// refused by DecodePoly before the polynomial is allocated.
 func TestLyingPolyHeaderAllocationBounded(t *testing.T) {
 	r := quickRing(t)
 	good, err := r.AppendPoly(nil, randPoly(r, r.QBasis(0), 1))
@@ -234,44 +231,13 @@ func TestLyingPolyHeaderAllocationBounded(t *testing.T) {
 	}); n > 2 { // the error value
 		t.Errorf("DecodePoly allocated %v times refusing a short body", n)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := r.ReadPoly(bytes.NewReader(lying)); err == nil {
-		t.Fatal("short stream accepted")
-	}
-	runtime.ReadMemStats(&after)
-	if got, full := after.TotalAlloc-before.TotalAlloc, uint64(len(r.Moduli)*r.N*8); got > 2*full {
-		t.Errorf("ReadPoly allocated %d bytes on a lying header, a full-basis polynomial is %d", got, full)
-	}
 }
 
-// decodeBoth runs the slice and the stream decoder over one input and
-// fails unless they agree: both reject, or both accept the same
-// polynomial with the stream decoder having consumed exactly the bytes
-// the slice decoder did.
-func decodeBoth(t *testing.T, r *Ring, data []byte) (*Poly, []byte) {
-	t.Helper()
-	p, rest, err := r.DecodePoly(data)
-	rd := bytes.NewReader(data)
-	q, rerr := r.ReadPoly(rd)
-	if (err == nil) != (rerr == nil) {
-		t.Fatalf("DecodePoly err %v, ReadPoly err %v", err, rerr)
-	}
-	if err != nil {
-		return nil, nil
-	}
-	if !p.Equal(q) || rd.Len() != len(rest) {
-		t.Fatalf("decoders disagree: %d vs %d bytes left", len(rest), rd.Len())
-	}
-	return p, rest
-}
-
-// FuzzDecodePoly feeds DecodePoly and ReadPoly arbitrary bytes. Neither
-// may panic; they must agree; whatever they accept re-encodes to the
-// bytes it was decoded from (the format has one encoding per
-// polynomial); and a rejected input costs at most one polynomial over
-// the ring's full basis — the tower count is capped before it sizes
-// anything.
+// FuzzDecodePoly feeds DecodePoly arbitrary bytes. It may not panic;
+// whatever it accepts re-encodes to the bytes it was decoded from (the
+// format has one encoding per polynomial) and is at most one polynomial
+// over the ring's full basis — the tower count is capped before it
+// sizes anything.
 func FuzzDecodePoly(f *testing.F) {
 	r, err := NewRingGenerated(32, 3, 30, 2, 31)
 	if err != nil {
@@ -294,8 +260,8 @@ func FuzzDecodePoly(f *testing.F) {
 	f.Add([]byte("not a poly"))
 	full := r.PolyWireSize(&Poly{Basis: make(Basis, len(r.Moduli))})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rest := decodeBoth(t, r, data)
-		if p == nil {
+		p, rest, err := r.DecodePoly(data)
+		if err != nil {
 			return
 		}
 		consumed := data[:len(data)-len(rest)]
@@ -309,10 +275,9 @@ func FuzzDecodePoly(f *testing.F) {
 	})
 }
 
-// The serializer's row scratch recycles through the ring, so
-// concurrent writers and readers on one ring must never see each
-// other's rows: every stream round-trips exactly. Meaningful under
-// -race.
+// The stream encoder's row scratch recycles through the ring, so
+// concurrent writers on one ring must never see each other's rows:
+// every stream round-trips exactly. Meaningful under -race.
 func TestConcurrentSerializeSharesScratch(t *testing.T) {
 	r := quickRing(t)
 	var wg sync.WaitGroup
@@ -327,7 +292,7 @@ func TestConcurrentSerializeSharesScratch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, err := r.ReadPoly(&buf)
+				got, _, err := r.DecodePoly(buf.Bytes())
 				if err != nil || !got.Equal(p) {
 					t.Errorf("goroutine %d poly %d: round trip failed (err %v)", g, i, err)
 					return

@@ -99,12 +99,6 @@ type SwitcherSource interface {
 	Switcher(level int) (*hks.Switcher, error)
 }
 
-// SwitcherSourceFunc adapts a function to the SwitcherSource interface.
-type SwitcherSourceFunc func(level int) (*hks.Switcher, error)
-
-// Switcher implements SwitcherSource.
-func (f SwitcherSourceFunc) Switcher(level int) (*hks.Switcher, error) { return f(level) }
-
 // TenantChecker is an optional KeySource extension: a source that can
 // tell cheaply whether a tenant exists lets Submit reject requests for
 // unknown tenants *before* allocating that tenant's dispatcher, queue,
