@@ -1,10 +1,10 @@
 package main
 
-// The two halves of the sharded serving fabric as standalone verbs:
+// The backend half of the sharded serving fabric as a standalone verb:
 // `ciflow shard` wraps one serve.Service behind the internal/cluster
-// wire protocol, `ciflow router` probes a set of running shards. The
-// replay driver (`ciflow serve -shards S`, replay.go) spawns shard
-// subprocesses through spawnShard and puts a cluster.Router in front.
+// wire protocol. The replay driver (`ciflow serve -shards S`,
+// replay.go) spawns shard subprocesses through spawnShard and puts a
+// cluster.Router in front.
 
 import (
 	"bufio"
@@ -93,48 +93,6 @@ func shardCmd(cfg shardConfig) error {
 		sh.Close()
 	}()
 	return sh.Serve(ln)
-}
-
-// routerConfig is the standalone router verb's flags.
-type routerConfig struct {
-	fabricFlags
-	shardAddrs string
-}
-
-// routerCmd connects to already-running shards, pings each one, and
-// prints the status table — the operational "is the fabric up" probe.
-func routerCmd(cfg routerConfig) error {
-	addrs := splitAddrs(cfg.shardAddrs)
-	if len(addrs) == 0 {
-		return fmt.Errorf("router: -shardaddrs is required (comma-separated host:port list)")
-	}
-	cctx, err := ckks.NewContext(1<<cfg.logN, cfg.towers, 40, 3, 41, cfg.dnum)
-	if err != nil {
-		return err
-	}
-	rt, err := cluster.NewRouter(cctx.R, addrs, cluster.RouterConfig{Replicas: cfg.replicas})
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-	for i := range addrs {
-		if err := rt.Ping(i); err != nil {
-			return fmt.Errorf("router: shard %d (%s): %w", i, addrs[i], err)
-		}
-	}
-	fmt.Printf("%d shards live\n", rt.Live())
-	printShardTable(rt.Status())
-	return nil
-}
-
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func printShardTable(sts []cluster.ShardStatus) {

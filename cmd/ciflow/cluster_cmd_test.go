@@ -130,10 +130,6 @@ func TestClusterConfigErrors(t *testing.T) {
 			t.Errorf("%s: serveRun accepted %+v", name, cfg)
 		}
 	}
-	if err := routerCmd(routerConfig{fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2}}); err == nil ||
-		!strings.Contains(err.Error(), "shardaddrs") {
-		t.Errorf("router without -shardaddrs: %v", err)
-	}
 	if err := shardCmd(shardConfig{fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2}}); err == nil {
 		t.Error("shard accepted zero tenants")
 	}

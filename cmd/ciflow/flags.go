@@ -30,7 +30,6 @@ func init() {
 		{"serve", "replay a -workload schedule DAG for -tenants tenants against the serial reference, through one in-process service or -shards shard processes behind the router (-replicas, -kill); -check verifies exact counts and bit-exactness", serveVerb},
 		{"schedule", "print a workload schedule DAG's shape, predicted op counts, and modeled cost (-export writes versioned JSON, -workload file: reads it)", scheduleVerb},
 		{"shard", "one cluster shard backend: a serve service behind the wire protocol (-addr)", shardVerb},
-		{"router", "probe running shards (-shardaddrs) and print the cluster status table", routerVerb},
 		{"all", "every table, figure and ablation of the paper, in its order (all but roofline and memory above)", runAll},
 		{"help", "this usage summary", func(c *cli) error {
 			usage(os.Stdout, c.fl)
@@ -56,11 +55,10 @@ type cliFlags struct {
 	serve    serveConfig
 	schedule scheduleConfig
 	shard    shardConfig
-	router   routerConfig
 }
 
-// fabricFlags are the ring and the process sizing that serve, shard
-// and router share: a shard must be started on its driver's ring.
+// fabricFlags are the ring and the process sizing that serve and shard
+// share: a shard must be started on its driver's ring.
 type fabricFlags struct {
 	logN      int
 	towers    int
@@ -113,7 +111,7 @@ func newFlags() *cliFlags {
 	fs.StringVar(&fl.jsonPath, "json", "", "also write the report to this JSON file")
 
 	fs.StringVar(&fl.serve.dfName, "dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
-	fs.BoolVar(&fl.serve.check, "check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held")
+	fs.BoolVar(&fl.serve.check, "check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held (and the -trace/-profile artifacts well-formed)")
 	fs.StringVar(&fl.serve.tracePath, "trace", "", "serve (in-process): write a Chrome trace-event timeline (chrome://tracing, Perfetto) to this file")
 	fs.StringVar(&fl.serve.pprofDir, "pprof", "", "serve: write cpu.prof and mem.prof (runtime/pprof) into this directory")
 	fs.IntVar(&fl.serve.shards, "shards", 0, "serve shard process count (0 = one in-process service)")
@@ -123,11 +121,10 @@ func newFlags() *cliFlags {
 	fs.StringVar(&fl.schedule.dotPath, "dot", "", "schedule: render the schedule DAG in Graphviz DOT format to this file")
 
 	fs.StringVar(&fl.shard.addr, "addr", "127.0.0.1:0", "shard listen address")
-	fs.StringVar(&fl.router.shardAddrs, "shardaddrs", "", "router: comma-separated shard addresses")
 	return fl
 }
 
-// The four verbs' configs: each its own flags plus the shared structs.
+// The three verbs' configs: each its own flags plus the shared structs.
 
 func serveVerb(c *cli) error {
 	cfg := c.fl.serve
@@ -152,10 +149,4 @@ func shardVerb(c *cli) error {
 	cfg := c.fl.shard
 	cfg.fabricFlags = c.fl.fabricFlags
 	return shardCmd(cfg)
-}
-
-func routerVerb(c *cli) error {
-	cfg := c.fl.router
-	cfg.fabricFlags = c.fl.fabricFlags
-	return routerCmd(cfg)
 }

@@ -14,11 +14,11 @@
 // CSV. serve replays a workload schedule through the
 // serving stack — one in-process service or spawned shard processes —
 // and checks bit-exactness and exact counts; schedule prints a
-// schedule's shape and modeled cost; shard and router are the halves
-// of the sharded fabric as standalone processes.
+// schedule's shape and modeled cost; shard is the backend of the
+// sharded fabric as a standalone process.
 //
 // Run `ciflow help` for every experiment and flag with its default:
-// that output is generated from the registry, the six verbs of
+// that output is generated from the registry, the five verbs of
 // flags.go and the flag set the dispatch reads, and README.md's CLI
 // reference is tested against them.
 package main

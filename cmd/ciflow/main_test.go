@@ -157,33 +157,13 @@ func TestObservabilityFlags(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
-	rep := readReport(t, jsonPath)
-	if len(rep.StageShares) == 0 {
+	// -check held the trace and the stage shares to checkObs; only the
+	// sanity bound applies: at this scale (N=32) a descheduled goroutine
+	// moves the sum far below what the goroutines could fill, so
+	// closure is the benchmark's business (obs.stage_share_sum,
+	// hks.stage_sum_over_switch).
+	if rep := readReport(t, jsonPath); len(rep.StageShares) == 0 {
 		t.Fatal("no stage shares under -profile")
-	}
-	// Only the sanity bound tools/tracecheck applies: at this scale
-	// (N=32) a descheduled goroutine moves the sum far below what the
-	// goroutines could fill, so closure is the benchmark's business
-	// (obs.stage_share_sum, hks.stage_sum_over_switch).
-	limit := float64(rep.Workers + 2*rep.Tenants)
-	if sum := obs.SumShares(rep.StageShares); sum <= 0 || sum > limit {
-		t.Errorf("stage shares sum to %.3f, want in (0, %.0f]", sum, limit)
-	}
-	if len(rep.Phases) == 0 {
-		t.Error("no request-lifecycle phases in the report")
-	}
-	traceData, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("trace not written: %v", err)
-	}
-	var tf struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traceData, &tf); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	if len(tf.TraceEvents) == 0 {
-		t.Error("trace has no events")
 	}
 	for _, prof := range []string{"/prof/cpu.prof", "/prof/mem.prof"} {
 		if _, err := os.Stat(dir + prof); err != nil {

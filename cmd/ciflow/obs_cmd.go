@@ -4,7 +4,8 @@ package main
 // internal/obs stage/kernel recorder on for the run, -trace
 // installs the span tracer on the engine (worker tiles) and the serve
 // batch track and writes the Chrome trace-event timeline at the end,
-// -pprof brackets the run with runtime/pprof CPU and heap profiles.
+// -pprof brackets the run with runtime/pprof CPU and heap profiles,
+// and -check holds the first two's artifacts to checkObs.
 
 import (
 	"fmt"
@@ -120,4 +121,51 @@ func sumShareSeconds(shares []obs.StageShare) float64 {
 		t += s.Seconds
 	}
 	return t
+}
+
+// checkObs is serve -check's bar for the observability artifacts.
+// Under -trace, the timeline the run wrote re-reads with at least one
+// complete span and every lane monotonic and non-overlapping
+// (obs.CheckTrace). Under -profile, no stage share is negative, the
+// shares sum into (0, limit] — every process's engine workers plus,
+// per tenant, its dispatcher in every process and its serial
+// reference: workers + 2·tenants in process — and the request phases
+// recorded time.
+func checkObs(cfg serveConfig, rep *serveReport) error {
+	if cfg.tracePath != "" {
+		f, err := os.Open(cfg.tracePath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		spans, lanes, err := obs.CheckTrace(f)
+		if err != nil {
+			return fmt.Errorf("serve check: %s: %w", cfg.tracePath, err)
+		}
+		fmt.Printf("%s: %d spans over %d lanes, all monotonic and non-overlapping\n", cfg.tracePath, spans, lanes)
+	}
+	if !cfg.profile {
+		return nil
+	}
+	var sum float64
+	for _, s := range rep.StageShares {
+		if s.Share < 0 {
+			return fmt.Errorf("serve check: stage %q has negative share %f", s.Stage, s.Share)
+		}
+		sum += s.Share
+	}
+	procs := max(rep.Shards, 1)
+	limit := float64(procs*(rep.Workers+rep.Tenants) + rep.Tenants)
+	if sum <= 0 || sum > limit {
+		return fmt.Errorf("serve check: stage shares sum to %.3f, want in (0, %.0f] at %d workers, %d tenants",
+			sum, limit, rep.Workers, rep.Tenants)
+	}
+	var phaseNs uint64
+	for _, p := range rep.Phases {
+		phaseNs += p.TotalNs
+	}
+	if phaseNs == 0 {
+		return fmt.Errorf("serve check: request-lifecycle phases recorded no time")
+	}
+	return nil
 }

@@ -508,6 +508,9 @@ func serveCmd(cfg serveConfig) error {
 		if err := serveCheck(rep); err != nil {
 			return err
 		}
+		if err := checkObs(cfg, rep); err != nil {
+			return err
+		}
 		fmt.Println("serve check passed")
 	}
 	return nil

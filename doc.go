@@ -25,8 +25,9 @@
 //     *requests* — an in-process, multi-tenant key-switch service
 //     whose API is organized around keyspaces: requests carry a
 //     tenant and a ciphertext level, a KeySource resolves
-//     KeyID{Tenant, Rot, Level} to evaluation keys (serve.KeyChains
-//     maps tenants to ckks.KeyChains), and levels route through one
+//     KeyID{Tenant, Rot, Level} to evaluation keys
+//     (serve.SeedKeySource derives each tenant's ckks.KeyChain from
+//     its name), and levels route through one
 //     lazily built hks.SwitcherPool. A tenant-sharded key cache under
 //     one global byte budget (eviction weighted by Evk.SizeBytes,
 //     per-tenant residency floor), a hoisted-state coalescer scoped

@@ -7,9 +7,9 @@
 // This is the workload layer of the CiFlow reproduction: rotations and
 // multiplications are exactly the operations that trigger key
 // switching (paper §II), and examples/private_inference uses this
-// package to measure the HKS share of a linear-layer workload. Beyond
-// the serial scheme, Evaluator.WithEngine runs every key switch as an
-// engine task graph under a chosen dataflow.
+// package to measure the HKS share of a linear-layer workload. The
+// evaluator switches on the caller; the engine-scheduled dataflows are
+// hks's, and internal/serve runs them for the rotations it serves.
 //
 // A rotation has one key form and one path. The key is the hoisting
 // form s → σ_g⁻¹(s) (KeyChain.HoistKey; ConjKey is the same form of

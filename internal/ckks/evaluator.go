@@ -3,8 +3,6 @@ package ckks
 import (
 	"fmt"
 
-	"ciflow/internal/dataflow"
-	"ciflow/internal/engine"
 	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 )
@@ -26,61 +24,11 @@ func (ct *Ciphertext) Copy() *Ciphertext {
 type Evaluator struct {
 	ctx *Context
 	kc  *KeyChain
-
-	// When eng is set, key switching runs as a df-shaped task graph on
-	// the worker pool and the transforms around it go tower-parallel;
-	// results are bit-exact with the serial path.
-	eng *engine.Engine
-	df  dataflow.Dataflow
 }
 
 // NewEvaluator binds an evaluator to a context and key chain.
 func NewEvaluator(ctx *Context, kc *KeyChain) *Evaluator {
 	return &Evaluator{ctx: ctx, kc: kc}
-}
-
-// WithEngine returns an evaluator sharing ev's context and key chain
-// whose hybrid key switches execute on e under the given dataflow
-// (Rotate, MulRelin, Conjugate, and everything built on them benefit
-// transparently). Outputs are bit-exact with the serial evaluator.
-func (ev *Evaluator) WithEngine(e *engine.Engine, df dataflow.Dataflow) *Evaluator {
-	ev2 := *ev
-	ev2.eng = e
-	ev2.df = df
-	return &ev2
-}
-
-// runner adapts the engine for the ring's tower-parallel transforms;
-// nil means serial.
-func (ev *Evaluator) runner() ring.Runner {
-	if ev.eng == nil {
-		return nil
-	}
-	return ev.eng
-}
-
-// keySwitch switches d under every key, on the engine when one is
-// attached and on the caller otherwise, returning one freshly
-// allocated (c0, c1) pair per key. A lone key runs the fused
-// per-switch schedule; a fan-out runs Decompose+ModUp once and replays
-// it against each key, bit-exact with switching one key at a time.
-func (ev *Evaluator) keySwitch(sw *hks.Switcher, d *ring.Poly, evks ...*hks.Evk) (c0s, c1s []*ring.Poly) {
-	if len(evks) == 0 {
-		return nil, nil
-	}
-	if ev.eng == nil {
-		return sw.SwitchHoisted(d, evks)
-	}
-	c0s, c1s = make([]*ring.Poly, len(evks)), make([]*ring.Poly, len(evks))
-	for i := range evks {
-		c0s[i], c1s[i] = sw.R.NewPoly(sw.QBasis()), sw.R.NewPoly(sw.QBasis())
-	}
-	if len(evks) == 1 {
-		sw.SwitchParallelInto(ev.eng, ev.df, d, evks[0], c0s[0], c1s[0])
-	} else {
-		sw.SwitchHoistedParallelInto(ev.eng, ev.df, d, evks, c0s, c1s)
-	}
-	return c0s, c1s
 }
 
 // Encrypt encrypts a plaintext under the public key:
@@ -204,9 +152,9 @@ func (ev *Evaluator) MulRelin(ct1, ct2 *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	k0s, k1s := ev.keySwitch(sw, d2, rlk)
-	r.Add(d0, k0s[0], d0)
-	r.Add(d1, k1s[0], d1)
+	k0, k1 := sw.KeySwitch(d2, rlk)
+	r.Add(d0, k0, d0)
+	r.Add(d1, k1, d1)
 	return &Ciphertext{C0: d0, C1: d1, Level: ct1.Level, Scale: ct1.Scale * ct2.Scale}, nil
 }
 
@@ -224,7 +172,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	out := &Ciphertext{Level: ct.Level - 1, Scale: ct.Scale / float64(qLast)}
 	for ci, src := range []*ring.Poly{ct.C0, ct.C1} {
 		p := src.Copy()
-		r.INTTWith(ev.runner(), p)
+		r.INTT(p)
 		last := p.Tower(qLastTower)
 		res := r.NewPoly(newB)
 		for i, t := range newB {
@@ -243,7 +191,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 				dst[k] = m.Mul(m.Sub(row[k], centered), qInv)
 			}
 		}
-		r.NTTWith(ev.runner(), res)
+		r.NTT(res)
 		if ci == 0 {
 			out.C0 = res
 		} else {
@@ -262,8 +210,8 @@ type galoisSwitch struct {
 }
 
 // galois is the one Galois key switch: ct.C1, un-rotated, is switched
-// under every element's key (keySwitch: a lone element fused, a
-// fan-out sharing one Decompose+ModUp), and σ_g is applied to each
+// under every element's key with one shared Decompose+ModUp
+// (hks.Switcher.SwitchHoisted), and σ_g is applied to each
 // switched pair afterwards, (σ_g(c0+k0), σ_g(k1)). The switched pair
 // is what a serving layer returns for the same (c1, key), bit for bit.
 // Results are in element order; an identity element yields a copy of
@@ -279,14 +227,17 @@ func (ev *Evaluator) galois(ct *Ciphertext, els []galoisSwitch) ([]*Ciphertext, 
 			evks = append(evks, el.key)
 		}
 	}
-	k0s, k1s := ev.keySwitch(sw, ct.C1, evks...)
+	var k0s, k1s []*ring.Poly
+	if len(evks) > 0 {
+		k0s, k1s = sw.SwitchHoisted(ct.C1, evks)
+	}
 
 	r := ev.ctx.R
 	sigma := func(p *ring.Poly, g int) *ring.Poly {
-		r.INTTWith(ev.runner(), p)
+		r.INTT(p)
 		out := r.NewPoly(p.Basis)
 		r.Automorphism(p, g, out)
-		r.NTTWith(ev.runner(), out)
+		r.NTT(out)
 		return out
 	}
 	outs := make([]*Ciphertext, len(els))
@@ -340,8 +291,7 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 //
 // Results are returned in rots order, each bit-exact with the
 // corresponding Rotate call. A rotation amount of 0 returns a copy of
-// ct. With an engine attached (WithEngine), the hoist and each replay
-// run as task graphs under the evaluator's dataflow.
+// ct.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) ([]*Ciphertext, error) {
 	// Materialize every key first so no hoisted state is held across
 	// key generation failures.

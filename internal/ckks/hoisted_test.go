@@ -1,74 +1,107 @@
 package ckks
 
 import (
+	"fmt"
 	"math/cmplx"
 	"testing"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/hks"
+	"ciflow/internal/ring"
 )
+
+// ctEqual asserts two ciphertexts agree bit for bit.
+func ctEqual(t *testing.T, op string, a, b *Ciphertext) {
+	t.Helper()
+	if a.Level != b.Level || a.Scale != b.Scale {
+		t.Fatalf("%s: level/scale differ: (%d, %g) vs (%d, %g)", op, a.Level, a.Scale, b.Level, b.Scale)
+	}
+	if !a.C0.Equal(b.C0) || !a.C1.Equal(b.C1) {
+		t.Fatalf("%s: ciphertexts differ", op)
+	}
+}
 
 // TestRotateHoistedMatchesRotate checks that every hoisted rotation is
 // the per-rotation path's ciphertext bit for bit — one key form, one
-// path, and a replay of a shared ModUp is exact — serially and under an
-// engine, and that it decrypts to the rotated vector.
+// path, and a replay of a shared ModUp is exact — and that it decrypts
+// to the rotated vector.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
-	ctx, enc, kc, pk, serial := testContext(t)
+	ctx, enc, kc, pk, ev := testContext(t)
 	vals := randomValues(ctx.Slots(), 0.27)
 	pt, _ := enc.Encode(vals, ctx.MaxLevel)
-	ct := serial.Encrypt(pt, pk)
-	e := engine.New(4)
-	defer e.Close()
+	ct := ev.Encrypt(pt, pk)
 
 	rots := []int{1, 3, 0, 7, ctx.Slots() - 1}
-	for _, ev := range []*Evaluator{serial, serial.WithEngine(e, dataflow.OC)} {
-		hoisted, err := ev.RotateHoisted(ct, rots)
+	hoisted, err := ev.RotateHoisted(ct, rots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hoisted) != len(rots) {
+		t.Fatalf("got %d outputs for %d rotations", len(hoisted), len(rots))
+	}
+	for i, rot := range rots {
+		want, err := ev.Rotate(ct, rot)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(hoisted) != len(rots) {
-			t.Fatalf("got %d outputs for %d rotations", len(hoisted), len(rots))
-		}
-		for i, rot := range rots {
-			want, err := serial.Rotate(ct, rot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctEqual(t, "RotateHoisted vs Rotate", hoisted[i], want)
-			dec := enc.Decode(ev.Decrypt(hoisted[i], kc.Secret()))
-			for s := 0; s < ctx.Slots(); s++ {
-				if cmplx.Abs(dec[s]-vals[(s+rot)%ctx.Slots()]) > 1e-3 {
-					t.Fatalf("rot %d slot %d: hoisted %v, want %v", rot, s, dec[s], vals[(s+rot)%ctx.Slots()])
-				}
+		ctEqual(t, "RotateHoisted vs Rotate", hoisted[i], want)
+		dec := enc.Decode(ev.Decrypt(hoisted[i], kc.Secret()))
+		for s := 0; s < ctx.Slots(); s++ {
+			if cmplx.Abs(dec[s]-vals[(s+rot)%ctx.Slots()]) > 1e-3 {
+				t.Fatalf("rot %d slot %d: hoisted %v, want %v", rot, s, dec[s], vals[(s+rot)%ctx.Slots()])
 			}
 		}
 	}
 }
 
-// TestRotateHoistedEngine runs the hoisted fan-out on the worker pool
-// under every dataflow and checks decryption; with -race this also
-// exercises the hoisted state pool from the evaluator layer.
+// TestRotateHoistedEngine holds the evaluator's fan-out to the engine
+// schedules of internal/hks: under every dataflow, the pairs
+// SwitchHoistedParallelInto switches ct.C1 to, finished by hand as
+// (σ_g(c0+k0), σ_g(k1)), are RotateHoisted's ciphertexts bit for bit.
+// With -race this also runs the hoisted state pool on a worker pool.
 func TestRotateHoistedEngine(t *testing.T) {
-	ctx, enc, kc, pk, ev := testContext(t)
+	ctx, enc, _, pk, ev := testContext(t)
 	vals := randomValues(ctx.Slots(), 0.41)
 	pt, _ := enc.Encode(vals, ctx.MaxLevel)
 	ct := ev.Encrypt(pt, pk)
 	rots := []int{2, 5, 9}
+	want, err := ev.RotateHoisted(ct, rots)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	e := engine.New(4)
-	defer e.Close()
-	for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
-		outs, err := ev.WithEngine(e, df).RotateHoisted(ct, rots)
-		if err != nil {
+	sw, err := ev.kc.Switcher(ct.Level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evks := make([]*hks.Evk, len(rots))
+	for i, rot := range rots {
+		if evks[i], err = ev.kc.HoistKey(rot, ct.Level); err != nil {
 			t.Fatal(err)
 		}
+	}
+	r := ctx.R
+	sigma := func(p *ring.Poly, g int) *ring.Poly {
+		r.INTT(p)
+		out := r.NewPoly(p.Basis)
+		r.Automorphism(p, g, out)
+		r.NTT(out)
+		return out
+	}
+	e := engine.New(4)
+	defer e.Close()
+	for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF} {
+		c0s, c1s := make([]*ring.Poly, len(rots)), make([]*ring.Poly, len(rots))
+		for i := range rots {
+			c0s[i], c1s[i] = r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+		}
+		sw.SwitchHoistedParallelInto(e, df, ct.C1, evks, c0s, c1s)
 		for i, rot := range rots {
-			dec := enc.Decode(ev.Decrypt(outs[i], kc.Secret()))
-			for s := 0; s < ctx.Slots(); s++ {
-				if cmplx.Abs(dec[s]-vals[(s+rot)%ctx.Slots()]) > 1e-3 {
-					t.Fatalf("%s rot %d slot %d: got %v want %v", df, rot, s, dec[s], vals[(s+rot)%ctx.Slots()])
-				}
-			}
+			g := r.GaloisElement(rot)
+			r.Add(ct.C0, c0s[i], c0s[i])
+			got := &Ciphertext{C0: sigma(c0s[i], g), C1: sigma(c1s[i], g), Level: ct.Level, Scale: ct.Scale}
+			ctEqual(t, fmt.Sprintf("%s rotation %d", df, rot), got, want[i])
 		}
 	}
 }
@@ -149,47 +182,5 @@ func TestHoistKeyCaching(t *testing.T) {
 	}
 	if k3 == k1 {
 		t.Fatal("HoistKey shared across levels")
-	}
-}
-
-// TestApplyHoistedEngine applies a linear transform through the
-// engine-backed evaluator, covering the RotateHoisted path inside
-// Apply under a worker pool.
-func TestApplyHoistedEngine(t *testing.T) {
-	ctx, enc, kc, pk, ev := testContext(t)
-	const d = 4
-	w := [][]float64{
-		{0.2, 0.1, 0, -0.1},
-		{0, 0.4, 0.2, 0},
-		{0.1, 0, -0.3, 0.1},
-		{-0.2, 0.1, 0, 0.5},
-	}
-	x := []float64{0.3, -0.4, 0.1, 0.2}
-	lt, err := enc.NewLinearTransform(w, ctx.MaxLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]complex128, ctx.Slots())
-	for i := range vals {
-		vals[i] = complex(x[i%d], 0)
-	}
-	pt, _ := enc.Encode(vals, ctx.MaxLevel)
-	ct := ev.Encrypt(pt, pk)
-
-	e := engine.New(4)
-	defer e.Close()
-	y, err := ev.WithEngine(e, dataflow.OC).Apply(lt, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := enc.Decode(ev.Decrypt(y, kc.Secret()))
-	for i := 0; i < d; i++ {
-		var want float64
-		for j := 0; j < d; j++ {
-			want += w[i][j] * x[j]
-		}
-		if cmplx.Abs(dec[i]-complex(want, 0)) > 1e-3 {
-			t.Fatalf("row %d: got %v want %v", i, dec[i], want)
-		}
 	}
 }

@@ -3,28 +3,21 @@ package ckks
 import (
 	"math/cmplx"
 	"testing"
-
-	"ciflow/internal/dataflow"
-	"ciflow/internal/engine"
 )
 
 func TestConjugate(t *testing.T) {
-	ctx, enc, kc, pk, serial := testContext(t)
+	ctx, enc, kc, pk, ev := testContext(t)
 	vals := randomValues(ctx.Slots(), 0.35)
 	pt, _ := enc.Encode(vals, ctx.MaxLevel)
-	ct := serial.Encrypt(pt, pk)
-	e := engine.New(4)
-	defer e.Close()
-	for _, ev := range []*Evaluator{serial, serial.WithEngine(e, dataflow.MP), serial.WithEngine(e, dataflow.OC)} {
-		conj, err := ev.Conjugate(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := enc.Decode(ev.Decrypt(conj, kc.Secret()))
-		for i, v := range vals {
-			if cmplx.Abs(dec[i]-cmplx.Conj(v)) > 1e-3 {
-				t.Fatalf("slot %d: got %v want %v", i, dec[i], cmplx.Conj(v))
-			}
+	ct := ev.Encrypt(pt, pk)
+	conj, err := ev.Conjugate(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := enc.Decode(ev.Decrypt(conj, kc.Secret()))
+	for i, v := range vals {
+		if cmplx.Abs(dec[i]-cmplx.Conj(v)) > 1e-3 {
+			t.Fatalf("slot %d: got %v want %v", i, dec[i], cmplx.Conj(v))
 		}
 	}
 }

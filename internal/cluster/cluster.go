@@ -34,8 +34,8 @@
 //     draining shard requeues group frames *before executing them*, so
 //     its last stats snapshot is exact and the requeued work is
 //     counted only where it actually runs.
-//   - router.go: the front-end. Consistent hashing with virtual nodes
-//     and per-tenant replication, retry-on-requeue, health checks,
+//   - router.go: the front-end. Rendezvous hashing (hash.go) with
+//     per-tenant replication, retry-on-requeue, health checks,
 //     per-request deduplication (a result is accepted once, from one
 //     shard), and router-side per-shard completion counters that
 //     attribute every delivered switch to exactly the shard that

@@ -63,8 +63,10 @@ func startCluster(t *testing.T, n int, tenants []string, s *workload.Schedule, r
 // re-derived locally from the tenant's deterministic seed, never
 // fetched from a shard.
 func (tc *testCluster) replayTenant(s *workload.Schedule, tenant string) (*workload.ReplayResult, error) {
-	kc, _ := ckks.GenKeys(tc.cctx, serve.TenantSeed(tenant))
-	chains := serve.KeyChains{tenant: kc}
+	chains, err := serve.NewSeedKeySource(tc.cctx, []string{tenant}, false)
+	if err != nil {
+		return nil, err
+	}
 	tv := &TenantView{Router: tc.rt, Tenant: tenant}
 	return workload.Replay(context.Background(), tv, tc.cctx.Switchers(), chains, tc.cctx.R,
 		s, workload.ReplayConfig{Tenant: tenant, Seed: 7, Check: true})

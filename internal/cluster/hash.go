@@ -39,17 +39,6 @@ func newHashRing(shards int) *hashRing { return &hashRing{dead: make([]bool, sha
 // shard, and owners never returns it again.
 func (h *hashRing) remove(shard int) { h.dead[shard] = true }
 
-// liveCount reports the remaining live shards.
-func (h *hashRing) liveCount() int {
-	n := 0
-	for _, dead := range h.dead {
-		if !dead {
-			n++
-		}
-	}
-	return n
-}
-
 // owners returns up to n distinct live shards (at least one) in
 // descending order of the tenant's weight, ties to the lower index: the
 // tenant's primary and its replicas. Returns nil when no shard is live.

@@ -66,9 +66,6 @@ func TestHashRingRemove(t *testing.T) {
 		before[tn] = h.owners(tn, 1)[0]
 	}
 	h.remove(1)
-	if h.liveCount() != 2 {
-		t.Fatalf("liveCount %d after removal, want 2", h.liveCount())
-	}
 	for _, tn := range tenants {
 		owners := h.owners(tn, 1)
 		if len(owners) != 1 || owners[0] == 1 {

@@ -259,8 +259,8 @@ func TestRouterRejectsWrongBasisResult(t *testing.T) {
 			t.Fatalf("rotation %d: no result", rots[i])
 		}
 	}
-	if rt.Live() != 1 {
-		t.Fatalf("%d live shards, want the lying one down", rt.Live())
+	if st := rt.Status(); st[fakeIdx].State != ShardDown || st[1-fakeIdx].State != ShardLive {
+		t.Fatalf("shard states %s/%s, want the lying one down and the other live", st[fakeIdx].State, st[1-fakeIdx].State)
 	}
 	if f, l := rt.Completed(fakeIdx), rt.Completed(1-fakeIdx); f != 0 || l != uint64(len(rots)) {
 		t.Fatalf("completed: fake %d, live %d; want 0 and %d", f, l, len(rots))

@@ -191,15 +191,8 @@ func NewRouter(r *ring.Ring, addrs []string, cfg RouterConfig) (*Router, error) 
 	return rt, nil
 }
 
-// NumShards reports the configured shard count; Live the shards still
-// routable (not drained, not down).
+// NumShards reports the configured shard count.
 func (rt *Router) NumShards() int { return len(rt.shards) }
-
-func (rt *Router) Live() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.hring.liveCount()
-}
 
 // Delivered reports the total results the router has accepted.
 func (rt *Router) Delivered() uint64 { return rt.delivered.Load() }

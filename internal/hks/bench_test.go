@@ -90,7 +90,7 @@ func BenchmarkKeySwitch8Individual(b *testing.B) {
 // graphs on a GOMAXPROCS-sized worker pool. Compare against
 // BenchmarkKeySwitchN4096 for the dataflow's wall-clock effect.
 
-func benchSwitchParallel(b *testing.B, df dataflow.Dataflow) {
+func benchFusedSwitch(b *testing.B, df dataflow.Dataflow) {
 	r, sw, evk, d := benchSetup(b, 4096, 6, 3)
 	e := engine.New(0)
 	defer e.Close()
@@ -102,9 +102,9 @@ func benchSwitchParallel(b *testing.B, df dataflow.Dataflow) {
 	}
 }
 
-func BenchmarkSwitchParallelMPN4096(b *testing.B) { benchSwitchParallel(b, dataflow.MP) }
-func BenchmarkSwitchParallelDCN4096(b *testing.B) { benchSwitchParallel(b, dataflow.DC) }
-func BenchmarkSwitchParallelOCN4096(b *testing.B) { benchSwitchParallel(b, dataflow.OC) }
+func BenchmarkSwitchParallelMPN4096(b *testing.B) { benchFusedSwitch(b, dataflow.MP) }
+func BenchmarkSwitchParallelDCN4096(b *testing.B) { benchFusedSwitch(b, dataflow.DC) }
+func BenchmarkSwitchParallelOCN4096(b *testing.B) { benchFusedSwitch(b, dataflow.OC) }
 
 // Hoisted benchmarks: 8 switches of one input with shared ModUp,
 // engine-backed. Compare BenchmarkSwitchHoistedParallel8 against

@@ -97,7 +97,7 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 	e := engine.New(4)
 	defer e.Close()
 	for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
-		c0, c1 := sw.SwitchStreamed(e, df, d, c)
+		c0, c1 := switchStreamed(sw, e, df, d, c)
 		if !c0.Equal(want0) || !c1.Equal(want1) {
 			t.Fatalf("%v: SwitchStreamed differs from KeySwitch", df)
 		}

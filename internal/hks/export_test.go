@@ -9,7 +9,28 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/ring"
 )
+
+// switchParallel is SwitchParallelInto into fresh outputs.
+func switchParallel(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
+	sw.SwitchParallelInto(e, df, d, evk, c0, c1)
+	return c0, c1
+}
+
+// switchStreamed is the overlapped miss path for one compressed key,
+// the way internal/serve runs it: start the expansion, hoist d on the
+// engine beside it, then replay the expanded key on the engine.
+func switchStreamed(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, cevk *CompressedEvk) (c0, c1 *ring.Poly) {
+	st := cevk.StartExpand(sw.R)
+	defer st.Release()
+	h := sw.HoistParallel(e, df, d)
+	defer h.Release()
+	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
+	h.SwitchStreamedInto(e, st, c0, c1)
+	return c0, c1
+}
 
 // Test-only view of an engine.Graph: what each node does and what it
 // waits for, independent of the order the nodes were created in.

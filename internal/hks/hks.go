@@ -24,7 +24,7 @@
 // one (switch.go), all bit-exact with one another:
 //
 //	KeySwitch                   every tile in order on the caller
-//	SwitchParallel[Into]        one fused task graph per switch on an
+//	SwitchParallelInto          one fused task graph per switch on an
 //	                            engine, shaped MP, DC, OC or OCF
 //	Hoist, HoistParallel        ModUp alone, serially or as a graph,
 //	                            kept in the returned Hoisted
@@ -32,8 +32,7 @@
 //	  .SwitchParallelInto       the caller or as a graph
 //	Hoisted.SwitchStreamedInto  the same graph against a compressed key
 //	                            whose expansion ran beside the hoist
-//	SwitchHoisted[ParallelInto],
-//	  SwitchStreamed            one hoist and its replays in one call
+//	SwitchHoisted[ParallelInto] one hoist and its replays in one call
 //	ModUp, ApplyEvk, ModDown    one stage's tiles in order on the
 //	                            caller, into fresh polynomials, so the
 //	                            dataflow generators in internal/dataflow

@@ -179,7 +179,7 @@ func TestKeySwitchGolden(t *testing.T) {
 			c0, c1 := sw.KeySwitch(d, evk)
 			check("serial", c0, c1)
 			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF} {
-				c0, c1 = sw.SwitchParallel(e, df, d, evk)
+				c0, c1 = switchParallel(sw, e, df, d, evk)
 				check(df.String(), c0, c1)
 				hd := sw.HoistParallel(e, df, d)
 				hd.SwitchParallelInto(e, evk, c0, c1)
@@ -192,7 +192,7 @@ func TestKeySwitchGolden(t *testing.T) {
 			check("hoisted", c0, c1)
 			for _, workers := range []int{1, 2, 4} {
 				ew := engine.New(workers)
-				c0, c1 = sw.SwitchStreamed(ew, dataflow.OC, d, cevk)
+				c0, c1 = switchStreamed(sw, ew, dataflow.OC, d, cevk)
 				ew.Close()
 				check(fmt.Sprintf("streamed/%d workers", workers), c0, c1)
 			}

@@ -69,9 +69,9 @@ func TestEntryPointsProfiled(t *testing.T) {
 	}
 	for _, tc := range []entryPoint{
 		{"serial", "serial", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.KeySwitch(d, evk) }},
-		{"mp", "mp", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.MP, d, evk) }},
-		{"dc", "dc", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.DC, d, evk) }},
-		{"oc", "oc", pipeline, func() (*ring.Poly, *ring.Poly) { return sw.SwitchParallel(e, dataflow.OC, d, evk) }},
+		{"mp", "mp", pipeline, func() (*ring.Poly, *ring.Poly) { return switchParallel(sw, e, dataflow.MP, d, evk) }},
+		{"dc", "dc", pipeline, func() (*ring.Poly, *ring.Poly) { return switchParallel(sw, e, dataflow.DC, d, evk) }},
+		{"oc", "oc", pipeline, func() (*ring.Poly, *ring.Poly) { return switchParallel(sw, e, dataflow.OC, d, evk) }},
 		{"hoisted replay", "oc", pipeline, func() (*ring.Poly, *ring.Poly) {
 			h := sw.HoistParallel(e, dataflow.OC, d)
 			defer h.Release()

@@ -48,7 +48,7 @@ func TestSwitchParallelBitExact(t *testing.T) {
 			}
 			for _, df := range engineDataflows {
 				t.Run(df.String(), func(t *testing.T) {
-					got0, got1 := sw.SwitchParallel(e, df, d, evk)
+					got0, got1 := switchParallel(sw, e, df, d, evk)
 					if !got0.Equal(want0) || !got1.Equal(want1) {
 						t.Fatalf("%s parallel switch differs from the reference", df)
 					}
@@ -75,7 +75,7 @@ func TestSwitchParallelStateReuse(t *testing.T) {
 		d.IsNTT = true
 		want0, want1 := refKeySwitch(sw, d, evk)
 		for _, df := range engineDataflows {
-			got0, got1 := sw.SwitchParallel(e, df, d, evk)
+			got0, got1 := switchParallel(sw, e, df, d, evk)
 			if !got0.Equal(want0) || !got1.Equal(want1) {
 				t.Fatalf("rep %d %s: pooled state produced a different result", rep, df)
 			}
@@ -142,7 +142,7 @@ func TestSwitchParallelConcurrent(t *testing.T) {
 			defer wg.Done()
 			df := engineDataflows[i%len(engineDataflows)]
 			for rep := 0; rep < 4; rep++ {
-				g0, g1 := sw.SwitchParallel(e, df, jobs[i].d, evk)
+				g0, g1 := switchParallel(sw, e, df, jobs[i].d, evk)
 				if !g0.Equal(jobs[i].want0) || !g1.Equal(jobs[i].want1) {
 					errs <- fmt.Errorf("goroutine %d rep %d (%s): result differs", i, rep, df)
 					return
@@ -168,7 +168,7 @@ func TestSwitchParallelNilEngine(t *testing.T) {
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
 	want0, want1 := refKeySwitch(sw, d, evk)
-	got0, got1 := sw.SwitchParallel(nil, dataflow.MP, d, evk)
+	got0, got1 := switchParallel(sw, nil, dataflow.MP, d, evk)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
 		t.Fatal("nil-engine SwitchParallel differs from serial")
 	}
@@ -196,18 +196,18 @@ func TestSwitchParallelValidation(t *testing.T) {
 	}
 
 	coeff := s.Uniform(sw.QBasis()) // not NTT domain
-	mustPanic("coefficient-domain input", func() { sw.SwitchParallel(e, dataflow.MP, coeff, evk) })
+	mustPanic("coefficient-domain input", func() { switchParallel(sw, e, dataflow.MP, coeff, evk) })
 
 	wrong := s.Uniform(sw.DBasis())
 	wrong.IsNTT = true
-	mustPanic("wrong basis", func() { sw.SwitchParallel(e, dataflow.MP, wrong, evk) })
+	mustPanic("wrong basis", func() { switchParallel(sw, e, dataflow.MP, wrong, evk) })
 
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
 	short := &Evk{B: evk.B[:1], A: evk.A[:1]}
-	mustPanic("short evk", func() { sw.SwitchParallel(e, dataflow.MP, d, short) })
+	mustPanic("short evk", func() { switchParallel(sw, e, dataflow.MP, d, short) })
 
-	mustPanic("unknown dataflow", func() { sw.SwitchParallel(e, dataflow.Dataflow(99), d, evk) })
+	mustPanic("unknown dataflow", func() { switchParallel(sw, e, dataflow.Dataflow(99), d, evk) })
 
 	out := r.NewPoly(sw.QBasis())
 	mustPanic("aliased outputs", func() { sw.SwitchParallelInto(e, dataflow.MP, d, evk, out, out) })
@@ -262,7 +262,7 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 			c0, c1 := sw.KeySwitch(d, evk)
 			check("serial", c0, c1)
 			for _, df := range engineDataflows {
-				c0, c1 = sw.SwitchParallel(e, df, d, evk)
+				c0, c1 = switchParallel(sw, e, df, d, evk)
 				check(df.String(), c0, c1)
 			}
 			c0s, c1s := sw.SwitchHoisted(d, []*Evk{evk})
@@ -273,7 +273,7 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 				h.SwitchParallelInto(e, evk, c0, c1)
 				h.Release()
 				check("hoisted "+df.String(), c0, c1)
-				c0, c1 = sw.SwitchStreamed(e, df, d, cevk)
+				c0, c1 = switchStreamed(sw, e, df, d, cevk)
 				check("streamed "+df.String(), c0, c1)
 			}
 		})

@@ -38,9 +38,6 @@ func NewSwitcherPool(r *ring.Ring, dnum int) *SwitcherPool {
 	return &SwitcherPool{r: r, dnum: dnum}
 }
 
-// Ring returns the shared ring every pooled switcher operates over.
-func (p *SwitcherPool) Ring() *ring.Ring { return p.r }
-
 // Switcher returns (building and memoizing on first use) the switcher
 // for a level. The digit count is clamped to level+1 — fewer active
 // towers than digits would leave empty digits — so rescale-heavy

@@ -13,8 +13,8 @@ func TestSwitcherPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewSwitcherPool(r, 2)
-	if p.Ring() != r {
-		t.Fatal("pool does not expose its ring")
+	if sw, _ := p.Switcher(0); sw.R != r {
+		t.Fatal("pooled switcher is not over the pool's ring")
 	}
 
 	sw3, err := p.Switcher(3)

@@ -79,7 +79,7 @@ func TestFusedGraphShape(t *testing.T) {
 		maps.Copy(tc.want, down)
 		tr := obs.NewTracer() // one span per executed graph node
 		engine.SetTracer(tr)
-		sw.SwitchParallel(e, tc.df, d, evk)
+		switchParallel(sw, e, tc.df, d, evk)
 		engine.SetTracer(nil)
 		ran := map[string]int{}
 		for _, sp := range tr.Spans() {

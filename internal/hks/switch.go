@@ -82,26 +82,18 @@ func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	return h.Switch(evk)
 }
 
-// SwitchParallel runs the complete HKS pipeline on d (NTT domain over
-// B_ℓ) as a task graph on e, shaped by the given dataflow, returning
-// freshly allocated (c0, c1) over B_ℓ. The result is bit-exact with
-// KeySwitch for every dataflow. A nil engine uses engine.Default().
-// Safe for concurrent use on one Switcher.
-func (sw *Switcher) SwitchParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
-	c0 = sw.R.NewPoly(sw.qBasis)
-	c1 = sw.R.NewPoly(sw.qBasis)
-	sw.SwitchParallelInto(e, df, d, evk, c0, c1)
-	return c0, c1
-}
-
-// SwitchParallelInto is SwitchParallel writing into caller-provided
-// output polynomials over B_ℓ, so a steady-state caller reusing its
-// outputs performs zero per-op allocations. c0/c1 must not alias d.
+// SwitchParallelInto runs the complete HKS pipeline on d (NTT domain
+// over B_ℓ) as one fused task graph on e, shaped by the given dataflow,
+// writing (c0, c1) into caller-provided output polynomials over B_ℓ, so
+// a steady-state caller reusing its outputs performs zero per-op
+// allocations. The result is bit-exact with KeySwitch for every
+// dataflow. c0/c1 must not alias d. A nil engine uses
+// engine.Default(). Safe for concurrent use on one Switcher.
 func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk, c0, c1 *ring.Poly) {
 	must(sw.CheckInput(d))
 	sw.checkReplay(evk, c0, c1)
 	if sameStorage(c0, d) || sameStorage(c1, d) {
-		panic("hks: SwitchParallel outputs must not alias the input")
+		panic("hks: SwitchParallelInto outputs must not alias the input")
 	}
 	if e == nil {
 		e = engine.Default()
@@ -193,22 +185,6 @@ func (h *Hoisted) SwitchStreamedInto(e *engine.Engine, st *ExpandStream, c0, c1 
 	evk := st.wait()
 	h.stage(obs.StageExpand, t0, h.now())
 	h.SwitchParallelInto(e, evk, c0, c1)
-}
-
-// SwitchStreamed is the full overlapped miss path for one compressed
-// key: start the expansion stream, hoist d on the engine under df
-// (expansion running concurrently with Decompose+ModUp), then replay
-// the expanded key on the engine. Returns freshly allocated (c0, c1)
-// over B_ℓ, bit-exact with KeySwitch(d, cevk.Expand(sw.R)).
-func (sw *Switcher) SwitchStreamed(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, cevk *CompressedEvk) (c0, c1 *ring.Poly) {
-	st := cevk.StartExpand(sw.R)
-	defer st.Release()
-	h := sw.HoistParallel(e, df, d)
-	defer h.Release()
-	c0 = sw.R.NewPoly(sw.qBasis)
-	c1 = sw.R.NewPoly(sw.qBasis)
-	h.SwitchStreamedInto(e, st, c0, c1)
-	return c0, c1
 }
 
 // SwitchHoisted switches d (NTT domain over B_ℓ) with every key in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,8 +189,8 @@ func TestEnableActive(t *testing.T) {
 	}
 }
 
-// TestPackLanesNonOverlap checks the export-time invariant the CI
-// trace validator relies on: within each packed lane, spans are
+// TestPackLanesNonOverlap checks the export-time invariant
+// CheckTrace holds a written timeline to: within each packed lane, spans are
 // start-ordered and never overlap, and every span keeps its track.
 func TestPackLanesNonOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -266,6 +267,34 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if tr.Dropped() != 0 {
 		t.Fatalf("dropped %d spans unexpectedly", tr.Dropped())
+	}
+}
+
+// TestCheckTrace: what WriteTrace writes passes, and a timeline with a
+// lane out of order, overlapping spans or no complete span does not.
+func TestCheckTrace(t *testing.T) {
+	tr := NewTracer()
+	base := tr.base
+	tr.Span("ntt", base, base.Add(time.Millisecond))
+	tr.Span("bconv", base.Add(500*time.Microsecond), base.Add(2*time.Millisecond))
+	tr.Span("apply", base.Add(2*time.Millisecond), base.Add(3*time.Millisecond))
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if spans, lanes, err := CheckTrace(&buf); err != nil || spans != 3 || lanes != 2 {
+		t.Fatalf("written trace: %d spans over %d lanes, %v; want 3 over 2", spans, lanes, err)
+	}
+	for name, body := range map[string]string{
+		"overlap":      `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":0},{"name":"b","ph":"X","ts":4,"dur":1,"pid":1,"tid":0}]}`,
+		"out of order": `{"traceEvents":[{"name":"a","ph":"X","ts":9,"dur":1,"pid":1,"tid":0},{"name":"b","ph":"X","ts":2,"dur":1,"pid":1,"tid":0}]}`,
+		"negative":     `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":-1,"pid":1,"tid":0}]}`,
+		"no spans":     `{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":0}]}`,
+		"not json":     `{`,
+	} {
+		if _, _, err := CheckTrace(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: trace accepted", name)
+		}
 	}
 }
 

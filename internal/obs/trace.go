@@ -120,8 +120,7 @@ type lane struct {
 // The result maps each span (in sorted order) to a lane index; lanes
 // are numbered contiguously across tracks in first-use order. The
 // packing guarantees by construction that within a lane spans are
-// start-ordered and non-overlapping — the invariant the CI trace
-// validator checks.
+// start-ordered and non-overlapping — the invariant CheckTrace checks.
 func PackLanes(spans []Span) (sorted []Span, laneOf []int, lanes []string) {
 	sorted = append([]Span(nil), spans...)
 	sort.SliceStable(sorted, func(a, b int) bool {
@@ -182,6 +181,39 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	return enc.Encode(struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}{events})
+}
+
+// CheckTrace re-reads a timeline WriteTrace wrote and checks what
+// PackLanes promises: at least one complete ("X") event, and within
+// every (pid, tid) lane spans of non-negative duration that start in
+// order and never overlap. It returns the span and lane counts.
+func CheckTrace(r io.Reader) (spans, lanes int, err error) {
+	var tf struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&tf); err != nil {
+		return 0, 0, err
+	}
+	last := map[[2]int]traceEvent{} // each lane's previous span
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Dur < 0 {
+			return 0, 0, fmt.Errorf("span %q has negative duration %f", ev.Name, ev.Dur)
+		}
+		k := [2]int{ev.Pid, ev.Tid}
+		if prev, ok := last[k]; ok && ev.Ts < prev.Ts+prev.Dur {
+			return 0, 0, fmt.Errorf("lane %d/%d: span %q at %f overlaps %q ending at %f",
+				ev.Pid, ev.Tid, ev.Name, ev.Ts, prev.Name, prev.Ts+prev.Dur)
+		}
+		last[k] = ev
+		spans++
+	}
+	if spans == 0 {
+		return 0, 0, fmt.Errorf("no complete (ph=X) events")
+	}
+	return spans, len(last), nil
 }
 
 // activeTracer is the process-wide tracer; nil means tracing is off.

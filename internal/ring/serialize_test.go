@@ -228,7 +228,7 @@ func TestLyingPolyHeaderAllocationBounded(t *testing.T) {
 		if _, _, err := r.DecodePoly(lying); err == nil {
 			t.Fatal("short body accepted")
 		}
-	}); n > 2 { // the error value
+	}); n > 3 { // the error value, one more under the race detector; a poly adds ≥ 3
 		t.Errorf("DecodePoly allocated %v times refusing a short body", n)
 	}
 }

@@ -63,9 +63,8 @@ type KeyID struct {
 // evicted key returns identical material, served results stay
 // bit-exact across evictions, and what sits behind the cache is no
 // larger per key than what sits in it. The budget bounds what the
-// service pins; the source is its backing store. SeedKeySource and
-// KeyChains adapt ckks key chains; tests inject counting sources via
-// KeyMaterialFunc.
+// service pins; the source is its backing store. SeedKeySource adapts
+// ckks key chains; tests inject counting sources via KeyMaterialFunc.
 type KeySource interface {
 	Key(id KeyID) (hks.KeyMaterial, error)
 }

@@ -9,45 +9,6 @@ import (
 	"ciflow/internal/memo"
 )
 
-// KeyChains is the multi-tenant ckks adapter: it maps tenant names to
-// their key chains and implements KeySource by resolving
-// KeyID{Tenant, Rot, Level} to the hoisting-form rotation key
-// kc.HoistKey(Rot, Level) — s → σ_g⁻¹(s), the form under which every
-// rotation of one ciphertext can replay the same hoisted ModUp (see
-// ckks.KeyChain.HoistKey). Each chain owns a distinct secret, so the
-// tenants are genuinely separate keyspaces; the chains must share one
-// ckks.Context (one ring), because the service routes every tenant
-// through one per-level switcher pool.
-//
-// KeyChain memoizes the keys it generates — here dense, the form
-// HoistKey is asked for — so re-loading an evicted KeyID returns the
-// identical key material: served results stay bit-exact across
-// evictions. The cache budget therefore bounds what the service pins,
-// not what the chains behind it hold.
-type KeyChains map[string]*ckks.KeyChain
-
-// Key implements KeySource. Unknown tenants fail the one request. The
-// material is handed back dense; use SeedKeySource for compressed
-// residency.
-func (m KeyChains) Key(id KeyID) (hks.KeyMaterial, error) {
-	kc, ok := m[id.Tenant]
-	if !ok {
-		return nil, fmt.Errorf("serve: no key chain for tenant %q", id.Tenant)
-	}
-	evk, err := kc.HoistKey(id.Rot, id.Level)
-	if err != nil {
-		return nil, err
-	}
-	return evk, nil
-}
-
-// HasTenant implements TenantChecker, so Submit rejects requests for
-// tenants with no key chain before allocating them a dispatcher.
-func (m KeyChains) HasTenant(tenant string) bool {
-	_, ok := m[tenant]
-	return ok
-}
-
 // TenantSeed maps a tenant name to the deterministic key-generation
 // seed every process serving that tenant uses for its keyspace.
 // ckks.GenKeys is deterministic in (context, seed), so any process —

@@ -48,9 +48,7 @@ func TestCompressedServingBitExact(t *testing.T) {
 	b := newTestBench(t, K)
 	e := engine.New(4)
 	defer e.Close()
-	svc, err := New(b.pool, b.compressedSource(t), b.config(Config{
-		Engine: e, MaxBatch: K, Window: 20 * time.Millisecond,
-	}))
+	svc, err := New(b.pool, b.compressedSource(t), b.config(Config{Engine: e}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestCompressedServingBitExact(t *testing.T) {
 	// Singleton on a fresh input: the non-hoisted streamed path.
 	lone := b.input()
 	want0, want1 := b.wantSwitch("", lone, 1)
-	checkResult(t, svc.Do(context.Background(), Request{Input: lone, Rot: 1}), want0, want1, "singleton")
+	checkResult(t, do(svc, Request{Input: lone, Rot: 1}), want0, want1, "singleton")
 
 	st := svc.Stats()
 	if st.Served != K+1 {
@@ -108,9 +106,7 @@ func TestCompressedHalvedBudget(t *testing.T) {
 	budget := K*denseKey + 4096 // all K dense keys fit, with slack
 
 	run := func(keys KeySource, budget int64) (Stats, []Result) {
-		svc, err := New(b.pool, keys, b.config(Config{
-			Engine: e, KeyBudget: budget, MaxBatch: K, Window: 20 * time.Millisecond,
-		}))
+		svc, err := New(b.pool, keys, b.config(Config{Engine: e, KeyBudget: budget}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +251,7 @@ func TestSeedKeySourceUnified(t *testing.T) {
 	// chain's direct switch.
 	e := engine.New(2)
 	defer e.Close()
-	svc, err := New(ctx.Switchers(), src, Config{
-		Engine: e, MaxBatch: 2, Window: 20 * time.Millisecond, DefaultLevel: level,
-	})
+	svc, err := New(ctx.Switchers(), src, Config{Engine: e, DefaultLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +268,7 @@ func TestSeedKeySourceUnified(t *testing.T) {
 		t.Fatal(err)
 	}
 	want0, want1 := sw.KeySwitch(in, evk)
-	res := svc.Do(context.Background(), Request{Input: in, Rot: rot, Tenant: "alpha"})
+	res := do(svc, Request{Input: in, Rot: rot, Tenant: "alpha"})
 	checkResult(t, res, want0, want1, "seed-source serve")
 	if st := svc.Stats(); st.KeyExpansions == 0 {
 		t.Fatal("compressed serve counted no expansions")
@@ -343,7 +337,7 @@ func TestHeldResultsSurviveLaterRequests(t *testing.T) {
 				}
 				out = append(out, held{res, res.C0.Copy(), res.C1.Copy()})
 			}
-			lone := svc.Do(context.Background(), Request{Input: b.input(), Rot: 1})
+			lone := do(svc, Request{Input: b.input(), Rot: 1})
 			if lone.Err != nil {
 				t.Fatal(lone.Err)
 			}

@@ -38,90 +38,52 @@ func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots 
 	}
 }
 
-// gatedSource serves b's keys, dense or compressed, but parks the
-// first load of rotation gateRot until release is closed: the way the
-// tests below hold a tenant's dispatcher still while they queue work
-// behind it. entered is closed once the dispatcher is parked.
-func (b *testBench) gatedSource(gateRot int, compressed bool) (src KeySource, entered, release chan struct{}) {
-	entered, release = make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
-		if id.Rot == gateRot {
-			once.Do(func() {
-				close(entered)
-				<-release
-			})
-		}
-		evk, ok := b.evks[id.Tenant][id.Rot]
-		if !ok {
-			return nil, fmt.Errorf("no key for tenant %q rotation %d", id.Tenant, id.Rot)
-		}
-		if compressed {
-			c, _ := evk.Compress()
-			return c, nil
-		}
-		return evk, nil
-	}), entered, release
-}
-
-// A sealed group is one ModUp whatever the batching settings say: a
-// window of an hour is never waited out, and a MaxBatch below the
-// group's width does not split it. Dense and compressed keys both.
+// A sealed group is one ModUp however wide: one wider than maxBatch is
+// not split, and a group of one runs like any other, without the
+// coalesce credit. Dense and compressed keys both.
 func TestSubmitGroupOneModUp(t *testing.T) {
-	const K = 5
-	rots := []int{0, 1, 2, 3, 4}
-	for _, tc := range []struct {
-		name       string
-		compressed bool
-		cfg        Config
-	}{
-		{"dense/hour window", false, Config{Window: time.Hour}},
-		{"dense/batch of one", false, Config{Window: time.Nanosecond, MaxBatch: 1}},
-		{"compressed/hour window", true, Config{Window: time.Hour}},
-		{"compressed/batch of one", true, Config{Window: time.Nanosecond, MaxBatch: 1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	const K, W = 5, maxBatch + 1
+	rots := make([]int, W)
+	for i := range rots {
+		rots[i] = i % K
+	}
+	for _, compressed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "dense", true: "compressed"}[compressed], func(t *testing.T) {
 			b := newTestBench(t, K)
 			e := engine.New(2)
 			defer e.Close()
 			src := b.keySource()
-			if tc.compressed {
+			if compressed {
 				src = b.compressedSource(t)
 			}
-			tc.cfg.Engine = e
-			svc, err := New(b.pool, src, b.config(tc.cfg))
+			svc, err := New(b.pool, src, b.config(Config{Engine: e}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer svc.Close()
 
 			in := b.input()
-			start := time.Now()
 			chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
 			if err != nil {
 				t.Fatal(err)
 			}
 			b.checkGroup(t, "", in, rots, chans, "group")
-			// A group of one runs like any other, without the coalesce credit.
 			lone := b.input()
 			chans, err = svc.SubmitGroup(context.Background(), groupOf(lone, "", 2))
 			if err != nil {
 				t.Fatal(err)
 			}
 			b.checkGroup(t, "", lone, []int{2}, chans, "group of one")
-			if d := time.Since(start); d > time.Minute {
-				t.Fatalf("two groups took %v: something waited on the window", d)
-			}
 
 			st := svc.Stats()
-			if st.Submitted != K+1 || st.Served != K+1 || st.Failed != 0 {
-				t.Fatalf("submitted %d served %d failed %d, want %d/%d/0", st.Submitted, st.Served, st.Failed, K+1, K+1)
+			if st.Submitted != W+1 || st.Served != W+1 || st.Failed != 0 {
+				t.Fatalf("submitted %d served %d failed %d, want %d/%d/0", st.Submitted, st.Served, st.Failed, W+1, W+1)
 			}
-			if st.ModUps != 2 || st.Groups != 2 || st.Coalesced != K {
-				t.Fatalf("mod_ups %d groups %d coalesced %d, want 2/2/%d", st.ModUps, st.Groups, st.Coalesced, K)
+			if st.ModUps != 2 || st.Groups != 2 || st.Coalesced != W {
+				t.Fatalf("mod_ups %d groups %d coalesced %d, want 2/2/%d", st.ModUps, st.Groups, st.Coalesced, W)
 			}
-			if tc.compressed && st.KeyExpansions != K+1 {
-				t.Fatalf("%d key expansions, want %d", st.KeyExpansions, K+1)
+			if compressed && st.KeyExpansions != W+1 {
+				t.Fatalf("%d key expansions, want %d", st.KeyExpansions, W+1)
 			}
 		})
 	}
@@ -193,19 +155,11 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	b := newTestBench(t, 4)
 	e := engine.New(2)
 	defer e.Close()
-	src, entered, release := b.gatedSource(3, false)
-	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 
 	in := b.input()
-	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // the dispatcher is parked inside batch 1; the rest queue up
+	park(t, svc, entered, in, "") // batch 1 is the parking request; the rest queue up
 	g1, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1, 99))
 	if err != nil {
 		t.Fatal(err)
@@ -220,25 +174,23 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	}
 	close(release)
 
-	want0, want1 := b.wantSwitch("", in, 3)
-	checkResult(t, <-head, want0, want1, "head")
 	b.checkGroup(t, "", in, []int{0, 1}, g1[:2], "first group")
 	if res := <-g1[2]; res.Err == nil {
 		t.Fatal("unknown rotation in a sealed group served without error")
 	}
-	want0, want1 = b.wantSwitch("", in, 2)
+	want0, want1 := b.wantSwitch("", in, 2)
 	checkResult(t, <-lone, want0, want1, "lone submit")
 	b.checkGroup(t, "", in, []int{0, 1}, g2, "second group")
 
 	st := svc.Stats()
 	if st.Batches != 2 {
-		t.Fatalf("%d batches, want 2: the three submissions queued behind the head did not share one", st.Batches)
+		t.Fatalf("%d batches, want 2: the three submissions queued behind the parking request did not share one", st.Batches)
 	}
-	if st.Groups != 4 || st.ModUps != 4 {
-		t.Fatalf("groups %d mod_ups %d, want 4/4: one input pointer, four submissions", st.Groups, st.ModUps)
+	if st.Groups != 4 || st.ModUps != 3 {
+		t.Fatalf("groups %d mod_ups %d, want 4/3: one input pointer, four submissions, one of them the failed parking request", st.Groups, st.ModUps)
 	}
-	if st.Served != 6 || st.Failed != 1 || st.Coalesced != 5 {
-		t.Fatalf("served %d failed %d coalesced %d, want 6/1/5", st.Served, st.Failed, st.Coalesced)
+	if st.Served != 5 || st.Failed != 2 || st.Coalesced != 5 {
+		t.Fatalf("served %d failed %d coalesced %d, want 5/2/5", st.Served, st.Failed, st.Coalesced)
 	}
 }
 
@@ -333,17 +285,13 @@ func TestCloseDrainsSealedGroup(t *testing.T) {
 	b := newTestBench(t, 4)
 	e := engine.New(2)
 	defer e.Close()
-	src, entered, release := b.gatedSource(3, true)
-	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
+	src, entered, release := parking(b.compressedSource(t))
+	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := b.input()
-	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
+	park(t, svc, entered, in, "")
 	rots := []int{0, 1, 2}
 	chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
 	if err != nil {
@@ -362,12 +310,9 @@ func TestCloseDrainsSealedGroup(t *testing.T) {
 	}
 	close(release)
 	<-closed
-	if res := <-head; res.Err != nil {
-		t.Fatal(res.Err)
-	}
 	b.checkGroup(t, "", in, rots, chans, "drained group")
-	if st := svc.Stats(); st.Served != 4 || st.ModUps != 2 {
-		t.Fatalf("served %d mod_ups %d, want 4/2", st.Served, st.ModUps)
+	if st := svc.Stats(); st.Served != 3 || st.ModUps != 1 {
+		t.Fatalf("served %d mod_ups %d, want 3/1", st.Served, st.ModUps)
 	}
 }
 
@@ -378,18 +323,10 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 	b := newTestBench(t, 4)
 	e := engine.New(1)
 	defer e.Close()
-	src, entered, release := b.gatedSource(3, false)
-	svc, err := New(b.pool, src, b.config(Config{Engine: e, Window: time.Microsecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 	in := b.input()
-	head, err := svc.Submit(context.Background(), Request{Input: in, Rot: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
+	park(t, svc, entered, in, "")
 	ctx, cancel := context.WithCancel(context.Background())
 	chans, err := svc.SubmitGroup(ctx, groupOf(in, "", 0, 1, 2))
 	if err != nil {
@@ -397,17 +334,14 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 	}
 	cancel()
 	close(release)
-	if res := <-head; res.Err != nil {
-		t.Fatal(res.Err)
-	}
 	for i, ch := range chans {
 		if res := <-ch; res.Err != context.Canceled {
 			t.Fatalf("member %d: got %v, want context.Canceled", i, res.Err)
 		}
 	}
 	st := svc.Stats()
-	if st.Submitted != 4 || st.Served != 1 || st.Failed != 3 || st.ModUps != 1 {
-		t.Fatalf("submitted %d served %d failed %d mod_ups %d, want 4/1/3/1", st.Submitted, st.Served, st.Failed, st.ModUps)
+	if st.Submitted != 4 || st.Served != 0 || st.Failed != 4 || st.ModUps != 0 {
+		t.Fatalf("submitted %d served %d failed %d mod_ups %d, want 4/0/4/0", st.Submitted, st.Served, st.Failed, st.ModUps)
 	}
 }
 
@@ -440,7 +374,7 @@ func TestGroupWaitPhase(t *testing.T) {
 		}
 		return 0
 	}
-	if res := svc.Do(context.Background(), Request{Input: b.input(), Rot: 0}); res.Err != nil {
+	if res := do(svc, Request{Input: b.input(), Rot: 0}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if n := count(svc.Stats().Phases, "group_wait"); n != 0 {

@@ -5,10 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"time"
 
 	"ciflow/internal/ckks"
-	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/ring"
 )
@@ -34,7 +32,7 @@ func finishRotation(r *ring.Ring, ct *ckks.Ciphertext, res Result, rot int) *ckk
 // builds on: a rotation served from a tenant's seed — compressed keys,
 // cache, dispatcher, engine replay — and finished by hand is the
 // ciphertext ckks.Evaluator.Rotate computes under the same seed, bit
-// for bit, serial or on an engine; a SubmitGroup fan-out is
+// for bit; a SubmitGroup fan-out is
 // RotateHoisted's. And it is right, not only equal: it decrypts to the
 // rotated vector within the bound ckks/precision_test.go holds the
 // scheme to.
@@ -64,17 +62,12 @@ func TestServedRotationIsEvaluatorRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(ctx.Switchers(), src, Config{Engine: e, Window: 20 * time.Millisecond})
+	svc, err := New(ctx.Switchers(), src, Config{Engine: e})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	evaluators := map[string]*ckks.Evaluator{
-		"serial":    serial,
-		"engine MP": serial.WithEngine(e, dataflow.MP),
-		"engine OC": serial.WithEngine(e, dataflow.OC),
-	}
 	check := func(what string, got, want *ckks.Ciphertext, rot int) {
 		t.Helper()
 		if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
@@ -89,18 +82,15 @@ func TestServedRotationIsEvaluatorRotation(t *testing.T) {
 	}
 
 	const rot = 5
-	res := svc.Do(context.Background(), Request{Input: ct.C1, Rot: rot, Level: level, Tenant: tenant})
+	res := do(svc, Request{Input: ct.C1, Rot: rot, Level: level, Tenant: tenant})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	served := finishRotation(ctx.R, ct, res, rot)
-	for name, ev := range evaluators {
-		want, err := ev.Rotate(ct, rot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Submit vs Rotate, "+name, served, want, rot)
+	want, err := serial.Rotate(ct, rot)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("Submit vs Rotate", finishRotation(ctx.R, ct, res, rot), want, rot)
 
 	rots := []int{1, 2, 7, ctx.Slots() - 3}
 	reqs := groupOf(ct.C1, tenant, rots...)
@@ -119,14 +109,12 @@ func TestServedRotationIsEvaluatorRotation(t *testing.T) {
 		}
 		group[i] = finishRotation(ctx.R, ct, res, rots[i])
 	}
-	for name, ev := range evaluators {
-		want, err := ev.RotateHoisted(ct, rots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rot := range rots {
-			check("SubmitGroup vs RotateHoisted, "+name, group[i], want[i], rot)
-		}
+	wants, err := serial.RotateHoisted(ct, rots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rot := range rots {
+		check("SubmitGroup vs RotateHoisted", group[i], wants[i], rot)
 	}
 	if st := svc.Stats(); st.ModUps != 2 {
 		t.Fatalf("%d ModUps for one lone rotation and one group, want 2", st.ModUps)

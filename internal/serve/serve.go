@@ -34,9 +34,9 @@
 //     hoisted state.
 //  3. Per-tenant micro-batching with isolation: every tenant gets its
 //     own dispatcher goroutine and its own bounded queue of
-//     submissions (capacity Config.QueueDepth each). A batch opened by
-//     a Submit gathers for at most Window and closes early at
-//     MaxBatch — that window is what lets separate calls meet — while
+//     submissions (capacity queueDepth each). A batch opened by a
+//     Submit gathers for at most gatherWindow and closes early at
+//     maxBatch — that window is what lets separate calls meet — while
 //     a batch holding a SubmitGroup takes what is already queued and
 //     runs. Backpressure is per tenant — a hot tenant saturating its
 //     queue blocks only its own producers, and a tenant's slow key
@@ -63,8 +63,8 @@
 // The service operates at the hks layer: a request carries the
 // key-switch input polynomial (for a rotation, the ciphertext's c1 in
 // hoisting form) and a rotation amount that the key cache resolves —
-// through the request's KeyID — to an evaluation key. KeyChains wires
-// the cache to ckks.KeyChain.HoistKey; finishing a rotation (Galois
+// through the request's KeyID — to an evaluation key. SeedKeySource
+// wires the cache to ckks.KeyChain.HoistKey; finishing a rotation (Galois
 // automorphism of the switched pair plus c0 addition) is cheap and
 // stays with the caller. `ciflow serve` replays schedule DAGs through
 // this package and checks its books against their predictions; `go run
@@ -104,7 +104,7 @@ type SwitcherSource interface {
 // unknown tenants *before* allocating that tenant's dispatcher, queue,
 // and cache shard — which otherwise live until Close. Services fed
 // untrusted tenant names should use a KeySource that implements it
-// (KeyChains does); without it an unknown tenant still fails, but only
+// (SeedKeySource does); without it an unknown tenant still fails, but only
 // at key-load time, after its worker exists.
 type TenantChecker interface {
 	HasTenant(tenant string) bool
@@ -143,6 +143,23 @@ type Result struct {
 	Err    error
 }
 
+// The batching constants. A tenant's batch closes once maxBatch requests
+// are pending; a SubmitGroup call is never split, it joins a batch
+// whole, however long. gatherWindow is how long a tenant's dispatcher
+// waits for more requests after a Submit opens a batch: under load the
+// queue is never empty and the window is irrelevant; idle, it is the
+// latency cost of coalescing separate Submit calls, and a SubmitGroup
+// call never waits on it. queueDepth bounds each tenant's queue, in
+// Submit and SubmitGroup calls: a full queue blocks that tenant's
+// submitters — backpressure — until its dispatcher drains or the
+// submitter's context is cancelled; other tenants' queues are
+// unaffected.
+const (
+	maxBatch     = 64
+	gatherWindow = 200 * time.Microsecond
+	queueDepth   = 4 * maxBatch
+)
+
 // Config tunes the service; zero values select the documented
 // defaults.
 type Config struct {
@@ -155,44 +172,9 @@ type Config struct {
 	// weighted by the resident material's SizeBytes — compressed keys
 	// are charged their compressed footprint; see cache.go.
 	KeyBudget int64
-	// MaxBatch closes a tenant's batch once this many requests are
-	// pending (default 64). A SubmitGroup call is never split: it
-	// joins a batch whole, however long.
-	MaxBatch int
-	// Window is how long a tenant's dispatcher waits for more requests
-	// after a Submit opens a batch (default 200µs). Under load the
-	// queue is never empty and the window is irrelevant; idle, it is
-	// the latency cost of coalescing separate Submit calls. A
-	// SubmitGroup call never waits on it.
-	Window time.Duration
-	// QueueDepth bounds each tenant's queue, in Submit and SubmitGroup
-	// calls (default 4×MaxBatch). A full queue blocks that tenant's
-	// submitters — backpressure — until its dispatcher drains or the
-	// submitter's context is cancelled; other tenants' queues are
-	// unaffected.
-	QueueDepth int
 	// DefaultLevel is the ciphertext level served when a request
 	// leaves Level at its zero value (default 0).
 	DefaultLevel int
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Engine == nil {
-		cfg.Engine = engine.Default()
-	}
-	if cfg.KeyBudget <= 0 {
-		cfg.KeyBudget = 256 << 20
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 200 * time.Microsecond
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
-	}
-	return cfg
 }
 
 // pending is one queued request with its completion channel. The
@@ -263,7 +245,7 @@ func (w *tenantWorker) send(ctx context.Context, sub submission) error {
 }
 
 // Service is the multi-tenant batching key-switch service. Construct
-// with New, submit with Submit/SubmitGroup/Do, observe with Stats, and
+// with New, submit with Submit/SubmitGroup, observe with Stats, and
 // Close to drain. Safe for concurrent use.
 type Service struct {
 	src  SwitcherSource
@@ -289,14 +271,18 @@ func New(switchers SwitcherSource, keys KeySource, cfg Config) (*Service, error)
 	if keys == nil {
 		return nil, fmt.Errorf("serve: nil key source")
 	}
-	cfg = cfg.withDefaults()
-	s := &Service{
+	if cfg.Engine == nil {
+		cfg.Engine = engine.Default()
+	}
+	if cfg.KeyBudget <= 0 {
+		cfg.KeyBudget = 256 << 20
+	}
+	return &Service{
 		src:     switchers,
 		keys:    newKeyCache(keys, cfg.KeyBudget),
 		cfg:     cfg,
 		workers: make(map[string]*tenantWorker),
-	}
-	return s, nil
+	}, nil
 }
 
 // worker returns (creating and starting if needed) the dispatcher for
@@ -318,7 +304,7 @@ func (s *Service) worker(tenant string) (*tenantWorker, error) {
 	}
 	w = &tenantWorker{
 		tenant: tenant,
-		queue:  make(chan submission, s.cfg.QueueDepth),
+		queue:  make(chan submission, queueDepth),
 		done:   make(chan struct{}),
 	}
 	s.workers[tenant] = w
@@ -402,9 +388,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error
 // rejected by Submit, or differs from the first in a shared field, the
 // call fails and nothing is enqueued. It then runs as exactly one
 // group — one Decompose+ModUp however long it is and whatever else is
-// queued, never split by MaxBatch, never merged with another call's
-// requests even on an equal Input pointer — and without waiting out a
-// gather Window. ctx and backpressure are as for Submit, for the call
+// queued, never split by maxBatch, never merged with another call's
+// requests even on an equal Input pointer — and without waiting out the
+// gather window. ctx and backpressure are as for Submit, for the call
 // as a whole.
 func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Result, error) {
 	if s.isClosed() {
@@ -431,16 +417,6 @@ func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Res
 		return nil, err
 	}
 	return out, nil
-}
-
-// Do is Submit plus waiting for the result. Queue-level failures are
-// folded into Result.Err.
-func (s *Service) Do(ctx context.Context, req Request) Result {
-	ch, err := s.Submit(ctx, req)
-	if err != nil {
-		return Result{Err: err}
-	}
-	return <-ch
 }
 
 // Close stops accepting requests, waits for every queued request of
@@ -486,21 +462,21 @@ func (s *Service) dispatch(w *tenantWorker) {
 }
 
 // gather fills the batch that first opened from the tenant's queue
-// until MaxBatch requests are pending or Window has elapsed since the
-// batch opened. A backlogged queue fills the batch without waiting on
-// the timer, and a batch holding a sealed submission never waits: its
-// caller declared the group complete, so it takes what is already
-// queued and runs.
+// until maxBatch requests are pending or gatherWindow has elapsed
+// since the batch opened. A backlogged queue fills the batch without
+// waiting on the timer, and a batch holding a sealed submission never
+// waits: its caller declared the group complete, so it takes what is
+// already queued and runs.
 func (s *Service) gather(w *tenantWorker, first submission) []submission {
 	batch := []submission{first}
 	n, sealed := w.popped(first), first.sealed
 	var timeout <-chan time.Time
-	if !sealed && n < s.cfg.MaxBatch {
-		timer := time.NewTimer(s.cfg.Window)
+	if !sealed && n < maxBatch {
+		timer := time.NewTimer(gatherWindow)
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	for n < s.cfg.MaxBatch {
+	for n < maxBatch {
 		var sub submission
 		var ok bool
 		select {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -62,7 +63,7 @@ func newTestBench(t *testing.T, rots int, tenants ...string) *testBench {
 	return b
 }
 
-// keySource is a memoized backing store, like ckks.KeyChains: every
+// keySource is a memoized backing store, like SeedKeySource: every
 // load of one KeyID returns identical key material.
 func (b *testBench) keySource() KeySource {
 	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
@@ -117,6 +118,62 @@ func tenantStats(t *testing.T, st Stats, tenant string) TenantStats {
 	return TenantStats{}
 }
 
+// do is Submit plus waiting for the result, with a failed Submit
+// folded into Result.Err.
+func do(svc *Service, req Request) Result {
+	ch, err := svc.Submit(context.Background(), req)
+	if err != nil {
+		return Result{Err: err}
+	}
+	return <-ch
+}
+
+// parkRot is the rotation of a parking request (see park); no test
+// asks a key source for it otherwise.
+const parkRot = -1
+
+// parking wraps src so that a load of parkRot's key parks the loading
+// dispatcher — and sends its tenant on entered — until release is
+// closed, then fails without asking src.
+func parking(src KeySource) (parked KeySource, entered <-chan string, release chan struct{}) {
+	in, release := make(chan string, 4), make(chan struct{})
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
+		if id.Rot != parkRot {
+			return src.Key(id)
+		}
+		in <- id.Tenant
+		<-release
+		return nil, errors.New("parked")
+	}), in, release
+}
+
+// park submits a parking request for tenant on in and waits until the
+// tenant's dispatcher is parked in its key load (svc's source must come
+// from parking). Everything the tenant submits until release is closed
+// queues up behind it and is gathered into the dispatcher's next batch
+// — whole, up to maxBatch, whatever the gather window — and a Submit
+// past queueDepth blocks. The parking request fails once released: it
+// books one submission, batch, group, cache miss and failure, and no
+// switch.
+func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) {
+	t.Helper()
+	if _, err := svc.Submit(context.Background(), Request{Input: in, Rot: parkRot, Tenant: tenant}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+}
+
+// newParkedService is newService over b's dense keys behind parking.
+func (b *testBench) newParkedService(t *testing.T, cfg Config) (*Service, <-chan string, chan struct{}) {
+	t.Helper()
+	src, entered, release := parking(b.keySource())
+	svc, err := New(b.pool, src, b.config(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, entered, release
+}
+
 func checkResult(t *testing.T, res Result, want0, want1 *ring.Poly, what string) {
 	t.Helper()
 	if res.Err != nil {
@@ -127,22 +184,20 @@ func checkResult(t *testing.T, res Result, want0, want1 *ring.Poly, what string)
 	}
 }
 
-// TestCoalescedBitExact floods one batch with G inputs × K rotations
-// and asserts (a) every result is bit-exact with an independent
-// SwitchHoisted, (b) the coalescer ran exactly one ModUp per input,
-// (c) the key cache loaded each rotation exactly once.
+// TestCoalescedBitExact floods one batch — queued behind a parked
+// dispatcher — with G inputs × K rotations and asserts (a) every
+// result is bit-exact with an independent SwitchHoisted, (b) the
+// coalescer ran exactly one ModUp per input, (c) the key cache loaded
+// each rotation exactly once.
 func TestCoalescedBitExact(t *testing.T) {
 	const G, K = 3, 4
 	b := newTestBench(t, K)
 	e := engine.New(2)
 	defer e.Close()
 
-	svc := b.newService(t, Config{
-		Engine:   e,
-		MaxBatch: G * K, // the batch closes exactly when every request is in
-		Window:   time.Minute,
-	})
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
+	park(t, svc, entered, b.input(), "")
 
 	inputs := make([]*ring.Poly, G)
 	want0 := make([][]*ring.Poly, G)
@@ -167,6 +222,7 @@ func TestCoalescedBitExact(t *testing.T) {
 			chs[g][k] = ch
 		}
 	}
+	close(release)
 	for g := 0; g < G; g++ {
 		for k := 0; k < K; k++ {
 			checkResult(t, <-chs[g][k], want0[g][k], want1[g][k],
@@ -175,8 +231,8 @@ func TestCoalescedBitExact(t *testing.T) {
 	}
 
 	st := svc.Stats()
-	if st.Served != G*K || st.Failed != 0 {
-		t.Fatalf("served %d / failed %d, want %d / 0", st.Served, st.Failed, G*K)
+	if st.Served != G*K || st.Failed != 1 {
+		t.Fatalf("served %d / failed %d, want %d / 1 (the parking request)", st.Served, st.Failed, G*K)
 	}
 	if st.ModUps != G {
 		t.Fatalf("ran %d ModUps for %d coalesced inputs", st.ModUps, G)
@@ -184,8 +240,8 @@ func TestCoalescedBitExact(t *testing.T) {
 	if st.CoalescingFactor != K {
 		t.Fatalf("coalescing factor %.2f, want %d", st.CoalescingFactor, K)
 	}
-	if st.Keys.Misses != K || b.loads.Load() != K {
-		t.Fatalf("cache loaded %d times with %d misses, want %d distinct keys",
+	if st.Keys.Misses != K+1 || b.loads.Load() != K {
+		t.Fatalf("cache loaded %d times with %d misses, want %d distinct keys and the parking miss",
 			b.loads.Load(), st.Keys.Misses, K)
 	}
 	if st.Keys.HitRate <= 0.5 {
@@ -196,7 +252,7 @@ func TestCoalescedBitExact(t *testing.T) {
 	}
 	// The anonymous tenant's breakdown carries the whole load.
 	ts := tenantStats(t, st, "")
-	if ts.Served != G*K || ts.ModUps != G || ts.Keys.Misses != K {
+	if ts.Served != G*K || ts.ModUps != G || ts.Keys.Misses != K+1 {
 		t.Fatalf("tenant breakdown %+v disagrees with global stats", ts)
 	}
 }
@@ -209,10 +265,11 @@ func TestPerDataflowRouting(t *testing.T) {
 	b := newTestBench(t, K)
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, MaxBatch: 2 * K, Window: time.Minute})
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 
 	in := b.input()
+	park(t, svc, entered, in, "")
 	var chans []<-chan Result
 	var wants [][2]*ring.Poly
 	for _, df := range []dataflow.Dataflow{dataflow.DC, dataflow.OC} {
@@ -226,6 +283,7 @@ func TestPerDataflowRouting(t *testing.T) {
 			wants = append(wants, [2]*ring.Poly{w0, w1})
 		}
 	}
+	close(release)
 	for i, ch := range chans {
 		checkResult(t, <-ch, wants[i][0], wants[i][1], fmt.Sprintf("request %d", i))
 	}
@@ -241,12 +299,12 @@ func TestSingletonDirectPath(t *testing.T) {
 	b := newTestBench(t, 1)
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, Window: time.Microsecond})
+	svc := b.newService(t, Config{Engine: e})
 	defer svc.Close()
 
 	in := b.input()
 	want0, want1 := b.wantSwitch("", in, 0)
-	res := svc.Do(context.Background(), Request{Input: in, Rot: 0})
+	res := do(svc, Request{Input: in, Rot: 0})
 	checkResult(t, res, want0, want1, "singleton")
 	st := svc.Stats()
 	if st.ModUps != 1 || st.Coalesced != 0 || st.CoalescingFactor != 1 {
@@ -264,15 +322,14 @@ func TestEvictionMidFlight(t *testing.T) {
 	e := engine.New(2)
 	defer e.Close()
 	oneKey := int64(b.evks[""][0].SizeBytes())
-	svc := b.newService(t, Config{
+	svc, entered, release := b.newParkedService(t, Config{
 		Engine:    e,
 		KeyBudget: oneKey, // capacity-one cache, in bytes
-		MaxBatch:  G * K,
-		Window:    time.Minute,
 	})
 	defer svc.Close()
 
 	inputs := [G]*ring.Poly{b.input(), b.input()}
+	park(t, svc, entered, inputs[0], "")
 	var chs [G][K]<-chan Result
 	for g := 0; g < G; g++ {
 		for k := 0; k < K; k++ {
@@ -283,6 +340,7 @@ func TestEvictionMidFlight(t *testing.T) {
 			chs[g][k] = ch
 		}
 	}
+	close(release)
 	for g := 0; g < G; g++ {
 		for k := 0; k < K; k++ {
 			want0, want1 := b.wantSwitch("", inputs[g], k)
@@ -309,7 +367,7 @@ func TestConcurrentClients(t *testing.T) {
 	b := newTestBench(t, K)
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, MaxBatch: 8, Window: 100 * time.Microsecond})
+	svc := b.newService(t, Config{Engine: e})
 	defer svc.Close()
 
 	// Sample inputs and reference outputs up front: the sampler is not
@@ -379,10 +437,12 @@ func TestCrossTenantNoCoalesce(t *testing.T) {
 	b := newTestBench(t, K, "a", "b")
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, MaxBatch: K, Window: time.Minute})
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 
 	in := b.input() // the *same* polynomial for both tenants
+	park(t, svc, entered, in, "a")
+	park(t, svc, entered, in, "b")
 	var chans [2][K]<-chan Result
 	var wg sync.WaitGroup
 	errc := make(chan error, 2)
@@ -405,6 +465,7 @@ func TestCrossTenantNoCoalesce(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+	close(release)
 
 	results := make([][2]*ring.Poly, 0, 2*K)
 	for ti, tenant := range []string{"a", "b"} {
@@ -440,6 +501,31 @@ func TestCrossTenantNoCoalesce(t *testing.T) {
 	}
 }
 
+// fillQueue queues queueDepth Submits of in for tenant — a full queue,
+// behind a parked dispatcher — and returns their result channels.
+func fillQueue(t *testing.T, svc *Service, in *ring.Poly, tenant string) []<-chan Result {
+	t.Helper()
+	chans := make([]<-chan Result, queueDepth)
+	for i := range chans {
+		ch, err := svc.Submit(context.Background(), Request{Input: in, Rot: 1, Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	return chans
+}
+
+// drain requires every channel to deliver a served result.
+func drain(t *testing.T, chans []<-chan Result) {
+	t.Helper()
+	for _, ch := range chans {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+}
+
 // TestTenantIsolationBackpressure wedges one tenant's dispatcher
 // inside an indefinitely blocked key load with its queue saturated,
 // then serves another tenant: the light tenant must complete — its
@@ -451,39 +537,12 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	b := newTestBench(t, 2, "hot", "light")
 	e := engine.New(2)
 	defer e.Close()
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
-		if id.Tenant == "hot" {
-			once.Do(func() { close(entered) })
-			<-gate
-		}
-		return b.evks[id.Tenant][id.Rot], nil
-	})
-	svc, err := New(b.pool, src, b.config(Config{
-		Engine:     e,
-		MaxBatch:   1,
-		Window:     time.Microsecond,
-		QueueDepth: 1,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer func() { svc.Close() }()
 
 	in := b.input()
-	hotFirst, err := svc.Submit(context.Background(), Request{Input: in, Rot: 0, Tenant: "hot"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // the hot dispatcher is stuck loading its key
-
-	hotSecond, err := svc.Submit(context.Background(), Request{Input: in, Rot: 1, Tenant: "hot"})
-	if err != nil {
-		t.Fatal(err) // fits in the hot queue
-	}
+	park(t, svc, entered, in, "hot") // the hot dispatcher is stuck loading a key
+	hot := fillQueue(t, svc, in, "hot")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := svc.Submit(ctx, Request{Input: in, Rot: 1, Tenant: "hot"}); err != context.DeadlineExceeded {
@@ -494,12 +553,12 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	// completely unaffected.
 	for k := 0; k < 2; k++ {
 		want0, want1 := b.wantSwitch("light", in, k)
-		res := svc.Do(context.Background(), Request{Input: in, Rot: k, Tenant: "light"})
+		res := do(svc, Request{Input: in, Rot: k, Tenant: "light"})
 		checkResult(t, res, want0, want1, fmt.Sprintf("light rot %d under hot backpressure", k))
 	}
 	select {
-	case res := <-hotFirst:
-		t.Fatalf("hot request completed while its load was gated: %+v", res.Err)
+	case res := <-hot[0]:
+		t.Fatalf("hot request completed while its dispatcher was parked: %+v", res.Err)
 	default:
 	}
 	st := svc.Stats()
@@ -511,16 +570,11 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 		t.Fatal("light tenant recorded no latencies")
 	}
 	if hot := tenantStats(t, st, "hot"); hot.Served != 0 {
-		t.Fatalf("hot tenant served %d while gated", hot.Served)
+		t.Fatalf("hot tenant served %d while parked", hot.Served)
 	}
 
-	close(gate) // release the hot dispatcher; everything drains
-	if res := <-hotFirst; res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res := <-hotSecond; res.Err != nil {
-		t.Fatal(res.Err)
-	}
+	close(release) // release the hot dispatcher; everything drains
+	drain(t, hot)
 }
 
 // TestSubmitBlockedDoesNotStallNewTenant pins the locking granularity
@@ -533,43 +587,17 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 	b := newTestBench(t, 2, "hot", "fresh")
 	e := engine.New(2)
 	defer e.Close()
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
-		if id.Tenant == "hot" {
-			once.Do(func() { close(entered) })
-			<-gate
-		}
-		return b.evks[id.Tenant][id.Rot], nil
-	})
-	svc, err := New(b.pool, src, b.config(Config{
-		Engine:     e,
-		MaxBatch:   1,
-		Window:     time.Microsecond,
-		QueueDepth: 1,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer func() { svc.Close() }()
 
 	in := b.input()
-	hotFirst, err := svc.Submit(context.Background(), Request{Input: in, Rot: 0, Tenant: "hot"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // hot dispatcher wedged in its key load
-	hotSecond, err := svc.Submit(context.Background(), Request{Input: in, Rot: 1, Tenant: "hot"})
-	if err != nil {
-		t.Fatal(err) // fills the hot queue
-	}
+	park(t, svc, entered, in, "hot") // hot dispatcher wedged in its key load
+	hot := fillQueue(t, svc, in, "hot")
 	// This producer blocks *inside Submit* (nil-cancel send on a full
-	// queue) until the gate opens.
+	// queue) until the dispatcher is released.
 	hotBlocked := make(chan Result, 1)
 	go func() {
-		hotBlocked <- svc.Do(context.Background(), Request{Input: in, Rot: 1, Tenant: "hot"})
+		hotBlocked <- do(svc, Request{Input: in, Rot: 1, Tenant: "hot"})
 	}()
 	// Give the blocked Submit time to park in the send.
 	time.Sleep(10 * time.Millisecond)
@@ -577,7 +605,7 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 	want0, want1 := b.wantSwitch("fresh", in, 0)
 	done := make(chan Result, 1)
 	go func() {
-		done <- svc.Do(context.Background(), Request{Input: in, Rot: 0, Tenant: "fresh"})
+		done <- do(svc, Request{Input: in, Rot: 0, Tenant: "fresh"})
 	}()
 	select {
 	case res := <-done:
@@ -586,35 +614,32 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 		t.Fatal("new tenant's first Submit stalled behind another tenant's blocked send")
 	}
 
-	close(gate)
-	for _, ch := range []<-chan Result{hotFirst, hotSecond} {
-		if res := <-ch; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	if res := <-hotBlocked; res.Err != nil {
-		t.Fatal(res.Err)
-	}
+	close(release)
+	drain(t, append(hot, hotBlocked))
 }
 
 // TestUnknownTenantRejectedEarly: a KeySource implementing
-// TenantChecker (like KeyChains) makes Submit reject unknown tenants
-// before a dispatcher, queue, or cache shard is allocated for them.
+// TenantChecker (like SeedKeySource) makes Submit reject unknown
+// tenants before a dispatcher, queue, or cache shard is allocated for
+// them.
 func TestUnknownTenantRejectedEarly(t *testing.T) {
 	ctx, err := ckks.NewContext(32, 4, 30, 2, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(ctx, 7)
+	src, err := NewSeedKeySource(ctx, []string{""}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := engine.New(1)
 	defer e.Close()
-	svc, err := New(kc, KeyChains{"": kc}, Config{Engine: e, Window: time.Microsecond, DefaultLevel: ctx.MaxLevel})
+	svc, err := New(ctx.Switchers(), src, Config{Engine: e, DefaultLevel: ctx.MaxLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	sw, err := kc.Switcher(ctx.MaxLevel)
+	sw, err := ctx.Switchers().Switcher(ctx.MaxLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,46 +654,19 @@ func TestUnknownTenantRejectedEarly(t *testing.T) {
 	}
 }
 
-// TestBackpressure stalls the dispatcher inside a key load, fills the
-// bounded queue, and asserts a further Submit blocks until its context
-// dies rather than buffering without limit.
+// TestBackpressure parks the dispatcher inside a key load, fills the
+// bounded queue to its constant depth, and asserts a further Submit
+// blocks until its context dies rather than buffering without limit.
 func TestBackpressure(t *testing.T) {
 	b := newTestBench(t, 2)
 	e := engine.New(1)
 	defer e.Close()
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	blockingSrc := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
-		if id.Rot == 0 {
-			once.Do(func() { close(entered) })
-			<-gate
-		}
-		return b.evks[""][id.Rot], nil
-	})
-	svc, err := New(b.pool, blockingSrc, b.config(Config{
-		Engine:     e,
-		MaxBatch:   1,
-		Window:     time.Microsecond,
-		QueueDepth: 1,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer func() { svc.Close() }()
 
 	in := b.input()
-	first, err := svc.Submit(context.Background(), Request{Input: in, Rot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // dispatcher is stuck loading key 0
-
-	second, err := svc.Submit(context.Background(), Request{Input: in, Rot: 1})
-	if err != nil {
-		t.Fatal(err) // fits in the queue
-	}
+	park(t, svc, entered, in, "")
+	queued := fillQueue(t, svc, in, "")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -676,12 +674,38 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("over-queue Submit returned %v, want context.DeadlineExceeded", err)
 	}
 
-	close(gate) // release the dispatcher; everything drains
-	if res := <-first; res.Err != nil {
-		t.Fatal(res.Err)
+	close(release) // release the dispatcher; everything drains
+	drain(t, queued)
+}
+
+// TestSubmitCoalescesAtDefaults is serve_fanout's shape at the
+// service's own batching constants: eight Submits of one input, queued
+// behind a parked dispatcher, are one group — one ModUp, eight
+// coalesced requests — bit-exact with SwitchHoisted.
+func TestSubmitCoalescesAtDefaults(t *testing.T) {
+	const K = 8
+	b := newTestBench(t, K)
+	e := engine.New(2)
+	defer e.Close()
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
+	defer svc.Close()
+
+	in := b.input()
+	park(t, svc, entered, in, "")
+	rots := make([]int, K)
+	chans := make([]<-chan Result, K)
+	for k := range rots {
+		rots[k] = k
+		ch, err := svc.Submit(context.Background(), Request{Input: in, Rot: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[k] = ch
 	}
-	if res := <-second; res.Err != nil {
-		t.Fatal(res.Err)
+	close(release)
+	b.checkGroup(t, "", in, rots, chans, "coalesced fan-out")
+	if st := svc.Stats(); st.Served != K || st.ModUps != 1 || st.Coalesced != K {
+		t.Fatalf("served %d mod_ups %d coalesced %d, want %d/1/%d", st.Served, st.ModUps, st.Coalesced, K, K)
 	}
 }
 
@@ -693,7 +717,7 @@ func TestCloseDrains(t *testing.T) {
 	b := newTestBench(t, K, "", "other")
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, MaxBatch: 2, Window: time.Millisecond})
+	svc := b.newService(t, Config{Engine: e})
 
 	in := b.input()
 	var chans [2 * K]<-chan Result
@@ -731,9 +755,7 @@ func TestRequestErrors(t *testing.T) {
 	b := newTestBench(t, 2)
 	e := engine.New(1)
 	defer e.Close()
-	// The window is short because the stray-tenant request below rides
-	// alone on its own dispatcher and must not wait out a long gather.
-	svc := b.newService(t, Config{Engine: e, MaxBatch: 2, Window: 5 * time.Millisecond})
+	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 
 	if _, err := svc.Submit(context.Background(), Request{Input: nil}); err == nil {
@@ -756,8 +778,10 @@ func TestRequestErrors(t *testing.T) {
 		t.Fatal("level/basis mismatch accepted")
 	}
 
-	// One good and one unknown rotation in the same coalesced group.
+	// One good and one unknown rotation in the same coalesced group,
+	// queued behind a parking request that fails.
 	in := b.input()
+	park(t, svc, entered, in, "")
 	good, err := svc.Submit(context.Background(), Request{Input: in, Rot: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -766,6 +790,7 @@ func TestRequestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	if res := <-bad; res.Err == nil {
 		t.Fatal("unknown rotation served without error")
 	}
@@ -784,8 +809,8 @@ func TestRequestErrors(t *testing.T) {
 	// The mixed group ran for its one good key: one ModUp, and the
 	// coalesce credit of the group as it was formed.
 	st := svc.Stats()
-	if st.Failed != 2 || st.Served != 1 || st.ModUps != 1 || st.Coalesced != 2 {
-		t.Fatalf("failed %d / served %d / mod_ups %d / coalesced %d, want 2 / 1 / 1 / 2",
+	if st.Failed != 3 || st.Served != 1 || st.ModUps != 1 || st.Coalesced != 2 {
+		t.Fatalf("failed %d / served %d / mod_ups %d / coalesced %d, want 3 / 1 / 1 / 2",
 			st.Failed, st.Served, st.ModUps, st.Coalesced)
 	}
 
@@ -802,9 +827,9 @@ func TestRequestErrors(t *testing.T) {
 		}
 	}
 	after := svc.Stats()
-	if after.Failed != 4 || after.ModUps != st.ModUps || after.Coalesced != st.Coalesced ||
+	if after.Failed != 5 || after.ModUps != st.ModUps || after.Coalesced != st.Coalesced ||
 		!reflect.DeepEqual(after.PerLevel, st.PerLevel) {
-		t.Fatalf("keyless group moved the books: failed %d mod_ups %d coalesced %d levels %+v, were 2 / %d / %d / %+v",
+		t.Fatalf("keyless group moved the books: failed %d mod_ups %d coalesced %d levels %+v, were 3 / %d / %d / %+v",
 			after.Failed, after.ModUps, after.Coalesced, after.PerLevel, st.ModUps, st.Coalesced, st.PerLevel)
 	}
 	for _, ps := range after.Phases {
@@ -847,7 +872,8 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	})
 	e := engine.New(2)
 	defer e.Close()
-	svc, err := New(b.pool, src, b.config(Config{Engine: e, MaxBatch: 3, Window: 5 * time.Millisecond}))
+	parked, entered, release := parking(src)
+	svc, err := New(b.pool, parked, b.config(Config{Engine: e}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -872,7 +898,9 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	mustFail(submit(b.input(), 2), "compressed wrong-level key, singleton")
 	// Coalesced with a good request on one hoisted input.
 	in := b.input()
+	park(t, svc, entered, in, "")
 	good, badDense, badComp := submit(in, 0), submit(in, 1), submit(in, 2)
+	close(release)
 	mustFail(badDense, "dense wrong-level key, coalesced")
 	mustFail(badComp, "compressed wrong-level key, coalesced")
 	want0, want1 := b.wantSwitch("", in, 0)
@@ -881,8 +909,8 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	in = b.input()
 	want0, want1 = b.wantSwitch("", in, 0)
 	checkResult(t, <-submit(in, 0), want0, want1, "request after the failures")
-	if st := svc.Stats(); st.Failed != 4 || st.Served != 2 {
-		t.Fatalf("failed %d / served %d, want 4 / 2", st.Failed, st.Served)
+	if st := svc.Stats(); st.Failed != 5 || st.Served != 2 {
+		t.Fatalf("failed %d / served %d, want 5 / 2 (the parking request among the failures)", st.Failed, st.Served)
 	}
 }
 
@@ -897,24 +925,52 @@ func TestNewConfigErrors(t *testing.T) {
 	}
 }
 
+// chainService serves the one tenant "" of a SeedKeySource over ctx,
+// behind parking, with the tenant's ckks.KeyChain as the
+// SwitcherSource.
+func chainService(t *testing.T, ctx *ckks.Context, e *engine.Engine, level int) (*Service, *ckks.KeyChain, <-chan string, chan struct{}) {
+	t.Helper()
+	src, err := NewSeedKeySource(ctx, []string{""}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc, err := src.Chain("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, entered, release := parking(src)
+	svc, err := New(kc, parked, Config{Engine: e, DefaultLevel: level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, kc, entered, release
+}
+
+// levelInput samples a key-switch input at level.
+func levelInput(t *testing.T, kc *ckks.KeyChain, s *ring.Sampler, level int) *ring.Poly {
+	t.Helper()
+	sw, err := kc.Switcher(level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := s.Uniform(sw.QBasis())
+	in.IsNTT = true
+	return in
+}
+
 // TestServeKeyChain serves hoisting-form rotations straight off a
-// ckks.KeyChain — the chain is both SwitcherSource and, as the one
-// tenant "" of KeyChains, the KeySource — and checks them against the
-// direct switch with the same (memoized) keys.
+// ckks.KeyChain — the chain is the SwitcherSource, and SeedKeySource
+// resolves keys through it — and checks them against the direct switch
+// with the same (memoized) keys.
 func TestServeKeyChain(t *testing.T) {
 	ctx, err := ckks.NewContext(32, 4, 30, 2, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(ctx, 7)
 	level := ctx.MaxLevel
 	e := engine.New(2)
 	defer e.Close()
-
-	svc, err := New(kc, KeyChains{"": kc}, Config{Engine: e, MaxBatch: 3, Window: time.Minute, DefaultLevel: level})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, kc, entered, release := chainService(t, ctx, e, level)
 	defer svc.Close()
 
 	sw, err := kc.Switcher(level)
@@ -924,6 +980,7 @@ func TestServeKeyChain(t *testing.T) {
 	s := ring.NewSampler(ctx.R, 3)
 	in := s.Uniform(sw.QBasis())
 	in.IsNTT = true
+	park(t, svc, entered, in, "")
 
 	rots := []int{1, 2, 5}
 	chans := make([]<-chan Result, len(rots))
@@ -934,6 +991,7 @@ func TestServeKeyChain(t *testing.T) {
 		}
 		chans[i] = ch
 	}
+	close(release)
 	for i, rot := range rots {
 		evk, err := kc.HoistKey(rot, level)
 		if err != nil {
@@ -955,21 +1013,16 @@ func TestLevelRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(ctx, 11)
 	e := engine.New(2)
 	defer e.Close()
 
 	top := ctx.MaxLevel
 	levels := []int{top, top - 1}
-	svc, err := New(kc, KeyChains{"": kc}, Config{
-		Engine: e, MaxBatch: 4, Window: time.Minute, DefaultLevel: top,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, kc, entered, release := chainService(t, ctx, e, top)
 	defer svc.Close()
 
 	s := ring.NewSampler(ctx.R, 4)
+	park(t, svc, entered, levelInput(t, kc, s, top), "")
 	const rot = 2
 	type want struct {
 		ch     <-chan Result
@@ -997,6 +1050,7 @@ func TestLevelRouting(t *testing.T) {
 			wants = append(wants, want{ch: ch, c0: w0, c1: w1, level: level})
 		}
 	}
+	close(release)
 	for i, w := range wants {
 		res := <-w.ch
 		checkResult(t, res, w.c0, w.c1, fmt.Sprintf("request %d at level %d", i, w.level))
@@ -1019,27 +1073,17 @@ func TestPerLevelCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(ctx, 11)
 	e := engine.New(2)
 	defer e.Close()
-	svc, err := New(kc, KeyChains{"": kc}, Config{
-		Engine: e, MaxBatch: 4, Window: time.Minute, DefaultLevel: ctx.MaxLevel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, kc, entered, release := chainService(t, ctx, e, ctx.MaxLevel)
 	defer svc.Close()
 
 	s := ring.NewSampler(ctx.R, 4)
+	park(t, svc, entered, levelInput(t, kc, s, ctx.MaxLevel), "")
 	levels := []int{ctx.MaxLevel, ctx.MaxLevel - 1}
 	var chans []<-chan Result
 	for _, level := range levels {
-		sw, err := kc.Switcher(level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := s.Uniform(sw.QBasis())
-		in.IsNTT = true
+		in := levelInput(t, kc, s, level)
 		for k := 0; k < 2; k++ {
 			ch, err := svc.Submit(context.Background(), Request{Input: in, Rot: 1 + k, Level: level})
 			if err != nil {
@@ -1048,11 +1092,8 @@ func TestPerLevelCounters(t *testing.T) {
 			chans = append(chans, ch)
 		}
 	}
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
+	close(release)
+	drain(t, chans)
 
 	st := svc.Stats()
 	if len(st.PerLevel) != 2 {
@@ -1086,7 +1127,7 @@ func TestPerLevelCounters(t *testing.T) {
 // field names are the stable wire contract.
 func TestStatsSnapshotIsolated(t *testing.T) {
 	b := newTestBench(t, 2)
-	svc := b.newService(t, Config{MaxBatch: 2, Window: time.Minute})
+	svc := b.newService(t, Config{})
 	defer svc.Close()
 	in := b.input()
 	for k := 0; k < 2; k++ {

@@ -76,7 +76,7 @@ func TestStatsSumToTenantsUnderLoad(t *testing.T) {
 	b := newTestBench(t, K, tenants...)
 	e := engine.New(2)
 	defer e.Close()
-	svc := b.newService(t, Config{Engine: e, Window: 50 * time.Microsecond})
+	svc := b.newService(t, Config{Engine: e})
 	defer svc.Close()
 	inputs := make([][]*ring.Poly, len(tenants)) // the bench's sampler is not for sharing
 	for i := range inputs {
@@ -110,8 +110,8 @@ func TestStatsSumToTenantsUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				lone := svc.Do(context.Background(), Request{Input: inputs[i][2*r+1], Rot: 1, Tenant: tenant})
-				bad := svc.Do(context.Background(), Request{Input: inputs[i][2*r+1], Rot: 99, Tenant: tenant})
+				lone := do(svc, Request{Input: inputs[i][2*r+1], Rot: 1, Tenant: tenant})
+				bad := do(svc, Request{Input: inputs[i][2*r+1], Rot: 99, Tenant: tenant})
 				if lone.Err != nil || bad.Err == nil {
 					t.Errorf("tenant %s round %d: lone %v, unknown rotation %v", tenant, r, lone.Err, bad.Err)
 				}

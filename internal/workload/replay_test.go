@@ -14,22 +14,21 @@ import (
 	"ciflow/internal/serve"
 )
 
-// testService stands up a one-tenant service over a tiny ring,
-// configured for a replay of s and then by tune.
-func testService(t *testing.T, s *Schedule, towers, dnum int, tune ...func(*serve.Config)) (*serve.Service, *ckks.Context, serve.KeyChains, func()) {
+// testService stands up a service for the one tenant "t0" over a tiny
+// ring, configured for a replay of s.
+func testService(t *testing.T, s *Schedule, towers, dnum int) (*serve.Service, *ckks.Context, *serve.SeedKeySource, func()) {
 	t.Helper()
 	cctx, err := ckks.NewContext(32, towers, 40, 3, 41, dnum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, _ := ckks.GenKeys(cctx, 1)
-	chains := serve.KeyChains{"t0": kc}
+	chains, err := serve.NewSeedKeySource(cctx, []string{"t0"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := engine.New(2)
 	cfg := ReplayServiceConfig(s)
 	cfg.Engine = e
-	for _, f := range tune {
-		f(&cfg)
-	}
 	svc, err := serve.New(cctx.Switchers(), chains, cfg)
 	if err != nil {
 		e.Close()
@@ -247,12 +246,9 @@ func TestReplayCancelled(t *testing.T) {
 	}
 }
 
-// Exact counts do not depend on the service's batching: every hoist
-// group is one SubmitGroup call, so a gather window of an hour is
-// never waited out (the replay finishes; at the parent commit each of
-// its waves would sit out the window), and a window of a nanosecond
-// with MaxBatch 1 still runs one ModUp per group (a tight Submit loop
-// under that setting runs one per member).
+// Exact counts do not depend on what the service gathers: every hoist
+// group is one SubmitGroup call, which serve runs as one ModUp, never
+// split and never merged, and without waiting out the gather window.
 func TestReplayGroupsIgnoreBatching(t *testing.T) {
 	s, err := Bootstrap(BootstrapParams{LogSlots: 4, Radix: 16, Top: 3})
 	if err != nil {
@@ -265,23 +261,16 @@ func TestReplayGroupsIgnoreBatching(t *testing.T) {
 	if widest < 2 {
 		t.Fatalf("widest hoist group has %d members; the schedule exercises no fan-out", widest)
 	}
-	for name, tune := range map[string]func(*serve.Config){
-		"hour window":  func(c *serve.Config) { c.Window = time.Hour },
-		"batch of one": func(c *serve.Config) { c.Window, c.MaxBatch = time.Nanosecond, 1 },
-	} {
-		t.Run(name, func(t *testing.T) {
-			svc, cctx, chains, stop := testService(t, s, 4, 2, tune)
-			defer stop()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			res, err := Replay(ctx, svc, cctx.Switchers(), chains, cctx.R,
-				s, ReplayConfig{Tenant: "t0", Dataflow: dataflow.OC, Seed: 7, Check: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertExact(t, res)
-		})
+	svc, cctx, chains, stop := testService(t, s, 4, 2)
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := Replay(ctx, svc, cctx.Switchers(), chains, cctx.R,
+		s, ReplayConfig{Tenant: "t0", Dataflow: dataflow.OC, Seed: 7, Check: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertExact(t, res)
 }
 
 // TestReplayGoldens imports every committed scenario file and replays

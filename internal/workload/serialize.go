@@ -2,8 +2,8 @@ package workload
 
 // Versioned JSON import/export for schedules. A schedule file is the
 // exchange format between the generators and any external tooling:
-// `ciflow schedule -export` writes one, `ciflow schedule -import` and
-// `ciflow serve/cluster -workload file:<path>` read one, and the
+// `ciflow schedule -export` writes one, `-workload file:<path>` (on
+// `ciflow schedule` and `ciflow serve`) reads one, and the
 // committed testdata/*.schedule.json goldens pin the canonical library
 // scenarios byte for byte.
 //
