@@ -38,22 +38,35 @@ func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots 
 	}
 }
 
-// A sealed group is one ModUp however wide: one wider than maxBatch is
-// not split, and a group of one runs like any other, without the
-// coalesce credit. Dense and compressed keys both.
+// A sealed group is one ModUp however wide, dense and compressed keys
+// both. "hour window" is a group narrower than maxBatch: it runs at
+// once, never held open for the gather window whatever its length.
+// "batch of one" is a group one wider than maxBatch: it is not split,
+// as a batch limit below its width never split it. In both a group of
+// one then runs like any other, without the coalesce credit.
 func TestSubmitGroupOneModUp(t *testing.T) {
-	const K, W = 5, maxBatch + 1
-	rots := make([]int, W)
-	for i := range rots {
-		rots[i] = i % K
-	}
-	for _, compressed := range []bool{false, true} {
-		t.Run(map[bool]string{false: "dense", true: "compressed"}[compressed], func(t *testing.T) {
+	const K = 5
+	for _, tc := range []struct {
+		name       string
+		compressed bool
+		width      int
+	}{
+		{"dense/hour window", false, K},
+		{"dense/batch of one", false, maxBatch + 1},
+		{"compressed/hour window", true, K},
+		{"compressed/batch of one", true, maxBatch + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			W := tc.width
+			rots := make([]int, W)
+			for i := range rots {
+				rots[i] = i % K
+			}
 			b := newTestBench(t, K)
 			e := engine.New(2)
 			defer e.Close()
 			src := b.keySource()
-			if compressed {
+			if tc.compressed {
 				src = b.compressedSource(t)
 			}
 			svc, err := New(b.pool, src, b.config(Config{Engine: e}))
@@ -63,6 +76,7 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 			defer svc.Close()
 
 			in := b.input()
+			start := time.Now()
 			chans, err := svc.SubmitGroup(context.Background(), groupOf(in, "", rots...))
 			if err != nil {
 				t.Fatal(err)
@@ -74,15 +88,18 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.checkGroup(t, "", lone, []int{2}, chans, "group of one")
+			if d := time.Since(start); d > time.Minute {
+				t.Fatalf("two groups took %v: something waited on the window", d)
+			}
 
 			st := svc.Stats()
-			if st.Submitted != W+1 || st.Served != W+1 || st.Failed != 0 {
+			if st.Submitted != uint64(W+1) || st.Served != uint64(W+1) || st.Failed != 0 {
 				t.Fatalf("submitted %d served %d failed %d, want %d/%d/0", st.Submitted, st.Served, st.Failed, W+1, W+1)
 			}
-			if st.ModUps != 2 || st.Groups != 2 || st.Coalesced != W {
+			if st.ModUps != 2 || st.Groups != 2 || st.Coalesced != uint64(W) {
 				t.Fatalf("mod_ups %d groups %d coalesced %d, want 2/2/%d", st.ModUps, st.Groups, st.Coalesced, W)
 			}
-			if compressed && st.KeyExpansions != W+1 {
+			if tc.compressed && st.KeyExpansions != uint64(W+1) {
 				t.Fatalf("%d key expansions, want %d", st.KeyExpansions, W+1)
 			}
 		})

@@ -249,28 +249,48 @@ func TestReplayCancelled(t *testing.T) {
 // Exact counts do not depend on what the service gathers: every hoist
 // group is one SubmitGroup call, which serve runs as one ModUp, never
 // split and never merged, and without waiting out the gather window.
+// "hour window" replays a bootstrap, whose groups are all narrower than
+// a batch and arrive in dependent waves that a gathered Submit loop
+// would hold open; "batch of one" replays one fan-out group of 65
+// rotations, wider than serve's batch limit of 64, which a Submit loop
+// would split.
 func TestReplayGroupsIgnoreBatching(t *testing.T) {
-	s, err := Bootstrap(BootstrapParams{LogSlots: 4, Radix: 16, Top: 3})
+	boot, err := Bootstrap(BootstrapParams{LogSlots: 4, Radix: 16, Top: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	widest := 0
-	for _, g := range s.Groups() {
-		widest = max(widest, len(g))
-	}
-	if widest < 2 {
-		t.Fatalf("widest hoist group has %d members; the schedule exercises no fan-out", widest)
-	}
-	svc, cctx, chains, stop := testService(t, s, 4, 2)
-	defer stop()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := Replay(ctx, svc, cctx.Switchers(), chains, cctx.R,
-		s, ReplayConfig{Tenant: "t0", Dataflow: dataflow.OC, Seed: 7, Check: true})
+	wide, err := Fanout(1, 65, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertExact(t, res)
+	for _, tc := range []struct {
+		name     string
+		s        *Schedule
+		minWidth int
+	}{
+		{"hour window", boot, 2},
+		{"batch of one", wide, 65},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			widest := 0
+			for _, g := range tc.s.Groups() {
+				widest = max(widest, len(g))
+			}
+			if widest < tc.minWidth {
+				t.Fatalf("widest hoist group has %d members, want at least %d", widest, tc.minWidth)
+			}
+			svc, cctx, chains, stop := testService(t, tc.s, 4, 2)
+			defer stop()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			res, err := Replay(ctx, svc, cctx.Switchers(), chains, cctx.R,
+				tc.s, ReplayConfig{Tenant: "t0", Dataflow: dataflow.OC, Seed: 7, Check: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExact(t, res)
+		})
+	}
 }
 
 // TestReplayGoldens imports every committed scenario file and replays
