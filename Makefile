@@ -16,7 +16,8 @@ race:
 	$(GO) test -race ./...
 
 # The second line keeps the non-amd64 stubs of the assembly bodies
-# (internal/mod, internal/ntt) compiling; it cross-compiles offline.
+# (internal/mod/vec_amd64.s, internal/ntt/stage_amd64.s,
+# internal/ring/seed_amd64.s) compiling; it cross-compiles offline.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...

@@ -171,7 +171,7 @@ type ExpandStream struct {
 // StartExpand begins expanding c's digits in the background and
 // returns the stream handle. Started before the hoist phase, the
 // expansion overlaps Decompose+ModUp — the miss-path pipelining
-// SwitchStreamed builds on.
+// Hoisted.SwitchStreamedInto builds on.
 func (c *CompressedEvk) StartExpand(r *ring.Ring) *ExpandStream {
 	st := &ExpandStream{
 		r:    r,

@@ -99,7 +99,7 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 	for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
 		c0, c1 := switchStreamed(sw, e, df, d, c)
 		if !c0.Equal(want0) || !c1.Equal(want1) {
-			t.Fatalf("%v: SwitchStreamed differs from KeySwitch", df)
+			t.Fatalf("%v: streamed replay differs from KeySwitch", df)
 		}
 		// The Into variant on an explicitly hoisted state, replayed
 		// twice off one fresh stream each to prove state reuse stays

@@ -23,7 +23,7 @@ func hoistedKeys(s *ring.Sampler, sw *Switcher, k int) []*Evk {
 
 // TestSwitchHoistedBitExact asserts that hoisting — shared ModUp, per-
 // key replay — produces outputs bit-exact with the per-rotation path
-// (both serial KeySwitch and the engine-backed SwitchParallel), for
+// (both serial KeySwitch and the engine-backed SwitchParallelInto), for
 // every dataflow shape, across two parameter sets including an uneven
 // digit partition.
 func TestSwitchHoistedBitExact(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"ciflow/internal/ring"
 )
 
-// engineDataflows are the dataflow shapes SwitchParallel executes.
+// engineDataflows are the dataflow shapes SwitchParallelInto executes.
 var engineDataflows = []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF}
 
 // TestSwitchParallelBitExact asserts the serial and the engine-backed
@@ -170,7 +170,7 @@ func TestSwitchParallelNilEngine(t *testing.T) {
 	want0, want1 := refKeySwitch(sw, d, evk)
 	got0, got1 := switchParallel(sw, nil, dataflow.MP, d, evk)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
-		t.Fatal("nil-engine SwitchParallel differs from serial")
+		t.Fatal("nil-engine SwitchParallelInto differs from serial")
 	}
 }
 

@@ -47,10 +47,11 @@ const VectorModulusBits = 50
 // every oracle against both bodies.
 var vector = hasIFMA()
 
-// Kernel reports which body the row kernels and the transforms of
-// internal/ntt run for moduli below 2^VectorModulusBits: KernelVector
-// or KernelGeneric. Outputs do not depend on it; timings do, so two
-// measurements compare only at equal kernels.
+// Kernel reports which body the row kernels, the transforms of
+// internal/ntt and the seed expander of internal/ring run for moduli
+// below 2^VectorModulusBits: KernelVector or KernelGeneric. Outputs do
+// not depend on it; timings do, so two measurements compare only at
+// equal kernels.
 func Kernel() string {
 	if vector {
 		return KernelVector
@@ -85,10 +86,11 @@ func checkRows(rows [][]uint64, n int) {
 	}
 }
 
-// reduce52 returns what the vector multiply-accumulate reduces with:
-// c = 2^52 mod q and its 52-bit Shoup companion ⌊c·2^52/q⌋, and
-// mu = ⌊2^52/q⌋, the companion of 1.
-func (m Modulus) reduce52() (c, c52, mu uint64) {
+// Reduce52 returns what a vector body reduces a word H·2^52 + L with,
+// as H·c + L: c = 2^52 mod q and its 52-bit Shoup companion
+// ⌊c·2^52/q⌋, and mu = ⌊2^52/q⌋, the companion of 1. The
+// multiply-accumulates here and internal/ring's seed expander use it.
+func (m Modulus) Reduce52() (c, c52, mu uint64) {
 	mu, c = bits.Div64(0, 1<<52, m.Q)
 	c52, _ = bits.Div64(c>>12, c<<52, m.Q)
 	return c, c52, mu
@@ -140,7 +142,7 @@ func (m Modulus) mulAccRows(acc []uint64, a, b [][]uint64, maxOperand, keep uint
 	vec, maxTerms := m.accBody(maxOperand)
 	var c, c52, mu uint64
 	if vec {
-		c, c52, mu = m.reduce52()
+		c, c52, mu = m.Reduce52()
 		checkRows(a, len(acc))
 		checkRows(b[:len(a)], len(acc))
 	}
@@ -207,7 +209,7 @@ func (m Modulus) MulSumScalars(dst []uint64, a [][]uint64, w []uint64, maxOperan
 	vec, maxTerms := m.accBody(maxOperand)
 	var c, c52, mu uint64
 	if vec {
-		c, c52, mu = m.reduce52()
+		c, c52, mu = m.Reduce52()
 		checkRows(a, len(dst))
 	}
 	for keep := dropAcc; ; keep = keepAcc {

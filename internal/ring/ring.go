@@ -34,6 +34,10 @@ type Ring struct {
 	recycled []sync.Pool
 	// scratch recycles the serializer's row buffer (serialize.go).
 	scratch sync.Pool
+	// jump places the seed expander's vector lanes (seed.go), built on
+	// first use.
+	jumpOnce sync.Once
+	jump     *jumpTable
 }
 
 // NewRing constructs a ring of degree n with the given Q and P chains.

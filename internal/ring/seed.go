@@ -15,10 +15,28 @@ package ring
 // stream, expansion is stateless per seed, which is what lets one evk
 // digit be expanded independently of (and concurrently with) every
 // other.
+//
+// The stream is drawn tower by tower, N words each, and every word is
+// reduced to its canonical residue. There are two bodies, as for the
+// row kernels of internal/mod: the Go loop below, one word at a time,
+// and on amd64 an AVX-512 IFMA loop (seed_amd64.s) that draws a row
+// with eight lanes of the same stream. Lane k of tower i draws stream
+// positions i·N + k·N/8 onwards into row[k·N/8:]. xoshiro256**'s state
+// update is linear over GF(2), so the state k·N/8 positions on is
+// T^(k·N/8)·s for the 256×256 transition matrix T: lane 0 starts from
+// the stream's state and each further lane from its predecessor's
+// start jumped by T^(N/8), a table lookup per nibble of the state
+// (jumpTable, built once per ring on first use). Lane 7 ends where the
+// next tower begins. Which body draws a tower is decided per tower,
+// the way an ntt.Table decides (vecRow), and both leave the stream
+// state where the other expects it, so a basis may mix them and the
+// polynomial is the same word for word.
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"ciflow/internal/mod"
 )
 
 // Seed identifies one seed-expandable uniform polynomial.
@@ -46,6 +64,49 @@ func splitmix64(x uint64) uint64 {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// state is xoshiro256**'s state s0..s3.
+type state [4]uint64
+
+// seedState is the stream's starting state for seed.
+func seedState(seed Seed) state {
+	var s state
+	for i := range s {
+		s[i] = splitmix64(binary.LittleEndian.Uint64(seed[8*i:]) + uint64(i) + 1)
+	}
+	return s
+}
+
+// advance returns s moved m positions along the stream, one step at a
+// time: T^m·s.
+func (s state) advance(m int) state {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for range m {
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+	}
+	return state{s0, s1, s2, s3}
+}
+
+// lanes is the vector body's width: the stream positions of a row are
+// split into this many contiguous runs, one per lane.
+const lanes = 8
+
+// vector selects the vector body wherever internal/mod's kernels run
+// theirs. Only tests write it, to run every oracle against both bodies.
+var vector = mod.Kernel() == mod.KernelVector
+
+// vecRow reports whether a row modulo q is drawn by the vector body:
+// the CPU has it, q fits IFMA's reduction (mod.VectorModulusBits), and
+// each lane's run is a whole number of eight-word blocks.
+func (r *Ring) vecRow(q uint64) bool {
+	return vector && q < 1<<mod.VectorModulusBits && r.N >= lanes*8
+}
+
 // UniformFromSeed expands seed into a fresh polynomial over basis b
 // with independent uniform residues in each tower (coefficient-domain
 // flag left false; uniform residues are uniform in either domain, so
@@ -61,38 +122,112 @@ func (r *Ring) UniformFromSeed(b Basis, seed Seed) *Poly {
 // basis: every residue is overwritten, so p may hold anything (a
 // recycled polynomial), and the stream is the one UniformFromSeed
 // draws for that basis and seed.
-//
-// The generator is xoshiro256** with its four state words in locals
-// across the whole polynomial, and each word x is reduced without a
-// divide: with inv = ⌊2^64/q⌋ the estimate ⌊x·inv/2^64⌋ is the true
-// quotient or one less, so x − estimate·q lies in [0, 2q) and one
-// conditional subtraction leaves x mod q, the canonical residue.
 func (r *Ring) UniformFromSeedInto(p *Poly, seed Seed) {
-	s0 := splitmix64(binary.LittleEndian.Uint64(seed[0:8]) + 1)
-	s1 := splitmix64(binary.LittleEndian.Uint64(seed[8:16]) + 2)
-	s2 := splitmix64(binary.LittleEndian.Uint64(seed[16:24]) + 3)
-	s3 := splitmix64(binary.LittleEndian.Uint64(seed[24:32]) + 4)
+	s := seedState(seed)
 	for i, t := range p.Basis {
-		q := r.Mods[t].Q
-		inv, _ := bits.Div64(1, 0, q)
-		row := p.Coeffs[i]
-		for j := range row {
-			x := rotl(s1*5, 7) * 9
-			u := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= u
-			s3 = rotl(s3, 45)
-
-			est, _ := bits.Mul64(x, inv)
-			x -= est * q
-			if x >= q {
-				x -= q
-			}
-			row[j] = x
+		m := r.Mods[t]
+		if r.vecRow(m.Q) {
+			s = r.uniformVec(p.Coeffs[i][:r.N], m, s)
+		} else {
+			s = uniformGo(p.Coeffs[i], m.Q, s)
 		}
 	}
 	p.IsNTT = false
+}
+
+// uniformGo is the Go body: it draws len(row) words from s into row
+// and returns the state after them. Each word x is reduced without a
+// divide: with inv = ⌊2^64/q⌋ the estimate ⌊x·inv/2^64⌋ is the true
+// quotient or one less, so x − estimate·q lies in [0, 2q) and one
+// conditional subtraction leaves x mod q, the canonical residue.
+func uniformGo(row []uint64, q uint64, s state) state {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	inv, _ := bits.Div64(1, 0, q)
+	for j := range row {
+		x := rotl(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+
+		est, _ := bits.Mul64(x, inv)
+		x -= est * q
+		if x >= q {
+			x -= q
+		}
+		row[j] = x
+	}
+	return state{s0, s1, s2, s3}
+}
+
+// uniformVec is the vector body over one row of r.N words: it places
+// the lanes at their stream positions from s, draws the row, and
+// returns lane 7's end state, the stream's state after the row.
+func (r *Ring) uniformVec(row []uint64, m mod.Modulus, s state) state {
+	jump := r.laneJump()
+	var st [4][lanes]uint64 // st[w][k]: word w of lane k's state
+	for k := range lanes {
+		if k > 0 {
+			s = jump.apply(s)
+		}
+		for w, x := range s {
+			st[w][k] = x
+		}
+	}
+	c, c52, mu := m.Reduce52()
+	uniformRow52(row, &st, m.Q, c, c52, mu)
+	return state{st[0][lanes-1], st[1][lanes-1], st[2][lanes-1], st[3][lanes-1]}
+}
+
+// laneJump returns the ring's jump by one lane's run, T^(N/8).
+func (r *Ring) laneJump() *jumpTable {
+	r.jumpOnce.Do(func() { r.jump = newJumpTable(r.N / lanes) })
+	return r.jump
+}
+
+// jumpTable is T^m as a nibble table: entry [n][v] is T^m applied to
+// the state whose only set bits are v at nibble n (bits 4n..4n+3 of
+// s0‖s1‖s2‖s3, s0's low bits first). T^m·s is the XOR of one entry per
+// nibble of s. 64×16 states, 32 KB.
+type jumpTable [64][16]state
+
+// newJumpTable builds the table of T^m from the images of the 256 unit
+// states, each stepped m times.
+func newJumpTable(m int) *jumpTable {
+	var cols [256]state
+	for b := range cols {
+		var e state
+		e[b/64] = 1 << (b % 64)
+		cols[b] = e.advance(m)
+	}
+	j := new(jumpTable)
+	for n := range j {
+		for v := 1; v < 16; v++ {
+			prev, col := j[n][v&(v-1)], cols[4*n+bits.TrailingZeros(uint(v))]
+			for w := range j[n][v] {
+				j[n][v][w] = prev[w] ^ col[w]
+			}
+		}
+	}
+	return j
+}
+
+// apply returns T^m·s.
+func (j *jumpTable) apply(s state) state {
+	var o0, o1, o2, o3 uint64
+	for w, x := range s {
+		word := (*[16][16]state)(j[16*w:])
+		for n := range word {
+			v := &word[n][x&15]
+			o0 ^= v[0]
+			o1 ^= v[1]
+			o2 ^= v[2]
+			o3 ^= v[3]
+			x >>= 4
+		}
+	}
+	return state{o0, o1, o2, o3}
 }

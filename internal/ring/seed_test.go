@@ -2,7 +2,11 @@ package ring
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"sync"
 	"testing"
+
+	"ciflow/internal/mod"
 )
 
 // refExpand is the expansion as first written — xoshiro256** behind a
@@ -33,19 +37,22 @@ func refExpand(r *Ring, b Basis, seed Seed) *Poly {
 
 func TestUniformFromSeedMatchesDivision(t *testing.T) {
 	// 30/31-bit, 40/41-bit and 60/61-bit moduli: the quotient estimate
-	// is exact or one short at every width the library supports.
-	for _, bitsQP := range [][2]int{{30, 31}, {40, 41}, {60, 61}} {
-		r, err := NewRingGenerated(256, 3, bitsQP[0], 2, bitsQP[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seed := range []Seed{{}, {1}, NewSampler(r, 5).NewSeed()} {
-			b := r.DBasis(2)
-			if !r.UniformFromSeed(b, seed).Equal(refExpand(r, b, seed)) {
-				t.Fatalf("%d-bit ring, seed %x: stream differs from x %% q", bitsQP[0], seed[:4])
+	// is exact or one short at every width the library supports, and the
+	// first two are drawn by the vector body where the CPU has it.
+	EachExpander(t, func(t *testing.T) {
+		for _, bitsQP := range [][2]int{{30, 31}, {40, 41}, {60, 61}} {
+			r, err := NewRingGenerated(256, 3, bitsQP[0], 2, bitsQP[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []Seed{{}, {1}, NewSampler(r, 5).NewSeed()} {
+				b := r.DBasis(2)
+				if !r.UniformFromSeed(b, seed).Equal(refExpand(r, b, seed)) {
+					t.Fatalf("%d-bit ring, seed %x: stream differs from x %% q", bitsQP[0], seed[:4])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestUniformFromSeedDeterministic(t *testing.T) {
@@ -132,4 +139,139 @@ func TestUniformFromSeedIntoMatches(t *testing.T) {
 			t.Errorf("%s: expansion into a recycled polynomial differs from UniformFromSeed", name)
 		}
 	}
+}
+
+// TestJumpMatchesStepping holds the nibble-table jump to the Go body's
+// own stepping: T^m·s is the state after drawing m words from s, for
+// one step, for runs shorter and as long as a vector block, for one
+// lane's run at N = 2^13 and for a whole row, from random states and
+// from the whitened all-zero seed.
+func TestJumpMatchesStepping(t *testing.T) {
+	const n = 1 << 13
+	rng := rand.New(rand.NewSource(27))
+	starts := []state{seedState(Seed{})}
+	for range 3 {
+		starts = append(starts, state{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
+	}
+	for _, m := range []int{1, 7, 8, n / lanes, n} {
+		jump := newJumpTable(m)
+		row := make([]uint64, m)
+		for _, s := range starts {
+			if got, want := jump.apply(s), uniformGo(row, 3, s); got != want {
+				t.Fatalf("m=%d from %x: jump gives %x, stepping %x", m, s, got, want)
+			}
+		}
+	}
+}
+
+// genRing is NewRingGenerated failing t on an error.
+func genRing(t testing.TB, n, numQ, qBits, numP, pBits int) *Ring {
+	t.Helper()
+	r, err := NewRingGenerated(n, numQ, qBits, numP, pBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// expandsAsDivision expands seed over b, once into a fresh polynomial
+// and once into a dirty recycled one, under the body vector selects,
+// and fails unless both are refExpand's stream.
+func expandsAsDivision(t *testing.T, r *Ring, b Basis, seed Seed) {
+	t.Helper()
+	want := refExpand(r, b, seed)
+	if !r.UniformFromSeed(b, seed).Equal(want) {
+		t.Fatalf("N=%d basis %v of %v, seed %x: stream differs from x %% q", r.N, b, r.Moduli, seed[:4])
+	}
+	dirty := r.UniformFromSeed(b, Seed{9})
+	dirty.IsNTT = true
+	r.PutPoly(dirty)
+	again := r.GetPoly(b)
+	r.UniformFromSeedInto(again, seed)
+	if !again.Equal(want) {
+		t.Fatalf("N=%d basis %v of %v, seed %x: expansion into a recycled polynomial differs", r.N, b, r.Moduli, seed[:4])
+	}
+	r.PutPoly(again)
+}
+
+// TestUniformBodiesAgree runs both bodies against the division oracle
+// at the vector body's smallest N, a small one and the benchmark's, at
+// widths on both sides of its 2^50 bound, and over a basis whose
+// 60-bit middle tower sends the stream from the vector body to the Go
+// body and back.
+func TestUniformBodiesAgree(t *testing.T) {
+	EachExpander(t, func(t *testing.T) {
+		for _, n := range []int{64, 256, 8192} {
+			for _, w := range []int{20, 30, 40, 49, 50, 51, 60} {
+				r := genRing(t, n, 2, w, 0, w)
+				if got, want := r.vecRow(r.Moduli[0]), vector && w <= mod.VectorModulusBits; got != want {
+					t.Fatalf("N=%d %d-bit modulus: vector body %v, want %v", n, w, got, want)
+				}
+				for _, seed := range []Seed{{}, NewSampler(r, int64(w)).NewSeed()} {
+					expandsAsDivision(t, r, r.QBasis(1), seed)
+				}
+			}
+			// Q towers 0 and 1 are 40-bit, the P tower 60-bit.
+			mixed := genRing(t, n, 2, 40, 1, 60)
+			expandsAsDivision(t, mixed, Basis{0, 2, 1}, Seed{3})
+		}
+	})
+}
+
+// FuzzUniformBodiesAgree draws any seed over a two-tower ring of
+// degree 2^4 to 2^13 (below the vector body's smallest N too) at each
+// width TestUniformBodiesAgree covers, and wants the division oracle's
+// stream from both bodies.
+func FuzzUniformBodiesAgree(f *testing.F) {
+	f.Add([]byte{}, uint8(9), uint8(2))
+	f.Add([]byte{1, 2, 3}, uint8(2), uint8(5))
+	f.Add(make([]byte, 32), uint8(0), uint8(4))
+	widths := []int{20, 30, 40, 49, 50, 51, 60}
+	rings := map[[2]int]*Ring{}
+	f.Fuzz(func(t *testing.T, seedBytes []byte, logN, width uint8) {
+		n, w := 1<<(4+logN%10), widths[int(width)%len(widths)]
+		r := rings[[2]int{n, w}]
+		if r == nil {
+			r = genRing(t, n, 2, w, 0, w)
+			rings[[2]int{n, w}] = r
+		}
+		var seed Seed
+		copy(seed[:], seedBytes)
+		EachExpander(t, func(t *testing.T) { expandsAsDivision(t, r, r.QBasis(1), seed) })
+	})
+}
+
+// BenchmarkUniformFromSeedN8192 expands one digit of the benchmark
+// shape (bench/: N = 2^13, six 40-bit Q and three 41-bit P towers)
+// under every body, as ring.uniform_from_seed_us prices it.
+func BenchmarkUniformFromSeedN8192(b *testing.B) {
+	r := genRing(b, 1<<13, 6, 40, 3, 41)
+	p, seed := r.NewPoly(r.DBasis(5)), NewSampler(r, 1).NewSeed()
+	EachExpander(b, func(b *testing.B) {
+		for b.Loop() {
+			r.UniformFromSeedInto(p, seed)
+		}
+	})
+}
+
+// TestConcurrentFirstExpand has several goroutines make a fresh ring's
+// first expansions at once, so that under -race the lane jump is built
+// by one of them and read by all.
+func TestConcurrentFirstExpand(t *testing.T) {
+	EachExpander(t, func(t *testing.T) {
+		r := genRing(t, 256, 2, 40, 0, 40)
+		b := r.QBasis(1)
+		want := refExpand(r, b, Seed{5})
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !r.UniformFromSeed(b, Seed{5}).Equal(want) {
+					t.Error("concurrent expansion differs from x % q")
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
