@@ -185,7 +185,10 @@ func (kc *KeyChain) dense(id keyID) (*hks.Evk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Dense(kc.ctx.R), nil
+	if c, ok := m.(*hks.CompressedEvk); ok {
+		return c.Expand(kc.ctx.R), nil
+	}
+	return m.(*hks.Evk), nil
 }
 
 // RelinKey returns the s²→s evaluation key for a level.

@@ -75,10 +75,12 @@ func TestCompressRoundTrip(t *testing.T) {
 	}
 }
 
-// Streamed application must be bit-exact with the dense paths —
-// KeySwitch, SwitchInto on a hoisted state, and SwitchParallelInto —
-// for every dataflow shape. Run under -race this also exercises the
-// expansion goroutine handoff.
+// A compressed key streams its A-half out of the seeds in the apply
+// tiles, into rows the hoisted state keeps per tower. One hoisted
+// state, replayed against the compressed key, then the dense key, then
+// the compressed key again — serially and on the engine — must match
+// KeySwitch every time: rows drawn for one replay may not leak into the
+// next, whichever form the next binds.
 func TestSwitchStreamedBitExact(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 32, 6, 30, 3, 31)
 	sw, err := NewSwitcher(r, 5, 3)
@@ -96,37 +98,31 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 
 	e := engine.New(4)
 	defer e.Close()
-	for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
-		c0, c1 := switchStreamed(sw, e, df, d, c)
-		if !c0.Equal(want0) || !c1.Equal(want1) {
-			t.Fatalf("%v: streamed replay differs from KeySwitch", df)
-		}
-		// The Into variant on an explicitly hoisted state, replayed
-		// twice off one fresh stream each to prove state reuse stays
-		// clean.
+	for _, df := range engineDataflows {
 		h := sw.HoistParallel(e, df, d)
-		for i := 0; i < 2; i++ {
-			st := c.StartExpand(r)
-			g0 := r.NewPoly(sw.QBasis())
-			g1 := r.NewPoly(sw.QBasis())
-			h.SwitchStreamedInto(e, st, g0, g1)
-			st.Release()
+		for i, key := range []KeyMaterial{c, evk, c} {
+			g0, g1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+			h.SwitchParallelInto(e, key, g0, g1)
 			if !g0.Equal(want0) || !g1.Equal(want1) {
-				t.Fatalf("%v replay %d: SwitchStreamedInto differs from KeySwitch", df, i)
+				t.Fatalf("%v replay %d: SwitchParallelInto differs from KeySwitch", df, i)
+			}
+			h.SwitchInto(key, g0, g1)
+			if !g0.Equal(want0) || !g1.Equal(want1) {
+				t.Fatalf("%v replay %d: SwitchInto differs from KeySwitch", df, i)
 			}
 		}
 		h.Release()
 	}
 }
 
-// Streamed apply must panic (not corrupt) on digit-structure and
-// aliasing misuse, matching the dense replay's checks.
+// A hoisted replay of a compressed key must panic (not corrupt) on
+// digit-structure and aliasing misuse, serially and on the engine,
+// matching the dense replay's checks.
 func TestSwitchStreamedChecks(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
 	sw2, _ := NewSwitcher(r, 3, 2)
 	sw4, _ := NewSwitcher(r, 3, 4)
-	evk := sw4.GenEvk(s, sOld, sNew)
-	c, _ := evk.Compress()
+	c, _ := sw4.GenEvk(s, sOld, sNew).Compress()
 	d := s.Uniform(sw2.QBasis())
 	d.IsNTT = true
 	h := sw2.Hoist(d)
@@ -141,21 +137,19 @@ func TestSwitchStreamedChecks(t *testing.T) {
 	}
 	c0 := r.NewPoly(sw2.QBasis())
 	c1 := r.NewPoly(sw2.QBasis())
-	mustPanic("digit mismatch", func() {
-		h.SwitchStreamedInto(nil, c.StartExpand(r), c0, c1)
-	})
+	mustPanic("digit mismatch", func() { h.SwitchParallelInto(nil, c, c0, c1) })
+	mustPanic("digit mismatch, serial", func() { h.SwitchInto(c, c0, c1) })
 	c2, _ := sw2.GenEvk(s, sOld, sNew).Compress()
-	mustPanic("aliased outputs", func() {
-		h.SwitchStreamedInto(nil, c2.StartExpand(r), c0, c0)
-	})
+	mustPanic("aliased outputs", func() { h.SwitchParallelInto(nil, c2, c0, c0) })
+	mustPanic("aliased outputs, serial", func() { h.SwitchInto(c2, c0, c0) })
 }
 
-// A warm StartExpand → HoistParallel → SwitchStreamedInto → Release
-// cycle allocates no polynomial row: the A-halves come back out of the
-// ring, the state out of the switcher's pool. What a cycle does
-// allocate — the stream, its channel, the engine's completion channels
-// — is a few hundred bytes, so the pin is on bytes, with a ring large
-// enough that one row (8 KiB) dwarfs them. It runs on one P, like
+// A warm HoistParallel → SwitchParallelInto → Release cycle with a
+// compressed key allocates no polynomial row: the A-half is drawn into
+// the pooled state's rows, the state comes out of the switcher's pool.
+// What a cycle does allocate — the engine's completion channels — is a
+// few hundred bytes, so the pin is on bytes, with a ring large enough
+// that one row (8 KiB) dwarfs them. It runs on one P, like
 // testing.AllocsPerRun: a sync.Pool keeps one slot per P private, and
 // a goroutine that moved between Put and Get would miss it.
 func TestStreamedCycleAllocatesNoRows(t *testing.T) {
@@ -177,14 +171,12 @@ func TestStreamedCycleAllocatesNoRows(t *testing.T) {
 	defer e.Close()
 	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
 	cycle := func() {
-		st := c.StartExpand(r)
 		h := sw.HoistParallel(e, dataflow.OC, d)
-		h.SwitchStreamedInto(e, st, c0, c1)
+		h.SwitchParallelInto(e, c, c0, c1)
 		h.Release()
-		st.Release()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cycle() // warm: the state, its graphs, the recycled A-halves
+	cycle() // warm: the state, its graphs, its drawn rows
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -194,16 +186,16 @@ func TestStreamedCycleAllocatesNoRows(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	row := uint64(r.N * 8)
 	if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle >= row {
-		t.Fatalf("warm streamed cycle allocates %d bytes in %d allocations, want under one %d-byte row",
+		t.Fatalf("warm compressed replay cycle allocates %d bytes in %d allocations, want under one %d-byte row",
 			perCycle, (after.Mallocs-before.Mallocs)/runs, row)
 	}
 }
 
-// Streams of different keys over one ring, started, replayed and
-// released from several goroutines at once — some released without
-// ever being replayed, the way a failed request leaves one. The
-// A-halves all recycle through the one ring, so a release that let go
-// of a polynomial still being written or read would hand another
+// Replays of different compressed keys over one switcher, from several
+// goroutines at once — some hoisted states released without ever being
+// replayed, the way a failed request leaves one. The drawn rows live in
+// pooled states that move between goroutines, so a state released
+// while its rows were still being drawn or read would hand another
 // goroutine's replay the wrong key: every output is compared with the
 // whole-polynomial reference.
 func TestStreamedReleaseConcurrent(t *testing.T) {
@@ -235,15 +227,13 @@ func TestStreamedReleaseConcurrent(t *testing.T) {
 			defer wg.Done()
 			c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
 			for round := 0; round < rounds; round++ {
-				abandoned := jb.c.StartExpand(r)
-				st := jb.c.StartExpand(r)
+				abandoned := sw.HoistParallel(e, dataflow.DC, d)
 				h := sw.HoistParallel(e, dataflow.MP, d)
 				abandoned.Release()
-				h.SwitchStreamedInto(e, st, c0, c1)
+				h.SwitchParallelInto(e, jb.c, c0, c1)
 				h.Release()
-				st.Release()
 				if !c0.Equal(jb.want0) || !c1.Equal(jb.want1) {
-					errs <- fmt.Errorf("goroutine %d round %d: streamed replay differs from the reference", i, round)
+					errs <- fmt.Errorf("goroutine %d round %d: compressed replay differs from the reference", i, round)
 					return
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"testing"
 	"unsafe"
 
 	"ciflow/internal/dataflow"
@@ -13,23 +14,38 @@ import (
 )
 
 // switchParallel is SwitchParallelInto into fresh outputs.
-func switchParallel(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+func switchParallel(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
 	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
-	sw.SwitchParallelInto(e, df, d, evk, c0, c1)
+	sw.SwitchParallelInto(e, df, d, key, c0, c1)
 	return c0, c1
 }
 
-// switchStreamed is the overlapped miss path for one compressed key,
-// the way internal/serve runs it: start the expansion, hoist d on the
-// engine beside it, then replay the expanded key on the engine.
-func switchStreamed(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, cevk *CompressedEvk) (c0, c1 *ring.Poly) {
-	st := cevk.StartExpand(sw.R)
-	defer st.Release()
+// replayParallel hoists d on e under df and replays the hoisted state
+// against key on e, into fresh outputs: the way internal/serve runs a
+// group of one.
+func replayParallel(sw *Switcher, e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
 	h := sw.HoistParallel(e, df, d)
 	defer h.Release()
 	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
-	h.SwitchStreamedInto(e, st, c0, c1)
+	h.SwitchParallelInto(e, key, c0, c1)
 	return c0, c1
+}
+
+// keyForm is a key in one of the two forms every entry point takes,
+// named for the tests' messages.
+type keyForm struct {
+	name string
+	key  KeyMaterial
+}
+
+// keyForms returns evk beside its compressed form.
+func keyForms(t testing.TB, evk *Evk) []keyForm {
+	t.Helper()
+	c, ok := evk.Compress()
+	if !ok {
+		t.Fatal("evk did not compress")
+	}
+	return []keyForm{{"dense", evk}, {"compressed", c}}
 }
 
 // Test-only view of an engine.Graph: what each node does and what it

@@ -30,13 +30,16 @@
 //	                            kept in the returned Hoisted
 //	Hoisted.Switch[Into],       ApplyKey+ModDown against one key, on
 //	  .SwitchParallelInto       the caller or as a graph
-//	Hoisted.SwitchStreamedInto  the same graph against a compressed key
-//	                            whose expansion ran beside the hoist
 //	SwitchHoisted[ParallelInto] one hoist and its replays in one call
 //	ModUp, ApplyEvk, ModDown    one stage's tiles in order on the
 //	                            caller, into fresh polynomials, so the
 //	                            dataflow generators in internal/dataflow
 //	                            can be validated stage by stage
+//
+// Every entry point that takes one key takes KeyMaterial: a dense Evk
+// or a seed-compressed CompressedEvk, whose A-half the apply tiles draw
+// from its seeds as they need it (compressed.go). The graphs do not
+// depend on the key's form.
 //
 // A Switcher is immutable after construction and safe for concurrent
 // use; the execution states are pooled on it, so steady-state switching
@@ -411,9 +414,9 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	c0.IsNTT, c1.IsNTT = true, true
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own, acc := h.up, h.acc
-	h.up, h.ownsBypass, h.acc, h.evk = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
+	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
-	h.up, h.acc, h.evk = own, acc, nil
+	h.up, h.acc, h.key = own, acc, nil
 	h.Release()
 	return c0, c1
 }

@@ -132,12 +132,12 @@ func switchDigest(t *testing.T, r *ring.Ring, c0, c1 *ring.Poly) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestKeySwitchGolden pins every execution path to output digests
-// recorded with the whole-polynomial serial KeySwitch of the commit
-// before the pipelines were unified. The paths share one tile set, so
-// agreeing with each other (or with refKeySwitch, which shares their
-// kernels) cannot show that a change moved all of them together; a
-// recorded vector can.
+// TestKeySwitchGolden pins every execution path, with the key dense and
+// compressed, to output digests recorded with the whole-polynomial
+// serial KeySwitch of the commit before the pipelines were unified. The
+// paths share one tile set, so agreeing with each other (or with
+// refKeySwitch, which shares their kernels) cannot show that a change
+// moved all of them together; a recorded vector can.
 func TestKeySwitchGolden(t *testing.T) {
 	f, err := os.Open("testdata/keyswitch.golden")
 	if err != nil {
@@ -164,10 +164,6 @@ func TestKeySwitchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			evk := sw.GenEvk(s, sOld, sNew)
-			cevk, ok := evk.Compress()
-			if !ok {
-				t.Fatal("evk did not compress")
-			}
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
 			check := func(path string, c0, c1 *ring.Poly) {
@@ -176,25 +172,21 @@ func TestKeySwitchGolden(t *testing.T) {
 					t.Errorf("%s digest %s, golden %s", path, got, want)
 				}
 			}
-			c0, c1 := sw.KeySwitch(d, evk)
-			check("serial", c0, c1)
-			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF} {
-				c0, c1 = switchParallel(sw, e, df, d, evk)
-				check(df.String(), c0, c1)
-				hd := sw.HoistParallel(e, df, d)
-				hd.SwitchParallelInto(e, evk, c0, c1)
-				hd.Release()
-				check(df.String()+" hoisted", c0, c1)
-			}
-			h := sw.HoistParallel(e, dataflow.OC, d)
-			h.SwitchParallelInto(e, evk, c0, c1)
-			h.Release()
-			check("hoisted", c0, c1)
-			for _, workers := range []int{1, 2, 4} {
-				ew := engine.New(workers)
-				c0, c1 = switchStreamed(sw, ew, dataflow.OC, d, cevk)
-				ew.Close()
-				check(fmt.Sprintf("streamed/%d workers", workers), c0, c1)
+			for _, kf := range keyForms(t, evk) {
+				c0, c1 := sw.KeySwitch(d, kf.key)
+				check(kf.name+" serial", c0, c1)
+				for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF} {
+					c0, c1 = switchParallel(sw, e, df, d, kf.key)
+					check(kf.name+" "+df.String(), c0, c1)
+					c0, c1 = replayParallel(sw, e, df, d, kf.key)
+					check(kf.name+" "+df.String()+" hoisted", c0, c1)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					ew := engine.New(workers)
+					c0, c1 = replayParallel(sw, ew, dataflow.OC, d, kf.key)
+					ew.Close()
+					check(fmt.Sprintf("%s hoisted/%d workers", kf.name, workers), c0, c1)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package hks
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ciflow/internal/dataflow"
@@ -23,7 +24,8 @@ func snapshotHas(entries []obs.HistogramSnapshot, name, df string) bool {
 
 // TestEntryPointsProfiled runs each entry point with profiling on and
 // asserts that every stage of its pipeline and both kernel families
-// are recorded under its own dataflow label and nowhere else — the
+// are recorded under its own dataflow label and nowhere else, and no
+// other stage: expand only where a compressed key is drawn — the
 // tiles time themselves through one mechanism, so a label dropped or
 // misrouted there vanishes from every report — and that the outputs
 // are bit-identical with profiling off: recording is additive
@@ -43,7 +45,6 @@ func TestEntryPointsProfiled(t *testing.T) {
 	d.IsNTT = true
 	e := engine.New(2)
 	defer e.Close()
-	newOuts := func() (*ring.Poly, *ring.Poly) { return r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis()) }
 
 	pipeline := []string{"mod_up", "apply", "mod_down"}
 	type entryPoint struct {
@@ -51,20 +52,15 @@ func TestEntryPointsProfiled(t *testing.T) {
 		stages      []string
 		run         func() (c0, c1 *ring.Poly)
 	}
-	// The streamed replay is an engine graph behind an expansion wait:
-	// one row per pool width, the caller-only pool included.
+	// A compressed key's replay streams its A-half out of the seeds in
+	// the apply tiles, which time the drawing as the expand stage: one
+	// row per pool width, the caller-only pool included.
 	streamed := func(workers int) entryPoint {
 		ew := engine.New(workers)
 		t.Cleanup(ew.Close)
 		return entryPoint{fmt.Sprintf("streamed replay/%d workers", workers), "dc",
 			[]string{"mod_up", "expand", "apply", "mod_down"}, func() (*ring.Poly, *ring.Poly) {
-				st := cevk.StartExpand(r)
-				defer st.Release()
-				h := sw.HoistParallel(ew, dataflow.DC, d)
-				defer h.Release()
-				c0, c1 := newOuts()
-				h.SwitchStreamedInto(ew, st, c0, c1)
-				return c0, c1
+				return replayParallel(sw, ew, dataflow.DC, d, cevk)
 			}}
 	}
 	for _, tc := range []entryPoint{
@@ -73,11 +69,7 @@ func TestEntryPointsProfiled(t *testing.T) {
 		{"dc", "dc", pipeline, func() (*ring.Poly, *ring.Poly) { return switchParallel(sw, e, dataflow.DC, d, evk) }},
 		{"oc", "oc", pipeline, func() (*ring.Poly, *ring.Poly) { return switchParallel(sw, e, dataflow.OC, d, evk) }},
 		{"hoisted replay", "oc", pipeline, func() (*ring.Poly, *ring.Poly) {
-			h := sw.HoistParallel(e, dataflow.OC, d)
-			defer h.Release()
-			c0, c1 := newOuts()
-			h.SwitchParallelInto(e, evk, c0, c1)
-			return c0, c1
+			return replayParallel(sw, e, dataflow.OC, d, evk)
 		}},
 		streamed(1), streamed(2), streamed(4),
 	} {
@@ -90,6 +82,11 @@ func TestEntryPointsProfiled(t *testing.T) {
 			for _, stage := range tc.stages {
 				if !snapshotHas(snap.Stages, stage, tc.label) {
 					t.Errorf("no %q stage under %q", stage, tc.label)
+				}
+			}
+			for _, hs := range snap.Stages {
+				if !slices.Contains(tc.stages, hs.Name) {
+					t.Errorf("%q recorded, want only %v", hs.Name, tc.stages)
 				}
 			}
 			for _, kernel := range []string{"ntt", "bconv"} {

@@ -16,8 +16,10 @@ import (
 var engineDataflows = []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF}
 
 // TestSwitchParallelBitExact asserts the serial and the engine-backed
-// switch equal the whole-polynomial reference bit for bit, for every
-// dataflow, across levels, digit counts, and uneven digit partitions.
+// switch, and a replay of a hoist on the engine, equal the
+// whole-polynomial reference bit for bit, for every dataflow, across
+// levels, digit counts, and uneven digit partitions, with the key dense
+// and compressed.
 func TestSwitchParallelBitExact(t *testing.T) {
 	e := engine.New(4)
 	defer e.Close()
@@ -43,14 +45,23 @@ func TestSwitchParallelBitExact(t *testing.T) {
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
 			want0, want1 := refKeySwitch(sw, d, evk)
-			if got0, got1 := sw.KeySwitch(d, evk); !got0.Equal(want0) || !got1.Equal(want1) {
-				t.Fatal("serial KeySwitch differs from the reference")
+			forms := keyForms(t, evk)
+			for _, kf := range forms {
+				if got0, got1 := sw.KeySwitch(d, kf.key); !got0.Equal(want0) || !got1.Equal(want1) {
+					t.Fatalf("serial KeySwitch with the %s key differs from the reference", kf.name)
+				}
 			}
 			for _, df := range engineDataflows {
 				t.Run(df.String(), func(t *testing.T) {
-					got0, got1 := switchParallel(sw, e, df, d, evk)
-					if !got0.Equal(want0) || !got1.Equal(want1) {
-						t.Fatalf("%s parallel switch differs from the reference", df)
+					for _, kf := range forms {
+						got0, got1 := switchParallel(sw, e, df, d, kf.key)
+						if !got0.Equal(want0) || !got1.Equal(want1) {
+							t.Fatalf("%s parallel switch with the %s key differs from the reference", df, kf.name)
+						}
+						got0, got1 = replayParallel(sw, e, df, d, kf.key)
+						if !got0.Equal(want0) || !got1.Equal(want1) {
+							t.Fatalf("%s hoisted replay of the %s key differs from the reference", df, kf.name)
+						}
 					}
 				})
 			}
@@ -174,7 +185,8 @@ func TestSwitchParallelNilEngine(t *testing.T) {
 	}
 }
 
-// TestSwitchParallelValidation covers the input checks.
+// TestSwitchParallelValidation covers the input checks, for key material
+// of either form.
 func TestSwitchParallelValidation(t *testing.T) {
 	e := engine.New(2)
 	defer e.Close()
@@ -209,9 +221,17 @@ func TestSwitchParallelValidation(t *testing.T) {
 
 	mustPanic("unknown dataflow", func() { switchParallel(sw, e, dataflow.Dataflow(99), d, evk) })
 
+	cevk, _ := evk.Compress()
+	shortC := &CompressedEvk{B: cevk.B[:1], Seeds: cevk.Seeds}
+	mustPanic("short compressed evk", func() { switchParallel(sw, e, dataflow.MP, d, shortC) })
+	seedless := &CompressedEvk{B: cevk.B}
+	mustPanic("compressed evk without seeds", func() { switchParallel(sw, e, dataflow.OC, d, seedless) })
+
 	out := r.NewPoly(sw.QBasis())
-	mustPanic("aliased outputs", func() { sw.SwitchParallelInto(e, dataflow.MP, d, evk, out, out) })
-	mustPanic("output aliasing input", func() { sw.SwitchParallelInto(e, dataflow.MP, d, evk, d, out) })
+	for _, kf := range keyForms(t, evk) {
+		mustPanic("aliased outputs, "+kf.name, func() { sw.SwitchParallelInto(e, dataflow.MP, d, kf.key, out, out) })
+		mustPanic("output aliasing input, "+kf.name, func() { sw.SwitchParallelInto(e, dataflow.MP, d, kf.key, d, out) })
+	}
 }
 
 // TestWideModuliAllPathsAgree runs every execution path on rings with
@@ -241,10 +261,6 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			evk := sw.GenEvk(s, sOld, sNew)
-			cevk, ok := evk.Compress()
-			if !ok {
-				t.Fatal("evk did not compress")
-			}
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
 
@@ -259,22 +275,17 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 					t.Fatalf("%s differs from the reference", path)
 				}
 			}
-			c0, c1 := sw.KeySwitch(d, evk)
-			check("serial", c0, c1)
-			for _, df := range engineDataflows {
-				c0, c1 = switchParallel(sw, e, df, d, evk)
-				check(df.String(), c0, c1)
-			}
 			c0s, c1s := sw.SwitchHoisted(d, []*Evk{evk})
 			check("hoisted serial", c0s[0], c1s[0])
-			for _, df := range []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC} {
-				h := sw.HoistParallel(e, df, d)
-				c0, c1 = r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
-				h.SwitchParallelInto(e, evk, c0, c1)
-				h.Release()
-				check("hoisted "+df.String(), c0, c1)
-				c0, c1 = switchStreamed(sw, e, df, d, cevk)
-				check("streamed "+df.String(), c0, c1)
+			for _, kf := range keyForms(t, evk) {
+				c0, c1 := sw.KeySwitch(d, kf.key)
+				check(kf.name+" serial", c0, c1)
+				for _, df := range engineDataflows {
+					c0, c1 = switchParallel(sw, e, df, d, kf.key)
+					check(kf.name+" "+df.String(), c0, c1)
+					c0, c1 = replayParallel(sw, e, df, d, kf.key)
+					check(kf.name+" hoisted "+df.String(), c0, c1)
+				}
 			}
 		})
 	}
@@ -283,8 +294,10 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 // TestApplyTilesZeroAlloc runs OC's tower tasks — the "oc" nodes of its
 // fused graph — on a warm state: on-the-fly conversion of every
 // non-bypass digit, then the apply tile every dataflow shares. The row
-// headers handed to the accumulate kernel live in the state, so the
-// tiles, and the task that strings them together, allocate nothing.
+// headers handed to the accumulate kernel live in the state, and so do
+// the rows a compressed key's A-half is drawn into once the state has
+// bound one, so the tiles, and the task that strings them together,
+// allocate nothing with the key in either form.
 func TestApplyTilesZeroAlloc(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)
@@ -295,7 +308,7 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
 	st := sw.state(dataflow.OC, obs.DataflowSerial)
-	st.d, st.evk = d, evk
+	st.d = d
 	for i := 0; i < sw.ell(); i++ {
 		st.prepTower(i)
 	}
@@ -308,11 +321,15 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	if len(towers) != len(sw.dBasis) {
 		t.Fatalf("OC's fused graph has %d tower tasks, want %d", len(towers), len(sw.dBasis))
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for _, tower := range towers {
-			tower()
+	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+	for _, kf := range keyForms(t, evk) {
+		st.bind(kf.key, c0, c1)
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, tower := range towers {
+				tower()
+			}
+		}); allocs != 0 {
+			t.Fatalf("apply tiles with the %s key allocate %v times per run, want 0", kf.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("apply tiles allocate %v times per run, want 0", allocs)
 	}
 }

@@ -171,12 +171,13 @@ func TestFusedGraphShape(t *testing.T) {
 }
 
 // TestStatePoolInterleaved hammers the one state pool of one Switcher:
-// goroutines interleave per-rotation switches, hoists, dense replays
-// and streamed replays of different inputs across all three dataflows,
-// so a state serves as a fused switch in one use and as a hoisted state
-// in the next. Every output is checked against refKeySwitch; under
-// -race this also proves the pool and the lazily built graphs are
-// data-race free.
+// goroutines interleave per-rotation switches, hoists, and replays of
+// different inputs across all three dataflows, with one CompressedEvk
+// replayed from all of them beside dense keys, so a state serves as a
+// fused switch in one use and as a hoisted state in the next, and binds
+// either key form. Every output is checked against refKeySwitch; under
+// -race this also proves the pool, the lazily built graphs and the
+// per-tower rows a compressed key is drawn into are data-race free.
 func TestStatePoolInterleaved(t *testing.T) {
 	e := engine.New(4)
 	defer e.Close()
@@ -243,14 +244,18 @@ func TestStatePoolInterleaved(t *testing.T) {
 					if !ok {
 						return
 					}
-				case 2: // hoist, then a streamed and a dense replay
-					st := cevk.StartExpand(r)
+				case 2: // the compressed key fused, then hoisted and replayed beside a dense key
+					sw.SwitchParallelInto(e, df, jb.d, cevk, c0, c1)
+					if !check("fused compressed "+df.String(), 1) {
+						return
+					}
 					h := sw.HoistParallel(e, df, jb.d)
-					h.SwitchStreamedInto(e, st, c0, c1)
-					st.Release()
-					ok := check("streamed "+df.String(), 1)
+					h.SwitchParallelInto(e, cevk, c0, c1)
+					ok := check("compressed "+df.String(), 1)
 					h.SwitchParallelInto(e, evks[0], c0, c1)
-					ok = ok && check("hoisted after streamed", 0)
+					ok = ok && check("dense after compressed", 0)
+					h.SwitchInto(cevk, c0, c1)
+					ok = ok && check("compressed serial replay", 1)
 					h.Release()
 					if !ok {
 						return
@@ -284,7 +289,9 @@ func poolRetains() bool {
 
 // TestKeySwitchAllocs pins the serial path's allocation discipline now
 // that it runs on the pooled state: once warm, KeySwitch allocates its
-// two output polynomials and nothing else.
+// two output polynomials and nothing else, and a compressed key, whose
+// A-half the apply tiles draw into the state's rows, allocates what a
+// dense one does.
 func TestKeySwitchAllocs(t *testing.T) {
 	if !poolRetains() {
 		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
@@ -297,12 +304,15 @@ func TestKeySwitchAllocs(t *testing.T) {
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	sw.KeySwitch(d, evk) // warm the state pool and converter scratch
-	var out *ring.Poly   // keeps NewPoly's result on the heap, as KeySwitch's are
+	var out *ring.Poly // keeps NewPoly's result on the heap, as KeySwitch's are
 	outputs := 2 * testing.AllocsPerRun(10, func() { out = r.NewPoly(sw.QBasis()) })
 	_ = out
-	if allocs := testing.AllocsPerRun(10, func() { sw.KeySwitch(d, evk) }); allocs != outputs {
-		t.Fatalf("warm KeySwitch allocates %v times per run, want %v (two output polynomials)", allocs, outputs)
+	for _, kf := range keyForms(t, evk) {
+		sw.KeySwitch(d, kf.key) // warm the state pool, its rows and converter scratch
+		if allocs := testing.AllocsPerRun(10, func() { sw.KeySwitch(d, kf.key) }); allocs != outputs {
+			t.Fatalf("warm KeySwitch with the %s key allocates %v times per run, want %v (two output polynomials)",
+				kf.name, allocs, outputs)
+		}
 	}
 }
 
@@ -356,12 +366,14 @@ func TestWrongLevelKeyRejected(t *testing.T) {
 	h := sw.Hoist(d)
 	defer h.Release()
 	for name, f := range map[string]func(){
-		"KeySwitch":                  func() { sw.KeySwitch(d, low) },
-		"SwitchParallelInto":         func() { sw.SwitchParallelInto(e, dataflow.OC, d, low, c0, c1) },
-		"Hoisted.SwitchInto":         func() { h.SwitchInto(low, c0, c1) },
-		"Hoisted.SwitchParallelInto": func() { h.SwitchParallelInto(e, low, c0, c1) },
-		"Hoisted.SwitchStreamedInto": func() { h.SwitchStreamedInto(e, lowC.StartExpand(r), c0, c1) },
-		"ApplyEvk":                   func() { sw.ApplyEvk(sw.ModUp(d), low) },
+		"KeySwitch":                             func() { sw.KeySwitch(d, low) },
+		"SwitchParallelInto":                    func() { sw.SwitchParallelInto(e, dataflow.OC, d, low, c0, c1) },
+		"Hoisted.SwitchInto":                    func() { h.SwitchInto(low, c0, c1) },
+		"Hoisted.SwitchParallelInto":            func() { h.SwitchParallelInto(e, low, c0, c1) },
+		"compressed KeySwitch":                  func() { sw.KeySwitch(d, lowC) },
+		"compressed SwitchParallelInto":         func() { sw.SwitchParallelInto(e, dataflow.OC, d, lowC, c0, c1) },
+		"compressed Hoisted.SwitchParallelInto": func() { h.SwitchParallelInto(e, lowC, c0, c1) },
+		"ApplyEvk":                              func() { sw.ApplyEvk(sw.ModUp(d), low) },
 	} {
 		func() {
 			defer func() {

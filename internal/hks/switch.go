@@ -41,10 +41,10 @@ func must(err error) {
 	}
 }
 
-// checkReplay is the precondition of every ApplyKey+ModDown, dense,
-// streamed or inside a per-rotation switch: key passes CheckMaterial,
-// and (c0, c1) are distinct polynomials over B_ℓ. It panics with the
-// reason otherwise.
+// checkReplay is the precondition of every ApplyKey+ModDown, alone or
+// inside a per-rotation switch: key, of either form, passes
+// CheckMaterial, and (c0, c1) are distinct polynomials over B_ℓ. It
+// panics with the reason otherwise.
 func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
 	must(sw.CheckMaterial(key))
 	if !c0.Basis.Equal(sw.qBasis) || !c1.Basis.Equal(sw.qBasis) {
@@ -57,13 +57,21 @@ func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
 	}
 }
 
-func (h *Hoisted) bind(evk *Evk, c0, c1 *ring.Poly) {
-	h.evk, h.out = evk, [2]*ring.Poly{c0, c1}
+// bind aims the replay tiles at key and the outputs, giving the state
+// its A-row scratch at its first compressed key.
+func (h *Hoisted) bind(key KeyMaterial, c0, c1 *ring.Poly) {
+	if _, ok := key.(*CompressedEvk); ok && h.drawn == nil {
+		h.drawn = make([][][]uint64, len(h.sw.dBasis))
+		for t := range h.drawn {
+			h.drawn[t] = rows(h.sw.Dnum, h.sw.R.N)
+		}
+	}
+	h.key, h.out = key, [2]*ring.Poly{c0, c1}
 }
 
 func (h *Hoisted) unbind() {
 	h.out[0].IsNTT, h.out[1].IsNTT = true, true
-	h.evk, h.out = nil, [2]*ring.Poly{}
+	h.key, h.out = nil, [2]*ring.Poly{}
 }
 
 // engineLabel is the obs label of a switch on the engine under df: the
@@ -75,11 +83,11 @@ func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(df.Pap
 // KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ)
 // on the calling goroutine, returning freshly allocated (c0, c1) over
 // B_ℓ such that c0 + c1·s ≈ d·s′: one serial hoist and one serial
-// replay.
-func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
+// replay. Like every entry point it takes the key in either form.
+func (sw *Switcher) KeySwitch(d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
 	h := sw.Hoist(d)
 	defer h.Release()
-	return h.Switch(evk)
+	return h.Switch(key)
 }
 
 // SwitchParallelInto runs the complete HKS pipeline on d (NTT domain
@@ -89,9 +97,9 @@ func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 // allocations. The result is bit-exact with KeySwitch for every
 // dataflow. c0/c1 must not alias d. A nil engine uses
 // engine.Default(). Safe for concurrent use on one Switcher.
-func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evk *Evk, c0, c1 *ring.Poly) {
+func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, key KeyMaterial, c0, c1 *ring.Poly) {
 	must(sw.CheckInput(d))
-	sw.checkReplay(evk, c0, c1)
+	sw.checkReplay(key, c0, c1)
 	if sameStorage(c0, d) || sameStorage(c1, d) {
 		panic("hks: SwitchParallelInto outputs must not alias the input")
 	}
@@ -100,7 +108,7 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 	}
 	h := sw.state(df, engineLabel(df))
 	h.d = d
-	h.bind(evk, c0, c1)
+	h.bind(key, c0, c1)
 	e.RunGraph(h.fusedGraph())
 	h.d = nil
 	h.unbind()
@@ -143,48 +151,33 @@ func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Data
 
 // Switch replays the hoisted ModUp against one evaluation key,
 // running ApplyKey+Reduce+ModDown serially into freshly allocated
-// (c0, c1) over B_ℓ. Bit-exact with KeySwitch(d, evk).
-func (h *Hoisted) Switch(evk *Evk) (c0, c1 *ring.Poly) {
+// (c0, c1) over B_ℓ. Bit-exact with KeySwitch(d, key).
+func (h *Hoisted) Switch(key KeyMaterial) (c0, c1 *ring.Poly) {
 	c0 = h.sw.R.NewPoly(h.sw.qBasis)
 	c1 = h.sw.R.NewPoly(h.sw.qBasis)
-	h.SwitchInto(evk, c0, c1)
+	h.SwitchInto(key, c0, c1)
 	return c0, c1
 }
 
-// SwitchInto is Switch writing into caller-provided outputs; the
+// SwitchInto is Switch writing into caller-provided outputs; a warm
 // serial replay performs zero allocations.
-func (h *Hoisted) SwitchInto(evk *Evk, c0, c1 *ring.Poly) {
-	h.sw.checkReplay(evk, c0, c1)
-	h.bind(evk, c0, c1)
+func (h *Hoisted) SwitchInto(key KeyMaterial, c0, c1 *ring.Poly) {
+	h.sw.checkReplay(key, c0, c1)
+	h.bind(key, c0, c1)
 	h.runSerial(replayTile)
 	h.unbind()
 }
 
 // SwitchParallelInto is SwitchInto with the replay executed as a task
 // graph on e (nil uses engine.Default()). Bit-exact with SwitchInto.
-func (h *Hoisted) SwitchParallelInto(e *engine.Engine, evk *Evk, c0, c1 *ring.Poly) {
-	h.sw.checkReplay(evk, c0, c1)
+func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *ring.Poly) {
+	h.sw.checkReplay(key, c0, c1)
 	if e == nil {
 		e = engine.Default()
 	}
-	h.bind(evk, c0, c1)
+	h.bind(key, c0, c1)
 	e.RunGraph(h.replayGraph())
 	h.unbind()
-}
-
-// SwitchStreamedInto is SwitchParallelInto against a compressed key's
-// expansion stream: it waits for the expansion to finish — no wait at
-// all when the stream was started before the hoist and ran beside it —
-// and replays the expanded key as the same graph. The stream stays the
-// caller's to Release, after this returns. Bit-exact with SwitchInto
-// of the expanded dense key.
-func (h *Hoisted) SwitchStreamedInto(e *engine.Engine, st *ExpandStream, c0, c1 *ring.Poly) {
-	// Time blocked on the expander: the expansion stall the overlap is
-	// meant to hide.
-	t0 := h.now()
-	evk := st.wait()
-	h.stage(obs.StageExpand, t0, h.now())
-	h.SwitchParallelInto(e, evk, c0, c1)
 }
 
 // SwitchHoisted switches d (NTT domain over B_ℓ) with every key in

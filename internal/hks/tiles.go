@@ -8,7 +8,8 @@ package hks
 //
 //	prepTower      INTT      ModUp P1: INTT of one Q tower, plus the digit's ŷ scaling
 //	convertTower   Conv+NTT  ModUp P2+P3: one (digit, destination tower) BConv + NTT
-//	applyTower     Apply×dnum+Reduce  P4+P5: one extended tower of ApplyKey, all digits summed
+//	applyTower     Apply×dnum+Reduce  P4+P5: one extended tower of ApplyKey, all digits summed;
+//	                                  a compressed key's A-rows are drawn from their seeds first
 //	downPrepTower  DownINTT  ModDown P1: INTT of one P tower, plus the ŷ scaling
 //	downOvershoot  DownOver  ModDown P2: the exact conversion's overshoot, one chunk
 //	downOutTower   DownOut   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
@@ -42,8 +43,8 @@ import (
 //
 // To callers it is the shared-ModUp state of one input polynomial:
 // obtain it with Hoist or HoistParallel, replay it against any number
-// of evaluation keys with Switch/SwitchInto/SwitchParallelInto/
-// SwitchStreamedInto, and return it with Release. It is independent of
+// of evaluation keys, dense or compressed, with Switch/SwitchInto/
+// SwitchParallelInto, and return it with Release. It is independent of
 // its input once the hoist returns. A Hoisted must not be used
 // concurrently or after Release; hoisting and switching different
 // inputs concurrently on one Switcher is safe.
@@ -53,7 +54,7 @@ type Hoisted struct {
 
 	// Bound per run.
 	d   *ring.Poly    // input, while its ModUp tiles run
-	evk *Evk          // key, dense or expanded from a stream
+	key KeyMaterial   // the key, either form
 	out [2]*ring.Poly // outputs over B_ℓ
 
 	// ownsBypass is set while the state is hoisted: the prep tile then
@@ -79,6 +80,10 @@ type Hoisted struct {
 	// per tower, so concurrent apply tiles share nothing and allocate
 	// nothing.
 	upRows, kbRows, kaRows [][][]uint64
+	// drawn holds a compressed key's A-rows, [|D|][dnum] rows, drawn by
+	// each apply tile into its own tower's slot. Allocated at the
+	// state's first compressed bind; a dense-only state has none.
+	drawn [][][]uint64
 
 	// Schedules over the tiles, each built on first use (schedule.go):
 	// a fused graph per dataflow, a hoist graph for MP's plan and DC's,
@@ -89,16 +94,18 @@ type Hoisted struct {
 	serial  []serialTile
 }
 
+// rows allocates k rows of n words.
+func rows(k, n int) [][]uint64 {
+	rs := make([][]uint64, k)
+	for i := range rs {
+		rs[i] = make([]uint64, n)
+	}
+	return rs
+}
+
 func newState(sw *Switcher) *Hoisted {
 	n, kp := sw.R.N, len(sw.pBasis)
-	rows := func(k int) [][]uint64 {
-		rs := make([][]uint64, k)
-		for i := range rs {
-			rs[i] = make([]uint64, n)
-		}
-		return rs
-	}
-	h := &Hoisted{sw: sw, y: rows(sw.ell())}
+	h := &Hoisted{sw: sw, y: rows(sw.ell(), n)}
 	h.up = make([][][]uint64, sw.Dnum)
 	for j := range h.up {
 		h.up[j] = make([][]uint64, len(sw.dBasis))
@@ -109,7 +116,7 @@ func newState(sw *Switcher) *Hoisted {
 	for p := range h.acc {
 		h.acc[p] = sw.R.NewPoly(sw.dBasis)
 		h.acc[p].IsNTT = true
-		h.yP[p] = rows(kp + 1)
+		h.yP[p] = rows(kp+1, n)
 	}
 	headers := func() [][][]uint64 {
 		hs := make([][][]uint64, len(sw.dBasis))
@@ -252,13 +259,30 @@ func (h *Hoisted) convertTower(j, di int) {
 
 // applyTower is ApplyKey (P4+P5) for extended tower t:
 // acc ← Σ_j up_j[t] ⊙ evk_j[t] for both evk halves, each as one
-// deferred-reduction pass over all dnum digits.
+// deferred-reduction pass over all dnum digits. A compressed key's
+// A-rows of tower t are drawn from the digits' seeds first, into the
+// tower's scratch, and timed as the expand stage.
 func (h *Hoisted) applyTower(t int) {
 	sw := h.sw
 	t0 := h.now()
 	up, kb, ka := h.upRows[t], h.kbRows[t], h.kaRows[t]
 	for j := range up {
-		up[j], kb[j], ka[j] = h.upRow(j, t), h.evk.B[j].Coeffs[t], h.evk.A[j].Coeffs[t]
+		up[j] = h.upRow(j, t)
+	}
+	switch k := h.key.(type) {
+	case *Evk:
+		for j := range kb {
+			kb[j], ka[j] = k.B[j].Coeffs[t], k.A[j].Coeffs[t]
+		}
+	case *CompressedEvk:
+		ka = h.drawn[t]
+		for j := range kb {
+			kb[j] = k.B[j].Coeffs[t]
+			sw.R.UniformRowFromSeed(ka[j], sw.dBasis, t, k.Seeds[j])
+		}
+		drawn := h.now()
+		h.stage(obs.StageExpand, t0, drawn)
+		t0 = drawn
 	}
 	m := sw.R.Mods[sw.dBasis[t]]
 	m.MulSumRows(h.acc[0].Coeffs[t], up, kb, m.Q)

@@ -9,7 +9,7 @@ import (
 // length-N residue rows: NTT butterflies (internal/ntt), the
 // multiply-accumulate under BConv and ApplyKey, and multiplies by a
 // per-tower constant. The latter two live here so that every schedule
-// above (serial, MP/DC/OC, hoisted, streamed) runs the same loop.
+// above (serial, MP/DC/OC, hoisted) runs the same loop.
 //
 // Each kernel is one driver over two bodies: the Go loop in this file
 // and, on amd64, an AVX-512 IFMA loop over eight coefficients at a

@@ -9,13 +9,13 @@
 // allocates nothing on the hot path:
 //
 //   - Recorder: log-bucketed nanosecond histograms plus atomic
-//     counters over the HKS stages (ModUp, ApplyKey, streamed
-//     Expand, ModDown) and the kernel tiles beneath them
-//     (NTT, BConv), broken down per dataflow (MP/DC/OC/serial) and
-//     per ciphertext level. All state is fixed-size arrays of
-//     atomics — recording is wait-free and safe from every engine
-//     worker at once, and a nil *Recorder is the disabled fast path
-//     (every method nil-checks its receiver).
+//     counters over the HKS stages (ModUp, ApplyKey, Expand — the
+//     drawing of a compressed key's A-rows — and ModDown) and the
+//     kernel tiles beneath them (NTT, BConv), broken down per
+//     dataflow (MP/DC/OC/serial) and per ciphertext level. All state
+//     is fixed-size arrays of atomics — recording is wait-free and
+//     safe from every engine worker at once, and a nil *Recorder is
+//     the disabled fast path (every method nil-checks its receiver).
 //   - Snapshot / Merge / Shares: a Recorder drains into a Snapshot of
 //     plain counts with stable JSON. Histogram merge is exact —
 //     bucket counts sum — which is what lets the cluster router add
@@ -51,9 +51,9 @@ const (
 	// StageApply is the evaluation-key inner product: per-tower
 	// multiply-accumulate of every raised digit against the key.
 	StageApply
-	// StageExpand is the streamed seed-expansion wait: time the
-	// replay spends blocked on a compressed key digit that the
-	// expander has not produced yet.
+	// StageExpand is the time an apply tile spends drawing a
+	// compressed key's A-rows from their seeds, before the
+	// multiply-accumulate StageApply times; a dense key records none.
 	StageExpand
 	// StageModDown is the scale back down to the ciphertext basis.
 	StageModDown

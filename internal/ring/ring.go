@@ -34,10 +34,11 @@ type Ring struct {
 	recycled []sync.Pool
 	// scratch recycles the serializer's row buffer (serialize.go).
 	scratch sync.Pool
-	// jump places the seed expander's vector lanes (seed.go), built on
-	// first use.
-	jumpOnce sync.Once
-	jump     *jumpTable
+	// The seed expander's jumps (seed.go), built on first use: one
+	// places the vector lanes of a row, the other starts a tower.
+	jumpOnce  sync.Once
+	laneJump  *jumpTable
+	towerJump *jumpTable
 }
 
 // NewRing constructs a ring of degree n with the given Q and P chains.

@@ -17,20 +17,20 @@ package ring
 // other.
 //
 // The stream is drawn tower by tower, N words each, and every word is
-// reduced to its canonical residue. There are two bodies, as for the
-// row kernels of internal/mod: the Go loop below, one word at a time,
-// and on amd64 an AVX-512 IFMA loop (seed_amd64.s) that draws a row
-// with eight lanes of the same stream. Lane k of tower i draws stream
-// positions i·N + k·N/8 onwards into row[k·N/8:]. xoshiro256**'s state
-// update is linear over GF(2), so the state k·N/8 positions on is
-// T^(k·N/8)·s for the 256×256 transition matrix T: lane 0 starts from
-// the stream's state and each further lane from its predecessor's
-// start jumped by T^(N/8), a table lookup per nibble of the state
-// (jumpTable, built once per ring on first use). Lane 7 ends where the
-// next tower begins. Which body draws a tower is decided per tower,
-// the way an ntt.Table decides (vecRow), and both leave the stream
-// state where the other expects it, so a basis may mix them and the
-// polynomial is the same word for word.
+// reduced to its canonical residue. xoshiro256**'s state update is
+// linear over GF(2), so the state m positions on is T^m·s for the
+// 256×256 transition matrix T, and a jump by T^m is a table lookup per
+// nibble of the state (jumpTable). Tower i therefore starts at the
+// seed's state jumped i times by T^N, and any tower can be drawn on its
+// own (UniformRowFromSeed): an evk's A-half is drawn a tower at a time
+// inside the key-switch tiles that read it. There are two bodies, as for
+// the row kernels of internal/mod: the Go loop below, one word at a
+// time, and on amd64 an AVX-512 IFMA loop (seed_amd64.s) that draws a
+// row with eight lanes of the same stream, lane k from the row's start
+// jumped k times by T^(N/8) into row[k·N/8:]. Both jump tables are built
+// once per ring on first use. Which body draws a tower is decided per
+// tower, the way an ntt.Table decides (vecRow), so a basis may mix them
+// and the polynomial is the same word for word.
 
 import (
 	"encoding/binary"
@@ -124,23 +124,57 @@ func (r *Ring) UniformFromSeed(b Basis, seed Seed) *Poly {
 // draws for that basis and seed.
 func (r *Ring) UniformFromSeedInto(p *Poly, seed Seed) {
 	s := seedState(seed)
+	_, tower := r.jumps()
 	for i, t := range p.Basis {
-		m := r.Mods[t]
-		if r.vecRow(m.Q) {
-			s = r.uniformVec(p.Coeffs[i][:r.N], m, s)
-		} else {
-			s = uniformGo(p.Coeffs[i], m.Q, s)
+		if i > 0 {
+			s = tower.apply(s)
 		}
+		r.uniformRow(p.Coeffs[i], r.Mods[t], s)
 	}
 	p.IsNTT = false
 }
 
-// uniformGo is the Go body: it draws len(row) words from s into row
-// and returns the state after them. Each word x is reduced without a
-// divide: with inv = ⌊2^64/q⌋ the estimate ⌊x·inv/2^64⌋ is the true
-// quotient or one less, so x − estimate·q lies in [0, 2q) and one
-// conditional subtraction leaves x mod q, the canonical residue.
-func uniformGo(row []uint64, q uint64, s state) state {
+// UniformRowFromSeed writes tower i of UniformFromSeed(b, seed) into
+// row, which holds N words: the stream from the seed's state jumped i
+// times by T^N. It draws no other tower, so a tower costs the same alone
+// as inside the whole polynomial, plus i jumps of about 70 ns.
+func (r *Ring) UniformRowFromSeed(row []uint64, b Basis, i int, seed Seed) {
+	s := seedState(seed)
+	_, tower := r.jumps()
+	for range i {
+		s = tower.apply(s)
+	}
+	r.uniformRow(row, r.Mods[b[i]], s)
+}
+
+// uniformRow draws N words modulo m from state s into row under the body
+// vecRow picks. The vector body places its lanes at their stream
+// positions from s first.
+func (r *Ring) uniformRow(row []uint64, m mod.Modulus, s state) {
+	if !r.vecRow(m.Q) {
+		uniformGo(row[:r.N], m.Q, s)
+		return
+	}
+	lane, _ := r.jumps()
+	var st [4][lanes]uint64 // st[w][k]: word w of lane k's state
+	for k := range lanes {
+		if k > 0 {
+			s = lane.apply(s)
+		}
+		for w, x := range s {
+			st[w][k] = x
+		}
+	}
+	c, c52, mu := m.Reduce52()
+	uniformRow52(row[:r.N], &st, m.Q, c, c52, mu)
+}
+
+// uniformGo is the Go body: it draws len(row) words from s into row.
+// Each word x is reduced without a divide: with inv = ⌊2^64/q⌋ the
+// estimate ⌊x·inv/2^64⌋ is the true quotient or one less, so
+// x − estimate·q lies in [0, 2q) and one conditional subtraction leaves
+// x mod q, the canonical residue.
+func uniformGo(row []uint64, q uint64, s state) {
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	inv, _ := bits.Div64(1, 0, q)
 	for j := range row {
@@ -160,32 +194,21 @@ func uniformGo(row []uint64, q uint64, s state) state {
 		}
 		row[j] = x
 	}
-	return state{s0, s1, s2, s3}
 }
 
-// uniformVec is the vector body over one row of r.N words: it places
-// the lanes at their stream positions from s, draws the row, and
-// returns lane 7's end state, the stream's state after the row.
-func (r *Ring) uniformVec(row []uint64, m mod.Modulus, s state) state {
-	jump := r.laneJump()
-	var st [4][lanes]uint64 // st[w][k]: word w of lane k's state
-	for k := range lanes {
-		if k > 0 {
-			s = jump.apply(s)
-		}
-		for w, x := range s {
-			st[w][k] = x
-		}
-	}
-	c, c52, mu := m.Reduce52()
-	uniformRow52(row, &st, m.Q, c, c52, mu)
-	return state{st[0][lanes-1], st[1][lanes-1], st[2][lanes-1], st[3][lanes-1]}
-}
-
-// laneJump returns the ring's jump by one lane's run, T^(N/8).
-func (r *Ring) laneJump() *jumpTable {
-	r.jumpOnce.Do(func() { r.jump = newJumpTable(r.N / lanes) })
-	return r.jump
+// jumps returns the ring's two jumps, built together on first use: one
+// lane's run, T^(N/8), and one tower, T^N = T^(N mod 8)·(T^(N/8))^8.
+func (r *Ring) jumps() (lane, tower *jumpTable) {
+	r.jumpOnce.Do(func() {
+		r.laneJump = newJumpTable(func(s state) state { return s.advance(r.N / lanes) })
+		r.towerJump = newJumpTable(func(s state) state {
+			for range lanes {
+				s = r.laneJump.apply(s)
+			}
+			return s.advance(r.N % lanes)
+		})
+	})
+	return r.laneJump, r.towerJump
 }
 
 // jumpTable is T^m as a nibble table: entry [n][v] is T^m applied to
@@ -194,14 +217,14 @@ func (r *Ring) laneJump() *jumpTable {
 // nibble of s. 64×16 states, 32 KB.
 type jumpTable [64][16]state
 
-// newJumpTable builds the table of T^m from the images of the 256 unit
-// states, each stepped m times.
-func newJumpTable(m int) *jumpTable {
+// newJumpTable builds the table of the linear map f (a power of T) from
+// the images of the 256 unit states.
+func newJumpTable(f func(state) state) *jumpTable {
 	var cols [256]state
 	for b := range cols {
 		var e state
 		e[b/64] = 1 << (b % 64)
-		cols[b] = e.advance(m)
+		cols[b] = f(e)
 	}
 	j := new(jumpTable)
 	for n := range j {
@@ -215,7 +238,7 @@ func newJumpTable(m int) *jumpTable {
 	return j
 }
 
-// apply returns T^m·s.
+// apply returns the jump of s.
 func (j *jumpTable) apply(s state) state {
 	var o0, o1, o2, o3 uint64
 	for w, x := range s {

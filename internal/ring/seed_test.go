@@ -3,6 +3,7 @@ package ring
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -141,11 +142,12 @@ func TestUniformFromSeedIntoMatches(t *testing.T) {
 	}
 }
 
-// TestJumpMatchesStepping holds the nibble-table jump to the Go body's
-// own stepping: T^m·s is the state after drawing m words from s, for
-// one step, for runs shorter and as long as a vector block, for one
-// lane's run at N = 2^13 and for a whole row, from random states and
-// from the whitened all-zero seed.
+// TestJumpMatchesStepping holds the nibble-table jump to stepping the
+// state: T^m·s is the state m positions on, for one step, for runs
+// shorter and as long as a vector block, for one lane's run at N = 2^13
+// and for a whole row, from random states and from the whitened
+// all-zero seed. A ring's tower jump is T^N, at degrees below the lane
+// count too.
 func TestJumpMatchesStepping(t *testing.T) {
 	const n = 1 << 13
 	rng := rand.New(rand.NewSource(27))
@@ -154,11 +156,18 @@ func TestJumpMatchesStepping(t *testing.T) {
 		starts = append(starts, state{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
 	}
 	for _, m := range []int{1, 7, 8, n / lanes, n} {
-		jump := newJumpTable(m)
-		row := make([]uint64, m)
+		jump := newJumpTable(func(s state) state { return s.advance(m) })
 		for _, s := range starts {
-			if got, want := jump.apply(s), uniformGo(row, 3, s); got != want {
+			if got, want := jump.apply(s), s.advance(m); got != want {
 				t.Fatalf("m=%d from %x: jump gives %x, stepping %x", m, s, got, want)
+			}
+		}
+	}
+	for _, n := range []int{4, 16, 64, n} {
+		_, tower := genRing(t, n, 1, 30, 0, 30).jumps()
+		for _, s := range starts {
+			if got, want := tower.apply(s), s.advance(n); got != want {
+				t.Fatalf("N=%d from %x: tower jump gives %x, stepping %x", n, s, got, want)
 			}
 		}
 	}
@@ -218,17 +227,51 @@ func TestUniformBodiesAgree(t *testing.T) {
 	})
 }
 
+// drawsAsStream draws every tower of b alone, under the body vector
+// selects, and fails unless each is that row of refExpand's stream.
+func drawsAsStream(t *testing.T, r *Ring, b Basis, seed Seed) {
+	t.Helper()
+	want := refExpand(r, b, seed)
+	row := make([]uint64, r.N)
+	for i := range b {
+		r.UniformRowFromSeed(row, b, i, seed)
+		if !slices.Equal(row, want.Coeffs[i]) {
+			t.Fatalf("N=%d basis %v of %v, seed %x: tower %d drawn alone differs from the stream", r.N, b, r.Moduli, seed[:4], i)
+		}
+	}
+}
+
+// TestTowerDrawMatchesStream draws each tower of a polynomial on its
+// own, from the seed's state jumped by T^(i·N), under both bodies, and
+// wants row i of the whole polynomial's stream: at the vector body's
+// smallest N, a small one and the benchmark's, over a D basis of five
+// towers and over the 40/60/40-bit basis that crosses bodies.
+func TestTowerDrawMatchesStream(t *testing.T) {
+	EachExpander(t, func(t *testing.T) {
+		for _, n := range []int{64, 256, 8192} {
+			r := genRing(t, n, 3, 40, 2, 41)
+			for _, seed := range []Seed{{}, NewSampler(r, 3).NewSeed()} {
+				drawsAsStream(t, r, r.DBasis(2), seed)
+			}
+			mixed := genRing(t, n, 2, 40, 1, 60)
+			drawsAsStream(t, mixed, Basis{0, 2, 1}, Seed{3})
+		}
+	})
+}
+
 // FuzzUniformBodiesAgree draws any seed over a two-tower ring of
 // degree 2^4 to 2^13 (below the vector body's smallest N too) at each
 // width TestUniformBodiesAgree covers, and wants the division oracle's
-// stream from both bodies.
+// stream from both bodies, whole and a tower at a time. The tower index
+// sets how many towers the drawn basis lists (it names the ring's two
+// in turn), so the per-tower draw jumps up to seven towers on.
 func FuzzUniformBodiesAgree(f *testing.F) {
-	f.Add([]byte{}, uint8(9), uint8(2))
-	f.Add([]byte{1, 2, 3}, uint8(2), uint8(5))
-	f.Add(make([]byte, 32), uint8(0), uint8(4))
+	f.Add([]byte{}, uint8(9), uint8(2), uint8(0))
+	f.Add([]byte{1, 2, 3}, uint8(2), uint8(5), uint8(7))
+	f.Add(make([]byte, 32), uint8(0), uint8(4), uint8(3))
 	widths := []int{20, 30, 40, 49, 50, 51, 60}
 	rings := map[[2]int]*Ring{}
-	f.Fuzz(func(t *testing.T, seedBytes []byte, logN, width uint8) {
+	f.Fuzz(func(t *testing.T, seedBytes []byte, logN, width, tower uint8) {
 		n, w := 1<<(4+logN%10), widths[int(width)%len(widths)]
 		r := rings[[2]int{n, w}]
 		if r == nil {
@@ -237,7 +280,14 @@ func FuzzUniformBodiesAgree(f *testing.F) {
 		}
 		var seed Seed
 		copy(seed[:], seedBytes)
-		EachExpander(t, func(t *testing.T) { expandsAsDivision(t, r, r.QBasis(1), seed) })
+		b := make(Basis, 1+tower%8)
+		for i := range b {
+			b[i] = i % 2
+		}
+		EachExpander(t, func(t *testing.T) {
+			expandsAsDivision(t, r, r.QBasis(1), seed)
+			drawsAsStream(t, r, b, seed)
+		})
 	})
 }
 
@@ -255,8 +305,8 @@ func BenchmarkUniformFromSeedN8192(b *testing.B) {
 }
 
 // TestConcurrentFirstExpand has several goroutines make a fresh ring's
-// first expansions at once, so that under -race the lane jump is built
-// by one of them and read by all.
+// first expansions at once, so that under -race the jumps are built by
+// one of them and read by all.
 func TestConcurrentFirstExpand(t *testing.T) {
 	EachExpander(t, func(t *testing.T) {
 		r := genRing(t, 256, 2, 40, 0, 40)

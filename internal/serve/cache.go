@@ -13,8 +13,8 @@ package serve
 // The cache stores hks.KeyMaterial, not dense keys: a KeySource that
 // hands back seed-compressed material (SeedKeySource with compression
 // on) is charged the *compressed* footprint, so the same byte budget
-// holds roughly twice the keys, and the service expands on demand at
-// replay time — streamed, overlapping the hoist phase. DenseBytes in
+// holds roughly twice the keys, and the replay draws the A-half from the
+// seeds as its apply tiles need it. DenseBytes in
 // the stats is the what-if dense footprint of the resident set; its
 // ratio to Bytes is the measured compression the `ciflow serve` report
 // and `ablate-keycomp` print.
@@ -56,8 +56,8 @@ type KeyID struct {
 // backing store. The result is hks.KeyMaterial, the sealed union over
 // dense (*hks.Evk) and seed-compressed (*hks.CompressedEvk) keys, so a
 // source chooses the residency form it hands the cache: compressed
-// material is cached at its compressed footprint and expanded only at
-// replay time. Implementations must be safe for concurrent use and
+// material is cached at its compressed footprint and its A-half drawn
+// only inside a replay. Implementations must be safe for concurrent use and
 // should memoize in the form they hand out (ckks.KeyChain keeps a key
 // asked for compressed as B-halves and seeds only), so re-loading an
 // evicted key returns identical material, served results stay

@@ -52,7 +52,7 @@ type SeedKeySource struct {
 // NewSeedKeySource builds a source serving exactly the given tenants
 // from their TenantSeed-derived chains. With compress set, Key hands
 // the cache seed-compressed material (hks.CompressedEvk), halving the
-// resident footprint per key; the service expands at replay time.
+// resident footprint per key; a replay draws the A-half in its tiles.
 func NewSeedKeySource(ctx *ckks.Context, tenants []string, compress bool) (*SeedKeySource, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("serve: nil ckks context")

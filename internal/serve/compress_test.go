@@ -38,9 +38,9 @@ func (b *testBench) compressedSource(t *testing.T) KeySource {
 
 // TestCompressedServingBitExact serves a coalesced group and a
 // singleton from a compressed key source and checks every result
-// against the dense direct switch: the streamed expand-and-apply path
+// against the dense direct switch: drawing the A-half in the apply tiles
 // must change residency and scheduling, never values. It also pins the
-// expansion accounting — one expansion per served request (hits expand
+// expansion accounting — one expansion per served request (hits draw
 // too; that is the compression trade) — and the cache's two-footprint
 // books (DenseBytes > Bytes when compressed material is resident).
 func TestCompressedServingBitExact(t *testing.T) {
@@ -68,7 +68,7 @@ func TestCompressedServingBitExact(t *testing.T) {
 		want0, want1 := b.wantSwitch("", in, rot)
 		checkResult(t, <-chans[rot], want0, want1, fmt.Sprintf("coalesced rotation %d", rot))
 	}
-	// Singleton on a fresh input: the non-hoisted streamed path.
+	// Singleton on a fresh input: a group of one.
 	lone := b.input()
 	want0, want1 := b.wantSwitch("", lone, 1)
 	checkResult(t, do(svc, Request{Input: lone, Rot: 1}), want0, want1, "singleton")
@@ -235,10 +235,11 @@ func TestSeedKeySourceUnified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := matDense.(*hks.Evk); !ok {
+		dense, ok := matDense.(*hks.Evk)
+		if !ok {
 			t.Fatalf("dense source returned %T", matDense)
 		}
-		for _, evk := range []*hks.Evk{got, matDense.Dense(ctx.R)} {
+		for _, evk := range []*hks.Evk{got, dense} {
 			for j := range ref.B {
 				if !evk.B[j].Equal(ref.B[j]) || !evk.A[j].Equal(ref.A[j]) {
 					t.Fatalf("tenant %q digit %d differs from the seed-chain reference", tenant, j)

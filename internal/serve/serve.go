@@ -19,10 +19,9 @@
 //     per-tenant hit/miss/eviction/byte accounting. The cache stores
 //     hks.KeyMaterial: a source handing back seed-compressed keys
 //     (hks.CompressedEvk) is charged roughly half the dense footprint,
-//     so one budget holds twice the working set, and the service
-//     expands at replay time — one key ahead of the group's replays,
-//     the first beside the hoist phase, into recycled polynomials —
-//     bit-exact with the dense path.
+//     so one budget holds twice the working set. A compressed key
+//     replays as a dense one does — the engine's apply tiles draw its
+//     A-half from the seeds as they go — bit-exact with the dense path.
 //  2. Hoist groups: requests of one tenant on one input polynomial at
 //     one level share a single hks.Hoisted Decompose+ModUp and replay
 //     only ApplyKey+ModDown per key. A caller that knows its fan-out
@@ -594,8 +593,7 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 	type member struct {
 		p    *pending
 		mat  hks.KeyMaterial
-		keys time.Duration     // its key fetch, booked to the keys phase
-		st   *hks.ExpandStream // while a compressed key's expansion is in flight
+		keys time.Duration // its key fetch, booked to the keys phase
 	}
 	members := make([]member, 0, len(live))
 	for _, p := range live {
@@ -620,23 +618,12 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 		coalesced = uint64(len(live))
 	}
 	w.levels.add(level, 0, 1, coalesced)
-	// Compressed keys expand one member ahead: the first beside the
-	// hoist, each next one beside the replay before it. However wide
-	// the group, two expanded keys exist at a time, and the polynomials
-	// one replay hands back are the ones the expansion after next draws.
-	expand := func(i int) {
-		if i < len(members) {
-			members[i].st = w.startExpand(sw, members[i].mat)
-		}
-	}
-	expand(0)
 	t0 := time.Now()
 	h := sw.HoistParallel(e, df, in)
 	hoisted := time.Now()
 	w.phases.add(phaseHoist, hoisted.Sub(t0))
 	defer h.Release()
 	for i, m := range members {
-		expand(i + 1)
 		c0 := sw.R.GetPoly(sw.QBasis())
 		c1 := sw.R.GetPoly(sw.QBasis())
 		t1 := time.Now()
@@ -652,12 +639,12 @@ func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
 			}
 			w.phases.add(phaseGroupWait, t1.Sub(start)-booked)
 		}
-		if m.st != nil {
-			h.SwitchStreamedInto(e, m.st, c0, c1)
-			m.st.Release()
-		} else {
-			h.SwitchParallelInto(e, m.mat.(*hks.Evk), c0, c1)
+		// A compressed key is drawn in the replay's apply tiles, once per
+		// use — on cache hits too: that is the compression trade.
+		if _, ok := m.mat.(*hks.CompressedEvk); ok {
+			w.stats.expanded.Add(1)
 		}
+		h.SwitchParallelInto(e, m.mat, c0, c1)
 		w.phases.add(phaseReplay, time.Since(t1))
 		w.levels.add(level, 1, 0, 0)
 		w.finish(m.p, Result{C0: c0, C1: c1})
@@ -677,19 +664,6 @@ func (s *Service) getKey(w *tenantWorker, sw *hks.Switcher, id KeyID) (hks.KeyMa
 	took := time.Since(t0)
 	w.phases.add(phaseKeys, took)
 	return mat, took, err
-}
-
-// startExpand starts the seed expansion of compressed key material
-// (counted per use: expansion happens on cache hits too — that is the
-// compression trade) and returns the stream, which the caller replays
-// and must Release. Dense material is applied directly: nil.
-func (w *tenantWorker) startExpand(sw *hks.Switcher, mat hks.KeyMaterial) *hks.ExpandStream {
-	c, ok := mat.(*hks.CompressedEvk)
-	if !ok {
-		return nil
-	}
-	w.stats.expanded.Add(1)
-	return c.StartExpand(sw.R)
 }
 
 func (w *tenantWorker) finish(p *pending, res Result) {

@@ -28,7 +28,7 @@ type counters struct {
 	failed    atomic.Uint64
 	batches   atomic.Uint64
 	groups    atomic.Uint64
-	expanded  atomic.Uint64 // compressed keys expanded at replay time
+	expanded  atomic.Uint64 // compressed keys drawn in the apply tiles
 }
 
 // Request-lifecycle phases. Every served request passes through them
@@ -42,7 +42,7 @@ const (
 	phaseKeys             // key-cache fetch (and CheckMaterial) for the group
 	phaseHoist            // shared Decompose+ModUp (HoistParallel)
 	phaseGroupWait        // in a hoisted group, waiting on work booked to others
-	phaseReplay           // per-key replay (Switch*Into), expansion wait included
+	phaseReplay           // per-key replay (SwitchParallelInto), key drawing included
 	phaseReply            // result bookkeeping and delivery to the waiter
 	numPhases
 )
@@ -192,8 +192,8 @@ type TenantStats struct {
 	ModUps    uint64 `json:"mod_ups"`
 	Coalesced uint64 `json:"coalesced"`
 
-	// KeyExpansions counts this tenant's streamed seed expansions of
-	// compressed key material at replay time (0 for a dense source).
+	// KeyExpansions counts this tenant's replays of compressed key
+	// material, each drawn in the apply tiles (0 for a dense source).
 	KeyExpansions uint64 `json:"key_expansions"`
 
 	// CoalescingFactor is this tenant's served requests per ModUp.
@@ -255,10 +255,10 @@ type Stats struct {
 	ModUps    uint64 `json:"mod_ups"`   // Decompose+ModUp executions
 	Coalesced uint64 `json:"coalesced"` // requests served from a shared hoisted state
 
-	// KeyExpansions counts streamed seed expansions of compressed key
-	// material at replay time: every use of a compressed cache entry
-	// expands it once, overlapped with the hoist phase. 0 means the
-	// key source hands the cache dense keys.
+	// KeyExpansions counts compressed keys drawn in the apply tiles:
+	// every use of a compressed cache entry draws its A-half once,
+	// tower by tower, inside the replay. 0 means the key source hands
+	// the cache dense keys.
 	KeyExpansions uint64 `json:"key_expansions"`
 
 	// CoalescingFactor is served requests per ModUp execution: 1.0

@@ -447,7 +447,7 @@ func (rp *replayer) checkSerial(switchers serve.SwitcherSource, keys serve.KeySo
 			if err != nil {
 				return fmt.Errorf("workload: reference key for node %d: %w", id, err)
 			}
-			c0, c1 := sw.KeySwitch(in, mat.Dense(sw.R))
+			c0, c1 := sw.KeySwitch(in, mat)
 			c1s[id] = c1
 			if !c0.Equal(rp.results[id].C0) || !c1.Equal(rp.results[id].C1) {
 				// Name the node fully — stage, kind, rotation, level — so
