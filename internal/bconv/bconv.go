@@ -165,14 +165,33 @@ func (c *Converter) ConvertTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
 // the row that follows them, y[|src|][from:to]. The float sum runs in
 // ascending source order so chunked and serial evaluation agree
 // bit-exactly.
+//
+// Every ŷ is below its modulus, under 2^62, and the estimate is below
+// |src|, so converting through int64 gives the values the unsigned
+// conversions would, each in one instruction where Go's uint64↔float64
+// conversions branch. Three sources — ModDown out of the three P towers
+// of every shipped shape — run unrolled over row sub-slices of one
+// length, with no per-element bounds checks.
 func (c *Converter) Overshoot(y [][]uint64, from, to int) {
-	u := y[len(c.src)]
-	for k := from; k < to; k++ {
-		var v float64
-		for i := range c.src {
-			v += float64(y[i][k]) * c.srcInv[i]
+	u := y[len(c.src)][from:to]
+	inv := c.srcInv
+	if len(inv) == 3 {
+		y0, y1, y2 := y[0][from:to][:len(u)], y[1][from:to][:len(u)], y[2][from:to][:len(u)]
+		i0, i1, i2 := inv[0], inv[1], inv[2]
+		for k := range u {
+			v := float64(int64(y0[k])) * i0
+			v += float64(int64(y1[k])) * i1
+			v += float64(int64(y2[k])) * i2
+			u[k] = uint64(int64(v + 0.5))
 		}
-		u[k] = uint64(v + 0.5)
+		return
+	}
+	for k := range u {
+		var v float64
+		for i, row := range y[:len(inv)] {
+			v += float64(int64(row[from+k])) * inv[i]
+		}
+		u[k] = uint64(int64(v + 0.5))
 	}
 }
 

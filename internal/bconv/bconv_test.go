@@ -2,6 +2,7 @@ package bconv
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"ciflow/internal/mod"
@@ -189,6 +190,74 @@ func TestConvertOvershootBounded(t *testing.T) {
 			want := new(big.Int).Mod(xHat, cj).Uint64()
 			if out.Coeffs[j][k] != want {
 				t.Fatalf("tower %d coeff %d mismatch", j, k)
+			}
+		}
+	}
+}
+
+// refOvershoot is Overshoot as first written: one loop over the source
+// towers per coefficient, through Go's unsigned conversions.
+func refOvershoot(c *Converter, y [][]uint64, from, to int) {
+	u := y[len(c.src)]
+	for k := from; k < to; k++ {
+		var v float64
+		for i := range c.src {
+			v += float64(y[i][k]) * c.srcInv[i]
+		}
+		u[k] = uint64(v + 0.5)
+	}
+}
+
+// Overshoot's unrolled, int64-converting loops must write refOvershoot's
+// words over 1–5 source towers at the widths on both sides of the
+// shipped 40/41-bit moduli and near the 2^62 cap, with every ŷ at 0, at
+// b_i − 1 or uniform, whole-row and over a chunk that starts and ends
+// off a row boundary.
+func TestOvershootMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, bits := range []int{40, 41, 60, 61} {
+		r, err := ring.NewRingGenerated(64, 5, bits, 1, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for towers := 1; towers <= 5; towers++ {
+			c, err := New(r, r.QBasis(towers-1), r.PBasis())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]uint64, towers+1)
+			want := make([][]uint64, towers+1)
+			for i := range got {
+				got[i] = make([]uint64, r.N)
+				want[i] = make([]uint64, r.N)
+			}
+			for i, tw := range c.Src() {
+				b := r.Moduli[tw]
+				for k := range got[i] {
+					// Coefficients 0 and 1 are all-zero and all-maximal
+					// columns; the rest mix the three per tower.
+					switch v := rng.Intn(3); {
+					case k == 0 || k > 1 && v == 0:
+						got[i][k] = 0
+					case k == 1 || v == 1:
+						got[i][k] = b - 1
+					default:
+						got[i][k] = rng.Uint64() % b
+					}
+				}
+				copy(want[i], got[i])
+			}
+			for _, span := range [][2]int{{0, r.N}, {3, r.N - 5}} {
+				clear(got[towers])
+				clear(want[towers])
+				c.Overshoot(got, span[0], span[1])
+				refOvershoot(c, want, span[0], span[1])
+				for k := range got[towers] {
+					if got[towers][k] != want[towers][k] {
+						t.Fatalf("%d-bit, %d towers, coefficients [%d,%d): u[%d] = %d, oracle %d",
+							bits, towers, span[0], span[1], k, got[towers][k], want[towers][k])
+					}
+				}
 			}
 		}
 	}

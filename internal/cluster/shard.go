@@ -234,6 +234,7 @@ func (s *Shard) handle(conn net.Conn) {
 				for i := range g.Rots {
 					s.writeResult(fw, &WireResult{ReqID: g.BaseID + uint64(i), Code: ResultRequeue})
 				}
+				s.cctx.R.PutPoly(g.Input)
 				continue
 			}
 			go s.runGroup(fw, g)
@@ -265,7 +266,9 @@ func (s *Shard) handle(conn net.Conn) {
 // whole or not at all, so a refused frame fails every member. The
 // service draws result polynomials from the ring's pool and nobody but
 // this goroutine holds them, so once a result's frame has been written
-// they go back for the next replay to draw.
+// they go back for the next replay to draw. The group's input was drawn
+// from the pool by DecodeGroup; the service reads it no more once the
+// group's last result is out, and it goes back after that frame.
 func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 	defer s.inflight.Done()
 	reqs := make([]serve.Request, len(g.Rots))
@@ -291,6 +294,7 @@ func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 			s.cctx.R.PutPoly(wr.C1)
 		}
 	}
+	s.cctx.R.PutPoly(g.Input)
 }
 
 // writeResult sends one result; a dead connection is the router's

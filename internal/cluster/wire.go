@@ -270,7 +270,8 @@ func EncodeGroup(r *ring.Ring, g *Group) ([]byte, error) { return encode(r, g) }
 
 // DecodeGroup decodes a FrameGroup payload, validating the member
 // count, tenant length, dataflow, and the input polynomial against r.
-// The group aliases nothing in payload.
+// The group aliases nothing in payload; its input is drawn from r's
+// pool, like a result's polynomials.
 func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
 	b := payload
 	id, ok := take(&b, 8)
@@ -374,7 +375,8 @@ func (wr *WireResult) appendTo(dst []byte, r *ring.Ring) ([]byte, error) {
 func EncodeResult(r *ring.Ring, wr *WireResult) ([]byte, error) { return encode(r, wr) }
 
 // DecodeResult decodes a FrameResult payload. The polynomials are
-// fresh and the caller's; nothing aliases payload.
+// drawn from r's pool (ring.DecodePoly) and the caller's, to keep or
+// hand back with PutPoly; nothing aliases payload.
 func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
 	b := payload
 	head, ok := take(&b, 9)

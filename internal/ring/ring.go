@@ -195,8 +195,15 @@ func (r *Ring) GetPoly(b Basis) *Poly {
 	return r.NewPoly(b)
 }
 
-// PutPoly hands a polynomial obtained from GetPoly back to the ring.
-// It must not be used afterwards.
+// PutPoly hands a polynomial obtained from GetPoly (or DecodePoly) back
+// to the ring. It must not be used afterwards, and it goes back once.
+// Hand back only what the pool produced: a pool's contents count as
+// live heap until the next GC but one, so polynomials allocated
+// elsewhere and put here raise every GC goal. In bench/'s bootstrap
+// replays, handing back the sampled root inputs as well raised
+// replay_bootstrap's peak RSS from about 250 to 370 MB, and handing
+// back results the router had decoded into fresh polynomials raised
+// cluster_bootstrap's from about 560 MB to 3.8–4.4 GB.
 func (r *Ring) PutPoly(p *Poly) { r.recycled[len(p.Basis)].Put(p) }
 
 // Copy returns a deep copy of p.

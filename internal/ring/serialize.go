@@ -126,12 +126,13 @@ func (r *Ring) WritePoly(w io.Writer, p *Poly) error {
 	return nil
 }
 
-// DecodePoly decodes one polynomial from the front of b into a fresh
-// polynomial the caller owns — nothing aliases b afterwards — and
-// returns the bytes that follow it. The header, every basis index and
-// every residue are validated against this ring, and a b too short for
-// the polynomial its header declares is refused before the polynomial
-// is allocated.
+// DecodePoly decodes one polynomial from the front of b into one drawn
+// from the pool (GetPoly), which the caller owns and may hand back with
+// PutPoly — nothing aliases b afterwards — and returns the bytes that
+// follow it. Every row, the basis and the domain flag are overwritten.
+// The header, every basis index and every residue are validated against
+// this ring, and a b too short for the polynomial its header declares
+// is refused before a polynomial is drawn.
 func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
 	if len(b) < polyHeaderSize {
 		return nil, nil, fmt.Errorf("ring: short poly header: %w", io.ErrUnexpectedEOF)
@@ -166,10 +167,11 @@ func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
 		basis[i] = int(t)
 	}
 	b = b[4*nt:]
-	p := r.NewPoly(basis)
+	p := r.GetPoly(basis)
 	p.IsNTT = flag == 1
 	for i, t := range basis {
 		if err := getRow(p.Coeffs[i], b, r.Mods[t].Q); err != nil {
+			r.PutPoly(p)
 			return nil, nil, err
 		}
 		b = b[8*r.N:]

@@ -10,22 +10,42 @@ import (
 	"testing"
 )
 
+// DecodePoly draws its polynomial from the ring's pool, so the dirty
+// case first hands back one of the same length over another basis, in
+// the other domain, with every residue out of range: decoding must
+// overwrite every row, the basis and the flag.
 func TestPolyRoundTrip(t *testing.T) {
 	r := quickRing(t)
 	for _, basis := range []Basis{r.QBasis(2), r.PBasis(), r.DBasis(1)} {
 		for _, nttDomain := range []bool{false, true} {
-			p := NewSampler(r, 3).Uniform(basis)
-			p.IsNTT = nttDomain
-			var buf bytes.Buffer
-			if err := r.WritePoly(&buf, p); err != nil {
-				t.Fatal(err)
-			}
-			got, rest, err := r.DecodePoly(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(p) || len(rest) != 0 {
-				t.Fatalf("basis %v ntt=%v: roundtrip mismatch", basis, nttDomain)
+			for _, dirty := range []bool{false, true} {
+				p := NewSampler(r, 3).Uniform(basis)
+				p.IsNTT = nttDomain
+				var buf bytes.Buffer
+				if err := r.WritePoly(&buf, p); err != nil {
+					t.Fatal(err)
+				}
+				if dirty {
+					other := make(Basis, len(basis))
+					for i, tw := range basis {
+						other[i] = (tw + 1) % len(r.Moduli)
+					}
+					junk := r.NewPoly(other)
+					junk.IsNTT = !nttDomain
+					for _, row := range junk.Coeffs {
+						for j := range row {
+							row[j] = ^uint64(j)
+						}
+					}
+					r.PutPoly(junk)
+				}
+				got, rest, err := r.DecodePoly(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(p) || len(rest) != 0 {
+					t.Fatalf("basis %v ntt=%v dirty=%v: roundtrip mismatch", basis, nttDomain, dirty)
+				}
 			}
 		}
 	}

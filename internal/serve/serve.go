@@ -134,9 +134,11 @@ type Request struct {
 // cancelled while the request was still queued). The pair is the
 // receiver's, for good: the service draws it from the ring's pool
 // (ring.GetPoly; the replay overwrites every row) and never touches it
-// again. A receiver that is done with a pair and is its only holder —
-// the cluster shard, once the result frame is written — may hand it
-// back with ring.PutPoly; one that keeps its results just keeps them.
+// again. A receiver that is done with a pair and is its only holder may
+// hand it back with ring.PutPoly: the cluster shard once the result
+// frame is written, and an unchecked workload.Replay once no later
+// group will derive its input from the pair. One that keeps its results
+// just keeps them.
 type Result struct {
 	C0, C1 *ring.Poly
 	Err    error

@@ -10,11 +10,10 @@ package workload
 // would use an input that does not exist yet, and the serial reference
 // check would catch any service that reordered the work.
 //
-// Because a group is one call and derived inputs are fresh polynomials
-// with fresh values, the measured serve counters must match the
-// schedule's Counts() exactly — one ModUp per group, zero coalesces
-// outside hoist groups — whatever the timing, which Replay asserts and
-// reports.
+// Because a group is one call and derived inputs carry fresh values,
+// the measured serve counters must match the schedule's Counts()
+// exactly — one ModUp per group, zero coalesces outside hoist groups —
+// whatever the timing, which Replay asserts and reports.
 
 import (
 	"context"
@@ -62,7 +61,10 @@ type ReplayConfig struct {
 	Seed int64
 	// Check re-executes the schedule serially (direct hks.KeySwitch
 	// per node, same derived inputs, same keys) and compares every
-	// output bit for bit.
+	// output bit for bit. Without it the replay hands every result
+	// pair back to r's pool once done with it (ring.PutPoly), so the
+	// server must draw them from that pool, as serve.Service and the
+	// cluster router do.
 	Check bool
 }
 
@@ -127,7 +129,12 @@ type replayer struct {
 	basis   map[int]ring.Basis // level -> B_level
 
 	groups  [][]int
+	inputs  []*ring.Poly // group -> its submitted input
 	results []serve.Result
+
+	// deriveInput's per-tower operands, reused from group to group.
+	rows  [][]uint64
+	salts []uint64
 
 	depViolations int
 }
@@ -146,11 +153,13 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	groups := s.Groups()
 	rp := &replayer{
 		s: s, svc: svc, cfg: cfg, r: r,
 		sampler: ring.NewSampler(r, cfg.Seed),
 		basis:   map[int]ring.Basis{},
-		groups:  s.Groups(),
+		groups:  groups,
+		inputs:  make([]*ring.Poly, len(groups)),
 		results: make([]serve.Result, len(s.Nodes)),
 	}
 	for _, n := range s.Nodes {
@@ -245,15 +254,16 @@ func (s *Schedule) CompareBooks(before, after serve.Stats, times int) []string {
 // deriveInput computes one group's shared input polynomial: root
 // groups draw from sample, derived groups sum the predecessors' c1
 // outputs (via the c1 accessor, restricted to this node's possibly
-// lower level) and scale by a per-group constant. The scaling
-// matters: sibling groups sharing one predecessor set (a BSGS stage's
-// giants, whose inner sums differ only by plaintext diagonals the
-// replay does not model) must carry *distinct values*, not merely
-// distinct storage, so the zero-coalescing-outside-hoist-groups
-// invariant holds against any bit-exact executor, not just one that
-// groups by pointer identity. The live replay and the serial
-// reference both go through this one function, so the two sides
-// cannot drift.
+// lower level) scaled by a per-group constant — per tower one
+// multiply-sum, Σ c1·salt mod q, into a polynomial drawn from the
+// ring's pool. The scaling matters: sibling groups sharing one
+// predecessor set (a BSGS stage's giants, whose inner sums differ only
+// by plaintext diagonals the replay does not model) must carry
+// *distinct values*, not merely distinct storage, so the
+// zero-coalescing-outside-hoist-groups invariant holds against any
+// bit-exact executor, not just one that groups by pointer identity.
+// The live replay and the serial reference both go through this one
+// function, so the two sides cannot drift.
 func (rp *replayer) deriveInput(gi int, c1 func(id int) *ring.Poly, sample func(ring.Basis) *ring.Poly) *ring.Poly {
 	n0 := rp.s.Nodes[rp.groups[gi][0]]
 	qb := rp.basis[n0.Level]
@@ -262,13 +272,22 @@ func (rp *replayer) deriveInput(gi int, c1 func(id int) *ring.Poly, sample func(
 		p.IsNTT = true
 		return p
 	}
-	acc := rp.r.NewPoly(qb)
-	acc.IsNTT = true
-	for _, d := range n0.Deps {
-		rp.r.Add(acc, c1(d).SubPoly(qb), acc)
+	p := rp.r.GetPoly(qb)
+	p.IsNTT = true
+	for i, t := range qb {
+		m := rp.r.Mods[t]
+		rp.rows, rp.salts = rp.rows[:0], rp.salts[:0]
+		salt := m.Reduce(groupSalt(gi))
+		for _, d := range n0.Deps {
+			row := c1(d).Tower(t)
+			if row == nil {
+				panic(fmt.Sprintf("workload: node %d's output has no tower %d for group %d", d, t, gi))
+			}
+			rp.rows, rp.salts = append(rp.rows, row), append(rp.salts, salt)
+		}
+		m.MulSumScalars(p.Coeffs[i], rp.rows, rp.salts, m.Q)
 	}
-	rp.r.MulScalar(acc, groupSalt(gi), acc)
-	return acc
+	return p
 }
 
 // groupInput is deriveInput over the live replay's served results.
@@ -351,6 +370,7 @@ type nodeDone struct {
 
 func (rp *replayer) submitGroup(ctx context.Context, gi int, ch chan<- nodeDone) error {
 	in := rp.groupInput(gi)
+	rp.inputs[gi] = in
 	ids := rp.groups[gi]
 	reqs := make([]serve.Request, len(ids))
 	for i, id := range ids {
@@ -372,22 +392,47 @@ func (rp *replayer) submitGroup(ctx context.Context, gi int, ch chan<- nodeDone)
 
 // run drives the event loop: root groups first, then each group the
 // moment its last predecessor completes.
+//
+// Without the serial check nothing reads a polynomial once its last
+// reader is done, so each goes back to the ring's pool then, for the
+// next wave to draw: a result's c0 on arrival; its c1 once the last
+// dependent group has derived its input from it (a sink's on arrival);
+// a derived input after its group's last result, when no queued
+// request can still hold it. Root inputs came from the sampler, not
+// the pool, and are not handed back (see ring.PutPoly).
 func (rp *replayer) run(ctx context.Context) error {
 	remaining := make([]int, len(rp.groups))
-	waiters := map[int][]int{} // node ID -> dependent group indices
+	undelivered := make([]int, len(rp.groups)) // group -> results still due
+	waiters := map[int][]int{}                 // node ID -> dependent group indices
 	for gi, g := range rp.groups {
 		deps := rp.s.Nodes[g[0]].Deps
-		remaining[gi] = len(deps)
+		remaining[gi], undelivered[gi] = len(deps), len(g)
 		for _, d := range deps {
 			waiters[d] = append(waiters[d], gi)
 		}
 	}
+	recycle := !rp.cfg.Check
+	readers := make([]int, len(rp.s.Nodes)) // node ID -> groups yet to derive from its c1
+	for id, gs := range waiters {
+		readers[id] = len(gs)
+	}
 	// Buffered for every node so in-flight completion forwarders can
 	// never leak, even on an early error return.
 	ch := make(chan nodeDone, len(rp.s.Nodes))
+	submit := func(gi int) error {
+		if err := rp.submitGroup(ctx, gi, ch); err != nil {
+			return err
+		}
+		for _, d := range rp.s.Nodes[rp.groups[gi][0]].Deps {
+			if readers[d]--; recycle && readers[d] == 0 {
+				rp.r.PutPoly(rp.results[d].C1)
+			}
+		}
+		return nil
+	}
 	for gi := range rp.groups {
 		if remaining[gi] == 0 {
-			if err := rp.submitGroup(ctx, gi, ch); err != nil {
+			if err := submit(gi); err != nil {
 				return err
 			}
 		}
@@ -413,10 +458,21 @@ func (rp *replayer) run(ctx context.Context) error {
 		for _, gi := range waiters[d.id] {
 			remaining[gi]--
 			if remaining[gi] == 0 {
-				if err := rp.submitGroup(ctx, gi, ch); err != nil {
+				if err := submit(gi); err != nil {
 					return err
 				}
 			}
+		}
+		if !recycle {
+			continue
+		}
+		rp.r.PutPoly(d.res.C0)
+		if len(waiters[d.id]) == 0 {
+			rp.r.PutPoly(d.res.C1)
+		}
+		gi := rp.s.Nodes[d.id].Group
+		if undelivered[gi]--; undelivered[gi] == 0 && len(rp.s.Nodes[d.id].Deps) > 0 {
+			rp.r.PutPoly(rp.inputs[gi])
 		}
 	}
 	return nil

@@ -18,11 +18,18 @@ import (
 // ring, configured for a replay of s.
 func testService(t *testing.T, s *Schedule, towers, dnum int) (*serve.Service, *ckks.Context, *serve.SeedKeySource, func()) {
 	t.Helper()
-	cctx, err := ckks.NewContext(32, towers, 40, 3, 41, dnum)
+	return ringService(t, s, 32, towers, dnum, "t0")
+}
+
+// ringService is testService over a ring of degree n for the given
+// tenants.
+func ringService(t *testing.T, s *Schedule, n, towers, dnum int, tenants ...string) (*serve.Service, *ckks.Context, *serve.SeedKeySource, func()) {
+	t.Helper()
+	cctx, err := ckks.NewContext(n, towers, 40, 3, 41, dnum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chains, err := serve.NewSeedKeySource(cctx, []string{"t0"}, false)
+	chains, err := serve.NewSeedKeySource(cctx, tenants, false)
 	if err != nil {
 		t.Fatal(err)
 	}
