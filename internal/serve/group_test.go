@@ -40,10 +40,10 @@ func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots 
 
 // A sealed group is one ModUp however wide, dense and compressed keys
 // both. "hour window" is a group narrower than maxBatch: it runs at
-// once, never held open for the gather window whatever its length.
-// "batch of one" is a group one wider than maxBatch: it is not split,
-// as a batch limit below its width never split it. In both a group of
-// one then runs like any other, without the coalesce credit.
+// once, however long it would have to wait for more. "batch of one" is
+// a group one wider than maxBatch: it is not split, as a batch limit
+// below its width never split it. In both a group of one then runs like
+// any other, without the coalesce credit.
 func TestSubmitGroupOneModUp(t *testing.T) {
 	const K = 5
 	for _, tc := range []struct {
@@ -89,7 +89,7 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 			}
 			b.checkGroup(t, "", lone, []int{2}, chans, "group of one")
 			if d := time.Since(start); d > time.Minute {
-				t.Fatalf("two groups took %v: something waited on the window", d)
+				t.Fatalf("two groups took %v: something waited for more requests", d)
 			}
 
 			st := svc.Stats()
@@ -288,7 +288,7 @@ func TestSealedAndSubmitInterleaved(t *testing.T) {
 				t.Fatalf("served %d failed %d, want %d/0", st.Served, st.Failed, want)
 			}
 			// 2·rounds sealed groups at one ModUp each; the 2·rounds·K
-			// plain requests cost between one per gather and one each.
+			// plain requests cost between one per group and one each.
 			sealed, plain := uint64(2*rounds), uint64(2*rounds*K)
 			if st.ModUps <= sealed || st.ModUps > sealed+plain {
 				t.Fatalf("mod_ups %d outside (%d, %d]", st.ModUps, sealed, sealed+plain)
@@ -363,15 +363,20 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 }
 
 // The lifecycle phases come out in canonical order, group_wait is
-// booked once per member of a hoisted group and never for a singleton,
-// and summing keeps the order whatever order the operands arrive in.
+// booked once per member of a hoisted group — joiners included — and
+// never for a singleton, a joined group's phases sum to its requests'
+// latencies, the service's phases are the sum of its tenants', and
+// summing keeps the order whatever order the operands arrive in.
 func TestGroupWaitPhase(t *testing.T) {
 	const K = 4
 	canonical := []string{"enqueue", "dispatch", "keys", "hoist", "group_wait", "replay", "reply"}
-	b := newTestBench(t, K)
+	b := newTestBench(t, K, "", "j")
 	e := engine.New(2)
 	defer e.Close()
-	svc, err := New(b.pool, b.compressedSource(t), b.config(Config{Engine: e}))
+	// Tenant j's first load of rotation 0 parks until released; see the
+	// joined group below.
+	src, entered, release := gating(b.compressedSource(t), func(id KeyID) bool { return id.Tenant == "j" && id.Rot == 0 }, nil)
+	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +409,28 @@ func TestGroupWaitPhase(t *testing.T) {
 	}
 	b.checkGroup(t, "", in, []int{0, 1, 2, 3}, chans, "group")
 
+	// A joined group on tenant j: rotation 0 opens it alone and parks in
+	// its key load, rotations 1..K-1 queue behind it and join after its
+	// ModUp. The gate is held for a while so that a joiner's wait booked
+	// from the group's start instead of its join would show in the sums.
+	jin := b.input()
+	jchans := []<-chan Result{hold(t, svc, entered, Request{Input: jin, Rot: 0, Tenant: "j"})}
+	for k := 1; k < K; k++ {
+		ch, err := svc.Submit(context.Background(), Request{Input: jin, Rot: k, Tenant: "j"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jchans = append(jchans, ch)
+	}
+	const held = 20 * time.Millisecond
+	time.Sleep(held)
+	close(release)
+	b.checkGroup(t, "j", jin, []int{0, 1, 2, 3}, jchans, "joined group")
+
 	// finish times the channel send, so it books the reply phase after
 	// the result is already in hand: wait for the last booking.
 	replied := func(st Stats) bool {
-		return count(st.Phases, "reply") >= K+1 && count(tenantStats(t, st, "").Phases, "reply") >= K+1
+		return count(tenantStats(t, st, "").Phases, "reply") >= K+1 && count(tenantStats(t, st, "j").Phases, "reply") >= K
 	}
 	st := svc.Stats()
 	for deadline := time.Now().Add(5 * time.Second); !replied(st) && time.Now().Before(deadline); st = svc.Stats() {
@@ -416,16 +439,59 @@ func TestGroupWaitPhase(t *testing.T) {
 	if got := names(st.Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
 		t.Fatalf("phases %v, want %v", got, canonical)
 	}
-	if got := names(tenantStats(t, st, "").Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
-		t.Fatalf("tenant phases %v, want %v", got, canonical)
-	}
-	for phase, want := range map[string]uint64{
-		"enqueue": K + 1, "dispatch": K + 1, "keys": K + 1, "hoist": 2,
-		"group_wait": K, "replay": K + 1, "reply": K + 1,
-	} {
-		if got := count(st.Phases, phase); got != want {
-			t.Errorf("phase %s counted %d, want %d", phase, got, want)
+	var sum []PhaseStats
+	for _, tenant := range []string{"", "j"} {
+		ts := tenantStats(t, st, tenant)
+		if got := names(ts.Phases); fmt.Sprint(got) != fmt.Sprint(canonical) {
+			t.Fatalf("tenant %q phases %v, want %v", tenant, got, canonical)
 		}
+		sum = addPhases(sum, ts.Phases)
+	}
+	if fmt.Sprint(sum) != fmt.Sprint(st.Phases) {
+		t.Fatalf("service phases %v, want the tenants' sum %v", st.Phases, sum)
+	}
+	for _, c := range []struct {
+		phases []PhaseStats
+		want   map[string]uint64
+	}{
+		{st.Phases, map[string]uint64{
+			"enqueue": 2*K + 1, "dispatch": 2*K + 1, "keys": 2*K + 1, "hoist": 3,
+			"group_wait": 2 * K, "replay": 2*K + 1, "reply": 2*K + 1,
+		}},
+		{tenantStats(t, st, "j").Phases, map[string]uint64{
+			"enqueue": K, "dispatch": K, "keys": K, "hoist": 1,
+			"group_wait": K, "replay": K, "reply": K,
+		}},
+	} {
+		for phase, want := range c.want {
+			if got := count(c.phases, phase); got != want {
+				t.Errorf("phase %s counted %d, want %d", phase, got, want)
+			}
+		}
+	}
+
+	// A request's phases up to its reply telescope to its latency, which
+	// the service records just before the reply: tenant j's phases less
+	// its replies fall short of its latencies only by the few
+	// instructions between a replay ending and its finish starting.
+	svc.mu.RLock()
+	jw := svc.workers["j"]
+	svc.mu.RUnlock()
+	var lat, booked time.Duration
+	for _, d := range jw.lats.window() {
+		lat += d
+	}
+	for _, p := range tenantStats(t, st, "j").Phases {
+		if p.Phase != "reply" {
+			booked += time.Duration(p.TotalNs)
+		}
+	}
+	if gap := lat - booked; gap < 0 || gap > K*time.Millisecond {
+		t.Errorf("tenant j booked %v of phases before its replies against %v of latency: gap %v outside [0, %v]",
+			booked, lat, gap, K*time.Millisecond)
+	}
+	if lat < K*held {
+		t.Errorf("tenant j latencies sum to %v, under the %v its requests were held", lat, K*held)
 	}
 
 	// addPhases: canonical order from shuffled operands, sums exact, a

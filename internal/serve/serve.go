@@ -27,20 +27,22 @@
 //     only ApplyKey+ModDown per key. A caller that knows its fan-out
 //     hands it over whole with SubmitGroup: one call, one queue item,
 //     one ModUp, no waiting. Separate Submit calls that happen to
-//     carry the same input pointer are coalesced into a group by the
-//     dispatcher. Either way a group is scoped to one
-//     (tenant, level, input, dataflow), so keyspaces never share
-//     hoisted state.
+//     carry the same input pointer are coalesced into a group: those
+//     queued together share a batch's group, and those that arrive
+//     while a group's ModUp runs join it before its replays. Either
+//     way a group is scoped to one (tenant, level, input, dataflow),
+//     so keyspaces never share hoisted state.
 //  3. Per-tenant micro-batching with isolation: every tenant gets its
 //     own dispatcher goroutine and its own bounded queue of
-//     submissions (capacity queueDepth each). A batch opened by a
-//     Submit gathers for at most gatherWindow and closes early at
-//     maxBatch — that window is what lets separate calls meet — while
-//     a batch holding a SubmitGroup takes what is already queued and
-//     runs. Backpressure is per tenant — a hot tenant saturating its
-//     queue blocks only its own producers, and a tenant's slow key
-//     loads stall only its own dispatcher — while all tenants share
-//     one engine and one switcher pool.
+//     submissions (capacity queueDepth each). A batch takes what is
+//     already queued, up to maxBatch requests, and runs at once: no
+//     batch waits for more. The wait that lets separate Submit calls
+//     meet is the group's own ModUp, after which an unsealed group
+//     drains the queue's matching head into its replays. Backpressure
+//     is per tenant — a hot tenant saturating its queue blocks only
+//     its own producers, and a tenant's slow key loads stall only its
+//     own dispatcher — while all tenants share one engine and one
+//     switcher pool.
 //
 // The books are kept once, at the tenant (stats.go): a tenant's worker
 // owns the only live counters, level slices, phase clocks and latency
@@ -118,9 +120,10 @@ type TenantChecker interface {
 // a stream at literal level 0 needs DefaultLevel left at 0. A caller
 // that knows several requests share one Input passes them to
 // SubmitGroup together. Input pointer identity is how *separate*
-// Submit calls meet: those of one tenant queued together with the same
-// Input pointer, Level, and Dataflow coalesce onto one shared hoisted
-// ModUp; requests of different tenants never coalesce.
+// Submit calls meet: those of one tenant with the same Input pointer,
+// Level, and Dataflow that are queued together, or that arrive while
+// such a group's ModUp runs, coalesce onto one shared hoisted ModUp;
+// requests of different tenants never coalesce.
 type Request struct {
 	Input    *ring.Poly
 	Rot      int
@@ -145,20 +148,15 @@ type Result struct {
 }
 
 // The batching constants. A tenant's batch closes once maxBatch requests
-// are pending; a SubmitGroup call is never split, it joins a batch
-// whole, however long. gatherWindow is how long a tenant's dispatcher
-// waits for more requests after a Submit opens a batch: under load the
-// queue is never empty and the window is irrelevant; idle, it is the
-// latency cost of coalescing separate Submit calls, and a SubmitGroup
-// call never waits on it. queueDepth bounds each tenant's queue, in
-// Submit and SubmitGroup calls: a full queue blocks that tenant's
-// submitters — backpressure — until its dispatcher drains or the
-// submitter's context is cancelled; other tenants' queues are
-// unaffected.
+// are pending, and an unsealed group grows by joins to at most maxBatch
+// members; a SubmitGroup call is never split, it joins a batch whole,
+// however long. queueDepth bounds each tenant's queue, in Submit and
+// SubmitGroup calls: a full queue blocks that tenant's submitters —
+// backpressure — until its dispatcher drains or the submitter's context
+// is cancelled; other tenants' queues are unaffected.
 const (
-	maxBatch     = 64
-	gatherWindow = 200 * time.Microsecond
-	queueDepth   = 4 * maxBatch
+	maxBatch   = 64
+	queueDepth = 4 * maxBatch
 )
 
 // Config tunes the service; zero values select the documented
@@ -194,7 +192,7 @@ type pending struct {
 // SubmitGroup call. A sealed submission is a hoist group its caller
 // declared whole — it runs as exactly one group and waits for nobody;
 // an unsealed one holds a single request, open to coalescing with
-// other unsealed requests of its batch.
+// other unsealed requests of its batch and to joining a running group.
 type submission struct {
 	reqs   []*pending
 	sealed bool
@@ -217,6 +215,14 @@ type tenantWorker struct {
 	// progress because the dispatcher keeps draining the queue.
 	mu     sync.RWMutex
 	closed bool
+
+	// carry is the one submission a group's join popped and could not
+	// take: sealed, or of another groupKey. The dispatcher opens its next
+	// batch from it before it reads the queue, so the tenant's FIFO
+	// order holds. Between batches only the dispatcher touches it;
+	// carryMu orders the joins of one batch's concurrent groups.
+	carryMu sync.Mutex
+	carry   submission // reqs == nil: empty
 
 	stats  counters
 	levels levelCounters
@@ -390,9 +396,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error
 // call fails and nothing is enqueued. It then runs as exactly one
 // group — one Decompose+ModUp however long it is and whatever else is
 // queued, never split by maxBatch, never merged with another call's
-// requests even on an equal Input pointer — and without waiting out the
-// gather window. ctx and backpressure are as for Submit, for the call
-// as a whole.
+// requests even on an equal Input pointer, never joined by a later
+// Submit. ctx and backpressure are as for Submit, for the call as a
+// whole.
 func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Result, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
@@ -449,68 +455,87 @@ func (s *Service) Close() {
 	}
 }
 
-// ---- Per-tenant dispatchers: adaptive micro-batching ----
+// ---- Per-tenant dispatchers: micro-batching without waiting ----
 
 func (s *Service) dispatch(w *tenantWorker) {
 	defer close(w.done)
 	for {
-		sub, ok := <-w.queue
-		if !ok {
-			return
+		// No group runs between batches, so the carry is the
+		// dispatcher's here.
+		first := w.carry
+		w.carry = submission{}
+		if first.reqs == nil {
+			var ok bool
+			if first, ok = <-w.queue; !ok {
+				return
+			}
+			w.popped(first)
 		}
-		s.runBatch(w, s.gather(w, sub))
+		s.runBatch(w, s.gather(w, first))
 	}
 }
 
-// gather fills the batch that first opened from the tenant's queue
-// until maxBatch requests are pending or gatherWindow has elapsed
-// since the batch opened. A backlogged queue fills the batch without
-// waiting on the timer, and a batch holding a sealed submission never
-// waits: its caller declared the group complete, so it takes what is
-// already queued and runs.
+// gather adds to the batch that first opened what the tenant's queue
+// already holds, until maxBatch requests are pending, and never waits:
+// a Submit that arrives while the batch runs joins one of its groups
+// (join) or opens the next batch.
 func (s *Service) gather(w *tenantWorker, first submission) []submission {
 	batch := []submission{first}
-	n, sealed := w.popped(first), first.sealed
-	var timeout <-chan time.Time
-	if !sealed && n < maxBatch {
-		timer := time.NewTimer(gatherWindow)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for n < maxBatch {
-		var sub submission
-		var ok bool
-		select {
-		case sub, ok = <-w.queue:
-		default:
-			if sealed {
-				return batch
-			}
-			select {
-			case sub, ok = <-w.queue:
-			case <-timeout:
-				return batch
-			}
-		}
+	for n := len(first.reqs); n < maxBatch; {
+		sub, ok := w.tryPop()
 		if !ok {
-			return batch
+			break
 		}
 		batch = append(batch, sub)
-		n += w.popped(sub)
-		sealed = sealed || sub.sealed
+		n += len(sub.reqs)
 	}
 	return batch
 }
 
-// popped stamps a submission's requests as dequeued, books their
-// enqueue phase, and returns how many there are.
-func (w *tenantWorker) popped(sub submission) int {
+// join drains the tenant's queue, without waiting, into a running
+// unsealed group with key k: every unsealed request at the head of the
+// queue with that key joins, up to room of them. The first submission
+// popped that does not match goes to the carry and ends the drain; a
+// full carry ends it before it starts.
+func (w *tenantWorker) join(k groupKey, room int) []*pending {
+	w.carryMu.Lock()
+	defer w.carryMu.Unlock()
+	var joined []*pending
+	for w.carry.reqs == nil && len(joined) < room {
+		sub, ok := w.tryPop()
+		if !ok {
+			break
+		}
+		if sub.sealed || groupKeyOf(sub.reqs[0]) != k {
+			w.carry = sub
+		} else {
+			joined = append(joined, sub.reqs[0])
+		}
+	}
+	return joined
+}
+
+// tryPop pops the tenant's next submission if one is queued, stamped
+// popped; ok is false on an empty or closed queue.
+func (w *tenantWorker) tryPop() (sub submission, ok bool) {
+	select {
+	case sub, ok = <-w.queue:
+		if ok {
+			w.popped(sub)
+		}
+	default:
+	}
+	return sub, ok
+}
+
+// popped stamps a submission's requests as dequeued and books their
+// enqueue phase.
+func (w *tenantWorker) popped(sub submission) {
 	now := time.Now()
 	for _, p := range sub.reqs {
 		p.deq = now
 		w.phases.add(phaseEnqueue, now.Sub(p.enq))
 	}
-	return len(sub.reqs)
 }
 
 // groupKey routes an unsealed request within one tenant's batch: the
@@ -530,18 +555,18 @@ func groupKeyOf(p *pending) groupKey {
 }
 
 // runBatch forms one tenant's batch into groups — each sealed
-// submission is one, and the unsealed requests group among themselves
-// by (level, input, dataflow) — and executes the groups concurrently
-// on the shared engine. Group execution nests engine parallel sections
-// (the hoist and replay graphs), which the engine supports by
-// construction.
+// submission is one, and the unsealed requests merge into one unsealed
+// submission per (level, input, dataflow) — and executes the groups
+// concurrently on the shared engine. Group execution nests engine
+// parallel sections (the hoist and replay graphs), which the engine
+// supports by construction.
 func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 	w.stats.batches.Add(1)
-	var groups [][]*pending
+	var groups []submission
 	byKey := make(map[groupKey]int)
 	for _, sub := range batch {
 		if sub.sealed {
-			groups = append(groups, sub.reqs)
+			groups = append(groups, sub)
 			continue
 		}
 		p := sub.reqs[0]
@@ -550,9 +575,9 @@ func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 		if !ok {
 			gi = len(groups)
 			byKey[k] = gi
-			groups = append(groups, nil)
+			groups = append(groups, submission{})
 		}
-		groups[gi] = append(groups[gi], p)
+		groups[gi].reqs = append(groups[gi].reqs, p)
 	}
 	w.stats.groups.Add(uint64(len(groups)))
 	tr := obs.ActiveTracer()
@@ -575,71 +600,82 @@ func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 // one. Requests whose context died in the queue are failed; the rest
 // resolve their key material before anything is hoisted, so a member
 // whose key fails costs the group nothing further, and a group none of
-// whose keys resolves runs — and books — nothing.
-func (s *Service) runGroup(w *tenantWorker, ps []*pending) {
+// whose keys resolves runs — and books — nothing. Once the ModUp is
+// done an unsealed group takes the matching Submits that queued while
+// it ran (join), up to maxBatch members, and replays them too.
+func (s *Service) runGroup(w *tenantWorker, g submission) {
 	start := time.Now()
-	live := ps[:0]
-	for _, p := range ps {
-		w.phases.add(phaseDispatch, start.Sub(p.deq))
-		if p.ctx != nil && p.ctx.Err() != nil {
-			w.finish(p, Result{Err: p.ctx.Err()})
-			continue
-		}
-		live = append(live, p)
-	}
-	if len(live) == 0 {
-		return
-	}
-	sw, in, df, level := live[0].sw, live[0].req.Input, live[0].req.Dataflow, live[0].req.Level
+	p0 := g.reqs[0]
+	sw, in, df, level := p0.sw, p0.req.Input, p0.req.Dataflow, p0.req.Level
 	e := s.cfg.Engine
 	type member struct {
-		p    *pending
-		mat  hks.KeyMaterial
-		keys time.Duration // its key fetch, booked to the keys phase
+		p     *pending
+		mat   hks.KeyMaterial
+		start time.Time     // when it entered the group: the group's start, or its join
+		keys  time.Duration // its key fetch, booked to the keys phase
 	}
-	members := make([]member, 0, len(live))
-	for _, p := range live {
-		mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
-		if err != nil {
-			w.finish(p, Result{Err: err})
-			continue
+	var members []member
+	// enter takes requests into the group at time at: it books their
+	// dispatch phase, fails those whose context died in the queue, and
+	// resolves the key material of the rest. live counts the requests
+	// that entered alive, key failures included: the coalesce credit is
+	// booked on it.
+	live := 0
+	enter := func(ps []*pending, at time.Time) {
+		for _, p := range ps {
+			w.phases.add(phaseDispatch, at.Sub(p.deq))
+			if p.ctx != nil && p.ctx.Err() != nil {
+				w.finish(p, Result{Err: p.ctx.Err()})
+				continue
+			}
+			live++
+			mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
+			if err != nil {
+				w.finish(p, Result{Err: err})
+				continue
+			}
+			members = append(members, member{p: p, mat: mat, start: at, keys: took})
 		}
-		members = append(members, member{p: p, mat: mat, keys: took})
 	}
+	enter(g.reqs, start)
 	if len(members) == 0 {
 		return
 	}
-	// One ModUp for the group, and — when it was formed of two or more
-	// requests — the whole group's coalesce credit with it, whichever
-	// keys failed; each request's switch is counted just before its
-	// result delivers, so a caller that snapshots Stats after receiving
-	// its last result sees it, in the level slices and in their sums.
-	shared := len(live) > 1
-	var coalesced uint64
-	if shared {
-		coalesced = uint64(len(live))
-	}
-	w.levels.add(level, 0, 1, coalesced)
 	t0 := time.Now()
 	h := sw.HoistParallel(e, df, in)
 	hoisted := time.Now()
 	w.phases.add(phaseHoist, hoisted.Sub(t0))
 	defer h.Release()
+	if !g.sealed {
+		enter(w.join(groupKeyOf(p0), maxBatch-len(g.reqs)), time.Now())
+	}
+	// One ModUp for the group, and — when it was formed of two or more
+	// requests, joiners counted — the whole group's coalesce credit with
+	// it, whichever keys failed; each request's switch is counted just
+	// before its result delivers, so a caller that snapshots Stats after
+	// receiving its last result sees it, in the level slices and in
+	// their sums.
+	shared := live > 1
+	var coalesced uint64
+	if shared {
+		coalesced = uint64(live)
+	}
+	w.levels.add(level, 0, 1, coalesced)
 	for i, m := range members {
 		c0 := sw.R.GetPoly(sw.QBasis())
 		c1 := sw.R.GetPoly(sw.QBasis())
 		t1 := time.Now()
 		if shared {
-			// The member has been in the group since start; what of that
-			// is booked to no phase on its behalf is the wait: the other
-			// members' key fetches, the shared hoist (booked once, to the
-			// group — carried here by the first member), and the replays
-			// before this one.
+			// The member has been in the group since it entered; what of
+			// that is booked to no phase on its behalf is the wait: the
+			// other members' key fetches, the shared hoist (booked once,
+			// to the group — carried here by the first member), and the
+			// replays before this one.
 			booked := m.keys
 			if i == 0 {
 				booked += hoisted.Sub(t0)
 			}
-			w.phases.add(phaseGroupWait, t1.Sub(start)-booked)
+			w.phases.add(phaseGroupWait, t1.Sub(m.start)-booked)
 		}
 		// A compressed key is drawn in the replay's apply tiles, once per
 		// use — on cache hits too: that is the compression trade.

@@ -132,35 +132,55 @@ func do(svc *Service, req Request) Result {
 // asks a key source for it otherwise.
 const parkRot = -1
 
-// parking wraps src so that a load of parkRot's key parks the loading
-// dispatcher — and sends its tenant on entered — until release is
-// closed, then fails without asking src.
-func parking(src KeySource) (parked KeySource, entered <-chan string, release chan struct{}) {
+// gating wraps src so that loading a key gated reports true for parks
+// the loading dispatcher — and sends its tenant on entered — until
+// release is closed, then fails with fail or, when fail is nil, loads
+// the key from src. The cache loads a key once, so only its first use
+// parks.
+func gating(src KeySource, gated func(KeyID) bool, fail error) (_ KeySource, entered <-chan string, release chan struct{}) {
 	in, release := make(chan string, 4), make(chan struct{})
 	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
-		if id.Rot != parkRot {
+		if !gated(id) {
 			return src.Key(id)
 		}
 		in <- id.Tenant
 		<-release
-		return nil, errors.New("parked")
+		if fail != nil {
+			return nil, fail
+		}
+		return src.Key(id)
 	}), in, release
 }
 
-// park submits a parking request for tenant on in and waits until the
-// tenant's dispatcher is parked in its key load (svc's source must come
-// from parking). Everything the tenant submits until release is closed
-// queues up behind it and is gathered into the dispatcher's next batch
-// — whole, up to maxBatch, whatever the gather window — and a Submit
-// past queueDepth blocks. The parking request fails once released: it
-// books one submission, batch, group, cache miss and failure, and no
-// switch.
-func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) {
+// parking gates src on parkRot's key, failing the load once released.
+func parking(src KeySource) (parked KeySource, entered <-chan string, release chan struct{}) {
+	return gating(src, func(id KeyID) bool { return id.Rot == parkRot }, errors.New("parked"))
+}
+
+// hold submits req and waits until its tenant's dispatcher is parked in
+// the request's gated key load (see gating). The request's batch and
+// group have formed by then, with it alone, so everything the tenant
+// submits until release is closed queues up behind a running group.
+func hold(t *testing.T, svc *Service, entered <-chan string, req Request) <-chan Result {
 	t.Helper()
-	if _, err := svc.Submit(context.Background(), Request{Input: in, Rot: parkRot, Tenant: tenant}); err != nil {
+	ch, err := svc.Submit(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
+	return ch
+}
+
+// park holds a parking request for tenant on in (svc's source must come
+// from parking). Everything the tenant submits until release is closed
+// queues up behind it and is gathered into the dispatcher's next batch
+// — whole, up to maxBatch — and a Submit past queueDepth blocks. The
+// parking request fails once released, before any ModUp, so nothing
+// joins it: it books one submission, batch, group, cache miss and
+// failure, and no switch.
+func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) {
+	t.Helper()
+	hold(t, svc, entered, Request{Input: in, Rot: parkRot, Tenant: tenant})
 }
 
 // newParkedService is newService over b's dense keys behind parking.

@@ -38,7 +38,7 @@ type counters struct {
 // opt-in.
 const (
 	phaseEnqueue   = iota // Submit accepted → popped from the tenant queue
-	phaseDispatch         // queue pop → the request's group starts executing
+	phaseDispatch         // queue pop → its group starts executing, or it joins a running one
 	phaseKeys             // key-cache fetch (and CheckMaterial) for the group
 	phaseHoist            // shared Decompose+ModUp (HoistParallel)
 	phaseGroupWait        // in a hoisted group, waiting on work booked to others
@@ -85,8 +85,9 @@ func (pc *phaseCounters) snapshot() []PhaseStats {
 // per request, while keys/hoist/replay are per key-cache fetch, per
 // hoisted group, and per replayed output respectively, and group_wait
 // is per member of a group of two or more: what the member spends
-// between its group starting and its own replay starting on work that
-// is booked elsewhere — the other members' key fetches, the shared
+// between entering its group (the group's start, or the member's join
+// after the group's ModUp) and its own replay starting on work that is
+// booked elsewhere — the other members' key fetches, the shared
 // hoist (booked once per group, so every member but the first waits
 // it out here), and the replays before its own. With it, the phases a
 // request passes through sum to its submit-to-result time. Dividing
@@ -250,7 +251,7 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"` // requests accepted by Submit
 	Served    uint64 `json:"served"`    // requests completed with outputs
 	Failed    uint64 `json:"failed"`    // requests completed with an error
-	Batches   uint64 `json:"batches"`   // gather windows executed (all tenants)
+	Batches   uint64 `json:"batches"`   // dispatcher batches executed (all tenants)
 	Groups    uint64 `json:"groups"`    // (tenant, level, input, dataflow) groups formed
 	ModUps    uint64 `json:"mod_ups"`   // Decompose+ModUp executions
 	Coalesced uint64 `json:"coalesced"` // requests served from a shared hoisted state
