@@ -168,14 +168,9 @@ func scheduleCmd(r *analysis.Runner, cfg scheduleConfig) error {
 	fmt.Println()
 
 	// The model half: price the same schedule's key-switch volume —
-	// hoist-group structure included — on the RPU cost model at the
+	// its hoisted ModUp count included — on the RPU cost model at the
 	// Table IV baseline bandwidth.
-	w := analysis.Workload{
-		Name:        sched.Name,
-		Rotations:   c.Rotations,
-		Mults:       c.Relins,
-		HoistGroups: sched.HoistGroupSizes(),
-	}
+	w := analysis.Workload{Name: sched.Name, Rotations: c.Rotations, Mults: c.Relins, ModUps: c.ModUps}
 	rows, err := r.EstimateWorkload(w, b, true, analysis.BaselineBandwidthGBs)
 	if err != nil {
 		return err

@@ -14,40 +14,24 @@ import (
 //
 // Rotations that arrive as hoistable fan-outs — the diagonal method's
 // baby steps, a bootstrapping stage's radix group — share one
-// Decompose+ModUp, so a workload additionally carries its hoist-group
-// structure: HoistGroups lists the sizes of those fan-outs (each ≥ 2;
-// the member rotations are *included* in Rotations). A group of size
-// k runs ModUp once instead of k times, which EstimateWorkload prices
-// with the same op-share model as the hoisting analysis
-// (HoistedModUpFraction).
+// Decompose+ModUp, so a workload also states how many ModUps it runs:
+// one per switch without hoisting, one per hoist group with it
+// (workload.Counts.ModUps of a schedule DAG). EstimateWorkload prices
+// each ModUp fewer than KeySwitches with the hoisting model's op share
+// (dataflow.Plan.ModUpShare).
 type Workload struct {
 	Name      string
 	Rotations int // each costs one HKS
 	Mults     int // each relinearization costs one HKS
-	// HoistGroups are the sizes of the hoisted rotation fan-out
-	// groups (each entry ≥ 2, counted inside Rotations). The schedule
-	// DAGs of internal/workload export exactly this shape through
-	// Schedule.HoistGroupSizes.
-	HoistGroups []int
+	ModUps    int // Decompose+ModUp executions, at most KeySwitches
 }
 
 // KeySwitches returns the total HKS invocations.
 func (w Workload) KeySwitches() int { return w.Rotations + w.Mults }
 
-// SharedModUpsSaved returns the ModUp executions hoisting removes: a
-// group of size k shares one ModUp across k switches, saving k−1.
-func (w Workload) SharedModUpsSaved() int {
-	saved := 0
-	for _, k := range w.HoistGroups {
-		if k >= 2 {
-			saved += k - 1
-		}
-	}
-	return saved
-}
-
-// ResNet20 is the paper's motivating workload (§I, Lee et al.).
-var ResNet20 = Workload{Name: "ResNet-20", Rotations: 3306, Mults: 1226}
+// ResNet20 is the paper's motivating workload (§I, Lee et al.), with
+// no rotation hoisted.
+var ResNet20 = Workload{Name: "ResNet-20", Rotations: 3306, Mults: 1226, ModUps: 3306 + 1226}
 
 // WorkloadEstimate is the projected cost of running a workload's key
 // switches back to back on one configuration.
@@ -57,11 +41,10 @@ type WorkloadEstimate struct {
 	PerKSms  float64
 	TotalSec float64
 	DRAMGB   float64 // total DRAM traffic including streamed keys
-	// HoistSavedModUps is the number of ModUp executions the
-	// workload's hoist groups remove; HoistedTotalSec prices the
-	// schedule with that sharing, using the benchmark's ModUp op
-	// share (HoistedModUpFraction). Equal to TotalSec when the
-	// workload declares no hoist groups.
+	// HoistSavedModUps is KeySwitches − ModUps, the ModUp executions
+	// hoisting removes; HoistedTotalSec prices the schedule with that
+	// sharing, using the benchmark's ModUp op share. Equal to TotalSec
+	// when the workload hoists nothing.
 	HoistSavedModUps int
 	HoistedTotalSec  float64
 }
@@ -70,14 +53,16 @@ type WorkloadEstimate struct {
 // parameters, bandwidth and evk placement, for every dataflow.
 // Per-operation state (inputs/outputs) is assumed to flow through DRAM
 // between operations, which the per-schedule traffic already counts.
-// When w carries hoist groups, HoistedTotalSec additionally prices the
-// shared-ModUp savings: each saved ModUp removes the ModUp share of
-// one key switch's cost (the op-share model the measured hoisting
-// experiment reconciles against).
+// HoistedTotalSec additionally prices the shared-ModUp savings: each
+// saved ModUp removes the ModUp share of one key switch's cost (the
+// op-share model the measured hoisting experiment reconciles against).
 func (r *Runner) EstimateWorkload(w Workload, b params.Benchmark, evkOnChip bool, bwGBs float64) ([]WorkloadEstimate, error) {
+	saved := w.KeySwitches() - w.ModUps
+	if saved < 0 || w.ModUps < min(1, w.KeySwitches()) {
+		return nil, fmt.Errorf("analysis: workload %s runs %d ModUps for %d key switches", w.Name, w.ModUps, w.KeySwitches())
+	}
+	f := hoistPlan(b).ModUpShare()
 	var out []WorkloadEstimate
-	saved := w.SharedModUpsSaved()
-	f := HoistedModUpFraction(b)
 	for _, df := range dataflow.AllDataflows() {
 		ms, err := r.RuntimeMS(df, b, evkOnChip, bwGBs, 1)
 		if err != nil {
@@ -102,8 +87,8 @@ func (r *Runner) EstimateWorkload(w Workload, b params.Benchmark, evkOnChip bool
 	return out, nil
 }
 
-// WorkloadTable tabulates the estimates; a workload with hoist groups
-// gets the hoisted-total column and a note of the ModUps saved.
+// WorkloadTable tabulates the estimates; a workload that hoists gets
+// the hoisted-total column and a note of the ModUps saved.
 func WorkloadTable(bwGBs float64, rows []WorkloadEstimate) *Table {
 	if len(rows) == 0 {
 		return &Table{Title: "(no estimates)"}

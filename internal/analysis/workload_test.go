@@ -43,25 +43,39 @@ func TestWorkloadKeySwitches(t *testing.T) {
 	}
 }
 
+// TestWorkloadSharedModUps: a workload runs at least one ModUp when it
+// switches at all and never more than one per switch.
 func TestWorkloadSharedModUps(t *testing.T) {
-	w := Workload{Rotations: 20, HoistGroups: []int{8, 4, 1}}
-	// Size-1 "groups" save nothing; 8 and 4 save 7 and 3.
-	if got := w.SharedModUpsSaved(); got != 10 {
-		t.Fatalf("saved ModUps = %d, want 10", got)
+	r := NewRunner()
+	for _, w := range []Workload{
+		{Name: "more", Rotations: 2, Mults: 1, ModUps: 4},
+		{Name: "none", Rotations: 2},
+		{Name: "negative", ModUps: -1},
+	} {
+		if _, err := r.EstimateWorkload(w, params.BTS3, true, 64); err == nil {
+			t.Errorf("%s: %d ModUps for %d switches accepted", w.Name, w.ModUps, w.KeySwitches())
+		}
 	}
-	if ResNet20.SharedModUpsSaved() != 0 {
-		t.Fatal("ResNet20 declares no hoist groups")
+	rows, err := r.EstimateWorkload(ResNet20, params.BTS3, true, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if row.HoistSavedModUps != 0 || row.HoistedTotalSec != row.TotalSec {
+			t.Fatalf("ResNet20 hoists nothing, got %+v", row)
+		}
 	}
 }
 
 func TestEstimateWorkloadHoisted(t *testing.T) {
 	r := NewRunner()
-	w := Workload{Name: "bsgs", Rotations: 16, Mults: 1, HoistGroups: []int{8, 4}}
+	// Hoist groups of 8 and 4 among 17 switches: 17 − 10 ModUps.
+	w := Workload{Name: "bsgs", Rotations: 16, Mults: 1, ModUps: 7}
 	rows, err := r.EstimateWorkload(w, params.BTS3, true, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := HoistedModUpFraction(params.BTS3)
+	f := hoistPlan(params.BTS3).ModUpShare()
 	for _, row := range rows {
 		if row.HoistSavedModUps != 10 {
 			t.Fatalf("%s: saved %d ModUps, want 10", row.Dataflow, row.HoistSavedModUps)
@@ -79,7 +93,7 @@ func TestEstimateWorkloadHoisted(t *testing.T) {
 	if !strings.Contains(out, "hoisted s") || !strings.Contains(out, "10 ModUp executions saved") {
 		t.Fatalf("hoisted rendering missing: %q", out)
 	}
-	// Workloads without groups keep the original table shape.
+	// Workloads that hoist nothing keep the original table shape.
 	plain := WorkloadTable(64, []WorkloadEstimate{{Workload: "w", Dataflow: "MP"}}).Text()
 	if strings.Contains(plain, "hoisted s") {
 		t.Fatal("plain workload rendered a hoisted column")

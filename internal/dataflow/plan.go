@@ -148,6 +148,43 @@ type Plan struct {
 // section is one pass and OCF always fuses.
 const Unbounded = math.MaxInt32
 
+// The halves of the walk a hoisted switch runs apart: ModUp (P1–P3)
+// depends on the input alone and runs once per hoist; the replay
+// (ApplyKey, Reduce and ModDown) runs once per key.
+func AnyTile(Tile) bool      { return true }
+func ModUpTile(t Tile) bool  { return t.Kind <= NTT }
+func ReplayTile(t Tile) bool { return t.Kind >= Apply }
+
+// Ops sums the weighted modular operations of the plan's tiles that
+// keep admits.
+func (p *Plan) Ops(keep func(Tile) bool) (n int64) {
+	for _, grp := range p.Groups {
+		for _, t := range grp.Tiles {
+			if keep(t) {
+				n += t.Cost()
+			}
+		}
+	}
+	return n
+}
+
+// ModUpShare is the fraction of one switch's weighted modular
+// operations a hoist runs: the part k rotations of one input share.
+func (p *Plan) ModUpShare() float64 {
+	return float64(p.Ops(ModUpTile)) / float64(p.Ops(AnyTile))
+}
+
+// HoistedSpeedup is the hoisting model: the throughput gain of one
+// hoist and k replays over k whole switches, with runtime proportional
+// to weighted modular operations — k·switch over k·switch − (k−1)·ModUp.
+func (p *Plan) HoistedSpeedup(k int) float64 {
+	if k <= 1 {
+		return 1
+	}
+	all := float64(int64(k) * p.Ops(AnyTile))
+	return all / (all - float64(int64(k-1)*p.Ops(ModUpTile)))
+}
+
 // NewPlan walks df over shape b with room for budget towers on chip. b
 // must be valid (params.Benchmark.Validate) with at least one P tower,
 // and the budget must hold the widest digit beside the working towers,

@@ -47,10 +47,11 @@
 // amortize fan-out: ckks.Evaluator's diagonal method rotates one
 // ciphertext many ways over a single hoisted state, and internal/serve
 // coalesces concurrent *requests* on one ciphertext onto a shared
-// Hoisted the same way. SwitchOps/ModUpOps count weighted modular
-// operations from the live structures, backing the HoistedOpsSaved
-// reuse model that bench prints (hks.hoist_model_x) beside the
-// measured hks.hoist_speedup_x.
+// Hoisted the same way. A hoisted state's graphs are its dataflow's
+// plan cut in two: the ModUp half runs once, the replay half once per
+// key. SwitchOps/ModUpOps count that plan's weighted modular
+// operations, backing the HoistedOpsSaved reuse model that bench prints
+// (hks.hoist_model_x) beside the measured hks.hoist_speedup_x.
 package hks
 
 import (
@@ -393,7 +394,7 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own := h.up
 	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
-	h.runSerial(modUpTile)
+	h.runSerial(dataflow.ModUpTile)
 	h.up, h.d = own, nil
 	h.Release()
 	return ups

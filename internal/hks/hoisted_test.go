@@ -289,3 +289,22 @@ func TestOpCountsMatchParamsModel(t *testing.T) {
 		}
 	}
 }
+
+// TestHoistedSpeedupModelIsThePlans: the switcher's model is the one
+// hoisting model, dataflow.Plan.HoistedSpeedup, on the Benchmark of its
+// shape — here the benchmark's (N=2^13, 6 Q towers, 3 P towers, dnum 3)
+// at its fan-out of 8, hks.hoist_model_x.
+func TestHoistedSpeedupModelIsThePlans(t *testing.T) {
+	r, err := ring.NewRingGenerated(1<<13, 6, 40, 3, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSwitcher(r, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := params.Benchmark{Name: "bench", LogN: 13, KL: 6, KP: 3, Dnum: 3}
+	if got, want := sw.HoistedSpeedupModel(8), dataflow.NewPlan(dataflow.MP, b, dataflow.Unbounded).HoistedSpeedup(8); got != want {
+		t.Fatalf("HoistedSpeedupModel(8) = %v, the plan's %v", got, want)
+	}
+}

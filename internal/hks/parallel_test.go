@@ -313,7 +313,7 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 		st.prepTower(i)
 	}
 	var towers []func()
-	for _, n := range graphNodes(st.fusedGraph()) {
+	for _, n := range graphNodes(st.schedule(whole)) {
 		if n.name == "oc" {
 			towers = append(towers, n.run)
 		}

@@ -19,14 +19,17 @@ package hks
 //	                     contribution and finishes the tower's ApplyKey;
 //	                OCF  OC's tasks and edges, created Section 2 first
 //	                     with each Q tower's ModDown behind it.
-//	hoist graph   the same visit restricted to ModUp's tiles. Stopping
-//	              before ApplyKey leaves OC's tower task nothing to fuse
-//	              ModUp into, so only DC's plan reshapes it; the others
-//	              hoist by MP's.
-//	replay graph  MP's plan restricted to ApplyKey and ModDown; a row no
-//	              task of the graph wrote is one a hoist left in the
-//	              state. The same for every dataflow (the key-dependent
-//	              half has no digit pipeline left to reshape).
+//	hoist graph   the same visit restricted to ModUp's tiles: what
+//	              a hoist runs once for all its keys.
+//	                MP   one task per INTT and per converted tower;
+//	                DC   one task per digit;
+//	                OC   after the per-tower INTTs, one task per
+//	                     extended tower converts every digit into it.
+//	replay graph  the same visit restricted to ApplyKey and ModDown;
+//	              a row no task of the graph wrote is one the hoist
+//	              left in the state. Every dataflow applies the key one
+//	              extended tower at a time; OCF keeps its order, Section
+//	              2 first with each Q tower's ModDown behind it.
 //	serial        MP's walk run on the caller, tile by tile.
 //
 // A per-rotation switch is its fused graph, not a hoist followed by a
@@ -65,11 +68,6 @@ func (h *Hoisted) tileFunc(t dataflow.Tile) func() {
 	}
 	return nil
 }
-
-// The walk, and the halves of it a hoist and a replay run.
-func anyTile(dataflow.Tile) bool      { return true }
-func modUpTile(t dataflow.Tile) bool  { return t.Kind <= dataflow.NTT }
-func replayTile(t dataflow.Tile) bool { return t.Kind >= dataflow.Apply }
 
 // ---- Serial schedule ----
 
@@ -165,29 +163,27 @@ func union(set, more []int) []int {
 	return set
 }
 
-// The graphs, each built the first time a state runs it.
+// half is the part of a switch, and so of its plan, one graph visits.
+type half uint8
 
-func (h *Hoisted) fusedGraph() *engine.Graph {
-	if h.fused[h.df] == nil {
-		h.fused[h.df] = h.graph(h.df, anyTile)
-	}
-	return h.fused[h.df]
+const (
+	whole  half = iota // a per-rotation switch
+	modUp              // a hoist
+	replay             // one key's replay of a hoist
+)
+
+var halves = [...]func(dataflow.Tile) bool{
+	whole:  dataflow.AnyTile,
+	modUp:  dataflow.ModUpTile,
+	replay: dataflow.ReplayTile,
 }
 
-func (h *Hoisted) hoistGraph() *engine.Graph {
-	df := dataflow.MP
-	if h.df == dataflow.DC {
-		df = dataflow.DC
+// schedule returns the graph of the state's dataflow over hf, built the
+// first time the state runs it.
+func (h *Hoisted) schedule(hf half) *engine.Graph {
+	g := &h.graphs[h.df][hf]
+	if *g == nil {
+		*g = h.graph(h.df, halves[hf])
 	}
-	if h.hoistG[df] == nil {
-		h.hoistG[df] = h.graph(df, modUpTile)
-	}
-	return h.hoistG[df]
-}
-
-func (h *Hoisted) replayGraph() *engine.Graph {
-	if h.replayG == nil {
-		h.replayG = h.graph(dataflow.MP, replayTile)
-	}
-	return h.replayG
+	return *g
 }

@@ -25,9 +25,11 @@ var update = flag.Bool("update", false, "rewrite testdata/graphs.golden")
 
 // graphsBuilt counts the graphs a state has built so far.
 func graphsBuilt(h *Hoisted) (n int) {
-	for _, g := range append(append(h.fused[:], h.hoistG[:]...), h.replayG) {
-		if g != nil {
-			n++
+	for _, gs := range h.graphs {
+		for _, g := range gs {
+			if g != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -39,14 +41,15 @@ func graphsBuilt(h *Hoisted) (n int) {
 // the pipelines were unified; testdata/graphs.golden holds the node and
 // edge sets of the fused, hoist and replay graphs of MP, DC and OC —
 // every node by its tile name and the rows it writes, with the nodes it
-// waits for — recorded before the graphs became a visit of the dataflow
-// plan, and compared as sets: a builder may create nodes in another
-// order, it may not add, drop or rewire one. The fused graphs are the
-// paper's subject; a switch must not turn into hoist-then-replay, which
-// has no "oc" tile and one barrier more. OCF schedules exactly OC's
-// nodes and edges. The test also pins that construction is lazy:
-// NewSwitcher pools no state, and a state builds a graph when it first
-// runs it.
+// waits for — compared as sets: a builder may create nodes in another
+// order, it may not add, drop or rewire one. The fused and MP sections
+// were recorded before the graphs became a visit of the dataflow plan;
+// OC's hoist and replay sections are its own plan's halves. The fused
+// graphs are the paper's subject; a switch must not turn into
+// hoist-then-replay, which has one barrier more. OCF's fused, hoist and
+// replay graphs each have exactly OC's nodes and edges. The test also
+// pins that construction is lazy: NewSwitcher pools no state, and a
+// state builds a graph when it first runs it.
 func TestFusedGraphShape(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 1<<13, 6, 40, 3, 41)
 	sw, err := NewSwitcher(r, 5, 3)
@@ -97,7 +100,7 @@ func TestFusedGraphShape(t *testing.T) {
 		for _, n := range tc.want {
 			nodes += n
 		}
-		if g := h.fusedGraph(); g.Len() != nodes || graphsBuilt(h) != 1 {
+		if g := h.schedule(whole); g.Len() != nodes || graphsBuilt(h) != 1 {
 			t.Errorf("%s fused graph has %d nodes, want %d, and must be the only graph built", tc.df, g.Len(), nodes)
 		}
 
@@ -113,24 +116,24 @@ func TestFusedGraphShape(t *testing.T) {
 		}
 		h.d = d
 		h.bind(evk, c0, c1)
-		fused := graphEdges(h, h.fusedGraph(), h.probes(true, true))
+		fusedEdges := graphEdges(h, h.schedule(whole), h.probes(true, true))
 		h.unbind()
 		exact("fused")
 		h = newState(sw)
 		h.df = tc.df
 		h.ownBypass()
 		h.d = d
-		hoist := graphEdges(h, h.hoistGraph(), h.probes(true, false))
+		hoistEdges := graphEdges(h, h.schedule(modUp), h.probes(true, false))
 		h.d = nil
 		h.bind(evk, c0, c1)
-		replay := graphEdges(h, h.replayGraph(), h.probes(false, true))
+		replayEdges := graphEdges(h, h.schedule(replay), h.probes(false, true))
 		h.unbind()
 		exact("replay")
 		var block []string
 		for _, gr := range []struct {
 			name  string
 			lines []string
-		}{{"fused", fused}, {"hoist", hoist}, {"replay", replay}} {
+		}{{"fused", fusedEdges}, {"hoist", hoistEdges}, {"replay", replayEdges}} {
 			block = append(block, fmt.Sprintf("== %s: %d nodes", gr.name, len(gr.lines)))
 			block = append(block, gr.lines...)
 		}
@@ -205,7 +208,7 @@ func TestStatePoolInterleaved(t *testing.T) {
 			jobs[i].want0[k], jobs[i].want1[k] = refKeySwitch(sw, jobs[i].d, evk)
 		}
 	}
-	dfs := []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC}
+	dfs := []dataflow.Dataflow{dataflow.MP, dataflow.DC, dataflow.OC, dataflow.OCF}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)

@@ -109,7 +109,7 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 	h := sw.state(df, engineLabel(df))
 	h.d = d
 	h.bind(key, c0, c1)
-	e.RunGraph(h.fusedGraph())
+	e.RunGraph(h.schedule(whole))
 	h.d = nil
 	h.unbind()
 	h.Release()
@@ -125,8 +125,9 @@ func (sw *Switcher) Hoist(d *ring.Poly) *Hoisted {
 }
 
 // HoistParallel is Hoist with the ModUp tiles executed as a task
-// graph on e, shaped by the given dataflow (a nil engine uses
-// engine.Default()). Bit-exact with Hoist.
+// graph on e, shaped by the given dataflow: its plan's ModUp half. The
+// state's parallel replays run the same plan's other half. A nil
+// engine uses engine.Default(). Bit-exact with Hoist.
 func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
 	if e == nil {
 		e = engine.Default()
@@ -141,9 +142,9 @@ func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Data
 	h.ownBypass()
 	h.d = d
 	if e == nil {
-		h.runSerial(modUpTile)
+		h.runSerial(dataflow.ModUpTile)
 	} else {
-		e.RunGraph(h.hoistGraph())
+		e.RunGraph(h.schedule(modUp))
 	}
 	h.d = nil
 	return h
@@ -164,19 +165,21 @@ func (h *Hoisted) Switch(key KeyMaterial) (c0, c1 *ring.Poly) {
 func (h *Hoisted) SwitchInto(key KeyMaterial, c0, c1 *ring.Poly) {
 	h.sw.checkReplay(key, c0, c1)
 	h.bind(key, c0, c1)
-	h.runSerial(replayTile)
+	h.runSerial(dataflow.ReplayTile)
 	h.unbind()
 }
 
 // SwitchParallelInto is SwitchInto with the replay executed as a task
-// graph on e (nil uses engine.Default()). Bit-exact with SwitchInto.
+// graph on e, shaped by the dataflow the state was hoisted under (MP
+// after a serial Hoist); nil uses engine.Default(). Bit-exact with
+// SwitchInto.
 func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *ring.Poly) {
 	h.sw.checkReplay(key, c0, c1)
 	if e == nil {
 		e = engine.Default()
 	}
 	h.bind(key, c0, c1)
-	e.RunGraph(h.replayGraph())
+	e.RunGraph(h.schedule(replay))
 	h.unbind()
 }
 
@@ -196,10 +199,10 @@ func (sw *Switcher) SwitchHoisted(d *ring.Poly, evks []*Evk) (c0s, c1s []*ring.P
 }
 
 // SwitchHoistedParallelInto is SwitchHoisted on the engine: the shared
-// ModUp runs as a df-shaped task graph, then each key's replay graph
-// writes into the caller-provided c0s[i], c1s[i]. With reused outputs
-// a steady-state caller performs no per-op limb allocations. Outputs
-// must be pairwise non-aliased. Bit-exact with per-key KeySwitch for
+// ModUp runs as df's plan's ModUp half, then each key's replay, the
+// plan's other half, writes into the caller-provided c0s[i], c1s[i].
+// With reused outputs a steady-state caller performs no per-op limb
+// allocations. Outputs must be pairwise non-aliased. Bit-exact with per-key KeySwitch for
 // every dataflow.
 func (sw *Switcher) SwitchHoistedParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, evks []*Evk, c0s, c1s []*ring.Poly) {
 	if len(c0s) != len(evks) || len(c1s) != len(evks) {

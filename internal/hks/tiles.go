@@ -86,12 +86,9 @@ type Hoisted struct {
 	drawn [][][]uint64
 
 	// Schedules over the tiles, each built on first use (schedule.go):
-	// a fused graph per dataflow, a hoist graph for MP's plan and DC's,
-	// one replay graph.
-	fused   [dataflow.OCF + 1]*engine.Graph
-	hoistG  [dataflow.DC + 1]*engine.Graph
-	replayG *engine.Graph
-	serial  []serialTile
+	// per dataflow, its plan's graph over each half of a switch.
+	graphs [dataflow.OCF + 1][len(halves)]*engine.Graph
+	serial []serialTile
 }
 
 // rows allocates k rows of n words.

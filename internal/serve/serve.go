@@ -540,8 +540,8 @@ func (w *tenantWorker) popped(sub submission) {
 
 // groupKey routes an unsealed request within one tenant's batch: the
 // same input at the same level under the same dataflow shares one
-// hoisted ModUp. Distinct dataflows on one input stay separate — they
-// need differently shaped hoist graphs — and distinct levels run on
+// hoisted ModUp. Distinct dataflows on one input stay separate — each
+// hoists and replays by its own plan — and distinct levels run on
 // different switchers. The tenant is fixed per batch (batches never
 // span tenants), so keyspaces cannot share a group by construction.
 type groupKey struct {

@@ -54,7 +54,7 @@ type GroupSubmitter interface {
 type ReplayConfig struct {
 	// Tenant is the keyspace every request is addressed to.
 	Tenant string
-	// Dataflow schedules the hoist graphs (zero value: MP).
+	// Dataflow schedules the hoist and replay graphs (zero value: MP).
 	Dataflow dataflow.Dataflow
 	// Seed feeds the sampler for root-group inputs; the serial
 	// reference check re-derives the identical inputs from it.

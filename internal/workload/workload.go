@@ -331,20 +331,6 @@ func (s *Schedule) Counts() Counts {
 	return c
 }
 
-// HoistGroupSizes returns the widths of the hoist groups with at
-// least two members, in schedule order — the shape
-// analysis.Workload.HoistGroups consumes to price shared-ModUp
-// savings in the paper's cost model.
-func (s *Schedule) HoistGroupSizes() []int {
-	var sizes []int
-	for _, g := range s.Groups() {
-		if len(g) >= 2 {
-			sizes = append(sizes, len(g))
-		}
-	}
-	return sizes
-}
-
 // builder assembles schedules for the generators; it keeps group IDs
 // dense and node IDs positional by construction.
 type builder struct {

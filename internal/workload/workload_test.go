@@ -291,17 +291,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestHoistGroupSizes(t *testing.T) {
-	s, err := Matvec(8, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := s.HoistGroupSizes()
-	if len(sizes) != 1 || sizes[0] != 7 {
-		t.Fatalf("hoist group sizes %v", sizes)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Rotate.String() != "rotate" || Relin.String() != "relin" {
 		t.Fatal("kind names")
