@@ -102,8 +102,10 @@ func refKeySwitch(sw *Switcher, d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 }
 
 // goldenCases is the fixed-seed table behind testdata/keyswitch.golden:
-// dnum 1–4, the uneven-digit and α=1 shapes, and the 60/61-bit rings of
-// TestWideModuliAllPathsAgree.
+// dnum 1–4, the uneven-digit and α=1 shapes, the 60/61-bit rings of
+// TestWideModuliAllPathsAgree, and rows wider than the NTT's L1 block:
+// the benchmark's shape (N = 2^13, 6 × 40-bit Q and 3 × 41-bit P towers
+// at level 5) for both of its dnums, and an N = 2^16 ring.
 var goldenCases = []struct {
 	name                        string
 	n, numQ, qBits, numP, pBits int
@@ -117,6 +119,9 @@ var goldenCases = []struct {
 	{"wide_dnum2", 64, 4, 60, 2, 61, 3, 2},
 	{"wide_dnum4_alpha1", 64, 4, 60, 1, 61, 3, 4},
 	{"wide_uneven_digits", 32, 5, 60, 3, 61, 4, 2},
+	{"bench_dnum3", 1 << 13, 6, 40, 3, 41, 5, 3},
+	{"bench_dnum2", 1 << 13, 6, 40, 3, 41, 5, 2},
+	{"n65536_dnum2", 1 << 16, 3, 40, 2, 41, 2, 2},
 }
 
 // switchDigest is SHA-256 of WritePoly(c0)‖WritePoly(c1), in hex.
@@ -134,7 +139,9 @@ func switchDigest(t *testing.T, r *ring.Ring, c0, c1 *ring.Poly) string {
 
 // TestKeySwitchGolden pins every execution path, with the key dense and
 // compressed, to output digests recorded with the whole-polynomial
-// serial KeySwitch of the commit before the pipelines were unified. The
+// serial KeySwitch of the commit before the pipelines were unified (the
+// bench_* and n65536 rows with the stage-by-stage NTT and the separate
+// ŷ and P⁻¹ scale passes, before the transform was blocked). The
 // paths share one tile set, so agreeing with each other (or with
 // refKeySwitch, which shares their kernels) cannot show that a change
 // moved all of them together; a recorded vector can.
