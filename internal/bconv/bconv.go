@@ -25,7 +25,8 @@
 // pre-multiplication, ConvertTowerFromY for one destination tower),
 // which are exposed so internal/hks can schedule them as independent
 // tasks on the internal/engine worker pool under any of the paper's
-// dataflows. Convert and ConvertExact run the same tiles serially over
+// dataflows; hks takes the ŷ constant itself (YScale) and folds it
+// into the last stage of each tower's inverse NTT. Convert and ConvertExact run the same tiles serially over
 // pooled scratch, so repeated conversions allocate nothing.
 package bconv
 
@@ -150,6 +151,11 @@ func (c *Converter) checkConvert(in, out *ring.Poly) {
 func (c *Converter) YScaleRow(i int, in, out []uint64) {
 	c.r.Mods[c.src[i]].MulShoupRow(out[:len(in)], in, c.bHatInv[i], c.bHatInvShoup[i])
 }
+
+// YScale returns the ŷ constant (B*/b_i)^{-1} mod b_i of source tower
+// index i, for a caller that folds YScaleRow's multiply into a kernel
+// of its own (internal/hks folds it into the tower's inverse NTT).
+func (c *Converter) YScale(i int) uint64 { return c.bHatInv[i] }
 
 // ConvertTowerFromY sums destination tower dstIdx (an index into Dst)
 // from the pre-scaled ŷ rows, overwriting dst without reading it.

@@ -62,6 +62,7 @@ import (
 
 	"ciflow/internal/bconv"
 	"ciflow/internal/dataflow"
+	"ciflow/internal/ntt"
 	"ciflow/internal/obs"
 	"ciflow/internal/params"
 	"ciflow/internal/ring"
@@ -86,6 +87,9 @@ type Switcher struct {
 	gadget    [][]uint64         // gadget factor per digit per D_ℓ tower
 	pInvModQ  []uint64           // P^-1 mod q_i, aligned with qBasis
 	pInvShoup []uint64           // Shoup constants of pInvModQ
+	// The ŷ constant of each Q tower (its digit's converter) and each
+	// P tower (ModDown's), folded into the tower's INTT (ntt.Scaled).
+	upScale, downScale []ntt.Scale
 
 	// Index maps between each digit's converter destinations and the
 	// extended basis, shared by every execution state.
@@ -163,6 +167,16 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 	sw.downConv, err = bconv.New(r, sw.pBasis, sw.qBasis)
 	if err != nil {
 		return nil, err
+	}
+
+	sw.upScale = make([]ntt.Scale, len(sw.qBasis))
+	for i, t := range sw.qBasis {
+		j := i / sw.Alpha
+		sw.upScale[i] = r.Tables[t].Scaled(sw.upConv[j].YScale(i - sw.digitLo(j)))
+	}
+	sw.downScale = make([]ntt.Scale, len(sw.pBasis))
+	for i, t := range sw.pBasis {
+		sw.downScale[i] = r.Tables[t].Scaled(sw.downConv.YScale(i))
 	}
 
 	// Gadget factors: w_j = P · Q̂_j · (Q̂_j^{-1} mod D_j) reduced into

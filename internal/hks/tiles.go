@@ -6,13 +6,14 @@ package hks
 // grouping and the goroutine the tiles run on — a visit of a dataflow's
 // plan (schedule.go), whose tile kinds they implement:
 //
-//	prepTower      INTT      ModUp P1: INTT of one Q tower, plus the digit's ŷ scaling
+//	prepTower      INTT      ModUp P1: INTT of one Q tower, the digit's ŷ scaling in its last stage
 //	convertTower   Conv+NTT  ModUp P2+P3: one (digit, destination tower) BConv + NTT
 //	applyTower     Apply×dnum+Reduce  P4+P5: one extended tower of ApplyKey, all digits summed;
 //	                                  a compressed key's A-rows are drawn from their seeds first
-//	downPrepTower  DownINTT  ModDown P1: INTT of one P tower, plus the ŷ scaling
+//	downPrepTower  DownINTT  ModDown P1: INTT of one P tower, the ŷ scaling in its last stage
 //	downOvershoot  DownOver  ModDown P2: the exact conversion's overshoot, one chunk
-//	downOutTower   DownOut   ModDown P2–P4: convert, NTT, subtract and scale one Q tower
+//	downOutTower   DownOut   ModDown P2–P4: convert one Q tower, then NTT it with the
+//	                         subtract and P⁻¹ scale applied block by block
 //
 // Every tile writes the canonical residue, so any order that respects
 // the data dependencies gives the same bits however the lazy kernels
@@ -224,20 +225,18 @@ func (h *Hoisted) upRow(j, t int) []uint64 {
 
 // prepTower is ModUp P1 for Q tower i plus the digit's ŷ scaling
 // (folded here so it runs exactly once per tower, as the dataflow
-// model's inttWithPreOps charges it).
+// model's inttWithPreOps charges it). The INTT reads the input row
+// block by block and multiplies by ŷ in its last stage, so the copy
+// and the scale cost no pass of their own; the ŷ scale is timed inside
+// the INTT's ntt kernel sample.
 func (h *Hoisted) prepTower(i int) {
-	sw, j := h.sw, i/h.sw.Alpha
+	sw := h.sw
 	t0 := h.now()
 	if h.ownsBypass {
-		copy(h.up[j][i], h.d.Coeffs[i])
+		copy(h.up[i/sw.Alpha][i], h.d.Coeffs[i])
 	}
-	row := h.y[i]
-	copy(row, h.d.Coeffs[i])
-	sw.R.INTTTower(sw.qBasis[i], row)
-	t := h.kernel(obs.KernelNTT, t0)
-	sw.upConv[j].YScaleRow(i-sw.digitLo(j), row, row)
-	t = h.kernel(obs.KernelBConv, t)
-	h.stage(obs.StageModUp, t0, t)
+	sw.R.Tables[sw.qBasis[i]].InverseScaled(h.y[i], h.d.Coeffs[i], sw.upScale[i])
+	h.stage(obs.StageModUp, t0, h.kernel(obs.KernelNTT, t0))
 }
 
 // convertTower is ModUp P2+P3 for one (digit, destination tower) tile.
@@ -288,17 +287,13 @@ func (h *Hoisted) applyTower(t int) {
 }
 
 // downPrepTower is ModDown P1 for P tower i of output poly p, plus the
-// ŷ scaling of the P→Q conversion.
+// ŷ scaling of the P→Q conversion, folded into the INTT as in
+// prepTower and timed inside its ntt kernel sample.
 func (h *Hoisted) downPrepTower(p, i int) {
 	sw := h.sw
 	t0 := h.now()
-	row := h.yP[p][i]
-	copy(row, h.acc[p].Coeffs[sw.ell()+i])
-	sw.R.INTTTower(sw.pBasis[i], row)
-	t := h.kernel(obs.KernelNTT, t0)
-	sw.downConv.YScaleRow(i, row, row)
-	t = h.kernel(obs.KernelBConv, t)
-	h.stage(obs.StageModDown, t0, t)
+	sw.R.Tables[sw.pBasis[i]].InverseScaled(h.yP[p][i], h.acc[p].Coeffs[sw.ell()+i], sw.downScale[i])
+	h.stage(obs.StageModDown, t0, h.kernel(obs.KernelNTT, t0))
 }
 
 // downOvershoot estimates the exact-conversion overshoot for one
@@ -310,16 +305,16 @@ func (h *Hoisted) downOvershoot(p, from, to int) {
 }
 
 // downOutTower is ModDown P2–P4 for Q tower i of output poly p:
-// exact-convert the P part into tower i, NTT it, and fold the
-// subtract-and-scale by P⁻¹ in place.
+// exact-convert the P part into tower i, then NTT it with the
+// subtract-and-scale by P⁻¹ applied to each block as its last stage
+// ends, in place. The P⁻¹ scale is timed inside the NTT's ntt kernel
+// sample.
 func (h *Hoisted) downOutTower(p, i int) {
 	sw := h.sw
 	t0 := h.now()
 	dst := h.out[p].Coeffs[i]
 	sw.downConv.ConvertExactTowerFromY(h.yP[p], i, dst)
 	t := h.kernel(obs.KernelBConv, t0)
-	sw.R.NTTTower(sw.qBasis[i], dst)
-	h.kernel(obs.KernelNTT, t)
-	sw.R.Mods[sw.qBasis[i]].SubMulShoupRow(dst, h.acc[p].Coeffs[i], dst, sw.pInvModQ[i], sw.pInvShoup[i])
-	h.stage(obs.StageModDown, t0, h.now())
+	sw.R.Tables[sw.qBasis[i]].ForwardSubMul(dst, h.acc[p].Coeffs[i], sw.pInvModQ[i], sw.pInvShoup[i])
+	h.stage(obs.StageModDown, t0, h.kernel(obs.KernelNTT, t))
 }

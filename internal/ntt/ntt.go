@@ -19,12 +19,25 @@
 // see the same function as a fully reduced transform (kept in
 // ntt_test.go as the oracle).
 //
-// A transform is a loop over stages, and a stage has two bodies. The
-// Go one runs four butterflies per iteration on four-element
-// sub-slices, so the butterflies themselves index without bounds
-// checks; the stages with one twiddle per two or four elements (step 1
-// and 2) have loops of their own instead of length-1 and length-2
-// inner loops. The vector one (stage_amd64.s) runs eight butterflies
+// A transform is one depth-first traversal of its stages, written once
+// for both stage bodies. Stages whose butterfly blocks are wider than
+// blockWords (4096 words, 32 KiB) run across the whole row; every
+// later stage runs one block at a time, the block staying in L1 while
+// it does, on its sub-slice of the same twiddle tables. A 64 KiB row
+// (N = 2^13) so crosses L2 twice per transform instead of thirteen
+// times. The inverse mirrors it: blocks first, then the whole-row
+// stages, then the last. Two fused entry points ride the traversal so
+// that the passes callers ran around a transform cost none of their
+// own: InverseScaled copies its source in block by block and folds a
+// constant into the last stage's twiddles (Scaled), and ForwardSubMul
+// applies ModDown's (acc − x)·w to each block as its last stage ends.
+//
+// A stage has two bodies, each given a slice of the row and its
+// twiddles. The Go one runs four butterflies per iteration on
+// four-element sub-slices, so the butterflies themselves index without
+// bounds checks; the stages with one twiddle per two or four elements
+// (step 1 and 2) have loops of their own instead of length-1 and
+// length-2 inner loops. The vector one (stage_amd64.s) runs eight butterflies
 // per iteration on AVX-512 IFMA's 52-bit multiply-accumulates, with
 // the twiddle broadcast per block and, below stride 8, both halves of
 // each butterfly brought into lanes by permutes. It keeps the same
@@ -53,12 +66,9 @@ type Table struct {
 	psiShoup  []uint64
 	ipsi      []uint64 // ψ^-brv(i)
 	ipsiShoup []uint64
-	nInv      uint64 // N^-1 mod q
-	nInvShoup uint64
-	// lastInv = ψ^-brv(1) · N^-1, the twiddle of the inverse's last
-	// stage with the 1/N scaling folded in.
-	lastInv      uint64
-	lastInvShoup uint64
+	// last is the inverse's last-stage pair with s = 1: N⁻¹ and
+	// ψ^-brv(1)·N⁻¹, the 1/N scaling folded into its twiddle.
+	last Scale
 
 	// vec selects the vector stage bodies: the CPU has them
 	// (mod.Kernel), q is below 2^mod.VectorModulusBits so that every
@@ -101,10 +111,9 @@ func NewTable(n int, q uint64) (*Table, error) {
 		t.psiShoup[i] = m.ShoupPrecomp(t.psi[i])
 		t.ipsiShoup[i] = m.ShoupPrecomp(t.ipsi[i])
 	}
-	t.nInv = m.Inv(uint64(n))
-	t.nInvShoup = m.ShoupPrecomp(t.nInv)
-	t.lastInv = m.Mul(t.ipsi[1], t.nInv)
-	t.lastInvShoup = m.ShoupPrecomp(t.lastInv)
+	nInv := m.Inv(uint64(n))
+	t.last = Scale{lo: nInv, hi: m.Mul(t.ipsi[1], nInv)}
+	t.last.loShoup, t.last.hiShoup = m.ShoupPrecomp(t.last.lo), m.ShoupPrecomp(t.last.hi)
 	return t, nil
 }
 
@@ -117,29 +126,74 @@ func bitrev(x uint64, bits int) uint64 {
 	return r
 }
 
+// blockWords is the depth-first traversal's block: 4096 words, 32 KiB,
+// which a stage's butterflies can revisit while it sits in a 48 KiB
+// L1d. A row wider than one block (N > 4096) runs the stages whose
+// butterfly blocks span more than it across the whole row, and every
+// other stage block by block, so the row crosses L2 once per
+// whole-row stage plus once for the block pass, not once per stage.
+const blockWords = 4096
+
 // Forward transforms a (natural coefficient order, reduced mod q) into
 // the evaluation domain, in place. Output is reduced mod q, in the
 // transform's internal (bit-reversed) order, which all point-wise
 // consumers treat opaquely.
 func (t *Table) Forward(a []uint64) {
-	if len(a) != t.N {
-		panic(fmt.Sprintf("ntt: Forward on slice of length %d, table N=%d", len(a), t.N))
-	}
+	t.checkLen("Forward", a)
+	t.forward(a, nil, 0, 0)
+}
+
+// ForwardSubMul transforms a as Forward does and then sets it to
+// (acc − a)·w mod q, where wShoup = mod.ShoupPrecomp(w) and acc is
+// reduced: ModDown's subtract-and-scale by P⁻¹ applied to each block
+// as its last stage ends, so the row is not read again for it. The
+// words are those of Forward followed by mod.SubMulShoupRow.
+func (t *Table) ForwardSubMul(a, acc []uint64, w, wShoup uint64) {
+	t.checkLen("ForwardSubMul", a)
+	t.checkLen("ForwardSubMul", acc)
+	t.forward(a, acc, w, wShoup)
+}
+
+// forward is the depth-first traversal behind Forward and
+// ForwardSubMul, written once for both stage bodies: the whole-row
+// stages, then every remaining stage of one block before the next
+// block starts. Block c's butterfly blocks at stage (mm, step) are
+// those from c/(2·step) on, so it takes the twiddles from
+// psi[mm + c/(2·step)]. With acc non-nil each block ends in
+// (acc − a)·w.
+func (t *Table) forward(a, acc []uint64, w, wShoup uint64) {
 	stage := (*Table).fwdStage
 	if t.vec {
 		stage = (*Table).fwdStageVec
 	}
-	for step, mm := t.N>>1, 1; step >= 1; step, mm = step>>1, mm<<1 {
-		stage(t, a, mm, step)
+	n, b := t.N, min(t.N, blockWords)
+	step, mm := n>>1, 1
+	for ; 2*step > b; step, mm = step>>1, mm<<1 {
+		stage(t, a, t.psi[mm:2*mm], t.psiShoup[mm:2*mm], step)
+	}
+	for c := 0; c < n; c += b {
+		blk := a[c : c+b]
+		for s, m := step, mm; s >= 1; s, m = s>>1, m<<1 {
+			lo, hi := m+c/(2*s), m+(c+b)/(2*s)
+			stage(t, blk, t.psi[lo:hi], t.psiShoup[lo:hi], s)
+		}
+		if acc != nil {
+			t.M.SubMulShoupRow(blk, acc[c:c+b], blk, w, wShoup)
+		}
 	}
 }
 
-// fwdStage is the Go body of one forward stage: mm blocks of 2·step
-// values, one twiddle each. The step-1 stage is the transform's last
-// and carries its one correction pass, [0,4q) → [0,q).
-func (t *Table) fwdStage(a []uint64, mm, step int) {
+func (t *Table) checkLen(op string, a []uint64) {
+	if len(a) != t.N {
+		panic(fmt.Sprintf("ntt: %s on slice of length %d, table N=%d", op, len(a), t.N))
+	}
+}
+
+// fwdStage is the Go body of one forward stage over a: len(w) blocks
+// of 2·step values, one twiddle each. The step-1 stage is the
+// transform's last and carries its one correction pass, [0,4q) → [0,q).
+func (t *Table) fwdStage(a, w, ws []uint64, step int) {
 	q, twoQ := t.M.Q, 2*t.M.Q
-	w, ws := t.psi[mm:2*mm], t.psiShoup[mm:2*mm]
 	ws = ws[:len(w)]
 	switch step {
 	case 1: // one twiddle per pair
@@ -193,28 +247,70 @@ func reduce4(x, q, twoQ uint64) uint64 {
 	return x
 }
 
+// Scale is the inverse's last-stage twiddle pair with a constant s
+// folded in — N⁻¹·s for the low half of the row, ψ⁻¹·N⁻¹·s for the
+// high half — and their Shoup companions. An inverse that ends in it
+// multiplies every output by s at no cost: the multiply is the last
+// stage's own.
+type Scale struct{ lo, loShoup, hi, hiShoup uint64 }
+
+// Scaled returns the Scale of s, a residue mod q.
+func (t *Table) Scaled(s uint64) Scale {
+	lo, hi := t.M.Mul(t.last.lo, s), t.M.Mul(t.last.hi, s)
+	return Scale{lo, t.M.ShoupPrecomp(lo), hi, t.M.ShoupPrecomp(hi)}
+}
+
 // Inverse transforms a (evaluation domain, reduced mod q) back to
 // natural coefficient order, in place, including the 1/N scaling.
 // Output is reduced mod q.
 func (t *Table) Inverse(a []uint64) {
-	if len(a) != t.N {
-		panic(fmt.Sprintf("ntt: Inverse on slice of length %d, table N=%d", len(a), t.N))
-	}
+	t.checkLen("Inverse", a)
+	t.inverse(a, a, t.last)
+}
+
+// InverseScaled sets dst to the inverse transform of src times the
+// constant s of Scaled(s): the words of a copy, Inverse and
+// mod.MulShoupRow by s, in one traversal. src is read block by block
+// just before the block's stages run; dst may alias src exactly.
+func (t *Table) InverseScaled(dst, src []uint64, s Scale) {
+	t.checkLen("InverseScaled", dst)
+	t.checkLen("InverseScaled", src)
+	t.inverse(dst, src, s)
+}
+
+// inverse mirrors forward: each block is read from src into dst and
+// runs the stages whose butterfly blocks fit it, then the remaining
+// stages before the last run across the whole row, and the last stage
+// multiplies by s's twiddles.
+func (t *Table) inverse(dst, src []uint64, s Scale) {
 	stage, last := (*Table).invStage, (*Table).invLast
 	if t.vec {
 		stage, last = (*Table).invStageVec, (*Table).invLastVec
 	}
-	for step, mm := 1, t.N>>1; mm >= 2; step, mm = step<<1, mm>>1 {
-		stage(t, a, mm, step)
+	n, b := t.N, min(t.N, blockWords)
+	copyIn := &dst[0] != &src[0]
+	// The block pass leaves step and mm at the first stage it did not run.
+	step, mm := 1, n>>1
+	for c := 0; c < n; c += b {
+		blk := dst[c : c+b]
+		if copyIn {
+			copy(blk, src[c:c+b])
+		}
+		for step, mm = 1, n>>1; mm >= 2 && 2*step <= b; step, mm = step<<1, mm>>1 {
+			lo, hi := mm+c/(2*step), mm+(c+b)/(2*step)
+			stage(t, blk, t.ipsi[lo:hi], t.ipsiShoup[lo:hi], step)
+		}
 	}
-	last(t, a)
+	for ; mm >= 2; step, mm = step<<1, mm>>1 {
+		stage(t, dst, t.ipsi[mm:2*mm], t.ipsiShoup[mm:2*mm], step)
+	}
+	last(t, dst, s)
 }
 
-// invStage is the Go body of one inverse stage before the last: mm
-// blocks of 2·step values, one twiddle each.
-func (t *Table) invStage(a []uint64, mm, step int) {
+// invStage is the Go body of one inverse stage before the last over a:
+// len(w) blocks of 2·step values, one twiddle each.
+func (t *Table) invStage(a, w, ws []uint64, step int) {
 	q, twoQ := t.M.Q, 2*t.M.Q
-	w, ws := t.ipsi[mm:2*mm], t.ipsiShoup[mm:2*mm]
 	ws = ws[:len(w)]
 	switch step {
 	case 1: // one twiddle per pair
@@ -246,17 +342,17 @@ func (t *Table) invStage(a []uint64, mm, step int) {
 }
 
 // invLast is the Go body of the inverse's last stage (one twiddle,
-// step N/2) with the 1/N scaling folded into both outputs:
-// x' = (x+y)·N⁻¹, y' = (x−y)·ψ⁻¹·N⁻¹. The full MulShoup is the
-// transform's one correction pass, [0,4q) → [0,q).
-func (t *Table) invLast(a []uint64) {
+// step N/2) with the 1/N scaling, and s's constant, folded into both
+// outputs: x' = (x+y)·N⁻¹·s, y' = (x−y)·ψ⁻¹·N⁻¹·s. The full MulShoup is
+// the transform's one correction pass, [0,4q) → [0,q).
+func (t *Table) invLast(a []uint64, s Scale) {
 	m, twoQ := t.M, 2*t.M.Q
 	x, y := a[:t.N>>1], a[t.N>>1:]
 	y = y[:len(x)]
 	for j := range x {
 		u, v := x[j], y[j]
-		x[j] = m.MulShoup(u+v, t.nInv, t.nInvShoup)
-		y[j] = m.MulShoup(u-v+twoQ, t.lastInv, t.lastInvShoup)
+		x[j] = m.MulShoup(u+v, s.lo, s.loShoup)
+		y[j] = m.MulShoup(u-v+twoQ, s.hi, s.hiShoup)
 	}
 }
 
@@ -300,16 +396,16 @@ var perm52 = [5][5][8]uint64{
 
 // fwdStageVec, invStageVec and invLastVec are the vector bodies of the
 // three stage shapes, over the same twiddles as the Go bodies.
-func (t *Table) fwdStageVec(a []uint64, mm, step int) {
-	fwdStage52(a, t.psi[mm:2*mm], t.psiShoup[mm:2*mm], step, t.M.Q, &perm52[step&7])
+func (t *Table) fwdStageVec(a, w, ws []uint64, step int) {
+	fwdStage52(a, w, ws, step, t.M.Q, &perm52[step&7])
 }
 
-func (t *Table) invStageVec(a []uint64, mm, step int) {
-	invStage52(a, t.ipsi[mm:2*mm], t.ipsiShoup[mm:2*mm], step, t.M.Q, &perm52[step&7])
+func (t *Table) invStageVec(a, w, ws []uint64, step int) {
+	invStage52(a, w, ws, step, t.M.Q, &perm52[step&7])
 }
 
-func (t *Table) invLastVec(a []uint64) {
-	invLast52(a, t.nInv, t.nInvShoup, t.lastInv, t.lastInvShoup, t.M.Q)
+func (t *Table) invLastVec(a []uint64, s Scale) {
+	invLast52(a, s.lo, s.loShoup, s.hi, s.hiShoup, t.M.Q)
 }
 
 // ButterflyOps returns the number of butterfly evaluations in one

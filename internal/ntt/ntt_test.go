@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -210,7 +211,7 @@ func refInverse(t *Table, a []uint64) {
 		}
 	}
 	for j := range a {
-		a[j] = m.MulShoup(a[j], t.nInv, t.nInvShoup)
+		a[j] = m.MulShoup(a[j], t.last.lo, t.last.loShoup)
 	}
 }
 
@@ -233,9 +234,11 @@ func testTable(t testing.TB, n, qBits int) *Table {
 // [0,2q) ranges are tightest — 4q just below 2^64 at 61 bits for the
 // Go body, just below 2^52 at 50 bits for the vector one, which a
 // 51-bit prime must not be given — and on the inputs that drive every
-// intermediate to its bound. N = 16 is the vector body's smallest.
+// intermediate to its bound. N = 16 is the vector body's smallest;
+// 2^12 is exactly one traversal block, 2^13 and 2^14 run one and two
+// stages across the whole row, and 2^17 five.
 func TestLazyMatchesReference(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16, 1 << 13} {
+	for _, n := range []int{2, 4, 8, 16, 1 << 12, 1 << 13, 1 << 14, 1 << 17} {
 		for _, qBits := range []int{30, 41, 50, 51, 60, 61} {
 			tab := testTable(t, n, qBits)
 			if tab.vec && (qBits > mod.VectorModulusBits || n < 16) {
@@ -279,7 +282,7 @@ func TestLazyMatchesReference(t *testing.T) {
 }
 
 // FuzzStageBodiesAgree runs both transforms under both stage bodies on
-// one row and wants identical words: N from 16 to 2^15, primes of 30,
+// one row and wants identical words: N from 16 to 2^17, primes of 30,
 // 41 and just under 50 bits, which take the vector body where the CPU
 // has it, and of 51 and 60 bits, which never may; rows all zero, all
 // q−1, or random.
@@ -291,10 +294,11 @@ func FuzzStageBodiesAgree(f *testing.F) {
 	f.Add(int64(3), uint8(15), uint8(0), uint8(2))
 	f.Add(int64(4), uint8(10), uint8(3), uint8(2))
 	f.Add(int64(5), uint8(6), uint8(4), uint8(1))
+	f.Add(int64(6), uint8(13), uint8(2), uint8(2))
 	widths := []int{30, 41, 50, 51, 60}
 	tables := map[[2]int]*Table{}
 	f.Fuzz(func(t *testing.T, seed int64, logN, width, fill uint8) {
-		n, qBits := 1<<(4+logN%12), widths[int(width)%len(widths)]
+		n, qBits := 1<<(4+logN%14), widths[int(width)%len(widths)]
 		tab := tables[[2]int{n, qBits}]
 		if tab == nil {
 			tab = testTable(t, n, qBits)
@@ -331,6 +335,83 @@ func FuzzStageBodiesAgree(f *testing.F) {
 	})
 }
 
+// TestFusedMatchUnfused holds each fused entry point to the sequence
+// it replaces, word for word, under both stage bodies: InverseScaled to
+// a copy, Inverse and MulShoupRow, and ForwardSubMul to Forward and
+// SubMulShoupRow. 50-bit q puts the vector body's lazy ranges at their
+// tightest; dst is a separate row and src itself.
+func TestFusedMatchUnfused(t *testing.T) {
+	for _, n := range []int{16, 1 << 12, 1 << 13, 1 << 17} {
+		tab := testTable(t, n, 50)
+		m, q := tab.M, tab.M.Q
+		rng := rand.New(rand.NewSource(int64(n)))
+		row := func(gen func() uint64) []uint64 {
+			r := make([]uint64, n)
+			for i := range r {
+				r[i] = gen()
+			}
+			return r
+		}
+		random := func() uint64 { return rng.Uint64() % q }
+		acc := row(random)
+		w := random()
+		ws := m.ShoupPrecomp(w)
+		for name, gen := range map[string]func() uint64{
+			"zero": func() uint64 { return 0 }, "qm1": func() uint64 { return q - 1 }, "random": random,
+		} {
+			in := row(gen)
+			for _, tab := range bodies(tab) {
+				fail := func(entry string, i int, got, want uint64) {
+					t.Fatalf("n=%d %s %s %s: index %d got %d want %d", n, bodyName(tab), name, entry, i, got, want)
+				}
+				want := append([]uint64(nil), in...)
+				tab.Inverse(want)
+				m.MulShoupRow(want, want, w, ws)
+				for _, alias := range []bool{false, true} {
+					src := append([]uint64(nil), in...)
+					dst := make([]uint64, n)
+					if alias {
+						dst = src
+					}
+					tab.InverseScaled(dst, src, tab.Scaled(w))
+					for i := range dst {
+						if dst[i] != want[i] {
+							fail(fmt.Sprintf("InverseScaled (alias %v)", alias), i, dst[i], want[i])
+						}
+					}
+				}
+				want = append(want[:0], in...)
+				tab.Forward(want)
+				m.SubMulShoupRow(want, acc, want, w, ws)
+				got := append([]uint64(nil), in...)
+				tab.ForwardSubMul(got, acc, w, ws)
+				for i := range got {
+					if got[i] != want[i] {
+						fail("ForwardSubMul", i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedZeroAlloc pins both fused entry points to no allocation at
+// the benchmark shape, under every body: the hks tiles call them per
+// tower and allocate nothing.
+func TestFusedZeroAlloc(t *testing.T) {
+	const n = 1 << 13
+	for _, tab := range bodies(testTable(t, n, 40)) {
+		a, b := make([]uint64, n), make([]uint64, n)
+		s := tab.Scaled(3)
+		if allocs := testing.AllocsPerRun(10, func() { tab.InverseScaled(a, b, s) }); allocs != 0 {
+			t.Errorf("%s InverseScaled: %v allocations", bodyName(tab), allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tab.ForwardSubMul(a, b, s.lo, s.loShoup) }); allocs != 0 {
+			t.Errorf("%s ForwardSubMul: %v allocations", bodyName(tab), allocs)
+		}
+	}
+}
+
 func TestButterflyOps(t *testing.T) {
 	cases := map[int]int{2: 1, 4: 4, 8: 12, 1024: 5120, 1 << 17: (1 << 16) * 17}
 	for n, want := range cases {
@@ -340,10 +421,9 @@ func TestButterflyOps(t *testing.T) {
 	}
 }
 
-// benchBodies times transform on one tower at the benchmark shape
-// (bench/: N = 2^13, 40-bit Q towers) under every stage body.
-func benchBodies(b *testing.B, transform func(*Table, []uint64)) {
-	const n = 1 << 13
+// benchBodies times transform on one tower of n words with a 40-bit
+// modulus, the benchmark's (bench/: N = 2^13), under every stage body.
+func benchBodies(b *testing.B, n int, transform func(*Table, []uint64)) {
 	a := make([]uint64, n)
 	for _, tab := range bodies(testTable(b, n, 40)) {
 		for i := range a {
@@ -357,6 +437,12 @@ func benchBodies(b *testing.B, transform func(*Table, []uint64)) {
 	}
 }
 
-func BenchmarkForwardN8192(b *testing.B) { benchBodies(b, (*Table).Forward) }
+func BenchmarkForwardN8192(b *testing.B) { benchBodies(b, 1<<13, (*Table).Forward) }
 
-func BenchmarkInverseN8192(b *testing.B) { benchBodies(b, (*Table).Inverse) }
+func BenchmarkInverseN8192(b *testing.B) { benchBodies(b, 1<<13, (*Table).Inverse) }
+
+// The N = 2^16 pair runs four stages across the whole row, where the
+// N = 2^13 one runs one.
+func BenchmarkForwardN65536(b *testing.B) { benchBodies(b, 1<<16, (*Table).Forward) }
+
+func BenchmarkInverseN65536(b *testing.B) { benchBodies(b, 1<<16, (*Table).Inverse) }

@@ -81,10 +81,13 @@ type Kernel uint8
 
 const (
 	// KernelNTT covers forward and inverse number-theoretic
-	// transforms of one tower.
+	// transforms of one tower, with what rides inside them: the
+	// inverse's copy-in and BConv's ŷ scale, the forward's
+	// subtract-and-scale by P⁻¹.
 	KernelNTT Kernel = iota
 	// KernelBConv covers exact base-conversion tiles (the paper's
-	// BConv), including the Y-scale precompute.
+	// BConv) after the ŷ scale: the conversion sums and ModDown's
+	// overshoot.
 	KernelBConv
 
 	numKernels
