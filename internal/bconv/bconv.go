@@ -21,13 +21,15 @@
 // every multiply by a per-tower constant is a Shoup multiply against a
 // constant precomputed in New.
 //
-// The conversion decomposes into per-tower tiles (YScaleRow for the ŷ
-// pre-multiplication, ConvertTowerFromY for one destination tower),
-// which are exposed so internal/hks can schedule them as independent
-// tasks on the internal/engine worker pool under any of the paper's
-// dataflows; hks takes the ŷ constant itself (YScale) and folds it
-// into the last stage of each tower's inverse NTT. Convert and ConvertExact run the same tiles serially over
-// pooled scratch, so repeated conversions allocate nothing.
+// The conversion decomposes into per-tower tiles — the ŷ
+// pre-multiplication of each source tower, then ConvertTowerFromY for
+// one destination tower — so that internal/hks can schedule them as
+// independent tasks on the internal/engine worker pool under any of
+// the paper's dataflows. hks does not run the ŷ multiply as a pass of
+// its own: it takes the constant (YScale) and folds it into the last
+// stage of each source tower's inverse NTT. Convert and ConvertExact
+// run the same tiles serially over pooled scratch, so repeated
+// conversions allocate nothing.
 package bconv
 
 import (
@@ -145,21 +147,22 @@ func (c *Converter) checkConvert(in, out *ring.Poly) {
 // towers; each is safe to run concurrently with tiles touching other
 // rows.
 
-// YScaleRow computes ŷ_i = x_i · (B*/b_i)^{-1} mod b_i for source
+// yScaleRow computes ŷ_i = x_i · (B*/b_i)^{-1} mod b_i for source
 // tower index i. in is the tower's coefficient-domain row; out
 // receives the scaled row and may alias in.
-func (c *Converter) YScaleRow(i int, in, out []uint64) {
+func (c *Converter) yScaleRow(i int, in, out []uint64) {
 	c.r.Mods[c.src[i]].MulShoupRow(out[:len(in)], in, c.bHatInv[i], c.bHatInvShoup[i])
 }
 
 // YScale returns the ŷ constant (B*/b_i)^{-1} mod b_i of source tower
-// index i, for a caller that folds YScaleRow's multiply into a kernel
-// of its own (internal/hks folds it into the tower's inverse NTT).
+// index i: the multiply that turns a source row into its ŷ row, for a
+// caller that folds it into a kernel of its own (internal/hks folds it
+// into the tower's inverse NTT).
 func (c *Converter) YScale(i int) uint64 { return c.bHatInv[i] }
 
 // ConvertTowerFromY sums destination tower dstIdx (an index into Dst)
 // from the pre-scaled ŷ rows, overwriting dst without reading it.
-// Combined with YScaleRow it is bit-exact with Convert's per-tower
+// Combined with the ŷ scale it is bit-exact with Convert's per-tower
 // result.
 func (c *Converter) ConvertTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
 	n := len(c.src)
@@ -205,7 +208,7 @@ func (c *Converter) Overshoot(y [][]uint64, from, to int) {
 // removed: dst_k = Σ_i ŷ_i[k]·(B*/b_i) − u_k·B* (mod c_j), where u is
 // the row Overshoot left after the ŷ rows and −B* mod c_j the constant
 // aligned with it, so the removal is one more term of the same sum.
-// Combined with YScaleRow and Overshoot it is bit-exact with
+// Combined with the ŷ scale and Overshoot it is bit-exact with
 // ConvertExact's per-tower result.
 func (c *Converter) ConvertExactTowerFromY(y [][]uint64, dstIdx int, dst []uint64) {
 	n := len(c.src) + 1
@@ -221,7 +224,7 @@ func (c *Converter) Convert(in, out *ring.Poly) {
 	c.checkConvert(in, out)
 	s := c.scratch.Get().(*convScratch)
 	for i := range c.src {
-		c.YScaleRow(i, in.Coeffs[i], s.y[i])
+		c.yScaleRow(i, in.Coeffs[i], s.y[i])
 	}
 	for j := range c.dst {
 		c.ConvertTowerFromY(s.y, j, out.Coeffs[j])
@@ -240,7 +243,7 @@ func (c *Converter) ConvertExact(in, out *ring.Poly) {
 	c.checkConvert(in, out)
 	s := c.scratch.Get().(*convScratch)
 	for i := range c.src {
-		c.YScaleRow(i, in.Coeffs[i], s.y[i])
+		c.yScaleRow(i, in.Coeffs[i], s.y[i])
 	}
 	c.Overshoot(s.y, 0, c.r.N)
 	for j := range c.dst {

@@ -22,9 +22,11 @@ func parallelSetup(t *testing.T) (*ring.Ring, *Converter, *ring.Poly) {
 }
 
 func TestTilesComposeToConvert(t *testing.T) {
-	// YScaleRow + ConvertTowerFromY, the tiles internal/hks schedules
-	// on the engine, must reproduce Convert column by column; adding
-	// Overshoot + ConvertExactTowerFromY must reproduce ConvertExact.
+	// yScaleRow + ConvertTowerFromY (internal/hks schedules the second
+	// as a tile on the engine and folds the first, by its YScale
+	// constant, into its INTT) must reproduce Convert column by column;
+	// adding Overshoot + ConvertExactTowerFromY must reproduce
+	// ConvertExact.
 	r, c, in := parallelSetup(t)
 	n := r.N
 
@@ -34,7 +36,7 @@ func TestTilesComposeToConvert(t *testing.T) {
 		y[i] = make([]uint64, n)
 	}
 	for i := range c.Src() {
-		c.YScaleRow(i, in.Coeffs[i], y[i])
+		c.yScaleRow(i, in.Coeffs[i], y[i])
 	}
 
 	want := r.NewPoly(c.Dst())
@@ -104,7 +106,7 @@ func TestTilesZeroAlloc(t *testing.T) {
 	dst := make([]uint64, r.N)
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i := range c.Src() {
-			c.YScaleRow(i, in.Coeffs[i], y[i])
+			c.yScaleRow(i, in.Coeffs[i], y[i])
 		}
 		c.Overshoot(y, 0, r.N)
 		for j := range c.Dst() {

@@ -225,10 +225,10 @@ func (h *Hoisted) upRow(j, t int) []uint64 {
 
 // prepTower is ModUp P1 for Q tower i plus the digit's ŷ scaling
 // (folded here so it runs exactly once per tower, as the dataflow
-// model's inttWithPreOps charges it). The INTT reads the input row
-// block by block and multiplies by ŷ in its last stage, so the copy
-// and the scale cost no pass of their own; the ŷ scale is timed inside
-// the INTT's ntt kernel sample.
+// model's inttWithPreOps charges it). The INTT copies the input row in
+// one block at a time, just before that block's stages run, and the ŷ
+// multiply is its last stage's own, so neither streams the row again;
+// both are timed inside the INTT's ntt kernel sample.
 func (h *Hoisted) prepTower(i int) {
 	sw := h.sw
 	t0 := h.now()

@@ -37,15 +37,15 @@
 // four-element sub-slices, so the butterflies themselves index without
 // bounds checks; the stages with one twiddle per two or four elements
 // (step 1 and 2) have loops of their own instead of length-1 and
-// length-2 inner loops. The vector one (stage_amd64.s) runs eight butterflies
-// per iteration on AVX-512 IFMA's 52-bit multiply-accumulates, with
-// the twiddle broadcast per block and, below stride 8, both halves of
-// each butterfly brought into lanes by permutes. It keeps the same
-// lazy ranges, which must then fit 52 bits, so NewTable gives it to a
-// table only when the CPU has it (mod.Kernel), q < 2^50 and N ≥ 16;
-// its 52-bit Shoup companions ⌊w·2^52/q⌋ are the 64-bit ones shifted
-// right by 12. Both bodies end in the same correction pass, so the
-// outputs are the same words.
+// length-2 inner loops. The vector one (stage_amd64.s) runs eight
+// butterflies per iteration on AVX-512 IFMA's 52-bit
+// multiply-accumulates, with the twiddle broadcast per block and,
+// below stride 8, both halves of each butterfly brought into lanes by
+// permutes. It keeps the same lazy ranges, which must then fit 52
+// bits, so NewTable gives it to a table only when the CPU has it
+// (mod.Kernel), q < 2^50 and N ≥ 16; its 52-bit Shoup companions
+// ⌊w·2^52/q⌋ are the 64-bit ones shifted right by 12. Both bodies end
+// in the same correction pass, so the outputs are the same words.
 package ntt
 
 import (
