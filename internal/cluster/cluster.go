@@ -35,11 +35,13 @@
 //     its last stats snapshot is exact and the requeued work is
 //     counted only where it actually runs.
 //   - router.go: the front-end. Rendezvous hashing (hash.go) with
-//     per-tenant replication, retry-on-requeue, health checks,
-//     per-request deduplication (a result is accepted once, from one
-//     shard), and router-side per-shard completion counters that
-//     attribute every delivered switch to exactly the shard that
-//     served it.
+//     per-tenant replication, health checks, and bookkeeping by the
+//     frame: a group's frame is built once, member i is request
+//     BaseID+i for the group's whole life, and a requeue or a death
+//     resends the whole frame under the same IDs to the next live
+//     owner. A result is accepted once, from the shard that owns the
+//     group, and router-side per-shard completion counters attribute
+//     every delivered switch to exactly the shard that served it.
 //
 // The invariant discipline is PR 5's, now distributed: replaying a
 // schedule across N shards, the per-shard serve.Stats deltas must sum

@@ -249,8 +249,9 @@ func TestClusterKillMidReplayDelivery(t *testing.T) {
 		}
 		// Counters measured through serve.Stats may legitimately be
 		// inexact here — the killed shard took its books down with it,
-		// and half-executed groups re-ran elsewhere. Delivery must
-		// still be perfect: bit-exact results, dependency order intact.
+		// and a half-executed group re-ran whole elsewhere, its members
+		// already delivered included. Delivery must still be perfect:
+		// bit-exact results, dependency order intact.
 		if !o.res.Checked || !o.res.BitExact {
 			t.Fatalf("results not bit-exact after shard kill: %v", o.res.Mismatches)
 		}

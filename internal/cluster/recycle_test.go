@@ -177,10 +177,16 @@ func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 	}
 }
 
-// fakeShard accepts one router connection and answers the first member
-// of every group frame with answer's result; everything else it reads
-// and ignores, until the router hangs up.
-func fakeShard(t *testing.T, r *ring.Ring, answer func(g *Group) *WireResult) string {
+// frame is one frame a fake shard writes.
+type frame struct {
+	typ     FrameType
+	payload []byte
+}
+
+// fakeShard accepts one router connection and answers every frame it
+// reads with the frames answer returns, in order, until answer says to
+// hang up or the router does.
+func fakeShard(t *testing.T, answer func(typ FrameType, payload []byte) (reply []frame, hangUp bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -198,25 +204,44 @@ func fakeShard(t *testing.T, r *ring.Ring, answer func(g *Group) *WireResult) st
 			if err != nil {
 				return
 			}
-			if typ != FrameGroup {
-				continue
+			reply, hangUp := answer(typ, payload)
+			for _, f := range reply {
+				if WriteFrame(conn, f.typ, f.payload) != nil {
+					return
+				}
 			}
-			g, err := DecodeGroup(r, payload)
-			if err != nil {
-				t.Errorf("fake shard: %v", err)
-				return
-			}
-			p, err := EncodeResult(r, answer(g))
-			if err != nil {
-				t.Errorf("fake shard: %v", err)
-				return
-			}
-			if WriteFrame(conn, FrameResult, p) != nil {
+			if hangUp {
 				return
 			}
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// groupAnswer adapts a per-group answer to fakeShard: group frames are
+// decoded and answered with one result frame per WireResult, and every
+// other frame is read and ignored.
+func groupAnswer(t *testing.T, r *ring.Ring, answer func(g *Group) []*WireResult) func(FrameType, []byte) ([]frame, bool) {
+	return func(typ FrameType, payload []byte) ([]frame, bool) {
+		if typ != FrameGroup {
+			return nil, false
+		}
+		g, err := DecodeGroup(r, payload)
+		if err != nil {
+			t.Errorf("fake shard: %v", err)
+			return nil, true
+		}
+		var out []frame
+		for _, wr := range answer(g) {
+			p, err := EncodeResult(r, wr)
+			if err != nil {
+				t.Errorf("fake shard: %v", err)
+				return nil, true
+			}
+			out = append(out, frame{FrameResult, p})
+		}
+		return out, false
+	}
 }
 
 // A result frame can pass every check against the ring and still not
@@ -231,12 +256,12 @@ func TestRouterRejectsWrongBasisResult(t *testing.T) {
 	live := startCluster(t, 1, []string{tenant}, testSchedule(t), RouterConfig{})
 	cctx := live.cctx
 	r := cctx.R
-	fake := fakeShard(t, r, func(g *Group) *WireResult {
+	fake := fakeShard(t, groupAnswer(t, r, func(g *Group) []*WireResult {
 		c0 := r.NewPoly(r.QBasis(g.Level))
 		c1 := r.NewPoly(r.QBasis(0))
 		c0.IsNTT, c1.IsNTT = true, true
-		return &WireResult{ReqID: g.BaseID, Code: ResultOK, C0: c0, C1: c1}
-	})
+		return []*WireResult{{ReqID: g.BaseID, Code: ResultOK, C0: c0, C1: c1}}
+	}))
 	// Placement depends on the shard count alone, so put the fake shard
 	// at the index the tenant's groups go to first.
 	fakeIdx := newHashRing(2).owners(tenant, 1)[0]

@@ -4,17 +4,21 @@ package cluster
 // placement by tenant, and the bookkeeping that keeps the cluster's
 // counters exact under replication, drain, and shard death.
 //
-// Every group is owned by exactly one shard at a time (pendingGroup
-// tracks which); hot tenants round-robin their groups over up to R
-// replica owners, never splitting a group. Requeues (a draining shard
-// refusing work) and deaths reassign a group to the next live owner
-// with fresh request IDs — the old IDs leave the pending table first,
-// so a late result from the old shard cannot be delivered twice. The
-// per-shard Completed counters therefore attribute every request to
-// exactly the shard whose result was accepted, which is the
-// delivery-exactness invariant the kill tests gate: even when a dead
-// shard half-executed a group that later re-ran elsewhere, the
-// router's books sum to the schedule prediction.
+// The router books a group by its frame. SubmitGroup builds the frame
+// once and gives it a BaseID: member i is request BaseID+i for the
+// group's whole life, and the pending table maps each undelivered
+// request ID to its group. Every group is owned by exactly one shard
+// at a time; hot tenants round-robin their groups over up to R replica
+// owners, never splitting a group. A requeue (a draining shard refuses
+// a frame whole) or a death reassigns the group to the next live owner
+// and resends the whole frame under the same IDs: a result for a
+// member already delivered finds no pending entry, and a result from a
+// shard that lost the group finds it owned elsewhere, so either is
+// dropped. The per-shard Completed counters therefore attribute every
+// request to exactly the shard whose result was accepted, which is the
+// delivery-exactness invariant the kill tests gate: a group moved off
+// a dead shard runs whole, with one ModUp, on one live shard, and the
+// router's books still sum to the schedule prediction.
 
 import (
 	"context"
@@ -24,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ciflow/internal/dataflow"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -51,90 +54,29 @@ type shardClient struct {
 	// that must sum to the schedule prediction even across kills.
 	completed atomic.Uint64
 
-	// ctl serializes control round-trips (stats, ping) on this
-	// connection, so concurrent tenant views can poll stats without
-	// colliding on the one-outstanding-reply-per-type rule. Drain does
-	// not hold it: its reply can take as long as the shard's in-flight
-	// work, and it happens at most once per shard.
-	ctl sync.Mutex
+	// ctl holds the connection's one outstanding control exchange
+	// (ping, stats or drain). want is the reply type it awaits, zero
+	// when none; the read loop hands that reply to the one-slot reply
+	// channel, and any other control frame is a protocol error.
+	ctl   sync.Mutex
+	want  atomic.Uint32
+	reply chan []byte
 
-	// waiters holds at most one outstanding reply channel per control
-	// frame type (stats, pong, drain-done).
-	waitMu  sync.Mutex
-	waiters map[FrameType]chan []byte
-
-	drained atomic.Bool
-	finalMu sync.Mutex
-	final   serve.Stats
+	// final is the shard's drain-final stats snapshot, nil until a
+	// drain completes.
+	final atomic.Pointer[serve.Stats]
 }
 
-func (sc *shardClient) write(typ FrameType, payload []byte) error {
-	return sc.fw.write(typ, payload)
-}
-
-// expect registers the single outstanding waiter for one reply type.
-func (sc *shardClient) expect(typ FrameType) (chan []byte, error) {
-	sc.waitMu.Lock()
-	defer sc.waitMu.Unlock()
-	if sc.waiters[typ] != nil {
-		return nil, fmt.Errorf("cluster: %s already awaiting a %v reply", sc.name, typ)
-	}
-	ch := make(chan []byte, 1)
-	sc.waiters[typ] = ch
-	return ch, nil
-}
-
-func (sc *shardClient) deliverReply(typ FrameType, payload []byte) {
-	sc.waitMu.Lock()
-	ch := sc.waiters[typ]
-	delete(sc.waiters, typ)
-	sc.waitMu.Unlock()
-	if ch != nil {
-		ch <- payload
-	}
-}
-
-func (sc *shardClient) setFinal(st serve.Stats) {
-	sc.finalMu.Lock()
-	sc.final = st
-	sc.finalMu.Unlock()
-	sc.drained.Store(true)
-}
-
-func (sc *shardClient) finalStats() serve.Stats {
-	sc.finalMu.Lock()
-	defer sc.finalMu.Unlock()
-	return sc.final.Snapshot()
-}
-
-// pendingMember is one request of an in-flight group.
-type pendingMember struct {
-	pg       *pendingGroup
-	rot      int
-	ch       chan serve.Result
-	done     bool
-	requeued bool // requeue seen in the current epoch
-}
-
-// pendingGroup is one in-flight hoist group and its current
-// assignment. epoch increments on every (re)assignment; a goroutine
-// holding a stale epoch observes the bump and stands down, so exactly
-// one reassignment wins any race between a failed sender and the
-// death scan.
+// pendingGroup is one in-flight hoist group: its frame, built once,
+// one result channel per member, and its current assignment. epoch
+// increments on every (re)assignment; a goroutine holding a stale
+// epoch observes the bump and stands down, so exactly one reassignment
+// wins any race between a failed sender and the death scan.
 type pendingGroup struct {
-	tenant string
-	level  int
-	df     dataflow.Dataflow
-	input  *ring.Poly
-
-	members []*pendingMember
-	undone  int
-
-	shard    int
-	epoch    int
-	curIDs   []uint64
-	curCount int // members in the current wire frame
-	requeues int // requeues received in the current epoch
+	g     Group
+	chans []chan serve.Result
+	shard int
+	epoch int
 }
 
 // Router fronts a set of shard backends. Construct with NewRouter;
@@ -147,8 +89,7 @@ type Router struct {
 	mu      sync.Mutex
 	hring   *hashRing
 	nextID  uint64
-	pending map[uint64]*pendingMember
-	groups  map[*pendingGroup]struct{}
+	pending map[uint64]*pendingGroup // undelivered request ID → its group
 	rr      map[string]int
 
 	delivered atomic.Uint64
@@ -164,8 +105,7 @@ func NewRouter(r *ring.Ring, addrs []string, cfg RouterConfig) (*Router, error) 
 		r:       r,
 		cfg:     cfg,
 		hring:   newHashRing(len(addrs)),
-		pending: make(map[uint64]*pendingMember),
-		groups:  make(map[*pendingGroup]struct{}),
+		pending: make(map[uint64]*pendingGroup),
 		rr:      make(map[string]int),
 	}
 	for i, addr := range addrs {
@@ -177,12 +117,12 @@ func NewRouter(r *ring.Ring, addrs []string, cfg RouterConfig) (*Router, error) 
 			return nil, fmt.Errorf("cluster: dial shard %d (%s): %w", i, addr, err)
 		}
 		rt.shards = append(rt.shards, &shardClient{
-			idx:     i,
-			name:    fmt.Sprintf("shard-%d(%s)", i, addr),
-			conn:    conn,
-			fw:      &frameWriter{w: conn},
-			closed:  make(chan struct{}),
-			waiters: make(map[FrameType]chan []byte),
+			idx:    i,
+			name:   fmt.Sprintf("shard-%d(%s)", i, addr),
+			conn:   conn,
+			fw:     &frameWriter{w: conn},
+			closed: make(chan struct{}),
+			reply:  make(chan []byte, 1),
 		})
 	}
 	for _, sc := range rt.shards {
@@ -212,7 +152,7 @@ func (rt *Router) Close() {
 func (rt *Router) ShutdownShards() {
 	for _, sc := range rt.shards {
 		if !sc.down.Load() {
-			sc.write(FrameShutdown, nil)
+			sc.fw.write(FrameShutdown, nil)
 		}
 	}
 }
@@ -241,7 +181,13 @@ func (rt *Router) readLoop(sc *shardClient) {
 				return
 			}
 		case FrameStats, FramePong, FrameDrainDone:
-			sc.deliverReply(typ, payload)
+			if !sc.want.CompareAndSwap(uint32(typ), 0) {
+				// Not the reply the outstanding exchange awaits, or
+				// no exchange is outstanding.
+				rt.markDown(sc)
+				return
+			}
+			sc.reply <- payload
 		default:
 			rt.markDown(sc)
 			return
@@ -249,68 +195,51 @@ func (rt *Router) readLoop(sc *shardClient) {
 	}
 }
 
-// handleResult routes one result frame: terminal results deliver at
-// most once (the pending table is the dedup), requeues trigger a
-// whole-group reassignment once every current member has been
-// requeued (a draining shard requeues groups atomically). DecodeResult
-// has checked the switched pair against the ring; here it is checked
-// against the request — a key switch returns its input's basis in the
-// NTT domain — and a pair that is well formed but not this request's
-// answer is a protocol error like any other: the error takes the shard
-// down and its groups are served elsewhere, rather than a client
-// indexing towers that are not there.
+// handleResult routes one result frame: a terminal result is
+// delivered at most once (the pending table is the dedup), and the
+// first requeue of the current assignment moves the whole group — the
+// requeues for its other members then find it moved and are dropped.
+// DecodeResult has checked the switched pair against the ring; here it
+// is checked against the request — a key switch returns its input's
+// basis in the NTT domain — and a pair that is well formed but not
+// this request's answer is a protocol error like any other: the error
+// takes the shard down and its groups are served elsewhere, rather
+// than a client indexing towers that are not there.
 func (rt *Router) handleResult(sc *shardClient, wr *WireResult) error {
 	rt.mu.Lock()
-	m := rt.pending[wr.ReqID]
-	if m == nil || m.pg.shard != sc.idx {
+	pg := rt.pending[wr.ReqID]
+	if pg == nil || pg.shard != sc.idx {
 		// Unknown, already delivered, or reassigned: a late result
 		// from a shard that lost the group. Drop it — first delivery
 		// won, and counting it would double-attribute the request.
 		rt.mu.Unlock()
 		return nil
 	}
-	pg := m.pg
-	if wr.Code == ResultOK {
+	switch wr.Code {
+	case ResultOK:
 		for _, c := range []*ring.Poly{wr.C0, wr.C1} {
-			if !c.IsNTT || !c.Basis.Equal(pg.input.Basis) {
+			if !c.IsNTT || !c.Basis.Equal(pg.g.Input.Basis) {
 				rt.mu.Unlock()
 				return fmt.Errorf("cluster: %s answered request %d over basis %v (ntt %v), want %v",
-					sc.name, wr.ReqID, c.Basis, c.IsNTT, pg.input.Basis)
+					sc.name, wr.ReqID, c.Basis, c.IsNTT, pg.g.Input.Basis)
 			}
 		}
-	}
-	if wr.Code == ResultRequeue {
-		if !m.requeued {
-			m.requeued = true
-			pg.requeues++
-		}
-		if pg.requeues == pg.curCount {
-			epoch := pg.epoch
-			rt.mu.Unlock()
-			rt.dispatch(pg, epoch)
-			return nil
-		}
+	case ResultRequeue:
+		epoch := pg.epoch
 		rt.mu.Unlock()
+		rt.dispatch(pg, epoch)
 		return nil
 	}
 	delete(rt.pending, wr.ReqID)
-	m.done = true
-	pg.undone--
-	if pg.undone == 0 {
-		delete(rt.groups, pg)
-	}
 	rt.mu.Unlock()
 
 	sc.completed.Add(1)
 	rt.delivered.Add(1)
-	var res serve.Result
-	switch wr.Code {
-	case ResultOK:
-		res = serve.Result{C0: wr.C0, C1: wr.C1}
-	default:
+	res := serve.Result{C0: wr.C0, C1: wr.C1}
+	if wr.Code != ResultOK {
 		res = serve.Result{Err: fmt.Errorf("cluster: %s: %s", sc.name, wr.ErrMsg)}
 	}
-	m.ch <- res
+	pg.chans[wr.ReqID-pg.g.BaseID] <- res
 	return nil
 }
 
@@ -324,89 +253,53 @@ func (rt *Router) markDown(sc *shardClient) {
 	close(sc.closed)
 	rt.mu.Lock()
 	rt.hring.remove(sc.idx)
-	type redo struct {
-		pg    *pendingGroup
-		epoch int
-	}
-	var redos []redo
-	for pg := range rt.groups {
+	redo := make(map[*pendingGroup]int)
+	for _, pg := range rt.pending {
 		if pg.shard == sc.idx {
-			redos = append(redos, redo{pg, pg.epoch})
+			redo[pg] = pg.epoch
 		}
 	}
 	rt.mu.Unlock()
-	for _, rd := range redos {
-		go rt.dispatch(rd.pg, rd.epoch)
+	for pg, epoch := range redo {
+		go rt.dispatch(pg, epoch)
 	}
 }
 
-// dispatch (re)assigns pg's undone members to a live owner and sends
-// the group frame. Only the caller whose epoch still matches proceeds
-// — a failed sender and the death scan can both call dispatch for the
-// same group, and the epoch bump lets exactly one win. Terminal
-// failures (no live shards, encode errors) fail the remaining members
-// through their result channels.
-func (rt *Router) dispatch(pg *pendingGroup, wantEpoch int) {
+// dispatch (re)assigns pg to a live owner and sends its whole frame.
+// Only the caller whose epoch still matches proceeds — a failed sender
+// and the death scan can both call dispatch for the same group, and
+// the epoch bump lets exactly one win. A group with no member left to
+// deliver is not sent. Terminal failures (no live shards, encode
+// errors) fail the undelivered members through their result channels.
+func (rt *Router) dispatch(pg *pendingGroup, epoch int) {
 	for {
 		rt.mu.Lock()
-		if pg.epoch != wantEpoch {
+		if pg.epoch != epoch || !rt.undeliveredLocked(pg) {
 			rt.mu.Unlock()
 			return
 		}
-		var ms []*pendingMember
-		var rots []int
-		for _, m := range pg.members {
-			if !m.done {
-				ms = append(ms, m)
-				rots = append(rots, m.rot)
-			}
-		}
-		if len(ms) == 0 {
-			delete(rt.groups, pg)
-			rt.mu.Unlock()
-			return
-		}
-		owners := rt.hring.owners(pg.tenant, rt.cfg.Replicas)
+		owners := rt.hring.owners(pg.g.Tenant, rt.cfg.Replicas)
 		if len(owners) == 0 {
-			rt.failLocked(pg, ms, errors.New("cluster: no live shards"))
+			rt.failLocked(pg, errors.New("cluster: no live shards"))
 			rt.mu.Unlock()
 			return
 		}
 		// A tenant's groups round-robin over its replica set.
-		sc := rt.shards[owners[rt.rr[pg.tenant]%len(owners)]]
-		rt.rr[pg.tenant]++
-		for _, id := range pg.curIDs {
-			delete(rt.pending, id)
-		}
-		base := rt.nextID
-		rt.nextID += uint64(len(ms))
-		pg.curIDs = pg.curIDs[:0]
-		for i, m := range ms {
-			id := base + uint64(i)
-			pg.curIDs = append(pg.curIDs, id)
-			rt.pending[id] = m
-			m.requeued = false
-		}
-		pg.curCount = len(ms)
-		pg.requeues = 0
+		sc := rt.shards[owners[rt.rr[pg.g.Tenant]%len(owners)]]
+		rt.rr[pg.g.Tenant]++
 		pg.shard = sc.idx
 		pg.epoch++
-		wantEpoch = pg.epoch
-		rt.groups[pg] = struct{}{}
-		g := &Group{
-			BaseID: base, Tenant: pg.tenant, Level: pg.level,
-			Dataflow: pg.df, Rots: rots, Input: pg.input,
-		}
+		epoch = pg.epoch
 		rt.mu.Unlock()
 
-		err := sc.fw.send(FrameGroup, rt.r, g)
+		err := sc.fw.send(FrameGroup, rt.r, &pg.g)
 		if err == nil {
 			return
 		}
 		if errors.As(err, new(encodeError)) {
 			rt.mu.Lock()
-			if pg.epoch == wantEpoch {
-				rt.failLocked(pg, ms, err)
+			if pg.epoch == epoch {
+				rt.failLocked(pg, err)
 			}
 			rt.mu.Unlock()
 			return
@@ -417,22 +310,26 @@ func (rt *Router) dispatch(pg *pendingGroup, wantEpoch int) {
 	}
 }
 
-// failLocked terminally fails ms (members of pg) with err. Caller
-// holds rt.mu.
-func (rt *Router) failLocked(pg *pendingGroup, ms []*pendingMember, err error) {
-	for _, id := range pg.curIDs {
-		delete(rt.pending, id)
-	}
-	pg.curIDs = pg.curIDs[:0]
-	for _, m := range ms {
-		if !m.done {
-			m.done = true
-			pg.undone--
-			m.ch <- serve.Result{Err: err}
+// undeliveredLocked reports whether a member of pg still awaits its
+// result. Caller holds rt.mu.
+func (rt *Router) undeliveredLocked(pg *pendingGroup) bool {
+	for i := range pg.chans {
+		if rt.pending[pg.g.BaseID+uint64(i)] == pg {
+			return true
 		}
 	}
-	if pg.undone == 0 {
-		delete(rt.groups, pg)
+	return false
+}
+
+// failLocked terminally fails pg's undelivered members with err.
+// Caller holds rt.mu.
+func (rt *Router) failLocked(pg *pendingGroup, err error) {
+	for i, ch := range pg.chans {
+		id := pg.g.BaseID + uint64(i)
+		if rt.pending[id] == pg {
+			delete(rt.pending, id)
+			ch <- serve.Result{Err: err}
+		}
 	}
 }
 
@@ -451,8 +348,12 @@ func (rt *Router) SubmitGroup(ctx context.Context, reqs []serve.Request) ([]<-ch
 	}
 	r0 := reqs[0]
 	pg := &pendingGroup{
-		tenant: r0.Tenant, level: r0.Level, df: r0.Dataflow,
-		input: r0.Input, shard: -1, undone: len(reqs),
+		g: Group{
+			Tenant: r0.Tenant, Level: r0.Level, Dataflow: r0.Dataflow,
+			Rots: make([]int, len(reqs)), Input: r0.Input,
+		},
+		chans: make([]chan serve.Result, len(reqs)),
+		shard: -1,
 	}
 	out := make([]<-chan serve.Result, len(reqs))
 	for i, req := range reqs {
@@ -460,59 +361,62 @@ func (rt *Router) SubmitGroup(ctx context.Context, reqs []serve.Request) ([]<-ch
 			req.Dataflow != r0.Dataflow || req.Input != r0.Input {
 			return nil, errors.New("cluster: group members must share tenant, level, dataflow, and input")
 		}
-		m := &pendingMember{pg: pg, rot: req.Rot, ch: make(chan serve.Result, 1)}
-		pg.members = append(pg.members, m)
-		out[i] = m.ch
+		pg.g.Rots[i] = req.Rot
+		pg.chans[i] = make(chan serve.Result, 1)
+		out[i] = pg.chans[i]
 	}
 	rt.mu.Lock()
-	rt.groups[pg] = struct{}{}
+	pg.g.BaseID = rt.nextID
+	rt.nextID += uint64(len(reqs))
+	for i := range reqs {
+		rt.pending[pg.g.BaseID+uint64(i)] = pg
+	}
 	rt.mu.Unlock()
 	rt.dispatch(pg, 0)
 	return out, nil
 }
 
-// Submit routes one request (a group of one).
-func (rt *Router) Submit(ctx context.Context, req serve.Request) (<-chan serve.Result, error) {
-	rcs, err := rt.SubmitGroup(ctx, []serve.Request{req})
-	if err != nil {
-		return nil, err
-	}
-	return rcs[0], nil
-}
-
-// roundTrip is one control exchange with sc: refuse a shard that is
-// down, register for the reply, send the request, and wait for the
-// reply's payload or the connection's death. Under ctl it queues behind
-// the connection's other control exchanges; drain goes around it,
-// because its reply can be as long coming as the shard's in-flight
-// work.
-func (rt *Router) roundTrip(sc *shardClient, req, reply FrameType, ctl bool) ([]byte, error) {
+// roundTrip is one control exchange with sc: take the connection's one
+// control slot, refuse a shard that is down, send the request, and
+// wait for the reply's payload or the connection's death. Drain holds
+// the slot too, so a ping or stats poll of a draining shard waits for
+// its DrainDone.
+func (rt *Router) roundTrip(sc *shardClient, req, reply FrameType) ([]byte, error) {
+	sc.ctl.Lock()
+	defer sc.ctl.Unlock()
 	if sc.down.Load() {
 		return nil, fmt.Errorf("cluster: %s is down", sc.name)
 	}
-	if ctl {
-		sc.ctl.Lock()
-		defer sc.ctl.Unlock()
-	}
-	ch, err := sc.expect(reply)
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.write(req, nil); err != nil {
+	sc.want.Store(uint32(reply))
+	if err := sc.fw.write(req, nil); err != nil {
 		rt.markDown(sc)
 		return nil, err
 	}
 	select {
-	case p := <-ch:
+	case p := <-sc.reply:
 		return p, nil
 	case <-sc.closed:
 		return nil, fmt.Errorf("cluster: %s died awaiting %v", sc.name, reply)
 	}
 }
 
+// roundTripStats is a control exchange whose reply is a stats
+// snapshot; a snapshot that does not decode takes the shard down.
+func (rt *Router) roundTripStats(sc *shardClient, req, reply FrameType) (serve.Stats, error) {
+	p, err := rt.roundTrip(sc, req, reply)
+	if err != nil {
+		return serve.Stats{}, err
+	}
+	st, err := DecodeStats(p)
+	if err != nil {
+		rt.markDown(sc)
+	}
+	return st, err
+}
+
 // Ping health-checks shard i.
 func (rt *Router) Ping(i int) error {
-	_, err := rt.roundTrip(rt.shards[i], FramePing, FramePong, true)
+	_, err := rt.roundTrip(rt.shards[i], FramePing, FramePong)
 	return err
 }
 
@@ -520,19 +424,16 @@ func (rt *Router) Ping(i int) error {
 // while it lives, from the cached drain-final snapshot afterwards.
 func (rt *Router) ShardStats(i int) (serve.Stats, error) {
 	sc := rt.shards[i]
-	if sc.drained.Load() {
-		return sc.finalStats(), nil
+	if final := sc.final.Load(); final != nil {
+		return final.Snapshot(), nil
 	}
-	p, err := rt.roundTrip(sc, FrameStatsReq, FrameStats, true)
-	if err != nil {
+	st, err := rt.roundTripStats(sc, FrameStatsReq, FrameStats)
+	if final := sc.final.Load(); err != nil && final != nil {
 		// A drain that finished while this exchange was failing left
 		// the final books behind.
-		if sc.drained.Load() {
-			return sc.finalStats(), nil
-		}
-		return serve.Stats{}, err
+		return final.Snapshot(), nil
 	}
-	return DecodeStats(p)
+	return st, err
 }
 
 // Drain removes shard i from the ring (so no new group lands on it),
@@ -549,15 +450,11 @@ func (rt *Router) Drain(i int) (serve.Stats, error) {
 	rt.mu.Lock()
 	rt.hring.remove(sc.idx)
 	rt.mu.Unlock()
-	p, err := rt.roundTrip(sc, FrameDrain, FrameDrainDone, false)
+	st, err := rt.roundTripStats(sc, FrameDrain, FrameDrainDone)
 	if err != nil {
 		return serve.Stats{}, err
 	}
-	st, err := DecodeStats(p)
-	if err != nil {
-		return serve.Stats{}, err
-	}
-	sc.setFinal(st)
+	sc.final.Store(&st)
 	return st, nil
 }
 
@@ -581,40 +478,32 @@ type ShardStatus struct {
 
 // Status reports every shard: state, router-side completion count,
 // and the freshest stats snapshot available (zero for a shard that
-// died without draining).
+// died without draining). The state is read after the fetch, so a
+// shard whose fetch failed — which takes it down — reports down.
 func (rt *Router) Status() []ShardStatus {
 	out := make([]ShardStatus, len(rt.shards))
 	for i, sc := range rt.shards {
-		s := ShardStatus{Shard: i, Name: sc.name, Completed: sc.completed.Load()}
+		st, _ := rt.ShardStats(i)
+		s := ShardStatus{Shard: i, Name: sc.name, State: ShardLive, Completed: sc.completed.Load(), Stats: st}
 		switch {
-		case sc.drained.Load():
+		case sc.final.Load() != nil:
 			s.State = ShardDrained
-			s.Stats = sc.finalStats()
 		case sc.down.Load():
 			s.State = ShardDown
-		default:
-			s.State = ShardLive
-			if st, err := rt.ShardStats(i); err == nil {
-				s.Stats = st
-			}
 		}
 		out[i] = s
 	}
 	return out
 }
 
-// AllStats returns the freshest per-shard stats snapshots (live
-// fetches plus drained finals; shards that died undrained are
-// omitted). AggregateStats over this slice is the cluster-wide view
-// the shard-sum invariant gates.
+// AllStats returns the freshest per-shard stats snapshots: Status()
+// less the shards that died undrained. AggregateStats over this slice
+// is the cluster-wide view the shard-sum invariant gates.
 func (rt *Router) AllStats() []serve.Stats {
 	var out []serve.Stats
-	for i, sc := range rt.shards {
-		if sc.down.Load() && !sc.drained.Load() {
-			continue
-		}
-		if st, err := rt.ShardStats(i); err == nil {
-			out = append(out, st)
+	for _, s := range rt.Status() {
+		if s.State != ShardDown {
+			out = append(out, s.Stats)
 		}
 	}
 	return out
@@ -629,12 +518,13 @@ type TenantView struct {
 	Tenant string
 }
 
-// Submit routes one request for the view's tenant.
+// Submit routes one request for the view's tenant (a group of one).
 func (tv *TenantView) Submit(ctx context.Context, req serve.Request) (<-chan serve.Result, error) {
-	if req.Tenant != tv.Tenant {
-		return nil, fmt.Errorf("cluster: tenant view %q got request for %q", tv.Tenant, req.Tenant)
+	rcs, err := tv.SubmitGroup(ctx, []serve.Request{req})
+	if err != nil {
+		return nil, err
 	}
-	return tv.Router.Submit(ctx, req)
+	return rcs[0], nil
 }
 
 // SubmitGroup routes one whole hoist group for the view's tenant.

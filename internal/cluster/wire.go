@@ -140,7 +140,7 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 // small: such a payload is valid until the next call with that buf,
 // which is long enough because DecodeGroup and DecodeResult copy
 // everything out. Every other payload is freshly allocated and the
-// caller's (control replies are handed to waiters).
+// caller's (a control reply is handed to the exchange awaiting it).
 func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -327,6 +327,8 @@ const (
 	// request; the router must resubmit it elsewhere. Requeue is
 	// decided before execution and per whole group (a group is one
 	// frame), so a drained shard's stats never include requeued work.
+	// The shard sends one per member; the router resends the whole
+	// frame on the first and drops the rest.
 	ResultRequeue
 )
 
