@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ciflow/internal/engine"
 	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 )
@@ -211,6 +212,66 @@ func TestKeyChainConcurrentLoads(t *testing.T) {
 	for i, evk := range same {
 		if evk == nil || evk != same[0] {
 			t.Fatalf("caller %d got its own copy of the key", i)
+		}
+	}
+}
+
+// TestGenEvkConcurrent: hks.GenEvk runs each key's towers on
+// engine.Default(), so keys derived at once from two chains share that
+// pool, and a caller already inside another engine's ParallelFor (as
+// serve's runGroup is on a key miss) nests a Default section in it.
+// Every key must equal its twin derived one at a time on a fresh chain
+// of the same seed (run under -race).
+func TestGenEvkConcurrent(t *testing.T) {
+	ctx, err := NewContext(256, 4, 30, 2, 31, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{42, 43}
+	type req struct{ chain, rot int }
+	var reqs []req
+	for c := range seeds {
+		for rot := 1; rot <= 6; rot++ {
+			reqs = append(reqs, req{c, rot})
+		}
+	}
+	derive := func(chains []*KeyChain, rq req) *hks.Evk {
+		evk, err := chains[rq.chain].HoistKey(rq.rot, ctx.MaxLevel)
+		if err != nil {
+			t.Error(err)
+		}
+		return evk
+	}
+	fresh := func() []*KeyChain {
+		chains := make([]*KeyChain, len(seeds))
+		for c, sd := range seeds {
+			chains[c], _ = GenKeys(ctx, sd)
+		}
+		return chains
+	}
+
+	serial, want := fresh(), make([][]byte, len(reqs))
+	for i, rq := range reqs {
+		want[i] = evkBytes(t, ctx, derive(serial, rq))
+	}
+
+	chains, got := fresh(), make([]*hks.Evk, len(reqs))
+	e := engine.New(2)
+	defer e.Close()
+	var wg sync.WaitGroup
+	half := len(reqs) / 2
+	for i := range half {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = derive(chains, reqs[i])
+		}()
+	}
+	e.ParallelFor(len(reqs)-half, func(k int) { got[half+k] = derive(chains, reqs[half+k]) })
+	wg.Wait()
+	for i, rq := range reqs {
+		if got[i] == nil || !bytes.Equal(evkBytes(t, ctx, got[i]), want[i]) {
+			t.Fatalf("chain %d, rotation %d: concurrently derived key differs from its serial twin", rq.chain, rq.rot)
 		}
 	}
 }

@@ -62,6 +62,7 @@ import (
 
 	"ciflow/internal/bconv"
 	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
 	"ciflow/internal/ntt"
 	"ciflow/internal/obs"
 	"ciflow/internal/params"
@@ -99,6 +100,10 @@ type Switcher struct {
 	// Each dataflow's walk over this shape with nothing pinned
 	// (internal/dataflow), which every schedule visits (schedule.go).
 	plans [dataflow.OCF + 1]*dataflow.Plan
+
+	// GenEvk's scratch: one key's Gaussian integers, and the two
+	// transformed secret rows of one tower task.
+	genInts, genRows sync.Pool
 
 	// Pooled execution states (tiles.go): one pool, because a state's
 	// scratch does not depend on the dataflow it last ran under, only
@@ -344,38 +349,77 @@ func (e *Evk) SizeBytes() int {
 
 // GenEvk generates the evaluation key that re-encrypts from sOld to
 // sNew. Both secrets must span the full D basis (coefficient domain).
-// Each digit's uniform A-half is drawn by expanding a fresh 32-byte
-// seed from the sampler's stream (recorded on the key for Compress),
-// so the key remains a pure function of the sampler's seed.
+// Digit j is B_j = e_j − A_j·sNew + w_j·sOld over D_ℓ in the NTT domain,
+// with A_j uniform, e_j Gaussian and w_j the digit's gadget factor.
+//
+// The sampler's stream is drawn first, on the caller, in the order the
+// key has always drawn it: per digit the 32-byte seed that A_j expands
+// from (recorded on the key for Compress), then e_j's N Gaussian
+// integers. That fixes every bit of the key, so the rest is one task
+// per extended tower on engine.Default(): transform the tower of both
+// secrets, then per digit draw A_j's row from its seed, lift e_j into
+// B_j's row, transform it, and accumulate −A_j·sNew and, where the
+// gadget factor is non-zero (digit j's own towers; never a P tower),
+// w_j·sOld. The key remains a pure function of the sampler's seed,
+// whichever worker builds which tower.
 func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
-	r := sw.R
-	sNewD := sNew.SubPoly(sw.dBasis).Copy()
-	sOldD := sOld.SubPoly(sw.dBasis).Copy()
-	r.NTT(sNewD)
-	r.NTT(sOldD)
-
-	evk := &Evk{}
-	for j := 0; j < sw.Dnum; j++ {
-		seed := sampler.NewSeed()
-		a := r.UniformFromSeed(sw.dBasis, seed)
-		a.IsNTT = true // uniform residues are uniform in either domain
-		e := sampler.Gaussian(sw.dBasis)
-		r.NTT(e)
-
-		// b = -a·sNew + e + w_j ⊙ sOld  over D_ℓ.
-		b := r.NewPoly(sw.dBasis)
-		b.IsNTT = true
-		r.MulCoeffwise(a, sNewD, b)
-		r.Sub(e, b, b) // b = e - a·sNew
-		ws := r.NewPoly(sw.dBasis)
-		r.MulTowerScalars(sOldD, sw.gadget[j], ws)
-		r.Add(b, ws, b)
-
-		evk.B = append(evk.B, b)
-		evk.A = append(evk.A, a)
-		evk.Seeds = append(evk.Seeds, seed)
+	if sOld.IsNTT || sNew.IsNTT {
+		panic("hks: GenEvk secrets must be in the coefficient domain")
 	}
+	r, n := sw.R, sw.R.N
+	sOldD, sNewD := sOld.SubPoly(sw.dBasis), sNew.SubPoly(sw.dBasis)
+
+	ints := getScratch[int64](&sw.genInts, sw.Dnum*n)
+	defer sw.genInts.Put(ints)
+	evk := &Evk{B: make([]*ring.Poly, sw.Dnum), A: make([]*ring.Poly, sw.Dnum), Seeds: make([]ring.Seed, sw.Dnum)}
+	for j := range sw.Dnum {
+		evk.Seeds[j] = sampler.NewSeed()
+		sampler.GaussianInts((*ints)[j*n : (j+1)*n])
+		evk.A[j] = r.NewPoly(sw.dBasis)
+		evk.B[j] = r.NewPoly(sw.dBasis)
+		evk.A[j].IsNTT, evk.B[j].IsNTT = true, true
+	}
+
+	engine.Default().ParallelFor(len(sw.dBasis), func(t int) {
+		tw, m, tab := sw.dBasis[t], r.Mods[sw.dBasis[t]], r.Tables[sw.dBasis[t]]
+		rows := getScratch[uint64](&sw.genRows, 2*n)
+		defer sw.genRows.Put(rows)
+		negS, sOldT := (*rows)[:n], (*rows)[n:]
+		copy(negS, sNewD.Coeffs[t])
+		tab.Forward(negS)
+		for k, x := range negS {
+			negS[k] = m.Neg(x)
+		}
+		oldDone := false
+		for j := range sw.Dnum {
+			a, b := evk.A[j].Coeffs[t], evk.B[j].Coeffs[t]
+			r.UniformRowFromSeed(a, sw.dBasis, t, evk.Seeds[j])
+			r.LiftInts(b, tw, (*ints)[j*n:(j+1)*n])
+			tab.Forward(b)
+			m.MulAccRows(b, [][]uint64{a}, [][]uint64{negS}, m.Q)
+			w := sw.gadget[j][t]
+			if w == 0 {
+				continue
+			}
+			if !oldDone {
+				copy(sOldT, sOldD.Coeffs[t])
+				tab.Forward(sOldT)
+				oldDone = true
+			}
+			m.MulAccScalars(b, [][]uint64{sOldT}, []uint64{w}, m.Q)
+		}
+	})
 	return evk
+}
+
+// getScratch returns a pooled slice of n elements, allocating one when
+// the pool is empty. Put it back on the same pool.
+func getScratch[T any](p *sync.Pool, n int) *[]T {
+	if s, _ := p.Get().(*[]T); s != nil && len(*s) == n {
+		return s
+	}
+	s := make([]T, n)
+	return &s
 }
 
 // Decompose splits d (NTT domain over B_ℓ) into its digit sub-

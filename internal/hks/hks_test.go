@@ -18,7 +18,7 @@ import (
 )
 
 // testSetup returns a ring plus secrets sampled over the full D basis.
-func testSetup(t *testing.T, n, numQ, qBits, numP, pBits int) (*ring.Ring, *ring.Sampler, *ring.Poly, *ring.Poly) {
+func testSetup(t testing.TB, n, numQ, qBits, numP, pBits int) (*ring.Ring, *ring.Sampler, *ring.Poly, *ring.Poly) {
 	t.Helper()
 	r, err := ring.NewRingGenerated(n, numQ, qBits, numP, pBits)
 	if err != nil {

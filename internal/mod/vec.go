@@ -206,18 +206,29 @@ func (m Modulus) mulAccRowsGo(acc []uint64, a, b [][]uint64, keep uint64) {
 // towers (reduced modulo *their* moduli, which bound the operand), w
 // the (B*/b_j) mod q column of the destination tower.
 func (m Modulus) MulSumScalars(dst []uint64, a [][]uint64, w []uint64, maxOperand uint64) {
+	m.mulAccScalars(dst, a, w, maxOperand, dropAcc)
+}
+
+// MulAccScalars is MulSumScalars onto acc: acc[k] = (acc[k] +
+// Σ_j a[j][k]·w[j]) mod q, with acc reduced modulo q. Key generation
+// adds the gadget multiple of the old secret with it.
+func (m Modulus) MulAccScalars(acc []uint64, a [][]uint64, w []uint64, maxOperand uint64) {
+	m.mulAccScalars(acc, a, w, maxOperand, keepAcc)
+}
+
+func (m Modulus) mulAccScalars(acc []uint64, a [][]uint64, w []uint64, maxOperand, keep uint64) {
 	vec, maxTerms := m.accBody(maxOperand)
 	var c, c52, mu uint64
 	if vec {
 		c, c52, mu = m.Reduce52()
-		checkRows(a, len(dst))
+		checkRows(a, len(acc))
 	}
-	for keep := dropAcc; ; keep = keepAcc {
+	for ; ; keep = keepAcc {
 		t := min(len(a), maxTerms)
 		if vec {
-			mulAccScalars52(dst, a[:t], w[:t], keep, m.Q, c, c52, mu)
+			mulAccScalars52(acc, a[:t], w[:t], keep, m.Q, c, c52, mu)
 		} else {
-			m.mulAccScalarsGo(dst, a[:t], w[:t], keep)
+			m.mulAccScalarsGo(acc, a[:t], w[:t], keep)
 		}
 		if a, w = a[t:], w[t:]; len(a) == 0 {
 			return

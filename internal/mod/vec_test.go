@@ -96,6 +96,38 @@ func TestMulAccMatchesBig(t *testing.T) {
 	})
 }
 
+// TestMulAccScalarsMatchesGo pins the accumulating scalar MAC, under
+// each body, to the Go body and to math/big: one to four terms (key
+// generation adds one, BConv's exact conversion sums up to four) over a
+// 40-, a 50- and a 60-bit modulus, on a row whose length leaves a
+// ragged tail after the last block of eight, onto an accumulator of
+// reduced residues that must be read.
+func TestMulAccScalarsMatchesGo(t *testing.T) {
+	EachKernel(t, func(t *testing.T) {
+		const n = 75
+		for _, q := range []uint64{1099511480321, accModuli[5], accModuli[2]} {
+			m := New(q)
+			rng := rand.New(rand.NewSource(int64(q)))
+			gen := func() uint64 { return rng.Uint64() % q }
+			for terms := 1; terms <= 4; terms++ {
+				a := accRows(terms, n, gen)
+				w := accRows(1, terms, gen)[0]
+				init := accRows(1, n, gen)[0]
+				got := append([]uint64(nil), init...)
+				m.MulAccScalars(got, a, w, q)
+				goBody := append([]uint64(nil), init...)
+				m.mulAccScalarsGo(goBody, a, w, keepAcc)
+				for k := range got {
+					want := wantAcc(q, init[k], k, a, func(j, _ int) uint64 { return w[j] })
+					if got[k] != goBody[k] || got[k] != want {
+						t.Fatalf("q=%d, %d terms, coeff %d: got %d, Go body %d, math/big %d", q, terms, k, got[k], goBody[k], want)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestMulAccWideOperand covers BConv's case: the a rows are residues
 // of a *larger* modulus than the one reduced by, bounded by the
 // maxOperand the caller states. A 62-bit source is beyond the vector
@@ -233,6 +265,7 @@ func TestRowKernelsZeroAlloc(t *testing.T) {
 					m.MulAccRows(acc, a[:terms], b[:terms], q)
 					m.MulSumRows(acc, a[:terms], b[:terms], q)
 					m.MulSumScalars(acc, a[:terms], w[:terms], q)
+					m.MulAccScalars(acc, a[:terms], w[:terms], q)
 				}
 				m.MulShoupRow(acc, a[0], w[0], ws)
 				m.SubMulShoupRow(acc, a[0], b[0], w[0], ws)

@@ -298,6 +298,39 @@ func TestCheckTrace(t *testing.T) {
 	}
 }
 
+// TestCheckTraceBackToBack: a span that starts where the previous one
+// on its lane ends is not an overlap, even where the float microsecond
+// fields say otherwise — 4,170,000,007 ns + 50,001 ns is one ulp past
+// 4,170,050,008 ns in float microseconds — while a 1 ns overlap still
+// fails.
+func TestCheckTraceBackToBack(t *testing.T) {
+	const startNs, durNs = 4_170_000_007, 50_001
+	if a, b := float64(startNs)/1e3+float64(durNs)/1e3, float64(startNs+durNs)/1e3; a <= b {
+		t.Fatalf("the pair no longer shows the float error (%v <= %v)", a, b)
+	}
+	tr := NewTracer()
+	at := func(ns int64) time.Time { return tr.base.Add(time.Duration(ns)) }
+	tr.Span("a", at(startNs), at(startNs+durNs))
+	tr.Span("b", at(startNs+durNs), at(startNs+2*durNs))
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if spans, lanes, err := CheckTrace(&buf); err != nil || spans != 2 || lanes != 1 {
+		t.Fatalf("back-to-back spans: %d spans over %d lanes, %v; want 2 over 1", spans, lanes, err)
+	}
+	overlap, err := json.Marshal(map[string][]traceEvent{"traceEvents": {
+		{Name: "a", Ph: "X", Ts: float64(startNs) / 1e3, Dur: float64(durNs) / 1e3, Pid: 1},
+		{Name: "b", Ph: "X", Ts: float64(startNs+durNs-1) / 1e3, Dur: 1, Pid: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CheckTrace(bytes.NewReader(overlap)); err == nil {
+		t.Fatal("a 1 ns overlap was accepted")
+	}
+}
+
 func TestTracerNil(t *testing.T) {
 	var tr *Tracer
 	tr.Span("x", time.Now(), time.Now())

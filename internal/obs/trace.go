@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,6 +188,12 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 // PackLanes promises: at least one complete ("X") event, and within
 // every (pid, tid) lane spans of non-negative duration that start in
 // order and never overlap. It returns the span and lane counts.
+//
+// The comparison is in the integer nanoseconds the spans were recorded
+// in, recovered from the microsecond fields by rounding: in float
+// microseconds a span's start plus its duration can exceed the start of
+// the span that begins at its end by one ulp (a/1e3 + b/1e3 against
+// (a+b)/1e3), while a real overlap is at least 1 ns.
 func CheckTrace(r io.Reader) (spans, lanes int, err error) {
 	var tf struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
@@ -194,7 +201,11 @@ func CheckTrace(r io.Reader) (spans, lanes int, err error) {
 	if err := json.NewDecoder(r).Decode(&tf); err != nil {
 		return 0, 0, err
 	}
-	last := map[[2]int]traceEvent{} // each lane's previous span
+	type laneEnd struct {
+		name  string
+		endNs int64
+	}
+	last := map[[2]int]laneEnd{} // each lane's previous span
 	for _, ev := range tf.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -203,11 +214,12 @@ func CheckTrace(r io.Reader) (spans, lanes int, err error) {
 			return 0, 0, fmt.Errorf("span %q has negative duration %f", ev.Name, ev.Dur)
 		}
 		k := [2]int{ev.Pid, ev.Tid}
-		if prev, ok := last[k]; ok && ev.Ts < prev.Ts+prev.Dur {
-			return 0, 0, fmt.Errorf("lane %d/%d: span %q at %f overlaps %q ending at %f",
-				ev.Pid, ev.Tid, ev.Name, ev.Ts, prev.Name, prev.Ts+prev.Dur)
+		startNs := int64(math.Round(ev.Ts * 1e3))
+		if prev, ok := last[k]; ok && startNs < prev.endNs {
+			return 0, 0, fmt.Errorf("lane %d/%d: span %q at %d ns overlaps %q ending at %d ns",
+				ev.Pid, ev.Tid, ev.Name, startNs, prev.name, prev.endNs)
 		}
-		last[k] = ev
+		last[k] = laneEnd{ev.Name, startNs + int64(math.Round(ev.Dur*1e3))}
 		spans++
 	}
 	if spans == 0 {

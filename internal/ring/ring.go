@@ -334,8 +334,9 @@ func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
 }
 
 // MulTowerScalars sets out = a scaled per tower: tower i is multiplied
-// by scalars[i] (already reduced modulo that tower's modulus). This is
-// the gadget-factor application of key-switching key generation.
+// by scalars[i] (already reduced modulo that tower's modulus): a
+// whole-polynomial gadget-factor application, the form hks's tests
+// check key generation against.
 func (r *Ring) MulTowerScalars(a *Poly, scalars []uint64, out *Poly) {
 	if !a.Basis.Equal(out.Basis) {
 		panic("ring: MulTowerScalars basis mismatch")

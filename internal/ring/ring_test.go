@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math"
 	"math/big"
 	"testing"
 )
@@ -214,6 +215,56 @@ func TestSamplerDistributions(t *testing.T) {
 		for j := 0; j < r.N; j++ {
 			if u.Coeffs[i][j] >= q {
 				t.Fatal("uniform residue out of range")
+			}
+		}
+	}
+}
+
+// TestGaussianIntsLift: Gaussian is its integer draw followed by the
+// per-tower lift. Two identically seeded samplers, one drawing whole
+// polynomials and one drawing integers and lifting them tower by tower,
+// must agree on every residue, on the integers those residues stand
+// for, and on where they leave the stream.
+func TestGaussianIntsLift(t *testing.T) {
+	r := testRing(t)
+	b := r.DBasis(r.NumQ - 1)
+	whole, split := NewSampler(r, 7), NewSampler(r, 7)
+	v := make([]int64, r.N)
+	for draw := 0; draw < 3; draw++ {
+		want := whole.Gaussian(b)
+		split.GaussianInts(v)
+		got := r.NewPoly(b)
+		for i, tw := range b {
+			r.LiftInts(got.Coeffs[i], tw, v)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("draw %d: lifted integers differ from Gaussian", draw)
+		}
+		for k, x := range v {
+			if c := r.ToBigCentered(want, k); c.Cmp(big.NewInt(x)) != 0 {
+				t.Fatalf("draw %d, coefficient %d: Gaussian holds %v, integer draw %d", draw, k, c, x)
+			}
+		}
+	}
+	if a, b := whole.NewSeed(), split.NewSeed(); a != b {
+		t.Fatal("the two samplers left the stream at different places")
+	}
+}
+
+// TestLiftIntsExtremes: the lift is v mod q for every int64, not only
+// the small ones a Gaussian draws — at and around ±q and at both ends
+// of the range — by math/big.
+func TestLiftIntsExtremes(t *testing.T) {
+	r := testRing(t)
+	for _, tw := range r.DBasis(r.NumQ - 1) {
+		q := int64(r.Mods[tw].Q)
+		v := []int64{0, 1, -1, 40, -40, q - 1, 1 - q, q, -q, q + 1, -q - 1, 3*q + 5, -3*q - 5, math.MaxInt64, math.MinInt64}
+		row := make([]uint64, len(v))
+		r.LiftInts(row, tw, v)
+		for k, x := range v {
+			want := new(big.Int).Mod(big.NewInt(x), big.NewInt(q)).Uint64()
+			if row[k] != want || liftInt(uint64(q), x) != want {
+				t.Fatalf("tower %d: %d lifts to %d (liftInt %d), want %d", tw, x, row[k], liftInt(uint64(q), x), want)
 			}
 		}
 	}

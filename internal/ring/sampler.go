@@ -62,19 +62,64 @@ const GaussianSigma = 3.2
 
 // Gaussian samples a small-error polynomial with discrete-Gaussian
 // coefficients (σ = GaussianSigma), represented across all towers of
-// basis b.
+// basis b. It is the integer draw of GaussianInts and the per-tower
+// lift of LiftInts in one loop, so a caller that draws the integers
+// first and lifts them a tower at a time (hks.GenEvk) consumes the
+// stream exactly as this does and gets the same residues.
 func (s *Sampler) Gaussian(b Basis) *Poly {
 	p := s.r.NewPoly(b)
-	for j := 0; j < s.r.N; j++ {
-		v := int64(math.Round(s.rng.NormFloat64() * GaussianSigma))
+	for k := 0; k < s.r.N; k++ {
+		v := s.gaussianInt()
 		for i, t := range b {
-			m := s.r.Mods[t]
-			if v >= 0 {
-				p.Coeffs[i][j] = m.Reduce(uint64(v))
-			} else {
-				p.Coeffs[i][j] = m.Sub(0, m.Reduce(uint64(-v)))
-			}
+			p.Coeffs[i][k] = liftInt(s.r.Mods[t].Q, v)
 		}
 	}
 	return p
+}
+
+// GaussianInts draws len(dst) discrete-Gaussian integers into dst: the
+// stream Gaussian draws, N integers per polynomial, before any tower
+// sees them.
+func (s *Sampler) GaussianInts(dst []int64) {
+	for k := range dst {
+		dst[k] = s.gaussianInt()
+	}
+}
+
+// LiftInts sets row[k] = v[k] mod q_t, the canonical residue of each
+// integer in ring-tower t: the tower of Gaussian that GaussianInts' v
+// stands for.
+func (r *Ring) LiftInts(row []uint64, t int, v []int64) {
+	q := r.Mods[t].Q
+	row = row[:len(v)]
+	for k, x := range v {
+		// An error integer is far below q, and there its residue is x,
+		// or q + x for negative x, picked without a branch: the sign of
+		// a Gaussian draw is a coin toss no predictor learns.
+		neg := uint64(x >> 63) // all ones for negative x
+		if abs := (uint64(x) ^ neg) - neg; abs < q {
+			row[k] = uint64(x) + q&neg
+		} else {
+			row[k] = liftInt(q, x)
+		}
+	}
+}
+
+func (s *Sampler) gaussianInt() int64 {
+	return int64(math.Round(s.rng.NormFloat64() * GaussianSigma))
+}
+
+// liftInt is v mod q for any v.
+func liftInt(q uint64, v int64) uint64 {
+	x := uint64(v)
+	if v < 0 {
+		x = uint64(-v)
+	}
+	if x >= q {
+		x %= q
+	}
+	if v < 0 && x != 0 {
+		return q - x
+	}
+	return x
 }
