@@ -45,27 +45,54 @@ func addMutations(f *testing.F, good []byte) {
 	}
 }
 
+// FuzzReadFrame reads arbitrary bytes as a frame twice: whole, through
+// ReadFrame and the byte-form decoders, and through the connection
+// reader, fed in chunk sizes taken from the input, which decodes group
+// and result frames straight from the stream. Both must give the same
+// verdict, type and value.
 func FuzzReadFrame(f *testing.F) {
-	for _, typ := range []FrameType{FrameGroup, FrameResult, FramePing, FrameDrainDone} {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, typ, []byte("payload-"+typ.String())); err != nil {
+	r := fuzzCtx(f).R
+	frame := func(typ FrameType, payload []byte, err error) []byte {
+		if err != nil {
 			f.Fatal(err)
 		}
-		addMutations(f, buf.Bytes())
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, typ, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, typ := range []FrameType{FrameGroup, FrameResult, FramePing, FrameDrainDone} {
+		addMutations(f, frame(typ, []byte("payload-"+typ.String()), nil))
+	}
+	// Real group and result frames reach the row reads and range checks.
+	p, err := EncodeGroup(r, &Group{BaseID: 7, Tenant: "tenant-a", Level: 3, Dataflow: dataflow.OC,
+		Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 1, 3)})
+	addMutations(f, frame(FrameGroup, p, err))
+	for _, wr := range []*WireResult{
+		{ReqID: 3, Code: ResultOK, C0: uniformNTT(r, 3, 2), C1: uniformNTT(r, 4, 2)},
+		{ReqID: 4, Code: ResultErr, ErrMsg: "no such key"},
+		{ReqID: 5, Code: ResultRequeue},
+	} {
+		p, err := EncodeResult(r, wr)
+		addMutations(f, frame(FrameResult, p, err))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Through the caller-owned form and through a connection's
-		// recycled buffer: same verdict, same frame.
-		typ, payload, err := ReadFrame(bytes.NewReader(data))
-		var recycled []byte
 		rd := bytes.NewReader(data)
-		typ2, payload2, err2 := readFrame(rd, &recycled)
-		if (err == nil) != (err2 == nil) || typ != typ2 || !bytes.Equal(payload, payload2) {
-			t.Fatalf("ReadFrame (%v, %d bytes, %v) and readFrame (%v, %d bytes, %v) disagree",
-				typ, len(payload), err, typ2, len(payload2), err2)
+		typ, payload, err := ReadFrame(rd)
+		var want message
+		if err == nil {
+			want, err = decodeBytes(r, typ, payload)
+		}
+		got, err2 := newConnReader(&chunkReader{rd: bytes.NewReader(data), next: inputChunks(data)}, r).next()
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("ReadFrame and decode (%v) and the connection reader (%v) disagree", err, err2)
 		}
 		if err != nil {
 			return
+		}
+		if !sameMessage(got, want) {
+			t.Fatalf("the connection reader read a %v frame the byte forms read differently", typ)
 		}
 		if len(payload) > maxFramePayload || len(payload) > len(data) {
 			t.Fatalf("accepted a %d-byte payload from %d bytes of input", len(payload), len(data))
@@ -78,6 +105,19 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal("re-encoded frame differs from the accepted bytes")
 		}
 	})
+}
+
+// inputChunks cuts a stream at sizes taken from data itself, 1 to 64
+// bytes, cycling through it.
+func inputChunks(data []byte) func() int {
+	i := 0
+	return func() int {
+		if len(data) == 0 {
+			return 1
+		}
+		i++
+		return 1 + int(data[i%len(data)]%64)
+	}
 }
 
 func FuzzDecodeGroup(f *testing.F) {

@@ -16,14 +16,14 @@ import (
 )
 
 // The wire path per result, end to end as Shard.writeResult and
-// Router.readLoop run it: the frame is built in the writer's own
-// buffer and written once, read into the reader's own buffer, and
-// decoded into two polynomials drawn from the ring's pool, which the
-// client here hands back as an unchecked replay does. Once both
-// buffers have grown, a round trip allocates a few small objects (the
-// WireResult, the bases) — no polynomial, no payload, no per-tower
-// temporary. One P, so the pipe's two ends alternate deterministically
-// and the pool hands back what was put on it.
+// Router.readLoop run it: the frame is written as its header runs and
+// its polynomials' rows in place, and the connection reader decodes it
+// as it arrives into two polynomials drawn from the ring's pool, which
+// the client here hands back as an unchecked replay does. Warm, a round
+// trip allocates a few small objects (the WireResult, each
+// polynomial's header and basis) — no polynomial, no payload, no
+// per-tower temporary. One P, so the pipe's two ends alternate
+// deterministically and the pool hands back what was put on it.
 func TestWarmResultRoundTripAllocs(t *testing.T) {
 	if !poolRetains() {
 		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
@@ -52,16 +52,13 @@ func TestWarmResultRoundTripAllocs(t *testing.T) {
 			}
 		}
 	}()
-	var buf []byte
+	cr := newConnReader(routerEnd, r)
 	cycle := func() {
-		typ, payload, err := readFrame(routerEnd, &buf)
-		if err != nil || typ != FrameResult {
-			t.Fatalf("reading a result frame: type %v, %v", typ, err)
+		m, err := cr.next()
+		if err != nil || m.typ != FrameResult {
+			t.Fatalf("reading a result frame: type %v, %v", m.typ, err)
 		}
-		got, err := DecodeResult(r, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := m.result
 		if !got.C0.Equal(wr.C0) || !got.C1.Equal(wr.C1) {
 			t.Fatal("result changed on the wire")
 		}
@@ -107,8 +104,9 @@ func poolRetains() bool {
 // after its last result frame, while the other groups decode their
 // inputs and replay into polynomials drawn from the same pool — so a
 // polynomial recycled before its frame had left or while its group
-// still hoists, or a frame buffer shared by two writers, would show up
-// as a delivered result that differs from hks.SwitchHoisted.
+// still hoists, or two writers' frames interleaved, would show up
+// as a delivered result that differs from hks.SwitchHoisted. The
+// results are read with the router's connection reader.
 // Meaningful under -race.
 func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 	const level, groups = 3, 4
@@ -133,6 +131,7 @@ func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(60 * time.Second))
+	cr := newConnReader(conn, r)
 	for round := 0; round < 3; round++ {
 		type want struct{ c0, c1 *ring.Poly }
 		wants := map[uint64]want{}
@@ -155,16 +154,12 @@ func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 			}()
 		}
 		senders.Wait()
-		var buf []byte
 		for range groups * len(rots) {
-			typ, payload, err := readFrame(conn, &buf)
-			if err != nil || typ != FrameResult {
-				t.Fatalf("reading a result frame: type %v, %v", typ, err)
+			m, err := cr.next()
+			if err != nil || m.typ != FrameResult {
+				t.Fatalf("reading a result frame: type %v, %v", m.typ, err)
 			}
-			wr, err := DecodeResult(r, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wr := m.result
 			w, ok := wants[wr.ReqID]
 			if !ok || wr.Code != ResultOK {
 				t.Fatalf("round %d: unexpected result %+v", round, wr)

@@ -163,31 +163,27 @@ func (rt *Router) Kill(i int) { rt.markDown(rt.shards[i]) }
 
 // readLoop consumes one shard's frames until the connection dies.
 func (rt *Router) readLoop(sc *shardClient) {
-	var buf []byte // result payloads land here; DecodeResult copies out
+	cr := newConnReader(sc.conn, rt.r)
 	for {
-		typ, payload, err := readFrame(sc.conn, &buf)
+		m, err := cr.next()
 		if err != nil {
 			rt.markDown(sc)
 			return
 		}
-		switch typ {
+		switch m.typ {
 		case FrameResult:
-			wr, err := DecodeResult(rt.r, payload)
-			if err == nil {
-				err = rt.handleResult(sc, wr)
-			}
-			if err != nil {
+			if err := rt.handleResult(sc, m.result); err != nil {
 				rt.markDown(sc)
 				return
 			}
 		case FrameStats, FramePong, FrameDrainDone:
-			if !sc.want.CompareAndSwap(uint32(typ), 0) {
+			if !sc.want.CompareAndSwap(uint32(m.typ), 0) {
 				// Not the reply the outstanding exchange awaits, or
 				// no exchange is outstanding.
 				rt.markDown(sc)
 				return
 			}
-			sc.reply <- payload
+			sc.reply <- m.payload
 		default:
 			rt.markDown(sc)
 			return
@@ -199,7 +195,7 @@ func (rt *Router) readLoop(sc *shardClient) {
 // delivered at most once (the pending table is the dedup), and the
 // first requeue of the current assignment moves the whole group — the
 // requeues for its other members then find it moved and are dropped.
-// DecodeResult has checked the switched pair against the ring; here it
+// The read loop has checked the switched pair against the ring; here it
 // is checked against the request — a key switch returns its input's
 // basis in the NTT domain — and a pair that is well formed but not
 // this request's answer is a protocol error like any other: the error

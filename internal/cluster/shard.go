@@ -32,12 +32,14 @@ import (
 )
 
 // frameWriter serializes frame writes on one connection, which result
-// streaming (many goroutines) and control replies share, and owns the
-// buffer the connection's group or result frames are built in.
+// streaming (many goroutines) and control replies share.
 type frameWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
+	mu sync.Mutex
+	w  io.Writer
+	// wb and out hold a group or result frame's slices while it is
+	// written: header bytes and row views, never a row's copy.
+	wb  wireBufs
+	out net.Buffers
 }
 
 // write sends a control frame around a payload the caller built.
@@ -51,11 +53,11 @@ func (fw *frameWriter) write(typ FrameType, payload []byte) error {
 // the connection, which is as healthy as it was.
 type encodeError struct{ error }
 
-// send builds the frame carrying p — header and payload — in the
-// writer's own buffer, sized exactly before the first byte is encoded,
-// and hands it to the connection with one Write. The next send reuses
-// the buffer, so a stream of group or result frames allocates nothing
-// and every residue is copied once, from its polynomial into the frame.
+// send writes the frame carrying p as its slices — frame header, fixed
+// fields and each polynomial's header in runs, each residue row straight
+// from its polynomial — with one net.Buffers write: one writev on a TCP
+// connection, so no residue is copied in user space. The caller must not
+// change p's polynomials until send returns.
 func (fw *frameWriter) send(typ FrameType, r *ring.Ring, p framePayload) error {
 	n := p.wireSize(r)
 	if n > maxFramePayload {
@@ -63,14 +65,14 @@ func (fw *frameWriter) send(typ FrameType, r *ring.Ring, p framePayload) error {
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if cap(fw.buf) < frameHeaderSize+n {
-		fw.buf = make([]byte, 0, frameHeaderSize+n)
-	}
-	frame, err := p.appendTo(appendFrameHeader(fw.buf[:0], typ, n), r)
-	if err != nil {
+	fw.wb.reset()
+	fw.wb.hdr = appendFrameHeader(fw.wb.hdr, typ, n)
+	if err := p.appendWire(&fw.wb, r); err != nil {
 		return encodeError{err}
 	}
-	_, err = fw.w.Write(frame)
+	// WriteTo consumes fw.out, not the slices wb keeps for the next frame.
+	fw.out = fw.wb.segments()
+	_, err := fw.out.WriteTo(fw.w)
 	return err
 }
 
@@ -210,13 +212,13 @@ func (s *Shard) acceptGroup() bool {
 // frame) drops the connection; the router treats that like a death.
 func (s *Shard) handle(conn net.Conn) {
 	fw := &frameWriter{w: conn}
-	var buf []byte // group payloads land here; DecodeGroup copies out
+	cr := newConnReader(conn, s.cctx.R)
 	for {
-		typ, payload, err := readFrame(conn, &buf)
+		m, err := cr.next()
 		if err != nil {
 			return
 		}
-		switch typ {
+		switch m.typ {
 		case FramePing:
 			fw.write(FramePong, nil)
 		case FrameStatsReq:
@@ -226,10 +228,7 @@ func (s *Shard) handle(conn net.Conn) {
 			}
 			fw.write(FrameStats, p)
 		case FrameGroup:
-			g, err := DecodeGroup(s.cctx.R, payload)
-			if err != nil {
-				return
-			}
+			g := m.group
 			if !s.acceptGroup() {
 				for i := range g.Rots {
 					s.writeResult(fw, &WireResult{ReqID: g.BaseID + uint64(i), Code: ResultRequeue})
@@ -267,8 +266,8 @@ func (s *Shard) handle(conn net.Conn) {
 // service draws result polynomials from the ring's pool and nobody but
 // this goroutine holds them, so once a result's frame has been written
 // they go back for the next replay to draw. The group's input was drawn
-// from the pool by DecodeGroup; the service reads it no more once the
-// group's last result is out, and it goes back after that frame.
+// from the pool as its frame was read; the service reads it no more once
+// the group's last result is out, and it goes back after that frame.
 func (s *Shard) runGroup(fw *frameWriter, g *Group) {
 	defer s.inflight.Done()
 	reqs := make([]serve.Request, len(g.Rots))

@@ -14,15 +14,20 @@ package cluster
 // frame carries an evaluation key: every process derives a tenant's
 // keys from the tenant's name (serve.TenantSeed).
 //
-// A frame is one Write. The two frames a connection carries per switch
-// — group and result — are built header-first in the connection's own
-// buffer, sized exactly before the first byte is encoded
-// (frameWriter.send), and read into the reading loop's own buffer
-// (readFrame), so a residue is copied once from its polynomial into
-// the frame and once from the frame into the polynomial the decoder
-// returns, and neither side allocates a payload. EncodeGroup,
-// EncodeResult, ReadFrame and WriteFrame are the caller-owned forms of
-// the same encoders, for control traffic, tests and probes.
+// The two frames a connection carries per switch — group and result —
+// copy no residue in user space. The sender (frameWriter.send) writes a
+// frame as its slices with one net.Buffers write, one writev on TCP:
+// runs of header bytes (frame header, fixed fields, each polynomial's
+// header) and between them each residue row straight from its
+// polynomial (ring.AppendPolyWire). The receiver (connReader, under a
+// small bufio.Reader that rows wider than it bypass) decodes the frame
+// as it arrives: the length is capped first, each polynomial is bounded
+// by what is left of the frame before anything is drawn, and each row
+// is read from the socket into the pooled polynomial it belongs to and
+// range-checked there (ring.ReadPoly). Neither side has a payload
+// buffer. EncodeGroup/EncodeResult are the same slices concatenated,
+// DecodeGroup/DecodeResult the same stream decoders over a byte slice,
+// and ReadFrame/WriteFrame carry control traffic whole.
 //
 // The load-bearing design choice is the request frame: it carries a
 // whole *hoist group* — the shared input polynomial once, plus one
@@ -34,10 +39,13 @@ package cluster
 // the expensive shared operand.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/ring"
@@ -130,49 +138,97 @@ func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
 
 // ReadFrame reads one frame, validating magic, version, type, and the
 // payload-length cap before allocating anything payload-sized. The
-// payload is the caller's.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	return readFrame(r, nil)
-}
-
-// readFrame is ReadFrame reading group and result payloads — the
-// frames a connection carries per switch — into *buf, grown when too
-// small: such a payload is valid until the next call with that buf,
-// which is long enough because DecodeGroup and DecodeResult copy
-// everything out. Every other payload is freshly allocated and the
-// caller's (a control reply is handed to the exchange awaiting it).
-func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
+// payload is the caller's. Connections read with a connReader instead,
+// which decodes group and result frames as they arrive.
+func ReadFrame(rd io.Reader) (FrameType, []byte, error) {
 	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, n, err := readFrameHeader(rd, hdr[:])
+	if err != nil {
 		return 0, nil, err
 	}
+	payload, err := readPayload(rd, typ, n)
+	return typ, payload, err
+}
+
+// readFrameHeader reads one frame header into hdr and validates it,
+// returning the frame's type and payload length.
+func readFrameHeader(rd io.Reader, hdr []byte) (FrameType, int, error) {
+	if _, err := io.ReadFull(rd, hdr[:frameHeaderSize]); err != nil {
+		return 0, 0, err
+	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != frameMagic {
-		return 0, nil, fmt.Errorf("cluster: bad frame magic %#x", m)
+		return 0, 0, fmt.Errorf("cluster: bad frame magic %#x", m)
 	}
 	if hdr[4] != wireVersion {
-		return 0, nil, fmt.Errorf("cluster: wire version %d, want %d", hdr[4], wireVersion)
+		return 0, 0, fmt.Errorf("cluster: wire version %d, want %d", hdr[4], wireVersion)
 	}
 	typ := FrameType(hdr[5])
 	if _, known := frameNames[typ]; !known {
-		return 0, nil, fmt.Errorf("cluster: unknown frame type %d", hdr[5])
+		return 0, 0, fmt.Errorf("cluster: unknown frame type %d", hdr[5])
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[6:10]))
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("cluster: %v frame declares %d payload bytes, cap %d", typ, n, maxFramePayload)
+		return 0, 0, fmt.Errorf("cluster: %v frame declares %d payload bytes, cap %d", typ, n, maxFramePayload)
 	}
-	var payload []byte
-	if buf != nil && (typ == FrameGroup || typ == FrameResult) {
-		if cap(*buf) < n {
-			*buf = make([]byte, n)
-		}
-		payload = (*buf)[:n]
-	} else {
-		payload = make([]byte, n)
+	return typ, n, nil
+}
+
+// readPayload reads a frame's n payload bytes whole into a fresh slice.
+func readPayload(rd io.Reader, typ FrameType, n int) ([]byte, error) {
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(rd, payload); err != nil {
+		return nil, fmt.Errorf("cluster: short %v frame payload: %w", typ, err)
 	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("cluster: short %v frame payload: %w", typ, err)
+	return payload, nil
+}
+
+// connReadBuffer sizes a connection's read buffer: enough to gather a
+// frame header and a payload's fixed fields in one read, and smaller
+// than a row at the benchmark's ring (64 KB), so bufio reads such rows
+// into their polynomials directly.
+const connReadBuffer = 16 << 10
+
+// connReader reads one connection's frames (Shard.handle,
+// Router.readLoop). Group and result frames are decoded as they
+// arrive: each residue row is read from the socket into the pooled
+// polynomial it belongs to and checked there, with no payload buffer
+// between. Every other frame's payload is read whole.
+type connReader struct {
+	br  *bufio.Reader
+	r   *ring.Ring
+	hdr [frameHeaderSize]byte
+}
+
+func newConnReader(rd io.Reader, r *ring.Ring) *connReader {
+	return &connReader{br: bufio.NewReaderSize(rd, connReadBuffer), r: r}
+}
+
+// message is one frame a connReader read: a decoded group or result,
+// or any other frame's payload.
+type message struct {
+	typ     FrameType
+	group   *Group      // FrameGroup
+	result  *WireResult // FrameResult
+	payload []byte      // every other type
+}
+
+// next reads the connection's next frame. An error leaves the stream at
+// no defined position: the connection is done.
+func (cr *connReader) next() (message, error) {
+	typ, n, err := readFrameHeader(cr.br, cr.hdr[:])
+	if err != nil {
+		return message{}, err
 	}
-	return typ, payload, nil
+	m := message{typ: typ}
+	switch typ {
+	case FrameGroup:
+		m.group, err = decodeGroup(cr.br, n, cr.r)
+	case FrameResult:
+		m.result, err = decodeResult(cr.br, n, cr.r)
+	default:
+		m.payload, err = readPayload(cr.br, typ, n)
+	}
+	return m, err
 }
 
 // ---- payload primitives ----
@@ -182,35 +238,101 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// take splits n bytes off the front of *b; false when *b is shorter.
-func take(b *[]byte, n int) ([]byte, bool) {
-	if len(*b) < n {
-		return nil, false
-	}
-	head := (*b)[:n]
-	*b = (*b)[n:]
-	return head, true
+// wireBufs is a payload held as the slices that carry it: runs of
+// header bytes (frame header, fixed fields, polynomial headers), all
+// appended to hdr, and between them polynomials' rows viewed in place
+// (ring.AppendPolyWire). Written in order — one writev on a TCP
+// connection — or concatenated, they are the frame's bytes.
+type wireBufs struct {
+	bufs net.Buffers
+	hdr  []byte
+	mark int // hdr[mark:] is not in bufs yet
 }
 
-func takeString(b *[]byte, max int, what string) (string, error) {
-	l, ok := take(b, 2)
-	if !ok {
-		return "", fmt.Errorf("cluster: short %s length", what)
+func (w *wireBufs) reset() {
+	w.bufs, w.hdr, w.mark = w.bufs[:0], w.hdr[:0], 0
+}
+
+// poly appends p: the open header run extended by p's header, then p's
+// rows.
+func (w *wireBufs) poly(r *ring.Ring, p *ring.Poly) error {
+	at, from := len(w.bufs), w.mark
+	w.bufs = append(w.bufs, nil) // the header run, set below
+	var err error
+	if w.hdr, w.bufs, err = r.AppendPolyWire(w.hdr, w.bufs, p); err != nil {
+		return err
+	}
+	// hdr may have moved; the runs already in bufs keep the bytes they
+	// point at.
+	w.bufs[at], w.mark = w.hdr[from:], len(w.hdr)
+	return nil
+}
+
+// segments closes the open header run and returns the payload's slices.
+func (w *wireBufs) segments() net.Buffers {
+	if w.mark < len(w.hdr) {
+		w.bufs, w.mark = append(w.bufs, w.hdr[w.mark:]), len(w.hdr)
+	}
+	return w.bufs
+}
+
+// payloadReader reads one frame payload's fields from a stream, never
+// past the payload's declared length.
+type payloadReader struct {
+	rd   io.Reader
+	left int
+	buf  [9]byte
+}
+
+// take reads the payload's next n bytes: into the reader's own buffer
+// when they fit, valid until the next take, else a fresh slice.
+func (pr *payloadReader) take(n int, what string) ([]byte, error) {
+	if n > pr.left {
+		return nil, fmt.Errorf("cluster: short %s", what)
+	}
+	var b []byte
+	if n <= len(pr.buf) {
+		b = pr.buf[:n]
+	} else {
+		b = make([]byte, n)
+	}
+	if _, err := io.ReadFull(pr.rd, b); err != nil {
+		return nil, fmt.Errorf("cluster: short %s: %w", what, err)
+	}
+	pr.left -= n
+	return b, nil
+}
+
+func (pr *payloadReader) str(max int, what string) (string, error) {
+	l, err := pr.take(2, what)
+	if err != nil {
+		return "", err
 	}
 	n := int(binary.LittleEndian.Uint16(l))
 	if n > max {
 		return "", fmt.Errorf("cluster: %s length %d exceeds cap %d", what, n, max)
 	}
-	str, ok := take(b, n)
-	if !ok {
-		return "", fmt.Errorf("cluster: short %s", what)
-	}
-	return string(str), nil
+	s, err := pr.take(n, what)
+	return string(s), err
 }
 
-func trailing(rest int, typ FrameType) error {
-	if rest != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes after %v payload", rest, typ)
+// poly reads a polynomial that leaves at least rest payload bytes after
+// it; a payload's last polynomial (rest 0) must end it exactly. Both
+// bounds are checked against the polynomial's header before any row is
+// read.
+func (pr *payloadReader) poly(r *ring.Ring, rest int) (*ring.Poly, error) {
+	least := 0
+	if rest == 0 {
+		least = pr.left
+	}
+	p, n, err := r.ReadPoly(pr.rd, least, pr.left-rest)
+	pr.left -= n
+	return p, err
+}
+
+func (pr *payloadReader) trailing(typ FrameType) error {
+	if pr.left != 0 {
+		return fmt.Errorf("cluster: %d trailing bytes after %v payload", pr.left, typ)
 	}
 	return nil
 }
@@ -218,14 +340,23 @@ func trailing(rest int, typ FrameType) error {
 // framePayload is a value the per-switch frames carry — a *Group or a
 // *WireResult: its exact encoded size, known before a byte is written,
 // and the one encoder behind both the caller-owned Encode form and the
-// frame a connection builds in its recycled buffer.
+// frame a connection writes.
 type framePayload interface {
 	wireSize(r *ring.Ring) int
-	appendTo(dst []byte, r *ring.Ring) ([]byte, error)
+	appendWire(w *wireBufs, r *ring.Ring) error
 }
 
+// encode is p's payload as one byte slice: its slices concatenated.
 func encode(r *ring.Ring, p framePayload) ([]byte, error) {
-	return p.appendTo(make([]byte, 0, p.wireSize(r)), r)
+	var w wireBufs
+	if err := p.appendWire(&w, r); err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, p.wireSize(r))
+	for _, b := range w.segments() {
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
 // ---- group request ----
@@ -246,22 +377,22 @@ func (g *Group) wireSize(r *ring.Ring) int {
 	return 8 + 2 + len(g.Tenant) + 4 + 1 + 4 + 8*len(g.Rots) + r.PolyWireSize(g.Input)
 }
 
-func (g *Group) appendTo(dst []byte, r *ring.Ring) ([]byte, error) {
+func (g *Group) appendWire(w *wireBufs, r *ring.Ring) error {
 	if len(g.Rots) == 0 || len(g.Rots) > maxGroupLen {
-		return nil, fmt.Errorf("cluster: group of %d members (cap %d)", len(g.Rots), maxGroupLen)
+		return fmt.Errorf("cluster: group of %d members (cap %d)", len(g.Rots), maxGroupLen)
 	}
 	if len(g.Tenant) > maxTenantLen {
-		return nil, fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(g.Tenant), maxTenantLen)
+		return fmt.Errorf("cluster: tenant name %d bytes (cap %d)", len(g.Tenant), maxTenantLen)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, g.BaseID)
-	dst = appendString(dst, g.Tenant)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(g.Level))
-	dst = append(dst, byte(g.Dataflow))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.Rots)))
+	w.hdr = binary.LittleEndian.AppendUint64(w.hdr, g.BaseID)
+	w.hdr = appendString(w.hdr, g.Tenant)
+	w.hdr = binary.LittleEndian.AppendUint32(w.hdr, uint32(g.Level))
+	w.hdr = append(w.hdr, byte(g.Dataflow))
+	w.hdr = binary.LittleEndian.AppendUint32(w.hdr, uint32(len(g.Rots)))
 	for _, rot := range g.Rots {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(rot)))
+		w.hdr = binary.LittleEndian.AppendUint64(w.hdr, uint64(int64(rot)))
 	}
-	return r.AppendPoly(dst, g.Input)
+	return w.poly(r, g.Input)
 }
 
 // EncodeGroup encodes g into a FrameGroup payload the caller owns; r
@@ -273,19 +404,23 @@ func EncodeGroup(r *ring.Ring, g *Group) ([]byte, error) { return encode(r, g) }
 // The group aliases nothing in payload; its input is drawn from r's
 // pool, like a result's polynomials.
 func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
-	b := payload
-	id, ok := take(&b, 8)
-	if !ok {
-		return nil, fmt.Errorf("cluster: short group header")
-	}
-	g := &Group{BaseID: binary.LittleEndian.Uint64(id)}
-	var err error
-	if g.Tenant, err = takeString(&b, maxTenantLen, "tenant"); err != nil {
+	return decodeGroup(bytes.NewReader(payload), len(payload), r)
+}
+
+// decodeGroup decodes a FrameGroup payload of n bytes from rd.
+func decodeGroup(rd io.Reader, n int, r *ring.Ring) (*Group, error) {
+	pr := &payloadReader{rd: rd, left: n}
+	id, err := pr.take(8, "group header")
+	if err != nil {
 		return nil, err
 	}
-	fixed, ok := take(&b, 4+1+4)
-	if !ok {
-		return nil, fmt.Errorf("cluster: short group level, dataflow and member count")
+	g := &Group{BaseID: binary.LittleEndian.Uint64(id)}
+	if g.Tenant, err = pr.str(maxTenantLen, "tenant"); err != nil {
+		return nil, err
+	}
+	fixed, err := pr.take(4+1+4, "group level, dataflow and member count")
+	if err != nil {
+		return nil, err
 	}
 	g.Level = int(int32(binary.LittleEndian.Uint32(fixed[0:4])))
 	if g.Level < 0 {
@@ -294,22 +429,25 @@ func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
 	if g.Dataflow = dataflow.Dataflow(fixed[4]); !g.Dataflow.Valid() {
 		return nil, fmt.Errorf("cluster: unknown dataflow %d in group frame", fixed[4])
 	}
-	n := int(binary.LittleEndian.Uint32(fixed[5:9]))
-	if n == 0 || n > maxGroupLen {
-		return nil, fmt.Errorf("cluster: group member count %d out of range [1,%d]", n, maxGroupLen)
+	m := int(binary.LittleEndian.Uint32(fixed[5:9]))
+	if m == 0 || m > maxGroupLen {
+		return nil, fmt.Errorf("cluster: group member count %d out of range [1,%d]", m, maxGroupLen)
 	}
-	rots, ok := take(&b, 8*n)
-	if !ok {
-		return nil, fmt.Errorf("cluster: group declares %d members but carries %d bytes", n, len(b))
+	if 8*m > pr.left {
+		return nil, fmt.Errorf("cluster: group declares %d members but carries %d bytes", m, pr.left)
 	}
-	g.Rots = make([]int, n)
+	rots, err := pr.take(8*m, "group rotations")
+	if err != nil {
+		return nil, err
+	}
+	g.Rots = make([]int, m)
 	for i := range g.Rots {
 		g.Rots[i] = int(int64(binary.LittleEndian.Uint64(rots[8*i:])))
 	}
-	if g.Input, b, err = r.DecodePoly(b); err != nil {
+	if g.Input, err = pr.poly(r, 0); err != nil {
 		return nil, fmt.Errorf("cluster: group input: %w", err)
 	}
-	return g, trailing(len(b), FrameGroup)
+	return g, nil
 }
 
 // ---- results ----
@@ -355,55 +493,66 @@ func (wr *WireResult) wireSize(r *ring.Ring) int {
 	return 9
 }
 
-func (wr *WireResult) appendTo(dst []byte, r *ring.Ring) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint64(dst, wr.ReqID)
-	dst = append(dst, byte(wr.Code))
+func (wr *WireResult) appendWire(w *wireBufs, r *ring.Ring) error {
+	w.hdr = binary.LittleEndian.AppendUint64(w.hdr, wr.ReqID)
+	w.hdr = append(w.hdr, byte(wr.Code))
 	switch wr.Code {
 	case ResultOK:
-		dst, err := r.AppendPoly(dst, wr.C0)
-		if err != nil {
-			return nil, err
+		if err := w.poly(r, wr.C0); err != nil {
+			return err
 		}
-		return r.AppendPoly(dst, wr.C1)
+		return w.poly(r, wr.C1)
 	case ResultErr:
-		return appendString(dst, wr.wireErrMsg()), nil
+		w.hdr = appendString(w.hdr, wr.wireErrMsg())
+		return nil
 	case ResultRequeue:
-		return dst, nil
+		return nil
 	}
-	return nil, fmt.Errorf("cluster: unknown result code %d", wr.Code)
+	return fmt.Errorf("cluster: unknown result code %d", wr.Code)
 }
 
 // EncodeResult encodes wr into a FrameResult payload the caller owns.
 func EncodeResult(r *ring.Ring, wr *WireResult) ([]byte, error) { return encode(r, wr) }
 
 // DecodeResult decodes a FrameResult payload. The polynomials are
-// drawn from r's pool (ring.DecodePoly) and the caller's, to keep or
+// drawn from r's pool (ring.ReadPoly) and the caller's, to keep or
 // hand back with PutPoly; nothing aliases payload.
 func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
-	b := payload
-	head, ok := take(&b, 9)
-	if !ok {
-		return nil, fmt.Errorf("cluster: short result header")
+	return decodeResult(bytes.NewReader(payload), len(payload), r)
+}
+
+// decodeResult decodes a FrameResult payload of n bytes from rd. C0
+// must leave room for the smallest C1, a polynomial of one tower, and
+// C1 must end the payload; on any error a polynomial already decoded
+// goes back to the pool.
+func decodeResult(rd io.Reader, n int, r *ring.Ring) (*WireResult, error) {
+	pr := &payloadReader{rd: rd, left: n}
+	head, err := pr.take(9, "result header")
+	if err != nil {
+		return nil, err
 	}
 	wr := &WireResult{ReqID: binary.LittleEndian.Uint64(head), Code: ResultCode(head[8])}
-	var err error
 	switch wr.Code {
 	case ResultOK:
-		if wr.C0, b, err = r.DecodePoly(b); err != nil {
+		if wr.C0, err = pr.poly(r, r.PolyWireSize(&ring.Poly{Basis: ring.Basis{0}})); err != nil {
 			return nil, fmt.Errorf("cluster: result c0: %w", err)
 		}
-		if wr.C1, b, err = r.DecodePoly(b); err != nil {
+		if wr.C1, err = pr.poly(r, 0); err != nil {
+			r.PutPoly(wr.C0)
 			return nil, fmt.Errorf("cluster: result c1: %w", err)
 		}
 	case ResultErr:
-		if wr.ErrMsg, err = takeString(&b, maxErrLen, "error string"); err != nil {
+		if wr.ErrMsg, err = pr.str(maxErrLen, "error string"); err != nil {
 			return nil, err
 		}
 	case ResultRequeue:
 	default:
 		return nil, fmt.Errorf("cluster: unknown result code %d", head[8])
 	}
-	return wr, trailing(len(b), FrameResult)
+	if err := pr.trailing(FrameResult); err != nil {
+		return nil, err
+	}
+	return wr, nil
 }
 
 // ---- stats ----

@@ -5,10 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
+	"math/rand"
+	"net"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ciflow/internal/ckks"
@@ -332,4 +337,363 @@ func TestWireFormatPinned(t *testing.T) {
 	check("result_err", payload, err)
 	payload, err = EncodeResult(r, &WireResult{ReqID: 11, Code: ResultRequeue})
 	check("result_requeue", payload, err)
+}
+
+// chunkReader hands out rd's bytes in the sizes next returns, the way
+// TCP delivers a stream: cut anywhere, never more than asked for.
+type chunkReader struct {
+	rd   io.Reader
+	next func() int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.rd.Read(p[:min(len(p), c.next())])
+}
+
+// randomChunks cuts rd's stream at sizes from 1 byte to 64 KB, spread
+// evenly over their logarithm.
+func randomChunks(rd io.Reader, seed int64) io.Reader {
+	rng := rand.New(rand.NewSource(seed))
+	return &chunkReader{rd: rd, next: func() int { return 1 + rng.Intn(1<<rng.Intn(17)) }}
+}
+
+// chunkings are the readers every stream decode is fed through.
+var chunkings = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"random", func(rd io.Reader) io.Reader { return randomChunks(rd, 1) }},
+}
+
+// decodeBytes is the byte form of connReader.next: a payload read whole
+// and decoded with DecodeGroup or DecodeResult.
+func decodeBytes(r *ring.Ring, typ FrameType, payload []byte) (message, error) {
+	m := message{typ: typ}
+	var err error
+	switch typ {
+	case FrameGroup:
+		m.group, err = DecodeGroup(r, payload)
+	case FrameResult:
+		m.result, err = DecodeResult(r, payload)
+	default:
+		m.payload = payload
+	}
+	return m, err
+}
+
+func samePoly(a, b *ring.Poly) bool { return (a == nil) == (b == nil) && (a == nil || a.Equal(b)) }
+
+// sameMessage reports whether two reads of a frame agree on its type
+// and everything decoded from it.
+func sameMessage(a, b message) bool {
+	if a.typ != b.typ || (a.group == nil) != (b.group == nil) || (a.result == nil) != (b.result == nil) {
+		return false
+	}
+	if g, h := a.group, b.group; g != nil && (g.BaseID != h.BaseID || g.Tenant != h.Tenant || g.Level != h.Level ||
+		g.Dataflow != h.Dataflow || !reflect.DeepEqual(g.Rots, h.Rots) || !samePoly(g.Input, h.Input)) {
+		return false
+	}
+	if x, y := a.result, b.result; x != nil && (x.ReqID != y.ReqID || x.Code != y.Code || x.ErrMsg != y.ErrMsg ||
+		!samePoly(x.C0, y.C0) || !samePoly(x.C1, y.C1)) {
+		return false
+	}
+	return bytes.Equal(a.payload, b.payload)
+}
+
+// typedPayload is a group or result value and the frame type it travels
+// in.
+type typedPayload struct {
+	typ FrameType
+	p   framePayload
+}
+
+// pinnedPayloads are the values wire.golden pins.
+func pinnedPayloads(r *ring.Ring) []typedPayload {
+	return []typedPayload{
+		{FrameGroup, &Group{BaseID: 0x0102030405060708, Tenant: "tenant-a", Level: 3,
+			Dataflow: dataflow.OC, Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 21, 3)}},
+		{FrameResult, &WireResult{ReqID: 9, Code: ResultOK, C0: uniformNTT(r, 22, 2), C1: uniformNTT(r, 23, 2)}},
+		{FrameResult, &WireResult{ReqID: 10, Code: ResultErr, ErrMsg: "no such key"}},
+		{FrameResult, &WireResult{ReqID: 11, Code: ResultRequeue}},
+	}
+}
+
+// pinnedFrames are pinnedPayloads encoded, then a control frame.
+func pinnedFrames(t *testing.T, r *ring.Ring) []frame {
+	t.Helper()
+	var out []frame
+	for _, tp := range pinnedPayloads(r) {
+		p, err := encode(r, tp.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame{tp.typ, p})
+	}
+	return append(out, frame{FrameStats, []byte(`{"served":1}`)})
+}
+
+func frameBytes(t *testing.T, f frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f.typ, f.payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TCP cuts a stream anywhere. Every group and result frame (OK, Err and
+// Requeue) and a control frame, back to back on one stream, read through
+// the connection reader in one-byte, half-size and random chunks, must
+// decode to what ReadFrame and the byte forms decode. The second ring's
+// rows (32 KB) are wider than the reader's buffer, so bufio reads them
+// into their polynomials directly; the first's go through the buffer.
+func TestChunkedStreamDecode(t *testing.T) {
+	big, err := ring.NewRingGenerated(4096, 4, 40, 2, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*ring.Ring{testCtx(t).R, big} {
+		frames := pinnedFrames(t, r)
+		var stream []byte
+		for _, f := range frames {
+			stream = append(stream, frameBytes(t, f)...)
+		}
+		for _, ch := range chunkings {
+			cr := newConnReader(ch.wrap(bytes.NewReader(stream)), r)
+			for i, f := range frames {
+				want, err := decodeBytes(r, f.typ, f.payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cr.next()
+				if err != nil {
+					t.Fatalf("N=%d %s: frame %d (%v): %v", r.N, ch.name, i, f.typ, err)
+				}
+				if !sameMessage(got, want) {
+					t.Fatalf("N=%d %s: frame %d (%v) decoded differently from the byte form", r.N, ch.name, i, f.typ)
+				}
+			}
+			if _, err := cr.next(); err != io.EOF {
+				t.Fatalf("N=%d %s: after the last frame: %v, want EOF", r.N, ch.name, err)
+			}
+		}
+	}
+}
+
+// A stream that ends inside a frame — in the frame header, a fixed
+// field, a polynomial header or basis, mid-row, or between a result's
+// two polynomials: every byte offset — is an error from the connection
+// reader, never a panic, and hands out no group, result or polynomial.
+func TestChunkedStreamTruncation(t *testing.T) {
+	r := testCtx(t).R
+	for _, f := range pinnedFrames(t, r) {
+		b := frameBytes(t, f)
+		for i := 0; i < len(b); i++ {
+			func() {
+				defer func() {
+					if rec := recover(); rec != nil {
+						t.Fatalf("%v frame cut at %d/%d panicked: %v", f.typ, i, len(b), rec)
+					}
+				}()
+				m, err := newConnReader(iotest.HalfReader(bytes.NewReader(b[:i])), r).next()
+				if err == nil || m.group != nil || m.result != nil || m.payload != nil {
+					t.Fatalf("%v frame cut at %d/%d: err %v, group %v, result %v", f.typ, i, len(b), err, m.group != nil, m.result != nil)
+				}
+			}()
+		}
+	}
+}
+
+// countingReader counts what a decoder took from the stream.
+type countingReader struct {
+	rd io.Reader
+	n  int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.rd.Read(p)
+	c.n += n
+	return n, err
+}
+
+// A frame whose length field disagrees with the polynomials it carries
+// is refused once a polynomial's header shows it, before that
+// polynomial's rows are read: a group's input, the last polynomial of
+// its frame, must end the frame exactly, so any lie stops the decoder
+// before the first row; a result's C0 must leave room for a one-tower C1
+// and C1 must end the frame, so a lie stops it before C0's rows when C0
+// cannot fit and before C1's otherwise — C1's size is only on the wire
+// after C0's rows.
+func TestFrameLengthLieRefusedBeforeRows(t *testing.T) {
+	r := testCtx(t).R
+	frames := pinnedFrames(t, r)
+	row := 8 * r.N
+	tower := 4 + row
+	type tc struct {
+		f        frame
+		decode   func(io.Reader, int) error
+		firstRow int // payload offset the decoder must not read past
+		deltas   []int
+	}
+	decodeG := func(rd io.Reader, n int) error { _, err := decodeGroup(rd, n, r); return err }
+	decodeR := func(rd io.Reader, n int) error { _, err := decodeResult(rd, n, r); return err }
+	g, ok := frames[0], frames[1]
+	gRows := len(g.payload) - 4*row // the input is over QBasis(3): four rows
+	polyOK := (len(ok.payload) - 9) / 2
+	c0Rows := 9 + polyOK - 3*row // QBasis(2): three rows each
+	c1Rows := len(ok.payload) - 3*row
+	cases := []tc{
+		{g, decodeG, gRows, []int{-1, 1, -8, 8, -row, row, -tower, tower}},
+		{ok, decodeR, c1Rows, []int{-1, 1, -8, 8, -row, row, -tower, tower}},
+		// C0 cannot fit once the frame is short by more than C1 less a
+		// one-tower polynomial (header and basis: 16 + 4 bytes).
+		{ok, decodeR, c0Rows, []int{-polyOK, -(polyOK - 16 - tower) - 1}},
+	}
+	for _, c := range cases {
+		for _, d := range c.deltas {
+			// The bytes behind the lying length are the honest payload,
+			// padded when the lie is long.
+			body := append(append([]byte(nil), c.f.payload...), make([]byte, max(d, 0))...)
+			cr := &countingReader{rd: bytes.NewReader(body)}
+			if err := c.decode(cr, len(c.f.payload)+d); err == nil {
+				t.Fatalf("%v frame with length off by %d decoded", c.f.typ, d)
+			}
+			if cr.n > c.firstRow {
+				t.Errorf("%v frame with length off by %d: read %d bytes before refusing, rows start at %d", c.f.typ, d, cr.n, c.firstRow)
+			}
+			var lie bytes.Buffer
+			lie.Write(appendFrameHeader(nil, c.f.typ, len(c.f.payload)+d))
+			lie.Write(body)
+			if _, err := newConnReader(&lie, r).next(); err == nil {
+				t.Fatalf("%v frame with length off by %d read", c.f.typ, d)
+			}
+		}
+	}
+}
+
+// The writer sends a frame as slices — header runs and row views, one
+// writev on TCP — and its bytes must be WriteFrame's around the Encode
+// form's, byte for byte, so wire.golden pins both paths: over net.Pipe,
+// where net.Buffers falls back to one Write per slice, and over loopback
+// TCP, where it is one writev.
+func TestFrameWriterMatchesEncoder(t *testing.T) {
+	r := testCtx(t).R
+	payloads := pinnedPayloads(r)
+	var want []byte
+	for _, f := range pinnedFrames(t, r)[:len(payloads)] {
+		want = append(want, frameBytes(t, f)...)
+	}
+	for name, pair := range map[string]func() (net.Conn, net.Conn){
+		"pipe": net.Pipe,
+		"tcp":  func() (net.Conn, net.Conn) { return tcpPair(t) },
+	} {
+		w, rd := pair()
+		go func() {
+			defer w.Close()
+			fw := &frameWriter{w: w}
+			for _, tp := range payloads {
+				if err := fw.send(tp.typ, r, tp.p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		got, err := io.ReadAll(rd)
+		rd.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: frameWriter wrote %d bytes that differ from WriteFrame's %d", name, len(got), len(want))
+		}
+	}
+}
+
+// tcpPair is a loopback TCP connection's two ends.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	w, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := <-accepted
+	if rd == nil {
+		t.FailNow()
+	}
+	return w, rd
+}
+
+// Result writers on many goroutines share one TCP connection, as a
+// shard's groups do, each handing its polynomials back to the pool as
+// soon as send returns and drawing the next from it, while the reader
+// decodes into polynomials from the same pool and hands them back too.
+// A row view that outlived its send, or two frames' slices interleaved
+// on the connection, would show up as a result that differs from what
+// was sent. Meaningful under -race.
+func TestFrameWriterConcurrentResults(t *testing.T) {
+	r := testCtx(t).R
+	const writers, each = 4, 25
+	w, rd := tcpPair(t)
+	defer rd.Close()
+	fw := &frameWriter{w: w}
+	sent := func(id uint64) (*ring.Poly, *ring.Poly) {
+		return uniformNTT(r, int64(2*id), 2), uniformNTT(r, int64(2*id+1), 2)
+	}
+	var wg sync.WaitGroup
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				id := uint64(g*each + i)
+				c0, c1 := r.GetPoly(r.QBasis(2)), r.GetPoly(r.QBasis(2))
+				w0, w1 := sent(id)
+				for i := range c0.Coeffs {
+					copy(c0.Coeffs[i], w0.Coeffs[i])
+					copy(c1.Coeffs[i], w1.Coeffs[i])
+				}
+				c0.IsNTT, c1.IsNTT = true, true
+				if err := fw.send(FrameResult, r, &WireResult{ReqID: id, Code: ResultOK, C0: c0, C1: c1}); err != nil {
+					t.Error(err)
+					return
+				}
+				r.PutPoly(c0)
+				r.PutPoly(c1)
+			}
+		}()
+	}
+	go func() { wg.Wait(); w.Close() }()
+	cr := newConnReader(rd, r)
+	seen := map[uint64]bool{}
+	for range writers * each {
+		m, err := cr.next()
+		if err != nil || m.typ != FrameResult {
+			t.Fatalf("reading a result frame: type %v, %v", m.typ, err)
+		}
+		w0, w1 := sent(m.result.ReqID)
+		if seen[m.result.ReqID] || !m.result.C0.Equal(w0) || !m.result.C1.Equal(w1) {
+			t.Fatalf("result %d repeated or changed on the wire", m.result.ReqID)
+		}
+		seen[m.result.ReqID] = true
+		r.PutPoly(m.result.C0)
+		r.PutPoly(m.result.C1)
+	}
+	if _, err := cr.next(); err != io.EOF {
+		t.Fatalf("after the last result: %v, want EOF", err)
+	}
 }

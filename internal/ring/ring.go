@@ -32,8 +32,6 @@ type Ring struct {
 	// recycled holds polynomials handed back with PutPoly, one pool
 	// per basis length. Internally synchronized.
 	recycled []sync.Pool
-	// scratch recycles the serializer's row buffer (serialize.go).
-	scratch sync.Pool
 	// The seed expander's jumps (seed.go), built on first use: one
 	// places the vector lanes of a row, the other starts a tower.
 	jumpOnce  sync.Once
@@ -195,7 +193,7 @@ func (r *Ring) GetPoly(b Basis) *Poly {
 	return r.NewPoly(b)
 }
 
-// PutPoly hands a polynomial obtained from GetPoly (or DecodePoly) back
+// PutPoly hands a polynomial obtained from GetPoly (or ReadPoly) back
 // to the ring. It must not be used afterwards, and it goes back once.
 // Hand back only what the pool produced: a pool's contents count as
 // live heap until the next GC but one, so polynomials allocated

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
+	"math/rand"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 // DecodePoly draws its polynomial from the ring's pool, so the dirty
@@ -281,6 +284,20 @@ func FuzzDecodePoly(f *testing.F) {
 	full := r.PolyWireSize(&Poly{Basis: make(Basis, len(r.Moduli))})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, rest, err := r.DecodePoly(data)
+		// The same bytes as a stream cut at sizes taken from the input:
+		// same verdict, same polynomial, same length.
+		i := 0
+		chunked := &chunkReader{rd: bytes.NewReader(data), next: func() int {
+			if len(data) == 0 {
+				return 1
+			}
+			i++
+			return 1 + int(data[i%len(data)]%64)
+		}}
+		p2, n, err2 := r.ReadPoly(chunked, 0, len(data))
+		if (err == nil) != (err2 == nil) || (err == nil && (n != len(data)-len(rest) || !p2.Equal(p))) {
+			t.Fatalf("DecodePoly (%v) and ReadPoly over chunks (%v, %d bytes) disagree", err, err2, n)
+		}
 		if err != nil {
 			return
 		}
@@ -295,10 +312,12 @@ func FuzzDecodePoly(f *testing.F) {
 	})
 }
 
-// The stream encoder's row scratch recycles through the ring, so
-// concurrent writers on one ring must never see each other's rows:
-// every stream round-trips exactly. Meaningful under -race.
-func TestConcurrentSerializeSharesScratch(t *testing.T) {
+// WritePoly hands each row's memory to the writer while other
+// goroutines draw, decode into and hand back polynomials of the same
+// ring's pool: every stream round-trips exactly, so no writer sees
+// another's rows and no decode lands in a polynomial still in use.
+// Meaningful under -race.
+func TestConcurrentSerializeRoundTrip(t *testing.T) {
 	r := quickRing(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -317,8 +336,137 @@ func TestConcurrentSerializeSharesScratch(t *testing.T) {
 					t.Errorf("goroutine %d poly %d: round trip failed (err %v)", g, i, err)
 					return
 				}
+				r.PutPoly(got)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// chunkReader hands out rd's bytes in the sizes next returns, the way a
+// socket does: cut anywhere, never more than asked for.
+type chunkReader struct {
+	rd   io.Reader
+	next func() int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.rd.Read(p[:min(len(p), c.next())])
+}
+
+// chunkings are the readers every stream decode is fed through: one
+// byte, half of what is asked, and random sizes from 1 byte to 64 KB
+// spread evenly over their logarithm.
+func chunkings(seed int64) map[string]func(io.Reader) io.Reader {
+	rng := rand.New(rand.NewSource(seed))
+	return map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"random": func(rd io.Reader) io.Reader {
+			return &chunkReader{rd: rd, next: func() int { return 1 + rng.Intn(1<<rng.Intn(17)) }}
+		},
+	}
+}
+
+// ReadPoly over a stream cut anywhere decodes what DecodePoly decodes
+// from the bytes, reports their length, and leaves the stream at the
+// next polynomial.
+func TestReadPolyChunkedStream(t *testing.T) {
+	r := quickRing(t)
+	var polys []*Poly
+	var stream []byte
+	for i, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(1)} {
+		p := randPoly(r, basis, int64(30+i))
+		p.IsNTT = i%2 == 1
+		var err error
+		if stream, err = r.AppendPoly(stream, p); err != nil {
+			t.Fatal(err)
+		}
+		polys = append(polys, p)
+	}
+	for name, wrap := range chunkings(1) {
+		rd := wrap(bytes.NewReader(stream))
+		rest := stream
+		for i := range polys {
+			want, after, err := r.DecodePoly(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, n, err := r.ReadPoly(rd, 0, len(rest))
+			if err != nil || n != len(rest)-len(after) || !got.Equal(want) {
+				t.Fatalf("%s: poly %d: err %v, read %d bytes of %d, equal %v", name, i, err, n, len(rest)-len(after), err == nil && got.Equal(want))
+			}
+			rest = after
+		}
+	}
+}
+
+// A stream that ends anywhere inside a polynomial — header, basis, or
+// mid-row — is an error from ReadPoly, never a panic, and no polynomial
+// comes back, even though the caller's bound promised the whole thing.
+func TestReadPolyStreamTruncation(t *testing.T) {
+	r := quickRing(t)
+	p := randPoly(r, r.QBasis(2), 6)
+	good, err := r.AppendPoly(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(good); i++ {
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Fatalf("stream cut at %d/%d panicked: %v", i, len(good), rec)
+				}
+			}()
+			got, n, err := r.ReadPoly(iotest.HalfReader(bytes.NewReader(good[:i])), 0, len(good))
+			if err == nil || got != nil || n != 0 {
+				t.Fatalf("stream cut at %d/%d: err %v, poly %v, %d bytes", i, len(good), err, got != nil, n)
+			}
+		}()
+	}
+}
+
+// ReadPoly refuses a polynomial whose header declares a size outside
+// the caller's bounds before it reads a row: at most the header and the
+// basis have left the stream.
+func TestReadPolyBoundsCheckedBeforeRows(t *testing.T) {
+	r := quickRing(t)
+	good, err := r.AppendPoly(nil, randPoly(r, r.QBasis(2), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := len(good) - 3*8*r.N
+	for _, b := range [][2]int{{0, len(good) - 1}, {len(good) + 1, len(good) + 8}, {len(good) + 1, 1 << 20}} {
+		br := bytes.NewReader(good)
+		if p, _, err := r.ReadPoly(br, b[0], b[1]); err == nil || p != nil {
+			t.Fatalf("bounds %v: a %d-byte poly was accepted", b, len(good))
+		}
+		if read := len(good) - br.Len(); read > rows {
+			t.Fatalf("bounds %v: read %d bytes, rows start at %d", b, read, rows)
+		}
+	}
+}
+
+// The range check reads four residues at a time: a residue equal to or
+// above q anywhere in a row, the unrolled body or the tail, is refused.
+func TestBelowModulus(t *testing.T) {
+	const q = 97
+	for n := 0; n <= 11; n++ {
+		row := make([]uint64, n)
+		for j := range row {
+			row[j] = uint64(j) % q
+		}
+		if !belowModulus(row, q) {
+			t.Fatalf("n=%d: residues below q refused", n)
+		}
+		for j := range row {
+			for _, v := range []uint64{q, q + 1, ^uint64(0)} {
+				row[j] = v
+				if belowModulus(row, q) {
+					t.Fatalf("n=%d: residue %d at %d accepted", n, v, j)
+				}
+				row[j] = q - 1
+			}
+		}
+	}
 }
