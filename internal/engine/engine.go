@@ -16,6 +16,11 @@
 //   - Graph: a reusable dependency DAG of tasks executed by the pool
 //     with atomic in-degree counting (graph.go).
 //
+// Inline is the engine with no pool: every task it is handed runs on
+// the goroutine that hands it over, so a graph run on it is its nodes
+// in a dependency order on the caller — how internal/hks's serial
+// entry points run the same graphs as its parallel ones.
+//
 // Limb-buffer reuse lives with the data owners (internal/bconv pools
 // its conversion scratch, internal/hks pools whole switch states), so
 // steady-state key switching performs no per-operation allocations on
@@ -110,6 +115,15 @@ func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(0) })
 	return defaultEngine
 }
+
+// inline is closed from birth: trySubmit always fails, so every task
+// runs on the goroutine that spawns it.
+var inline = &Engine{workers: 1, closed: true}
+
+// Inline returns the engine with no workers. RunGraph on it runs every
+// node on the calling goroutine and ParallelFor is a plain loop; Close
+// is a no-op.
+func Inline() *Engine { return inline }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }

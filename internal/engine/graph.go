@@ -30,7 +30,7 @@ type Graph struct {
 	pmu       sync.Mutex
 	panicked  any
 	eng       *Engine
-	done      chan struct{} // closed by the node that completes the run
+	done      chan struct{} // one send per run, by the node that completes it
 }
 
 type gnode struct {
@@ -95,7 +95,7 @@ func (g *Graph) exec(id int32) {
 		}()
 	}
 	if g.completed.Add(1) == int64(len(g.nodes)) {
-		close(g.done)
+		g.done <- struct{}{}
 	}
 	for _, s := range nd.succ {
 		if atomic.AddInt32(&g.rem[s], -1) == 0 {
@@ -126,10 +126,12 @@ func (e *Engine) RunGraph(g *Graph) {
 	for i := range g.rem {
 		g.rem[i] = g.nodes[i].ndeps
 	}
+	if g.done == nil {
+		g.done = make(chan struct{}, 1) // made once: a warm run allocates nothing
+	}
 	g.completed.Store(0)
 	g.aborted.Store(false)
 	g.eng = e
-	g.done = make(chan struct{})
 
 	for i := range g.nodes {
 		if g.nodes[i].ndeps == 0 {
@@ -156,7 +158,6 @@ func (e *Engine) RunGraph(g *Graph) {
 		}
 	}
 	g.eng = nil
-	g.done = nil
 	if g.panicked != nil {
 		pv := g.panicked
 		g.panicked = nil

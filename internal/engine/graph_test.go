@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // orderRecorder collects node completion order under a lock so tests
@@ -133,5 +136,108 @@ func TestGraphRunsOnClosedEngineInline(t *testing.T) {
 	e.RunGraph(g)
 	if n.Load() != 2 {
 		t.Fatalf("closed-engine graph ran %d/2 nodes", n.Load())
+	}
+}
+
+// goid returns the calling goroutine's id, read from the header line
+// of its stack trace ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestInlineRunsOnCaller: every node of a graph on the inline engine
+// runs on the goroutine that called RunGraph, including the nodes of a
+// graph that one of its nodes runs on the inline engine in turn, and so
+// does every iteration of its ParallelFor.
+func TestInlineRunsOnCaller(t *testing.T) {
+	caller := goid()
+	var mu sync.Mutex
+	var ran []string
+	note := func() {
+		mu.Lock()
+		ran = append(ran, goid())
+		mu.Unlock()
+	}
+	inner := NewGraph()
+	inner.Node(note, inner.Node(note))
+	g := NewGraph()
+	root := g.Node(note)
+	mids := []int{g.Node(note, root), g.Node(func() { note(); Inline().RunGraph(inner) }, root)}
+	g.Node(note, mids...)
+	Inline().RunGraph(g)
+	Inline().ParallelFor(4, func(int) { note() })
+	Inline().Close() // a no-op: the inline engine has nothing to stop
+	Inline().RunGraph(inner)
+
+	if len(ran) != 12 {
+		t.Fatalf("ran %d nodes and iterations, want 12", len(ran))
+	}
+	for i, id := range ran {
+		if id != caller {
+			t.Fatalf("run %d on goroutine %s, want the caller's %s", i, id, caller)
+		}
+	}
+	if w := Inline().Workers(); w != 1 {
+		t.Fatalf("Inline().Workers() = %d, want 1", w)
+	}
+}
+
+// TestGraphRunsCleanlyAfterPanic: a Graph whose last run panicked runs
+// every node next time, and its RunGraph returns only once they have
+// all completed — no completion of the panicked run is left on the
+// Graph's reused channel to end the next run early.
+func TestGraphRunsCleanlyAfterPanic(t *testing.T) {
+	pool := New(2)
+	defer pool.Close()
+	for name, e := range map[string]*Engine{"pool": pool, "inline": Inline()} {
+		var boom atomic.Bool
+		var ran atomic.Int64
+		g := NewGraph()
+		a := g.Node(func() {
+			if boom.Load() {
+				panic("node boom")
+			}
+			ran.Add(1)
+		})
+		g.Node(func() { ran.Add(1) }, a)
+		g.Node(func() { time.Sleep(2 * time.Millisecond); ran.Add(1) })
+
+		boom.Store(true)
+		func() {
+			defer func() {
+				if r := recover(); r != "node boom" {
+					t.Fatalf("%s: recovered %v, want the node's panic", name, r)
+				}
+			}()
+			e.RunGraph(g)
+		}()
+		boom.Store(false)
+		for run := 0; run < 3; run++ {
+			ran.Store(0)
+			e.RunGraph(g)
+			if n := ran.Load(); n != 3 {
+				t.Fatalf("%s: run %d after the panic returned with %d/3 nodes done", name, run, n)
+			}
+		}
+	}
+}
+
+// TestRunGraphZeroAlloc pins a warm RunGraph, on a pool and on the
+// inline engine, to no allocation: the completion channel is made once
+// per Graph, not once per run.
+func TestRunGraphZeroAlloc(t *testing.T) {
+	pool := New(2)
+	defer pool.Close()
+	var sum atomic.Int64
+	g := NewGraph()
+	root := g.Node(func() { sum.Add(1) })
+	mids := []int{g.Node(func() { sum.Add(1) }, root), g.Node(func() { sum.Add(1) }, root)}
+	g.Node(func() { sum.Add(1) }, mids...)
+	for name, e := range map[string]*Engine{"pool": pool, "inline": Inline()} {
+		e.RunGraph(g) // the first run sizes the Graph's per-run state
+		if allocs := testing.AllocsPerRun(100, func() { e.RunGraph(g) }); allocs != 0 {
+			t.Fatalf("warm RunGraph on the %s engine allocates %v times per run, want 0", name, allocs)
+		}
 	}
 }

@@ -20,18 +20,23 @@
 // execution state (tiles.go). The paper's subject is the order those
 // tiles run in, and so is the rest of the package: the schedules of
 // schedule.go — each a visit of a dataflow's plan (internal/dataflow),
-// the walk the RPU model visits too — and the entry points that pick
-// one (switch.go), all bit-exact with one another:
+// the walk the RPU model visits too, built once into an engine.Graph —
+// and the entry points that run one (switch.go), all bit-exact with
+// one another. Every entry point runs its graph through RunGraph; the
+// serial ones run it on engine.Inline(), which runs every node on the
+// calling goroutine:
 //
-//	KeySwitch                   every tile in order on the caller
+//	KeySwitch                   MP's hoist and replay graphs on the
+//	                            caller
 //	SwitchParallelInto          one fused task graph per switch on an
 //	                            engine, shaped MP, DC, OC or OCF
-//	Hoist, HoistParallel        ModUp alone, serially or as a graph,
-//	                            kept in the returned Hoisted
-//	Hoisted.Switch[Into],       ApplyKey+ModDown against one key, on
-//	  .SwitchParallelInto       the caller or as a graph
+//	Hoist, HoistParallel        ModUp alone, MP's on the caller or df's
+//	                            on an engine, kept in the returned Hoisted
+//	Hoisted.Switch[Into],       ApplyKey+ModDown against one key: the
+//	  .SwitchParallelInto       state's replay graph, on the caller or
+//	                            on an engine
 //	SwitchHoisted[ParallelInto] one hoist and its replays in one call
-//	ModUp, ApplyEvk, ModDown    one stage's tiles in order on the
+//	ModUp, ApplyEvk, ModDown    MP's graph over one stage on the
 //	                            caller, into fresh polynomials, so the
 //	                            dataflow generators in internal/dataflow
 //	                            can be validated stage by stage
@@ -452,7 +457,7 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own := h.up
 	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
-	h.runSerial(dataflow.ModUpTile)
+	h.run(engine.Inline(), modUp)
 	h.up, h.d = own, nil
 	h.Release()
 	return ups
@@ -474,7 +479,7 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	own, acc := h.up, h.acc
 	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
-	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
+	h.run(engine.Inline(), apply)
 	h.up, h.acc, h.key = own, acc, nil
 	h.Release()
 	return c0, c1
@@ -495,7 +500,7 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
 	acc := h.acc[0]
 	h.acc[0], h.out[0] = c, out
-	h.runSerial(func(t dataflow.Tile) bool { return t.Kind >= dataflow.DownINTT && t.J == 0 })
+	h.run(engine.Inline(), down0)
 	h.acc[0], h.out[0] = acc, nil
 	h.Release()
 	return out

@@ -30,7 +30,13 @@ package hks
 //	              left in the state. Every dataflow applies the key one
 //	              extended tower at a time; OCF keeps its order, Section
 //	              2 first with each Q tower's ModDown behind it.
-//	serial        MP's walk run on the caller, tile by tile.
+//	apply graph   the visit restricted to the Reduce tiles: ApplyEvk.
+//	down0 graph   the visit restricted to output 0's ModDown: ModDown.
+//
+// There is no other schedule. The serial entry points run these graphs
+// on engine.Inline(), the engine with no pool, which runs every node on
+// the calling goroutine: Hoist, KeySwitch and the stage binders MP's,
+// Hoisted.Switch[Into] the hoisting dataflow's replay graph.
 //
 // A per-rotation switch is its fused graph, not a hoist followed by a
 // replay: the barrier between the two would undo OC's convert+apply
@@ -67,33 +73,6 @@ func (h *Hoisted) tileFunc(t dataflow.Tile) func() {
 		return func() { h.downOutTower(t.J, t.T) }
 	}
 	return nil
-}
-
-// ---- Serial schedule ----
-
-// serialTile is one tile of MP's walk bound to the state.
-type serialTile struct {
-	dataflow.Tile
-	run func()
-}
-
-// runSerial runs the tiles of MP's walk that keep admits, in walk
-// order, on the calling goroutine.
-func (h *Hoisted) runSerial(keep func(dataflow.Tile) bool) {
-	if h.serial == nil {
-		for _, grp := range h.sw.plans[dataflow.MP].Groups {
-			for _, t := range grp.Tiles {
-				if run := h.tileFunc(t); run != nil {
-					h.serial = append(h.serial, serialTile{t, run})
-				}
-			}
-		}
-	}
-	for _, s := range h.serial {
-		if keep(s.Tile) {
-			s.run()
-		}
-	}
 }
 
 // ---- Graphs ----
@@ -168,14 +147,18 @@ type half uint8
 
 const (
 	whole  half = iota // a per-rotation switch
-	modUp              // a hoist
+	modUp              // a hoist, and ModUp
 	replay             // one key's replay of a hoist
+	apply              // ApplyEvk: ApplyKey+Reduce alone
+	down0              // ModDown: output 0's ModDown alone
 )
 
 var halves = [...]func(dataflow.Tile) bool{
 	whole:  dataflow.AnyTile,
 	modUp:  dataflow.ModUpTile,
 	replay: dataflow.ReplayTile,
+	apply:  func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce },
+	down0:  func(t dataflow.Tile) bool { return t.Kind >= dataflow.DownINTT && t.J == 0 },
 }
 
 // schedule returns the graph of the state's dataflow over hf, built the

@@ -11,8 +11,8 @@ package hks
 // not depend on the key. A hoist runs it once and each replay runs only
 // ApplyKey+Reduce+ModDown, saving (k−1)·ModUpOps weighted modular
 // operations (HoistedOpsSaved). States come from and return to the
-// switcher's pool, so steady-state switching allocates nothing beyond
-// the engine's per-run completion channel.
+// switcher's pool, and a warm graph run allocates nothing, so
+// steady-state switching allocates nothing but what the caller asks for.
 
 import (
 	"fmt"
@@ -78,6 +78,15 @@ func (h *Hoisted) unbind() {
 // paper dataflow it belongs to, whose names obs's first labels carry.
 func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(df.Paper()) }
 
+// run runs the state's graph over hf on e; a nil engine is
+// engine.Default(). The serial entry points pass engine.Inline().
+func (h *Hoisted) run(e *engine.Engine, hf half) {
+	if e == nil {
+		e = engine.Default()
+	}
+	e.RunGraph(h.schedule(hf))
+}
+
 // ---- Per-rotation switching ----
 
 // KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ)
@@ -103,13 +112,10 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 	if sameStorage(c0, d) || sameStorage(c1, d) {
 		panic("hks: SwitchParallelInto outputs must not alias the input")
 	}
-	if e == nil {
-		e = engine.Default()
-	}
 	h := sw.state(df, engineLabel(df))
 	h.d = d
 	h.bind(key, c0, c1)
-	e.RunGraph(h.schedule(whole))
+	h.run(e, whole)
 	h.d = nil
 	h.unbind()
 	h.Release()
@@ -118,10 +124,10 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 // ---- Hoisted switching ----
 
 // Hoist runs Decompose+ModUp once over d (NTT domain over B_ℓ) on the
-// calling goroutine and returns the reusable hoisted state. Call
-// Release when done with it.
+// calling goroutine — MP's hoist graph on engine.Inline() — and returns
+// the reusable hoisted state. Call Release when done with it.
 func (sw *Switcher) Hoist(d *ring.Poly) *Hoisted {
-	return sw.hoist(nil, dataflow.MP, obs.DataflowSerial, d)
+	return sw.hoist(engine.Inline(), dataflow.MP, obs.DataflowSerial, d)
 }
 
 // HoistParallel is Hoist with the ModUp tiles executed as a task
@@ -129,23 +135,16 @@ func (sw *Switcher) Hoist(d *ring.Poly) *Hoisted {
 // state's parallel replays run the same plan's other half. A nil
 // engine uses engine.Default(). Bit-exact with Hoist.
 func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
-	if e == nil {
-		e = engine.Default()
-	}
 	return sw.hoist(e, df, engineLabel(df), d)
 }
 
-// hoist runs ModUp on e, or on the caller when e is nil.
+// hoist runs df's hoist graph on e, recording under label.
 func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Dataflow, d *ring.Poly) *Hoisted {
 	must(sw.CheckInput(d))
 	h := sw.state(df, label)
 	h.ownBypass()
 	h.d = d
-	if e == nil {
-		h.runSerial(dataflow.ModUpTile)
-	} else {
-		e.RunGraph(h.schedule(modUp))
-	}
+	h.run(e, modUp)
 	h.d = nil
 	return h
 }
@@ -160,13 +159,11 @@ func (h *Hoisted) Switch(key KeyMaterial) (c0, c1 *ring.Poly) {
 	return c0, c1
 }
 
-// SwitchInto is Switch writing into caller-provided outputs; a warm
-// serial replay performs zero allocations.
+// SwitchInto is Switch writing into caller-provided outputs: the
+// state's replay graph on engine.Inline(). A warm serial replay
+// performs zero allocations.
 func (h *Hoisted) SwitchInto(key KeyMaterial, c0, c1 *ring.Poly) {
-	h.sw.checkReplay(key, c0, c1)
-	h.bind(key, c0, c1)
-	h.runSerial(dataflow.ReplayTile)
-	h.unbind()
+	h.SwitchParallelInto(engine.Inline(), key, c0, c1)
 }
 
 // SwitchParallelInto is SwitchInto with the replay executed as a task
@@ -175,11 +172,8 @@ func (h *Hoisted) SwitchInto(key KeyMaterial, c0, c1 *ring.Poly) {
 // SwitchInto.
 func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *ring.Poly) {
 	h.sw.checkReplay(key, c0, c1)
-	if e == nil {
-		e = engine.Default()
-	}
 	h.bind(key, c0, c1)
-	e.RunGraph(h.schedule(replay))
+	h.run(e, replay)
 	h.unbind()
 }
 

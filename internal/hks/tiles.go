@@ -89,7 +89,6 @@ type Hoisted struct {
 	// Schedules over the tiles, each built on first use (schedule.go):
 	// per dataflow, its plan's graph over each half of a switch.
 	graphs [dataflow.OCF + 1][len(halves)]*engine.Graph
-	serial []serialTile
 }
 
 // rows allocates k rows of n words.
