@@ -7,19 +7,19 @@
 // structure, so the dataflow choice becomes a measurable wall-clock
 // effect on real hardware.
 //
-// The package provides two building blocks:
+// The package has one executor, the Graph: a reusable dependency DAG
+// of tasks run with atomic in-degree counting (graph.go). A node whose
+// dependencies are done goes onto its own graph's ready queue, and the
+// pool is offered a token that runs one ready node of that graph. Each
+// waiter runs only its own graph; the pool helps. So a caller blocked
+// in RunGraph never runs another operation's task, and nested graphs
+// cannot deadlock, because every waiter can finish its own graph
+// alone. Engine.ParallelFor is a graph of independent nodes.
 //
-//   - Engine: the worker pool itself, with a deadlock-free
-//     ParallelFor in which the calling goroutine always participates
-//     (nested parallel sections degrade gracefully instead of
-//     starving the pool).
-//   - Graph: a reusable dependency DAG of tasks executed by the pool
-//     with atomic in-degree counting (graph.go).
-//
-// Inline is the engine with no pool: every task it is handed runs on
-// the goroutine that hands it over, so a graph run on it is its nodes
-// in a dependency order on the caller — how internal/hks's serial
-// entry points run the same graphs as its parallel ones.
+// Inline is the engine with no pool: it is closed, so the pool takes
+// no token from it, and a graph run on it is its nodes in a dependency
+// order on the caller — how internal/hks's serial entry points run the
+// same graphs as its parallel ones.
 //
 // Limb-buffer reuse lives with the data owners (internal/bconv pools
 // its conversion scratch, internal/hks pools whole switch states), so
@@ -31,8 +31,7 @@
 // graphs on it, and internal/serve layers request-level scheduling on
 // top — its batch executor fans coalesced request groups out with
 // ParallelFor while each group's hoist and replay run as nested
-// graphs, which the pool supports by construction (waiters help run
-// queued tasks instead of starving them).
+// graphs.
 //
 // Engines are cheap but not free (one goroutine per worker): create
 // one per process or per benchmark configuration and Close it when
@@ -116,22 +115,22 @@ func Default() *Engine {
 	return defaultEngine
 }
 
-// inline is closed from birth: trySubmit always fails, so every task
-// runs on the goroutine that spawns it.
+// inline is closed from birth: trySubmit refuses every token, so the
+// caller runs its graphs' nodes.
 var inline = &Engine{workers: 1, closed: true}
 
-// Inline returns the engine with no workers. RunGraph on it runs every
-// node on the calling goroutine and ParallelFor is a plain loop; Close
-// is a no-op.
+// Inline returns the engine with no workers. ParallelFor on it is a
+// plain loop, and RunGraph runs every node on the calling goroutine,
+// except one claimed by a help token that the same Graph's last run on
+// a pool left queued. Close is a no-op.
 func Inline() *Engine { return inline }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
 // Close stops the workers after they drain any queued tasks. It is
-// idempotent and safe to call concurrently with task submission:
-// sections submitted after (or racing with) Close simply run on the
-// calling goroutine.
+// idempotent and safe to call concurrently with task submission: a
+// graph run after (or racing with) Close is finished by its caller.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -152,84 +151,36 @@ func (e *Engine) worker() {
 }
 
 // trySubmit enqueues f if the engine is open and the queue has room.
-// Callers fall back to running f inline, which keeps every construct
-// in this package deadlock-free by construction: work never waits on
-// queue capacity.
-func (e *Engine) trySubmit(f func()) bool {
+// It never waits on queue capacity: f is a help token, and a refused
+// one leaves its node to the graph's caller.
+func (e *Engine) trySubmit(f func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return false
+		return
 	}
 	select {
 	case e.jobs <- f:
-		return true
 	default:
-		return false
 	}
 }
 
 // ParallelFor runs fn(0..n-1) across the pool and returns when every
-// iteration has completed. Iterations are claimed dynamically from a
-// shared counter, so uneven task sizes balance automatically. The
-// caller participates as one worker and then parks until the last
-// in-flight iteration completes — every iteration is claimed by a
-// running body, so no queue helping is needed for progress, sections
-// nest safely, and a closed engine degrades to a serial loop. A panic
-// in fn is re-raised on the calling goroutine after all iterations
-// finish.
+// iteration has completed: it is RunGraph on a graph of n independent
+// nodes, so the caller runs iterations itself while the pool helps,
+// and sections nest safely. With one worker or one iteration it is a
+// plain loop. A panic in fn skips the iterations that have not
+// started and is re-raised on the calling goroutine.
 func (e *Engine) ParallelFor(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
+	if e.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-
-	var next, completed atomic.Int64
-	done := make(chan struct{})
-	var pmu sync.Mutex
-	var panicked any
-	body := func() {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						pmu.Lock()
-						if panicked == nil {
-							panicked = r
-						}
-						pmu.Unlock()
-					}
-					if completed.Add(1) == int64(n) {
-						close(done)
-					}
-				}()
-				fn(int(i))
-			}()
-		}
+	g := &Graph{nodes: make([]gnode, 0, n)}
+	for i := 0; i < n; i++ {
+		g.Node(func() { fn(i) })
 	}
-	for i := 0; i < w-1; i++ {
-		if !e.trySubmit(body) {
-			break // saturated or closed: the caller will do the work
-		}
-	}
-	body()
-	if completed.Load() < int64(n) {
-		<-done
-	}
-	if panicked != nil {
-		panic(panicked)
-	}
+	e.RunGraph(g)
 }

@@ -34,7 +34,8 @@ func TestParallelForSingleWorkerIsSerial(t *testing.T) {
 
 func TestParallelForNested(t *testing.T) {
 	// Nested sections must not deadlock even when all workers are
-	// occupied by the outer loop: callers help drain the queue.
+	// occupied by the outer loop: each waiter can finish its own
+	// section alone.
 	e := New(3)
 	defer e.Close()
 	var total atomic.Int64
@@ -74,8 +75,9 @@ func TestParallelForPanicPropagates(t *testing.T) {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want boom", r)
 		}
-		// Every iteration must have finished (or panicked) before the
-		// panic is re-raised; the engine must remain usable.
+		// The panic skips the iterations that had not started and is
+		// re-raised once the started ones finish; the engine must
+		// remain usable.
 		var n atomic.Int64
 		e.ParallelFor(10, func(i int) { n.Add(1) })
 		if n.Load() != 10 {

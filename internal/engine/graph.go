@@ -30,7 +30,9 @@ type Graph struct {
 	pmu       sync.Mutex
 	panicked  any
 	eng       *Engine
+	ready     chan int32    // nodes whose dependencies are done; room for every node
 	done      chan struct{} // one send per run, by the node that completes it
+	help      func()        // the pool's token: runs one ready node, if any is left
 }
 
 type gnode struct {
@@ -38,7 +40,6 @@ type gnode struct {
 	name  string // non-empty: emit a tracer span around run
 	succ  []int32
 	ndeps int32
-	task  func() // prebuilt submit thunk, so runs allocate nothing
 }
 
 // NewGraph returns an empty task graph.
@@ -67,7 +68,6 @@ func (g *Graph) NodeNamed(name string, run func(), deps ...int) int {
 		g.nodes[d].succ = append(g.nodes[d].succ, int32(id))
 	}
 	g.nodes = append(g.nodes, gnode{run: run, name: name, ndeps: int32(len(deps))})
-	g.nodes[id].task = func() { g.exec(int32(id)) }
 	return id
 }
 
@@ -104,16 +104,20 @@ func (g *Graph) exec(id int32) {
 	}
 }
 
+// spawn makes node id claimable and offers the pool a token for it.
+// It reads g.eng and g.help first: once the node is claimable, the
+// run can end and the caller's next RunGraph reset them.
 func (g *Graph) spawn(id int32) {
-	nd := &g.nodes[id]
-	if !g.eng.trySubmit(nd.task) {
-		nd.task()
-	}
+	e, help := g.eng, g.help
+	g.ready <- id
+	e.trySubmit(help)
 }
 
-// RunGraph executes g on the pool and returns when every node has
-// completed. A panic in a node aborts the remaining nodes and is
-// re-raised on the calling goroutine.
+// RunGraph executes g and returns when every node has completed. The
+// caller runs ready nodes of g, and only of g, until the last one
+// completes; the pool's workers help through the tokens spawn offers.
+// A panic in a node aborts the remaining nodes and is re-raised on the
+// calling goroutine.
 func (e *Engine) RunGraph(g *Graph) {
 	n := len(g.nodes)
 	if n == 0 {
@@ -126,8 +130,16 @@ func (e *Engine) RunGraph(g *Graph) {
 	for i := range g.rem {
 		g.rem[i] = g.nodes[i].ndeps
 	}
-	if g.done == nil {
-		g.done = make(chan struct{}, 1) // made once: a warm run allocates nothing
+	if cap(g.ready) < n { // made once: a warm run allocates nothing
+		ready := make(chan int32, n)
+		g.ready, g.done = ready, make(chan struct{}, 1)
+		g.help = func() {
+			select {
+			case id := <-ready:
+				g.exec(id)
+			default:
+			}
+		}
 	}
 	g.completed.Store(0)
 	g.aborted.Store(false)
@@ -138,23 +150,12 @@ func (e *Engine) RunGraph(g *Graph) {
 			g.spawn(int32(i))
 		}
 	}
-	// The caller helps drain the pool while waiting — nested graphs
-	// need someone to run their dynamically spawned nodes when every
-	// worker is itself blocked in a RunGraph — but it blocks on the
-	// queue rather than spinning, so an idle waiter costs no CPU. The
-	// price of helping is that a stolen task may belong to another
-	// operation and extend this call by that task's length.
-	jobs := e.jobs
 	for waiting := true; waiting; {
 		select {
 		case <-g.done:
 			waiting = false
-		case f, ok := <-jobs:
-			if !ok {
-				jobs = nil // engine closed; spawn falls back to inline
-				continue
-			}
-			f()
+		case id := <-g.ready:
+			g.exec(id)
 		}
 	}
 	g.eng = nil

@@ -241,3 +241,148 @@ func TestRunGraphZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// within fails t if f has not returned after d; a hung engine is a
+// deadlock, not a slow test.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("no return after %v: deadlocked", d)
+	}
+}
+
+// TestWaiterRunsOnlyItsOwnGraph: a caller waiting in RunGraph runs no
+// node of another graph, even while that graph's nodes are queued and
+// every pool worker is busy.
+func TestWaiterRunsOnlyItsOwnGraph(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	var running sync.WaitGroup
+	var mu sync.Mutex
+	var others []string // the goroutines that ran another graph's nodes
+	blocker := func() {
+		mu.Lock()
+		others = append(others, goid())
+		mu.Unlock()
+		running.Done()
+		<-hold
+	}
+	var owners sync.WaitGroup
+	runOn := func(g *Graph) {
+		owners.Add(1)
+		go func() {
+			defer owners.Done()
+			e.RunGraph(g)
+		}()
+	}
+
+	// Both workers and this graph's owner block in its nodes.
+	busy := NewGraph()
+	for range 3 {
+		busy.Node(blocker)
+	}
+	running.Add(3)
+	runOn(busy)
+	running.Wait()
+
+	// Its owner blocks in node 0; nodes 1..4 stay queued.
+	queued := NewGraph()
+	queued.Node(blocker)
+	for range 4 {
+		queued.Node(func() {
+			mu.Lock()
+			others = append(others, goid())
+			mu.Unlock()
+		})
+	}
+	running.Add(1)
+	runOn(queued)
+	running.Wait()
+
+	var caller string
+	var ran []string
+	own := NewGraph()
+	own.Node(func() { ran = append(ran, goid()) })
+	within(t, 10*time.Second, func() {
+		caller = goid()
+		e.RunGraph(own)
+	})
+	release()
+	owners.Wait()
+
+	if len(ran) != 1 || len(others) != 3+5 {
+		t.Fatalf("ran %d own and %d other nodes, want 1 and 8", len(ran), len(others))
+	}
+	for _, id := range others {
+		if id == caller {
+			t.Fatalf("the waiting caller (goroutine %s) ran another graph's node", caller)
+		}
+	}
+}
+
+// TestGraphRunsAcrossEngines: one Graph run 200 times, alternating a
+// pool and the inline engine. A help token a pool run leaves queued
+// may claim a node of the next run, inline or not; every RunGraph still
+// returns only once all of its own run's nodes have run, and no node of
+// an earlier run is left to run after it.
+func TestGraphRunsAcrossEngines(t *testing.T) {
+	pool := New(2)
+	defer pool.Close()
+	var ran atomic.Int64
+	g := NewGraph()
+	root := g.Node(func() { ran.Add(1) })
+	mids := make([]int, 8)
+	for i := range mids {
+		mids[i] = g.Node(func() { ran.Add(1) }, root)
+	}
+	g.Node(func() { ran.Add(1) }, mids...)
+	for run := range 200 {
+		e := pool
+		if run%2 == 1 {
+			e = Inline()
+		}
+		ran.Store(0)
+		e.RunGraph(g)
+		if n := ran.Load(); n != int64(g.Len()) {
+			t.Fatalf("run %d returned with %d/%d nodes done", run, n, g.Len())
+		}
+	}
+}
+
+// TestEveryThreadOwnsAGraph: every thread of a two-worker pool can be
+// the owner of a graph at once — a ParallelFor whose bodies each run a
+// wide graph with a node that runs a nested graph — and each finishes
+// its own graph without help.
+func TestEveryThreadOwnsAGraph(t *testing.T) {
+	e := New(2) // closed only on success: Close would wait on a deadlocked worker
+	var total atomic.Int64
+	add := func() { total.Add(1) }
+	within(t, 30*time.Second, func() {
+		e.ParallelFor(8, func(int) {
+			inner := NewGraph()
+			inner.Node(add, inner.Node(add))
+			g := NewGraph()
+			root := g.Node(add)
+			mids := []int{g.Node(func() { e.RunGraph(inner) }, root)}
+			for range 16 {
+				mids = append(mids, g.Node(add, root))
+			}
+			g.Node(add, mids...)
+			e.RunGraph(g)
+		})
+	})
+	e.Close()
+	if n := total.Load(); n != 8*(2+16+2) {
+		t.Fatalf("ran %d nodes, want %d", n, 8*(2+16+2))
+	}
+}

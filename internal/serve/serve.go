@@ -557,9 +557,9 @@ func groupKeyOf(p *pending) groupKey {
 // runBatch forms one tenant's batch into groups — each sealed
 // submission is one, and the unsealed requests merge into one unsealed
 // submission per (level, input, dataflow) — and executes the groups
-// concurrently on the shared engine. Group execution nests engine
-// parallel sections (the hoist and replay graphs), which the engine
-// supports by construction.
+// concurrently on the shared engine. Group execution nests the hoist
+// and replay graphs in that section; each waiter runs only its own
+// graph and the pool helps, so nesting cannot deadlock.
 func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 	w.stats.batches.Add(1)
 	var groups []submission
