@@ -178,8 +178,8 @@ func writeJSONReport(path string, rep any) error {
 }
 
 // keycompMeasured generates one real evaluation key and reports the
-// two resident footprints the serving cache accounts (seed-compressed
-// a-halves, dense b-halves).
+// two resident footprints the serving cache accounts: dense, and
+// compressed (a-halves as seeds, b-halves packed at residue width).
 func keycompMeasured() (string, error) {
 	rg, err := ring.NewRingGenerated(1<<10, 6, 40, 3, 41)
 	if err != nil {

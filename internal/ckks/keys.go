@@ -41,8 +41,9 @@ type PublicKey struct {
 // which is what keeps served results bit-exact across cache evictions
 // and reloads. A key is memoized in the form it was first asked for:
 // dense (RelinKey, ConjKey, HoistKey) or, for a consumer that keeps
-// keys compressed, as B-halves and seeds only (HoistKeyCompressed), in
-// which case no A-half stays resident in the chain.
+// keys compressed, as packed B-halves and seeds only
+// (HoistKeyCompressed), in which case no A-half stays resident in the
+// chain.
 // Beyond memoization, each key's randomness is derived from the chain
 // seed and the key's own identity (keySampler), so two chains built
 // from one seed agree bit-for-bit on every key regardless of the
@@ -140,8 +141,8 @@ func (kc *KeyChain) Switcher(level int) (*hks.Switcher, error) {
 }
 
 // key returns the evaluation key named id, generating it the first
-// time it is asked for — compressed (the dense key's A-halves dropped
-// before it is memoized) if that first caller wants it so.
+// time it is asked for — compressed (generated packed, with no dense
+// half ever allocated) if that first caller wants it so.
 func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 	return kc.keys.Do(id, func() (hks.KeyMaterial, error) {
 		sw, err := kc.Switcher(id.level)
@@ -149,12 +150,10 @@ func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 			return nil, err
 		}
 		from, to := kc.secrets(id)
-		evk := sw.GenEvk(kc.keySampler(id), from, to)
-		if !compressed {
-			return evk, nil
+		if compressed {
+			return sw.GenCompressedEvk(kc.keySampler(id), from, to), nil
 		}
-		c, _ := evk.Compress() // GenEvk records every seed
-		return c, nil
+		return sw.GenEvk(kc.keySampler(id), from, to), nil
 	})
 }
 
@@ -218,11 +217,11 @@ func (kc *KeyChain) HoistKey(rotBy, level int) (*hks.Evk, error) {
 
 // HoistKeyCompressed returns HoistKey's key in seed-compressed form —
 // the same sampler, so Expand gives HoistKey's bits in either call
-// order — memoized compressed only: the key is generated dense,
-// compressed, and its A-halves dropped, so a chain behind a
-// byte-budgeted cache of compressed keys holds dnum × (|D_ℓ|·N·8 + 32)
-// bytes per key and no more. A key already memoized dense is
-// compressed on the way out, sharing its B-half.
+// order — memoized compressed only: the key is generated with its
+// B-half packed and no A-half, so a chain behind a byte-budgeted cache
+// of compressed keys holds dnum × (Σ_t N·⌈bits(q_t)/8⌉ + 32) bytes per
+// key and no more. A key already memoized dense is compressed on the
+// way out, into a packed copy of its B-half.
 func (kc *KeyChain) HoistKeyCompressed(rotBy, level int) (*hks.CompressedEvk, error) {
 	m, err := kc.key(keyID{formHoist, rotBy, level}, true)
 	if err != nil {

@@ -129,8 +129,8 @@ func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
 		t.Fatal("HoistKey retained the expansion of a key memoized compressed")
 	}
 
-	// Dense first, then compressed: the compressed form shares the
-	// dense memo's B-half.
+	// Dense first, then compressed: the compressed form packs the
+	// dense memo's B-half, row by row, and expands to the same bits.
 	cb, err := ref.HoistKeyCompressed(rot, level)
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +138,15 @@ func TestHoistKeyCompressedMatchesHoistKey(t *testing.T) {
 	if !bytes.Equal(evkBytes(t, ctx, cb.Expand(ctx.R)), want) {
 		t.Fatal("dense-first key compresses to different bits")
 	}
-	if cb.B[0] != dense.B[0] {
-		t.Fatal("compressing a dense memo copied its B-half")
+	for j, b := range dense.B {
+		for i, tw := range b.Basis {
+			m := ctx.R.Mods[tw]
+			row := make([]byte, ctx.R.N*m.Width())
+			m.PackRow(row, b.Coeffs[i])
+			if !bytes.Equal(cb.B[j][i], row) {
+				t.Fatalf("digit %d tower %d: the compressed B-row is not the dense memo's row packed", j, i)
+			}
+		}
 	}
 	if again, _ := ref.HoistKey(rot, level); again != dense {
 		t.Fatal("HoistKeyCompressed disturbed the dense memo")

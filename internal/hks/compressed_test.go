@@ -2,6 +2,7 @@ package hks
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,7 +14,8 @@ import (
 
 // Expand(Compress(evk)) must reproduce the generated key bit for bit,
 // and the two forms' footprints must satisfy the pinned relation:
-// compressed = B-half + 32 bytes of seed per digit.
+// compressed = the B-half at ⌈bits(q_t)/8⌉ bytes per residue + 32
+// bytes of seed per digit.
 func TestCompressRoundTrip(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)
@@ -34,13 +36,13 @@ func TestCompressRoundTrip(t *testing.T) {
 			t.Fatalf("digit %d A differs after compress/expand", j)
 		}
 	}
-	if _, ok := got.Compress(); !ok {
-		t.Fatal("expanded key lost its seeds")
+	if again, ok := got.Compress(); !ok || !reflect.DeepEqual(again, c) {
+		t.Fatal("the expanded key does not compress back to the same packed key")
 	}
 
-	towers := len(sw.DBasis())
-	wantDense := sw.Dnum * 2 * towers * r.N * 8
-	wantComp := sw.Dnum * (towers*r.N*8 + 32)
+	// dnum 2 × 2 halves × 6 towers × N 32 × 8 bytes, and
+	// dnum 2 × (6 towers × N 32 × 4 bytes of a 30/31-bit residue + 32).
+	const wantDense, wantComp = 6144, 1600
 	if evk.SizeBytes() != wantDense || c.DenseSizeBytes() != wantDense {
 		t.Fatalf("dense footprint %d/%d, want %d", evk.SizeBytes(), c.DenseSizeBytes(), wantDense)
 	}

@@ -106,8 +106,9 @@ type Switcher struct {
 	// (internal/dataflow), which every schedule visits (schedule.go).
 	plans [dataflow.OCF + 1]*dataflow.Plan
 
-	// GenEvk's scratch: one key's Gaussian integers, and the two
-	// transformed secret rows of one tower task.
+	// Key generation's scratch: one key's Gaussian integers, and the
+	// two transformed secret rows of one tower task (with a digit's A-
+	// and B-row after them when the key is generated packed).
 	genInts, genRows sync.Pool
 
 	// Pooled execution states (tiles.go): one pool, because a state's
@@ -334,16 +335,21 @@ type Evk struct {
 	// Seeds, when present (one per digit), regenerate A through
 	// ring.UniformFromSeed — the handle Compress trades A for.
 	Seeds []ring.Seed
+
+	// r is the ring GenEvk or Expand built the key over, whose moduli
+	// give Compress the width of every packed B-row; nil on a
+	// hand-built key.
+	r *ring.Ring
 }
 
 // SizeBytes returns the *dense* resident footprint at 8 bytes per
 // residue — both polynomial halves of every digit, the quantity
 // Table III reports (112–360 MB at paper scale). The seed slice is
 // ignored: it is metadata until Compress turns it into the resident
-// form, whose (roughly halved) footprint CompressedEvk.SizeBytes
-// reports. Budget accounting must use the method of the form actually
-// resident, which is what the serve cache's KeyMaterial contract
-// guarantees.
+// form, whose footprint (the B-half packed at residue width, about a
+// third of this at 40/41-bit towers) CompressedEvk.SizeBytes reports.
+// Budget accounting must use the method of the form actually resident,
+// which is what the serve cache's KeyMaterial contract guarantees.
 func (e *Evk) SizeBytes() int {
 	var n int
 	for i := range e.B {
@@ -368,28 +374,65 @@ func (e *Evk) SizeBytes() int {
 // w_j·sOld. The key remains a pure function of the sampler's seed,
 // whichever worker builds which tower.
 func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
+	evk := &Evk{B: make([]*ring.Poly, sw.Dnum), A: make([]*ring.Poly, sw.Dnum), Seeds: make([]ring.Seed, sw.Dnum), r: sw.R}
+	for j := range sw.Dnum {
+		evk.A[j] = sw.R.NewPoly(sw.dBasis)
+		evk.B[j] = sw.R.NewPoly(sw.dBasis)
+		evk.A[j].IsNTT, evk.B[j].IsNTT = true, true
+	}
+	sw.genEvk(sampler, sOld, sNew, evk)
+	return evk
+}
+
+// GenCompressedEvk generates GenEvk's key — the same sampler draws the
+// same bits — in the seed-compressed form, without a dense half: each
+// tower task builds its A- and B-rows in scratch and packs the B-rows
+// into the key, so GenCompressedEvk(…).Expand(r) equals GenEvk(…).
+func (sw *Switcher) GenCompressedEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *CompressedEvk {
+	c := newCompressedEvk(sw.R, sw.dBasis, sw.Dnum)
+	sw.genEvk(sampler, sOld, sNew, c)
+	return c
+}
+
+// genEvk is the one key generator. It records every digit's seed on
+// key and builds the key's rows: a dense *Evk's in place, a
+// *CompressedEvk's in the tower task's scratch, whose B-rows it packs
+// into the key.
+func (sw *Switcher) genEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly, key KeyMaterial) {
 	if sOld.IsNTT || sNew.IsNTT {
 		panic("hks: GenEvk secrets must be in the coefficient domain")
+	}
+	var seeds []ring.Seed
+	dense, packed := (*Evk)(nil), (*CompressedEvk)(nil)
+	switch k := key.(type) {
+	case *Evk:
+		dense, seeds = k, k.Seeds
+	case *CompressedEvk:
+		packed, seeds = k, k.Seeds
 	}
 	r, n := sw.R, sw.R.N
 	sOldD, sNewD := sOld.SubPoly(sw.dBasis), sNew.SubPoly(sw.dBasis)
 
 	ints := getScratch[int64](&sw.genInts, sw.Dnum*n)
 	defer sw.genInts.Put(ints)
-	evk := &Evk{B: make([]*ring.Poly, sw.Dnum), A: make([]*ring.Poly, sw.Dnum), Seeds: make([]ring.Seed, sw.Dnum)}
 	for j := range sw.Dnum {
-		evk.Seeds[j] = sampler.NewSeed()
+		seeds[j] = sampler.NewSeed()
 		sampler.GaussianInts((*ints)[j*n : (j+1)*n])
-		evk.A[j] = r.NewPoly(sw.dBasis)
-		evk.B[j] = r.NewPoly(sw.dBasis)
-		evk.A[j].IsNTT, evk.B[j].IsNTT = true, true
 	}
 
+	scratch := 2 * n // the tower of both secrets
+	if packed != nil {
+		scratch = 4 * n // and a digit's A- and B-row
+	}
 	engine.Default().ParallelFor(len(sw.dBasis), func(t int) {
 		tw, m, tab := sw.dBasis[t], r.Mods[sw.dBasis[t]], r.Tables[sw.dBasis[t]]
-		rows := getScratch[uint64](&sw.genRows, 2*n)
+		rows := getScratch[uint64](&sw.genRows, scratch)
 		defer sw.genRows.Put(rows)
-		negS, sOldT := (*rows)[:n], (*rows)[n:]
+		negS, sOldT := (*rows)[:n], (*rows)[n:2*n]
+		var a, b []uint64
+		if packed != nil {
+			a, b = (*rows)[2*n:3*n], (*rows)[3*n:]
+		}
 		copy(negS, sNewD.Coeffs[t])
 		tab.Forward(negS)
 		for k, x := range negS {
@@ -397,30 +440,33 @@ func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
 		}
 		oldDone := false
 		for j := range sw.Dnum {
-			a, b := evk.A[j].Coeffs[t], evk.B[j].Coeffs[t]
-			r.UniformRowFromSeed(a, sw.dBasis, t, evk.Seeds[j])
+			if dense != nil {
+				a, b = dense.A[j].Coeffs[t], dense.B[j].Coeffs[t]
+			}
+			r.UniformRowFromSeed(a, sw.dBasis, t, seeds[j])
 			r.LiftInts(b, tw, (*ints)[j*n:(j+1)*n])
 			tab.Forward(b)
 			m.MulAccRows(b, [][]uint64{a}, [][]uint64{negS}, m.Q)
-			w := sw.gadget[j][t]
-			if w == 0 {
-				continue
+			if w := sw.gadget[j][t]; w != 0 {
+				if !oldDone {
+					copy(sOldT, sOldD.Coeffs[t])
+					tab.Forward(sOldT)
+					oldDone = true
+				}
+				m.MulAccScalars(b, [][]uint64{sOldT}, []uint64{w}, m.Q)
 			}
-			if !oldDone {
-				copy(sOldT, sOldD.Coeffs[t])
-				tab.Forward(sOldT)
-				oldDone = true
+			if packed != nil {
+				m.PackRow(packed.B[j][t], b)
 			}
-			m.MulAccScalars(b, [][]uint64{sOldT}, []uint64{w}, m.Q)
 		}
 	})
-	return evk
 }
 
 // getScratch returns a pooled slice of n elements, allocating one when
-// the pool is empty. Put it back on the same pool.
+// the pool holds none with room for n. Put it back on the same pool.
 func getScratch[T any](p *sync.Pool, n int) *[]T {
-	if s, _ := p.Get().(*[]T); s != nil && len(*s) == n {
+	if s, _ := p.Get().(*[]T); s != nil && cap(*s) >= n {
+		*s = (*s)[:n]
 		return s
 	}
 	s := make([]T, n)

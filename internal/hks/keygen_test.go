@@ -1,6 +1,8 @@
 package hks
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ciflow/internal/ring"
@@ -45,7 +47,9 @@ func genEvkSerial(sw *Switcher, sampler *ring.Sampler, sOld, sNew *ring.Poly) *E
 // towers the secrets carry) and a dnum-4 shape, both over 40-bit
 // moduli at N = 2^12: every seed and every residue of both halves
 // equal, the sampler left where the oracle left it, and the compressed
-// form expanding back to the dense key.
+// form expanding back to the dense key. GenCompressedEvk, the same
+// generator packing into a compressed key, must leave the sampler
+// there too and produce exactly Compress's bytes.
 func TestGenEvkMatchesSerial(t *testing.T) {
 	type shape struct {
 		name                        string
@@ -69,7 +73,8 @@ func TestGenEvkMatchesSerial(t *testing.T) {
 			s, oracle := ring.NewSampler(r, 9), ring.NewSampler(r, 9)
 			got, want := sw.GenEvk(s, sOld, sNew), genEvkSerial(sw, oracle, sOld, sNew)
 			requireSameEvk(t, got, want)
-			if a, b := s.NewSeed(), oracle.NewSeed(); a != b {
+			next := s.NewSeed()
+			if next != oracle.NewSeed() {
 				t.Fatal("GenEvk left the sampler's stream elsewhere than the serial oracle")
 			}
 			c, ok := got.Compress()
@@ -77,7 +82,43 @@ func TestGenEvkMatchesSerial(t *testing.T) {
 				t.Fatal("GenEvk's key did not compress")
 			}
 			requireSameEvk(t, c.Expand(r), want)
+
+			packer := ring.NewSampler(r, 9)
+			if gc := sw.GenCompressedEvk(packer, sOld, sNew); !reflect.DeepEqual(gc, c) {
+				t.Fatal("GenCompressedEvk's key differs from GenEvk's compressed")
+			}
+			if packer.NewSeed() != next {
+				t.Fatal("GenCompressedEvk left the sampler's stream elsewhere than GenEvk")
+			}
 		})
+	}
+}
+
+// TestGenCompressedEvkAllocatesNoDenseHalf pins what a warm
+// GenCompressedEvk allocates at N = 2^12 over 40/41-bit towers: the
+// packed key itself and the few hundred bytes of its headers and the
+// engine's run, under one row of 8-byte words in all — so no dense row
+// of either half, which GenEvk allocates 2·dnum·|D_ℓ| of.
+func TestGenCompressedEvkAllocatesNoDenseHalf(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
+	}
+	r, s, sOld, sNew := testSetup(t, 1<<12, 6, 40, 3, 41)
+	sw, err := NewSwitcher(r, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	size := sw.GenCompressedEvk(s, sOld, sNew).SizeBytes() // warm: the scratch pools
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		sw.GenCompressedEvk(s, sOld, sNew)
+	}
+	runtime.ReadMemStats(&after)
+	if perKey, over := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(size+r.N*8); perKey >= over {
+		t.Fatalf("GenCompressedEvk allocates %d bytes per key of %d packed; want under %d", perKey, size, over)
 	}
 }
 
@@ -103,7 +144,8 @@ func requireSameEvk(t *testing.T, got, want *Evk) {
 
 // BenchmarkGenEvk prices one key at the benchmark's shape (N = 2^13,
 // 6 × 40-bit Q and 3 × 41-bit P towers, level 5, dnum 3): GenEvk's
-// tower tasks on engine.Default() beside the serial oracle.
+// tower tasks on engine.Default() beside the serial oracle, and the
+// same tasks packing a compressed key (GenCompressedEvk).
 func BenchmarkGenEvk(b *testing.B) {
 	r, _, sOld, sNew := testSetup(b, 1<<13, 6, 40, 3, 41)
 	sw, err := NewSwitcher(r, 5, 3)
@@ -119,6 +161,11 @@ func BenchmarkGenEvk(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		for b.Loop() {
 			genEvkSerial(sw, s, sOld, sNew)
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		for b.Loop() {
+			sw.GenCompressedEvk(s, sOld, sNew)
 		}
 	})
 }

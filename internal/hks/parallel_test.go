@@ -222,9 +222,9 @@ func TestSwitchParallelValidation(t *testing.T) {
 	mustPanic("unknown dataflow", func() { switchParallel(sw, e, dataflow.Dataflow(99), d, evk) })
 
 	cevk, _ := evk.Compress()
-	shortC := &CompressedEvk{B: cevk.B[:1], Seeds: cevk.Seeds}
+	shortC := &CompressedEvk{B: cevk.B[:1], Seeds: cevk.Seeds, Basis: cevk.Basis, N: cevk.N}
 	mustPanic("short compressed evk", func() { switchParallel(sw, e, dataflow.MP, d, shortC) })
-	seedless := &CompressedEvk{B: cevk.B}
+	seedless := &CompressedEvk{B: cevk.B, Basis: cevk.Basis, N: cevk.N}
 	mustPanic("compressed evk without seeds", func() { switchParallel(sw, e, dataflow.OC, d, seedless) })
 
 	out := r.NewPoly(sw.QBasis())

@@ -76,11 +76,12 @@ type Hoisted struct {
 	acc [2]*ring.Poly // ApplyKey accumulators over D_ℓ
 	yP  [2][][]uint64 // per output poly: K scaled ModDown rows, then their overshoot row
 
-	// Row headers handed to the ApplyKey kernel, [|D|][dnum]: a tower's
-	// ModUp rows and the matching rows of the two evk halves. One slot
-	// per tower, so concurrent apply tiles share nothing and allocate
-	// nothing.
+	// Row headers handed to the ApplyKey kernels, [|D|][dnum]: a
+	// tower's ModUp rows and the matching rows of the two evk halves,
+	// a compressed key's B-rows packed. One slot per tower, so
+	// concurrent apply tiles share nothing and allocate nothing.
 	upRows, kbRows, kaRows [][][]uint64
+	packedRows             [][][]byte
 	// drawn holds a compressed key's A-rows, [|D|][dnum] rows, drawn by
 	// each apply tile into its own tower's slot. Allocated at the
 	// state's first compressed bind; a dense-only state has none.
@@ -123,6 +124,10 @@ func newState(sw *Switcher) *Hoisted {
 		return hs
 	}
 	h.upRows, h.kbRows, h.kaRows = headers(), headers(), headers()
+	h.packedRows = make([][][]byte, len(sw.dBasis))
+	for t := range h.packedRows {
+		h.packedRows[t] = make([][]byte, sw.Dnum)
+	}
 	return h
 }
 
@@ -256,31 +261,35 @@ func (h *Hoisted) convertTower(j, di int) {
 // acc ← Σ_j up_j[t] ⊙ evk_j[t] for both evk halves, each as one
 // deferred-reduction pass over all dnum digits. A compressed key's
 // A-rows of tower t are drawn from the digits' seeds first, into the
-// tower's scratch, and timed as the expand stage.
+// tower's scratch, and timed as the expand stage; its B-rows are
+// multiplied in packed.
 func (h *Hoisted) applyTower(t int) {
 	sw := h.sw
 	t0 := h.now()
-	up, kb, ka := h.upRows[t], h.kbRows[t], h.kaRows[t]
+	m := sw.R.Mods[sw.dBasis[t]]
+	up, ka := h.upRows[t], h.kaRows[t]
 	for j := range up {
 		up[j] = h.upRow(j, t)
 	}
 	switch k := h.key.(type) {
 	case *Evk:
+		kb := h.kbRows[t]
 		for j := range kb {
 			kb[j], ka[j] = k.B[j].Coeffs[t], k.A[j].Coeffs[t]
 		}
+		m.MulSumRows(h.acc[0].Coeffs[t], up, kb, m.Q)
 	case *CompressedEvk:
 		ka = h.drawn[t]
+		kb := h.packedRows[t]
 		for j := range kb {
-			kb[j] = k.B[j].Coeffs[t]
+			kb[j] = k.B[j][t]
 			sw.R.UniformRowFromSeed(ka[j], sw.dBasis, t, k.Seeds[j])
 		}
 		drawn := h.now()
 		h.stage(obs.StageExpand, t0, drawn)
 		t0 = drawn
+		m.MulSumRowsPacked(h.acc[0].Coeffs[t], up, kb, m.Q)
 	}
-	m := sw.R.Mods[sw.dBasis[t]]
-	m.MulSumRows(h.acc[0].Coeffs[t], up, kb, m.Q)
 	m.MulSumRows(h.acc[1].Coeffs[t], up, ka, m.Q)
 	h.stage(obs.StageApply, t0, h.now())
 }

@@ -1,7 +1,9 @@
 // Package mod implements 64-bit modular arithmetic for RNS-based
 // homomorphic encryption: Barrett reduction, Shoup multiplication,
-// modular exponentiation and inversion, primality testing, and the
-// row kernels (vec.go) the key-switching hot loops are built from.
+// modular exponentiation and inversion, primality testing, the row
+// kernels (vec.go) the key-switching hot loops are built from, and
+// packed rows (packed.go): residues stored at ⌈bits(q)/8⌉ bytes, with a
+// multiply-accumulate that reads them so.
 //
 // All moduli are odd primes below 2^62. The two bits of headroom are
 // what the lazy-reduction kernels spend:
@@ -11,24 +13,25 @@
 //   - MulShoup is exact for *any* 64-bit x, not only x < q: its
 //     quotient estimate is off by at most one, so the remainder lies
 //     in [0,2q) before the single correction;
-//   - the multiply-accumulate rows (MulSumRows, MulSumScalars,
-//     MulAccRows) sum products as 128-bit integers and reduce once.
-//     Reduce128 wants the high word below q, so given the bound B on
-//     one operand (the callers' maxOperand) at most AccTerms(B) =
-//     ⌊2^64/B⌋ products with the other operand below q go into one
-//     reduction: at least 4 for any supported modulus, millions for
-//     the 30–41-bit moduli in use.
+//   - the multiply-accumulate rows (MulSumRows, MulSumRowsPacked,
+//     MulSumScalars, MulAccRows, MulAccScalars) sum products as
+//     128-bit integers and reduce once. Reduce128 wants the high word
+//     below q, so given the bound B on one operand (the callers'
+//     maxOperand) at most AccTerms(B) = ⌊2^64/B⌋ products with the
+//     other operand below q go into one reduction: at least 4 for any
+//     supported modulus, millions for the 30–41-bit moduli in use.
 //
 // This matches the machine-word RNS moduli used by CKKS
 // implementations (36–60 bits, paper §II).
 //
 // The row kernels have a second body: on an amd64 CPU with AVX-512
-// IFMA, and for moduli below 2^VectorModulusBits, they run eight
-// coefficients at a time on 52-bit multiply-accumulates
-// (vec_amd64.s). Kernel names the body in use, here and under
-// internal/ntt's transforms; both bodies return canonical residues, so
-// nothing above this package can tell them apart except by the clock
-// (DESIGN.md "Row kernels").
+// IFMA (and the AVX512BW and AVX512_VBMI every such CPU has, which the
+// packed rows' byte loads use), and for moduli below
+// 2^VectorModulusBits, they run eight coefficients at a time on 52-bit
+// multiply-accumulates (vec_amd64.s). Kernel names the body in use,
+// here and under internal/ntt's transforms; both bodies return
+// canonical residues, so nothing above this package can tell them
+// apart except by the clock (DESIGN.md "Row kernels").
 package mod
 
 import (

@@ -1,6 +1,7 @@
 package mod
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -77,12 +78,16 @@ func (m Modulus) accBody(maxOperand uint64) (vec bool, maxTerms int) {
 	return false, AccTerms(maxOperand)
 }
 
-// checkRows panics unless each of rows holds n coefficients, as the Go
-// loops do by slicing: the vector bodies read a row through its base
-// pointer, unchecked.
-func checkRows(rows [][]uint64, n int) {
+// checkRows panics unless each of rows holds at least n values. The
+// vector bodies read a row through its base pointer, unchecked, and
+// the Go ones reslice it to n, which its capacity would allow, so
+// every driver checks the lengths before either body runs; the row
+// kernels' drivers check likewise that b (or w) has a row for every a.
+func checkRows[T uint64 | byte](rows [][]T, n int) {
 	for _, row := range rows {
-		_ = row[:n]
+		if len(row) < n {
+			panic(fmt.Sprintf("mod: a row of %d values, want %d", len(row), n))
+		}
 	}
 }
 
@@ -140,11 +145,14 @@ func (m Modulus) MulSumRows(dst []uint64, a, b [][]uint64, maxOperand uint64) {
 
 func (m Modulus) mulAccRows(acc []uint64, a, b [][]uint64, maxOperand, keep uint64) {
 	vec, maxTerms := m.accBody(maxOperand)
+	if len(b) < len(a) {
+		panic(fmt.Sprintf("mod: %d a rows but %d b rows", len(a), len(b)))
+	}
+	checkRows(a, len(acc))
+	checkRows(b[:len(a)], len(acc))
 	var c, c52, mu uint64
 	if vec {
 		c, c52, mu = m.Reduce52()
-		checkRows(a, len(acc))
-		checkRows(b[:len(a)], len(acc))
 	}
 	for ; ; keep = keepAcc {
 		t := min(len(a), maxTerms)
@@ -218,10 +226,13 @@ func (m Modulus) MulAccScalars(acc []uint64, a [][]uint64, w []uint64, maxOperan
 
 func (m Modulus) mulAccScalars(acc []uint64, a [][]uint64, w []uint64, maxOperand, keep uint64) {
 	vec, maxTerms := m.accBody(maxOperand)
+	if len(w) < len(a) {
+		panic(fmt.Sprintf("mod: %d rows but %d scalars", len(a), len(w)))
+	}
+	checkRows(a, len(acc))
 	var c, c52, mu uint64
 	if vec {
 		c, c52, mu = m.Reduce52()
-		checkRows(a, len(acc))
 	}
 	for ; ; keep = keepAcc {
 		t := min(len(a), maxTerms)

@@ -7,6 +7,12 @@ package mod
 //go:noescape
 func mulAccRows52(acc []uint64, a, b [][]uint64, keep, q, c, c52, mu uint64)
 
+// mulAccPacked52 is mulAccRows52 with b rows packed at w bytes per
+// residue, widened eight at a time by sp.
+//
+//go:noescape
+func mulAccPacked52(acc []uint64, a [][]uint64, b [][]byte, keep, q, c, c52, mu uint64, w int, sp *spread)
+
 //go:noescape
 func mulAccScalars52(acc []uint64, a [][]uint64, w []uint64, keep, q, c, c52, mu uint64)
 
@@ -23,14 +29,19 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// hasIFMA reports whether the CPU has AVX512F and AVX512IFMA and the
-// OS saves the opmask and ZMM state across context switches.
+// hasIFMA reports whether the CPU has every extension the vector
+// bodies use — AVX512F and AVX512IFMA, and for the packed rows'
+// byte-masked load and byte permute AVX512BW and AVX512_VBMI — and the
+// OS saves the opmask and ZMM state across context switches. Every
+// CPU with IFMA has the other three, so one answer serves every body.
 func hasIFMA() bool {
 	const (
 		osxsave  = 1 << 27 // CPUID.1:ECX
 		zmmState = 0xE6    // XCR0: SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
 		avx512f  = 1 << 16 // CPUID.7.0:EBX
 		ifma     = 1 << 21
+		avx512bw = 1 << 30
+		vbmi     = 1 << 1 // CPUID.7.0:ECX
 	)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -41,6 +52,6 @@ func hasIFMA() bool {
 	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
 		return false
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx512f != 0 && ebx&ifma != 0
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&avx512f != 0 && ebx&ifma != 0 && ebx&avx512bw != 0 && ecx&vbmi != 0
 }

@@ -135,6 +135,89 @@ rowsDone:
 	VZEROUPPER
 	RET
 
+// func mulAccPacked52(acc []uint64, a [][]uint64, b [][]byte, keep, q, c, c52, mu uint64, w int, sp *spread)
+// mulAccRows52 with every b row packed at w < 8 bytes per residue. An
+// iteration loads its eight residues' 8·w bytes under the byte mask K2
+// (masked-off bytes are never read, so a row may end at a page's end)
+// and one zero-masking VPERMB spreads them into lanes: Z23 is sp's
+// byte index, K3 its mask of each lane's low w bytes.
+TEXT ·mulAccPacked52(SB), NOSPLIT, $0-128
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), R8
+	MOVQ b_base+48(FP), DX
+	MOVQ keep+72(FP), R15
+	CONSTS(q+80(FP))
+	VPBROADCASTQ c+88(FP), Z18
+	VPBROADCASTQ c52+96(FP), Z19
+	VPBROADCASTQ mu+104(FP), Z20
+	VPADDQ Z16, Z16, Z22
+	MOVQ w+112(FP), BX
+	MOVQ sp+120(FP), AX
+	VMOVDQU64 (AX), Z23
+	KMOVQ 64(AX), K3
+	MOVQ CX, R12 // K2 = the 8·w bytes of a whole block
+	LEAQ (BX*8), CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVQ AX, K2
+	MOVQ R12, CX
+	XORQ R9, R9 // byte offset of this iteration in every a row
+	TESTQ CX, CX
+	JZ packedDone
+packedLoop:
+	CMPQ CX, $8
+	JAE packedFull
+	MOVL $1, AX // the tail: K1 its CX lanes, K2 their CX·w bytes
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	MOVQ CX, R12
+	IMULQ BX, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVQ AX, K2
+	MOVQ R12, CX
+packedFull:
+	MOVQ R9, AX // byte offset of this iteration in every b row
+	SHRQ $3, AX
+	IMULQ BX, AX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	TESTQ R15, R15
+	JZ packedTerms
+	VMOVDQU64.Z (DI)(R9*1), K1, Z0
+packedTerms:
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ R8, R12
+	TESTQ R12, R12
+	JZ packedReduce
+packedTerm:
+	MOVQ (R10), R13
+	MOVQ (R11), R14
+	VMOVDQU64.Z (R13)(R9*1), K1, Z2
+	VMOVDQU8.Z (R14)(AX*1), K2, Z3
+	VPERMB.Z Z3, Z23, K3, Z3
+	VPMADD52LUQ Z3, Z2, Z0
+	VPMADD52HUQ Z3, Z2, Z1
+	ADDQ $24, R10
+	ADDQ $24, R11
+	DECQ R12
+	JNZ packedTerm
+packedReduce:
+	REDUCE
+	VMOVDQU64 Z0, K1, (DI)(R9*1)
+	ADDQ $64, R9
+	SUBQ $8, CX
+	JG packedLoop
+packedDone:
+	VZEROUPPER
+	RET
+
 // func mulAccScalars52(acc []uint64, a [][]uint64, w []uint64, keep, q, c, c52, mu uint64)
 TEXT ·mulAccScalars52(SB), NOSPLIT, $0-112
 	MOVQ acc_base+0(FP), DI

@@ -11,6 +11,10 @@ func mulAccRows52(acc []uint64, a, b [][]uint64, keep, q, c, c52, mu uint64) {
 	panic("mod: no vector body on this architecture")
 }
 
+func mulAccPacked52(acc []uint64, a [][]uint64, b [][]byte, keep, q, c, c52, mu uint64, w int, sp *spread) {
+	panic("mod: no vector body on this architecture")
+}
+
 func mulAccScalars52(acc []uint64, a [][]uint64, w []uint64, keep, q, c, c52, mu uint64) {
 	panic("mod: no vector body on this architecture")
 }

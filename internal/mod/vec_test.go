@@ -3,6 +3,7 @@ package mod
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -165,7 +166,10 @@ func TestMulAccWideOperand(t *testing.T) {
 }
 
 // TestMulAccShortRowPanics pins the bounds check of both bodies: a row
-// shorter than the accumulator is a panic, not a read past its end.
+// shorter than the accumulator, or fewer b rows or scalars than a
+// rows, is a panic, not a read past its end — also where the row's or
+// the header slice's capacity would cover the read. The driver
+// refuses before either body writes a coefficient.
 func TestMulAccShortRowPanics(t *testing.T) {
 	EachKernel(t, func(t *testing.T) {
 		const n = 16
@@ -179,11 +183,18 @@ func TestMulAccShortRowPanics(t *testing.T) {
 			"MulSumRows rows": func() { m.MulSumRows(dst, long, long[:1], q) },
 			"MulSumScalars a": func() { m.MulSumScalars(dst, [][]uint64{long[0], short[0]}, long[0][:2], q) },
 			"MulSumScalars w": func() { m.MulSumScalars(dst, long, long[0][:1], q) },
+			"MulSumRows cap":  func() { m.MulSumRows(dst, long, [][]uint64{long[0], long[1][:n-1]}, q) },
 		} {
+			for k := range dst {
+				dst[k] = 7
+			}
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Errorf("%s: a short operand did not panic", name)
+					}
+					if slices.ContainsFunc(dst, func(x uint64) bool { return x != 7 }) {
+						t.Errorf("%s: the kernel ran before the panic", name)
 					}
 				}()
 				f()
@@ -290,4 +301,39 @@ func BenchmarkMulAcc3(b *testing.B) {
 	for b.Loop() {
 		m.MulSumRows(acc, x, y, q)
 	}
+}
+
+// BenchmarkMulAcc3Keys is BenchmarkMulAcc3 with the b rows of 48 keys,
+// taken in turn, the way serve_unshared's requests cycle 48 keys: one
+// key's rows come from L3 or memory, not L2. /words stores them in
+// 8-byte words, /packed at the modulus's 5-byte width (a compressed
+// key's B-half).
+func BenchmarkMulAcc3Keys(b *testing.B) {
+	const n, keys = 1 << 13, 48
+	q := uint64(1099511480321)
+	m := New(q)
+	rng := rand.New(rand.NewSource(1))
+	gen := func() uint64 { return rng.Uint64() % q }
+	x := accRows(3, n, gen)
+	words := make([][][]uint64, keys)
+	packed := make([][][]byte, keys)
+	for i := range words {
+		words[i] = accRows(3, n, gen)
+		packed[i] = make([][]byte, 3)
+		for j, row := range words[i] {
+			packed[i][j] = make([]byte, n*m.Width())
+			m.PackRow(packed[i][j], row)
+		}
+	}
+	acc := make([]uint64, n)
+	b.Run("words", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			m.MulSumRows(acc, x, words[i%keys], q)
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			m.MulSumRowsPacked(acc, x, packed[i%keys], q)
+		}
+	})
 }

@@ -13,8 +13,9 @@ package serve
 // The cache stores hks.KeyMaterial, not dense keys: a KeySource that
 // hands back seed-compressed material (SeedKeySource with compression
 // on) is charged the *compressed* footprint, so the same byte budget
-// holds roughly twice the keys, and the replay draws the A-half from the
-// seeds as its apply tiles need it. DenseBytes in
+// holds about three times the keys at 40/41-bit towers (the B-half
+// packed at residue width, the A-half a seed), and the replay draws the
+// A-half from the seeds as its apply tiles need it. DenseBytes in
 // the stats is the what-if dense footprint of the resident set; its
 // ratio to Bytes is the measured compression the `ciflow serve` report
 // and `ablate-keycomp` print.
@@ -59,8 +60,8 @@ type KeyID struct {
 // material is cached at its compressed footprint and its A-half drawn
 // only inside a replay. Implementations must be safe for concurrent use and
 // should memoize in the form they hand out (ckks.KeyChain keeps a key
-// asked for compressed as B-halves and seeds only), so re-loading an
-// evicted key returns identical material, served results stay
+// asked for compressed as packed B-halves and seeds only), so
+// re-loading an evicted key returns identical material, served results stay
 // bit-exact across evictions, and what sits behind the cache is no
 // larger per key than what sits in it. The budget bounds what the
 // service pins; the source is its backing store. SeedKeySource adapts

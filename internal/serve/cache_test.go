@@ -244,10 +244,11 @@ func TestCacheLoadError(t *testing.T) {
 // TestEvkSizeBytesPinned pins the footprints the byte budget evicts by
 // — one formula per residency form. Dense (Evk.SizeBytes):
 // dnum × 2 polys × (ℓ+K) towers × N coefficients × 8 bytes. Compressed
-// (CompressedEvk.SizeBytes): dnum × (towers × N × 8 + 32) — the B half
-// plus one 32-byte seed per digit, the A half gone. If either drifts
-// from the allocation, the budget silently stops meaning bytes; this
-// test and the cache's accounting fail instead.
+// (CompressedEvk.SizeBytes): dnum × (Σ_t N·⌈bits(q_t)/8⌉ + 32) — the B
+// half packed at residue width plus one 32-byte seed per digit, the A
+// half gone. If either drifts from the allocation, the budget silently
+// stops meaning bytes; this test and the cache's accounting fail
+// instead.
 func TestEvkSizeBytesPinned(t *testing.T) {
 	r, err := ring.NewRingGenerated(32, 4, 40, 3, 41)
 	if err != nil {
@@ -269,9 +270,10 @@ func TestEvkSizeBytesPinned(t *testing.T) {
 	if !ok {
 		t.Fatal("generated evk did not compress")
 	}
-	wantComp := sw.Dnum * (len(sw.DBasis())*r.N*8 + 32)
+	// dnum 2 × (N 32 × (4 Q towers × 5 bytes + 3 P towers × 6 bytes) + 32).
+	const wantComp = 2496
 	if got := comp.SizeBytes(); got != wantComp {
-		t.Fatalf("compressed SizeBytes %d, want dnum×(towers×N×8+32) = %d", got, wantComp)
+		t.Fatalf("compressed SizeBytes %d, want dnum×(Σ_t N·⌈bits(q_t)/8⌉+32) = %d", got, wantComp)
 	}
 	if got := comp.DenseSizeBytes(); got != wantDense {
 		t.Fatalf("compressed DenseSizeBytes %d, want %d", got, wantDense)

@@ -38,7 +38,7 @@ func TenantSeed(tenant string) int64 {
 // set is fixed at construction (HasTenant, on every Submit's path,
 // takes no lock) and each chain is built once, under its own tenant's
 // entry only. A chain memoizes each key in the form this source asks
-// for — compressed keys as B-halves and seeds only
+// for — compressed keys as packed B-halves and seeds only
 // (ckks.KeyChain.HoistKeyCompressed), dense keys dense — so re-loading
 // an evicted key returns identical material and a compressing source
 // keeps no A-half resident anywhere.
@@ -51,8 +51,10 @@ type SeedKeySource struct {
 
 // NewSeedKeySource builds a source serving exactly the given tenants
 // from their TenantSeed-derived chains. With compress set, Key hands
-// the cache seed-compressed material (hks.CompressedEvk), halving the
-// resident footprint per key; a replay draws the A-half in its tiles.
+// the cache seed-compressed material (hks.CompressedEvk): the B-half
+// packed at residue width and the seeds, about a third of the dense
+// footprint per key at 40/41-bit towers; a replay draws the A-half in
+// its tiles.
 func NewSeedKeySource(ctx *ckks.Context, tenants []string, compress bool) (*SeedKeySource, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("serve: nil ckks context")

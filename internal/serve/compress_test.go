@@ -86,7 +86,9 @@ func TestCompressedServingBitExact(t *testing.T) {
 	if st.Keys.DenseBytes <= st.Keys.Bytes {
 		t.Fatalf("dense footprint %d not above compressed resident %d", st.Keys.DenseBytes, st.Keys.Bytes)
 	}
-	wantComp := int64(K) * int64(b.sw.Dnum*(len(b.sw.DBasis())*b.r.N*8+32))
+	// K keys × dnum 2 × (N 32 × (4 × 5 bytes of a 40-bit Q residue +
+	// 3 × 6 of a 41-bit P residue) + 32 bytes of seed).
+	const wantComp = K * 2496
 	if st.Keys.Bytes != wantComp {
 		t.Fatalf("compressed resident %d bytes, want %d", st.Keys.Bytes, wantComp)
 	}

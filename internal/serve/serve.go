@@ -18,10 +18,12 @@
 //     per-tenant residency floor of one key, singleflight loading, and
 //     per-tenant hit/miss/eviction/byte accounting. The cache stores
 //     hks.KeyMaterial: a source handing back seed-compressed keys
-//     (hks.CompressedEvk) is charged roughly half the dense footprint,
-//     so one budget holds twice the working set. A compressed key
-//     replays as a dense one does — the engine's apply tiles draw its
-//     A-half from the seeds as they go — bit-exact with the dense path.
+//     (hks.CompressedEvk) is charged its B-half packed at residue
+//     width plus the seeds, about a third of the dense footprint at
+//     40/41-bit towers, so one budget holds about three times the
+//     working set. A compressed key replays as a dense one does — the
+//     engine's apply tiles draw its A-half from the seeds and multiply
+//     its packed B-half in as they go — bit-exact with the dense path.
 //  2. Hoist groups: requests of one tenant on one input polynomial at
 //     one level share a single hks.Hoisted Decompose+ModUp and replay
 //     only ApplyKey+ModDown per key. A caller that knows its fan-out
