@@ -150,6 +150,9 @@ func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 			return nil, err
 		}
 		from, to := kc.secrets(id)
+		if to != kc.sk.S { // a rotated secret, drawn from the ring's pool
+			defer kc.ctx.R.PutPoly(to)
+		}
 		if compressed {
 			return sw.GenCompressedEvk(kc.keySampler(id), from, to), nil
 		}
@@ -158,7 +161,10 @@ func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 }
 
 // secrets returns the two secrets (full D basis, coefficient domain)
-// the key named id re-encrypts between.
+// the key named id re-encrypts between. A rotation's to is the
+// automorphism of the secret, drawn from the ring's pool (GetPoly):
+// the caller hands it back once the key is generated. Relin's is the
+// secret itself.
 func (kc *KeyChain) secrets(id keyID) (from, to *ring.Poly) {
 	if id.form == formRelin {
 		return kc.sSquare, kc.sk.S
@@ -170,8 +176,9 @@ func (kc *KeyChain) secrets(id keyID) (from, to *ring.Poly) {
 		// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
 		gInv = r.GaloisElement(-id.rot)
 	}
-	to = r.NewPoly(r.DBasis(r.NumQ - 1))
-	r.Automorphism(kc.sk.S, gInv, to)
+	to = r.GetPoly(r.DBasis(r.NumQ - 1))
+	to.IsNTT = false
+	r.Automorphism(kc.sk.S, gInv, to) // a permutation: every residue is written
 	return kc.sk.S, to
 }
 

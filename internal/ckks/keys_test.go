@@ -193,6 +193,59 @@ func TestHoistKeyCompressedRetainsNoAHalf(t *testing.T) {
 	runtime.KeepAlive(kc)
 }
 
+// poolRetains reports whether a sync.Pool hands back what was just put
+// into it. The race detector makes Put drop a quarter of its items at
+// random, and then nothing that draws from a pool can be pinned to an
+// allocation count.
+func poolRetains() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
+}
+
+// A warm chain generating a compressed rotation key it has not seen
+// allocates the packed key and small objects (its sampler, headers,
+// the memo entry), under one row of 8-byte words besides: the rotated
+// secret, a full-D polynomial of 6 rows here, comes from the ring's
+// pool and goes back after generation. It runs on one P, as
+// testing.AllocsPerRun does: a sync.Pool keeps one slot per P private.
+func TestHoistKeyCompressedAllocatesOnlyItsKey(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
+	}
+	ctx, err := NewContext(4096, 4, 40, 2, 41, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc, _ := GenKeys(ctx, 7)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const level, runs = 3, 5
+	if _, err := kc.HoistKeyCompressed(100, level); err != nil { // warm: switcher, scratch pools, the pooled secret
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var size uint64
+	runtime.ReadMemStats(&before)
+	for rot := 1; rot <= runs; rot++ {
+		c, err := kc.HoistKeyCompressed(rot, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += uint64(c.SizeBytes())
+	}
+	runtime.ReadMemStats(&after)
+	if perKey, over := (after.TotalAlloc-before.TotalAlloc)/runs, size/runs+uint64(ctx.R.N*8); perKey >= over {
+		t.Fatalf("a new compressed rotation key allocates %d bytes, its packed key %d; want under %d",
+			perKey, size/runs, over)
+	}
+}
+
 // Concurrent loads of one key share its single generation — every
 // caller gets the one memoized key — while loads of other keys proceed
 // beside it (run under -race).

@@ -17,7 +17,7 @@ package hks
 // A compressed key runs the same graphs through the same entry points
 // as a dense one: the apply tile of extended tower t draws every
 // digit's tower-t A-row from its seed (ring.UniformRowFromSeed) into
-// the state's scratch and multiplies it in at once, and multiplies the
+// the run's scratch and multiplies it in at once, and multiplies the
 // packed B-rows in as they are (mod.Modulus.MulSumRowsPacked), so
 // neither half is ever widened into a dense polynomial. A key kept
 // compressed is generated packed (GenCompressedEvk); Expand rebuilds

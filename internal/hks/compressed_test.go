@@ -148,7 +148,8 @@ func TestSwitchStreamedChecks(t *testing.T) {
 
 // A warm HoistParallel → SwitchParallelInto → Release cycle with a
 // compressed key allocates no polynomial row: the A-half is drawn into
-// the pooled state's rows, the state comes out of the switcher's pool.
+// rows of the run's pooled slab, the state comes out of the switcher's
+// pool.
 // What a cycle does allocate — the engine's completion channels — is a
 // few hundred bytes, so the pin is on bytes, with a ring large enough
 // that one row (8 KiB) dwarfs them. It runs on one P, like
@@ -178,7 +179,7 @@ func TestStreamedCycleAllocatesNoRows(t *testing.T) {
 		h.Release()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cycle() // warm: the state, its graphs, its drawn rows
+	cycle() // warm: the state, its graphs, the slab pool
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -196,7 +197,7 @@ func TestStreamedCycleAllocatesNoRows(t *testing.T) {
 // Replays of different compressed keys over one switcher, from several
 // goroutines at once — some hoisted states released without ever being
 // replayed, the way a failed request leaves one. The drawn rows live in
-// pooled states that move between goroutines, so a state released
+// pooled slabs that move between goroutines, so a slab handed back
 // while its rows were still being drawn or read would hand another
 // goroutine's replay the wrong key: every output is compared with the
 // whole-polynomial reference.

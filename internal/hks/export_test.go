@@ -86,7 +86,8 @@ type probe struct {
 }
 
 // probes lists a cell per row the ModUp tiles (modUp) and the apply and
-// ModDown tiles (replay) can write.
+// ModDown tiles (replay) can write; the scratch rows among them exist
+// only inside a borrow.
 func (h *Hoisted) probes(modUp, replay bool) []probe {
 	var ps []probe
 	add := func(row []uint64, at int, format string, a ...any) {
@@ -125,7 +126,8 @@ func (h *Hoisted) probes(modUp, replay bool) []probe {
 }
 
 // graphEdges runs g's nodes one at a time, in creation order, on the
-// bound state h and describes the graph by behaviour: a node is named
+// bound state h, inside a borrow of run scratch the caller holds (so
+// are the probes, which point into it), and describes the graph by behaviour: a node is named
 // by its tile name and the rows it was seen to write (every tile writes
 // canonical residues, so a probed cell that no longer holds the
 // all-ones sentinel was written), and listed with the nodes it waits

@@ -112,9 +112,15 @@ type Switcher struct {
 	genInts, genRows sync.Pool
 
 	// Pooled execution states (tiles.go): one pool, because a state's
-	// scratch does not depend on the dataflow it last ran under, only
-	// its cached graphs do. Filled on demand, never here.
+	// rows do not depend on the dataflow it last ran under, only its
+	// cached graphs do. Filled on demand, never here.
 	states sync.Pool
+
+	// drawnSlab is the length of a run slab's drawn rows (tiles.go):
+	// |D|·dnum rows at the ring's top level, for the digit count the
+	// switcher was asked for, which a SwitcherPool keeps for every
+	// level, so one warm slab fits every level's run.
+	drawnSlab int
 }
 
 // NewSwitcher prepares hybrid key switching over r at the given level
@@ -122,6 +128,12 @@ type Switcher struct {
 // must carry at least one P tower and P must exceed every digit
 // product for the noise analysis to hold.
 func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
+	return newSwitcher(r, level, dnum, dnum)
+}
+
+// newSwitcher is NewSwitcher sizing its slabs' drawn rows for slabDnum
+// digits.
+func newSwitcher(r *ring.Ring, level, dnum, slabDnum int) (*Switcher, error) {
 	if level < 0 || level >= r.NumQ {
 		return nil, fmt.Errorf("hks: level %d out of range [0,%d)", level, r.NumQ)
 	}
@@ -141,6 +153,7 @@ func NewSwitcher(r *ring.Ring, level, dnum int) (*Switcher, error) {
 		pBasis: r.PBasis(),
 		dBasis: r.DBasis(level),
 	}
+	sw.drawnSlab = r.N * (r.NumQ + r.NumP) * slabDnum
 
 	// Digit partition: digit j covers towers [j·α, min((j+1)·α, ℓ+1)).
 	for j := 0; j < dnum; j++ {
@@ -523,10 +536,10 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	c1 = sw.R.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
-	own, acc := h.up, h.acc
+	own := h.up
 	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
 	h.run(engine.Inline(), apply)
-	h.up, h.acc, h.key = own, acc, nil
+	h.up, h.acc, h.key = own, [2]*ring.Poly{&h.accs[0], &h.accs[1]}, nil
 	h.Release()
 	return c0, c1
 }
@@ -544,10 +557,9 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	out := sw.R.NewPoly(sw.qBasis)
 	out.IsNTT = true
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
-	acc := h.acc[0]
 	h.acc[0], h.out[0] = c, out
 	h.run(engine.Inline(), down0)
-	h.acc[0], h.out[0] = acc, nil
+	h.acc[0], h.out[0] = &h.accs[0], nil
 	h.Release()
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/obs"
 	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
@@ -306,5 +307,86 @@ func TestHoistedSpeedupModelIsThePlans(t *testing.T) {
 	b := params.Benchmark{Name: "bench", LogN: 13, KL: 6, KP: 3, Dnum: 3}
 	if got, want := sw.HoistedSpeedupModel(8), dataflow.NewPlan(dataflow.MP, b, dataflow.Unbounded).HoistedSpeedup(8); got != want {
 		t.Fatalf("HoistedSpeedupModel(8) = %v, the plan's %v", got, want)
+	}
+}
+
+// heldScratch counts the rows a state points at besides its row table:
+// run scratch (y, its accumulators, the ModDown and drawn rows) and the
+// row headers its apply tiles set. Between runs it must be zero.
+func heldScratch(h *Hoisted) int {
+	held := nonNil(h.y)
+	for p := range h.acc {
+		held += nonNil(h.acc[p].Coeffs) + nonNil(h.yP[p])
+	}
+	for t := range h.drawn {
+		held += nonNil(h.drawn[t]) + nonNil(h.upRows[t]) + nonNil(h.kbRows[t]) + nonNil(h.kaRows[t]) + nonNil(h.packedRows[t])
+	}
+	return held
+}
+
+// nonNil counts the rows of rows that are not nil.
+func nonNil[T any](rows [][]T) int {
+	n := 0
+	for _, row := range rows {
+		if row != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHoistedHoldsNoScratchBetweenRuns: a state keeps only its ModUp
+// rows between graph runs. After Hoist, after every replay (serial and
+// on an engine, with the key in either form) and after Release, it
+// points at no run-scratch row and at no key row, so a stray tile
+// panics instead of writing into another run's slab; and so does every
+// state a per-rotation switch hands back to the pool.
+func TestHoistedHoldsNoScratchBetweenRuns(t *testing.T) {
+	e := engine.New(2)
+	defer e.Close()
+	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+	empty := func(what string, h *Hoisted) {
+		t.Helper()
+		if n := heldScratch(h); n != 0 {
+			t.Errorf("after %s the state holds %d scratch or key rows, want none", what, n)
+		}
+	}
+	h := sw.Hoist(d)
+	empty("Hoist", h)
+	for _, kf := range keyForms(t, evk) {
+		want0, want1 := sw.KeySwitch(d, kf.key)
+		h.SwitchInto(kf.key, c0, c1)
+		empty("a serial replay with the "+kf.name+" key", h)
+		h.SwitchParallelInto(e, kf.key, c0, c1)
+		empty("an engine replay with the "+kf.name+" key", h)
+		if !c0.Equal(want0) || !c1.Equal(want1) {
+			t.Errorf("replay with the %s key differs from KeySwitch", kf.name)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a ModDown tile run between runs did not panic")
+			}
+		}()
+		h.downPrepTower(0, 0)
+	}()
+	h.Release()
+	empty("Release", h)
+	for _, kf := range keyForms(t, evk) {
+		for _, df := range engineDataflows {
+			sw.SwitchParallelInto(e, df, d, kf.key, c0, c1)
+			pooled := sw.state(df, obs.DataflowSerial)
+			empty(fmt.Sprintf("a %s switch with the %s key", df, kf.name), pooled)
+			pooled.Release()
+		}
 	}
 }

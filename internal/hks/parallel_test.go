@@ -293,11 +293,12 @@ func TestWideModuliAllPathsAgree(t *testing.T) {
 
 // TestApplyTilesZeroAlloc runs OC's tower tasks — the "oc" nodes of its
 // fused graph — on a warm state: on-the-fly conversion of every
-// non-bypass digit, then the apply tile every dataflow shares. The row
-// headers handed to the accumulate kernel live in the state, and so do
-// the rows a compressed key's A-half is drawn into once the state has
-// bound one, so the tiles, and the task that strings them together,
-// allocate nothing with the key in either form.
+// non-bypass digit, then the apply tile every dataflow shares, inside
+// a borrow of run scratch for the bound key, as a graph run holds. The
+// row headers handed to the accumulate kernel live in the state, and
+// the rows a compressed key's A-half is drawn into in the borrowed
+// slab, so the tiles, and the task that strings them together, allocate
+// nothing with the key in either form.
 func TestApplyTilesZeroAlloc(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
 	sw, err := NewSwitcher(r, 3, 2)
@@ -309,9 +310,6 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	d.IsNTT = true
 	st := sw.state(dataflow.OC, obs.DataflowSerial)
 	st.d = d
-	for i := 0; i < sw.ell(); i++ {
-		st.prepTower(i)
-	}
 	var towers []func()
 	for _, n := range graphNodes(st.schedule(whole)) {
 		if n.name == "oc" {
@@ -324,6 +322,10 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
 	for _, kf := range keyForms(t, evk) {
 		st.bind(kf.key, c0, c1)
+		slab := st.borrow()
+		for i := 0; i < sw.ell(); i++ {
+			st.prepTower(i)
+		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			for _, tower := range towers {
 				tower()
@@ -331,5 +333,6 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("apply tiles with the %s key allocate %v times per run, want 0", kf.name, allocs)
 		}
+		st.giveBack(slab)
 	}
 }

@@ -41,11 +41,13 @@ func NewSwitcherPool(r *ring.Ring, dnum int) *SwitcherPool {
 // Switcher returns (building and memoizing on first use) the switcher
 // for a level. The digit count is clamped to level+1 — fewer active
 // towers than digits would leave empty digits — so rescale-heavy
-// workloads can descend to any level without re-tuning dnum.
+// workloads can descend to any level without re-tuning dnum. Every
+// level sizes its slabs' drawn rows for the unclamped count, so one
+// slab fits a run at any level.
 // Construction errors are memoized too: level and dnum are the only
 // inputs, so a level that failed once fails always.
 func (p *SwitcherPool) Switcher(level int) (*Switcher, error) {
 	return p.byLevel.Do(level, func() (*Switcher, error) {
-		return NewSwitcher(p.r, level, min(p.dnum, level+1))
+		return newSwitcher(p.r, level, min(p.dnum, level+1), min(p.dnum, p.r.NumQ))
 	})
 }

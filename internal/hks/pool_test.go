@@ -1,9 +1,15 @@
 package hks
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
+	"ciflow/internal/dataflow"
+	"ciflow/internal/engine"
 	"ciflow/internal/ring"
 )
 
@@ -159,4 +165,132 @@ func TestSwitcherPoolConcurrent(t *testing.T) {
 			t.Fatal("concurrent Switcher calls built distinct instances")
 		}
 	}
+}
+
+// TestOneSlabAcrossLevels pins that run scratch scales with the runs in
+// flight, not with states or levels: with GC paused, a sequential sweep
+// of switches over levels 5…1 of one SwitcherPool, per-rotation and
+// hoisted, allocates exactly one slab — its rows, and with a
+// compressed key its drawn rows — and so does the sweep back up, whose
+// first run is at the lowest level, because slabs are sized for the
+// ring's top level. Every level's state is warm; the slab pool starts
+// each sweep empty. It runs on one P, as testing.AllocsPerRun does: a
+// sync.Pool keeps one slot per P private.
+func TestOneSlabAcrossLevels(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops items here (race detector); the pin holds in the non-race run")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r, s, sOld, sNew := testSetup(t, 1024, 6, 30, 3, 31)
+	const dnum = 2
+	p := NewSwitcherPool(r, dnum)
+	type level struct {
+		sw     *Switcher
+		keys   []keyForm
+		d      *ring.Poly
+		c0, c1 *ring.Poly
+	}
+	var down []level // levels 5…1
+	for l := 5; l >= 1; l-- {
+		sw, err := p.Switcher(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := s.Uniform(sw.QBasis())
+		d.IsNTT = true
+		down = append(down, level{sw, keyForms(t, sw.GenEvk(s, sOld, sNew)), d, r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())})
+	}
+	up := slices.Clone(down)
+	slices.Reverse(up)
+	sweep := func(levels []level, form int) {
+		for _, lv := range levels {
+			key := lv.keys[form].key
+			lv.sw.SwitchParallelInto(engine.Inline(), dataflow.OC, lv.d, key, lv.c0, lv.c1)
+			h := lv.sw.Hoist(lv.d)
+			h.SwitchInto(key, lv.c0, lv.c1)
+			h.Release()
+		}
+	}
+	for form := range down[0].keys {
+		sweep(down, form) // warm every level's states, graphs and converter scratch
+	}
+	rowsSlab, drawnSlab := uint64(slabLen(r)*8), uint64(r.N*(r.NumQ+r.NumP)*dnum*8)
+	for form, kf := range down[0].keys {
+		want := rowsSlab
+		if _, ok := kf.key.(*CompressedEvk); ok {
+			want += drawnSlab
+		}
+		for _, tc := range []struct {
+			name   string
+			levels []level
+		}{{"5…1", down}, {"1…5", up}} {
+			for slabs.Get() != nil {
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sweep(tc.levels, form)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got < want || got >= want+min(rowsSlab, drawnSlab) {
+				t.Errorf("a sweep over levels %s with the %s key allocates %d bytes in %d allocations, want one slab, %d bytes",
+					tc.name, kf.name, got, after.Mallocs-before.Mallocs, want)
+			}
+		}
+	}
+}
+
+// TestSlabsSharedAcrossLevelsConcurrent runs hoisted and per-rotation
+// switches at several levels of one ring at once, with dense and
+// compressed keys, on a 2-worker engine: every level's runs borrow
+// from the one slab pool, so a slab handed back while a tile still
+// used it, or carved at one level and read at another, shows as a
+// result that differs from KeySwitch (and, under -race, as a race).
+func TestSlabsSharedAcrossLevelsConcurrent(t *testing.T) {
+	e := engine.New(2)
+	defer e.Close()
+	r, s, sOld, sNew := testSetup(t, 64, 6, 30, 3, 31)
+	p := NewSwitcherPool(r, 2)
+	type job struct {
+		sw           *Switcher
+		name         string
+		key          KeyMaterial
+		d            *ring.Poly
+		want0, want1 *ring.Poly
+	}
+	var jobs []job
+	for _, l := range []int{5, 3, 1} {
+		sw, err := p.Switcher(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := s.Uniform(sw.QBasis())
+		d.IsNTT = true
+		for _, kf := range keyForms(t, sw.GenEvk(s, sOld, sNew)) {
+			want0, want1 := sw.KeySwitch(d, kf.key)
+			jobs = append(jobs, job{sw, fmt.Sprintf("level %d %s", l, kf.name), kf.key, d, want0, want1})
+		}
+	}
+	const goroutines, rounds = 6, 4
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds * len(jobs) {
+				jb := jobs[(g+i)%len(jobs)]
+				df := engineDataflows[(g+i)%len(engineDataflows)]
+				var c0, c1 *ring.Poly
+				if (g+i)%2 == 0 {
+					c0, c1 = switchParallel(jb.sw, e, df, jb.d, jb.key)
+				} else {
+					c0, c1 = replayParallel(jb.sw, e, df, jb.d, jb.key)
+				}
+				if !c0.Equal(jb.want0) || !c1.Equal(jb.want1) {
+					t.Errorf("%s %s switch differs from KeySwitch", jb.name, df)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,8 +15,10 @@ import (
 // ran graphs on engine.Inline(): the tiles of MP's walk that keep
 // admits, in walk order, on the calling goroutine. It stays here as
 // the oracle the serial graphs are held to, as it was but for the tile
-// list it no longer caches on the state.
+// list it no longer caches on the state, and for the run scratch it
+// borrows as a graph run does.
 func (h *Hoisted) runSerial(keep func(dataflow.Tile) bool) {
+	defer h.giveBack(h.borrow())
 	for _, grp := range h.sw.plans[dataflow.MP].Groups {
 		for _, t := range grp.Tiles {
 			if run := h.tileFunc(t); run != nil && keep(t) {
@@ -64,10 +66,10 @@ func applyEvkSerial(sw *Switcher, ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly
 	c1 = sw.R.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
-	own, acc := h.up, h.acc
+	own := h.up
 	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
-	h.up, h.acc, h.key = own, acc, nil
+	h.up, h.acc, h.key = own, [2]*ring.Poly{&h.accs[0], &h.accs[1]}, nil
 	h.Release()
 	return c0, c1
 }
@@ -77,10 +79,9 @@ func modDownSerial(sw *Switcher, c *ring.Poly) *ring.Poly {
 	out := sw.R.NewPoly(sw.qBasis)
 	out.IsNTT = true
 	h := sw.state(dataflow.MP, obs.DataflowSerial)
-	acc := h.acc[0]
 	h.acc[0], h.out[0] = c, out
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind >= dataflow.DownINTT && t.J == 0 })
-	h.acc[0], h.out[0] = acc, nil
+	h.acc[0], h.out[0] = &h.accs[0], nil
 	h.Release()
 	return out
 }

@@ -116,17 +116,23 @@ func TestFusedGraphShape(t *testing.T) {
 		}
 		h.d = d
 		h.bind(evk, c0, c1)
+		slab := h.borrow()
 		fusedEdges := graphEdges(h, h.schedule(whole), h.probes(true, true))
+		h.giveBack(slab)
 		h.unbind()
 		exact("fused")
 		h = newState(sw)
 		h.df = tc.df
 		h.ownBypass()
 		h.d = d
+		slab = h.borrow()
 		hoistEdges := graphEdges(h, h.schedule(modUp), h.probes(true, false))
+		h.giveBack(slab)
 		h.d = nil
 		h.bind(evk, c0, c1)
+		slab = h.borrow()
 		replayEdges := graphEdges(h, h.schedule(replay), h.probes(false, true))
+		h.giveBack(slab)
 		h.unbind()
 		exact("replay")
 		var block []string
@@ -293,7 +299,7 @@ func poolRetains() bool {
 // TestKeySwitchAllocs pins the serial path's allocation discipline now
 // that it runs on the pooled state: once warm, KeySwitch allocates its
 // two output polynomials and nothing else, and a compressed key, whose
-// A-half the apply tiles draw into the state's rows, allocates what a
+// A-half the apply tiles draw into the run's slab, allocates what a
 // dense one does.
 func TestKeySwitchAllocs(t *testing.T) {
 	if !poolRetains() {

@@ -57,15 +57,8 @@ func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
 	}
 }
 
-// bind aims the replay tiles at key and the outputs, giving the state
-// its A-row scratch at its first compressed key.
+// bind aims the replay tiles at key and the outputs.
 func (h *Hoisted) bind(key KeyMaterial, c0, c1 *ring.Poly) {
-	if _, ok := key.(*CompressedEvk); ok && h.drawn == nil {
-		h.drawn = make([][][]uint64, len(h.sw.dBasis))
-		for t := range h.drawn {
-			h.drawn[t] = rows(h.sw.Dnum, h.sw.R.N)
-		}
-	}
 	h.key, h.out = key, [2]*ring.Poly{c0, c1}
 }
 
@@ -78,12 +71,15 @@ func (h *Hoisted) unbind() {
 // paper dataflow it belongs to, whose names obs's first labels carry.
 func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(df.Paper()) }
 
-// run runs the state's graph over hf on e; a nil engine is
-// engine.Default(). The serial entry points pass engine.Inline().
+// run runs the state's graph over hf on e, inside one borrow of run
+// scratch; a nil engine is engine.Default(). The serial entry points
+// pass engine.Inline(). RunGraph returns once every node has finished,
+// a panicking one included, so the slab goes back unused by any tile.
 func (h *Hoisted) run(e *engine.Engine, hf half) {
 	if e == nil {
 		e = engine.Default()
 	}
+	defer h.giveBack(h.borrow())
 	e.RunGraph(h.schedule(hf))
 }
 

@@ -15,6 +15,12 @@ package hks
 //	downOutTower   DownOut   ModDown P2–P4: convert one Q tower, then NTT it with the
 //	                         subtract and P⁻¹ scale applied block by block
 //
+// Between runs the state keeps only the ModUp row table. Every other
+// row a tile writes — y, the accumulators, the ModDown rows, a
+// compressed key's drawn A-rows — is run scratch, carved from a slab
+// the run borrows from the one pool every switcher shares and handed
+// back when its graph has finished.
+//
 // Every tile writes the canonical residue, so any order that respects
 // the data dependencies gives the same bits however the lazy kernels
 // beneath (internal/ntt, mod.MulSumRows) group their reductions — the
@@ -30,6 +36,7 @@ package hks
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ciflow/internal/dataflow"
@@ -38,9 +45,14 @@ import (
 	"ciflow/internal/ring"
 )
 
-// Hoisted is the pooled execution state of key switching: all scratch
-// one switch touches, and the task graphs that schedule its tiles on
+// Hoisted is the pooled execution state of key switching: the ModUp
+// row table a hoist leaves for its replays, the row headers its tiles
+// hand the kernels, and the task graphs that schedule those tiles on
 // an engine. Every entry point draws one from the switcher's pool.
+// Everything else a switch touches is run scratch, borrowed for one
+// graph run from the package's one pool of slabs (borrow), so an idle
+// state holds no intermediate but its ModUp rows, and resident scratch
+// scales with the runs in flight, not with the states and levels.
 //
 // To callers it is the shared-ModUp state of one input polynomial:
 // obtain it with Hoist or HoistParallel, replay it against any number
@@ -70,61 +82,61 @@ type Hoisted struct {
 	rec   *obs.Recorder
 	label obs.Dataflow
 
-	// Scratch, allocated once per state.
-	up  [][][]uint64  // ModUp row table [dnum][|D|]; bypass rows nil until the first hoist
-	y   [][]uint64    // ℓ rows: INTT'd + ŷ-scaled digit towers
-	acc [2]*ring.Poly // ApplyKey accumulators over D_ℓ
-	yP  [2][][]uint64 // per output poly: K scaled ModDown rows, then their overshoot row
+	// The ModUp row table [dnum][|D|], the one thing a hoist hands its
+	// replays; allocated once per state, its bypass rows at the state's
+	// first hoist.
+	up [][][]uint64
+
+	// Run scratch: rows borrow carves from the run's slab, nil between
+	// runs, so a tile run outside a borrow panics instead of writing
+	// into another run's slab.
+	y     [][]uint64    // ℓ rows: INTT'd + ŷ-scaled digit towers
+	accs  [2]ring.Poly  // the state's ApplyKey accumulators over D_ℓ
+	yP    [2][][]uint64 // per output poly: K scaled ModDown rows, then their overshoot row
+	drawn [][][]uint64  // a compressed key's A-rows, [|D|][dnum], each apply tile drawing its own tower's
+
+	// acc is what the apply tiles sum into and ModDown reads: &accs[p],
+	// or a stage binder's polynomial.
+	acc [2]*ring.Poly
 
 	// Row headers handed to the ApplyKey kernels, [|D|][dnum]: a
 	// tower's ModUp rows and the matching rows of the two evk halves,
 	// a compressed key's B-rows packed. One slot per tower, so
-	// concurrent apply tiles share nothing and allocate nothing.
+	// concurrent apply tiles share nothing and allocate nothing. Set by
+	// the apply tiles and cleared with the run scratch, so an idle
+	// state refers to no key.
 	upRows, kbRows, kaRows [][][]uint64
 	packedRows             [][][]byte
-	// drawn holds a compressed key's A-rows, [|D|][dnum] rows, drawn by
-	// each apply tile into its own tower's slot. Allocated at the
-	// state's first compressed bind; a dense-only state has none.
-	drawn [][][]uint64
 
 	// Schedules over the tiles, each built on first use (schedule.go):
 	// per dataflow, its plan's graph over each half of a switch.
 	graphs [dataflow.OCF + 1][len(halves)]*engine.Graph
 }
 
-// rows allocates k rows of n words.
-func rows(k, n int) [][]uint64 {
-	rs := make([][]uint64, k)
-	for i := range rs {
-		rs[i] = make([]uint64, n)
-	}
-	return rs
-}
-
 func newState(sw *Switcher) *Hoisted {
-	n, kp := sw.R.N, len(sw.pBasis)
-	h := &Hoisted{sw: sw, y: rows(sw.ell(), n)}
+	n, nd := sw.R.N, len(sw.dBasis)
+	h := &Hoisted{sw: sw, y: make([][]uint64, sw.ell())}
 	h.up = make([][][]uint64, sw.Dnum)
 	for j := range h.up {
-		h.up[j] = make([][]uint64, len(sw.dBasis))
+		h.up[j] = make([][]uint64, nd)
 		for _, t := range sw.convDstIdx[j] {
 			h.up[j][t] = make([]uint64, n)
 		}
 	}
 	for p := range h.acc {
-		h.acc[p] = sw.R.NewPoly(sw.dBasis)
-		h.acc[p].IsNTT = true
-		h.yP[p] = rows(kp+1, n)
+		h.accs[p] = ring.Poly{Basis: sw.dBasis, Coeffs: make([][]uint64, nd), IsNTT: true}
+		h.acc[p] = &h.accs[p]
+		h.yP[p] = make([][]uint64, len(sw.pBasis)+1)
 	}
 	headers := func() [][][]uint64 {
-		hs := make([][][]uint64, len(sw.dBasis))
+		hs := make([][][]uint64, nd)
 		for t := range hs {
 			hs[t] = make([][]uint64, sw.Dnum)
 		}
 		return hs
 	}
-	h.upRows, h.kbRows, h.kaRows = headers(), headers(), headers()
-	h.packedRows = make([][][]byte, len(sw.dBasis))
+	h.upRows, h.kbRows, h.kaRows, h.drawn = headers(), headers(), headers(), headers()
+	h.packedRows = make([][][]byte, nd)
 	for t := range h.packedRows {
 		h.packedRows[t] = make([][]byte, sw.Dnum)
 	}
@@ -163,6 +175,86 @@ func (h *Hoisted) ownBypass() {
 	for i := range h.y {
 		h.up[i/h.sw.Alpha][i] = make([]uint64, h.sw.R.N)
 	}
+}
+
+// ---- Run scratch ----
+
+// slab is one graph run's scratch: rows for every run (y, the
+// accumulators, the ModDown rows), and the drawn rows of a compressed
+// key's A-half, made the first time a run that draws one borrows the
+// slab, so a process that only switches dense keys never makes them.
+type slab struct {
+	rows, drawn []uint64
+}
+
+// slabs is the one pool of run slabs, shared by every switcher and so
+// by every level. Both parts are sized for the ring's top level
+// (slabLen, Switcher.drawnSlab), so a warm slab fits a run at any
+// level of a SwitcherPool and no part is remade for being too short.
+var slabs sync.Pool
+
+// slabLen returns the words of a run's rows at r's top level, the most
+// any level carves: ℓ rows of y, |D| rows of each accumulator and K+1
+// ModDown rows per output.
+func slabLen(r *ring.Ring) int {
+	return r.N * (r.NumQ + 2*(r.NumQ+r.NumP) + 2*(r.NumP+1))
+}
+
+// borrow takes a slab from the pool and carves the state's run scratch
+// from it: y, its own accumulators, the ModDown rows and, when the
+// bound key is compressed, the drawn A-rows. Hand it back with
+// giveBack once the run is over.
+func (h *Hoisted) borrow() *slab {
+	n := h.sw.R.N
+	s, _ := slabs.Get().(*slab)
+	if s == nil {
+		s = new(slab)
+	}
+	if want := slabLen(h.sw.R); len(s.rows) < want {
+		s.rows = make([]uint64, want)
+	}
+	free := carve(h.y, s.rows, n)
+	for p := range h.accs {
+		free = carve(h.accs[p].Coeffs, free, n)
+		free = carve(h.yP[p], free, n)
+	}
+	if _, ok := h.key.(*CompressedEvk); ok {
+		if len(s.drawn) < h.sw.drawnSlab {
+			s.drawn = make([]uint64, h.sw.drawnSlab)
+		}
+		free = s.drawn
+		for _, tower := range h.drawn {
+			free = carve(tower, free, n)
+		}
+	}
+	return s
+}
+
+// carve points each of rows at the next n words of free and returns
+// the words left.
+func carve(rows [][]uint64, free []uint64, n int) []uint64 {
+	for i := range rows {
+		rows[i], free = free[:n:n], free[n:]
+	}
+	return free
+}
+
+// giveBack clears every row header of the state but its row table and
+// returns s to the pool.
+func (h *Hoisted) giveBack(s *slab) {
+	clear(h.y)
+	for p := range h.accs {
+		clear(h.accs[p].Coeffs)
+		clear(h.yP[p])
+	}
+	for t := range h.drawn {
+		clear(h.drawn[t])
+		clear(h.upRows[t])
+		clear(h.kbRows[t])
+		clear(h.kaRows[t])
+		clear(h.packedRows[t])
+	}
+	slabs.Put(s)
 }
 
 // rowTable is the ModUp row table over caller polynomials, one per
