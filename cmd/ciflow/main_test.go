@@ -144,8 +144,8 @@ func readReport(t *testing.T, path string) *serveReport {
 // TestObservabilityFlags drives the -profile/-trace/-pprof/-dot
 // wiring end to end through the CLI dispatch: an in-process two-tenant
 // replay of a committed scenario gains stage_shares and phases, the
-// trace and pprof artifacts appear on disk, and the schedule DAG
-// renders as DOT.
+// trace and pprof artifacts appear on disk, the trace holds the serve
+// groups on the serve track, and the schedule DAG renders as DOT.
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := dir + "/serve.json"
@@ -164,6 +164,9 @@ func TestObservabilityFlags(t *testing.T) {
 	// hks.stage_sum_over_switch).
 	if rep := readReport(t, jsonPath); len(rep.StageShares) == 0 {
 		t.Fatal("no stage shares under -profile")
+	}
+	if !hasServeGroupSpan(t, tracePath) {
+		t.Error("trace holds no group/ span on a serve lane")
 	}
 	for _, prof := range []string{"/prof/cpu.prof", "/prof/mem.prof"} {
 		if _, err := os.Stat(dir + prof); err != nil {
@@ -186,6 +189,40 @@ func TestObservabilityFlags(t *testing.T) {
 	if !strings.Contains(string(dot), "digraph") || !strings.Contains(string(dot), "->") {
 		t.Error("DOT output has no digraph/edges")
 	}
+}
+
+// hasServeGroupSpan reports whether the trace-event timeline at path
+// holds a serve group's span ("group/<tenant>") on a lane of the serve
+// track.
+func hasServeGroupSpan(t *testing.T, path string) bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("trace not written: %v", err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tf); err != nil {
+		t.Fatal(err)
+	}
+	serveLane := map[int]bool{}
+	for _, ev := range tf.TraceEvents {
+		if name, _ := ev.Args["name"].(string); ev.Ph == "M" && strings.HasPrefix(name, "serve-") {
+			serveLane[ev.Tid] = true
+		}
+	}
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "X" && serveLane[ev.Tid] && strings.HasPrefix(ev.Name, "group/") {
+			return true
+		}
+	}
+	return false
 }
 
 // testServeConfig is the default shape on a tiny ring: two fan-out

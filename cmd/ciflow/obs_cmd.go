@@ -3,7 +3,7 @@ package main
 // Observability wiring of the replay driver: -profile turns the
 // internal/obs stage/kernel recorder on for the run, -trace
 // installs the span tracer on the engine (worker tiles) and the serve
-// batch track and writes the Chrome trace-event timeline at the end,
+// group track and writes the Chrome trace-event timeline at the end,
 // -pprof brackets the run with runtime/pprof CPU and heap profiles,
 // and -check holds the first two's artifacts to checkObs.
 

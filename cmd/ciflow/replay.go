@@ -81,7 +81,6 @@ type serveReport struct {
 	ModUps    uint64 `json:"mod_ups"`
 	Groups    uint64 `json:"groups"`
 	Coalesced uint64 `json:"coalesced"`
-	Batches   uint64 `json:"batches"`
 
 	KeyHitRate   float64 `json:"key_hit_rate"`
 	KeyMisses    uint64  `json:"key_misses"`
@@ -132,9 +131,8 @@ func parseDataflow(name string) (dataflow.Dataflow, error) {
 // goes through, in the driver's process or a shard's: request levels
 // taken literally (workload.ReplayServiceConfig — a schedule node at
 // level 0 is served at level 0) on the given engine and key budget.
-// The batching settings stay at their defaults: a replay submits only
-// sealed groups, which neither wait on the window nor split at the
-// batch cap.
+// A replay submits only sealed groups, which serve starts as soon as
+// their tenant pops them and never splits, merges or joins.
 func replayServiceConfig(e *engine.Engine, keyBudget int64) serve.Config {
 	scfg := workload.ReplayServiceConfig(nil)
 	scfg.Engine, scfg.KeyBudget = e, keyBudget
@@ -284,7 +282,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 		P50Ms:     float64(st.P50) / float64(time.Millisecond),
 		P99Ms:     float64(st.P99) / float64(time.Millisecond),
 		Served:    st.Served, ModUps: st.ModUps, Groups: st.Groups,
-		Coalesced: st.Coalesced, Batches: st.Batches,
+		Coalesced:  st.Coalesced,
 		KeyHitRate: st.Keys.HitRate, KeyMisses: st.Keys.Misses,
 		KeyEvictions: st.Keys.Evictions, KeyBytes: st.Keys.Bytes,
 		KeyBudget:   st.Keys.BudgetBytes,

@@ -290,7 +290,7 @@ func TestAggregateStats(t *testing.T) {
 		P50: 2 * time.Millisecond, P99: 5 * time.Millisecond,
 		PerLevel: l3(4, 2),
 		Tenants: []serve.TenantStats{{
-			Tenant: "t0", Submitted: 4, Served: 4, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 2,
+			Tenant: "t0", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 2,
 			PerLevel: l3(4, 2), Keys: serve.TenantCacheStats{Tenant: "t0", Hits: 3, Misses: 1},
 		}},
 	}
@@ -299,9 +299,9 @@ func TestAggregateStats(t *testing.T) {
 		Submitted: 999, Served: 999, ModUps: 999, // not the sum of its tenants
 		P50: 3 * time.Millisecond, P99: 4 * time.Millisecond,
 		Tenants: []serve.TenantStats{
-			{Tenant: "t0", Submitted: 2, Served: 2, Batches: 1, Groups: 2, ModUps: 2,
+			{Tenant: "t0", Submitted: 2, Served: 2, Groups: 2, ModUps: 2,
 				PerLevel: l3(2, 2), Keys: serve.TenantCacheStats{Tenant: "t0", Hits: 1, Misses: 1}},
-			{Tenant: "t1", Submitted: 4, Served: 4, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 2,
+			{Tenant: "t1", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 2,
 				PerLevel: []serve.LevelStats{{Level: 1, Switches: 4, ModUps: 2}},
 				Keys:     serve.TenantCacheStats{Tenant: "t1", Misses: 2}},
 		},
@@ -358,7 +358,7 @@ func TestAggregateStats(t *testing.T) {
 			t.Fatalf("aggregate %s/%s buckets hold %d of %d observations", hs.Name, hs.Dataflow, inBuckets, w.count)
 		}
 	}
-	if agg.Submitted != 10 || agg.Served != 10 || agg.Batches != 5 ||
+	if agg.Submitted != 10 || agg.Served != 10 || agg.Batches != 6 ||
 		agg.Groups != 6 || agg.ModUps != 6 || agg.Coalesced != 4 {
 		t.Fatalf("aggregate counters wrong: %+v", agg)
 	}

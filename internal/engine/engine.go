@@ -29,9 +29,9 @@
 // The engine is deliberately policy-free: it executes whatever graph
 // shape it is handed. internal/hks builds the per-switch and hoisted
 // graphs on it, and internal/serve layers request-level scheduling on
-// top — its batch executor fans coalesced request groups out with
-// ParallelFor while each group's hoist and replay run as nested
-// graphs.
+// top — a request group runs as soon as its tenant pops it, up to
+// Workers()+1 groups per tenant at once, and each group's hoist and
+// replay run as graphs of their own.
 //
 // Engines are cheap but not free (one goroutine per worker): create
 // one per process or per benchmark configuration and Close it when

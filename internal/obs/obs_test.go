@@ -232,7 +232,7 @@ func TestWriteTrace(t *testing.T) {
 	base := tr.base
 	tr.Span("ntt", base, base.Add(time.Millisecond))
 	tr.Span("bconv", base.Add(500*time.Microsecond), base.Add(2*time.Millisecond))
-	tr.SpanTrack("serve", "batch", base, base.Add(3*time.Millisecond))
+	tr.SpanTrack("serve", "group", base, base.Add(3*time.Millisecond))
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf); err != nil {
 		t.Fatal(err)

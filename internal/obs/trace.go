@@ -29,7 +29,7 @@ const maxSpans = 1 << 20
 
 // Tracer collects spans for a Chrome trace-event export. It
 // implements the engine's Tracer hook (Span) for graph-node tiles and
-// offers SpanTrack for higher layers (serve batches, request phases)
+// offers SpanTrack for higher layers (serve groups, request phases)
 // to record on their own tracks. Recording is mutex-guarded — the
 // tracer is meant for explicitly requested -trace runs, not the
 // always-on profiling path.
@@ -157,7 +157,7 @@ func PackLanes(spans []Span) (sorted []Span, laneOf []int, lanes []string) {
 
 // WriteTrace drains the tracer into Chrome trace-event JSON: one
 // process, one thread per packed lane (engine worker tiles land on
-// worker-N lanes, serve batches on their own tracks), "X" complete
+// worker-N lanes, serve groups on their own tracks), "X" complete
 // events with microsecond timestamps. The output loads directly in
 // chrome://tracing and Perfetto.
 func (t *Tracer) WriteTrace(w io.Writer) error {

@@ -39,11 +39,11 @@ func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots 
 }
 
 // A sealed group is one ModUp however wide, dense and compressed keys
-// both. "hour window" is a group narrower than maxBatch: it runs at
+// both. "hour window" is a group narrower than maxGroup: it runs at
 // once, however long it would have to wait for more. "batch of one" is
-// a group one wider than maxBatch: it is not split, as a batch limit
-// below its width never split it. In both a group of one then runs like
-// any other, without the coalesce credit.
+// a group one wider than maxGroup: it is not split, as the cap on a
+// joined group's size never splits a sealed one. In both a group of one
+// then runs like any other, without the coalesce credit.
 func TestSubmitGroupOneModUp(t *testing.T) {
 	const K = 5
 	for _, tc := range []struct {
@@ -52,9 +52,9 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 		width      int
 	}{
 		{"dense/hour window", false, K},
-		{"dense/batch of one", false, maxBatch + 1},
+		{"dense/batch of one", false, maxGroup + 1},
 		{"compressed/hour window", true, K},
-		{"compressed/batch of one", true, maxBatch + 1},
+		{"compressed/batch of one", true, maxGroup + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			W := tc.width
@@ -165,9 +165,9 @@ func TestSubmitGroupAllOrNothing(t *testing.T) {
 }
 
 // Sealed groups are never merged — not with each other and not with a
-// Submit — even when all of them carry one input pointer and sit in
-// one batch; and a key failure inside a sealed group costs that member
-// alone.
+// Submit — even when all of them carry one input pointer and sit
+// together in the queue; and a key failure inside a sealed group costs
+// that member alone.
 func TestSealedGroupsNeverMerge(t *testing.T) {
 	b := newTestBench(t, 4)
 	e := engine.New(2)
@@ -176,7 +176,7 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	defer svc.Close()
 
 	in := b.input()
-	park(t, svc, entered, in, "") // batch 1 is the parking request; the rest queue up
+	park(t, svc, entered, in, "") // group 1 is the parking request; the rest queue up
 	g1, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1, 99))
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +200,151 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	b.checkGroup(t, "", in, []int{0, 1}, g2, "second group")
 
 	st := svc.Stats()
-	if st.Batches != 2 {
-		t.Fatalf("%d batches, want 2: the three submissions queued behind the parking request did not share one", st.Batches)
-	}
 	if st.Groups != 4 || st.ModUps != 3 {
 		t.Fatalf("groups %d mod_ups %d, want 4/3: one input pointer, four submissions, one of them the failed parking request", st.Groups, st.ModUps)
 	}
+	if st.Batches != st.Groups {
+		t.Fatalf("%d batches, want the %d groups: every group is dispatched on its own", st.Batches, st.Groups)
+	}
 	if st.Served != 5 || st.Failed != 2 || st.Coalesced != 5 {
 		t.Fatalf("served %d failed %d coalesced %d, want 5/2/5", st.Served, st.Failed, st.Coalesced)
+	}
+}
+
+// rotGates gates the first load of each of tenant's rotations in gates
+// until that rotation's channel is closed, and reports on the returned
+// channel every load of tenant's keys as it begins, gated or not.
+func rotGates(src KeySource, tenant string, gates map[int]chan struct{}) (KeySource, <-chan int) {
+	entered := make(chan int, 16)
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
+		if id.Tenant == tenant {
+			entered <- id.Rot
+			if gate, ok := gates[id.Rot]; ok {
+				<-gate
+			}
+		}
+		return src.Key(id)
+	}), entered
+}
+
+// within receives from ch, failing the test if nothing arrives in a
+// few seconds.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: nothing after 5s", what)
+		panic("unreachable")
+	}
+}
+
+// A sealed group starts when its tenant pops it: group B, submitted
+// while group A is parked in a key load, is served while A still is.
+func TestSealedGroupStartsWhenPopped(t *testing.T) {
+	b := newTestBench(t, 3)
+	e := engine.New(2)
+	defer e.Close()
+	gate := make(chan struct{})
+	src, entered := rotGates(b.keySource(), "", map[int]chan struct{}{0: gate})
+	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, so a failure cannot wedge it
+
+	inA, inB := b.input(), b.input()
+	chA, err := svc.SubmitGroup(context.Background(), groupOf(inA, "", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rot := within(t, entered, "group A's first key load"); rot != 0 {
+		t.Fatalf("first key load is rotation %d, want 0", rot)
+	}
+	chB, err := svc.SubmitGroup(context.Background(), groupOf(inB, "", 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want0, want1 := b.sw.SwitchHoisted(inB, []*hks.Evk{b.evks[""][1], b.evks[""][2]})
+	for i, ch := range chB {
+		what := fmt.Sprintf("group B member %d, with A parked", i)
+		checkResult(t, within(t, ch, what), want0[i], want1[i], what)
+	}
+	for _, ch := range chA {
+		select {
+		case <-ch:
+			t.Fatal("group A delivered a result while parked in its key load")
+		default:
+		}
+	}
+	release()
+	b.checkGroup(t, "", inA, []int{0, 1}, chA, "group A")
+}
+
+// A tenant runs at most Engine.Workers()+1 groups at once: on a
+// one-worker engine, two sealed groups parked in their key loads keep a
+// third from reaching its key load until one of them is released, while
+// another tenant's group is served.
+func TestSealedGroupsHoldEngineThreads(t *testing.T) {
+	b := newTestBench(t, 3, "", "other")
+	e := engine.New(1)
+	defer e.Close()
+	gates := map[int]chan struct{}{0: make(chan struct{}), 1: make(chan struct{})}
+	src, entered := rotGates(b.keySource(), "", gates)
+	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	release := map[int]func(){}
+	for rot, gate := range gates {
+		release[rot] = sync.OnceFunc(func() { close(gate) })
+		defer release[rot]()
+	}
+
+	in := b.input()
+	var chans [3][]<-chan Result
+	submit := func(rot int) {
+		t.Helper()
+		if chans[rot], err = svc.SubmitGroup(context.Background(), groupOf(in, "", rot)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(0)
+	submit(1)
+	parked := map[int]bool{}
+	for range 2 {
+		parked[within(t, entered, "a parked group's key load")] = true
+	}
+	if !parked[0] || !parked[1] {
+		t.Fatalf("parked key loads %v, want rotations 0 and 1", parked)
+	}
+	submit(2)
+	other, err := svc.SubmitGroup(context.Background(), groupOf(in, "other", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.checkGroup(t, "other", in, []int{0, 1}, other, "other tenant's group")
+	// The third group has been popped once the tenant has counted it.
+	for tenantStats(t, svc.Stats(), "").Groups < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case rot := <-entered:
+		t.Fatalf("rotation %d's key load began with two groups holding both slots", rot)
+	default:
+	}
+	release[0]()
+	if rot := within(t, entered, "the third group's key load"); rot != 2 {
+		t.Fatalf("key load of rotation %d, want 2", rot)
+	}
+	release[1]()
+	for rot := range 3 {
+		b.checkGroup(t, "", in, []int{rot}, chans[rot], fmt.Sprintf("group %d", rot))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // The join tests hold a group's first member in its key load — before
-// the ModUp, with its batch already formed around it alone — queue what
+// the ModUp, with its group already formed around it alone — queue what
 // they test behind it, and release. What the group drains from the
 // queue after its ModUp is then fixed by the queue's contents, not by
 // timing.
@@ -53,7 +53,7 @@ func submitAll(t *testing.T, svc *Service, in *ring.Poly, rots ...int) []<-chan 
 func checkStats(t *testing.T, st Stats, want map[string]uint64) {
 	t.Helper()
 	got := map[string]uint64{
-		"batches": st.Batches, "groups": st.Groups, "mod_ups": st.ModUps,
+		"groups": st.Groups, "mod_ups": st.ModUps,
 		"coalesced": st.Coalesced, "served": st.Served, "failed": st.Failed,
 	}
 	for name, w := range want {
@@ -64,7 +64,7 @@ func checkStats(t *testing.T, st Stats, want map[string]uint64) {
 }
 
 // Submits of one input that queue while the first one's group is
-// running join it: one batch, one group, one ModUp and a coalesce
+// running join it: one group, one ModUp and a coalesce
 // credit of K, bit-exact with SwitchHoisted, for dense and compressed
 // keys.
 func TestJoinHoistingGroup(t *testing.T) {
@@ -83,7 +83,7 @@ func TestJoinHoistingGroup(t *testing.T) {
 			close(release)
 			b.checkGroup(t, "", in, []int{0, 1, 2, 3, 4}, chans, "joined group")
 			checkStats(t, svc.Stats(), map[string]uint64{
-				"batches": 1, "groups": 1, "mod_ups": 1, "coalesced": K, "served": K, "failed": 0,
+				"groups": 1, "mod_ups": 1, "coalesced": K, "served": K, "failed": 0,
 			})
 		})
 	}
@@ -91,9 +91,9 @@ func TestJoinHoistingGroup(t *testing.T) {
 
 // A submission at the head of the queue that cannot join — another
 // input, another dataflow, or a sealed group on the group's own input —
-// is carried into the next batch, and the same-input Submit queued
-// behind it waits its turn there rather than jumping ahead into the
-// running group.
+// is carried into the next group, and the same-input Submit queued
+// behind it waits its turn behind the carry rather than jumping ahead
+// into the running group.
 func TestJoinCarry(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -139,21 +139,20 @@ func TestJoinCarry(t *testing.T) {
 			}
 			want0, want1 = b.wantSwitch("", in, 3)
 			checkResult(t, <-behind[0], want0, want1, "request behind the carry")
-			// Three ModUps and nothing coalesced outside the sealed group:
-			// the request behind the carry did not join the held group. Two
-			// batches: the carry opened the second and the request behind
-			// it was gathered there.
+			// Three groups, three ModUps and nothing coalesced outside the
+			// sealed group: the request behind the carry joined neither the
+			// held group nor the carry.
 			checkStats(t, svc.Stats(), map[string]uint64{
-				"batches": 2, "groups": 3, "mod_ups": 3, "coalesced": tc.coalesced, "failed": 0,
+				"groups": 3, "mod_ups": 3, "coalesced": tc.coalesced, "failed": 0,
 			})
 		})
 	}
 }
 
-// Joins stop at maxBatch members: of maxBatch Submits queued behind a
+// Joins stop at maxGroup members: of maxGroup Submits queued behind a
 // held request, all but the last join its group, and the last one opens
-// the next batch.
-func TestJoinStopsAtMaxBatch(t *testing.T) {
+// the next group.
+func TestJoinStopsAtMaxGroup(t *testing.T) {
 	const K = 4
 	b := newTestBench(t, K)
 	e := engine.New(2)
@@ -162,7 +161,7 @@ func TestJoinStopsAtMaxBatch(t *testing.T) {
 	defer svc.Close()
 
 	in := b.input()
-	rots := make([]int, maxBatch)
+	rots := make([]int, maxGroup)
 	for i := range rots {
 		rots[i] = (i + 1) % K
 	}
@@ -180,7 +179,7 @@ func TestJoinStopsAtMaxBatch(t *testing.T) {
 		checkResult(t, <-ch, want0[rot], want1[rot], fmt.Sprintf("request %d", i))
 	}
 	checkStats(t, svc.Stats(), map[string]uint64{
-		"batches": 2, "groups": 2, "mod_ups": 2, "coalesced": maxBatch, "served": maxBatch + 1, "failed": 0,
+		"groups": 2, "mod_ups": 2, "coalesced": maxGroup, "served": maxGroup + 1, "failed": 0,
 	})
 }
 
@@ -213,6 +212,6 @@ func TestJoinCloseDrainsCarry(t *testing.T) {
 	want0, want1 = b.wantSwitch("", other, 1)
 	checkResult(t, <-carried[0], want0, want1, "carried request")
 	checkStats(t, svc.Stats(), map[string]uint64{
-		"batches": 2, "mod_ups": 2, "coalesced": 0, "served": 2, "failed": 0,
+		"groups": 2, "mod_ups": 2, "coalesced": 0, "served": 2, "failed": 0,
 	})
 }

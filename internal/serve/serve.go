@@ -29,22 +29,24 @@
 //     only ApplyKey+ModDown per key. A caller that knows its fan-out
 //     hands it over whole with SubmitGroup: one call, one queue item,
 //     one ModUp, no waiting. Separate Submit calls that happen to
-//     carry the same input pointer are coalesced into a group: those
-//     queued together share a batch's group, and those that arrive
-//     while a group's ModUp runs join it before its replays. Either
-//     way a group is scoped to one (tenant, level, input, dataflow),
-//     so keyspaces never share hoisted state.
-//  3. Per-tenant micro-batching with isolation: every tenant gets its
-//     own dispatcher goroutine and its own bounded queue of
-//     submissions (capacity queueDepth each). A batch takes what is
-//     already queued, up to maxBatch requests, and runs at once: no
-//     batch waits for more. The wait that lets separate Submit calls
-//     meet is the group's own ModUp, after which an unsealed group
-//     drains the queue's matching head into its replays. Backpressure
-//     is per tenant — a hot tenant saturating its queue blocks only
-//     its own producers, and a tenant's slow key loads stall only its
-//     own dispatcher — while all tenants share one engine and one
-//     switcher pool.
+//     carry the same input pointer are coalesced into a group when
+//     they are adjacent in their tenant's queue: those queued behind
+//     the group's first request join it before its ModUp, and those
+//     that arrive while the ModUp runs join it before its replays.
+//     Either way a group is scoped to one (tenant, level, input,
+//     dataflow), so keyspaces never share hoisted state.
+//  3. Per-tenant dispatch with isolation: every tenant gets its own
+//     dispatcher goroutine and its own bounded queue of submissions
+//     (capacity queueDepth each). A group runs when it is popped, as a
+//     task does once its dependencies resolve; nothing waits for a
+//     round of others. A sealed group starts at once on a goroutine of
+//     its own; an unsealed one runs on the dispatcher, the queue's one
+//     reader, which is what lets it join the queue's head. Every
+//     running group holds one of its tenant's Engine.Workers()+1 slots.
+//     Backpressure is per tenant — a hot tenant saturating its queue
+//     blocks only its own producers, and a tenant's slow key loads
+//     stall only its own groups — while all tenants share one engine
+//     and one switcher pool.
 //
 // The books are kept once, at the tenant (stats.go): a tenant's worker
 // owns the only live counters, level slices, phase clocks and latency
@@ -60,7 +62,7 @@
 //
 // Every served result is bit-exact with a direct hks.KeySwitch or
 // hks.SwitchHoisted of the same input and key — coalescing and
-// batching change scheduling, never values — which is what the
+// grouping change scheduling, never values — which is what the
 // equivalence tests in this package assert under -race.
 //
 // The service operates at the hks layer: a request carries the
@@ -123,9 +125,9 @@ type TenantChecker interface {
 // that knows several requests share one Input passes them to
 // SubmitGroup together. Input pointer identity is how *separate*
 // Submit calls meet: those of one tenant with the same Input pointer,
-// Level, and Dataflow that are queued together, or that arrive while
-// such a group's ModUp runs, coalesce onto one shared hoisted ModUp;
-// requests of different tenants never coalesce.
+// Level, and Dataflow that are adjacent in its queue, or that arrive
+// while such a group's ModUp runs, coalesce onto one shared hoisted
+// ModUp; requests of different tenants never coalesce.
 type Request struct {
 	Input    *ring.Poly
 	Rot      int
@@ -149,24 +151,23 @@ type Result struct {
 	Err    error
 }
 
-// The batching constants. A tenant's batch closes once maxBatch requests
-// are pending, and an unsealed group grows by joins to at most maxBatch
-// members; a SubmitGroup call is never split, it joins a batch whole,
-// however long. queueDepth bounds each tenant's queue, in Submit and
-// SubmitGroup calls: a full queue blocks that tenant's submitters —
-// backpressure — until its dispatcher drains or the submitter's context
-// is cancelled; other tenants' queues are unaffected.
+// The grouping constants. An unsealed group grows by joins to at most
+// maxGroup members; a SubmitGroup call is never split, however long.
+// queueDepth bounds each tenant's queue, in Submit and SubmitGroup
+// calls: a full queue blocks that tenant's submitters — backpressure —
+// until its dispatcher drains or the submitter's context is cancelled;
+// other tenants' queues are unaffected.
 const (
-	maxBatch   = 64
-	queueDepth = 4 * maxBatch
+	maxGroup   = 64
+	queueDepth = 4 * maxGroup
 )
 
 // Config tunes the service; zero values select the documented
 // defaults.
 type Config struct {
-	// Engine executes the hoist/replay graphs and the per-batch group
-	// fan-out, shared by every tenant and level. Nil selects
-	// engine.Default(). The service does not close it.
+	// Engine executes the hoist/replay graphs, shared by every tenant
+	// and level; each tenant runs at most Workers()+1 groups on it at
+	// once. Nil selects engine.Default(). The service does not close it.
 	Engine *engine.Engine
 	// KeyBudget bounds the bytes of evaluation keys resident in the
 	// cache, across all tenants (default 256 MiB). Eviction is LRU
@@ -193,15 +194,15 @@ type pending struct {
 // submission is one queue item: the requests of one Submit or
 // SubmitGroup call. A sealed submission is a hoist group its caller
 // declared whole — it runs as exactly one group and waits for nobody;
-// an unsealed one holds a single request, open to coalescing with
-// other unsealed requests of its batch and to joining a running group.
+// an unsealed one holds a single request: it opens a group that the
+// adjacent matching Submits behind it join, or it joins a running one.
 type submission struct {
 	reqs   []*pending
 	sealed bool
 }
 
 // tenantWorker is one tenant's dispatcher: a bounded queue, the
-// goroutine micro-batching it, and the tenant's books — the only
+// goroutine that alone reads it, and the tenant's books — the only
 // counters the service keeps (stats.go). Workers are created lazily at
 // a tenant's first Submit and live until Close.
 type tenantWorker struct {
@@ -218,13 +219,12 @@ type tenantWorker struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// carry is the one submission a group's join popped and could not
-	// take: sealed, or of another groupKey. The dispatcher opens its next
-	// batch from it before it reads the queue, so the tenant's FIFO
-	// order holds. Between batches only the dispatcher touches it;
-	// carryMu orders the joins of one batch's concurrent groups.
-	carryMu sync.Mutex
-	carry   submission // reqs == nil: empty
+	// carry is the one submission a join popped and could not take:
+	// sealed, or of another groupKey. The dispatcher starts its next
+	// group from it before it reads the queue, so the tenant's FIFO
+	// order holds. Joins run only on the dispatcher (unsealed groups
+	// run there, sealed ones never join), so it needs no lock.
+	carry submission // reqs == nil: empty
 
 	stats  counters
 	levels levelCounters
@@ -253,7 +253,7 @@ func (w *tenantWorker) send(ctx context.Context, sub submission) error {
 	}
 }
 
-// Service is the multi-tenant batching key-switch service. Construct
+// Service is the multi-tenant key-switch service. Construct
 // with New, submit with Submit/SubmitGroup, observe with Stats, and
 // Close to drain. Safe for concurrent use.
 type Service struct {
@@ -397,7 +397,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error
 // rejected by Submit, or differs from the first in a shared field, the
 // call fails and nothing is enqueued. It then runs as exactly one
 // group — one Decompose+ModUp however long it is and whatever else is
-// queued, never split by maxBatch, never merged with another call's
+// queued, never split by maxGroup, never merged with another call's
 // requests even on an equal Input pointer, never joined by a later
 // Submit. ctx and backpressure are as for Submit, for the call as a
 // whole.
@@ -429,9 +429,10 @@ func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Res
 }
 
 // Close stops accepting requests, waits for every queued request of
-// every tenant to be served, and stops the dispatchers. Safe to call
+// every tenant to be served — each dispatcher waits out its sealed
+// groups before it stops — and stops the dispatchers. Safe to call
 // more than once. Close drains by contract, so a tenant whose
-// dispatcher is wedged in a key load holds it up.
+// group is wedged in a key load holds it up.
 func (s *Service) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -457,57 +458,64 @@ func (s *Service) Close() {
 	}
 }
 
-// ---- Per-tenant dispatchers: micro-batching without waiting ----
+// ---- Per-tenant dispatchers: a group runs when it is popped ----
 
+// dispatch is the tenant's one reader of its queue. It pops the carry,
+// or else the queue head, and each popped submission is one group that
+// holds one of the tenant's Engine.Workers()+1 slots while it runs. A
+// sealed group starts at once on a goroutine of its own; an unsealed
+// one runs on the dispatcher, where it may join the queue's head.
+// Once the queue is closed and drained, the dispatcher waits for its
+// sealed groups and exits.
 func (s *Service) dispatch(w *tenantWorker) {
-	defer close(w.done)
+	slots := make(chan struct{}, s.cfg.Engine.Workers()+1)
+	var sealed sync.WaitGroup
+	defer func() {
+		sealed.Wait()
+		close(w.done)
+	}()
 	for {
-		// No group runs between batches, so the carry is the
-		// dispatcher's here.
-		first := w.carry
+		g := w.carry
 		w.carry = submission{}
-		if first.reqs == nil {
-			var ok bool
-			if first, ok = <-w.queue; !ok {
-				return
+		if g.reqs == nil {
+			if g = <-w.queue; g.reqs == nil {
+				return // closed and drained
 			}
-			w.popped(first)
+			w.popped(g)
 		}
-		s.runBatch(w, s.gather(w, first))
+		w.stats.groups.Add(1)
+		slots <- struct{}{}
+		if !g.sealed {
+			s.runGroup(w, g)
+			<-slots
+			continue
+		}
+		sealed.Add(1)
+		go func() {
+			defer sealed.Done()
+			s.runGroup(w, g)
+			<-slots
+		}()
 	}
 }
 
-// gather adds to the batch that first opened what the tenant's queue
-// already holds, until maxBatch requests are pending, and never waits:
-// a Submit that arrives while the batch runs joins one of its groups
-// (join) or opens the next batch.
-func (s *Service) gather(w *tenantWorker, first submission) []submission {
-	batch := []submission{first}
-	for n := len(first.reqs); n < maxBatch; {
-		sub, ok := w.tryPop()
-		if !ok {
-			break
-		}
-		batch = append(batch, sub)
-		n += len(sub.reqs)
-	}
-	return batch
-}
-
-// join drains the tenant's queue, without waiting, into a running
+// join drains the tenant's queue, without waiting, into an
 // unsealed group with key k: every unsealed request at the head of the
 // queue with that key joins, up to room of them. The first submission
 // popped that does not match goes to the carry and ends the drain; a
 // full carry ends it before it starts.
 func (w *tenantWorker) join(k groupKey, room int) []*pending {
-	w.carryMu.Lock()
-	defer w.carryMu.Unlock()
 	var joined []*pending
 	for w.carry.reqs == nil && len(joined) < room {
-		sub, ok := w.tryPop()
-		if !ok {
+		var sub submission
+		select {
+		case sub = <-w.queue: // the zero submission once closed
+		default:
+		}
+		if sub.reqs == nil {
 			break
 		}
+		w.popped(sub)
 		if sub.sealed || groupKeyOf(sub.reqs[0]) != k {
 			w.carry = sub
 		} else {
@@ -515,19 +523,6 @@ func (w *tenantWorker) join(k groupKey, room int) []*pending {
 		}
 	}
 	return joined
-}
-
-// tryPop pops the tenant's next submission if one is queued, stamped
-// popped; ok is false on an empty or closed queue.
-func (w *tenantWorker) tryPop() (sub submission, ok bool) {
-	select {
-	case sub, ok = <-w.queue:
-		if ok {
-			w.popped(sub)
-		}
-	default:
-	}
-	return sub, ok
 }
 
 // popped stamps a submission's requests as dequeued and books their
@@ -540,12 +535,12 @@ func (w *tenantWorker) popped(sub submission) {
 	}
 }
 
-// groupKey routes an unsealed request within one tenant's batch: the
+// groupKey routes an unsealed request within one tenant's queue: the
 // same input at the same level under the same dataflow shares one
 // hoisted ModUp. Distinct dataflows on one input stay separate — each
 // hoists and replays by its own plan — and distinct levels run on
-// different switchers. The tenant is fixed per batch (batches never
-// span tenants), so keyspaces cannot share a group by construction.
+// different switchers. A queue is one tenant's, so keyspaces cannot
+// share a group by construction.
 type groupKey struct {
 	in    *ring.Poly
 	df    dataflow.Dataflow
@@ -556,45 +551,6 @@ func groupKeyOf(p *pending) groupKey {
 	return groupKey{in: p.req.Input, df: p.req.Dataflow, level: p.req.Level}
 }
 
-// runBatch forms one tenant's batch into groups — each sealed
-// submission is one, and the unsealed requests merge into one unsealed
-// submission per (level, input, dataflow) — and executes the groups
-// concurrently on the shared engine. Group execution nests the hoist
-// and replay graphs in that section; each waiter runs only its own
-// graph and the pool helps, so nesting cannot deadlock.
-func (s *Service) runBatch(w *tenantWorker, batch []submission) {
-	w.stats.batches.Add(1)
-	var groups []submission
-	byKey := make(map[groupKey]int)
-	for _, sub := range batch {
-		if sub.sealed {
-			groups = append(groups, sub)
-			continue
-		}
-		p := sub.reqs[0]
-		k := groupKeyOf(p)
-		gi, ok := byKey[k]
-		if !ok {
-			gi = len(groups)
-			byKey[k] = gi
-			groups = append(groups, submission{})
-		}
-		groups[gi].reqs = append(groups[gi].reqs, p)
-	}
-	w.stats.groups.Add(uint64(len(groups)))
-	tr := obs.ActiveTracer()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	s.cfg.Engine.ParallelFor(len(groups), func(i int) {
-		s.runGroup(w, groups[i])
-	})
-	if tr != nil {
-		tr.SpanTrack("serve", "batch/"+w.tenant, t0, time.Now())
-	}
-}
-
 // runGroup serves one group — requests sharing input, level and
 // dataflow, and so one switcher — as one hoisted Decompose+ModUp with a
 // per-key replay, the exact hks.SwitchHoisted structure, so results are
@@ -602,12 +558,19 @@ func (s *Service) runBatch(w *tenantWorker, batch []submission) {
 // one. Requests whose context died in the queue are failed; the rest
 // resolve their key material before anything is hoisted, so a member
 // whose key fails costs the group nothing further, and a group none of
-// whose keys resolves runs — and books — nothing. Once the ModUp is
-// done an unsealed group takes the matching Submits that queued while
-// it ran (join), up to maxBatch members, and replays them too.
+// whose keys resolves runs — and books — nothing. An unsealed group
+// first takes the matching Submits queued right behind it (join), and
+// once its ModUp is done those that queued while it ran, up to maxGroup
+// members in all, and replays them too.
 func (s *Service) runGroup(w *tenantWorker, g submission) {
-	start := time.Now()
+	if tr := obs.ActiveTracer(); tr != nil {
+		defer func(t0 time.Time) { tr.SpanTrack("serve", "group/"+w.tenant, t0, time.Now()) }(time.Now())
+	}
 	p0 := g.reqs[0]
+	if !g.sealed {
+		g.reqs = append(g.reqs, w.join(groupKeyOf(p0), maxGroup-len(g.reqs))...)
+	}
+	start := time.Now()
 	sw, in, df, level := p0.sw, p0.req.Input, p0.req.Dataflow, p0.req.Level
 	e := s.cfg.Engine
 	type member struct {
@@ -649,7 +612,7 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 	w.phases.add(phaseHoist, hoisted.Sub(t0))
 	defer h.Release()
 	if !g.sealed {
-		enter(w.join(groupKeyOf(p0), maxBatch-len(g.reqs)), time.Now())
+		enter(w.join(groupKeyOf(p0), maxGroup-len(g.reqs)), time.Now())
 	}
 	// One ModUp for the group, and — when it was formed of two or more
 	// requests, joiners counted — the whole group's coalesce credit with

@@ -158,8 +158,8 @@ func parking(src KeySource) (parked KeySource, entered <-chan string, release ch
 }
 
 // hold submits req and waits until its tenant's dispatcher is parked in
-// the request's gated key load (see gating). The request's batch and
-// group have formed by then, with it alone, so everything the tenant
+// the request's gated key load (see gating). The request's group has
+// formed by then, with it alone, so everything the tenant
 // submits until release is closed queues up behind a running group.
 func hold(t *testing.T, svc *Service, entered <-chan string, req Request) <-chan Result {
 	t.Helper()
@@ -173,11 +173,11 @@ func hold(t *testing.T, svc *Service, entered <-chan string, req Request) <-chan
 
 // park holds a parking request for tenant on in (svc's source must come
 // from parking). Everything the tenant submits until release is closed
-// queues up behind it and is gathered into the dispatcher's next batch
-// — whole, up to maxBatch — and a Submit past queueDepth blocks. The
-// parking request fails once released, before any ModUp, so nothing
-// joins it: it books one submission, batch, group, cache miss and
-// failure, and no switch.
+// queues up behind it, where adjacent matching Submits form one group
+// when the dispatcher pops them, and a Submit past queueDepth blocks.
+// The parking request fails once released, before any ModUp, so nothing
+// joins it: it books one submission, group, cache miss and failure, and
+// no switch.
 func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) {
 	t.Helper()
 	hold(t, svc, entered, Request{Input: in, Rot: parkRot, Tenant: tenant})
@@ -204,7 +204,7 @@ func checkResult(t *testing.T, res Result, want0, want1 *ring.Poly, what string)
 	}
 }
 
-// TestCoalescedBitExact floods one batch — queued behind a parked
+// TestCoalescedBitExact floods the queue — behind a parked
 // dispatcher — with G inputs × K rotations and asserts (a) every
 // result is bit-exact with an independent SwitchHoisted, (b) the
 // coalescer ran exactly one ModUp per input, (c) the key cache loaded
@@ -699,7 +699,7 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestSubmitCoalescesAtDefaults is serve_fanout's shape at the
-// service's own batching constants: eight Submits of one input, queued
+// service's own grouping constants: eight Submits of one input, queued
 // behind a parked dispatcher, are one group — one ModUp, eight
 // coalesced requests — bit-exact with SwitchHoisted.
 func TestSubmitCoalescesAtDefaults(t *testing.T) {
@@ -913,7 +913,7 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 			t.Fatalf("%s: got %v, want a basis error", what, res.Err)
 		}
 	}
-	// Alone in their batches: groups of one.
+	// Alone in the queue: groups of one.
 	mustFail(submit(b.input(), 1), "dense wrong-level key, singleton")
 	mustFail(submit(b.input(), 2), "compressed wrong-level key, singleton")
 	// Coalesced with a good request on one hoisted input.

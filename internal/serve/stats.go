@@ -21,12 +21,11 @@ import (
 	"ciflow/internal/obs"
 )
 
-// counters are one tenant's hot-path counters (atomics: the group
-// executor updates them from engine workers).
+// counters are one tenant's hot-path counters (atomics: the tenant's
+// groups update them from their own goroutines).
 type counters struct {
 	submitted atomic.Uint64
 	failed    atomic.Uint64
-	batches   atomic.Uint64
 	groups    atomic.Uint64
 	expanded  atomic.Uint64 // compressed keys drawn in the apply tiles
 }
@@ -181,14 +180,13 @@ func (lc *levelCounters) snapshot() []LevelStats {
 
 // TenantStats is one tenant's books: its request counters, latency
 // percentiles, per-level and per-phase breakdowns, and key-cache
-// shard. Batches and groups never span tenants, so nothing in a
-// service is counted that is not counted here.
+// shard. Groups never span tenants, so nothing in a service is
+// counted that is not counted here.
 type TenantStats struct {
 	Tenant    string `json:"tenant"`
 	Submitted uint64 `json:"submitted"`
 	Served    uint64 `json:"served"`
 	Failed    uint64 `json:"failed"`
-	Batches   uint64 `json:"batches"`
 	Groups    uint64 `json:"groups"`
 	ModUps    uint64 `json:"mod_ups"`
 	Coalesced uint64 `json:"coalesced"`
@@ -227,7 +225,6 @@ func (ts *TenantStats) add(o TenantStats) {
 	ts.Submitted += o.Submitted
 	ts.Served += o.Served
 	ts.Failed += o.Failed
-	ts.Batches += o.Batches
 	ts.Groups += o.Groups
 	ts.ModUps += o.ModUps
 	ts.Coalesced += o.Coalesced
@@ -251,7 +248,7 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"` // requests accepted by Submit
 	Served    uint64 `json:"served"`    // requests completed with outputs
 	Failed    uint64 `json:"failed"`    // requests completed with an error
-	Batches   uint64 `json:"batches"`   // dispatcher batches executed (all tenants)
+	Batches   uint64 `json:"batches"`   // equals Groups: every group is dispatched on its own
 	Groups    uint64 `json:"groups"`    // (tenant, level, input, dataflow) groups formed
 	ModUps    uint64 `json:"mod_ups"`   // Decompose+ModUp executions
 	Coalesced uint64 `json:"coalesced"` // requests served from a shared hoisted state
@@ -317,7 +314,7 @@ func total(tenants []TenantStats) Stats {
 	}
 	return Stats{
 		Submitted: all.Submitted, Served: all.Served, Failed: all.Failed,
-		Batches: all.Batches, Groups: all.Groups, ModUps: all.ModUps,
+		Batches: all.Groups, Groups: all.Groups, ModUps: all.ModUps,
 		Coalesced: all.Coalesced, KeyExpansions: all.KeyExpansions,
 		CoalescingFactor: all.CoalescingFactor,
 		Keys:             cacheTotal(keys),
@@ -441,7 +438,6 @@ func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Dura
 		Submitted:     w.stats.submitted.Load(),
 		Served:        sum.Switches,
 		Failed:        w.stats.failed.Load(),
-		Batches:       w.stats.batches.Load(),
 		Groups:        w.stats.groups.Load(),
 		ModUps:        sum.ModUps,
 		Coalesced:     sum.Coalesced,

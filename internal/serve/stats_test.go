@@ -12,16 +12,16 @@ import (
 )
 
 // checkSums asserts the one invariant every Stats is built to hold:
-// the eight counters, the level slices and the phases are the sums of
-// the tenants'. It adds the tenants up its own way (maps, not the
-// package's summation).
+// the seven counters, the level slices and the phases are the sums of
+// the tenants', and Batches equals Groups. It adds the tenants up its
+// own way (maps, not the package's summation).
 func checkSums(t *testing.T, st Stats, what string) {
 	t.Helper()
-	var sum [8]uint64
+	var sum [7]uint64
 	levels := map[int]LevelStats{}
 	phases := map[string]PhaseStats{}
 	for _, ts := range st.Tenants {
-		for i, v := range []uint64{ts.Submitted, ts.Served, ts.Failed, ts.Batches,
+		for i, v := range []uint64{ts.Submitted, ts.Served, ts.Failed,
 			ts.Groups, ts.ModUps, ts.Coalesced, ts.KeyExpansions} {
 			sum[i] += v
 		}
@@ -41,9 +41,12 @@ func checkSums(t *testing.T, st Stats, what string) {
 			phases[ps.Phase] = e
 		}
 	}
-	if got := [8]uint64{st.Submitted, st.Served, st.Failed, st.Batches,
+	if got := [7]uint64{st.Submitted, st.Served, st.Failed,
 		st.Groups, st.ModUps, st.Coalesced, st.KeyExpansions}; got != sum {
 		t.Errorf("%s: totals %v, tenants sum to %v", what, got, sum)
+	}
+	if st.Batches != st.Groups {
+		t.Errorf("%s: %d batches, want the %d groups", what, st.Batches, st.Groups)
 	}
 	if len(st.PerLevel) != len(levels) {
 		t.Errorf("%s: %d levels in the totals, %d across the tenants", what, len(st.PerLevel), len(levels))
@@ -147,7 +150,7 @@ func TestMergeStats(t *testing.T) {
 	p1 := Stats{
 		P50: 2 * ms, P99: 5 * ms,
 		Tenants: []TenantStats{{
-			Tenant: "t0", Submitted: 4, Served: 4, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 4, KeyExpansions: 4,
+			Tenant: "t0", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 4, KeyExpansions: 4,
 			P50: 2 * ms, P99: 5 * ms,
 			PerLevel: []LevelStats{{Level: 3, Switches: 4, ModUps: 2, Coalesced: 4}},
 			Phases:   []PhaseStats{{"hoist", 2, 200}, {"replay", 4, 4000}},
@@ -160,12 +163,12 @@ func TestMergeStats(t *testing.T) {
 		PerLevel: []LevelStats{{Level: 9, Switches: 999}},
 		P50:      3 * ms, P99: 4 * ms,
 		Tenants: []TenantStats{
-			{Tenant: "t0", Submitted: 3, Served: 2, Failed: 1, Batches: 2, Groups: 2, ModUps: 2,
+			{Tenant: "t0", Submitted: 3, Served: 2, Failed: 1, Groups: 2, ModUps: 2,
 				P50: 3 * ms, P99: 4 * ms,
 				PerLevel: []LevelStats{{Level: 3, Switches: 1, ModUps: 1}, {Level: 1, Switches: 1, ModUps: 1}},
 				Phases:   []PhaseStats{{"keys", 3, 30}, {"replay", 2, 2000}, {"zz_future", 1, 7}},
 				Keys:     TenantCacheStats{Tenant: "t0", Size: 1, Bytes: 10, DenseBytes: 20, Hits: 1, Misses: 2, Evictions: 1}},
-			{Tenant: "t1", Submitted: 2, Served: 2, Batches: 1, Groups: 1, ModUps: 1, Coalesced: 2,
+			{Tenant: "t1", Submitted: 2, Served: 2, Groups: 1, ModUps: 1, Coalesced: 2,
 				P50: ms, P99: ms,
 				PerLevel: []LevelStats{{Level: 1, Switches: 2, ModUps: 1, Coalesced: 2}},
 				Phases:   []PhaseStats{{"hoist", 1, 100}},
@@ -176,7 +179,7 @@ func TestMergeStats(t *testing.T) {
 	p3 := Stats{
 		P50: ms, P99: 9 * ms,
 		Tenants: []TenantStats{{
-			Tenant: "t1", Submitted: 1, Served: 1, Batches: 1, Groups: 1, ModUps: 1,
+			Tenant: "t1", Submitted: 1, Served: 1, Groups: 1, ModUps: 1,
 			P50: ms, P99: 9 * ms,
 			PerLevel: []LevelStats{{Level: 2, Switches: 1, ModUps: 1}},
 			Phases:   []PhaseStats{{"enqueue", 1, 5}},
@@ -190,7 +193,7 @@ func TestMergeStats(t *testing.T) {
 	m := MergeStats(p1, p2, p3)
 	checkSums(t, m, "merged")
 	t0 := TenantStats{
-		Tenant: "t0", Submitted: 7, Served: 6, Failed: 1, Batches: 4, Groups: 4, ModUps: 4, Coalesced: 4, KeyExpansions: 4,
+		Tenant: "t0", Submitted: 7, Served: 6, Failed: 1, Groups: 4, ModUps: 4, Coalesced: 4, KeyExpansions: 4,
 		CoalescingFactor: 1.5, P50: 3 * ms, P99: 5 * ms,
 		PerLevel: []LevelStats{{Level: 3, Switches: 5, ModUps: 3, Coalesced: 4}, {Level: 1, Switches: 1, ModUps: 1}},
 		Phases:   []PhaseStats{{"keys", 3, 30}, {"hoist", 2, 200}, {"replay", 6, 6000}, {"zz_future", 1, 7}},

@@ -79,7 +79,6 @@ type ReplayResult struct {
 	ModUps    uint64 `json:"mod_ups"`
 	Groups    uint64 `json:"groups"`
 	Coalesced uint64 `json:"coalesced"`
-	Batches   uint64 `json:"batches"`
 
 	// PerLevel is the measured per-level switch/ModUp delta, validated
 	// level by level against Predicted.PerLevel (the server-side
@@ -111,8 +110,8 @@ type ReplayResult struct {
 // ReplayServiceConfig returns the serve.Config a replay of s needs:
 // DefaultLevel 0, so schedule levels are taken literally (serve routes
 // a zero Request.Level to the default). Exact counts need nothing
-// else — Replay submits every hoist group whole, and serve neither
-// splits nor merges such a group under any batching setting. Callers
+// else — Replay submits every hoist group whole, and serve runs such a
+// group as it was submitted: never split, merged or joined. Callers
 // set Engine (and may raise KeyBudget for key-hungry bootstrap
 // schedules).
 func ReplayServiceConfig(*Schedule) serve.Config {
@@ -188,7 +187,6 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 		ModUps:    after.ModUps - before.ModUps,
 		Groups:    after.Groups - before.Groups,
 		Coalesced: after.Coalesced - before.Coalesced,
-		Batches:   after.Batches - before.Batches,
 		PerLevel:  perLevelDelta(before.PerLevel, after.PerLevel),
 
 		Mismatches:    s.CompareBooks(before, after, 1),

@@ -2,7 +2,7 @@
 // DAGs and replays them against the internal/serve service.
 //
 // The serving layer's reuse machinery — hoisted-state coalescing,
-// key caching, micro-batching — was built under an independent
+// key caching, per-tenant dispatch — was built under an independent
 // fan-out load: every request ready the moment it is issued, every
 // fan-out on one shared input. Real CKKS workloads are not shaped
 // like that. The paper's heaviest key-switch mix, CKKS bootstrapping,
