@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench clean
+.PHONY: all build test race vet fmt bench loc clean
 
 all: vet build test
 
@@ -32,6 +32,16 @@ fmt:
 # operation, an inexact count or a dependency violation.
 bench:
 	$(GO) run ./bench -workload all -sets 2
+
+# loc prints, per package under internal/ and cmd/, the Go lines of its
+# non-test files that are neither blank nor a // comment, then their sum.
+loc:
+	@total=0; \
+	for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
+		printf '%6d %s\n' $$n $$d; total=$$((total + n)); \
+	done; \
+	printf '%6d total\n' $$total
 
 clean:
 	rm -rf bin bench/out

@@ -145,7 +145,8 @@ func readReport(t *testing.T, path string) *serveReport {
 // wiring end to end through the CLI dispatch: an in-process two-tenant
 // replay of a committed scenario gains stage_shares and phases, the
 // trace and pprof artifacts appear on disk, the trace holds the serve
-// groups on the serve track, and the schedule DAG renders as DOT.
+// groups on the serve track and the key-switching tiles hks ran on the
+// engine on the worker track, and the schedule DAG renders as DOT.
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := dir + "/serve.json"
@@ -165,8 +166,11 @@ func TestObservabilityFlags(t *testing.T) {
 	if rep := readReport(t, jsonPath); len(rep.StageShares) == 0 {
 		t.Fatal("no stage shares under -profile")
 	}
-	if !hasServeGroupSpan(t, tracePath) {
+	if !hasLaneSpan(t, tracePath, "serve-", "group/") {
 		t.Error("trace holds no group/ span on a serve lane")
+	}
+	if !hasLaneSpan(t, tracePath, "worker-", "apply", "oc", "modup") {
+		t.Error("trace holds no key-switching tile span on a worker lane")
 	}
 	for _, prof := range []string{"/prof/cpu.prof", "/prof/mem.prof"} {
 		if _, err := os.Stat(dir + prof); err != nil {
@@ -191,10 +195,11 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 }
 
-// hasServeGroupSpan reports whether the trace-event timeline at path
-// holds a serve group's span ("group/<tenant>") on a lane of the serve
-// track.
-func hasServeGroupSpan(t *testing.T, path string) bool {
+// hasLaneSpan reports whether the trace-event timeline at path holds a
+// span named with one of prefixes on a lane named with lane: a serve
+// group's ("group/<tenant>") on a "serve-N" lane, a plan group's tile
+// ("oc", "modup.prep", ...) on a "worker-N" lane.
+func hasLaneSpan(t *testing.T, path, lane string, prefixes ...string) bool {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -211,15 +216,17 @@ func hasServeGroupSpan(t *testing.T, path string) bool {
 	if err := json.Unmarshal(data, &tf); err != nil {
 		t.Fatal(err)
 	}
-	serveLane := map[int]bool{}
+	onLane := map[int]bool{}
 	for _, ev := range tf.TraceEvents {
-		if name, _ := ev.Args["name"].(string); ev.Ph == "M" && strings.HasPrefix(name, "serve-") {
-			serveLane[ev.Tid] = true
+		if name, _ := ev.Args["name"].(string); ev.Ph == "M" && strings.HasPrefix(name, lane) {
+			onLane[ev.Tid] = true
 		}
 	}
 	for _, ev := range tf.TraceEvents {
-		if ev.Ph == "X" && serveLane[ev.Tid] && strings.HasPrefix(ev.Name, "group/") {
-			return true
+		for _, p := range prefixes {
+			if ev.Ph == "X" && onLane[ev.Tid] && strings.HasPrefix(ev.Name, p) {
+				return true
+			}
 		}
 	}
 	return false

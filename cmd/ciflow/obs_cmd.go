@@ -2,8 +2,8 @@ package main
 
 // Observability wiring of the replay driver: -profile turns the
 // internal/obs stage/kernel recorder on for the run, -trace
-// installs the span tracer on the engine (worker tiles) and the serve
-// group track and writes the Chrome trace-event timeline at the end,
+// installs the one span tracer (hks's worker tiles and serve's group
+// track) and writes the Chrome trace-event timeline at the end,
 // -pprof brackets the run with runtime/pprof CPU and heap profiles,
 // and -check holds the first two's artifacts to checkObs.
 
@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"ciflow/internal/engine"
 	"ciflow/internal/obs"
 )
 
@@ -28,7 +27,6 @@ func setupObs(profile bool, tracePath string) func() error {
 	}
 	if tracePath != "" {
 		tr = obs.EnableTracer()
-		engine.SetTracer(tr)
 	}
 	return func() error {
 		if profile {
@@ -37,7 +35,6 @@ func setupObs(profile bool, tracePath string) func() error {
 		if tr == nil {
 			return nil
 		}
-		engine.SetTracer(nil)
 		obs.DisableTracer()
 		f, err := os.Create(tracePath)
 		if err != nil {

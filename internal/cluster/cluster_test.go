@@ -327,7 +327,7 @@ func TestAggregateStats(t *testing.T) {
 		{obs.StageModDown, obs.DataflowMP, 1 << 20}, {obs.StageApply, obs.DataflowOC, 5_000_000},
 		{obs.StageModUp, obs.DataflowDC, 1}, {obs.StageModUp, obs.DataflowMP, 70_001},
 	} {
-		recs[i%2].Stage(o.stage, o.df, 3, time.Duration(o.ns))
+		recs[i%2].Stage(o.stage, o.df, time.Duration(o.ns))
 		k := [2]string{o.stage.String(), o.df.String()}
 		if want[k] == nil {
 			want[k] = &hist{buckets: map[int]uint64{}}

@@ -33,6 +33,11 @@
 // Workers()+1 groups per tenant at once, and each group's hoist and
 // replay run as graphs of their own.
 //
+// Nor does the engine observe anything: it times and traces no task
+// and does not import internal/obs. internal/hks times its tiles and
+// records a span per task itself, from the recorder and tracer it
+// captures at each entry point.
+//
 // Engines are cheap but not free (one goroutine per worker): create
 // one per process or per benchmark configuration and Close it when
 // done. The package-level Default engine is lazily created and lives
@@ -42,38 +47,7 @@ package engine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
-
-// Tracer receives a span for every *named* graph node the engine
-// executes (see Graph.NodeNamed). internal/obs provides the standard
-// implementation; the interface lives here so the engine does not
-// depend on the observability layer. Implementations must be safe for
-// concurrent use — spans arrive from every worker at once.
-type Tracer interface {
-	Span(name string, start, end time.Time)
-}
-
-// tracerBox wraps the interface so atomic.Value accepts differing
-// concrete types (including nil).
-type tracerBox struct{ t Tracer }
-
-var tracer atomic.Value // tracerBox
-
-// SetTracer installs (or, with nil, removes) the process-wide tracer.
-// Tracing applies only to named graph nodes; unnamed nodes and
-// ParallelFor bodies are never traced, so the zero-overhead default
-// is preserved for them.
-func SetTracer(t Tracer) { tracer.Store(tracerBox{t: t}) }
-
-// currentTracer returns the installed tracer, or nil.
-func currentTracer() Tracer {
-	if b, ok := tracer.Load().(tracerBox); ok {
-		return b.t
-	}
-	return nil
-}
 
 // Engine is a fixed-size worker pool executing func() tasks. The zero
 // value is not usable; construct with New. Safe for concurrent use.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Graph is a dependency DAG of tasks. internal/hks builds one by
@@ -37,7 +36,6 @@ type Graph struct {
 
 type gnode struct {
 	run   func()
-	name  string // non-empty: emit a tracer span around run
 	succ  []int32
 	ndeps int32
 }
@@ -52,14 +50,6 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // completed, returning its id for use as a dependency of later nodes.
 // Dependencies must be ids of previously added nodes.
 func (g *Graph) Node(run func(), deps ...int) int {
-	return g.NodeNamed("", run, deps...)
-}
-
-// NodeNamed is Node with a tile name for the trace timeline: when a
-// Tracer is installed (SetTracer), the engine emits one span per
-// execution of the node. An empty name keeps the node invisible to
-// tracing with zero overhead.
-func (g *Graph) NodeNamed(name string, run func(), deps ...int) int {
 	id := len(g.nodes)
 	for _, d := range deps {
 		if d < 0 || d >= id {
@@ -67,7 +57,7 @@ func (g *Graph) NodeNamed(name string, run func(), deps ...int) int {
 		}
 		g.nodes[d].succ = append(g.nodes[d].succ, int32(id))
 	}
-	g.nodes = append(g.nodes, gnode{run: run, name: name, ndeps: int32(len(deps))})
+	g.nodes = append(g.nodes, gnode{run: run, ndeps: int32(len(deps))})
 	return id
 }
 
@@ -85,13 +75,7 @@ func (g *Graph) exec(id int32) {
 					g.aborted.Store(true)
 				}
 			}()
-			if tr := currentTracer(); tr != nil && nd.name != "" {
-				start := time.Now()
-				nd.run()
-				tr.Span(nd.name, start, time.Now())
-			} else {
-				nd.run()
-			}
+			nd.run()
 		}()
 	}
 	if g.completed.Add(1) == int64(len(g.nodes)) {

@@ -35,18 +35,12 @@ import (
 // KeyMaterial is evaluation-key material in either residency form:
 // a dense *Evk or a seed-compressed *CompressedEvk. SizeBytes is the
 // footprint of the form at hand — the number a byte-budgeted cache
-// must charge — while DenseSizeBytes is the footprint after expansion,
-// identical for both forms of one key (their ratio is the measured
-// compression). The interface is sealed: those two types are the only
+// must charge. The interface is sealed: those two types are the only
 // implementations, so consumers may type-switch exhaustively.
 type KeyMaterial interface {
 	SizeBytes() int
-	DenseSizeBytes() int
 	keyMaterial()
 }
-
-// DenseSizeBytes is SizeBytes: the key is already dense.
-func (e *Evk) DenseSizeBytes() int { return e.SizeBytes() }
 
 func (e *Evk) keyMaterial()           {}
 func (c *CompressedEvk) keyMaterial() {}
@@ -115,12 +109,6 @@ func (c *CompressedEvk) SizeBytes() int {
 		n += 32
 	}
 	return n
-}
-
-// DenseSizeBytes returns the footprint the key will occupy once
-// expanded: both halves dense, at 8 bytes per residue.
-func (c *CompressedEvk) DenseSizeBytes() int {
-	return len(c.B) * 2 * len(c.Basis) * c.N * 8
 }
 
 // Expand regenerates the dense key into storage of its own: the

@@ -43,8 +43,8 @@ func TestCompressRoundTrip(t *testing.T) {
 	// dnum 2 × 2 halves × 6 towers × N 32 × 8 bytes, and
 	// dnum 2 × (6 towers × N 32 × 4 bytes of a 30/31-bit residue + 32).
 	const wantDense, wantComp = 6144, 1600
-	if evk.SizeBytes() != wantDense || c.DenseSizeBytes() != wantDense {
-		t.Fatalf("dense footprint %d/%d, want %d", evk.SizeBytes(), c.DenseSizeBytes(), wantDense)
+	if evk.SizeBytes() != wantDense || got.SizeBytes() != wantDense {
+		t.Fatalf("dense footprint %d/%d, want %d", evk.SizeBytes(), got.SizeBytes(), wantDense)
 	}
 	if c.SizeBytes() != wantComp {
 		t.Fatalf("compressed footprint %d, want %d", c.SizeBytes(), wantComp)

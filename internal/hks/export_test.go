@@ -10,6 +10,7 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
@@ -58,14 +59,13 @@ type graphNode struct {
 	deps []int
 }
 
-// graphNodes reads g's unexported node table (name, run, successor
-// list) and inverts the successor lists into dependency lists.
+// graphNodes reads g's unexported node table (run, successor list)
+// and inverts the successor lists into dependency lists.
 func graphNodes(g *engine.Graph) []graphNode {
 	tab := reflect.ValueOf(g).Elem().FieldByName("nodes")
 	nodes := make([]graphNode, tab.Len())
 	for i := range nodes {
 		n := tab.Index(i)
-		nodes[i].name = n.FieldByName("name").String()
 		nodes[i].run = *(*func())(unsafe.Pointer(n.FieldByName("run").UnsafeAddr()))
 	}
 	for i := range nodes {
@@ -73,6 +73,28 @@ func graphNodes(g *engine.Graph) []graphNode {
 		for k := 0; k < succ.Len(); k++ {
 			s := int(succ.Index(k).Int())
 			nodes[s].deps = append(nodes[s].deps, i)
+		}
+	}
+	return nodes
+}
+
+// runNodes runs the nodes of g, one of h's graphs, one at a time in
+// creation order on the bound state h, under a tracer captured on h as
+// an entry point captures the active one, and returns them, each named
+// by the span its task recorded. after, if not nil, is called after
+// each node with its index.
+func runNodes(h *Hoisted, g *engine.Graph, after func(k int)) []graphNode {
+	nodes := graphNodes(g)
+	tr := obs.NewTracer()
+	h.tr = tr
+	defer func() { h.tr = nil }()
+	for k := range nodes {
+		nodes[k].run()
+		if spans := tr.Spans(); len(spans) == k+1 {
+			nodes[k].name = spans[k].Name
+		}
+		if after != nil {
+			after(k)
 		}
 	}
 	return nodes
@@ -125,13 +147,13 @@ func (h *Hoisted) probes(modUp, replay bool) []probe {
 	return ps
 }
 
-// graphEdges runs g's nodes one at a time, in creation order, on the
-// bound state h, inside a borrow of run scratch the caller holds (so
-// are the probes, which point into it), and describes the graph by behaviour: a node is named
-// by its tile name and the rows it was seen to write (every tile writes
-// canonical residues, so a probed cell that no longer holds the
-// all-ones sentinel was written), and listed with the nodes it waits
-// for, named the same way. The lines are sorted, so two graphs with
+// graphEdges runs g's nodes with runNodes, inside a borrow of run
+// scratch the caller holds (so are the probes, which point into it),
+// and describes the graph by behaviour: a node is named by the span
+// its task records (its group's tile name) and the rows it was seen to
+// write (every tile writes canonical residues, so a probed cell that
+// no longer holds the all-ones sentinel was written), and listed with
+// the nodes it waits for, named the same way. The lines are sorted, so two graphs with
 // equal node and edge sets give equal output however their builders
 // numbered the nodes.
 func graphEdges(h *Hoisted, g *engine.Graph, ps []probe) []string {
@@ -139,19 +161,21 @@ func graphEdges(h *Hoisted, g *engine.Graph, ps []probe) []string {
 	for _, p := range ps {
 		*p.cell = sentinel
 	}
-	nodes := graphNodes(g)
-	ident := make([]string, len(nodes))
+	var wrote []string // per node, the rows it was seen to write
 	seen := make([]bool, len(ps))
-	for k, n := range nodes {
-		n.run()
-		var wrote []string
+	nodes := runNodes(h, g, func(int) {
+		var rows []string
 		for i, p := range ps {
 			if !seen[i] && *p.cell != sentinel {
 				seen[i] = true
-				wrote = append(wrote, p.label)
+				rows = append(rows, p.label)
 			}
 		}
-		ident[k] = fmt.Sprintf("%s[%s]", n.name, strings.Join(wrote, " "))
+		wrote = append(wrote, strings.Join(rows, " "))
+	})
+	ident := make([]string, len(nodes))
+	for k, n := range nodes {
+		ident[k] = fmt.Sprintf("%s[%s]", n.name, wrote[k])
 	}
 	lines := make([]string, len(nodes))
 	for k, n := range nodes {

@@ -99,9 +99,6 @@ func TestEntryPointsProfiled(t *testing.T) {
 					t.Errorf("%q recorded under %q, want only %q", hs.Name, hs.Dataflow, tc.label)
 				}
 			}
-			if len(snap.Levels) == 0 {
-				t.Error("no per-level counters")
-			}
 			u0, u1 := tc.run()
 			if !c0.Equal(u0) || !c1.Equal(u1) {
 				t.Fatal("profiled output differs from unprofiled")

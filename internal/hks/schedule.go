@@ -44,6 +44,7 @@ package hks
 
 import (
 	"slices"
+	"time"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
@@ -114,22 +115,33 @@ func (h *Hoisted) graph(df dataflow.Dataflow, keep func(dataflow.Tile) bool) *en
 					direct = append(direct, d)
 				}
 			}
-			run := runs[0]
-			if len(runs) > 1 {
-				run = func() {
-					for _, f := range runs {
-						f()
-					}
-				}
-			}
 			waits = append(waits, direct)
-			deps = []int{g.NodeNamed(grp.Name, run, direct...)}
+			deps = []int{g.Node(h.task(grp.Name, runs), direct...)}
 		}
 		for _, r := range writes {
 			writers[r] = deps
 		}
 	}
 	return g
+}
+
+// task is the engine task of a plan group: its tiles in order, under
+// one worker span named for the group when the state's run captured a
+// tracer. It reads h.tr as it runs, so a cached graph follows the
+// tracer of each run.
+func (h *Hoisted) task(name string, runs []func()) func() {
+	return func() {
+		var start time.Time
+		if h.tr != nil {
+			start = time.Now()
+		}
+		for _, f := range runs {
+			f()
+		}
+		if h.tr != nil {
+			h.tr.Span(name, start, time.Now())
+		}
+	}
 }
 
 // union appends to set the elements of more it lacks.

@@ -38,18 +38,20 @@ func graphsBuilt(h *Hoisted) (n int) {
 // TestFusedGraphShape pins what the engine schedules on the benchmark
 // shape (N=2^13, 6 Q towers, 3 P towers, dnum 3). The tile names and
 // counts of a per-rotation switch were recorded at the commit before
-// the pipelines were unified; testdata/graphs.golden holds the node and
-// edge sets of the fused, hoist and replay graphs of MP, DC and OC —
-// every node by its tile name and the rows it writes, with the nodes it
-// waits for — compared as sets: a builder may create nodes in another
-// order, it may not add, drop or rewire one. The fused and MP sections
-// were recorded before the graphs became a visit of the dataflow plan;
-// OC's hoist and replay sections are its own plan's halves. The fused
-// graphs are the paper's subject; a switch must not turn into
-// hoist-then-replay, which has one barrier more. OCF's fused, hoist and
-// replay graphs each have exactly OC's nodes and edges. The test also
-// pins that construction is lazy: NewSwitcher pools no state, and a
-// state builds a graph when it first runs it.
+// the pipelines were unified; they are read from the worker spans of a
+// SwitchParallelInto run with obs's one tracer switch on, so they also
+// pin that every task records its span. testdata/graphs.golden holds
+// the node and edge sets of the fused, hoist and replay graphs of MP,
+// DC and OC — every node by its tile name and the rows it writes, with
+// the nodes it waits for — compared as sets: a builder may create
+// nodes in another order, it may not add, drop or rewire one. The
+// fused and MP sections were recorded before the graphs became a visit
+// of the dataflow plan; OC's hoist and replay sections are its own
+// plan's halves. The fused graphs are the paper's subject; a switch
+// must not turn into hoist-then-replay, which has one barrier more.
+// OCF's fused, hoist and replay graphs each have exactly OC's nodes and
+// edges. The test also pins that construction is lazy: NewSwitcher
+// pools no state, and a state builds a graph when it first runs it.
 func TestFusedGraphShape(t *testing.T) {
 	r, s, sOld, sNew := testSetup(t, 1<<13, 6, 40, 3, 41)
 	sw, err := NewSwitcher(r, 5, 3)
@@ -65,7 +67,7 @@ func TestFusedGraphShape(t *testing.T) {
 	want0, want1 := refKeySwitch(sw, d, evk)
 	e := engine.New(2)
 	defer e.Close()
-	defer engine.SetTracer(nil)
+	defer obs.DisableTracer()
 
 	down := map[string]int{"down.prep": 6, "down.over": 8, "down.out": 12}
 	var got bytes.Buffer
@@ -80,10 +82,9 @@ func TestFusedGraphShape(t *testing.T) {
 		{dataflow.OCF, map[string]int{"modup.prep": 6, "oc": 9}},
 	} {
 		maps.Copy(tc.want, down)
-		tr := obs.NewTracer() // one span per executed graph node
-		engine.SetTracer(tr)
+		tr := obs.EnableTracer() // the one switch: a span per executed task
 		switchParallel(sw, e, tc.df, d, evk)
-		engine.SetTracer(nil)
+		obs.DisableTracer()
 		ran := map[string]int{}
 		for _, sp := range tr.Spans() {
 			ran[sp.Name]++

@@ -76,10 +76,13 @@ type Hoisted struct {
 	// leaves it clear and reads those rows from the input itself.
 	ownsBypass bool
 
-	// Observability binding: rec is obs.Active() captured at the entry
-	// point (nil when profiling is off — the tiles then read no clock),
-	// label the dataflow the samples are recorded under.
+	// Observability binding, captured at the entry point: rec is
+	// obs.Active() (nil when profiling is off — the tiles then read no
+	// clock), tr obs.ActiveTracer() (nil when tracing is off — the
+	// tasks then record no span), label the dataflow the samples are
+	// recorded under.
 	rec   *obs.Recorder
+	tr    *obs.Tracer
 	label obs.Dataflow
 
 	// The ModUp row table [dnum][|D|], the one thing a hoist hands its
@@ -144,8 +147,8 @@ func newState(sw *Switcher) *Hoisted {
 }
 
 // state draws an execution state from the pool, building one on a
-// miss, to run df's graphs, and captures the active recorder; samples
-// go under label.
+// miss, to run df's graphs, and captures the active recorder and
+// tracer; samples go under label.
 func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 	if !df.Valid() {
 		panic(fmt.Sprintf("hks: unknown dataflow %v", df))
@@ -154,14 +157,14 @@ func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 	if h == nil {
 		h = newState(sw)
 	}
-	h.df, h.rec, h.label = df, obs.Active(), label
+	h.df, h.rec, h.tr, h.label = df, obs.Active(), obs.ActiveTracer(), label
 	return h
 }
 
 // Release returns the state to its switcher's pool. The Hoisted must
 // not be used afterwards.
 func (h *Hoisted) Release() {
-	h.rec, h.ownsBypass = nil, false
+	h.rec, h.tr, h.ownsBypass = nil, nil, false
 	h.sw.states.Put(h)
 }
 
@@ -302,7 +305,7 @@ func (h *Hoisted) kernel(k obs.Kernel, t time.Time) time.Time {
 // h.now() when the tile ends in work no kernel covers.
 func (h *Hoisted) stage(st obs.Stage, t0, t time.Time) {
 	if h.rec != nil {
-		h.rec.Stage(st, h.label, h.sw.Level, t.Sub(t0))
+		h.rec.Stage(st, h.label, t.Sub(t0))
 	}
 }
 

@@ -8,14 +8,13 @@
 // disabled state costs one atomic pointer load and the enabled state
 // allocates nothing on the hot path:
 //
-//   - Recorder: log-bucketed nanosecond histograms plus atomic
-//     counters over the HKS stages (ModUp, ApplyKey, Expand — the
-//     drawing of a compressed key's A-rows — and ModDown) and the
-//     kernel tiles beneath them (NTT, BConv), broken down per
-//     dataflow (MP/DC/OC/serial) and per ciphertext level. All state
-//     is fixed-size arrays of atomics — recording is wait-free and
-//     safe from every engine worker at once, and a nil *Recorder is
-//     the disabled fast path (every method nil-checks its receiver).
+//   - Recorder: log-bucketed nanosecond histograms over the HKS
+//     stages (ModUp, ApplyKey, Expand — the drawing of a compressed
+//     key's A-rows — and ModDown) and the kernel tiles beneath them
+//     (NTT, BConv), broken down per dataflow (MP/DC/OC/serial). All state is fixed-size arrays of
+//     atomics — recording is wait-free and safe from every engine
+//     worker at once, and a nil *Recorder is the disabled fast path
+//     (every method nil-checks its receiver).
 //   - Snapshot / Merge / Shares: a Recorder drains into a Snapshot of
 //     plain counts with stable JSON. Histogram merge is exact —
 //     bucket counts sum — which is what lets the cluster router add
@@ -29,8 +28,11 @@
 //     recording side never needs to know which worker it runs on.
 //
 // The package deliberately has no dependencies beyond the standard
-// library, so every layer (engine, hks, serve, cluster, cmd) can
-// import it without cycles.
+// library, so every layer above the engine (hks, serve, cluster, cmd)
+// can import it without cycles. The engine itself does not import it:
+// internal/hks records the spans and timings of the tasks it hands the
+// engine, from the recorder and tracer it captures at each entry
+// point.
 package obs
 
 import (
@@ -139,10 +141,6 @@ func (d Dataflow) String() string {
 // powers of two), clamped into the last bucket above ~146 hours.
 const numBuckets = 64
 
-// maxLevels bounds the per-level breakdown; levels outside [0,
-// maxLevels) clamp to the edges.
-const maxLevels = 64
-
 // Histogram is a log-bucketed nanosecond histogram. All fields are
 // atomics: recording is wait-free and concurrent recorders never
 // lose counts. The zero value is ready to use.
@@ -171,13 +169,6 @@ func (h *Histogram) observe(d time.Duration) {
 	h.buckets[bucketOf(ns)].Add(1)
 }
 
-// levelCounter is the cheaper per-(stage, level) breakdown: count and
-// total only, no buckets.
-type levelCounter struct {
-	count atomic.Uint64
-	ns    atomic.Uint64
-}
-
 // Recorder accumulates stage and kernel timings. All storage is
 // fixed-size arrays of atomics, so recording from any number of
 // goroutines is safe and allocation-free. A nil *Recorder is the
@@ -188,13 +179,12 @@ type levelCounter struct {
 //	...
 //	if rec != nil { t0 = time.Now() }
 //	work()
-//	rec.Stage(obs.StageModUp, df, level, time.Since(t0))
+//	rec.Stage(obs.StageModUp, df, time.Since(t0))
 //
 // without branching on an enable flag at every site.
 type Recorder struct {
 	stages  [numStages][numDataflows]Histogram
 	kernels [numKernels][numDataflows]Histogram
-	levels  [numStages][maxLevels]levelCounter
 }
 
 func clampDataflow(df Dataflow) Dataflow {
@@ -204,32 +194,14 @@ func clampDataflow(df Dataflow) Dataflow {
 	return df
 }
 
-func clampLevel(level int) int {
-	if level < 0 {
-		return 0
-	}
-	if level >= maxLevels {
-		return maxLevels - 1
-	}
-	return level
-}
-
 // Stage records one stage execution of duration d at the given
-// dataflow and ciphertext level. Safe on a nil receiver (no-op) and
-// from concurrent goroutines.
-func (r *Recorder) Stage(st Stage, df Dataflow, level int, d time.Duration) {
+// dataflow. Safe on a nil receiver (no-op) and from concurrent
+// goroutines.
+func (r *Recorder) Stage(st Stage, df Dataflow, d time.Duration) {
 	if r == nil || st >= numStages {
 		return
 	}
-	df = clampDataflow(df)
-	r.stages[st][df].observe(d)
-	lc := &r.levels[st][clampLevel(level)]
-	lc.count.Add(1)
-	ns := uint64(d)
-	if d < 0 {
-		ns = 0
-	}
-	lc.ns.Add(ns)
+	r.stages[st][clampDataflow(df)].observe(d)
 }
 
 // Kernel records one kernel tile of duration d at the given dataflow.

@@ -26,7 +26,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				st := Stage(rng.Intn(int(numStages)))
 				df := Dataflow(rng.Intn(int(numDataflows)))
-				r.Stage(st, df, rng.Intn(8), time.Duration(rng.Intn(1<<20)))
+				r.Stage(st, df, time.Duration(rng.Intn(1<<20)))
 				r.Kernel(Kernel(rng.Intn(int(numKernels))), df, time.Duration(rng.Intn(1<<16)))
 			}
 		}(int64(g))
@@ -34,7 +34,7 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 
 	snap := r.Snapshot()
-	var stageCount, kernelCount, levelCount uint64
+	var stageCount, kernelCount uint64
 	for _, hs := range snap.Stages {
 		stageCount += hs.Count
 		var b uint64
@@ -48,13 +48,9 @@ func TestConcurrentRecording(t *testing.T) {
 	for _, hs := range snap.Kernels {
 		kernelCount += hs.Count
 	}
-	for _, ls := range snap.Levels {
-		levelCount += ls.Count
-	}
 	want := uint64(goroutines * perG)
-	if stageCount != want || kernelCount != want || levelCount != want {
-		t.Fatalf("counts (stages %d, kernels %d, levels %d), want %d each",
-			stageCount, kernelCount, levelCount, want)
+	if stageCount != want || kernelCount != want {
+		t.Fatalf("counts (stages %d, kernels %d), want %d each", stageCount, kernelCount, want)
 	}
 }
 
@@ -69,10 +65,9 @@ func TestMergeExact(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		st := Stage(rng.Intn(int(numStages)))
 		df := Dataflow(rng.Intn(int(numDataflows)))
-		level := rng.Intn(12)
 		d := time.Duration(rng.Int63n(1 << uint(rng.Intn(40))))
-		whole.Stage(st, df, level, d)
-		parts[rng.Intn(len(parts))].Stage(st, df, level, d)
+		whole.Stage(st, df, d)
+		parts[rng.Intn(len(parts))].Stage(st, df, d)
 		k := Kernel(rng.Intn(int(numKernels)))
 		whole.Kernel(k, df, d)
 		parts[rng.Intn(len(parts))].Kernel(k, df, d)
@@ -100,7 +95,7 @@ func TestMergeNil(t *testing.T) {
 		t.Fatal("merge of nil snapshots must be nil")
 	}
 	r := &Recorder{}
-	r.Stage(StageModUp, DataflowMP, 3, time.Millisecond)
+	r.Stage(StageModUp, DataflowMP, time.Millisecond)
 	snap := r.Snapshot()
 	m := Merge(nil, snap, nil)
 	if m == nil || len(m.Stages) != 1 || m.Stages[0].Count != 1 {
@@ -113,14 +108,14 @@ func TestMergeNil(t *testing.T) {
 func TestZeroAlloc(t *testing.T) {
 	r := &Recorder{}
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stage(StageModUp, DataflowMP, 5, 123*time.Microsecond)
+		r.Stage(StageModUp, DataflowMP, 123*time.Microsecond)
 		r.Kernel(KernelNTT, DataflowMP, 45*time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("enabled hot path allocates %.1f times per record", n)
 	}
 	var nilRec *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
-		nilRec.Stage(StageModUp, DataflowMP, 5, 123*time.Microsecond)
+		nilRec.Stage(StageModUp, DataflowMP, 123*time.Microsecond)
 		nilRec.Kernel(KernelNTT, DataflowMP, 45*time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("disabled nil path allocates %.1f times per record", n)
@@ -132,27 +127,22 @@ func TestSnapshotNilAndClamps(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil recorder must snapshot to nil")
 	}
-	r.Stage(StageModUp, DataflowMP, 0, time.Second) // no-op, no panic
+	r.Stage(StageModUp, DataflowMP, time.Second) // no-op, no panic
 
 	rec := &Recorder{}
-	rec.Stage(StageApply, Dataflow(200), -5, -time.Second)
-	rec.Stage(StageApply, DataflowOC, maxLevels+10, time.Second)
+	rec.Stage(StageApply, Dataflow(200), -time.Second)
+	rec.Stage(StageApply, DataflowOC, time.Second)
 	snap := rec.Snapshot()
 	if len(snap.Stages) != 2 {
 		t.Fatalf("clamped records lost: %+v", snap.Stages)
-	}
-	for _, ls := range snap.Levels {
-		if ls.Level < 0 || ls.Level >= maxLevels {
-			t.Fatalf("unclamped level %d", ls.Level)
-		}
 	}
 }
 
 func TestShares(t *testing.T) {
 	r := &Recorder{}
-	r.Stage(StageModUp, DataflowMP, 3, 600*time.Millisecond)
-	r.Stage(StageModUp, DataflowDC, 3, 100*time.Millisecond)
-	r.Stage(StageApply, DataflowMP, 3, 300*time.Millisecond)
+	r.Stage(StageModUp, DataflowMP, 600*time.Millisecond)
+	r.Stage(StageModUp, DataflowDC, 100*time.Millisecond)
+	r.Stage(StageApply, DataflowMP, 300*time.Millisecond)
 	r.Kernel(KernelNTT, DataflowMP, 500*time.Millisecond) // nested: must not count
 	shares := Shares(r.Snapshot(), 1.0)
 	if len(shares) != 2 {
@@ -179,7 +169,7 @@ func TestEnableActive(t *testing.T) {
 	if Active() != r {
 		t.Fatal("Active does not return the enabled recorder")
 	}
-	r.Stage(StageModUp, DataflowMP, 1, time.Millisecond)
+	r.Stage(StageModUp, DataflowMP, time.Millisecond)
 	r2 := Enable()
 	if r2 == r {
 		t.Fatal("Enable must return a fresh recorder")

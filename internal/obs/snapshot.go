@@ -17,15 +17,6 @@ type HistogramSnapshot struct {
 	Buckets  []uint64 `json:"buckets"`
 }
 
-// LevelSnapshot is one (stage, level) slice of the per-level
-// breakdown.
-type LevelSnapshot struct {
-	Stage string `json:"stage"`
-	Level int    `json:"level"`
-	Count uint64 `json:"count"`
-	SumNs uint64 `json:"sum_ns"`
-}
-
 // Snapshot is a point-in-time drain of a Recorder: only entries with
 // a nonzero count appear, in deterministic (stage, dataflow) order,
 // so equal profiles serialize identically. Snapshots are plain data —
@@ -34,7 +25,6 @@ type LevelSnapshot struct {
 type Snapshot struct {
 	Stages  []HistogramSnapshot `json:"stages,omitempty"`
 	Kernels []HistogramSnapshot `json:"kernels,omitempty"`
-	Levels  []LevelSnapshot     `json:"levels,omitempty"`
 }
 
 func drainHistogram(h *Histogram, name, df string) (HistogramSnapshot, bool) {
@@ -70,15 +60,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 				snap.Stages = append(snap.Stages, hs)
 			}
 		}
-		for level := maxLevels - 1; level >= 0; level-- {
-			lc := &r.levels[st][level]
-			if count := lc.count.Load(); count != 0 {
-				snap.Levels = append(snap.Levels, LevelSnapshot{
-					Stage: st.String(), Level: level,
-					Count: count, SumNs: lc.ns.Load(),
-				})
-			}
-		}
 	}
 	for k := Kernel(0); k < numKernels; k++ {
 		for df := Dataflow(0); df < numDataflows; df++ {
@@ -86,9 +67,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 				snap.Kernels = append(snap.Kernels, hs)
 			}
 		}
-	}
-	if len(snap.Stages) == 0 && len(snap.Kernels) == 0 && len(snap.Levels) == 0 {
-		return &Snapshot{}
 	}
 	return snap
 }
@@ -152,18 +130,13 @@ func mergeHistograms(dst []HistogramSnapshot, rank func(string) int, srcs ...[]H
 	return dst
 }
 
-// Merge sums snapshots into one: histogram bucket counts, totals, and
-// per-level counters add exactly, so merging per-shard snapshots
-// loses nothing — the fabric-wide bucket counts equal the sum of the
-// shards', which is the invariant the cluster report verifies. Nil
-// snapshots are skipped; merging zero non-nil snapshots returns nil.
+// Merge sums snapshots into one: histogram bucket counts and totals
+// add exactly, so merging per-shard snapshots loses nothing — the
+// fabric-wide bucket counts equal the sum of the shards', which is the
+// invariant the cluster report verifies. Nil snapshots are skipped;
+// merging zero non-nil snapshots returns nil.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	var stages, kernels [][]HistogramSnapshot
-	type lkey struct {
-		stage string
-		level int
-	}
-	lv := map[lkey]*LevelSnapshot{}
 	any := false
 	for _, s := range snaps {
 		if s == nil {
@@ -172,36 +145,14 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		any = true
 		stages = append(stages, s.Stages)
 		kernels = append(kernels, s.Kernels)
-		for i := range s.Levels {
-			ls := &s.Levels[i]
-			k := lkey{ls.Stage, ls.Level}
-			e := lv[k]
-			if e == nil {
-				e = &LevelSnapshot{Stage: ls.Stage, Level: ls.Level}
-				lv[k] = e
-			}
-			e.Count += ls.Count
-			e.SumNs += ls.SumNs
-		}
 	}
 	if !any {
 		return nil
 	}
-	out := &Snapshot{
+	return &Snapshot{
 		Stages:  mergeHistograms(nil, stageRank, stages...),
 		Kernels: mergeHistograms(nil, kernelRank, kernels...),
 	}
-	for _, e := range lv {
-		out.Levels = append(out.Levels, *e)
-	}
-	sort.Slice(out.Levels, func(a, b int) bool {
-		ra, rb := stageRank(out.Levels[a].Stage), stageRank(out.Levels[b].Stage)
-		if ra != rb {
-			return ra < rb
-		}
-		return out.Levels[a].Level > out.Levels[b].Level
-	})
-	return out
 }
 
 // StageShare is one stage's slice of a measured wall-clock interval.
@@ -218,9 +169,9 @@ type StageShare struct {
 
 // Shares reduces a snapshot to per-stage totals against a measured
 // wall time. Only the stage histograms contribute — the kernel tiles
-// execute *inside* stage timings and the per-level counters repeat
-// them, so summing either would double-count. Stages with zero count
-// are omitted; a nil snapshot or non-positive wall yields nil.
+// execute *inside* stage timings, so summing them would double-count.
+// Stages with zero count are omitted; a nil snapshot or non-positive
+// wall yields nil.
 func Shares(s *Snapshot, wallSec float64) []StageShare {
 	if s == nil || wallSec <= 0 {
 		return nil

@@ -27,10 +27,9 @@ type Span struct {
 // bound. 1<<20 spans cover several seconds of bench-scale tracing.
 const maxSpans = 1 << 20
 
-// Tracer collects spans for a Chrome trace-event export. It
-// implements the engine's Tracer hook (Span) for graph-node tiles and
-// offers SpanTrack for higher layers (serve groups, request phases)
-// to record on their own tracks. Recording is mutex-guarded — the
+// Tracer collects spans for a Chrome trace-event export: Span for
+// internal/hks's engine tasks, SpanTrack for higher layers (serve
+// groups, request phases) on their own tracks. Recording is mutex-guarded — the
 // tracer is meant for explicitly requested -trace runs, not the
 // always-on profiling path.
 type Tracer struct {
@@ -45,8 +44,7 @@ func NewTracer() *Tracer {
 	return &Tracer{base: time.Now()}
 }
 
-// Span records an interval on the "worker" track — the engine calls
-// this for every named graph node it executes. Safe on a nil
+// Span records an interval on the "worker" track. Safe on a nil
 // receiver.
 func (t *Tracer) Span(name string, start, end time.Time) {
 	t.SpanTrack("worker", name, start, end)

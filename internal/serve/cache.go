@@ -15,10 +15,7 @@ package serve
 // on) is charged the *compressed* footprint, so the same byte budget
 // holds about three times the keys at 40/41-bit towers (the B-half
 // packed at residue width, the A-half a seed), and the replay draws the
-// A-half from the seeds as its apply tiles need it. DenseBytes in
-// the stats is the what-if dense footprint of the resident set; its
-// ratio to Bytes is the measured compression the `ciflow serve` report
-// and `ablate-keycomp` print.
+// A-half from the seeds as its apply tiles need it.
 //
 // Residency is tenant-sharded: entries carry their KeyID's tenant,
 // recency is tracked globally, and eviction takes the globally
@@ -77,17 +74,15 @@ type KeyMaterialFunc func(id KeyID) (hks.KeyMaterial, error)
 func (f KeyMaterialFunc) Key(id KeyID) (hks.KeyMaterial, error) { return f(id) }
 
 // TenantCacheStats is one tenant's slice of the key cache: resident
-// keys and bytes (with the dense-equivalent footprint alongside), and
-// the hit/miss/eviction counters.
+// keys and bytes, and the hit/miss/eviction counters.
 type TenantCacheStats struct {
-	Tenant     string  `json:"tenant"`
-	Size       int     `json:"size"`
-	Bytes      int64   `json:"bytes"`
-	DenseBytes int64   `json:"dense_bytes"`
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	Evictions  uint64  `json:"evictions"`
-	HitRate    float64 `json:"hit_rate"`
+	Tenant    string  `json:"tenant"`
+	Size      int     `json:"size"`
+	Bytes     int64   `json:"bytes"`
+	Hits      uint64  `json:"hits"`
+	Misses    uint64  `json:"misses"`
+	Evictions uint64  `json:"evictions"`
+	HitRate   float64 `json:"hit_rate"`
 }
 
 // add folds o into tc: residency and counters add, and the hit rate is
@@ -95,7 +90,6 @@ type TenantCacheStats struct {
 func (tc *TenantCacheStats) add(o TenantCacheStats) {
 	tc.Size += o.Size
 	tc.Bytes += o.Bytes
-	tc.DenseBytes += o.DenseBytes
 	tc.Hits += o.Hits
 	tc.Misses += o.Misses
 	tc.Evictions += o.Evictions
@@ -111,18 +105,14 @@ func (tc *TenantCacheStats) add(o TenantCacheStats) {
 // caller's in-flight load counts as a hit (the load was shared);
 // HitRate is hits over all Gets.
 type CacheStats struct {
-	BudgetBytes int64 `json:"budget_bytes"`
-	Bytes       int64 `json:"bytes"`
-	// DenseBytes is what the resident set would occupy fully expanded;
-	// DenseBytes/Bytes is the measured compression ratio (1.0 when
-	// every resident key is dense).
-	DenseBytes int64              `json:"dense_bytes"`
-	Size       int                `json:"size"`
-	Hits       uint64             `json:"hits"`
-	Misses     uint64             `json:"misses"`
-	Evictions  uint64             `json:"evictions"`
-	HitRate    float64            `json:"hit_rate"`
-	Tenants    []TenantCacheStats `json:"tenants"`
+	BudgetBytes int64              `json:"budget_bytes"`
+	Bytes       int64              `json:"bytes"`
+	Size        int                `json:"size"`
+	Hits        uint64             `json:"hits"`
+	Misses      uint64             `json:"misses"`
+	Evictions   uint64             `json:"evictions"`
+	HitRate     float64            `json:"hit_rate"`
+	Tenants     []TenantCacheStats `json:"tenants"`
 }
 
 // cacheTotal is the CacheStats of a set of tenant shards: every figure
@@ -134,17 +124,16 @@ func cacheTotal(tenants []TenantCacheStats) CacheStats {
 		all.add(tc)
 	}
 	return CacheStats{
-		Bytes: all.Bytes, DenseBytes: all.DenseBytes, Size: all.Size,
+		Bytes: all.Bytes, Size: all.Size,
 		Hits: all.Hits, Misses: all.Misses, Evictions: all.Evictions,
 		HitRate: all.HitRate, Tenants: tenants,
 	}
 }
 
 type cacheEntry struct {
-	id         KeyID
-	mat        hks.KeyMaterial
-	bytes      int64 // resident footprint of the cached form
-	denseBytes int64 // footprint once expanded (== bytes when dense)
+	id    KeyID
+	mat   hks.KeyMaterial
+	bytes int64 // resident footprint of the cached form
 }
 
 // keyLoad is one in-flight backing-store load, joined by every
@@ -230,17 +219,11 @@ func (c *keyCache) Get(id KeyID) (hks.KeyMaterial, error) {
 	c.mu.Lock()
 	delete(c.loading, id)
 	if l.err == nil && l.mat != nil {
-		e := &cacheEntry{
-			id:         id,
-			mat:        l.mat,
-			bytes:      int64(l.mat.SizeBytes()),
-			denseBytes: int64(l.mat.DenseSizeBytes()),
-		}
+		e := &cacheEntry{id: id, mat: l.mat, bytes: int64(l.mat.SizeBytes())}
 		c.entries[id] = c.order.PushFront(e)
 		sh := c.shard(id.Tenant)
 		sh.Size++
 		sh.Bytes += e.bytes
-		sh.DenseBytes += e.denseBytes
 		c.bytes += e.bytes
 		c.evictLocked()
 	}
@@ -271,7 +254,6 @@ func (c *keyCache) evictLocked() {
 		sh := c.shards[e.id.Tenant]
 		sh.Size--
 		sh.Bytes -= e.bytes
-		sh.DenseBytes -= e.denseBytes
 		sh.Evictions++
 		c.bytes -= e.bytes
 	}

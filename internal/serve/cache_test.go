@@ -275,26 +275,25 @@ func TestEvkSizeBytesPinned(t *testing.T) {
 	if got := comp.SizeBytes(); got != wantComp {
 		t.Fatalf("compressed SizeBytes %d, want dnum×(Σ_t N·⌈bits(q_t)/8⌉+32) = %d", got, wantComp)
 	}
-	if got := comp.DenseSizeBytes(); got != wantDense {
-		t.Fatalf("compressed DenseSizeBytes %d, want %d", got, wantDense)
+	if got := comp.Expand(r).SizeBytes(); got != wantDense {
+		t.Fatalf("expanded SizeBytes %d, want %d", got, wantDense)
 	}
 
 	// The cache accounts each form with exactly its own weight: dense
-	// entries at the dense footprint (DenseBytes == Bytes), compressed
-	// entries at the compressed footprint with the what-if dense
-	// footprint alongside.
+	// entries at the dense footprint, compressed entries at the
+	// compressed footprint.
 	c := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return evk, nil }), 1<<30)
 	if _, err := c.Get(rotID(0)); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Bytes != int64(wantDense) || st.DenseBytes != int64(wantDense) {
-		t.Fatalf("dense cache bytes %d/%d, want %d/%d", st.Bytes, st.DenseBytes, wantDense, wantDense)
+	if st := c.Stats(); st.Bytes != int64(wantDense) {
+		t.Fatalf("dense cache bytes %d, want %d", st.Bytes, wantDense)
 	}
 	cc := newKeyCache(KeyMaterialFunc(func(KeyID) (hks.KeyMaterial, error) { return comp, nil }), 1<<30)
 	if _, err := cc.Get(rotID(0)); err != nil {
 		t.Fatal(err)
 	}
-	if st := cc.Stats(); st.Bytes != int64(wantComp) || st.DenseBytes != int64(wantDense) {
-		t.Fatalf("compressed cache bytes %d/%d, want %d/%d", st.Bytes, st.DenseBytes, wantComp, wantDense)
+	if st := cc.Stats(); st.Bytes != int64(wantComp) {
+		t.Fatalf("compressed cache bytes %d, want %d", st.Bytes, wantComp)
 	}
 }

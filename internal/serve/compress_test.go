@@ -41,8 +41,8 @@ func (b *testBench) compressedSource(t *testing.T) KeySource {
 // against the dense direct switch: drawing the A-half in the apply tiles
 // must change residency and scheduling, never values. It also pins the
 // expansion accounting — one expansion per served request (hits draw
-// too; that is the compression trade) — and the cache's two-footprint
-// books (DenseBytes > Bytes when compressed material is resident).
+// too; that is the compression trade) — and that the cache charges the
+// compressed footprint, below what the same keys expanded occupy.
 func TestCompressedServingBitExact(t *testing.T) {
 	const K = 4
 	b := newTestBench(t, K)
@@ -83,8 +83,13 @@ func TestCompressedServingBitExact(t *testing.T) {
 	if ts := tenantStats(t, st, ""); ts.KeyExpansions != K+1 {
 		t.Fatalf("tenant expansions %d, want %d", ts.KeyExpansions, K+1)
 	}
-	if st.Keys.DenseBytes <= st.Keys.Bytes {
-		t.Fatalf("dense footprint %d not above compressed resident %d", st.Keys.DenseBytes, st.Keys.Bytes)
+	var dense int
+	for rot := 0; rot < K; rot++ {
+		c, _ := b.evks[""][rot].Compress()
+		dense += c.Expand(b.r).SizeBytes()
+	}
+	if int64(dense) <= st.Keys.Bytes {
+		t.Fatalf("dense footprint %d not above compressed resident %d", dense, st.Keys.Bytes)
 	}
 	// K keys × dnum 2 × (N 32 × (4 × 5 bytes of a 40-bit Q residue +
 	// 3 × 6 of a 41-bit P residue) + 32 bytes of seed).

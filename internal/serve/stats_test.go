@@ -154,7 +154,7 @@ func TestMergeStats(t *testing.T) {
 			P50: 2 * ms, P99: 5 * ms,
 			PerLevel: []LevelStats{{Level: 3, Switches: 4, ModUps: 2, Coalesced: 4}},
 			Phases:   []PhaseStats{{"hoist", 2, 200}, {"replay", 4, 4000}},
-			Keys:     TenantCacheStats{Tenant: "t0", Size: 2, Bytes: 20, DenseBytes: 40, Hits: 3, Misses: 1},
+			Keys:     TenantCacheStats{Tenant: "t0", Size: 2, Bytes: 20, Hits: 3, Misses: 1},
 		}},
 	}
 	p1.Keys.BudgetBytes = 100
@@ -167,7 +167,7 @@ func TestMergeStats(t *testing.T) {
 				P50: 3 * ms, P99: 4 * ms,
 				PerLevel: []LevelStats{{Level: 3, Switches: 1, ModUps: 1}, {Level: 1, Switches: 1, ModUps: 1}},
 				Phases:   []PhaseStats{{"keys", 3, 30}, {"replay", 2, 2000}, {"zz_future", 1, 7}},
-				Keys:     TenantCacheStats{Tenant: "t0", Size: 1, Bytes: 10, DenseBytes: 20, Hits: 1, Misses: 2, Evictions: 1}},
+				Keys:     TenantCacheStats{Tenant: "t0", Size: 1, Bytes: 10, Hits: 1, Misses: 2, Evictions: 1}},
 			{Tenant: "t1", Submitted: 2, Served: 2, Groups: 1, ModUps: 1, Coalesced: 2,
 				P50: ms, P99: ms,
 				PerLevel: []LevelStats{{Level: 1, Switches: 2, ModUps: 1, Coalesced: 2}},
@@ -183,7 +183,7 @@ func TestMergeStats(t *testing.T) {
 			P50: ms, P99: 9 * ms,
 			PerLevel: []LevelStats{{Level: 2, Switches: 1, ModUps: 1}},
 			Phases:   []PhaseStats{{"enqueue", 1, 5}},
-			Keys:     TenantCacheStats{Tenant: "t1", Size: 1, Bytes: 10, DenseBytes: 20, Hits: 2},
+			Keys:     TenantCacheStats{Tenant: "t1", Size: 1, Bytes: 10, Hits: 2},
 		}},
 	}
 	p3.Keys.BudgetBytes = 25
@@ -197,7 +197,7 @@ func TestMergeStats(t *testing.T) {
 		CoalescingFactor: 1.5, P50: 3 * ms, P99: 5 * ms,
 		PerLevel: []LevelStats{{Level: 3, Switches: 5, ModUps: 3, Coalesced: 4}, {Level: 1, Switches: 1, ModUps: 1}},
 		Phases:   []PhaseStats{{"keys", 3, 30}, {"hoist", 2, 200}, {"replay", 6, 6000}, {"zz_future", 1, 7}},
-		Keys: TenantCacheStats{Tenant: "t0", Size: 3, Bytes: 30, DenseBytes: 60,
+		Keys: TenantCacheStats{Tenant: "t0", Size: 3, Bytes: 30,
 			Hits: 4, Misses: 3, Evictions: 1, HitRate: 4.0 / 7},
 	}
 	if len(m.Tenants) != 2 || !reflect.DeepEqual(m.Tenants[0], t0) || m.Tenants[1].Tenant != "t1" {
@@ -209,7 +209,7 @@ func TestMergeStats(t *testing.T) {
 	if m.P50 != 3*ms || m.P99 != 9*ms {
 		t.Fatalf("percentiles p50=%v p99=%v, want the worst part's 3ms/9ms", m.P50, m.P99)
 	}
-	if k := m.Keys; k.BudgetBytes != 175 || k.Size != 4 || k.Bytes != 40 || k.DenseBytes != 80 ||
+	if k := m.Keys; k.BudgetBytes != 175 || k.Size != 4 || k.Bytes != 40 ||
 		k.Hits != 6 || k.Misses != 5 || k.Evictions != 1 || k.HitRate != 6.0/11 ||
 		len(k.Tenants) != 2 || k.Tenants[0] != t0.Keys {
 		t.Fatalf("merged key-cache stats wrong: %+v", k)
