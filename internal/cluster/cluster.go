@@ -49,8 +49,9 @@
 // hoist-group coalesces, per level — and every result must be
 // bit-exact with a serial replay in the router's process, end-to-end
 // over the wire. `ciflow serve -shards S` spawns the shards, runs the
-// replay, and enforces both; `ciflow shard` and `ciflow router` expose
-// the halves for multi-machine use.
+// router inside its own process, replays, and enforces both; `ciflow
+// shard` is one shard on its own. There is no router verb: the router
+// runs only inside `ciflow serve -shards S`.
 package cluster
 
 import "ciflow/internal/serve"

@@ -315,20 +315,19 @@ func TestAggregateStats(t *testing.T) {
 		count, sumNs uint64
 		buckets      map[int]uint64
 	}
-	want := map[[2]string]*hist{}
+	want := map[string]*hist{}
 	recs := [2]obs.Recorder{}
 	for i, o := range []struct {
 		stage obs.Stage
-		df    obs.Dataflow
 		ns    uint64
 	}{
-		{obs.StageModUp, obs.DataflowMP, 900}, {obs.StageModUp, obs.DataflowMP, 70_000},
-		{obs.StageModUp, obs.DataflowMP, 1000}, {obs.StageApply, obs.DataflowOC, 3},
-		{obs.StageModDown, obs.DataflowMP, 1 << 20}, {obs.StageApply, obs.DataflowOC, 5_000_000},
-		{obs.StageModUp, obs.DataflowDC, 1}, {obs.StageModUp, obs.DataflowMP, 70_001},
+		{obs.StageModUp, 900}, {obs.StageModUp, 70_000},
+		{obs.StageModUp, 1000}, {obs.StageApply, 3},
+		{obs.StageModDown, 1 << 20}, {obs.StageApply, 5_000_000},
+		{obs.StageModUp, 1}, {obs.StageModUp, 70_001},
 	} {
-		recs[i%2].Stage(o.stage, o.df, time.Duration(o.ns))
-		k := [2]string{o.stage.String(), o.df.String()}
+		recs[i%2].Stage(o.stage, time.Duration(o.ns))
+		k := o.stage.String()
 		if want[k] == nil {
 			want[k] = &hist{buckets: map[int]uint64{}}
 		}
@@ -343,19 +342,19 @@ func TestAggregateStats(t *testing.T) {
 		t.Fatalf("aggregate profile %+v, want %d stage histograms", agg.Profile, len(want))
 	}
 	for _, hs := range agg.Profile.Stages {
-		w := want[[2]string{hs.Name, hs.Dataflow}]
+		w := want[hs.Name]
 		if w == nil || hs.Count != w.count || hs.SumNs != w.sumNs {
-			t.Fatalf("aggregate %s/%s: %+v, tallied %+v", hs.Name, hs.Dataflow, hs, w)
+			t.Fatalf("aggregate %s: %+v, tallied %+v", hs.Name, hs, w)
 		}
 		var inBuckets uint64
 		for i, v := range hs.Buckets {
 			if v != w.buckets[i] {
-				t.Fatalf("aggregate %s/%s bucket %d holds %d, tallied %d", hs.Name, hs.Dataflow, i, v, w.buckets[i])
+				t.Fatalf("aggregate %s bucket %d holds %d, tallied %d", hs.Name, i, v, w.buckets[i])
 			}
 			inBuckets += v
 		}
 		if inBuckets != w.count {
-			t.Fatalf("aggregate %s/%s buckets hold %d of %d observations", hs.Name, hs.Dataflow, inBuckets, w.count)
+			t.Fatalf("aggregate %s buckets hold %d of %d observations", hs.Name, inBuckets, w.count)
 		}
 	}
 	if agg.Submitted != 10 || agg.Served != 10 || agg.Batches != 6 ||

@@ -179,7 +179,7 @@ func FuzzDecodeResult(f *testing.F) {
 // the frame claimed.
 func FuzzDecodeStats(f *testing.F) {
 	var rec obs.Recorder
-	rec.Stage(obs.StageModUp, obs.DataflowOC, 900)
+	rec.Stage(obs.StageModUp, 900)
 	honest := serve.Stats{
 		Submitted: 6, Served: 5, Failed: 1, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 4,
 		P50: 3e6, P99: 9e6, Kernel: "generic", Profile: rec.Snapshot(),

@@ -417,17 +417,19 @@ func (rt *Router) Ping(i int) error {
 }
 
 // ShardStats fetches shard i's serve.Stats snapshot: over the wire
-// while it lives, from the cached drain-final snapshot afterwards.
+// while it lives, from the cached drain-final snapshot afterwards —
+// rebuilt by serve.MergeStats, so the caller's copy shares no storage
+// with the cached books.
 func (rt *Router) ShardStats(i int) (serve.Stats, error) {
 	sc := rt.shards[i]
 	if final := sc.final.Load(); final != nil {
-		return final.Snapshot(), nil
+		return serve.MergeStats(*final), nil
 	}
 	st, err := rt.roundTripStats(sc, FrameStatsReq, FrameStats)
 	if final := sc.final.Load(); err != nil && final != nil {
 		// A drain that finished while this exchange was failing left
 		// the final books behind.
-		return final.Snapshot(), nil
+		return serve.MergeStats(*final), nil
 	}
 	return st, err
 }

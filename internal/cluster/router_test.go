@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/hks"
+	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -221,5 +223,68 @@ func TestRouterRefusesWrongControlReply(t *testing.T) {
 	}
 	if st := rt.Status(); st[0].State != ShardDown {
 		t.Fatalf("shard is %s after a wrong-type reply, want down", st[0].State)
+	}
+}
+
+// A drained shard's books are cached on the router, and ShardStats
+// hands out a copy of them that shares no storage with the cache: a
+// caller that edits what it got (a report adding its own figures)
+// cannot change what the next caller reads, and the copy equals the
+// books the shard sent.
+func TestRouterDrainedStatsUnaliased(t *testing.T) {
+	var rec obs.Recorder
+	rec.Stage(obs.StageModUp, 900)
+	rec.Kernel(obs.KernelNTT, 300)
+	books := serve.MergeStats(serve.Stats{
+		P50: time.Millisecond, P99: 2 * time.Millisecond, Kernel: "generic", Profile: rec.Snapshot(),
+		Keys: serve.CacheStats{BudgetBytes: 64},
+		Tenants: []serve.TenantStats{{
+			Tenant: "t0", Submitted: 3, Served: 3, Groups: 1, ModUps: 1, Coalesced: 2,
+			P50: time.Millisecond, P99: 2 * time.Millisecond,
+			PerLevel: []serve.LevelStats{{Level: 3, Switches: 3, ModUps: 1, Coalesced: 2}},
+			Phases:   []serve.PhaseStats{{Phase: "hoist", Count: 1, TotalNs: 100}},
+			Keys:     serve.TenantCacheStats{Tenant: "t0", Size: 3, Bytes: 48, Misses: 3},
+		}},
+	})
+	addr := fakeShard(t, func(typ FrameType, _ []byte) ([]frame, bool) {
+		if typ != FrameDrain {
+			return nil, false
+		}
+		p, err := EncodeStats(books)
+		if err != nil {
+			t.Errorf("fake shard: %v", err)
+			return nil, true
+		}
+		return []frame{{FrameDrainDone, p}}, false
+	})
+	rt, err := NewRouter(testCtx(t).R, []string{addr}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	final, err := rt.Drain(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rt.ShardStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, final) || !reflect.DeepEqual(got, books) {
+		t.Fatalf("drained shard stats %+v, the shard sent %+v", got, books)
+	}
+	got.PerLevel[0].Switches = 999
+	got.Phases[0].Count = 999
+	got.Tenants[0].PerLevel[0].ModUps = 999
+	got.Tenants[0].Phases[0].TotalNs = 999
+	got.Keys.Tenants[0].Hits = 999
+	got.Profile.Stages[0].Buckets[len(got.Profile.Stages[0].Buckets)-1] = 999
+	got.Profile.Kernels[0].Count = 999
+	again, err := rt.ShardStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, books) {
+		t.Fatalf("an edit of one ShardStats copy reached the cached books: %+v", again)
 	}
 }

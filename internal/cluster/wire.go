@@ -559,10 +559,9 @@ func decodeResult(rd io.Reader, n int, r *ring.Ring) (*WireResult, error) {
 
 // EncodeStats encodes a serve.Stats snapshot as a FrameStats (or
 // FrameDrainDone) payload. The stable JSON field tags on serve.Stats
-// are the wire contract; Snapshot() guarantees the value is safe to
-// marshal while the service keeps running.
+// are the wire contract.
 func EncodeStats(st serve.Stats) ([]byte, error) {
-	return json.Marshal(st.Snapshot())
+	return json.Marshal(st)
 }
 
 // DecodeStats decodes a FrameStats/FrameDrainDone payload.

@@ -108,9 +108,9 @@ func TestSwitchStreamedBitExact(t *testing.T) {
 			if !g0.Equal(want0) || !g1.Equal(want1) {
 				t.Fatalf("%v replay %d: SwitchParallelInto differs from KeySwitch", df, i)
 			}
-			h.SwitchInto(key, g0, g1)
+			h.SwitchParallelInto(engine.Inline(), key, g0, g1)
 			if !g0.Equal(want0) || !g1.Equal(want1) {
-				t.Fatalf("%v replay %d: SwitchInto differs from KeySwitch", df, i)
+				t.Fatalf("%v replay %d: inline SwitchParallelInto differs from KeySwitch", df, i)
 			}
 		}
 		h.Release()
@@ -127,7 +127,7 @@ func TestSwitchStreamedChecks(t *testing.T) {
 	c, _ := sw4.GenEvk(s, sOld, sNew).Compress()
 	d := s.Uniform(sw2.QBasis())
 	d.IsNTT = true
-	h := sw2.Hoist(d)
+	h := sw2.HoistParallel(engine.Inline(), dataflow.MP, d)
 	defer h.Release()
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -140,10 +140,10 @@ func TestSwitchStreamedChecks(t *testing.T) {
 	c0 := r.NewPoly(sw2.QBasis())
 	c1 := r.NewPoly(sw2.QBasis())
 	mustPanic("digit mismatch", func() { h.SwitchParallelInto(nil, c, c0, c1) })
-	mustPanic("digit mismatch, serial", func() { h.SwitchInto(c, c0, c1) })
+	mustPanic("digit mismatch, serial", func() { h.SwitchParallelInto(engine.Inline(), c, c0, c1) })
 	c2, _ := sw2.GenEvk(s, sOld, sNew).Compress()
 	mustPanic("aliased outputs", func() { h.SwitchParallelInto(nil, c2, c0, c0) })
-	mustPanic("aliased outputs, serial", func() { h.SwitchInto(c2, c0, c0) })
+	mustPanic("aliased outputs, serial", func() { h.SwitchParallelInto(engine.Inline(), c2, c0, c0) })
 }
 
 // A warm HoistParallel → SwitchParallelInto → Release cycle with a

@@ -22,20 +22,21 @@
 // schedule.go — each a visit of a dataflow's plan (internal/dataflow),
 // the walk the RPU model visits too, built once into an engine.Graph —
 // and the entry points that run one (switch.go), all bit-exact with
-// one another. Every entry point runs its graph through RunGraph; the
-// serial ones run it on engine.Inline(), which runs every node on the
-// calling goroutine:
+// one another. Every entry point runs its graph through RunGraph on an
+// engine; serial is not a path of its own but engine.Inline(), which
+// runs every node on the calling goroutine:
 //
-//	KeySwitch                   MP's hoist and replay graphs on the
-//	                            caller
 //	SwitchParallelInto          one fused task graph per switch on an
 //	                            engine, shaped MP, DC, OC or OCF
-//	Hoist, HoistParallel        ModUp alone, MP's on the caller or df's
-//	                            on an engine, kept in the returned Hoisted
-//	Hoisted.Switch[Into],       ApplyKey+ModDown against one key: the
-//	  .SwitchParallelInto       state's replay graph, on the caller or
-//	                            on an engine
-//	SwitchHoisted[ParallelInto] one hoist and its replays in one call
+//	KeySwitch                   MP's fused graph on engine.Inline(),
+//	                            into fresh outputs
+//	HoistParallel               ModUp alone, df's hoist graph on an
+//	                            engine, kept in the returned Hoisted
+//	Hoisted.SwitchParallelInto  ApplyKey+ModDown against one key: the
+//	                            state's replay graph on an engine
+//	SwitchHoistedParallelInto   one hoist and its replays in one call;
+//	                            SwitchHoisted is MP's on engine.Inline(),
+//	                            into fresh outputs
 //	ModUp, ApplyEvk, ModDown    MP's graph over one stage on the
 //	                            caller, into fresh polynomials, so the
 //	                            dataflow generators in internal/dataflow
@@ -69,17 +70,15 @@ import (
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/ntt"
-	"ciflow/internal/obs"
 	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
 
 // Switcher holds the precomputed state for hybrid key switching at a
-// fixed level with a fixed digit count. Immutable after construction;
-// safe for concurrent use.
+// fixed level ℓ = len(QBasis())−1 with a fixed digit count. Immutable
+// after construction; safe for concurrent use.
 type Switcher struct {
 	R     *ring.Ring
-	Level int // ℓ: towers q_0..q_ℓ are active
 	Dnum  int // number of digits Q_ℓ is decomposed into
 	Alpha int // towers per digit, ⌈(ℓ+1)/dnum⌉
 
@@ -146,7 +145,6 @@ func newSwitcher(r *ring.Ring, level, dnum, slabDnum int) (*Switcher, error) {
 	}
 	sw := &Switcher{
 		R:      r,
-		Level:  level,
 		Dnum:   dnum,
 		Alpha:  (ell + dnum - 1) / dnum,
 		qBasis: r.QBasis(level),
@@ -513,7 +511,7 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 		ups[j] = sw.R.NewPoly(sw.dBasis)
 		ups[j].IsNTT = true
 	}
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	own := h.up
 	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
 	h.run(engine.Inline(), modUp)
@@ -535,7 +533,7 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	c0 = sw.R.NewPoly(sw.dBasis)
 	c1 = sw.R.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	own := h.up
 	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
 	h.run(engine.Inline(), apply)
@@ -556,7 +554,7 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	}
 	out := sw.R.NewPoly(sw.qBasis)
 	out.IsNTT = true
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	h.acc[0], h.out[0] = c, out
 	h.run(engine.Inline(), down0)
 	h.acc[0], h.out[0] = &h.accs[0], nil

@@ -7,7 +7,6 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
-	"ciflow/internal/obs"
 	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
@@ -129,13 +128,13 @@ func TestHoistedSerialReplayZeroAlloc(t *testing.T) {
 	evk := hoistedKeys(s, sw, 1)[0]
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	h := sw.Hoist(d)
+	h := sw.HoistParallel(engine.Inline(), dataflow.MP, d)
 	defer h.Release()
 	c0 := r.NewPoly(sw.QBasis())
 	c1 := r.NewPoly(sw.QBasis())
-	h.SwitchInto(evk, c0, c1) // warm converter scratch pools
+	h.SwitchParallelInto(engine.Inline(), evk, c0, c1) // warm converter scratch pools
 	if allocs := testing.AllocsPerRun(10, func() {
-		h.SwitchInto(evk, c0, c1)
+		h.SwitchParallelInto(engine.Inline(), evk, c0, c1)
 	}); allocs > 0 {
 		t.Fatalf("serial hoisted replay allocates %v times per run, want 0", allocs)
 	}
@@ -224,21 +223,21 @@ func TestHoistedValidation(t *testing.T) {
 	}
 
 	coeff := s.Uniform(sw.QBasis())
-	mustPanic("coefficient-domain input", func() { sw.Hoist(coeff) })
+	mustPanic("coefficient-domain input", func() { sw.HoistParallel(engine.Inline(), dataflow.MP, coeff) })
 
 	wrong := s.Uniform(sw.DBasis())
 	wrong.IsNTT = true
-	mustPanic("wrong basis", func() { sw.Hoist(wrong) })
+	mustPanic("wrong basis", func() { sw.HoistParallel(engine.Inline(), dataflow.MP, wrong) })
 
-	h := sw.Hoist(d)
+	h := sw.HoistParallel(engine.Inline(), dataflow.MP, d)
 	defer h.Release()
 	short := &Evk{B: evk.B[:1], A: evk.A[:1]}
 	c0 := r.NewPoly(sw.QBasis())
 	c1 := r.NewPoly(sw.QBasis())
-	mustPanic("short evk", func() { h.SwitchInto(short, c0, c1) })
-	mustPanic("aliased outputs", func() { h.SwitchInto(evk, c0, c0) })
+	mustPanic("short evk", func() { h.SwitchParallelInto(engine.Inline(), short, c0, c1) })
+	mustPanic("aliased outputs", func() { h.SwitchParallelInto(engine.Inline(), evk, c0, c0) })
 	bad := r.NewPoly(sw.DBasis())
-	mustPanic("wrong output basis", func() { h.SwitchInto(evk, bad, c1) })
+	mustPanic("wrong output basis", func() { h.SwitchParallelInto(engine.Inline(), evk, bad, c1) })
 	mustPanic("mismatched batch outputs", func() {
 		sw.SwitchHoistedParallelInto(nil, dataflow.MP, d, []*Evk{evk}, nil, nil)
 	})
@@ -336,7 +335,7 @@ func nonNil[T any](rows [][]T) int {
 }
 
 // TestHoistedHoldsNoScratchBetweenRuns: a state keeps only its ModUp
-// rows between graph runs. After Hoist, after every replay (serial and
+// rows between graph runs. After a hoist, after every replay (inline and
 // on an engine, with the key in either form) and after Release, it
 // points at no run-scratch row and at no key row, so a stray tile
 // panics instead of writing into another run's slab; and so does every
@@ -359,12 +358,12 @@ func TestHoistedHoldsNoScratchBetweenRuns(t *testing.T) {
 			t.Errorf("after %s the state holds %d scratch or key rows, want none", what, n)
 		}
 	}
-	h := sw.Hoist(d)
-	empty("Hoist", h)
+	h := sw.HoistParallel(engine.Inline(), dataflow.MP, d)
+	empty("a hoist", h)
 	for _, kf := range keyForms(t, evk) {
 		want0, want1 := sw.KeySwitch(d, kf.key)
-		h.SwitchInto(kf.key, c0, c1)
-		empty("a serial replay with the "+kf.name+" key", h)
+		h.SwitchParallelInto(engine.Inline(), kf.key, c0, c1)
+		empty("an inline replay with the "+kf.name+" key", h)
 		h.SwitchParallelInto(e, kf.key, c0, c1)
 		empty("an engine replay with the "+kf.name+" key", h)
 		if !c0.Equal(want0) || !c1.Equal(want1) {
@@ -384,7 +383,7 @@ func TestHoistedHoldsNoScratchBetweenRuns(t *testing.T) {
 	for _, kf := range keyForms(t, evk) {
 		for _, df := range engineDataflows {
 			sw.SwitchParallelInto(e, df, d, kf.key, c0, c1)
-			pooled := sw.state(df, obs.DataflowSerial)
+			pooled := sw.state(df)
 			empty(fmt.Sprintf("a %s switch with the %s key", df, kf.name), pooled)
 			pooled.Release()
 		}

@@ -8,7 +8,6 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
-	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
@@ -308,7 +307,7 @@ func TestApplyTilesZeroAlloc(t *testing.T) {
 	evk := sw.GenEvk(s, sOld, sNew)
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
-	st := sw.state(dataflow.OC, obs.DataflowSerial)
+	st := sw.state(dataflow.OC)
 	st.d = d
 	var towers []func()
 	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())

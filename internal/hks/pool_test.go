@@ -27,8 +27,8 @@ func TestSwitcherPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw3.Level != 3 || sw3.Dnum != 2 {
-		t.Fatalf("level 3 switcher: level %d dnum %d, want 3/2", sw3.Level, sw3.Dnum)
+	if len(sw3.QBasis())-1 != 3 || sw3.Dnum != 2 {
+		t.Fatalf("level 3 switcher: level %d dnum %d, want 3/2", len(sw3.QBasis())-1, sw3.Dnum)
 	}
 	if again, _ := p.Switcher(3); again != sw3 {
 		t.Fatal("switcher not memoized")
@@ -118,8 +118,8 @@ func TestSwitcherPoolConcurrentColdLevels(t *testing.T) {
 		if sw == nil {
 			t.Fatalf("level %d never resolved", l)
 		}
-		if sw.Level != l {
-			t.Fatalf("level %d switcher reports level %d", l, sw.Level)
+		if len(sw.QBasis())-1 != l {
+			t.Fatalf("level %d switcher reports level %d", l, len(sw.QBasis())-1)
 		}
 		wantDnum := 3
 		if l+1 < wantDnum {
@@ -207,8 +207,8 @@ func TestOneSlabAcrossLevels(t *testing.T) {
 		for _, lv := range levels {
 			key := lv.keys[form].key
 			lv.sw.SwitchParallelInto(engine.Inline(), dataflow.OC, lv.d, key, lv.c0, lv.c1)
-			h := lv.sw.Hoist(lv.d)
-			h.SwitchInto(key, lv.c0, lv.c1)
+			h := lv.sw.HoistParallel(engine.Inline(), dataflow.MP, lv.d)
+			h.SwitchParallelInto(engine.Inline(), key, lv.c0, lv.c1)
 			h.Release()
 		}
 	}

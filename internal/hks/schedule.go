@@ -35,8 +35,9 @@ package hks
 //
 // There is no other schedule. The serial entry points run these graphs
 // on engine.Inline(), the engine with no pool, which runs every node on
-// the calling goroutine: Hoist, KeySwitch and the stage binders MP's,
-// Hoisted.Switch[Into] the hoisting dataflow's replay graph.
+// the calling goroutine: KeySwitch MP's fused graph, SwitchHoisted MP's
+// hoist and replay graphs, the stage binders MP's apply and down0
+// graphs and ModUp its hoist graph.
 //
 // A per-rotation switch is its fused graph, not a hoist followed by a
 // replay: the barrier between the two would undo OC's convert+apply

@@ -7,7 +7,6 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
-	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
@@ -31,7 +30,7 @@ func (h *Hoisted) runSerial(keep func(dataflow.Tile) bool) {
 // keySwitchSerial is KeySwitch over runSerial: a serial hoist and one
 // serial replay on one state.
 func keySwitchSerial(sw *Switcher, d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	defer h.Release()
 	h.ownBypass()
 	h.d = d
@@ -51,7 +50,7 @@ func modUpSerial(sw *Switcher, d *ring.Poly) []*ring.Poly {
 		ups[j] = sw.R.NewPoly(sw.dBasis)
 		ups[j].IsNTT = true
 	}
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	own := h.up
 	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
 	h.runSerial(dataflow.ModUpTile)
@@ -65,7 +64,7 @@ func applyEvkSerial(sw *Switcher, ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly
 	c0 = sw.R.NewPoly(sw.dBasis)
 	c1 = sw.R.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	own := h.up
 	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
@@ -78,7 +77,7 @@ func applyEvkSerial(sw *Switcher, ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly
 func modDownSerial(sw *Switcher, c *ring.Poly) *ring.Poly {
 	out := sw.R.NewPoly(sw.qBasis)
 	out.IsNTT = true
-	h := sw.state(dataflow.MP, obs.DataflowSerial)
+	h := sw.state(dataflow.MP)
 	h.acc[0], h.out[0] = c, out
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind >= dataflow.DownINTT && t.J == 0 })
 	h.acc[0], h.out[0] = &h.accs[0], nil
@@ -88,8 +87,8 @@ func modDownSerial(sw *Switcher, c *ring.Poly) *ring.Poly {
 
 // TestSerialGraphsMatchWalk holds every serial entry point, now a graph
 // on engine.Inline(), to runSerial on every golden shape with the key
-// in either form: KeySwitch, a replay through SwitchInto of a state
-// hoisted under each dataflow (its own replay graph, inline),
+// in either form: KeySwitch (MP's fused graph), a replay of a state
+// hoisted inline under each dataflow (its own replay graph, inline),
 // SwitchHoisted, and the stage binders ModUp, ApplyEvk and ModDown,
 // which must also leave ModDown's input as it found it.
 func TestSerialGraphsMatchWalk(t *testing.T) {
@@ -115,9 +114,10 @@ func TestSerialGraphsMatchWalk(t *testing.T) {
 				check("KeySwitch", c0, c1)
 				for _, df := range engineDataflows {
 					h := sw.HoistParallel(engine.Inline(), df, d)
-					c0, c1 = h.Switch(kf.key)
+					c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
+					h.SwitchParallelInto(engine.Inline(), kf.key, c0, c1)
 					h.Release()
-					check(fmt.Sprintf("%s hoist and SwitchInto inline", df), c0, c1)
+					check(fmt.Sprintf("%s hoist and replay inline", df), c0, c1)
 				}
 			}
 			c0s, c1s := sw.SwitchHoisted(d, []*Evk{evk, evk})

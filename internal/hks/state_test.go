@@ -248,7 +248,7 @@ func TestStatePoolInterleaved(t *testing.T) {
 					h := sw.HoistParallel(e, df, jb.d)
 					h.SwitchParallelInto(e, evks[0], c0, c1)
 					ok := check("hoisted "+df.String(), 0)
-					h.SwitchInto(evks[1], c0, c1)
+					h.SwitchParallelInto(engine.Inline(), evks[1], c0, c1)
 					ok = ok && check("hoisted serial replay", 1)
 					h.Release()
 					if !ok {
@@ -264,7 +264,7 @@ func TestStatePoolInterleaved(t *testing.T) {
 					ok := check("compressed "+df.String(), 1)
 					h.SwitchParallelInto(e, evks[0], c0, c1)
 					ok = ok && check("dense after compressed", 0)
-					h.SwitchInto(cevk, c0, c1)
+					h.SwitchParallelInto(engine.Inline(), cevk, c0, c1)
 					ok = ok && check("compressed serial replay", 1)
 					h.Release()
 					if !ok {
@@ -373,12 +373,12 @@ func TestWrongLevelKeyRejected(t *testing.T) {
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
 	c0, c1 := r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
-	h := sw.Hoist(d)
+	h := sw.HoistParallel(engine.Inline(), dataflow.MP, d)
 	defer h.Release()
 	for name, f := range map[string]func(){
 		"KeySwitch":                             func() { sw.KeySwitch(d, low) },
 		"SwitchParallelInto":                    func() { sw.SwitchParallelInto(e, dataflow.OC, d, low, c0, c1) },
-		"Hoisted.SwitchInto":                    func() { h.SwitchInto(low, c0, c1) },
+		"inline Hoisted.SwitchParallelInto":     func() { h.SwitchParallelInto(engine.Inline(), low, c0, c1) },
 		"Hoisted.SwitchParallelInto":            func() { h.SwitchParallelInto(e, low, c0, c1) },
 		"compressed KeySwitch":                  func() { sw.KeySwitch(d, lowC) },
 		"compressed SwitchParallelInto":         func() { sw.SwitchParallelInto(e, dataflow.OC, d, lowC, c0, c1) },

@@ -19,7 +19,6 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
-	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
@@ -67,10 +66,6 @@ func (h *Hoisted) unbind() {
 	h.key, h.out = nil, [2]*ring.Poly{}
 }
 
-// engineLabel is the obs label of a switch on the engine under df: the
-// paper dataflow it belongs to, whose names obs's first labels carry.
-func engineLabel(df dataflow.Dataflow) obs.Dataflow { return obs.Dataflow(df.Paper()) }
-
 // run runs the state's graph over hf on e, inside one borrow of run
 // scratch; a nil engine is engine.Default(). The serial entry points
 // pass engine.Inline(). RunGraph returns once every node has finished,
@@ -87,12 +82,12 @@ func (h *Hoisted) run(e *engine.Engine, hf half) {
 
 // KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ)
 // on the calling goroutine, returning freshly allocated (c0, c1) over
-// B_ℓ such that c0 + c1·s ≈ d·s′: one serial hoist and one serial
-// replay. Like every entry point it takes the key in either form.
+// B_ℓ such that c0 + c1·s ≈ d·s′: MP's fused graph on engine.Inline().
+// Like every entry point it takes the key in either form.
 func (sw *Switcher) KeySwitch(d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
-	h := sw.Hoist(d)
-	defer h.Release()
-	return h.Switch(key)
+	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
+	sw.SwitchParallelInto(engine.Inline(), dataflow.MP, d, key, c0, c1)
+	return c0, c1
 }
 
 // SwitchParallelInto runs the complete HKS pipeline on d (NTT domain
@@ -108,7 +103,7 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 	if sameStorage(c0, d) || sameStorage(c1, d) {
 		panic("hks: SwitchParallelInto outputs must not alias the input")
 	}
-	h := sw.state(df, engineLabel(df))
+	h := sw.state(df)
 	h.d = d
 	h.bind(key, c0, c1)
 	h.run(e, whole)
@@ -119,25 +114,15 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 
 // ---- Hoisted switching ----
 
-// Hoist runs Decompose+ModUp once over d (NTT domain over B_ℓ) on the
-// calling goroutine — MP's hoist graph on engine.Inline() — and returns
-// the reusable hoisted state. Call Release when done with it.
-func (sw *Switcher) Hoist(d *ring.Poly) *Hoisted {
-	return sw.hoist(engine.Inline(), dataflow.MP, obs.DataflowSerial, d)
-}
-
-// HoistParallel is Hoist with the ModUp tiles executed as a task
-// graph on e, shaped by the given dataflow: its plan's ModUp half. The
-// state's parallel replays run the same plan's other half. A nil
-// engine uses engine.Default(). Bit-exact with Hoist.
+// HoistParallel runs Decompose+ModUp once over d (NTT domain over B_ℓ)
+// as a task graph on e, shaped by the given dataflow — its plan's
+// ModUp half — and returns the reusable hoisted state, whose replays
+// run the same plan's other half. Call Release when done with it. A
+// nil engine uses engine.Default(); engine.Inline() runs every tile on
+// the caller.
 func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
-	return sw.hoist(e, df, engineLabel(df), d)
-}
-
-// hoist runs df's hoist graph on e, recording under label.
-func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Dataflow, d *ring.Poly) *Hoisted {
 	must(sw.CheckInput(d))
-	h := sw.state(df, label)
+	h := sw.state(df)
 	h.ownBypass()
 	h.d = d
 	h.run(e, modUp)
@@ -145,27 +130,11 @@ func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, label obs.Data
 	return h
 }
 
-// Switch replays the hoisted ModUp against one evaluation key,
-// running ApplyKey+Reduce+ModDown serially into freshly allocated
-// (c0, c1) over B_ℓ. Bit-exact with KeySwitch(d, key).
-func (h *Hoisted) Switch(key KeyMaterial) (c0, c1 *ring.Poly) {
-	c0 = h.sw.R.NewPoly(h.sw.qBasis)
-	c1 = h.sw.R.NewPoly(h.sw.qBasis)
-	h.SwitchInto(key, c0, c1)
-	return c0, c1
-}
-
-// SwitchInto is Switch writing into caller-provided outputs: the
-// state's replay graph on engine.Inline(). A warm serial replay
-// performs zero allocations.
-func (h *Hoisted) SwitchInto(key KeyMaterial, c0, c1 *ring.Poly) {
-	h.SwitchParallelInto(engine.Inline(), key, c0, c1)
-}
-
-// SwitchParallelInto is SwitchInto with the replay executed as a task
-// graph on e, shaped by the dataflow the state was hoisted under (MP
-// after a serial Hoist); nil uses engine.Default(). Bit-exact with
-// SwitchInto.
+// SwitchParallelInto replays the hoisted ModUp against one evaluation
+// key, running ApplyKey+Reduce+ModDown into caller-provided outputs
+// (c0, c1) over B_ℓ as a task graph on e, shaped by the dataflow the
+// state was hoisted under; nil uses engine.Default(). Bit-exact with
+// KeySwitch(d, key). A warm replay performs zero allocations.
 func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *ring.Poly) {
 	h.sw.checkReplay(key, c0, c1)
 	h.bind(key, c0, c1)
@@ -174,17 +143,17 @@ func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *
 }
 
 // SwitchHoisted switches d (NTT domain over B_ℓ) with every key in
-// evks while running Decompose+ModUp only once, serially, returning
-// one freshly allocated (c0, c1) pair per key in input order. Each
-// pair is bit-exact with KeySwitch(d, evks[i]).
+// evks while running Decompose+ModUp only once, on the calling
+// goroutine — SwitchHoistedParallelInto on engine.Inline() under MP —
+// returning one freshly allocated (c0, c1) pair per key in input
+// order. Each pair is bit-exact with KeySwitch(d, evks[i]).
 func (sw *Switcher) SwitchHoisted(d *ring.Poly, evks []*Evk) (c0s, c1s []*ring.Poly) {
-	h := sw.Hoist(d)
-	defer h.Release()
 	c0s = make([]*ring.Poly, len(evks))
 	c1s = make([]*ring.Poly, len(evks))
-	for i, evk := range evks {
-		c0s[i], c1s[i] = h.Switch(evk)
+	for i := range evks {
+		c0s[i], c1s[i] = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
 	}
+	sw.SwitchHoistedParallelInto(engine.Inline(), dataflow.MP, d, evks, c0s, c1s)
 	return c0s, c1s
 }
 

@@ -55,9 +55,9 @@ import (
 // scales with the runs in flight, not with the states and levels.
 //
 // To callers it is the shared-ModUp state of one input polynomial:
-// obtain it with Hoist or HoistParallel, replay it against any number
-// of evaluation keys, dense or compressed, with Switch/SwitchInto/
-// SwitchParallelInto, and return it with Release. It is independent of
+// obtain it with HoistParallel, replay it against any number of
+// evaluation keys, dense or compressed, with SwitchParallelInto, and
+// return it with Release. It is independent of
 // its input once the hoist returns. A Hoisted must not be used
 // concurrently or after Release; hoisting and switching different
 // inputs concurrently on one Switcher is safe.
@@ -79,11 +79,9 @@ type Hoisted struct {
 	// Observability binding, captured at the entry point: rec is
 	// obs.Active() (nil when profiling is off — the tiles then read no
 	// clock), tr obs.ActiveTracer() (nil when tracing is off — the
-	// tasks then record no span), label the dataflow the samples are
-	// recorded under.
-	rec   *obs.Recorder
-	tr    *obs.Tracer
-	label obs.Dataflow
+	// tasks then record no span).
+	rec *obs.Recorder
+	tr  *obs.Tracer
 
 	// The ModUp row table [dnum][|D|], the one thing a hoist hands its
 	// replays; allocated once per state, its bypass rows at the state's
@@ -148,8 +146,8 @@ func newState(sw *Switcher) *Hoisted {
 
 // state draws an execution state from the pool, building one on a
 // miss, to run df's graphs, and captures the active recorder and
-// tracer; samples go under label.
-func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
+// tracer.
+func (sw *Switcher) state(df dataflow.Dataflow) *Hoisted {
 	if !df.Valid() {
 		panic(fmt.Sprintf("hks: unknown dataflow %v", df))
 	}
@@ -157,7 +155,7 @@ func (sw *Switcher) state(df dataflow.Dataflow, label obs.Dataflow) *Hoisted {
 	if h == nil {
 		h = newState(sw)
 	}
-	h.df, h.rec, h.tr, h.label = df, obs.Active(), obs.ActiveTracer(), label
+	h.df, h.rec, h.tr = df, obs.Active(), obs.ActiveTracer()
 	return h
 }
 
@@ -297,7 +295,7 @@ func (h *Hoisted) kernel(k obs.Kernel, t time.Time) time.Time {
 		return t
 	}
 	now := time.Now()
-	h.rec.Kernel(k, h.label, now.Sub(t))
+	h.rec.Kernel(k, now.Sub(t))
 	return now
 }
 
@@ -305,7 +303,7 @@ func (h *Hoisted) kernel(k obs.Kernel, t time.Time) time.Time {
 // h.now() when the tile ends in work no kernel covers.
 func (h *Hoisted) stage(st obs.Stage, t0, t time.Time) {
 	if h.rec != nil {
-		h.rec.Stage(st, h.label, t.Sub(t0))
+		h.rec.Stage(st, t.Sub(t0))
 	}
 }
 

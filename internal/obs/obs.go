@@ -11,8 +11,8 @@
 //   - Recorder: log-bucketed nanosecond histograms over the HKS
 //     stages (ModUp, ApplyKey, Expand — the drawing of a compressed
 //     key's A-rows — and ModDown) and the kernel tiles beneath them
-//     (NTT, BConv), broken down per dataflow (MP/DC/OC/serial). All state is fixed-size arrays of
-//     atomics — recording is wait-free and safe from every engine
+//     (NTT, BConv), one histogram per primitive whichever dataflow
+//     ran it. All state is fixed-size arrays of atomics — recording is wait-free and safe from every engine
 //     worker at once, and a nil *Recorder is the disabled fast path
 //     (every method nil-checks its receiver).
 //   - Snapshot / Merge / Shares: a Recorder drains into a Snapshot of
@@ -108,34 +108,6 @@ func (k Kernel) String() string {
 	return "unknown"
 }
 
-// Dataflow indexes the per-dataflow breakdown. The first three match
-// the paper's engine dataflows; Serial is the reference path.
-type Dataflow uint8
-
-const (
-	DataflowMP Dataflow = iota
-	DataflowDC
-	DataflowOC
-	DataflowSerial
-
-	numDataflows
-)
-
-var dataflowNames = [numDataflows]string{
-	DataflowMP:     "mp",
-	DataflowDC:     "dc",
-	DataflowOC:     "oc",
-	DataflowSerial: "serial",
-}
-
-// String returns the stable name used in JSON reports.
-func (d Dataflow) String() string {
-	if int(d) < len(dataflowNames) {
-		return dataflowNames[d]
-	}
-	return "unknown"
-}
-
 // numBuckets is the histogram resolution: bucket i counts durations
 // whose nanosecond value has bit length i (so bucket boundaries are
 // powers of two), clamped into the last bucket above ~146 hours.
@@ -179,38 +151,30 @@ func (h *Histogram) observe(d time.Duration) {
 //	...
 //	if rec != nil { t0 = time.Now() }
 //	work()
-//	rec.Stage(obs.StageModUp, df, time.Since(t0))
+//	rec.Stage(obs.StageModUp, time.Since(t0))
 //
 // without branching on an enable flag at every site.
 type Recorder struct {
-	stages  [numStages][numDataflows]Histogram
-	kernels [numKernels][numDataflows]Histogram
+	stages  [numStages]Histogram
+	kernels [numKernels]Histogram
 }
 
-func clampDataflow(df Dataflow) Dataflow {
-	if df >= numDataflows {
-		return DataflowSerial
-	}
-	return df
-}
-
-// Stage records one stage execution of duration d at the given
-// dataflow. Safe on a nil receiver (no-op) and from concurrent
-// goroutines.
-func (r *Recorder) Stage(st Stage, df Dataflow, d time.Duration) {
+// Stage records one stage execution of duration d. Safe on a nil
+// receiver (no-op) and from concurrent goroutines.
+func (r *Recorder) Stage(st Stage, d time.Duration) {
 	if r == nil || st >= numStages {
 		return
 	}
-	r.stages[st][clampDataflow(df)].observe(d)
+	r.stages[st].observe(d)
 }
 
-// Kernel records one kernel tile of duration d at the given dataflow.
-// Safe on a nil receiver (no-op) and from concurrent goroutines.
-func (r *Recorder) Kernel(k Kernel, df Dataflow, d time.Duration) {
+// Kernel records one kernel tile of duration d. Safe on a nil receiver
+// (no-op) and from concurrent goroutines.
+func (r *Recorder) Kernel(k Kernel, d time.Duration) {
 	if r == nil || k >= numKernels {
 		return
 	}
-	r.kernels[k][clampDataflow(df)].observe(d)
+	r.kernels[k].observe(d)
 }
 
 // active is the process-wide recorder; nil means profiling is off.

@@ -25,9 +25,8 @@ func TestConcurrentRecording(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perG; i++ {
 				st := Stage(rng.Intn(int(numStages)))
-				df := Dataflow(rng.Intn(int(numDataflows)))
-				r.Stage(st, df, time.Duration(rng.Intn(1<<20)))
-				r.Kernel(Kernel(rng.Intn(int(numKernels))), df, time.Duration(rng.Intn(1<<16)))
+				r.Stage(st, time.Duration(rng.Intn(1<<20)))
+				r.Kernel(Kernel(rng.Intn(int(numKernels))), time.Duration(rng.Intn(1<<16)))
 			}
 		}(int64(g))
 	}
@@ -42,7 +41,7 @@ func TestConcurrentRecording(t *testing.T) {
 			b += v
 		}
 		if b != hs.Count {
-			t.Fatalf("%s/%s: bucket sum %d != count %d", hs.Name, hs.Dataflow, b, hs.Count)
+			t.Fatalf("%s: bucket sum %d != count %d", hs.Name, b, hs.Count)
 		}
 	}
 	for _, hs := range snap.Kernels {
@@ -64,13 +63,12 @@ func TestMergeExact(t *testing.T) {
 	parts := []*Recorder{{}, {}, {}}
 	for i := 0; i < 5000; i++ {
 		st := Stage(rng.Intn(int(numStages)))
-		df := Dataflow(rng.Intn(int(numDataflows)))
 		d := time.Duration(rng.Int63n(1 << uint(rng.Intn(40))))
-		whole.Stage(st, df, d)
-		parts[rng.Intn(len(parts))].Stage(st, df, d)
+		whole.Stage(st, d)
+		parts[rng.Intn(len(parts))].Stage(st, d)
 		k := Kernel(rng.Intn(int(numKernels)))
-		whole.Kernel(k, df, d)
-		parts[rng.Intn(len(parts))].Kernel(k, df, d)
+		whole.Kernel(k, d)
+		parts[rng.Intn(len(parts))].Kernel(k, d)
 	}
 	var snaps []*Snapshot
 	for _, p := range parts {
@@ -95,7 +93,7 @@ func TestMergeNil(t *testing.T) {
 		t.Fatal("merge of nil snapshots must be nil")
 	}
 	r := &Recorder{}
-	r.Stage(StageModUp, DataflowMP, time.Millisecond)
+	r.Stage(StageModUp, time.Millisecond)
 	snap := r.Snapshot()
 	m := Merge(nil, snap, nil)
 	if m == nil || len(m.Stages) != 1 || m.Stages[0].Count != 1 {
@@ -108,15 +106,15 @@ func TestMergeNil(t *testing.T) {
 func TestZeroAlloc(t *testing.T) {
 	r := &Recorder{}
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stage(StageModUp, DataflowMP, 123*time.Microsecond)
-		r.Kernel(KernelNTT, DataflowMP, 45*time.Microsecond)
+		r.Stage(StageModUp, 123*time.Microsecond)
+		r.Kernel(KernelNTT, 45*time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("enabled hot path allocates %.1f times per record", n)
 	}
 	var nilRec *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
-		nilRec.Stage(StageModUp, DataflowMP, 123*time.Microsecond)
-		nilRec.Kernel(KernelNTT, DataflowMP, 45*time.Microsecond)
+		nilRec.Stage(StageModUp, 123*time.Microsecond)
+		nilRec.Kernel(KernelNTT, 45*time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("disabled nil path allocates %.1f times per record", n)
 	}
@@ -127,23 +125,24 @@ func TestSnapshotNilAndClamps(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil recorder must snapshot to nil")
 	}
-	r.Stage(StageModUp, DataflowMP, time.Second) // no-op, no panic
+	r.Stage(StageModUp, time.Second) // no-op, no panic
 
 	rec := &Recorder{}
-	rec.Stage(StageApply, Dataflow(200), -time.Second)
-	rec.Stage(StageApply, DataflowOC, time.Second)
+	rec.Stage(StageApply, -time.Second) // clamped to 0
+	rec.Stage(StageApply, time.Second)
+	rec.Stage(Stage(200), time.Second) // no such stage: dropped
 	snap := rec.Snapshot()
-	if len(snap.Stages) != 2 {
+	if len(snap.Stages) != 1 || snap.Stages[0].Count != 2 || snap.Stages[0].SumNs != uint64(time.Second) || snap.Stages[0].Buckets[0] != 1 {
 		t.Fatalf("clamped records lost: %+v", snap.Stages)
 	}
 }
 
 func TestShares(t *testing.T) {
 	r := &Recorder{}
-	r.Stage(StageModUp, DataflowMP, 600*time.Millisecond)
-	r.Stage(StageModUp, DataflowDC, 100*time.Millisecond)
-	r.Stage(StageApply, DataflowMP, 300*time.Millisecond)
-	r.Kernel(KernelNTT, DataflowMP, 500*time.Millisecond) // nested: must not count
+	r.Stage(StageModUp, 600*time.Millisecond)
+	r.Stage(StageModUp, 100*time.Millisecond)
+	r.Stage(StageApply, 300*time.Millisecond)
+	r.Kernel(KernelNTT, 500*time.Millisecond) // nested: must not count
 	shares := Shares(r.Snapshot(), 1.0)
 	if len(shares) != 2 {
 		t.Fatalf("got %d shares, want 2: %+v", len(shares), shares)
@@ -157,6 +156,16 @@ func TestShares(t *testing.T) {
 	if Shares(nil, 1.0) != nil || Shares(r.Snapshot(), 0) != nil {
 		t.Fatal("nil snapshot or zero wall must yield nil shares")
 	}
+
+	// A snapshot that lists a stage twice, as one decoded from a peer
+	// that split its profile further may, gets one share per stage.
+	twice := &Snapshot{Stages: []HistogramSnapshot{
+		{Name: "apply", Count: 1, SumNs: 2e8}, {Name: "mod_up", Count: 2, SumNs: 5e8}, {Name: "apply", Count: 3, SumNs: 3e8},
+	}}
+	got := Shares(twice, 1.0)
+	if len(got) != 2 || got[0].Stage != "mod_up" || got[1].Stage != "apply" || got[1].Count != 4 || got[1].Share < 0.499 || got[1].Share > 0.501 {
+		t.Fatalf("shares of a snapshot listing apply twice: %+v", got)
+	}
 }
 
 func TestEnableActive(t *testing.T) {
@@ -169,7 +178,7 @@ func TestEnableActive(t *testing.T) {
 	if Active() != r {
 		t.Fatal("Active does not return the enabled recorder")
 	}
-	r.Stage(StageModUp, DataflowMP, time.Millisecond)
+	r.Stage(StageModUp, time.Millisecond)
 	r2 := Enable()
 	if r2 == r {
 		t.Fatal("Enable must return a fresh recorder")

@@ -5,34 +5,33 @@ import (
 	"time"
 )
 
-// HistogramSnapshot is one (stage|kernel, dataflow) histogram drained
-// to plain counts. Buckets holds the log-bucket counts with trailing
-// zero buckets trimmed; bucket i counts durations whose nanosecond
-// value has bit length i.
+// HistogramSnapshot is one stage or kernel histogram drained to plain
+// counts. Buckets holds the log-bucket counts with trailing zero
+// buckets trimmed; bucket i counts durations whose nanosecond value has
+// bit length i.
 type HistogramSnapshot struct {
-	Name     string   `json:"name"`
-	Dataflow string   `json:"dataflow"`
-	Count    uint64   `json:"count"`
-	SumNs    uint64   `json:"sum_ns"`
-	Buckets  []uint64 `json:"buckets"`
+	Name    string   `json:"name"`
+	Count   uint64   `json:"count"`
+	SumNs   uint64   `json:"sum_ns"`
+	Buckets []uint64 `json:"buckets"`
 }
 
 // Snapshot is a point-in-time drain of a Recorder: only entries with
-// a nonzero count appear, in deterministic (stage, dataflow) order,
-// so equal profiles serialize identically. Snapshots are plain data —
-// safe to hold, merge, and ship over the wire (the cluster stats
-// frame carries one per shard as JSON).
+// a nonzero count appear, in stage (kernel) order, so equal profiles
+// serialize identically. Snapshots are plain data — safe to hold,
+// merge, and ship over the wire (the cluster stats frame carries one
+// per shard as JSON).
 type Snapshot struct {
 	Stages  []HistogramSnapshot `json:"stages,omitempty"`
 	Kernels []HistogramSnapshot `json:"kernels,omitempty"`
 }
 
-func drainHistogram(h *Histogram, name, df string) (HistogramSnapshot, bool) {
+func drainHistogram(h *Histogram, name string) (HistogramSnapshot, bool) {
 	count := h.count.Load()
 	if count == 0 {
 		return HistogramSnapshot{}, false
 	}
-	hs := HistogramSnapshot{Name: name, Dataflow: df, Count: count, SumNs: h.sumNs.Load()}
+	hs := HistogramSnapshot{Name: name, Count: count, SumNs: h.sumNs.Load()}
 	last := -1
 	var buckets [numBuckets]uint64
 	for i := range buckets {
@@ -55,17 +54,13 @@ func (r *Recorder) Snapshot() *Snapshot {
 	}
 	snap := &Snapshot{}
 	for st := Stage(0); st < numStages; st++ {
-		for df := Dataflow(0); df < numDataflows; df++ {
-			if hs, ok := drainHistogram(&r.stages[st][df], st.String(), df.String()); ok {
-				snap.Stages = append(snap.Stages, hs)
-			}
+		if hs, ok := drainHistogram(&r.stages[st], st.String()); ok {
+			snap.Stages = append(snap.Stages, hs)
 		}
 	}
 	for k := Kernel(0); k < numKernels; k++ {
-		for df := Dataflow(0); df < numDataflows; df++ {
-			if hs, ok := drainHistogram(&r.kernels[k][df], k.String(), df.String()); ok {
-				snap.Kernels = append(snap.Kernels, hs)
-			}
+		if hs, ok := drainHistogram(&r.kernels[k], k.String()); ok {
+			snap.Kernels = append(snap.Kernels, hs)
 		}
 	}
 	return snap
@@ -84,21 +79,18 @@ func rankOf(name string, names []string) int {
 
 func stageRank(name string) int  { return rankOf(name, stageNames[:]) }
 func kernelRank(name string) int { return rankOf(name, kernelNames[:]) }
-func dataflowRank(name string) int {
-	return rankOf(name, dataflowNames[:])
-}
 
+// mergeHistograms sums the histograms of srcs by name into dst, in
+// rank order.
 func mergeHistograms(dst []HistogramSnapshot, rank func(string) int, srcs ...[]HistogramSnapshot) []HistogramSnapshot {
-	type key struct{ name, df string }
-	m := map[key]*HistogramSnapshot{}
+	m := map[string]*HistogramSnapshot{}
 	for _, src := range srcs {
 		for i := range src {
 			hs := &src[i]
-			k := key{hs.Name, hs.Dataflow}
-			e := m[k]
+			e := m[hs.Name]
 			if e == nil {
-				e = &HistogramSnapshot{Name: hs.Name, Dataflow: hs.Dataflow}
-				m[k] = e
+				e = &HistogramSnapshot{Name: hs.Name}
+				m[hs.Name] = e
 			}
 			e.Count += hs.Count
 			e.SumNs += hs.SumNs
@@ -118,14 +110,7 @@ func mergeHistograms(dst []HistogramSnapshot, rank func(string) int, srcs ...[]H
 		if ra != rb {
 			return ra < rb
 		}
-		if dst[a].Name != dst[b].Name {
-			return dst[a].Name < dst[b].Name
-		}
-		da, db := dataflowRank(dst[a].Dataflow), dataflowRank(dst[b].Dataflow)
-		if da != db {
-			return da < db
-		}
-		return dst[a].Dataflow < dst[b].Dataflow
+		return dst[a].Name < dst[b].Name
 	})
 	return dst
 }
@@ -173,34 +158,15 @@ type StageShare struct {
 // Stages with zero count are omitted; a nil snapshot or non-positive
 // wall yields nil.
 func Shares(s *Snapshot, wallSec float64) []StageShare {
-	if s == nil || wallSec <= 0 {
+	if s == nil || wallSec <= 0 || len(s.Stages) == 0 {
 		return nil
 	}
-	totals := map[string]*StageShare{}
-	for i := range s.Stages {
-		hs := &s.Stages[i]
-		e := totals[hs.Name]
-		if e == nil {
-			e = &StageShare{Stage: hs.Name}
-			totals[hs.Name] = e
-		}
-		e.Count += hs.Count
-		e.Seconds += time.Duration(hs.SumNs).Seconds()
-	}
-	out := make([]StageShare, 0, len(totals))
-	for _, e := range totals {
-		e.Share = e.Seconds / wallSec
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		ra, rb := stageRank(out[a].Stage), stageRank(out[b].Stage)
-		if ra != rb {
-			return ra < rb
-		}
-		return out[a].Stage < out[b].Stage
-	})
-	if len(out) == 0 {
-		return nil
+	// Merge keys by name, so a snapshot that lists a stage twice (one
+	// decoded from a peer's frame) yields one share for it.
+	var out []StageShare
+	for _, hs := range Merge(s).Stages {
+		secs := time.Duration(hs.SumNs).Seconds()
+		out = append(out, StageShare{Stage: hs.Name, Count: hs.Count, Seconds: secs, Share: secs / wallSec})
 	}
 	return out
 }

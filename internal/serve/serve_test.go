@@ -873,7 +873,7 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if swLow.Dnum != b.sw.Dnum {
-		t.Fatalf("level %d has dnum %d, want the serving level's %d", swLow.Level, swLow.Dnum, b.sw.Dnum)
+		t.Fatalf("level %d has dnum %d, want the serving level's %d", len(swLow.QBasis())-1, swLow.Dnum, b.sw.Dnum)
 	}
 	full := b.r.DBasis(b.r.NumQ - 1)
 	low := swLow.GenEvk(b.s, b.s.Ternary(full), b.s.Ternary(full))
@@ -1142,9 +1142,9 @@ func TestPerLevelCounters(t *testing.T) {
 }
 
 // TestStatsSnapshotIsolated pins the two serialization properties the
-// cluster wire format relies on: Snapshot() shares no storage with
-// later snapshots (mutating one cannot corrupt another), and the JSON
-// field names are the stable wire contract.
+// cluster wire format relies on: a Stats() value shares no storage with
+// later ones (mutating one cannot corrupt another), and the JSON field
+// names are the stable wire contract.
 func TestStatsSnapshotIsolated(t *testing.T) {
 	b := newTestBench(t, 2)
 	svc := b.newService(t, Config{})
@@ -1159,7 +1159,7 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	}
 	var st Stats
 	waitUntil := time.Now().Add(5 * time.Second)
-	for st = svc.Stats().Snapshot(); st.Served < 2 && time.Now().Before(waitUntil); st = svc.Stats().Snapshot() {
+	for st = svc.Stats(); st.Served < 2 && time.Now().Before(waitUntil); st = svc.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	if st.Served != 2 || len(st.PerLevel) == 0 || len(st.Tenants) == 0 {
@@ -1170,7 +1170,7 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	st.PerLevel[0].Switches = 999
 	st.Tenants[0].PerLevel[0].ModUps = 999
 	st.Keys.Tenants[0].Hits = 999
-	fresh := svc.Stats().Snapshot()
+	fresh := svc.Stats()
 	if fresh.PerLevel[0].Switches == 999 || fresh.Tenants[0].PerLevel[0].ModUps == 999 ||
 		fresh.Keys.Tenants[0].Hits == 999 {
 		t.Fatal("snapshot mutation visible in a fresh snapshot")

@@ -387,39 +387,6 @@ func (st Stats) ForTenant(tenant string) Stats {
 	return Stats{}
 }
 
-// Snapshot returns a deep copy of st: the slices (per-tenant,
-// per-level, cache breakdowns) share no storage with the original, so
-// the copy is safe to hold, mutate, or serialize while the service
-// keeps running and later Stats() calls produce new snapshots.
-// Service.Stats() already builds fresh slices on every call; Snapshot
-// is for callers that aggregate or forward Stats values (the cluster
-// wire protocol ships them as JSON frames) and must not alias them.
-func (st Stats) Snapshot() Stats {
-	st.Keys = st.Keys.Snapshot()
-	st.PerLevel = append([]LevelStats(nil), st.PerLevel...)
-	st.Phases = append([]PhaseStats(nil), st.Phases...)
-	// Merge of a single snapshot rebuilds every slice, so the copy
-	// shares no storage with the original.
-	st.Profile = obs.Merge(st.Profile)
-	if st.Tenants != nil {
-		tenants := make([]TenantStats, len(st.Tenants))
-		for i, ts := range st.Tenants {
-			ts.PerLevel = append([]LevelStats(nil), ts.PerLevel...)
-			ts.Phases = append([]PhaseStats(nil), ts.Phases...)
-			tenants[i] = ts
-		}
-		st.Tenants = tenants
-	}
-	return st
-}
-
-// Snapshot returns a deep copy of cs whose Tenants slice shares no
-// storage with the original.
-func (cs CacheStats) Snapshot() CacheStats {
-	cs.Tenants = append([]TenantCacheStats(nil), cs.Tenants...)
-	return cs
-}
-
 // snapshot reads one tenant's books: its counters, levels and phases,
 // the percentiles of its latency window and — for the service to pool
 // with the other tenants' — the window itself, sorted. keys is the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -188,7 +189,11 @@ func TestMergeStats(t *testing.T) {
 	}
 	p3.Keys.BudgetBytes = 25
 	p1.Kernel, p3.Kernel = "generic", "generic" // p2 predates the field and says nothing
-	pristine := p1.Snapshot()
+	// A copy of p1 through its wire form shares no storage with it.
+	var pristine Stats
+	if raw, err := json.Marshal(p1); err != nil || json.Unmarshal(raw, &pristine) != nil {
+		t.Fatalf("copying p1 through JSON: %v", err)
+	}
 
 	m := MergeStats(p1, p2, p3)
 	checkSums(t, m, "merged")
