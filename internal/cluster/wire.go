@@ -316,16 +316,10 @@ func (pr *payloadReader) str(max int, what string) (string, error) {
 	return string(s), err
 }
 
-// poly reads a polynomial that leaves at least rest payload bytes after
-// it; a payload's last polynomial (rest 0) must end it exactly. Both
-// bounds are checked against the polynomial's header before any row is
-// read.
-func (pr *payloadReader) poly(r *ring.Ring, rest int) (*ring.Poly, error) {
-	least := 0
-	if rest == 0 {
-		least = pr.left
-	}
-	p, n, err := r.ReadPoly(pr.rd, least, pr.left-rest)
+// poly reads a polynomial of exactly size payload bytes, checked
+// against the polynomial's header before any row is read.
+func (pr *payloadReader) poly(r *ring.Ring, size int) (*ring.Poly, error) {
+	p, n, err := r.ReadPoly(pr.rd, size, size)
 	pr.left -= n
 	return p, err
 }
@@ -444,7 +438,7 @@ func decodeGroup(rd io.Reader, n int, r *ring.Ring) (*Group, error) {
 	for i := range g.Rots {
 		g.Rots[i] = int(int64(binary.LittleEndian.Uint64(rots[8*i:])))
 	}
-	if g.Input, err = pr.poly(r, 0); err != nil {
+	if g.Input, err = pr.poly(r, pr.left); err != nil {
 		return nil, fmt.Errorf("cluster: group input: %w", err)
 	}
 	return g, nil
@@ -521,9 +515,10 @@ func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
 	return decodeResult(bytes.NewReader(payload), len(payload), r)
 }
 
-// decodeResult decodes a FrameResult payload of n bytes from rd. C0
-// must leave room for the smallest C1, a polynomial of one tower, and
-// C1 must end the payload; on any error a polynomial already decoded
+// decodeResult decodes a FrameResult payload of n bytes from rd. A
+// switched pair shares one basis, so C0 and C1 are each exactly half
+// of what follows the head, and a lying length is refused at C0's
+// header, before any row; on any error a polynomial already decoded
 // goes back to the pool.
 func decodeResult(rd io.Reader, n int, r *ring.Ring) (*WireResult, error) {
 	pr := &payloadReader{rd: rd, left: n}
@@ -534,10 +529,14 @@ func decodeResult(rd io.Reader, n int, r *ring.Ring) (*WireResult, error) {
 	wr := &WireResult{ReqID: binary.LittleEndian.Uint64(head), Code: ResultCode(head[8])}
 	switch wr.Code {
 	case ResultOK:
-		if wr.C0, err = pr.poly(r, r.PolyWireSize(&ring.Poly{Basis: ring.Basis{0}})); err != nil {
+		if pr.left%2 != 0 {
+			return nil, fmt.Errorf("cluster: result pair of %d bytes does not split in two", pr.left)
+		}
+		half := pr.left / 2
+		if wr.C0, err = pr.poly(r, half); err != nil {
 			return nil, fmt.Errorf("cluster: result c0: %w", err)
 		}
-		if wr.C1, err = pr.poly(r, 0); err != nil {
+		if wr.C1, err = pr.poly(r, half); err != nil {
 			r.PutPoly(wr.C0)
 			return nil, fmt.Errorf("cluster: result c1: %w", err)
 		}

@@ -519,13 +519,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // A frame whose length field disagrees with the polynomials it carries
-// is refused once a polynomial's header shows it, before that
-// polynomial's rows are read: a group's input, the last polynomial of
-// its frame, must end the frame exactly, so any lie stops the decoder
-// before the first row; a result's C0 must leave room for a one-tower C1
-// and C1 must end the frame, so a lie stops it before C0's rows when C0
-// cannot fit and before C1's otherwise — C1's size is only on the wire
-// after C0's rows.
+// is refused at its first polynomial's header, before any row is read:
+// a group's input must be exactly what is left of the frame, and a
+// result's C0 and C1, a switched pair over one basis, exactly half each
+// of what follows the head.
 func TestFrameLengthLieRefusedBeforeRows(t *testing.T) {
 	r := testCtx(t).R
 	frames := pinnedFrames(t, r)
@@ -543,13 +540,14 @@ func TestFrameLengthLieRefusedBeforeRows(t *testing.T) {
 	gRows := len(g.payload) - 4*row // the input is over QBasis(3): four rows
 	polyOK := (len(ok.payload) - 9) / 2
 	c0Rows := 9 + polyOK - 3*row // QBasis(2): three rows each
-	c1Rows := len(ok.payload) - 3*row
+	lies := []int{-1, 1, -8, 8, -row, row, -tower, tower}
 	cases := []tc{
-		{g, decodeG, gRows, []int{-1, 1, -8, 8, -row, row, -tower, tower}},
-		{ok, decodeR, c1Rows, []int{-1, 1, -8, 8, -row, row, -tower, tower}},
-		// C0 cannot fit once the frame is short by more than C1 less a
-		// one-tower polynomial (header and basis: 16 + 4 bytes).
-		{ok, decodeR, c0Rows, []int{-polyOK, -(polyOK - 16 - tower) - 1}},
+		{g, decodeG, gRows, lies},
+		// C0 and C1 each take half of what follows the head, so every
+		// lie is refused at C0's header, the short ones too: C1
+		// missing whole, and one byte short of room for a one-tower C1
+		// (header and basis: 16 + 4 bytes).
+		{ok, decodeR, c0Rows, append(lies, -polyOK, -(polyOK-16-tower)-1)},
 	}
 	for _, c := range cases {
 		for _, d := range c.deltas {

@@ -31,14 +31,16 @@
 //	KeySwitch                   MP's fused graph on engine.Inline(),
 //	                            into fresh outputs
 //	HoistParallel               ModUp alone, df's hoist graph on an
-//	                            engine, kept in the returned Hoisted
+//	                            engine: the converted rows, kept in
+//	                            the returned Hoisted beside its input
 //	Hoisted.SwitchParallelInto  ApplyKey+ModDown against one key: the
 //	                            state's replay graph on an engine
 //	SwitchHoistedParallelInto   one hoist and its replays in one call;
 //	                            SwitchHoisted is MP's on engine.Inline(),
 //	                            into fresh outputs
 //	ModUp, ApplyEvk, ModDown    MP's graph over one stage on the
-//	                            caller, into fresh polynomials, so the
+//	                            caller, into fresh polynomials (ModUp
+//	                            also copies the own towers in), so the
 //	                            dataflow generators in internal/dataflow
 //	                            can be validated stage by stage
 //
@@ -55,9 +57,13 @@
 // coalesces concurrent *requests* on one ciphertext onto a shared
 // Hoisted the same way. A hoisted state's graphs are its dataflow's
 // plan cut in two: the ModUp half runs once, the replay half once per
-// key. SwitchOps/ModUpOps count that plan's weighted modular
-// operations, backing the HoistedOpsSaved reuse model that bench prints
-// (hks.hoist_model_x) beside the measured hks.hoist_speedup_x.
+// key. As in the plan, a digit's own towers bypass ModUp (paper
+// Figure 1, red towers): the state keeps only the rows the converters
+// wrote, and its replays read the own towers from the input, which
+// must stay unchanged until Release. SwitchOps/ModUpOps count that
+// plan's weighted modular operations, backing the HoistedOpsSaved
+// reuse model that bench prints (hks.hoist_model_x) beside the
+// measured hks.hoist_speedup_x.
 package hks
 
 import (
@@ -500,10 +506,14 @@ func (sw *Switcher) Decompose(d *ring.Poly) []*ring.Poly {
 
 // ModUp runs P1–P3 for every digit of d (NTT domain over B_ℓ) on the
 // calling goroutine and returns one freshly allocated polynomial per
-// digit over the full D_ℓ basis, in the NTT domain. Towers belonging to
-// the digit itself bypass INTT→BConv→NTT and are copied from the input
-// (paper Figure 1, red towers). It is a serial hoist whose row table
-// is the returned polynomials.
+// digit over the full D_ℓ basis, in the NTT domain. It is a serial
+// hoist whose row table is the returned polynomials; towers belonging
+// to the digit itself bypass INTT→BConv→NTT (paper Figure 1, red
+// towers), so no tile writes them, and ModUp then copies them from the
+// input. Those allocations and that copy are work no switch does, and
+// bench's hks.stage_sum_over_switch, which sums ModUp, ApplyEvk and
+// ModDown over one switch, counts them; ROADMAP item 1(c) moves that
+// metric onto the tiles.
 func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	must(sw.CheckInput(d))
 	ups := make([]*ring.Poly, sw.Dnum)
@@ -513,18 +523,22 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	}
 	h := sw.state(dataflow.MP)
 	own := h.up
-	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
+	h.up, h.d = rowTable(ups), d
 	h.run(engine.Inline(), modUp)
-	h.up, h.d = own, nil
+	h.up = own
 	h.Release()
+	for i, row := range d.Coeffs {
+		copy(ups[i/sw.Alpha].Coeffs[i], row)
+	}
 	return ups
 }
 
 // ApplyEvk runs P4+P5 on the calling goroutine: point-wise multiply
 // each ModUp digit with the evk pair and accumulate, returning two
 // freshly allocated polynomials over D_ℓ (NTT). It is the apply tiles
-// of a replay whose row table is ups and whose accumulators are the
-// returned polynomials.
+// of a replay whose row table is ups, whose input is the digits' own
+// towers of ups (ownTowers), and whose accumulators are the returned
+// polynomials; their allocation is work no switch does (see ModUp).
 func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	must(sw.CheckEvk(evk))
 	if len(ups) != sw.Dnum {
@@ -535,11 +549,21 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	c0.IsNTT, c1.IsNTT = true, true
 	h := sw.state(dataflow.MP)
 	own := h.up
-	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
+	h.up, h.d, h.acc, h.key = rowTable(ups), sw.ownTowers(ups), [2]*ring.Poly{c0, c1}, evk
 	h.run(engine.Inline(), apply)
 	h.up, h.acc, h.key = own, [2]*ring.Poly{&h.accs[0], &h.accs[1]}, nil
 	h.Release()
 	return c0, c1
+}
+
+// ownTowers is the input a row table over caller polynomials stands
+// for: over B_ℓ, each tower the row of its own digit's polynomial.
+func (sw *Switcher) ownTowers(ups []*ring.Poly) *ring.Poly {
+	d := &ring.Poly{Basis: sw.qBasis, Coeffs: make([][]uint64, sw.ell()), IsNTT: true}
+	for i := range d.Coeffs {
+		d.Coeffs[i] = ups[i/sw.Alpha].Coeffs[i]
+	}
+	return d
 }
 
 // ModDown reduces c (NTT domain over D_ℓ) back to B_ℓ on the calling
@@ -547,7 +571,8 @@ func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 // out = (c − Conv_{P→Q}([c]_P)) · P⁻¹. The conversion uses the exact
 // (float-corrected) variant so the P-part rounds to the nearest
 // multiple rather than adding a P-sized overshoot. It is the ModDown
-// tiles of one output whose accumulator is c, which is left unchanged.
+// tiles of one output whose accumulator is c, which is left unchanged;
+// the output's allocation is work no switch does (see ModUp).
 func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	if !c.Basis.Equal(sw.dBasis) {
 		panic(fmt.Sprintf("hks: ModDown input basis %v, want %v", c.Basis, sw.dBasis))

@@ -243,6 +243,81 @@ func TestHoistedValidation(t *testing.T) {
 	})
 }
 
+// TestHoistedKeepsOnlyConvertedRows: a hoisted state's row table holds
+// the rows the converters wrote and nothing else — dnum·|D| − ℓ rows,
+// none at a digit's own tower, which its replays read from the input
+// (paper Figure 1, red towers). On the benchmark shape (N=2^13, 6 Q
+// and 3 P towers, dnum 3) that is 21 rows, not 27, under every
+// dataflow, so also in a state drawn again from the pool.
+func TestHoistedKeepsOnlyConvertedRows(t *testing.T) {
+	r, s, _, _ := testSetup(t, 1<<13, 6, 40, 3, 41)
+	sw, err := NewSwitcher(r, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	ell, nd := len(sw.QBasis()), len(sw.DBasis())
+	if want := sw.Dnum*nd - ell; want != 21 {
+		t.Fatalf("benchmark shape keeps %d rows, want 21", want)
+	}
+	for _, df := range engineDataflows {
+		h := sw.HoistParallel(engine.Inline(), df, d)
+		rows := 0
+		for j := range h.up {
+			rows += nonNil(h.up[j])
+		}
+		if rows != sw.Dnum*nd-ell {
+			t.Errorf("%s hoist keeps %d rows, want dnum·|D| − ℓ = %d", df, rows, sw.Dnum*nd-ell)
+		}
+		for i := range ell {
+			if h.up[i/sw.Alpha][i] != nil {
+				t.Errorf("%s hoist keeps a row at digit %d's own tower %d", df, i/sw.Alpha, i)
+			}
+		}
+		h.Release()
+	}
+}
+
+// TestHoistedReplayRefusesInputAlias: a hoisted replay reads the
+// digits' own towers from the hoisted input, so an output sharing its
+// storage — the input itself or a view of its rows — is refused before
+// any tile runs, as a per-rotation switch refuses it, and the input is
+// left as it was.
+func TestHoistedReplayRefusesInputAlias(t *testing.T) {
+	r, s, sOld, sNew := testSetup(t, 32, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	orig := d.Copy()
+	view := &ring.Poly{Basis: d.Basis, Coeffs: d.Coeffs, IsNTT: true}
+	out := r.NewPoly(sw.QBasis())
+	h := sw.HoistParallel(engine.Inline(), dataflow.MP, d)
+	defer h.Release()
+	for name, c := range map[string][2]*ring.Poly{
+		"c0 is the input":    {d, out},
+		"c1 is the input":    {out, d},
+		"c0 views the input": {view, out},
+		"c1 views the input": {out, view},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			h.SwitchParallelInto(engine.Inline(), evk, c[0], c[1])
+		}()
+	}
+	if !d.Equal(orig) {
+		t.Error("a refused replay changed the input")
+	}
+}
+
 // TestOpCountsMatchParamsModel cross-validates the live-structure op
 // counters against the paper's closed-form model in internal/params:
 // a switcher and a Benchmark with the same shape must charge exactly

@@ -27,7 +27,8 @@ package hks
 //	                     extended tower converts every digit into it.
 //	replay graph  the same visit restricted to ApplyKey and ModDown;
 //	              a row no task of the graph wrote is one the hoist
-//	              left in the state. Every dataflow applies the key one
+//	              left in the state, or a digit's own tower, which is
+//	              the input's. Every dataflow applies the key one
 //	              extended tower at a time; OCF keeps its order, Section
 //	              2 first with each Q tower's ModDown behind it.
 //	apply graph   the visit restricted to the Reduce tiles: ApplyEvk.

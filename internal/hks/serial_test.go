@@ -32,10 +32,8 @@ func (h *Hoisted) runSerial(keep func(dataflow.Tile) bool) {
 func keySwitchSerial(sw *Switcher, d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly) {
 	h := sw.state(dataflow.MP)
 	defer h.Release()
-	h.ownBypass()
 	h.d = d
 	h.runSerial(dataflow.ModUpTile)
-	h.d = nil
 	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
 	h.bind(key, c0, c1)
 	h.runSerial(dataflow.ReplayTile)
@@ -52,10 +50,13 @@ func modUpSerial(sw *Switcher, d *ring.Poly) []*ring.Poly {
 	}
 	h := sw.state(dataflow.MP)
 	own := h.up
-	h.up, h.ownsBypass, h.d = rowTable(ups), true, d
+	h.up, h.d = rowTable(ups), d
 	h.runSerial(dataflow.ModUpTile)
-	h.up, h.d = own, nil
+	h.up = own
 	h.Release()
+	for i, row := range d.Coeffs {
+		copy(ups[i/sw.Alpha].Coeffs[i], row)
+	}
 	return ups
 }
 
@@ -66,7 +67,7 @@ func applyEvkSerial(sw *Switcher, ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly
 	c0.IsNTT, c1.IsNTT = true, true
 	h := sw.state(dataflow.MP)
 	own := h.up
-	h.up, h.ownsBypass, h.acc, h.key = rowTable(ups), true, [2]*ring.Poly{c0, c1}, evk
+	h.up, h.d, h.acc, h.key = rowTable(ups), sw.ownTowers(ups), [2]*ring.Poly{c0, c1}, evk
 	h.runSerial(func(t dataflow.Tile) bool { return t.Kind == dataflow.Reduce })
 	h.up, h.acc, h.key = own, [2]*ring.Poly{&h.accs[0], &h.accs[1]}, nil
 	h.Release()

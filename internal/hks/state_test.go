@@ -124,12 +124,10 @@ func TestFusedGraphShape(t *testing.T) {
 		exact("fused")
 		h = newState(sw)
 		h.df = tc.df
-		h.ownBypass()
 		h.d = d
 		slab = h.borrow()
 		hoistEdges := graphEdges(h, h.schedule(modUp), h.probes(true, false))
 		h.giveBack(slab)
-		h.d = nil
 		h.bind(evk, c0, c1)
 		slab = h.borrow()
 		replayEdges := graphEdges(h, h.schedule(replay), h.probes(false, true))

@@ -42,9 +42,10 @@ func must(err error) {
 
 // checkReplay is the precondition of every ApplyKey+ModDown, alone or
 // inside a per-rotation switch: key, of either form, passes
-// CheckMaterial, and (c0, c1) are distinct polynomials over B_ℓ. It
-// panics with the reason otherwise.
-func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
+// CheckMaterial, and (c0, c1) are distinct polynomials over B_ℓ that
+// share no storage with the input d, whose rows the apply tiles read
+// as the digits' own towers. It panics with the reason otherwise.
+func (sw *Switcher) checkReplay(key KeyMaterial, d, c0, c1 *ring.Poly) {
 	must(sw.CheckMaterial(key))
 	if !c0.Basis.Equal(sw.qBasis) || !c1.Basis.Equal(sw.qBasis) {
 		panic("hks: switch output basis mismatch")
@@ -53,6 +54,9 @@ func (sw *Switcher) checkReplay(key KeyMaterial, c0, c1 *ring.Poly) {
 	// so aliased storage would race silently.
 	if c0 == c1 || sameStorage(c0, c1) {
 		panic("hks: switch outputs must not alias each other")
+	}
+	if sameStorage(c0, d) || sameStorage(c1, d) {
+		panic("hks: switch outputs must not alias the input")
 	}
 }
 
@@ -99,15 +103,11 @@ func (sw *Switcher) KeySwitch(d *ring.Poly, key KeyMaterial) (c0, c1 *ring.Poly)
 // engine.Default(). Safe for concurrent use on one Switcher.
 func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly, key KeyMaterial, c0, c1 *ring.Poly) {
 	must(sw.CheckInput(d))
-	sw.checkReplay(key, c0, c1)
-	if sameStorage(c0, d) || sameStorage(c1, d) {
-		panic("hks: SwitchParallelInto outputs must not alias the input")
-	}
+	sw.checkReplay(key, d, c0, c1)
 	h := sw.state(df)
 	h.d = d
 	h.bind(key, c0, c1)
 	h.run(e, whole)
-	h.d = nil
 	h.unbind()
 	h.Release()
 }
@@ -117,16 +117,16 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 // HoistParallel runs Decompose+ModUp once over d (NTT domain over B_ℓ)
 // as a task graph on e, shaped by the given dataflow — its plan's
 // ModUp half — and returns the reusable hoisted state, whose replays
-// run the same plan's other half. Call Release when done with it. A
-// nil engine uses engine.Default(); engine.Inline() runs every tile on
-// the caller.
+// run the same plan's other half. The state keeps only the rows the
+// converters wrote; its replays read each digit's own towers from d,
+// which must stay unchanged until Release. Call Release when done with
+// it. A nil engine uses engine.Default(); engine.Inline() runs every
+// tile on the caller.
 func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
 	must(sw.CheckInput(d))
 	h := sw.state(df)
-	h.ownBypass()
 	h.d = d
 	h.run(e, modUp)
-	h.d = nil
 	return h
 }
 
@@ -134,9 +134,10 @@ func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *rin
 // key, running ApplyKey+Reduce+ModDown into caller-provided outputs
 // (c0, c1) over B_ℓ as a task graph on e, shaped by the dataflow the
 // state was hoisted under; nil uses engine.Default(). Bit-exact with
-// KeySwitch(d, key). A warm replay performs zero allocations.
+// KeySwitch(d, key). c0/c1 must not alias the hoisted input d. A warm
+// replay performs zero allocations.
 func (h *Hoisted) SwitchParallelInto(e *engine.Engine, key KeyMaterial, c0, c1 *ring.Poly) {
-	h.sw.checkReplay(key, c0, c1)
+	h.sw.checkReplay(key, h.d, c0, c1)
 	h.bind(key, c0, c1)
 	h.run(e, replay)
 	h.unbind()

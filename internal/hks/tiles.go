@@ -15,7 +15,10 @@ package hks
 //	downOutTower   DownOut   ModDown P2–P4: convert one Q tower, then NTT it with the
 //	                         subtract and P⁻¹ scale applied block by block
 //
-// Between runs the state keeps only the ModUp row table. Every other
+// Between runs the state keeps only the ModUp row table: the rows the
+// converters write. A digit's own towers bypass ModUp (paper Figure 1,
+// red towers), as dataflow.Plan says, so no tile copies them: ApplyKey
+// reads them as the input's rows, under every entry point. Every other
 // row a tile writes — y, the accumulators, the ModDown rows, a
 // compressed key's drawn A-rows — is run scratch, carved from a slab
 // the run borrows from the one pool every switcher shares and handed
@@ -57,24 +60,20 @@ import (
 // To callers it is the shared-ModUp state of one input polynomial:
 // obtain it with HoistParallel, replay it against any number of
 // evaluation keys, dense or compressed, with SwitchParallelInto, and
-// return it with Release. It is independent of
-// its input once the hoist returns. A Hoisted must not be used
-// concurrently or after Release; hoisting and switching different
-// inputs concurrently on one Switcher is safe.
+// return it with Release. It holds its input from the hoist until
+// Release: its replays read the input's rows as the digits' own
+// towers, so the input must stay unchanged until then. A Hoisted must
+// not be used concurrently or after Release; hoisting and switching
+// different inputs concurrently on one Switcher is safe.
 type Hoisted struct {
 	sw *Switcher
 	df dataflow.Dataflow // the graph shape of this draw
 
-	// Bound per run.
-	d   *ring.Poly    // input, while its ModUp tiles run
+	// Bound per run: the input until Release, the key and the outputs
+	// for one replay or switch.
+	d   *ring.Poly    // input, whose rows are the digits' own towers
 	key KeyMaterial   // the key, either form
 	out [2]*ring.Poly // outputs over B_ℓ
-
-	// ownsBypass is set while the state is hoisted: the prep tile then
-	// copies each bypass row (paper Figure 1, red towers) into the row
-	// table so the state outlives its input. A per-rotation switch
-	// leaves it clear and reads those rows from the input itself.
-	ownsBypass bool
 
 	// Observability binding, captured at the entry point: rec is
 	// obs.Active() (nil when profiling is off — the tiles then read no
@@ -83,9 +82,9 @@ type Hoisted struct {
 	rec *obs.Recorder
 	tr  *obs.Tracer
 
-	// The ModUp row table [dnum][|D|], the one thing a hoist hands its
-	// replays; allocated once per state, its bypass rows at the state's
-	// first hoist.
+	// The ModUp row table [dnum][|D|], the one thing a hoist computes
+	// for its replays: dnum·|D| − ℓ rows, allocated once per state, nil
+	// at each digit's own towers.
 	up [][][]uint64
 
 	// Run scratch: rows borrow carves from the run's slab, nil between
@@ -159,23 +158,11 @@ func (sw *Switcher) state(df dataflow.Dataflow) *Hoisted {
 	return h
 }
 
-// Release returns the state to its switcher's pool. The Hoisted must
-// not be used afterwards.
+// Release lets go of the input and returns the state to its
+// switcher's pool. The Hoisted must not be used afterwards.
 func (h *Hoisted) Release() {
-	h.rec, h.tr, h.ownsBypass = nil, nil, false
+	h.d, h.rec, h.tr = nil, nil, nil
 	h.sw.states.Put(h)
-}
-
-// ownBypass marks the state hoisted, allocating the bypass rows of the
-// table the first time a state is.
-func (h *Hoisted) ownBypass() {
-	h.ownsBypass = true
-	if h.up[0][0] != nil { // tower 0 is digit 0's own
-		return
-	}
-	for i := range h.y {
-		h.up[i/h.sw.Alpha][i] = make([]uint64, h.sw.R.N)
-	}
 }
 
 // ---- Run scratch ----
@@ -310,11 +297,11 @@ func (h *Hoisted) stage(st obs.Stage, t0, t time.Time) {
 // ---- Tiles ----
 
 // upRow returns digit j's ModUp row for extended tower t: a row of the
-// table, except that a per-rotation switch reads the rows no converter
-// writes — digit j's own towers, which bypass ModUp (paper Figure 1,
-// red towers) — straight from its input.
+// table, except for the rows no converter writes — digit j's own
+// towers, which bypass ModUp (paper Figure 1, red towers) — which are
+// the input's.
 func (h *Hoisted) upRow(j, t int) []uint64 {
-	if !h.ownsBypass && h.sw.dstIdxOf[j][t] < 0 {
+	if h.sw.dstIdxOf[j][t] < 0 {
 		return h.d.Coeffs[t]
 	}
 	return h.up[j][t]
@@ -329,9 +316,6 @@ func (h *Hoisted) upRow(j, t int) []uint64 {
 func (h *Hoisted) prepTower(i int) {
 	sw := h.sw
 	t0 := h.now()
-	if h.ownsBypass {
-		copy(h.up[i/sw.Alpha][i], h.d.Coeffs[i])
-	}
 	sw.R.Tables[sw.qBasis[i]].InverseScaled(h.y[i], h.d.Coeffs[i], sw.upScale[i])
 	h.stage(obs.StageModUp, t0, h.kernel(obs.KernelNTT, t0))
 }

@@ -127,7 +127,9 @@ type TenantChecker interface {
 // Submit calls meet: those of one tenant with the same Input pointer,
 // Level, and Dataflow that are adjacent in its queue, or that arrive
 // while such a group's ModUp runs, coalesce onto one shared hoisted
-// ModUp; requests of different tenants never coalesce.
+// ModUp; requests of different tenants never coalesce. Input must not
+// change while any request on it is outstanding: the group's replays
+// read its rows as the digits' own towers (hks.HoistParallel).
 type Request struct {
 	Input    *ring.Poly
 	Rot      int
