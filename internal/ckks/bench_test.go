@@ -68,3 +68,23 @@ func BenchmarkEncryptDecrypt(b *testing.B) {
 		ev.Decrypt(ct, kc.Secret())
 	}
 }
+
+// BenchmarkHoistKeyCompressed prices one new compressed rotation key
+// at the benchmark's shape (N = 2^13, 6 × 40-bit Q and 3 × 41-bit P
+// towers, top level, dnum 3): what a key-cache miss and each of
+// serve_unshared's set-up keys pay. Each iteration asks for a
+// rotation the chain has not generated.
+func BenchmarkHoistKeyCompressed(b *testing.B) {
+	ctx, err := NewContext(1<<13, 6, 40, 3, 41, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kc, _ := GenKeys(ctx, 1)
+	rot := 0
+	for b.Loop() {
+		rot++
+		if _, err := kc.HoistKeyCompressed(rot, ctx.MaxLevel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -103,17 +103,6 @@ func (ev *Evaluator) Sub(ct1, ct2 *Ciphertext) *Ciphertext {
 	return out
 }
 
-// AddPlain returns ct + pt.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	if ct.Level != pt.Level || ct.Scale != pt.Scale {
-		panic("ckks: AddPlain level/scale mismatch")
-	}
-	r := ev.ctx.R
-	out := ct.Copy()
-	r.Add(out.C0, pt.P, out.C0)
-	return out
-}
-
 // MulPlain returns ct ⊙ pt (scale multiplies; rescale afterwards).
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	if ct.Level != pt.Level {

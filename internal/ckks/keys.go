@@ -55,7 +55,7 @@ type KeyChain struct {
 	seed    int64
 	sampler *ring.Sampler // sequential stream for *ephemeral* randomness (Encrypt)
 	sk      *SecretKey
-	sSquare *ring.Poly // s², full D basis, coefficient domain
+	sNTT    *ring.Poly // s, full D basis, NTT domain: every key's secrets derive from it
 
 	// pool memoizes one switcher per level (internally synchronized,
 	// dnum clamped at low levels). Switchers hold no secret material,
@@ -86,13 +86,10 @@ func GenKeys(ctx *Context, seed int64) (*KeyChain, *PublicKey) {
 	full := r.DBasis(r.NumQ - 1)
 	sk := &SecretKey{S: sampler.Ternary(full)}
 
-	// s² over the full basis, kept in the coefficient domain for evk
-	// generation at any level.
+	// s over the full basis in the NTT domain, kept for evk generation
+	// at any level and the public key's towers.
 	sN := sk.S.Copy()
 	r.NTT(sN)
-	s2 := r.NewPoly(full)
-	r.MulCoeffwise(sN, sN, s2)
-	r.INTT(s2)
 
 	// pk = (-a·s + e, a) at the top level.
 	top := r.QBasis(ctx.MaxLevel)
@@ -100,13 +97,11 @@ func GenKeys(ctx *Context, seed int64) (*KeyChain, *PublicKey) {
 	a.IsNTT = true
 	e := sampler.Gaussian(top)
 	r.NTT(e)
-	sTop := sk.S.SubPoly(top).Copy()
-	r.NTT(sTop)
 	b := r.NewPoly(top)
-	r.MulCoeffwise(a, sTop, b)
+	r.MulCoeffwise(a, sN.SubPoly(top), b)
 	r.Sub(e, b, b)
 
-	kc := &KeyChain{ctx: ctx, seed: seed, sampler: sampler, sk: sk, sSquare: s2, pool: ctx.Switchers()}
+	kc := &KeyChain{ctx: ctx, seed: seed, sampler: sampler, sk: sk, sNTT: sN, pool: ctx.Switchers()}
 	return kc, &PublicKey{B: b, A: a}
 }
 
@@ -149,10 +144,8 @@ func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 		if err != nil {
 			return nil, err
 		}
-		from, to := kc.secrets(id)
-		if to != kc.sk.S { // a rotated secret, drawn from the ring's pool
-			defer kc.ctx.R.PutPoly(to)
-		}
+		from, to, drawn := kc.secrets(id)
+		defer kc.ctx.R.PutPoly(drawn)
 		if compressed {
 			return sw.GenCompressedEvk(kc.keySampler(id), from, to), nil
 		}
@@ -160,26 +153,28 @@ func (kc *KeyChain) key(id keyID, compressed bool) (hks.KeyMaterial, error) {
 	})
 }
 
-// secrets returns the two secrets (full D basis, coefficient domain)
-// the key named id re-encrypts between. A rotation's to is the
-// automorphism of the secret, drawn from the ring's pool (GetPoly):
-// the caller hands it back once the key is generated. Relin's is the
-// secret itself.
-func (kc *KeyChain) secrets(id keyID) (from, to *ring.Poly) {
-	if id.form == formRelin {
-		return kc.sSquare, kc.sk.S
-	}
+// secrets returns the two secrets (full D basis, NTT domain) the key
+// named id re-encrypts between, one of them the chain's transformed
+// secret and the other derived from it into drawn, a polynomial from
+// the ring's pool (GetPoly) that the caller hands back once the key is
+// generated. Relin's from is s², the point-wise square of the secret's
+// rows. A rotation's to is σ_g⁻¹(s), an index permutation of those
+// rows (ring.AutomorphismNTT), so no key transforms its secrets again.
+func (kc *KeyChain) secrets(id keyID) (from, to, drawn *ring.Poly) {
 	r := kc.ctx.R
+	drawn = r.GetPoly(kc.sNTT.Basis)
+	if id.form == formRelin {
+		r.MulCoeffwise(kc.sNTT, kc.sNTT, drawn)
+		return drawn, kc.sNTT, drawn
+	}
 	gInv := 2*r.N - 1
 	if id.form == formHoist {
 		// σ_g⁻¹ = σ_{g'} with g' = 5^(−rot): 5 has order N/2 modulo 2N, so
 		// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
 		gInv = r.GaloisElement(-id.rot)
 	}
-	to = r.GetPoly(r.DBasis(r.NumQ - 1))
-	to.IsNTT = false
-	r.Automorphism(kc.sk.S, gInv, to) // a permutation: every residue is written
-	return kc.sk.S, to
+	r.AutomorphismNTT(kc.sNTT, gInv, drawn) // a permutation: every residue is written
+	return kc.sNTT, drawn, drawn
 }
 
 // dense returns the key named id dense. A key memoized compressed

@@ -111,10 +111,10 @@ type Switcher struct {
 	// (internal/dataflow), which every schedule visits (schedule.go).
 	plans [dataflow.OCF + 1]*dataflow.Plan
 
-	// Key generation's scratch: one key's Gaussian integers, and the
-	// two transformed secret rows of one tower task (with a digit's A-
-	// and B-row after them when the key is generated packed).
-	genInts, genRows sync.Pool
+	// Key generation's run states (keygen.go: each a graph and one
+	// key's Gaussian integers), and the A- and B-row of one (digit,
+	// tower) task of a key generated packed.
+	keygens, genRows sync.Pool
 
 	// Pooled execution states (tiles.go): one pool, because a state's
 	// rows do not depend on the dataflow it last ran under, only its
@@ -373,121 +373,6 @@ func (e *Evk) SizeBytes() int {
 		n += (len(e.B[i].Coeffs) + len(e.A[i].Coeffs)) * len(e.B[i].Coeffs[0]) * 8
 	}
 	return n
-}
-
-// GenEvk generates the evaluation key that re-encrypts from sOld to
-// sNew. Both secrets must span the full D basis (coefficient domain).
-// Digit j is B_j = e_j − A_j·sNew + w_j·sOld over D_ℓ in the NTT domain,
-// with A_j uniform, e_j Gaussian and w_j the digit's gadget factor.
-//
-// The sampler's stream is drawn first, on the caller, in the order the
-// key has always drawn it: per digit the 32-byte seed that A_j expands
-// from (recorded on the key for Compress), then e_j's N Gaussian
-// integers. That fixes every bit of the key, so the rest is one task
-// per extended tower on engine.Default(): transform the tower of both
-// secrets, then per digit draw A_j's row from its seed, lift e_j into
-// B_j's row, transform it, and accumulate −A_j·sNew and, where the
-// gadget factor is non-zero (digit j's own towers; never a P tower),
-// w_j·sOld. The key remains a pure function of the sampler's seed,
-// whichever worker builds which tower.
-func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
-	evk := &Evk{B: make([]*ring.Poly, sw.Dnum), A: make([]*ring.Poly, sw.Dnum), Seeds: make([]ring.Seed, sw.Dnum), r: sw.R}
-	for j := range sw.Dnum {
-		evk.A[j] = sw.R.NewPoly(sw.dBasis)
-		evk.B[j] = sw.R.NewPoly(sw.dBasis)
-		evk.A[j].IsNTT, evk.B[j].IsNTT = true, true
-	}
-	sw.genEvk(sampler, sOld, sNew, evk)
-	return evk
-}
-
-// GenCompressedEvk generates GenEvk's key — the same sampler draws the
-// same bits — in the seed-compressed form, without a dense half: each
-// tower task builds its A- and B-rows in scratch and packs the B-rows
-// into the key, so GenCompressedEvk(…).Expand(r) equals GenEvk(…).
-func (sw *Switcher) GenCompressedEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *CompressedEvk {
-	c := newCompressedEvk(sw.R, sw.dBasis, sw.Dnum)
-	sw.genEvk(sampler, sOld, sNew, c)
-	return c
-}
-
-// genEvk is the one key generator. It records every digit's seed on
-// key and builds the key's rows: a dense *Evk's in place, a
-// *CompressedEvk's in the tower task's scratch, whose B-rows it packs
-// into the key.
-func (sw *Switcher) genEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly, key KeyMaterial) {
-	if sOld.IsNTT || sNew.IsNTT {
-		panic("hks: GenEvk secrets must be in the coefficient domain")
-	}
-	var seeds []ring.Seed
-	dense, packed := (*Evk)(nil), (*CompressedEvk)(nil)
-	switch k := key.(type) {
-	case *Evk:
-		dense, seeds = k, k.Seeds
-	case *CompressedEvk:
-		packed, seeds = k, k.Seeds
-	}
-	r, n := sw.R, sw.R.N
-	sOldD, sNewD := sOld.SubPoly(sw.dBasis), sNew.SubPoly(sw.dBasis)
-
-	ints := getScratch[int64](&sw.genInts, sw.Dnum*n)
-	defer sw.genInts.Put(ints)
-	for j := range sw.Dnum {
-		seeds[j] = sampler.NewSeed()
-		sampler.GaussianInts((*ints)[j*n : (j+1)*n])
-	}
-
-	scratch := 2 * n // the tower of both secrets
-	if packed != nil {
-		scratch = 4 * n // and a digit's A- and B-row
-	}
-	engine.Default().ParallelFor(len(sw.dBasis), func(t int) {
-		tw, m, tab := sw.dBasis[t], r.Mods[sw.dBasis[t]], r.Tables[sw.dBasis[t]]
-		rows := getScratch[uint64](&sw.genRows, scratch)
-		defer sw.genRows.Put(rows)
-		negS, sOldT := (*rows)[:n], (*rows)[n:2*n]
-		var a, b []uint64
-		if packed != nil {
-			a, b = (*rows)[2*n:3*n], (*rows)[3*n:]
-		}
-		copy(negS, sNewD.Coeffs[t])
-		tab.Forward(negS)
-		for k, x := range negS {
-			negS[k] = m.Neg(x)
-		}
-		oldDone := false
-		for j := range sw.Dnum {
-			if dense != nil {
-				a, b = dense.A[j].Coeffs[t], dense.B[j].Coeffs[t]
-			}
-			r.UniformRowFromSeed(a, sw.dBasis, t, seeds[j])
-			r.LiftInts(b, tw, (*ints)[j*n:(j+1)*n])
-			tab.Forward(b)
-			m.MulAccRows(b, [][]uint64{a}, [][]uint64{negS}, m.Q)
-			if w := sw.gadget[j][t]; w != 0 {
-				if !oldDone {
-					copy(sOldT, sOldD.Coeffs[t])
-					tab.Forward(sOldT)
-					oldDone = true
-				}
-				m.MulAccScalars(b, [][]uint64{sOldT}, []uint64{w}, m.Q)
-			}
-			if packed != nil {
-				m.PackRow(packed.B[j][t], b)
-			}
-		}
-	})
-}
-
-// getScratch returns a pooled slice of n elements, allocating one when
-// the pool holds none with room for n. Put it back on the same pool.
-func getScratch[T any](p *sync.Pool, n int) *[]T {
-	if s, _ := p.Get().(*[]T); s != nil && cap(*s) >= n {
-		*s = (*s)[:n]
-		return s
-	}
-	s := make([]T, n)
-	return &s
 }
 
 // Decompose splits d (NTT domain over B_ℓ) into its digit sub-

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ciflow/internal/engine"
 	"ciflow/internal/ring"
 )
 
@@ -45,9 +46,11 @@ func genEvkSerial(sw *Switcher, sampler *ring.Sampler, sOld, sNew *ring.Poly) *E
 // TestGenEvkMatchesSerial holds GenEvk to the serial oracle on every
 // golden shape, a dnum-1 shape below the top level (so D_ℓ skips Q
 // towers the secrets carry) and a dnum-4 shape, both over 40-bit
-// moduli at N = 2^12: every seed and every residue of both halves
-// equal, the sampler left where the oracle left it, and the compressed
-// form expanding back to the dense key. GenCompressedEvk, the same
+// moduli at N = 2^12, with the secrets handed over in each domain and
+// in mixed ones (the oracle always gets them in the coefficient
+// domain): every seed and every residue of both halves equal, the
+// sampler left where the oracle left it, and the compressed form
+// expanding back to the dense key. GenCompressedEvk, the same
 // generator packing into a compressed key, must leave the sampler
 // there too and produce exactly Compress's bytes.
 func TestGenEvkMatchesSerial(t *testing.T) {
@@ -63,34 +66,101 @@ func TestGenEvkMatchesSerial(t *testing.T) {
 	for _, tc := range goldenCases {
 		shapes = append(shapes, shape(tc))
 	}
+	domains := []struct {
+		name           string
+		oldNTT, newNTT bool
+	}{{"coeff", false, false}, {"ntt", true, true}, {"old_ntt", true, false}, {"new_ntt", false, true}}
 	for _, tc := range shapes {
 		t.Run(tc.name, func(t *testing.T) {
-			r, _, sOld, sNew := testSetup(t, tc.n, tc.numQ, tc.qBits, tc.numP, tc.pBits)
+			r, _, sOld0, sNew0 := testSetup(t, tc.n, tc.numQ, tc.qBits, tc.numP, tc.pBits)
 			sw, err := NewSwitcher(r, tc.level, tc.dnum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, oracle := ring.NewSampler(r, 9), ring.NewSampler(r, 9)
-			got, want := sw.GenEvk(s, sOld, sNew), genEvkSerial(sw, oracle, sOld, sNew)
-			requireSameEvk(t, got, want)
-			next := s.NewSeed()
-			if next != oracle.NewSeed() {
-				t.Fatal("GenEvk left the sampler's stream elsewhere than the serial oracle")
-			}
-			c, ok := got.Compress()
-			if !ok {
-				t.Fatal("GenEvk's key did not compress")
-			}
-			requireSameEvk(t, c.Expand(r), want)
+			for _, dom := range domains {
+				t.Run(dom.name, func(t *testing.T) {
+					sOld, sNew := sOld0, sNew0
+					s, oracle := ring.NewSampler(r, 9), ring.NewSampler(r, 9)
+					want := genEvkSerial(sw, oracle, sOld, sNew)
+					sOld, sNew = inDomain(r, sOld, dom.oldNTT), inDomain(r, sNew, dom.newNTT)
+					got := sw.GenEvk(s, sOld, sNew)
+					requireSameEvk(t, got, want)
+					next := s.NewSeed()
+					if next != oracle.NewSeed() {
+						t.Fatal("GenEvk left the sampler's stream elsewhere than the serial oracle")
+					}
+					c, ok := got.Compress()
+					if !ok {
+						t.Fatal("GenEvk's key did not compress")
+					}
+					requireSameEvk(t, c.Expand(r), want)
 
-			packer := ring.NewSampler(r, 9)
-			if gc := sw.GenCompressedEvk(packer, sOld, sNew); !reflect.DeepEqual(gc, c) {
-				t.Fatal("GenCompressedEvk's key differs from GenEvk's compressed")
-			}
-			if packer.NewSeed() != next {
-				t.Fatal("GenCompressedEvk left the sampler's stream elsewhere than GenEvk")
+					packer := ring.NewSampler(r, 9)
+					if gc := sw.GenCompressedEvk(packer, sOld, sNew); !reflect.DeepEqual(gc, c) {
+						t.Fatal("GenCompressedEvk's key differs from GenEvk's compressed")
+					}
+					if packer.NewSeed() != next {
+						t.Fatal("GenCompressedEvk left the sampler's stream elsewhere than GenEvk")
+					}
+				})
 			}
 		})
+	}
+}
+
+// inDomain returns s (coefficient domain) itself, or a transformed copy
+// when ntt is set.
+func inDomain(r *ring.Ring, s *ring.Poly, ntt bool) *ring.Poly {
+	if !ntt {
+		return s
+	}
+	c := s.Copy()
+	r.NTT(c)
+	return c
+}
+
+// TestGenEvkDrawOverlapsTowers generates keys of two chains (two
+// samplers, two secret pairs, one switcher) at once, one chain per
+// iteration of a two-worker engine's ParallelFor, so that one key's
+// draws run beside the other's (digit, tower) tasks on
+// engine.Default(), and requires each key, dense and packed, with the
+// secrets in either domain, to equal its twin generated alone.
+func TestGenEvkDrawOverlapsTowers(t *testing.T) {
+	r, _, sOld, sNew := testSetup(t, 1<<10, 4, 40, 2, 41)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secrets := [2][2]*ring.Poly{{sOld, sNew}, {inDomain(r, sNew, true), inDomain(r, sOld, true)}}
+	const keys = 4
+	gen := func(c, i int) (*Evk, *CompressedEvk) {
+		seed := int64(100*c + i)
+		s := secrets[c]
+		return sw.GenEvk(ring.NewSampler(r, seed), s[0], s[1]), sw.GenCompressedEvk(ring.NewSampler(r, seed), s[0], s[1])
+	}
+	var alone [2][keys]*Evk
+	var aloneC [2][keys]*CompressedEvk
+	for c := range 2 {
+		for i := range keys {
+			alone[c][i], aloneC[c][i] = gen(c, i)
+		}
+	}
+	e := engine.New(2)
+	defer e.Close()
+	var got [2][keys]*Evk
+	var gotC [2][keys]*CompressedEvk
+	e.ParallelFor(2, func(c int) {
+		for i := range keys {
+			got[c][i], gotC[c][i] = gen(c, i)
+		}
+	})
+	for c := range 2 {
+		for i := range keys {
+			requireSameEvk(t, got[c][i], alone[c][i])
+			if !reflect.DeepEqual(gotC[c][i], aloneC[c][i]) {
+				t.Fatalf("chain %d, key %d: packed key generated beside the other chain differs from its twin", c, i)
+			}
+		}
 	}
 }
 
@@ -144,8 +214,9 @@ func requireSameEvk(t *testing.T, got, want *Evk) {
 
 // BenchmarkGenEvk prices one key at the benchmark's shape (N = 2^13,
 // 6 × 40-bit Q and 3 × 41-bit P towers, level 5, dnum 3): GenEvk's
-// tower tasks on engine.Default() beside the serial oracle, and the
-// same tasks packing a compressed key (GenCompressedEvk).
+// graph on engine.Default() beside the serial oracle, the same graph
+// packing a compressed key (GenCompressedEvk), and that with the
+// secrets in the NTT domain, as ckks.KeyChain hands them over.
 func BenchmarkGenEvk(b *testing.B) {
 	r, _, sOld, sNew := testSetup(b, 1<<13, 6, 40, 3, 41)
 	sw, err := NewSwitcher(r, 5, 3)
@@ -166,6 +237,12 @@ func BenchmarkGenEvk(b *testing.B) {
 	b.Run("packed", func(b *testing.B) {
 		for b.Loop() {
 			sw.GenCompressedEvk(s, sOld, sNew)
+		}
+	})
+	oldN, newN := inDomain(r, sOld, true), inDomain(r, sNew, true)
+	b.Run("packed_ntt", func(b *testing.B) {
+		for b.Loop() {
+			sw.GenCompressedEvk(s, oldN, newN)
 		}
 	})
 }

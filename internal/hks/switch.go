@@ -119,8 +119,8 @@ func (sw *Switcher) SwitchParallelInto(e *engine.Engine, df dataflow.Dataflow, d
 // ModUp half — and returns the reusable hoisted state, whose replays
 // run the same plan's other half. The state keeps only the rows the
 // converters wrote; its replays read each digit's own towers from d,
-// which must stay unchanged until Release. Call Release when done with
-// it. A nil engine uses engine.Default(); engine.Inline() runs every
+// which must stay unchanged until the last replay returns. Call
+// Release when done with it; Release reads nothing. A nil engine uses engine.Default(); engine.Inline() runs every
 // tile on the caller.
 func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
 	must(sw.CheckInput(d))

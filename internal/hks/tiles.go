@@ -159,7 +159,9 @@ func (sw *Switcher) state(df dataflow.Dataflow) *Hoisted {
 }
 
 // Release lets go of the input and returns the state to its
-// switcher's pool. The Hoisted must not be used afterwards.
+// switcher's pool. It reads neither the input nor any row, so the
+// input may change once the last replay has returned. The Hoisted must
+// not be used afterwards.
 func (h *Hoisted) Release() {
 	h.d, h.rec, h.tr = nil, nil, nil
 	h.sw.states.Put(h)

@@ -24,12 +24,36 @@ func (m Modulus) PackRow(dst []byte, src []uint64) {
 	w := m.Width()
 	checkRows([][]byte{dst}, len(src)*w)
 	dst = dst[:len(src)*w]
-	// Each residue is written as a whole word, whose high bytes are
-	// zero and are overwritten by the next residue, until a word would
-	// run past the row's end.
+	// Eight residues fill w words exactly. At the widths of 40- and
+	// 41-bit towers the words are assembled with constant shifts and
+	// each stored once; elsewhere each residue is written as a whole
+	// word, whose high bytes are zero and are overwritten by the next
+	// residue, until a word would run past the row's end.
 	k, o := 0, 0
+	le := binary.LittleEndian
+	switch w {
+	case 5:
+		for ; o+40 <= len(dst); k, o = k+8, o+40 {
+			b, x := dst[o:o+40:o+40], src[k:k+8:k+8]
+			le.PutUint64(b[0:], x[0]|x[1]<<40)
+			le.PutUint64(b[8:], x[1]>>24|x[2]<<16|x[3]<<56)
+			le.PutUint64(b[16:], x[3]>>8|x[4]<<32)
+			le.PutUint64(b[24:], x[4]>>32|x[5]<<8|x[6]<<48)
+			le.PutUint64(b[32:], x[6]>>16|x[7]<<24)
+		}
+	case 6:
+		for ; o+48 <= len(dst); k, o = k+8, o+48 {
+			b, x := dst[o:o+48:o+48], src[k:k+8:k+8]
+			le.PutUint64(b[0:], x[0]|x[1]<<48)
+			le.PutUint64(b[8:], x[1]>>16|x[2]<<32)
+			le.PutUint64(b[16:], x[2]>>32|x[3]<<16)
+			le.PutUint64(b[24:], x[4]|x[5]<<48)
+			le.PutUint64(b[32:], x[5]>>16|x[6]<<32)
+			le.PutUint64(b[40:], x[6]>>32|x[7]<<16)
+		}
+	}
 	for ; o+8 <= len(dst); k, o = k+1, o+w {
-		binary.LittleEndian.PutUint64(dst[o:], src[k])
+		le.PutUint64(dst[o:], src[k])
 	}
 	for ; k < len(src); k, o = k+1, o+w {
 		for i, x := 0, src[k]; i < w; i, x = i+1, x>>8 {

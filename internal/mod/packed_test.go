@@ -207,3 +207,17 @@ func FuzzPackedRows(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkPackRow packs one N = 2^13 row of 40-bit residues (5 bytes
+// each) into a warm destination.
+func BenchmarkPackRow(b *testing.B) {
+	m := New(1<<40 - 87)
+	src := make([]uint64, 1<<13)
+	for i := range src {
+		src[i] = uint64(i) * 0x9e3779b97f4a7c15 % m.Q
+	}
+	dst := make([]byte, len(src)*m.Width())
+	for b.Loop() {
+		m.PackRow(dst, src)
+	}
+}

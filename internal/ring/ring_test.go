@@ -391,3 +391,120 @@ func TestMulScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestGaloisHelpersMatchOldFormulas pins Automorphism, which advances
+// its exponent per coefficient, to the per-coefficient (j·k) mod 2N it
+// replaced for every odd exponent, and GaloisElement, which squares and
+// multiplies, to rot multiplications by 5 for every rotation, at
+// N = 2^10.
+func TestGaloisHelpersMatchOldFormulas(t *testing.T) {
+	r, err := NewRingGenerated(1<<10, 2, 30, 1, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.QBasis(1)
+	p := NewSampler(r, 3).Uniform(b)
+	got, want := r.NewPoly(b), r.NewPoly(b)
+	twoN := 2 * r.N
+	for k := 1; k < twoN; k += 2 {
+		r.Automorphism(p, k, got)
+		for i, tw := range b {
+			m := r.Mods[tw]
+			for j := 0; j < r.N; j++ {
+				e, v := (j*k)%twoN, p.Coeffs[i][j]
+				if e >= r.N {
+					e, v = e-r.N, m.Neg(v)
+				}
+				want.Coeffs[i][e] = v
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("Automorphism(k=%d) differs from (j·k) mod 2N", k)
+		}
+	}
+	for rot := -r.N; rot <= r.N; rot++ {
+		n2 := r.N / 2
+		g := 1
+		for range ((rot % n2) + n2) % n2 {
+			g = (g * 5) % twoN
+		}
+		if got := r.GaloisElement(rot); got != g {
+			t.Fatalf("GaloisElement(%d) = %d, want %d", rot, got, g)
+		}
+	}
+}
+
+// TestAutomorphismNTTMatchesCoefficient holds NTT∘Automorphism equal to
+// AutomorphismNTT∘NTT for every Galois element a key chain uses: at
+// N = 2^10 every odd exponent (every rotation and the conjugation
+// 2N−1 among them), at N = 2^13 rotations ±1…±8, ±2^i and 2N−1.
+func TestAutomorphismNTTMatchesCoefficient(t *testing.T) {
+	for _, logN := range []int{10, 13} {
+		r, err := NewRingGenerated(1<<logN, 2, 40, 1, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []int
+		if logN == 10 {
+			for k := 1; k < 2*r.N; k += 2 {
+				ks = append(ks, k)
+			}
+		} else {
+			for rot := 1; rot <= 8; rot++ {
+				ks = append(ks, r.GaloisElement(rot), r.GaloisElement(-rot))
+			}
+			for rot := 16; rot < r.N/2; rot *= 2 {
+				ks = append(ks, r.GaloisElement(rot), r.GaloisElement(-rot))
+			}
+			ks = append(ks, 2*r.N-1)
+		}
+		b := r.DBasis(r.NumQ - 1)
+		p := NewSampler(r, 4).Uniform(b)
+		pN := p.Copy()
+		r.NTT(pN)
+		want, got := r.NewPoly(b), r.NewPoly(b)
+		for _, k := range ks {
+			r.Automorphism(p, k, want)
+			r.NTT(want)
+			r.AutomorphismNTT(pN, k, got)
+			if !got.IsNTT || !got.Equal(want) {
+				t.Fatalf("N=2^%d, k=%d: AutomorphismNTT∘NTT differs from NTT∘Automorphism", logN, k)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { r.AutomorphismNTT(pN, ks[0], got) }); allocs != 0 {
+			t.Fatalf("AutomorphismNTT allocates %v times", allocs)
+		}
+	}
+}
+
+// BenchmarkLiftInts lifts one N = 2^13 row of Gaussian integers into a
+// 40-bit tower.
+func BenchmarkLiftInts(b *testing.B) {
+	r, err := NewRingGenerated(1<<13, 1, 40, 1, 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := make([]int64, r.N)
+	NewSampler(r, 1).GaussianInts(v)
+	row := make([]uint64, r.N)
+	for b.Loop() {
+		r.LiftInts(row, 0, v)
+	}
+}
+
+// BenchmarkAutomorphismNTT permutes a transformed polynomial of nine
+// N = 2^13 towers, the secret a rotation key is generated from.
+func BenchmarkAutomorphismNTT(b *testing.B) {
+	r, err := NewRingGenerated(1<<13, 6, 40, 3, 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	basis := r.DBasis(r.NumQ - 1)
+	p := NewSampler(r, 1).Uniform(basis)
+	p.IsNTT = true
+	out := r.NewPoly(basis)
+	k := r.GaloisElement(-7)
+	for b.Loop() {
+		r.AutomorphismNTT(p, k, out)
+	}
+}

@@ -92,14 +92,20 @@ func (s *Sampler) GaussianInts(dst []int64) {
 func (r *Ring) LiftInts(row []uint64, t int, v []int64) {
 	q := r.Mods[t].Q
 	row = row[:len(v)]
+	// An error integer is far below q, and there its residue is x, or
+	// q + x for negative x, picked without a branch: the sign of a
+	// Gaussian draw is a coin toss no predictor learns. The OR of every
+	// |x| bounds them all, so one test after the loop finds a row that
+	// holds a larger integer, and only such a row is lifted again
+	// integer by integer.
+	var mag uint64
 	for k, x := range v {
-		// An error integer is far below q, and there its residue is x,
-		// or q + x for negative x, picked without a branch: the sign of
-		// a Gaussian draw is a coin toss no predictor learns.
 		neg := uint64(x >> 63) // all ones for negative x
-		if abs := (uint64(x) ^ neg) - neg; abs < q {
-			row[k] = uint64(x) + q&neg
-		} else {
+		row[k] = uint64(x) + q&neg
+		mag |= (uint64(x) ^ neg) - neg
+	}
+	if mag >= q {
+		for k, x := range v {
 			row[k] = liftInt(q, x)
 		}
 	}

@@ -612,7 +612,6 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 	h := sw.HoistParallel(e, df, in)
 	hoisted := time.Now()
 	w.phases.add(phaseHoist, hoisted.Sub(t0))
-	defer h.Release()
 	if !g.sealed {
 		enter(w.join(groupKeyOf(p0), maxGroup-len(g.reqs)), time.Now())
 	}
@@ -652,6 +651,11 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 		h.SwitchParallelInto(e, m.mat, c0, c1)
 		w.phases.add(phaseReplay, time.Since(t1))
 		w.levels.add(level, 1, 0, 0)
+		if i == len(members)-1 {
+			// The last replay has returned: let go of the input before
+			// its last result tells the caller it may reuse it.
+			h.Release()
+		}
 		w.finish(m.p, Result{C0: c0, C1: c1})
 	}
 }
