@@ -132,7 +132,7 @@ func parseDataflow(name string) (dataflow.Dataflow, error) {
 // taken literally (workload.ReplayServiceConfig — a schedule node at
 // level 0 is served at level 0) on the given engine and key budget.
 // A replay submits only sealed groups, which serve starts as soon as
-// their tenant pops them and never splits, merges or joins.
+// their tenant has a slot for them and never splits, merges or joins.
 func replayServiceConfig(e *engine.Engine, keyBudget int64) serve.Config {
 	scfg := workload.ReplayServiceConfig(nil)
 	scfg.Engine, scfg.KeyBudget = e, keyBudget

@@ -222,11 +222,10 @@ func (ev *Evaluator) galois(ct *Ciphertext, els []galoisSwitch) ([]*Ciphertext, 
 	}
 
 	r := ev.ctx.R
+	// σ_g on evaluation-domain rows is an index permutation.
 	sigma := func(p *ring.Poly, g int) *ring.Poly {
-		r.INTT(p)
 		out := r.NewPoly(p.Basis)
-		r.Automorphism(p, g, out)
-		r.NTT(out)
+		r.AutomorphismNTT(p, g, out)
 		return out
 	}
 	outs := make([]*Ciphertext, len(els))

@@ -39,11 +39,10 @@ func (b *testBench) checkGroup(t *testing.T, tenant string, in *ring.Poly, rots 
 }
 
 // A sealed group is one ModUp however wide, dense and compressed keys
-// both. "hour window" is a group narrower than maxGroup: it runs at
-// once, however long it would have to wait for more. "batch of one" is
-// a group one wider than maxGroup: it is not split, as the cap on a
-// joined group's size never splits a sealed one. In both a group of one
-// then runs like any other, without the coalesce credit.
+// both. "hour window" is a narrow group: it runs at once, however long
+// it would have to wait for more. "batch of one" is a group one wider
+// than the most Submits a queue holds: it is not split. In both a group
+// of one then runs like any other, without the coalesce credit.
 func TestSubmitGroupOneModUp(t *testing.T) {
 	const K = 5
 	for _, tc := range []struct {
@@ -52,9 +51,9 @@ func TestSubmitGroupOneModUp(t *testing.T) {
 		width      int
 	}{
 		{"dense/hour window", false, K},
-		{"dense/batch of one", false, maxGroup + 1},
+		{"dense/batch of one", false, queueDepth + 1},
 		{"compressed/hour window", true, K},
-		{"compressed/batch of one", true, maxGroup + 1},
+		{"compressed/batch of one", true, queueDepth + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			W := tc.width
@@ -176,7 +175,7 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	defer svc.Close()
 
 	in := b.input()
-	park(t, svc, entered, in, "") // group 1 is the parking request; the rest queue up
+	wedged := park(t, svc, entered, in, "") // the parking groups come first; the rest queue up
 	g1, err := svc.SubmitGroup(context.Background(), groupOf(in, "", 0, 1, 99))
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +198,17 @@ func TestSealedGroupsNeverMerge(t *testing.T) {
 	checkResult(t, <-lone, want0, want1, "lone submit")
 	b.checkGroup(t, "", in, []int{0, 1}, g2, "second group")
 
+	parked := wedged.failed(t)
 	st := svc.Stats()
-	if st.Groups != 4 || st.ModUps != 3 {
-		t.Fatalf("groups %d mod_ups %d, want 4/3: one input pointer, four submissions, one of them the failed parking request", st.Groups, st.ModUps)
+	if st.Groups != parked+3 || st.ModUps != 3 {
+		t.Fatalf("groups %d mod_ups %d, want %d/3: one input pointer, three submissions behind %d failed parking requests",
+			st.Groups, st.ModUps, parked+3, parked)
 	}
 	if st.Batches != st.Groups {
 		t.Fatalf("%d batches, want the %d groups: every group is dispatched on its own", st.Batches, st.Groups)
 	}
-	if st.Served != 5 || st.Failed != 2 || st.Coalesced != 5 {
-		t.Fatalf("served %d failed %d coalesced %d, want 5/2/5", st.Served, st.Failed, st.Coalesced)
+	if st.Served != 5 || st.Failed != parked+1 || st.Coalesced != 5 {
+		t.Fatalf("served %d failed %d coalesced %d, want 5/%d/5", st.Served, st.Failed, st.Coalesced, parked+1)
 	}
 }
 
@@ -284,10 +285,48 @@ func TestSealedGroupStartsWhenPopped(t *testing.T) {
 	b.checkGroup(t, "", inA, []int{0, 1}, chA, "group A")
 }
 
+// A tenant's unsealed groups overlap as its sealed ones do: a Submit of
+// input B, made while a Submit of input A is parked in its key load, is
+// served while A still is.
+func TestUnsealedGroupsOverlap(t *testing.T) {
+	b := newTestBench(t, 2)
+	e := engine.New(2)
+	defer e.Close()
+	gate := make(chan struct{})
+	src, entered := rotGates(b.keySource(), "", map[int]chan struct{}{0: gate})
+	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, so a failure cannot wedge it
+
+	inA, inB := b.input(), b.input()
+	chA := submitAll(t, svc, inA, 0)[0]
+	if rot := within(t, entered, "A's key load"); rot != 0 {
+		t.Fatalf("first key load is rotation %d, want 0", rot)
+	}
+	chB := submitAll(t, svc, inB, 1)[0]
+	want0, want1 := b.wantSwitch("", inB, 1)
+	checkResult(t, within(t, chB, "B, with A parked"), want0, want1, "B, with A parked")
+	select {
+	case <-chA:
+		t.Fatal("A delivered a result while parked in its key load")
+	default:
+	}
+	release()
+	want0, want1 = b.wantSwitch("", inA, 0)
+	checkResult(t, <-chA, want0, want1, "A")
+	if st := svc.Stats(); st.Groups != 2 || st.ModUps != 2 || st.Coalesced != 0 {
+		t.Fatalf("groups %d mod_ups %d coalesced %d, want 2/2/0", st.Groups, st.ModUps, st.Coalesced)
+	}
+}
+
 // A tenant runs at most Engine.Workers()+1 groups at once: on a
 // one-worker engine, two sealed groups parked in their key loads keep a
-// third from reaching its key load until one of them is released, while
-// another tenant's group is served.
+// third in the queue until one of them is released, while another
+// tenant's group is served.
 func TestSealedGroupsHoldEngineThreads(t *testing.T) {
 	b := newTestBench(t, 3, "", "other")
 	e := engine.New(1)
@@ -328,15 +367,13 @@ func TestSealedGroupsHoldEngineThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.checkGroup(t, "other", in, []int{0, 1}, other, "other tenant's group")
-	// The third group has been popped once the tenant has counted it.
-	for tenantStats(t, svc.Stats(), "").Groups < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case rot := <-entered:
-		t.Fatalf("rotation %d's key load began with two groups holding both slots", rot)
-	default:
+	// The dispatcher pops only once it holds a slot, so the third group
+	// is still queued.
+	svc.mu.RLock()
+	w := svc.workers[""]
+	svc.mu.RUnlock()
+	if n := len(w.queue); n != 1 {
+		t.Fatalf("%d submissions queued with two groups holding both slots, want the third group", n)
 	}
 	release[0]()
 	if rot := within(t, entered, "the third group's key load"); rot != 2 {
@@ -480,7 +517,7 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
 	in := b.input()
-	park(t, svc, entered, in, "")
+	wedged := park(t, svc, entered, in, "")
 	ctx, cancel := context.WithCancel(context.Background())
 	chans, err := svc.SubmitGroup(ctx, groupOf(in, "", 0, 1, 2))
 	if err != nil {
@@ -493,26 +530,31 @@ func TestSealedGroupCancelledWhileQueued(t *testing.T) {
 			t.Fatalf("member %d: got %v, want context.Canceled", i, res.Err)
 		}
 	}
+	parked := wedged.failed(t)
 	st := svc.Stats()
-	if st.Submitted != 4 || st.Served != 0 || st.Failed != 4 || st.ModUps != 0 {
-		t.Fatalf("submitted %d served %d failed %d mod_ups %d, want 4/0/4/0", st.Submitted, st.Served, st.Failed, st.ModUps)
+	if st.Submitted != parked+3 || st.Served != 0 || st.Failed != parked+3 || st.ModUps != 0 {
+		t.Fatalf("submitted %d served %d failed %d mod_ups %d, want %d/0/%d/0",
+			st.Submitted, st.Served, st.Failed, st.ModUps, parked+3, parked+3)
 	}
 }
 
 // The lifecycle phases come out in canonical order, group_wait is
-// booked once per member of a hoisted group — joiners included — and
-// never for a singleton, a joined group's phases sum to its requests'
-// latencies, the service's phases are the sum of its tenants', and
-// summing keeps the order whatever order the operands arrive in.
+// booked once per member of a hoisted group — one formed of Submits
+// included — and never for a singleton, a tenant's phases sum to its
+// requests' latencies, the service's phases are the sum of its
+// tenants', and summing keeps the order whatever order the operands
+// arrive in.
 func TestGroupWaitPhase(t *testing.T) {
 	const K = 4
 	canonical := []string{"enqueue", "dispatch", "keys", "hoist", "group_wait", "replay", "reply"}
-	b := newTestBench(t, K, "", "j")
 	e := engine.New(2)
 	defer e.Close()
-	// Tenant j's first load of rotation 0 parks until released; see the
-	// joined group below.
-	src, entered, release := gating(b.compressedSource(t), func(id KeyID) bool { return id.Tenant == "j" && id.Rot == 0 }, nil)
+	// Tenant j is wedged by one served request per slot, on rotations K
+	// and up, each parked in its first key load until released; see the
+	// group of Submits below.
+	held := e.Workers() + 1
+	b := newTestBench(t, K+held, "", "j")
+	src, entered, release := gating(b.compressedSource(t), func(id KeyID) bool { return id.Tenant == "j" && id.Rot >= K }, nil)
 	svc, err := New(b.pool, src, b.config(Config{Engine: e}))
 	if err != nil {
 		t.Fatal(err)
@@ -546,28 +588,34 @@ func TestGroupWaitPhase(t *testing.T) {
 	}
 	b.checkGroup(t, "", in, []int{0, 1, 2, 3}, chans, "group")
 
-	// A joined group on tenant j: rotation 0 opens it alone and parks in
-	// its key load, rotations 1..K-1 queue behind it and join after its
-	// ModUp. The gate is held for a while so that a joiner's wait booked
-	// from the group's start instead of its join would show in the sums.
+	// A group of Submits on tenant j: rotations 0..K-1 queue behind the
+	// held requests and are popped as one group once released.
+	hin := b.input()
+	var hreqs []Request
+	for k := K; k < K+held; k++ {
+		hreqs = append(hreqs, Request{Input: hin, Rot: k, Tenant: "j"})
+	}
+	hchans := hold(t, svc, entered, hreqs...)
 	jin := b.input()
-	jchans := []<-chan Result{hold(t, svc, entered, Request{Input: jin, Rot: 0, Tenant: "j"})}
-	for k := 1; k < K; k++ {
+	var jchans []<-chan Result
+	for k := 0; k < K; k++ {
 		ch, err := svc.Submit(context.Background(), Request{Input: jin, Rot: k, Tenant: "j"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		jchans = append(jchans, ch)
 	}
-	const held = 20 * time.Millisecond
-	time.Sleep(held)
 	close(release)
-	b.checkGroup(t, "j", jin, []int{0, 1, 2, 3}, jchans, "joined group")
+	b.checkGroup(t, "j", jin, []int{0, 1, 2, 3}, jchans, "group of Submits")
+	for i, ch := range hchans {
+		want0, want1 := b.wantSwitch("j", hin, K+i)
+		checkResult(t, <-ch, want0, want1, fmt.Sprintf("held request %d", i))
+	}
 
 	// finish times the channel send, so it books the reply phase after
 	// the result is already in hand: wait for the last booking.
 	replied := func(st Stats) bool {
-		return count(tenantStats(t, st, "").Phases, "reply") >= K+1 && count(tenantStats(t, st, "j").Phases, "reply") >= K
+		return count(tenantStats(t, st, "").Phases, "reply") >= K+1 && count(tenantStats(t, st, "j").Phases, "reply") >= uint64(K+held)
 	}
 	st := svc.Stats()
 	for deadline := time.Now().Add(5 * time.Second); !replied(st) && time.Now().Before(deadline); st = svc.Stats() {
@@ -587,17 +635,20 @@ func TestGroupWaitPhase(t *testing.T) {
 	if fmt.Sprint(sum) != fmt.Sprint(st.Phases) {
 		t.Fatalf("service phases %v, want the tenants' sum %v", st.Phases, sum)
 	}
+	// Tenant j served K+held requests: its group and a singleton per
+	// held request.
+	jn := uint64(K + held)
 	for _, c := range []struct {
 		phases []PhaseStats
 		want   map[string]uint64
 	}{
 		{st.Phases, map[string]uint64{
-			"enqueue": 2*K + 1, "dispatch": 2*K + 1, "keys": 2*K + 1, "hoist": 3,
-			"group_wait": 2 * K, "replay": 2*K + 1, "reply": 2*K + 1,
+			"enqueue": K + 1 + jn, "dispatch": K + 1 + jn, "keys": K + 1 + jn, "hoist": 2 + 1 + uint64(held),
+			"group_wait": 2 * K, "replay": K + 1 + jn, "reply": K + 1 + jn,
 		}},
 		{tenantStats(t, st, "j").Phases, map[string]uint64{
-			"enqueue": K, "dispatch": K, "keys": K, "hoist": 1,
-			"group_wait": K, "replay": K, "reply": K,
+			"enqueue": jn, "dispatch": jn, "keys": jn, "hoist": 1 + uint64(held),
+			"group_wait": K, "replay": jn, "reply": jn,
 		}},
 	} {
 		for phase, want := range c.want {
@@ -623,12 +674,9 @@ func TestGroupWaitPhase(t *testing.T) {
 			booked += time.Duration(p.TotalNs)
 		}
 	}
-	if gap := lat - booked; gap < 0 || gap > K*time.Millisecond {
+	if bound := time.Duration(jn) * time.Millisecond; lat-booked < 0 || lat-booked > bound {
 		t.Errorf("tenant j booked %v of phases before its replies against %v of latency: gap %v outside [0, %v]",
-			booked, lat, gap, K*time.Millisecond)
-	}
-	if lat < K*held {
-		t.Errorf("tenant j latencies sum to %v, under the %v its requests were held", lat, K*held)
+			booked, lat, lat-booked, bound)
 	}
 
 	// addPhases: canonical order from shuffled operands, sums exact, a

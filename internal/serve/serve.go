@@ -30,20 +30,21 @@
 //     hands it over whole with SubmitGroup: one call, one queue item,
 //     one ModUp, no waiting. Separate Submit calls that happen to
 //     carry the same input pointer are coalesced into a group when
-//     they are adjacent in their tenant's queue: those queued behind
-//     the group's first request join it before its ModUp, and those
-//     that arrive while the ModUp runs join it before its replays.
-//     Either way a group is scoped to one (tenant, level, input,
-//     dataflow), so keyspaces never share hoisted state.
+//     they are adjacent in their tenant's queue: a group formed from a
+//     Submit takes along every matching Submit queued right behind it
+//     when it is popped. A group is formed once and nothing joins it
+//     later; it is scoped to one (tenant, level, input, dataflow), so
+//     keyspaces never share hoisted state.
 //  3. Per-tenant dispatch with isolation: every tenant gets its own
 //     dispatcher goroutine and its own bounded queue of submissions
-//     (capacity queueDepth each). A group runs when it is popped, as a
-//     task does once its dependencies resolve; nothing waits for a
-//     round of others. A sealed group starts at once on a goroutine of
-//     its own; an unsealed one runs on the dispatcher, the queue's one
-//     reader, which is what lets it join the queue's head. Every
-//     running group holds one of its tenant's Engine.Workers()+1 slots.
-//     Backpressure is per tenant — a hot tenant saturating its queue
+//     (capacity queueDepth each). The dispatcher takes one of its
+//     tenant's Engine.Workers()+1 slots, then pops a group, which
+//     starts at once on a goroutine of its own and gives the slot back
+//     when it is done — as a task starts once its operands are ready;
+//     nothing waits for a round of others. A busy tenant's queue fills
+//     while its dispatcher waits for a slot, so the next group it pops
+//     takes along everything queued behind it. Backpressure is per
+//     tenant — a hot tenant saturating its queue
 //     blocks only its own producers, and a tenant's slow key loads
 //     stall only its own groups — while all tenants share one engine
 //     and one switcher pool.
@@ -125,9 +126,9 @@ type TenantChecker interface {
 // that knows several requests share one Input passes them to
 // SubmitGroup together. Input pointer identity is how *separate*
 // Submit calls meet: those of one tenant with the same Input pointer,
-// Level, and Dataflow that are adjacent in its queue, or that arrive
-// while such a group's ModUp runs, coalesce onto one shared hoisted
-// ModUp; requests of different tenants never coalesce. Input must not
+// Level, and Dataflow that are adjacent in its queue when the first of
+// them is popped coalesce onto one shared hoisted ModUp; requests of
+// different tenants never coalesce. Input must not
 // change while any request on it is outstanding: the group's replays
 // read its rows as the digits' own towers (hks.HoistParallel).
 type Request struct {
@@ -153,16 +154,12 @@ type Result struct {
 	Err    error
 }
 
-// The grouping constants. An unsealed group grows by joins to at most
-// maxGroup members; a SubmitGroup call is never split, however long.
 // queueDepth bounds each tenant's queue, in Submit and SubmitGroup
 // calls: a full queue blocks that tenant's submitters — backpressure —
 // until its dispatcher drains or the submitter's context is cancelled;
-// other tenants' queues are unaffected.
-const (
-	maxGroup   = 64
-	queueDepth = 4 * maxGroup
-)
+// other tenants' queues are unaffected. It also bounds a group formed
+// of Submits; a SubmitGroup call is never split, however long.
+const queueDepth = 256
 
 // Config tunes the service; zero values select the documented
 // defaults.
@@ -195,9 +192,9 @@ type pending struct {
 
 // submission is one queue item: the requests of one Submit or
 // SubmitGroup call. A sealed submission is a hoist group its caller
-// declared whole — it runs as exactly one group and waits for nobody;
-// an unsealed one holds a single request: it opens a group that the
-// adjacent matching Submits behind it join, or it joins a running one.
+// declared whole — it runs as exactly one group; an unsealed one holds
+// a single request, and the group it opens takes along the adjacent
+// matching Submits queued behind it.
 type submission struct {
 	reqs   []*pending
 	sealed bool
@@ -220,13 +217,6 @@ type tenantWorker struct {
 	// progress because the dispatcher keeps draining the queue.
 	mu     sync.RWMutex
 	closed bool
-
-	// carry is the one submission a join popped and could not take:
-	// sealed, or of another groupKey. The dispatcher starts its next
-	// group from it before it reads the queue, so the tenant's FIFO
-	// order holds. Joins run only on the dispatcher (unsealed groups
-	// run there, sealed ones never join), so it needs no lock.
-	carry submission // reqs == nil: empty
 
 	stats  counters
 	levels levelCounters
@@ -355,8 +345,8 @@ func (s *Service) admit(ctx context.Context, req Request) (*pending, error) {
 		return nil, err
 	}
 	// Reject unknown dataflows here: past this point the request runs
-	// on the tenant's dispatcher goroutine, where a panic would take
-	// down that tenant's stream rather than one request.
+	// in one of its tenant's groups, where a panic would take down the
+	// service rather than fail one request.
 	if !req.Dataflow.Valid() {
 		return nil, fmt.Errorf("serve: unknown dataflow %v", req.Dataflow)
 	}
@@ -399,10 +389,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Result, error
 // rejected by Submit, or differs from the first in a shared field, the
 // call fails and nothing is enqueued. It then runs as exactly one
 // group — one Decompose+ModUp however long it is and whatever else is
-// queued, never split by maxGroup, never merged with another call's
-// requests even on an equal Input pointer, never joined by a later
-// Submit. ctx and backpressure are as for Submit, for the call as a
-// whole.
+// queued, never split, never merged with another call's requests even
+// on an equal Input pointer or with a Submit. ctx and backpressure are
+// as for Submit, for the call as a whole.
 func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Result, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
@@ -431,7 +420,7 @@ func (s *Service) SubmitGroup(ctx context.Context, reqs []Request) ([]<-chan Res
 }
 
 // Close stops accepting requests, waits for every queued request of
-// every tenant to be served — each dispatcher waits out its sealed
+// every tenant to be served — each dispatcher waits out its running
 // groups before it stops — and stops the dispatchers. Safe to call
 // more than once. Close drains by contract, so a tenant whose
 // group is wedged in a key load holds it up.
@@ -460,71 +449,53 @@ func (s *Service) Close() {
 	}
 }
 
-// ---- Per-tenant dispatchers: a group runs when it is popped ----
+// ---- Per-tenant dispatchers: a group forms when its tenant has a slot ----
 
-// dispatch is the tenant's one reader of its queue. It pops the carry,
-// or else the queue head, and each popped submission is one group that
-// holds one of the tenant's Engine.Workers()+1 slots while it runs. A
-// sealed group starts at once on a goroutine of its own; an unsealed
-// one runs on the dispatcher, where it may join the queue's head.
-// Once the queue is closed and drained, the dispatcher waits for its
-// sealed groups and exits.
+// dispatch is the tenant's one reader of its queue. It takes one of the
+// tenant's Engine.Workers()+1 slots, and only then pops the next
+// submission, or the one its last drain set aside. A sealed submission
+// is a group as it stands; an unsealed one takes along every matching
+// Submit already queued right behind it, and the first submission that
+// does not match is set aside as next. Every group runs on its own
+// goroutine and gives its slot back when it is done. Once the queue is
+// closed and drained, the dispatcher waits for its groups and exits.
 func (s *Service) dispatch(w *tenantWorker) {
 	slots := make(chan struct{}, s.cfg.Engine.Workers()+1)
-	var sealed sync.WaitGroup
+	var running sync.WaitGroup
 	defer func() {
-		sealed.Wait()
+		running.Wait()
 		close(w.done)
 	}()
+	var next submission // reqs == nil: none set aside
 	for {
-		g := w.carry
-		w.carry = submission{}
+		slots <- struct{}{}
+		g := next
+		next = submission{}
 		if g.reqs == nil {
 			if g = <-w.queue; g.reqs == nil {
 				return // closed and drained
 			}
 			w.popped(g)
 		}
-		w.stats.groups.Add(1)
-		slots <- struct{}{}
-		if !g.sealed {
-			s.runGroup(w, g)
-			<-slots
-			continue
+		// Only this goroutine reads the queue, so what it holds now can
+		// be drained without waiting.
+		for n := len(w.queue); !g.sealed && n > 0 && next.reqs == nil; n-- {
+			sub := <-w.queue
+			w.popped(sub)
+			if sub.sealed || groupKeyOf(sub.reqs[0]) != groupKeyOf(g.reqs[0]) {
+				next = sub
+			} else {
+				g.reqs = append(g.reqs, sub.reqs[0])
+			}
 		}
-		sealed.Add(1)
+		w.stats.groups.Add(1)
+		running.Add(1)
 		go func() {
-			defer sealed.Done()
-			s.runGroup(w, g)
+			defer running.Done()
+			s.runGroup(w, g.reqs)
 			<-slots
 		}()
 	}
-}
-
-// join drains the tenant's queue, without waiting, into an
-// unsealed group with key k: every unsealed request at the head of the
-// queue with that key joins, up to room of them. The first submission
-// popped that does not match goes to the carry and ends the drain; a
-// full carry ends it before it starts.
-func (w *tenantWorker) join(k groupKey, room int) []*pending {
-	var joined []*pending
-	for w.carry.reqs == nil && len(joined) < room {
-		var sub submission
-		select {
-		case sub = <-w.queue: // the zero submission once closed
-		default:
-		}
-		if sub.reqs == nil {
-			break
-		}
-		w.popped(sub)
-		if sub.sealed || groupKeyOf(sub.reqs[0]) != k {
-			w.carry = sub
-		} else {
-			joined = append(joined, sub.reqs[0])
-		}
-	}
-	return joined
 }
 
 // popped stamps a submission's requests as dequeued and books their
@@ -560,51 +531,38 @@ func groupKeyOf(p *pending) groupKey {
 // one. Requests whose context died in the queue are failed; the rest
 // resolve their key material before anything is hoisted, so a member
 // whose key fails costs the group nothing further, and a group none of
-// whose keys resolves runs — and books — nothing. An unsealed group
-// first takes the matching Submits queued right behind it (join), and
-// once its ModUp is done those that queued while it ran, up to maxGroup
-// members in all, and replays them too.
-func (s *Service) runGroup(w *tenantWorker, g submission) {
+// whose keys resolves runs — and books — nothing.
+func (s *Service) runGroup(w *tenantWorker, reqs []*pending) {
 	if tr := obs.ActiveTracer(); tr != nil {
 		defer func(t0 time.Time) { tr.SpanTrack("serve", "group/"+w.tenant, t0, time.Now()) }(time.Now())
 	}
-	p0 := g.reqs[0]
-	if !g.sealed {
-		g.reqs = append(g.reqs, w.join(groupKeyOf(p0), maxGroup-len(g.reqs))...)
-	}
 	start := time.Now()
+	p0 := reqs[0]
 	sw, in, df, level := p0.sw, p0.req.Input, p0.req.Dataflow, p0.req.Level
 	e := s.cfg.Engine
 	type member struct {
-		p     *pending
-		mat   hks.KeyMaterial
-		start time.Time     // when it entered the group: the group's start, or its join
-		keys  time.Duration // its key fetch, booked to the keys phase
+		p    *pending
+		mat  hks.KeyMaterial
+		keys time.Duration // its key fetch, booked to the keys phase
 	}
 	var members []member
-	// enter takes requests into the group at time at: it books their
-	// dispatch phase, fails those whose context died in the queue, and
-	// resolves the key material of the rest. live counts the requests
-	// that entered alive, key failures included: the coalesce credit is
-	// booked on it.
+	// live counts the requests that entered alive, key failures
+	// included: the coalesce credit is booked on it.
 	live := 0
-	enter := func(ps []*pending, at time.Time) {
-		for _, p := range ps {
-			w.phases.add(phaseDispatch, at.Sub(p.deq))
-			if p.ctx != nil && p.ctx.Err() != nil {
-				w.finish(p, Result{Err: p.ctx.Err()})
-				continue
-			}
-			live++
-			mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
-			if err != nil {
-				w.finish(p, Result{Err: err})
-				continue
-			}
-			members = append(members, member{p: p, mat: mat, start: at, keys: took})
+	for _, p := range reqs {
+		w.phases.add(phaseDispatch, start.Sub(p.deq))
+		if p.ctx != nil && p.ctx.Err() != nil {
+			w.finish(p, Result{Err: p.ctx.Err()})
+			continue
 		}
+		live++
+		mat, took, err := s.getKey(w, sw, KeyID{Tenant: w.tenant, Rot: p.req.Rot, Level: level})
+		if err != nil {
+			w.finish(p, Result{Err: err})
+			continue
+		}
+		members = append(members, member{p: p, mat: mat, keys: took})
 	}
-	enter(g.reqs, start)
 	if len(members) == 0 {
 		return
 	}
@@ -612,15 +570,11 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 	h := sw.HoistParallel(e, df, in)
 	hoisted := time.Now()
 	w.phases.add(phaseHoist, hoisted.Sub(t0))
-	if !g.sealed {
-		enter(w.join(groupKeyOf(p0), maxGroup-len(g.reqs)), time.Now())
-	}
 	// One ModUp for the group, and — when it was formed of two or more
-	// requests, joiners counted — the whole group's coalesce credit with
-	// it, whichever keys failed; each request's switch is counted just
-	// before its result delivers, so a caller that snapshots Stats after
-	// receiving its last result sees it, in the level slices and in
-	// their sums.
+	// requests — the whole group's coalesce credit with it, whichever
+	// keys failed; each request's switch is counted just before its
+	// result delivers, so a caller that snapshots Stats after receiving
+	// its last result sees it, in the level slices and in their sums.
 	shared := live > 1
 	var coalesced uint64
 	if shared {
@@ -632,7 +586,7 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 		c1 := sw.R.GetPoly(sw.QBasis())
 		t1 := time.Now()
 		if shared {
-			// The member has been in the group since it entered; what of
+			// The member has been in the group since it started; what of
 			// that is booked to no phase on its behalf is the wait: the
 			// other members' key fetches, the shared hoist (booked once,
 			// to the group — carried here by the first member), and the
@@ -641,7 +595,7 @@ func (s *Service) runGroup(w *tenantWorker, g submission) {
 			if i == 0 {
 				booked += hoisted.Sub(t0)
 			}
-			w.phases.add(phaseGroupWait, t1.Sub(m.start)-booked)
+			w.phases.add(phaseGroupWait, t1.Sub(start)-booked)
 		}
 		// A compressed key is drawn in the replay's apply tiles, once per
 		// use — on cache hits too: that is the compression trade.

@@ -128,15 +128,15 @@ func do(svc *Service, req Request) Result {
 	return <-ch
 }
 
-// parkRot is the rotation of a parking request (see park); no test
-// asks a key source for it otherwise.
+// parkRot is the rotation of a tenant's first parking request (see
+// park); the i-th parks on parkRot-i, so that each is a load of its own.
+// No test asks a key source for a negative rotation otherwise.
 const parkRot = -1
 
 // gating wraps src so that loading a key gated reports true for parks
-// the loading dispatcher — and sends its tenant on entered — until
-// release is closed, then fails with fail or, when fail is nil, loads
-// the key from src. The cache loads a key once, so only its first use
-// parks.
+// the loading group — and sends its tenant on entered — until release
+// is closed, then fails with fail or, when fail is nil, loads the key
+// from src. The cache loads a key once, so only its first use parks.
 func gating(src KeySource, gated func(KeyID) bool, fail error) (_ KeySource, entered <-chan string, release chan struct{}) {
 	in, release := make(chan string, 4), make(chan struct{})
 	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
@@ -152,35 +152,60 @@ func gating(src KeySource, gated func(KeyID) bool, fail error) (_ KeySource, ent
 	}), in, release
 }
 
-// parking gates src on parkRot's key, failing the load once released.
+// parking gates src on the parking rotations' keys, failing each load
+// once released.
 func parking(src KeySource) (parked KeySource, entered <-chan string, release chan struct{}) {
-	return gating(src, func(id KeyID) bool { return id.Rot == parkRot }, errors.New("parked"))
+	return gating(src, func(id KeyID) bool { return id.Rot <= parkRot }, errors.New("parked"))
 }
 
-// hold submits req and waits until its tenant's dispatcher is parked in
-// the request's gated key load (see gating). The request's group has
-// formed by then, with it alone, so everything the tenant
-// submits until release is closed queues up behind a running group.
-func hold(t *testing.T, svc *Service, entered <-chan string, req Request) <-chan Result {
+// hold submits reqs one at a time, each once the one before is parked
+// in its gated key load (see gating), so that each is a group of its own
+// holding one of its tenant's slots. Given a request per slot, it leaves
+// the tenant's dispatcher waiting for a slot: everything the tenant
+// submits until release is closed stays queued, in order, and a Submit
+// past queueDepth blocks.
+func hold(t *testing.T, svc *Service, entered <-chan string, reqs ...Request) []<-chan Result {
 	t.Helper()
-	ch, err := svc.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	chans := make([]<-chan Result, len(reqs))
+	for i, req := range reqs {
+		ch, err := svc.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		chans[i] = ch
 	}
-	<-entered
-	return ch
+	return chans
 }
 
-// park holds a parking request for tenant on in (svc's source must come
-// from parking). Everything the tenant submits until release is closed
-// queues up behind it, where adjacent matching Submits form one group
-// when the dispatcher pops them, and a Submit past queueDepth blocks.
-// The parking request fails once released, before any ModUp, so nothing
-// joins it: it books one submission, group, cache miss and failure, and
-// no switch.
-func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) {
+// park wedges tenant with one parking request on in per slot (svc's
+// source must come from parking; see hold). Once released, what queued
+// behind them forms groups as the dispatcher pops it: adjacent matching
+// Submits make one. A parking request fails before any ModUp: each
+// books one submission, group, cache miss and failure, and no switch.
+func park(t *testing.T, svc *Service, entered <-chan string, in *ring.Poly, tenant string) wedge {
 	t.Helper()
-	hold(t, svc, entered, Request{Input: in, Rot: parkRot, Tenant: tenant})
+	reqs := make([]Request, svc.cfg.Engine.Workers()+1)
+	for i := range reqs {
+		reqs[i] = Request{Input: in, Rot: parkRot - i, Tenant: tenant}
+	}
+	return hold(t, svc, entered, reqs...)
+}
+
+// wedge is the result channels of park's requests.
+type wedge []<-chan Result
+
+// failed waits, once released, for every parking request to fail — a
+// failure is booked before it is delivered — and returns how many
+// there were.
+func (w wedge) failed(t *testing.T) uint64 {
+	t.Helper()
+	for i, ch := range w {
+		if res := <-ch; res.Err == nil {
+			t.Fatalf("parking request %d served", i)
+		}
+	}
+	return uint64(len(w))
 }
 
 // newParkedService is newService over b's dense keys behind parking.
@@ -217,7 +242,7 @@ func TestCoalescedBitExact(t *testing.T) {
 
 	svc, entered, release := b.newParkedService(t, Config{Engine: e})
 	defer svc.Close()
-	park(t, svc, entered, b.input(), "")
+	wedged := park(t, svc, entered, b.input(), "")
 
 	inputs := make([]*ring.Poly, G)
 	want0 := make([][]*ring.Poly, G)
@@ -250,9 +275,10 @@ func TestCoalescedBitExact(t *testing.T) {
 		}
 	}
 
+	parked := wedged.failed(t)
 	st := svc.Stats()
-	if st.Served != G*K || st.Failed != 1 {
-		t.Fatalf("served %d / failed %d, want %d / 1 (the parking request)", st.Served, st.Failed, G*K)
+	if st.Served != G*K || st.Failed != parked {
+		t.Fatalf("served %d / failed %d, want %d / %d (the parking requests)", st.Served, st.Failed, G*K, parked)
 	}
 	if st.ModUps != G {
 		t.Fatalf("ran %d ModUps for %d coalesced inputs", st.ModUps, G)
@@ -260,8 +286,8 @@ func TestCoalescedBitExact(t *testing.T) {
 	if st.CoalescingFactor != K {
 		t.Fatalf("coalescing factor %.2f, want %d", st.CoalescingFactor, K)
 	}
-	if st.Keys.Misses != K+1 || b.loads.Load() != K {
-		t.Fatalf("cache loaded %d times with %d misses, want %d distinct keys and the parking miss",
+	if st.Keys.Misses != K+parked || b.loads.Load() != K {
+		t.Fatalf("cache loaded %d times with %d misses, want %d distinct keys and the parking misses",
 			b.loads.Load(), st.Keys.Misses, K)
 	}
 	if st.Keys.HitRate <= 0.5 {
@@ -272,7 +298,7 @@ func TestCoalescedBitExact(t *testing.T) {
 	}
 	// The anonymous tenant's breakdown carries the whole load.
 	ts := tenantStats(t, st, "")
-	if ts.Served != G*K || ts.ModUps != G || ts.Keys.Misses != K+1 {
+	if ts.Served != G*K || ts.ModUps != G || ts.Keys.Misses != K+parked {
 		t.Fatalf("tenant breakdown %+v disagrees with global stats", ts)
 	}
 }
@@ -522,7 +548,7 @@ func TestCrossTenantNoCoalesce(t *testing.T) {
 }
 
 // fillQueue queues queueDepth Submits of in for tenant — a full queue,
-// behind a parked dispatcher — and returns their result channels.
+// behind a wedged tenant — and returns their result channels.
 func fillQueue(t *testing.T, svc *Service, in *ring.Poly, tenant string) []<-chan Result {
 	t.Helper()
 	chans := make([]<-chan Result, queueDepth)
@@ -546,8 +572,8 @@ func drain(t *testing.T, chans []<-chan Result) {
 	}
 }
 
-// TestTenantIsolationBackpressure wedges one tenant's dispatcher
-// inside an indefinitely blocked key load with its queue saturated,
+// TestTenantIsolationBackpressure wedges one tenant — every slot in an
+// indefinitely blocked key load — with its queue saturated,
 // then serves another tenant: the light tenant must complete — its
 // queue, dispatcher, and latency are untouched by the hot tenant's
 // backpressure, which is the whole point of per-tenant queues. (With
@@ -561,7 +587,7 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	defer func() { svc.Close() }()
 
 	in := b.input()
-	park(t, svc, entered, in, "hot") // the hot dispatcher is stuck loading a key
+	park(t, svc, entered, in, "hot") // every hot slot is stuck loading a key
 	hot := fillQueue(t, svc, in, "hot")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -578,7 +604,7 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	}
 	select {
 	case res := <-hot[0]:
-		t.Fatalf("hot request completed while its dispatcher was parked: %+v", res.Err)
+		t.Fatalf("hot request completed while its tenant was wedged: %+v", res.Err)
 	default:
 	}
 	st := svc.Stats()
@@ -611,10 +637,10 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 	defer func() { svc.Close() }()
 
 	in := b.input()
-	park(t, svc, entered, in, "hot") // hot dispatcher wedged in its key load
+	park(t, svc, entered, in, "hot") // hot tenant wedged in its key loads
 	hot := fillQueue(t, svc, in, "hot")
 	// This producer blocks *inside Submit* (nil-cancel send on a full
-	// queue) until the dispatcher is released.
+	// queue) until the hot tenant is released.
 	hotBlocked := make(chan Result, 1)
 	go func() {
 		hotBlocked <- do(svc, Request{Input: in, Rot: 1, Tenant: "hot"})
@@ -674,7 +700,7 @@ func TestUnknownTenantRejectedEarly(t *testing.T) {
 	}
 }
 
-// TestBackpressure parks the dispatcher inside a key load, fills the
+// TestBackpressure parks every slot of a tenant in a key load, fills the
 // bounded queue to its constant depth, and asserts a further Submit
 // blocks until its context dies rather than buffering without limit.
 func TestBackpressure(t *testing.T) {
@@ -700,7 +726,7 @@ func TestBackpressure(t *testing.T) {
 
 // TestSubmitCoalescesAtDefaults is serve_fanout's shape at the
 // service's own grouping constants: eight Submits of one input, queued
-// behind a parked dispatcher, are one group — one ModUp, eight
+// behind a wedged tenant, are one group — one ModUp, eight
 // coalesced requests — bit-exact with SwitchHoisted.
 func TestSubmitCoalescesAtDefaults(t *testing.T) {
 	const K = 8
@@ -799,9 +825,9 @@ func TestRequestErrors(t *testing.T) {
 	}
 
 	// One good and one unknown rotation in the same coalesced group,
-	// queued behind a parking request that fails.
+	// queued behind parking requests that fail.
 	in := b.input()
-	park(t, svc, entered, in, "")
+	wedged := park(t, svc, entered, in, "")
 	good, err := svc.Submit(context.Background(), Request{Input: in, Rot: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -828,10 +854,11 @@ func TestRequestErrors(t *testing.T) {
 
 	// The mixed group ran for its one good key: one ModUp, and the
 	// coalesce credit of the group as it was formed.
+	parked := wedged.failed(t)
 	st := svc.Stats()
-	if st.Failed != 3 || st.Served != 1 || st.ModUps != 1 || st.Coalesced != 2 {
-		t.Fatalf("failed %d / served %d / mod_ups %d / coalesced %d, want 3 / 1 / 1 / 2",
-			st.Failed, st.Served, st.ModUps, st.Coalesced)
+	if st.Failed != parked+2 || st.Served != 1 || st.ModUps != 1 || st.Coalesced != 2 {
+		t.Fatalf("failed %d / served %d / mod_ups %d / coalesced %d, want %d / 1 / 1 / 2",
+			st.Failed, st.Served, st.ModUps, st.Coalesced, parked+2)
 	}
 
 	// A group none of whose keys resolves has nobody to hoist for: it
@@ -847,10 +874,10 @@ func TestRequestErrors(t *testing.T) {
 		}
 	}
 	after := svc.Stats()
-	if after.Failed != 5 || after.ModUps != st.ModUps || after.Coalesced != st.Coalesced ||
+	if after.Failed != st.Failed+2 || after.ModUps != st.ModUps || after.Coalesced != st.Coalesced ||
 		!reflect.DeepEqual(after.PerLevel, st.PerLevel) {
-		t.Fatalf("keyless group moved the books: failed %d mod_ups %d coalesced %d levels %+v, were 3 / %d / %d / %+v",
-			after.Failed, after.ModUps, after.Coalesced, after.PerLevel, st.ModUps, st.Coalesced, st.PerLevel)
+		t.Fatalf("keyless group moved the books: failed %d mod_ups %d coalesced %d levels %+v, were %d / %d / %d / %+v",
+			after.Failed, after.ModUps, after.Coalesced, after.PerLevel, st.Failed, st.ModUps, st.Coalesced, st.PerLevel)
 	}
 	for _, ps := range after.Phases {
 		if ps.Phase == "hoist" && ps.Count != 1 {
@@ -918,7 +945,7 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	mustFail(submit(b.input(), 2), "compressed wrong-level key, singleton")
 	// Coalesced with a good request on one hoisted input.
 	in := b.input()
-	park(t, svc, entered, in, "")
+	wedged := park(t, svc, entered, in, "")
 	good, badDense, badComp := submit(in, 0), submit(in, 1), submit(in, 2)
 	close(release)
 	mustFail(badDense, "dense wrong-level key, coalesced")
@@ -929,8 +956,9 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 	in = b.input()
 	want0, want1 = b.wantSwitch("", in, 0)
 	checkResult(t, <-submit(in, 0), want0, want1, "request after the failures")
-	if st := svc.Stats(); st.Failed != 5 || st.Served != 2 {
-		t.Fatalf("failed %d / served %d, want 5 / 2 (the parking request among the failures)", st.Failed, st.Served)
+	n := wedged.failed(t)
+	if st := svc.Stats(); st.Failed != n+4 || st.Served != 2 {
+		t.Fatalf("failed %d / served %d, want %d / 2 (the parking requests among the failures)", st.Failed, st.Served, n+4)
 	}
 }
 

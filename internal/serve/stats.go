@@ -37,7 +37,7 @@ type counters struct {
 // opt-in.
 const (
 	phaseEnqueue   = iota // Submit accepted → popped from the tenant queue
-	phaseDispatch         // queue pop → its group starts executing, or it joins a running one
+	phaseDispatch         // queue pop → its group starts executing
 	phaseKeys             // key-cache fetch (and CheckMaterial) for the group
 	phaseHoist            // shared Decompose+ModUp (HoistParallel)
 	phaseGroupWait        // in a hoisted group, waiting on work booked to others
@@ -84,8 +84,7 @@ func (pc *phaseCounters) snapshot() []PhaseStats {
 // per request, while keys/hoist/replay are per key-cache fetch, per
 // hoisted group, and per replayed output respectively, and group_wait
 // is per member of a group of two or more: what the member spends
-// between entering its group (the group's start, or the member's join
-// after the group's ModUp) and its own replay starting on work that is
+// between its group's start and its own replay starting on work that is
 // booked elsewhere — the other members' key fetches, the shared
 // hoist (booked once per group, so every member but the first waits
 // it out here), and the replays before its own. With it, the phases a

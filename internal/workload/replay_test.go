@@ -256,10 +256,9 @@ func TestReplayCancelled(t *testing.T) {
 // Exact counts do not depend on how the service groups Submits: every
 // hoist group is one SubmitGroup call, which serve runs as one ModUp,
 // never split, never merged and never joined, and without waiting for
-// more. "hour window" replays a bootstrap, whose groups are all
-// narrower than serve's group cap and arrive in dependent waves that a
-// Submit loop would let meet; "batch of one" replays one fan-out group
-// of 65 rotations, wider than the cap of 64 on a joined group.
+// more. "hour window" replays a bootstrap, whose groups are all narrow
+// and arrive in dependent waves that a Submit loop would let meet;
+// "batch of one" replays one fan-out group of 65 rotations, run whole.
 func TestReplayGroupsIgnoreBatching(t *testing.T) {
 	boot, err := Bootstrap(BootstrapParams{LogSlots: 4, Radix: 16, Top: 3})
 	if err != nil {
