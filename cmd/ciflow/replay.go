@@ -114,7 +114,7 @@ type serveReport struct {
 	Phases      []serve.PhaseStats `json:"phases,omitempty"`
 	StageShares []obs.StageShare   `json:"stage_shares,omitempty"`
 
-	TenantStats []serve.TenantStats   `json:"tenant_stats"`
+	TenantStats []serve.Stats         `json:"tenant_stats"`
 	PerShard    []cluster.ShardStatus `json:"per_shard,omitempty"`
 }
 

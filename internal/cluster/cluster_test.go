@@ -289,21 +289,21 @@ func TestAggregateStats(t *testing.T) {
 		Submitted: 4, Served: 4, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 2,
 		P50: 2 * time.Millisecond, P99: 5 * time.Millisecond,
 		PerLevel: l3(4, 2),
-		Tenants: []serve.TenantStats{{
+		Tenants: []serve.Stats{{
 			Tenant: "t0", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 2,
-			PerLevel: l3(4, 2), Keys: serve.TenantCacheStats{Tenant: "t0", Hits: 3, Misses: 1},
+			PerLevel: l3(4, 2), Keys: serve.CacheStats{Tenant: "t0", Hits: 3, Misses: 1},
 		}},
 	}
 	a.Keys.BudgetBytes = 100
 	b := serve.Stats{
 		Submitted: 999, Served: 999, ModUps: 999, // not the sum of its tenants
 		P50: 3 * time.Millisecond, P99: 4 * time.Millisecond,
-		Tenants: []serve.TenantStats{
+		Tenants: []serve.Stats{
 			{Tenant: "t0", Submitted: 2, Served: 2, Groups: 2, ModUps: 2,
-				PerLevel: l3(2, 2), Keys: serve.TenantCacheStats{Tenant: "t0", Hits: 1, Misses: 1}},
+				PerLevel: l3(2, 2), Keys: serve.CacheStats{Tenant: "t0", Hits: 1, Misses: 1}},
 			{Tenant: "t1", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 2,
 				PerLevel: []serve.LevelStats{{Level: 1, Switches: 4, ModUps: 2}},
-				Keys:     serve.TenantCacheStats{Tenant: "t1", Misses: 2}},
+				Keys:     serve.CacheStats{Tenant: "t1", Misses: 2}},
 		},
 	}
 	b.Keys.BudgetBytes = 50

@@ -183,11 +183,11 @@ func FuzzDecodeStats(f *testing.F) {
 	honest := serve.Stats{
 		Submitted: 6, Served: 5, Failed: 1, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 4,
 		P50: 3e6, P99: 9e6, Kernel: "generic", Profile: rec.Snapshot(),
-		Tenants: []serve.TenantStats{
+		Tenants: []serve.Stats{
 			{Tenant: "t0", Submitted: 4, Served: 4, Groups: 1, ModUps: 1, Coalesced: 4,
 				PerLevel: []serve.LevelStats{{Level: 3, Switches: 4, ModUps: 1, Coalesced: 4}},
 				Phases:   []serve.PhaseStats{{Phase: "hoist", Count: 1, TotalNs: 100}, {Phase: "replay", Count: 4, TotalNs: 400}},
-				Keys:     serve.TenantCacheStats{Tenant: "t0", Size: 4, Bytes: 64, Hits: 1, Misses: 4}},
+				Keys:     serve.CacheStats{Tenant: "t0", Size: 4, Bytes: 64, Hits: 1, Misses: 4}},
 			{Tenant: "t1", Submitted: 2, Served: 1, Failed: 1, Groups: 1, ModUps: 1,
 				PerLevel: []serve.LevelStats{{Level: 1, Switches: 1, ModUps: 1}}},
 		},

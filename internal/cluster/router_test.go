@@ -238,12 +238,12 @@ func TestRouterDrainedStatsUnaliased(t *testing.T) {
 	books := serve.MergeStats(serve.Stats{
 		P50: time.Millisecond, P99: 2 * time.Millisecond, Kernel: "generic", Profile: rec.Snapshot(),
 		Keys: serve.CacheStats{BudgetBytes: 64},
-		Tenants: []serve.TenantStats{{
+		Tenants: []serve.Stats{{
 			Tenant: "t0", Submitted: 3, Served: 3, Groups: 1, ModUps: 1, Coalesced: 2,
 			P50: time.Millisecond, P99: 2 * time.Millisecond,
 			PerLevel: []serve.LevelStats{{Level: 3, Switches: 3, ModUps: 1, Coalesced: 2}},
 			Phases:   []serve.PhaseStats{{Phase: "hoist", Count: 1, TotalNs: 100}},
-			Keys:     serve.TenantCacheStats{Tenant: "t0", Size: 3, Bytes: 48, Misses: 3},
+			Keys:     serve.CacheStats{Tenant: "t0", Size: 3, Bytes: 48, Misses: 3},
 		}},
 	})
 	addr := fakeShard(t, func(typ FrameType, _ []byte) ([]frame, bool) {

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +21,7 @@ import (
 
 	"ciflow/internal/ckks"
 	"ciflow/internal/dataflow"
+	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -277,7 +281,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		PerLevel: []serve.LevelStats{{Level: 3, Switches: 6, ModUps: 2}, {Level: 1, Switches: 3, ModUps: 2}},
 		Phases: []serve.PhaseStats{{Phase: "hoist", Count: 4, TotalNs: 4000},
 			{Phase: "group_wait", Count: 5, TotalNs: 700}, {Phase: "replay", Count: 9, TotalNs: 9000}},
-		Tenants: []serve.TenantStats{{
+		Tenants: []serve.Stats{{
 			Tenant: "t0", Submitted: 10, Served: 9,
 			PerLevel: []serve.LevelStats{{Level: 3, Switches: 6, ModUps: 2}},
 			Phases:   []serve.PhaseStats{{Phase: "group_wait", Count: 5, TotalNs: 700}},
@@ -298,6 +302,74 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeStats([]byte("{not json")); err == nil {
 		t.Error("DecodeStats accepted invalid JSON")
+	}
+}
+
+// TestStatsFrameKeys pins the stats frame's wire keys: a total, its
+// tenant entry and the key-cache figures of each carry exactly the keys
+// below, so a shard and a router built from different trees read each
+// other's frames. Every field that belongs at a place is non-zero, so
+// no omitempty hides a key that should be there.
+func TestStatsFrameKeys(t *testing.T) {
+	var rec obs.Recorder
+	rec.Stage(obs.StageModUp, 900)
+	ms := time.Millisecond
+	shard := serve.CacheStats{Tenant: "t0", Bytes: 64, Size: 2, Hits: 3, Misses: 1, Evictions: 1, HitRate: 0.75}
+	tenant := serve.Stats{
+		Tenant: "t0", Submitted: 5, Served: 4, Failed: 1, Groups: 2, ModUps: 2, Coalesced: 2,
+		KeyExpansions: 4, CoalescingFactor: 2, Keys: shard, P50: ms, P99: 2 * ms,
+		PerLevel: []serve.LevelStats{{Level: 3, Switches: 4, ModUps: 2, Coalesced: 2}},
+		Phases:   []serve.PhaseStats{{Phase: "hoist", Count: 2, TotalNs: 200}},
+	}
+	all := serve.Stats{
+		Submitted: 5, Served: 4, Failed: 1, Batches: 2, Groups: 2, ModUps: 2, Coalesced: 2,
+		KeyExpansions: 4, CoalescingFactor: 2, P50: ms, P99: 2 * ms,
+		PerLevel: tenant.PerLevel, Phases: tenant.Phases,
+		Kernel: "generic", Profile: rec.Snapshot(), Tenants: []serve.Stats{tenant},
+	}
+	all.Keys = serve.CacheStats{BudgetBytes: 128, Bytes: 64, Size: 2, Hits: 3, Misses: 1, Evictions: 1,
+		HitRate: 0.75, Tenants: []serve.CacheStats{shard}}
+	payload, err := EncodeStats(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	object := func(raw json.RawMessage, where string) map[string]json.RawMessage {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		return m
+	}
+	first := func(raw json.RawMessage, where string) json.RawMessage {
+		var list []json.RawMessage
+		if err := json.Unmarshal(raw, &list); err != nil || len(list) != 1 {
+			t.Fatalf("%s: want a list of one, got %s (%v)", where, raw, err)
+		}
+		return list[0]
+	}
+	top := object(payload, "total")
+	entry := object(first(top["tenants"], "tenants"), "tenant entry")
+	cache := object(top["keys"], "total keys")
+	counters := []string{"submitted", "served", "failed", "groups", "mod_ups", "coalesced",
+		"key_expansions", "coalescing_factor", "keys", "p50", "p99", "per_level", "phases"}
+	cacheFigures := []string{"bytes", "size", "hits", "misses", "evictions", "hit_rate"}
+	for _, place := range []struct {
+		where string
+		got   map[string]json.RawMessage
+		want  []string
+	}{
+		{"total", top, append([]string{"batches", "kernel", "profile", "tenants"}, counters...)},
+		{"tenant entry", entry, append([]string{"tenant"}, counters...)},
+		{"total keys", cache, append([]string{"budget_bytes", "tenants"}, cacheFigures...)},
+		{"tenant keys", object(entry["keys"], "tenant keys"), append([]string{"tenant"}, cacheFigures...)},
+		{"total keys' shard", object(first(cache["tenants"], "keys tenants"), "keys shard"), append([]string{"tenant"}, cacheFigures...)},
+	} {
+		got := slices.Sorted(maps.Keys(place.got))
+		slices.Sort(place.want)
+		if !slices.Equal(got, place.want) {
+			t.Errorf("%s: keys %v, want %v", place.where, got, place.want)
+		}
 	}
 }
 

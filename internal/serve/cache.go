@@ -24,7 +24,8 @@ package serve
 // evict a light tenant's last keys (the budget stays hard: if every
 // tenant is at its floor, plain LRU applies). The hit, miss, eviction
 // and resident-byte counters are kept per tenant and nowhere else; the
-// cache-wide figures are their sum (cacheTotal).
+// cache-wide figures are their sum, in the same CacheStats type
+// (keyCache.Stats).
 //
 // Eviction is safe mid-flight by construction: Get hands out the
 // material reference, and an in-flight replay keeps it alive after the
@@ -73,60 +74,36 @@ type KeyMaterialFunc func(id KeyID) (hks.KeyMaterial, error)
 // Key implements KeySource.
 func (f KeyMaterialFunc) Key(id KeyID) (hks.KeyMaterial, error) { return f(id) }
 
-// TenantCacheStats is one tenant's slice of the key cache: resident
-// keys and bytes, and the hit/miss/eviction counters.
-type TenantCacheStats struct {
-	Tenant    string  `json:"tenant"`
-	Size      int     `json:"size"`
-	Bytes     int64   `json:"bytes"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// add folds o into tc: residency and counters add, and the hit rate is
-// recomputed from the sums.
-func (tc *TenantCacheStats) add(o TenantCacheStats) {
-	tc.Size += o.Size
-	tc.Bytes += o.Bytes
-	tc.Hits += o.Hits
-	tc.Misses += o.Misses
-	tc.Evictions += o.Evictions
-	tc.HitRate = 0
-	if gets := tc.Hits + tc.Misses; gets > 0 {
-		tc.HitRate = float64(tc.Hits) / float64(gets)
-	}
-}
-
-// CacheStats is a point-in-time snapshot of the key cache: the global
-// byte budget, and the resident bytes and counters summed over the
-// per-tenant breakdown (sorted by tenant). A Get that joins another
-// caller's in-flight load counts as a hit (the load was shared);
-// HitRate is hits over all Gets.
+// CacheStats is one tenant's shard of the key cache or the whole
+// cache: resident keys and bytes, and the hit/miss/eviction counters.
+// Tenant is "" for the whole cache; BudgetBytes, the global byte
+// budget, and Tenants, the shards sorted by tenant, are set only there,
+// and every other figure is the sum of the shards'. A Get that joins
+// another caller's in-flight load counts as a hit (the load was
+// shared); HitRate is hits over all Gets.
 type CacheStats struct {
-	BudgetBytes int64              `json:"budget_bytes"`
-	Bytes       int64              `json:"bytes"`
-	Size        int                `json:"size"`
-	Hits        uint64             `json:"hits"`
-	Misses      uint64             `json:"misses"`
-	Evictions   uint64             `json:"evictions"`
-	HitRate     float64            `json:"hit_rate"`
-	Tenants     []TenantCacheStats `json:"tenants"`
+	Tenant      string       `json:"tenant,omitempty"`
+	BudgetBytes int64        `json:"budget_bytes,omitempty"`
+	Bytes       int64        `json:"bytes"`
+	Size        int          `json:"size"`
+	Hits        uint64       `json:"hits"`
+	Misses      uint64       `json:"misses"`
+	Evictions   uint64       `json:"evictions"`
+	HitRate     float64      `json:"hit_rate"`
+	Tenants     []CacheStats `json:"tenants,omitempty"`
 }
 
-// cacheTotal is the CacheStats of a set of tenant shards: every figure
-// is the sum of theirs. The budget is the caller's to set; the result
-// holds the slice.
-func cacheTotal(tenants []TenantCacheStats) CacheStats {
-	var all TenantCacheStats
-	for _, tc := range tenants {
-		all.add(tc)
-	}
-	return CacheStats{
-		Bytes: all.Bytes, Size: all.Size,
-		Hits: all.Hits, Misses: all.Misses, Evictions: all.Evictions,
-		HitRate: all.HitRate, Tenants: tenants,
+// add folds o's residency and counters into cs, and recomputes the hit
+// rate from the sums.
+func (cs *CacheStats) add(o CacheStats) {
+	cs.Size += o.Size
+	cs.Bytes += o.Bytes
+	cs.Hits += o.Hits
+	cs.Misses += o.Misses
+	cs.Evictions += o.Evictions
+	cs.HitRate = 0
+	if gets := cs.Hits + cs.Misses; gets > 0 {
+		cs.HitRate = float64(cs.Hits) / float64(gets)
 	}
 }
 
@@ -158,7 +135,7 @@ type keyCache struct {
 	// shards carry each tenant's residency and counters (Tenant and
 	// HitRate are filled in by Stats). Recency lives in the one global
 	// list: eviction weighs tenants against each other.
-	shards  map[string]*TenantCacheStats
+	shards  map[string]*CacheStats
 	loading map[KeyID]*keyLoad
 	bytes   int64 // resident, all tenants: what eviction holds to the budget
 }
@@ -174,15 +151,15 @@ func newKeyCache(src KeySource, budget int64) *keyCache {
 		budget:  budget,
 		entries: make(map[KeyID]*list.Element),
 		order:   list.New(),
-		shards:  make(map[string]*TenantCacheStats),
+		shards:  make(map[string]*CacheStats),
 		loading: make(map[KeyID]*keyLoad),
 	}
 }
 
-func (c *keyCache) shard(tenant string) *TenantCacheStats {
+func (c *keyCache) shard(tenant string) *CacheStats {
 	s, ok := c.shards[tenant]
 	if !ok {
-		s = &TenantCacheStats{}
+		s = &CacheStats{}
 		c.shards[tenant] = s
 	}
 	return s
@@ -259,18 +236,17 @@ func (c *keyCache) evictLocked() {
 	}
 }
 
-// Stats snapshots the per-tenant counters and their total.
+// Stats snapshots the per-tenant shards and their total.
 func (c *keyCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var tenants []TenantCacheStats
+	st := CacheStats{BudgetBytes: c.budget}
 	for name, sh := range c.shards {
-		tc := TenantCacheStats{Tenant: name}
+		tc := CacheStats{Tenant: name}
 		tc.add(*sh)
-		tenants = append(tenants, tc)
+		st.add(tc)
+		st.Tenants = append(st.Tenants, tc)
 	}
-	sort.Slice(tenants, func(a, b int) bool { return tenants[a].Tenant < tenants[b].Tenant })
-	st := cacheTotal(tenants)
-	st.BudgetBytes = c.budget
+	sort.Slice(st.Tenants, func(a, b int) bool { return st.Tenants[a].Tenant < st.Tenants[b].Tenant })
 	return st
 }

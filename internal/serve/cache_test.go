@@ -132,7 +132,7 @@ func TestCacheTenantFloor(t *testing.T) {
 	}
 
 	st := c.Stats()
-	byTenant := map[string]TenantCacheStats{}
+	byTenant := map[string]CacheStats{}
 	for _, ts := range st.Tenants {
 		byTenant[ts.Tenant] = ts
 	}

@@ -83,10 +83,10 @@ func TestQueuedSubmitsHoistAsOneGroup(t *testing.T) {
 // the group's own input — is set aside for the next group, and the
 // same-input Submit queued behind it waits its turn behind that one
 // rather than jumping ahead into the first group.
-func TestJoinCarry(t *testing.T) {
+func TestGroupSetsAsideWhatItCannotTake(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		carry     func(in, other *ring.Poly) []Request
+		aside     func(in, other *ring.Poly) []Request
 		sealed    bool
 		coalesced uint64
 	}{
@@ -106,14 +106,14 @@ func TestJoinCarry(t *testing.T) {
 			in, other := b.input(), b.input()
 			wedged := park(t, svc, entered, b.input(), "")
 			first := submitAll(t, svc, in, 0)
-			carry := tc.carry(in, other)
-			var carried []<-chan Result
+			aside := tc.aside(in, other)
+			var setAside []<-chan Result
 			var err error
 			if tc.sealed {
-				carried, err = svc.SubmitGroup(context.Background(), carry)
+				setAside, err = svc.SubmitGroup(context.Background(), aside)
 			} else {
-				carried = make([]<-chan Result, 1)
-				carried[0], err = svc.Submit(context.Background(), carry[0])
+				setAside = make([]<-chan Result, 1)
+				setAside[0], err = svc.Submit(context.Background(), aside[0])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -123,15 +123,15 @@ func TestJoinCarry(t *testing.T) {
 
 			want0, want1 := b.wantSwitch("", in, 0)
 			checkResult(t, <-first[0], want0, want1, "first request")
-			for i, req := range carry {
+			for i, req := range aside {
 				want0, want1 = b.wantSwitch("", req.Input, req.Rot)
-				checkResult(t, <-carried[i], want0, want1, fmt.Sprintf("set-aside request %d", i))
+				checkResult(t, <-setAside[i], want0, want1, fmt.Sprintf("set-aside request %d", i))
 			}
 			want0, want1 = b.wantSwitch("", in, 3)
 			checkResult(t, <-behind[0], want0, want1, "request behind the set-aside one")
 			// Three groups, three ModUps and nothing coalesced outside the
 			// sealed group: the request behind the set-aside submission
-			// joined neither the first group nor that one.
+			// went into neither the first group nor that one.
 			parked := wedged.failed(t)
 			checkStats(t, svc.Stats(), map[string]uint64{
 				"groups": parked + 3, "mod_ups": 3, "coalesced": tc.coalesced, "failed": parked,
@@ -142,7 +142,7 @@ func TestJoinCarry(t *testing.T) {
 
 // Close drains a submission that a drain set aside: it was popped from
 // the queue, so closing the queue must not lose it.
-func TestJoinCloseDrainsCarry(t *testing.T) {
+func TestCloseDrainsSetAsideGroup(t *testing.T) {
 	b := newTestBench(t, 2)
 	e := engine.New(2)
 	defer e.Close()
@@ -151,7 +151,7 @@ func TestJoinCloseDrainsCarry(t *testing.T) {
 	in, other := b.input(), b.input()
 	wedged := park(t, svc, entered, b.input(), "")
 	first := submitAll(t, svc, in, 0)
-	carried := submitAll(t, svc, other, 1)
+	setAside := submitAll(t, svc, other, 1)
 	closed := make(chan struct{})
 	go func() {
 		defer close(closed)
@@ -168,7 +168,7 @@ func TestJoinCloseDrainsCarry(t *testing.T) {
 	want0, want1 := b.wantSwitch("", in, 0)
 	checkResult(t, <-first[0], want0, want1, "first request")
 	want0, want1 = b.wantSwitch("", other, 1)
-	checkResult(t, <-carried[0], want0, want1, "set-aside request")
+	checkResult(t, <-setAside[0], want0, want1, "set-aside request")
 	parked := wedged.failed(t)
 	checkStats(t, svc.Stats(), map[string]uint64{
 		"groups": parked + 2, "mod_ups": 2, "coalesced": 0, "served": 2, "failed": parked,

@@ -107,7 +107,7 @@ func (b *testBench) wantSwitch(tenant string, d *ring.Poly, rot int) (c0, c1 *ri
 }
 
 // tenantStats picks one tenant's breakdown out of a snapshot.
-func tenantStats(t *testing.T, st Stats, tenant string) TenantStats {
+func tenantStats(t *testing.T, st Stats, tenant string) Stats {
 	t.Helper()
 	for _, ts := range st.Tenants {
 		if ts.Tenant == tenant {
@@ -115,7 +115,7 @@ func tenantStats(t *testing.T, st Stats, tenant string) TenantStats {
 		}
 	}
 	t.Fatalf("no stats for tenant %q in %+v", tenant, st.Tenants)
-	return TenantStats{}
+	return Stats{}
 }
 
 // do is Submit plus waiting for the result, with a failed Submit

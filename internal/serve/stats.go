@@ -3,10 +3,11 @@ package serve
 // The service's books. Every number is kept once, at the tenant: a
 // tenant worker owns the only live counters, per-level slices, phase
 // clocks and latency window, and the key cache keeps its own counters
-// per tenant. Everything wider — the service totals, the sum over a
-// cluster's shards, one tenant's view as a Stats of its own — is total
-// applied to a set of TenantStats, so "the totals are the sum of the
-// tenants" is how a Stats is made rather than something to check.
+// per tenant. One type holds a tenant's books and every sum of them —
+// the service totals, the sum over a cluster's shards, one tenant's
+// view on its own — and each sum is total applied to a set of tenants'
+// Stats, so "the totals are the sum of the tenants" is how a total is
+// made rather than something to check.
 
 import (
 	"cmp"
@@ -177,80 +178,21 @@ func (lc *levelCounters) snapshot() []LevelStats {
 	return slices.Clone(lc.levels)
 }
 
-// TenantStats is one tenant's books: its request counters, latency
-// percentiles, per-level and per-phase breakdowns, and key-cache
-// shard. Groups never span tenants, so nothing in a service is
-// counted that is not counted here.
-type TenantStats struct {
-	Tenant    string `json:"tenant"`
-	Submitted uint64 `json:"submitted"`
-	Served    uint64 `json:"served"`
-	Failed    uint64 `json:"failed"`
-	Groups    uint64 `json:"groups"`
-	ModUps    uint64 `json:"mod_ups"`
-	Coalesced uint64 `json:"coalesced"`
-
-	// KeyExpansions counts this tenant's replays of compressed key
-	// material, each drawn in the apply tiles (0 for a dense source).
-	KeyExpansions uint64 `json:"key_expansions"`
-
-	// CoalescingFactor is this tenant's served requests per ModUp.
-	CoalescingFactor float64 `json:"coalescing_factor"`
-
-	// P50/P99 are submit-to-completion latencies over (up to) the last
-	// 16384 requests this tenant had served — the numbers the tenant-
-	// isolation test pins: a hot neighbour must not move them.
-	P50 time.Duration `json:"p50"`
-	P99 time.Duration `json:"p99"`
-
-	// PerLevel is this tenant's switch/ModUp breakdown by ciphertext
-	// level, descending from the top level.
-	PerLevel []LevelStats `json:"per_level,omitempty"`
-
-	// Phases is this tenant's request-lifecycle breakdown
-	// (enqueue→dispatch→keys→hoist→group_wait→replay→reply).
-	Phases []PhaseStats `json:"phases,omitempty"`
-
-	Keys TenantCacheStats `json:"keys"`
-}
-
-// add folds o into ts: counters, levels, phases and the key-cache
-// shard add, ratios are recomputed from the sums, and the percentiles
-// take the worse of the two (summing percentiles would mean nothing).
-// It is the one summation behind every Stats: total folds a service's
-// tenants into its totals with it, MergeStats one tenant's slices on
-// several shards into that tenant's books.
-func (ts *TenantStats) add(o TenantStats) {
-	ts.Submitted += o.Submitted
-	ts.Served += o.Served
-	ts.Failed += o.Failed
-	ts.Groups += o.Groups
-	ts.ModUps += o.ModUps
-	ts.Coalesced += o.Coalesced
-	ts.KeyExpansions += o.KeyExpansions
-	ts.CoalescingFactor = 0
-	if ts.ModUps > 0 {
-		ts.CoalescingFactor = float64(ts.Served) / float64(ts.ModUps)
-	}
-	ts.P50, ts.P99 = max(ts.P50, o.P50), max(ts.P99, o.P99)
-	ts.PerLevel = addLevels(ts.PerLevel, o.PerLevel)
-	ts.Phases = addPhases(ts.Phases, o.Phases)
-	ts.Keys.add(o.Keys)
-	ts.Keys.Tenant = ts.Tenant
-}
-
-// Stats is a point-in-time snapshot of the service. Every counter,
-// PerLevel, Phases and the Keys figures are sums over Tenants (see
-// total); the percentiles, the cache budget and the profile are the
-// service's own.
+// Stats is one tenant's books or a total of them: request counters,
+// latency percentiles, per-level and per-phase breakdowns and key-cache
+// figures. A tenant's Stats (Tenant set) is the only place a number is
+// counted: groups never span tenants. A total (Tenant "") is the sum of
+// the Tenants it lists (see total), plus what no sum of tenants gives:
+// Batches, Kernel, Profile and the cache budget are set only in a total.
 type Stats struct {
-	Submitted uint64 `json:"submitted"` // requests accepted by Submit
-	Served    uint64 `json:"served"`    // requests completed with outputs
-	Failed    uint64 `json:"failed"`    // requests completed with an error
-	Batches   uint64 `json:"batches"`   // equals Groups: every group is dispatched on its own
-	Groups    uint64 `json:"groups"`    // (tenant, level, input, dataflow) groups formed
-	ModUps    uint64 `json:"mod_ups"`   // Decompose+ModUp executions
-	Coalesced uint64 `json:"coalesced"` // requests served from a shared hoisted state
+	Tenant    string `json:"tenant,omitempty"`  // "" in a total
+	Submitted uint64 `json:"submitted"`         // requests accepted by Submit
+	Served    uint64 `json:"served"`            // requests completed with outputs
+	Failed    uint64 `json:"failed"`            // requests completed with an error
+	Batches   uint64 `json:"batches,omitempty"` // in a total, equals Groups: every group is dispatched on its own
+	Groups    uint64 `json:"groups"`            // (tenant, level, input, dataflow) groups formed
+	ModUps    uint64 `json:"mod_ups"`           // Decompose+ModUp executions
+	Coalesced uint64 `json:"coalesced"`         // requests served from a shared hoisted state
 
 	// KeyExpansions counts compressed keys drawn in the apply tiles:
 	// every use of a compressed cache entry draws its A-half once,
@@ -264,11 +206,15 @@ type Stats struct {
 	// hoisting model (hks.HoistedOpsSaved).
 	CoalescingFactor float64 `json:"coalescing_factor"`
 
+	// Keys is the tenant's shard of the key cache, or in a total the
+	// whole cache.
 	Keys CacheStats `json:"keys"`
 
-	// P50/P99 are submit-to-completion latencies over the tenants'
-	// windows taken together (up to the last 16384 served requests of
-	// each). Merged across shards they are the worst shard's.
+	// P50/P99 are submit-to-completion latencies over (up to) the last
+	// 16384 requests each tenant had served — the numbers the tenant-
+	// isolation test pins: a hot neighbour must not move a tenant's.
+	// A service's total pools its tenants' windows; merged across
+	// shards they are the worst shard's.
 	P50 time.Duration `json:"p50"`
 	P99 time.Duration `json:"p99"`
 
@@ -278,7 +224,8 @@ type Stats struct {
 	// summing the slice reproduces the Served and ModUps totals.
 	PerLevel []LevelStats `json:"per_level,omitempty"`
 
-	// Phases is the request-lifecycle breakdown across all tenants:
+	// Phases is the request-lifecycle breakdown
+	// (enqueue→dispatch→keys→hoist→group_wait→replay→reply):
 	// accumulated wall time per phase from Submit to result delivery.
 	Phases []PhaseStats `json:"phases,omitempty"`
 
@@ -294,33 +241,51 @@ type Stats struct {
 	// profiles exactly (bucket counts sum) into a fabric-wide one.
 	Profile *obs.Snapshot `json:"profile,omitempty"`
 
-	// Tenants is the per-tenant breakdown, sorted by tenant name.
-	Tenants []TenantStats `json:"tenants"`
+	// Tenants is the per-tenant breakdown of a total, sorted by tenant
+	// name.
+	Tenants []Stats `json:"tenants,omitempty"`
 }
 
-// total is the Stats of a set of tenants: every service-wide counter,
-// level slice, phase and key-cache figure is the sum of theirs, and
-// the percentiles are the worst tenant's. What no sum of tenants gives
-// — percentiles over a wider window, the cache budget, the profile —
-// is the caller's to set. tenants must be sorted by name; the result
+// add folds o's books into st: counters, levels, phases and the
+// key-cache figures add, ratios are recomputed from the sums, and the
+// percentiles take the worse of the two (summing percentiles would
+// mean nothing). It is the one summation behind every total: total
+// folds a service's tenants into its totals with it, MergeStats one
+// tenant's slices on several shards into that tenant's books.
+func (st *Stats) add(o Stats) {
+	st.Submitted += o.Submitted
+	st.Served += o.Served
+	st.Failed += o.Failed
+	st.Groups += o.Groups
+	st.ModUps += o.ModUps
+	st.Coalesced += o.Coalesced
+	st.KeyExpansions += o.KeyExpansions
+	st.CoalescingFactor = 0
+	if st.ModUps > 0 {
+		st.CoalescingFactor = float64(st.Served) / float64(st.ModUps)
+	}
+	st.P50, st.P99 = max(st.P50, o.P50), max(st.P99, o.P99)
+	st.PerLevel = addLevels(st.PerLevel, o.PerLevel)
+	st.Phases = addPhases(st.Phases, o.Phases)
+	st.Keys.add(o.Keys)
+	st.Keys.Tenant = st.Tenant
+}
+
+// total is the Stats of a set of tenants: every counter, level slice,
+// phase and key-cache figure is the sum of theirs, and the percentiles
+// are the worst tenant's. What no sum of tenants gives — percentiles
+// over a wider window, the cache budget, the kernel, the profile — is
+// the caller's to set. tenants must be sorted by name; the result
 // holds the slice.
-func total(tenants []TenantStats) Stats {
-	var all TenantStats
-	var keys []TenantCacheStats
+func total(tenants []Stats) Stats {
+	var st Stats
 	for _, ts := range tenants {
-		all.add(ts)
-		keys = append(keys, ts.Keys)
+		st.add(ts)
+		st.Keys.Tenants = append(st.Keys.Tenants, ts.Keys)
 	}
-	return Stats{
-		Submitted: all.Submitted, Served: all.Served, Failed: all.Failed,
-		Batches: all.Groups, Groups: all.Groups, ModUps: all.ModUps,
-		Coalesced: all.Coalesced, KeyExpansions: all.KeyExpansions,
-		CoalescingFactor: all.CoalescingFactor,
-		Keys:             cacheTotal(keys),
-		P50:              all.P50, P99: all.P99,
-		PerLevel: all.PerLevel, Phases: all.Phases,
-		Tenants: tenants,
-	}
+	st.Batches = st.Groups
+	st.Tenants = tenants
+	return st
 }
 
 // KernelMixed is the Kernel of a merge over services that ran different
@@ -336,18 +301,18 @@ const KernelMixed = "mixed"
 // percentiles are the worst part's. It is associative and independent
 // of the order of its arguments, and shares no storage with them.
 func MergeStats(parts ...Stats) Stats {
-	byName := map[string]*TenantStats{}
+	byName := map[string]*Stats{}
 	for _, p := range parts {
 		for _, ts := range p.Tenants {
 			e := byName[ts.Tenant]
 			if e == nil {
-				e = &TenantStats{Tenant: ts.Tenant}
+				e = &Stats{Tenant: ts.Tenant}
 				byName[ts.Tenant] = e
 			}
 			e.add(ts)
 		}
 	}
-	var tenants []TenantStats
+	var tenants []Stats
 	for _, e := range byName {
 		tenants = append(tenants, *e)
 	}
@@ -369,16 +334,16 @@ func MergeStats(parts ...Stats) Stats {
 	return st
 }
 
-// ForTenant projects st onto one tenant as a Stats value of its own —
-// the total of that one tenant: its counters, percentiles, levels,
-// phases and key-cache shard in the service-wide fields, so a replay's
-// before/after deltas measure exactly its tenant's slice however many
-// tenants — or, merged, shards — share the books. The cache budget is
-// the shared one. A tenant st does not list gets the zero Stats.
+// ForTenant projects st onto one tenant: the total of that tenant
+// alone, whose counters, percentiles, levels, phases and key figures
+// are its entry in st.Tenants, so a replay's before/after deltas
+// measure exactly its tenant's slice however many tenants — or,
+// merged, shards — share the books. The cache budget is the shared
+// one. A tenant st does not list gets the zero Stats.
 func (st Stats) ForTenant(tenant string) Stats {
 	for _, ts := range st.Tenants {
 		if ts.Tenant == tenant {
-			one := total([]TenantStats{ts})
+			one := total([]Stats{ts})
 			one.Keys.BudgetBytes = st.Keys.BudgetBytes
 			return one
 		}
@@ -390,7 +355,7 @@ func (st Stats) ForTenant(tenant string) Stats {
 // the percentiles of its latency window and — for the service to pool
 // with the other tenants' — the window itself, sorted. keys is the
 // tenant's shard of the key cache.
-func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Duration) {
+func (w *tenantWorker) snapshot(keys CacheStats) (Stats, []time.Duration) {
 	window := w.lats.window()
 	levels := w.levels.snapshot()
 	var sum LevelStats
@@ -399,8 +364,8 @@ func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Dura
 		sum.ModUps += ls.ModUps
 		sum.Coalesced += ls.Coalesced
 	}
-	ts := TenantStats{Tenant: w.tenant}
-	ts.add(TenantStats{
+	ts := Stats{Tenant: w.tenant}
+	ts.add(Stats{
 		Submitted:     w.stats.submitted.Load(),
 		Served:        sum.Switches,
 		Failed:        w.stats.failed.Load(),
@@ -420,7 +385,7 @@ func (w *tenantWorker) snapshot(keys TenantCacheStats) (TenantStats, []time.Dura
 // Stats snapshots the service: every tenant's books, and their total.
 func (s *Service) Stats() Stats {
 	cache := s.keys.Stats()
-	shard := make(map[string]TenantCacheStats, len(cache.Tenants))
+	shard := make(map[string]CacheStats, len(cache.Tenants))
 	for _, tc := range cache.Tenants {
 		shard[tc.Tenant] = tc
 	}
@@ -432,7 +397,7 @@ func (s *Service) Stats() Stats {
 	s.mu.RUnlock()
 	sort.Slice(workers, func(a, b int) bool { return workers[a].tenant < workers[b].tenant })
 
-	tenants := make([]TenantStats, len(workers))
+	tenants := make([]Stats, len(workers))
 	var pooled []time.Duration
 	for i, w := range workers {
 		var window []time.Duration

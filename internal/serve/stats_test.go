@@ -67,13 +67,32 @@ func checkSums(t *testing.T, st Stats, what string) {
 	}
 }
 
+// checkForTenant asserts the identity that lets one type hold a
+// tenant's books and their total: ForTenant of each listed tenant
+// equals its entry in every counter, percentile, level slice, phase and
+// key figure, and carries the shared cache budget.
+func checkForTenant(t *testing.T, st Stats, what string) {
+	t.Helper()
+	books := func(s Stats) Stats { // without what names a Stats or only a total carries
+		s.Tenant, s.Batches, s.Kernel, s.Profile, s.Tenants = "", 0, "", nil, nil
+		s.Keys.Tenant, s.Keys.BudgetBytes, s.Keys.Tenants = "", 0, nil
+		return s
+	}
+	for _, ts := range st.Tenants {
+		one := st.ForTenant(ts.Tenant)
+		if !reflect.DeepEqual(books(one), books(ts)) || one.Keys.BudgetBytes != st.Keys.BudgetBytes {
+			t.Errorf("%s: ForTenant(%q) = %+v, its entry %+v", what, ts.Tenant, one, ts)
+		}
+	}
+}
+
 // TestStatsSumToTenantsUnderLoad snapshots Stats as fast as it can
 // while three tenants are being served — groups, lone requests and
-// failing ones — and holds every snapshot to checkSums. With one set of
-// books per tenant and the totals derived from the snapshot, there is
-// no instant at which the two could disagree; a service that kept a
-// second, service-wide set would be read at a different instant and
-// fail here.
+// failing ones — and holds every snapshot to checkSums and
+// checkForTenant. With one set of books per tenant and the totals
+// derived from the snapshot, there is no instant at which the two could
+// disagree; a service that kept a second, service-wide set would be
+// read at a different instant and fail here.
 func TestStatsSumToTenantsUnderLoad(t *testing.T) {
 	const rounds, K = 25, 3
 	tenants := []string{"a", "b", "c"}
@@ -98,7 +117,9 @@ func TestStatsSumToTenantsUnderLoad(t *testing.T) {
 				watched <- n
 				return
 			default:
-				checkSums(t, svc.Stats(), "mid-load snapshot")
+				st := svc.Stats()
+				checkSums(t, st, "mid-load snapshot")
+				checkForTenant(t, st, "mid-load snapshot")
 				n++
 			}
 		}
@@ -135,6 +156,7 @@ func TestStatsSumToTenantsUnderLoad(t *testing.T) {
 
 	st := svc.Stats()
 	checkSums(t, st, "final snapshot")
+	checkForTenant(t, st, "final snapshot")
 	n := uint64(len(tenants) * rounds)
 	if st.Submitted != n*(K+2) || st.Served != n*(K+1) || st.Failed != n || st.ModUps != 2*n || st.Coalesced != n*K {
 		t.Fatalf("submitted %d served %d failed %d mod_ups %d coalesced %d, want %d/%d/%d/%d/%d",
@@ -150,12 +172,12 @@ func TestMergeStats(t *testing.T) {
 	ms := time.Millisecond
 	p1 := Stats{
 		P50: 2 * ms, P99: 5 * ms,
-		Tenants: []TenantStats{{
+		Tenants: []Stats{{
 			Tenant: "t0", Submitted: 4, Served: 4, Groups: 2, ModUps: 2, Coalesced: 4, KeyExpansions: 4,
 			P50: 2 * ms, P99: 5 * ms,
 			PerLevel: []LevelStats{{Level: 3, Switches: 4, ModUps: 2, Coalesced: 4}},
 			Phases:   []PhaseStats{{"hoist", 2, 200}, {"replay", 4, 4000}},
-			Keys:     TenantCacheStats{Tenant: "t0", Size: 2, Bytes: 20, Hits: 3, Misses: 1},
+			Keys:     CacheStats{Tenant: "t0", Size: 2, Bytes: 20, Hits: 3, Misses: 1},
 		}},
 	}
 	p1.Keys.BudgetBytes = 100
@@ -163,28 +185,28 @@ func TestMergeStats(t *testing.T) {
 		Submitted: 999, Served: 999, ModUps: 999, Coalesced: 999, // not the sum of its tenants
 		PerLevel: []LevelStats{{Level: 9, Switches: 999}},
 		P50:      3 * ms, P99: 4 * ms,
-		Tenants: []TenantStats{
+		Tenants: []Stats{
 			{Tenant: "t0", Submitted: 3, Served: 2, Failed: 1, Groups: 2, ModUps: 2,
 				P50: 3 * ms, P99: 4 * ms,
 				PerLevel: []LevelStats{{Level: 3, Switches: 1, ModUps: 1}, {Level: 1, Switches: 1, ModUps: 1}},
 				Phases:   []PhaseStats{{"keys", 3, 30}, {"replay", 2, 2000}, {"zz_future", 1, 7}},
-				Keys:     TenantCacheStats{Tenant: "t0", Size: 1, Bytes: 10, Hits: 1, Misses: 2, Evictions: 1}},
+				Keys:     CacheStats{Tenant: "t0", Size: 1, Bytes: 10, Hits: 1, Misses: 2, Evictions: 1}},
 			{Tenant: "t1", Submitted: 2, Served: 2, Groups: 1, ModUps: 1, Coalesced: 2,
 				P50: ms, P99: ms,
 				PerLevel: []LevelStats{{Level: 1, Switches: 2, ModUps: 1, Coalesced: 2}},
 				Phases:   []PhaseStats{{"hoist", 1, 100}},
-				Keys:     TenantCacheStats{Tenant: "t1", Misses: 2}},
+				Keys:     CacheStats{Tenant: "t1", Misses: 2}},
 		},
 	}
 	p2.Keys.BudgetBytes = 50
 	p3 := Stats{
 		P50: ms, P99: 9 * ms,
-		Tenants: []TenantStats{{
+		Tenants: []Stats{{
 			Tenant: "t1", Submitted: 1, Served: 1, Groups: 1, ModUps: 1,
 			P50: ms, P99: 9 * ms,
 			PerLevel: []LevelStats{{Level: 2, Switches: 1, ModUps: 1}},
 			Phases:   []PhaseStats{{"enqueue", 1, 5}},
-			Keys:     TenantCacheStats{Tenant: "t1", Size: 1, Bytes: 10, Hits: 2},
+			Keys:     CacheStats{Tenant: "t1", Size: 1, Bytes: 10, Hits: 2},
 		}},
 	}
 	p3.Keys.BudgetBytes = 25
@@ -197,12 +219,12 @@ func TestMergeStats(t *testing.T) {
 
 	m := MergeStats(p1, p2, p3)
 	checkSums(t, m, "merged")
-	t0 := TenantStats{
+	t0 := Stats{
 		Tenant: "t0", Submitted: 7, Served: 6, Failed: 1, Groups: 4, ModUps: 4, Coalesced: 4, KeyExpansions: 4,
 		CoalescingFactor: 1.5, P50: 3 * ms, P99: 5 * ms,
 		PerLevel: []LevelStats{{Level: 3, Switches: 5, ModUps: 3, Coalesced: 4}, {Level: 1, Switches: 1, ModUps: 1}},
 		Phases:   []PhaseStats{{"keys", 3, 30}, {"hoist", 2, 200}, {"replay", 6, 6000}, {"zz_future", 1, 7}},
-		Keys: TenantCacheStats{Tenant: "t0", Size: 3, Bytes: 30,
+		Keys: CacheStats{Tenant: "t0", Size: 3, Bytes: 30,
 			Hits: 4, Misses: 3, Evictions: 1, HitRate: 4.0 / 7},
 	}
 	if len(m.Tenants) != 2 || !reflect.DeepEqual(m.Tenants[0], t0) || m.Tenants[1].Tenant != "t1" {
@@ -216,7 +238,7 @@ func TestMergeStats(t *testing.T) {
 	}
 	if k := m.Keys; k.BudgetBytes != 175 || k.Size != 4 || k.Bytes != 40 ||
 		k.Hits != 6 || k.Misses != 5 || k.Evictions != 1 || k.HitRate != 6.0/11 ||
-		len(k.Tenants) != 2 || k.Tenants[0] != t0.Keys {
+		len(k.Tenants) != 2 || !reflect.DeepEqual(k.Tenants[0], t0.Keys) {
 		t.Fatalf("merged key-cache stats wrong: %+v", k)
 	}
 

@@ -69,14 +69,7 @@ func Matvec(n1, n2, level int) (*Schedule, error) {
 		return nil, fmt.Errorf("workload: matvec needs n1 >= 2 and n2 >= 1, got %d, %d", n1, n2)
 	}
 	b := &builder{name: fmt.Sprintf("matvec-%dx%d", n1, n2)}
-	babies := make([]int, n1-1)
-	for i := range babies {
-		babies[i] = i + 1
-	}
-	babyIDs := b.group("baby", level, nil, babies)
-	for j := 1; j < n2; j++ {
-		b.node("giant", Rotate, j*n1, level, babyIDs)
-	}
+	b.bsgs("", n1, n2, 1, level, nil)
 	return b.schedule()
 }
 
@@ -176,23 +169,12 @@ func Bootstrap(p BootstrapParams) (*Schedule, error) {
 	b := &builder{name: fmt.Sprintf("bootstrap-2^%d-r%d", p.LogSlots, radix)}
 	level := p.Top
 
-	// stage emits one BSGS DFT stage: a hoisted baby fan-out feeding
-	// dependent giant singletons. It returns the stage's output nodes
-	// — what the next stage's input is derived from.
-	stage := func(label string, k, stride, sign int, deps []int) []int {
+	// stage emits one BSGS DFT stage (builder.bsgs) and descends a
+	// level. It returns the stage's output nodes — what the next
+	// stage's input is derived from.
+	stage := func(label string, k, step int, deps []int) []int {
 		n1, n2 := bsgsSplit(k)
-		rots := make([]int, 0, n1-1)
-		for j := 1; j < n1; j++ {
-			rots = append(rots, sign*j*stride)
-		}
-		out := b.group(label+" baby", level, deps, rots)
-		if n2 > 1 {
-			giants := make([]int, 0, n2-1)
-			for j := 1; j < n2; j++ {
-				giants = append(giants, b.node(label+" giant", Rotate, sign*j*n1*stride, level, out))
-			}
-			out = giants
-		}
+		out := b.bsgs(label+" ", n1, n2, step, level, deps)
 		level--
 		return out
 	}
@@ -201,7 +183,7 @@ func Bootstrap(p BootstrapParams) (*Schedule, error) {
 	var deps []int
 	stride := 1
 	for s, k := range chunks {
-		deps = stage(fmt.Sprintf("CtS%d", s), k, stride, +1, deps)
+		deps = stage(fmt.Sprintf("CtS%d", s), k, stride, deps)
 		stride <<= k
 	}
 
@@ -213,7 +195,7 @@ func Bootstrap(p BootstrapParams) (*Schedule, error) {
 	// descending strides, negated rotation amounts.
 	for s := stages - 1; s >= 0; s-- {
 		stride >>= chunks[s]
-		deps = stage(fmt.Sprintf("StC%d", s), chunks[s], stride, -1, deps)
+		deps = stage(fmt.Sprintf("StC%d", s), chunks[s], -stride, deps)
 	}
 	sched, err := b.schedule()
 	if err != nil {

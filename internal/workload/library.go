@@ -71,21 +71,10 @@ func PrivateInference(layers, n1, n2, top int) (*Schedule, error) {
 			layers, 2*layers-1, top)
 	}
 	b := &builder{name: fmt.Sprintf("private-inference-%dx%dx%d", layers, n1, n2)}
-	babies := make([]int, n1-1)
-	for i := range babies {
-		babies[i] = i + 1
-	}
 	var deps []int
 	level := top
 	for l := 0; l < layers; l++ {
-		out := b.group(fmt.Sprintf("layer%d baby", l), level, deps, babies)
-		if n2 > 1 {
-			giants := make([]int, 0, n2-1)
-			for j := 1; j < n2; j++ {
-				giants = append(giants, b.node(fmt.Sprintf("layer%d giant", l), Rotate, j*n1, level, out))
-			}
-			out = giants
-		}
+		out := b.bsgs(fmt.Sprintf("layer%d ", l), n1, n2, 1, level, deps)
 		deps = []int{b.node(fmt.Sprintf("layer%d relin", l), Relin, 0, level-1, out)}
 		level -= 2
 	}

@@ -353,6 +353,29 @@ func (b *builder) group(stage string, level int, deps []int, rots []int) []int {
 	return ids
 }
 
+// bsgs appends one baby-step/giant-step stage at level: a hoist group
+// of n1−1 baby rotations (amounts j·step, 0 < j < n1) on deps, then
+// n2−1 giant singletons (amounts j·n1·step, 0 < j < n2), each
+// depending on every baby — each giant consumes its own inner sum, so
+// no two may share hoisted state. The nodes are labelled prefix+"baby"
+// and prefix+"giant". It returns the stage's output nodes: the giants,
+// or the babies when there are none.
+func (b *builder) bsgs(prefix string, n1, n2, step, level int, deps []int) []int {
+	rots := make([]int, n1-1)
+	for i := range rots {
+		rots[i] = (i + 1) * step
+	}
+	out := b.group(prefix+"baby", level, deps, rots)
+	if n2 == 1 {
+		return out
+	}
+	giants := make([]int, n2-1)
+	for i := range giants {
+		giants[i] = b.node(prefix+"giant", Rotate, (i+1)*n1*step, level, out)
+	}
+	return giants
+}
+
 // node appends one singleton-group node.
 func (b *builder) node(stage string, kind Kind, rot, level int, deps []int) int {
 	id := len(b.nodes)
