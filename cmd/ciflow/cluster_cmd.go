@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"ciflow/internal/ckks"
 	"ciflow/internal/cluster"
 	"ciflow/internal/engine"
 	"ciflow/internal/obs"
@@ -54,8 +53,9 @@ func shardCmd(cfg shardConfig) error {
 	if cfg.tenants < 1 {
 		return fmt.Errorf("shard: -tenants %d, want >= 1", cfg.tenants)
 	}
-	if cfg.logN < 4 || cfg.logN > 16 {
-		return fmt.Errorf("shard: logn %d out of range [4,16]", cfg.logN)
+	cctx, err := cfg.context("shard")
+	if err != nil {
+		return err
 	}
 	if cfg.workers <= 0 {
 		cfg.workers = runtime.GOMAXPROCS(0)
@@ -65,10 +65,6 @@ func shardCmd(cfg shardConfig) error {
 		// .Profile), so the router can merge shard profiles exactly.
 		obs.Enable()
 		defer obs.Disable()
-	}
-	cctx, err := ckks.NewContext(1<<cfg.logN, cfg.towers, 40, 3, 41, cfg.dnum)
-	if err != nil {
-		return err
 	}
 	e := engine.New(cfg.workers)
 	defer e.Close()

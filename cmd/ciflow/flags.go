@@ -7,10 +7,12 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 
 	"ciflow/internal/analysis"
+	"ciflow/internal/ckks"
 	"ciflow/internal/dataflow"
 )
 
@@ -58,7 +60,8 @@ type cliFlags struct {
 }
 
 // fabricFlags are the ring and the process sizing that serve and shard
-// share: a shard must be started on its driver's ring.
+// share: a shard must be started on its driver's ring, and context is
+// the one place either builds it.
 type fabricFlags struct {
 	logN      int
 	towers    int
@@ -68,6 +71,14 @@ type fabricFlags struct {
 	tenants   int
 	replicas  int
 	profile   bool // record stage/kernel histograms (a shard ships them in stats frames)
+}
+
+// context builds the ring the flags name; verb prefixes a refusal.
+func (f fabricFlags) context(verb string) (*ckks.Context, error) {
+	if f.logN < 4 || f.logN > 16 {
+		return nil, fmt.Errorf("%s: logn %d out of range [4,16]", verb, f.logN)
+	}
+	return ckks.NewContext(1<<f.logN, f.towers, 40, 3, 41, f.dnum)
 }
 
 // shapeFlags name the schedule that serve replays and schedule prints.

@@ -163,8 +163,6 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 		return nil, fmt.Errorf("serve: -kill needs -shards >= 2 so survivors can absorb the drain")
 	case cfg.tracePath != "" && cfg.shards > 0:
 		return nil, fmt.Errorf("serve: -trace follows one process; use -shards 0")
-	case cfg.logN < 4 || cfg.logN > 16:
-		return nil, fmt.Errorf("serve: logn %d out of range [4,16]", cfg.logN)
 	case cfg.keyBudget < 0:
 		return nil, fmt.Errorf("serve: keybudget %d must be >= 0", cfg.keyBudget)
 	}
@@ -191,7 +189,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 		// oversubscribing it shards times.
 		cfg.workers = max(runtime.GOMAXPROCS(0)/max(cfg.shards, 1), 1)
 	}
-	cctx, err := ckks.NewContext(1<<cfg.logN, cfg.towers, 40, 3, 41, cfg.dnum)
+	cctx, err := cfg.context("serve")
 	if err != nil {
 		return nil, err
 	}

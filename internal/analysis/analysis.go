@@ -18,9 +18,9 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"ciflow/internal/dataflow"
+	"ciflow/internal/memo"
 	"ciflow/internal/params"
 	"ciflow/internal/rpu"
 )
@@ -44,8 +44,7 @@ const BaselineBandwidthGBs = 64
 type Runner struct {
 	DataMemBytes int64
 
-	mu    sync.Mutex
-	cache map[schedKey]*dataflow.Schedule
+	cache memo.Map[schedKey, *dataflow.Schedule]
 }
 
 type schedKey struct {
@@ -59,32 +58,21 @@ type schedKey struct {
 // NewRunner returns a runner with the paper's configuration: the
 // RPU's 32 MB data memory.
 func NewRunner() *Runner {
-	return &Runner{
-		DataMemBytes: rpu.DataMemBytes,
-		cache:        map[schedKey]*dataflow.Schedule{},
-	}
+	return &Runner{DataMemBytes: rpu.DataMemBytes}
 }
 
 // Schedule returns (generating on first use) the schedule for one
 // configuration.
 func (r *Runner) Schedule(df dataflow.Dataflow, b params.Benchmark, evkOnChip, keyComp bool) (*dataflow.Schedule, error) {
 	key := schedKey{df, b.Name, evkOnChip, keyComp, r.DataMemBytes}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.cache[key]; ok {
-		return s, nil
-	}
-	s, err := dataflow.Generate(df, dataflow.Config{
-		Bench:          b,
-		DataMemBytes:   r.DataMemBytes,
-		EvkOnChip:      evkOnChip,
-		KeyCompression: keyComp,
+	return r.cache.Do(key, func() (*dataflow.Schedule, error) {
+		return dataflow.Generate(df, dataflow.Config{
+			Bench:          b,
+			DataMemBytes:   r.DataMemBytes,
+			EvkOnChip:      evkOnChip,
+			KeyCompression: keyComp,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.cache[key] = s
-	return s, nil
 }
 
 // Runtime runs one configuration's schedule at bwGBs of DRAM bandwidth

@@ -123,9 +123,6 @@ func New(r *ring.Ring, src, dst ring.Basis) (*Converter, error) {
 	return c, nil
 }
 
-// Src returns the converter's source basis.
-func (c *Converter) Src() ring.Basis { return c.src }
-
 // Dst returns the converter's destination basis.
 func (c *Converter) Dst() ring.Basis { return c.dst }
 

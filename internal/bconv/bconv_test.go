@@ -231,7 +231,7 @@ func TestOvershootMatchesOracle(t *testing.T) {
 				got[i] = make([]uint64, r.N)
 				want[i] = make([]uint64, r.N)
 			}
-			for i, tw := range c.Src() {
+			for i, tw := range c.src {
 				b := r.Moduli[tw]
 				for k := range got[i] {
 					// Coefficients 0 and 1 are all-zero and all-maximal

@@ -18,7 +18,7 @@ func benchConvert(b *testing.B, src, dst func(*ring.Ring) ring.Basis, convert fu
 	if err != nil {
 		b.Fatal(err)
 	}
-	in, out := ring.NewSampler(r, 1).Uniform(c.Src()), r.NewPoly(c.Dst())
+	in, out := ring.NewSampler(r, 1).Uniform(c.src), r.NewPoly(c.Dst())
 	for b.Loop() {
 		convert(c, in, out)
 	}

@@ -17,7 +17,7 @@ func parallelSetup(t *testing.T) (*ring.Ring, *Converter, *ring.Poly) {
 		t.Fatal(err)
 	}
 	s := ring.NewSampler(r, 5)
-	in := s.Uniform(c.Src())
+	in := s.Uniform(c.src)
 	return r, c, in
 }
 
@@ -31,11 +31,11 @@ func TestTilesComposeToConvert(t *testing.T) {
 	n := r.N
 
 	// The ŷ rows, then the overshoot row the exact tiles read.
-	y := make([][]uint64, len(c.Src())+1)
+	y := make([][]uint64, len(c.src)+1)
 	for i := range y {
 		y[i] = make([]uint64, n)
 	}
-	for i := range c.Src() {
+	for i := range c.src {
 		c.yScaleRow(i, in.Coeffs[i], y[i])
 	}
 
@@ -52,7 +52,7 @@ func TestTilesComposeToConvert(t *testing.T) {
 	}
 
 	// Chunked overshoot must agree with a single pass.
-	u := y[len(c.Src())]
+	u := y[len(c.src)]
 	c.Overshoot(y, 0, n)
 	uWhole := append([]uint64(nil), u...)
 	clear(u)
@@ -81,7 +81,7 @@ func TestConvertScratchReuseIsClean(t *testing.T) {
 	// leak state between calls.
 	r, c, in := parallelSetup(t)
 	s := ring.NewSampler(r, 9)
-	in2 := s.Uniform(c.Src())
+	in2 := s.Uniform(c.src)
 
 	a := r.NewPoly(c.Dst())
 	b := r.NewPoly(c.Dst())
@@ -99,13 +99,13 @@ func TestConvertScratchReuseIsClean(t *testing.T) {
 // and the ŷ rows go to the kernel as the caller's slice.
 func TestTilesZeroAlloc(t *testing.T) {
 	r, c, in := parallelSetup(t)
-	y := make([][]uint64, len(c.Src())+1)
+	y := make([][]uint64, len(c.src)+1)
 	for i := range y {
 		y[i] = make([]uint64, r.N)
 	}
 	dst := make([]uint64, r.N)
 	if allocs := testing.AllocsPerRun(10, func() {
-		for i := range c.Src() {
+		for i := range c.src {
 			c.yScaleRow(i, in.Coeffs[i], y[i])
 		}
 		c.Overshoot(y, 0, r.N)

@@ -78,16 +78,15 @@ func TestKeyChainDeterministicAcrossInstances(t *testing.T) {
 // polynomial encoding: equal bytes, equal keys.
 func evkBytes(t *testing.T, ctx *Context, evk *hks.Evk) []byte {
 	t.Helper()
-	var out []byte
+	var out bytes.Buffer
 	for j := range evk.B {
 		for _, p := range []*ring.Poly{evk.B[j], evk.A[j]} {
-			var err error
-			if out, err = ctx.R.AppendPoly(out, p); err != nil {
+			if err := ctx.R.WritePoly(&out, p); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return out
+	return out.Bytes()
 }
 
 // HoistKeyCompressed is HoistKey's key in the other form: expanded, it

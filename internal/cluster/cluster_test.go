@@ -405,26 +405,19 @@ func TestShardGroupRefusedWhole(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	fw, cr := &frameWriter{w: conn}, newConnReader(conn, tc.cctx.R)
 	roundTrip := func(g *Group) map[uint64]*WireResult {
 		t.Helper()
-		payload, err := EncodeGroup(tc.cctx.R, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(conn, FrameGroup, payload); err != nil {
+		if err := fw.send(FrameGroup, tc.cctx.R, g); err != nil {
 			t.Fatal(err)
 		}
 		out := map[uint64]*WireResult{}
 		for range g.Rots {
-			typ, p, err := ReadFrame(conn)
-			if err != nil || typ != FrameResult {
-				t.Fatalf("reading a result frame: type %v, %v", typ, err)
+			m, err := cr.next()
+			if err != nil || m.typ != FrameResult {
+				t.Fatalf("reading a result frame: type %v, %v", m.typ, err)
 			}
-			wr, err := DecodeResult(tc.cctx.R, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[wr.ReqID] = wr
+			out[m.result.ReqID] = m.result
 		}
 		return out
 	}

@@ -17,7 +17,7 @@ import (
 // has one encoding per value, so an accepted frame is a frame this
 // package could have written. Allocation is bounded by the declared
 // caps: a frame header at most maxFramePayload, a polynomial header at
-// most one polynomial over the ring's full basis (ring.FuzzDecodePoly),
+// most one polynomial over the ring's full basis (ring.FuzzReadPoly),
 // a member count only what the payload actually carries. A stats frame
 // is JSON, which has many spellings per value, so its property is about
 // what the router does with an accepted one: it merges.
@@ -45,63 +45,44 @@ func addMutations(f *testing.F, good []byte) {
 	}
 }
 
-// FuzzReadFrame reads arbitrary bytes as a frame twice: whole, through
-// ReadFrame and the byte-form decoders, and through the connection
-// reader, fed in chunk sizes taken from the input, which decodes group
-// and result frames straight from the stream. Both must give the same
-// verdict, type and value.
+// FuzzReadFrame reads arbitrary bytes as a frame twice through the
+// connection reader, which decodes group and result frames straight
+// from the stream: whole, and fed in chunk sizes taken from the input.
+// Both must give the same verdict, type and value, and what they accept
+// must re-encode through frameWriter to exactly the bytes it was read
+// from.
 func FuzzReadFrame(f *testing.F) {
 	r := fuzzCtx(f).R
-	frame := func(typ FrameType, payload []byte, err error) []byte {
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, typ, payload); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	for _, typ := range []FrameType{FrameGroup, FrameResult, FramePing, FrameDrainDone} {
-		addMutations(f, frame(typ, []byte("payload-"+typ.String()), nil))
+		addMutations(f, frameBytes(f, r, frame{typ, rawPayload("payload-" + typ.String())}))
 	}
 	// Real group and result frames reach the row reads and range checks.
-	p, err := EncodeGroup(r, &Group{BaseID: 7, Tenant: "tenant-a", Level: 3, Dataflow: dataflow.OC,
-		Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 1, 3)})
-	addMutations(f, frame(FrameGroup, p, err))
+	addMutations(f, frameBytes(f, r, frame{FrameGroup, &Group{BaseID: 7, Tenant: "tenant-a", Level: 3,
+		Dataflow: dataflow.OC, Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 1, 3)}}))
 	for _, wr := range []*WireResult{
 		{ReqID: 3, Code: ResultOK, C0: uniformNTT(r, 3, 2), C1: uniformNTT(r, 4, 2)},
 		{ReqID: 4, Code: ResultErr, ErrMsg: "no such key"},
 		{ReqID: 5, Code: ResultRequeue},
 	} {
-		p, err := EncodeResult(r, wr)
-		addMutations(f, frame(FrameResult, p, err))
+		addMutations(f, frameBytes(f, r, frame{FrameResult, wr}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := bytes.NewReader(data)
-		typ, payload, err := ReadFrame(rd)
-		var want message
-		if err == nil {
-			want, err = decodeBytes(r, typ, payload)
-		}
+		want, err := newConnReader(bytes.NewReader(data), r).next()
 		got, err2 := newConnReader(&chunkReader{rd: bytes.NewReader(data), next: inputChunks(data)}, r).next()
 		if (err == nil) != (err2 == nil) {
-			t.Fatalf("ReadFrame and decode (%v) and the connection reader (%v) disagree", err, err2)
+			t.Fatalf("the connection reader whole (%v) and over chunks (%v) disagree", err, err2)
 		}
 		if err != nil {
 			return
 		}
 		if !sameMessage(got, want) {
-			t.Fatalf("the connection reader read a %v frame the byte forms read differently", typ)
+			t.Fatalf("the connection reader read a %v frame differently over chunks", want.typ)
 		}
-		if len(payload) > maxFramePayload || len(payload) > len(data) {
-			t.Fatalf("accepted a %d-byte payload from %d bytes of input", len(payload), len(data))
+		n := frameHeaderSize + int(binary.LittleEndian.Uint32(data[6:10]))
+		if n > frameHeaderSize+maxFramePayload || n > len(data) {
+			t.Fatalf("accepted a %d-byte frame from %d bytes of input", n, len(data))
 		}
-		var again bytes.Buffer
-		if err := WriteFrame(&again, typ, payload); err != nil {
-			t.Fatal(err)
-		}
-		if consumed := data[:len(data)-rd.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+		if again := frameBytes(t, r, frame{want.typ, carried(want)}); !bytes.Equal(again, data[:n]) {
 			t.Fatal("re-encoded frame differs from the accepted bytes")
 		}
 	})

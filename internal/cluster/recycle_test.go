@@ -172,16 +172,17 @@ func TestConcurrentGroupsOnOneConnectionExact(t *testing.T) {
 	}
 }
 
-// frame is one frame a fake shard writes.
+// frame is one frame a test writes: its type and the value it carries.
 type frame struct {
-	typ     FrameType
-	payload []byte
+	typ FrameType
+	p   framePayload
 }
 
-// fakeShard accepts one router connection and answers every frame it
-// reads with the frames answer returns, in order, until answer says to
-// hang up or the router does.
-func fakeShard(t *testing.T, answer func(typ FrameType, payload []byte) (reply []frame, hangUp bool)) string {
+// fakeShard accepts one router connection over ring r and answers every
+// frame it reads with the frames answer returns, in order, until answer
+// says to hang up or the router does. It reads and writes as a shard
+// does, through a connReader and a frameWriter.
+func fakeShard(t *testing.T, r *ring.Ring, answer func(m message) (reply []frame, hangUp bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -194,14 +195,15 @@ func fakeShard(t *testing.T, answer func(typ FrameType, payload []byte) (reply [
 			return
 		}
 		defer conn.Close()
+		cr, fw := newConnReader(conn, r), &frameWriter{w: conn}
 		for {
-			typ, payload, err := ReadFrame(conn)
+			m, err := cr.next()
 			if err != nil {
 				return
 			}
-			reply, hangUp := answer(typ, payload)
+			reply, hangUp := answer(m)
 			for _, f := range reply {
-				if WriteFrame(conn, f.typ, f.payload) != nil {
+				if fw.send(f.typ, r, f.p) != nil {
 					return
 				}
 			}
@@ -213,27 +215,17 @@ func fakeShard(t *testing.T, answer func(typ FrameType, payload []byte) (reply [
 	return ln.Addr().String()
 }
 
-// groupAnswer adapts a per-group answer to fakeShard: group frames are
-// decoded and answered with one result frame per WireResult, and every
-// other frame is read and ignored.
-func groupAnswer(t *testing.T, r *ring.Ring, answer func(g *Group) []*WireResult) func(FrameType, []byte) ([]frame, bool) {
-	return func(typ FrameType, payload []byte) ([]frame, bool) {
-		if typ != FrameGroup {
+// groupAnswer adapts a per-group answer to fakeShard: each group frame
+// is answered with one result frame per WireResult, and every other
+// frame is read and ignored.
+func groupAnswer(answer func(g *Group) []*WireResult) func(message) ([]frame, bool) {
+	return func(m message) ([]frame, bool) {
+		if m.typ != FrameGroup {
 			return nil, false
 		}
-		g, err := DecodeGroup(r, payload)
-		if err != nil {
-			t.Errorf("fake shard: %v", err)
-			return nil, true
-		}
 		var out []frame
-		for _, wr := range answer(g) {
-			p, err := EncodeResult(r, wr)
-			if err != nil {
-				t.Errorf("fake shard: %v", err)
-				return nil, true
-			}
-			out = append(out, frame{FrameResult, p})
+		for _, wr := range answer(m.group) {
+			out = append(out, frame{FrameResult, wr})
 		}
 		return out, false
 	}
@@ -251,7 +243,7 @@ func TestRouterRejectsWrongBasisResult(t *testing.T) {
 	live := startCluster(t, 1, []string{tenant}, testSchedule(t), RouterConfig{})
 	cctx := live.cctx
 	r := cctx.R
-	fake := fakeShard(t, groupAnswer(t, r, func(g *Group) []*WireResult {
+	fake := fakeShard(t, r, groupAnswer(func(g *Group) []*WireResult {
 		c0 := r.NewPoly(r.QBasis(g.Level))
 		c1 := r.NewPoly(r.QBasis(0))
 		c0.IsNTT, c1.IsNTT = true, true

@@ -152,7 +152,7 @@ func (rt *Router) Close() {
 func (rt *Router) ShutdownShards() {
 	for _, sc := range rt.shards {
 		if !sc.down.Load() {
-			sc.fw.write(FrameShutdown, nil)
+			sc.fw.send(FrameShutdown, nil, rawPayload(nil))
 		}
 	}
 }
@@ -384,7 +384,7 @@ func (rt *Router) roundTrip(sc *shardClient, req, reply FrameType) ([]byte, erro
 		return nil, fmt.Errorf("cluster: %s is down", sc.name)
 	}
 	sc.want.Store(uint32(reply))
-	if err := sc.fw.write(req, nil); err != nil {
+	if err := sc.fw.send(req, nil, rawPayload(nil)); err != nil {
 		rt.markDown(sc)
 		return nil, err
 	}

@@ -24,14 +24,14 @@ type fakeAndLive struct {
 }
 
 func startFakeAndLive(t *testing.T, tenant string, cfg RouterConfig,
-	answer func(r *ring.Ring) func(FrameType, []byte) ([]frame, bool)) *fakeAndLive {
+	answer func(r *ring.Ring) func(message) ([]frame, bool)) *fakeAndLive {
 	t.Helper()
 	live := startCluster(t, 1, []string{tenant}, testSchedule(t), RouterConfig{})
 	// Placement depends on the shard count alone; with replicas the
 	// first group goes to the highest-ranked owner.
 	fakeIdx := newHashRing(2).owners(tenant, 1)[0]
 	addrs := []string{live.addrs[0], live.addrs[0]}
-	addrs[fakeIdx] = fakeShard(t, answer(live.cctx.R))
+	addrs[fakeIdx] = fakeShard(t, live.cctx.R, answer(live.cctx.R))
 	rt, err := NewRouter(live.cctx.R, addrs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,24 +116,24 @@ func (fl *fakeAndLive) settle(t *testing.T, before serve.Stats, chans []<-chan s
 // ModUp, and the requeues for the other members must find it moved.
 func TestRouterRequeueMovesWholeGroup(t *testing.T) {
 	const level, tenant = 3, "t0"
-	fl := startFakeAndLive(t, tenant, RouterConfig{Replicas: 2}, func(r *ring.Ring) func(FrameType, []byte) ([]frame, bool) {
-		group := groupAnswer(t, r, func(g *Group) []*WireResult {
+	fl := startFakeAndLive(t, tenant, RouterConfig{Replicas: 2}, func(r *ring.Ring) func(message) ([]frame, bool) {
+		group := groupAnswer(func(g *Group) []*WireResult {
 			out := make([]*WireResult, len(g.Rots))
 			for i := range g.Rots {
 				out[i] = &WireResult{ReqID: g.BaseID + uint64(i), Code: ResultRequeue}
 			}
 			return out
 		})
-		return func(typ FrameType, payload []byte) ([]frame, bool) {
-			if typ != FrameStatsReq {
-				return group(typ, payload)
+		return func(m message) ([]frame, bool) {
+			if m.typ != FrameStatsReq {
+				return group(m)
 			}
 			p, err := EncodeStats(serve.Stats{})
 			if err != nil {
 				t.Errorf("fake shard: %v", err)
 				return nil, true
 			}
-			return []frame{{FrameStats, p}}, false
+			return []frame{{FrameStats, rawPayload(p)}}, false
 		}
 	})
 	before := fl.live.Stats()
@@ -164,14 +164,14 @@ func TestRouterRequeueMovesWholeGroup(t *testing.T) {
 func TestRouterResendAfterDeathIsWholeFrame(t *testing.T) {
 	const level, tenant = 3, "t0"
 	var fakeC0, fakeC1 *ring.Poly
-	fl := startFakeAndLive(t, tenant, RouterConfig{}, func(r *ring.Ring) func(FrameType, []byte) ([]frame, bool) {
+	fl := startFakeAndLive(t, tenant, RouterConfig{}, func(r *ring.Ring) func(message) ([]frame, bool) {
 		fakeC0, fakeC1 = uniformNTT(r, 21, level), uniformNTT(r, 22, level)
-		answer := groupAnswer(t, r, func(g *Group) []*WireResult {
+		answer := groupAnswer(func(g *Group) []*WireResult {
 			return []*WireResult{{ReqID: g.BaseID, Code: ResultOK, C0: fakeC0, C1: fakeC1}}
 		})
-		return func(typ FrameType, payload []byte) ([]frame, bool) {
-			reply, _ := answer(typ, payload)
-			return reply, typ == FrameGroup
+		return func(m message) ([]frame, bool) {
+			reply, _ := answer(m)
+			return reply, m.typ == FrameGroup
 		}
 	})
 	before := fl.live.Stats()
@@ -197,13 +197,14 @@ func TestRouterResendAfterDeathIsWholeFrame(t *testing.T) {
 // is a protocol error that takes the shard down, not a reply to hang
 // on.
 func TestRouterRefusesWrongControlReply(t *testing.T) {
-	addr := fakeShard(t, func(typ FrameType, _ []byte) ([]frame, bool) {
-		if typ == FrameStatsReq {
-			return []frame{{FramePong, nil}}, false
+	r := testCtx(t).R
+	addr := fakeShard(t, r, func(m message) ([]frame, bool) {
+		if m.typ == FrameStatsReq {
+			return []frame{{FramePong, rawPayload(nil)}}, false
 		}
 		return nil, false
 	})
-	rt, err := NewRouter(testCtx(t).R, []string{addr}, RouterConfig{})
+	rt, err := NewRouter(r, []string{addr}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +247,9 @@ func TestRouterDrainedStatsUnaliased(t *testing.T) {
 			Keys:     serve.CacheStats{Tenant: "t0", Size: 3, Bytes: 48, Misses: 3},
 		}},
 	})
-	addr := fakeShard(t, func(typ FrameType, _ []byte) ([]frame, bool) {
-		if typ != FrameDrain {
+	r := testCtx(t).R
+	addr := fakeShard(t, r, func(m message) ([]frame, bool) {
+		if m.typ != FrameDrain {
 			return nil, false
 		}
 		p, err := EncodeStats(books)
@@ -255,9 +257,9 @@ func TestRouterDrainedStatsUnaliased(t *testing.T) {
 			t.Errorf("fake shard: %v", err)
 			return nil, true
 		}
-		return []frame{{FrameDrainDone, p}}, false
+		return []frame{{FrameDrainDone, rawPayload(p)}}, false
 	})
-	rt, err := NewRouter(testCtx(t).R, []string{addr}, RouterConfig{})
+	rt, err := NewRouter(r, []string{addr}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,6 @@ type frameWriter struct {
 	out net.Buffers
 }
 
-// write sends a control frame around a payload the caller built.
-func (fw *frameWriter) write(typ FrameType, payload []byte) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return WriteFrame(fw.w, typ, payload)
-}
-
 // encodeError marks a frame that could not be built: nothing reached
 // the connection, which is as healthy as it was.
 type encodeError struct{ error }
@@ -56,8 +49,9 @@ type encodeError struct{ error }
 // send writes the frame carrying p as its slices — frame header, fixed
 // fields and each polynomial's header in runs, each residue row straight
 // from its polynomial — with one net.Buffers write: one writev on a TCP
-// connection, so no residue is copied in user space. The caller must not
-// change p's polynomials until send returns.
+// connection, so no residue is copied in user space. It is the only
+// frame writer: control frames pass their payload as a rawPayload. The
+// caller must not change p's polynomials until send returns.
 func (fw *frameWriter) send(typ FrameType, r *ring.Ring, p framePayload) error {
 	n := p.wireSize(r)
 	if n > maxFramePayload {
@@ -220,13 +214,13 @@ func (s *Shard) handle(conn net.Conn) {
 		}
 		switch m.typ {
 		case FramePing:
-			fw.write(FramePong, nil)
+			fw.send(FramePong, nil, rawPayload(nil))
 		case FrameStatsReq:
 			p, err := EncodeStats(s.svc.Stats())
 			if err != nil {
 				return
 			}
-			fw.write(FrameStats, p)
+			fw.send(FrameStats, nil, rawPayload(p))
 		case FrameGroup:
 			g := m.group
 			if !s.acceptGroup() {
@@ -247,7 +241,7 @@ func (s *Shard) handle(conn net.Conn) {
 				if err != nil {
 					return
 				}
-				fw.write(FrameDrainDone, p)
+				fw.send(FrameDrainDone, nil, rawPayload(p))
 			}()
 		case FrameShutdown:
 			s.doneOnce.Do(func() { close(s.done) })

@@ -14,20 +14,24 @@ package cluster
 // frame carries an evaluation key: every process derives a tenant's
 // keys from the tenant's name (serve.TenantSeed).
 //
-// The two frames a connection carries per switch — group and result —
-// copy no residue in user space. The sender (frameWriter.send) writes a
-// frame as its slices with one net.Buffers write, one writev on TCP:
-// runs of header bytes (frame header, fixed fields, each polynomial's
-// header) and between them each residue row straight from its
-// polynomial (ring.AppendPolyWire). The receiver (connReader, under a
-// small bufio.Reader that rows wider than it bypass) decodes the frame
-// as it arrives: the length is capped first, each polynomial is bounded
-// by what is left of the frame before anything is drawn, and each row
-// is read from the socket into the pooled polynomial it belongs to and
+// Every frame is written by one writer and read by one reader. The
+// writer (frameWriter.send) caps the payload and writes the frame as its
+// slices with one net.Buffers write, one writev on TCP: runs of header
+// bytes (frame header, fixed fields, each polynomial's header) and
+// between them each residue row straight from its polynomial
+// (ring.AppendPolyWire), so the two frames a connection carries per
+// switch — group and result — copy no residue in user space; a control
+// frame's payload (a stats snapshot, or nothing) is one raw run
+// (rawPayload). The reader (connReader, under a small bufio.Reader that
+// rows wider than it bypass) decodes a group or result frame as it
+// arrives: the length is capped first, each polynomial is bounded by
+// what is left of the frame before anything is drawn, and each row is
+// read from the socket into the pooled polynomial it belongs to and
 // range-checked there (ring.ReadPoly). Neither side has a payload
-// buffer. EncodeGroup/EncodeResult are the same slices concatenated,
-// DecodeGroup/DecodeResult the same stream decoders over a byte slice,
-// and ReadFrame/WriteFrame carry control traffic whole.
+// buffer for them. EncodeGroup/EncodeResult (the same slices
+// concatenated) and DecodeGroup/DecodeResult (the same stream decoders
+// over a byte slice) remain only because the benchmark's probes time
+// them.
 //
 // The load-bearing design choice is the request frame: it carries a
 // whole *hoist group* — the shared input polynomial once, plus one
@@ -123,31 +127,6 @@ func appendFrameHeader(dst []byte, typ FrameType, n int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
 	dst = append(dst, wireVersion, byte(typ))
 	return binary.LittleEndian.AppendUint32(dst, uint32(n))
-}
-
-// WriteFrame writes one frame — header and payload in a single Write.
-// Callers serialize writes per connection themselves (frameWriter).
-func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("cluster: %v frame payload %d exceeds cap %d", typ, len(payload), maxFramePayload)
-	}
-	frame := appendFrameHeader(make([]byte, 0, frameHeaderSize+len(payload)), typ, len(payload))
-	_, err := w.Write(append(frame, payload...))
-	return err
-}
-
-// ReadFrame reads one frame, validating magic, version, type, and the
-// payload-length cap before allocating anything payload-sized. The
-// payload is the caller's. Connections read with a connReader instead,
-// which decodes group and result frames as they arrive.
-func ReadFrame(rd io.Reader) (FrameType, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	typ, n, err := readFrameHeader(rd, hdr[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	payload, err := readPayload(rd, typ, n)
-	return typ, payload, err
 }
 
 // readFrameHeader reads one frame header into hdr and validates it,
@@ -331,13 +310,24 @@ func (pr *payloadReader) trailing(typ FrameType) error {
 	return nil
 }
 
-// framePayload is a value the per-switch frames carry — a *Group or a
-// *WireResult: its exact encoded size, known before a byte is written,
-// and the one encoder behind both the caller-owned Encode form and the
-// frame a connection writes.
+// framePayload is a value a frame carries — a *Group, a *WireResult or
+// a control frame's rawPayload: its exact encoded size, known before a
+// byte is written, and the one encoder behind both the caller-owned
+// Encode form and the frame a connection writes.
 type framePayload interface {
 	wireSize(r *ring.Ring) int
 	appendWire(w *wireBufs, r *ring.Ring) error
+}
+
+// rawPayload is a control frame's payload, built whole by the caller:
+// a stats snapshot, or nothing.
+type rawPayload []byte
+
+func (p rawPayload) wireSize(*ring.Ring) int { return len(p) }
+
+func (p rawPayload) appendWire(w *wireBufs, _ *ring.Ring) error {
+	w.hdr = append(w.hdr, p...)
+	return nil
 }
 
 // encode is p's payload as one byte slice: its slices concatenated.
@@ -390,13 +380,16 @@ func (g *Group) appendWire(w *wireBufs, r *ring.Ring) error {
 }
 
 // EncodeGroup encodes g into a FrameGroup payload the caller owns; r
-// is the ring the input polynomial lives in.
+// is the ring the input polynomial lives in. Connections write groups
+// with frameWriter.send; this byte form is kept for the benchmark's
+// codec probe.
 func EncodeGroup(r *ring.Ring, g *Group) ([]byte, error) { return encode(r, g) }
 
 // DecodeGroup decodes a FrameGroup payload, validating the member
 // count, tenant length, dataflow, and the input polynomial against r.
 // The group aliases nothing in payload; its input is drawn from r's
-// pool, like a result's polynomials.
+// pool, like a result's polynomials. Connections read groups with
+// connReader; this byte form is kept for the benchmark's codec probe.
 func DecodeGroup(r *ring.Ring, payload []byte) (*Group, error) {
 	return decodeGroup(bytes.NewReader(payload), len(payload), r)
 }
@@ -506,11 +499,15 @@ func (wr *WireResult) appendWire(w *wireBufs, r *ring.Ring) error {
 }
 
 // EncodeResult encodes wr into a FrameResult payload the caller owns.
+// Connections write results with frameWriter.send; this byte form is
+// kept for the benchmark's codec probe.
 func EncodeResult(r *ring.Ring, wr *WireResult) ([]byte, error) { return encode(r, wr) }
 
 // DecodeResult decodes a FrameResult payload. The polynomials are
 // drawn from r's pool (ring.ReadPoly) and the caller's, to keep or
-// hand back with PutPoly; nothing aliases payload.
+// hand back with PutPoly; nothing aliases payload. Connections read
+// results with connReader; this byte form is kept for the benchmark's
+// codec probe.
 func DecodeResult(r *ring.Ring, payload []byte) (*WireResult, error) {
 	return decodeResult(bytes.NewReader(payload), len(payload), r)
 }

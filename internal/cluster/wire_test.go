@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"maps"
 	"math/rand"
@@ -68,32 +69,41 @@ func decodeRobust(t *testing.T, name string, payload []byte, decode func([]byte)
 	}
 }
 
+// Every frame type goes through the one writer and the one reader on
+// one stream: group and result frames as the values they carry, every
+// control frame as its raw payload.
 func TestFrameRoundTrip(t *testing.T) {
-	for _, typ := range []FrameType{FrameGroup, FrameResult, FrameStatsReq, FrameStats,
-		FramePing, FramePong, FrameDrain, FrameDrainDone, FrameShutdown} {
-		payload := []byte("payload-" + typ.String())
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, typ, payload); err != nil {
-			t.Fatal(err)
+	r := testCtx(t).R
+	frames := pinnedPayloads(r)
+	for _, typ := range []FrameType{FrameStatsReq, FrameStats, FramePing, FramePong,
+		FrameDrain, FrameDrainDone, FrameShutdown} {
+		frames = append(frames, frame{typ, rawPayload("payload-" + typ.String())})
+	}
+	var buf bytes.Buffer
+	fw := &frameWriter{w: &buf}
+	for _, f := range frames {
+		if err := fw.send(f.typ, r, f.p); err != nil {
+			t.Fatalf("%v: %v", f.typ, err)
 		}
-		gotTyp, gotPayload, err := ReadFrame(&buf)
+	}
+	cr := newConnReader(&buf, r)
+	for _, f := range frames {
+		got, err := cr.next()
 		if err != nil {
-			t.Fatalf("%v: %v", typ, err)
+			t.Fatalf("%v: %v", f.typ, err)
 		}
-		if gotTyp != typ || !bytes.Equal(gotPayload, payload) {
-			t.Fatalf("frame %v round-tripped as %v / %q", typ, gotTyp, gotPayload)
+		if !sameMessage(got, sent(f)) {
+			t.Fatalf("frame %v round-tripped as %v / %q", f.typ, got.typ, got.payload)
 		}
+	}
+	if _, err := cr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want EOF", err)
 	}
 }
 
 func TestFrameHeaderValidation(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, FramePing, []byte{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	r := testCtx(t).R
+	valid := func() []byte { return frameBytes(t, r, frame{FramePing, rawPayload{1, 2, 3}}) }
 	cases := map[string]func([]byte){
 		"bad magic":    func(b []byte) { b[0] ^= 0xFF },
 		"bad version":  func(b []byte) { b[4] = 99 },
@@ -109,20 +119,22 @@ func TestFrameHeaderValidation(t *testing.T) {
 	for name, corrupt := range cases {
 		b := valid()
 		corrupt(b)
-		if _, _, err := ReadFrame(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: ReadFrame accepted the frame", name)
+		if _, err := newConnReader(bytes.NewReader(b), r).next(); err == nil {
+			t.Errorf("%s: the connection reader accepted the frame", name)
 		}
 	}
 	// Truncations of the header and of the payload must both error.
 	b := valid()
 	for i := 0; i < len(b); i++ {
-		if _, _, err := ReadFrame(bytes.NewReader(b[:i])); err == nil {
+		if _, err := newConnReader(bytes.NewReader(b[:i]), r).next(); err == nil {
 			t.Errorf("truncation at %d/%d read successfully", i, len(b))
 		}
 	}
 	// An oversized write must be refused before hitting the wire.
-	if err := WriteFrame(&bytes.Buffer{}, FramePing, make([]byte, maxFramePayload+1)); err == nil {
-		t.Error("WriteFrame accepted an oversized payload")
+	var out bytes.Buffer
+	err := (&frameWriter{w: &out}).send(FramePing, r, rawPayload(make([]byte, maxFramePayload+1)))
+	if !errors.As(err, new(encodeError)) || out.Len() != 0 {
+		t.Errorf("an oversized payload: err %v, %d bytes written", err, out.Len())
 	}
 }
 
@@ -439,20 +451,30 @@ var chunkings = []struct {
 	{"random", func(rd io.Reader) io.Reader { return randomChunks(rd, 1) }},
 }
 
-// decodeBytes is the byte form of connReader.next: a payload read whole
-// and decoded with DecodeGroup or DecodeResult.
-func decodeBytes(r *ring.Ring, typ FrameType, payload []byte) (message, error) {
-	m := message{typ: typ}
-	var err error
-	switch typ {
-	case FrameGroup:
-		m.group, err = DecodeGroup(r, payload)
-	case FrameResult:
-		m.result, err = DecodeResult(r, payload)
-	default:
-		m.payload = payload
+// sent is the message a connReader reads for f: the value f carries.
+func sent(f frame) message {
+	m := message{typ: f.typ}
+	switch p := f.p.(type) {
+	case *Group:
+		m.group = p
+	case *WireResult:
+		m.result = p
+	case rawPayload:
+		m.payload = p
 	}
-	return m, err
+	return m
+}
+
+// carried is the value a message read from a frame carries, to write
+// again.
+func carried(m message) framePayload {
+	switch {
+	case m.group != nil:
+		return m.group
+	case m.result != nil:
+		return m.result
+	}
+	return rawPayload(m.payload)
 }
 
 func samePoly(a, b *ring.Poly) bool { return (a == nil) == (b == nil) && (a == nil || a.Equal(b)) }
@@ -474,16 +496,10 @@ func sameMessage(a, b message) bool {
 	return bytes.Equal(a.payload, b.payload)
 }
 
-// typedPayload is a group or result value and the frame type it travels
-// in.
-type typedPayload struct {
-	typ FrameType
-	p   framePayload
-}
-
-// pinnedPayloads are the values wire.golden pins.
-func pinnedPayloads(r *ring.Ring) []typedPayload {
-	return []typedPayload{
+// pinnedPayloads are the group and result frames whose payloads
+// wire.golden pins.
+func pinnedPayloads(r *ring.Ring) []frame {
+	return []frame{
 		{FrameGroup, &Group{BaseID: 0x0102030405060708, Tenant: "tenant-a", Level: 3,
 			Dataflow: dataflow.OC, Rots: []int{1, 2, -4, 8}, Input: uniformNTT(r, 21, 3)}},
 		{FrameResult, &WireResult{ReqID: 9, Code: ResultOK, C0: uniformNTT(r, 22, 2), C1: uniformNTT(r, 23, 2)}},
@@ -492,24 +508,16 @@ func pinnedPayloads(r *ring.Ring) []typedPayload {
 	}
 }
 
-// pinnedFrames are pinnedPayloads encoded, then a control frame.
-func pinnedFrames(t *testing.T, r *ring.Ring) []frame {
-	t.Helper()
-	var out []frame
-	for _, tp := range pinnedPayloads(r) {
-		p, err := encode(r, tp.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, frame{tp.typ, p})
-	}
-	return append(out, frame{FrameStats, []byte(`{"served":1}`)})
+// pinnedFrames are pinnedPayloads, then a control frame.
+func pinnedFrames(r *ring.Ring) []frame {
+	return append(pinnedPayloads(r), frame{FrameStats, rawPayload(`{"served":1}`)})
 }
 
-func frameBytes(t *testing.T, f frame) []byte {
+// frameBytes is f as frameWriter writes it.
+func frameBytes(t testing.TB, r *ring.Ring, f frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f.typ, f.payload); err != nil {
+	if err := (&frameWriter{w: &buf}).send(f.typ, r, f.p); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -518,7 +526,7 @@ func frameBytes(t *testing.T, f frame) []byte {
 // TCP cuts a stream anywhere. Every group and result frame (OK, Err and
 // Requeue) and a control frame, back to back on one stream, read through
 // the connection reader in one-byte, half-size and random chunks, must
-// decode to what ReadFrame and the byte forms decode. The second ring's
+// decode to the values that were sent. The second ring's
 // rows (32 KB) are wider than the reader's buffer, so bufio reads them
 // into their polynomials directly; the first's go through the buffer.
 func TestChunkedStreamDecode(t *testing.T) {
@@ -527,24 +535,20 @@ func TestChunkedStreamDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []*ring.Ring{testCtx(t).R, big} {
-		frames := pinnedFrames(t, r)
+		frames := pinnedFrames(r)
 		var stream []byte
 		for _, f := range frames {
-			stream = append(stream, frameBytes(t, f)...)
+			stream = append(stream, frameBytes(t, r, f)...)
 		}
 		for _, ch := range chunkings {
 			cr := newConnReader(ch.wrap(bytes.NewReader(stream)), r)
 			for i, f := range frames {
-				want, err := decodeBytes(r, f.typ, f.payload)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, err := cr.next()
 				if err != nil {
 					t.Fatalf("N=%d %s: frame %d (%v): %v", r.N, ch.name, i, f.typ, err)
 				}
-				if !sameMessage(got, want) {
-					t.Fatalf("N=%d %s: frame %d (%v) decoded differently from the byte form", r.N, ch.name, i, f.typ)
+				if !sameMessage(got, sent(f)) {
+					t.Fatalf("N=%d %s: frame %d (%v) decoded differently from what was sent", r.N, ch.name, i, f.typ)
 				}
 			}
 			if _, err := cr.next(); err != io.EOF {
@@ -560,8 +564,8 @@ func TestChunkedStreamDecode(t *testing.T) {
 // reader, never a panic, and hands out no group, result or polynomial.
 func TestChunkedStreamTruncation(t *testing.T) {
 	r := testCtx(t).R
-	for _, f := range pinnedFrames(t, r) {
-		b := frameBytes(t, f)
+	for _, f := range pinnedFrames(r) {
+		b := frameBytes(t, r, f)
 		for i := 0; i < len(b); i++ {
 			func() {
 				defer func() {
@@ -597,54 +601,62 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // of what follows the head.
 func TestFrameLengthLieRefusedBeforeRows(t *testing.T) {
 	r := testCtx(t).R
-	frames := pinnedFrames(t, r)
+	frames := pinnedFrames(r)
 	row := 8 * r.N
 	tower := 4 + row
 	type tc struct {
-		f        frame
+		typ      FrameType
+		payload  []byte
 		decode   func(io.Reader, int) error
 		firstRow int // payload offset the decoder must not read past
 		deltas   []int
 	}
 	decodeG := func(rd io.Reader, n int) error { _, err := decodeGroup(rd, n, r); return err }
 	decodeR := func(rd io.Reader, n int) error { _, err := decodeResult(rd, n, r); return err }
-	g, ok := frames[0], frames[1]
-	gRows := len(g.payload) - 4*row // the input is over QBasis(3): four rows
-	polyOK := (len(ok.payload) - 9) / 2
+	g, err := encode(r, frames[0].p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := encode(r, frames[1].p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gRows := len(g) - 4*row // the input is over QBasis(3): four rows
+	polyOK := (len(ok) - 9) / 2
 	c0Rows := 9 + polyOK - 3*row // QBasis(2): three rows each
 	lies := []int{-1, 1, -8, 8, -row, row, -tower, tower}
 	cases := []tc{
-		{g, decodeG, gRows, lies},
+		{FrameGroup, g, decodeG, gRows, lies},
 		// C0 and C1 each take half of what follows the head, so every
 		// lie is refused at C0's header, the short ones too: C1
 		// missing whole, and one byte short of room for a one-tower C1
 		// (header and basis: 16 + 4 bytes).
-		{ok, decodeR, c0Rows, append(lies, -polyOK, -(polyOK-16-tower)-1)},
+		{FrameResult, ok, decodeR, c0Rows, append(lies, -polyOK, -(polyOK-16-tower)-1)},
 	}
 	for _, c := range cases {
 		for _, d := range c.deltas {
 			// The bytes behind the lying length are the honest payload,
 			// padded when the lie is long.
-			body := append(append([]byte(nil), c.f.payload...), make([]byte, max(d, 0))...)
+			body := append(append([]byte(nil), c.payload...), make([]byte, max(d, 0))...)
 			cr := &countingReader{rd: bytes.NewReader(body)}
-			if err := c.decode(cr, len(c.f.payload)+d); err == nil {
-				t.Fatalf("%v frame with length off by %d decoded", c.f.typ, d)
+			if err := c.decode(cr, len(c.payload)+d); err == nil {
+				t.Fatalf("%v frame with length off by %d decoded", c.typ, d)
 			}
 			if cr.n > c.firstRow {
-				t.Errorf("%v frame with length off by %d: read %d bytes before refusing, rows start at %d", c.f.typ, d, cr.n, c.firstRow)
+				t.Errorf("%v frame with length off by %d: read %d bytes before refusing, rows start at %d", c.typ, d, cr.n, c.firstRow)
 			}
 			var lie bytes.Buffer
-			lie.Write(appendFrameHeader(nil, c.f.typ, len(c.f.payload)+d))
+			lie.Write(appendFrameHeader(nil, c.typ, len(c.payload)+d))
 			lie.Write(body)
 			if _, err := newConnReader(&lie, r).next(); err == nil {
-				t.Fatalf("%v frame with length off by %d read", c.f.typ, d)
+				t.Fatalf("%v frame with length off by %d read", c.typ, d)
 			}
 		}
 	}
 }
 
 // The writer sends a frame as slices — header runs and row views, one
-// writev on TCP — and its bytes must be WriteFrame's around the Encode
+// writev on TCP — and its bytes must be a frame header around the Encode
 // form's, byte for byte, so wire.golden pins both paths: over net.Pipe,
 // where net.Buffers falls back to one Write per slice, and over loopback
 // TCP, where it is one writev.
@@ -652,8 +664,12 @@ func TestFrameWriterMatchesEncoder(t *testing.T) {
 	r := testCtx(t).R
 	payloads := pinnedPayloads(r)
 	var want []byte
-	for _, f := range pinnedFrames(t, r)[:len(payloads)] {
-		want = append(want, frameBytes(t, f)...)
+	for _, f := range payloads {
+		p, err := encode(r, f.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(appendFrameHeader(want, f.typ, len(p)), p...)
 	}
 	for name, pair := range map[string]func() (net.Conn, net.Conn){
 		"pipe": net.Pipe,
@@ -663,8 +679,8 @@ func TestFrameWriterMatchesEncoder(t *testing.T) {
 		go func() {
 			defer w.Close()
 			fw := &frameWriter{w: w}
-			for _, tp := range payloads {
-				if err := fw.send(tp.typ, r, tp.p); err != nil {
+			for _, f := range payloads {
+				if err := fw.send(f.typ, r, f.p); err != nil {
 					t.Error(err)
 					return
 				}
@@ -676,7 +692,7 @@ func TestFrameWriterMatchesEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: frameWriter wrote %d bytes that differ from WriteFrame's %d", name, len(got), len(want))
+			t.Fatalf("%s: frameWriter wrote %d bytes that differ from the encoded frames' %d", name, len(got), len(want))
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package memo holds the one build-once-per-key map of this module:
 // hks.SwitcherPool (a switcher per level), ckks.KeyChain (an evaluation
-// key per identity) and serve.SeedKeySource (a key chain per tenant)
-// each memoize an expensive, deterministic construction that sits on a
-// concurrent request path.
+// key per identity), serve.SeedKeySource (a key chain per tenant) and
+// analysis.Runner (a schedule per dataflow, benchmark and memory
+// configuration) each memoize an expensive, deterministic construction
+// that may be asked for concurrently.
 package memo
 
 import "sync"

@@ -1,13 +1,11 @@
 package ring
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 )
 
 // Binary serialization for polynomials: a fixed little-endian header
@@ -22,20 +20,19 @@ import (
 // (rowBytes, wire_le.go; a big-endian build does not compile). There is
 // one encoder, AppendPolyWire — the header appended to a caller's small
 // buffer and the rows handed back as views of the polynomial — under
-// AppendPoly (which copies the views into a byte slice), WritePoly (one
-// Write per view) and the cluster's frames (one writev for a whole
-// frame). There is one decoder, ReadPoly, which validates the header
-// and sizes everything before it draws a polynomial from the pool, reads
-// each row straight into that polynomial, and checks residue < q there;
-// DecodePoly is ReadPoly over a byte slice.
+// WritePoly (one Write per view) and the cluster's frames (one writev
+// for a whole frame). There is one decoder, ReadPoly, which validates
+// the header and sizes everything before it draws a polynomial from the
+// pool, reads each row straight into that polynomial, and checks
+// residue < q there; a byte slice is read through a bytes.Reader.
 
 const (
 	polyMagic      = uint32(0x43464c57) // "CFLW"
 	polyHeaderSize = 16
 )
 
-// PolyWireSize is the exact number of bytes AppendPoly and WritePoly
-// produce for p.
+// PolyWireSize is the exact number of bytes of p's wire form, the
+// header and rows AppendPolyWire appends and WritePoly writes.
 func (r *Ring) PolyWireSize(p *Poly) int { return r.wireSize(len(p.Basis)) }
 
 func (r *Ring) wireSize(towers int) int { return polyHeaderSize + towers*(4+8*r.N) }
@@ -72,25 +69,9 @@ func (r *Ring) AppendPolyWire(hdr []byte, rows [][]byte, p *Poly) ([]byte, [][]b
 	return hdr, rows, nil
 }
 
-// maxStackRows is how many row views the byte-slice and stream encoders
-// hold without allocating; a polynomial with more towers still encodes.
+// maxStackRows is how many row views WritePoly holds without
+// allocating; a polynomial with more towers still encodes.
 const maxStackRows = 32
-
-// AppendPoly appends p's serialization — PolyWireSize(p) bytes — to
-// dst and returns the extended slice. With that capacity available it
-// allocates nothing.
-func (r *Ring) AppendPoly(dst []byte, p *Poly) ([]byte, error) {
-	var views [maxStackRows][]byte
-	dst, rows, err := r.AppendPolyWire(dst, views[:0], p)
-	if err != nil {
-		return nil, err
-	}
-	dst = slices.Grow(dst, 8*r.N*len(rows))
-	for _, row := range rows {
-		dst = append(dst, row...)
-	}
-	return dst, nil
-}
 
 // WritePoly serializes p to w: the header and basis in one write, then
 // one write per residue row, straight from p's memory.
@@ -225,15 +206,4 @@ func residueError(row []uint64, q uint64) error {
 		}
 	}
 	return nil
-}
-
-// DecodePoly decodes one polynomial from the front of b — ReadPoly
-// over b — and returns the bytes that follow it. The polynomial is
-// drawn from the pool and the caller's; nothing aliases b afterwards.
-func (r *Ring) DecodePoly(b []byte) (*Poly, []byte, error) {
-	p, n, err := r.ReadPoly(bytes.NewReader(b), 0, len(b))
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, b[n:], nil
 }

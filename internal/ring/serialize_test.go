@@ -13,10 +13,27 @@ import (
 	"testing/iotest"
 )
 
-// DecodePoly draws its polynomial from the ring's pool, so the dirty
+// wire is p's wire form as WritePoly writes it.
+func wire(t testing.TB, r *Ring, p *Poly) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WritePoly(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readFront reads one polynomial from the front of b with ReadPoly,
+// bounded by b's length.
+func readFront(r *Ring, b []byte) (*Poly, int, error) {
+	return r.ReadPoly(bytes.NewReader(b), 0, len(b))
+}
+
+// ReadPoly draws its polynomial from the ring's pool, so the dirty
 // case first hands back one of the same length over another basis, in
 // the other domain, with every residue out of range: decoding must
-// overwrite every row, the basis and the flag.
+// overwrite every row, the basis and the flag. WritePoly writes exactly
+// PolyWireSize bytes, and ReadPoly reads them all.
 func TestPolyRoundTrip(t *testing.T) {
 	r := quickRing(t)
 	for _, basis := range []Basis{r.QBasis(2), r.PBasis(), r.DBasis(1)} {
@@ -42,11 +59,15 @@ func TestPolyRoundTrip(t *testing.T) {
 					}
 					r.PutPoly(junk)
 				}
-				got, rest, err := r.DecodePoly(buf.Bytes())
+				size := buf.Len()
+				if want := r.PolyWireSize(p); size != want {
+					t.Fatalf("basis %v: wrote %d bytes, PolyWireSize %d", basis, size, want)
+				}
+				got, n, err := r.ReadPoly(&buf, 0, size)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Equal(p) || len(rest) != 0 {
+				if !got.Equal(p) || n != size {
 					t.Fatalf("basis %v ntt=%v dirty=%v: roundtrip mismatch", basis, nttDomain, dirty)
 				}
 			}
@@ -56,22 +77,17 @@ func TestPolyRoundTrip(t *testing.T) {
 
 func TestDecodePolyRejectsCorruption(t *testing.T) {
 	r := quickRing(t)
-	p := NewSampler(r, 4).Uniform(r.QBasis(1))
-	var buf bytes.Buffer
-	if err := r.WritePoly(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := wire(t, r, NewSampler(r, 4).Uniform(r.QBasis(1)))
 
 	// Bad magic.
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xff
-	if _, _, err := r.DecodePoly(bad); err == nil {
+	if _, _, err := readFront(r, bad); err == nil {
 		t.Error("corrupted magic accepted")
 	}
 
 	// Truncated payload.
-	if _, _, err := r.DecodePoly(good[:len(good)-9]); err == nil {
+	if _, _, err := readFront(r, good[:len(good)-9]); err == nil {
 		t.Error("truncated bytes accepted")
 	}
 
@@ -80,7 +96,7 @@ func TestDecodePolyRejectsCorruption(t *testing.T) {
 	for i := len(bad) - 8; i < len(bad); i++ {
 		bad[i] = 0xff
 	}
-	if _, _, err := r.DecodePoly(bad); err == nil {
+	if _, _, err := readFront(r, bad); err == nil {
 		t.Error("out-of-range residue accepted")
 	}
 
@@ -89,7 +105,7 @@ func TestDecodePolyRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := other.DecodePoly(good); err == nil ||
+	if _, _, err := readFront(other, good); err == nil ||
 		!strings.Contains(err.Error(), "degree") {
 		t.Errorf("cross-ring read accepted: %v", err)
 	}
@@ -97,10 +113,10 @@ func TestDecodePolyRejectsCorruption(t *testing.T) {
 
 func TestDecodePolyRejectsGarbage(t *testing.T) {
 	r := quickRing(t)
-	if _, _, err := r.DecodePoly([]byte("not a poly")); err == nil {
+	if _, _, err := readFront(r, []byte("not a poly")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := r.DecodePoly(nil); err == nil {
+	if _, _, err := readFront(r, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -113,11 +129,7 @@ func TestDecodePolyTruncationRobust(t *testing.T) {
 	r := quickRing(t)
 	p := NewSampler(r, 5).Uniform(r.QBasis(2))
 	p.IsNTT = true
-	var buf bytes.Buffer
-	if err := r.WritePoly(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := wire(t, r, p)
 	for i := 0; i < len(good); i++ {
 		func() {
 			defer func() {
@@ -125,7 +137,7 @@ func TestDecodePolyTruncationRobust(t *testing.T) {
 					t.Fatalf("truncation at %d/%d panicked: %v", i, len(good), rec)
 				}
 			}()
-			if _, _, err := r.DecodePoly(good[:i]); err == nil {
+			if _, _, err := readFront(r, good[:i]); err == nil {
 				t.Errorf("truncation at %d/%d read successfully", i, len(good))
 			}
 		}()
@@ -134,7 +146,7 @@ func TestDecodePolyTruncationRobust(t *testing.T) {
 	// check, not allocate towers' worth of memory.
 	bad := append([]byte(nil), good...)
 	bad[8], bad[9], bad[10], bad[11] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := r.DecodePoly(bad); err == nil ||
+	if _, _, err := readFront(r, bad); err == nil ||
 		!strings.Contains(err.Error(), "tower count") {
 		t.Errorf("oversized tower count: got %v", err)
 	}
@@ -158,7 +170,7 @@ func readPins(t *testing.T, path string) map[string]string {
 
 // TestPolyWireFormatPinned pins WritePoly's bytes to digests recorded
 // with the reflection-based encoder this codec replaced: the format is
-// that encoder's, byte for byte, and AppendPoly writes the same bytes.
+// that encoder's, byte for byte.
 func TestPolyWireFormatPinned(t *testing.T) {
 	r := quickRing(t)
 	pins := readPins(t, "testdata/poly_wire.golden")
@@ -186,39 +198,6 @@ func TestPolyWireFormatPinned(t *testing.T) {
 	}
 }
 
-// AppendPoly writes WritePoly's bytes, exactly PolyWireSize of them,
-// and into a buffer of that capacity it allocates nothing.
-func TestAppendPolyMatchesWritePoly(t *testing.T) {
-	r := quickRing(t)
-	for _, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(2)} {
-		p := randPoly(r, basis, 17)
-		p.IsNTT = len(basis)%2 == 0
-		var want bytes.Buffer
-		if err := r.WritePoly(&want, p); err != nil {
-			t.Fatal(err)
-		}
-		prefix := []byte("prefix")
-		got, err := r.AppendPoly(append([]byte(nil), prefix...), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
-			t.Fatalf("basis %v: AppendPoly and WritePoly disagree", basis)
-		}
-		if size := r.PolyWireSize(p); size != want.Len() {
-			t.Fatalf("basis %v: PolyWireSize %d, wrote %d", basis, size, want.Len())
-		}
-		buf := make([]byte, 0, r.PolyWireSize(p))
-		if n := testing.AllocsPerRun(10, func() { _, _ = r.AppendPoly(buf, p) }); n != 0 {
-			t.Errorf("basis %v: AppendPoly into a sized buffer allocates %v times", basis, n)
-		}
-		back, rest, err := r.DecodePoly(append(got[len(prefix):], 0xEE))
-		if err != nil || !back.Equal(p) || len(rest) != 1 || rest[0] != 0xEE {
-			t.Fatalf("basis %v: DecodePoly round trip: err %v, rest %v", basis, err, rest)
-		}
-	}
-}
-
 // A polynomial whose shape the header cannot describe is refused by
 // both encoders rather than written as a stream no reader accepts.
 func TestEncodeRejectsMalformedPoly(t *testing.T) {
@@ -228,8 +207,8 @@ func TestEncodeRejectsMalformedPoly(t *testing.T) {
 	extra := randPoly(r, r.QBasis(1), 3)
 	extra.Coeffs = append(extra.Coeffs, make([]uint64, r.N))
 	for name, p := range map[string]*Poly{"short row": short, "extra row": extra} {
-		if _, err := r.AppendPoly(nil, p); err == nil {
-			t.Errorf("%s: AppendPoly accepted it", name)
+		if _, _, err := r.AppendPolyWire(nil, nil, p); err == nil {
+			t.Errorf("%s: AppendPolyWire accepted it", name)
 		}
 		if err := r.WritePoly(&bytes.Buffer{}, p); err == nil {
 			t.Errorf("%s: WritePoly accepted it", name)
@@ -238,30 +217,29 @@ func TestEncodeRejectsMalformedPoly(t *testing.T) {
 }
 
 // A header that declares more towers than the bytes behind it carry is
-// refused by DecodePoly before the polynomial is allocated.
+// refused by ReadPoly before the polynomial is allocated.
 func TestLyingPolyHeaderAllocationBounded(t *testing.T) {
 	r := quickRing(t)
-	good, err := r.AppendPoly(nil, randPoly(r, r.QBasis(0), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := wire(t, r, randPoly(r, r.QBasis(0), 1))
 	lying := append([]byte(nil), good...)
 	lying[8] = byte(len(r.Moduli)) // one tower's bytes, a full basis declared
 	if n := testing.AllocsPerRun(10, func() {
-		if _, _, err := r.DecodePoly(lying); err == nil {
+		if _, _, err := readFront(r, lying); err == nil {
 			t.Fatal("short body accepted")
 		}
 	}); n > 3 { // the error value, one more under the race detector; a poly adds ≥ 3
-		t.Errorf("DecodePoly allocated %v times refusing a short body", n)
+		t.Errorf("ReadPoly allocated %v times refusing a short body", n)
 	}
 }
 
-// FuzzDecodePoly feeds DecodePoly arbitrary bytes. It may not panic;
-// whatever it accepts re-encodes to the bytes it was decoded from (the
+// FuzzReadPoly feeds ReadPoly arbitrary bytes, whole and as a stream
+// cut at sizes taken from the input. It may not panic; both reads give
+// the same verdict, polynomial and length, and whatever they accept
+// re-encodes through WritePoly to the bytes it was read from (the
 // format has one encoding per polynomial) and is at most one polynomial
 // over the ring's full basis — the tower count is capped before it
 // sizes anything.
-func FuzzDecodePoly(f *testing.F) {
+func FuzzReadPoly(f *testing.F) {
 	r, err := NewRingGenerated(32, 3, 30, 2, 31)
 	if err != nil {
 		f.Fatal(err)
@@ -269,10 +247,7 @@ func FuzzDecodePoly(f *testing.F) {
 	for i, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(2)} {
 		p := randPoly(r, basis, int64(i))
 		p.IsNTT = i%2 == 0
-		good, err := r.AppendPoly(nil, p)
-		if err != nil {
-			f.Fatal(err)
-		}
+		good := wire(f, r, p)
 		f.Add(good)
 		f.Add(good[:len(good)/2])
 		f.Add(append(append([]byte(nil), good...), good...))
@@ -283,9 +258,7 @@ func FuzzDecodePoly(f *testing.F) {
 	f.Add([]byte("not a poly"))
 	full := r.PolyWireSize(&Poly{Basis: make(Basis, len(r.Moduli))})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rest, err := r.DecodePoly(data)
-		// The same bytes as a stream cut at sizes taken from the input:
-		// same verdict, same polynomial, same length.
+		p, n, err := readFront(r, data)
 		i := 0
 		chunked := &chunkReader{rd: bytes.NewReader(data), next: func() int {
 			if len(data) == 0 {
@@ -294,20 +267,18 @@ func FuzzDecodePoly(f *testing.F) {
 			i++
 			return 1 + int(data[i%len(data)]%64)
 		}}
-		p2, n, err2 := r.ReadPoly(chunked, 0, len(data))
-		if (err == nil) != (err2 == nil) || (err == nil && (n != len(data)-len(rest) || !p2.Equal(p))) {
-			t.Fatalf("DecodePoly (%v) and ReadPoly over chunks (%v, %d bytes) disagree", err, err2, n)
+		p2, n2, err2 := r.ReadPoly(chunked, 0, len(data))
+		if (err == nil) != (err2 == nil) || (err == nil && (n2 != n || !p2.Equal(p))) {
+			t.Fatalf("ReadPoly whole (%v, %d bytes) and over chunks (%v, %d bytes) disagree", err, n, err2, n2)
 		}
 		if err != nil {
 			return
 		}
-		consumed := data[:len(data)-len(rest)]
-		if len(consumed) > full {
-			t.Fatalf("accepted a %d-byte polynomial, the full basis is %d", len(consumed), full)
+		if n > full {
+			t.Fatalf("accepted a %d-byte polynomial, the full basis is %d", n, full)
 		}
-		again, err := r.AppendPoly(nil, p)
-		if err != nil || !bytes.Equal(again, consumed) {
-			t.Fatalf("re-encoding differs from the accepted bytes (err %v)", err)
+		if again := wire(t, r, p); !bytes.Equal(again, data[:n]) {
+			t.Fatal("re-encoding differs from the accepted bytes")
 		}
 	})
 }
@@ -331,7 +302,7 @@ func TestConcurrentSerializeRoundTrip(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, _, err := r.DecodePoly(buf.Bytes())
+				got, _, err := r.ReadPoly(&buf, 0, buf.Len())
 				if err != nil || !got.Equal(p) {
 					t.Errorf("goroutine %d poly %d: round trip failed (err %v)", g, i, err)
 					return
@@ -368,8 +339,8 @@ func chunkings(seed int64) map[string]func(io.Reader) io.Reader {
 	}
 }
 
-// ReadPoly over a stream cut anywhere decodes what DecodePoly decodes
-// from the bytes, reports their length, and leaves the stream at the
+// ReadPoly over a stream cut anywhere decodes each polynomial
+// WritePoly wrote, reports its length, and leaves the stream at the
 // next polynomial.
 func TestReadPolyChunkedStream(t *testing.T) {
 	r := quickRing(t)
@@ -378,25 +349,18 @@ func TestReadPolyChunkedStream(t *testing.T) {
 	for i, basis := range []Basis{r.QBasis(0), r.QBasis(2), r.PBasis(), r.DBasis(1)} {
 		p := randPoly(r, basis, int64(30+i))
 		p.IsNTT = i%2 == 1
-		var err error
-		if stream, err = r.AppendPoly(stream, p); err != nil {
-			t.Fatal(err)
-		}
+		stream = append(stream, wire(t, r, p)...)
 		polys = append(polys, p)
 	}
 	for name, wrap := range chunkings(1) {
 		rd := wrap(bytes.NewReader(stream))
-		rest := stream
-		for i := range polys {
-			want, after, err := r.DecodePoly(rest)
-			if err != nil {
-				t.Fatal(err)
+		left := len(stream)
+		for i, want := range polys {
+			got, n, err := r.ReadPoly(rd, 0, left)
+			if size := r.PolyWireSize(want); err != nil || n != size || !got.Equal(want) {
+				t.Fatalf("%s: poly %d: err %v, read %d bytes of %d, equal %v", name, i, err, n, size, err == nil && got.Equal(want))
 			}
-			got, n, err := r.ReadPoly(rd, 0, len(rest))
-			if err != nil || n != len(rest)-len(after) || !got.Equal(want) {
-				t.Fatalf("%s: poly %d: err %v, read %d bytes of %d, equal %v", name, i, err, n, len(rest)-len(after), err == nil && got.Equal(want))
-			}
-			rest = after
+			left -= n
 		}
 	}
 }
@@ -406,11 +370,7 @@ func TestReadPolyChunkedStream(t *testing.T) {
 // comes back, even though the caller's bound promised the whole thing.
 func TestReadPolyStreamTruncation(t *testing.T) {
 	r := quickRing(t)
-	p := randPoly(r, r.QBasis(2), 6)
-	good, err := r.AppendPoly(nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := wire(t, r, randPoly(r, r.QBasis(2), 6))
 	for i := 0; i < len(good); i++ {
 		func() {
 			defer func() {
@@ -431,10 +391,7 @@ func TestReadPolyStreamTruncation(t *testing.T) {
 // basis have left the stream.
 func TestReadPolyBoundsCheckedBeforeRows(t *testing.T) {
 	r := quickRing(t)
-	good, err := r.AppendPoly(nil, randPoly(r, r.QBasis(2), 7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := wire(t, r, randPoly(r, r.QBasis(2), 7))
 	rows := len(good) - 3*8*r.N
 	for _, b := range [][2]int{{0, len(good) - 1}, {len(good) + 1, len(good) + 8}, {len(good) + 1, 1 << 20}} {
 		br := bytes.NewReader(good)

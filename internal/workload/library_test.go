@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ciflow/internal/serve"
 )
 
 // TestPIRCounts pins the PIR shape's exact predictions: per batch one
@@ -24,7 +26,7 @@ func TestPIRCounts(t *testing.T) {
 	if c.Depth != 2 {
 		t.Fatalf("depth %d, want 2 (probes, then the combine)", c.Depth)
 	}
-	want := []LevelCount{{Level: 3, Switches: 12, ModUps: 4, Coalesced: 10}}
+	want := []serve.LevelStats{{Level: 3, Switches: 12, ModUps: 4, Coalesced: 10}}
 	if !reflect.DeepEqual(c.PerLevel, want) {
 		t.Fatalf("per-level %+v, want %+v", c.PerLevel, want)
 	}
@@ -48,7 +50,7 @@ func TestPrivateInferenceCounts(t *testing.T) {
 	if c.Depth != 6 {
 		t.Fatalf("depth %d, want 6 (baby-giant-relin twice)", c.Depth)
 	}
-	want := []LevelCount{
+	want := []serve.LevelStats{
 		{Level: 4, Switches: 3, ModUps: 2, Coalesced: 2},
 		{Level: 3, Switches: 1, ModUps: 1},
 		{Level: 2, Switches: 3, ModUps: 2, Coalesced: 2},
@@ -76,7 +78,7 @@ func TestEvalModCounts(t *testing.T) {
 	if c.Depth != 4 {
 		t.Fatalf("depth %d, want 4 (a pure chain)", c.Depth)
 	}
-	want := []LevelCount{
+	want := []serve.LevelStats{
 		{Level: 5, Switches: 1, ModUps: 1},
 		{Level: 4, Switches: 1, ModUps: 1},
 		{Level: 3, Switches: 1, ModUps: 1},

@@ -83,7 +83,7 @@ type ReplayResult struct {
 	// PerLevel is the measured per-level switch/ModUp delta, validated
 	// level by level against Predicted.PerLevel (the server-side
 	// cross-check of the schedule's level mix).
-	PerLevel []LevelCount `json:"per_level,omitempty"`
+	PerLevel []serve.LevelStats `json:"per_level,omitempty"`
 
 	// CountsExact is true when every measured counter equals its
 	// prediction; Mismatches lists the offenders otherwise.
@@ -221,26 +221,26 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 func (s *Schedule) CompareBooks(before, after serve.Stats, times int) []string {
 	pred, n := s.Counts(), uint64(times)
 	var out []string
-	exact := func(what string, measured uint64, predicted int, where string) {
-		if measured != n*uint64(predicted) {
-			out = append(out, fmt.Sprintf("%s: measured %d, schedule predicts %d%s", what, measured, n*uint64(predicted), where))
+	exact := func(what string, measured, predicted uint64, where string) {
+		if measured != n*predicted {
+			out = append(out, fmt.Sprintf("%s: measured %d, schedule predicts %d%s", what, measured, n*predicted, where))
 		}
 	}
-	exact("served switches", after.Served-before.Served, pred.Switches, "")
-	exact("mod_ups", after.ModUps-before.ModUps, pred.ModUps, "")
-	exact("groups", after.Groups-before.Groups, pred.ModUps, "")
-	exact("coalesced", after.Coalesced-before.Coalesced, pred.Coalesced, "")
+	exact("served switches", after.Served-before.Served, uint64(pred.Switches), "")
+	exact("mod_ups", after.ModUps-before.ModUps, uint64(pred.ModUps), "")
+	exact("groups", after.Groups-before.Groups, uint64(pred.ModUps), "")
+	exact("coalesced", after.Coalesced-before.Coalesced, uint64(pred.Coalesced), "")
 	measured := perLevelDelta(before.PerLevel, after.PerLevel)
 	for _, p := range pred.PerLevel {
-		var m LevelCount
-		if i := slices.IndexFunc(measured, func(lc LevelCount) bool { return lc.Level == p.Level }); i >= 0 {
+		var m serve.LevelStats
+		if i := slices.IndexFunc(measured, func(ls serve.LevelStats) bool { return ls.Level == p.Level }); i >= 0 {
 			m = measured[i]
 			measured = slices.Delete(measured, i, i+1)
 		}
 		where := fmt.Sprintf(" (nodes at this level: %s)", s.describeLevel(p.Level))
-		exact(fmt.Sprintf("level %d switches", p.Level), uint64(m.Switches), p.Switches, where)
-		exact(fmt.Sprintf("level %d mod_ups", p.Level), uint64(m.ModUps), p.ModUps, where)
-		exact(fmt.Sprintf("level %d coalesced", p.Level), uint64(m.Coalesced), p.Coalesced, where)
+		exact(fmt.Sprintf("level %d switches", p.Level), m.Switches, p.Switches, where)
+		exact(fmt.Sprintf("level %d mod_ups", p.Level), m.ModUps, p.ModUps, where)
+		exact(fmt.Sprintf("level %d coalesced", p.Level), m.Coalesced, p.Coalesced, where)
 	}
 	for _, m := range measured {
 		out = append(out, fmt.Sprintf("level %d: measured %d switches / %d mod_ups / %d coalesced, schedule predicts none",
@@ -301,18 +301,18 @@ func groupSalt(gi int) uint64 { return uint64(gi) + 2 }
 
 // perLevelDelta subtracts two serve per-level snapshots, keeping the
 // descending level order of the after snapshot.
-func perLevelDelta(before, after []serve.LevelStats) []LevelCount {
+func perLevelDelta(before, after []serve.LevelStats) []serve.LevelStats {
 	prev := map[int]serve.LevelStats{}
 	for _, ls := range before {
 		prev[ls.Level] = ls
 	}
-	var out []LevelCount
+	var out []serve.LevelStats
 	for _, ls := range after {
-		d := LevelCount{
+		d := serve.LevelStats{
 			Level:     ls.Level,
-			Switches:  int(ls.Switches - prev[ls.Level].Switches),
-			ModUps:    int(ls.ModUps - prev[ls.Level].ModUps),
-			Coalesced: int(ls.Coalesced - prev[ls.Level].Coalesced),
+			Switches:  ls.Switches - prev[ls.Level].Switches,
+			ModUps:    ls.ModUps - prev[ls.Level].ModUps,
+			Coalesced: ls.Coalesced - prev[ls.Level].Coalesced,
 		}
 		if d.Switches != 0 || d.ModUps != 0 || d.Coalesced != 0 {
 			out = append(out, d)

@@ -50,6 +50,8 @@ package workload
 import (
 	"fmt"
 	"sort"
+
+	"ciflow/internal/serve"
 )
 
 // Kind is the operation class of a schedule node. Both kinds cost one
@@ -196,21 +198,6 @@ func equalDeps(a, b []int) bool {
 	return true
 }
 
-// LevelCount is one level's slice of a schedule's predicted counts:
-// key switches at the level, hoisted Decompose+ModUp executions (one
-// per hoist group running at the level), and requests served out of
-// shared hoisted state (the summed width of the level's hoist groups
-// with at least two members). The replay client cross-validates these
-// against the service's own per-level counters (serve.Stats.PerLevel),
-// so the level mix — not just the totals — must survive any serving
-// layer between client and executor.
-type LevelCount struct {
-	Level     int `json:"level"`
-	Switches  int `json:"switches"`
-	ModUps    int `json:"mod_ups"`
-	Coalesced int `json:"coalesced,omitempty"`
-}
-
 // Counts are the exact operation counts a schedule predicts for any
 // correct executor: the replay client asserts the measured serve
 // counters equal these, field for field.
@@ -244,9 +231,16 @@ type Counts struct {
 	// DistinctKeys is the number of distinct (kind, rotation, level)
 	// evaluation keys the schedule touches — the key-cache working set.
 	DistinctKeys int `json:"distinct_keys"`
-	// PerLevel is the switch count per ciphertext level, descending
-	// from the top level.
-	PerLevel []LevelCount `json:"per_level"`
+	// PerLevel is the schedule's counts per ciphertext level,
+	// descending from the top level, in the type the service keeps its
+	// own per-level books in: key switches at the level, hoisted
+	// Decompose+ModUp executions (one per hoist group running at the
+	// level), and requests served out of shared hoisted state (the
+	// summed width of the level's hoist groups with at least two
+	// members). The replay client compares them level by level with
+	// serve.Stats.PerLevel, so the level mix — not just the totals —
+	// must survive any serving layer between client and executor.
+	PerLevel []serve.LevelStats `json:"per_level"`
 }
 
 // CoalescingFactor is the predicted served-requests-per-ModUp ratio of
@@ -282,7 +276,7 @@ func (s *Schedule) Counts() Counts {
 		level int
 	}
 	keys := map[key]struct{}{}
-	perLevel := map[int]int{}
+	perLevel := map[int]uint64{}
 	depth := make([]int, len(s.Nodes))
 	for i, n := range s.Nodes {
 		if n.Kind == Relin {
@@ -302,8 +296,8 @@ func (s *Schedule) Counts() Counts {
 			c.Depth = depth[i]
 		}
 	}
-	perLevelMod := map[int]int{}
-	perLevelCoal := map[int]int{}
+	perLevelMod := map[int]uint64{}
+	perLevelCoal := map[int]uint64{}
 	for _, g := range s.Groups() {
 		c.ModUps++
 		gl := s.Nodes[g[0]].Level // group members share one level
@@ -314,7 +308,7 @@ func (s *Schedule) Counts() Counts {
 		if len(g) >= 2 {
 			c.HoistGroups++
 			c.Coalesced += len(g)
-			perLevelCoal[gl] += len(g)
+			perLevelCoal[gl] += uint64(len(g))
 		}
 	}
 	c.DistinctKeys = len(keys)
@@ -324,7 +318,7 @@ func (s *Schedule) Counts() Counts {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(levels)))
 	for _, l := range levels {
-		c.PerLevel = append(c.PerLevel, LevelCount{
+		c.PerLevel = append(c.PerLevel, serve.LevelStats{
 			Level: l, Switches: perLevel[l], ModUps: perLevelMod[l], Coalesced: perLevelCoal[l],
 		})
 	}

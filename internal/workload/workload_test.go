@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ciflow/internal/params"
+	"ciflow/internal/serve"
 )
 
 func TestFanoutCounts(t *testing.T) {
@@ -72,7 +73,7 @@ func TestBootstrapShape(t *testing.T) {
 	}
 	// Levels 5,4 (CtS), 3 (relin), 2,1 (StC): 2 switches per DFT
 	// stage, one for the relin.
-	want := map[int]int{5: 2, 4: 2, 3: 1, 2: 2, 1: 2}
+	want := map[int]uint64{5: 2, 4: 2, 3: 1, 2: 2, 1: 2}
 	for _, lc := range c.PerLevel {
 		if want[lc.Level] != lc.Switches {
 			t.Fatalf("level %d has %d switches, want %d", lc.Level, lc.Switches, want[lc.Level])
@@ -327,7 +328,7 @@ func TestBootstrapPerLevelModUps(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Counts()
-	want := []LevelCount{
+	want := []serve.LevelStats{
 		{Level: 3, Switches: 6, ModUps: 4, Coalesced: 3},
 		{Level: 2, Switches: 1, ModUps: 1},
 		{Level: 1, Switches: 6, ModUps: 4, Coalesced: 3},
@@ -335,12 +336,12 @@ func TestBootstrapPerLevelModUps(t *testing.T) {
 	if !reflect.DeepEqual(c.PerLevel, want) {
 		t.Fatalf("per-level prediction %+v, want %+v", c.PerLevel, want)
 	}
-	var sw, mu int
+	var sw, mu uint64
 	for _, lc := range c.PerLevel {
 		sw += lc.Switches
 		mu += lc.ModUps
 	}
-	if sw != c.Switches || mu != c.ModUps {
+	if sw != uint64(c.Switches) || mu != uint64(c.ModUps) {
 		t.Fatalf("per-level sums %d/%d vs totals %d/%d", sw, mu, c.Switches, c.ModUps)
 	}
 }
