@@ -6,18 +6,25 @@
 // TestCIPatternsNameTests turns that into a failure.
 //
 // And exported API must be used: TestExportedFuncsHaveCallers fails on
-// an exported function or method under internal/ that only tests call,
-// unless exportedFuncAllowlist says why it stays.
+// an exported func, method, type, var or const under internal/ that
+// only tests use, unless exportedAllowlist says why it stays.
 package ciflow_test
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -178,199 +185,381 @@ func TestCIPatternsNameTests(t *testing.T) {
 	}
 }
 
-// exportedFuncAllowlist names the exported functions and methods under
-// internal/ that no non-test file calls, each with why it stays. A key
-// is "pkg.Func" or "pkg.Type.Method"; "*.Method" is the method on any
-// type.
-var exportedFuncAllowlist = map[string]string{
+// exportedAllowlist names the exported API under internal/ that no
+// non-test file uses, each with the test, golden or reflection that
+// needs it. A key is "pkg.Name" for a func, type, var or const,
+// "pkg.Type.Method" for a method, or "*.Method" for the method of that
+// name on any type.
+var exportedAllowlist = map[string]string{
 	"bconv.Converter.ConvertExact": "the exact (Halevi–Polyakov–Shoup) conversion Convert's overshoot is measured against",
-	"ckks.Evaluator.Conjugate":     "the CKKS conjugation switch, a Galois trigger no workload drives yet",
-	"ckks.Evaluator.InnerSum":      "the rotate-and-sum chain, the unhoistable case no workload drives yet",
 	"ring.Ring.InfNorm":            "the noise measurement of the hks and ring tests",
 	"ring.Ring.Automorphism":       "the coefficient-domain automorphism, the oracle of AutomorphismNTT",
 	"ring.Ring.MulScalar":          "the scalar product MulTowerScalars is checked against",
-	"ring.Ring.MulTowerScalars":    "per-tower scalars of the ring API; the replay scales with mod.MulSumScalars",
+	"ring.Ring.MulTowerScalars":    "the gadget scaling of the hks gadget and key-generation oracles; the replay scales with mod.MulSumScalars",
 	"workload.Scenario":            "builds the library scenarios the committed schedule goldens hold",
 	"analysis.SpillFreeMemoryMiB":  "the smallest spill-free memory, which the memory tests hold to the model",
+	"analysis.ResNet20":            "the paper's motivating workload (§I), whose key-switch count and estimates the analysis tests pin",
+	"engine.Graph.Len":             "the node count hks's schedule tests pin",
+	"cluster.FrameType.String":     "called by fmt, for the frame names in the wire errors' %v",
+	"dataflow.TaskKind.String":     "called by fmt, for the task kinds TestProgramsGolden hashes into programs.golden",
 	"*.MarshalJSON":                "called by encoding/json",
 	"*.UnmarshalJSON":              "called by encoding/json",
 }
 
-// exportedFunc is one exported function or method declared under
-// internal/.
-type exportedFunc struct {
-	key  string // "pkg.Func" or "pkg.Type.Method"
-	path string // import path of its package
-	name string
-	recv bool
+// apiEntry is one exported name declared under internal/.
+type apiEntry struct {
+	key  string         // as exportedAllowlist keys it
+	own  [][2]token.Pos // its own declaration: uses inside it do not count
+	used bool
 }
 
-// recvName is the type name of a method receiver, without pointer or
-// type parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+func (e *apiEntry) owns(pos token.Pos) bool {
+	for _, span := range e.own {
+		if span[0] <= pos && pos < span[1] {
+			return true
 		}
 	}
+	return false
 }
 
-// nonTestFiles parses every non-test Go file under root, by directory.
-func nonTestFiles(t *testing.T, root string) map[string][]*ast.File {
-	t.Helper()
+// moduleLoader type-checks a module's packages from their non-test
+// files, as go/build selects them for this platform, and the standard
+// library from source. Every module package records into one Info.
+type moduleLoader struct {
+	fset         *token.FileSet
+	root, module string
+	std          types.Importer
+	pkgs         map[string]*types.Package
+	files        map[string][]*ast.File
+	info         *types.Info
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.module)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(rel, "/")))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = p, files
+	return p, nil
+}
+
+// moduleAPI returns every exported func, type, var and const declared
+// under root/internal in the module at root, and every exported method
+// of a type declared there, each with whether a non-test file of the
+// module uses it outside its own declaration. A method counts as used
+// where a non-test file selects it on its own receiver type (directly,
+// promoted through an embedded field, or as a method value), or
+// selects a same-named method of an interface its type (or a pointer
+// to it) implements.
+func moduleAPI(root string) (map[string]*apiEntry, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(gomod)
+	if m == nil {
+		return nil, fmt.Errorf("%s/go.mod names no module", root)
+	}
 	fset := token.NewFileSet()
-	out := map[string][]*ast.File{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	l := &moduleLoader{
+		fset: fset, root: root, module: string(m[1]),
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+	}
+	var internal []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
+		pkg := l.module
+		if rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		if _, err := l.Import(pkg); err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
 			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
 			return err
 		}
-		out[filepath.Dir(path)] = append(out[filepath.Dir(path)], f)
+		if strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/") {
+			internal = append(internal, pkg)
+		}
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+
+	api := map[types.Object]*apiEntry{}
+	var methods []*types.Func
+	for _, path := range internal {
+		p := l.pkgs[path]
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if obj.Exported() {
+				api[obj] = &apiEntry{key: p.Name() + "." + name}
+			}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); fn.Exported() {
+					api[fn] = &apiEntry{key: p.Name() + "." + name + "." + fn.Name()}
+					methods = append(methods, fn)
+				}
+			}
+		}
+		// A declaration's own span, and its methods' receivers for a
+		// type, are not uses of it.
+		own := func(obj types.Object, n ast.Node) {
+			if e := api[obj]; e != nil {
+				e.own = append(e.own, [2]token.Pos{n.Pos(), n.End()})
+			}
+		}
+		for _, f := range l.files[path] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn, ok := l.info.Defs[d.Name].(*types.Func)
+					if !ok {
+						continue
+					}
+					own(fn, d)
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						own(receiverType(recv.Type()).Obj(), d.Recv)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							own(l.info.Defs[s.Name], s)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								own(l.info.Defs[n], s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for id, obj := range l.info.Uses {
+		if e := api[origin(obj)]; e != nil && !e.owns(id.Pos()) {
+			e.used = true
+		}
+	}
+	// A call through an interface reaches every method of that name
+	// whose type implements the interface.
+	for sel, s := range l.info.Selections {
+		if !types.IsInterface(s.Recv()) {
+			continue
+		}
+		iface := s.Recv().Underlying().(*types.Interface)
+		for _, fn := range methods {
+			e := api[fn]
+			if e.used || fn.Name() != s.Obj().Name() || e.owns(sel.Pos()) {
+				continue
+			}
+			named := receiverType(fn.Type().(*types.Signature).Recv().Type())
+			if named.TypeParams().Len() == 0 && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				e.used = true
+			}
+		}
+	}
+	out := map[string]*apiEntry{}
+	for _, e := range api {
+		out[e.key] = e
+	}
+	return out, nil
+}
+
+// receiverType is the named type of a method receiver, through its
+// pointer.
+func receiverType(t types.Type) *types.Named {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return types.Unalias(t).(*types.Named)
+}
+
+// origin maps a use of an instantiated generic func, method or field
+// back to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// unusedAPI lists, sorted, the keys of what no non-test file uses.
+func unusedAPI(api map[string]*apiEntry) []string {
+	var keys []string
+	for key, e := range api {
+		if !e.used {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestExportedFuncsHaveCallers: every exported func, type, var and
+// const declared in a non-test file under internal/, and every
+// exported method of a type declared there, is used by some non-test
+// file of the module — its own package, another package, a command, an
+// example or the benchmark — or is in exportedAllowlist. A method is
+// matched by its receiver's type (moduleAPI), so another type's method
+// of the same name does not keep it. An exported name that only tests
+// use is API nothing uses: delete it, or unexport it if its package's
+// tests need it. An allowlist entry that names nothing, or a name that
+// has since gained a use, fails too, so the list only shrinks.
+func TestExportedFuncsHaveCallers(t *testing.T) {
+	api, err := moduleAPI(".")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
-}
-
-// references collects what the non-test files use: every selector's
-// name (a method is matched by name alone, whatever its receiver),
-// every package-qualified name as "path.Name", and every bare
-// identifier per package directory, declarations' own names excluded.
-type references struct {
-	selectors map[string]bool
-	qualified map[string]bool
-	local     map[string]map[string]bool
-}
-
-func collectReferences(byDir map[string][]*ast.File) references {
-	refs := references{selectors: map[string]bool{}, qualified: map[string]bool{}, local: map[string]map[string]bool{}}
-	for dir, files := range byDir {
-		local := map[string]bool{}
-		refs.local[dir] = local
-		for _, f := range files {
-			imports := map[string]string{}
-			for _, im := range f.Imports {
-				path := strings.Trim(im.Path.Value, `"`)
-				name := filepath.Base(path)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = path
-			}
-			// Not bare identifiers: declared names and selected ones.
-			skip := map[*ast.Ident]bool{}
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					skip[fd.Name] = true
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.ImportSpec:
-					return false
-				case *ast.SelectorExpr:
-					skip[x.Sel] = true
-					refs.selectors[x.Sel.Name] = true
-					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-						refs.qualified[imports[id.Name]+"."+x.Sel.Name] = true
-					}
-				case *ast.Ident:
-					if !skip[x] {
-						local[x.Name] = true
-					}
-				}
-				return true
-			})
-		}
+	if len(api) == 0 {
+		t.Fatal("no exported API found under internal/")
 	}
-	return refs
-}
-
-// TestExportedFuncsHaveCallers: every exported function or method
-// declared in a non-test file under internal/ is referenced from some
-// non-test file of the module — its own package, another package, a
-// command, an example or the benchmark — or is in
-// exportedFuncAllowlist. An exported name that only tests call is API
-// nothing uses: delete it, or unexport it if its package's tests need
-// it. An allowlist entry that names nothing, or a function that has
-// since gained a caller, fails too, so the list only shrinks.
-func TestExportedFuncsHaveCallers(t *testing.T) {
-	const module = "ciflow"
-	var decls []exportedFunc
-	for dir, files := range nonTestFiles(t, "internal") {
-		pkg := filepath.Base(dir)
-		for _, f := range files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				ef := exportedFunc{key: pkg + "." + fd.Name.Name, path: module + "/" + filepath.ToSlash(dir), name: fd.Name.Name}
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					ef.key, ef.recv = pkg+"."+recvName(fd.Recv.List[0].Type)+"."+fd.Name.Name, true
-				}
-				decls = append(decls, ef)
-			}
+	listed := map[string]bool{}
+	for _, key := range slices.Sorted(maps.Keys(api)) {
+		entry := key
+		if _, ok := exportedAllowlist[entry]; !ok && strings.Count(key, ".") == 2 {
+			entry = "*" + key[strings.LastIndexByte(key, '.'):]
 		}
-	}
-	if len(decls) == 0 {
-		t.Fatal("no exported functions found under internal/")
-	}
-	refs := collectReferences(nonTestFiles(t, "."))
-
-	used := map[string]bool{}
-	var unused []string
-	for _, ef := range decls {
-		called := refs.selectors[ef.name]
-		if !ef.recv {
-			dir := strings.TrimPrefix(ef.path, module+"/")
-			called = refs.qualified[ef.path+"."+ef.name] || refs.local[filepath.FromSlash(dir)][ef.name]
-		}
-		key := ef.key
-		if _, ok := exportedFuncAllowlist[key]; !ok && ef.recv {
-			key = "*." + ef.name
-		}
-		if _, ok := exportedFuncAllowlist[key]; ok {
-			used[key] = true
-			if called && !strings.HasPrefix(key, "*.") {
-				t.Errorf("%s has a caller outside tests now: take it off exportedFuncAllowlist", ef.key)
+		if _, ok := exportedAllowlist[entry]; !ok {
+			if !api[key].used {
+				t.Errorf("%s is exported but no non-test file uses it: delete or unexport it, or add it to exportedAllowlist with a reason", key)
 			}
 			continue
 		}
-		if !called {
-			unused = append(unused, ef.key)
+		listed[entry] = true
+		if api[key].used && entry == key {
+			t.Errorf("%s has a use outside tests now: take it off exportedAllowlist", key)
 		}
 	}
-	sort.Strings(unused)
-	for _, key := range unused {
-		t.Errorf("%s is exported but no non-test file references it: delete or unexport it, or add it to exportedFuncAllowlist with a reason", key)
-	}
-	for key := range exportedFuncAllowlist {
-		if !used[key] {
-			t.Errorf("exportedFuncAllowlist entry %q names no exported function under internal/", key)
+	for key := range exportedAllowlist {
+		if !listed[key] {
+			t.Errorf("exportedAllowlist entry %q names no exported API under internal/", key)
 		}
+	}
+}
+
+// TestModuleAPIMatchesMethodsByType runs moduleAPI on a small module:
+// types A and B each export Foo and main calls only A's, C's Bar is
+// reached only through an interface, and nothing reads the var
+// Unread. What only a test file or a file go/build leaves out uses
+// does not count.
+func TestModuleAPIMatchesMethodsByType(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module lintcase\n\ngo 1.24\n",
+		"internal/a/a.go": `package a
+
+type A struct{}
+
+func (A) Foo() {}
+
+type B struct{}
+
+func (B) Foo() {}
+
+type C struct{}
+
+func (*C) Bar() {}
+
+var Unread = 1
+`,
+		"internal/a/a_test.go": `package a
+
+import "testing"
+
+func TestB(t *testing.T) { B{}.Foo(); _ = Unread }
+`,
+		"internal/a/ignored.go": `//go:build ignore
+
+package a
+
+func init() { B{}.Foo() }
+`,
+		"main.go": `package main
+
+import "lintcase/internal/a"
+
+type barer interface{ Bar() }
+
+func main() {
+	a.A{}.Foo()
+	var b barer = &a.C{}
+	b.Bar()
+	_ = a.B{}
+}
+`,
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	api, err := moduleAPI(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := unusedAPI(api), []string{"a.B.Foo", "a.Unread"}; !slices.Equal(got, want) {
+		t.Fatalf("unused %v, want %v", got, want)
+	}
+	// A method matched by name alone, whatever its receiver, would
+	// pass B.Foo: main.go selects a Foo.
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Foo" {
+			byName = true
+		}
+		return true
+	})
+	if !byName {
+		t.Fatal("main.go selects no Foo: the case no longer tells a type-aware match from a match by name")
 	}
 }

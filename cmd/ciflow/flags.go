@@ -121,7 +121,7 @@ func newFlags() *cliFlags {
 	fs.IntVar(&fl.requests, "requests", 16, "schedule shape: fanout bursts, matvec giants, pir batches")
 	fs.StringVar(&fl.jsonPath, "json", "", "also write the report to this JSON file")
 
-	fs.StringVar(&fl.serve.dfName, "dataflow", "all", "dataflow: "+dataflow.Names()+", or all (serve replays one: all = mp)")
+	fs.StringVar(&fl.serve.dfName, "dataflow", "mp", "serve: the dataflow a replay runs: "+dataflow.Names())
 	fs.BoolVar(&fl.serve.check, "check", false, "serve: fail unless bit-exact, counts exact per tenant, books summing to tenants x the prediction, dependency order held (and the -trace/-profile artifacts well-formed)")
 	fs.StringVar(&fl.serve.tracePath, "trace", "", "serve (in-process): write a Chrome trace-event timeline (chrome://tracing, Perfetto) to this file")
 	fs.StringVar(&fl.serve.pprofDir, "pprof", "", "serve: write cpu.prof and mem.prof (runtime/pprof) into this directory")

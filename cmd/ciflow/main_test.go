@@ -233,12 +233,13 @@ func hasLaneSpan(t *testing.T, path, lane string, prefixes ...string) bool {
 }
 
 // testServeConfig is the default shape on a tiny ring: two fan-out
-// bursts of three rotations, one tenant, in-process.
+// bursts of three rotations, one tenant, in-process, under the
+// -dataflow default.
 func testServeConfig() serveConfig {
 	return serveConfig{
 		fabricFlags: fabricFlags{logN: 5, towers: 4, dnum: 2, workers: 2, tenants: 1},
 		shapeFlags:  shapeFlags{workload: "fanout", bts: 2, rotations: 3, requests: 2},
-		dfName:      "all",
+		dfName:      newFlags().serve.dfName,
 	}
 }
 
@@ -322,6 +323,7 @@ func TestServeRunErrors(t *testing.T) {
 		"rot":      func(c *serveConfig) { c.rotations = 0 },
 		"logn":     func(c *serveConfig) { c.logN = 3 },
 		"dataflow": func(c *serveConfig) { c.dfName = "nope" },
+		"all":      func(c *serveConfig) { c.dfName = "all" },
 		"budget":   func(c *serveConfig) { c.keyBudget = -1 },
 		"shards":   func(c *serveConfig) { c.shards = -1 },
 		"kill":     func(c *serveConfig) { c.shards, c.kill = 1, true },
@@ -374,7 +376,7 @@ func TestWorkloadRunBootstrap(t *testing.T) {
 		t.Fatalf("dnum %d: -workload bootstrap -bts 2 must inherit BTS2's digit count", rep.Dnum)
 	}
 	if rep.Dataflow != "MP" {
-		t.Fatalf("dataflow %q: -dataflow all must select MP for replay", rep.Dataflow)
+		t.Fatalf("dataflow %q: the -dataflow default must select MP for replay", rep.Dataflow)
 	}
 	exactBooks(t, rep)
 	if p := rep.Predicted; p.Relins != 1 || p.Depth < 3 {

@@ -118,15 +118,6 @@ type serveReport struct {
 	PerShard    []cluster.ShardStatus `json:"per_shard,omitempty"`
 }
 
-// parseDataflow resolves -dataflow for a replay, which runs one: "all"
-// (the flag default) selects MP, the paper's baseline.
-func parseDataflow(name string) (dataflow.Dataflow, error) {
-	if name == "" || strings.EqualFold(name, "all") {
-		return dataflow.MP, nil
-	}
-	return dataflow.Parse(name)
-}
-
 // replayServiceConfig is the serve.Config of every service a replay
 // goes through, in the driver's process or a shard's: request levels
 // taken literally (workload.ReplayServiceConfig — a schedule node at
@@ -166,7 +157,7 @@ func serveRun(cfg serveConfig) (rep *serveReport, err error) {
 	case cfg.keyBudget < 0:
 		return nil, fmt.Errorf("serve: keybudget %d must be >= 0", cfg.keyBudget)
 	}
-	df, err := parseDataflow(cfg.dfName)
+	df, err := dataflow.Parse(cfg.dfName)
 	if err != nil {
 		return nil, err
 	}

@@ -12,15 +12,14 @@
 // hks's, and internal/serve runs them for the rotations it serves.
 //
 // A rotation has one key form and one path. The key is the hoisting
-// form s → σ_g⁻¹(s) (KeyChain.HoistKey; ConjKey is the same form of
-// X → X^(2N−1)): the un-rotated c1 is switched first and σ_g is applied
-// to the switched pair afterwards. Switching first is what lets a
-// fan-out share its Decompose+ModUp — RotateHoisted, and Apply's
-// diagonal method on top of it, run it once for all rotation amounts —
-// and it makes the pair internal/serve returns for (c1, rot, level)
-// the very pair Rotate computes, so the evaluator can check the
-// serving stack bit for bit. Rotate, Conjugate and RotateHoisted are
-// one function, Evaluator.galois, called with one element or many.
+// form s → σ_g⁻¹(s) (KeyChain.HoistKey): the un-rotated c1 is switched
+// first and σ_g is applied to the switched pair afterwards. Switching
+// first is what lets a fan-out share its Decompose+ModUp —
+// RotateHoisted, and Apply's diagonal method on top of it, run it once
+// for all rotation amounts — and it makes the pair internal/serve
+// returns for (c1, rot, level) the very pair Rotate computes, so the
+// evaluator can check the serving stack bit for bit. Rotate is
+// RotateHoisted's fan-out of one.
 //
 // KeyChain is the key authority for the layers above: it lazily
 // generates switchers and evaluation keys per level, each key once

@@ -90,19 +90,6 @@ func (ev *Evaluator) Add(ct1, ct2 *Ciphertext) *Ciphertext {
 	return out
 }
 
-// Sub returns ct1 - ct2.
-func (ev *Evaluator) Sub(ct1, ct2 *Ciphertext) *Ciphertext {
-	ev.checkPair("Sub", ct1, ct2)
-	r := ev.ctx.R
-	out := &Ciphertext{
-		C0: r.NewPoly(ct1.C0.Basis), C1: r.NewPoly(ct1.C1.Basis),
-		Level: ct1.Level, Scale: ct1.Scale,
-	}
-	r.Sub(ct1.C0, ct2.C0, out.C0)
-	r.Sub(ct1.C1, ct2.C1, out.C1)
-	return out
-}
-
 // MulPlain returns ct ⊙ pt (scale multiplies; rescale afterwards).
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	if ct.Level != pt.Level {
@@ -190,58 +177,6 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// galoisSwitch names one Galois switch: the automorphism σ_g and the
-// hoisting-form key s → σ_g⁻¹(s) it runs under (KeyChain.HoistKey has
-// the algebra). A nil key is the identity.
-type galoisSwitch struct {
-	g   int
-	key *hks.Evk
-}
-
-// galois is the one Galois key switch: ct.C1, un-rotated, is switched
-// under every element's key with one shared Decompose+ModUp
-// (hks.Switcher.SwitchHoisted), and σ_g is applied to each
-// switched pair afterwards, (σ_g(c0+k0), σ_g(k1)). The switched pair
-// is what a serving layer returns for the same (c1, key), bit for bit.
-// Results are in element order; an identity element yields a copy of
-// ct and costs nothing.
-func (ev *Evaluator) galois(ct *Ciphertext, els []galoisSwitch) ([]*Ciphertext, error) {
-	sw, err := ev.kc.Switcher(ct.Level)
-	if err != nil {
-		return nil, err
-	}
-	var evks []*hks.Evk
-	for _, el := range els {
-		if el.key != nil {
-			evks = append(evks, el.key)
-		}
-	}
-	var k0s, k1s []*ring.Poly
-	if len(evks) > 0 {
-		k0s, k1s = sw.SwitchHoisted(ct.C1, evks)
-	}
-
-	r := ev.ctx.R
-	// σ_g on evaluation-domain rows is an index permutation.
-	sigma := func(p *ring.Poly, g int) *ring.Poly {
-		out := r.NewPoly(p.Basis)
-		r.AutomorphismNTT(p, g, out)
-		return out
-	}
-	outs := make([]*Ciphertext, len(els))
-	n := 0 // the next switched pair
-	for i, el := range els {
-		if el.key == nil {
-			outs[i] = ct.Copy()
-			continue
-		}
-		r.Add(ct.C0, k0s[n], k0s[n])
-		outs[i] = &Ciphertext{C0: sigma(k0s[n], el.g), C1: sigma(k1s[n], el.g), Level: ct.Level, Scale: ct.Scale}
-		n++
-	}
-	return outs, nil
-}
-
 // lone unwraps a fan-out of one.
 func lone(outs []*Ciphertext, err error) (*Ciphertext, error) {
 	if err != nil {
@@ -258,33 +193,24 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, rotBy int) (*Ciphertext, error) {
 	return lone(ev.RotateHoisted(ct, []int{rotBy}))
 }
 
-// Conjugate applies complex conjugation to every slot: the Galois
-// switch of the automorphism X → X^(2N−1).
-func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	key, err := ev.kc.ConjKey(ct.Level)
-	if err != nil {
-		return nil, err
-	}
-	return lone(ev.galois(ct, []galoisSwitch{{2*ev.ctx.R.N - 1, key}}))
-}
-
 // RotateHoisted rotates one ciphertext by every amount in rots with a
-// single shared Decompose+ModUp: ct.C1 is hoisted once (hks.Hoisted),
-// and each rotation replays only ApplyKey+ModDown against its key
-// (KeyChain.HoistKey) before the Galois automorphism is applied to the
-// switched pair. For k rotations this saves (k−1) executions of the
-// ModUp pipeline versus k Rotate calls — the amortization CiFlow's
-// reuse analysis models and the diagonal method's rotation fan-out
-// exploits.
+// single shared Decompose+ModUp: ct.C1, un-rotated, is switched under
+// every amount's hoisting-form key (KeyChain.HoistKey has the algebra)
+// by one hks.Switcher.SwitchHoisted, and σ_g, g = 5^rot, is applied to
+// each switched pair afterwards, (σ_g(c0+k0), σ_g(k1)). The switched
+// pair is what a serving layer returns for the same (c1, key), bit for
+// bit. For k rotations this saves (k−1) executions of the ModUp
+// pipeline versus k Rotate calls — the amortization CiFlow's reuse
+// analysis models and the diagonal method's rotation fan-out exploits.
 //
 // Results are returned in rots order, each bit-exact with the
 // corresponding Rotate call. A rotation amount of 0 returns a copy of
-// ct.
+// ct and costs nothing.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) ([]*Ciphertext, error) {
 	// Materialize every key first so no hoisted state is held across
 	// key generation failures.
-	els := make([]galoisSwitch, len(rots))
-	for i, rot := range rots {
+	var evks []*hks.Evk
+	for _, rot := range rots {
 		if rot%ev.ctx.Slots() == 0 {
 			continue
 		}
@@ -292,7 +218,35 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) ([]*Ciphertext, e
 		if err != nil {
 			return nil, err
 		}
-		els[i] = galoisSwitch{ev.ctx.R.GaloisElement(rot), key}
+		evks = append(evks, key)
 	}
-	return ev.galois(ct, els)
+	sw, err := ev.kc.Switcher(ct.Level)
+	if err != nil {
+		return nil, err
+	}
+	var k0s, k1s []*ring.Poly
+	if len(evks) > 0 {
+		k0s, k1s = sw.SwitchHoisted(ct.C1, evks)
+	}
+
+	r := ev.ctx.R
+	// σ_g on evaluation-domain rows is an index permutation.
+	sigma := func(p *ring.Poly, g int) *ring.Poly {
+		out := r.NewPoly(p.Basis)
+		r.AutomorphismNTT(p, g, out)
+		return out
+	}
+	outs := make([]*Ciphertext, len(rots))
+	n := 0 // the next switched pair
+	for i, rot := range rots {
+		if rot%ev.ctx.Slots() == 0 {
+			outs[i] = ct.Copy()
+			continue
+		}
+		g := r.GaloisElement(rot)
+		r.Add(ct.C0, k0s[n], k0s[n])
+		outs[i] = &Ciphertext{C0: sigma(k0s[n], g), C1: sigma(k1s[n], g), Level: ct.Level, Scale: ct.Scale}
+		n++
+	}
+	return outs, nil
 }

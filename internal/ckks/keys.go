@@ -21,10 +21,10 @@ type PublicKey struct {
 }
 
 // KeyChain owns the secret key and lazily materializes the evaluation
-// keys (relinearization, rotation, conjugation) that homomorphic
-// operations need, one per level. A production library would
-// precompute and serialize these; for analysis purposes lazy
-// generation keeps tests and examples self-contained.
+// keys (relinearization, rotation) that homomorphic operations need,
+// one per level. A production library would precompute and serialize
+// these; for analysis purposes lazy generation keeps tests and
+// examples self-contained.
 //
 // There is one rotation-key form, the hoisting form s → σ_g⁻¹(s): the
 // un-rotated c1 is switched first and σ_g applied to the switched pair
@@ -40,7 +40,7 @@ type PublicKey struct {
 // generation — so every caller observes the identical key material,
 // which is what keeps served results bit-exact across cache evictions
 // and reloads. A key is memoized in the form it was first asked for:
-// dense (RelinKey, ConjKey, HoistKey) or, for a consumer that keeps
+// dense (RelinKey, HoistKey) or, for a consumer that keeps
 // keys compressed, as packed B-halves and seeds only
 // (HoistKeyCompressed), in which case no A-half stays resident in the
 // chain.
@@ -59,8 +59,7 @@ type KeyChain struct {
 
 	// pool memoizes one switcher per level (internally synchronized,
 	// dnum clamped at low levels). Switchers hold no secret material,
-	// so they may be shared across key chains / tenants; KeyChain also
-	// satisfies serve.SwitcherSource through Switcher.
+	// so they may be shared across key chains / tenants.
 	pool *hks.SwitcherPool
 
 	keys memo.Map[keyID, hks.KeyMaterial]
@@ -69,14 +68,13 @@ type KeyChain struct {
 // keyID is an evaluation key's identity: what keySampler derives its
 // randomness from and what the memo is keyed by.
 type keyID struct {
-	form       string // formRelin, formHoist or formConj
+	form       string // formRelin or formHoist
 	rot, level int
 }
 
 const (
 	formRelin = "relin" // s² → s
 	formHoist = "hoist" // s → σ_g⁻¹(s), g = 5^rot
-	formConj  = "conj"  // s → σ_g⁻¹(s), g = 2N−1 (its own inverse)
 )
 
 // GenKeys samples a fresh secret/public key pair and its key chain.
@@ -124,9 +122,7 @@ func (kc *KeyChain) keySampler(id keyID) *ring.Sampler {
 }
 
 // Switcher returns (building if needed) the HKS switcher for a level,
-// from the context's shared pool. The signature matches
-// serve.SwitcherSource, so a KeyChain can route a level-aware request
-// stream directly.
+// from the context's shared pool.
 func (kc *KeyChain) Switcher(level int) (*hks.Switcher, error) {
 	sw, err := kc.pool.Switcher(level)
 	if err != nil {
@@ -167,13 +163,9 @@ func (kc *KeyChain) secrets(id keyID) (from, to, drawn *ring.Poly) {
 		r.MulCoeffwise(kc.sNTT, kc.sNTT, drawn)
 		return drawn, kc.sNTT, drawn
 	}
-	gInv := 2*r.N - 1
-	if id.form == formHoist {
-		// σ_g⁻¹ = σ_{g'} with g' = 5^(−rot): 5 has order N/2 modulo 2N, so
-		// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
-		gInv = r.GaloisElement(-id.rot)
-	}
-	r.AutomorphismNTT(kc.sNTT, gInv, drawn) // a permutation: every residue is written
+	// σ_g⁻¹ = σ_{g'} with g' = 5^(−rot): 5 has order N/2 modulo 2N, so
+	// GaloisElement(−rot) is the modular inverse of GaloisElement(rot).
+	r.AutomorphismNTT(kc.sNTT, r.GaloisElement(-id.rot), drawn) // a permutation: every residue is written
 	return kc.sNTT, drawn, drawn
 }
 
@@ -195,12 +187,6 @@ func (kc *KeyChain) dense(id keyID) (*hks.Evk, error) {
 // RelinKey returns the s²→s evaluation key for a level.
 func (kc *KeyChain) RelinKey(level int) (*hks.Evk, error) {
 	return kc.dense(keyID{formRelin, 0, level})
-}
-
-// ConjKey returns the evaluation key for slot conjugation at a level:
-// the hoisting form (see HoistKey) of the automorphism X → X^(2N−1).
-func (kc *KeyChain) ConjKey(level int) (*hks.Evk, error) {
-	return kc.dense(keyID{formConj, 0, level})
 }
 
 // HoistKey returns the rotation key for a rotation amount at a level:

@@ -5,27 +5,6 @@ import (
 	"sort"
 )
 
-// InnerSum adds the first n slots (n a power of two) into every one of
-// those slot positions using log2(n) rotations — the rotate-and-sum
-// reduction used by dot products and pooling layers. Each rotation is
-// one hybrid key switch; the rotations form a sequential chain (each
-// consumes the previous sum), so unlike Apply's independent fan-out
-// they cannot share a hoisted ModUp.
-func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
-	if n < 1 || n&(n-1) != 0 || n > ev.ctx.Slots() {
-		return nil, fmt.Errorf("ckks: InnerSum width %d must be a power of two <= %d", n, ev.ctx.Slots())
-	}
-	out := ct.Copy()
-	for step := 1; step < n; step <<= 1 {
-		rot, err := ev.Rotate(out, step)
-		if err != nil {
-			return nil, err
-		}
-		out = ev.Add(out, rot)
-	}
-	return out, nil
-}
-
 // LinearTransform is a plaintext matrix in diagonal form, ready to be
 // applied to a ciphertext with the rotate-multiply-accumulate
 // ("diagonal") method. Rotation r contributes diag_r(W)[i] = W[i][i+r].

@@ -240,7 +240,7 @@ func TestClusterKillMidReplayDelivery(t *testing.T) {
 			victim = i
 		}
 	}
-	tc.rt.Kill(victim)
+	tc.rt.markDown(tc.rt.shards[victim])
 
 	for range tenants {
 		o := <-results
@@ -422,7 +422,7 @@ func TestShardGroupRefusedWhole(t *testing.T) {
 		return out
 	}
 
-	before := tc.shards[0].Stats()
+	before := tc.shards[0].svc.Stats()
 	rots := []int{1, 2, 3}
 	refused := roundTrip(&Group{BaseID: 100, Tenant: "nobody", Level: 3, Rots: rots, Input: in})
 	for i := range rots {
@@ -431,7 +431,7 @@ func TestShardGroupRefusedWhole(t *testing.T) {
 			t.Fatalf("member %d of the refused frame: got %+v, want ResultErr", i, wr)
 		}
 	}
-	if st := tc.shards[0].Stats(); st.Submitted != before.Submitted {
+	if st := tc.shards[0].svc.Stats(); st.Submitted != before.Submitted {
 		t.Fatalf("the refused frame enqueued %d requests", st.Submitted-before.Submitted)
 	}
 
@@ -453,7 +453,7 @@ func TestShardGroupRefusedWhole(t *testing.T) {
 			t.Fatalf("member %d of the next frame differs from SwitchHoisted", i)
 		}
 	}
-	st := tc.shards[0].Stats()
+	st := tc.shards[0].svc.Stats()
 	if d := st.ModUps - before.ModUps; d != 1 {
 		t.Fatalf("the served frame ran %d ModUps, want 1", d)
 	}

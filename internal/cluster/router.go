@@ -157,10 +157,6 @@ func (rt *Router) ShutdownShards() {
 	}
 }
 
-// Kill abruptly severs shard i's connection — the test hook for the
-// death path (the cluster experiment kills the whole process).
-func (rt *Router) Kill(i int) { rt.markDown(rt.shards[i]) }
-
 // readLoop consumes one shard's frames until the connection dies.
 func (rt *Router) readLoop(sc *shardClient) {
 	cr := newConnReader(sc.conn, rt.r)

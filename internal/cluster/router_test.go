@@ -136,7 +136,7 @@ func TestRouterRequeueMovesWholeGroup(t *testing.T) {
 			return []frame{{FrameStats, rawPayload(p)}}, false
 		}
 	})
-	before := fl.live.Stats()
+	before := fl.live.svc.Stats()
 	rots := []int{1, 2, 3, 4}
 	chans, want0, want1 := fl.submitHoisted(t, tenant, level, uniformNTT(fl.cctx.R, 11, level), rots)
 	for i, res := range receive(t, chans) {
@@ -174,7 +174,7 @@ func TestRouterResendAfterDeathIsWholeFrame(t *testing.T) {
 			return reply, m.typ == FrameGroup
 		}
 	})
-	before := fl.live.Stats()
+	before := fl.live.svc.Stats()
 	rots := []int{1, 2, 3, 4}
 	chans, want0, want1 := fl.submitHoisted(t, tenant, level, uniformNTT(fl.cctx.R, 12, level), rots)
 	for i, res := range receive(t, chans) {

@@ -122,11 +122,6 @@ func NewShard(cctx *ckks.Context, tenants []string, scfg serve.Config) (*Shard, 
 // a FrameShutdown).
 func (s *Shard) Done() <-chan struct{} { return s.done }
 
-// Stats exposes the underlying service's snapshot (tests and the
-// in-process cluster experiment use it; remote routers go through
-// FrameStatsReq).
-func (s *Shard) Stats() serve.Stats { return s.svc.Stats() }
-
 // Serve accepts router connections on ln until Close. It owns ln.
 func (s *Shard) Serve(ln net.Listener) error {
 	s.mu.Lock()

@@ -277,21 +277,6 @@ func (r *Ring) Sub(a, b, out *Poly) {
 	out.IsNTT = a.IsNTT
 }
 
-// Neg sets out = -a tower-wise.
-func (r *Ring) Neg(a, out *Poly) {
-	if !a.Basis.Equal(out.Basis) {
-		panic("ring: Neg basis mismatch")
-	}
-	for i, t := range a.Basis {
-		m := r.Mods[t]
-		ar, or := a.Coeffs[i], out.Coeffs[i]
-		for j := range ar {
-			or[j] = m.Neg(ar[j])
-		}
-	}
-	out.IsNTT = a.IsNTT
-}
-
 // MulCoeffwise sets out = a ⊙ b (point-wise product). Both operands
 // must be in the NTT domain for this to implement ring multiplication.
 func (r *Ring) MulCoeffwise(a, b, out *Poly) {

@@ -50,7 +50,7 @@ func TestBases(t *testing.T) {
 	}
 }
 
-func TestPolyAddSubNeg(t *testing.T) {
+func TestPolyAddSub(t *testing.T) {
 	r := testRing(t)
 	s := NewSampler(r, 1)
 	b := r.DBasis(3)
@@ -62,17 +62,6 @@ func TestPolyAddSubNeg(t *testing.T) {
 	r.Sub(sum, c, diff)
 	if !diff.Equal(a) {
 		t.Fatal("(a+c)-c != a")
-	}
-	neg := r.NewPoly(b)
-	r.Neg(a, neg)
-	zero := r.NewPoly(b)
-	r.Add(a, neg, zero)
-	for i := range zero.Coeffs {
-		for j := range zero.Coeffs[i] {
-			if zero.Coeffs[i][j] != 0 {
-				t.Fatal("a + (-a) != 0")
-			}
-		}
 	}
 }
 

@@ -63,16 +63,10 @@ type KeyID struct {
 // bit-exact across evictions, and what sits behind the cache is no
 // larger per key than what sits in it. The budget bounds what the
 // service pins; the source is its backing store. SeedKeySource adapts
-// ckks key chains; tests inject counting sources via KeyMaterialFunc.
+// ckks key chains.
 type KeySource interface {
 	Key(id KeyID) (hks.KeyMaterial, error)
 }
-
-// KeyMaterialFunc adapts a function to the KeySource interface.
-type KeyMaterialFunc func(id KeyID) (hks.KeyMaterial, error)
-
-// Key implements KeySource.
-func (f KeyMaterialFunc) Key(id KeyID) (hks.KeyMaterial, error) { return f(id) }
 
 // CacheStats is one tenant's shard of the key cache or the whole
 // cache: resident keys and bytes, and the hit/miss/eviction counters.

@@ -10,6 +10,13 @@ import (
 	"ciflow/internal/ring"
 )
 
+// KeyMaterialFunc adapts a function to the KeySource interface, for
+// sources that count, gate or fail their loads.
+type KeyMaterialFunc func(id KeyID) (hks.KeyMaterial, error)
+
+// Key implements KeySource.
+func (f KeyMaterialFunc) Key(id KeyID) (hks.KeyMaterial, error) { return f(id) }
+
 // fakeEvk hand-crafts an evaluation key whose SizeBytes is exactly
 // 2×words×8 — the cache never looks inside an Evk, only at identity
 // and size.

@@ -57,9 +57,10 @@
 // shards of a cluster and Stats.ForTenant for one tenant's view.
 //
 // Requests carry a Level, and the service lazily resolves one
-// hks.Switcher per level through its SwitcherSource (hks.SwitcherPool
-// or ckks.KeyChain), so a rescale-heavy multi-level stream is served
-// by one Service instance instead of one per (tenant, level).
+// hks.Switcher per level through its hks.SwitcherPool, so a
+// rescale-heavy multi-level stream is served by one Service instance
+// instead of one per (tenant, level). Switchers hold no secret
+// material, so one pool serves every tenant.
 //
 // Every served result is bit-exact with a direct hks.KeySwitch or
 // hks.SwitchHoisted of the same input and key — coalescing and
@@ -93,17 +94,6 @@ import (
 
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("serve: service closed")
-
-// SwitcherSource resolves ciphertext levels to switchers — the
-// service's routing table for multi-level streams. Implementations
-// must be safe for concurrent use, memoize (Submit resolves the level
-// of every request through this), and return the same switcher for
-// repeated calls at one level (*hks.SwitcherPool and *ckks.KeyChain
-// both qualify). Switchers hold no secret material, so one source
-// serves every tenant.
-type SwitcherSource interface {
-	Switcher(level int) (*hks.Switcher, error)
-}
 
 // TenantChecker is an optional KeySource extension: a source that can
 // tell cheaply whether a tenant exists lets Submit reject requests for
@@ -249,7 +239,7 @@ func (w *tenantWorker) send(ctx context.Context, sub submission) error {
 // with New, submit with Submit/SubmitGroup, observe with Stats, and
 // Close to drain. Safe for concurrent use.
 type Service struct {
-	src  SwitcherSource
+	pool *hks.SwitcherPool
 	keys *keyCache
 	cfg  Config
 
@@ -262,12 +252,12 @@ type Service struct {
 	workers map[string]*tenantWorker
 }
 
-// New starts a service routing levels through switchers and loading
-// evaluation keys through keys. Callers own the engine; Close only
-// stops the service's dispatchers.
-func New(switchers SwitcherSource, keys KeySource, cfg Config) (*Service, error) {
-	if switchers == nil {
-		return nil, fmt.Errorf("serve: nil switcher source")
+// New starts a service resolving levels to switchers through pool and
+// loading evaluation keys through keys. Callers own the engine; Close
+// only stops the service's dispatchers.
+func New(pool *hks.SwitcherPool, keys KeySource, cfg Config) (*Service, error) {
+	if pool == nil {
+		return nil, fmt.Errorf("serve: nil switcher pool")
 	}
 	if keys == nil {
 		return nil, fmt.Errorf("serve: nil key source")
@@ -279,7 +269,7 @@ func New(switchers SwitcherSource, keys KeySource, cfg Config) (*Service, error)
 		cfg.KeyBudget = 256 << 20
 	}
 	return &Service{
-		src:     switchers,
+		pool:    pool,
 		keys:    newKeyCache(keys, cfg.KeyBudget),
 		cfg:     cfg,
 		workers: make(map[string]*tenantWorker),
@@ -334,12 +324,9 @@ func (s *Service) admit(ctx context.Context, req Request) (*pending, error) {
 	if req.Level == 0 {
 		req.Level = s.cfg.DefaultLevel
 	}
-	sw, err := s.src.Switcher(req.Level)
+	sw, err := s.pool.Switcher(req.Level)
 	if err != nil {
 		return nil, err
-	}
-	if sw == nil {
-		return nil, fmt.Errorf("serve: switcher source returned nil for level %d", req.Level)
 	}
 	if err := sw.CheckInput(req.Input); err != nil {
 		return nil, err

@@ -966,7 +966,7 @@ func TestWrongLevelKeyFailsOneRequest(t *testing.T) {
 func TestNewConfigErrors(t *testing.T) {
 	b := newTestBench(t, 1)
 	if _, err := New(nil, b.keySource(), Config{}); err == nil {
-		t.Fatal("nil switcher source accepted")
+		t.Fatal("nil switcher pool accepted")
 	}
 	if _, err := New(b.pool, nil, Config{}); err == nil {
 		t.Fatal("nil key source accepted")
@@ -974,8 +974,7 @@ func TestNewConfigErrors(t *testing.T) {
 }
 
 // chainService serves the one tenant "" of a SeedKeySource over ctx,
-// behind parking, with the tenant's ckks.KeyChain as the
-// SwitcherSource.
+// behind parking, and returns the tenant's ckks.KeyChain.
 func chainService(t *testing.T, ctx *ckks.Context, e *engine.Engine, level int) (*Service, *ckks.KeyChain, <-chan string, chan struct{}) {
 	t.Helper()
 	src, err := NewSeedKeySource(ctx, []string{""}, false)
@@ -987,7 +986,7 @@ func chainService(t *testing.T, ctx *ckks.Context, e *engine.Engine, level int) 
 		t.Fatal(err)
 	}
 	parked, entered, release := parking(src)
-	svc, err := New(kc, parked, Config{Engine: e, DefaultLevel: level})
+	svc, err := New(ctx.Switchers(), parked, Config{Engine: e, DefaultLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1006,10 +1005,9 @@ func levelInput(t *testing.T, kc *ckks.KeyChain, s *ring.Sampler, level int) *ri
 	return in
 }
 
-// TestServeKeyChain serves hoisting-form rotations straight off a
-// ckks.KeyChain — the chain is the SwitcherSource, and SeedKeySource
-// resolves keys through it — and checks them against the direct switch
-// with the same (memoized) keys.
+// TestServeKeyChain serves hoisting-form rotations from a
+// ckks.KeyChain — SeedKeySource resolves keys through it — and checks
+// them against the direct switch with the same (memoized) keys.
 func TestServeKeyChain(t *testing.T) {
 	ctx, err := ckks.NewContext(32, 4, 30, 2, 31, 2)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ciflow/internal/dataflow"
+	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -110,7 +111,7 @@ func recyclingSchedule(t *testing.T) *Schedule {
 // recycling on, then once checked, and names whatever is not exact: an
 // error, inexact counts, a dependency violation, a serial mismatch, or
 // an unchecked replay whose outputs' digest is not the checked one's.
-func recyclingReplays(svc *serve.Service, src serve.SwitcherSource, keys serve.KeySource, r *ring.Ring, s *Schedule, tenant string) []string {
+func recyclingReplays(svc *serve.Service, src *hks.SwitcherPool, keys serve.KeySource, r *ring.Ring, s *Schedule, tenant string) []string {
 	ds := &digestServer{Server: svc, tenant: tenant}
 	var bad []string
 	var digests []uint64

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"ciflow/internal/dataflow"
+	"ciflow/internal/hks"
 	"ciflow/internal/ring"
 	"ciflow/internal/serve"
 )
@@ -148,7 +149,7 @@ type replayer struct {
 // deterministic seed-derived chains — makes the comparison
 // meaningful). r is the server's ring; cfg.Seed makes the run
 // reproducible.
-func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, keys serve.KeySource, r *ring.Ring, s *Schedule, cfg ReplayConfig) (*ReplayResult, error) {
+func Replay(ctx context.Context, svc Server, switchers *hks.SwitcherPool, keys serve.KeySource, r *ring.Ring, s *Schedule, cfg ReplayConfig) (*ReplayResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -482,7 +483,7 @@ func (rp *replayer) run(ctx context.Context) error {
 // value correctness and dependency order: a service that served a
 // node before its predecessors existed could not have produced the
 // derived input's switch result.
-func (rp *replayer) checkSerial(switchers serve.SwitcherSource, keys serve.KeySource) error {
+func (rp *replayer) checkSerial(switchers *hks.SwitcherPool, keys serve.KeySource) error {
 	ref := ring.NewSampler(rp.r, rp.cfg.Seed)
 	c1s := make([]*ring.Poly, len(rp.s.Nodes))
 	var bad []string
